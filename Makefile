@@ -1,4 +1,4 @@
-.PHONY: verify build test race bench bench-host bench-host-quick bench-check
+.PHONY: verify build test race bench bench-test bench-host bench-host-quick bench-check
 
 # verify is the tier-1 gate: vet + build + full tests + short-mode race pass
 # over the concurrency-heavy packages (see scripts/verify.sh).
@@ -12,12 +12,18 @@ test:
 	go test ./...
 
 race:
-	go test -race -short ./internal/simnet/ ./internal/core/ ./internal/spmd/
+	go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/
 
 # bench regenerates every experiment quickly; see EXPERIMENTS.md for the
 # full sweeps.
 bench:
 	go run ./cmd/fompi-bench -exp all
+
+# bench-test runs the benchmark module's own tests (estimator, spec vs
+# BENCHMARK.json, smoke). benchmark/ is a module of its own, so `go test
+# ./...` from the root never reaches them.
+bench-test:
+	cd benchmark && go test
 
 # bench-host regenerates BENCH_host.json: the simulator's own wall-clock
 # ns/op and allocs/op per hot-path scenario, compared against the recorded

@@ -330,30 +330,17 @@ func (a *Arena) Lookup(ownerLocal int, key uint32, ownerGlobal int) *simnet.Regi
 
 // ---- NIC intervals ----
 
-// ReserveNIC books local rank's NIC busy interval under a shared-memory
-// spinlock; the interval logic is identical to the in-process fabric's
-// (including hole service for tardy bookings — see Fabric.reserveNIC).
+// ReserveNIC books local rank's NIC busy interval (simnet.BookNIC) under a
+// shared-memory spinlock.
 func (a *Arena) ReserveNIC(local int, arrival timing.Time, xfer int64) timing.Time {
 	ro := a.lay.rankOff(local)
 	lk := u32at(a.m, ro+rnNicLock)
 	for !atomic.CompareAndSwapUint32(lk, 0, 1) {
 		runtime.Gosched()
 	}
-	start, busy := i64at(a.m, ro+rnNicStart), i64at(a.m, ro+rnNicBusy)
-	v := int64(arrival)
-	var res int64
-	switch {
-	case v >= *busy:
-		*start, *busy = v, v+xfer
-		res = *busy
-	case v+xfer <= *start:
-		res = v + xfer
-	default:
-		*busy += xfer
-		res = *busy
-	}
+	comp := simnet.BookNIC(i64at(a.m, ro+rnNicStart), i64at(a.m, ro+rnNicBusy), arrival, xfer)
 	atomic.StoreUint32(lk, 0)
-	return timing.Time(res)
+	return comp
 }
 
 // ---- pacing ----

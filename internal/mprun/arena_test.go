@@ -1,0 +1,79 @@
+package mprun
+
+import (
+	"path/filepath"
+	"testing"
+
+	"fompi/internal/simnet"
+	"fompi/internal/timing"
+)
+
+// TestTwoViewsShareStampTree maps one arena twice in one process — the
+// creator's view and a peer's — and checks that stamps written through either
+// view read back through the other. The peer derives its stamp tree from the
+// directory entry's length alone, so this holds only if both sides compute
+// the same depth and level offsets over the shared slabs; the sizes put the
+// root at different depths, with ragged last nodes.
+func TestTwoViewsShareStampTree(t *testing.T) {
+	cfg := ArenaConfig{Ranks: 2, ArenaBytes: 4 << 20}
+	path := filepath.Join(t.TempDir(), "arena")
+	owner, err := CreateArena(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	peer, err := OpenArena(path, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	owner.Unlink()
+
+	for _, size := range []int{40, 512, 24<<10 + 8, 280 << 10} {
+		seg := owner.AllocSeg(0, size)
+		reg := simnet.MakeRegion(0, 0, seg.Buf, seg.St)
+		key := owner.Register(0, &reg)
+		mine, theirs := seg.St, peer.Lookup(0, key, 0).Stamps()
+		if mine == theirs {
+			t.Fatalf("size %d: the peer's view is the owner's object, not a second mapping", size)
+		}
+
+		// A fill through the owner's view, unaligned at both ends, then a
+		// word write inside it through the peer's.
+		off, n := 8, size-16
+		mine.SetRange(off, n, 100)
+		theirs.Set(off+8, 200)
+		for _, v := range []struct {
+			name string
+			st   *timing.Stamps
+		}{{"owner", mine}, {"peer", theirs}} {
+			if got := v.st.Get(0); got != 0 {
+				t.Errorf("size %d %s view: Get(0) = %d before the fill's first word, want 0", size, v.name, got)
+			}
+			if got := v.st.Get(off); got != 100 {
+				t.Errorf("size %d %s view: Get(%d) = %d, want the fill's 100", size, v.name, off, got)
+			}
+			if got := v.st.Get(off + n - 1); got != 100 {
+				t.Errorf("size %d %s view: Get at the fill's last byte = %d, want 100", size, v.name, got)
+			}
+			if got := v.st.Get(off + 8); got != 200 {
+				t.Errorf("size %d %s view: Get(%d) = %d, want the word write's 200", size, v.name, off+8, got)
+			}
+			if got := v.st.MaxRange(0, size); got != 200 {
+				t.Errorf("size %d %s view: MaxRange over the region = %d, want 200", size, v.name, got)
+			}
+			if got := v.st.MaxRange(off+16, n-16); got != 100 {
+				t.Errorf("size %d %s view: MaxRange past the word write = %d, want 100", size, v.name, got)
+			}
+		}
+
+		// And the other way round: the peer fills, the owner reads.
+		theirs.SetRange(0, size, 300)
+		if got := mine.MaxRange(0, size); got != 300 {
+			t.Errorf("size %d: owner reads MaxRange %d after the peer's whole-region fill, want 300", size, got)
+		}
+		if got := mine.Get(off + 8); got != 300 {
+			t.Errorf("size %d: owner reads Get %d under the peer's fill, want 300", size, got)
+		}
+	}
+}

@@ -29,7 +29,15 @@ import (
 //	                    registered memory. Every segment is laid out as
 //	                    [buffer][stamp int64 slab][stamp uint32 slab], so a
 //	                    directory entry needs only (offset, length): peers
-//	                    derive the stamp slabs with timing.StampSlabLens.
+//	                    derive the stamp slabs with timing.StampSlabLens and
+//	                    the stamp tree's depth and level offsets from the
+//	                    same length (timing.NewStampsOver), so every mapper
+//	                    lays the identical tree over the shared words.
+//
+// Version history: v4 added hdrFailRank (the abort is blamed on a rank). v5
+// is the stamp slabs' change of shape — timing.Stamps became a fan-out-8
+// fill tree, so a segment's slab lengths and what each word means differ
+// from v4 — and a v4 mapper must not read a v5 arena.
 //
 // All multi-word fields are 8-byte aligned; cross-process synchronization
 // uses sync/atomic on the mapped words, which on a cache-coherent machine
@@ -37,7 +45,7 @@ import (
 // goroutines. DESIGN.md §8 documents the layout and its ordering contracts.
 const (
 	shmMagic   = 0x666f4d50_72756e31 // "foMPrun1"
-	shmVersion = 4                   // v4: hdrFailRank blames the abort on a rank
+	shmVersion = 5                   // see "Version history" above
 
 	hdrMagic      = 0  // u64
 	hdrVersion    = 8  // u64

@@ -497,9 +497,8 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 	return w.ar.Lookup(a.Rank, uint32(a.Key), a.Rank)
 }
 
-// ReserveNIC books the target rank's NIC busy interval under a shared-memory
-// spinlock; the interval logic is identical to the in-process fabric's
-// (including hole service for tardy bookings — see Fabric.reserveNIC).
+// ReserveNIC books the target rank's NIC in the shared arena (see
+// Arena.ReserveNIC).
 func (w *World) ReserveNIC(rank int, arrival timing.Time, xfer int64) timing.Time {
 	return w.ar.ReserveNIC(rank, arrival, xfer)
 }

@@ -1133,7 +1133,14 @@ func (w *World) watchCtl() {
 // Finish reports clean completion and blocks until the coordinator releases
 // the world (BYE): this rank's memory stays remotely addressable until every
 // rank is done, matching the shared-segment lifetime of the mmap backend.
+//
+// The wire is drained first: a body whose last act is a fire-class op (a
+// collective that ends on a remote store) leaves it queued in the session
+// builder, and DONE must not announce completion while a peer still waits
+// for that store. Like every drain this panics on a lost peer, so callers
+// run Finish where they would report the body's own panic.
 func (w *World) Finish() {
+	w.DrainWire()
 	w.finished.Store(true)
 	w.ctlWr.Lock()
 	w.sendStatsLocked() // before DONE: the snapshot must precede teardown
@@ -1331,22 +1338,12 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 
 // ---- simnet.Transport: virtual-hardware services ----
 
-// reserveLocalNIC books this rank's NIC busy interval; the interval logic is
-// identical to the in-process fabric's (including hole service for tardy
-// bookings — see Fabric.reserveNIC).
+// reserveLocalNIC books this rank's NIC busy interval (simnet.BookNIC).
 func (w *World) reserveLocalNIC(arrival timing.Time, xfer int64) timing.Time {
-	a := int64(arrival)
 	w.nicMu.Lock()
-	defer w.nicMu.Unlock()
-	switch {
-	case a >= w.nicBusy:
-		w.nicStart, w.nicBusy = a, a+xfer
-	case a+xfer <= w.nicStart:
-		return timing.Time(a + xfer)
-	default:
-		w.nicBusy += xfer
-	}
-	return timing.Time(w.nicBusy)
+	comp := simnet.BookNIC(&w.nicStart, &w.nicBusy, arrival, xfer)
+	w.nicMu.Unlock()
+	return comp
 }
 
 // ReserveNIC books the target rank's NIC: locally for this rank, over the

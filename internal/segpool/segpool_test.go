@@ -43,9 +43,9 @@ func TestSizesDoNotMix(t *testing.T) {
 }
 
 // TestPutScrubbedCoversZeroStampedWrites guards the scrub contract against
-// writes stamped at virtual time 0 (ops issued during world setup): such a
-// write raises no block summary, so the scrubbed recycle must fall back to
-// a full wipe rather than hand out a dirty "all-zero" segment.
+// writes stamped at virtual time 0 (ops issued during world setup): the
+// stamp itself says nothing, so the stamps must mark the block by the write's
+// epoch or the recycle hands out a dirty "all-zero" segment.
 func TestPutScrubbedCoversZeroStampedWrites(t *testing.T) {
 	s := Get(1 << 10)
 	s.Buf[40] = 7

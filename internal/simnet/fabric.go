@@ -71,7 +71,7 @@ type node struct {
 	initTbl []*Region // initial header, carved from the fabric's setup slab
 	nextKey Key
 
-	// NIC busy interval [nicStart, nicBusy) in virtual time (see reserveNIC).
+	// NIC busy interval [nicStart, nicBusy) in virtual time (see BookNIC).
 	nicMu    sync.Mutex
 	nicStart int64
 	nicBusy  int64
@@ -571,37 +571,47 @@ func (f *Fabric) region(a Addr) *Region {
 	return tbl[a.Key]
 }
 
-// reserveNIC reserves the target rank's NIC for xfer virtual nanoseconds
-// starting no earlier than arrival, and returns the transfer's completion
-// time. This serializes concurrent senders into one target (incast).
+// BookNIC is the NIC-booking rule every backend applies under its own lock
+// (a mutex here and at a netrun owner, a spinlock in the mprun arena): it
+// reserves the NIC whose busy interval is [*start, *busy) for xfer virtual
+// nanoseconds starting no earlier than arrival, and returns the transfer's
+// completion time. This serializes concurrent senders into one target
+// (incast).
 //
 // Reservations are made in real execution order, which need not match
 // virtual arrival order: a goroutine that runs ahead in real time may book
 // late-virtual-time transfers before a slower goroutine books a
-// virtually-earlier one. The NIC therefore tracks its current busy interval
-// [nicStart, nicBusy): an arrival that overlaps the interval queues behind
-// it (true incast — colliding senders serialize), while a transfer that
-// ends before the interval even starts is served in the idle time its tardy
-// booking left behind. Without the hole-serving rule, scheduler noise would
-// queue microsecond-scale flag updates behind unrelated future bulk traffic
-// and distort every synchronization latency.
-func (f *Fabric) reserveNIC(rank int, arrival timing.Time, xfer int64) timing.Time {
-	nd := f.nodes[rank]
+// virtually-earlier one. The NIC therefore tracks its current busy interval:
+// an arrival that overlaps the interval queues behind it (true incast —
+// colliding senders serialize), while a transfer that ends before the
+// interval even starts is served in the idle time its tardy booking left
+// behind. Without the hole-serving rule, scheduler noise would queue
+// microsecond-scale flag updates behind unrelated future bulk traffic and
+// distort every synchronization latency.
+func BookNIC(start, busy *int64, arrival timing.Time, xfer int64) timing.Time {
 	a := int64(arrival)
-	nd.nicMu.Lock()
-	defer nd.nicMu.Unlock()
 	switch {
-	case a >= nd.nicBusy:
+	case a >= *busy:
 		// NIC idle at arrival: start a fresh busy interval.
-		nd.nicStart, nd.nicBusy = a, a+xfer
-	case a+xfer <= nd.nicStart:
+		*start, *busy = a, a+xfer
+	case a+xfer <= *start:
 		// Entirely before the booked interval: the NIC was idle then.
 		return timing.Time(a + xfer)
 	default:
 		// Overlaps the busy interval: queue behind it.
-		nd.nicBusy += xfer
+		*busy += xfer
 	}
-	return timing.Time(nd.nicBusy)
+	return timing.Time(*busy)
+}
+
+// reserveNIC books rank's NIC (see BookNIC). No defer: this is on every
+// inter-node op's issue path.
+func (f *Fabric) reserveNIC(rank int, arrival timing.Time, xfer int64) timing.Time {
+	nd := f.nodes[rank]
+	nd.nicMu.Lock()
+	comp := BookNIC(&nd.nicStart, &nd.nicBusy, arrival, xfer)
+	nd.nicMu.Unlock()
+	return comp
 }
 
 // waitDoor blocks until rank's doorbell generation exceeds gen, i.e. until

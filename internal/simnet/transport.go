@@ -11,12 +11,14 @@ import (
 // models, virtual clocks, stamps arithmetic, batching — lives in Endpoint
 // and is byte-identical across backends; a Transport only moves bytes,
 // resolves registrations, books NIC occupancy, rings doorbells, and carries
-// the published clocks that pacing folds. Two implementations exist: the
-// in-process *Fabric below (ranks are goroutines in one address space) and
+// the published clocks that pacing folds. Four implementations exist: the
+// in-process *Fabric below (ranks are goroutines in one address space),
 // internal/mprun's multi-process world (ranks are OS processes, regions live
-// in one mmap-shared segment, doorbells travel over Unix sockets). A third
-// backend drops in by implementing this interface and passing the
-// conformance suite in internal/transporttest.
+// in one mmap-shared segment, doorbells travel over Unix sockets),
+// internal/netrun's distributed world (ranks are processes joined by TCP
+// sessions; fire-class ops pipeline through AsyncMem) and internal/hybridrun,
+// which routes each peer to an mprun arena or a netrun session by host. Each
+// passes the conformance suite in internal/transporttest, as a fifth would.
 //
 // Contracts a backend must honor, in the terms the conformance suite checks:
 //
@@ -106,7 +108,7 @@ func (f *Fabric) RecycleSeg(rank int, s *segpool.Seg, scrubbed bool, extra ...se
 	segpool.Put(s)
 }
 
-// ReserveNIC books the target rank's NIC (see reserveNIC).
+// ReserveNIC books the target rank's NIC (see BookNIC).
 func (f *Fabric) ReserveNIC(rank int, arrival timing.Time, xfer int64) timing.Time {
 	return f.reserveNIC(rank, arrival, xfer)
 }

@@ -314,7 +314,8 @@ func runCrossWorker(cfg Config, cw crossWorld, body func(*Proc)) {
 	seg := cw.AllocSeg(rank, hdrBytes+cfg.ScratchBytes)
 	p.ep.RegisterBufStampsInto(&w.scratch[rank], seg.Buf, seg.St)
 	cw.Ready() // barrier: every rank's scratch is addressable
-	ok := func() (ok bool) {
+	// guard runs fn, reporting a panic to the launcher in its terms.
+	guard := func(fn func()) (ok bool) {
 		defer func() {
 			if e := recover(); e != nil {
 				// Three shapes of death, reported in launcher terms: a peer
@@ -333,18 +334,20 @@ func runCrossWorker(cfg Config, cw crossWorld, body func(*Proc)) {
 				ok = false
 			}
 		}()
-		body(p)
+		fn()
 		return true
-	}()
+	}
+	ok := guard(func() { body(p) })
 	// The stderr dump precedes Finish deliberately: Finish ships the STATS
 	// control frame and the DONE status line, after which the launcher may
 	// tear the world down under us. (On the panic path Fail already ran
 	// inside the recover; the dump is the local post-mortem copy.)
 	dumpRankStats(rank)
-	if !ok {
+	// Finish is guarded too: it completes the body's queued remote stores
+	// before reporting DONE, which can meet a lost peer like any other op.
+	if !ok || !guard(cw.Finish) {
 		os.Exit(1)
 	}
-	cw.Finish()
 	os.Exit(0)
 }
 

@@ -582,3 +582,16 @@ func TestConformanceManyRanks(t *testing.T) {
 		p.Barrier()
 	})
 }
+
+// TestConformanceExitOnCollective ends every rank's body on an Allreduce8
+// with no barrier behind it. A three-rank allreduce's last act on some rank
+// is a remote store another rank is still waiting for, so a backend whose
+// exit path announces completion with that store still queued strands the
+// waiter: the world must finish, and with the right sum, on every backend.
+func TestConformanceExitOnCollective(t *testing.T) {
+	cfg := spmd.Config{Ranks: 3, RanksPerNode: 1}
+	runAll(t, "TestConformanceExitOnCollective", cfg, func(p *spmd.Proc) {
+		got := p.Allreduce8(spmd.OpSum, uint64(p.Rank()+1))
+		check(got == 6, "rank %d: allreduce sum %d, want 6", p.Rank(), got)
+	})
+}

@@ -10,6 +10,8 @@
 #                                conformance suite, which spawns the
 #                                multi-process, inter-node, and hybrid
 #                                backends' worker processes)
+#   make bench-test              the benchmark module's own tests (benchmark/
+#                                has its own go.mod, so ./... skips it)
 #   go test -race -short <hot>   concurrency check over the packages whose
 #                                goroutines share fabric memory
 #   examples smoke               build and run every example; quickstart and
@@ -46,8 +48,11 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race -short (simnet, core, spmd, netrun, rankio)"
-go test -race -short ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/
+echo "== benchmark module tests (make bench-test)"
+make bench-test
+
+echo "== go test -race -short (timing, simnet, core, spmd, netrun, rankio)"
+go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/
 
 echo "== examples smoke (build + run, cross-backend diff)"
 for ex in quickstart stencil hashtable dsde; do
