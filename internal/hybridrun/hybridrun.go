@@ -18,12 +18,15 @@
 // slabs, exactly the mmap backend's fast path, which is what makes
 // Endpoint.Shared (MPI-3 shared-memory windows) work across processes — and
 // an off-host peer's region resolves to netrun's wire proxy with fused
-// one-message execution. Doorbells are unified per rank: co-located ranks
-// ring and wait on the arena doorbell directly, and off-host rings/waits
-// arriving over the wire are redirected into the same doorbell through
-// netrun's DoorOps hook. NIC intervals and pacing stay single-homed in the
-// owner's process (netrun's discipline), so virtual times remain
-// bit-identical to every other backend (internal/transporttest pins this).
+// one-message execution. Ports are unified per rank: each rank's port — its
+// doorbell generation, its NIC interval and the lock over both — is its slot
+// in the host group's arena; co-located ranks take it, ring it and wait on
+// it directly, and off-host operations, rings and waits arriving over the
+// wire land on the same slot through netrun's DoorOps hook, so a co-located
+// issuer and the owner's service loop book one NIC interval. Pacing stays
+// single-homed in the owner's process (netrun's discipline). Virtual times
+// remain bit-identical to every other backend (internal/transporttest pins
+// this).
 //
 // In loopback spawn mode the launcher assigns rank r the host key
 // "h<r/RanksPerNode>": the emulated placement matches the virtual topology,
@@ -194,12 +197,12 @@ func Join(o Options) (*World, error) {
 	if err := w.attachArena(o); err != nil {
 		return nil, err
 	}
-	// Off-host rings and waits arriving over the wire must land on the same
-	// doorbell the co-located ranks touch directly. Installed before Ready,
-	// so no peer traffic races the handoff.
+	// Off-host operations, rings and waits arriving over the wire must land
+	// on the same port the co-located ranks take directly. Installed before
+	// Ready, so no peer traffic races the handoff.
 	nw.SetDoorOps(&netrun.DoorOps{
-		Ring: func() { w.ar.Ring(w.self) },
-		Gen:  func() uint64 { return w.ar.DoorGen(w.self) },
+		Port: w.ar.Port(w.self),
+		Wake: func() { w.ar.Wake(w.self) },
 		WaitSliced: func(gen uint64, slice time.Duration) uint64 {
 			return w.ar.WaitDoorSliced(w.self, gen, slice, nw.Aborted)
 		},
@@ -340,14 +343,26 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 	return w.World.LookupRegion(a)
 }
 
-// ---- simnet.Transport overrides: doorbells ----
+// ---- simnet.Transport overrides: ports and doorbells ----
 //
-// Each rank has exactly one doorbell — its slot in the host group's arena.
-// Co-located ranks ring and wait on it directly; off-host ranks reach it over
-// the wire, where the owner's DoorOps redirect lands on the same slot. NIC
-// intervals and pacing deliberately stay on netrun's inherited paths: that
-// state is single-homed in the owner's process, and same-host cross-(virtual-)
-// node operations must book the same NIC the off-host ones do.
+// Each rank has exactly one port — its slot in the host group's arena.
+// Co-located ranks take it, ring it and wait on it directly; off-host ranks
+// reach it over the wire, where the owner's DoorOps redirect lands on the
+// same slot, so same-host cross-(virtual-)node operations book the same NIC
+// interval the off-host ones do. Pacing deliberately stays on netrun's
+// inherited path: that state is single-homed in the owner's process.
+
+// Port returns rank's port: its arena slot for the host group (including
+// this rank), nil for an off-host rank, whose memory only proxies reach.
+func (w *World) Port(rank int) *simnet.Port {
+	if l := w.lidx[rank]; l >= 0 {
+		return w.ar.Port(l)
+	}
+	return nil
+}
+
+// WakeDoor wakes the waiters parked on a host-group rank's port.
+func (w *World) WakeDoor(rank int) { w.ar.Wake(w.lidx[rank]) }
 
 // RingDoorbell bumps rank's doorbell: on the arena for the host group
 // (including this rank), over the wire otherwise.

@@ -5,11 +5,11 @@ import (
 	"math/bits"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"fompi/internal/segpool"
 	"fompi/internal/simnet"
@@ -25,7 +25,6 @@ var (
 	mPaceParkNs  = telemetry.NewHistogram("pace.park_ns")
 	mPaceStalls  = telemetry.NewCounter("pace.stalls")
 	mPacePokes   = telemetry.NewCounter("pace.pokes")
-	mDoorRings   = telemetry.NewCounter("door.rings")
 	mRecycles    = telemetry.NewCounter("seg.recycle")
 	mRecycleScrb = telemetry.NewCounter("seg.recycle_scrubbed")
 )
@@ -60,8 +59,9 @@ func (c ArenaConfig) withDefaults() ArenaConfig {
 // one Arena per physical host (local indices are the host's ranks in ascending
 // global-rank order, and the off-host half of the world travels over TCP).
 // Everything two co-located ranks ever both touch lives in the mapping — the
-// region directory, the stamp slabs, doorbell generations, NIC intervals,
-// pacing clocks — plus one Unix datagram socket per local rank for wakeups.
+// region directory, the stamp slabs, each rank's port (doorbell generation,
+// NIC interval and the lock over them), pacing clocks — plus one Unix
+// datagram socket per local rank for wakeups.
 type Arena struct {
 	cfg  ArenaConfig
 	path string
@@ -323,24 +323,18 @@ func (a *Arena) Lookup(ownerLocal int, key uint32, ownerGlobal int) *simnet.Regi
 	st := timing.NewStampsOver(
 		i64slice(ar, off+bufLen, n64),
 		u32slice(ar, off+bufLen+n64*8, n32), ln)
-	reg := simnet.MakeRegion(ownerGlobal, simnet.Key(key), buf, st)
+	reg := simnet.MakeRegion(ownerGlobal, simnet.Key(key), buf, st, a.Port(ownerLocal))
 	regs[key] = &reg
 	return &reg
 }
 
-// ---- NIC intervals ----
+// ---- ports ----
 
-// ReserveNIC books local rank's NIC busy interval (simnet.BookNIC) under a
-// shared-memory spinlock.
-func (a *Arena) ReserveNIC(local int, arrival timing.Time, xfer int64) timing.Time {
-	ro := a.lay.rankOff(local)
-	lk := u32at(a.m, ro+rnNicLock)
-	for !atomic.CompareAndSwapUint32(lk, 0, 1) {
-		runtime.Gosched()
-	}
-	comp := simnet.BookNIC(i64at(a.m, ro+rnNicStart), i64at(a.m, ro+rnNicBusy), arrival, xfer)
-	atomic.StoreUint32(lk, 0)
-	return comp
+// Port returns local rank's port: the words at the head of its slot in the
+// mapping, so every process of the arena takes the same lock and books the
+// same NIC interval. The slot is 128-byte aligned in a page-aligned mapping.
+func (a *Arena) Port(local int) *simnet.Port {
+	return (*simnet.Port)(unsafe.Pointer(&a.m[a.lay.rankOff(local)+rnPort]))
 }
 
 // ---- pacing ----
@@ -437,15 +431,20 @@ func (a *Arena) Pace(local int, t timing.Time, aborted func() bool) {
 
 // ---- doorbells ----
 
-// Ring bumps local rank's doorbell generation and pokes every rank currently
-// registered as waiting on it (one datagram each; a full socket buffer means
-// wakeups are already pending, so send errors are ignored). The waiter set is
-// a multi-word bitset — ceil(ranks/64) words — so worlds wider than 64 ranks
-// ring exactly the parked ranks, wherever their bit lives; the common
-// no-waiter case stays one atomic load per word.
+// Ring advances local rank's doorbell generation from outside its port and
+// wakes its waiters.
 func (a *Arena) Ring(local int) {
-	mDoorRings.Inc()
-	atomic.AddUint64(u64at(a.m, a.lay.rankOff(local)+rnDoorGen), 1)
+	a.Port(local).Ring()
+	a.Wake(local)
+}
+
+// Wake pokes every rank currently registered as waiting on local rank's
+// doorbell, after its generation advanced (one datagram each; a full socket
+// buffer means wakeups are already pending, so send errors are ignored). The
+// waiter set is a multi-word bitset — ceil(ranks/64) words — so worlds wider
+// than 64 ranks wake exactly the parked ranks, wherever their bit lives; the
+// common no-waiter case stays one atomic load per word.
+func (a *Arena) Wake(local int) {
 	for wd := 0; wd < a.lay.maskWords; wd++ {
 		mask := atomic.LoadUint64(u64at(a.m, a.lay.waiterOff(local, wd)))
 		for mask != 0 {
@@ -477,52 +476,36 @@ func (a *Arena) sendDoor(r int) {
 }
 
 // DoorGen samples local rank's doorbell generation.
-func (a *Arena) DoorGen(local int) uint64 {
-	return atomic.LoadUint64(u64at(a.m, a.lay.rankOff(local)+rnDoorGen))
-}
+func (a *Arena) DoorGen(local int) uint64 { return a.Port(local).Gen() }
 
 // WaitDoor blocks until local rank's doorbell generation exceeds gen, or
-// panics simnet.ErrAborted when aborted reports true. The waiter registers
-// itself in the watched rank's waiter bitset before re-checking the
-// generation — the store/load pairing with Ring's bump-then-read makes lost
-// wakeups impossible — then sleeps on its own doorbell socket with a
-// heartbeat deadline (dropped datagrams and aborts are caught by the
-// heartbeat re-check).
+// panics simnet.ErrAborted when aborted reports true: parks in slices (see
+// WaitDoorSliced) until either happens.
 func (a *Arena) WaitDoor(local int, gen uint64, aborted func() bool) uint64 {
-	genp := u64at(a.m, a.lay.rankOff(local)+rnDoorGen)
-	if g := atomic.LoadUint64(genp); g != gen {
-		return g
-	}
-	wp := u64at(a.m, a.lay.waiterOff(local, a.self/64))
-	bit := uint64(1) << uint(a.self%64)
-	setBit(wp, bit)
-	defer clearBit(wp, bit)
-	var scratch [8]byte
-	d := doorWaitMin
 	for {
-		if g := atomic.LoadUint64(genp); g != gen {
+		if g := a.WaitDoorSliced(local, gen, time.Second, aborted); g != gen {
 			return g
 		}
 		if aborted() {
 			panic(a.abortPanic())
-		}
-		a.door.SetReadDeadline(time.Now().Add(d))
-		a.door.Read(scratch[:])
-		if d < doorWaitMax {
-			d *= 2
 		}
 	}
 }
 
 // WaitDoorSliced parks at local rank's doorbell for at most slice and returns
 // the then-current generation; spurious (timeout) returns are allowed by the
-// WaitDoor contract. The hybrid backend's service loop uses it to park
-// off-host waiters in bounded slices, so a dropped connection or an abort can
-// never strand the requester. Unlike WaitDoor it returns (rather than
-// panicking) on abort — the requester re-checks its own abort state.
+// WaitDoor contract. The waiter registers itself in the watched rank's waiter
+// bitset before re-checking the generation — the store/load pairing with the
+// writer's advance-then-read (port release, then Wake) makes lost wakeups
+// impossible — then sleeps on its own doorbell socket with a heartbeat
+// deadline (dropped datagrams and aborts are caught by the heartbeat
+// re-check). The hybrid backend parks co-located and off-host waiters alike
+// in bounded slices, so a lost wire RING, a dropped connection or an abort
+// can never strand one. It returns (rather than panicking) on abort — the
+// caller re-checks its own abort state.
 func (a *Arena) WaitDoorSliced(local int, gen uint64, slice time.Duration, aborted func() bool) uint64 {
-	genp := u64at(a.m, a.lay.rankOff(local)+rnDoorGen)
-	if g := atomic.LoadUint64(genp); g != gen {
+	port := a.Port(local)
+	if g := port.Gen(); g != gen {
 		return g
 	}
 	wp := u64at(a.m, a.lay.waiterOff(local, a.self/64))
@@ -533,12 +516,12 @@ func (a *Arena) WaitDoorSliced(local int, gen uint64, slice time.Duration, abort
 	var scratch [8]byte
 	d := doorWaitMin
 	for {
-		if g := atomic.LoadUint64(genp); g != gen {
+		if g := port.Gen(); g != gen {
 			return g
 		}
 		rem := time.Until(deadline)
 		if rem <= 0 || aborted() {
-			return atomic.LoadUint64(genp)
+			return port.Gen()
 		}
 		if d > rem {
 			d = rem
@@ -576,7 +559,7 @@ func clearBit(wp *uint64, bit uint64) {
 func (a *Arena) SetAbortFlag() {
 	atomic.StoreUint32(u32at(a.m, hdrAbort), 1)
 	for r := 0; r < a.cfg.Ranks; r++ {
-		atomic.AddUint64(u64at(a.m, a.lay.rankOff(r)+rnDoorGen), 1)
+		a.Port(r).Ring()
 		a.sendDoor(r)
 	}
 }

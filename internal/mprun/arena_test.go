@@ -3,6 +3,7 @@ package mprun
 import (
 	"path/filepath"
 	"testing"
+	"time"
 
 	"fompi/internal/simnet"
 	"fompi/internal/timing"
@@ -13,7 +14,9 @@ import (
 // view read back through the other. The peer derives its stamp tree from the
 // directory entry's length alone, so this holds only if both sides compute
 // the same depth and level offsets over the shared slabs; the sizes put the
-// root at different depths, with ragged last nodes.
+// root at different depths, with ragged last nodes. The rank's port is shared
+// the same way: locked through one mapping it excludes through the other, and
+// a ring through either is read through both.
 func TestTwoViewsShareStampTree(t *testing.T) {
 	cfg := ArenaConfig{Ranks: 2, ArenaBytes: 4 << 20}
 	path := filepath.Join(t.TempDir(), "arena")
@@ -29,9 +32,42 @@ func TestTwoViewsShareStampTree(t *testing.T) {
 	defer peer.Close()
 	owner.Unlink()
 
+	mine, theirs := owner.Port(1), peer.Port(1)
+	if mine == theirs {
+		t.Fatal("the peer's port is the owner's object, not a second mapping")
+	}
+	mine.Lock()
+	entered := make(chan struct{})
+	go func() {
+		theirs.Lock()
+		close(entered)
+	}()
+	theirs.Ring() // from outside the held lock: an add, never blocked or lost
+	select {
+	case <-entered:
+		t.Fatal("port locked through the owner's mapping did not exclude through the peer's")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got := owner.DoorGen(1); got != 1 {
+		t.Fatalf("owner reads generation %d after the peer's ring, want 1", got)
+	}
+	mine.UnlockRing()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("release through the owner's mapping did not admit the peer's waiter")
+	}
+	theirs.Unlock()
+	if got := peer.DoorGen(1); got != 2 {
+		t.Fatalf("peer reads generation %d after the owner's release-ring, want 2", got)
+	}
+	if got := owner.Port(0).Gen(); got != 0 {
+		t.Fatalf("rank 0's generation is %d after rings on rank 1 only", got)
+	}
+
 	for _, size := range []int{40, 512, 24<<10 + 8, 280 << 10} {
 		seg := owner.AllocSeg(0, size)
-		reg := simnet.MakeRegion(0, 0, seg.Buf, seg.St)
+		reg := simnet.MakeRegion(0, 0, seg.Buf, seg.St, owner.Port(0))
 		key := owner.Register(0, &reg)
 		mine, theirs := seg.St, peer.Lookup(0, key, 0).Stamps()
 		if mine == theirs {

@@ -10,8 +10,10 @@ import (
 // and every worker process, holds everything two ranks ever both touch:
 //
 //	header   (1 page)   world parameters + the abort flag
-//	rank[i]  (128 B)    doorbell generation, published pace clock, NIC busy
-//	                    interval + its spinlock
+//	rank[i]  (128 B)    the rank's simnet.Port (port word = doorbell
+//	                    generation<<1 | lock bit, then the NIC busy interval
+//	                    the lock guards) and, on a cache line of its own,
+//	                    the published pace clock
 //	wait[i]  (ceil(ranks/64) × 8 B per rank)
 //	                    the doorbell waiter bitset: bit r of rank i's words
 //	                    is set while rank r is blocked in WaitDoor on i (a
@@ -37,7 +39,10 @@ import (
 // Version history: v4 added hdrFailRank (the abort is blamed on a rank). v5
 // is the stamp slabs' change of shape — timing.Stamps became a fan-out-8
 // fill tree, so a segment's slab lengths and what each word means differ
-// from v4 — and a v4 mapper must not read a v5 arena.
+// from v4 — and a v4 mapper must not read a v5 arena. v6 is the rank slot's:
+// doorbell generation, NIC spinlock and NIC interval became one simnet.Port
+// at the head of the slot, and the stamp uint32 slab lost its chain-lock
+// word (AMO chains serialize on the port).
 //
 // All multi-word fields are 8-byte aligned; cross-process synchronization
 // uses sync/atomic on the mapped words, which on a cache-coherent machine
@@ -45,7 +50,7 @@ import (
 // goroutines. DESIGN.md §8 documents the layout and its ordering contracts.
 const (
 	shmMagic   = 0x666f4d50_72756e31 // "foMPrun1"
-	shmVersion = 5                   // see "Version history" above
+	shmVersion = 6                   // see "Version history" above
 
 	hdrMagic      = 0  // u64
 	hdrVersion    = 8  // u64
@@ -62,11 +67,8 @@ const (
 	hdrBytes    = 4096
 
 	rankStride  = 128
-	rnDoorGen   = 0  // u64
-	rnPaceClock = 16 // i64
-	rnNicLock   = 24 // u32 spinlock
-	rnNicStart  = 32 // i64
-	rnNicBusy   = 40 // i64
+	rnPort      = 0  // simnet.Port: word u64, NIC interval 2 × i64
+	rnPaceClock = 64 // i64
 
 	entryStride = 32
 	enState     = 0  // u32: entryEmpty/entryLive/entryDead

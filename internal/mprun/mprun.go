@@ -497,12 +497,6 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 	return w.ar.Lookup(a.Rank, uint32(a.Key), a.Rank)
 }
 
-// ReserveNIC books the target rank's NIC in the shared arena (see
-// Arena.ReserveNIC).
-func (w *World) ReserveNIC(rank int, arrival timing.Time, xfer int64) timing.Time {
-	return w.ar.ReserveNIC(rank, arrival, xfer)
-}
-
 // PublishClock records a rank's virtual clock in the shared pacing table.
 func (w *World) PublishClock(rank int, t timing.Time) { w.ar.PublishClock(rank, t) }
 
@@ -514,8 +508,15 @@ func (w *World) PaceWindow() int64 { return w.opts.PaceWindowNs }
 // peer's PublishClock pokes it (see Arena.Pace for the valve discipline).
 func (w *World) Pace(rank int, t timing.Time) { w.ar.Pace(rank, t, w.Aborted) }
 
-// RingDoorbell bumps rank's doorbell generation and pokes every rank
-// currently registered as waiting on it (see Arena.Ring).
+// Port returns rank's port in the shared arena: every rank is addressable.
+func (w *World) Port(rank int) *simnet.Port { return w.ar.Port(rank) }
+
+// WakeDoor pokes every rank currently registered as waiting on rank's
+// doorbell (see Arena.Wake).
+func (w *World) WakeDoor(rank int) { w.ar.Wake(rank) }
+
+// RingDoorbell advances rank's doorbell generation and wakes its waiters
+// (see Arena.Ring).
 func (w *World) RingDoorbell(rank int) { w.ar.Ring(rank) }
 
 // DoorGen samples rank's doorbell generation.

@@ -346,16 +346,13 @@ type World struct {
 	mine    []*simnet.Region
 	proxies [][]*simnet.Region
 
-	// Owner-side virtual-hardware state served to peers: NIC busy interval,
-	// doorbell, published pace clocks. reserveFn is the bound method value,
-	// made once so the per-request executor carries no allocation.
-	nicMu     sync.Mutex
-	nicStart  int64
-	nicBusy   int64
-	reserveFn func(timing.Time, int64) timing.Time
-	door      doorbell
-	doorOps   atomic.Pointer[DoorOps] // non-nil: external doorbell (hybrid)
-	clocks    []int64                 // atomically accessed; clocks[r] = last known clock of r
+	// Owner-side virtual-hardware state served to peers: this rank's port
+	// (doorbell generation, NIC busy interval) with its parked waiters, and
+	// the published pace clocks.
+	ownPort simnet.Port
+	door    doorbell
+	doorOps atomic.Pointer[DoorOps] // non-nil: external port and parking (hybrid)
+	clocks  []int64                 // atomically accessed; clocks[r] = last known clock of r
 
 	// Session layer (session.go): this process's session identity, the
 	// requester half of each per-owner session, and the owner-side session
@@ -431,71 +428,88 @@ func (e *ErrJoinTimeout) Error() string {
 		e.Timeout, e.Joined, e.Ranks, e.Missing)
 }
 
-// doorbell is the generation-counted wakeup channel of one rank, shared by
-// its local waiter and the service handlers parking remote DoorWait
-// requests: ring closes the current channel, waking everyone at once.
+// doorbell parks the waiters on this rank's port generation — its local
+// waiter and the service handlers holding remote DoorWait requests. wake
+// closes the current channel, waking everyone at once, and is one load when
+// nobody is parked.
 type doorbell struct {
-	mu  sync.Mutex
-	gen atomic.Uint64
-	ch  chan struct{}
+	waiters atomic.Int32
+	mu      sync.Mutex
+	ch      chan struct{}
 }
 
 func (d *doorbell) init() { d.ch = make(chan struct{}) }
 
-func (d *doorbell) ring() {
+// wake releases every parked waiter after the generation advanced. The
+// advance is sequentially consistent with park's registration, so a waiter
+// either sees the new generation or is counted here.
+func (d *doorbell) wake() {
+	if d.waiters.Load() == 0 {
+		return
+	}
 	d.mu.Lock()
-	d.gen.Add(1)
 	close(d.ch)
 	d.ch = make(chan struct{})
 	d.mu.Unlock()
 }
 
-// waitCh returns the channel to park on, or ok=false when gen is already
-// stale (no park needed).
-func (d *doorbell) waitCh(gen uint64) (<-chan struct{}, bool) {
+// park registers a waiter for generations of p past gen and returns the
+// channel to park on, or ok=false when gen is already stale (no park needed,
+// nothing registered). The caller unparks once it stops waiting.
+func (d *doorbell) park(p *simnet.Port, gen uint64) (ch <-chan struct{}, ok bool) {
+	d.waiters.Add(1)
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.gen.Load() != gen {
+	ch = d.ch
+	d.mu.Unlock()
+	if p.Gen() != gen {
+		d.unpark()
 		return nil, false
 	}
-	return d.ch, true
+	return ch, true
 }
 
-// DoorOps substitutes an external doorbell for this rank's in-process one in
-// the owner-side service loop. The hybrid backend installs it so that an
-// off-host peer's ring or wait, arriving over the wire, lands on the same
-// shared-memory doorbell the co-located ranks touch directly — one doorbell
-// per rank, wherever the waiter lives.
+func (d *doorbell) unpark() { d.waiters.Add(-1) }
+
+// DoorOps substitutes an external port and its parking for this rank's
+// in-process ones. The hybrid backend installs it so that an off-host peer's
+// operation, ring or wait, arriving over the wire, lands on the same
+// shared-memory port the co-located ranks take directly — one port per rank,
+// wherever the issuer or the waiter lives.
 type DoorOps struct {
-	// Ring bumps this rank's doorbell generation and wakes its waiters.
-	Ring func()
-	// Gen samples this rank's doorbell generation.
-	Gen func() uint64
-	// WaitSliced parks at this rank's doorbell for at most slice and
-	// returns the then-current generation (spurious returns allowed).
+	// Port is this rank's port.
+	Port *simnet.Port
+	// Wake wakes the waiters parked on Port's generation after it advanced.
+	Wake func()
+	// WaitSliced parks on Port's generation for at most slice and returns
+	// the then-current generation (spurious returns allowed).
 	WaitSliced func(gen uint64, slice time.Duration) uint64
 }
 
-// SetDoorOps installs ops as this rank's owner-side doorbell; call before
-// Ready so no peer traffic races the handoff.
+// SetDoorOps installs ops as this rank's port; call before Ready so no peer
+// traffic races the handoff.
 func (w *World) SetDoorOps(ops *DoorOps) { w.doorOps.Store(ops) }
 
-// ringDoor, doorGenSelf and doorWaitAny are the owner-side doorbell entry
-// points, indirected through DoorOps when one is installed.
-func (w *World) ringDoor() {
-	mDoorRings.Inc()
+// selfPort, wakeSelf and doorWaitAny are the owner-side port entry points,
+// indirected through DoorOps when one is installed.
+func (w *World) selfPort() *simnet.Port {
 	if ops := w.doorOps.Load(); ops != nil {
-		ops.Ring()
-		return
+		return ops.Port
 	}
-	w.door.ring()
+	return &w.ownPort
 }
 
-func (w *World) doorGenSelf() uint64 {
+func (w *World) wakeSelf() {
 	if ops := w.doorOps.Load(); ops != nil {
-		return ops.Gen()
+		ops.Wake()
+		return
 	}
-	return w.door.gen.Load()
+	w.door.wake()
+}
+
+// ringDoor rings this rank's doorbell on behalf of a wire requester.
+func (w *World) ringDoor() {
+	w.selfPort().Ring()
+	w.wakeSelf()
 }
 
 func (w *World) doorWaitAny(gen uint64, slice time.Duration) uint64 {
@@ -996,7 +1010,6 @@ func Join(o Options) (*World, error) {
 	}
 	w.failedRank.Store(-1)
 	w.door.init()
-	w.reserveFn = w.reserveLocalNIC
 	go w.acceptLoop()
 
 	if _, err := fmt.Fprintf(ctl, "JOIN %d %s %d %d %d %d %s\n",
@@ -1178,7 +1191,7 @@ func (w *World) localAbort() {
 		telemetry.RecordEvent(telemetry.EvAbort, uint64(w.rank), 0)
 		w.aborted.Store(true)
 		close(w.done)
-		w.door.ring()
+		w.door.wake() // parks select on done; this only hurries them
 		w.ln.Close()
 		w.peerMu.Lock()
 		for _, p := range w.peers {
@@ -1338,25 +1351,6 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 
 // ---- simnet.Transport: virtual-hardware services ----
 
-// reserveLocalNIC books this rank's NIC busy interval (simnet.BookNIC).
-func (w *World) reserveLocalNIC(arrival timing.Time, xfer int64) timing.Time {
-	w.nicMu.Lock()
-	comp := simnet.BookNIC(&w.nicStart, &w.nicBusy, arrival, xfer)
-	w.nicMu.Unlock()
-	return comp
-}
-
-// ReserveNIC books the target rank's NIC: locally for this rank, over the
-// wire for peers. (Endpoint operations on proxy regions reserve the owner
-// NIC inside their fused message instead; this direct path serves layers
-// that book NICs explicitly.)
-func (w *World) ReserveNIC(rank int, arrival timing.Time, xfer int64) timing.Time {
-	if rank == w.rank {
-		return w.reserveLocalNIC(arrival, xfer)
-	}
-	return w.rpcNicReserve(rank, arrival, xfer)
-}
-
 // PublishClock records this rank's virtual clock; peers learn it from the
 // piggybacked clock on every request and from opClock heartbeats.
 func (w *World) PublishClock(rank int, t timing.Time) {
@@ -1440,8 +1434,7 @@ func (w *World) paceMinRefresh(me int64) int64 {
 // the separate message.
 func (w *World) RingDoorbell(rank int) {
 	if rank == w.rank {
-		mDoorRings.Inc()
-		w.door.ring()
+		w.ringDoor()
 		return
 	}
 	if len(w.rsess) > 0 {
@@ -1459,10 +1452,23 @@ func (w *World) RingDoorbell(rank int) {
 	w.sendRing(rank)
 }
 
+// Port returns this rank's port; peers' memory is reached through proxies,
+// whose operations take the owner's port at the owner.
+func (w *World) Port(rank int) *simnet.Port {
+	if rank == w.rank {
+		return w.selfPort()
+	}
+	return nil
+}
+
+// WakeDoor wakes the waiters parked on this rank's port (the only one the
+// inline path releases here).
+func (w *World) WakeDoor(rank int) { w.wakeSelf() }
+
 // DoorGen samples rank's doorbell generation.
 func (w *World) DoorGen(rank int) uint64 {
 	if rank == w.rank {
-		return w.door.gen.Load()
+		return w.selfPort().Gen()
 	}
 	return w.rpcDoorGen(rank)
 }
@@ -1486,27 +1492,13 @@ func (w *World) WaitDoor(rank int, gen uint64) uint64 {
 			}
 		}
 	}
-	for {
-		if g := w.door.gen.Load(); g != gen {
-			return g
-		}
-		ch, ok := w.door.waitCh(gen)
-		if !ok {
-			return w.door.gen.Load()
-		}
-		slice := time.NewTimer(doorWaitSlice)
-		select {
-		case <-ch:
-		case <-slice.C:
-			// Spurious return with gen unchanged: the caller re-checks its
-			// predicate, which a write whose RING was lost may satisfy.
-			return gen
-		case <-w.done:
-			if w.door.gen.Load() == gen {
-				slice.Stop()
-				panic(w.abortPanic())
-			}
-		}
-		slice.Stop()
+	if g := w.doorWaitSliced(gen, doorWaitSlice); g != gen {
+		return g
 	}
+	if w.Aborted() {
+		panic(w.abortPanic())
+	}
+	// Spurious return with gen unchanged: the caller re-checks its
+	// predicate, which a write whose RING was lost may satisfy.
+	return gen
 }

@@ -228,16 +228,6 @@ func (w *World) queryRegion(r int, k simnet.Key) (uint8, int) {
 	return state, size
 }
 
-// rpcNicReserve books rank r's NIC over the wire (Transport.ReserveNIC). A
-// booking mutates the owner's busy interval, so it rides the session layer.
-func (w *World) rpcNicReserve(r int, arrival timing.Time, xfer int64) timing.Time {
-	e := w.reqData(r, opNicReserve)
-	e.i64(int64(arrival))
-	e.i64(xfer)
-	d := w.callData(r, e)
-	return timing.Time(d.i64())
-}
-
 // rpcDoorGen samples rank r's doorbell generation over the wire (a pure
 // read: retried transparently).
 func (w *World) rpcDoorGen(r int) uint64 {

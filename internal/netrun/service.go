@@ -297,13 +297,8 @@ func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
 		w.mineMu.RUnlock()
 		e.u8(state)
 		e.u64(uint64(size))
-	case opNicReserve:
-		arrival := timing.Time(d.i64())
-		xfer := d.i64()
-		d.must()
-		e.i64(int64(w.reserveLocalNIC(arrival, xfer)))
 	case opDoorGen:
-		e.u64(w.doorGenSelf())
+		e.u64(w.selfPort().Gen())
 	case opDoorWait:
 		gen := d.u64()
 		slice := time.Duration(d.u32()) * time.Microsecond
@@ -328,18 +323,20 @@ func (w *World) exec(d *dec) simnet.RegionExec {
 	if reg == nil {
 		panic(fmt.Sprintf("simnet: access to unregistered region (rank %d key %d)", w.rank, k))
 	}
-	return simnet.RegionExec{Reg: reg, ReserveNIC: w.reserveFn}
+	return simnet.RegionExec{Reg: reg}
 }
 
-// doorWaitSliced parks a remote waiter at this rank's doorbell for at most
-// slice and returns the then-current generation; spurious (timeout) returns
-// are allowed by the WaitDoor contract, and an abort answers immediately so
-// the requester can unwind.
+// doorWaitSliced parks a waiter — a remote one on behalf of its requester,
+// or this rank's own — at this rank's doorbell for at most slice and returns
+// the then-current generation; spurious (timeout) returns are allowed by the
+// WaitDoor contract, and an abort answers immediately so the waiter can
+// unwind.
 func (w *World) doorWaitSliced(gen uint64, slice time.Duration) uint64 {
-	ch, ok := w.door.waitCh(gen)
+	ch, ok := w.door.park(&w.ownPort, gen)
 	if !ok {
-		return w.door.gen.Load()
+		return w.ownPort.Gen()
 	}
+	defer w.door.unpark()
 	t := time.NewTimer(slice)
 	defer t.Stop()
 	select {
@@ -347,5 +344,5 @@ func (w *World) doorWaitSliced(gen uint64, slice time.Duration) uint64 {
 	case <-t.C:
 	case <-w.done:
 	}
-	return w.door.gen.Load()
+	return w.ownPort.Gen()
 }

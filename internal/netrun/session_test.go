@@ -14,46 +14,60 @@ import (
 )
 
 // sessionWorld builds the minimal owner-side World the session layer needs:
-// a rank, a clock table, the NIC booking state, and an empty session table.
+// a rank, a clock table, one registered word behind the rank's port, and an
+// empty session table.
 func sessionWorld() *World {
 	w := &World{
 		rank:     1,
 		clocks:   make([]int64, 4),
 		sessions: make(map[uint64]*ownerSession),
 	}
-	w.reserveFn = w.reserveLocalNIC
+	reg := simnet.MakeRegion(1, 0, make([]byte, 8), timing.NewStamps(8), &w.ownPort)
+	w.mine = []*simnet.Region{&reg}
 	return w
 }
 
-// nicReserveFields encodes the opNicReserve payload past the session header:
-// with arrival 0 and xfer 1, every execution advances the owner's busy
-// interval by exactly one — a counter that detects double application.
-func nicReserveFields() []byte {
-	b := binary.LittleEndian.AppendUint64(nil, 0) // arrival
-	return binary.LittleEndian.AppendUint64(b, 1) // xfer
+// applied reads the probe word of a sessionWorld: the number of fetchAddFields
+// requests that executed.
+func applied(w *World) uint64 { return w.mine[0].LocalWord(0) }
+
+// fetchAddFields encodes an opWordAmo payload past the session header: an
+// inter-node fetch-add of one on the probe word (key 0, off 0), so every
+// execution advances the word by exactly one — a counter that detects double
+// application.
+func fetchAddFields() []byte {
+	b := binary.LittleEndian.AppendUint32(nil, 0) // key
+	b = binary.LittleEndian.AppendUint64(b, 0)    // off
+	b = append(b, byte(simnet.WordAdd))
+	b = binary.LittleEndian.AppendUint64(b, 1) // o1: delta
+	for i := 0; i < 4; i++ {
+		b = binary.LittleEndian.AppendUint64(b, 0) // o2, clockIn, srcFree, lat
+	}
+	b = binary.LittleEndian.AppendUint64(b, 1) // xfer
+	return append(b, 1)                        // reserve
 }
 
 func TestSessionDuplicateSeqReplaysCachedReply(t *testing.T) {
 	w := sessionWorld()
 	sid := sidFor(0, 4242)
 
-	d1 := dec{b: nicReserveFields()}
-	r1, cached := w.sessionApply(0, sid, 1, 0, opNicReserve, &d1, nil)
+	d1 := dec{b: fetchAddFields()}
+	r1, cached := w.sessionApply(0, sid, 1, 0, opWordAmo, &d1, nil)
 	if cached {
 		t.Fatalf("first application of seq 1 claimed to come from cache")
 	}
 	first := append([]byte(nil), r1...)
 
-	d2 := dec{b: nicReserveFields()}
-	r2, cached := w.sessionApply(0, sid, 1, 0, opNicReserve, &d2, nil)
+	d2 := dec{b: fetchAddFields()}
+	r2, cached := w.sessionApply(0, sid, 1, 0, opWordAmo, &d2, nil)
 	if !cached {
 		t.Fatalf("duplicate seq 1 was not served from cache")
 	}
 	if !bytes.Equal(first, r2) {
 		t.Fatalf("replayed reply differs from the original:\n  first  %x\n  replay %x", first, r2)
 	}
-	if w.nicBusy != 1 {
-		t.Fatalf("owner NIC busy = %d after a duplicated seq, want 1 (applied exactly once)", w.nicBusy)
+	if got := applied(w); got != 1 {
+		t.Fatalf("probe word = %d after a duplicated seq, want 1 (applied exactly once)", got)
 	}
 }
 
@@ -84,8 +98,8 @@ func TestSessionEvictionHonorsAck(t *testing.T) {
 
 	apply := func(seq, ack uint64) {
 		t.Helper()
-		d := dec{b: nicReserveFields()}
-		if _, cached := w.sessionApply(0, sid, seq, ack, opNicReserve, &d, nil); cached {
+		d := dec{b: fetchAddFields()}
+		if _, cached := w.sessionApply(0, sid, seq, ack, opWordAmo, &d, nil); cached {
 			t.Fatalf("seq %d unexpectedly served from cache", seq)
 		}
 	}
@@ -136,13 +150,13 @@ func TestSessionRejectsRankMismatch(t *testing.T) {
 	w := sessionWorld()
 	sid := sidFor(0, 11) // minted for rank 0
 
-	d := dec{b: nicReserveFields()}
-	reply, cached := w.sessionApply(2, sid, 1, 0, opNicReserve, &d, nil) // conn said HELLO as rank 2
+	d := dec{b: fetchAddFields()}
+	reply, cached := w.sessionApply(2, sid, 1, 0, opWordAmo, &d, nil) // conn said HELLO as rank 2
 	if cached || reply[4] != stFault {
 		t.Fatalf("rank-mismatched session was not rejected (cached=%v status=%d)", cached, reply[4])
 	}
-	if w.nicBusy != 0 {
-		t.Fatalf("rank-mismatched request executed anyway (nicBusy=%d)", w.nicBusy)
+	if got := applied(w); got != 0 {
+		t.Fatalf("rank-mismatched request executed anyway (probe word = %d)", got)
 	}
 	v := w.remoteFault(1, reply[4:])
 	rf, ok := v.(*RemoteFault)
@@ -249,7 +263,7 @@ func mkNotifyBatch(words ...uint64) []byte {
 func TestSessionBatchSuffixReplay(t *testing.T) {
 	w := sessionWorld()
 	buf := make([]byte, simnet.NotifyRingBytes(8))
-	reg := simnet.MakeRegion(1, 0, buf, timing.NewStamps(len(buf)))
+	reg := simnet.MakeRegion(1, 0, buf, timing.NewStamps(len(buf)), &w.ownPort)
 	reg.LocalWordStore(16, 8, 0) // bind the ring: capacity word
 	w.mine = []*simnet.Region{&reg}
 	sid := sidFor(0, 77)
@@ -336,10 +350,10 @@ func TestParseWindow(t *testing.T) {
 
 // TestResumeExactlyOnceUnderRecurringResets runs a real two-rank loopback
 // world under recurring data-plane connection resets and proves the session
-// layer's exactly-once contract end to end: each rank books the peer's NIC
-// `rounds` times with (arrival 0, xfer 1), so the i-th booking must return
-// exactly i. A lost request that was silently re-executed would skip a value;
-// a reply replayed from the wrong seq would repeat one. The faultnet spec
+// layer's exactly-once contract end to end: each rank fetch-adds one word of
+// the peer's `rounds` times, so the i-th must return exactly i-1. A lost
+// request that was silently re-executed would skip a value; a reply replayed
+// from the wrong seq would repeat one. The faultnet spec
 // scopes resets to the data plane, so the coordinator's failure detector
 // keeps running — exactly the regime the resume protocol is for.
 func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
@@ -384,12 +398,14 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 			workerErr <- err
 			return
 		}
+		reg := simnet.MakeRegion(w.Rank(), 0, make([]byte, 8), timing.NewStamps(8), w.Port(w.Rank()))
+		w.RegisterRegion(w.Rank(), &reg)
 		w.Ready()
-		peer := 1 - w.Rank()
+		m := &remoteMem{w: w, rank: 1 - w.Rank(), key: 0, size: 8}
 		var mismatch error
-		for i := int64(1); i <= rounds; i++ {
-			if got := int64(w.ReserveNIC(peer, 0, 1)); got != i {
-				mismatch = fmt.Errorf("rank %d booking %d returned %d: an op was lost or applied twice", w.Rank(), i, got)
+		for i := uint64(0); i < rounds; i++ {
+			if got, _, _, _ := m.WordAmo(simnet.WordAdd, 0, 1, 0, 0, 0, true, 0, 1); got != i {
+				mismatch = fmt.Errorf("rank %d fetch-add %d returned %d: an op was lost or applied twice", w.Rank(), i, got)
 				break
 			}
 		}
@@ -497,7 +513,7 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 			return
 		}
 		buf := make([]byte, flagOff+8)
-		reg := simnet.MakeRegion(w.Rank(), 0, buf, timing.NewStamps(len(buf)))
+		reg := simnet.MakeRegion(w.Rank(), 0, buf, timing.NewStamps(len(buf)), w.Port(w.Rank()))
 		reg.LocalWordStore(16, ringCap, 0) // bind the ring before peers deposit
 		w.RegisterRegion(w.Rank(), &reg)
 		w.Ready()
@@ -564,5 +580,22 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 	}
 	if dedup > retrans {
 		t.Fatalf("net.dedup_hits (%d) > net.retransmits (%d): a cached reply replayed without a re-sent frame", dedup, retrans)
+	}
+}
+
+// TestRetiredNicReserveRejected pins the retired opcode: its number stays
+// reserved, it carries no session header, and the owner faults it as unknown
+// instead of booking anything.
+func TestRetiredNicReserveRejected(t *testing.T) {
+	if opNicReserve != 10 {
+		t.Fatalf("opNicReserve = %d: retiring it must not renumber the opcodes after it", opNicReserve)
+	}
+	if sessioned(opNicReserve) {
+		t.Fatal("the retired opNicReserve still claims a session header")
+	}
+	w := sessionWorld()
+	reply := w.handle(opNicReserve, &dec{}, nil)
+	if reply[4] != stFault || !bytes.Contains(reply, []byte("unknown opcode")) {
+		t.Fatalf("retired opNicReserve answered %q, want an unknown-opcode fault", reply)
 	}
 }

@@ -26,7 +26,6 @@ var (
 	mPaceParks   = telemetry.NewCounter("pace.parks")      // pace blocks that actually waited
 	mPaceParkNs  = telemetry.NewHistogram("pace.park_ns")  // duration of each pacing block
 	mPaceStalls  = telemetry.NewCounter("pace.stalls")     // stall-valve releases (frozen minimum)
-	mDoorRings   = telemetry.NewCounter("door.rings")      // doorbell generation bumps served
 )
 
 // sendStatsLocked ships this rank's stats frame on the control stream; the

@@ -76,7 +76,7 @@ const (
 	opBulkAmo                     // key u32, off u64, aop u8, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8, bytes
 	opNotify                      // key u32, off u64, word u64, arrival i64, xfer i64, reserve u8
 	opRegQuery                    // key u32
-	opNicReserve                  // arrival i64, xfer i64
+	opNicReserve                  // retired: bookings ride the data op that needs them; rejected as unknown
 	opDoorGen                     // -
 	opDoorWait                    // gen u64, timeoutUs u32
 	opRing                        // - (no reply)
@@ -93,7 +93,7 @@ const (
 // re-issues them.
 func sessioned(op uint8) bool {
 	switch op {
-	case opPut, opGet, opStoreW, opLoadW, opWordAmo, opBulkAmo, opNotify, opNicReserve, opBatch:
+	case opPut, opGet, opStoreW, opLoadW, opWordAmo, opBulkAmo, opNotify, opBatch:
 		return true
 	}
 	return false

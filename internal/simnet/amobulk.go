@@ -1,11 +1,9 @@
 package simnet
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"fompi/internal/hostatomic"
 	"fompi/internal/timing"
 )
 
@@ -39,47 +37,20 @@ func (ep *Endpoint) AmoBulkNBI(a Addr, op AmoOp, src []byte) {
 	reg.check(a.Off, len(src))
 	ep.clock += timing.Time(pr.InjectNs)
 	n := len(src) / 8
+	lat, xfer := pr.AmoNs+int64(n)*pr.AmoPerElNs, pr.xferNs(len(src))
+	var comp, free timing.Time
 	if rm := reg.rmt; rm != nil {
-		comp, free := rm.BulkAmo(op, a.Off, src, ep.clock, ep.nicFree, !same,
-			pr.AmoNs+int64(n)*pr.AmoPerElNs, pr.xferNs(len(src)))
-		if !same {
-			ep.nicFree = free
-		}
-		ep.implicitMax = timing.Max(ep.implicitMax, comp)
-		ep.ctr.Amos += int64(n)
-		ep.ctr.BytesPut += int64(len(src))
-		ep.notifyDst(a.Rank)
-		return
+		comp, free = rm.BulkAmo(op, a.Off, src, ep.clock, ep.nicFree, !same, lat, xfer)
+	} else {
+		comp, free = ep.exec(reg).BulkAmo(op, a.Off, src, ep.clock, ep.nicFree, !same, lat, xfer)
 	}
-	reg.stamps.LockChain() // see amoCommon: chain links must be atomic
-	for i := 0; i < n; i++ {
-		v := binary.LittleEndian.Uint64(src[i*8:])
-		off := a.Off + i*8
-		switch op {
-		case AmoSum:
-			hostatomic.Add(reg.buf, off, v)
-		case AmoBand:
-			hostatomic.And(reg.buf, off, v)
-		case AmoBor:
-			hostatomic.Or(reg.buf, off, v)
-		case AmoBxor:
-			hostatomic.Xor(reg.buf, off, v)
-		case AmoReplace:
-			hostatomic.Swap(reg.buf, off, v)
-		default:
-			reg.stamps.UnlockChain()
-			panic("simnet: unknown bulk AMO op")
-		}
+	if !same {
+		ep.nicFree = free
 	}
-	prev := reg.stamps.MaxRange(a.Off, len(src))
-	base := timing.Max(ep.clock, prev)
-	comp := ep.schedXfer(a.Rank, base, pr.AmoNs+int64(n)*pr.AmoPerElNs, pr.xferNs(len(src)))
-	reg.stamps.SetRange(a.Off, len(src), comp)
-	reg.stamps.UnlockChain()
 	ep.implicitMax = timing.Max(ep.implicitMax, comp)
 	ep.ctr.Amos += int64(n)
 	ep.ctr.BytesPut += int64(len(src))
-	ep.notifyDst(a.Rank)
+	ep.notifyDst(reg)
 }
 
 // ErrNotSameNode reports a shared-mapping request between ranks on different

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fompi/internal/hostatomic"
 	"fompi/internal/segpool"
 	"fompi/internal/timing"
 )
@@ -203,11 +202,24 @@ func (ep *Endpoint) flushBeforeBlock() {
 	ep.drainWire()
 }
 
-// notifyDst rings dst's doorbell, or defers the ring — deduplicated per
-// destination — while a batch is open.
-func (ep *Endpoint) notifyDst(dst int) {
+// exec returns the executor the inline path runs against a region with real
+// bytes behind it; outside a batch its port release carries the ring.
+func (ep *Endpoint) exec(reg *Region) RegionExec {
+	return RegionExec{Reg: reg, Ring: ep.batchDepth == 0}
+}
+
+// notifyDst announces a completed write to reg's owner. Outside a batch the
+// inline path's port release already rang, so only parked waiters remain to
+// wake, and a proxy's owner is rung over the wire; inside a batch the ring
+// is deferred, deduplicated per destination.
+func (ep *Endpoint) notifyDst(reg *Region) {
+	dst := reg.owner
 	if ep.batchDepth == 0 {
-		ep.fab.RingDoorbell(dst)
+		if reg.rmt == nil {
+			ep.fab.WakeDoor(dst)
+		} else {
+			ep.fab.RingDoorbell(dst)
+		}
 		return
 	}
 	if ep.dstMark == nil {
@@ -300,7 +312,7 @@ func (ep *Endpoint) RegisterBufStampsInto(reg *Region, buf []byte, st *timing.St
 	if st == nil || st.Bytes() < len(buf) {
 		panic("simnet: stamps do not cover the registered buffer")
 	}
-	*reg = Region{owner: ep.rank, buf: buf, stamps: st}
+	*reg = MakeRegion(ep.rank, 0, buf, st, ep.fab.Port(ep.rank))
 	reg.key = ep.fab.RegisterRegion(ep.rank, reg)
 }
 
@@ -310,27 +322,6 @@ func (ep *Endpoint) Unregister(reg *Region) { ep.fab.UnregisterRegion(ep.rank, r
 // profileFor picks the intra/inter profile for a peer rank.
 func (ep *Endpoint) profileFor(peer int) *Profile {
 	return ep.cm.For(ep.sameNodeTo(peer))
-}
-
-// schedXfer models one payload crossing the wire as a pipeline: the source
-// NIC serializes departures, the first byte arrives lat after departure,
-// and the target NIC is occupied for the xfer serialization time starting
-// at first-byte arrival (incast). The payload is fully delivered when the
-// target NIC finishes — one bandwidth term end to end, not one per NIC.
-func (ep *Endpoint) schedXfer(dst int, depart timing.Time, lat, xfer int64) timing.Time {
-	return ep.schedXferOn(ep.sameNodeTo(dst), dst, depart, lat, xfer)
-}
-
-// schedXferOn is schedXfer with the intra/inter decision precomputed, so a
-// caller that already resolved the peer's profile does not re-derive node
-// indices (integer divisions on the per-operation hot path).
-func (ep *Endpoint) schedXferOn(same bool, dst int, depart timing.Time, lat, xfer int64) timing.Time {
-	if same {
-		// Intra-node (XPMEM): the issuing CPU performs the copy itself.
-		return depart + timing.Time(lat)
-	}
-	depart = ep.srcDepart(depart, xfer)
-	return ep.fab.ReserveNIC(dst, depart+timing.Time(lat), xfer)
 }
 
 // srcDepart serializes a departure through the source NIC (outcast
@@ -343,13 +334,17 @@ func (ep *Endpoint) srcDepart(depart timing.Time, xfer int64) timing.Time {
 	return depart
 }
 
-// xferArrival computes the remote-side arrival time of a transfer departing
-// at the current clock: the requester-local half of schedXferOn (source-NIC
-// serialization for inter-node transfers), used when the remainder — the
-// target-NIC reservation — executes at the region's owner through a
-// RemoteMem proxy. Intra-node the returned time is the final completion.
-func (ep *Endpoint) xferArrival(same bool, lat, xfer int64) timing.Time {
-	depart := ep.clock
+// xferArrival computes the target-side arrival time of a transfer departing
+// no earlier than depart: the requester-local half of one payload crossing
+// the wire as a pipeline. The source NIC serializes departures (inter-node
+// only; intra-node the issuing CPU performs the copy itself) and the first
+// byte arrives lat after departure. The remainder — the target NIC is
+// occupied for the xfer serialization time starting at first-byte arrival
+// (incast), and the payload is fully delivered when it finishes: one
+// bandwidth term end to end, not one per NIC — runs under the target's port
+// (RegionExec), inline or at the region's owner. Intra-node the returned
+// time is the final completion.
+func (ep *Endpoint) xferArrival(same bool, depart timing.Time, lat, xfer int64) timing.Time {
 	if !same {
 		depart = ep.srcDepart(depart, xfer)
 	}
@@ -375,27 +370,24 @@ func (ep *Endpoint) putIssue(dst Addr, src []byte, sink *timing.Time, fold bool)
 	reg := ep.region(dst)
 	reg.check(dst.Off, len(src))
 	ep.clock += timing.Time(pr.InjectNs)
+	xfer := pr.xferNs(len(src))
 	if same {
 		// XPMEM copy occupies the issuing CPU.
-		ep.clock += timing.Time(pr.xferNs(len(src)))
+		ep.clock += timing.Time(xfer)
 	}
-	if rm := reg.rmt; rm != nil {
-		xfer := pr.xferNs(len(src))
-		arrival := ep.xferArrival(same, pr.PutLatNs+pr.knee(len(src)), xfer)
-		if sink != nil && reg.rmta != nil {
-			reg.rmta.PutAsync(dst.Off, src, !same, arrival, xfer, sink, fold)
-			deferred = true
-		} else {
-			comp = rm.Put(dst.Off, src, !same, arrival, xfer)
-		}
-	} else {
-		copy(reg.buf[dst.Off:dst.Off+len(src)], src)
-		comp = ep.schedXferOn(same, dst.Rank, ep.clock, pr.PutLatNs+pr.knee(len(src)), pr.xferNs(len(src)))
-		reg.stamps.SetRange(dst.Off, len(src), comp)
+	arrival := ep.xferArrival(same, ep.clock, pr.PutLatNs+pr.knee(len(src)), xfer)
+	switch {
+	case reg.rmt == nil:
+		comp = ep.exec(reg).Put(dst.Off, src, !same, arrival, xfer)
+	case sink != nil && reg.rmta != nil:
+		reg.rmta.PutAsync(dst.Off, src, !same, arrival, xfer, sink, fold)
+		deferred = true
+	default:
+		comp = reg.rmt.Put(dst.Off, src, !same, arrival, xfer)
 	}
 	ep.ctr.Puts++
 	ep.ctr.BytesPut += int64(len(src))
-	ep.notifyDst(dst.Rank)
+	ep.notifyDst(reg)
 	if !deferred && sink != nil {
 		if fold {
 			*sink = timing.Max(*sink, comp)
@@ -447,27 +439,22 @@ func (ep *Endpoint) getCommon(dst []byte, src Addr) timing.Time {
 	ep.clock += timing.Time(pr.InjectNs)
 	ep.ctr.Gets++
 	ep.ctr.BytesGot += int64(len(dst))
-	if rm := reg.rmt; rm != nil {
-		var comp timing.Time
-		if same {
-			comp = rm.Get(dst, src.Off, ep.clock, false, pr.GetLatNs+pr.xferNs(len(dst)), 0)
-			ep.clock = comp
-		} else {
-			comp = rm.Get(dst, src.Off, ep.clock, true, pr.GetLatNs+pr.knee(len(dst)), pr.xferNs(len(dst)))
-		}
-		return comp
-	}
-	copy(dst, reg.buf[src.Off:src.Off+len(dst)])
-	base := timing.Max(ep.clock, reg.stamps.MaxRange(src.Off, len(dst)))
+	// Inter-node the data leaves through the target NIC; an XPMEM read is
+	// the CPU copying the data itself, all latency and no booking.
+	tail, xfer := pr.GetLatNs+pr.knee(len(dst)), pr.xferNs(len(dst))
 	if same {
-		// XPMEM read: CPU copies the data itself.
-		comp := base + timing.Time(pr.GetLatNs+pr.xferNs(len(dst)))
-		ep.clock = comp
-		return comp
+		tail, xfer = pr.GetLatNs+xfer, 0
 	}
-	xfer := pr.xferNs(len(dst))
-	arrive := base + timing.Time(pr.GetLatNs+pr.knee(len(dst)))
-	return ep.fab.ReserveNIC(src.Rank, arrive, xfer) // data leaves the target NIC
+	var comp timing.Time
+	if rm := reg.rmt; rm != nil {
+		comp = rm.Get(dst, src.Off, ep.clock, !same, tail, xfer)
+	} else {
+		comp = ep.exec(reg).Get(dst, src.Off, ep.clock, !same, tail, xfer)
+	}
+	if same {
+		ep.clock = comp
+	}
+	return comp
 }
 
 // GetNBI issues an implicit-nonblocking get, completed by Gsync.
@@ -498,30 +485,20 @@ func (ep *Endpoint) amoCommon(a Addr, op WordOp, o1, o2 uint64) (old uint64, com
 	reg := ep.region(a)
 	reg.check(a.Off, 8)
 	ep.clock += timing.Time(pr.InjectNs)
-	var land, base timing.Time
+	var land, base, free timing.Time
 	if rm := reg.rmt; rm != nil {
-		var free timing.Time
 		old, land, base, free = rm.WordAmo(op, a.Off, o1, o2,
 			ep.clock, ep.nicFree, !same, pr.PutLatNs, pr.xferNs(8))
-		if !same {
-			ep.nicFree = free
-		}
 	} else {
-		// The whole read-apply-stamp sequence holds the chain lock: a racing
-		// AMO that read the same prior stamp would overwrite this one's later
-		// landing with an earlier time, leaking host scheduling into the
-		// stamps that pollers merge.
-		reg.stamps.LockChain()
-		prev := reg.stamps.Get(a.Off)
-		old = applyWordOp(reg.buf, a.Off, op, o1, o2)
-		base = timing.Max(ep.clock, prev)
-		land = ep.schedXferOn(same, a.Rank, base, pr.PutLatNs, pr.xferNs(8))
-		reg.stamps.Set(a.Off, land)
-		reg.stamps.UnlockChain()
+		old, land, base, free = ep.exec(reg).WordAmo(op, a.Off, o1, o2,
+			ep.clock, ep.nicFree, !same, pr.PutLatNs, pr.xferNs(8))
+	}
+	if !same {
+		ep.nicFree = free
 	}
 	comp = timing.Max(land, base+timing.Time(pr.AmoNs))
 	ep.ctr.Amos++
-	ep.notifyDst(a.Rank)
+	ep.notifyDst(reg)
 	return old, comp
 }
 
@@ -573,24 +550,24 @@ func (ep *Endpoint) StoreW(a Addr, v uint64) {
 	reg := ep.region(a)
 	reg.check(a.Off, 8)
 	ep.clock += timing.Time(pr.InjectNs)
-	if reg.rmta != nil {
+	xfer := pr.xferNs(8)
+	arrival := ep.xferArrival(same, ep.clock, pr.PutLatNs, xfer)
+	switch {
+	case reg.rmt == nil:
+		comp := ep.exec(reg).StoreWord(a.Off, v, !same, arrival, xfer)
+		ep.implicitMax = timing.Max(ep.implicitMax, comp)
+	case reg.rmta != nil:
 		// Pipelined wire: the completion folds into implicitMax when the
 		// window drains (Gsync drains first; Max is commutative, so the
 		// deferral cannot change the fold's result).
-		reg.rmta.StoreWordAsync(a.Off, v, !same,
-			ep.xferArrival(same, pr.PutLatNs, pr.xferNs(8)), pr.xferNs(8), &ep.implicitMax, true)
-	} else if rm := reg.rmt; rm != nil {
-		comp := rm.StoreWord(a.Off, v, !same, ep.xferArrival(same, pr.PutLatNs, pr.xferNs(8)), pr.xferNs(8))
-		ep.implicitMax = timing.Max(ep.implicitMax, comp)
-	} else {
-		comp := ep.schedXferOn(same, a.Rank, ep.clock, pr.PutLatNs, pr.xferNs(8))
-		hostatomic.Store(reg.buf, a.Off, v)
-		reg.stamps.Set(a.Off, comp)
+		reg.rmta.StoreWordAsync(a.Off, v, !same, arrival, xfer, &ep.implicitMax, true)
+	default:
+		comp := reg.rmt.StoreWord(a.Off, v, !same, arrival, xfer)
 		ep.implicitMax = timing.Max(ep.implicitMax, comp)
 	}
 	ep.ctr.Puts++
 	ep.ctr.BytesPut += 8
-	ep.notifyDst(a.Rank)
+	ep.notifyDst(reg)
 }
 
 // LoadW atomically reads a remote 8-byte word (blocking get of one word).

@@ -58,8 +58,9 @@ type Addr struct {
 // Add returns a copy of a displaced by n bytes.
 func (a Addr) Add(n int) Addr { a.Off += n; return a }
 
-// node is the per-rank fabric state: the registered-region table, the NIC
-// occupancy used for bandwidth/incast modelling, and the waiter doorbell.
+// node is the per-rank fabric state: the registered-region table, the
+// rank's port (doorbell generation, NIC occupancy for bandwidth/incast
+// modelling, and the lock over both), and the doorbell's parked waiters.
 type node struct {
 	// regions is a copy-on-write dense table indexed by Key (keys are
 	// handed out sequentially and never reused, so the table only grows;
@@ -71,35 +72,36 @@ type node struct {
 	initTbl []*Region // initial header, carved from the fabric's setup slab
 	nextKey Key
 
-	// NIC busy interval [nicStart, nicBusy) in virtual time (see BookNIC).
-	nicMu    sync.Mutex
-	nicStart int64
-	nicBusy  int64
+	port Port
 
-	// Futex-style doorbell: writers bump doorGen on every modification of
-	// this rank's memory, but take doorMu and broadcast only when a waiter
-	// has registered itself in doorWaiters — the overwhelmingly common
-	// nobody-is-waiting case is one atomic add plus one atomic load.
-	doorGen     atomic.Uint64
+	// Futex-style doorbell: writers advance the port's generation on every
+	// modification of this rank's memory, but take doorMu and broadcast only
+	// when a waiter has registered itself in doorWaiters — the overwhelmingly
+	// common nobody-is-waiting case is the port's release add plus one load.
 	doorWaiters atomic.Int32
 	doorMu      sync.Mutex
 	door        *sync.Cond
 }
 
-// notify rings the rank's doorbell. The generation bump is sequentially
-// consistent with the waiter's registration (doorWaiters.Add before its
-// locked re-check of doorGen), so a waiter either observes the new
-// generation without sleeping or is registered in doorWaiters before the
-// writer decides whether to broadcast — no lost wakeups.
-func (nd *node) notify() {
-	mDoorRings.Inc()
-	nd.doorGen.Add(1)
+// wake broadcasts to the rank's parked waiters after its port's generation
+// advanced. The advance is sequentially consistent with the waiter's
+// registration (doorWaiters.Add before its locked re-check of the
+// generation), so a waiter either observes the new generation without
+// sleeping or is registered in doorWaiters before the writer decides whether
+// to broadcast — no lost wakeups.
+func (nd *node) wake() {
 	if nd.doorWaiters.Load() == 0 {
 		return
 	}
 	nd.doorMu.Lock()
 	nd.door.Broadcast()
 	nd.doorMu.Unlock()
+}
+
+// notify rings the rank's doorbell from outside its port.
+func (nd *node) notify() {
+	nd.port.Ring()
+	nd.wake()
 }
 
 // paceShardBits sizes the pacing tracker's shards: 64 ranks per shard keeps
@@ -571,66 +573,23 @@ func (f *Fabric) region(a Addr) *Region {
 	return tbl[a.Key]
 }
 
-// BookNIC is the NIC-booking rule every backend applies under its own lock
-// (a mutex here and at a netrun owner, a spinlock in the mprun arena): it
-// reserves the NIC whose busy interval is [*start, *busy) for xfer virtual
-// nanoseconds starting no earlier than arrival, and returns the transfer's
-// completion time. This serializes concurrent senders into one target
-// (incast).
-//
-// Reservations are made in real execution order, which need not match
-// virtual arrival order: a goroutine that runs ahead in real time may book
-// late-virtual-time transfers before a slower goroutine books a
-// virtually-earlier one. The NIC therefore tracks its current busy interval:
-// an arrival that overlaps the interval queues behind it (true incast —
-// colliding senders serialize), while a transfer that ends before the
-// interval even starts is served in the idle time its tardy booking left
-// behind. Without the hole-serving rule, scheduler noise would queue
-// microsecond-scale flag updates behind unrelated future bulk traffic and
-// distort every synchronization latency.
-func BookNIC(start, busy *int64, arrival timing.Time, xfer int64) timing.Time {
-	a := int64(arrival)
-	switch {
-	case a >= *busy:
-		// NIC idle at arrival: start a fresh busy interval.
-		*start, *busy = a, a+xfer
-	case a+xfer <= *start:
-		// Entirely before the booked interval: the NIC was idle then.
-		return timing.Time(a + xfer)
-	default:
-		// Overlaps the busy interval: queue behind it.
-		*busy += xfer
-	}
-	return timing.Time(*busy)
-}
-
-// reserveNIC books rank's NIC (see BookNIC). No defer: this is on every
-// inter-node op's issue path.
-func (f *Fabric) reserveNIC(rank int, arrival timing.Time, xfer int64) timing.Time {
-	nd := f.nodes[rank]
-	nd.nicMu.Lock()
-	comp := BookNIC(&nd.nicStart, &nd.nicBusy, arrival, xfer)
-	nd.nicMu.Unlock()
-	return comp
-}
-
 // waitDoor blocks until rank's doorbell generation exceeds gen, i.e. until
 // some fabric operation has modified that rank's memory. It returns the new
 // generation. The caller registers itself in doorWaiters before the locked
-// re-check, pairing with notify's post-bump load of the waiter count.
+// re-check, pairing with wake's load of the waiter count after the advance.
 func (f *Fabric) waitDoor(rank int, gen uint64) uint64 {
 	nd := f.nodes[rank]
-	if g := nd.doorGen.Load(); g != gen {
+	if g := nd.port.Gen(); g != gen {
 		return g // doorbell already rung: no lock, no sleep
 	}
 	nd.doorWaiters.Add(1)
 	nd.doorMu.Lock()
-	for nd.doorGen.Load() == gen && !f.aborted.Load() {
+	for nd.port.Gen() == gen && !f.aborted.Load() {
 		nd.door.Wait()
 	}
 	nd.doorMu.Unlock()
 	nd.doorWaiters.Add(-1)
-	g := nd.doorGen.Load()
+	g := nd.port.Gen()
 	if f.aborted.Load() && g == gen {
 		panic(ErrAborted)
 	}
@@ -638,6 +597,4 @@ func (f *Fabric) waitDoor(rank int, gen uint64) uint64 {
 }
 
 // doorGenOf samples rank's doorbell generation.
-func (f *Fabric) doorGenOf(rank int) uint64 {
-	return f.nodes[rank].doorGen.Load()
-}
+func (f *Fabric) doorGenOf(rank int) uint64 { return f.nodes[rank].port.Gen() }

@@ -312,3 +312,42 @@ func TestPacingAbortReleases(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// BenchmarkIssue{Put,Get,FetchAdd} time the inline issue path in the shapes
+// the repository benchmark's put/get/amo kinds drive it: 2 ranks on 2 nodes
+// (the NIC path), an 8-byte operation completed by a flush, nobody parked on
+// the target's doorbell. `go test ./internal/simnet -run '^$' -bench Issue`
+// is the one-command local check for a change to this path; each also guards
+// it against allocating.
+func benchIssue(b *testing.B, op func(ep *Endpoint, a Addr, buf []byte)) {
+	ep, a, buf := allocFixture()
+	buf = buf[:8]
+	if avg := testing.AllocsPerRun(100, func() { op(ep, a, buf) }); avg > 0 {
+		b.Fatalf("issue path allocates %.2f objects per op, want 0", avg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(ep, a, buf)
+	}
+}
+
+func BenchmarkIssuePut(b *testing.B) {
+	benchIssue(b, func(ep *Endpoint, a Addr, buf []byte) {
+		ep.PutNBI(a, buf)
+		ep.Gsync()
+	})
+}
+
+func BenchmarkIssueGet(b *testing.B) {
+	benchIssue(b, func(ep *Endpoint, a Addr, buf []byte) {
+		ep.GetNBI(buf, a)
+		ep.Gsync()
+	})
+}
+
+func BenchmarkIssueFetchAdd(b *testing.B) {
+	benchIssue(b, func(ep *Endpoint, a Addr, _ []byte) {
+		ep.FetchAdd(a, 1)
+	})
+}

@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"fmt"
-
 	"fompi/internal/hostatomic"
 	"fompi/internal/timing"
 )
@@ -146,45 +144,10 @@ func (ep *Endpoint) deliverNotify(ring Addr, word uint64, after timing.Time, fus
 	if word&notifyValid != 0 {
 		panic("simnet: notification word uses reserved bit 63")
 	}
-	pr := ep.profileFor(ring.Rank)
+	same := ep.sameNodeTo(ring.Rank)
+	pr := ep.cm.For(same)
 	reg := ep.region(ring)
 	reg.check(ring.Off, notifyHeaderBytes)
-	if rm := reg.rmt; rm != nil {
-		// Unreachable remote memory: the ring deposit protocol (capacity and
-		// overflow checks, ticket, slot store) executes at the owner; the
-		// clock charges and the source-NIC half of the flag's transfer stay
-		// here, exactly as on the inline path below.
-		if fused {
-			ep.clock += timing.Time(pr.NotifyNs)
-		} else {
-			ep.clock += timing.Time(pr.InjectNs + pr.NotifyNs)
-			ep.ctr.Puts++
-		}
-		base := timing.Max(ep.clock, after)
-		same := ep.sameNodeTo(ring.Rank)
-		depart := base
-		if !same {
-			depart = ep.srcDepart(base, pr.xferNs(8))
-		}
-		comp := rm.Notify(ring.Off, word, !same, depart+timing.Time(pr.PutLatNs), pr.xferNs(8))
-		ep.ctr.Notifies++
-		ep.ctr.BytesPut += 8
-		ep.notifyDst(ring.Rank)
-		return comp
-	}
-	capacity := hostatomic.Load(reg.buf, ring.Off+16)
-	if capacity == 0 {
-		panic(fmt.Sprintf("simnet: notification into unbound ring (rank %d key %d off %d)",
-			ring.Rank, ring.Key, ring.Off))
-	}
-	reg.check(ring.Off, NotifyRingBytes(int(capacity)))
-	ticket := hostatomic.Add(reg.buf, ring.Off, 1)
-	cons := hostatomic.Load(reg.buf, ring.Off+8)
-	if ticket-cons >= capacity {
-		panic(fmt.Sprintf("simnet: notification ring of rank %d overflowed (%d in flight, capacity %d)",
-			ring.Rank, ticket-cons+1, capacity))
-	}
-	slot := ring.Off + notifyHeaderBytes + int(ticket%capacity)*8
 	if fused {
 		ep.clock += timing.Time(pr.NotifyNs)
 	} else {
@@ -192,13 +155,21 @@ func (ep *Endpoint) deliverNotify(ring Addr, word uint64, after timing.Time, fus
 		ep.clock += timing.Time(pr.InjectNs + pr.NotifyNs)
 		ep.ctr.Puts++
 	}
-	base := timing.Max(ep.clock, after)
-	comp := ep.schedXfer(ring.Rank, base, pr.PutLatNs, pr.xferNs(8))
-	reg.stamps.Set(slot, comp)
-	hostatomic.Store(reg.buf, slot, word|notifyValid)
+	// The ring deposit protocol (capacity and overflow checks, ticket, slot
+	// store) executes where the ring's memory is — here, or at the owner of
+	// unreachable remote memory; the clock charges and the source-NIC half
+	// of the flag's transfer stay here.
+	xfer := pr.xferNs(8)
+	arrival := ep.xferArrival(same, timing.Max(ep.clock, after), pr.PutLatNs, xfer)
+	var comp timing.Time
+	if rm := reg.rmt; rm != nil {
+		comp = rm.Notify(ring.Off, word, !same, arrival, xfer)
+	} else {
+		comp = ep.exec(reg).Notify(ring.Off, word, !same, arrival, xfer)
+	}
 	ep.ctr.Notifies++
 	ep.ctr.BytesPut += 8
-	ep.notifyDst(ring.Rank)
+	ep.notifyDst(reg)
 	return comp
 }
 

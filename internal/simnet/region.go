@@ -17,7 +17,9 @@ type Region struct {
 	owner  int
 	key    Key
 	buf    []byte
+	size   int // registered length: len(buf), or the proxy's rmt.Size()
 	stamps *timing.Stamps
+	port   *Port     // the owner's port (Transport.Port); nil on proxies
 	rmt    RemoteMem // non-nil on proxies for unreachable remote memory
 	rmta   AsyncMem  // rmt's pipelined extension, when it offers one
 }
@@ -25,9 +27,10 @@ type Region struct {
 // MakeRegion initializes a registration handle over transport-owned memory.
 // Backends use it to materialize local views of regions registered by other
 // processes (the owner's handle is built by Endpoint.RegisterBufStampsInto);
-// key must be the key the owner's registration was assigned.
-func MakeRegion(owner int, key Key, buf []byte, st *timing.Stamps) Region {
-	return Region{owner: owner, key: key, buf: buf, stamps: st}
+// key must be the key the owner's registration was assigned and port the
+// owner's port as this process maps it.
+func MakeRegion(owner int, key Key, buf []byte, st *timing.Stamps, port *Port) Region {
+	return Region{owner: owner, key: key, buf: buf, size: len(buf), stamps: st, port: port}
 }
 
 // MakeRemoteRegion initializes a proxy handle for a region registered in a
@@ -36,7 +39,7 @@ func MakeRegion(owner int, key Key, buf []byte, st *timing.Stamps) Region {
 // proxy; the owner-side accessors (Bytes, LocalWord, StampMax...) stay with
 // the owning process.
 func MakeRemoteRegion(owner int, key Key, rm RemoteMem) Region {
-	r := Region{owner: owner, key: key, rmt: rm}
+	r := Region{owner: owner, key: key, size: rm.Size(), rmt: rm}
 	// The pipelined extension is resolved once here, not per operation.
 	r.rmta, _ = rm.(AsyncMem)
 	return r
@@ -52,12 +55,7 @@ func (r *Region) Stamps() *timing.Stamps { return r.stamps }
 func (r *Region) Key() Key { return r.key }
 
 // Size returns the registered length in bytes.
-func (r *Region) Size() int {
-	if r.rmt != nil {
-		return r.rmt.Size()
-	}
-	return len(r.buf)
-}
+func (r *Region) Size() int { return r.size }
 
 // Bytes exposes the backing memory to its owner (local load/store access).
 // Remote ranks must go through Endpoint operations; on a proxy region
@@ -71,8 +69,23 @@ func (r *Region) Base() Addr { return Addr{Rank: r.owner, Key: r.key} }
 // remote-memory protection fault.
 func (r *Region) check(off, n int) {
 	if off < 0 || n < 0 || off+n > r.Size() {
-		panic(fmt.Sprintf("simnet: access [%d,%d) outside region of %d bytes (rank %d key %d)",
-			off, off+n, r.Size(), r.owner, r.key))
+		r.faultBounds(off, n)
+	}
+}
+
+// faultBounds is check's panic, out of line so that check itself inlines
+// into every operation's issue path.
+func (r *Region) faultBounds(off, n int) {
+	panic(fmt.Sprintf("simnet: access [%d,%d) outside region of %d bytes (rank %d key %d)",
+		off, off+n, r.Size(), r.owner, r.key))
+}
+
+// checkWords is check for word-atomic access: a misaligned offset faults
+// here too, before the caller takes the owner's port.
+func (r *Region) checkWords(off, n int) {
+	r.check(off, n)
+	if off&7 != 0 {
+		panic("hostatomic: misaligned 8-byte atomic access")
 	}
 }
 

@@ -49,8 +49,9 @@ func applyWordOp(buf []byte, off int, op WordOp, o1, o2 uint64) uint64 {
 // region the issuing process cannot address. Times crossing this interface
 // are virtual; the `reserve` flag of each transfer-shaped method selects the
 // inter-node path (completion = owner-NIC reservation of xfer virtual ns
-// starting at arrival, the reserveNIC discipline) versus the intra-node path
-// (completion = arrival, precomputed by the caller). Implementations must
+// starting at arrival: Port.BookNIC under the owner's port) versus the
+// intra-node path (completion = arrival, precomputed by the caller).
+// Implementations must
 // apply each call atomically enough that bytes, stamps, and NIC state mutate
 // with the same interleaving guarantees the in-process fabric gives
 // concurrently issuing ranks; RegionExec provides the canonical execution.
@@ -114,26 +115,57 @@ type WireDrainer interface {
 }
 
 // RegionExec executes RemoteMem-shaped operations against a locally
-// addressable region on behalf of a remote requester: the owner-side half of
-// an inter-node backend's service loop. ReserveNIC books the owner rank's
-// NIC busy interval (ignored by calls whose reserve flag is false). Methods
-// panic on faults — out-of-bounds access, ring overflow — with the same
-// messages the inline path produces; the backend forwards the panic to the
-// requester.
+// addressable region: the one acquire/book/stamp/release sequence over the
+// owner's port that both the inline issue path (Endpoint, for every region
+// with real bytes behind it) and the owner-side half of an inter-node
+// backend's service loop run. Ring selects the release: true carries the
+// doorbell ring in the port's release add (the inline path outside a
+// batch; the caller then calls Transport.WakeDoor), false leaves the
+// generation alone (an open batch defers its rings, and a wire requester's
+// ring arrives as its own message). Methods panic on faults — out-of-bounds
+// or misaligned access, ring overflow — with the same messages on either
+// path, and never while holding the port: a rank spinning on a leaked port
+// could not unwind when the world aborts. A backend forwards the panic to
+// the requester.
 type RegionExec struct {
-	Reg        *Region
-	ReserveNIC func(arrival timing.Time, xfer int64) timing.Time
+	Reg  *Region
+	Ring bool
 }
 
-// Put copies src and stamps the range (see RemoteMem.Put).
+// land opens a put-shaped transfer: inter-node (reserve) it takes the port
+// and books the NIC, intra-node the completion is the precomputed arrival
+// and nothing is taken. done(reserve) closes it once the stamp is written.
+func (x RegionExec) land(reserve bool, arrival timing.Time, xfer int64) timing.Time {
+	if !reserve {
+		return arrival
+	}
+	x.Reg.port.Lock()
+	return x.Reg.port.BookNIC(arrival, xfer)
+}
+
+// done announces a completed write: it releases the port if the operation
+// held it, and rings — in the release itself when there is one — when Ring
+// is set.
+func (x RegionExec) done(locked bool) {
+	p := x.Reg.port
+	switch {
+	case locked && x.Ring:
+		p.UnlockRing()
+	case locked:
+		p.Unlock()
+	case x.Ring:
+		p.Ring()
+	}
+}
+
+// Put copies src and stamps the range (see RemoteMem.Put). The copy stays
+// outside the port: a bulk put holds it for its stamp records only.
 func (x RegionExec) Put(off int, src []byte, reserve bool, arrival timing.Time, xfer int64) timing.Time {
 	x.Reg.check(off, len(src))
-	comp := arrival
-	if reserve {
-		comp = x.ReserveNIC(arrival, xfer)
-	}
 	copy(x.Reg.buf[off:off+len(src)], src)
+	comp := x.land(reserve, arrival, xfer)
 	x.Reg.stamps.SetRange(off, len(src), comp)
+	x.done(reserve)
 	return comp
 }
 
@@ -145,18 +177,20 @@ func (x RegionExec) Get(dst []byte, off int, clockIn timing.Time, reserve bool, 
 	if !reserve {
 		return base + timing.Time(tail)
 	}
-	return x.ReserveNIC(base+timing.Time(tail), xfer)
+	p := x.Reg.port
+	p.Lock()
+	comp := p.BookNIC(base+timing.Time(tail), xfer) // data leaves the target NIC
+	p.Unlock()
+	return comp
 }
 
 // StoreWord stores and stamps one word (see RemoteMem.StoreWord).
 func (x RegionExec) StoreWord(off int, v uint64, reserve bool, arrival timing.Time, xfer int64) timing.Time {
-	x.Reg.check(off, 8)
-	comp := arrival
-	if reserve {
-		comp = x.ReserveNIC(arrival, xfer)
-	}
+	x.Reg.checkWords(off, 8)
+	comp := x.land(reserve, arrival, xfer)
 	hostatomic.Store(x.Reg.buf, off, v)
 	x.Reg.stamps.Set(off, comp)
+	x.done(reserve)
 	return comp
 }
 
@@ -166,27 +200,38 @@ func (x RegionExec) LoadWord(off int) (uint64, timing.Time) {
 	return v, x.Reg.stamps.Get(off)
 }
 
-// WordAmo applies one word atomic (see RemoteMem.WordAmo).
+// WordAmo applies one word atomic (see RemoteMem.WordAmo). The whole
+// read-apply-stamp sequence holds the owner's port, intra-node too: atomics
+// chain through their word's stamp, and a racing AMO that read the same
+// prior stamp would overwrite this one's later landing with an earlier
+// time, leaking host scheduling into the stamps that pollers merge. Under
+// the port every chain link is atomic and the stamp strictly monotone
+// (land = max(clock, prev) + latency > prev) — across regions, requesters
+// and the processes that map the port.
 func (x RegionExec) WordAmo(op WordOp, off int, o1, o2 uint64, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (old uint64, land, base, newFree timing.Time) {
-	x.Reg.check(off, 8)
-	// Chain lock as on the inline path: service goroutines execute requests
-	// from different requesters concurrently, and on a hybrid world same-host
-	// ranks run the inline path against the same shared stamps.
-	x.Reg.stamps.LockChain()
+	x.Reg.checkWords(off, 8)
+	if op > WordSwap {
+		panic("simnet: unknown word-atomic operator")
+	}
+	x.Reg.port.Lock()
 	prev := x.Reg.stamps.Get(off)
 	old = applyWordOp(x.Reg.buf, off, op, o1, o2)
 	base = timing.Max(clockIn, prev)
 	land, newFree = x.landAt(base, srcFree, reserve, lat, xfer)
 	x.Reg.stamps.Set(off, land)
-	x.Reg.stamps.UnlockChain()
+	x.done(true)
 	return old, land, base, newFree
 }
 
-// BulkAmo applies a chained atomic over the range (see RemoteMem.BulkAmo).
+// BulkAmo applies a chained atomic over the range (see RemoteMem.BulkAmo),
+// under the port like WordAmo.
 func (x RegionExec) BulkAmo(op AmoOp, off int, src []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (comp, newFree timing.Time) {
-	x.Reg.check(off, len(src))
+	x.Reg.checkWords(off, len(src))
+	if op < AmoSum || op > AmoReplace {
+		panic("simnet: unknown bulk AMO op")
+	}
 	n := len(src) / 8
-	x.Reg.stamps.LockChain() // see WordAmo
+	x.Reg.port.Lock()
 	for i := 0; i < n; i++ {
 		v := binary.LittleEndian.Uint64(src[i*8:])
 		o := off + i*8
@@ -201,39 +246,33 @@ func (x RegionExec) BulkAmo(op AmoOp, off int, src []byte, clockIn, srcFree timi
 			hostatomic.Xor(x.Reg.buf, o, v)
 		case AmoReplace:
 			hostatomic.Swap(x.Reg.buf, o, v)
-		default:
-			x.Reg.stamps.UnlockChain()
-			panic("simnet: unknown bulk AMO op")
 		}
 	}
 	prev := x.Reg.stamps.MaxRange(off, len(src))
 	base := timing.Max(clockIn, prev)
 	comp, newFree = x.landAt(base, srcFree, reserve, lat, xfer)
 	x.Reg.stamps.SetRange(off, len(src), comp)
-	x.Reg.stamps.UnlockChain()
+	x.done(true)
 	return comp, newFree
 }
 
-// landAt resolves a transfer departing at base: the owner-side replay of
-// Endpoint.schedXferOn when the departure time itself depends on remote
-// stamps (AMO paths), including the requester's source-NIC cursor.
+// landAt resolves a transfer departing at base, which itself depended on
+// the target's stamps (AMO paths): source-NIC serialization through the
+// requester's cursor, then the target-NIC booking. The caller holds the
+// port.
 func (x RegionExec) landAt(base, srcFree timing.Time, reserve bool, lat, xfer int64) (land, newFree timing.Time) {
 	if !reserve {
 		return base + timing.Time(lat), srcFree
 	}
-	depart := base
-	if srcFree > depart {
-		depart = srcFree
-	}
-	newFree = depart + timing.Time(xfer)
-	return x.ReserveNIC(depart+timing.Time(lat), xfer), newFree
+	depart := timing.Max(base, srcFree)
+	return x.Reg.port.BookNIC(depart+timing.Time(lat), xfer), depart + timing.Time(xfer)
 }
 
 // Notify runs the ring deposit protocol (see RemoteMem.Notify and the ring
 // layout in notify.go).
 func (x RegionExec) Notify(off int, word uint64, reserve bool, arrival timing.Time, xfer int64) timing.Time {
 	reg := x.Reg
-	reg.check(off, notifyHeaderBytes)
+	reg.checkWords(off, notifyHeaderBytes)
 	capacity := hostatomic.Load(reg.buf, off+16)
 	if capacity == 0 {
 		panic(fmt.Sprintf("simnet: notification into unbound ring (rank %d key %d off %d)",
@@ -247,11 +286,9 @@ func (x RegionExec) Notify(off int, word uint64, reserve bool, arrival timing.Ti
 			reg.owner, ticket-cons+1, capacity))
 	}
 	slot := off + notifyHeaderBytes + int(ticket%capacity)*8
-	comp := arrival
-	if reserve {
-		comp = x.ReserveNIC(arrival, xfer)
-	}
+	comp := x.land(reserve, arrival, xfer)
 	reg.stamps.Set(slot, comp)
 	hostatomic.Store(reg.buf, slot, word|notifyValid)
+	x.done(reserve)
 	return comp
 }

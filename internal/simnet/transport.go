@@ -8,10 +8,11 @@ import (
 // Transport is the substrate contract an Endpoint drives: the services of
 // foMPI's interchangeable fabrics (the paper's DMAPP and XPMEM) that involve
 // memory or state shared between ranks. Everything above this line — cost
-// models, virtual clocks, stamps arithmetic, batching — lives in Endpoint
-// and is byte-identical across backends; a Transport only moves bytes,
-// resolves registrations, books NIC occupancy, rings doorbells, and carries
-// the published clocks that pacing folds. Four implementations exist: the
+// models, virtual clocks, stamps arithmetic, NIC booking, batching — lives
+// in Endpoint, RegionExec and Port and is byte-identical across backends; a
+// Transport only resolves registrations, homes one Port per rank where that
+// rank's memory is, parks and wakes doorbell waiters, and carries the
+// published clocks that pacing folds. Four implementations exist: the
 // in-process *Fabric below (ranks are goroutines in one address space),
 // internal/mprun's multi-process world (ranks are OS processes, regions live
 // in one mmap-shared segment, doorbells travel over Unix sockets),
@@ -28,9 +29,18 @@ import (
 //   - AllocSeg returns zeroed memory that RegisterRegion accepts; backends
 //     whose remote ranks cannot reach arbitrary host memory (mprun) may
 //     reject RegisterRegion calls on buffers they did not allocate.
-//   - RingDoorbell(r) wakes every WaitDoor(r, gen) waiter whose gen is stale,
-//     with no lost wakeups (a waiter re-checks its predicate after every
-//     return). Waiters may be woken spuriously.
+//   - Every rank whose memory this process can address (LookupRegion
+//     returns a region with real bytes, not a RemoteMem proxy) has exactly
+//     one Port, shared by every process that addresses the memory; Port(r)
+//     returns it, and nil for a rank reached only through proxies. The
+//     inline issue path and RegionExec take it for every NIC booking and
+//     AMO, and release it with the ring.
+//   - WakeDoor(r) wakes every WaitDoor(r, gen) waiter whose gen is stale
+//     after r's port generation advanced, with no lost wakeups (a waiter
+//     re-checks its predicate after every return), and costs a load or two
+//     when nobody is parked. Waiters may be woken spuriously. RingDoorbell(r)
+//     is Port(r).Ring() plus WakeDoor(r) for an addressable rank and a
+//     message to the owner, who does the same, otherwise.
 //   - PublishClock/Pace implement the conservative pacing discipline of
 //     DESIGN.md §6.1; with PaceWindow() == 0 both may be no-ops.
 //   - Abort wakes every blocked waiter; WaitDoor panics with ErrAborted —
@@ -59,16 +69,17 @@ type Transport interface {
 	AllocSeg(rank, size int) *segpool.Seg
 	RecycleSeg(rank int, s *segpool.Seg, scrubbed bool, extra ...segpool.Range)
 
-	// Virtual-time services. ReserveNIC serializes transfers into one
-	// target's NIC (incast); PublishClock and Pace carry the pacing
+	// Virtual-time services: PublishClock and Pace carry the pacing
 	// discipline (no-ops when PaceWindow is 0).
-	ReserveNIC(rank int, arrival timing.Time, xfer int64) timing.Time
 	PublishClock(rank int, t timing.Time)
 	Pace(rank int, t timing.Time)
 	PaceWindow() int64
 
-	// Doorbells: the generation-counted wakeup channel of WaitLocal,
-	// PollRemoteWord and the notification rings.
+	// Ports and doorbells: the rank's arrival state (see Port), and the
+	// generation-counted wakeup channel of WaitLocal, PollRemoteWord and the
+	// notification rings built on its generation.
+	Port(rank int) *Port
+	WakeDoor(rank int)
 	RingDoorbell(rank int)
 	DoorGen(rank int) uint64
 	WaitDoor(rank int, gen uint64) uint64
@@ -108,16 +119,17 @@ func (f *Fabric) RecycleSeg(rank int, s *segpool.Seg, scrubbed bool, extra ...se
 	segpool.Put(s)
 }
 
-// ReserveNIC books the target rank's NIC (see BookNIC).
-func (f *Fabric) ReserveNIC(rank int, arrival timing.Time, xfer int64) timing.Time {
-	return f.reserveNIC(rank, arrival, xfer)
-}
-
 // PublishClock records a rank's virtual clock for pacing.
 func (f *Fabric) PublishClock(rank int, t timing.Time) { f.publishClock(rank, t) }
 
 // Pace blocks rank while it runs ahead of the pacing window.
 func (f *Fabric) Pace(rank int, t timing.Time) { f.pace(rank, t) }
+
+// Port returns rank's port: every rank is addressable in process.
+func (f *Fabric) Port(rank int) *Port { return &f.nodes[rank].port }
+
+// WakeDoor wakes rank's parked waiters after its generation advanced.
+func (f *Fabric) WakeDoor(rank int) { f.nodes[rank].wake() }
 
 // RingDoorbell rings rank's doorbell, waking its waiters.
 func (f *Fabric) RingDoorbell(rank int) { f.nodes[rank].notify() }

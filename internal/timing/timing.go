@@ -6,7 +6,6 @@
 package timing
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -100,7 +99,9 @@ type level struct {
 //
 // Concurrent writers to the same word race exactly as they did with a flat
 // one-word-one-slot layout: last writer wins, and a reader may observe
-// either side of an in-flight write. Sequential (protocol-ordered) histories
+// either side of an in-flight write. Read-modify-stamp sequences — atomics
+// chaining through their word's stamp — are serialized above this package,
+// by the owning rank's simnet.Port. Sequential (protocol-ordered) histories
 // are observationally identical to the flat layout; TestStampsEquivalence
 // checks that property against a reference implementation.
 type Stamps struct {
@@ -117,19 +118,6 @@ type Stamps struct {
 	// segment share one counter across the processes of a multi-process
 	// world.
 	epoch *uint32
-
-	// chain (same slab) is the AMO serialization lock. Atomic read-modify-
-	// write operations chain through their word's stamp — each reads the
-	// prior stamp, bases its landing time on it, and writes the new stamp —
-	// so two concurrent AMOs that both read the same prior stamp would break
-	// the chain: the real-time loser's Set overwrites the winner's later
-	// landing with an earlier one, and any rank that later merges the word's
-	// stamp inherits the host scheduler's interleaving. Holding chain across
-	// the read-apply-stamp sequence makes every chain link atomic, which
-	// makes the stamp strictly monotone (land = max(clock, prev) + latency >
-	// prev). It lives in the shared slab so the discipline spans the
-	// processes of a multi-process or hybrid world.
-	chain *uint32
 }
 
 // parents returns how many nodes the level above n nodes (or words) holds.
@@ -155,7 +143,7 @@ func treeShape(nw int) (levels, nodes int) {
 func StampSlabLens(size int) (n64, n32 int) {
 	nw := (size + 7) / 8
 	_, nodes := treeShape(nw)
-	return nw + nodes, nw + 2*nodes + 2 // +2: the shared epoch and chain-lock words
+	return nw + nodes, nw + 2*nodes + 1 // +1: the shared epoch word
 }
 
 // NewStamps creates shadow timestamps covering size bytes. Every array is a
@@ -182,7 +170,7 @@ func NewStampsOver(i64 []int64, u32 []uint32, size int) *Stamps {
 	s := &Stamps{
 		words: i64[:nw:nw], wEpoch: u32[:nw:nw],
 		lv:    make([]level, levels),
-		epoch: &u32[n32-2], chain: &u32[n32-1],
+		epoch: &u32[n32-1],
 	}
 	p64, p32, n := nw, nw, nw
 	for l := range s.lv {
@@ -196,22 +184,6 @@ func NewStampsOver(i64 []int64, u32 []uint32, size int) *Stamps {
 	}
 	return s
 }
-
-// LockChain acquires the stamp-chain lock: every read-modify-stamp sequence
-// (the AMO paths) must hold it from reading the word's prior stamp through
-// writing the new one, so concurrent atomics serialize into one well-formed
-// chain instead of racing on the prior stamp. The critical sections are a few
-// loads and stores, so contention is resolved by spinning; the lock word
-// lives in the shared slab, making the discipline effective across the
-// processes of a shared-memory world.
-func (s *Stamps) LockChain() {
-	for !atomic.CompareAndSwapUint32(s.chain, 0, 1) {
-		runtime.Gosched()
-	}
-}
-
-// UnlockChain releases the stamp-chain lock.
-func (s *Stamps) UnlockChain() { atomic.StoreUint32(s.chain, 0) }
 
 // span returns the word extent [lo, hi) of node idx of level l, clamped to
 // the region (the last node of a level may be ragged).
@@ -240,7 +212,6 @@ func (s *Stamps) children(l, idx int) (lo, hi int) {
 func (s *Stamps) Reset() {
 	s.resetNode(len(s.lv), 0)
 	atomic.StoreUint32(s.epoch, 0)
-	atomic.StoreUint32(s.chain, 0)
 }
 
 func (s *Stamps) resetNode(l, idx int) {

@@ -6,7 +6,8 @@
 # directly and through the fompi-run launcher. A focused subset of
 # scripts/verify.sh's four-way diff, for the CI jobs that exercise one
 # backend in isolation. The diff is single-pass: the stamp-merge race that
-# once needed a retry here is fixed at the source (the stamp chain lock).
+# once needed a retry here is fixed at the source (AMO chains serialize on
+# the target's port).
 # Pure POSIX sh; temporaries live under the repo (CI runners promise no
 # writable TMPDIR layout).
 set -eu

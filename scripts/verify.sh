@@ -6,6 +6,9 @@
 #   gofmt -l                     formatting is clean
 #   go vet ./...                 static checks
 #   go build ./...               everything compiles
+#   retired-names check          LockChain, nicMu and rnNicLock — the three
+#                                per-target locks the port replaced — occur
+#                                in no non-test Go file
 #   go test ./...                all package suites (includes the transport
 #                                conformance suite, which spawns the
 #                                multi-process, inter-node, and hybrid
@@ -13,7 +16,10 @@
 #   make bench-test              the benchmark module's own tests (benchmark/
 #                                has its own go.mod, so ./... skips it)
 #   go test -race -short <hot>   concurrency check over the packages whose
-#                                goroutines share fabric memory
+#                                goroutines share fabric memory (the port's
+#                                unit tests and the two-mappings arena test
+#                                among them), plus the cross-backend AMO
+#                                chain conformance test under -race
 #   examples smoke               build and run every example; quickstart and
 #                                stencil must produce identical deterministic
 #                                output on the in-process, multi-process,
@@ -45,14 +51,22 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== retired names (the port's predecessors must not creep back)"
+if grep -rnE 'LockChain|nicMu|rnNicLock' --include='*.go' --exclude='*_test.go' \
+	fompi.go internal cmd examples; then
+	echo "verify: a per-target lock the port replaced is back in non-test Go" >&2
+	exit 1
+fi
+
 echo "== go test"
 go test ./...
 
 echo "== benchmark module tests (make bench-test)"
 make bench-test
 
-echo "== go test -race -short (timing, simnet, core, spmd, netrun, rankio)"
-go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/
+echo "== go test -race -short (timing, simnet, core, spmd, netrun, rankio, mprun)"
+go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/
+go test -race -count=1 -run 'TestConformanceAmoChain' ./internal/transporttest/
 
 echo "== examples smoke (build + run, cross-backend diff)"
 for ex in quickstart stencil hashtable dsde; do
@@ -64,7 +78,8 @@ go build -o "$TMP/fompi-run" ./cmd/fompi-run
 # and diff against the in-process output. Output lines are sorted (rank
 # prints interleave arbitrarily); the figures themselves must be
 # bit-identical, in one pass — the stamp-merge reordering that once needed a
-# retry here is fixed at the source (the stamp chain lock), and the
+# retry here is fixed at the source (AMO chains serialize on the target's
+# port), and the
 # transporttest determinism loop pins it.
 compare_backends() {
 	# Capture before sorting: a pipeline would report sort's status and
