@@ -295,8 +295,9 @@ func (a *Arena) regionsFor(local int) []*simnet.Region {
 // of the owner's registration: the buffer and stamp slabs are slices of the
 // shared mapping, so stamp arithmetic runs on the same words in every
 // process. ownerGlobal is the owner's world rank, the identity the view (and
-// its fault messages) carries. Cached views have the same staleness contract
-// as the in-process fabric's copy-on-write table.
+// its fault messages) carries. A view's liveness word is the entry's state
+// word in the mapping, so an endpoint's warm route onto the view notices the
+// owner's Unregister without coming back here.
 func (a *Arena) Lookup(ownerLocal int, key uint32, ownerGlobal int) *simnet.Region {
 	regs := a.regionsFor(ownerLocal)
 	if int(key) >= maxRegions {
@@ -323,7 +324,7 @@ func (a *Arena) Lookup(ownerLocal int, key uint32, ownerGlobal int) *simnet.Regi
 	st := timing.NewStampsOver(
 		i64slice(ar, off+bufLen, n64),
 		u32slice(ar, off+bufLen+n64*8, n32), ln)
-	reg := simnet.MakeRegion(ownerGlobal, simnet.Key(key), buf, st, a.Port(ownerLocal))
+	reg := simnet.MakeRegion(ownerGlobal, simnet.Key(key), buf, st, a.Port(ownerLocal), u32at(a.m, e+enState))
 	regs[key] = &reg
 	return &reg
 }

@@ -67,7 +67,8 @@ func TestTwoViewsShareStampTree(t *testing.T) {
 
 	for _, size := range []int{40, 512, 24<<10 + 8, 280 << 10} {
 		seg := owner.AllocSeg(0, size)
-		reg := simnet.MakeRegion(0, 0, seg.Buf, seg.St, owner.Port(0))
+		live := simnet.RegionLive
+		reg := simnet.MakeRegion(0, 0, seg.Buf, seg.St, owner.Port(0), &live)
 		key := owner.Register(0, &reg)
 		mine, theirs := seg.St, peer.Lookup(0, key, 0).Stamps()
 		if mine == theirs {

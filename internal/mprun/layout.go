@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"unsafe"
+
+	"fompi/internal/simnet"
 )
 
 // Shared-memory world layout. One file, mapped MAP_SHARED by the launcher
@@ -75,8 +77,10 @@ const (
 	enBufOff    = 8  // u64, arena-relative
 	enBufLen    = 16 // u64
 
+	// A materialized view's liveness word is its entry's state word, so a
+	// live entry holds the value simnet's routes test for.
 	entryEmpty = 0
-	entryLive  = 1
+	entryLive  = simnet.RegionLive
 	entryDead  = 2
 
 	// maxRegions bounds each rank's registrations over the world lifetime

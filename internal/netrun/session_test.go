@@ -13,6 +13,10 @@ import (
 	"fompi/internal/timing"
 )
 
+// liveWord returns a liveness word for a handle these tests build without an
+// endpoint; nothing ever unregisters it.
+func liveWord() *uint32 { v := simnet.RegionLive; return &v }
+
 // sessionWorld builds the minimal owner-side World the session layer needs:
 // a rank, a clock table, one registered word behind the rank's port, and an
 // empty session table.
@@ -22,7 +26,7 @@ func sessionWorld() *World {
 		clocks:   make([]int64, 4),
 		sessions: make(map[uint64]*ownerSession),
 	}
-	reg := simnet.MakeRegion(1, 0, make([]byte, 8), timing.NewStamps(8), &w.ownPort)
+	reg := simnet.MakeRegion(1, 0, make([]byte, 8), timing.NewStamps(8), &w.ownPort, liveWord())
 	w.mine = []*simnet.Region{&reg}
 	return w
 }
@@ -263,7 +267,7 @@ func mkNotifyBatch(words ...uint64) []byte {
 func TestSessionBatchSuffixReplay(t *testing.T) {
 	w := sessionWorld()
 	buf := make([]byte, simnet.NotifyRingBytes(8))
-	reg := simnet.MakeRegion(1, 0, buf, timing.NewStamps(len(buf)), &w.ownPort)
+	reg := simnet.MakeRegion(1, 0, buf, timing.NewStamps(len(buf)), &w.ownPort, liveWord())
 	reg.LocalWordStore(16, 8, 0) // bind the ring: capacity word
 	w.mine = []*simnet.Region{&reg}
 	sid := sidFor(0, 77)
@@ -398,7 +402,7 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 			workerErr <- err
 			return
 		}
-		reg := simnet.MakeRegion(w.Rank(), 0, make([]byte, 8), timing.NewStamps(8), w.Port(w.Rank()))
+		reg := simnet.MakeRegion(w.Rank(), 0, make([]byte, 8), timing.NewStamps(8), w.Port(w.Rank()), liveWord())
 		w.RegisterRegion(w.Rank(), &reg)
 		w.Ready()
 		m := &remoteMem{w: w, rank: 1 - w.Rank(), key: 0, size: 8}
@@ -513,7 +517,7 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 			return
 		}
 		buf := make([]byte, flagOff+8)
-		reg := simnet.MakeRegion(w.Rank(), 0, buf, timing.NewStamps(len(buf)), w.Port(w.Rank()))
+		reg := simnet.MakeRegion(w.Rank(), 0, buf, timing.NewStamps(len(buf)), w.Port(w.Rank()), liveWord())
 		reg.LocalWordStore(16, ringCap, 0) // bind the ring before peers deposit
 		w.RegisterRegion(w.Rank(), &reg)
 		w.Ready()

@@ -42,7 +42,7 @@ func TestFetchAddAllocFree(t *testing.T) {
 }
 
 // TestBatchedIssueAllocFree pins the batch engine itself: scopes, dedup
-// marks, and the region memo must reuse endpoint-owned storage after the
+// marks, and the route memo must reuse endpoint-owned storage after the
 // first batch.
 func TestBatchedIssueAllocFree(t *testing.T) {
 	ep, a, buf := allocFixture()

@@ -31,15 +31,14 @@ func (ep *Endpoint) AmoBulkNBI(a Addr, op AmoOp, src []byte) {
 		panic("simnet: bulk AMO length must be a multiple of 8")
 	}
 	ep.paceOp()
-	same := ep.sameNodeTo(a.Rank)
-	pr := ep.cm.For(same)
-	reg := ep.region(a)
-	reg.check(a.Off, len(src))
+	rt := ep.route(a)
+	reg, pr, same := rt.reg, rt.pr, rt.same
 	ep.clock += timing.Time(pr.InjectNs)
 	n := len(src) / 8
-	lat, xfer := pr.AmoNs+int64(n)*pr.AmoPerElNs, pr.xferNs(len(src))
+	lat, xfer := pr.AmoNs+int64(n)*pr.AmoPerElNs, ep.xferNs(rt, len(src))
 	var comp, free timing.Time
 	if rm := reg.rmt; rm != nil {
+		reg.check(a.Off, len(src))
 		comp, free = rm.BulkAmo(op, a.Off, src, ep.clock, ep.nicFree, !same, lat, xfer)
 	} else {
 		comp, free = ep.exec(reg).BulkAmo(op, a.Off, src, ep.clock, ep.nicFree, !same, lat, xfer)
@@ -70,11 +69,11 @@ var ErrNotMapped = errors.New("simnet: region is not locally mapped (inter-node 
 // with ErrNotSameNode; same-node requests whose memory the backend cannot
 // map fail with ErrNotMapped (both via errors.Is).
 func (ep *Endpoint) SharedErr(a Addr, n int) ([]byte, error) {
-	if !ep.fab.SameNode(ep.rank, a.Rank) {
+	if !ep.sameNodeTo(a.Rank) {
 		return nil, fmt.Errorf("%w (rank %d is on node %d, rank %d on node %d)",
-			ErrNotSameNode, ep.rank, ep.node, a.Rank, ep.fab.NodeOf(a.Rank))
+			ErrNotSameNode, ep.rank, ep.node, a.Rank, a.Rank/ep.rpn)
 	}
-	reg := ep.region(a)
+	reg := ep.route(a).reg
 	if reg.rmt != nil {
 		return nil, fmt.Errorf("%w (rank %d key %d is owned by another process)",
 			ErrNotMapped, a.Rank, a.Key)

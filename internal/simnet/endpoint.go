@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"sync/atomic"
+
 	"fompi/internal/segpool"
 	"fompi/internal/timing"
 )
@@ -13,7 +15,9 @@ import (
 type Endpoint struct {
 	fab   Transport
 	rank  int
-	node  int // cached fab.NodeOf(rank): intra/inter decisions are one division
+	rpn   int  // cached fab.RanksPerNode(): NodeOf(r) is r / rpn on every backend
+	node  int  // rank / rpn
+	paced bool // cached fab.PaceWindow() != 0: unpaced worlds never call Pace
 	cm    *CostModel
 	drain WireDrainer // fab's pipelined-wire extension, when it has one
 
@@ -23,28 +27,50 @@ type Endpoint struct {
 
 	// Batched-issue state (BeginBatch/EndBatch). While batchDepth > 0 the
 	// per-operation host disciplines are deferred: pacing and the clock
-	// publish run once at EndBatch, destination doorbells ring once per
-	// distinct node at EndBatch (pendDst, deduplicated through dstMark),
-	// and region lookups are memoized in regMemo. None of this touches
-	// virtual time — batched issue is bit-identical to unbatched issue.
+	// publish run once at EndBatch, and destination doorbells ring once per
+	// distinct node at EndBatch (pendDst, deduplicated through dstMark).
+	// None of this touches virtual time — batched issue is bit-identical to
+	// unbatched issue.
 	batchDepth int
 	batchGen   uint32   // current dedup generation; 0 is never valid
 	pendDst    []int    // distinct destination ranks with a deferred doorbell
 	dstMark    []uint32 // dstMark[r] == batchGen ⇒ r already in pendDst
-	regMemo    [regMemoSize]regMemoEnt
-	regMemoN   int
+
+	// routes memoizes what an operation needs to know about its target and
+	// what does not change between operations (see route); xfer remembers
+	// the last serialization term per locality (see xferNs).
+	routes [routeSlots]route
+	xfer   [2]xferMemo
 
 	ctr Counters
 }
 
-// regMemoSize bounds the per-batch region memo: batches touch few distinct
-// (rank, key) pairs, and a miss only costs the regular atomic-load lookup.
-const regMemoSize = 8
+// routeSlots sizes the route memo: a power of two, fixed whatever the world
+// size. An issue loop works on a handful of (rank, key) pairs at a time —
+// a window's data and control regions at each of a few neighbours — and a
+// pair that loses its slot pays one regular lookup to get it back.
+const routeSlots = 16
 
-type regMemoEnt struct {
-	rank int32
+// route is one entry of the endpoint's direct-mapped route memo: the target
+// facts of (rank, key) that every operation needs and that only the owner's
+// Unregister can change — the region handle, the locality, and the cost
+// profile the locality selects. An entry serves a lookup while the handle's
+// liveness word still reads RegionLive and the handle still carries the key
+// (a Region struct may be registered again, under a new key). Keys are never
+// reused, so an entry that matches names the registration it was filled
+// from, never a later one: there is no ABA. The zero entry is an empty slot.
+type route struct {
+	rank int
 	key  Key
+	same bool // target shares this endpoint's node
 	reg  *Region
+	pr   *Profile
+}
+
+// xferMemo is one remembered Profile.xferNs result.
+type xferMemo struct {
+	n  int
+	ns int64
 }
 
 // Handle identifies an explicit-nonblocking operation; it completes at a
@@ -63,9 +89,24 @@ func NewEndpoint(t Transport, rank int, cm *CostModel) *Endpoint {
 	if rank < 0 || rank >= t.Size() {
 		panic("simnet: endpoint rank out of range")
 	}
-	ep := &Endpoint{fab: t, rank: rank, node: t.NodeOf(rank), cm: cm}
-	ep.drain, _ = t.(WireDrainer)
+	ep := new(Endpoint)
+	ep.init(t, rank, cm)
 	return ep
+}
+
+// init is the one place the fields of a fresh (zero) endpoint are set,
+// whether it stands alone or in a slab. It reads the transport's topology
+// and pacing window once; the in-process fabric refuses to change its window
+// afterwards.
+func (ep *Endpoint) init(t Transport, rank int, cm *CostModel) {
+	ep.fab, ep.rank, ep.cm = t, rank, cm
+	ep.rpn = t.RanksPerNode()
+	ep.node = rank / ep.rpn
+	ep.paced = t.PaceWindow() != 0
+	ep.drain, _ = t.(WireDrainer)
+	if f, ok := t.(*Fabric); ok && !f.endpointsOut.Load() {
+		f.endpointsOut.Store(true)
+	}
 }
 
 // drainWire blocks until every pipelined wire operation has delivered its
@@ -87,7 +128,7 @@ func (f *Fabric) Endpoint(rank int, cm *CostModel) *Endpoint {
 func (f *Fabric) Endpoints(cm *CostModel) []Endpoint {
 	eps := make([]Endpoint, f.n)
 	for r := range eps {
-		eps[r] = Endpoint{fab: f, rank: r, node: f.NodeOf(r), cm: cm}
+		eps[r].init(f, r, cm)
 	}
 	return eps
 }
@@ -115,7 +156,7 @@ func (ep *Endpoint) AdvanceTo(t timing.Time) {
 // publishes the new clock for pacing (deferred to EndBatch inside a batch).
 func (ep *Endpoint) Compute(ns int64) {
 	ep.clock += timing.Time(ns)
-	if ep.batchDepth == 0 {
+	if ep.paced && ep.batchDepth == 0 {
 		ep.fab.PublishClock(ep.rank, ep.clock)
 	}
 }
@@ -135,9 +176,8 @@ func (ep *Endpoint) ResetCounters() { ep.ctr = Counters{} }
 // before the matching EndBatch accumulate their virtual-time effects exactly
 // as unbatched issue would — clocks, stamps, and NIC bookings are
 // bit-identical — but the per-operation host disciplines are coalesced:
-// EndBatch performs one clock publish and one pacing check, rings each
-// distinct destination node's doorbell once, and region lookups within the
-// batch are memoized per (rank, key). Batches nest; only the outermost
+// EndBatch performs one clock publish and one pacing check and rings each
+// distinct destination node's doorbell once. Batches nest; only the outermost
 // EndBatch flushes. A batch is an issue scope, not a transaction: bytes land
 // at issue time, and blocking waits inside a batch (WaitLocal,
 // PollRemoteWord) flush the deferred doorbells before parking so a peer
@@ -145,7 +185,6 @@ func (ep *Endpoint) ResetCounters() { ep.ctr = Counters{} }
 func (ep *Endpoint) BeginBatch() {
 	if ep.batchDepth == 0 {
 		ep.nextBatchGen()
-		ep.regMemoN = 0
 	}
 	ep.batchDepth++
 }
@@ -162,7 +201,9 @@ func (ep *Endpoint) EndBatch() {
 		return
 	}
 	ep.flushBatchNotifies()
-	ep.fab.Pace(ep.rank, ep.clock)
+	if ep.paced {
+		ep.fab.Pace(ep.rank, ep.clock)
+	}
 }
 
 // InBatch reports whether a batched issue scope is open.
@@ -197,7 +238,9 @@ func (ep *Endpoint) flushBatchNotifies() {
 func (ep *Endpoint) flushBeforeBlock() {
 	if ep.batchDepth > 0 {
 		ep.flushBatchNotifies()
-		ep.fab.PublishClock(ep.rank, ep.clock)
+		if ep.paced {
+			ep.fab.PublishClock(ep.rank, ep.clock)
+		}
 	}
 	ep.drainWire()
 }
@@ -235,30 +278,50 @@ func (ep *Endpoint) notifyDst(reg *Region) {
 // paceOp runs the per-operation pacing discipline; inside a batch it is
 // deferred to EndBatch (one check per batch instead of one per op).
 func (ep *Endpoint) paceOp() {
-	if ep.batchDepth == 0 {
+	if ep.paced && ep.batchDepth == 0 {
 		ep.fab.Pace(ep.rank, ep.clock)
 	}
 }
 
-// region resolves an address, memoizing lookups per (rank, key) while a
-// batch is open. The memo carries the same staleness contract as the
-// copy-on-write region table itself: a concurrent unregister may leave a
-// reader holding the prior registration for the rest of its (short) batch.
-func (ep *Endpoint) region(a Addr) *Region {
-	if ep.batchDepth > 0 {
-		for i := 0; i < ep.regMemoN; i++ {
-			if e := &ep.regMemo[i]; e.rank == int32(a.Rank) && e.key == a.Key {
-				return e.reg
-			}
-		}
-		reg := ep.fab.LookupRegion(a)
-		if ep.regMemoN < regMemoSize {
-			ep.regMemo[ep.regMemoN] = regMemoEnt{rank: int32(a.Rank), key: a.Key, reg: reg}
-			ep.regMemoN++
-		}
-		return reg
+// route resolves an address to its target facts. A hit costs two compares,
+// the liveness load and the key re-check, whatever the world size; the
+// liveness load makes the owner's Unregister exact per operation — the next
+// access faults in routeMiss's lookup, it does not ride a stale handle.
+func (ep *Endpoint) route(a Addr) *route {
+	rt := &ep.routes[(uint(a.Rank)*5+uint(a.Key))%routeSlots]
+	if reg := rt.reg; rt.rank == a.Rank && rt.key == a.Key && reg != nil && reg.alive() && reg.key == a.Key {
+		return rt
 	}
-	return ep.fab.LookupRegion(a)
+	return ep.routeMiss(rt, a)
+}
+
+// routeMiss resolves a through the transport — faulting there on an address
+// that names no live registration, with the slot left as it was — and fills
+// the slot.
+func (ep *Endpoint) routeMiss(rt *route, a Addr) *route {
+	ep.ctr.RouteMisses++
+	reg := ep.fab.LookupRegion(a)
+	same := ep.sameNodeTo(a.Rank)
+	// Field by field: a composite literal is built on the stack and copied
+	// over in 16-byte moves that stall on the narrower stores behind them.
+	rt.rank, rt.key, rt.same = a.Rank, a.Key, same
+	rt.reg, rt.pr = reg, ep.cm.For(same)
+	return rt
+}
+
+// xferNs is rt.pr.xferNs(n), remembering the last result per locality: an
+// issue loop moves one payload size over and over, and the float multiply
+// would otherwise sit between every operation and its NIC booking. A
+// different size evaluates the same expression, so virtual time cannot tell.
+func (ep *Endpoint) xferNs(rt *route, n int) int64 {
+	m := &ep.xfer[0]
+	if rt.same {
+		m = &ep.xfer[1]
+	}
+	if m.n != n {
+		m.n, m.ns = n, rt.pr.xferNs(n)
+	}
+	return m.ns
 }
 
 // Register allocates and registers size bytes of transport-reachable memory
@@ -312,16 +375,20 @@ func (ep *Endpoint) RegisterBufStampsInto(reg *Region, buf []byte, st *timing.St
 	if st == nil || st.Bytes() < len(buf) {
 		panic("simnet: stamps do not cover the registered buffer")
 	}
-	*reg = MakeRegion(ep.rank, 0, buf, st, ep.fab.Port(ep.rank))
+	*reg = MakeRegion(ep.rank, 0, buf, st, ep.fab.Port(ep.rank), &reg.state)
+	reg.state = RegionLive
 	reg.key = ep.fab.RegisterRegion(ep.rank, reg)
 }
 
-// Unregister removes a registration; later remote accesses fault.
-func (ep *Endpoint) Unregister(reg *Region) { ep.fab.UnregisterRegion(ep.rank, reg.key) }
-
-// profileFor picks the intra/inter profile for a peer rank.
-func (ep *Endpoint) profileFor(peer int) *Profile {
-	return ep.cm.For(ep.sameNodeTo(peer))
+// Unregister removes a registration; later remote accesses fault, through a
+// warm route as through a cold lookup. The handle's own liveness word is
+// cleared here, before the backend's directory forgets the key: every
+// unregistration goes through the owner's endpoint, and the handle is what
+// this process's routes (all ranks' in process, the owner's own elsewhere)
+// hold; views in other processes watch the directory's word instead.
+func (ep *Endpoint) Unregister(reg *Region) {
+	atomic.StoreUint32(&reg.state, 0)
+	ep.fab.UnregisterRegion(ep.rank, reg.key)
 }
 
 // srcDepart serializes a departure through the source NIC (outcast
@@ -351,10 +418,9 @@ func (ep *Endpoint) xferArrival(same bool, depart timing.Time, lat, xfer int64) 
 	return depart + timing.Time(lat)
 }
 
-// sameNodeTo reports whether peer shares this endpoint's node, using the
-// endpoint's cached node index (one division instead of two).
+// sameNodeTo reports whether peer shares this endpoint's node.
 func (ep *Endpoint) sameNodeTo(peer int) bool {
-	return ep.node == ep.fab.NodeOf(peer)
+	return ep.node == peer/ep.rpn
 }
 
 // putIssue moves the bytes now. With sink nil it blocks for the completion
@@ -365,12 +431,10 @@ func (ep *Endpoint) sameNodeTo(peer int) bool {
 // before returning. All clock and cost arithmetic is identical either way.
 func (ep *Endpoint) putIssue(dst Addr, src []byte, sink *timing.Time, fold bool) (comp timing.Time, deferred bool) {
 	ep.paceOp()
-	same := ep.sameNodeTo(dst.Rank)
-	pr := ep.cm.For(same)
-	reg := ep.region(dst)
-	reg.check(dst.Off, len(src))
+	rt := ep.route(dst)
+	reg, pr, same := rt.reg, rt.pr, rt.same
 	ep.clock += timing.Time(pr.InjectNs)
-	xfer := pr.xferNs(len(src))
+	xfer := ep.xferNs(rt, len(src))
 	if same {
 		// XPMEM copy occupies the issuing CPU.
 		ep.clock += timing.Time(xfer)
@@ -380,9 +444,11 @@ func (ep *Endpoint) putIssue(dst Addr, src []byte, sink *timing.Time, fold bool)
 	case reg.rmt == nil:
 		comp = ep.exec(reg).Put(dst.Off, src, !same, arrival, xfer)
 	case sink != nil && reg.rmta != nil:
+		reg.check(dst.Off, len(src))
 		reg.rmta.PutAsync(dst.Off, src, !same, arrival, xfer, sink, fold)
 		deferred = true
 	default:
+		reg.check(dst.Off, len(src))
 		comp = reg.rmt.Put(dst.Off, src, !same, arrival, xfer)
 	}
 	ep.ctr.Puts++
@@ -432,21 +498,20 @@ func (ep *Endpoint) Put(dst Addr, src []byte) {
 // merged with the stamps of the words read (causality).
 func (ep *Endpoint) getCommon(dst []byte, src Addr) timing.Time {
 	ep.paceOp()
-	same := ep.sameNodeTo(src.Rank)
-	pr := ep.cm.For(same)
-	reg := ep.region(src)
-	reg.check(src.Off, len(dst))
+	rt := ep.route(src)
+	reg, pr, same := rt.reg, rt.pr, rt.same
 	ep.clock += timing.Time(pr.InjectNs)
 	ep.ctr.Gets++
 	ep.ctr.BytesGot += int64(len(dst))
 	// Inter-node the data leaves through the target NIC; an XPMEM read is
 	// the CPU copying the data itself, all latency and no booking.
-	tail, xfer := pr.GetLatNs+pr.knee(len(dst)), pr.xferNs(len(dst))
+	tail, xfer := pr.GetLatNs+pr.knee(len(dst)), ep.xferNs(rt, len(dst))
 	if same {
 		tail, xfer = pr.GetLatNs+xfer, 0
 	}
 	var comp timing.Time
 	if rm := reg.rmt; rm != nil {
+		reg.check(src.Off, len(dst))
 		comp = rm.Get(dst, src.Off, ep.clock, !same, tail, xfer)
 	} else {
 		comp = ep.exec(reg).Get(dst, src.Off, ep.clock, !same, tail, xfer)
@@ -480,18 +545,18 @@ func (ep *Endpoint) Get(dst []byte, src Addr) {
 // P_acc constant).
 func (ep *Endpoint) amoCommon(a Addr, op WordOp, o1, o2 uint64) (old uint64, comp timing.Time) {
 	ep.paceOp()
-	same := ep.sameNodeTo(a.Rank)
-	pr := ep.cm.For(same)
-	reg := ep.region(a)
-	reg.check(a.Off, 8)
+	rt := ep.route(a)
+	reg, pr, same := rt.reg, rt.pr, rt.same
 	ep.clock += timing.Time(pr.InjectNs)
+	xfer := ep.xferNs(rt, 8)
 	var land, base, free timing.Time
 	if rm := reg.rmt; rm != nil {
+		reg.check(a.Off, 8)
 		old, land, base, free = rm.WordAmo(op, a.Off, o1, o2,
-			ep.clock, ep.nicFree, !same, pr.PutLatNs, pr.xferNs(8))
+			ep.clock, ep.nicFree, !same, pr.PutLatNs, xfer)
 	} else {
 		old, land, base, free = ep.exec(reg).WordAmo(op, a.Off, o1, o2,
-			ep.clock, ep.nicFree, !same, pr.PutLatNs, pr.xferNs(8))
+			ep.clock, ep.nicFree, !same, pr.PutLatNs, xfer)
 	}
 	if !same {
 		ep.nicFree = free
@@ -545,12 +610,10 @@ func (ep *Endpoint) AddNBI(a Addr, delta uint64) {
 // the flag-update primitive of all synchronization protocols).
 func (ep *Endpoint) StoreW(a Addr, v uint64) {
 	ep.paceOp()
-	same := ep.sameNodeTo(a.Rank)
-	pr := ep.cm.For(same)
-	reg := ep.region(a)
-	reg.check(a.Off, 8)
+	rt := ep.route(a)
+	reg, pr, same := rt.reg, rt.pr, rt.same
 	ep.clock += timing.Time(pr.InjectNs)
-	xfer := pr.xferNs(8)
+	xfer := ep.xferNs(rt, 8)
 	arrival := ep.xferArrival(same, ep.clock, pr.PutLatNs, xfer)
 	switch {
 	case reg.rmt == nil:
@@ -560,8 +623,10 @@ func (ep *Endpoint) StoreW(a Addr, v uint64) {
 		// Pipelined wire: the completion folds into implicitMax when the
 		// window drains (Gsync drains first; Max is commutative, so the
 		// deferral cannot change the fold's result).
+		reg.check(a.Off, 8)
 		reg.rmta.StoreWordAsync(a.Off, v, !same, arrival, xfer, &ep.implicitMax, true)
 	default:
+		reg.check(a.Off, 8)
 		comp := reg.rmt.StoreWord(a.Off, v, !same, arrival, xfer)
 		ep.implicitMax = timing.Max(ep.implicitMax, comp)
 	}
@@ -576,11 +641,11 @@ func (ep *Endpoint) StoreW(a Addr, v uint64) {
 // run ahead of the pacing window.
 func (ep *Endpoint) LoadW(a Addr) uint64 {
 	ep.paceOp()
-	pr := ep.profileFor(a.Rank)
-	reg := ep.region(a)
-	v, st := ep.loadWordStamped(reg, a.Off)
+	rt := ep.route(a)
+	pr := rt.pr
+	v, st := ep.loadWordStamped(rt.reg, a.Off)
 	ep.clock = timing.Max(ep.clock+timing.Time(pr.InjectNs), st) +
-		timing.Time(pr.GetLatNs+pr.xferNs(8))
+		timing.Time(pr.GetLatNs+ep.xferNs(rt, 8))
 	ep.ctr.Gets++
 	ep.ctr.BytesGot += 8
 	return v
@@ -664,15 +729,15 @@ func (ep *Endpoint) MergeStamp(reg *Region, off, n int) {
 // paper's protocols assume congestion-free retries).
 func (ep *Endpoint) PollRemoteWord(a Addr, pred func(uint64) bool) uint64 {
 	ep.flushBeforeBlock()
-	pr := ep.profileFor(a.Rank)
-	reg := ep.region(a)
+	rt := ep.route(a)
+	reg, pr := rt.reg, rt.pr
 	reg.check(a.Off, 8)
 	gen := ep.fab.DoorGen(a.Rank)
 	for {
 		v, st := ep.loadWordStamped(reg, a.Off)
 		if pred(v) {
 			ep.clock = timing.Max(ep.clock, st) +
-				timing.Time(pr.GetLatNs+pr.xferNs(8))
+				timing.Time(pr.GetLatNs+ep.xferNs(rt, 8))
 			ep.ctr.Gets++
 			ep.ctr.BytesGot += 8
 			return v
@@ -694,6 +759,9 @@ type Counters struct {
 	Polls              int64
 	BytesPut, BytesGot int64
 	SoftSteps          int64
+	// RouteMisses counts addresses the route memo did not serve: first use
+	// of a (rank, key), a slot lost to a colliding pair, a retired handle.
+	RouteMisses int64
 }
 
 // Sub returns c - o field-wise (for windowed measurements).
@@ -703,7 +771,8 @@ func (c Counters) Sub(o Counters) Counters {
 		Notifies: c.Notifies - o.Notifies,
 		Gsyncs:   c.Gsyncs - o.Gsyncs, Syncs: c.Syncs - o.Syncs, Polls: c.Polls - o.Polls,
 		BytesPut: c.BytesPut - o.BytesPut, BytesGot: c.BytesGot - o.BytesGot,
-		SoftSteps: c.SoftSteps - o.SoftSteps,
+		SoftSteps:   c.SoftSteps - o.SoftSteps,
+		RouteMisses: c.RouteMisses - o.RouteMisses,
 	}
 }
 

@@ -14,13 +14,15 @@
 // merge time causally (see DESIGN.md §6).
 //
 // The per-operation host costs are kept allocation-free and (nearly)
-// lock-free: region resolution is one atomic pointer load into a
-// copy-on-write table, doorbells ring without a lock when nobody is parked,
-// and pacing folds sharded minimum caches instead of scanning every rank.
-// Groups of operations issue through Endpoint.BeginBatch/EndBatch, which
-// coalesce the per-operation disciplines — one pacing check, one doorbell
-// per distinct destination, memoized region lookups — without changing
-// virtual time by a single bit (DESIGN.md §6.2).
+// lock-free: an endpoint resolves a target it has used before from its
+// fixed-size route memo (region handle, locality and cost profile behind
+// two compares and a liveness load) and any other through one atomic
+// pointer load into a copy-on-write table, doorbells ring without a lock
+// when nobody is parked, and pacing folds sharded minimum caches instead of
+// scanning every rank. Groups of operations issue through
+// Endpoint.BeginBatch/EndBatch, which coalesce the per-operation disciplines
+// — one pacing check, one doorbell per distinct destination — without
+// changing virtual time by a single bit (DESIGN.md §6.2).
 package simnet
 
 import (
@@ -130,6 +132,7 @@ type Fabric struct {
 	// ever over-waits; pace() re-rescans the governing shard while blocked,
 	// which repairs any staleness.
 	paceWindow    int64
+	endpointsOut  atomic.Bool // an endpoint has cached paceWindow != 0
 	paceClocks    []int64
 	paceShardMins []int64
 	paceGen       atomic.Uint64
@@ -176,7 +179,16 @@ func (f *Fabric) Abort() {
 // window 0 disables pacing (the default: uncontended microbenchmarks do
 // not need it). A stall detector keeps pacing deadlock-free: if nothing in
 // the world makes progress while a rank is pace-blocked, it proceeds.
-func (f *Fabric) SetPacing(window int64) { f.paceWindow = window }
+//
+// Endpoints read the window once, when they are created, so SetPacing must
+// come first; a later call would be ignored by every endpoint already
+// handed out, and panics instead.
+func (f *Fabric) SetPacing(window int64) {
+	if f.endpointsOut.Load() {
+		panic("simnet: SetPacing after an endpoint was created; set the pacing window before Endpoint/Endpoints/NewEndpoint")
+	}
+	f.paceWindow = window
+}
 
 // PaceWindow returns the configured pacing window.
 func (f *Fabric) PaceWindow() int64 { return f.paceWindow }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,11 +76,65 @@ func TestRegionTableConcurrentChurn(t *testing.T) {
 		}(1+a%3, a*512)
 	}
 
+	// Warm routes into the churned keys themselves: the owner registers a
+	// region and hands its address over, the accessor drives it until the
+	// route is resident and hands it back, the owner unregisters, and the
+	// accessor's next access must fault — while the other churners keep
+	// republishing the table the fault is found in.
+	var cycles atomic.Int64
+	for a := 0; a < 2; a++ {
+		live, dead, ack := make(chan Addr), make(chan struct{}), make(chan struct{})
+		wg.Add(2)
+		go func() { // owner
+			defer wg.Done()
+			defer close(live)
+			ep := f.Endpoint(0, cm)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r := ep.RegisterBuf(make([]byte, 64))
+				live <- r.Base()
+				<-ack
+				ep.Unregister(r)
+				dead <- struct{}{}
+				<-ack
+			}
+		}()
+		go func(rank int) { // accessor
+			defer wg.Done()
+			ep := f.Endpoint(rank, cm)
+			buf := make([]byte, 8)
+			for addr := range live {
+				for i := 0; i < 2; i++ {
+					ep.Put(addr, buf)
+					ep.Get(buf, addr)
+					ep.FetchAdd(addr.Add(8), 1)
+				}
+				ack <- struct{}{}
+				<-dead
+				if msg := faultOf(func() { ep.Put(addr, buf) }); !strings.Contains(msg, unregisteredMsg) {
+					t.Errorf("put through a warm route into an unregistered churn key: %q, want a fault", msg)
+				}
+				if msg := faultOf(func() { ep.FetchAdd(addr.Add(8), 1) }); !strings.Contains(msg, unregisteredMsg) {
+					t.Errorf("fetch-add through a warm route into an unregistered churn key: %q, want a fault", msg)
+				}
+				cycles.Add(1)
+				ack <- struct{}{}
+			}
+		}(1 + a) // rank 1 shares rank 0's node, rank 2 does not
+	}
+
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()
 	if ops.Load() == 0 {
 		t.Fatal("accessors made no progress during churn")
+	}
+	if cycles.Load() == 0 {
+		t.Fatal("no warm-route churn cycle completed")
 	}
 	// The pinned region must still resolve to the same registration.
 	if got := f.region(Addr{Rank: 0, Key: pinned.Key()}); got != pinned {
@@ -326,9 +381,14 @@ func benchIssue(b *testing.B, op func(ep *Endpoint, a Addr, buf []byte)) {
 		b.Fatalf("issue path allocates %.2f objects per op, want 0", avg)
 	}
 	b.ReportAllocs()
+	warm := ep.Counters().RouteMisses
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op(ep, a, buf)
+	}
+	b.StopTimer()
+	if got := ep.Counters().RouteMisses - warm; got != 0 {
+		b.Fatalf("steady-state issue missed the route memo %d times in %d ops, want 0", got, b.N)
 	}
 }
 
@@ -344,6 +404,30 @@ func BenchmarkIssueGet(b *testing.B) {
 		ep.GetNBI(buf, a)
 		ep.Gsync()
 	})
+}
+
+// BenchmarkIssueGetMiss is BenchmarkIssueGet with every lookup missing: the
+// gets go round-robin over twice as many regions as the memo has slots, so
+// each finds its slot taken by the region one lap behind. It prices the miss
+// path — the transport lookup plus the fill — against the hit path above.
+func BenchmarkIssueGetMiss(b *testing.B) {
+	f := NewFabric(2, 1)
+	ep, owner := f.Endpoint(0, FoMPI()), f.Endpoint(1, FoMPI())
+	addrs := make([]Addr, 2*routeSlots)
+	for i := range addrs {
+		addrs[i] = owner.Register(64).Base()
+	}
+	buf := make([]byte, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ep.GetNBI(buf, addrs[i%len(addrs)])
+		ep.Gsync()
+	}
+	b.StopTimer()
+	if got := ep.Counters().RouteMisses; got != int64(b.N) {
+		b.Fatalf("%d of %d round-robin gets missed the memo, want all", got, b.N)
+	}
 }
 
 func BenchmarkIssueFetchAdd(b *testing.B) {

@@ -144,10 +144,8 @@ func (ep *Endpoint) deliverNotify(ring Addr, word uint64, after timing.Time, fus
 	if word&notifyValid != 0 {
 		panic("simnet: notification word uses reserved bit 63")
 	}
-	same := ep.sameNodeTo(ring.Rank)
-	pr := ep.cm.For(same)
-	reg := ep.region(ring)
-	reg.check(ring.Off, notifyHeaderBytes)
+	rt := ep.route(ring)
+	reg, pr, same := rt.reg, rt.pr, rt.same
 	if fused {
 		ep.clock += timing.Time(pr.NotifyNs)
 	} else {
@@ -159,10 +157,11 @@ func (ep *Endpoint) deliverNotify(ring Addr, word uint64, after timing.Time, fus
 	// store) executes where the ring's memory is — here, or at the owner of
 	// unreachable remote memory; the clock charges and the source-NIC half
 	// of the flag's transfer stay here.
-	xfer := pr.xferNs(8)
+	xfer := ep.xferNs(rt, 8)
 	arrival := ep.xferArrival(same, timing.Max(ep.clock, after), pr.PutLatNs, xfer)
 	var comp timing.Time
 	if rm := reg.rmt; rm != nil {
+		reg.check(ring.Off, notifyHeaderBytes)
 		comp = rm.Notify(ring.Off, word, !same, arrival, xfer)
 	} else {
 		comp = ep.exec(reg).Notify(ring.Off, word, !same, arrival, xfer)

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"fompi/internal/hostatomic"
 	"fompi/internal/timing"
@@ -22,15 +23,39 @@ type Region struct {
 	port   *Port     // the owner's port (Transport.Port); nil on proxies
 	rmt    RemoteMem // non-nil on proxies for unreachable remote memory
 	rmta   AsyncMem  // rmt's pipelined extension, when it offers one
+
+	// live points at the registration's liveness word, which holds RegionLive
+	// until the owner unregisters: state below for a handle the owner's
+	// endpoint registered (shared by every rank in process), the directory
+	// entry's state word for a view of an arena registration, proxyLive for
+	// a wire proxy, whose owner validates every request itself. An
+	// endpoint's warm route re-reads it on every operation.
+	live  *uint32
+	state uint32
 }
+
+// RegionLive is the value of a liveness word while its registration stands.
+// Backends that keep the word in their own directory (mprun's arena) store
+// this value for a live entry and any other once it is unregistered.
+const RegionLive uint32 = 1
+
+// proxyLive is the liveness word of every wire proxy.
+var proxyLive = RegionLive
+
+// alive reports whether the registration behind the handle still stands.
+func (r *Region) alive() bool { return atomic.LoadUint32(r.live) == RegionLive }
 
 // MakeRegion initializes a registration handle over transport-owned memory.
 // Backends use it to materialize local views of regions registered by other
 // processes (the owner's handle is built by Endpoint.RegisterBufStampsInto);
 // key must be the key the owner's registration was assigned and port the
-// owner's port as this process maps it.
-func MakeRegion(owner int, key Key, buf []byte, st *timing.Stamps, port *Port) Region {
-	return Region{owner: owner, key: key, buf: buf, size: len(buf), stamps: st, port: port}
+// owner's port as this process maps it, and live the registration's liveness
+// word in the backend's directory (see RegionLive).
+func MakeRegion(owner int, key Key, buf []byte, st *timing.Stamps, port *Port, live *uint32) Region {
+	if live == nil {
+		panic("simnet: region handle without a liveness word")
+	}
+	return Region{owner: owner, key: key, buf: buf, size: len(buf), stamps: st, port: port, live: live}
 }
 
 // MakeRemoteRegion initializes a proxy handle for a region registered in a
@@ -39,7 +64,7 @@ func MakeRegion(owner int, key Key, buf []byte, st *timing.Stamps, port *Port) R
 // proxy; the owner-side accessors (Bytes, LocalWord, StampMax...) stay with
 // the owning process.
 func MakeRemoteRegion(owner int, key Key, rm RemoteMem) Region {
-	r := Region{owner: owner, key: key, size: rm.Size(), rmt: rm}
+	r := Region{owner: owner, key: key, size: rm.Size(), rmt: rm, live: &proxyLive}
 	// The pipelined extension is resolved once here, not per operation.
 	r.rmta, _ = rm.(AsyncMem)
 	return r

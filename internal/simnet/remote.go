@@ -158,13 +158,29 @@ func (x RegionExec) done(locked bool) {
 	}
 }
 
+// oneWord reports whether [off, off+n) is exactly one aligned word — the
+// payload of most puts and gets. It moves as one load and one store instead
+// of a memmove call, and its stamp is the word's own record, reached without
+// the range walks' extra call. Unlike StoreWord and LoadWord the move is not
+// atomic: it is the same plain copy, narrower.
+func oneWord(off, n int) bool { return n == 8 && off&7 == 0 }
+
 // Put copies src and stamps the range (see RemoteMem.Put). The copy stays
 // outside the port: a bulk put holds it for its stamp records only.
 func (x RegionExec) Put(off int, src []byte, reserve bool, arrival timing.Time, xfer int64) timing.Time {
 	x.Reg.check(off, len(src))
-	copy(x.Reg.buf[off:off+len(src)], src)
+	word := oneWord(off, len(src))
+	if word {
+		binary.LittleEndian.PutUint64(x.Reg.buf[off:], binary.LittleEndian.Uint64(src))
+	} else {
+		copy(x.Reg.buf[off:off+len(src)], src)
+	}
 	comp := x.land(reserve, arrival, xfer)
-	x.Reg.stamps.SetRange(off, len(src), comp)
+	if word {
+		x.Reg.stamps.Set(off, comp)
+	} else {
+		x.Reg.stamps.SetRange(off, len(src), comp)
+	}
 	x.done(reserve)
 	return comp
 }
@@ -172,8 +188,15 @@ func (x RegionExec) Put(off int, src []byte, reserve bool, arrival timing.Time, 
 // Get copies the range out and resolves its completion (see RemoteMem.Get).
 func (x RegionExec) Get(dst []byte, off int, clockIn timing.Time, reserve bool, tail, xfer int64) timing.Time {
 	x.Reg.check(off, len(dst))
-	copy(dst, x.Reg.buf[off:off+len(dst)])
-	base := timing.Max(clockIn, x.Reg.stamps.MaxRange(off, len(dst)))
+	var stamp timing.Time
+	if oneWord(off, len(dst)) {
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(x.Reg.buf[off:]))
+		stamp = x.Reg.stamps.Get(off)
+	} else {
+		copy(dst, x.Reg.buf[off:off+len(dst)])
+		stamp = x.Reg.stamps.MaxRange(off, len(dst))
+	}
+	base := timing.Max(clockIn, stamp)
 	if !reserve {
 		return base + timing.Time(tail)
 	}

@@ -56,7 +56,9 @@ type Transport interface {
 
 	// Registered memory. RegisterRegion installs reg (whose owner, buffer and
 	// stamps the caller has initialized) and returns its key; LookupRegion
-	// resolves an address on the hot path of every remote operation.
+	// resolves an address whenever the issuing endpoint's route memo does not
+	// (first use, a lost slot, a retired handle), so it stays cheap. The
+	// handle it returns carries the registration's liveness word (Region).
 	RegisterRegion(rank int, reg *Region) Key
 	UnregisterRegion(rank int, key Key)
 	LookupRegion(a Addr) *Region

@@ -210,6 +210,95 @@ func TestConformanceAtomics(t *testing.T) {
 	})
 }
 
+// faultOf runs fn and returns the message it panicked with, "" if it
+// returned: a protection fault is a panic the issuing rank may survive.
+func faultOf(fn func()) (msg string) {
+	defer func() {
+		if e := recover(); e != nil {
+			msg = fmt.Sprint(e)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// TestConformanceUnregisterWarm checks that Unregister is exact through a
+// resident route: rank 0 drives a same-node and an off-node owner's region
+// until its endpoint's route memo serves them, the owners unregister,
+// recycle the segment and fill the recycled bytes, and after a barrier every
+// one of rank 0's put, get and fetch-add faults as an access to an
+// unregistered region and leaves those bytes alone.
+func TestConformanceUnregisterWarm(t *testing.T) {
+	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
+	runAll(t, "TestConformanceUnregisterWarm", cfg, func(p *spmd.Proc) {
+		const size, fill = 256, 0x5A
+		ep := p.EP()
+		seg := ep.AllocSeg(size)
+		reg := ep.RegisterBufStamps(seg.Buf, seg.St)
+		key := reg.Key()
+		check(p.Allreduce8(spmd.OpMin, uint64(key)) == p.Allreduce8(spmd.OpMax, uint64(key)),
+			"conformance region key not symmetric")
+		p.Barrier()
+
+		word := make([]byte, 8)
+		owners := []int{1, 3} // rank 0's node-mate (an arena peer on hybrid) and a rank off its node
+		ops := func(a simnet.Addr) map[string]func() {
+			return map[string]func(){
+				"put":       func() { ep.Put(a, word) },
+				"get":       func() { ep.Get(word, a) },
+				"fetch-add": func() { ep.FetchAdd(a.Add(8), 1) },
+			}
+		}
+		if p.Rank() == 0 {
+			for _, o := range owners {
+				for round := 0; round < 3; round++ {
+					before := ep.Counters().RouteMisses
+					for _, op := range ops(simnet.Addr{Rank: o, Key: key}) {
+						op()
+					}
+					check(round == 0 || ep.Counters().RouteMisses == before,
+						"round %d into rank %d missed the route memo", round, o)
+				}
+			}
+		}
+		p.Barrier()
+
+		owner := p.Rank() == owners[0] || p.Rank() == owners[1]
+		var recycled *simnet.Region
+		if owner {
+			ep.Unregister(reg)
+			ep.RecycleSeg(seg)
+			again := ep.AllocSeg(size)
+			recycled = ep.RegisterBufStamps(again.Buf, again.St)
+			for i := range recycled.Bytes() {
+				recycled.Bytes()[i] = fill
+			}
+		}
+		p.Barrier()
+
+		if p.Rank() == 0 {
+			for _, o := range owners {
+				for name, op := range ops(simnet.Addr{Rank: o, Key: key}) {
+					msg := faultOf(op)
+					check(strings.Contains(msg, "access to unregistered region"),
+						"%s through a warm route into rank %d's unregistered region: %q, want a fault", name, o, msg)
+				}
+			}
+		}
+		p.Barrier()
+
+		if owner {
+			for i, b := range recycled.Bytes() {
+				check(b == fill, "rank %d: recycled byte %d overwritten through a retired registration", p.Rank(), i)
+			}
+			for i, b := range seg.Buf {
+				check(b == 0 || b == fill, "rank %d: byte %d of the unregistered segment written after Unregister", p.Rank(), i)
+			}
+		}
+		p.Barrier()
+	})
+}
+
 // TestConformanceNotify checks notified-access delivery: the notification
 // word arrives intact, after its data, and with a stamp no earlier than the
 // data's (the data-before-notification contract rings are built on).

@@ -7,14 +7,20 @@
 #   go vet ./...                 static checks
 #   go build ./...               everything compiles
 #   retired-names check          LockChain, nicMu and rnNicLock — the three
-#                                per-target locks the port replaced — occur
-#                                in no non-test Go file
+#                                per-target locks the port replaced — and
+#                                regMemo, the batch-only region memo the
+#                                route memo replaced, occur in no non-test
+#                                Go file
 #   go test ./...                all package suites (includes the transport
 #                                conformance suite, which spawns the
 #                                multi-process, inter-node, and hybrid
 #                                backends' worker processes)
 #   make bench-test              the benchmark module's own tests (benchmark/
 #                                has its own go.mod, so ./... skips it)
+#   go test -bench Issue -benchtime 1x
+#                                the inline issue benchmarks, one iteration:
+#                                their 0 allocs/op and 0 steady-state route
+#                                misses assertions run on every verify
 #   go test -race -short <hot>   concurrency check over the packages whose
 #                                goroutines share fabric memory (the port's
 #                                unit tests and the two-mappings arena test
@@ -51,10 +57,10 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== retired names (the port's predecessors must not creep back)"
-if grep -rnE 'LockChain|nicMu|rnNicLock' --include='*.go' --exclude='*_test.go' \
+echo "== retired names (the port's and the route memo's predecessors must not creep back)"
+if grep -rnE 'LockChain|nicMu|rnNicLock|regMemo' --include='*.go' --exclude='*_test.go' \
 	fompi.go internal cmd examples; then
-	echo "verify: a per-target lock the port replaced is back in non-test Go" >&2
+	echo "verify: a retired per-target lock or the batch-only region memo is back in non-test Go" >&2
 	exit 1
 fi
 
@@ -63,6 +69,9 @@ go test ./...
 
 echo "== benchmark module tests (make bench-test)"
 make bench-test
+
+echo "== issue-path benchmarks, one iteration (0 allocs/op, 0 steady-state route misses)"
+go test ./internal/simnet -run '^$' -bench Issue -benchtime 1x
 
 echo "== go test -race -short (timing, simnet, core, spmd, netrun, rankio, mprun)"
 go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/
