@@ -23,10 +23,10 @@
 // in the host group's arena; co-located ranks take it, ring it and wait on
 // it directly, and off-host operations, rings and waits arriving over the
 // wire land on the same slot through netrun's DoorOps hook, so a co-located
-// issuer and the owner's service loop book one NIC interval. Pacing stays
-// single-homed in the owner's process (netrun's discipline). Virtual times
-// remain bit-identical to every other backend (internal/transporttest pins
-// this).
+// issuer and the owner's service loop book one NIC interval. Pacing is
+// netrun's inherited Pacer: every process keeps its own last-known clock
+// table, fed by the wire. Virtual times remain bit-identical to every other
+// backend (internal/transporttest pins this).
 //
 // In loopback spawn mode the launcher assigns rank r the host key
 // "h<r/RanksPerNode>": the emulated placement matches the virtual topology,
@@ -349,8 +349,7 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 // Co-located ranks take it, ring it and wait on it directly; off-host ranks
 // reach it over the wire, where the owner's DoorOps redirect lands on the
 // same slot, so same-host cross-(virtual-)node operations book the same NIC
-// interval the off-host ones do. Pacing deliberately stays on netrun's
-// inherited path: that state is single-homed in the owner's process.
+// interval the off-host ones do.
 
 // Port returns rank's port: its arena slot for the host group (including
 // this rank), nil for an off-host rank, whose memory only proxies reach.
@@ -386,10 +385,16 @@ func (w *World) DoorGen(rank int) uint64 {
 // for the host group, sliced wire waits otherwise. The arena park is sliced
 // too — an off-host writer's RING rides the wire outside the session layer,
 // so a data-plane reset can eat the frame that would have bumped the arena
-// generation; the spurious return lets the caller re-check its predicate.
+// generation; the spurious return lets the caller re-check its predicate. A
+// wait the abort ended unwinds like every other backend's.
 func (w *World) WaitDoor(rank int, gen uint64) uint64 {
-	if l := w.lidx[rank]; l >= 0 {
-		return w.ar.WaitDoorSliced(l, gen, doorWaitSlice, w.World.Aborted)
+	l := w.lidx[rank]
+	if l < 0 {
+		return w.World.WaitDoor(rank, gen)
 	}
-	return w.World.WaitDoor(rank, gen)
+	g := w.ar.WaitDoorSliced(l, gen, doorWaitSlice, w.World.Aborted)
+	if g == gen && w.World.Aborted() {
+		panic(w.ar.AbortPanic())
+	}
+	return g
 }

@@ -17,14 +17,9 @@ import (
 	"fompi/internal/timing"
 )
 
-// Arena-side telemetry. The pacing and doorbell names are shared with the
-// other backends (the registry is idempotent by name); the recycle counters
-// mirror segpool's in-process pool for arena-backed segments.
+// Arena-side telemetry: the recycle counters mirror segpool's in-process
+// pool for arena-backed segments.
 var (
-	mPaceParks   = telemetry.NewCounter("pace.parks")
-	mPaceParkNs  = telemetry.NewHistogram("pace.park_ns")
-	mPaceStalls  = telemetry.NewCounter("pace.stalls")
-	mPacePokes   = telemetry.NewCounter("pace.pokes")
 	mRecycles    = telemetry.NewCounter("seg.recycle")
 	mRecycleScrb = telemetry.NewCounter("seg.recycle_scrubbed")
 )
@@ -60,7 +55,7 @@ func (c ArenaConfig) withDefaults() ArenaConfig {
 // global-rank order, and the off-host half of the world travels over TCP).
 // Everything two co-located ranks ever both touch lives in the mapping — the
 // region directory, the stamp slabs, each rank's port (doorbell generation,
-// NIC interval and the lock over them), pacing clocks — plus one Unix
+// NIC interval and the lock over them), the pacer's tables — plus one Unix
 // datagram socket per local rank for wakeups.
 type Arena struct {
 	cfg  ArenaConfig
@@ -77,8 +72,6 @@ type Arena struct {
 	freeSegs map[int][]*segpool.Seg
 	nextKey  uint32
 	regions  [][]*simnet.Region // lazily built (local, key) views
-
-	lastPoke int64 // pacing: own clock at the last waiter poke
 }
 
 // doorSockPath returns the doorbell socket path of local rank n, derived from
@@ -340,94 +333,25 @@ func (a *Arena) Port(local int) *simnet.Port {
 
 // ---- pacing ----
 
-// PublishClock records local rank's virtual clock in the shared pacing table
-// and, when the clock has advanced at least half a window since the last
-// poke, wakes the ranks parked in Pace — the publisher may be the slowest
-// clock they are waiting on.
-func (a *Arena) PublishClock(local int, t timing.Time) {
+// Pacer returns this process's pacer over the arena's shared tables, nil for
+// an unpaced world. A parked rank sleeps on its doorbell socket and is poked
+// by a datagram, like a doorbell waiter (whose wakeups it may also receive:
+// only timeouts count as pacing heartbeats).
+func (a *Arena) Pacer() *simnet.Pacer {
 	if a.cfg.PaceWindowNs == 0 {
-		return
+		return nil
 	}
-	atomic.StoreInt64(i64at(a.m, a.lay.rankOff(local)+rnPaceClock), int64(t))
-	if int64(t)-a.lastPoke < a.cfg.PaceWindowNs/2 {
-		return
-	}
-	a.lastPoke = int64(t)
-	for wd := 0; wd < a.lay.maskWords; wd++ {
-		mask := atomic.LoadUint64(u64at(a.m, a.lay.paceWaiterOff(wd)))
-		if wd == local/64 {
-			mask &^= 1 << uint(local%64)
-		}
-		for mask != 0 {
-			r := bits.TrailingZeros64(mask)
-			mask &^= 1 << r
-			mPacePokes.Inc()
-			a.sendDoor(wd*64 + r)
-		}
-	}
+	n := a.cfg.Ranks
+	return simnet.NewPacer(a.cfg.PaceWindowNs, n, i64slice(a.m, a.lay.paceOff, simnet.PaceTableWords(n)),
+		simnet.PaceHook{Park: a.pacePark, Poke: a.sendDoor, Aborted: a.AbortFlag})
 }
 
-func (a *Arena) paceMin() int64 {
-	min := int64(1) << 62
-	for r := 0; r < a.cfg.Ranks; r++ {
-		if c := atomic.LoadInt64(i64at(a.m, a.lay.rankOff(r)+rnPaceClock)); c < min {
-			min = c
-		}
-	}
-	return min
-}
-
-// Pace blocks local rank while its clock runs more than the window ahead of
-// the slowest published clock. The waiter parks in the pacing bitset and
-// sleeps on its doorbell socket — PublishClock on an advancing peer pokes it
-// — with a backoff deadline as the heartbeat against dropped datagrams. The
-// stall valve matches the in-process discipline: a minimum that stays frozen
-// across two heartbeat timeouts releases the rank for one operation (datagram
-// receipts do not count as heartbeats, so a poke storm cannot spring the
-// valve early).
-func (a *Arena) Pace(local int, t timing.Time, aborted func() bool) {
-	if a.cfg.PaceWindowNs == 0 {
-		return
-	}
-	a.PublishClock(local, t)
-	me := int64(t)
-	if me <= a.paceMin()+a.cfg.PaceWindowNs {
-		return
-	}
-	wp := u64at(a.m, a.lay.paceWaiterOff(local/64))
-	bit := uint64(1) << uint(local%64)
-	setBit(wp, bit)
-	defer clearBit(wp, bit)
-	if telemetry.On() {
-		mPaceParks.Inc()
-		start := time.Now()
-		defer func() { mPaceParkNs.Record(uint64(time.Since(start))) }()
-	}
+// pacePark sleeps this process's rank on its doorbell socket for at most d.
+func (a *Arena) pacePark(_ int, d time.Duration) bool {
 	var scratch [8]byte
-	last, idle, d := int64(-1), 0, paceSleepMin
-	for {
-		min := a.paceMin()
-		if me <= min+a.cfg.PaceWindowNs || aborted() {
-			return
-		}
-		if min != last {
-			last, idle = min, 0
-		} else if idle >= 2 {
-			mPaceStalls.Inc()
-			telemetry.RecordEvent(telemetry.EvStall, uint64(local), uint64(me-min))
-			return
-		}
-		a.door.SetReadDeadline(time.Now().Add(d))
-		if _, err := a.door.Read(scratch[:]); err != nil {
-			// Heartbeat timeout: only these advance the frozen-min valve.
-			if min == last {
-				idle++
-			}
-		}
-		if d < paceSleepMax {
-			d *= 2
-		}
-	}
+	a.door.SetReadDeadline(time.Now().Add(d))
+	_, err := a.door.Read(scratch[:])
+	return err == nil
 }
 
 // ---- doorbells ----
@@ -458,7 +382,9 @@ func (a *Arena) Wake(local int) {
 
 var doorByte = []byte{1}
 
-func (a *Arena) sendDoor(r int) {
+// sendDoor sends local rank r's socket one datagram and reports whether it
+// left; a waiter the datagram does not reach wakes by its heartbeat.
+func (a *Arena) sendDoor(r int) bool {
 	a.peersMu.Lock()
 	c := a.peers[r]
 	if c == nil {
@@ -467,13 +393,14 @@ func (a *Arena) sendDoor(r int) {
 			&net.UnixAddr{Name: doorSockPath(a.path, r), Net: "unixgram"})
 		if err != nil {
 			a.peersMu.Unlock()
-			return // not bound yet or gone; the waiter's heartbeat covers it
+			return false // not bound yet or gone
 		}
 		a.peers[r] = c
 	}
 	a.peersMu.Unlock()
 	c.SetWriteDeadline(time.Now().Add(2 * time.Millisecond))
-	c.Write(doorByte)
+	_, err := c.Write(doorByte)
+	return err == nil
 }
 
 // DoorGen samples local rank's doorbell generation.
@@ -488,7 +415,7 @@ func (a *Arena) WaitDoor(local int, gen uint64, aborted func() bool) uint64 {
 			return g
 		}
 		if aborted() {
-			panic(a.abortPanic())
+			panic(a.AbortPanic())
 		}
 	}
 }
@@ -585,9 +512,9 @@ func (a *Arena) FailedRank() int {
 	return int(atomic.LoadUint32(u32at(a.m, hdrFailRank))) - 1
 }
 
-// abortPanic is the value arena waits unwind with: typed with the blamed
+// AbortPanic is the value arena waits unwind with: typed with the blamed
 // rank when a verdict is recorded, the bare sentinel otherwise.
-func (a *Arena) abortPanic() any {
+func (a *Arena) AbortPanic() any {
 	if r := a.FailedRank(); r >= 0 {
 		return &simnet.ErrPeerFailed{Rank: r}
 	}

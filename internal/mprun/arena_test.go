@@ -6,8 +6,49 @@ import (
 	"time"
 
 	"fompi/internal/simnet"
+	"fompi/internal/simnet/pacetest"
 	"fompi/internal/timing"
 )
+
+// TestPacerOverTwoViews runs the behavioural pacing cases over one arena
+// mapped twice, as two processes would: the blocked rank paces through the
+// view that bound its doorbell socket, every other rank publishes through
+// the other, so the tables are shared words of the mapping and each release
+// is a datagram from one view to the other's socket.
+func TestPacerOverTwoViews(t *testing.T) {
+	views := func(t *testing.T, n int, window int64, bound int) (mine, others *Arena) {
+		cfg := ArenaConfig{Ranks: n, PaceWindowNs: window, ArenaBytes: pageAlign}
+		path := filepath.Join(t.TempDir(), "arena")
+		others, err := CreateArena(path, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(others.Close)
+		if mine, err = OpenArena(path, cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(mine.Close)
+		if err := mine.Bind(bound); err != nil {
+			t.Fatal(err)
+		}
+		return mine, others
+	}
+	pacetest.Run(t, func(t *testing.T, n int, window int64, blocker int) pacetest.World {
+		mine, others := views(t, n, window, blocker)
+		return pacetest.World{Blocker: mine.Pacer(), Others: others.Pacer(), Abort: others.SetAbortFlag}
+	})
+	// The hook by itself: a poke through one view ends the other's park.
+	mine, others := views(t, 2, 100, 1)
+	if !others.sendDoor(1) {
+		t.Fatal("poke through the other view was not delivered")
+	}
+	if !mine.pacePark(1, 5*time.Second) {
+		t.Fatal("park timed out with a poke from the other view pending")
+	}
+	if mine.pacePark(1, time.Millisecond) {
+		t.Fatal("park with nothing pending did not time out")
+	}
+}
 
 // TestTwoViewsShareStampTree maps one arena twice in one process — the
 // creator's view and a peer's — and checks that stamps written through either

@@ -14,18 +14,16 @@ import (
 //	header   (1 page)   world parameters + the abort flag
 //	rank[i]  (128 B)    the rank's simnet.Port (port word = doorbell
 //	                    generation<<1 | lock bit, then the NIC busy interval
-//	                    the lock guards) and, on a cache line of its own,
-//	                    the published pace clock
+//	                    the lock guards), padded to two cache lines
 //	wait[i]  (ceil(ranks/64) × 8 B per rank)
 //	                    the doorbell waiter bitset: bit r of rank i's words
 //	                    is set while rank r is blocked in WaitDoor on i (a
 //	                    multi-word mask, so worlds are not capped at 64
 //	                    ranks by the waiter bookkeeping)
-//	pace     (ceil(ranks/64) × 8 B, one global bitset)
-//	                    the pacing waiter bitset: bit r is set while rank r
-//	                    is parked in Pace waiting for the slowest clock to
-//	                    advance; PublishClock pokes the set bits when its
-//	                    rank's clock has moved half a window
+//	pace     (simnet.PaceTableWords(ranks) × 8 B)
+//	                    the world's simnet.Pacer state — parked count,
+//	                    published clocks, shard minimums, park thresholds —
+//	                    which each process's Pacer lays its tables over
 //	dir[i]   (32 B × maxRegions per rank)
 //	                    the region directory: each owner publishes its
 //	                    registrations here in key order
@@ -44,7 +42,9 @@ import (
 // from v4 — and a v4 mapper must not read a v5 arena. v6 is the rank slot's:
 // doorbell generation, NIC spinlock and NIC interval became one simnet.Port
 // at the head of the slot, and the stamp uint32 slab lost its chain-lock
-// word (AMO chains serialize on the port).
+// word (AMO chains serialize on the port). v7 is pacing's: the per-slot pace
+// clock and the global pace-waiter bitset became the contiguous tables of
+// simnet.Pacer.
 //
 // All multi-word fields are 8-byte aligned; cross-process synchronization
 // uses sync/atomic on the mapped words, which on a cache-coherent machine
@@ -52,7 +52,7 @@ import (
 // goroutines. DESIGN.md §8 documents the layout and its ordering contracts.
 const (
 	shmMagic   = 0x666f4d50_72756e31 // "foMPrun1"
-	shmVersion = 6                   // see "Version history" above
+	shmVersion = 7                   // see "Version history" above
 
 	hdrMagic      = 0  // u64
 	hdrVersion    = 8  // u64
@@ -68,9 +68,8 @@ const (
 	hdrFailRank = 60 // u32
 	hdrBytes    = 4096
 
-	rankStride  = 128
-	rnPort      = 0  // simnet.Port: word u64, NIC interval 2 × i64
-	rnPaceClock = 64 // i64
+	rankStride = 128
+	rnPort     = 0 // simnet.Port: word u64, NIC interval 2 × i64
 
 	entryStride = 32
 	enState     = 0  // u32: entryEmpty/entryLive/entryDead
@@ -116,7 +115,7 @@ func layoutFor(ranks, arenaBytes int) layout {
 	l := layout{ranks: ranks, arenaBytes: arenaBytes, maskWords: (ranks + 63) / 64}
 	l.waitOff = hdrBytes + ranks*rankStride
 	l.paceOff = l.waitOff + ranks*l.maskWords*8
-	l.dirOff = l.paceOff + l.maskWords*8
+	l.dirOff = l.paceOff + simnet.PaceTableWords(ranks)*8
 	l.arenaOff = alignUp(l.dirOff+ranks*maxRegions*entryStride, pageAlign)
 	l.total = l.arenaOff + ranks*arenaBytes
 	return l
@@ -126,10 +125,6 @@ func (l layout) rankOff(r int) int { return hdrBytes + r*rankStride }
 
 // waiterOff returns the offset of word w of rank r's doorbell waiter bitset.
 func (l layout) waiterOff(r, w int) int { return l.waitOff + (r*l.maskWords+w)*8 }
-
-// paceWaiterOff returns the offset of word w of the global pacing waiter
-// bitset.
-func (l layout) paceWaiterOff(w int) int { return l.paceOff + w*8 }
 
 func (l layout) entryOff(r, k int) int { return l.dirOff + (r*maxRegions+k)*entryStride }
 func (l layout) arenaBase(r int) int   { return l.arenaOff + r*l.arenaBytes }

@@ -34,7 +34,6 @@ import (
 	"fompi/internal/rankio"
 	"fompi/internal/segpool"
 	"fompi/internal/simnet"
-	"fompi/internal/timing"
 )
 
 const (
@@ -46,11 +45,9 @@ const (
 	// report, for the surviving ranks to unwind through the abort flag on
 	// their own before it force-kills them. Short enough that a SIGKILLed
 	// rank still turns into a launcher exit within the ~10 s failure budget.
-	abortGrace   = 8 * time.Second
-	doorWaitMin  = 200 * time.Microsecond
-	doorWaitMax  = 5 * time.Millisecond
-	paceSleepMin = 50 * time.Microsecond
-	paceSleepMax = 2 * time.Millisecond
+	abortGrace  = 8 * time.Second
+	doorWaitMin = 200 * time.Microsecond
+	doorWaitMax = 5 * time.Millisecond
 )
 
 // Options describes a multi-process world. Launcher and workers must agree
@@ -109,6 +106,7 @@ type World struct {
 	rank int // -1 in the launcher
 	dir  string
 	ar   *Arena
+	pace *simnet.Pacer // this process's view of the arena's pace tables
 
 	ctl   *net.UnixConn // stream to the launcher (workers only)
 	ctlRd *bufio.Reader
@@ -339,7 +337,7 @@ func Join(o Options) (*World, error) {
 	if err := ar.Bind(rank); err != nil {
 		return nil, err
 	}
-	w.ar = ar
+	w.ar, w.pace = ar, ar.Pacer()
 	ctl, err := net.DialUnix("unix", nil, &net.UnixAddr{Name: ctlPath(dir), Net: "unix"})
 	if err != nil {
 		return nil, fmt.Errorf("mprun: dial control socket: %w", err)
@@ -350,7 +348,7 @@ func Join(o Options) (*World, error) {
 }
 
 // watchAbort surfaces a peer- or launcher-initiated abort to this process:
-// it closes Done and runs the OnAbort hooks. Doorbell and pacing waits check
+// it closes Done and runs the OnAbort hooks. Doorbell and pacing parks check
 // the flag themselves on every heartbeat.
 func (w *World) watchAbort() {
 	t := time.NewTicker(5 * time.Millisecond)
@@ -497,16 +495,8 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 	return w.ar.Lookup(a.Rank, uint32(a.Key), a.Rank)
 }
 
-// PublishClock records a rank's virtual clock in the shared pacing table.
-func (w *World) PublishClock(rank int, t timing.Time) { w.ar.PublishClock(rank, t) }
-
-// PaceWindow returns the configured pacing window.
-func (w *World) PaceWindow() int64 { return w.opts.PaceWindowNs }
-
-// Pace blocks rank while its clock runs more than the window ahead of the
-// slowest published clock, parked on the doorbell socket until an advancing
-// peer's PublishClock pokes it (see Arena.Pace for the valve discipline).
-func (w *World) Pace(rank int, t timing.Time) { w.ar.Pace(rank, t, w.Aborted) }
+// Pacer returns the world's pacer over the arena's tables (see Arena.Pacer).
+func (w *World) Pacer() *simnet.Pacer { return w.pace }
 
 // Port returns rank's port in the shared arena: every rank is addressable.
 func (w *World) Port(rank int) *simnet.Port { return w.ar.Port(rank) }

@@ -40,7 +40,6 @@ import (
 	"fompi/internal/segpool"
 	"fompi/internal/simnet"
 	"fompi/internal/telemetry"
-	"fompi/internal/timing"
 )
 
 const (
@@ -76,8 +75,6 @@ const (
 	// coordinator and is deliberately generous.
 	byeTimeout    = 10 * time.Minute
 	doorWaitSlice = 100 * time.Millisecond
-	paceSleepMin  = 50 * time.Microsecond
-	paceSleepMax  = 2 * time.Millisecond
 
 	// opTimeout is the per-request deadline on every data-plane wire call:
 	// a peer that neither answers nor resets within it is treated as dead.
@@ -347,12 +344,15 @@ type World struct {
 	proxies [][]*simnet.Region
 
 	// Owner-side virtual-hardware state served to peers: this rank's port
-	// (doorbell generation, NIC busy interval) with its parked waiters, and
-	// the published pace clocks.
+	// (doorbell generation, NIC busy interval) with its parked waiters.
 	ownPort simnet.Port
 	door    doorbell
 	doorOps atomic.Pointer[DoorOps] // non-nil: external port and parking (hybrid)
-	clocks  []int64                 // atomically accessed; clocks[r] = last known clock of r
+
+	// pacer is nil in an unpaced world. Its table is this process's own: the
+	// rank's entry is its published clock, a peer's the last one heard — on
+	// every request's piggyback, or fetched by refreshClock.
+	pacer *simnet.Pacer
 
 	// Session layer (session.go): this process's session identity, the
 	// requester half of each per-owner session, and the owner-side session
@@ -999,7 +999,6 @@ func Join(o Options) (*World, error) {
 		opts: o, rank: rank, ctl: ctl, ctlRd: bufio.NewReader(ctl), ln: ln,
 		peers:    make([]*peerConn, o.Ranks),
 		proxies:  make([][]*simnet.Region, o.Ranks),
-		clocks:   make([]int64, o.Ranks),
 		rsess:    make([]reqSession, o.Ranks),
 		sessions: make(map[uint64]*ownerSession),
 		svcConns: make(map[net.Conn]struct{}),
@@ -1010,6 +1009,14 @@ func Join(o Options) (*World, error) {
 	}
 	w.failedRank.Store(-1)
 	w.door.init()
+	if o.PaceWindowNs != 0 {
+		w.pacer = simnet.NewPacer(o.PaceWindowNs, o.Ranks, nil, simnet.PaceHook{
+			Park:    func(_ int, d time.Duration) bool { time.Sleep(d); return false },
+			Poke:    func(int) bool { return false }, // the only rank parked on this table is the one publishing to it
+			Aborted: w.Aborted,
+			Refresh: w.refreshClock,
+		})
+	}
 	go w.acceptLoop()
 
 	if _, err := fmt.Fprintf(ctl, "JOIN %d %s %d %d %d %d %s\n",
@@ -1351,79 +1358,17 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 
 // ---- simnet.Transport: virtual-hardware services ----
 
-// PublishClock records this rank's virtual clock; peers learn it from the
-// piggybacked clock on every request and from opClock heartbeats.
-func (w *World) PublishClock(rank int, t timing.Time) {
-	if w.opts.PaceWindowNs == 0 {
-		return
-	}
-	atomic.StoreInt64(&w.clocks[rank], int64(t))
-}
+// Pacer returns the world's pacer: the one discipline over this process's
+// last-known clock table, which the wire keeps fresh (see World.pacer).
+func (w *World) Pacer() *simnet.Pacer { return w.pacer }
 
-// PaceWindow returns the configured pacing window.
-func (w *World) PaceWindow() int64 { return w.opts.PaceWindowNs }
-
-// Pace blocks rank while its clock runs more than the window ahead of the
-// slowest known clock. Peer clocks arrive as piggybacks on data traffic; a
-// pace-blocked rank refreshes the laggards' entries with opClock heartbeats
-// between backoff sleeps. The stall valve matches the other backends: a
-// minimum frozen across two heartbeats releases the rank for one operation.
-func (w *World) Pace(rank int, t timing.Time) {
-	if w.opts.PaceWindowNs == 0 {
-		return
+// ownClock is the clock every request carries: this rank's published clock,
+// 0 in an unpaced world.
+func (w *World) ownClock() int64 {
+	if w.pacer == nil {
+		return 0
 	}
-	w.PublishClock(rank, t)
-	me := int64(t)
-	last, idle, d := int64(-1), 0, paceSleepMin
-	var parkStart time.Time
-	defer func() {
-		if !parkStart.IsZero() {
-			mPaceParkNs.Record(uint64(time.Since(parkStart)))
-		}
-	}()
-	for {
-		min := w.paceMinRefresh(me)
-		if me <= min+w.opts.PaceWindowNs || w.Aborted() {
-			return
-		}
-		if min == last {
-			if idle++; idle >= 2 {
-				mPaceStalls.Inc()
-				telemetry.RecordEvent(telemetry.EvStall, uint64(rank), uint64(me-min))
-				return
-			}
-		} else {
-			last, idle = min, 0
-		}
-		if parkStart.IsZero() && telemetry.On() {
-			parkStart = time.Now()
-			mPaceParks.Inc()
-		}
-		time.Sleep(d)
-		if d < paceSleepMax {
-			d *= 2
-		}
-	}
-}
-
-// paceMinRefresh folds the local clock table, refreshing over the wire the
-// entries stale enough to be the ones blocking us (cached clock below our
-// window threshold). Clocks are monotone, so a cached value is always a
-// safe (conservative) lower bound.
-func (w *World) paceMinRefresh(me int64) int64 {
-	min := int64(1) << 62
-	for r := 0; r < w.opts.Ranks; r++ {
-		c := atomic.LoadInt64(&w.clocks[r])
-		if r != w.rank && me > c+w.opts.PaceWindowNs && !w.Aborted() {
-			if got, ok := w.rpcClock(r); ok {
-				c = got
-			}
-		}
-		if c < min {
-			min = c
-		}
-	}
-	return min
+	return w.pacer.Clock(w.rank)
 }
 
 // RingDoorbell bumps rank's doorbell generation, waking its waiters: local

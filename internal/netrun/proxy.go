@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"fompi/internal/faultnet"
@@ -113,7 +112,7 @@ func (w *World) dropPeer(r int, p *peerConn) {
 func (w *World) req(p *peerConn, op uint8) enc {
 	e := newEnc(p.buf)
 	e.u8(op)
-	e.i64(atomic.LoadInt64(&w.clocks[w.rank]))
+	e.i64(w.ownClock())
 	return e
 }
 
@@ -248,21 +247,16 @@ func (w *World) rpcDoorWait(r int, gen uint64, slice time.Duration) uint64 {
 	return d.u64()
 }
 
-// rpcClock exchanges clocks with rank r (the pacing heartbeat); ok=false
-// when the peer is unreachable while the world is still alive (the caller's
-// cached value stands and the abort, if any, surfaces on the next fold).
-func (w *World) rpcClock(r int) (clock int64, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	d := w.callIdem(r, opClock, nil)
-	c := d.i64()
-	if old := atomic.LoadInt64(&w.clocks[r]); c > old {
-		atomic.StoreInt64(&w.clocks[r], c)
+// refreshClock fetches rank r's published clock into the pacer's table (the
+// pacing hook's Refresh). When the peer is unreachable the cached value
+// stands, and the abort, if any, ends the caller's block.
+func (w *World) refreshClock(r int) {
+	if w.Aborted() {
+		return
 	}
-	return c, true
+	defer func() { recover() }()
+	d := w.callIdem(r, opClock, nil)
+	w.pacer.Observe(r, d.i64())
 }
 
 // remoteMem is the simnet.RemoteMem proxy for one foreign registration: the

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sync/atomic"
 	"time"
 
-	"fompi/internal/hostatomic"
 	"fompi/internal/simnet"
 	"fompi/internal/timing"
 )
@@ -88,15 +86,15 @@ func (w *World) serveConn(c net.Conn) {
 		d := dec{b: frame}
 		op := d.u8()
 		clk := d.i64()
-		if w.opts.PaceWindowNs != 0 && src >= 0 {
-			hostatomic.MaxI64(&w.clocks[src], clk)
+		if w.pacer != nil && src >= 0 {
+			w.pacer.Observe(src, clk)
 		}
 		switch op {
 		case opHello:
 			// Bound the claimed rank: the data listener is reachable by
 			// anything on the network in host-list mode, and a stray
 			// connection must not be able to crash the clock table.
-			if r := int(d.u32()); r >= 0 && r < len(w.clocks) {
+			if r := int(d.u32()); r >= 0 && r < w.opts.Ranks {
 				src = r
 				continue
 			}
@@ -307,7 +305,7 @@ func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
 		}
 		e.u64(w.doorWaitAny(gen, slice))
 	case opClock:
-		e.i64(atomic.LoadInt64(&w.clocks[w.rank]))
+		e.i64(w.ownClock())
 	default:
 		panic(fmt.Sprintf("netrun: unknown opcode %d", op))
 	}

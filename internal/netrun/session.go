@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fompi/internal/faultnet"
@@ -129,7 +128,7 @@ func (w *World) reqData(r int, op uint8) enc {
 	s.seq++
 	e := newEnc(s.buf)
 	e.u8(op)
-	e.i64(atomic.LoadInt64(&w.clocks[w.rank]))
+	e.i64(w.ownClock())
 	e.u64(w.sid)
 	e.u64(s.seq)
 	e.u64(s.acked)
@@ -231,7 +230,7 @@ func (w *World) flushFused(r int) {
 	s.seq++
 	e := newEnc(po.frame)
 	e.u8(opBatch)
-	e.i64(atomic.LoadInt64(&w.clocks[w.rank]))
+	e.i64(w.ownClock())
 	e.u64(w.sid)
 	e.u64(s.seq)
 	e.u64(s.acked)

@@ -18,12 +18,11 @@ import (
 func liveWord() *uint32 { v := simnet.RegionLive; return &v }
 
 // sessionWorld builds the minimal owner-side World the session layer needs:
-// a rank, a clock table, one registered word behind the rank's port, and an
-// empty session table.
+// a rank, one registered word behind the rank's port, and an empty session
+// table (unpaced: no clock table).
 func sessionWorld() *World {
 	w := &World{
 		rank:     1,
-		clocks:   make([]int64, 4),
 		sessions: make(map[uint64]*ownerSession),
 	}
 	reg := simnet.MakeRegion(1, 0, make([]byte, 8), timing.NewStamps(8), &w.ownPort, liveWord())

@@ -12,9 +12,6 @@ import (
 // The wire engine's metrics (DESIGN.md §13). Counters and histograms are
 // process-global and registered by name, so a loopback test hosting both
 // workers in one process reads the whole world's totals from one registry.
-// The pacing metrics share names with the other backends' valves (the
-// registry is idempotent by name), so an aggregated snapshot reports one
-// pacing story however the world was launched.
 var (
 	mBatches     = telemetry.NewCounter("net.batches")     // opBatch frames flushed
 	mFusedOps    = telemetry.NewHistogram("net.fused_ops") // sub-ops per flushed opBatch frame
@@ -23,9 +20,6 @@ var (
 	mResumes     = telemetry.NewCounter("net.resumes")     // mid-window recoveries (redial + suffix replay)
 	mDedupHits   = telemetry.NewCounter("net.dedup_hits")  // owner-side cached-reply replays
 	mRTT         = telemetry.NewHistogram("net.rtt_ns")    // per-op wire round trip, first send to reply
-	mPaceParks   = telemetry.NewCounter("pace.parks")      // pace blocks that actually waited
-	mPaceParkNs  = telemetry.NewHistogram("pace.park_ns")  // duration of each pacing block
-	mPaceStalls  = telemetry.NewCounter("pace.stalls")     // stall-valve releases (frozen minimum)
 )
 
 // sendStatsLocked ships this rank's stats frame on the control stream; the

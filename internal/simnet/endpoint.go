@@ -15,9 +15,9 @@ import (
 type Endpoint struct {
 	fab   Transport
 	rank  int
-	rpn   int  // cached fab.RanksPerNode(): NodeOf(r) is r / rpn on every backend
-	node  int  // rank / rpn
-	paced bool // cached fab.PaceWindow() != 0: unpaced worlds never call Pace
+	rpn   int    // cached fab.RanksPerNode(): NodeOf(r) is r / rpn on every backend
+	node  int    // rank / rpn
+	pacer *Pacer // cached fab.Pacer(): nil in an unpaced world
 	cm    *CostModel
 	drain WireDrainer // fab's pipelined-wire extension, when it has one
 
@@ -96,13 +96,13 @@ func NewEndpoint(t Transport, rank int, cm *CostModel) *Endpoint {
 
 // init is the one place the fields of a fresh (zero) endpoint are set,
 // whether it stands alone or in a slab. It reads the transport's topology
-// and pacing window once; the in-process fabric refuses to change its window
+// and pacer once; the in-process fabric refuses to change its window
 // afterwards.
 func (ep *Endpoint) init(t Transport, rank int, cm *CostModel) {
 	ep.fab, ep.rank, ep.cm = t, rank, cm
 	ep.rpn = t.RanksPerNode()
 	ep.node = rank / ep.rpn
-	ep.paced = t.PaceWindow() != 0
+	ep.pacer = t.Pacer()
 	ep.drain, _ = t.(WireDrainer)
 	if f, ok := t.(*Fabric); ok && !f.endpointsOut.Load() {
 		f.endpointsOut.Store(true)
@@ -156,8 +156,8 @@ func (ep *Endpoint) AdvanceTo(t timing.Time) {
 // publishes the new clock for pacing (deferred to EndBatch inside a batch).
 func (ep *Endpoint) Compute(ns int64) {
 	ep.clock += timing.Time(ns)
-	if ep.paced && ep.batchDepth == 0 {
-		ep.fab.PublishClock(ep.rank, ep.clock)
+	if ep.pacer != nil && ep.batchDepth == 0 {
+		ep.pacer.Publish(ep.rank, ep.clock)
 	}
 }
 
@@ -201,8 +201,8 @@ func (ep *Endpoint) EndBatch() {
 		return
 	}
 	ep.flushBatchNotifies()
-	if ep.paced {
-		ep.fab.Pace(ep.rank, ep.clock)
+	if ep.pacer != nil {
+		ep.pacer.Pace(ep.rank, ep.clock)
 	}
 }
 
@@ -238,8 +238,8 @@ func (ep *Endpoint) flushBatchNotifies() {
 func (ep *Endpoint) flushBeforeBlock() {
 	if ep.batchDepth > 0 {
 		ep.flushBatchNotifies()
-		if ep.paced {
-			ep.fab.PublishClock(ep.rank, ep.clock)
+		if ep.pacer != nil {
+			ep.pacer.Publish(ep.rank, ep.clock)
 		}
 	}
 	ep.drainWire()
@@ -278,8 +278,8 @@ func (ep *Endpoint) notifyDst(reg *Region) {
 // paceOp runs the per-operation pacing discipline; inside a batch it is
 // deferred to EndBatch (one check per batch instead of one per op).
 func (ep *Endpoint) paceOp() {
-	if ep.paced && ep.batchDepth == 0 {
-		ep.fab.Pace(ep.rank, ep.clock)
+	if ep.pacer != nil && ep.batchDepth == 0 {
+		ep.pacer.Pace(ep.rank, ep.clock)
 	}
 }
 

@@ -32,20 +32,9 @@ import (
 	"time"
 
 	"fompi/internal/telemetry"
-	"fompi/internal/timing"
 )
 
-// Pacing and doorbell metrics. The names are shared with the other
-// backends' pacing valves (internal/netrun, internal/mprun) — the telemetry
-// registry is idempotent by name, so whichever transports a world composes,
-// an aggregated snapshot reports one pacing story.
-var (
-	mPaceParks  = telemetry.NewCounter("pace.parks")
-	mPaceParkNs = telemetry.NewHistogram("pace.park_ns")
-	mPaceStalls = telemetry.NewCounter("pace.stalls")
-	mPacePokes  = telemetry.NewCounter("pace.pokes")
-	mDoorRings  = telemetry.NewCounter("door.rings")
-)
+var mDoorRings = telemetry.NewCounter("door.rings")
 
 // Key identifies a registered memory region within its owner rank.
 type Key uint32
@@ -83,6 +72,12 @@ type node struct {
 	doorWaiters atomic.Int32
 	doorMu      sync.Mutex
 	door        *sync.Cond
+
+	// Where the rank sleeps while pace-blocked (SetPacing): pokers send on
+	// paceCh, made with the pacer; the timer is the rank's own, made at its
+	// first block, so parking is allocation-free from then on.
+	paceCh    chan struct{}
+	paceTimer *time.Timer
 }
 
 // wake broadcasts to the rank's parked waiters after its port's generation
@@ -106,11 +101,6 @@ func (nd *node) notify() {
 	nd.wake()
 }
 
-// paceShardBits sizes the pacing tracker's shards: 64 ranks per shard keeps
-// a shard rescan one cache-line-friendly sweep while the global fold touches
-// only p/64 cached minimums.
-const paceShardBits = 6
-
 // Fabric connects n ranks arranged as nodes of ranksPerNode consecutive
 // ranks. It is shared by all transport layers (foMPI, PGAS baselines, MPI-1)
 // so that comparisons run over identical hardware.
@@ -125,27 +115,8 @@ type Fabric struct {
 	hookMu     sync.Mutex
 	abortHooks []func()
 
-	// Conservative pacing (SetPacing): per-rank published clocks, a
-	// per-shard cached minimum, and a progress generation counter. Shard
-	// caches may transiently run below the true minimum (a concurrent
-	// rescan can store a stale result) but never above it, so pacing only
-	// ever over-waits; pace() re-rescans the governing shard while blocked,
-	// which repairs any staleness.
-	paceWindow    int64
-	endpointsOut  atomic.Bool // an endpoint has cached paceWindow != 0
-	paceClocks    []int64
-	paceShardMins []int64
-	paceGen       atomic.Uint64
-
-	// Pacing wait heap: blocked ranks park on a wakeup threshold instead
-	// of spinning; laggard rescans wake them when the minimum folds past
-	// it. paceParked and paceNextTgt let publishers skip the heap lock
-	// entirely when nobody is parked or no threshold is reachable.
-	paceMu      sync.Mutex
-	paceHeap    []paceEntry
-	paceSlots   []paceSlot
-	paceParked  atomic.Int32
-	paceNextTgt atomic.Int64
+	pacer        *Pacer      // nil while unpaced (SetPacing)
+	endpointsOut atomic.Bool // an endpoint has cached pacer
 }
 
 // ErrAborted is the panic value delivered to goroutines blocked in fabric
@@ -187,288 +158,43 @@ func (f *Fabric) SetPacing(window int64) {
 	if f.endpointsOut.Load() {
 		panic("simnet: SetPacing after an endpoint was created; set the pacing window before Endpoint/Endpoints/NewEndpoint")
 	}
-	f.paceWindow = window
-}
-
-// PaceWindow returns the configured pacing window.
-func (f *Fabric) PaceWindow() int64 { return f.paceWindow }
-
-// publishClock records a rank's virtual clock for pacing and signals
-// progress. When the publisher was at or below its shard's cached minimum —
-// it was (one of) the laggard(s) whose clock the cache tracks — it rescans
-// the shard itself, so the O(shard) sweep runs once per laggard operation
-// instead of once per blocked-rank poll; with nobody parked, every other
-// publisher pays one store, three loads, and a counter bump.
-//
-// While ranks are parked the laggard test alone is not reliable enough to
-// carry their wakeups: concurrent rescans can leave a shard cache stale-low
-// (below every live clock), and then no publisher ever matches `old <=
-// cache` again until a parked rank's heartbeat repairs it — turning every
-// hand-off into a timer wait. So any publish that finds parked ranks rescans
-// its own shard unconditionally (~one cache line of atomic loads) and runs
-// the wake check; active publishers in each shard keep every cache fresh.
-func (f *Fabric) publishClock(rank int, t timing.Time) {
-	if f.paceWindow == 0 {
+	f.pacer = nil
+	if window == 0 {
 		return
 	}
-	old := atomic.LoadInt64(&f.paceClocks[rank])
-	atomic.StoreInt64(&f.paceClocks[rank], int64(t))
-	s := rank >> paceShardBits
-	if old <= atomic.LoadInt64(&f.paceShardMins[s]) || f.paceParked.Load() > 0 {
-		f.rescanShard(s)
-		min, _ := f.paceMinCached()
-		f.wakeWaiters(min)
+	for _, nd := range f.nodes {
+		nd.paceCh = make(chan struct{}, 1)
 	}
-	f.paceGen.Add(1)
+	f.pacer = NewPacer(window, f.n, nil, PaceHook{Park: f.pacePark, Poke: f.pacePoke, Aborted: f.Aborted})
 }
 
-// rescanShard recomputes one shard's cached minimum from its ranks' clocks
-// and returns it. Clocks are monotone, so the scanned minimum can never
-// exceed the true current minimum; a racing rescan may overwrite with an
-// older (lower) result, which is conservative.
-func (f *Fabric) rescanShard(s int) int64 {
-	lo := s << paceShardBits
-	hi := lo + (1 << paceShardBits)
-	if hi > f.n {
-		hi = f.n
+// Pacer returns the fabric's pacer, nil while unpaced.
+func (f *Fabric) Pacer() *Pacer { return f.pacer }
+
+// pacePark sleeps rank's goroutine on its channel for at most d.
+func (f *Fabric) pacePark(rank int, d time.Duration) bool {
+	nd := f.nodes[rank]
+	if nd.paceTimer == nil {
+		nd.paceTimer = time.NewTimer(d)
+	} else {
+		nd.paceTimer.Reset(d)
 	}
-	m := int64(1) << 62
-	for i := lo; i < hi; i++ {
-		if c := atomic.LoadInt64(&f.paceClocks[i]); c < m {
-			m = c
-		}
+	select {
+	case <-nd.paceCh:
+		return true
+	case <-nd.paceTimer.C:
+	case <-f.done:
 	}
-	atomic.StoreInt64(&f.paceShardMins[s], m)
-	return m
+	return false
 }
 
-// paceMinCached folds the per-shard cached minimums: O(p/64), no rescans.
-func (f *Fabric) paceMinCached() (min int64, argShard int) {
-	min = int64(1) << 62
-	for s := range f.paceShardMins {
-		if v := atomic.LoadInt64(&f.paceShardMins[s]); v < min {
-			min, argShard = v, s
-		}
-	}
-	return min, argShard
-}
-
-// paceParkHeartbeat is the parked-rank heartbeat: how long a pace-blocked
-// rank sleeps before re-checking whether the world still makes progress. It
-// starts short — the heartbeat doubles as the stall valve, and prompt stall
-// release matters for active-message hand-offs — and backs off exponentially
-// to paceParkMax so long-parked ranks do not saturate the timer wheel.
-const (
-	paceParkHeartbeat = 50 * time.Microsecond
-	paceParkMax       = 2 * time.Millisecond
-)
-
-// paceEntry is one parked rank's wakeup threshold in the pacing wait heap.
-type paceEntry struct {
-	target int64 // release when the folded minimum reaches this
-	rank   int32
-	seq    uint32 // live while it matches paceSlots[rank].seq
-}
-
-// paceSlot is a rank's reusable parking state: allocated once, so parking
-// is allocation-free after a rank's first block. seq is guarded by paceMu;
-// ch and timer are touched only by the rank's own goroutine after creation
-// (publishers send on ch under paceMu).
-type paceSlot struct {
-	ch    chan struct{}
-	timer *time.Timer
-	seq   uint32
-}
-
-// wakeWaiters pops every live heap entry whose target the folded minimum
-// has reached and signals its rank. The two atomic guards make the
-// nobody-parked case — every unpaced or in-window operation — two loads.
-func (f *Fabric) wakeWaiters(min int64) {
-	if f.paceParked.Load() == 0 || f.paceNextTgt.Load() > min {
-		return
-	}
-	f.paceMu.Lock()
-	for len(f.paceHeap) > 0 {
-		e := f.paceHeap[0]
-		live := f.paceSlots[e.rank].seq == e.seq
-		if live && e.target > min {
-			break
-		}
-		f.heapPop()
-		if live {
-			select {
-			case f.paceSlots[e.rank].ch <- struct{}{}:
-				mPacePokes.Inc()
-			default:
-			}
-		}
-	}
-	f.updateNextTgt()
-	f.paceMu.Unlock()
-}
-
-func (f *Fabric) updateNextTgt() {
-	if len(f.paceHeap) == 0 {
-		f.paceNextTgt.Store(int64(1) << 62)
-		return
-	}
-	f.paceNextTgt.Store(f.paceHeap[0].target)
-}
-
-func (f *Fabric) heapPush(e paceEntry) {
-	h := append(f.paceHeap, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].target <= h[i].target {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	f.paceHeap = h
-}
-
-func (f *Fabric) heapPop() {
-	h := f.paceHeap
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r, s := 2*i+1, 2*i+2, i
-		if l < n && h[l].target < h[s].target {
-			s = l
-		}
-		if r < n && h[r].target < h[s].target {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-	f.paceHeap = h
-}
-
-// pace blocks rank while its clock is more than the pacing window ahead of
-// the slowest published clock. The fast path is one fold of the shard
-// caches; a blocked rank parks on a wakeup threshold (its clock minus the
-// window) in the pacing wait heap and sleeps until a laggard's rescan folds
-// the minimum past it — no spinning, which matters doubly when the host has
-// fewer cores than the world has ranks, since a spinning waiter starves the
-// very laggard it waits for.
-func (f *Fabric) pace(rank int, t timing.Time) {
-	if f.paceWindow == 0 {
-		return
-	}
-	f.publishClock(rank, t)
-	me := int64(t)
-	if min, _ := f.paceMinCached(); me <= min+f.paceWindow {
-		return
-	}
-	f.paceBlock(rank, me)
-}
-
-func (f *Fabric) paceBlock(rank int, me int64) {
-	target := me - f.paceWindow
-	slot := &f.paceSlots[rank]
-	lastMin := int64(-1) // minimum observed at the previous heartbeat
-	idleBeats := 0
-	parkDur := paceParkHeartbeat
-	var parkStart time.Time
-	defer func() {
-		if !parkStart.IsZero() {
-			mPaceParkNs.Record(uint64(time.Since(parkStart)))
-		}
-	}()
-	for {
-		min, arg := f.paceMinCached()
-		if me <= min+f.paceWindow || f.aborted.Load() {
-			return
-		}
-		// Authoritative check: rescan the governing shard to a fixpoint so
-		// we never park against a stale-low cached minimum.
-		if m := f.rescanShard(arg); m != min {
-			continue
-		}
-		// Park immediately — never spin. On an oversubscribed host (cores
-		// scarcer than ranks) a yielding waiter drags every other blocked
-		// rank through the scheduler once per laggard operation; parked
-		// ranks leave the run queue to the ranks that can make progress.
-		// Publish the heap entry, then re-check the fold so a wakeup that
-		// folded before the push cannot be missed (the publisher's
-		// shard-min store precedes its heap scan; if the scan missed our
-		// entry, this fold sees its store).
-		f.paceMu.Lock()
-		if slot.ch == nil {
-			slot.ch = make(chan struct{}, 1)
-		}
-		slot.seq++
-		f.heapPush(paceEntry{target: target, rank: int32(rank), seq: slot.seq})
-		f.updateNextTgt()
-		f.paceParked.Add(1)
-		f.paceMu.Unlock()
-		eligible := false
-		if min, _ := f.paceMinCached(); min >= target || f.aborted.Load() {
-			eligible = true
-		}
-		woken := false
-		if !eligible {
-			if parkStart.IsZero() && telemetry.On() {
-				parkStart = time.Now()
-				mPaceParks.Inc()
-			}
-			if slot.timer == nil {
-				slot.timer = time.NewTimer(parkDur)
-			} else {
-				slot.timer.Reset(parkDur)
-			}
-			select {
-			case <-slot.ch:
-				woken = true
-			case <-slot.timer.C: // heartbeat: recheck progress via paceGen
-			case <-f.done:
-			}
-			slot.timer.Stop()
-		}
-		f.paceMu.Lock()
-		slot.seq++ // invalidate our heap entry (reaped lazily)
-		f.paceParked.Add(-1)
-		f.paceMu.Unlock()
-		select { // drain a wake that raced the timeout
-		case <-slot.ch:
-		default:
-		}
-		if f.aborted.Load() {
-			return
-		}
-		if woken || eligible {
-			idleBeats, parkDur = 0, paceParkHeartbeat
-			continue
-		}
-		// Heartbeat expired with no channel wake: the stall check. The
-		// trustworthy freeze signal is the folded MINIMUM staying put — a
-		// laggard parked in a doorbell or mailbox wait pins it, and only
-		// ranks released past the window keep publishing, which moves their
-		// own clocks but never the minimum. (Counting publishes instead
-		// would let those releases mask a real freeze forever.) After two
-		// silent beats release this rank past the window for ONE operation;
-		// its next pace call re-detects, so frozen-minimum drains progress
-		// at the heartbeat rate rather than freely — an intentional
-		// real-time throttle that keeps ranks' relative rates (and so their
-		// stamp interleavings) tame while the window cannot be enforced.
-		if cur, _ := f.paceMinCached(); cur != lastMin {
-			lastMin, idleBeats = cur, 0
-		} else if idleBeats++; idleBeats >= 2 {
-			mPaceStalls.Inc()
-			telemetry.RecordEvent(telemetry.EvStall, uint64(rank), uint64(me-target))
-			return
-		}
-		if parkDur < paceParkMax {
-			parkDur *= 2
-		}
+// pacePoke signals rank's channel; a token already there will wake it.
+func (f *Fabric) pacePoke(rank int) bool {
+	select {
+	case f.nodes[rank].paceCh <- struct{}{}:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -499,14 +225,10 @@ func NewFabric(n, ranksPerNode int) *Fabric {
 	if ranksPerNode <= 0 {
 		ranksPerNode = 1
 	}
-	nShards := (n + (1 << paceShardBits) - 1) >> paceShardBits
 	f := &Fabric{
 		n: n, ranksPerNode: ranksPerNode, nodes: make([]*node, n),
-		done: make(chan struct{}), paceClocks: make([]int64, n),
-		paceShardMins: make([]int64, nShards),
-		paceSlots:     make([]paceSlot, n),
+		done: make(chan struct{}),
 	}
-	f.paceNextTgt.Store(int64(1) << 62)
 	// Per-node state comes from three slabs (node structs, initial table
 	// headers via node.initTbl, table backing arrays): world setup is a few
 	// allocations, not a few per rank.

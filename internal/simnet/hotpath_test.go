@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"fompi/internal/timing"
 )
 
 // TestRegionTableConcurrentChurn hammers the copy-on-write region table:
@@ -205,167 +203,6 @@ func TestDoorbellFastPath(t *testing.T) {
 	if w := nd.doorWaiters.Load(); w != 0 {
 		t.Fatalf("doorWaiters = %d after wake, want 0", w)
 	}
-}
-
-// TestPacingShardTracker drives the sharded min-tracker directly: publishes
-// establish per-shard minimums, rescans repair stale caches, and pace
-// releases a blocked rank exactly when the laggard catches up.
-func TestPacingShardTracker(t *testing.T) {
-	const n = 130 // three shards: 64 + 64 + 2
-	f := NewFabric(n, 4)
-	f.SetPacing(1000)
-
-	for r := 0; r < n; r++ {
-		f.publishClock(r, timing.Time(10_000+r))
-	}
-	// An at-minimum publisher rescans its own shard, so after every rank
-	// published, the per-shard caches and the fold are fresh.
-	for s, want := range []int64{10_000, 10_064, 10_128} {
-		if m := atomic.LoadInt64(&f.paceShardMins[s]); m != want {
-			t.Fatalf("shard %d cached min = %d, want %d", s, m, want)
-		}
-	}
-	min, arg := f.paceMinCached()
-	if min != 10_000 || arg != 0 {
-		t.Fatalf("folded min %d (shard %d), want 10000 (shard 0)", min, arg)
-	}
-
-	// Raise the global laggard: its own publish rescans the shard and the
-	// fold moves to the shard's new slowest rank.
-	f.publishClock(0, 50_000)
-	if min, _ := f.paceMinCached(); min != 10_001 {
-		t.Fatalf("after laggard publish: min %d, want 10001", min)
-	}
-
-	// Force a stale-low cache (as a racing rescan would leave behind) and
-	// check rescanShard repairs it.
-	atomic.StoreInt64(&f.paceShardMins[2], 5)
-	if m := f.rescanShard(2); m != 10_128 {
-		t.Fatalf("rescan of shard 2 = %d, want 10128", m)
-	}
-
-	// A rank inside the window proceeds without blocking.
-	start := time.Now()
-	f.pace(1, timing.Time(10_001+999))
-	if time.Since(start) > time.Second {
-		t.Fatal("in-window pace took the blocking path")
-	}
-
-	// A rank beyond the window blocks until the laggard catches up. Rank 2
-	// is made the designated laggard (everyone else lifted well above it),
-	// and a heartbeat keeps inching its clock forward: the minimum MOVES,
-	// so neither eligibility nor the stall valve — which fires only on a
-	// static minimum — may release the blocked rank early.
-	for r := 0; r < n; r++ {
-		if r != 2 {
-			f.publishClock(r, 15_000)
-		}
-	}
-	released := make(chan struct{})
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for c := int64(1); ; c++ {
-			select {
-			case <-stop:
-				return
-			default:
-				// Slow real progress: the min crawls but stays far below
-				// the blocked rank's release threshold.
-				f.publishClock(2, timing.Time(10_002+c))
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}()
-	go func() {
-		f.pace(5, 20_000) // way past min+window
-		close(released)
-	}()
-	select {
-	case <-released:
-		t.Fatal("pace returned while the window was exceeded")
-	case <-time.After(20 * time.Millisecond):
-	}
-	// Stop the crawling laggard first (its republishes must not race the
-	// catch-up below back down), then catch every rank up; every shard
-	// minimum rises above the window and the blocked rank releases.
-	close(stop)
-	wg.Wait()
-	for r := 0; r < n; r++ {
-		f.publishClock(r, 30_000)
-	}
-	select {
-	case <-released:
-	case <-time.After(5 * time.Second):
-		t.Fatal("pace never released after laggards caught up")
-	}
-}
-
-// TestPacingStallDetector checks the deadlock valve: when no other rank
-// publishes progress, a pace-blocked rank must eventually proceed rather
-// than spin forever (e.g. every other rank is parked in a local wait).
-func TestPacingStallDetector(t *testing.T) {
-	f := NewFabric(8, 4)
-	f.SetPacing(100)
-	done := make(chan struct{})
-	go func() {
-		// Rank 3 is far ahead of the 7 never-publishing ranks (clock 0).
-		f.pace(3, 1_000_000)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("stall detector did not release the paced rank")
-	}
-}
-
-// TestPacingAbortReleases checks a pace-blocked rank unwinds when the
-// fabric aborts instead of waiting for laggards that will never publish.
-func TestPacingAbortReleases(t *testing.T) {
-	f := NewFabric(4, 4)
-	f.SetPacing(100)
-	// Publish a laggard far behind so rank 1 genuinely blocks, and keep the
-	// minimum inching forward so the stall detector (which fires only on a
-	// static minimum) never releases it.
-	f.publishClock(2, 5_000)
-	f.publishClock(3, 5_000)
-	f.publishClock(0, 1)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for c := int64(1); ; c++ {
-			select {
-			case <-stop:
-				return
-			default:
-				f.publishClock(0, timing.Time(1+c))
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}()
-	done := make(chan struct{})
-	go func() {
-		f.pace(1, 1_000_000)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("pace returned before abort despite laggard")
-	case <-time.After(20 * time.Millisecond):
-	}
-	f.Abort()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("abort did not release the paced rank")
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // BenchmarkIssue{Put,Get,FetchAdd} time the inline issue path in the shapes

@@ -134,6 +134,6 @@ func (r *Region) LocalWord(off int) uint64 { return r.atomicLoad(off) }
 // Remote ranks must not call this.
 func (r *Region) LocalWordStore(off int, v uint64, t timing.Time) {
 	r.check(off, 8)
+	r.stamps.Set(off, t) // before the value: whoever sees v merges t
 	hostatomic.Store(r.buf, off, v)
-	r.stamps.Set(off, t)
 }

@@ -207,12 +207,14 @@ func (x RegionExec) Get(dst []byte, off int, clockIn timing.Time, reserve bool, 
 	return comp
 }
 
-// StoreWord stores and stamps one word (see RemoteMem.StoreWord).
+// StoreWord stamps and stores one word (see RemoteMem.StoreWord) — in that
+// order: a rank polling the word (WaitLocal, outside the port) merges its
+// stamp the moment it sees the value, and must find this store's.
 func (x RegionExec) StoreWord(off int, v uint64, reserve bool, arrival timing.Time, xfer int64) timing.Time {
 	x.Reg.checkWords(off, 8)
 	comp := x.land(reserve, arrival, xfer)
-	hostatomic.Store(x.Reg.buf, off, v)
 	x.Reg.stamps.Set(off, comp)
+	hostatomic.Store(x.Reg.buf, off, v)
 	x.done(reserve)
 	return comp
 }

@@ -37,12 +37,12 @@ func TestEndpointInitIdentical(t *testing.T) {
 			t.Fatalf("rank %d: slab endpoint %+v differs from NewEndpoint's %+v", r, slab[r], *single)
 		}
 	}
-	if ep := &slab[3]; ep.rpn != 2 || ep.node != 1 || !ep.paced {
-		t.Fatalf("rank 3 cached rpn=%d node=%d paced=%v, want 2, 1, true", ep.rpn, ep.node, ep.paced)
+	if ep := &slab[3]; ep.rpn != 2 || ep.node != 1 || ep.pacer != f.Pacer() || ep.pacer == nil {
+		t.Fatalf("rank 3 cached rpn=%d node=%d pacer=%p, want 2, 1, the fabric's %p", ep.rpn, ep.node, ep.pacer, f.Pacer())
 	}
 }
 
-// TestSetPacingAfterEndpointPanics pins the ordering the cached pacing flag
+// TestSetPacingAfterEndpointPanics pins the ordering the cached pacer
 // imposes: the window is set before the first endpoint exists.
 func TestSetPacingAfterEndpointPanics(t *testing.T) {
 	f := NewFabric(2, 1)

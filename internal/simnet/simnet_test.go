@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -175,6 +176,42 @@ func TestStampCausality(t *testing.T) {
 	e0.MergeStamp(reg, 0, 8)
 	if e0.Now() < 500_000 {
 		t.Fatalf("reader clock %v did not merge writer completion ≥500µs", e0.Now())
+	}
+}
+
+// TestStampVisibleBeforeValue races a poller against both word stores: a rank
+// that merges a word's stamp the moment it sees the value must find that
+// store's stamp, so the stamp is written first.
+func TestStampVisibleBeforeValue(t *testing.T) {
+	const words = 1 << 15
+	f := NewFabric(2, 2)
+	owner := f.Endpoint(0, FoMPI())
+	writer := f.Endpoint(1, FoMPI())
+	reg := owner.Register(8 * words)
+	seen := make(chan int, 1)
+	go func() {
+		defer close(seen)
+		for w := 0; w < words; w++ {
+			for spin := 1; reg.LocalWord(8*w) == 0; spin++ {
+				if spin%256 == 0 {
+					runtime.Gosched()
+				}
+			}
+			if reg.StampMax(8*w, 8) == 0 {
+				seen <- w
+				return
+			}
+		}
+	}()
+	for w := 0; w < words; w++ {
+		if w%2 == 0 {
+			writer.StoreW(reg.Base().Add(8*w), 1) // stamped with its (non-zero) completion
+		} else {
+			reg.LocalWordStore(8*w, 1, timing.Time(w))
+		}
+	}
+	if w, early := <-seen; early {
+		t.Fatalf("word %d was visible before its stamp", w)
 	}
 }
 

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fompi/internal/segpool"
-	"fompi/internal/timing"
 )
 
 // Transport is the substrate contract an Endpoint drives: the services of
@@ -11,8 +10,8 @@ import (
 // models, virtual clocks, stamps arithmetic, NIC booking, batching — lives
 // in Endpoint, RegionExec and Port and is byte-identical across backends; a
 // Transport only resolves registrations, homes one Port per rank where that
-// rank's memory is, parks and wakes doorbell waiters, and carries the
-// published clocks that pacing folds. Four implementations exist: the
+// rank's memory is, parks and wakes doorbell waiters, and homes the tables
+// of the world's Pacer. Four implementations exist: the
 // in-process *Fabric below (ranks are goroutines in one address space),
 // internal/mprun's multi-process world (ranks are OS processes, regions live
 // in one mmap-shared segment, doorbells travel over Unix sockets),
@@ -41,8 +40,10 @@ import (
 //     when nobody is parked. Waiters may be woken spuriously. RingDoorbell(r)
 //     is Port(r).Ring() plus WakeDoor(r) for an addressable rank and a
 //     message to the owner, who does the same, otherwise.
-//   - PublishClock/Pace implement the conservative pacing discipline of
-//     DESIGN.md §6.1; with PaceWindow() == 0 both may be no-ops.
+//   - Pacer() returns the world's conservative-pacing state (DESIGN.md
+//     §6.1), nil for an unpaced world. The discipline itself is Pacer's; a
+//     backend supplies its tables and a PaceHook, and answers the same
+//     value for the world's lifetime once an endpoint exists.
 //   - Abort wakes every blocked waiter; WaitDoor panics with ErrAborted —
 //     or with *ErrPeerFailed, which matches errors.Is(err, ErrAborted) and
 //     additionally names the dead rank — when the world died while it
@@ -71,11 +72,8 @@ type Transport interface {
 	AllocSeg(rank, size int) *segpool.Seg
 	RecycleSeg(rank int, s *segpool.Seg, scrubbed bool, extra ...segpool.Range)
 
-	// Virtual-time services: PublishClock and Pace carry the pacing
-	// discipline (no-ops when PaceWindow is 0).
-	PublishClock(rank int, t timing.Time)
-	Pace(rank int, t timing.Time)
-	PaceWindow() int64
+	// Pacing: the world's Pacer, nil when unpaced. Endpoints cache it.
+	Pacer() *Pacer
 
 	// Ports and doorbells: the rank's arrival state (see Port), and the
 	// generation-counted wakeup channel of WaitLocal, PollRemoteWord and the
@@ -120,12 +118,6 @@ func (f *Fabric) RecycleSeg(rank int, s *segpool.Seg, scrubbed bool, extra ...se
 	}
 	segpool.Put(s)
 }
-
-// PublishClock records a rank's virtual clock for pacing.
-func (f *Fabric) PublishClock(rank int, t timing.Time) { f.publishClock(rank, t) }
-
-// Pace blocks rank while it runs ahead of the pacing window.
-func (f *Fabric) Pace(rank int, t timing.Time) { f.pace(rank, t) }
 
 // Port returns rank's port: every rank is addressable in process.
 func (f *Fabric) Port(rank int) *Port { return &f.nodes[rank].port }

@@ -221,7 +221,7 @@ const (
 	EvReconnect              // netrun lost a peer mid-window and is resuming; a=peer rank, b=head seq
 	EvRetransmit             // netrun retransmitted an in-flight frame; a=peer rank, b=seq
 	EvDedupHit               // owner served a replayed seq from the session cache; a=src rank, b=seq
-	EvStall                  // a pacing stall valve released a rank; a=rank
+	EvStall                  // the pacing stall valve released a rank; a=rank, b=its lead over the folded minimum (ns)
 	EvRankFail               // a RANKFAIL verdict arrived; a=blamed rank
 	EvAbort                  // this process observed the world abort
 )

@@ -437,11 +437,11 @@ func TestConformanceSharedCrossNode(t *testing.T) {
 	})
 }
 
-// vtimeWorkload is a token-serialized tour of every endpoint operation:
-// the token hand-off imposes a total order on all remote operations, so
-// clocks and stamps are fully protocol-ordered and the final per-rank
-// virtual times are deterministic — across runs and across backends.
-func vtimeWorkload(p *spmd.Proc, key simnet.Key, reg *simnet.Region) timing.Time {
+// tokenRing is a token-serialized tour of every endpoint operation: the
+// token hand-off imposes a total order on all remote operations, so clocks
+// and stamps are fully protocol-ordered and the per-rank virtual times it
+// leaves are deterministic — across runs and across backends.
+func tokenRing(p *spmd.Proc, key simnet.Key, reg *simnet.Region) {
 	ep := p.EP()
 	n := p.Size()
 	const tokOff, dataOff = 0, 64
@@ -477,6 +477,13 @@ func vtimeWorkload(p *spmd.Proc, key simnet.Key, reg *simnet.Region) timing.Time
 		ep.WaitLocal(func() bool { return reg.LocalWord(tokOff) >= uint64(3*n)+1 })
 		ep.MergeStamp(reg, tokOff, 8)
 	}
+}
+
+// vtimeWorkload is the token ring followed by a concurrent-AMO phase whose
+// contribution to the returned per-rank virtual times is order-independent.
+func vtimeWorkload(p *spmd.Proc, key simnet.Key, reg *simnet.Region) timing.Time {
+	ep := p.EP()
+	tokenRing(p, key, reg)
 	// Concurrent-AMO phase: the node-0 ranks race unordered non-fetching
 	// adds at one word of rank 0's region with nothing serializing them.
 	// The word's final stamp is order-independent (t+I+nL however the host
@@ -581,6 +588,7 @@ func TestConformanceAbortPropagation(t *testing.T) {
 	expectAbort := func(backend string, run func() error) {
 		t.Helper()
 		errc := make(chan error, 1)
+		t0 := time.Now()
 		go func() { errc <- run() }()
 		select {
 		case err := <-errc:
@@ -590,6 +598,11 @@ func TestConformanceAbortPropagation(t *testing.T) {
 			if !strings.Contains(err.Error(), failMsg) {
 				t.Fatalf("%s backend: abort error %q does not carry the originating failure %q",
 					backend, err, failMsg)
+			}
+			// A parked rank that does not unwind is reaped by the launcher
+			// 8 s after the abort (abortGrace); every rank must go on its own.
+			if d := time.Since(t0); d > 6*time.Second {
+				t.Fatalf("%s backend: the world took %v to end: a parked rank waited for the launcher's kill instead of unwinding", backend, d)
 			}
 		case <-time.After(90 * time.Second):
 			t.Fatalf("%s backend: abort did not propagate (launcher still waiting)", backend)

@@ -7,10 +7,13 @@
 #   go vet ./...                 static checks
 #   go build ./...               everything compiles
 #   retired-names check          LockChain, nicMu and rnNicLock — the three
-#                                per-target locks the port replaced — and
+#                                per-target locks the port replaced —
 #                                regMemo, the batch-only region memo the
-#                                route memo replaced, occur in no non-test
-#                                Go file
+#                                route memo replaced, and the per-backend
+#                                pacing loops' names (paceMinRefresh,
+#                                paceSleepMin, paceShardMins, paceWaiterOff,
+#                                lastPoke) that simnet.Pacer replaced occur
+#                                in no non-test Go file
 #   go test ./...                all package suites (includes the transport
 #                                conformance suite, which spawns the
 #                                multi-process, inter-node, and hybrid
@@ -23,14 +26,16 @@
 #                                misses assertions run on every verify
 #   go test -race -short <hot>   concurrency check over the packages whose
 #                                goroutines share fabric memory (the port's
-#                                unit tests and the two-mappings arena test
-#                                among them), plus the cross-backend AMO
-#                                chain conformance test under -race
+#                                and the pacer's unit tests and the
+#                                two-mappings arena tests among them), plus
+#                                the cross-backend AMO chain and pacing
+#                                conformance tests under -race
 #   examples smoke               build and run every example; quickstart and
-#                                stencil must produce identical deterministic
-#                                output on the in-process, multi-process,
-#                                inter-node (loopback TCP), and hybrid
-#                                (shm + TCP) backends
+#                                stencil (unpaced and with -pace 20000) must
+#                                produce identical deterministic output on
+#                                the in-process, multi-process, inter-node
+#                                (loopback TCP), and hybrid (shm + TCP)
+#                                backends
 #   make bench-host-quick        one-iteration host-perf smoke; asserts the
 #                                emitted JSON is well-formed
 #
@@ -57,10 +62,10 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== retired names (the port's and the route memo's predecessors must not creep back)"
-if grep -rnE 'LockChain|nicMu|rnNicLock|regMemo' --include='*.go' --exclude='*_test.go' \
-	fompi.go internal cmd examples; then
-	echo "verify: a retired per-target lock or the batch-only region memo is back in non-test Go" >&2
+echo "== retired names (the port's, the route memo's and the pacer's predecessors must not creep back)"
+if grep -rnE 'LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke' \
+	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples; then
+	echo "verify: a retired per-target lock, the batch-only region memo or a second pacing loop is back in non-test Go" >&2
 	exit 1
 fi
 
@@ -75,7 +80,7 @@ go test ./internal/simnet -run '^$' -bench Issue -benchtime 1x
 
 echo "== go test -race -short (timing, simnet, core, spmd, netrun, rankio, mprun)"
 go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/
-go test -race -count=1 -run 'TestConformanceAmoChain' ./internal/transporttest/
+go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing' ./internal/transporttest/
 
 echo "== examples smoke (build + run, cross-backend diff)"
 for ex in quickstart stencil hashtable dsde; do
@@ -109,6 +114,7 @@ compare_backends() {
 
 compare_backends "$TMP/quickstart"
 compare_backends "$TMP/stencil" -check -ppn 8
+compare_backends "$TMP/stencil" -check -ppn 8 -pace 20000
 # The external launcher must drive the same world (quickstart is 4 ranks,
 # 2 per node) on both cross-process backends. Rank output arrives tagged
 # "[rank N] " (the launcher's default); strip the tag before comparing.
