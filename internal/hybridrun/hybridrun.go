@@ -9,9 +9,11 @@
 // (Options.Net.HostKey, $FOMPI_NET_HOST, or the hostname), the WORLD catalog
 // broadcasts all of them, and each rank derives its host group locally — the
 // ranks with its key, in ascending rank order, become the local indices of
-// one per-host arena file keyed on the (world-unique) address catalog. The
-// lowest co-located rank creates the arena; the rest map it; the creator
-// unlinks it once the GO barrier proves everyone has.
+// one per-host arena segment named after the (world-unique) address catalog
+// and placed by mprun's rule (the shared-memory directory when it is a tmpfs
+// with room, os.TempDir() otherwise). The lowest co-located rank creates the
+// arena; the rest map it; the creator unlinks it once the GO barrier proves
+// everyone has.
 //
 // Data-plane routing is by host group: a co-located peer's region resolves
 // through the arena — direct loads and stores on shared buffers and stamp
@@ -123,22 +125,21 @@ func Launch(o Options) error {
 	return netrun.Launch(n)
 }
 
-// staleArenaAge is how old a leftover arena file or doorbell socket must be
-// before the sweeper touches it: far beyond any bootstrap window (the
-// creator unlinks its file at Ready, within arenaWait), so an in-flight
-// world's file is never mistaken for wreckage.
+// staleArenaAge is how old a leftover arena segment or doorbell socket must
+// be before the sweeper touches it: far beyond any bootstrap window (the
+// creator unlinks its segment at Ready, within arenaWait), so an in-flight
+// world's segment is never mistaken for wreckage.
 const staleArenaAge = 15 * time.Minute
 
-// SweepStaleArenas removes arena files and doorbell sockets that hybrid
-// worlds killed mid-bootstrap left under os.TempDir (a world that reached
-// Ready unlinked its file itself). A doorbell socket is removed only when
-// nothing is bound behind its inode — a live long-running world still
-// answers on its sockets however old they are. Runs best-effort at each
-// creator's attach; returns the number of paths removed.
+// SweepStaleArenas removes what hybrid worlds killed mid-bootstrap left
+// behind: arena segments in either root (a world that reached Ready unlinked
+// its own) and doorbell sockets under os.TempDir. A doorbell socket is
+// removed only when nothing is bound behind its inode — a live long-running
+// world still answers on its sockets however old they are. Runs best-effort
+// at each creator's attach; returns the number of paths removed.
 func SweepStaleArenas(minAge time.Duration) int {
-	paths, _ := filepath.Glob(filepath.Join(os.TempDir(), "fompi-hyb-*"))
 	removed := 0
-	for _, p := range paths {
+	for _, p := range mprun.GlobRoots("fompi-hyb-*") {
 		st, err := os.Lstat(p)
 		if err != nil || time.Since(st.ModTime()) < minAge {
 			continue
@@ -237,12 +238,7 @@ func (w *World) attachArena(o Options) error {
 	}
 	w.self = w.lidx[rank]
 	w.creator = rank == w.local[0]
-	// The arena file is keyed on the world's address catalog (ephemeral
-	// ports: unique per world) plus the host key, so concurrent worlds on
-	// one machine never collide and a stale file is from a dead world.
-	sum := sha256.Sum256([]byte(strings.Join(w.World.Addrs(), ",") + "|" +
-		strings.Join(hosts, ",") + "|" + key))
-	path := filepath.Join(os.TempDir(), "fompi-hyb-"+hex.EncodeToString(sum[:6]))
+	name := arenaName(w.World.Addrs(), hosts, key)
 	cfg := mprun.ArenaConfig{
 		Ranks:        len(w.local),
 		RanksPerNode: o.Net.RanksPerNode,
@@ -252,10 +248,12 @@ func (w *World) attachArena(o Options) error {
 	var err error
 	if w.creator {
 		SweepStaleArenas(staleArenaAge) // hygiene: other dead worlds' leftovers
-		os.Remove(path)                 // a leftover of a crashed world, never a live one
-		w.ar, err = mprun.CreateArena(path, cfg)
+		for _, root := range mprun.SegmentRoots() {
+			os.Remove(filepath.Join(root, name)) // a leftover of a crashed world, never a live one
+		}
+		w.ar, err = mprun.CreateArena(name, sockStem(name), cfg)
 	} else {
-		w.ar, err = mprun.OpenArena(path, cfg, arenaWait)
+		w.ar, err = mprun.OpenArena(name, sockStem(name), cfg, arenaWait)
 	}
 	if err != nil {
 		return fmt.Errorf("hybridrun: host group %q arena: %w", key, err)
@@ -266,9 +264,52 @@ func (w *World) attachArena(o Options) error {
 	return nil
 }
 
+// arenaName names one host group's arena: a digest of the world's address
+// catalog (ephemeral ports: unique per world) plus the host key, so
+// concurrent worlds on one machine never collide and a stale entry is from a
+// dead world. Co-located ranks have no common parent to inherit a descriptor
+// from; this name, which each derives from the catalog alone, is their
+// rendezvous.
+func arenaName(addrs, hosts []string, key string) string {
+	sum := sha256.Sum256([]byte(strings.Join(addrs, ",") + "|" +
+		strings.Join(hosts, ",") + "|" + key))
+	return "fompi-hyb-" + hex.EncodeToString(sum[:6])
+}
+
+// sockStem is the stem of an arena's doorbell socket paths: under
+// os.TempDir() wherever the segment lives.
+func sockStem(name string) string { return filepath.Join(os.TempDir(), name) }
+
+// reapDoors removes the doorbell sockets dead ranks of this world left under
+// os.TempDir() — every host group's, since a loopback world's emulated hosts
+// share one; on separate machines the other groups' paths do not exist. A
+// rank that exits on its own removes its socket itself, and a SIGKILLed one
+// cannot; the sweeper's age rule protects worlds it knows nothing about,
+// while a world that is failing knows its own dead (same probe: a bound
+// socket is left alone).
+func (w *World) reapDoors() {
+	addrs, hosts := w.World.Addrs(), w.World.Hosts()
+	groups := map[string]int{}
+	for _, h := range hosts {
+		groups[h]++
+	}
+	for key, n := range groups {
+		stem := sockStem(arenaName(addrs, hosts, key))
+		for l := 0; l < n; l++ {
+			if p := mprun.DoorSockPath(stem, l); !doorAlive(p) {
+				os.Remove(p)
+			}
+		}
+	}
+}
+
+// SegmentPath returns the path this process mapped its host group's segment
+// from.
+func (w *World) SegmentPath() string { return w.ar.Path() }
+
 // Ready enters the bootstrap barrier (netrun's READY/GO); once it returns,
 // every co-located rank has mapped the arena, so the creator unlinks the
-// file — nothing is left behind however the world later dies.
+// segment — nothing is left behind however the world later dies.
 func (w *World) Ready() {
 	w.World.Ready()
 	if w.creator {
@@ -282,10 +323,17 @@ func (w *World) Finish() {
 	w.ar.Close()
 }
 
-// Fail aborts the world, reports msg, and releases the arena mapping.
+// Fail aborts the world, reports msg, and releases the arena mapping — and
+// what a failing world would otherwise strand: the segment's name if the
+// world died before Ready unlinked it, the sockets of ranks that died without
+// closing theirs.
 func (w *World) Fail(msg string) {
 	w.World.Fail(msg)
+	if w.creator {
+		w.ar.Unlink()
+	}
 	w.ar.Close()
+	w.reapDoors()
 }
 
 // ---- simnet.Transport overrides: segments and regions ----

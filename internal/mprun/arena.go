@@ -1,10 +1,13 @@
 package mprun
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/bits"
 	"net"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -59,7 +62,8 @@ func (c ArenaConfig) withDefaults() ArenaConfig {
 // datagram socket per local rank for wakeups.
 type Arena struct {
 	cfg  ArenaConfig
-	path string
+	path string // the segment file: where the rule put it, or where it was found
+	sock string // doorbell socket stem, under os.TempDir() wherever path is
 	m    []byte
 	lay  layout
 	self int // local index of this process, -1 until Bind
@@ -74,10 +78,10 @@ type Arena struct {
 	regions  [][]*simnet.Region // lazily built (local, key) views
 }
 
-// doorSockPath returns the doorbell socket path of local rank n, derived from
-// the arena path so a world needs no directory of its own.
-func doorSockPath(path string, n int) string {
-	return fmt.Sprintf("%s.door.%d", path, n)
+// DoorSockPath returns the doorbell socket path of local rank n of the arena
+// whose socket stem is sock.
+func DoorSockPath(sock string, n int) string {
+	return fmt.Sprintf("%s.door.%d", sock, n)
 }
 
 func (a *Arena) initMaps() {
@@ -87,12 +91,20 @@ func (a *Arena) initMaps() {
 	a.self = -1
 }
 
-// CreateArena creates and maps the shared file at path (which must not
-// exist). The header's magic word is stored last, so concurrent OpenArena
-// callers never observe a half-initialized mapping.
-func CreateArena(path string, cfg ArenaConfig) (*Arena, error) {
+// CreateArena creates and maps the shared segment called name (which must not
+// exist) in the directory the placement rule picks for its size (segdir.go);
+// sock is the stem of the world's doorbell socket paths. The header's magic
+// word is stored last, so concurrent OpenArena callers never observe a
+// half-initialized mapping.
+func CreateArena(name, sock string, cfg ArenaConfig) (*Arena, error) {
 	cfg = cfg.withDefaults()
-	a := &Arena{cfg: cfg, path: path, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
+	total := layoutFor(cfg.Ranks, cfg.ArenaBytes).total
+	return createArenaAt(filepath.Join(segmentDir(total, statDir), name), sock, cfg)
+}
+
+func createArenaAt(path, sock string, cfg ArenaConfig) (*Arena, error) {
+	cfg = cfg.withDefaults()
+	a := &Arena{cfg: cfg, path: path, sock: sock, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("mprun: create shared segment: %w", err)
@@ -120,25 +132,54 @@ func CreateArena(path string, cfg ArenaConfig) (*Arena, error) {
 	return a, nil
 }
 
-// OpenArena maps the shared file at path created by a CreateArena peer,
-// retrying for up to wait (zero means the file must already be complete, the
+// The opener's poll: a doubling back-off, so a non-creator that loses the
+// race to its creator by microseconds pays microseconds.
+const (
+	openPauseMin = 50 * time.Microsecond
+	openPauseMax = 2 * time.Millisecond
+)
+
+// errUnpublished marks a segment its creator has not finished: the file is
+// still empty, or the magic word is not stored yet.
+var errUnpublished = errors.New("not published yet")
+
+// OpenArena maps the segment called name wherever its CreateArena peer's rule
+// placed it — it looks in every root, the rule's preference first — polling
+// for up to wait (zero means the file must already be complete, the
 // launcher-creates-before-spawn case). The magic word published last by the
-// creator is the readiness signal.
-func OpenArena(path string, cfg ArenaConfig, wait time.Duration) (*Arena, error) {
+// creator is the readiness signal. Only "not there yet" is retried: a
+// published header that disagrees with cfg is a launcher/worker mismatch no
+// amount of waiting heals, and fails at once.
+func OpenArena(name, sock string, cfg ArenaConfig, wait time.Duration) (*Arena, error) {
+	roots := SegmentRoots()
+	paths := make([]string, len(roots))
+	for i, root := range roots {
+		paths[i] = filepath.Join(root, name)
+	}
+	return openArenaAt(paths, sock, cfg, wait)
+}
+
+func openArenaAt(paths []string, sock string, cfg ArenaConfig, wait time.Duration) (*Arena, error) {
 	cfg = cfg.withDefaults()
-	a := &Arena{cfg: cfg, path: path, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
+	a := &Arena{cfg: cfg, sock: sock, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
 	deadline := time.Now().Add(wait)
-	var lastErr error
-	for {
-		lastErr = a.tryOpen()
-		if lastErr == nil {
+	for pause := openPauseMin; ; pause = min(2*pause, openPauseMax) {
+		var err error
+		for _, p := range paths {
+			a.path = p
+			if err = a.tryOpen(); !errors.Is(err, fs.ErrNotExist) {
+				break
+			}
+		}
+		if err == nil {
 			a.initMaps()
 			return a, nil
 		}
-		if time.Now().After(deadline) {
-			return nil, lastErr
+		notYet := errors.Is(err, fs.ErrNotExist) || errors.Is(err, errUnpublished)
+		if !notYet || !time.Now().Before(deadline) {
+			return nil, err
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(pause)
 	}
 }
 
@@ -148,7 +189,12 @@ func (a *Arena) tryOpen() error {
 		return fmt.Errorf("mprun: open shared segment: %w", err)
 	}
 	defer f.Close()
-	if st, err := f.Stat(); err != nil || st.Size() != int64(a.lay.total) {
+	// The creator's ftruncate takes the file from empty to its full size in
+	// one step, so any other size is a different world's layout.
+	switch st, err := f.Stat(); {
+	case err == nil && st.Size() == 0:
+		return fmt.Errorf("mprun: shared segment %s is empty: %w", a.path, errUnpublished)
+	case err != nil || st.Size() != int64(a.lay.total):
 		return fmt.Errorf("mprun: shared segment is %v bytes, want %d (launcher/worker config mismatch?)", fileSize(st, err), a.lay.total)
 	}
 	m, err := syscall.Mmap(int(f.Fd()), 0, a.lay.total,
@@ -168,9 +214,9 @@ func (a *Arena) tryOpen() error {
 // socket (removing a stale one from a crashed earlier world first). Mappers
 // that only ring or abort (the mp launcher) skip it.
 func (a *Arena) Bind(self int) error {
-	os.Remove(doorSockPath(a.path, self))
+	os.Remove(DoorSockPath(a.sock, self))
 	door, err := net.ListenUnixgram("unixgram",
-		&net.UnixAddr{Name: doorSockPath(a.path, self), Net: "unixgram"})
+		&net.UnixAddr{Name: DoorSockPath(a.sock, self), Net: "unixgram"})
 	if err != nil {
 		return fmt.Errorf("mprun: bind doorbell socket: %w", err)
 	}
@@ -178,15 +224,19 @@ func (a *Arena) Bind(self int) error {
 	return nil
 }
 
-// Unlink removes the shared file (mappings survive); the creator calls it
-// once every local rank has mapped, so a crashed world leaves nothing behind.
+// Unlink removes the segment's name (mappings survive); the creator calls it
+// once every local rank has mapped, so a world that dies later strands
+// nothing — in the shared-memory directory that would be RAM, not disk.
 func (a *Arena) Unlink() { os.Remove(a.path) }
+
+// Path returns the segment file's path.
+func (a *Arena) Path() string { return a.path }
 
 // Close unmaps the arena and closes this process's sockets.
 func (a *Arena) Close() {
 	if a.door != nil {
 		a.door.Close()
-		os.Remove(doorSockPath(a.path, a.self))
+		os.Remove(DoorSockPath(a.sock, a.self))
 	}
 	a.peersMu.Lock()
 	for _, c := range a.peers {
@@ -256,7 +306,7 @@ func (a *Arena) Register(local int, reg *simnet.Region) uint32 {
 	}
 	k := a.nextKey
 	if k >= maxRegions {
-		panic(fmt.Sprintf("mprun: region directory full (%d registrations)", maxRegions))
+		panic(fmt.Sprintf("mprun: region directory full: this rank has made %d registrations over the world's lifetime and keys are never reused (about %d windows per rank) — create windows once and reuse them", maxRegions, maxRegions/2))
 	}
 	a.nextKey++
 	e := a.lay.entryOff(local, int(k))
@@ -390,7 +440,7 @@ func (a *Arena) sendDoor(r int) bool {
 	if c == nil {
 		var err error
 		c, err = net.DialUnix("unixgram", nil,
-			&net.UnixAddr{Name: doorSockPath(a.path, r), Net: "unixgram"})
+			&net.UnixAddr{Name: DoorSockPath(a.sock, r), Net: "unixgram"})
 		if err != nil {
 			a.peersMu.Unlock()
 			return false // not bound yet or gone

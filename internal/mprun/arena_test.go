@@ -1,7 +1,12 @@
 package mprun
 
 import (
+	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,43 +15,90 @@ import (
 	"fompi/internal/timing"
 )
 
+// placements are the two ways the two-views tests obtain one arena mapped
+// twice: at an explicit path in the test's directory, and by name through the
+// placement rule, as the backends do. Where the host's shared-memory
+// directory is a tmpfs with room, the rule-placed segment must be on it.
+var placements = []struct {
+	name string
+	open func(t *testing.T, cfg ArenaConfig) (creator, opener *Arena)
+}{
+	{"explicit path", func(t *testing.T, cfg ArenaConfig) (*Arena, *Arena) {
+		path, sock := filepath.Join(t.TempDir(), "arena"), filepath.Join(t.TempDir(), "a")
+		creator, err := createArenaAt(path, sock, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(creator.Close)
+		opener, err := openArenaAt([]string{path}, sock, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(opener.Close)
+		return creator, opener
+	}},
+	{"placed by the rule", func(t *testing.T, cfg ArenaConfig) (*Arena, *Arena) {
+		name := fmt.Sprintf("fompi-mp-test-%d-%d%s", os.Getpid(), time.Now().UnixNano(), segSuffix)
+		sock := filepath.Join(t.TempDir(), "a")
+		creator, err := CreateArena(name, sock, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(creator.Close)
+		t.Cleanup(creator.Unlink)
+		opener, err := OpenArena(name, sock, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(opener.Close)
+		if opener.Path() != creator.Path() {
+			t.Fatalf("opener mapped %s, creator created %s", opener.Path(), creator.Path())
+		}
+		total := layoutFor(cfg.withDefaults().Ranks, cfg.withDefaults().ArenaBytes).total
+		dir := filepath.Dir(creator.Path())
+		if want := segmentDir(total, statDir); dir != want {
+			t.Fatalf("segment created in %s, the rule says %s", dir, want)
+		}
+		if fi, err := statDir(shmDir); err == nil && fi.tmpfs && fi.avail >= uint64(total) {
+			if got, err := statDir(dir); err != nil || !got.tmpfs {
+				t.Fatalf("host has a roomy tmpfs %s, yet the mapped segment's filesystem (%s) is not tmpfs (%+v, %v)", shmDir, dir, got, err)
+			}
+		}
+		return creator, opener
+	}},
+}
+
 // TestPacerOverTwoViews runs the behavioural pacing cases over one arena
 // mapped twice, as two processes would: the blocked rank paces through the
 // view that bound its doorbell socket, every other rank publishes through
 // the other, so the tables are shared words of the mapping and each release
 // is a datagram from one view to the other's socket.
 func TestPacerOverTwoViews(t *testing.T) {
-	views := func(t *testing.T, n int, window int64, bound int) (mine, others *Arena) {
-		cfg := ArenaConfig{Ranks: n, PaceWindowNs: window, ArenaBytes: pageAlign}
-		path := filepath.Join(t.TempDir(), "arena")
-		others, err := CreateArena(path, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(others.Close)
-		if mine, err = OpenArena(path, cfg, 0); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(mine.Close)
-		if err := mine.Bind(bound); err != nil {
-			t.Fatal(err)
-		}
-		return mine, others
-	}
-	pacetest.Run(t, func(t *testing.T, n int, window int64, blocker int) pacetest.World {
-		mine, others := views(t, n, window, blocker)
-		return pacetest.World{Blocker: mine.Pacer(), Others: others.Pacer(), Abort: others.SetAbortFlag}
-	})
-	// The hook by itself: a poke through one view ends the other's park.
-	mine, others := views(t, 2, 100, 1)
-	if !others.sendDoor(1) {
-		t.Fatal("poke through the other view was not delivered")
-	}
-	if !mine.pacePark(1, 5*time.Second) {
-		t.Fatal("park timed out with a poke from the other view pending")
-	}
-	if mine.pacePark(1, time.Millisecond) {
-		t.Fatal("park with nothing pending did not time out")
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			views := func(t *testing.T, n int, window int64, bound int) (mine, others *Arena) {
+				others, mine = pl.open(t, ArenaConfig{Ranks: n, PaceWindowNs: window, ArenaBytes: pageAlign})
+				if err := mine.Bind(bound); err != nil {
+					t.Fatal(err)
+				}
+				return mine, others
+			}
+			pacetest.Run(t, func(t *testing.T, n int, window int64, blocker int) pacetest.World {
+				mine, others := views(t, n, window, blocker)
+				return pacetest.World{Blocker: mine.Pacer(), Others: others.Pacer(), Abort: others.SetAbortFlag}
+			})
+			// The hook by itself: a poke through one view ends the other's park.
+			mine, others := views(t, 2, 100, 1)
+			if !others.sendDoor(1) {
+				t.Fatal("poke through the other view was not delivered")
+			}
+			if !mine.pacePark(1, 5*time.Second) {
+				t.Fatal("park timed out with a poke from the other view pending")
+			}
+			if mine.pacePark(1, time.Millisecond) {
+				t.Fatal("park with nothing pending did not time out")
+			}
+		})
 	}
 }
 
@@ -59,18 +111,13 @@ func TestPacerOverTwoViews(t *testing.T) {
 // the same way: locked through one mapping it excludes through the other, and
 // a ring through either is read through both.
 func TestTwoViewsShareStampTree(t *testing.T) {
-	cfg := ArenaConfig{Ranks: 2, ArenaBytes: 4 << 20}
-	path := filepath.Join(t.TempDir(), "arena")
-	owner, err := CreateArena(path, cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) { twoViewsShareStampTree(t, pl.open) })
 	}
-	defer owner.Close()
-	peer, err := OpenArena(path, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
+}
+
+func twoViewsShareStampTree(t *testing.T, open func(*testing.T, ArenaConfig) (creator, opener *Arena)) {
+	owner, peer := open(t, ArenaConfig{Ranks: 2, ArenaBytes: 4 << 20})
 	owner.Unlink()
 
 	mine, theirs := owner.Port(1), peer.Port(1)
@@ -153,5 +200,116 @@ func TestTwoViewsShareStampTree(t *testing.T) {
 		if got := mine.Get(off + 8); got != 300 {
 			t.Errorf("size %d: owner reads Get %d under the peer's fill, want 300", size, got)
 		}
+	}
+}
+
+// TestSegmentDir pins the placement rule over injected statfs answers: the
+// shared-memory directory only when it is a tmpfs holding the whole segment,
+// os.TempDir() — where the segment lived before the rule — in every other
+// case.
+func TestSegmentDir(t *testing.T) {
+	const total = 17 << 20
+	tmp := os.TempDir()
+	for _, c := range []struct {
+		name string
+		size int
+		fi   fsInfo
+		err  error
+		want string
+	}{
+		{"tmpfs with room", total, fsInfo{tmpfs: true, avail: 16 << 30}, nil, shmDir},
+		{"tmpfs with exactly the segment's size", total, fsInfo{tmpfs: true, avail: total}, nil, shmDir},
+		{"tmpfs one byte short", total, fsInfo{tmpfs: true, avail: total - 1}, nil, tmp},
+		{"a container's 64 MiB tmpfs, 1 GiB world", 1 << 30, fsInfo{tmpfs: true, avail: 64 << 20}, nil, tmp},
+		{"not tmpfs", total, fsInfo{tmpfs: false, avail: 16 << 30}, nil, tmp},
+		{"absent", total, fsInfo{}, os.ErrNotExist, tmp},
+		{"statfs error with a plausible answer", total, fsInfo{tmpfs: true, avail: 16 << 30}, errors.New("EIO"), tmp},
+	} {
+		got := segmentDir(c.size, func(dir string) (fsInfo, error) {
+			if dir != shmDir {
+				t.Errorf("%s: the rule asked about %s, not %s", c.name, dir, shmDir)
+			}
+			return c.fi, c.err
+		})
+		if got != c.want {
+			t.Errorf("%s: segment placed in %s, want %s", c.name, got, c.want)
+		}
+	}
+	if roots := SegmentRoots(); roots[0] != shmDir || roots[len(roots)-1] != tmp {
+		t.Errorf("SegmentRoots() = %v, want the rule's preference first and os.TempDir() last", roots)
+	}
+}
+
+// TestOpenArenaRetriesOnlyUnpublished pins what the opener's poll waits for.
+// A header that is published (magic stored) and disagrees — here on the
+// layout version — is a mismatch waiting cannot heal, and must fail at once,
+// naming it; a segment that is not there yet, or there and still empty, or
+// sized and not yet stamped with its magic, is worth the wait.
+func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
+	cfg := ArenaConfig{Ranks: 2, ArenaBytes: pageAlign}
+	sock := filepath.Join(t.TempDir(), "a")
+	const wait = 10 * time.Second
+
+	path := filepath.Join(t.TempDir(), "mismatched")
+	creator, err := createArenaAt(path, sock, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer creator.Close()
+	atomic.StoreUint64(u64at(creator.m, hdrVersion), shmVersion+1)
+	start := time.Now()
+	_, err = openArenaAt([]string{filepath.Join(t.TempDir(), "absent"), path}, sock, cfg, wait)
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("opener polled %v on a published header with the wrong version", took)
+	}
+	if err == nil || !strings.Contains(err.Error(), "layout version") {
+		t.Errorf("opener of a wrong-version segment returned %v, want the version mismatch", err)
+	}
+	wide := cfg
+	wide.Ranks = 3
+	start = time.Now()
+	if _, err = openArenaAt([]string{path}, sock, wide, wait); err == nil || time.Since(start) > 100*time.Millisecond {
+		t.Errorf("opener expecting another rank count: %v after %v, want a prompt mismatch", err, time.Since(start))
+	}
+
+	// Every stage of a creator 5 ms behind its opener.
+	late := filepath.Join(t.TempDir(), "late")
+	total := layoutFor(cfg.Ranks, cfg.ArenaBytes).total
+	stages := make(chan error, 1)
+	go func() {
+		stages <- func() error {
+			time.Sleep(5 * time.Millisecond)
+			f, err := os.OpenFile(late, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
+			if err != nil {
+				return err
+			}
+			time.Sleep(2 * time.Millisecond) // there, empty
+			if err := f.Truncate(int64(total)); err != nil {
+				return err
+			}
+			f.Close()
+			time.Sleep(2 * time.Millisecond) // full size, no magic
+			full, err := createArenaAt(late+".full", sock, cfg)
+			if err != nil {
+				return err
+			}
+			defer full.Close()
+			return os.Rename(late+".full", late)
+		}()
+	}()
+	start = time.Now()
+	opener, err := openArenaAt([]string{late}, sock, cfg, wait)
+	if err != nil {
+		t.Fatalf("opener gave up on a creator 5 ms late: %v", err)
+	}
+	defer opener.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("opener took %v to find a segment published within ~10 ms", took)
+	}
+	if err := <-stages; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openArenaAt([]string{filepath.Join(t.TempDir(), "never")}, sock, cfg, 20*time.Millisecond); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("opener of a segment that never appears returned %v, want not-exist at the deadline", err)
 	}
 }

@@ -173,7 +173,11 @@ func checkHeader(m []byte, o ArenaConfig) error {
 	if len(m) < hdrBytes {
 		return fmt.Errorf("mprun: shared segment truncated (%d bytes)", len(m))
 	}
-	if g := atomic.LoadUint64(u64at(m, hdrMagic)); g != shmMagic {
+	switch g := atomic.LoadUint64(u64at(m, hdrMagic)); g {
+	case shmMagic:
+	case 0:
+		return fmt.Errorf("mprun: shared-segment magic not stored: %w", errUnpublished)
+	default:
 		return fmt.Errorf("mprun: bad shared-segment magic %#x", g)
 	}
 	if v := atomic.LoadUint64(u64at(m, hdrVersion)); v != shmVersion {

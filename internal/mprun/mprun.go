@@ -7,8 +7,9 @@
 //
 //   - Launch, called in the launcher process (a program whose spmd.Config
 //     selected BackendMP, or cmd/fompi-run), creates the world — the shared
-//     segment, the control socket — and re-executes the worker argv once per
-//     rank with FOMPI_MP_DIR/FOMPI_MP_RANK in the environment.
+//     segment, the world directory with the control socket — and re-executes
+//     the worker argv once per rank with FOMPI_MP_DIR/FOMPI_MP_RANK in the
+//     environment.
 //   - Join, called in a worker (detected by IsWorker), maps the segment and
 //     returns a World implementing simnet.Transport for its rank.
 //
@@ -84,8 +85,15 @@ func (o Options) withDefaults() Options {
 // multi-process world (the launcher environment is present).
 func IsWorker() bool { return os.Getenv(envRank) != "" }
 
-func shmPath(dir string) string { return filepath.Join(dir, "shm") }
-func ctlPath(dir string) string { return filepath.Join(dir, "ctl") }
+const segSuffix = ".shm"
+
+// segName names a world's segment after its directory, which is how a worker
+// (told only the directory) finds it and how the sweeper pairs a stranded
+// segment with its world. The sockets stay inside the directory, under the
+// names they have always had (doorbells are shm.door.<rank>).
+func segName(dir string) string  { return filepath.Base(dir) + segSuffix }
+func sockStem(dir string) string { return filepath.Join(dir, "shm") }
+func ctlPath(dir string) string  { return filepath.Join(dir, "ctl") }
 
 // arenaCfg translates launcher options into the shared-arena header contract.
 func arenaCfg(o Options) ArenaConfig {
@@ -146,12 +154,13 @@ func Launch(o Options) error {
 
 	w := &World{opts: o, rank: -1, dir: dir,
 		done: make(chan struct{}), watchStop: make(chan struct{})}
-	ar, err := CreateArena(shmPath(dir), arenaCfg(o))
+	ar, err := CreateArena(segName(dir), sockStem(dir), arenaCfg(o))
 	if err != nil {
 		return err
 	}
 	w.ar = ar
 	defer ar.Close()
+	defer ar.Unlink() // a bootstrap that fails never reaches the one below
 
 	ln, err := net.ListenUnix("unix", &net.UnixAddr{Name: ctlPath(dir), Net: "unix"})
 	if err != nil {
@@ -197,6 +206,9 @@ func Launch(o Options) error {
 		c.SetReadDeadline(time.Time{})
 		conns[r] = c
 	}
+	// Every rank mapped the segment before it reported READY: the name has
+	// served its purpose, and a launcher killed from here on strands nothing.
+	ar.Unlink()
 	for _, c := range conns {
 		if _, err := c.Write([]byte("GO\n")); err != nil {
 			w.abortWorld()
@@ -289,26 +301,32 @@ func Launch(o Options) error {
 // Launch can never be mistaken for wreckage.
 const staleWorldAge = 15 * time.Minute
 
-// SweepStaleWorlds removes world directories (shared segment + sockets) that
-// a killed launcher left under os.TempDir — Launch normally RemoveAlls its
-// dir, so anything old with a dead control socket is wreckage. A directory
-// is removed only if it is at least minAge old AND nothing answers on its
-// control socket (a live world's launcher is always listening there). Runs
-// best-effort at every Launch; returns the number of directories removed.
+// SweepStaleWorlds removes what a killed launcher left behind: world
+// directories (sockets) under os.TempDir, and segments in either root whose
+// launcher died before every rank was READY. Launch normally removes both, so
+// anything old with a dead control socket is wreckage: an entry is removed
+// only if it is at least minAge old AND nothing answers on its world's
+// control socket (a live world's launcher is always listening there; a
+// segment's world is the directory it is named after, and a missing directory
+// answers nothing). Runs best-effort at every Launch; returns the number of
+// entries removed.
 func SweepStaleWorlds(minAge time.Duration) int {
-	dirs, _ := filepath.Glob(filepath.Join(os.TempDir(), "fompi-mp-*"))
 	removed := 0
-	for _, dir := range dirs {
-		st, err := os.Stat(dir)
-		if err != nil || !st.IsDir() || time.Since(st.ModTime()) < minAge {
+	for _, p := range GlobRoots("fompi-mp-*") {
+		st, err := os.Lstat(p)
+		if err != nil || time.Since(st.ModTime()) < minAge {
 			continue
+		}
+		dir := p
+		if !st.IsDir() {
+			dir = filepath.Join(os.TempDir(), strings.TrimSuffix(filepath.Base(p), segSuffix))
 		}
 		if c, err := net.DialTimeout("unix", ctlPath(dir), 100*time.Millisecond); err == nil {
 			c.Close()
 			continue
 		}
-		if os.RemoveAll(dir) == nil {
-			rankio.Logf("mprun", "removed stale world dir %s (left by a crashed launcher)", dir)
+		if os.RemoveAll(p) == nil {
+			rankio.Logf("mprun", "removed stale world entry %s (left by a crashed launcher)", p)
 			removed++
 		}
 	}
@@ -330,7 +348,7 @@ func Join(o Options) (*World, error) {
 	}
 	w := &World{opts: o, rank: rank, dir: dir,
 		done: make(chan struct{}), watchStop: make(chan struct{})}
-	ar, err := OpenArena(shmPath(dir), arenaCfg(o), 0)
+	ar, err := OpenArena(segName(dir), sockStem(dir), arenaCfg(o), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -394,6 +412,9 @@ func (w *World) blameAbort(r int) {
 
 // Rank returns this process's rank (-1 in the launcher).
 func (w *World) Rank() int { return w.rank }
+
+// SegmentPath returns the path this process mapped the world's segment from.
+func (w *World) SegmentPath() string { return w.ar.Path() }
 
 // Ready enters the bootstrap barrier: it tells the launcher this rank's
 // setup registrations are addressable and blocks until every rank's are.

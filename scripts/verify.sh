@@ -38,6 +38,13 @@
 #                                backends
 #   make bench-host-quick        one-iteration host-perf smoke; asserts the
 #                                emitted JSON is well-formed
+#   leak gate                    no fompi-mp-* / fompi-hyb-* entry (world
+#                                directory, segment, doorbell socket)
+#                                created during this run is left under
+#                                $TMPDIR or /dev/shm — every world the legs
+#                                above launched, clean, failed or SIGKILLed,
+#                                cleaned up after itself (the benchmark's own
+#                                check sees only $TMPDIR)
 #
 # Run via `make verify` or directly. Exits nonzero on the first failure.
 set -eu
@@ -47,6 +54,7 @@ cd "$(dirname "$0")/.."
 TMP="scripts/.verify.tmp.$$"
 trap 'rm -rf "$TMP"' EXIT INT TERM
 mkdir -p "$TMP"
+: >"$TMP/started" # the leak gate's "younger than the run"
 
 echo "== gofmt"
 UNFORMATTED="$(gofmt -l .)"
@@ -138,5 +146,17 @@ echo "examples smoke: OK"
 
 echo "== bench-host smoke (make bench-host-quick: 1 iteration, JSON well-formed)"
 make bench-host-quick
+
+echo "== leak gate (no fompi-mp-* / fompi-hyb-* entry of this run left under \$TMPDIR or /dev/shm)"
+LEAKED=""
+for root in "${TMPDIR:-/tmp}" /dev/shm; do
+	[ -d "$root" ] || continue
+	LEAKED="$LEAKED$(find "$root" -maxdepth 1 \( -name 'fompi-mp-*' -o -name 'fompi-hyb-*' \) -newer "$TMP/started")"
+done
+if [ -n "$LEAKED" ]; then
+	echo "verify: worlds of this run left entries behind:" >&2
+	echo "$LEAKED" >&2
+	exit 1
+fi
 
 echo "verify: OK"
