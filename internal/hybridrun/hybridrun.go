@@ -24,8 +24,9 @@
 // doorbell generation, its NIC interval and the lock over both — is its slot
 // in the host group's arena; co-located ranks take it, ring it and wait on
 // it directly, and off-host operations, rings and waits arriving over the
-// wire land on the same slot through netrun's DoorOps hook, so a co-located
-// issuer and the owner's service loop book one NIC interval. Pacing is
+// wire land on the same slot and the arena's door (netrun.World.SetDoor), so
+// a co-located issuer and the owner's service loop book one NIC interval and
+// a co-located writer's ring reaches an off-host waiter. Pacing is
 // netrun's inherited Pacer: every process keeps its own last-known clock
 // table, fed by the wire. Virtual times remain bit-identical to every other
 // backend (internal/transporttest pins this).
@@ -66,11 +67,6 @@ const (
 	// arenaWait bounds how long a non-creator rank polls for the creator's
 	// arena file (the creator may still be between JOIN and create).
 	arenaWait = 60 * time.Second
-
-	// doorWaitSlice bounds a local arena doorbell park (WaitDoor): wire
-	// RINGs are fire-and-forget, so a data-plane reset can lose the bump —
-	// the slice converts that into a bounded predicate re-check.
-	doorWaitSlice = 100 * time.Millisecond
 )
 
 // Options describes a hybrid world: the inter-node rendezvous plus the
@@ -199,19 +195,14 @@ func Join(o Options) (*World, error) {
 		return nil, err
 	}
 	// Off-host operations, rings and waits arriving over the wire must land
-	// on the same port the co-located ranks take directly. Installed before
-	// Ready, so no peer traffic races the handoff.
-	nw.SetDoorOps(&netrun.DoorOps{
-		Port: w.ar.Port(w.self),
-		Wake: func() { w.ar.Wake(w.self) },
-		WaitSliced: func(gen uint64, slice time.Duration) uint64 {
-			return w.ar.WaitDoorSliced(w.self, gen, slice, nw.Aborted)
-		},
-	})
-	// An abort (local panic or coordinator broadcast) must wake the arena
-	// parks too: bump every local doorbell so waiters re-check Aborted. The
-	// RANKFAIL verdict rides along when there is one, so ranks parked in the
-	// arena unwind with the same typed error as ranks parked on the wire.
+	// on the same port, and park at the same door, the co-located ranks take
+	// directly. Installed before Ready, so no peer traffic races the handoff.
+	nw.SetDoor(w.ar.Port(w.self), w.ar.Door(), w.self)
+	// An abort (local panic or coordinator broadcast) must end the arena
+	// parks too, in every co-located process: set the arena's flag and poke
+	// every local socket. The RANKFAIL verdict rides along when there is one,
+	// so ranks parked in the arena unwind with the same typed error as ranks
+	// parked on the wire.
 	nw.OnAbort(func() {
 		if r := nw.FailedRank(); r >= 0 {
 			w.ar.SetAbortFlagBlaming(r)
@@ -393,11 +384,12 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 
 // ---- simnet.Transport overrides: ports and doorbells ----
 //
-// Each rank has exactly one port — its slot in the host group's arena.
-// Co-located ranks take it, ring it and wait on it directly; off-host ranks
-// reach it over the wire, where the owner's DoorOps redirect lands on the
-// same slot, so same-host cross-(virtual-)node operations book the same NIC
-// interval the off-host ones do.
+// Each rank has exactly one port — its slot in the host group's arena — and
+// its waiters park at one door, the arena's. Co-located ranks take the port,
+// ring it and wait on it directly; off-host ranks reach it over the wire,
+// where the owner's service loop lands on the same slot and door, so
+// same-host cross-(virtual-)node operations book the same NIC interval the
+// off-host ones do.
 
 // Port returns rank's port: its arena slot for the host group (including
 // this rank), nil for an off-host rank, whose memory only proxies reach.
@@ -409,7 +401,7 @@ func (w *World) Port(rank int) *simnet.Port {
 }
 
 // WakeDoor wakes the waiters parked on a host-group rank's port.
-func (w *World) WakeDoor(rank int) { w.ar.Wake(w.lidx[rank]) }
+func (w *World) WakeDoor(rank int) { w.ar.Door().Wake(w.lidx[rank]) }
 
 // RingDoorbell bumps rank's doorbell: on the arena for the host group
 // (including this rank), over the wire otherwise.
@@ -424,25 +416,16 @@ func (w *World) RingDoorbell(rank int) {
 // DoorGen samples rank's doorbell generation.
 func (w *World) DoorGen(rank int) uint64 {
 	if l := w.lidx[rank]; l >= 0 {
-		return w.ar.DoorGen(l)
+		return w.ar.Port(l).Gen()
 	}
 	return w.World.DoorGen(rank)
 }
 
-// WaitDoor blocks until rank's doorbell generation exceeds gen: an arena park
-// for the host group, sliced wire waits otherwise. The arena park is sliced
-// too — an off-host writer's RING rides the wire outside the session layer,
-// so a data-plane reset can eat the frame that would have bumped the arena
-// generation; the spurious return lets the caller re-check its predicate. A
-// wait the abort ended unwinds like every other backend's.
-func (w *World) WaitDoor(rank int, gen uint64) uint64 {
-	l := w.lidx[rank]
-	if l < 0 {
-		return w.World.WaitDoor(rank, gen)
+// WaitDoor blocks until rank's doorbell generation is no longer gen: at the
+// arena's door for the host group, over the wire otherwise.
+func (w *World) WaitDoor(waiter, rank int, gen uint64) uint64 {
+	if l := w.lidx[rank]; l >= 0 {
+		return w.ar.Door().Wait(w.ar.Port(l), l, w.self, gen)
 	}
-	g := w.ar.WaitDoorSliced(l, gen, doorWaitSlice, w.World.Aborted)
-	if g == gen && w.World.Aborted() {
-		panic(w.ar.AbortPanic())
-	}
-	return g
+	return w.World.WaitDoor(waiter, rank, gen)
 }

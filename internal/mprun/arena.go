@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math/bits"
 	"net"
 	"os"
 	"path/filepath"
@@ -58,8 +57,9 @@ func (c ArenaConfig) withDefaults() ArenaConfig {
 // global-rank order, and the off-host half of the world travels over TCP).
 // Everything two co-located ranks ever both touch lives in the mapping — the
 // region directory, the stamp slabs, each rank's port (doorbell generation,
-// NIC interval and the lock over them), the pacer's tables — plus one Unix
-// datagram socket per local rank for wakeups.
+// NIC interval and the lock over them), the door's and the pacer's tables —
+// plus one Unix datagram socket per local rank, which is how a process's
+// parked goroutines are reached (the simnet.ParkHook of both disciplines).
 type Arena struct {
 	cfg  ArenaConfig
 	path string // the segment file: where the rule put it, or where it was found
@@ -68,9 +68,17 @@ type Arena struct {
 	lay  layout
 	self int // local index of this process, -1 until Bind
 
-	door    *net.UnixConn // this rank's bound doorbell socket
+	door *simnet.Door // over the mapping's wait[] section
+
+	conn    *net.UnixConn // this rank's bound doorbell socket
 	peersMu sync.Mutex
 	peers   []*net.UnixConn // lazily dialed per-destination doorbell conns
+
+	// One goroutine reads conn at a time; any other of this process parks
+	// behind it (see park).
+	reading   atomic.Bool
+	followers atomic.Int32
+	behind    *simnet.Parker
 
 	arenaPos int
 	freeSegs map[int][]*segpool.Seg
@@ -89,6 +97,9 @@ func (a *Arena) initMaps() {
 	a.regions = make([][]*simnet.Region, a.cfg.Ranks)
 	a.freeSegs = map[int][]*segpool.Seg{}
 	a.self = -1
+	a.behind = simnet.NewParker(1)
+	n := a.cfg.Ranks
+	a.door = simnet.NewDoor(n, unsafe.Slice(u64at(a.m, a.lay.waitOff), simnet.DoorTableWords(n)), a.hook())
 }
 
 // CreateArena creates and maps the shared segment called name (which must not
@@ -215,12 +226,12 @@ func (a *Arena) tryOpen() error {
 // that only ring or abort (the mp launcher) skip it.
 func (a *Arena) Bind(self int) error {
 	os.Remove(DoorSockPath(a.sock, self))
-	door, err := net.ListenUnixgram("unixgram",
+	conn, err := net.ListenUnixgram("unixgram",
 		&net.UnixAddr{Name: DoorSockPath(a.sock, self), Net: "unixgram"})
 	if err != nil {
 		return fmt.Errorf("mprun: bind doorbell socket: %w", err)
 	}
-	a.self, a.door = self, door
+	a.self, a.conn = self, conn
 	return nil
 }
 
@@ -234,8 +245,8 @@ func (a *Arena) Path() string { return a.path }
 
 // Close unmaps the arena and closes this process's sockets.
 func (a *Arena) Close() {
-	if a.door != nil {
-		a.door.Close()
+	if a.conn != nil {
+		a.conn.Close()
 		os.Remove(DoorSockPath(a.sock, a.self))
 	}
 	a.peersMu.Lock()
@@ -381,59 +392,47 @@ func (a *Arena) Port(local int) *simnet.Port {
 	return (*simnet.Port)(unsafe.Pointer(&a.m[a.lay.rankOff(local)+rnPort]))
 }
 
-// ---- pacing ----
+// ---- parking: the hook of the arena's Door and Pacer ----
 
-// Pacer returns this process's pacer over the arena's shared tables, nil for
-// an unpaced world. A parked rank sleeps on its doorbell socket and is poked
-// by a datagram, like a doorbell waiter (whose wakeups it may also receive:
-// only timeouts count as pacing heartbeats).
-func (a *Arena) Pacer() *simnet.Pacer {
-	if a.cfg.PaceWindowNs == 0 {
-		return nil
-	}
-	n := a.cfg.Ranks
-	return simnet.NewPacer(a.cfg.PaceWindowNs, n, i64slice(a.m, a.lay.paceOff, simnet.PaceTableWords(n)),
-		simnet.PaceHook{Park: a.pacePark, Poke: a.sendDoor, Aborted: a.AbortFlag})
+// hook is how this process's goroutines sleep and how any local rank's are
+// reached: a read on the rank's own doorbell socket, one datagram to the
+// sleeper's.
+func (a *Arena) hook() simnet.ParkHook {
+	return simnet.ParkHook{Park: a.park, Poke: a.sendDoor, Aborted: a.AbortErr}
 }
 
-// pacePark sleeps this process's rank on its doorbell socket for at most d.
-func (a *Arena) pacePark(_ int, d time.Duration) bool {
-	var scratch [8]byte
-	a.door.SetReadDeadline(time.Now().Add(d))
-	_, err := a.door.Read(scratch[:])
-	return err == nil
-}
-
-// ---- doorbells ----
-
-// Ring advances local rank's doorbell generation from outside its port and
-// wakes its waiters.
-func (a *Arena) Ring(local int) {
-	a.Port(local).Ring()
-	a.Wake(local)
-}
-
-// Wake pokes every rank currently registered as waiting on local rank's
-// doorbell, after its generation advanced (one datagram each; a full socket
-// buffer means wakeups are already pending, so send errors are ignored). The
-// waiter set is a multi-word bitset — ceil(ranks/64) words — so worlds wider
-// than 64 ranks wake exactly the parked ranks, wherever their bit lives; the
-// common no-waiter case stays one atomic load per word.
-func (a *Arena) Wake(local int) {
-	for wd := 0; wd < a.lay.maskWords; wd++ {
-		mask := atomic.LoadUint64(u64at(a.m, a.lay.waiterOff(local, wd)))
-		for mask != 0 {
-			r := bits.TrailingZeros64(mask)
-			mask &^= 1 << r
-			a.sendDoor(wd*64 + r)
+// park sleeps the caller on this process's doorbell socket for at most d. One
+// goroutine reads the socket at a time. Any other of this process — on the
+// hybrid backend, service handlers holding off-host waits beside the rank
+// itself — parks behind the reader, which passes on what ended its read when
+// it leaves: a datagram reaches them all, and after a timeout one of them
+// takes over the socket.
+func (a *Arena) park(_ int, d time.Duration) bool {
+	for !a.reading.CompareAndSwap(false, true) {
+		a.followers.Add(1)
+		if !a.reading.Load() {
+			a.followers.Add(-1)
+			continue // the reader left before it could count this follower
 		}
+		poked := a.behind.Park(0, d)
+		a.followers.Add(-1)
+		return poked
 	}
+	var scratch [8]byte
+	a.conn.SetReadDeadline(time.Now().Add(d))
+	_, err := a.conn.Read(scratch[:])
+	a.reading.Store(false)
+	if a.followers.Load() > 0 {
+		a.behind.Poke(0)
+	}
+	return err == nil
 }
 
 var doorByte = []byte{1}
 
 // sendDoor sends local rank r's socket one datagram and reports whether it
-// left; a waiter the datagram does not reach wakes by its heartbeat.
+// left (a full socket buffer means wakeups are already pending); a sleeper
+// the datagram does not reach wakes by its heartbeat.
 func (a *Arena) sendDoor(r int) bool {
 	a.peersMu.Lock()
 	c := a.peers[r]
@@ -453,91 +452,35 @@ func (a *Arena) sendDoor(r int) bool {
 	return err == nil
 }
 
-// DoorGen samples local rank's doorbell generation.
-func (a *Arena) DoorGen(local int) uint64 { return a.Port(local).Gen() }
+// Door returns this process's door over the arena's waiter bitsets: bit r of
+// local rank i's row is set while a goroutine of rank r's process waits on
+// i's port.
+func (a *Arena) Door() *simnet.Door { return a.door }
 
-// WaitDoor blocks until local rank's doorbell generation exceeds gen, or
-// panics simnet.ErrAborted when aborted reports true: parks in slices (see
-// WaitDoorSliced) until either happens.
-func (a *Arena) WaitDoor(local int, gen uint64, aborted func() bool) uint64 {
-	for {
-		if g := a.WaitDoorSliced(local, gen, time.Second, aborted); g != gen {
-			return g
-		}
-		if aborted() {
-			panic(a.AbortPanic())
-		}
+// Pacer returns this process's pacer over the arena's shared tables, nil for
+// an unpaced world.
+func (a *Arena) Pacer() *simnet.Pacer {
+	if a.cfg.PaceWindowNs == 0 {
+		return nil
 	}
+	n := a.cfg.Ranks
+	return simnet.NewPacer(a.cfg.PaceWindowNs, n, i64slice(a.m, a.lay.paceOff, simnet.PaceTableWords(n)), a.hook())
 }
 
-// WaitDoorSliced parks at local rank's doorbell for at most slice and returns
-// the then-current generation; spurious (timeout) returns are allowed by the
-// WaitDoor contract. The waiter registers itself in the watched rank's waiter
-// bitset before re-checking the generation — the store/load pairing with the
-// writer's advance-then-read (port release, then Wake) makes lost wakeups
-// impossible — then sleeps on its own doorbell socket with a heartbeat
-// deadline (dropped datagrams and aborts are caught by the heartbeat
-// re-check). The hybrid backend parks co-located and off-host waiters alike
-// in bounded slices, so a lost wire RING, a dropped connection or an abort
-// can never strand one. It returns (rather than panicking) on abort — the
-// caller re-checks its own abort state.
-func (a *Arena) WaitDoorSliced(local int, gen uint64, slice time.Duration, aborted func() bool) uint64 {
-	port := a.Port(local)
-	if g := port.Gen(); g != gen {
-		return g
-	}
-	wp := u64at(a.m, a.lay.waiterOff(local, a.self/64))
-	bit := uint64(1) << uint(a.self%64)
-	setBit(wp, bit)
-	defer clearBit(wp, bit)
-	deadline := time.Now().Add(slice)
-	var scratch [8]byte
-	d := doorWaitMin
-	for {
-		if g := port.Gen(); g != gen {
-			return g
-		}
-		rem := time.Until(deadline)
-		if rem <= 0 || aborted() {
-			return port.Gen()
-		}
-		if d > rem {
-			d = rem
-		}
-		a.door.SetReadDeadline(time.Now().Add(d))
-		a.door.Read(scratch[:])
-		if d < doorWaitMax {
-			d *= 2
-		}
-	}
-}
-
-func setBit(wp *uint64, bit uint64) {
-	for {
-		old := atomic.LoadUint64(wp)
-		if atomic.CompareAndSwapUint64(wp, old, old|bit) {
-			return
-		}
-	}
-}
-
-func clearBit(wp *uint64, bit uint64) {
-	for {
-		old := atomic.LoadUint64(wp)
-		if atomic.CompareAndSwapUint64(wp, old, old&^bit) {
-			return
-		}
-	}
+// Ring advances local rank's doorbell generation from outside its port and
+// wakes its waiters.
+func (a *Arena) Ring(local int) {
+	a.Port(local).Ring()
+	a.door.Wake(local)
 }
 
 // ---- the abort flag ----
 
-// SetAbortFlag marks the arena's world aborted and wakes every local waiter
+// SetAbortFlag marks the arena's world aborted and wakes every local sleeper
 // (doorbell and pacing parks alike — every park reads the same socket).
 func (a *Arena) SetAbortFlag() {
 	atomic.StoreUint32(u32at(a.m, hdrAbort), 1)
 	for r := 0; r < a.cfg.Ranks; r++ {
-		a.Port(r).Ring()
 		a.sendDoor(r)
 	}
 }
@@ -562,9 +505,13 @@ func (a *Arena) FailedRank() int {
 	return int(atomic.LoadUint32(u32at(a.m, hdrFailRank))) - 1
 }
 
-// AbortPanic is the value arena waits unwind with: typed with the blamed
-// rank when a verdict is recorded, the bare sentinel otherwise.
-func (a *Arena) AbortPanic() any {
+// AbortErr is the hook's abort state: nil while the world stands, otherwise
+// the value arena waits unwind with — typed with the blamed rank when a
+// verdict is recorded, the bare sentinel otherwise.
+func (a *Arena) AbortErr() error {
+	if !a.AbortFlag() {
+		return nil
+	}
 	if r := a.FailedRank(); r >= 0 {
 		return &simnet.ErrPeerFailed{Rank: r}
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fompi/internal/simnet"
+	"fompi/internal/simnet/doortest"
 	"fompi/internal/simnet/pacetest"
 	"fompi/internal/timing"
 )
@@ -92,12 +93,37 @@ func TestPacerOverTwoViews(t *testing.T) {
 			if !others.sendDoor(1) {
 				t.Fatal("poke through the other view was not delivered")
 			}
-			if !mine.pacePark(1, 5*time.Second) {
+			if !mine.park(1, 5*time.Second) {
 				t.Fatal("park timed out with a poke from the other view pending")
 			}
-			if mine.pacePark(1, time.Millisecond) {
+			if mine.park(1, time.Millisecond) {
 				t.Fatal("park with nothing pending did not time out")
 			}
+		})
+	}
+}
+
+// TestDoorOverTwoViews runs the behavioural door cases over one arena mapped
+// twice, as two processes would: waiters park through the view that bound the
+// slot's doorbell socket, writers ring through the other, so the waiter
+// bitset is shared words of the mapping and each poke is a datagram from one
+// view to the other's socket. Two waiters under one slot are the hybrid
+// backend's rank and service handler: one reads the socket, the other parks
+// behind it.
+func TestDoorOverTwoViews(t *testing.T) {
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			doortest.Run(t, func(t *testing.T, n, slot int) doortest.World {
+				others, mine := pl.open(t, ArenaConfig{Ranks: n, ArenaBytes: pageAlign})
+				if err := mine.Bind(slot); err != nil {
+					t.Fatal(err)
+				}
+				return doortest.World{
+					Waiter: doortest.View{Door: mine.Door(), Port: mine.Port},
+					Writer: doortest.View{Door: others.Door(), Port: others.Port},
+					Abort:  func() { others.SetAbortFlagBlaming(3) }, Blamed: 3,
+				}
+			})
 		})
 	}
 }
@@ -136,7 +162,7 @@ func twoViewsShareStampTree(t *testing.T, open func(*testing.T, ArenaConfig) (cr
 		t.Fatal("port locked through the owner's mapping did not exclude through the peer's")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if got := owner.DoorGen(1); got != 1 {
+	if got := owner.Port(1).Gen(); got != 1 {
 		t.Fatalf("owner reads generation %d after the peer's ring, want 1", got)
 	}
 	mine.UnlockRing()
@@ -146,7 +172,7 @@ func twoViewsShareStampTree(t *testing.T, open func(*testing.T, ArenaConfig) (cr
 		t.Fatal("release through the owner's mapping did not admit the peer's waiter")
 	}
 	theirs.Unlock()
-	if got := peer.DoorGen(1); got != 2 {
+	if got := peer.Port(1).Gen(); got != 2 {
 		t.Fatalf("peer reads generation %d after the owner's release-ring, want 2", got)
 	}
 	if got := owner.Port(0).Gen(); got != 0 {

@@ -15,11 +15,12 @@ import (
 //	rank[i]  (128 B)    the rank's simnet.Port (port word = doorbell
 //	                    generation<<1 | lock bit, then the NIC busy interval
 //	                    the lock guards), padded to two cache lines
-//	wait[i]  (ceil(ranks/64) × 8 B per rank)
-//	                    the doorbell waiter bitset: bit r of rank i's words
-//	                    is set while rank r is blocked in WaitDoor on i (a
-//	                    multi-word mask, so worlds are not capped at 64
-//	                    ranks by the waiter bookkeeping)
+//	wait[i]  (simnet.DoorTableWords(ranks) × 8 B in all)
+//	                    the world's simnet.Door table, which each process's
+//	                    Door lays its bitsets over: bit r of rank i's row is
+//	                    set while rank r's process waits on i's port (a
+//	                    multi-word row, so worlds are not capped at 64 ranks
+//	                    by the waiter bookkeeping)
 //	pace     (simnet.PaceTableWords(ranks) × 8 B)
 //	                    the world's simnet.Pacer state — parked count,
 //	                    published clocks, shard minimums, park thresholds —
@@ -103,7 +104,6 @@ func alignUp(n, a int) int { return (n + a - 1) &^ (a - 1) }
 type layout struct {
 	ranks      int
 	arenaBytes int
-	maskWords  int // 64-bit words per waiter bitset: ceil(ranks/64)
 	waitOff    int
 	paceOff    int
 	dirOff     int
@@ -112,9 +112,9 @@ type layout struct {
 }
 
 func layoutFor(ranks, arenaBytes int) layout {
-	l := layout{ranks: ranks, arenaBytes: arenaBytes, maskWords: (ranks + 63) / 64}
+	l := layout{ranks: ranks, arenaBytes: arenaBytes}
 	l.waitOff = hdrBytes + ranks*rankStride
-	l.paceOff = l.waitOff + ranks*l.maskWords*8
+	l.paceOff = l.waitOff + simnet.DoorTableWords(ranks)*8
 	l.dirOff = l.paceOff + simnet.PaceTableWords(ranks)*8
 	l.arenaOff = alignUp(l.dirOff+ranks*maxRegions*entryStride, pageAlign)
 	l.total = l.arenaOff + ranks*arenaBytes
@@ -122,9 +122,6 @@ func layoutFor(ranks, arenaBytes int) layout {
 }
 
 func (l layout) rankOff(r int) int { return hdrBytes + r*rankStride }
-
-// waiterOff returns the offset of word w of rank r's doorbell waiter bitset.
-func (l layout) waiterOff(r, w int) int { return l.waitOff + (r*l.maskWords+w)*8 }
 
 func (l layout) entryOff(r, k int) int { return l.dirOff + (r*maxRegions+k)*entryStride }
 func (l layout) arenaBase(r int) int   { return l.arenaOff + r*l.arenaBytes }

@@ -46,9 +46,7 @@ const (
 	// report, for the surviving ranks to unwind through the abort flag on
 	// their own before it force-kills them. Short enough that a SIGKILLed
 	// rank still turns into a launcher exit within the ~10 s failure budget.
-	abortGrace  = 8 * time.Second
-	doorWaitMin = 200 * time.Microsecond
-	doorWaitMax = 5 * time.Millisecond
+	abortGrace = 8 * time.Second
 )
 
 // Options describes a multi-process world. Launcher and workers must agree
@@ -522,21 +520,19 @@ func (w *World) Pacer() *simnet.Pacer { return w.pace }
 // Port returns rank's port in the shared arena: every rank is addressable.
 func (w *World) Port(rank int) *simnet.Port { return w.ar.Port(rank) }
 
-// WakeDoor pokes every rank currently registered as waiting on rank's
-// doorbell (see Arena.Wake).
-func (w *World) WakeDoor(rank int) { w.ar.Wake(rank) }
+// WakeDoor pokes every rank whose process waits on rank's doorbell.
+func (w *World) WakeDoor(rank int) { w.ar.Door().Wake(rank) }
 
-// RingDoorbell advances rank's doorbell generation and wakes its waiters
-// (see Arena.Ring).
+// RingDoorbell advances rank's doorbell generation and wakes its waiters.
 func (w *World) RingDoorbell(rank int) { w.ar.Ring(rank) }
 
 // DoorGen samples rank's doorbell generation.
-func (w *World) DoorGen(rank int) uint64 { return w.ar.DoorGen(rank) }
+func (w *World) DoorGen(rank int) uint64 { return w.ar.Port(rank).Gen() }
 
-// WaitDoor blocks until rank's doorbell generation exceeds gen (see
-// Arena.WaitDoor for the lost-wakeup argument).
-func (w *World) WaitDoor(rank int, gen uint64) uint64 {
-	return w.ar.WaitDoor(rank, gen, w.Aborted)
+// WaitDoor parks this process until rank's doorbell generation is no longer
+// gen (the waiter is always this process's rank).
+func (w *World) WaitDoor(_, rank int, gen uint64) uint64 {
+	return w.ar.Door().Wait(w.ar.Port(rank), rank, w.rank, gen)
 }
 
 // Abort marks the world dead and wakes every blocked waiter in every process.

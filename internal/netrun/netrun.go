@@ -73,8 +73,7 @@ const (
 	// memory until every rank is done (coordinator death is caught by the
 	// control-stream watcher), so this bounds nothing but a wedged-alive
 	// coordinator and is deliberately generous.
-	byeTimeout    = 10 * time.Minute
-	doorWaitSlice = 100 * time.Millisecond
+	byeTimeout = 10 * time.Minute
 
 	// opTimeout is the per-request deadline on every data-plane wire call:
 	// a peer that neither answers nor resets within it is treated as dead.
@@ -344,10 +343,17 @@ type World struct {
 	proxies [][]*simnet.Region
 
 	// Owner-side virtual-hardware state served to peers: this rank's port
-	// (doorbell generation, NIC busy interval) with its parked waiters.
-	ownPort simnet.Port
-	door    doorbell
-	doorOps atomic.Pointer[DoorOps] // non-nil: external port and parking (hybrid)
+	// (doorbell generation, NIC busy interval) and the door its waiters park
+	// at — the rank itself under its own slot, a service handler holding a
+	// peer's DOORWAIT under the requester's. Both are this process's own until
+	// a layered backend substitutes the ones its co-located ranks share
+	// (SetDoor). park is where this process's goroutines sleep, in a doorbell
+	// wait or pace-blocked.
+	ownPort  simnet.Port
+	port     *simnet.Port
+	door     *simnet.Door
+	doorSelf int // this rank's index in door
+	park     *simnet.Parker
 
 	// pacer is nil in an unpaced world. Its table is this process's own: the
 	// rank's entry is its published clock, a peer's the last one heard — on
@@ -400,11 +406,15 @@ func (w *World) noteFailedRank(r int) {
 // their own wait paths.
 func (w *World) FailedRank() int { return int(w.failedRank.Load()) }
 
-// abortPanic is the value blocked primitives unwind with after an abort:
+// abortErr is nil while the world stands, and after an abort the value
+// blocked primitives unwind with (the parking hook's Aborted):
 // *simnet.ErrPeerFailed when a RANKFAIL verdict (or local evidence) named
 // the dead rank, the bare simnet.ErrAborted otherwise. Both satisfy
 // errors.Is(err, simnet.ErrAborted).
-func (w *World) abortPanic() any {
+func (w *World) abortErr() error {
+	if !w.Aborted() {
+		return nil
+	}
 	if r := w.failedRank.Load(); r >= 0 {
 		return &simnet.ErrPeerFailed{Rank: int(r)}
 	}
@@ -428,95 +438,21 @@ func (e *ErrJoinTimeout) Error() string {
 		e.Timeout, e.Joined, e.Ranks, e.Missing)
 }
 
-// doorbell parks the waiters on this rank's port generation — its local
-// waiter and the service handlers holding remote DoorWait requests. wake
-// closes the current channel, waking everyone at once, and is one load when
-// nobody is parked.
-type doorbell struct {
-	waiters atomic.Int32
-	mu      sync.Mutex
-	ch      chan struct{}
-}
-
-func (d *doorbell) init() { d.ch = make(chan struct{}) }
-
-// wake releases every parked waiter after the generation advanced. The
-// advance is sequentially consistent with park's registration, so a waiter
-// either sees the new generation or is counted here.
-func (d *doorbell) wake() {
-	if d.waiters.Load() == 0 {
-		return
-	}
-	d.mu.Lock()
-	close(d.ch)
-	d.ch = make(chan struct{})
-	d.mu.Unlock()
-}
-
-// park registers a waiter for generations of p past gen and returns the
-// channel to park on, or ok=false when gen is already stale (no park needed,
-// nothing registered). The caller unparks once it stops waiting.
-func (d *doorbell) park(p *simnet.Port, gen uint64) (ch <-chan struct{}, ok bool) {
-	d.waiters.Add(1)
-	d.mu.Lock()
-	ch = d.ch
-	d.mu.Unlock()
-	if p.Gen() != gen {
-		d.unpark()
-		return nil, false
-	}
-	return ch, true
-}
-
-func (d *doorbell) unpark() { d.waiters.Add(-1) }
-
-// DoorOps substitutes an external port and its parking for this rank's
-// in-process ones. The hybrid backend installs it so that an off-host peer's
-// operation, ring or wait, arriving over the wire, lands on the same
-// shared-memory port the co-located ranks take directly — one port per rank,
-// wherever the issuer or the waiter lives.
-type DoorOps struct {
-	// Port is this rank's port.
-	Port *simnet.Port
-	// Wake wakes the waiters parked on Port's generation after it advanced.
-	Wake func()
-	// WaitSliced parks on Port's generation for at most slice and returns
-	// the then-current generation (spurious returns allowed).
-	WaitSliced func(gen uint64, slice time.Duration) uint64
-}
-
-// SetDoorOps installs ops as this rank's port; call before Ready so no peer
-// traffic races the handoff.
-func (w *World) SetDoorOps(ops *DoorOps) { w.doorOps.Store(ops) }
-
-// selfPort, wakeSelf and doorWaitAny are the owner-side port entry points,
-// indirected through DoorOps when one is installed.
-func (w *World) selfPort() *simnet.Port {
-	if ops := w.doorOps.Load(); ops != nil {
-		return ops.Port
-	}
-	return &w.ownPort
-}
-
-func (w *World) wakeSelf() {
-	if ops := w.doorOps.Load(); ops != nil {
-		ops.Wake()
-		return
-	}
-	w.door.wake()
+// SetDoor substitutes an external port and door for this rank's own, self
+// being the rank's index in door. The hybrid backend installs its arena's, so
+// that an off-host peer's operation, ring or wait, arriving over the wire,
+// lands on the same shared-memory port the co-located ranks take directly —
+// one port per rank, wherever the issuer or the waiter lives. Off-host
+// requesters have no slot in such a door: their handlers park under self,
+// beside the rank. Call before Ready, so no peer traffic races the handoff.
+func (w *World) SetDoor(port *simnet.Port, door *simnet.Door, self int) {
+	w.port, w.door, w.doorSelf = port, door, self
 }
 
 // ringDoor rings this rank's doorbell on behalf of a wire requester.
 func (w *World) ringDoor() {
-	w.selfPort().Ring()
-	w.wakeSelf()
-}
-
-func (w *World) doorWaitAny(gen uint64, slice time.Duration) uint64 {
-	if ops := w.doorOps.Load(); ops != nil {
-		return ops.WaitSliced(gen, slice)
-	}
-	return w.doorWaitSliced(gen, slice)
+	w.port.Ring()
+	w.door.Wake(w.doorSelf)
 }
 
 // Launch creates an inter-node world. In loopback spawn mode it re-executes
@@ -1008,14 +944,14 @@ func Join(o Options) (*World, error) {
 		bye:      make(chan struct{}),
 	}
 	w.failedRank.Store(-1)
-	w.door.init()
+	w.park = simnet.NewParker(o.Ranks)
+	hook := w.park.Hook(w.abortErr)
+	w.port, w.door = &w.ownPort, simnet.NewDoor(o.Ranks, nil, hook)
 	if o.PaceWindowNs != 0 {
-		w.pacer = simnet.NewPacer(o.PaceWindowNs, o.Ranks, nil, simnet.PaceHook{
-			Park:    func(_ int, d time.Duration) bool { time.Sleep(d); return false },
-			Poke:    func(int) bool { return false }, // the only rank parked on this table is the one publishing to it
-			Aborted: w.Aborted,
-			Refresh: w.refreshClock,
-		})
+		// The one rank that parks on this table is poked by the service
+		// goroutine whose piggybacked clock released it.
+		hook.Refresh = w.refreshClock
+		w.pacer = simnet.NewPacer(o.PaceWindowNs, o.Ranks, nil, hook)
 	}
 	go w.acceptLoop()
 
@@ -1044,9 +980,10 @@ func Join(o Options) (*World, error) {
 		w.teardown()
 		return nil, fmt.Errorf("netrun: malformed world catalog (%d addrs, %d hosts, rank %d)", len(w.addrs), len(w.hosts), w.rank)
 	}
-	// The session identity is minted once the WORLD reply has fixed the rank
-	// (host-list workers may join rankless and be assigned one here).
-	w.sid = sidFor(w.rank, os.Getpid())
+	// The session identity is minted, and the rank's row of its door known,
+	// once the WORLD reply has fixed the rank (host-list workers may join
+	// rankless and be assigned one here).
+	w.sid, w.doorSelf = sidFor(w.rank, os.Getpid()), w.rank
 	return w, nil
 }
 
@@ -1198,7 +1135,7 @@ func (w *World) localAbort() {
 		telemetry.RecordEvent(telemetry.EvAbort, uint64(w.rank), 0)
 		w.aborted.Store(true)
 		close(w.done)
-		w.door.wake() // parks select on done; this only hurries them
+		w.park.Abort()
 		w.ln.Close()
 		w.peerMu.Lock()
 		for _, p := range w.peers {
@@ -1401,49 +1338,39 @@ func (w *World) RingDoorbell(rank int) {
 // whose operations take the owner's port at the owner.
 func (w *World) Port(rank int) *simnet.Port {
 	if rank == w.rank {
-		return w.selfPort()
+		return w.port
 	}
 	return nil
 }
 
 // WakeDoor wakes the waiters parked on this rank's port (the only one the
 // inline path releases here).
-func (w *World) WakeDoor(rank int) { w.wakeSelf() }
+func (w *World) WakeDoor(rank int) { w.door.Wake(w.doorSelf) }
 
 // DoorGen samples rank's doorbell generation.
 func (w *World) DoorGen(rank int) uint64 {
 	if rank == w.rank {
-		return w.selfPort().Gen()
+		return w.port.Gen()
 	}
 	return w.rpcDoorGen(rank)
 }
 
-// WaitDoor blocks until rank's doorbell generation exceeds gen. Local waits
-// park on the doorbell channel; remote waits park inside the owner's
-// service loop in time slices, so a dropped connection or an abort can
-// never strand the waiter (spurious returns are allowed by the contract).
-// Local parks are sliced too: RING frames are fire-and-forget and outside
-// the session layer, so a data-plane reset can eat one — the slice turns a
-// lost wakeup into a bounded re-check instead of a stranded waiter.
-func (w *World) WaitDoor(rank int, gen uint64) uint64 {
-	if rank != w.rank {
-		for {
-			g := w.rpcDoorWait(rank, gen, doorWaitSlice)
-			if g != gen {
-				return g
-			}
-			if w.Aborted() {
-				panic(w.abortPanic())
-			}
+// WaitDoor blocks until rank's doorbell generation is no longer gen, or for
+// simnet.DoorSlice at most. A local wait parks at this rank's door; a remote
+// one parks at the owner's, inside its service loop, one DOORWAIT a slice —
+// so a dropped connection or an abort can never strand the waiter, and a
+// RING frame lost with its connection (rings are fire-and-forget, outside
+// the session layer) costs a bounded re-check.
+func (w *World) WaitDoor(_, rank int, gen uint64) uint64 {
+	if rank == w.rank {
+		return w.door.Wait(w.port, w.doorSelf, w.doorSelf, gen)
+	}
+	for {
+		if g := w.rpcDoorWait(rank, gen); g != gen {
+			return g
+		}
+		if err := w.abortErr(); err != nil {
+			panic(err)
 		}
 	}
-	if g := w.doorWaitSliced(gen, doorWaitSlice); g != gen {
-		return g
-	}
-	if w.Aborted() {
-		panic(w.abortPanic())
-	}
-	// Spurious return with gen unchanged: the caller re-checks its
-	// predicate, which a write whose RING was lost may satisfy.
-	return gen
 }

@@ -41,8 +41,8 @@ func (w *World) peerErr(r int) (*peerConn, error) {
 	if p != nil {
 		return p, nil
 	}
-	if w.Aborted() {
-		panic(w.abortPanic())
+	if err := w.abortErr(); err != nil {
+		panic(err)
 	}
 	var c net.Conn
 	var err error
@@ -51,8 +51,8 @@ func (w *World) peerErr(r int) (*peerConn, error) {
 		if err == nil {
 			break
 		}
-		if w.Aborted() {
-			panic(w.abortPanic())
+		if err := w.abortErr(); err != nil {
+			panic(err)
 		}
 		if attempt < dialAttempts-1 {
 			time.Sleep(back)
@@ -147,8 +147,8 @@ func (w *World) callIdem(r int, op uint8, args func(e *enc)) dec {
 	w.drainDst(r)
 	var lastErr error
 	for attempt, back := 0, idemBackoff; attempt < idemAttempts; attempt, back = attempt+1, back*2 {
-		if w.Aborted() {
-			panic(w.abortPanic())
+		if err := w.abortErr(); err != nil {
+			panic(err)
 		}
 		if attempt > 0 {
 			time.Sleep(back)
@@ -182,8 +182,8 @@ func (w *World) netFault(r int, err error) any {
 	for i := 0; i < 100 && !w.Aborted(); i++ {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if w.Aborted() {
-		return w.abortPanic()
+	if err := w.abortErr(); err != nil {
+		return err
 	}
 	w.noteFailedRank(r)
 	return &simnet.ErrPeerFailed{Rank: r,
@@ -234,15 +234,16 @@ func (w *World) rpcDoorGen(r int) uint64 {
 	return d.u64()
 }
 
-// rpcDoorWait parks at rank r's doorbell for at most slice and returns the
-// generation current when the owner answered. The wait re-arms on a fresh
-// connection after transient trouble — a timed-out slice answers with the
-// current generation either way, so a retry is indistinguishable from a
-// spurious wakeup (which the WaitDoor contract allows).
-func (w *World) rpcDoorWait(r int, gen uint64, slice time.Duration) uint64 {
+// rpcDoorWait parks at rank r's door (for the owner's simnet.DoorSlice at
+// most) and returns the generation current when the owner answered. The wait
+// re-arms on a fresh connection after transient trouble — a timed-out slice
+// answers with the current generation either way, so a retry is
+// indistinguishable from a spurious wakeup (which the WaitDoor contract
+// allows).
+func (w *World) rpcDoorWait(r int, gen uint64) uint64 {
 	d := w.callIdem(r, opDoorWait, func(e *enc) {
 		e.u64(gen)
-		e.u32(uint32(slice / time.Microsecond))
+		e.u32(0)
 	})
 	return d.u64()
 }

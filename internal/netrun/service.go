@@ -123,7 +123,7 @@ func (w *World) serveConn(c net.Conn) {
 				reply, cached = w.sessionApply(src, sid, seq, ack, op, &d, outBuf)
 			}
 		default:
-			reply = w.handle(op, &d, outBuf)
+			reply = w.handle(src, op, &d, outBuf)
 		}
 		// Bound the reply write: a requester that vanished mid-read must not
 		// park this service goroutine on a full TCP buffer forever.
@@ -141,12 +141,13 @@ func (w *World) serveConn(c net.Conn) {
 	}
 }
 
-// handle executes one request and builds its reply frame. Faults — bounds
-// violations, dead registrations, ring overflow — are the same panics the
-// inline path raises; they are caught here and shipped back for the
-// requester to re-panic, so the fault surfaces in the process that issued
-// the bad operation.
-func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
+// handle executes one request of rank src (-1: a connection that never said
+// HELLO) and builds its reply frame. Faults — bounds violations, dead
+// registrations, ring overflow, an abort that ended a wait — are the same
+// panics the inline path raises; they are caught here and shipped back for
+// the requester to re-panic, so the fault surfaces in the process that
+// issued the bad operation.
+func (w *World) handle(src int, op uint8, d *dec, scratch []byte) (reply []byte) {
 	e := newEnc(scratch)
 	e.u8(stOK)
 	defer func() {
@@ -264,7 +265,7 @@ func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
 		var scratch2 []byte // sub-reply scratch, reused across sub-ops
 		for _, sub := range subs {
 			sd := dec{b: sub, pos: 1}
-			sr := w.handle(sub[0], &sd, scratch2)
+			sr := w.handle(src, sub[0], &sd, scratch2)
 			e.bytes(sr)
 			scratch2 = sr[:0]
 			n++
@@ -296,14 +297,16 @@ func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
 		e.u8(state)
 		e.u64(uint64(size))
 	case opDoorGen:
-		e.u64(w.selfPort().Gen())
+		e.u64(w.port.Gen())
 	case opDoorWait:
-		gen := d.u64()
-		slice := time.Duration(d.u32()) * time.Microsecond
-		if slice <= 0 || slice > doorWaitSlice {
-			slice = doorWaitSlice
+		// The handler parks on its requester's behalf: under the requester's
+		// slot at this process's own door, which has one for every rank, and
+		// under the rank's own at a substituted one (SetDoor).
+		slot := w.doorSelf
+		if w.port == &w.ownPort && src >= 0 {
+			slot = src
 		}
-		e.u64(w.doorWaitAny(gen, slice))
+		e.u64(w.door.Wait(w.port, w.doorSelf, slot, d.u64()))
 	case opClock:
 		e.i64(w.ownClock())
 	default:
@@ -322,25 +325,4 @@ func (w *World) exec(d *dec) simnet.RegionExec {
 		panic(fmt.Sprintf("simnet: access to unregistered region (rank %d key %d)", w.rank, k))
 	}
 	return simnet.RegionExec{Reg: reg}
-}
-
-// doorWaitSliced parks a waiter — a remote one on behalf of its requester,
-// or this rank's own — at this rank's doorbell for at most slice and returns
-// the then-current generation; spurious (timeout) returns are allowed by the
-// WaitDoor contract, and an abort answers immediately so the waiter can
-// unwind.
-func (w *World) doorWaitSliced(gen uint64, slice time.Duration) uint64 {
-	ch, ok := w.door.park(&w.ownPort, gen)
-	if !ok {
-		return w.ownPort.Gen()
-	}
-	defer w.door.unpark()
-	t := time.NewTimer(slice)
-	defer t.Stop()
-	select {
-	case <-ch:
-	case <-t.C:
-	case <-w.done:
-	}
-	return w.ownPort.Gen()
 }

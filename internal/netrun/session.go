@@ -307,8 +307,8 @@ func (w *World) drainOne(r int) []byte {
 	slice := w.tm.OpTimeout / 4
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if w.Aborted() {
-			panic(w.abortPanic())
+		if err := w.abortErr(); err != nil {
+			panic(err)
 		}
 		if attempt > 0 && time.Now().After(deadline) {
 			panic(w.netFault(r, lastErr))
@@ -545,7 +545,7 @@ func (w *World) sessionApply(src int, sid, seq, ack uint64, op uint8, d *dec, sc
 		return faultReply(scratch, faultGeneric, w.rank,
 			fmt.Sprintf("netrun: session %#x replayed seq %d past its own ack", sid, seq)), false
 	}
-	reply = w.handle(op, d, scratch)
+	reply = w.handle(src, op, d, scratch)
 	s.applied = seq
 	s.replies[seq] = append([]byte(nil), reply...)
 	return reply, false

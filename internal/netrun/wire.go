@@ -78,7 +78,7 @@ const (
 	opRegQuery                    // key u32
 	opNicReserve                  // retired: bookings ride the data op that needs them; rejected as unknown
 	opDoorGen                     // -
-	opDoorWait                    // gen u64, timeoutUs u32
+	opDoorWait                    // gen u64, u32 reserved (was a timeout: the owner's door sets the slice)
 	opRing                        // - (no reply)
 	opClock                       // - (reply: owner's published clock)
 	opResume                      // sid u64, seq u64, ack u64 (session re-attach after a reset)

@@ -160,16 +160,16 @@ func TestBatchCoalescesDoorbells(t *testing.T) {
 	w := newBatchWorld()
 	ep := w.eps[0]
 	a := Addr{Rank: 1, Key: w.regs[1].Key()}
-	g0 := w.fab.doorGenOf(1)
+	g0 := w.fab.DoorGen(1)
 	ep.BeginBatch()
 	ep.StoreW(a, 1)
 	ep.StoreW(a.Add(8), 2)
 	ep.AddNBI(a.Add(16), 3)
-	if g := w.fab.doorGenOf(1); g != g0 {
+	if g := w.fab.DoorGen(1); g != g0 {
 		t.Fatalf("doorbell rang mid-batch: gen %d -> %d", g0, g)
 	}
 	ep.EndBatch()
-	if g := w.fab.doorGenOf(1); g != g0+1 {
+	if g := w.fab.DoorGen(1); g != g0+1 {
 		t.Fatalf("EndBatch rang doorbell %d times, want 1", g-g0)
 	}
 }
@@ -181,22 +181,22 @@ func TestBatchFlushesBeforeBlocking(t *testing.T) {
 	w := newBatchWorld()
 	ep := w.eps[0]
 	a := Addr{Rank: 1, Key: w.regs[1].Key()}
-	g0 := w.fab.doorGenOf(1)
+	g0 := w.fab.DoorGen(1)
 	ep.BeginBatch()
 	ep.StoreW(a, 42)
-	if g := w.fab.doorGenOf(1); g != g0 {
+	if g := w.fab.DoorGen(1); g != g0 {
 		t.Fatal("doorbell rang before the blocking wait")
 	}
 	// A wait whose predicate is immediately true still flushes first.
 	ep.WaitLocal(func() bool { return true })
-	if g := w.fab.doorGenOf(1); g != g0+1 {
-		t.Fatalf("blocking wait did not flush the deferred doorbell (gen %d, want %d)", w.fab.doorGenOf(1), g0+1)
+	if g := w.fab.DoorGen(1); g != g0+1 {
+		t.Fatalf("blocking wait did not flush the deferred doorbell (gen %d, want %d)", w.fab.DoorGen(1), g0+1)
 	}
 	// Later writes in the same batch re-arm their destination.
 	ep.StoreW(a.Add(8), 43)
 	ep.EndBatch()
-	if g := w.fab.doorGenOf(1); g != g0+2 {
-		t.Fatalf("post-flush write lost its doorbell (gen %d, want %d)", w.fab.doorGenOf(1), g0+2)
+	if g := w.fab.DoorGen(1); g != g0+2 {
+		t.Fatalf("post-flush write lost its doorbell (gen %d, want %d)", w.fab.DoorGen(1), g0+2)
 	}
 }
 
@@ -206,16 +206,16 @@ func TestBatchNesting(t *testing.T) {
 	w := newBatchWorld()
 	ep := w.eps[0]
 	a := Addr{Rank: 2, Key: w.regs[2].Key()}
-	g0 := w.fab.doorGenOf(2)
+	g0 := w.fab.DoorGen(2)
 	ep.BeginBatch()
 	ep.BeginBatch()
 	ep.StoreW(a, 7)
 	ep.EndBatch()
-	if g := w.fab.doorGenOf(2); g != g0 {
+	if g := w.fab.DoorGen(2); g != g0 {
 		t.Fatal("inner EndBatch flushed")
 	}
 	ep.EndBatch()
-	if g := w.fab.doorGenOf(2); g != g0+1 {
+	if g := w.fab.DoorGen(2); g != g0+1 {
 		t.Fatal("outer EndBatch did not flush")
 	}
 	defer func() {

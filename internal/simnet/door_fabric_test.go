@@ -1,0 +1,43 @@
+package simnet_test
+
+import (
+	"sync/atomic"
+	"testing"
+
+	"fompi/internal/simnet"
+	"fompi/internal/simnet/doortest"
+)
+
+// TestDoorOverFabric runs the behavioural door cases over the in-process
+// fabric: a heap table and the channel-and-timer parker, through the
+// Transport surface the endpoints use.
+func TestDoorOverFabric(t *testing.T) {
+	doortest.Run(t, func(t *testing.T, n, slot int) doortest.World {
+		f := simnet.NewFabric(n, 4)
+		v := doortest.View{Door: f.Door(), Port: f.Port}
+		return doortest.World{Waiter: v, Writer: v, Abort: f.Abort, Blamed: -1, Lossless: true}
+	})
+}
+
+// TestDoorOverLossyHook runs them over a heap table and a parker whose pokes
+// the test can swallow and whose abort blames a rank: what a backend with an
+// unreliable wakeup channel and a failure verdict looks like to the Door.
+func TestDoorOverLossyHook(t *testing.T) {
+	doortest.Run(t, func(t *testing.T, n, slot int) doortest.World {
+		var drop, aborted atomic.Bool
+		park := simnet.NewParker(n)
+		hook := park.Hook(func() error {
+			if aborted.Load() {
+				return &simnet.ErrPeerFailed{Rank: 3}
+			}
+			return nil
+		})
+		poke := hook.Poke
+		hook.Poke = func(s int) bool { return !drop.CompareAndSwap(true, false) && poke(s) }
+		ports := make([]simnet.Port, n)
+		v := doortest.View{Door: simnet.NewDoor(n, nil, hook), Port: func(r int) *simnet.Port { return &ports[r] }}
+		return doortest.World{Waiter: v, Writer: v, Blamed: 3,
+			Abort:    func() { aborted.Store(true); park.Abort() },
+			DropPoke: func() { drop.Store(true) }}
+	})
+}

@@ -713,7 +713,7 @@ func (ep *Endpoint) WaitLocal(pred func() bool) {
 	ep.flushBeforeBlock()
 	gen := ep.fab.DoorGen(ep.rank)
 	for !pred() {
-		gen = ep.fab.WaitDoor(ep.rank, gen)
+		gen = ep.fab.WaitDoor(ep.rank, ep.rank, gen)
 		ep.ctr.Polls++
 	}
 	ep.clock += timing.Time(ep.cm.Intra.PollNs)
@@ -743,7 +743,7 @@ func (ep *Endpoint) PollRemoteWord(a Addr, pred func(uint64) bool) uint64 {
 			return v
 		}
 		ep.ctr.Polls++
-		gen = ep.fab.WaitDoor(a.Rank, gen)
+		gen = ep.fab.WaitDoor(ep.rank, a.Rank, gen)
 	}
 }
 

@@ -17,9 +17,9 @@
 // lock-free: an endpoint resolves a target it has used before from its
 // fixed-size route memo (region handle, locality and cost profile behind
 // two compares and a liveness load) and any other through one atomic
-// pointer load into a copy-on-write table, doorbells ring without a lock
-// when nobody is parked, and pacing folds sharded minimum caches instead of
-// scanning every rank. Groups of operations issue through
+// pointer load into a copy-on-write table, doorbells ring without a lock or
+// a hook call when nobody is parked, and pacing folds sharded minimum caches
+// instead of scanning every rank. Groups of operations issue through
 // Endpoint.BeginBatch/EndBatch, which coalesce the per-operation disciplines
 // — one pacing check, one doorbell per distinct destination — without
 // changing virtual time by a single bit (DESIGN.md §6.2).
@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fompi/internal/telemetry"
 )
@@ -49,9 +48,9 @@ type Addr struct {
 // Add returns a copy of a displaced by n bytes.
 func (a Addr) Add(n int) Addr { a.Off += n; return a }
 
-// node is the per-rank fabric state: the registered-region table, the
+// node is the per-rank fabric state: the registered-region table and the
 // rank's port (doorbell generation, NIC occupancy for bandwidth/incast
-// modelling, and the lock over both), and the doorbell's parked waiters.
+// modelling, and the lock over both).
 type node struct {
 	// regions is a copy-on-write dense table indexed by Key (keys are
 	// handed out sequentially and never reused, so the table only grows;
@@ -64,41 +63,6 @@ type node struct {
 	nextKey Key
 
 	port Port
-
-	// Futex-style doorbell: writers advance the port's generation on every
-	// modification of this rank's memory, but take doorMu and broadcast only
-	// when a waiter has registered itself in doorWaiters — the overwhelmingly
-	// common nobody-is-waiting case is the port's release add plus one load.
-	doorWaiters atomic.Int32
-	doorMu      sync.Mutex
-	door        *sync.Cond
-
-	// Where the rank sleeps while pace-blocked (SetPacing): pokers send on
-	// paceCh, made with the pacer; the timer is the rank's own, made at its
-	// first block, so parking is allocation-free from then on.
-	paceCh    chan struct{}
-	paceTimer *time.Timer
-}
-
-// wake broadcasts to the rank's parked waiters after its port's generation
-// advanced. The advance is sequentially consistent with the waiter's
-// registration (doorWaiters.Add before its locked re-check of the
-// generation), so a waiter either observes the new generation without
-// sleeping or is registered in doorWaiters before the writer decides whether
-// to broadcast — no lost wakeups.
-func (nd *node) wake() {
-	if nd.doorWaiters.Load() == 0 {
-		return
-	}
-	nd.doorMu.Lock()
-	nd.door.Broadcast()
-	nd.doorMu.Unlock()
-}
-
-// notify rings the rank's doorbell from outside its port.
-func (nd *node) notify() {
-	nd.port.Ring()
-	nd.wake()
 }
 
 // Fabric connects n ranks arranged as nodes of ranksPerNode consecutive
@@ -115,7 +79,12 @@ type Fabric struct {
 	hookMu     sync.Mutex
 	abortHooks []func()
 
-	pacer        *Pacer      // nil while unpaced (SetPacing)
+	// Where ranks sleep, in a doorbell wait or pace-blocked: slot r is rank
+	// r's goroutine, and park is the hook of both disciplines.
+	park  *Parker
+	door  *Door
+	pacer *Pacer // nil while unpaced (SetPacing)
+
 	endpointsOut atomic.Bool // an endpoint has cached pacer
 }
 
@@ -128,14 +97,12 @@ var ErrAborted = fmt.Errorf("simnet: fabric aborted")
 func (f *Fabric) Abort() {
 	f.aborted.Store(true)
 	f.abortOnce.Do(func() { close(f.done) })
+	f.park.Abort()
 	f.hookMu.Lock()
 	hooks := append([]func(){}, f.abortHooks...)
 	f.hookMu.Unlock()
 	for _, fn := range hooks {
 		fn()
-	}
-	for _, nd := range f.nodes {
-		nd.notify()
 	}
 }
 
@@ -159,43 +126,23 @@ func (f *Fabric) SetPacing(window int64) {
 		panic("simnet: SetPacing after an endpoint was created; set the pacing window before Endpoint/Endpoints/NewEndpoint")
 	}
 	f.pacer = nil
-	if window == 0 {
-		return
+	if window != 0 {
+		f.pacer = NewPacer(window, f.n, nil, f.park.Hook(f.abortErr))
 	}
-	for _, nd := range f.nodes {
-		nd.paceCh = make(chan struct{}, 1)
-	}
-	f.pacer = NewPacer(window, f.n, nil, PaceHook{Park: f.pacePark, Poke: f.pacePoke, Aborted: f.Aborted})
 }
 
 // Pacer returns the fabric's pacer, nil while unpaced.
 func (f *Fabric) Pacer() *Pacer { return f.pacer }
 
-// pacePark sleeps rank's goroutine on its channel for at most d.
-func (f *Fabric) pacePark(rank int, d time.Duration) bool {
-	nd := f.nodes[rank]
-	if nd.paceTimer == nil {
-		nd.paceTimer = time.NewTimer(d)
-	} else {
-		nd.paceTimer.Reset(d)
-	}
-	select {
-	case <-nd.paceCh:
-		return true
-	case <-nd.paceTimer.C:
-	case <-f.done:
-	}
-	return false
-}
+// Door returns the fabric's door.
+func (f *Fabric) Door() *Door { return f.door }
 
-// pacePoke signals rank's channel; a token already there will wake it.
-func (f *Fabric) pacePoke(rank int) bool {
-	select {
-	case f.nodes[rank].paceCh <- struct{}{}:
-		return true
-	default:
-		return false
+// abortErr is the parking hook's view of Aborted.
+func (f *Fabric) abortErr() error {
+	if f.aborted.Load() {
+		return ErrAborted
 	}
+	return nil
 }
 
 // Aborted reports whether the fabric has been torn down.
@@ -229,6 +176,10 @@ func NewFabric(n, ranksPerNode int) *Fabric {
 		n: n, ranksPerNode: ranksPerNode, nodes: make([]*node, n),
 		done: make(chan struct{}),
 	}
+	f.park = NewParker(n)
+	hook := f.park.Hook(f.abortErr)
+	hook.Lossless = true
+	f.door = NewDoor(n, nil, hook)
 	// Per-node state comes from three slabs (node structs, initial table
 	// headers via node.initTbl, table backing arrays): world setup is a few
 	// allocations, not a few per rank.
@@ -238,7 +189,6 @@ func NewFabric(n, ranksPerNode int) *Fabric {
 		nd := &slab[i]
 		nd.initTbl = backing[i*initialRegionCap : i*initialRegionCap : (i+1)*initialRegionCap]
 		nd.regions.Store(&nd.initTbl)
-		nd.door = sync.NewCond(&nd.doorMu)
 		f.nodes[i] = nd
 	}
 	return f
@@ -306,29 +256,3 @@ func (f *Fabric) region(a Addr) *Region {
 	}
 	return tbl[a.Key]
 }
-
-// waitDoor blocks until rank's doorbell generation exceeds gen, i.e. until
-// some fabric operation has modified that rank's memory. It returns the new
-// generation. The caller registers itself in doorWaiters before the locked
-// re-check, pairing with wake's load of the waiter count after the advance.
-func (f *Fabric) waitDoor(rank int, gen uint64) uint64 {
-	nd := f.nodes[rank]
-	if g := nd.port.Gen(); g != gen {
-		return g // doorbell already rung: no lock, no sleep
-	}
-	nd.doorWaiters.Add(1)
-	nd.doorMu.Lock()
-	for nd.port.Gen() == gen && !f.aborted.Load() {
-		nd.door.Wait()
-	}
-	nd.doorMu.Unlock()
-	nd.doorWaiters.Add(-1)
-	g := nd.port.Gen()
-	if f.aborted.Load() && g == gen {
-		panic(ErrAborted)
-	}
-	return g
-}
-
-// doorGenOf samples rank's doorbell generation.
-func (f *Fabric) doorGenOf(rank int) uint64 { return f.nodes[rank].port.Gen() }

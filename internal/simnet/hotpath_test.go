@@ -163,45 +163,55 @@ func TestRegionUnregisterFaults(t *testing.T) {
 	}()
 }
 
-// TestDoorbellFastPath checks the futex-style doorbell: notify with no
-// waiter must not wake anyone spuriously, a parked waiter must be woken by
-// the next notify, and waitDoor must return without sleeping when the
-// generation already moved.
+// TestDoorbellFastPath checks the futex-style doorbell: a ring with no
+// waiter is the generation add and a load — no hook call, nothing to lock —
+// a wait on a generation that already moved returns without registering or
+// parking, and a parked waiter is poked by the next ring and leaves no
+// registration behind.
 func TestDoorbellFastPath(t *testing.T) {
 	f := NewFabric(1, 1)
-	nd := f.nodes[0]
+	var parks, pokes atomic.Int32
+	hook := f.door.hook
+	f.door.hook.Park = func(s int, d time.Duration) bool { parks.Add(1); return hook.Park(s, d) }
+	f.door.hook.Poke = func(s int) bool { pokes.Add(1); return hook.Poke(s) }
 
-	gen := f.doorGenOf(0)
-	nd.notify() // nobody waiting: fast path
-	if g := f.doorGenOf(0); g != gen+1 {
+	gen := f.DoorGen(0)
+	f.RingDoorbell(0) // nobody waiting: fast path
+	if g := f.DoorGen(0); g != gen+1 {
 		t.Fatalf("doorbell generation %d, want %d", g, gen+1)
 	}
-	// Generation already advanced: waitDoor returns immediately.
-	if g := f.waitDoor(0, gen); g != gen+1 {
-		t.Fatalf("waitDoor returned %d, want %d", g, gen+1)
+	// Generation already advanced: WaitDoor returns immediately.
+	if g := f.WaitDoor(0, 0, gen); g != gen+1 {
+		t.Fatalf("WaitDoor returned %d, want %d", g, gen+1)
+	}
+	if parks.Load() != 0 || pokes.Load() != 0 {
+		t.Fatalf("%d parks and %d pokes with nobody waiting, want none", parks.Load(), pokes.Load())
 	}
 
 	// Park a waiter, then ring: it must wake with the new generation.
-	cur := f.doorGenOf(0)
+	cur := f.DoorGen(0)
 	done := make(chan uint64, 1)
-	go func() { done <- f.waitDoor(0, cur) }()
-	// Wait for the waiter to register itself so the notify takes the
-	// broadcast path (not strictly required for correctness — an early
-	// notify is seen via the generation — but exercises the slow path).
-	for i := 0; i < 1000 && nd.doorWaiters.Load() == 0; i++ {
+	go func() { done <- f.WaitDoor(0, 0, cur) }()
+	// Wait for the waiter to park so the ring takes the poke path (not
+	// strictly required for correctness — an early ring is seen via the
+	// generation — but exercises the slow path).
+	for i := 0; i < 1000 && parks.Load() == 0; i++ {
 		time.Sleep(100 * time.Microsecond)
 	}
-	nd.notify()
+	f.RingDoorbell(0)
 	select {
 	case g := <-done:
 		if g != cur+1 {
 			t.Fatalf("woken waiter saw generation %d, want %d", g, cur+1)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("waiter never woke after notify")
+		t.Fatal("waiter never woke after the ring")
 	}
-	if w := nd.doorWaiters.Load(); w != 0 {
-		t.Fatalf("doorWaiters = %d after wake, want 0", w)
+	if pokes.Load() != 1 {
+		t.Fatalf("%d pokes for one ring with one waiter parked", pokes.Load())
+	}
+	if w := atomic.LoadUint64(&f.door.wait[0]); w != 0 {
+		t.Fatalf("waiter bitset %#x after the waiter left, want 0", w)
 	}
 }
 

@@ -36,25 +36,6 @@ const (
 	paceNoClock = int64(1) << 62
 )
 
-// PaceHook is all a backend supplies to the pacing discipline: how one of
-// its ranks sleeps, how a sleeping rank is reached, and whether the world
-// still stands.
-type PaceHook struct {
-	// Park blocks the calling rank for at most d and reports whether
-	// something other than the timeout ended the sleep (a Poke, or any
-	// wakeup that shares its channel). Only timeouts count as heartbeats.
-	Park func(rank int, d time.Duration) (poked bool)
-	// Poke wakes rank from Park and reports whether a signal was delivered.
-	Poke func(rank int) bool
-	// Aborted reports a torn-down world; a pace-blocked rank then proceeds,
-	// and unwinds at the first wait or remote operation it reaches.
-	Aborted func() bool
-	// Refresh, when set, re-reads rank's clock from where it is published
-	// and Observes it: the table of a backend whose ranks share no memory
-	// holds last-known clocks. Nil where the table is the shared truth.
-	Refresh func(rank int)
-}
-
 // Pacer is conservative pacing (DESIGN.md §6.1): each rank publishes its
 // virtual clock, and a rank more than the window ahead of the slowest
 // published clock parks until the laggards catch up, so the real-time
@@ -76,7 +57,7 @@ type Pacer struct {
 	clocks []int64
 	mins   []int64
 	thresh []int64
-	hook   PaceHook
+	hook   ParkHook
 }
 
 // PaceTableWords returns the length of the int64 slab a Pacer for n ranks
@@ -89,7 +70,7 @@ func paceShards(n int) int { return (n + (1 << paceShardBits) - 1) >> paceShardB
 // slab is PaceTableWords(n) zeroed words that every process of the world
 // maps, or nil for a world whose tables live on this process's heap; each
 // process builds its own Pacer over the shared words.
-func NewPacer(window int64, n int, slab []int64, hook PaceHook) *Pacer {
+func NewPacer(window int64, n int, slab []int64, hook ParkHook) *Pacer {
 	if slab == nil {
 		slab = make([]int64, PaceTableWords(n))
 	}
@@ -211,7 +192,7 @@ func (p *Pacer) block(rank int, me int64) {
 	target := me - p.window
 	lastMin, idle, beat := int64(-1), 0, paceBeatMin
 	var parkStart time.Time
-	for !p.hook.Aborted() {
+	for p.hook.Aborted() == nil {
 		if p.hook.Refresh != nil {
 			for r := range p.clocks {
 				if r != rank && p.Clock(r) < target {
@@ -238,7 +219,7 @@ func (p *Pacer) block(rank int, me int64) {
 		}
 		atomic.StoreInt64(&p.thresh[rank], 0)
 		atomic.AddInt64(p.parked, -1)
-		if poked || p.hook.Aborted() {
+		if poked || p.hook.Aborted() != nil {
 			idle, beat = 0, paceBeatMin
 			continue
 		}

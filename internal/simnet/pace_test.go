@@ -10,7 +10,7 @@ import (
 	"fompi/internal/timing"
 )
 
-// fakePace is a PaceHook with no fabric, socket or sleep behind it: Park
+// fakePace is a ParkHook with no fabric, socket or sleep behind it: Park
 // records the duration it was asked for and runs the test's script for that
 // park, Poke records the rank and reports what the script says.
 type fakePace struct {
@@ -21,14 +21,19 @@ type fakePace struct {
 	aborted bool
 }
 
-func (f *fakePace) hook() PaceHook {
-	return PaceHook{
+func (f *fakePace) hook() ParkHook {
+	return ParkHook{
 		Park: func(_ int, d time.Duration) bool {
 			f.parks = append(f.parks, d)
 			return f.onPark != nil && f.onPark(len(f.parks))
 		},
-		Poke:    func(r int) bool { f.pokes = append(f.pokes, r); return f.pokeHit },
-		Aborted: func() bool { return f.aborted },
+		Poke: func(r int) bool { f.pokes = append(f.pokes, r); return f.pokeHit },
+		Aborted: func() error {
+			if f.aborted {
+				return ErrAborted
+			}
+			return nil
+		},
 	}
 }
 

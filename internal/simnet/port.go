@@ -23,8 +23,8 @@ import (
 // so a ring concurrent with a held lock is not lost and the bit is neither
 // dropped nor leaked. The NIC interval is plain memory guarded by the lock.
 //
-// Waking waiters parked on the generation is the transport's business
-// (Transport.WakeDoor): the port only moves the generation they re-check.
+// Who is parked on the generation, and waking them, is Door's business: the
+// port only moves the generation they re-check.
 type Port struct {
 	word     uint64
 	nicStart int64 // NIC busy interval [nicStart, nicBusy) in virtual time

@@ -1,13 +1,10 @@
 package simnet
 
 import (
-	"errors"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"fompi/internal/timing"
 )
@@ -68,76 +65,6 @@ func TestPortExclusionAndRings(t *testing.T) {
 	}
 	if w := atomic.LoadUint64(&p.word); w != rings.Load()<<1 {
 		t.Errorf("port word %#x at rest, want generation %d with the lock bit clear", w, rings.Load())
-	}
-}
-
-// TestPortNoLostWakeup is the doorbell's lost-wakeup stress: each round the
-// waiter samples the generation and parks until the round's flag shows, while
-// the writer stores the flag under the port and rings in the release. Every
-// interleaving of "check, register, park" against "advance, look for
-// waiters" must end with the waiter returning.
-func TestPortNoLostWakeup(t *testing.T) {
-	rounds := uint64(100000)
-	if testing.Short() {
-		rounds = 20000
-	}
-	f := NewFabric(1, 1)
-	var flag, ack atomic.Uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := uint64(1); r <= rounds; r++ {
-			gen := f.DoorGen(0)
-			for flag.Load() < r {
-				gen = f.WaitDoor(0, gen)
-			}
-			ack.Store(r)
-		}
-	}()
-	go func() {
-		p := f.Port(0)
-		for r := uint64(1); r <= rounds; r++ {
-			for ack.Load() != r-1 {
-				runtime.Gosched()
-			}
-			p.Lock()
-			flag.Store(r)
-			p.UnlockRing()
-			f.WakeDoor(0)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatalf("waiter stranded at round %d of %d: a wakeup was lost", ack.Load()+1, rounds)
-	}
-}
-
-// TestAbortWakesWaiterBehindHeldPort parks a waiter on a rank whose port is
-// held and never released: rings are adds, not acquisitions, so Abort still
-// advances the generation and the waiter unwinds with ErrAborted.
-func TestAbortWakesWaiterBehindHeldPort(t *testing.T) {
-	f := NewFabric(1, 1)
-	f.Port(0).Lock()
-	got := make(chan any, 1)
-	go func() {
-		defer func() { got <- recover() }()
-		gen := f.DoorGen(0)
-		for {
-			gen = f.WaitDoor(0, gen)
-		}
-	}()
-	for i := 0; i < 1000 && f.nodes[0].doorWaiters.Load() == 0; i++ {
-		time.Sleep(100 * time.Microsecond)
-	}
-	f.Abort()
-	select {
-	case r := <-got:
-		if err, ok := r.(error); !ok || !errors.Is(err, ErrAborted) {
-			t.Fatalf("waiter unwound with %v, want ErrAborted", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Abort did not wake the waiter parked behind a held port")
 	}
 }
 

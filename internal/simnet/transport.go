@@ -10,11 +10,12 @@ import (
 // models, virtual clocks, stamps arithmetic, NIC booking, batching — lives
 // in Endpoint, RegionExec and Port and is byte-identical across backends; a
 // Transport only resolves registrations, homes one Port per rank where that
-// rank's memory is, parks and wakes doorbell waiters, and homes the tables
-// of the world's Pacer. Four implementations exist: the
+// rank's memory is, homes the tables of the world's Door and Pacer, and
+// supplies the one ParkHook — how a rank sleeps, how a sleeping rank is
+// reached — both disciplines run over. Four implementations exist: the
 // in-process *Fabric below (ranks are goroutines in one address space),
 // internal/mprun's multi-process world (ranks are OS processes, regions live
-// in one mmap-shared segment, doorbells travel over Unix sockets),
+// in one mmap-shared segment, pokes travel over Unix sockets),
 // internal/netrun's distributed world (ranks are processes joined by TCP
 // sessions; fire-class ops pipeline through AsyncMem) and internal/hybridrun,
 // which routes each peer to an mprun arena or a netrun session by host. Each
@@ -34,15 +35,17 @@ import (
 //     returns it, and nil for a rank reached only through proxies. The
 //     inline issue path and RegionExec take it for every NIC booking and
 //     AMO, and release it with the ring.
-//   - WakeDoor(r) wakes every WaitDoor(r, gen) waiter whose gen is stale
-//     after r's port generation advanced, with no lost wakeups (a waiter
-//     re-checks its predicate after every return), and costs a load or two
-//     when nobody is parked. Waiters may be woken spuriously. RingDoorbell(r)
-//     is Port(r).Ring() plus WakeDoor(r) for an addressable rank and a
-//     message to the owner, who does the same, otherwise.
+//   - WakeDoor(r) wakes every WaitDoor(_, r, gen) waiter whose gen is stale
+//     after r's port generation advanced, with no lost wakeups, and costs a
+//     load per 64 ranks when nobody is parked. WaitDoor may return gen
+//     unchanged (after DoorSlice at the latest): a waiter re-checks its
+//     predicate after every return. For an addressable rank both are the
+//     world's Door — Door.Wake and Door.Wait on Port(r) — and RingDoorbell(r)
+//     is Port(r).Ring() plus WakeDoor(r); for a rank reached through proxies
+//     they are messages to the owner, who does the same.
 //   - Pacer() returns the world's conservative-pacing state (DESIGN.md
 //     §6.1), nil for an unpaced world. The discipline itself is Pacer's; a
-//     backend supplies its tables and a PaceHook, and answers the same
+//     backend supplies its tables and its ParkHook, and answers the same
 //     value for the world's lifetime once an endpoint exists.
 //   - Abort wakes every blocked waiter; WaitDoor panics with ErrAborted —
 //     or with *ErrPeerFailed, which matches errors.Is(err, ErrAborted) and
@@ -77,12 +80,13 @@ type Transport interface {
 
 	// Ports and doorbells: the rank's arrival state (see Port), and the
 	// generation-counted wakeup channel of WaitLocal, PollRemoteWord and the
-	// notification rings built on its generation.
+	// notification rings built on its generation. waiter is the calling rank:
+	// the slot it parks under (see Door).
 	Port(rank int) *Port
 	WakeDoor(rank int)
 	RingDoorbell(rank int)
 	DoorGen(rank int) uint64
-	WaitDoor(rank int, gen uint64) uint64
+	WaitDoor(waiter, rank int, gen uint64) uint64
 
 	// Lifecycle.
 	Abort()
@@ -123,13 +127,19 @@ func (f *Fabric) RecycleSeg(rank int, s *segpool.Seg, scrubbed bool, extra ...se
 func (f *Fabric) Port(rank int) *Port { return &f.nodes[rank].port }
 
 // WakeDoor wakes rank's parked waiters after its generation advanced.
-func (f *Fabric) WakeDoor(rank int) { f.nodes[rank].wake() }
+func (f *Fabric) WakeDoor(rank int) { f.door.Wake(rank) }
 
 // RingDoorbell rings rank's doorbell, waking its waiters.
-func (f *Fabric) RingDoorbell(rank int) { f.nodes[rank].notify() }
+func (f *Fabric) RingDoorbell(rank int) {
+	f.nodes[rank].port.Ring()
+	f.door.Wake(rank)
+}
 
 // DoorGen samples rank's doorbell generation.
-func (f *Fabric) DoorGen(rank int) uint64 { return f.doorGenOf(rank) }
+func (f *Fabric) DoorGen(rank int) uint64 { return f.nodes[rank].port.Gen() }
 
-// WaitDoor blocks until rank's doorbell generation exceeds gen.
-func (f *Fabric) WaitDoor(rank int, gen uint64) uint64 { return f.waitDoor(rank, gen) }
+// WaitDoor parks waiter's goroutine until rank's doorbell generation is no
+// longer gen.
+func (f *Fabric) WaitDoor(waiter, rank int, gen uint64) uint64 {
+	return f.door.Wait(&f.nodes[rank].port, rank, waiter, gen)
+}

@@ -9,11 +9,15 @@
 #   retired-names check          LockChain, nicMu and rnNicLock — the three
 #                                per-target locks the port replaced —
 #                                regMemo, the batch-only region memo the
-#                                route memo replaced, and the per-backend
+#                                route memo replaced, the per-backend
 #                                pacing loops' names (paceMinRefresh,
 #                                paceSleepMin, paceShardMins, paceWaiterOff,
-#                                lastPoke) that simnet.Pacer replaced occur
-#                                in no non-test Go file
+#                                lastPoke) that simnet.Pacer replaced, and
+#                                the per-backend doorbell park/wake names
+#                                (doorWaiters, doorMu, doorGenOf,
+#                                doorWaitSliced, WaitDoorSliced, DoorOps,
+#                                doorWaitMin, doorWaitMax) that simnet.Door
+#                                replaced occur in no non-test Go file
 #   go test ./...                all package suites (includes the transport
 #                                conformance suite, which spawns the
 #                                multi-process, inter-node, and hybrid
@@ -25,11 +29,11 @@
 #                                their 0 allocs/op and 0 steady-state route
 #                                misses assertions run on every verify
 #   go test -race -short <hot>   concurrency check over the packages whose
-#                                goroutines share fabric memory (the port's
-#                                and the pacer's unit tests and the
-#                                two-mappings arena tests among them), plus
-#                                the cross-backend AMO chain and pacing
-#                                conformance tests under -race
+#                                goroutines share fabric memory (the port's,
+#                                the pacer's and the door's unit tests and
+#                                the two-mappings arena tests among them),
+#                                plus the cross-backend AMO chain, pacing
+#                                and doorbell conformance tests under -race
 #   examples smoke               build and run every example; quickstart and
 #                                stencil (unpaced and with -pace 20000) must
 #                                produce identical deterministic output on
@@ -70,10 +74,10 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== retired names (the port's, the route memo's and the pacer's predecessors must not creep back)"
-if grep -rnE 'LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke' \
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors must not creep back)"
+if grep -rnE 'LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax' \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples; then
-	echo "verify: a retired per-target lock, the batch-only region memo or a second pacing loop is back in non-test Go" >&2
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop or a second doorbell park/wake is back in non-test Go" >&2
 	exit 1
 fi
 
@@ -88,7 +92,7 @@ go test ./internal/simnet -run '^$' -bench Issue -benchtime 1x
 
 echo "== go test -race -short (timing, simnet, core, spmd, netrun, rankio, mprun)"
 go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/
-go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing' ./internal/transporttest/
+go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell' ./internal/transporttest/
 
 echo "== examples smoke (build + run, cross-backend diff)"
 for ex in quickstart stencil hashtable dsde; do
