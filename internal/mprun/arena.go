@@ -68,17 +68,12 @@ type Arena struct {
 	lay  layout
 	self int // local index of this process, -1 until Bind
 
-	door *simnet.Door // over the mapping's wait[] section
+	door *simnet.Door   // over the mapping's wait[] section
+	park *simnet.Parker // this process's sleepers, listening on conn
 
 	conn    *net.UnixConn // this rank's bound doorbell socket
 	peersMu sync.Mutex
 	peers   []*net.UnixConn // lazily dialed per-destination doorbell conns
-
-	// One goroutine reads conn at a time; any other of this process parks
-	// behind it (see park).
-	reading   atomic.Bool
-	followers atomic.Int32
-	behind    *simnet.Parker
 
 	arenaPos int
 	freeSegs map[int][]*segpool.Seg
@@ -97,8 +92,8 @@ func (a *Arena) initMaps() {
 	a.regions = make([][]*simnet.Region, a.cfg.Ranks)
 	a.freeSegs = map[int][]*segpool.Seg{}
 	a.self = -1
-	a.behind = simnet.NewParker(1)
 	n := a.cfg.Ranks
+	a.park = simnet.NewParker(n, a.listen)
 	a.door = simnet.NewDoor(n, unsafe.Slice(u64at(a.m, a.lay.waitOff), simnet.DoorTableWords(n)), a.hook())
 }
 
@@ -395,36 +390,22 @@ func (a *Arena) Port(local int) *simnet.Port {
 // ---- parking: the hook of the arena's Door and Pacer ----
 
 // hook is how this process's goroutines sleep and how any local rank's are
-// reached: a read on the rank's own doorbell socket, one datagram to the
-// sleeper's.
+// reached: the process's parker, listening on the rank's own doorbell socket
+// — on the hybrid backend, service handlers holding off-host waits sleep
+// beside the rank itself, and one datagram wakes them all — and one datagram
+// to the sleeper's.
 func (a *Arena) hook() simnet.ParkHook {
-	return simnet.ParkHook{Park: a.park, Poke: a.sendDoor, Aborted: a.AbortErr}
+	h := a.park.Hook(a.AbortErr)
+	h.Poke = a.sendDoor
+	return h
 }
 
-// park sleeps the caller on this process's doorbell socket for at most d. One
-// goroutine reads the socket at a time. Any other of this process — on the
-// hybrid backend, service handlers holding off-host waits beside the rank
-// itself — parks behind the reader, which passes on what ended its read when
-// it leaves: a datagram reaches them all, and after a timeout one of them
-// takes over the socket.
-func (a *Arena) park(_ int, d time.Duration) bool {
-	for !a.reading.CompareAndSwap(false, true) {
-		a.followers.Add(1)
-		if !a.reading.Load() {
-			a.followers.Add(-1)
-			continue // the reader left before it could count this follower
-		}
-		poked := a.behind.Park(0, d)
-		a.followers.Add(-1)
-		return poked
-	}
+// listen reads this process's doorbell socket for at most d and reports
+// whether a datagram came.
+func (a *Arena) listen(d time.Duration) bool {
 	var scratch [8]byte
 	a.conn.SetReadDeadline(time.Now().Add(d))
 	_, err := a.conn.Read(scratch[:])
-	a.reading.Store(false)
-	if a.followers.Load() > 0 {
-		a.behind.Poke(0)
-	}
 	return err == nil
 }
 

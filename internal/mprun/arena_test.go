@@ -93,10 +93,11 @@ func TestPacerOverTwoViews(t *testing.T) {
 			if !others.sendDoor(1) {
 				t.Fatal("poke through the other view was not delivered")
 			}
-			if !mine.park(1, 5*time.Second) {
+			hook := mine.hook()
+			if !hook.Park(1, hook.Seq(1), 5*time.Second) {
 				t.Fatal("park timed out with a poke from the other view pending")
 			}
-			if mine.park(1, time.Millisecond) {
+			if hook.Park(1, hook.Seq(1), time.Millisecond) {
 				t.Fatal("park with nothing pending did not time out")
 			}
 		})
@@ -122,6 +123,7 @@ func TestDoorOverTwoViews(t *testing.T) {
 					Waiter: doortest.View{Door: mine.Door(), Port: mine.Port},
 					Writer: doortest.View{Door: others.Door(), Port: others.Port},
 					Abort:  func() { others.SetAbortFlagBlaming(3) }, Blamed: 3,
+					SlowPoke: true,
 				}
 			})
 		})

@@ -344,9 +344,9 @@ type World struct {
 
 	// Owner-side virtual-hardware state served to peers: this rank's port
 	// (doorbell generation, NIC busy interval) and the door its waiters park
-	// at — the rank itself under its own slot, a service handler holding a
-	// peer's DOORWAIT under the requester's. Both are this process's own until
-	// a layered backend substitutes the ones its co-located ranks share
+	// at — the rank itself and the service handlers holding peers' DOORWAITs,
+	// all under the rank's own slot. Both are this process's own until a
+	// layered backend substitutes the ones its co-located ranks share
 	// (SetDoor). park is where this process's goroutines sleep, in a doorbell
 	// wait or pace-blocked.
 	ownPort  simnet.Port
@@ -442,9 +442,8 @@ func (e *ErrJoinTimeout) Error() string {
 // being the rank's index in door. The hybrid backend installs its arena's, so
 // that an off-host peer's operation, ring or wait, arriving over the wire,
 // lands on the same shared-memory port the co-located ranks take directly —
-// one port per rank, wherever the issuer or the waiter lives. Off-host
-// requesters have no slot in such a door: their handlers park under self,
-// beside the rank. Call before Ready, so no peer traffic races the handoff.
+// one port per rank, wherever the issuer or the waiter lives. Call before
+// Ready, so no peer traffic races the handoff.
 func (w *World) SetDoor(port *simnet.Port, door *simnet.Door, self int) {
 	w.port, w.door, w.doorSelf = port, door, self
 }
@@ -944,7 +943,7 @@ func Join(o Options) (*World, error) {
 		bye:      make(chan struct{}),
 	}
 	w.failedRank.Store(-1)
-	w.park = simnet.NewParker(o.Ranks)
+	w.park = simnet.NewParker(o.Ranks, nil)
 	hook := w.park.Hook(w.abortErr)
 	w.port, w.door = &w.ownPort, simnet.NewDoor(o.Ranks, nil, hook)
 	if o.PaceWindowNs != 0 {

@@ -123,7 +123,7 @@ func (w *World) serveConn(c net.Conn) {
 				reply, cached = w.sessionApply(src, sid, seq, ack, op, &d, outBuf)
 			}
 		default:
-			reply = w.handle(src, op, &d, outBuf)
+			reply = w.handle(op, &d, outBuf)
 		}
 		// Bound the reply write: a requester that vanished mid-read must not
 		// park this service goroutine on a full TCP buffer forever.
@@ -141,13 +141,12 @@ func (w *World) serveConn(c net.Conn) {
 	}
 }
 
-// handle executes one request of rank src (-1: a connection that never said
-// HELLO) and builds its reply frame. Faults — bounds violations, dead
-// registrations, ring overflow, an abort that ended a wait — are the same
-// panics the inline path raises; they are caught here and shipped back for
-// the requester to re-panic, so the fault surfaces in the process that
-// issued the bad operation.
-func (w *World) handle(src int, op uint8, d *dec, scratch []byte) (reply []byte) {
+// handle executes one request and builds its reply frame. Faults — bounds
+// violations, dead registrations, ring overflow, an abort that ended a wait —
+// are the same panics the inline path raises; they are caught here and
+// shipped back for the requester to re-panic, so the fault surfaces in the
+// process that issued the bad operation.
+func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
 	e := newEnc(scratch)
 	e.u8(stOK)
 	defer func() {
@@ -265,7 +264,7 @@ func (w *World) handle(src int, op uint8, d *dec, scratch []byte) (reply []byte)
 		var scratch2 []byte // sub-reply scratch, reused across sub-ops
 		for _, sub := range subs {
 			sd := dec{b: sub, pos: 1}
-			sr := w.handle(src, sub[0], &sd, scratch2)
+			sr := w.handle(sub[0], &sd, scratch2)
 			e.bytes(sr)
 			scratch2 = sr[:0]
 			n++
@@ -299,14 +298,9 @@ func (w *World) handle(src int, op uint8, d *dec, scratch []byte) (reply []byte)
 	case opDoorGen:
 		e.u64(w.port.Gen())
 	case opDoorWait:
-		// The handler parks on its requester's behalf: under the requester's
-		// slot at this process's own door, which has one for every rank, and
-		// under the rank's own at a substituted one (SetDoor).
-		slot := w.doorSelf
-		if w.port == &w.ownPort && src >= 0 {
-			slot = src
-		}
-		e.u64(w.door.Wait(w.port, w.doorSelf, slot, d.u64()))
+		// The handler parks on its requester's behalf, under this rank's own
+		// slot: the one registration a door lets goroutines share.
+		e.u64(w.door.Wait(w.port, w.doorSelf, w.doorSelf, d.u64()))
 	case opClock:
 		e.i64(w.ownClock())
 	default:

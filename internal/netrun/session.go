@@ -545,7 +545,7 @@ func (w *World) sessionApply(src int, sid, seq, ack uint64, op uint8, d *dec, sc
 		return faultReply(scratch, faultGeneric, w.rank,
 			fmt.Sprintf("netrun: session %#x replayed seq %d past its own ack", sid, seq)), false
 	}
-	reply = w.handle(src, op, d, scratch)
+	reply = w.handle(op, d, scratch)
 	s.applied = seq
 	s.replies[seq] = append([]byte(nil), reply...)
 	return reply, false

@@ -597,7 +597,7 @@ func TestRetiredNicReserveRejected(t *testing.T) {
 		t.Fatal("the retired opNicReserve still claims a session header")
 	}
 	w := sessionWorld()
-	reply := w.handle(-1, opNicReserve, &dec{}, nil)
+	reply := w.handle(opNicReserve, &dec{}, nil)
 	if reply[4] != stFault || !bytes.Contains(reply, []byte("unknown opcode")) {
 		t.Fatalf("retired opNicReserve answered %q, want an unknown-opcode fault", reply)
 	}

@@ -24,8 +24,6 @@ var (
 // recovers a poke the hook dropped, and a ring that travelled outside the
 // memory it announces and was lost with its connection (the wire's RING
 // frame: the data still lands). Both are rare on every backend, hence long.
-// A hook that can lose neither (ParkHook.Lossless) has nothing a timeout
-// could recover: its waiters sleep until poked or aborted.
 const DoorSlice = 100 * time.Millisecond
 
 // ParkHook is all a backend supplies to the two disciplines that put a rank
@@ -35,22 +33,23 @@ const DoorSlice = 100 * time.Millisecond
 // process park under its index; a pace park and a door park of one slot may
 // receive each other's pokes, which both treat as spurious.
 type ParkHook struct {
-	// Park blocks the caller under slot for at most d (0: no limit) and
-	// reports whether something other than the timeout ended the sleep (a
-	// Poke, or any wakeup that shares its channel). Only timeouts count as
-	// heartbeats.
-	Park func(slot int, d time.Duration) (poked bool)
-	// Poke wakes every goroutine parked under slot, or the next to park
-	// there, and reports whether a signal was delivered.
+	// Seq returns slot's poke sequence. A sleeper samples it before the last
+	// look at what it waits for and hands it to Park, so a poke that lands
+	// between that look and the sleep, whoever else it woke, still ends the
+	// sleep.
+	Seq func(slot int) uint64
+	// Park blocks the caller under slot for at most d, or not at all if the
+	// slot's sequence is no longer seq, and reports whether something other
+	// than the timeout ended the sleep (a Poke, or any wakeup that shares its
+	// channel). Only timeouts count as heartbeats.
+	Park func(slot int, seq uint64, d time.Duration) (poked bool)
+	// Poke wakes every goroutine parked under slot and reports whether a
+	// signal was delivered.
 	Poke func(slot int) bool
 	// Aborted returns nil while the world stands and otherwise the value
 	// blocked waiters unwind with: ErrAborted, or an *ErrPeerFailed naming
 	// the rank whose death took the world down.
 	Aborted func() error
-	// Lossless says that pokes, rings and aborts all travel through this
-	// process's memory, so that none can be lost on the way to a sleeper: the
-	// in-process fabric's hook. The Door then parks without a timeout (d = 0).
-	Lossless bool
 	// Refresh, when set, re-reads rank's clock from where it is published
 	// and Observes it: the table of a backend whose ranks share no memory
 	// holds last-known clocks. Nil where the table is the shared truth. Only
@@ -68,17 +67,15 @@ type ParkHook struct {
 type Door struct {
 	words int      // 64-bit words per row: ceil(n/64)
 	wait  []uint64 // n rows
-	regs  []doorSlot
+	own   []doorOwn
 	hook  ParkHook
 }
 
-// doorSlot counts this process's registrations under one slot beyond the
-// bit itself: two goroutines waiting on the same rank under the same slot
-// (a service handler beside the rank it serves, a resumed wire wait beside
-// its stale predecessor) share the bit, and it stays set until both left.
-type doorSlot struct {
-	mu    sync.Mutex
-	extra map[int]int // watched rank -> registrations beyond the first
+// doorOwn counts this process's waiters under slot r on r's own port: the
+// one registration goroutines may share (see Wait).
+type doorOwn struct {
+	mu sync.Mutex
+	n  int
 }
 
 // DoorTableWords returns the length of the uint64 slab a Door for n ranks
@@ -92,7 +89,7 @@ func NewDoor(n int, slab []uint64, hook ParkHook) *Door {
 	if slab == nil {
 		slab = make([]uint64, DoorTableWords(n))
 	}
-	return &Door{words: (n + 63) / 64, wait: slab, regs: make([]doorSlot, n), hook: hook}
+	return &Door{words: (n + 63) / 64, wait: slab, own: make([]doorOwn, n), hook: hook}
 }
 
 // Wake pokes every slot registered on watched's row, after its port's
@@ -113,36 +110,34 @@ func (d *Door) Wake(watched int) {
 // then re-checks the generation; the writer advances the generation and then
 // loads the row: both are sequentially consistent, so one of them sees the
 // other and no wakeup is lost. Wait may return gen unchanged, after DoorSlice
-// at the latest unless the hook is lossless; callers re-check their predicate
-// after every return. In a torn-down world it panics with the hook's abort
-// value.
+// at the latest; callers re-check their predicate after every return. In a
+// torn-down world it panics with the hook's abort value.
+//
+// One goroutine at a time waits under a given slot on a given rank, with one
+// exception: slot == watched, a process waiting on its own rank's port, where
+// the rank itself and the service handlers that hold remote ranks' waits on
+// it all park under the rank's slot. That registration is counted, and the
+// bit stays until the last of them leaves.
 func (d *Door) Wait(p *Port, watched, slot int, gen uint64) uint64 {
 	g := p.Gen()
 	if g != gen {
 		return g // already rung: no registration, no sleep
 	}
-	// Register: set the slot's bit on watched's row, or count one more
-	// registration behind a bit a goroutine of this process already set. A
-	// slot's bits are written by its own process only, under the slot's lock.
 	word, bit := &d.wait[watched*d.words+slot>>6], uint64(1)<<(slot&63)
-	s := &d.regs[slot]
-	s.mu.Lock()
-	if atomic.LoadUint64(word)&bit == 0 {
+	own := &d.own[slot]
+	if slot != watched {
 		atomic.OrUint64(word, bit)
 	} else {
-		if s.extra == nil {
-			s.extra = map[int]int{}
+		own.mu.Lock()
+		if own.n++; own.n == 1 {
+			atomic.OrUint64(word, bit)
 		}
-		s.extra[watched]++
-	}
-	s.mu.Unlock()
-	slice := DoorSlice
-	if d.hook.Lossless {
-		slice = 0
+		own.mu.Unlock()
 	}
 	var parkStart time.Time
 	var abort error
 	for beat := false; ; {
+		seq := d.hook.Seq(slot)
 		if g = p.Gen(); g != gen {
 			break
 		}
@@ -153,16 +148,17 @@ func (d *Door) Wait(p *Port, watched, slot int, gen uint64) uint64 {
 			parkStart = time.Now()
 			mDoorParks.Inc()
 		}
-		beat = !d.hook.Park(slot, slice)
+		beat = !d.hook.Park(slot, seq, DoorSlice)
 	}
-	// Unregister: the last registration takes the bit with it.
-	s.mu.Lock()
-	if len(s.extra) != 0 && s.extra[watched] > 0 {
-		s.extra[watched]--
-	} else {
+	if slot != watched {
 		atomic.AndUint64(word, ^bit)
+	} else {
+		own.mu.Lock()
+		if own.n--; own.n == 0 {
+			atomic.AndUint64(word, ^bit)
+		}
+		own.mu.Unlock()
 	}
-	s.mu.Unlock()
 	if !parkStart.IsZero() {
 		mDoorParkNs.Record(uint64(time.Since(parkStart)))
 	}
@@ -172,31 +168,41 @@ func (d *Door) Wait(p *Port, watched, slot int, gen uint64) uint64 {
 	return g
 }
 
-// Parker is the ParkHook of a world whose waiters are goroutines of this
-// process: a mutex and a condition variable per slot, which is what makes a
-// park and its wake cost a goroutine switch and little else, plus a timer per
-// slot, made at its first timed park, that only ever broadcasts. A sleeper
-// judges a wakeup by its own deadline and its own view of the poke count, so
-// a timer that fires late or for someone else is a spurious wakeup and
-// nothing more.
+// Parker is where the goroutines of one process sleep, and the ParkHook of a
+// world that is one process: a mutex and a condition variable per slot, which
+// is what makes a park and its wake cost a goroutine switch and little else,
+// plus a timer per slot, made at its first park, that only ever broadcasts. A
+// sleeper judges a wakeup by its own deadline and the slot's poke sequence, so
+// a timer that fires late or for someone else is a spurious wakeup and nothing
+// more.
+//
+// Pokes that come from outside the process arrive through listen, when the
+// parker has one: it blocks for at most d and reports whether a poke came. One
+// of a slot's sleepers at a time listens instead of sleeping, and what it
+// hears wakes them all; when it leaves, the next takes over.
 type Parker struct {
 	aborted atomic.Bool
+	listen  func(d time.Duration) bool
 	slots   []parkSlot
 }
 
 type parkSlot struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	pokes   uint64 // pokes so far
-	parked  int    // goroutines inside Park
-	pending bool   // the last poke found nobody parked: the next Park takes it
-	timer   *time.Timer
-	wakeAt  time.Time // when timer fires; zero: not armed
+	mu        sync.Mutex
+	cond      sync.Cond
+	pokes     atomic.Uint64 // pokes so far; advanced under mu
+	listening bool          // a sleeper is in listen
+	timer     *time.Timer
+	wakeAt    time.Duration // when timer fires, from parkEpoch; 0: not armed
 }
 
-// NewParker returns a parker of n slots.
-func NewParker(n int) *Parker {
-	k := &Parker{slots: make([]parkSlot, n)}
+// parkEpoch is what park deadlines are offsets from: time.Since reads the
+// monotonic clock alone.
+var parkEpoch = time.Now()
+
+// NewParker returns a parker of n slots; listen is nil where every poke is
+// this process's own.
+func NewParker(n int, listen func(d time.Duration) bool) *Parker {
+	k := &Parker{listen: listen, slots: make([]parkSlot, n)}
 	for i := range k.slots {
 		k.slots[i].cond.L = &k.slots[i].mu
 	}
@@ -205,65 +211,65 @@ func NewParker(n int) *Parker {
 
 // Hook returns the parker as a ParkHook over the given abort state.
 func (k *Parker) Hook(aborted func() error) ParkHook {
-	return ParkHook{Park: k.Park, Poke: k.Poke, Aborted: aborted}
+	return ParkHook{Seq: k.Seq, Park: k.Park, Poke: k.Poke, Aborted: aborted}
 }
 
-// Park sleeps the caller under slot for at most d, or with d = 0 until it is
-// poked or the parker aborts.
-func (k *Parker) Park(slot int, d time.Duration) bool {
+// Seq returns slot's poke sequence.
+func (k *Parker) Seq(slot int) uint64 { return k.slots[slot].pokes.Load() }
+
+// Park sleeps the caller under slot until its poke sequence leaves seq, the
+// parker aborts, or d has passed.
+func (k *Parker) Park(slot int, seq uint64, d time.Duration) bool {
 	s := &k.slots[slot]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pending {
-		s.pending = false
-		return true
-	}
-	seq := s.pokes
-	s.parked++
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	for ; s.pokes == seq && !k.aborted.Load(); s.cond.Wait() {
-		if d == 0 {
-			continue
-		}
-		left := time.Until(deadline)
-		if left <= 0 {
-			break
-		}
-		if s.wakeAt.IsZero() || deadline.Before(s.wakeAt) {
-			s.wakeAt = deadline
-			if s.timer == nil {
-				s.timer = time.AfterFunc(left, s.beat)
-			} else {
-				s.timer.Reset(left)
+	deadline := time.Since(parkEpoch) + d
+	for left := d; left > 0 && s.pokes.Load() == seq && !k.aborted.Load(); {
+		if k.listen != nil && !s.listening {
+			s.listening = true
+			s.mu.Unlock()
+			heard := k.listen(left)
+			s.mu.Lock()
+			s.listening = false
+			s.cond.Broadcast() // woken, or one of them listens next
+			if !heard {
+				break // its whole deadline went by, or there is nothing to listen on
 			}
+			s.pokes.Add(1)
+		} else {
+			if s.wakeAt == 0 || deadline < s.wakeAt {
+				s.wakeAt = deadline
+				if s.timer == nil {
+					s.timer = time.AfterFunc(left, s.beat)
+				} else {
+					s.timer.Reset(left)
+				}
+			}
+			s.cond.Wait()
+		}
+		if s.pokes.Load() == seq {
+			left = deadline - time.Since(parkEpoch) // the timer, or a wakeup meant for another
 		}
 	}
-	s.parked--
-	return s.pokes != seq
+	return s.pokes.Load() != seq
 }
 
 // beat is the slot's timer: it wakes the sleepers to look at their clocks.
 func (s *parkSlot) beat() {
 	s.mu.Lock()
-	s.wakeAt = time.Time{}
+	s.wakeAt = 0
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// Poke wakes every goroutine parked under slot; with nobody there it leaves
-// the poke for the next to park, and reports false if one was already left.
+// Poke advances slot's sequence and wakes every goroutine parked under it.
 func (k *Parker) Poke(slot int) bool {
 	s := &k.slots[slot]
 	s.mu.Lock()
-	delivered := s.parked > 0 || !s.pending
-	s.pokes++
-	s.pending = s.parked == 0
+	s.pokes.Add(1)
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	return delivered
+	return true
 }
 
 // Abort ends every park, now and from now on: the sleepers find the world

@@ -9,13 +9,12 @@ import (
 )
 
 // TestDoorOverFabric runs the behavioural door cases over the in-process
-// fabric: a heap table and the channel-and-timer parker, through the
-// Transport surface the endpoints use.
+// fabric: a heap table and its Parker.
 func TestDoorOverFabric(t *testing.T) {
 	doortest.Run(t, func(t *testing.T, n, slot int) doortest.World {
 		f := simnet.NewFabric(n, 4)
 		v := doortest.View{Door: f.Door(), Port: f.Port}
-		return doortest.World{Waiter: v, Writer: v, Abort: f.Abort, Blamed: -1, Lossless: true}
+		return doortest.World{Waiter: v, Writer: v, Abort: f.Abort, Blamed: -1}
 	})
 }
 
@@ -25,7 +24,7 @@ func TestDoorOverFabric(t *testing.T) {
 func TestDoorOverLossyHook(t *testing.T) {
 	doortest.Run(t, func(t *testing.T, n, slot int) doortest.World {
 		var drop, aborted atomic.Bool
-		park := simnet.NewParker(n)
+		park := simnet.NewParker(n, nil)
 		hook := park.Hook(func() error {
 			if aborted.Load() {
 				return &simnet.ErrPeerFailed{Rank: 3}

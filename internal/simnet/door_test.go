@@ -84,49 +84,144 @@ func TestDoorAbortedNeverParks(t *testing.T) {
 	}
 }
 
-// TestParkerPokeReachesAll parks three goroutines under one slot — a rank's
-// pace park, its doorbell wait and a service handler's may share one — and
-// pokes once: every one of them is woken, none by its timer. A poke with
-// nobody parked is kept for the next to park.
-func TestParkerPokeReachesAll(t *testing.T) {
-	k := NewParker(2)
-	var woken atomic.Int32
-	done := make(chan bool, 3)
-	for i := 0; i < 3; i++ {
-		go func() {
-			poked := k.Park(1, 30*time.Second)
-			woken.Add(1)
-			done <- poked
-		}()
-	}
-	parked := func() int {
-		k.slots[1].mu.Lock()
-		defer k.slots[1].mu.Unlock()
-		return k.slots[1].parked
-	}
-	for deadline := time.Now().Add(10 * time.Second); parked() < 3; {
-		if time.Now().After(deadline) {
-			t.Fatal("the three goroutines never parked")
+// TestDoorPokeBetweenRecheckAndPark: a ring whose poke lands after a waiter's
+// last look at the generation and before it sleeps — and finds another
+// goroutine already asleep under the slot, so that nothing is left over for
+// the latecomer — still ends both waits at once: the latecomer parks with the
+// sequence it sampled before it looked.
+func TestDoorPokeBetweenRecheckAndPark(t *testing.T) {
+	k := NewParker(4, nil)
+	var d *Door
+	var p Port
+	var parks, looks atomic.Int32
+	// Aborted is what a waiter calls between its last look at the generation
+	// and its park: the second waiter's call is where the ring lands.
+	hook := k.Hook(func() error {
+		if looks.Add(1) == 2 {
+			p.Ring()
+			d.Wake(2)
 		}
-		time.Sleep(100 * time.Microsecond)
+		return nil
+	})
+	hook.Park = func(slot int, seq uint64, dur time.Duration) bool {
+		parks.Add(1)
+		return k.Park(slot, seq, dur)
 	}
-	if !k.Poke(1) {
-		t.Fatal("Poke reported no signal delivered with three goroutines parked")
+	d = NewDoor(4, nil, hook)
+	out := make(chan uint64, 2)
+	go func() { out <- d.Wait(&p, 2, 2, 0) }()
+	for deadline := time.Now().Add(10 * time.Second); parks.Load() < 1; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first waiter never parked")
+		}
 	}
-	for i := 0; i < 3; i++ {
+	time.Sleep(5 * time.Millisecond) // let it fall asleep
+	t0 := time.Now()
+	go func() { out <- d.Wait(&p, 2, 2, 0) }()
+	for i := 0; i < 2; i++ {
+		select {
+		case g := <-out:
+			if g != 1 {
+				t.Fatalf("Wait returned generation %d after the ring, want 1", g)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a waiter never returned")
+		}
+	}
+	if took := time.Since(t0); took > DoorSlice/2 {
+		t.Fatalf("the waits ended %v after the ring: a waiter slept through a poke that landed before its park", took)
+	}
+}
+
+// parkAll parks n goroutines under slot at its current sequence and gives
+// them time to fall asleep; done carries what each Park returned.
+func parkAll(k *Parker, slot, n int, d time.Duration) (done chan bool) {
+	done = make(chan bool, n)
+	seq := k.Seq(slot)
+	for i := 0; i < n; i++ {
+		go func() { done <- k.Park(slot, seq, d) }()
+	}
+	time.Sleep(20 * time.Millisecond)
+	return done
+}
+
+func allPoked(t *testing.T, done chan bool, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
 		select {
 		case poked := <-done:
 			if !poked {
 				t.Fatal("a parked goroutine timed out instead of being poked")
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("one poke woke %d of 3 goroutines parked under one slot", woken.Load())
+			t.Fatalf("one poke woke %d of %d goroutines parked under one slot", i, n)
 		}
 	}
-	if !k.Poke(0) || !k.Park(0, 30*time.Second) {
-		t.Fatal("a poke with nobody parked was not kept for the next park")
+}
+
+// TestParkerPokeReachesAll parks three goroutines under one slot — a rank's
+// pace park, its doorbell wait and a service handler's may share one — and
+// pokes once: every one of them is woken, none by its timer. A park whose
+// sequence a poke has already left does not sleep; one at the current
+// sequence does, to its deadline.
+func TestParkerPokeReachesAll(t *testing.T) {
+	k := NewParker(2, nil)
+	done := parkAll(k, 1, 3, 30*time.Second)
+	k.Poke(1)
+	allPoked(t, done, 3)
+	seq := k.Seq(0)
+	k.Poke(0)
+	if !k.Park(0, seq, 30*time.Second) {
+		t.Fatal("a park at a sequence a poke had already left went to sleep")
 	}
-	if k.Park(0, time.Millisecond) {
-		t.Fatal("park with nothing pending did not time out")
+	if k.Park(0, k.Seq(0), time.Millisecond) {
+		t.Fatal("park at the current sequence did not time out")
+	}
+}
+
+// TestParkerListener: with a listener, one of a slot's sleepers blocks in it
+// and the rest behind it; what it hears wakes them all, and when it leaves on
+// its deadline the next one listens.
+func TestParkerListener(t *testing.T) {
+	heard := make(chan bool)
+	var listeners atomic.Int32
+	k := NewParker(1, func(d time.Duration) bool {
+		if listeners.Add(1) > 1 {
+			t.Error("two sleepers listening at once")
+		}
+		defer listeners.Add(-1)
+		select {
+		case v := <-heard:
+			return v
+		case <-time.After(d):
+			return false
+		}
+	})
+	done := parkAll(k, 0, 3, 30*time.Second)
+	heard <- true
+	allPoked(t, done, 3)
+
+	// The first listener's deadline passes with nothing heard: it leaves
+	// unpoked, and the sleeper behind it must be the one that hears next.
+	seq := k.Seq(0)
+	short, long := make(chan bool, 1), make(chan bool, 1)
+	go func() { short <- k.Park(0, seq, 30*time.Millisecond) }()
+	time.Sleep(10 * time.Millisecond)
+	go func() { long <- k.Park(0, seq, 30*time.Second) }()
+	if <-short {
+		t.Fatal("the listener reported a poke with nothing heard")
+	}
+	select {
+	case heard <- true:
+	case <-time.After(5 * time.Second):
+		t.Fatal("nobody took over listening when the listener left")
+	}
+	select {
+	case poked := <-long:
+		if !poked {
+			t.Fatal("the sleeper that took over listening timed out")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sleeper that took over listening never woke")
 	}
 }

@@ -176,10 +176,8 @@ func NewFabric(n, ranksPerNode int) *Fabric {
 		n: n, ranksPerNode: ranksPerNode, nodes: make([]*node, n),
 		done: make(chan struct{}),
 	}
-	f.park = NewParker(n)
-	hook := f.park.Hook(f.abortErr)
-	hook.Lossless = true
-	f.door = NewDoor(n, nil, hook)
+	f.park = NewParker(n, nil)
+	f.door = NewDoor(n, nil, f.park.Hook(f.abortErr))
 	// Per-node state comes from three slabs (node structs, initial table
 	// headers via node.initTbl, table backing arrays): world setup is a few
 	// allocations, not a few per rank.

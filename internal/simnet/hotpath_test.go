@@ -172,7 +172,7 @@ func TestDoorbellFastPath(t *testing.T) {
 	f := NewFabric(1, 1)
 	var parks, pokes atomic.Int32
 	hook := f.door.hook
-	f.door.hook.Park = func(s int, d time.Duration) bool { parks.Add(1); return hook.Park(s, d) }
+	f.door.hook.Park = func(s int, q uint64, d time.Duration) bool { parks.Add(1); return hook.Park(s, q, d) }
 	f.door.hook.Poke = func(s int) bool { pokes.Add(1); return hook.Poke(s) }
 
 	gen := f.DoorGen(0)

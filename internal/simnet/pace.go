@@ -207,6 +207,7 @@ func (p *Pacer) block(rank int, me int64) {
 		if p.rescan(arg) != m {
 			continue // the governing cache was stale: fold again
 		}
+		seq := p.hook.Seq(rank)
 		atomic.AddInt64(p.parked, 1)
 		atomic.StoreInt64(&p.thresh[rank], target)
 		poked := true
@@ -215,7 +216,7 @@ func (p *Pacer) block(rank int, me int64) {
 				parkStart = time.Now()
 				mPaceParks.Inc()
 			}
-			poked = p.hook.Park(rank, beat)
+			poked = p.hook.Park(rank, seq, beat)
 		}
 		atomic.StoreInt64(&p.thresh[rank], 0)
 		atomic.AddInt64(p.parked, -1)

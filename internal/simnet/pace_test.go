@@ -23,7 +23,8 @@ type fakePace struct {
 
 func (f *fakePace) hook() ParkHook {
 	return ParkHook{
-		Park: func(_ int, d time.Duration) bool {
+		Seq: func(int) uint64 { return 0 },
+		Park: func(_ int, _ uint64, d time.Duration) bool {
 			f.parks = append(f.parks, d)
 			return f.onPark != nil && f.onPark(len(f.parks))
 		},
