@@ -59,8 +59,6 @@ func main() {
 		"fault-injection spec for the net/hybrid wire, e.g. 'seed=7,delayp=0.1,delaymax=20ms,resetafter=400' (default from "+faultnet.EnvVar+"; see internal/faultnet)")
 	netTimeouts := flag.String("net-timeouts", os.Getenv(netrun.EnvTimeouts),
 		"net/hybrid failure-model timing spec, e.g. 'heartbeat=500ms,stale=3s,optimeout=2s,ctlidle=6s' (default from "+netrun.EnvTimeouts+"; zero-value keys keep the defaults)")
-	netWindow := flag.String("net-window", os.Getenv(netrun.EnvWindow),
-		"net/hybrid outstanding-request window depth per destination, 1-4096 (default from "+netrun.EnvWindow+", then 64; 1 restores blocking one-op-per-round-trip behavior)")
 	stats := flag.Bool("stats", os.Getenv(telemetry.EnvVar) != "" && os.Getenv(telemetry.EnvVar) != "0",
 		"enable telemetry: each rank dumps a JSON stats line at exit and the coordinator publishes the merged world aggregate (default from "+telemetry.EnvVar+")")
 	debugAddr := flag.String("debug-addr", os.Getenv(telemetry.EnvDebugAddr),
@@ -95,13 +93,6 @@ func main() {
 		// Same inheritance pattern as -faults: Launch re-resolves and
 		// re-exports the fully resolved spec for the spawned workers.
 		os.Setenv(netrun.EnvTimeouts, *netTimeouts)
-	}
-	if *netWindow != "" {
-		if _, err := netrun.ParseWindow(*netWindow); err != nil {
-			fmt.Fprintf(os.Stderr, "fompi-run: -net-window: %v\n", err)
-			os.Exit(2)
-		}
-		os.Setenv(netrun.EnvWindow, *netWindow)
 	}
 	if *stats {
 		// Same inheritance pattern as -faults: spawned workers read the

@@ -163,7 +163,7 @@ type Config struct {
 // Quick returns the fast default configuration. MaxP rides the fabric's
 // host-side throughput: the hot-path overhaul (COW region tables, waiter-
 // aware doorbells, block-summary stamps, sharded pacing) raised it 64→256
-// within the same wall-clock budget; BENCH_host.json records the headroom.
+// within the same wall-clock budget (EXPERIMENTS.md, "Host performance").
 func Quick() Config { return Config{Reps: 51, MaxP: 256, Inserts: 512, Seed: 7} }
 
 // Full returns a configuration closer to the paper's repetition counts

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,19 +48,11 @@ const (
 	// EnvTimeouts overrides the failure-model timing knobs (see Timeouts);
 	// worker processes inherit it, so one setting governs a whole world.
 	EnvTimeouts = "FOMPI_NET_TIMEOUTS"
-	// EnvWindow overrides the per-destination outstanding-request window
-	// depth of the pipelined wire engine (DESIGN.md §12); like EnvTimeouts
-	// it is re-exported by Launch so one setting governs a whole world.
-	// window=1 degrades to the pre-v5 one-op-one-RTT blocking behavior (the
-	// escape hatch); empty keeps the default.
-	EnvWindow = "FOMPI_NET_WINDOW"
 
-	// defaultNetWindow is the outstanding-request window depth when neither
-	// EnvWindow nor Options.NetWindow picks one; maxNetWindow bounds a
-	// configured depth (the byte cap in session.go binds long before this
-	// for realistic frames).
-	defaultNetWindow = 64
-	maxNetWindow     = 4096
+	// netWindow is the per-destination outstanding-request window depth of
+	// the pipelined wire engine (DESIGN.md §12); the byte cap in session.go
+	// binds first for bulk frames.
+	netWindow = 64
 
 	bootTimeout = 60 * time.Second
 	// abortGrace bounds the time between the abort broadcast and the
@@ -151,47 +142,6 @@ type Options struct {
 	// Launch re-exports the resolved values through EnvTimeouts so spawned
 	// workers agree with the coordinator.
 	Timeouts Timeouts
-
-	// NetWindow overrides the outstanding-request window depth (DESIGN.md
-	// §12); zero falls back to the EnvWindow environment spec, then to
-	// defaultNetWindow. Launch re-exports the resolved value through
-	// EnvWindow so spawned workers agree with the coordinator.
-	NetWindow int
-}
-
-// ParseWindow parses an EnvWindow spec: an integer window depth in
-// [1, maxNetWindow]. An empty spec is valid and selects the default.
-func ParseWindow(spec string) (int, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(spec)
-	if err != nil || n < 1 || n > maxNetWindow {
-		return 0, fmt.Errorf("netrun: bad window depth %q (want an integer in [1,%d])", spec, maxNetWindow)
-	}
-	return n, nil
-}
-
-// resolveWindow layers default ← environment ← Options, like
-// resolveTimeouts: both the coordinator and every worker resolve the same
-// way, so a depth exported through the environment keeps the world in
-// agreement.
-func resolveWindow(o int) (int, error) {
-	n, err := ParseWindow(os.Getenv(EnvWindow))
-	if err != nil {
-		return 0, err
-	}
-	if o > 0 {
-		if o > maxNetWindow {
-			return 0, fmt.Errorf("netrun: bad window depth %d (want an integer in [1,%d])", o, maxNetWindow)
-		}
-		n = o
-	}
-	if n == 0 {
-		n = defaultNetWindow
-	}
-	return n, nil
 }
 
 // Timeouts are the failure-model timing knobs (DESIGN.md §11), configurable
@@ -376,10 +326,8 @@ type World struct {
 	svcClosed bool
 	svcWg     sync.WaitGroup
 
-	// tm holds the resolved failure-model timing knobs (Timeouts); win is
-	// the resolved outstanding-request window depth (session.go).
-	tm  Timeouts
-	win int
+	// tm holds the resolved failure-model timing knobs (Timeouts).
+	tm Timeouts
 
 	aborted atomic.Bool
 	// failedRank is the rank the RANKFAIL verdict (or first-hand transport
@@ -485,11 +433,6 @@ func Launch(o Options) error {
 	// the environment) agree with the coordinator — the same pattern -faults
 	// uses for its spec.
 	os.Setenv(EnvTimeouts, tm.spec())
-	win, err := resolveWindow(o.NetWindow)
-	if err != nil {
-		return err
-	}
-	os.Setenv(EnvWindow, strconv.Itoa(win))
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return fmt.Errorf("netrun: listen coordinator socket %s: %w", listen, err)
@@ -898,10 +841,6 @@ func Join(o Options) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	win, err := resolveWindow(o.NetWindow)
-	if err != nil {
-		return nil, err
-	}
 	// The coordinator may come up after the workers in host-list mode, and
 	// faultnet injects refused dials; retry with backoff inside the boot
 	// window rather than failing the whole rank on the first RST.
@@ -938,7 +877,6 @@ func Join(o Options) (*World, error) {
 		sessions: make(map[uint64]*ownerSession),
 		svcConns: make(map[net.Conn]struct{}),
 		tm:       tm,
-		win:      win,
 		done:     make(chan struct{}),
 		bye:      make(chan struct{}),
 	}

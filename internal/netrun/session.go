@@ -107,7 +107,7 @@ type reqSession struct {
 	bring  bool // a doorbell ring rides the next flush
 }
 
-// Window caps beyond the configured depth: winBytesCap bounds the bytes in
+// Window caps beyond the netWindow depth: winBytesCap bounds the bytes in
 // flight per destination (replies are tiny, so bounding requests bounds
 // both TCP buffers — the socket can never fill in a way deadlines cannot
 // recover), and batchBuildMax flushes an oversized builder early.
@@ -158,21 +158,12 @@ func (w *World) callData(r int, e enc) dec {
 	}
 }
 
-// winDepth is the configured outstanding-request window depth (window=1
-// degrades to one-in-flight, the pre-v5 blocking behavior).
-func (w *World) winDepth() int {
-	if w.win > 0 {
-		return w.win
-	}
-	return defaultNetWindow
-}
-
 // winRoom drains the oldest in-flight frames until the window to r has
 // room — in depth and in bytes — for one more frame of size add.
 func (w *World) winRoom(r int, add int) {
 	s := &w.rsess[r]
 	for len(s.inflight) > 0 &&
-		(len(s.inflight) >= w.winDepth() || s.bytes+add > winBytesCap) {
+		(len(s.inflight) >= netWindow || s.bytes+add > winBytesCap) {
 		w.drainOne(r)
 	}
 }
@@ -193,15 +184,12 @@ func (w *World) subOp(r int, op uint8, sink *timing.Time, fold bool) enc {
 }
 
 // subDone seals the sub-op begun by subOp, flushing the builder once it
-// crosses the build cap (several opBatch frames per issue burst then). At
-// window depth 1 every sub-op flushes into its own frame: with at most one
-// frame in flight, each op then waits out a full round trip before the
-// next is queued — the blocking escape hatch of the pre-v5 wire.
+// crosses the build cap (several opBatch frames per issue burst then).
 func (w *World) subDone(r int, e enc) {
 	s := &w.rsess[r]
 	binary.LittleEndian.PutUint32(e.b[s.bstart:], uint32(len(e.b)-s.bstart-4))
 	s.bbuf = e.b
-	if len(s.bbuf) >= batchBuildMax || w.winDepth() == 1 {
+	if len(s.bbuf) >= batchBuildMax {
 		w.flushFused(r)
 	}
 }

@@ -323,34 +323,6 @@ func TestSessionBatchSuffixReplay(t *testing.T) {
 	}
 }
 
-func TestParseWindow(t *testing.T) {
-	for spec, want := range map[string]int{"": 0, "1": 1, " 64 ": 64, "4096": 4096} {
-		if got, err := ParseWindow(spec); err != nil || got != want {
-			t.Errorf("ParseWindow(%q) = %d, %v; want %d", spec, got, err, want)
-		}
-	}
-	for _, bad := range []string{"0", "-3", "4097", "many", "64x"} {
-		if _, err := ParseWindow(bad); err == nil {
-			t.Errorf("ParseWindow(%q) parsed without error", bad)
-		}
-	}
-	t.Setenv(EnvWindow, "8")
-	if got, err := resolveWindow(0); err != nil || got != 8 {
-		t.Errorf("resolveWindow(0) with env 8 = %d, %v; want 8", got, err)
-	}
-	if got, err := resolveWindow(2); err != nil || got != 2 {
-		t.Errorf("resolveWindow(2) must override the env (got %d, %v)", got, err)
-	}
-	t.Setenv(EnvWindow, "")
-	if got, err := resolveWindow(0); err != nil || got != defaultNetWindow {
-		t.Errorf("resolveWindow(0) with no env = %d, %v; want the %d default", got, err, defaultNetWindow)
-	}
-	t.Setenv(EnvWindow, "boom")
-	if _, err := resolveWindow(0); err == nil {
-		t.Errorf("bad env spec resolved without error")
-	}
-}
-
 // TestResumeExactlyOnceUnderRecurringResets runs a real two-rank loopback
 // world under recurring data-plane connection resets and proves the session
 // layer's exactly-once contract end to end: each rank fetch-adds one word of

@@ -36,22 +36,11 @@ func (w *World) sendStatsLocked() {
 }
 
 // Coordinator-side aggregation state: the last completed world's merged
-// snapshot, readable in-process (hostperf embeds it into its report).
+// snapshot, kept for the package's tests (LastStats, export_test.go).
 var (
 	lastStatsMu sync.Mutex
 	lastStats   *telemetry.Snapshot
 )
-
-// LastStats returns the aggregated telemetry snapshot of the last world
-// this process coordinated, if any world shipped stats frames.
-func LastStats() (telemetry.Snapshot, bool) {
-	lastStatsMu.Lock()
-	defer lastStatsMu.Unlock()
-	if lastStats == nil {
-		return telemetry.Snapshot{}, false
-	}
-	return *lastStats, true
-}
 
 // publishStats records and emits the aggregate at the end of coordinate():
 // to the FOMPI_STATS_OUT file when set, to stderr otherwise. Failure paths

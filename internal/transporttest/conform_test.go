@@ -30,6 +30,7 @@ import (
 	"fompi/internal/netrun"
 	"fompi/internal/simnet"
 	"fompi/internal/spmd"
+	"fompi/internal/telemetry"
 	"fompi/internal/timing"
 )
 
@@ -369,6 +370,43 @@ func TestConformanceDoorbell(t *testing.T) {
 			p.EP().Transport().RingDoorbell(p.Rank()) // announce the local store
 		}
 		p.Barrier()
+	})
+}
+
+// TestConformanceFusedFrame is the wire gate: a burst of 64 PutNB to one
+// off-host rank plus the Gsync that completes it costs the net and hybrid
+// backends exactly one opBatch frame — the burst fuses whole and fits the
+// 64-deep window — with nothing retransmitted, resumed or replayed from the
+// owner's reply cache. The shared-memory backends send no frame at all.
+func TestConformanceFusedFrame(t *testing.T) {
+	const burst = 64
+	cfg := spmd.Config{Ranks: 2, RanksPerNode: 1}
+	defer telemetry.SetEnabled(telemetry.On())
+	telemetry.SetEnabled(true) // workers re-execute the test: every rank's process counts
+	runAll(t, "TestConformanceFusedFrame", cfg, func(p *spmd.Proc) {
+		_, key := setupRegion(p, burst*8)
+		ep := p.EP()
+		before := telemetry.Capture(0).Counters
+		if p.Rank() == 0 {
+			var word [8]byte
+			ep.Put(simnet.Addr{Rank: 1, Key: key}, word[:]) // resolve the route outside the frame count
+			frames, want := paceCounter("net.batches"), uint64(0)
+			for i := 0; i < burst; i++ {
+				ep.PutNB(simnet.Addr{Rank: 1, Key: key, Off: i * 8}, word[:])
+			}
+			ep.Gsync()
+			frames = paceCounter("net.batches") - frames
+			if netrun.IsWorker() { // hybrid workers are netrun workers too
+				want = 1
+			}
+			check(frames == want, "%d PutNB + Gsync cost %d wire frames, want %d", burst, frames, want)
+		}
+		p.Barrier() // the owner's counters have seen the burst too
+		after := telemetry.Capture(0).Counters
+		telemetry.SetEnabled(false) // past the last read: no stats dump at world exit
+		for _, c := range []string{"net.retransmits", "net.resumes", "net.dedup_hits"} {
+			check(after[c] == before[c], "rank %d: %s moved by %d on a fault-free wire", p.Rank(), c, after[c]-before[c])
+		}
 	})
 }
 

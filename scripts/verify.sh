@@ -17,7 +17,12 @@
 #                                (doorWaiters, doorMu, doorGenOf,
 #                                doorWaitSliced, WaitDoorSliced, DoorOps,
 #                                doorWaitMin, doorWaitMax) that simnet.Door
-#                                replaced occur in no non-test Go file
+#                                replaced, and the deleted host-perf harness
+#                                and wire-window knob (hostperf, EnvWindow,
+#                                NetWindow, winDepth, resolveWindow) occur
+#                                in no non-test Go file; the Makefile, the
+#                                scripts and the CI workflow name no piece
+#                                of that harness either
 #   go test ./...                all package suites (includes the transport
 #                                conformance suite, which spawns the
 #                                multi-process, inter-node, and hybrid
@@ -40,8 +45,6 @@
 #                                the in-process, multi-process, inter-node
 #                                (loopback TCP), and hybrid (shm + TCP)
 #                                backends
-#   make bench-host-quick        one-iteration host-perf smoke; asserts the
-#                                emitted JSON is well-formed
 #   leak gate                    no fompi-mp-* / fompi-hyb-* entry (world
 #                                directory, segment, doorbell socket)
 #                                created during this run is left under
@@ -74,10 +77,11 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors must not creep back)"
-if grep -rnE 'LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax' \
-	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop or a second doorbell park/wake is back in non-test Go" >&2
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness and the wire-window knob must not creep back)"
+if grep -rnE 'LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow' \
+	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
+	grep -nE 'hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW' --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness or the wire-window knob is back" >&2
 	exit 1
 fi
 
@@ -147,9 +151,6 @@ done
 "$TMP/hashtable" >/dev/null
 "$TMP/dsde" >/dev/null
 echo "examples smoke: OK"
-
-echo "== bench-host smoke (make bench-host-quick: 1 iteration, JSON well-formed)"
-make bench-host-quick
 
 echo "== leak gate (no fompi-mp-* / fompi-hyb-* entry of this run left under \$TMPDIR or /dev/shm)"
 LEAKED=""
