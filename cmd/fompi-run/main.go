@@ -6,17 +6,21 @@
 //	fompi-run -np 4 -backend net -hosts a,b -listen :7077 ./myprog
 //	fompi-run -np 4 -ppn 2 -backend hybrid ./myprog args...    # shm within a host, TCP across
 //
-// With -backend mp (the default) it creates the shared-memory world and
-// executes the target binary once per rank; with -backend net it runs the
-// inter-node TCP coordinator, spawning the ranks locally (loopback mode) or
-// — when -hosts is given (or FOMPI_HOSTS is set) — waiting for workers the
-// operator starts on each listed machine with FOMPI_NET_COORD pointing back
-// at the coordinator. -backend hybrid runs the same coordinator but groups
-// ranks by host key: co-located ranks share an mmap arena (shared-memory
-// windows work across their processes), off-host ranks talk TCP. In loopback
-// mode the hybrid launcher emulates one host per virtual node; in host-list
-// mode each worker's environment carries FOMPI_HYB_WORLD=1 and the host's
-// FOMPI_NET_HOST.
+// Every backend's world runs the one control plane (internal/rankio): the
+// launcher coordinates, each rank learns its world from FOMPI_COORD
+// (backend:network:address of the coordinator's socket) and FOMPI_RANK, and
+// -stats, -net-timeouts and the heartbeat liveness check cover all three.
+// With -backend mp (the default) the launcher creates the shared-memory world
+// and executes the target binary once per rank; with -backend net it listens
+// on TCP, spawning the ranks locally (loopback mode) or — when -hosts is
+// given (or FOMPI_HOSTS is set) — waiting for workers the operator starts on
+// each listed machine with FOMPI_COORD=net:tcp:<host>:<port> pointing back at
+// the coordinator (the launcher prints the exact line). -backend hybrid runs
+// the same coordinator but groups ranks by host key: co-located ranks share
+// an mmap arena (shared-memory windows work across their processes), off-host
+// ranks talk TCP. In loopback mode the hybrid launcher emulates one host per
+// virtual node; in host-list mode FOMPI_COORD names the hybrid backend and
+// each machine's workers export its FOMPI_NET_HOST.
 //
 // The launcher exports FOMPI_BACKEND, so a program that selects its backend
 // from the environment (fompi.BackendFromEnv, as the examples do) reaches
@@ -33,13 +37,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"fompi/internal/faultnet"
-	"fompi/internal/hybridrun"
-	"fompi/internal/mprun"
-	"fompi/internal/netrun"
 	"fompi/internal/rankio"
+	"fompi/internal/spmd"
 	"fompi/internal/telemetry"
 )
 
@@ -57,10 +60,10 @@ func main() {
 		"net/hybrid rendezvous deadline: fail with the list of missing ranks if the world has not assembled by then (0 = the 60 s default)")
 	faults := flag.String("faults", os.Getenv(faultnet.EnvVar),
 		"fault-injection spec for the net/hybrid wire, e.g. 'seed=7,delayp=0.1,delaymax=20ms,resetafter=400' (default from "+faultnet.EnvVar+"; see internal/faultnet)")
-	netTimeouts := flag.String("net-timeouts", os.Getenv(netrun.EnvTimeouts),
-		"net/hybrid failure-model timing spec, e.g. 'heartbeat=500ms,stale=3s,optimeout=2s,ctlidle=6s' (default from "+netrun.EnvTimeouts+"; zero-value keys keep the defaults)")
+	netTimeouts := flag.String("net-timeouts", os.Getenv(rankio.EnvTimeouts),
+		"failure-model timing spec of every backend's control plane (and the net/hybrid wire), e.g. 'heartbeat=500ms,stale=3s,optimeout=2s,ctlidle=6s' (default from "+rankio.EnvTimeouts+"; zero-value keys keep the defaults)")
 	stats := flag.Bool("stats", os.Getenv(telemetry.EnvVar) != "" && os.Getenv(telemetry.EnvVar) != "0",
-		"enable telemetry: each rank dumps a JSON stats line at exit and the coordinator publishes the merged world aggregate (default from "+telemetry.EnvVar+")")
+		"enable telemetry on any backend: each rank dumps a JSON stats line at exit and the coordinator publishes the merged world aggregate (default from "+telemetry.EnvVar+")")
 	debugAddr := flag.String("debug-addr", os.Getenv(telemetry.EnvDebugAddr),
 		"bind an HTTP observability listener (expvar under /debug/vars, pprof under /debug/pprof/) in every world process, e.g. 127.0.0.1:0 (default from "+telemetry.EnvDebugAddr+")")
 	flag.Usage = func() {
@@ -72,8 +75,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if mprun.IsWorker() || netrun.IsWorker() {
+	if spmd.WorkerOf() != "" {
 		fmt.Fprintln(os.Stderr, "fompi-run: refusing to nest inside a cross-process world")
+		os.Exit(2)
+	}
+	if !slices.Contains(spmd.CrossBackends(), spmd.Backend(*backend)) {
+		fmt.Fprintf(os.Stderr, "fompi-run: unknown backend %q (want one of %v)\n", *backend, spmd.CrossBackends())
 		os.Exit(2)
 	}
 	if *faults != "" {
@@ -86,13 +93,13 @@ func main() {
 		os.Setenv(faultnet.EnvVar, *faults)
 	}
 	if *netTimeouts != "" {
-		if _, err := netrun.ParseTimeouts(*netTimeouts); err != nil {
+		if _, err := rankio.ParseTimeouts(*netTimeouts); err != nil {
 			fmt.Fprintf(os.Stderr, "fompi-run: -net-timeouts: %v\n", err)
 			os.Exit(2)
 		}
 		// Same inheritance pattern as -faults: Launch re-resolves and
 		// re-exports the fully resolved spec for the spawned workers.
-		os.Setenv(netrun.EnvTimeouts, *netTimeouts)
+		os.Setenv(rankio.EnvTimeouts, *netTimeouts)
 	}
 	if *stats {
 		// Same inheritance pattern as -faults: spawned workers read the
@@ -109,53 +116,19 @@ func main() {
 	if *hosts != "" {
 		hostList = strings.Split(*hosts, ",")
 	}
-	var err error
-	switch *backend {
-	case "mp":
-		if hostList != nil {
-			fmt.Fprintln(os.Stderr, "fompi-run: -hosts requires -backend net (shared memory is one machine)")
-			os.Exit(2)
-		}
-		os.Setenv("FOMPI_BACKEND", "mp")
-		err = mprun.Launch(mprun.Options{
-			Ranks:        *np,
-			RanksPerNode: *ppn,
-			PaceWindowNs: *pace,
-			ArenaBytes:   *arena,
-			Relaunch:     flag.Args(),
-			TagOutput:    *tag,
-		})
-	case "net":
-		os.Setenv("FOMPI_BACKEND", "net")
-		err = netrun.Launch(netrun.Options{
-			Ranks:        *np,
-			RanksPerNode: *ppn,
-			PaceWindowNs: *pace,
-			Listen:       *listen,
-			Hosts:        hostList,
-			Relaunch:     flag.Args(),
-			TagOutput:    *tag,
-			JoinTimeout:  *joinTimeout,
-		})
-	case "hybrid":
-		os.Setenv("FOMPI_BACKEND", "hybrid")
-		err = hybridrun.Launch(hybridrun.Options{
-			Net: netrun.Options{
-				Ranks:        *np,
-				RanksPerNode: *ppn,
-				PaceWindowNs: *pace,
-				Listen:       *listen,
-				Hosts:        hostList,
-				Relaunch:     flag.Args(),
-				TagOutput:    *tag,
-				JoinTimeout:  *joinTimeout,
-			},
-			ArenaBytes: *arena,
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "fompi-run: unknown backend %q (want mp, net or hybrid)\n", *backend)
-		os.Exit(2)
-	}
+	os.Setenv("FOMPI_BACKEND", *backend)
+	err := spmd.Launch(spmd.Config{
+		Backend:        spmd.Backend(*backend),
+		Ranks:          *np,
+		RanksPerNode:   *ppn,
+		PaceWindowNs:   *pace,
+		MPArenaBytes:   *arena,
+		MPRelaunch:     flag.Args(),
+		NetListen:      *listen,
+		NetHosts:       hostList,
+		NetTagOutput:   *tag,
+		NetJoinTimeout: *joinTimeout,
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fompi-run: %v\n", err)
 		os.Exit(rankio.ExitCode(err))

@@ -5,8 +5,9 @@
 // ranks and DMAPP messages between nodes — where the pure backends are the
 // two halves in isolation.
 //
-// The rendezvous rides netrun's coordinator: every JOIN carries a host key
-// (Options.Net.HostKey, $FOMPI_NET_HOST, or the hostname), the WORLD catalog
+// The rendezvous is the one control plane's (internal/rankio), over netrun's
+// TCP listener and under this backend's name: every JOIN carries a host key
+// ($FOMPI_NET_HOST, or the hostname), the WORLD catalog
 // broadcasts all of them, and each rank derives its host group locally — the
 // ranks with its key, in ascending rank order, become the local indices of
 // one per-host arena segment named after the (world-unique) address catalog
@@ -35,8 +36,8 @@
 // "h<r/RanksPerNode>": the emulated placement matches the virtual topology,
 // so same-(virtual-)node ranks share an arena and cross-node ranks exercise
 // the wire — both paths of a real multi-host deployment on one machine. In
-// host-list mode the operator exports FOMPI_HYB_WORLD=1 and a per-host
-// FOMPI_NET_HOST alongside netrun's variables.
+// host-list mode the operator's FOMPI_COORD names the hybrid backend
+// ("hybrid:tcp:host:port") and each machine exports its FOMPI_NET_HOST.
 package hybridrun
 
 import (
@@ -58,89 +59,62 @@ import (
 	"fompi/internal/simnet"
 )
 
-const (
-	// envWorld marks a process as a hybrid worker. netrun's environment alone
-	// cannot: a hybrid worker also satisfies netrun.IsWorker, and launch-path
-	// dispatch (spmd.Run, the conformance harness) must tell them apart.
-	envWorld = "FOMPI_HYB_WORLD"
+// Backend is this backend's name in FOMPI_COORD and in every JOIN: what keeps
+// a hybrid worker out of a pure net world, and the reverse.
+const Backend = "hybrid"
 
-	// arenaWait bounds how long a non-creator rank polls for the creator's
-	// arena file (the creator may still be between JOIN and create).
-	arenaWait = 60 * time.Second
-)
-
-// Options describes a hybrid world: the inter-node rendezvous plus the
-// per-host arena size.
-type Options struct {
-	// Net is the inter-node world (coordinator, ranks, pacing). Launch marks
-	// the spawned workers with FOMPI_HYB_WORLD=1 through Net.ExtraEnv.
-	Net netrun.Options
-	// ArenaBytes is each rank's registered-memory arena inside its host
-	// group's shared mapping (default 16 MiB).
-	ArenaBytes int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Net.Ranks <= 0 {
-		o.Net.Ranks = 1
-	}
-	if o.Net.RanksPerNode <= 0 {
-		o.Net.RanksPerNode = 1
-	}
-	if o.ArenaBytes <= 0 {
-		o.ArenaBytes = 16 << 20
-	}
-	return o
-}
-
-// IsWorker reports whether this process was launched as a worker rank of a
-// hybrid world. Hybrid workers also satisfy netrun.IsWorker (the coordinator
-// environment is present); dispatchers must check this predicate first.
-func IsWorker() bool { return os.Getenv(envWorld) != "" }
+// arenaWait bounds how long a non-creator rank polls for the creator's arena
+// file (the creator may still be between JOIN and create).
+const arenaWait = 60 * time.Second
 
 // Launch creates a hybrid world over netrun's coordinator. In loopback spawn
 // mode, ranks get emulated host keys matching the virtual topology (one host
-// per virtual node) unless Options.Net.HostKeys overrides the placement; in
-// host-list mode the operator's workers must export FOMPI_HYB_WORLD=1 and
-// their host's FOMPI_NET_HOST.
-func Launch(o Options) error {
-	o = o.withDefaults()
-	n := o.Net
-	if len(n.Hosts) == 0 && len(n.HostKeys) == 0 {
-		keys := make([]string, n.Ranks)
-		for r := range keys {
-			keys[r] = fmt.Sprintf("h%d", r/n.RanksPerNode)
+// per virtual node) unless o.HostKeys overrides the placement; in host-list
+// mode each machine's workers export its FOMPI_NET_HOST.
+func Launch(o rankio.Options) error {
+	o.Backend = Backend
+	if len(o.Hosts) == 0 && len(o.HostKeys) == 0 {
+		o.HostKeys = make([]string, o.Ranks)
+		for r := range o.HostKeys {
+			o.HostKeys[r] = fmt.Sprintf("h%d", r/max(o.RanksPerNode, 1))
 		}
-		n.HostKeys = keys
 	}
-	n.ExtraEnv = append(append([]string{}, n.ExtraEnv...), envWorld+"=1")
-	if len(n.Hosts) != 0 {
-		rankio.Logf("hybridrun", "host-list mode: also export %s=1 (and per-host %s) in each worker's environment",
-			envWorld, "FOMPI_NET_HOST")
+	err := netrun.Launch(o)
+	if err != nil {
+		// A rank the coordinator had to kill — stopped, wedged — could not
+		// remove its doorbell socket, and was still bound to it when the
+		// survivors swept.
+		SweepStaleArenas(staleArenaAge)
 	}
-	return netrun.Launch(n)
+	return err
 }
 
-// staleArenaAge is how old a leftover arena segment or doorbell socket must
-// be before the sweeper touches it: far beyond any bootstrap window (the
-// creator unlinks its segment at Ready, within arenaWait), so an in-flight
-// world's segment is never mistaken for wreckage.
+// staleArenaAge is how old a leftover arena segment must be before the sweeper
+// touches it: far beyond any bootstrap window (the creator unlinks its segment
+// at Ready, within arenaWait), so an in-flight world's is never taken for
+// wreckage.
 const staleArenaAge = 15 * time.Minute
 
-// SweepStaleArenas removes what hybrid worlds killed mid-bootstrap left
-// behind: arena segments in either root (a world that reached Ready unlinked
-// its own) and doorbell sockets under os.TempDir. A doorbell socket is
-// removed only when nothing is bound behind its inode — a live long-running
-// world still answers on its sockets however old they are. Runs best-effort
-// at each creator's attach; returns the number of paths removed.
+// SweepStaleArenas removes what dead hybrid worlds left behind: arena segments
+// in either root at least minAge old (a world that reached Ready unlinked its
+// own; a younger one may be a creator between create and publish) and doorbell
+// sockets under os.TempDir with nothing bound behind their inode, whatever
+// their age — a socket is created bound, and a live long-running world still
+// answers on its sockets however old they are. Runs best-effort at each
+// creator's attach and after a failed launch; returns the number of paths
+// removed.
 func SweepStaleArenas(minAge time.Duration) int {
 	removed := 0
 	for _, p := range mprun.GlobRoots("fompi-hyb-*") {
 		st, err := os.Lstat(p)
-		if err != nil || time.Since(st.ModTime()) < minAge {
+		if err != nil {
 			continue
 		}
-		if st.Mode()&os.ModeSocket != 0 && doorAlive(p) {
+		if st.Mode()&os.ModeSocket != 0 {
+			if doorAlive(p) {
+				continue
+			}
+		} else if time.Since(st.ModTime()) < minAge {
 			continue
 		}
 		if os.Remove(p) == nil {
@@ -184,9 +158,9 @@ var _ simnet.Transport = (*World)(nil)
 // Join attaches a worker process to its world: the netrun rendezvous first,
 // then the host group's shared arena (created by the group's lowest rank,
 // mapped by the rest).
-func Join(o Options) (*World, error) {
-	o = o.withDefaults()
-	nw, err := netrun.Join(o.Net)
+func Join(o rankio.Options) (*World, error) {
+	o.Backend = Backend
+	nw, err := netrun.Join(o)
 	if err != nil {
 		return nil, err
 	}
@@ -203,19 +177,13 @@ func Join(o Options) (*World, error) {
 	// every local socket. The RANKFAIL verdict rides along when there is one,
 	// so ranks parked in the arena unwind with the same typed error as ranks
 	// parked on the wire.
-	nw.OnAbort(func() {
-		if r := nw.FailedRank(); r >= 0 {
-			w.ar.SetAbortFlagBlaming(r)
-		} else {
-			w.ar.SetAbortFlag()
-		}
-	})
+	nw.OnAbort(func() { w.ar.SetAbortFlagBlaming(nw.FailedRank()) })
 	return w, nil
 }
 
 // attachArena derives this rank's host group from the WORLD catalog and maps
 // the group's shared arena.
-func (w *World) attachArena(o Options) error {
+func (w *World) attachArena(o rankio.Options) error {
 	hosts := w.World.Hosts()
 	rank := w.World.Rank()
 	key := hosts[rank]
@@ -232,8 +200,8 @@ func (w *World) attachArena(o Options) error {
 	name := arenaName(w.World.Addrs(), hosts, key)
 	cfg := mprun.ArenaConfig{
 		Ranks:        len(w.local),
-		RanksPerNode: o.Net.RanksPerNode,
-		PaceWindowNs: o.Net.PaceWindowNs,
+		RanksPerNode: o.RanksPerNode,
+		PaceWindowNs: o.PaceWindowNs,
 		ArenaBytes:   o.ArenaBytes,
 	}
 	var err error
@@ -271,29 +239,6 @@ func arenaName(addrs, hosts []string, key string) string {
 // os.TempDir() wherever the segment lives.
 func sockStem(name string) string { return filepath.Join(os.TempDir(), name) }
 
-// reapDoors removes the doorbell sockets dead ranks of this world left under
-// os.TempDir() — every host group's, since a loopback world's emulated hosts
-// share one; on separate machines the other groups' paths do not exist. A
-// rank that exits on its own removes its socket itself, and a SIGKILLed one
-// cannot; the sweeper's age rule protects worlds it knows nothing about,
-// while a world that is failing knows its own dead (same probe: a bound
-// socket is left alone).
-func (w *World) reapDoors() {
-	addrs, hosts := w.World.Addrs(), w.World.Hosts()
-	groups := map[string]int{}
-	for _, h := range hosts {
-		groups[h]++
-	}
-	for key, n := range groups {
-		stem := sockStem(arenaName(addrs, hosts, key))
-		for l := 0; l < n; l++ {
-			if p := mprun.DoorSockPath(stem, l); !doorAlive(p) {
-				os.Remove(p)
-			}
-		}
-	}
-}
-
 // SegmentPath returns the path this process mapped its host group's segment
 // from.
 func (w *World) SegmentPath() string { return w.ar.Path() }
@@ -301,11 +246,14 @@ func (w *World) SegmentPath() string { return w.ar.Path() }
 // Ready enters the bootstrap barrier (netrun's READY/GO); once it returns,
 // every co-located rank has mapped the arena, so the creator unlinks the
 // segment — nothing is left behind however the world later dies.
-func (w *World) Ready() {
-	w.World.Ready()
+func (w *World) Ready() error {
+	if err := w.World.Ready(); err != nil {
+		return err
+	}
 	if w.creator {
 		w.ar.Unlink()
 	}
+	return nil
 }
 
 // Finish reports clean completion and releases the arena mapping.
@@ -316,15 +264,16 @@ func (w *World) Finish() {
 
 // Fail aborts the world, reports msg, and releases the arena mapping — and
 // what a failing world would otherwise strand: the segment's name if the
-// world died before Ready unlinked it, the sockets of ranks that died without
-// closing theirs.
+// world died before Ready unlinked it, the doorbell sockets of ranks that died
+// without closing theirs (a rank that exits on its own removes its socket
+// itself; a SIGKILLed one cannot).
 func (w *World) Fail(msg string) {
 	w.World.Fail(msg)
 	if w.creator {
 		w.ar.Unlink()
 	}
 	w.ar.Close()
-	w.reapDoors()
+	SweepStaleArenas(staleArenaAge)
 }
 
 // ---- simnet.Transport overrides: segments and regions ----

@@ -469,9 +469,12 @@ func (a *Arena) SetAbortFlag() {
 // SetAbortFlagBlaming is SetAbortFlag plus a verdict: it records global (a
 // world rank) as the rank whose failure killed the world, so every local
 // waiter unwinds with *simnet.ErrPeerFailed instead of the bare ErrAborted.
-// The first blame wins; later calls only set the flag.
+// The first blame wins, later calls only set the flag, and a negative global
+// blames nobody — the shape of every control-plane abort hook.
 func (a *Arena) SetAbortFlagBlaming(global int) {
-	atomic.CompareAndSwapUint32(u32at(a.m, hdrFailRank), 0, uint32(global)+1)
+	if global >= 0 {
+		atomic.CompareAndSwapUint32(u32at(a.m, hdrFailRank), 0, uint32(global)+1)
+	}
 	a.SetAbortFlag()
 }
 

@@ -1,14 +1,18 @@
 package netrun
 
-import "fompi/internal/telemetry"
+import (
+	"os"
 
-// LastStats returns the aggregated telemetry snapshot of the last world
-// this process coordinated, if any world shipped stats frames.
+	"fompi/internal/telemetry"
+)
+
+// LastStats returns the aggregated telemetry snapshot the last world this
+// process coordinated published to the FOMPI_STATS_OUT file, if it did.
 func LastStats() (telemetry.Snapshot, bool) {
-	lastStatsMu.Lock()
-	defer lastStatsMu.Unlock()
-	if lastStats == nil {
+	b, err := os.ReadFile(os.Getenv(telemetry.EnvOut))
+	if err != nil {
 		return telemetry.Snapshot{}, false
 	}
-	return *lastStats, true
+	snap, err := telemetry.ParseSnapshot(b)
+	return snap, err == nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fompi/internal/faultnet"
+	"fompi/internal/rankio"
 	"fompi/internal/simnet"
 	"fompi/internal/timing"
 )
@@ -41,17 +42,17 @@ func (w *World) peerErr(r int) (*peerConn, error) {
 	if p != nil {
 		return p, nil
 	}
-	if err := w.abortErr(); err != nil {
+	if err := w.AbortErr(); err != nil {
 		panic(err)
 	}
 	var c net.Conn
 	var err error
 	for attempt, back := 0, dialBackoff; attempt < dialAttempts; attempt, back = attempt+1, back*2 {
-		c, err = faultnet.DialData("tcp", w.addrs[r], bootTimeout)
+		c, err = faultnet.DialData("tcp", w.Addrs()[r], rankio.BootTimeout)
 		if err == nil {
 			break
 		}
-		if err := w.abortErr(); err != nil {
+		if err := w.AbortErr(); err != nil {
 			panic(err)
 		}
 		if attempt < dialAttempts-1 {
@@ -59,7 +60,7 @@ func (w *World) peerErr(r int) (*peerConn, error) {
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("cannot reach rank %d at %s: %w", r, w.addrs[r], err)
+		return nil, fmt.Errorf("cannot reach rank %d at %s: %w", r, w.Addrs()[r], err)
 	}
 	if tc, ok := c.(interface{ SetNoDelay(bool) error }); ok {
 		tc.SetNoDelay(true) // requests are latency-bound RPCs, not bulk streams
@@ -69,7 +70,7 @@ func (w *World) peerErr(r int) (*peerConn, error) {
 	e.u8(opHello)
 	e.i64(0)
 	e.u32(uint32(w.rank))
-	c.SetWriteDeadline(time.Now().Add(w.tm.OpTimeout))
+	c.SetWriteDeadline(time.Now().Add(w.opTimeout))
 	_, err = c.Write(e.finish())
 	c.SetWriteDeadline(time.Time{})
 	if err != nil {
@@ -124,7 +125,7 @@ func (w *World) req(p *peerConn, op uint8) enc {
 // desynced) and are returned for the caller to classify or retry.
 func (w *World) callErr(r int, p *peerConn, e enc) (dec, error) {
 	frame := e.finish()
-	reply, err := w.wireCall(p, frame, time.Now().Add(w.tm.OpTimeout))
+	reply, err := w.wireCall(p, frame, time.Now().Add(w.opTimeout))
 	p.buf = frame[:0]
 	if err != nil {
 		w.dropPeer(r, p)
@@ -147,7 +148,7 @@ func (w *World) callIdem(r int, op uint8, args func(e *enc)) dec {
 	w.drainDst(r)
 	var lastErr error
 	for attempt, back := 0, idemBackoff; attempt < idemAttempts; attempt, back = attempt+1, back*2 {
-		if err := w.abortErr(); err != nil {
+		if err := w.AbortErr(); err != nil {
 			panic(err)
 		}
 		if attempt > 0 {
@@ -182,10 +183,10 @@ func (w *World) netFault(r int, err error) any {
 	for i := 0; i < 100 && !w.Aborted(); i++ {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if err := w.abortErr(); err != nil {
+	if err := w.AbortErr(); err != nil {
 		return err
 	}
-	w.noteFailedRank(r)
+	w.NoteFailedRank(r)
 	return &simnet.ErrPeerFailed{Rank: r,
 		Cause: fmt.Errorf("rank %d lost rank %d: %w", w.rank, r, err)}
 }
@@ -241,10 +242,7 @@ func (w *World) rpcDoorGen(r int) uint64 {
 // indistinguishable from a spurious wakeup (which the WaitDoor contract
 // allows).
 func (w *World) rpcDoorWait(r int, gen uint64) uint64 {
-	d := w.callIdem(r, opDoorWait, func(e *enc) {
-		e.u64(gen)
-		e.u32(0)
-	})
+	d := w.callIdem(r, opDoorWait, func(e *enc) { e.u64(gen) })
 	return d.u64()
 }
 

@@ -1,18 +1,18 @@
 package netrun
 
 import (
-	"errors"
 	"net"
 	"testing"
 	"time"
 
+	"fompi/internal/rankio"
 	"fompi/internal/simnet"
 )
 
 // TestHostListRendezvous exercises the host-list bootstrap path end to end
 // inside one process: the coordinator runs in wait-join mode (Hosts set, so
-// it spawns nothing), and two worker goroutines Join without FOMPI_NET_RANK
-// — the coordinator must assign ranks in join order, broadcast the catalog,
+// it spawns nothing), and two worker goroutines Join without FOMPI_RANK — the
+// coordinator must assign ranks in join order, broadcast the catalog,
 // run the READY/GO barrier, and carry one real put-and-flag exchange over
 // loopback TCP before the DONE/BYE teardown.
 func TestHostListRendezvous(t *testing.T) {
@@ -25,9 +25,9 @@ func TestHostListRendezvous(t *testing.T) {
 	addr := probe.Addr().String()
 	probe.Close()
 
-	o := Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
-	t.Setenv(envCoord, addr)
-	t.Setenv(envRank, "") // unassigned: the coordinator picks join order
+	o := rankio.Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
+	t.Setenv(rankio.EnvCoord, Backend+":tcp:"+addr)
+	t.Setenv(rankio.EnvRank, "") // unassigned: the coordinator picks join order
 
 	launchErr := make(chan error, 1)
 	go func() { launchErr <- Launch(o) }()
@@ -55,7 +55,7 @@ func TestHostListRendezvous(t *testing.T) {
 				workerErr <- errFromPanic(r)
 			}
 		}()
-		w, err := Join(Options{Ranks: 2, RanksPerNode: 1})
+		w, err := Join(rankio.Options{Ranks: 2, RanksPerNode: 1})
 		if err != nil {
 			workerErr <- err
 			return
@@ -104,63 +104,6 @@ func TestHostListRendezvous(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatalf("coordinator did not return after all DONEs")
-	}
-}
-
-// TestJoinTimeout exercises the rendezvous deadline: a 2-rank world in
-// host-list mode where only one worker ever shows up must fail with a typed
-// *ErrJoinTimeout naming the absent rank, instead of hanging for the full
-// bootstrap window.
-func TestJoinTimeout(t *testing.T) {
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("probe listen: %v", err)
-	}
-	addr := probe.Addr().String()
-	probe.Close()
-
-	o := Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"},
-		Listen: addr, JoinTimeout: 2 * time.Second}
-	t.Setenv(envCoord, addr)
-	t.Setenv(envRank, "") // join order assigns the lone worker rank 0
-
-	launchErr := make(chan error, 1)
-	go func() { launchErr <- Launch(o) }()
-	for i := 0; ; i++ {
-		c, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			c.Close()
-			break
-		}
-		if i > 100 {
-			t.Fatalf("coordinator never started listening: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// The one worker that does appear: its Join blocks on the WORLD
-	// broadcast and unblocks with an error when the coordinator gives up.
-	go func() {
-		defer func() { recover() }()
-		if w, err := Join(Options{Ranks: 2, RanksPerNode: 1}); err == nil {
-			w.Ready()
-		}
-	}()
-
-	select {
-	case err := <-launchErr:
-		var jt *ErrJoinTimeout
-		if !errors.As(err, &jt) {
-			t.Fatalf("Launch error %v (%T), want *ErrJoinTimeout", err, err)
-		}
-		if jt.Joined != 1 || jt.Ranks != 2 {
-			t.Fatalf("ErrJoinTimeout counted %d of %d joined, want 1 of 2", jt.Joined, jt.Ranks)
-		}
-		if len(jt.Missing) != 1 || jt.Missing[0] != 1 {
-			t.Fatalf("ErrJoinTimeout.Missing = %v, want [1]", jt.Missing)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("join timeout never fired")
 	}
 }
 

@@ -94,7 +94,7 @@ func (w *World) serveConn(c net.Conn) {
 			// Bound the claimed rank: the data listener is reachable by
 			// anything on the network in host-list mode, and a stray
 			// connection must not be able to crash the clock table.
-			if r := int(d.u32()); r >= 0 && r < w.opts.Ranks {
+			if r := int(d.u32()); r >= 0 && r < w.Size() {
 				src = r
 				continue
 			}
@@ -127,7 +127,7 @@ func (w *World) serveConn(c net.Conn) {
 		}
 		// Bound the reply write: a requester that vanished mid-read must not
 		// park this service goroutine on a full TCP buffer forever.
-		c.SetWriteDeadline(time.Now().Add(w.tm.OpTimeout))
+		c.SetWriteDeadline(time.Now().Add(w.opTimeout))
 		_, err = c.Write(reply)
 		c.SetWriteDeadline(time.Time{})
 		if err != nil {

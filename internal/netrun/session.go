@@ -107,10 +107,14 @@ type reqSession struct {
 	bring  bool // a doorbell ring rides the next flush
 }
 
-// Window caps beyond the netWindow depth: winBytesCap bounds the bytes in
-// flight per destination (replies are tiny, so bounding requests bounds
-// both TCP buffers — the socket can never fill in a way deadlines cannot
-// recover), and batchBuildMax flushes an oversized builder early.
+// The window's one cap: winBytesCap bounds the bytes in flight per
+// destination (replies are tiny, so bounding requests bounds both TCP
+// buffers — the socket can never fill in a way deadlines cannot recover), and
+// batchBuildMax flushes an oversized builder early. Together they bound the
+// depth too: every blocking op leaves the window empty, and between two of
+// them a frame leaves the builder only once it holds batchBuildMax bytes, so
+// at most winBytesCap/batchBuildMax full frames plus the one being queued
+// are ever in flight (TestWindowReplayUnderRecurringResets asserts it).
 const (
 	winBytesCap   = 1 << 20
 	batchBuildMax = 256 << 10
@@ -158,12 +162,11 @@ func (w *World) callData(r int, e enc) dec {
 	}
 }
 
-// winRoom drains the oldest in-flight frames until the window to r has
-// room — in depth and in bytes — for one more frame of size add.
+// winRoom drains the oldest in-flight frames until the window to r has room
+// for one more frame of size add.
 func (w *World) winRoom(r int, add int) {
 	s := &w.rsess[r]
-	for len(s.inflight) > 0 &&
-		(len(s.inflight) >= netWindow || s.bytes+add > winBytesCap) {
+	for len(s.inflight) > 0 && s.bytes+add > winBytesCap {
 		w.drainOne(r)
 	}
 }
@@ -262,7 +265,7 @@ func (w *World) sendPending(r int) error {
 				telemetry.RecordEvent(telemetry.EvRetransmit, uint64(r), po.seq)
 			}
 		}
-		p.c.SetWriteDeadline(time.Now().Add(w.tm.OpTimeout))
+		p.c.SetWriteDeadline(time.Now().Add(w.opTimeout))
 		_, err := p.c.Write(po.frame)
 		p.c.SetWriteDeadline(time.Time{})
 		if err != nil {
@@ -288,14 +291,14 @@ func (w *World) sendPending(r int) error {
 func (w *World) drainOne(r int) []byte {
 	s := &w.rsess[r]
 	po := s.inflight[0]
-	deadline := time.Now().Add(w.tm.OpTimeout)
+	deadline := time.Now().Add(w.opTimeout)
 	// Per-attempt reply deadline: a blackholed write must not consume the
 	// whole budget waiting for a reply that never left, or there would be
 	// no budget left to retransmit in.
-	slice := w.tm.OpTimeout / 4
+	slice := w.opTimeout / 4
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if err := w.abortErr(); err != nil {
+		if err := w.AbortErr(); err != nil {
 			panic(err)
 		}
 		if attempt > 0 && time.Now().After(deadline) {
@@ -459,7 +462,7 @@ func (w *World) remoteFault(owner int, reply []byte) any {
 	case faultAborted:
 		return simnet.ErrAborted
 	case faultPeerFailed:
-		w.noteFailedRank(rank)
+		w.NoteFailedRank(rank)
 		return &simnet.ErrPeerFailed{Rank: rank, Cause: &RemoteFault{Rank: owner, Msg: msg}}
 	}
 	return &RemoteFault{Rank: owner, Msg: msg}

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
 
 	"fompi/internal/faultnet"
+	"fompi/internal/rankio"
 	"fompi/internal/simnet"
+	"fompi/internal/telemetry"
 	"fompi/internal/timing"
 )
 
@@ -28,6 +31,19 @@ func sessionWorld() *World {
 	reg := simnet.MakeRegion(1, 0, make([]byte, 8), timing.NewStamps(8), &w.ownPort, liveWord())
 	w.mine = []*simnet.Region{&reg}
 	return w
+}
+
+// pipeClient is a control-plane client joined over a pipe nobody answers:
+// enough for the paths that record or read the abort verdict.
+func pipeClient(t *testing.T) *rankio.Client {
+	near, far := net.Pipe()
+	go io.Copy(io.Discard, far)
+	t.Cleanup(func() { near.Close(); far.Close() })
+	cl, err := rankio.Join(near, rankio.Options{Backend: Backend, Ranks: 2, RanksPerNode: 1}, 1, "pipe")
+	if err != nil {
+		t.Fatalf("join over a pipe: %v", err)
+	}
+	return cl
 }
 
 // applied reads the probe word of a sessionWorld: the number of fetchAddFields
@@ -178,7 +194,7 @@ func TestSessionRejectsRankMismatch(t *testing.T) {
 
 func TestRemoteFaultKinds(t *testing.T) {
 	w := sessionWorld()
-	w.failedRank.Store(-1)
+	w.Client = pipeClient(t)
 
 	generic := faultReply(nil, faultGeneric, 1, "simnet: access to unregistered region")
 	if v, ok := w.remoteFault(1, generic[4:]).(*RemoteFault); !ok || v.Rank != 1 {
@@ -200,39 +216,6 @@ func TestRemoteFaultKinds(t *testing.T) {
 	}
 	if !simnet.IsAbortPanic(v) {
 		t.Fatalf("*ErrPeerFailed must compose with the abort classification")
-	}
-}
-
-func TestParseTimeouts(t *testing.T) {
-	tm, err := ParseTimeouts("heartbeat=500ms, stale=3s,optimeout=2s,ctlidle=6s")
-	if err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
-	}
-	want := Timeouts{500 * time.Millisecond, 3 * time.Second, 2 * time.Second, 6 * time.Second}
-	if tm != want {
-		t.Fatalf("parsed %+v, want %+v", tm, want)
-	}
-	if rt, err := ParseTimeouts(tm.spec()); err != nil || rt != tm {
-		t.Fatalf("spec round trip: %+v (%v), want %+v", rt, err, tm)
-	}
-	for _, bad := range []string{"heartbeat", "stale=-1s", "optimeout=0s", "warp=9s", "heartbeat=fast"} {
-		if _, err := ParseTimeouts(bad); err == nil {
-			t.Fatalf("spec %q parsed without error", bad)
-		}
-	}
-	// stale must exceed the heartbeat cadence or every rank is "dead".
-	t.Setenv(EnvTimeouts, "heartbeat=2s,stale=1s")
-	if _, err := resolveTimeouts(Timeouts{}); err == nil {
-		t.Fatalf("stale < heartbeat resolved without error")
-	}
-	t.Setenv(EnvTimeouts, "heartbeat=250ms")
-	got, err := resolveTimeouts(Timeouts{OpTimeout: 4 * time.Second})
-	if err != nil {
-		t.Fatalf("resolve: %v", err)
-	}
-	if got.HeartbeatEvery != 250*time.Millisecond || got.OpTimeout != 4*time.Second ||
-		got.HeartbeatStale != heartbeatStale || got.CtlIdleTimeout != ctlIdleTimeout {
-		t.Fatalf("resolution layered wrong: %+v", got)
 	}
 }
 
@@ -340,12 +323,12 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 	probe.Close()
 
 	t.Setenv(faultnet.EnvVar, "seed=3,reseteveryn=25,plane=data")
-	t.Setenv(EnvTimeouts, "heartbeat=500ms,stale=5s,optimeout=5s,ctlidle=10s")
-	t.Setenv(envCoord, addr)
-	t.Setenv(envRank, "")
+	t.Setenv(rankio.EnvTimeouts, "heartbeat=500ms,stale=5s,optimeout=5s,ctlidle=10s")
+	t.Setenv(rankio.EnvCoord, Backend+":tcp:"+addr)
+	t.Setenv(rankio.EnvRank, "")
 	base := enableTelemetry(t)
 
-	o := Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
+	o := rankio.Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
 	launchErr := make(chan error, 1)
 	go func() { launchErr <- Launch(o) }()
 	for i := 0; ; i++ {
@@ -368,7 +351,7 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 				workerErr <- errFromPanic(r)
 			}
 		}()
-		w, err := Join(Options{Ranks: 2, RanksPerNode: 1})
+		w, err := Join(rankio.Options{Ranks: 2, RanksPerNode: 1})
 		if err != nil {
 			workerErr <- err
 			return
@@ -449,12 +432,12 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 	probe.Close()
 
 	t.Setenv(faultnet.EnvVar, "seed=5,reseteveryn=25,plane=data")
-	t.Setenv(EnvTimeouts, "heartbeat=500ms,stale=5s,optimeout=5s,ctlidle=10s")
-	t.Setenv(envCoord, addr)
-	t.Setenv(envRank, "")
+	t.Setenv(rankio.EnvTimeouts, "heartbeat=500ms,stale=5s,optimeout=5s,ctlidle=10s")
+	t.Setenv(rankio.EnvCoord, Backend+":tcp:"+addr)
+	t.Setenv(rankio.EnvRank, "")
 	base := enableTelemetry(t)
 
-	o := Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
+	o := rankio.Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
 	launchErr := make(chan error, 1)
 	go func() { launchErr <- Launch(o) }()
 	for i := 0; ; i++ {
@@ -482,7 +465,7 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 				workerErr <- errFromPanic(r)
 			}
 		}()
-		w, err := Join(Options{Ranks: 2, RanksPerNode: 1})
+		w, err := Join(rankio.Options{Ranks: 2, RanksPerNode: 1})
 		if err != nil {
 			workerErr <- err
 			return
@@ -556,21 +539,36 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 	if dedup > retrans {
 		t.Fatalf("net.dedup_hits (%d) > net.retransmits (%d): a cached reply replayed without a re-sent frame", dedup, retrans)
 	}
+	// The byte cap is the window's only cap, and it bounds the depth too
+	// (see winBytesCap): no queue-time occupancy beyond the implied bound.
+	window := telemetry.Capture(-1).Hists["net.window"]
+	top := 0
+	for i, n := range window.Buckets {
+		if n != 0 {
+			top = i
+		}
+	}
+	if lo := telemetry.BucketMax(top-1) + 1; window.Count == 0 || lo > winBytesCap/batchBuildMax+1 {
+		t.Fatalf("net.window saw an occupancy of at least %d over %d queued frames, want at most winBytesCap/batchBuildMax+1 = %d",
+			lo, window.Count, winBytesCap/batchBuildMax+1)
+	}
 }
 
-// TestRetiredNicReserveRejected pins the retired opcode: its number stays
-// reserved, it carries no session header, and the owner faults it as unknown
-// instead of booking anything.
-func TestRetiredNicReserveRejected(t *testing.T) {
-	if opNicReserve != 10 {
-		t.Fatalf("opNicReserve = %d: retiring it must not renumber the opcodes after it", opNicReserve)
-	}
-	if sessioned(opNicReserve) {
-		t.Fatal("the retired opNicReserve still claims a session header")
-	}
+// TestUnassignedOpcodeRejected pins what an opcode outside the table meets:
+// no session header, and an unknown-opcode fault from the owner, which books
+// nothing — zero and the first number past the table alike.
+func TestUnassignedOpcodeRejected(t *testing.T) {
 	w := sessionWorld()
-	reply := w.handle(opNicReserve, &dec{}, nil)
-	if reply[4] != stFault || !bytes.Contains(reply, []byte("unknown opcode")) {
-		t.Fatalf("retired opNicReserve answered %q, want an unknown-opcode fault", reply)
+	for _, op := range []uint8{0, opBatch + 1} {
+		if sessioned(op) || batchable(op) {
+			t.Fatalf("unassigned opcode %d claims a session header or a batch slot", op)
+		}
+		reply := w.handle(op, &dec{}, nil)
+		if reply[4] != stFault || !bytes.Contains(reply, []byte("unknown opcode")) {
+			t.Fatalf("unassigned opcode %d answered %q, want an unknown-opcode fault", op, reply)
+		}
+		if applied(w) != 0 || w.ownPort.Gen() != 0 {
+			t.Fatalf("unassigned opcode %d touched owner state (word %d, door gen %d)", op, applied(w), w.ownPort.Gen())
+		}
 	}
 }

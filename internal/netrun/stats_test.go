@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fompi/internal/rankio"
 	"fompi/internal/simnet"
 	"fompi/internal/telemetry"
 )
@@ -71,9 +72,9 @@ func TestStatsAggregationBeforeTeardown(t *testing.T) {
 	t.Setenv(telemetry.EnvOut, outPath)
 
 	addr := reserveAddr(t)
-	o := Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
-	t.Setenv(envCoord, addr)
-	t.Setenv(envRank, "")
+	o := rankio.Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
+	t.Setenv(rankio.EnvCoord, Backend+":tcp:"+addr)
+	t.Setenv(rankio.EnvRank, "")
 
 	launchErr := make(chan error, 1)
 	go func() { launchErr <- Launch(o) }()
@@ -86,7 +87,7 @@ func TestStatsAggregationBeforeTeardown(t *testing.T) {
 				workerErr <- errFromPanic(r)
 			}
 		}()
-		w, err := Join(Options{Ranks: 2, RanksPerNode: 1})
+		w, err := Join(rankio.Options{Ranks: 2, RanksPerNode: 1})
 		if err != nil {
 			workerErr <- err
 			return
@@ -162,9 +163,9 @@ func TestStatsShippedOnFail(t *testing.T) {
 	t.Setenv(telemetry.EnvOut, filepath.Join(t.TempDir(), "agg.json"))
 
 	addr := reserveAddr(t)
-	o := Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
-	t.Setenv(envCoord, addr)
-	t.Setenv(envRank, "")
+	o := rankio.Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
+	t.Setenv(rankio.EnvCoord, Backend+":tcp:"+addr)
+	t.Setenv(rankio.EnvRank, "")
 
 	launchErr := make(chan error, 1)
 	go func() { launchErr <- Launch(o) }()
@@ -177,7 +178,7 @@ func TestStatsShippedOnFail(t *testing.T) {
 				workerErr <- errFromPanic(r)
 			}
 		}()
-		w, err := Join(Options{Ranks: 2, RanksPerNode: 1})
+		w, err := Join(rankio.Options{Ranks: 2, RanksPerNode: 1})
 		if err != nil {
 			workerErr <- err
 			return

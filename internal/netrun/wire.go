@@ -42,47 +42,32 @@ import (
 // connection: it names the in-flight (sid, seq) and the owner answers
 // whether that seq was already applied, replaying the cached reply inline
 // when it was.
-const (
-	// protoVersion gates the JOIN handshake; bump on any frame change.
-	// v2: JOIN carries a host key and WORLD a host catalog (hybrid topology).
-	// v3: the control stream speaks PING/PONG heartbeats and RANKFAIL
-	// verdicts after GO; a v2 peer would neither answer probes nor
-	// understand the verdict lines.
-	// v4: data-plane requests carry the session header (sid, seq, ack),
-	// opResume re-attaches a session after a reset, and fault replies are
-	// structured (kind byte + rank + message) instead of a bare string.
-	// v5: opBatch fuses put-shaped data-plane ops into one sessioned frame
-	// (per-op replies concatenated in one reply frame) and requesters keep
-	// an outstanding-request window per destination, so the cumulative ack
-	// may trail seq by up to the window depth and a resumed connection
-	// retransmits the whole unacked suffix in order instead of probing a
-	// single in-flight seq with opResume.
-	protoVersion = 5
+//
+// The frame layout is versioned with the control lines: rankio.ProtoVersion
+// gates the JOIN handshake, and any frame change bumps it.
 
-	// maxFrame bounds a frame against stream corruption: the largest
-	// legitimate payload is a bulk put of a whole region, and regions are
-	// arena-scale (MBs), not GBs.
-	maxFrame = 1 << 28
-)
+// maxFrame bounds a frame against stream corruption: the largest legitimate
+// payload is a bulk put of a whole region, and regions are arena-scale (MBs),
+// not GBs.
+const maxFrame = 1 << 28
 
 // Request opcodes.
 const (
-	opHello      uint8 = iota + 1 // rank u32 (once per connection; no reply)
-	opPut                         // key u32, off u64, arrival i64, xfer i64, reserve u8, bytes
-	opGet                         // key u32, off u64, n u64, clockIn i64, tail i64, xfer i64, reserve u8
-	opStoreW                      // key u32, off u64, val u64, arrival i64, xfer i64, reserve u8
-	opLoadW                       // key u32, off u64
-	opWordAmo                     // key u32, off u64, wop u8, o1 u64, o2 u64, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8
-	opBulkAmo                     // key u32, off u64, aop u8, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8, bytes
-	opNotify                      // key u32, off u64, word u64, arrival i64, xfer i64, reserve u8
-	opRegQuery                    // key u32
-	opNicReserve                  // retired: bookings ride the data op that needs them; rejected as unknown
-	opDoorGen                     // -
-	opDoorWait                    // gen u64, u32 reserved (was a timeout: the owner's door sets the slice)
-	opRing                        // - (no reply)
-	opClock                       // - (reply: owner's published clock)
-	opResume                      // sid u64, seq u64, ack u64 (session re-attach after a reset)
-	opBatch                       // ring u8, nops u32, nops × (len u32, op u8, op fields) — fused data-plane ops
+	opHello    uint8 = iota + 1 // rank u32 (once per connection; no reply)
+	opPut                       // key u32, off u64, arrival i64, xfer i64, reserve u8, bytes
+	opGet                       // key u32, off u64, n u64, clockIn i64, tail i64, xfer i64, reserve u8
+	opStoreW                    // key u32, off u64, val u64, arrival i64, xfer i64, reserve u8
+	opLoadW                     // key u32, off u64
+	opWordAmo                   // key u32, off u64, wop u8, o1 u64, o2 u64, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8
+	opBulkAmo                   // key u32, off u64, aop u8, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8, bytes
+	opNotify                    // key u32, off u64, word u64, arrival i64, xfer i64, reserve u8
+	opRegQuery                  // key u32
+	opDoorGen                   // -
+	opDoorWait                  // gen u64 (the owner's door sets the slice)
+	opRing                      // - (no reply)
+	opClock                     // - (reply: owner's published clock)
+	opResume                    // sid u64, seq u64, ack u64 (session re-attach after a reset)
+	opBatch                     // ring u8, nops u32, nops × (len u32, op u8, op fields) — fused data-plane ops
 )
 
 // sessioned reports whether op carries the session header (sid, seq, ack)

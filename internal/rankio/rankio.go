@@ -1,8 +1,11 @@
-// Package rankio holds the launcher-side process plumbing shared by the
-// multi-process transport backends (internal/mprun, internal/netrun): worker
-// spawning with per-rank "[rank N]" output tagging, idempotent exit-status
-// reaping, and the error type that carries a failing worker's exit code up
-// to cmd/fompi-run.
+// Package rankio is the one control plane of the cross-process transport
+// backends (internal/mprun, internal/netrun, internal/hybridrun; DESIGN.md
+// "Control plane"): the coordinator a launcher runs over any listener
+// (coord.go), the client a rank embeds over any connection (client.go), the
+// one parser of the lines they exchange (ctlline.go) and the process
+// plumbing beneath — worker spawning with per-rank "[rank N]" output tagging,
+// idempotent exit-status reaping, and the error type that carries a failing
+// worker's exit code up to cmd/fompi-run.
 package rankio
 
 import (
@@ -12,7 +15,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"strings"
 	"sync"
 )
 
@@ -44,33 +46,11 @@ func (e *RankError) Unwrap() error { return e.Err }
 
 // PeerAbortMsg is the canonical FAIL message a worker reports when its rank
 // unwound because some *other* rank took the world down — a symptom, not a
-// cause. Workers send exactly this text (spmd's recover path); launchers
-// convert it back to the typed classification with ClassifyFail. Keep the
-// text stable: it crosses the wire between separately built binaries.
+// cause. Workers send exactly this text (spmd's recover path) and the
+// coordinator recognizes it, so a later report naming the actual cause can
+// displace it as the world's error. Keep the text stable: it crosses the wire
+// between separately built binaries.
 const PeerAbortMsg = "aborted by peer rank"
-
-// ErrPeerAbort is the sentinel launchers use (via errors.Is) to recognize a
-// worker failure that is a peer-abort symptom, so a later report naming the
-// actual cause can displace it as the world's error.
-var ErrPeerAbort = errors.New(PeerAbortMsg)
-
-// ClassifyFail builds the launcher-side error for one worker's FAIL
-// message: the single point where message text, having crossed the wire,
-// is converted back into a typed classification. The returned error
-// matches errors.Is(err, ErrPeerAbort) iff msg reports a peer-abort
-// symptom.
-func ClassifyFail(err error, msg string) error {
-	if strings.Contains(msg, PeerAbortMsg) {
-		return peerAborted{err}
-	}
-	return err
-}
-
-// peerAborted marks err as a peer-abort symptom without changing its text.
-type peerAborted struct{ error }
-
-func (p peerAborted) Is(target error) bool { return target == ErrPeerAbort }
-func (p peerAborted) Unwrap() error        { return p.error }
 
 // ExitCode returns the exit status a launcher should propagate for err: the
 // first failing worker's code when known, 1 for any other non-nil error, 0

@@ -6,7 +6,11 @@
 // OS process over internal/mprun's shared-memory/Unix-socket world), the
 // inter-node runtime (OS processes over internal/netrun's TCP wire), and the
 // hybrid runtime (internal/hybridrun: netrun's world with same-host ranks
-// grouped onto shared-memory arenas).
+// grouped onto shared-memory arenas). The three cross-process ones share one
+// control plane (internal/rankio): a rank process learns its world from
+// FOMPI_COORD and FOMPI_RANK, and telemetry aggregation (FOMPI_STATS), the
+// failure-model timing spec (FOMPI_NET_TIMEOUTS) and heartbeat liveness work
+// the same on all of them.
 // Each rank receives a fabric endpoint, a scratch region for the built-in
 // collectives, and its own virtual clock. Collectives (dissemination
 // barrier, binomial broadcast, recursive-doubling allreduce, ring allgather,
@@ -53,8 +57,8 @@ func startDebug() {
 }
 
 // dumpRankStats emits one rank's telemetry snapshot as a one-line JSON
-// stats dump on stderr (the FOMPI_STATS per-rank view; the coordinator's
-// merged aggregate is published separately by the launcher).
+// stats dump on stderr (the FOMPI_STATS per-rank view; the world's merged
+// aggregate is published separately, see telemetry.Publish).
 func dumpRankStats(rank int) {
 	if !telemetry.On() {
 		return
@@ -73,20 +77,20 @@ const (
 	// one mmap-shared segment (the XPMEM-style fast path made real) and
 	// control/doorbell traffic travels over Unix sockets. Virtual time stays
 	// in the timing layer, so results are bit-identical to BackendInProc.
-	BackendMP Backend = "mp"
+	BackendMP Backend = mprun.Backend
 	// BackendNet runs each rank as an OS process on (potentially) a
 	// different machine: every remote-memory operation travels as a framed
 	// message over TCP to the owning rank's service loop (internal/netrun).
 	// Virtual time stays in the timing layer, so results remain
 	// bit-identical to the other backends.
-	BackendNet Backend = "net"
+	BackendNet Backend = netrun.Backend
 	// BackendHybrid runs the inter-node world with topology awareness: ranks
 	// sharing a physical host (by rendezvoused host key) map one shared
 	// arena — direct loads/stores and working shared windows, as on
 	// BackendMP — while off-host ranks are reached over BackendNet's wire
 	// (internal/hybridrun). Results remain bit-identical to the other
 	// backends.
-	BackendHybrid Backend = "hybrid"
+	BackendHybrid Backend = hybridrun.Backend
 )
 
 // Config describes a world: the rank count, node width, the cost model of
@@ -116,18 +120,18 @@ type Config struct {
 	// only); empty selects loopback spawn mode, where the launcher
 	// re-executes MPRelaunch once per rank on this machine.
 	NetListen string
-	// NetHosts, when non-empty, puts BackendNet in host-list mode: the
-	// launcher only coordinates, and the operator starts one worker per
-	// rank across the listed machines with FOMPI_NET_COORD set (see
-	// internal/netrun and cmd/fompi-run).
+	// NetHosts, when non-empty, puts the net and hybrid backends in host-list
+	// mode: the launcher only coordinates, and the operator starts one
+	// worker per rank across the listed machines with FOMPI_COORD set (see
+	// internal/rankio and cmd/fompi-run).
 	NetHosts []string
 	// NetTagOutput prefixes spawned ranks' stdout/stderr with "[rank N]"
-	// (net loopback spawn mode; cmd/fompi-run sets it).
+	// (every cross-process backend's spawn mode; cmd/fompi-run sets it).
 	NetTagOutput bool
 	// NetJoinTimeout bounds the rendezvous on the net/hybrid backends: how
 	// long the coordinator waits for all ranks to join before failing with
-	// a typed error naming the absent ranks (see netrun.ErrJoinTimeout).
-	// Zero keeps netrun's 60 s default.
+	// a typed error naming the absent ranks (see rankio.ErrJoinTimeout).
+	// Zero keeps the 60 s default.
 	NetJoinTimeout time.Duration
 }
 
@@ -154,9 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Backend == "" {
 		c.Backend = BackendInProc
-	}
-	if c.MPArenaBytes <= 0 {
-		c.MPArenaBytes = 16 << 20
 	}
 	return c
 }
@@ -199,22 +200,61 @@ type Proc struct {
 	seq   uint64 // collective invocation number; identical across ranks
 }
 
+// crossWorld is the worker-side face shared by the cross-process transports:
+// the Transport itself plus the control-plane client they embed.
+type crossWorld interface {
+	simnet.Transport
+	Rank() int
+	Ready() error
+	Finish()
+	Fail(msg string)
+}
+
+type crossBackend struct {
+	name   Backend
+	join   func(rankio.Options) (crossWorld, error)
+	launch func(rankio.Options) error
+}
+
+// crossBackends is the one per-backend table: how a worker of the backend
+// joins its world and how a launcher creates one. Run, Launch and the
+// conformance suite's legs all dispatch from it.
+var crossBackends = []crossBackend{
+	{BackendMP, func(o rankio.Options) (crossWorld, error) { return mprun.Join(o) }, mprun.Launch},
+	{BackendNet, func(o rankio.Options) (crossWorld, error) { return netrun.Join(o) }, netrun.Launch},
+	{BackendHybrid, func(o rankio.Options) (crossWorld, error) { return hybridrun.Join(o) }, hybridrun.Launch},
+}
+
+// CrossBackends lists the cross-process backends, in table order.
+func CrossBackends() []Backend {
+	names := make([]Backend, len(crossBackends))
+	for i, b := range crossBackends {
+		names[i] = b.name
+	}
+	return names
+}
+
+// WorkerOf reports which backend's world this process was started as a rank
+// of — by that backend's launcher or, in host-list mode, by the operator —
+// and "" in any other process. It is the one "am I a worker" query: FOMPI_COORD
+// names the backend, and the coordinator refuses a JOIN under another name.
+func WorkerOf() Backend { return Backend(rankio.WorkerBackend()) }
+
 // Run launches cfg.Ranks ranks executing body and waits for all of them.
 // On the default in-process backend the ranks are goroutines; if any rank
 // panics, the fabric is aborted (unblocking the others) and the first panic
 // is returned as an error.
 //
-// On the multi-process backend (cfg.Backend == BackendMP) the calling
-// process becomes the launcher: it re-executes itself (or cfg.MPRelaunch)
-// once per rank, waits for the worker processes, and returns their collected
-// status. In a worker process — a BackendMP Run that finds the launcher
-// environment — Run executes body for the worker's single rank and then
-// calls os.Exit, so code after a BackendMP Run executes only in the
-// launcher. BackendInProc runs are unaffected by the environment, so worker
-// bodies may still create nested in-process worlds. Programs meant to be
-// launched by cmd/fompi-run therefore select BackendMP themselves,
-// conventionally via fompi.BackendFromEnv (the launcher exports
-// FOMPI_BACKEND=mp), as the examples do.
+// On a cross-process backend the calling process becomes the launcher: it
+// re-executes itself (or cfg.MPRelaunch) once per rank, coordinates the
+// worker processes, and returns their collected status. In a worker process
+// — a Run whose backend is the one WorkerOf names — Run executes body for the
+// worker's single rank and then calls os.Exit, so code after such a Run
+// executes only in the launcher. BackendInProc runs are unaffected by the
+// environment, so worker bodies may still create nested in-process worlds.
+// Programs meant to be launched by cmd/fompi-run therefore select their
+// backend from the environment, conventionally via fompi.BackendFromEnv (the
+// launcher exports FOMPI_BACKEND), as the examples do.
 //
 // On clean exit the per-rank scratch segments are recycled into the
 // transport's segment allocator and may back an unrelated future world: body
@@ -223,55 +263,42 @@ type Proc struct {
 func Run(cfg Config, body func(*Proc)) error {
 	cfg = cfg.withDefaults()
 	startDebug()
-	switch cfg.Backend {
-	case BackendInProc:
+	if cfg.Backend == BackendInProc {
 		return runInProc(cfg, body)
-	case BackendMP:
-		if mprun.IsWorker() {
-			runMPWorker(cfg, body) // calls os.Exit; never returns
-		}
-		return mprun.Launch(mpOptions(cfg))
-	case BackendNet:
-		// A hybrid worker also carries the netrun environment; it must not
-		// join a pure-net world (the backends disagree on where registered
-		// memory lives).
-		if netrun.IsWorker() && !hybridrun.IsWorker() {
-			runNetWorker(cfg, body) // calls os.Exit; never returns
-		}
-		return netrun.Launch(netOptions(cfg))
-	case BackendHybrid:
-		if hybridrun.IsWorker() {
-			runHybridWorker(cfg, body) // calls os.Exit; never returns
-		}
-		return hybridrun.Launch(hybridOptions(cfg))
-	default:
+	}
+	if b := crossBackendOf(cfg.Backend); b != nil && cfg.Backend == WorkerOf() {
+		runCrossWorker(cfg, b.join, body) // calls os.Exit; never returns
+	}
+	return Launch(cfg)
+}
+
+// Launch creates cfg's cross-process world and coordinates it to the end,
+// whatever world this process may itself be a rank of: the launcher half of
+// Run, and what cmd/fompi-run calls.
+func Launch(cfg Config) error {
+	b := crossBackendOf(cfg.Backend)
+	if b == nil {
 		return fmt.Errorf("spmd: unknown backend %q", cfg.Backend)
 	}
+	return b.launch(crossOptions(cfg.withDefaults()))
 }
 
-func hybridOptions(cfg Config) hybridrun.Options {
-	return hybridrun.Options{
-		Net:        netOptions(cfg),
-		ArenaBytes: cfg.MPArenaBytes,
+func crossBackendOf(name Backend) *crossBackend {
+	for i := range crossBackends {
+		if crossBackends[i].name == name {
+			return &crossBackends[i]
+		}
 	}
+	return nil
 }
 
-// runHybridWorker executes body as this process's single rank of a hybrid
-// world and exits the process (see runCrossWorker).
-func runHybridWorker(cfg Config, body func(*Proc)) {
-	hw, err := hybridrun.Join(hybridOptions(cfg))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spmd: worker failed to join hybrid world: %v\n", err)
-		os.Exit(1)
-	}
-	runCrossWorker(cfg, hw, body)
-}
-
-func netOptions(cfg Config) netrun.Options {
-	return netrun.Options{
+// crossOptions is cfg as the cross-process backends take it.
+func crossOptions(cfg Config) rankio.Options {
+	return rankio.Options{
 		Ranks:        cfg.Ranks,
 		RanksPerNode: cfg.RanksPerNode,
 		PaceWindowNs: cfg.PaceWindowNs,
+		ArenaBytes:   cfg.MPArenaBytes,
 		Listen:       cfg.NetListen,
 		Hosts:        cfg.NetHosts,
 		Relaunch:     cfg.MPRelaunch,
@@ -280,32 +307,16 @@ func netOptions(cfg Config) netrun.Options {
 	}
 }
 
-// runNetWorker executes body as this process's single rank of an inter-node
-// world and exits the process (see runCrossWorker).
-func runNetWorker(cfg Config, body func(*Proc)) {
-	nw, err := netrun.Join(netOptions(cfg))
+// runCrossWorker joins this process to its cross-process world, executes body
+// as its single rank and exits the process: status 0 after a clean run,
+// nonzero after a panic (reported to the launcher over the control channel
+// first) or a failed bootstrap.
+func runCrossWorker(cfg Config, join func(rankio.Options) (crossWorld, error), body func(*Proc)) {
+	cw, err := join(crossOptions(cfg))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "spmd: worker failed to join inter-node world: %v\n", err)
+		fmt.Fprintf(os.Stderr, "spmd: worker failed to join its %s world: %v\n", cfg.Backend, err)
 		os.Exit(1)
 	}
-	runCrossWorker(cfg, nw, body)
-}
-
-// crossWorld is the worker-side face shared by the cross-process transports
-// (mprun, netrun): the Transport itself plus the launcher protocol.
-type crossWorld interface {
-	simnet.Transport
-	Rank() int
-	Ready()
-	Finish()
-	Fail(msg string)
-}
-
-// runCrossWorker executes body as this process's single rank of a joined
-// cross-process world and exits the process: status 0 after a clean run,
-// nonzero after a panic (reported to the launcher over the control channel
-// first).
-func runCrossWorker(cfg Config, cw crossWorld, body func(*Proc)) {
 	rank := cw.Rank()
 	w := &World{cfg: cfg, fab: cw, scratch: make([]simnet.Region, cfg.Ranks)}
 	p := &Proc{world: w, rank: rank, ep: simnet.NewEndpoint(cw, rank, cfg.Model)}
@@ -313,7 +324,10 @@ func runCrossWorker(cfg Config, cw crossWorld, body func(*Proc)) {
 	// on every rank, the symmetric-key property the collectives assume.
 	seg := cw.AllocSeg(rank, hdrBytes+cfg.ScratchBytes)
 	p.ep.RegisterBufStampsInto(&w.scratch[rank], seg.Buf, seg.St)
-	cw.Ready() // barrier: every rank's scratch is addressable
+	if err := cw.Ready(); err != nil { // barrier: every rank's scratch is addressable
+		fmt.Fprintf(os.Stderr, "spmd: rank %d: %v\n", rank, err)
+		os.Exit(1)
+	}
 	// guard runs fn, reporting a panic to the launcher in its terms.
 	guard := func(fn func()) (ok bool) {
 		defer func() {
@@ -322,7 +336,7 @@ func runCrossWorker(cfg Config, cw crossWorld, body func(*Proc)) {
 				// failure this rank witnessed first-hand (evidence — the
 				// launcher prefers it as the world's error), an abort learned
 				// second-hand (a symptom, reported with the canonical text
-				// rankio.ClassifyFail recognizes), or this rank's own panic.
+				// the coordinator recognizes), or this rank's own panic.
 				var pf *simnet.ErrPeerFailed
 				if err, isErr := e.(error); isErr && errors.As(err, &pf) && pf.Cause != nil {
 					cw.Fail(fmt.Sprintf("lost peer rank %d: %v", pf.Rank, pf.Cause))
@@ -349,16 +363,6 @@ func runCrossWorker(cfg Config, cw crossWorld, body func(*Proc)) {
 		os.Exit(1)
 	}
 	os.Exit(0)
-}
-
-func mpOptions(cfg Config) mprun.Options {
-	return mprun.Options{
-		Ranks:        cfg.Ranks,
-		RanksPerNode: cfg.RanksPerNode,
-		PaceWindowNs: cfg.PaceWindowNs,
-		ArenaBytes:   cfg.MPArenaBytes,
-		Relaunch:     cfg.MPRelaunch,
-	}
 }
 
 func runInProc(cfg Config, body func(*Proc)) error {
@@ -389,29 +393,11 @@ func runInProc(cfg Config, body func(*Proc)) error {
 	}
 	// The in-process world has no coordinator to aggregate per-rank frames:
 	// every rank shares this process's registry, so one capture *is* the
-	// world total. Publish it the way netrun's coordinator would.
+	// world total.
 	if telemetry.On() {
-		snap := telemetry.Capture(-1)
-		if path := os.Getenv(telemetry.EnvOut); path != "" {
-			if err := os.WriteFile(path, append(snap.JSON(), '\n'), 0o644); err != nil {
-				rankio.Logf("stats", "write %s: %v", path, err)
-			}
-		} else {
-			rankio.Logf("stats", "world stats %s", snap.JSON())
-		}
+		telemetry.Publish(telemetry.Capture(-1))
 	}
 	return firstErr
-}
-
-// runMPWorker executes body as this process's single rank of a multi-process
-// world and exits the process (see runCrossWorker).
-func runMPWorker(cfg Config, body func(*Proc)) {
-	mw, err := mprun.Join(mpOptions(cfg))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spmd: worker failed to join multi-process world: %v\n", err)
-		os.Exit(1)
-	}
-	runCrossWorker(cfg, mw, body)
 }
 
 // MustRun is Run but panics on error; benchmarks and examples use it.

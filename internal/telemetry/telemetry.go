@@ -10,9 +10,10 @@
 // shape:
 //
 //   - a per-rank one-line JSON dump at Finish/Fail (internal/spmd),
-//   - coordinator-side aggregation: netrun workers ship a STATS control
-//     line at teardown and the coordinator merges them (FOMPI_STATS_OUT
-//     writes the aggregate to a file),
+//   - world aggregation (Publish): on every cross-process backend — mp, net,
+//     hybrid — each rank ships a STATS control line at teardown and the
+//     coordinator (internal/rankio) merges them; an in-process world is one
+//     capture (FOMPI_STATS_OUT writes the aggregate to a file),
 //   - an optional -debug-addr HTTP listener serving expvar + net/http/pprof
 //     (debug.go).
 //
@@ -23,6 +24,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/bits"
 	"os"
@@ -37,8 +39,8 @@ const (
 	// EnvVar enables telemetry when set non-empty (and not "0"); worker
 	// processes inherit it from the launcher, like FOMPI_FAULTS.
 	EnvVar = "FOMPI_STATS"
-	// EnvOut names a file the netrun coordinator writes the aggregated
-	// world snapshot to (one line of JSON); empty prints it to stderr.
+	// EnvOut names a file the world's aggregated snapshot is written to (one
+	// line of JSON, see Publish); empty prints it to stderr.
 	EnvOut = "FOMPI_STATS_OUT"
 	// EnvDebugAddr, when set, makes spmd workers serve expvar + pprof on
 	// the given listen address (see ServeDebug).
@@ -447,4 +449,23 @@ func ParseSnapshot(b []byte) (Snapshot, error) {
 	var s Snapshot
 	err := json.Unmarshal(b, &s)
 	return s, err
+}
+
+// Publish emits a world's aggregate, once, where the world ends — the
+// coordinator of a cross-process world after merging its ranks' STATS lines,
+// spmd after an in-process run: to the EnvOut file when set, as a "world
+// stats" line on stderr otherwise. An aggregate no snapshot was merged into
+// (telemetry off) publishes nothing.
+func Publish(agg Snapshot) {
+	if agg.Ranks == 0 {
+		return
+	}
+	line := agg.JSON()
+	if path := os.Getenv(EnvOut); path != "" {
+		if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "stats[pid %d]: write %s: %v\n", os.Getpid(), path, err)
+		}
+		return
+	}
+	fmt.Fprintf(os.Stderr, "stats[pid %d]: world stats %s\n", os.Getpid(), line)
 }

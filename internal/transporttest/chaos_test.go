@@ -4,14 +4,14 @@ package transporttest
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
 
 	"fompi/internal/faultnet"
-	"fompi/internal/mprun"
-	"fompi/internal/netrun"
 	"fompi/internal/rankio"
 	"fompi/internal/simnet"
 	"fompi/internal/spmd"
@@ -132,9 +132,9 @@ func TestChaosTransientVirtualTime(t *testing.T) {
 	// keep the fault spec it inherited from its launcher (not rewind the
 	// matrix to scenario one) and stop after its single backend leg — a
 	// second spmd.Run would try to re-join a coordinator that is done.
-	worker := mprun.IsWorker() || netrun.IsWorker()
+	worker := spmd.WorkerOf() != ""
 	if !worker {
-		t.Setenv(netrun.EnvTimeouts, chaosTimeouts)
+		t.Setenv(rankio.EnvTimeouts, chaosTimeouts)
 	}
 	for _, sc := range chaosTransientScenarios {
 		if !worker {
@@ -177,8 +177,8 @@ func TestChaosFatalTeardown(t *testing.T) {
 		p.EP().WaitLocal(func() bool { return reg.LocalWord(64) == 0xdead })
 		panic("unreachable: the wait above can only end by abort")
 	}
-	if !mprun.IsWorker() && !netrun.IsWorker() {
-		t.Setenv(netrun.EnvTimeouts, chaosTimeouts)
+	if spmd.WorkerOf() == "" {
+		t.Setenv(rankio.EnvTimeouts, chaosTimeouts)
 	}
 	eachBackendLeg(t, "TestChaosFatalTeardown", cfg, func(label string, c spmd.Config) {
 		if label == "in-process" || label == "multi-process" {
@@ -198,5 +198,73 @@ func TestChaosFatalTeardown(t *testing.T) {
 		if elapsed > 30*time.Second {
 			t.Fatalf("%s backend: control-plane death took %v to surface, want well under the chaos budget", label, elapsed)
 		}
+	})
+}
+
+// TestStoppedRank pins liveness detection on every cross-process backend: one
+// rank SIGSTOPs itself mid-body — alive to the kernel, its control stream
+// open, but answering nothing. The coordinator's heartbeat must declare it
+// dead by name within the stale budget, every survivor's blocked wait must
+// unwind with a *simnet.ErrPeerFailed naming it, the launcher must kill what
+// cannot unwind and return a *rankio.RankError naming it within the abort
+// grace, and nothing may be left behind. (Before the one control plane an mp
+// world had no heartbeat: its launcher waited on the stopped rank forever.)
+func TestStoppedRank(t *testing.T) {
+	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
+	const victim = 1
+	const abortGrace = 8 * time.Second // rankio's: abort broadcast to kill
+	tm, err := rankio.ParseTimeouts(chaosTimeouts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertNone := func(string) {}
+	if spmd.WorkerOf() == "" {
+		assertNone = leakWatch(t) // also gives the world a private TMPDIR: where the witnesses go
+		t.Setenv(rankio.EnvTimeouts, chaosTimeouts)
+	}
+	// A survivor that unwound with the typed verdict leaves a witness file.
+	witness := func(backend spmd.Backend, rank int) string {
+		return filepath.Join(os.TempDir(), fmt.Sprintf("stopped-rank-%s-survivor-%d", backend, rank))
+	}
+	body := func(p *spmd.Proc) {
+		reg, key := setupRegion(p, 128)
+		ep := p.EP()
+		if p.Rank() == victim {
+			// Prove the world was live, then freeze.
+			ep.StoreW(simnet.Addr{Rank: 0, Key: key, Off: 0}, 1)
+			syscall.Kill(os.Getpid(), syscall.SIGSTOP)
+		}
+		defer func() {
+			e := recover()
+			var pf *simnet.ErrPeerFailed
+			if err, ok := e.(error); ok && errors.As(err, &pf) && pf.Rank == victim {
+				os.WriteFile(witness(spmd.WorkerOf(), p.Rank()), nil, 0o600)
+			}
+			panic(e)
+		}()
+		// Survivors park on a word nothing will ever write: only the
+		// heartbeat verdict and abort propagation can release them.
+		ep.WaitLocal(func() bool { return reg.LocalWord(64) == 0xdead })
+		panic("unreachable: the wait above can only end by abort")
+	}
+	eachBackendLeg(t, "TestStoppedRank", cfg, func(label string, c spmd.Config) {
+		if label == "in-process" {
+			return // stopping a goroutine-rank would stop the test binary
+		}
+		err, elapsed := chaosRun(t, label, 60*time.Second, func() error { return spmd.Run(c, body) })
+		var re *rankio.RankError
+		if !errors.As(err, &re) || re.Rank != victim {
+			t.Fatalf("%s backend: world with a stopped rank returned %v, want a rankio.RankError naming rank %d", label, err, victim)
+		}
+		// Slack: one heartbeat tick of detection granularity plus process start and teardown.
+		if budget := tm.HeartbeatStale + abortGrace + 3*time.Second; elapsed > budget {
+			t.Fatalf("%s backend: the stopped rank took %v to surface, want under %v (stale + abort grace)", label, elapsed, budget)
+		}
+		for r := 0; r < cfg.Ranks; r++ {
+			if _, err := os.Stat(witness(c.Backend, r)); r != victim && err != nil {
+				t.Errorf("%s backend: rank %d did not unwind with *simnet.ErrPeerFailed naming rank %d", label, r, victim)
+			}
+		}
+		assertNone("after a " + label + " world with a stopped rank")
 	})
 }

@@ -19,15 +19,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"fompi/internal/core"
-	"fompi/internal/hybridrun"
-	"fompi/internal/mprun"
-	"fompi/internal/netrun"
 	"fompi/internal/simnet"
 	"fompi/internal/spmd"
 	"fompi/internal/telemetry"
@@ -66,6 +64,14 @@ func legEnabled(label string) bool {
 	return false
 }
 
+// legLabel names each backend's leg, for failure messages and EnvBackends.
+var legLabel = map[spmd.Backend]string{
+	spmd.BackendInProc: "in-process",
+	spmd.BackendMP:     "multi-process",
+	spmd.BackendNet:    "inter-node",
+	spmd.BackendHybrid: "hybrid",
+}
+
 // eachBackendLeg invokes leg once per backend this process should run: all
 // four in the launcher (minus any EnvBackends scoping), only its own in a
 // worker process — a worker's job is to be one rank of the world that
@@ -75,35 +81,22 @@ func legEnabled(label string) bool {
 // must reach the same spmd.Run call for its backend (which is also why
 // each conformance test contains exactly one run per cross-process
 // backend). The cfg handed to leg is ready to run (backend and relaunch
-// argv set). Hybrid workers satisfy netrun.IsWorker too (they join through
-// the same coordinator), so the inter-node leg checks hybridrun.IsWorker
-// explicitly.
+// argv set).
 func eachBackendLeg(t *testing.T, name string, cfg spmd.Config, leg func(label string, cfg spmd.Config)) {
 	t.Helper()
-	if !mprun.IsWorker() && !netrun.IsWorker() && legEnabled("in-process") {
-		leg("in-process", cfg)
-	}
-	if runtime.GOOS == "windows" {
-		t.Skip("cross-process backends need mmap + unix sockets")
-	}
-	relaunch := []string{os.Args[0], "-test.run=^" + name + "$"}
-	if !netrun.IsWorker() && legEnabled("multi-process") {
-		mp := cfg
-		mp.Backend = spmd.BackendMP
-		mp.MPRelaunch = relaunch
-		leg("multi-process", mp)
-	}
-	if !mprun.IsWorker() && !hybridrun.IsWorker() && legEnabled("inter-node") {
-		nt := cfg
-		nt.Backend = spmd.BackendNet
-		nt.MPRelaunch = relaunch
-		leg("inter-node", nt)
-	}
-	if !mprun.IsWorker() && (hybridrun.IsWorker() || !netrun.IsWorker()) && legEnabled("hybrid") {
-		hy := cfg
-		hy.Backend = spmd.BackendHybrid
-		hy.MPRelaunch = relaunch
-		leg("hybrid", hy)
+	mine := spmd.WorkerOf()
+	for _, b := range append([]spmd.Backend{spmd.BackendInProc}, spmd.CrossBackends()...) {
+		if (mine != "" && mine != b) || !legEnabled(legLabel[b]) {
+			continue
+		}
+		c := cfg
+		if c.Backend = b; b != spmd.BackendInProc {
+			if runtime.GOOS == "windows" {
+				t.Skip("cross-process backends need mmap + unix sockets")
+			}
+			c.MPRelaunch = []string{os.Args[0], "-test.run=^" + name + "$"}
+		}
+		leg(legLabel[b], c)
 	}
 }
 
@@ -375,8 +368,8 @@ func TestConformanceDoorbell(t *testing.T) {
 
 // TestConformanceFusedFrame is the wire gate: a burst of 64 PutNB to one
 // off-host rank plus the Gsync that completes it costs the net and hybrid
-// backends exactly one opBatch frame — the burst fuses whole and fits the
-// 64-deep window — with nothing retransmitted, resumed or replayed from the
+// backends exactly one opBatch frame — the burst fuses whole, far below the
+// window's byte cap — with nothing retransmitted, resumed or replayed from the
 // owner's reply cache. The shared-memory backends send no frame at all.
 func TestConformanceFusedFrame(t *testing.T) {
 	const burst = 64
@@ -396,8 +389,8 @@ func TestConformanceFusedFrame(t *testing.T) {
 			}
 			ep.Gsync()
 			frames = paceCounter("net.batches") - frames
-			if netrun.IsWorker() { // hybrid workers are netrun workers too
-				want = 1
+			if label := legLabel[spmd.WorkerOf()]; label == "inter-node" || label == "hybrid" {
+				want = 1 // rank 1 is off host on both wire-carrying backends
 			}
 			check(frames == want, "%d PutNB + Gsync cost %d wire frames, want %d", burst, frames, want)
 		}
@@ -733,5 +726,46 @@ func TestConformanceExitOnCollective(t *testing.T) {
 	runAll(t, "TestConformanceExitOnCollective", cfg, func(p *spmd.Proc) {
 		got := p.Allreduce8(spmd.OpSum, uint64(p.Rank()+1))
 		check(got == 6, "rank %d: allreduce sum %d, want 6", p.Rank(), got)
+	})
+}
+
+// TestConformanceStatsAggregate is the cross-backend half of netrun's
+// TestStatsAggregationBeforeTeardown: on every cross-process backend — the
+// shared-memory one included — each rank ships its STATS line under the same
+// lock as, and before, its DONE, so once the launcher returns (teardown
+// complete) the published aggregate holds exactly one snapshot per rank, in
+// the FOMPI_STATS_OUT file. A missing rank would mean a snapshot raced
+// teardown.
+func TestConformanceStatsAggregate(t *testing.T) {
+	cfg := spmd.Config{Ranks: 3, RanksPerNode: 2}
+	out := ""
+	if spmd.WorkerOf() == "" {
+		out = filepath.Join(t.TempDir(), "agg.json")
+		t.Setenv(telemetry.EnvOut, out)
+		t.Setenv(telemetry.EnvVar, "1") // the ranks' processes measure; the launcher only merges
+	}
+	eachBackendLeg(t, "TestConformanceStatsAggregate", cfg, func(label string, c spmd.Config) {
+		if label == "in-process" {
+			return // no per-rank frames: one registry, one capture (spmd.runInProc)
+		}
+		if err := spmd.Run(c, func(p *spmd.Proc) {
+			_, key := setupRegion(p, 64)
+			p.EP().StoreW(simnet.Addr{Rank: (p.Rank() + 1) % p.Size(), Key: key}, 1)
+			p.Barrier()
+		}); err != nil {
+			t.Fatalf("%s backend: %v", label, err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatalf("%s backend: published stats file: %v", label, err)
+		}
+		agg, err := telemetry.ParseSnapshot(b)
+		if err != nil || agg.Ranks != cfg.Ranks || agg.Rank != -1 {
+			t.Fatalf("%s backend: published aggregate has rank %d, ranks %d (%v), want %d merged rank snapshots:\n%s", label, agg.Rank, agg.Ranks, err, cfg.Ranks, b)
+		}
+		if agg.Counters["door.rings"] == 0 {
+			t.Fatalf("%s backend: aggregate carries no doorbell rings after a real exchange: %v", label, agg.Counters)
+		}
+		os.Remove(out)
 	})
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"fompi/internal/mprun"
-	"fompi/internal/netrun"
 	"fompi/internal/rankio"
 	"fompi/internal/simnet"
 	"fompi/internal/spmd"
@@ -90,7 +89,7 @@ func checkSegmentUnlinked(p *spmd.Proc) {
 func TestNoLeftoversClean(t *testing.T) {
 	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
 	assertNone := func(string) {}
-	if !mprun.IsWorker() && !netrun.IsWorker() {
+	if spmd.WorkerOf() == "" {
 		assertNone = leakWatch(t)
 	}
 	eachBackendLeg(t, "TestNoLeftoversClean", cfg, func(label string, c spmd.Config) {
@@ -116,9 +115,9 @@ func TestNoLeftoversClean(t *testing.T) {
 func TestNoLeftoversKilled(t *testing.T) {
 	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
 	assertNone := func(string) {}
-	if !mprun.IsWorker() && !netrun.IsWorker() {
+	if spmd.WorkerOf() == "" {
 		assertNone = leakWatch(t)
-		t.Setenv(netrun.EnvTimeouts, chaosTimeouts)
+		t.Setenv(rankio.EnvTimeouts, chaosTimeouts)
 	}
 	eachBackendLeg(t, "TestNoLeftoversKilled", cfg, func(label string, c spmd.Config) {
 		if label != "multi-process" && label != "hybrid" {
@@ -146,7 +145,7 @@ func TestNoLeftoversKilled(t *testing.T) {
 // TestLeakWatchSeesLeaks keeps the two tests above honest: an entry planted
 // in either root after the watch began is reported.
 func TestLeakWatchSeesLeaks(t *testing.T) {
-	if mprun.IsWorker() || netrun.IsWorker() {
+	if spmd.WorkerOf() != "" {
 		return
 	}
 	for _, root := range mprun.SegmentRoots() {

@@ -9,8 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"fompi/internal/mprun"
-	"fompi/internal/netrun"
 	"fompi/internal/simnet"
 	"fompi/internal/spmd"
 	"fompi/internal/telemetry"
@@ -150,7 +148,7 @@ func pacedWorkload(p *spmd.Proc) (timing.Time, uint64) {
 // to the one Run of its backend.
 func TestConformancePacing(t *testing.T) {
 	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2, PaceWindowNs: paceWindowNs}
-	worker := mprun.IsWorker() || netrun.IsWorker()
+	worker := spmd.WorkerOf() != ""
 
 	t.Run("flow", func(t *testing.T) {
 		// Every process, workers included, derives the reference from an

@@ -17,16 +17,27 @@
 #                                (doorWaiters, doorMu, doorGenOf,
 #                                doorWaitSliced, WaitDoorSliced, DoorOps,
 #                                doorWaitMin, doorWaitMax) that simnet.Door
-#                                replaced, and the deleted host-perf harness
+#                                replaced, the deleted host-perf harness
 #                                and wire-window knob (hostperf, EnvWindow,
-#                                NetWindow, winDepth, resolveWindow) occur
-#                                in no non-test Go file; the Makefile, the
+#                                NetWindow, winDepth, resolveWindow), and
+#                                what the one control plane retired — the
+#                                five per-backend worker variables
+#                                (FOMPI_MP_DIR, FOMPI_MP_RANK,
+#                                FOMPI_NET_COORD, FOMPI_NET_RANK,
+#                                FOMPI_HYB_WORLD), ExtraEnv, netWindow,
+#                                opNicReserve, watchAbort — occur in no
+#                                non-test Go file; the Makefile, the
 #                                scripts and the CI workflow name no piece
-#                                of that harness either
+#                                of that harness, nor those variables,
+#                                either
 #   go test ./...                all package suites (includes the transport
 #                                conformance suite, which spawns the
 #                                multi-process, inter-node, and hybrid
 #                                backends' worker processes)
+#   fuzz smoke                   FuzzParseBatch (netrun's fused frames) and
+#                                FuzzCtlLine (every control line), 5 s each:
+#                                the two parsers of bytes that cross a
+#                                process boundary stay total
 #   make bench-test              the benchmark module's own tests (benchmark/
 #                                has its own go.mod, so ./... skips it)
 #   go test -bench Issue -benchtime 1x
@@ -37,8 +48,9 @@
 #                                goroutines share fabric memory (the port's,
 #                                the pacer's and the door's unit tests and
 #                                the two-mappings arena tests among them),
-#                                plus the cross-backend AMO chain, pacing
-#                                and doorbell conformance tests under -race
+#                                plus the cross-backend AMO chain, pacing,
+#                                doorbell and stopped-rank conformance
+#                                tests under -race
 #   examples smoke               build and run every example; quickstart and
 #                                stencil (unpaced and with -pace 20000) must
 #                                produce identical deterministic output on
@@ -77,16 +89,23 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness and the wire-window knob must not creep back)"
-if grep -rnE 'LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow' \
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob and the per-backend control planes must not creep back)"
+RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD'
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
-	grep -nE 'hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW' --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness or the wire-window knob is back" >&2
+	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness, the wire-window knob or a per-backend control plane's name is back" >&2
 	exit 1
 fi
 
 echo "== go test"
 go test ./...
+
+echo "== fuzz smoke (the two parsers of cross-process bytes, 5 s each)"
+# -fuzzminimizetime: minimising one 64 KiB interesting input would otherwise
+# eat the whole budget.
+go test ./internal/netrun -run '^$' -fuzz FuzzParseBatch -fuzztime 5s -fuzzminimizetime 1s
+go test ./internal/rankio -run '^$' -fuzz FuzzCtlLine -fuzztime 5s -fuzzminimizetime 1s
 
 echo "== benchmark module tests (make bench-test)"
 make bench-test
@@ -96,7 +115,7 @@ go test ./internal/simnet -run '^$' -bench Issue -benchtime 1x
 
 echo "== go test -race -short (timing, simnet, core, spmd, netrun, rankio, mprun)"
 go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/
-go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell' ./internal/transporttest/
+go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestStoppedRank' ./internal/transporttest/
 
 echo "== examples smoke (build + run, cross-backend diff)"
 for ex in quickstart stencil hashtable dsde; do
