@@ -12,6 +12,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"fompi/internal/segpool"
 	"fompi/internal/simnet"
@@ -174,8 +175,9 @@ type dynEntry struct {
 	size int
 }
 
-// winBase initializes the parts common to all window kinds and verifies the
-// control key is symmetric (O(log p) allreduce, no per-rank table). The
+// winBase initializes the parts common to all window kinds: it registers the
+// control region and records its key. It is local — the constructor's one
+// collective (syncCreation, or Create's allgather) verifies the key. The
 // control region — dominated by the MaxPosts matching list — comes from the
 // segment pool: per-repetition worlds would otherwise allocate and zero
 // ~130 KiB of control state per rank per window. Mode-specific bookkeeping
@@ -189,20 +191,59 @@ func winBase(p *spmd.Proc, cfg Config, kind winKind) *Win {
 	w.ctl = &w.ctlReg
 	w.ctlKey = w.ctl.Key()
 	w.notifyRing.Bind(w.ctl, ctlNotifyRing(cfg), cfg.MaxNotify)
-	assertSymmetric(p, uint64(w.ctlKey), "control region key")
 	return w
 }
 
-// assertSymmetric checks that v is identical on every rank. It stands in
-// for the paper's symmetric-heap allocation loop (broadcast an address,
-// mmap, allreduce success): in the simulated address space registration
-// order already yields symmetric keys, and this collective check preserves
-// both the O(log p) cost and the failure mode.
-func assertSymmetric(p *spmd.Proc, v uint64, what string) {
-	lo := p.Allreduce8(spmd.OpMin, v)
-	hi := p.Allreduce8(spmd.OpMax, v)
-	if lo != hi {
-		panic(fmt.Sprintf("core: %s not symmetric across ranks (%d..%d); windows must be created collectively in the same order on all ranks", what, lo, hi))
+// allocData registers size bytes of library-allocated window memory (allocated
+// and shared windows) and records its key.
+func (w *Win) allocData(size int) {
+	w.dataSeg = w.ep.AllocSeg(size)
+	w.ep.RegisterBufStampsInto(&w.dataReg, w.dataSeg.Buf, w.dataSeg.St)
+	w.data = &w.dataReg
+	w.size = size
+	w.dataKey = w.data.Key()
+}
+
+// String names the flavour in creation faults.
+func (k winKind) String() string {
+	return [...]string{kindCreate: "traditional", kindAllocate: "allocated", kindDynamic: "dynamic", kindShared: "shared"}[k]
+}
+
+// packKeys packs a window's control and data keys into the one word its
+// creation collective carries. A key that does not fit its half faults here
+// rather than truncating into a neighbour's.
+func packKeys(ctl, data uint64) uint64 {
+	if ctl > math.MaxUint32 || data > math.MaxUint32 {
+		panic(fmt.Sprintf("core: window keys (ctl %d, data %d) do not fit the packed 2×32-bit creation word", ctl, data))
+	}
+	return ctl<<32 | data
+}
+
+func unpackKeys(v uint64) (ctl, data simnet.Key) { return simnet.Key(v >> 32), simnet.Key(uint32(v)) }
+
+// asymmetric is the creation fault: this rank's packed keys against the
+// differing pair, whose origin other names.
+func (w *Win) asymmetric(mine uint64, other string, theirs uint64) {
+	mc, md := unpackKeys(mine)
+	tc, td := unpackKeys(theirs)
+	panic(fmt.Sprintf("core: %s window keys not symmetric across ranks: rank %d registered (ctl %d, data %d), %s (ctl %d, data %d); windows must be created collectively in the same order on all ranks",
+		w.kind, w.p.Rank(), mc, md, other, tc, td))
+}
+
+// syncCreation is the one collective that closes Allocate, AllocateShared and
+// CreateDynamic: a single max-allreduce of the packed keys. It stands in for
+// the paper's symmetric-heap allocation loop (broadcast an address, mmap,
+// allreduce success): in the simulated address space registration order
+// already yields symmetric keys, and the reduction preserves both the
+// O(log p) cost and the failure mode — all keys are equal exactly when every
+// rank's equal the maximum, so every rank that differs from it faults. It is
+// also the creation barrier: a rank leaves the allreduce only once every
+// rank's contribution has reached it, and each rank contributes after
+// registering, so every peer's regions are addressable on return.
+func (w *Win) syncCreation() {
+	mine := packKeys(uint64(w.ctlKey), uint64(w.dataKey))
+	if hi := w.p.Allreduce8(spmd.OpMax, mine); hi != mine {
+		w.asymmetric(mine, "the maximum over ranks is", hi)
 	}
 }
 
@@ -213,13 +254,8 @@ func assertSymmetric(p *spmd.Proc, v uint64, what string) {
 // returned slice must not be used after Free.
 func Allocate(p *spmd.Proc, size int, cfg Config) (*Win, []byte) {
 	w := winBase(p, cfg, kindAllocate)
-	w.dataSeg = w.ep.AllocSeg(size)
-	w.ep.RegisterBufStampsInto(&w.dataReg, w.dataSeg.Buf, w.dataSeg.St)
-	w.data = &w.dataReg
-	w.size = size
-	w.dataKey = w.data.Key()
-	assertSymmetric(p, uint64(w.dataKey), "allocated window key")
-	p.Barrier()
+	w.allocData(size)
+	w.syncCreation()
 	return w, w.data.Bytes()
 }
 
@@ -235,15 +271,23 @@ func Create(p *spmd.Proc, buf []byte, cfg Config) *Win {
 
 	// Two allgathers in the paper (DMAPP descriptors then XPMEM intra-node
 	// descriptors); the fabric uses one descriptor space for both, so one
-	// exchange of (key, size) per rank suffices here.
-	var mine [16]byte
-	binary.LittleEndian.PutUint64(mine[0:], uint64(w.data.Key()))
-	binary.LittleEndian.PutUint64(mine[8:], uint64(len(buf)))
-	all := p.Allgather(mine[:])
+	// exchange of (keys, size) per rank suffices here. The control key rides
+	// in the same block and is checked against every rank's locally, so the
+	// allgather is the constructor's only collective and its barrier.
+	mine := packKeys(uint64(w.ctlKey), uint64(w.data.Key()))
+	var blk [16]byte
+	binary.LittleEndian.PutUint64(blk[0:], mine)
+	binary.LittleEndian.PutUint64(blk[8:], uint64(len(buf)))
+	all := p.Allgather(blk[:])
 	w.peerKeys = make([]simnet.Key, p.Size())
 	w.peerSizes = make([]int, p.Size())
 	for r := 0; r < p.Size(); r++ {
-		w.peerKeys[r] = simnet.Key(binary.LittleEndian.Uint64(all[r*16:]))
+		theirs := binary.LittleEndian.Uint64(all[r*16:])
+		ctl, data := unpackKeys(theirs)
+		if ctl != w.ctlKey {
+			w.asymmetric(mine, fmt.Sprintf("rank %d", r), theirs)
+		}
+		w.peerKeys[r] = data
 		w.peerSizes[r] = int(binary.LittleEndian.Uint64(all[r*16+8:]))
 	}
 	return w
@@ -253,7 +297,7 @@ func Create(p *spmd.Proc, buf []byte, cfg Config) *Win {
 // attached memory; use Attach and Detach to expose regions non-collectively.
 func CreateDynamic(p *spmd.Proc, cfg Config) *Win {
 	w := winBase(p, cfg, kindDynamic)
-	p.Barrier()
+	w.syncCreation()
 	return w
 }
 
@@ -272,13 +316,8 @@ func AllocateShared(p *spmd.Proc, size int, cfg Config) (*Win, []byte) {
 		}
 	}
 	w := winBase(p, cfg, kindShared)
-	w.dataSeg = w.ep.AllocSeg(size)
-	w.ep.RegisterBufStampsInto(&w.dataReg, w.dataSeg.Buf, w.dataSeg.St)
-	w.data = &w.dataReg
-	w.size = size
-	w.dataKey = w.data.Key()
-	assertSymmetric(p, uint64(w.dataKey), "shared window key")
-	p.Barrier()
+	w.allocData(size)
+	w.syncCreation()
 	return w, w.data.Bytes()
 }
 

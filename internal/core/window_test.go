@@ -3,9 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
+	"regexp"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fompi/internal/spmd"
+	"fompi/internal/timing"
 )
 
 // run is the package test harness: n ranks, rpn ranks per node.
@@ -246,4 +253,130 @@ func TestMultipleWindowsCoexist(t *testing.T) {
 		w1.Free()
 		w2.Free()
 	})
+}
+
+// flavours lists the four collective constructors with, for each, the one
+// spmd collective its creation must cost.
+var flavours = func() []flavour {
+	allreduce := func(p *spmd.Proc) { p.Allreduce8(spmd.OpMax, 7) }
+	return []flavour{
+		{"allocated", false, func(p *spmd.Proc) *Win { w, _ := Allocate(p, 256, Config{}); return w }, allreduce},
+		{"shared", true, func(p *spmd.Proc) *Win { w, _ := AllocateShared(p, 256, Config{}); return w }, allreduce},
+		{"dynamic", false, func(p *spmd.Proc) *Win { return CreateDynamic(p, Config{}) }, allreduce},
+		{"traditional", false, func(p *spmd.Proc) *Win { return Create(p, make([]byte, 256), Config{}) },
+			func(p *spmd.Proc) { p.Allgather(make([]byte, 16)) }},
+	}
+}()
+
+type flavour struct {
+	name    string
+	oneNode bool // shared windows need every rank on one node
+	create  func(p *spmd.Proc) *Win
+	same    func(p *spmd.Proc)
+}
+
+// TestWindowCreationOneCollective pins what creation costs: on every rank,
+// the fabric operations and the virtual time a constructor takes are exactly
+// those of one allreduce (one allgather of the descriptor block for a
+// traditional window) issued from the same clock.
+func TestWindowCreationOneCollective(t *testing.T) {
+	type cost struct {
+		puts, amos, gets int64
+		vtime            timing.Time
+	}
+	// section runs fn with the rank's clock jumped to at — far past every
+	// stamp and NIC reservation earlier sections left — so two sections
+	// running the same communication pattern cost the same on each rank.
+	section := func(p *spmd.Proc, at timing.Time, fn func()) cost {
+		p.Compute(int64(at - p.Now()))
+		c0, t0 := p.EP().Counters(), p.Now()
+		fn()
+		d := p.EP().Counters().Sub(c0)
+		return cost{d.Puts, d.Amos, d.Gets, p.Now() - t0}
+	}
+	for _, n := range []int{2, 5, 8} {
+		for _, f := range flavours {
+			rpn := 2
+			if f.oneNode {
+				rpn = n
+			}
+			got := make([][2]cost, n)
+			run(t, n, rpn, func(p *spmd.Proc) {
+				f.same(p) // warm the scratch routes
+				var w *Win
+				got[p.Rank()][0] = section(p, 1e9, func() { w = f.create(p) })
+				got[p.Rank()][1] = section(p, 2e9, func() { f.same(p) })
+				w.Free()
+			})
+			for r, g := range got {
+				if g[0] != g[1] {
+					t.Errorf("p=%d %s window, rank %d: creation cost %+v, one collective costs %+v", n, f.name, r, g[0], g[1])
+				}
+				if g[1].puts == 0 || g[1].vtime == 0 {
+					t.Errorf("p=%d %s window, rank %d: the reference collective cost nothing: %+v", n, f.name, r, g[1])
+				}
+			}
+		}
+	}
+}
+
+// TestAsymmetricCreationFaults breaks the symmetric-heap property — rank 1
+// registers one region more than its peers before the collective constructor
+// — and expects every flavour to fail the world by name, with both key pairs
+// in the message, no rank left holding a window it can use, and no hang.
+func TestAsymmetricCreationFaults(t *testing.T) {
+	pair := regexp.MustCompile(`\(ctl \d+, data \d+\)`)
+	for _, f := range flavours {
+		cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
+		if f.oneNode {
+			cfg.RanksPerNode = 4
+		}
+		var usable atomic.Int32
+		errc := make(chan error, 1)
+		go func() {
+			errc <- spmd.Run(cfg, func(p *spmd.Proc) {
+				if p.Rank() == 1 {
+					p.EP().Register(64)
+				}
+				f.create(p)
+				p.Barrier() // a rank whose keys were the maximum gets this far
+				usable.Add(1)
+			})
+		}()
+		select {
+		case err := <-errc:
+			if err == nil {
+				t.Fatalf("%s window: asymmetric creation succeeded", f.name)
+			}
+			if !strings.Contains(err.Error(), f.name+" window keys not symmetric") {
+				t.Errorf("%s window: error does not name the flavour: %v", f.name, err)
+			}
+			if ps := pair.FindAllString(err.Error(), -1); len(ps) != 2 || ps[0] == ps[1] {
+				t.Errorf("%s window: error does not carry two differing key pairs: %v", f.name, err)
+			}
+			if n := usable.Load(); n != 0 {
+				t.Errorf("%s window: %d ranks came away with a usable window", f.name, n)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s window: asymmetric creation hung the world", f.name)
+		}
+	}
+}
+
+// TestPackKeysFaultsOnOverflow: a key too wide for its half of the creation
+// word is a named fault, not a silent truncation.
+func TestPackKeysFaultsOnOverflow(t *testing.T) {
+	if ctl, data := unpackKeys(packKeys(math.MaxUint32, 5)); ctl != math.MaxUint32 || data != 5 {
+		t.Fatalf("round trip = (%d, %d)", ctl, data)
+	}
+	for _, kv := range [][2]uint64{{1 << 32, 0}, {0, 1 << 32}} {
+		func() {
+			defer func() {
+				if e := recover(); e == nil || !strings.Contains(fmt.Sprint(e), "do not fit") {
+					t.Errorf("packKeys(%d, %d): recovered %v, want the named overflow fault", kv[0], kv[1], e)
+				}
+			}()
+			packKeys(kv[0], kv[1])
+		}()
+	}
 }

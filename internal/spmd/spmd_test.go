@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -289,5 +290,71 @@ func TestScratchOverflowPanics(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("oversized allgather must fail")
+	}
+}
+
+// The in-process launcher runs rank 0 on Run's calling goroutine. The four
+// tests below are that arrangement's edges.
+
+func TestRunRank0PanicAbortsWorld(t *testing.T) {
+	err := Run(Config{Ranks: 4}, func(p *Proc) {
+		if p.Rank() == 0 {
+			panic("boom")
+		}
+		p.Barrier() // the goroutine ranks block; the caller's abort must free them
+	})
+	if err == nil || err.Error() != "rank 0 panicked: boom" {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+func TestRunPeerPanicUnwindsCaller(t *testing.T) {
+	var parked atomic.Bool
+	err := Run(Config{Ranks: 4}, func(p *Proc) {
+		if p.Rank() == 1 {
+			for !parked.Load() {
+				runtime.Gosched()
+			}
+			panic("boom")
+		}
+		if p.Rank() == 0 {
+			parked.Store(true)
+		}
+		p.Barrier() // rank 0, the caller, waits here for a rank that never comes
+	})
+	// Rank 1's own failure, not the abort symptom rank 0 unwound with.
+	if err == nil || err.Error() != "rank 1 panicked: boom" {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+func TestRunNestedFromRank0(t *testing.T) {
+	var inner atomic.Int64
+	err := Run(Config{Ranks: 3}, func(p *Proc) {
+		if p.Rank() == 0 {
+			MustRun(Config{Ranks: 5}, func(q *Proc) {
+				inner.Add(int64(q.Allreduce8(OpSum, 1)))
+			})
+		}
+		if got := p.Allreduce8(OpSum, uint64(p.Rank())); got != 3 {
+			t.Errorf("outer allreduce after the nested world = %d, want 3", got)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inner.Load() != 25 {
+		t.Fatalf("nested world: sum of allreduce results = %d, want 25", inner.Load())
+	}
+}
+
+func TestRunOneRankSpawnsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var during int
+	if err := Run(Config{Ranks: 1}, func(p *Proc) { during = runtime.NumGoroutine() }); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); during != before || after != before {
+		t.Fatalf("goroutines: %d before Run, %d in the body, %d after", before, during, after)
 	}
 }

@@ -1,16 +1,16 @@
 // Package spmd runs single-program-multiple-data rank programs over a
 // transport backend: the stand-in for the job launcher plus the process
 // runtime that foMPI inherits from Cray MPI. Four backends exist, selected
-// by Config.Backend: the default in-process fabric (each rank is a goroutine
-// over internal/simnet's Fabric), the multi-process runtime (each rank is an
-// OS process over internal/mprun's shared-memory/Unix-socket world), the
-// inter-node runtime (OS processes over internal/netrun's TCP wire), and the
-// hybrid runtime (internal/hybridrun: netrun's world with same-host ranks
-// grouped onto shared-memory arenas). The three cross-process ones share one
-// control plane (internal/rankio): a rank process learns its world from
-// FOMPI_COORD and FOMPI_RANK, and telemetry aggregation (FOMPI_STATS), the
-// failure-model timing spec (FOMPI_NET_TIMEOUTS) and heartbeat liveness work
-// the same on all of them.
+// by Config.Backend: the default in-process fabric (rank 0 is Run's caller,
+// each other rank a goroutine, over internal/simnet's Fabric), the
+// multi-process runtime (each rank is an OS process over internal/mprun's
+// shared-memory/Unix-socket world), the inter-node runtime (OS processes over
+// internal/netrun's TCP wire), and the hybrid runtime (internal/hybridrun:
+// netrun's world with same-host ranks grouped onto shared-memory arenas). The
+// three cross-process ones share one control plane (internal/rankio): a rank
+// process learns its world from FOMPI_COORD and FOMPI_RANK, and telemetry
+// aggregation (FOMPI_STATS), the failure-model timing spec
+// (FOMPI_NET_TIMEOUTS) and heartbeat liveness work the same on all of them.
 // Each rank receives a fabric endpoint, a scratch region for the built-in
 // collectives, and its own virtual clock. Collectives (dissemination
 // barrier, binomial broadcast, recursive-doubling allreduce, ring allgather,
@@ -70,8 +70,9 @@ func dumpRankStats(rank int) {
 type Backend string
 
 const (
-	// BackendInProc runs ranks as goroutines over the in-process simnet
-	// fabric: the default, and the only backend the perf harness measures.
+	// BackendInProc runs the ranks in this process — rank 0 on Run's calling
+	// goroutine, the rest on goroutines — over the in-process simnet fabric:
+	// the default, and the only backend the perf harness measures.
 	BackendInProc Backend = "proc"
 	// BackendMP runs each rank as an OS process: registered memory lives in
 	// one mmap-shared segment (the XPMEM-style fast path made real) and
@@ -177,7 +178,7 @@ type World struct {
 }
 
 // recycle returns the world's scratch segments to the transport allocator.
-// Only safe after every rank goroutine has exited cleanly (an aborted world
+// Only safe after every rank's body has returned cleanly (an aborted world
 // may still have unwinding goroutines holding region references, so it is
 // not recycled). Scratch is written exclusively by stamping fabric
 // operations (collective flags and payloads), so the scrubbed recycle wipes
@@ -241,8 +242,9 @@ func CrossBackends() []Backend {
 func WorkerOf() Backend { return Backend(rankio.WorkerBackend()) }
 
 // Run launches cfg.Ranks ranks executing body and waits for all of them.
-// On the default in-process backend the ranks are goroutines; if any rank
-// panics, the fabric is aborted (unblocking the others) and the first panic
+// On the default in-process backend rank 0 runs on the calling goroutine and
+// the other ranks on goroutines of their own; if any rank panics, the fabric
+// is aborted (unblocking the others, the caller included) and the first panic
 // is returned as an error.
 //
 // On a cross-process backend the calling process becomes the launcher: it
@@ -365,28 +367,37 @@ func runCrossWorker(cfg Config, join func(rankio.Options) (crossWorld, error), b
 	os.Exit(0)
 }
 
+// runInProc runs the in-process world: ranks 1…p−1 get goroutines and rank 0
+// is the calling goroutine, so a launch pays no spawn-and-hand-off before its
+// first rank runs and a one-rank world starts no goroutine at all. Every rank,
+// the caller's included, runs under the same recover / first-error / Abort
+// closure.
 func runInProc(cfg Config, body func(*Proc)) error {
 	w, procs := NewWorld(cfg)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	for r := 0; r < w.cfg.Ranks; r++ {
-		wg.Add(1)
-		go func(p *Proc) {
-			defer wg.Done()
-			defer func() {
-				if e := recover(); e != nil {
-					mu.Lock()
-					if firstErr == nil && !simnet.IsAbortPanic(e) {
-						firstErr = fmt.Errorf("rank %d panicked: %v", p.rank, e)
-					}
-					mu.Unlock()
-					w.fab.Abort()
+	rank := func(p *Proc) {
+		defer func() {
+			if e := recover(); e != nil {
+				mu.Lock()
+				if firstErr == nil && !simnet.IsAbortPanic(e) {
+					firstErr = fmt.Errorf("rank %d panicked: %v", p.rank, e)
 				}
-			}()
-			body(p)
-		}(procs[r])
+				mu.Unlock()
+				w.fab.Abort()
+			}
+		}()
+		body(p)
 	}
+	wg.Add(len(procs) - 1)
+	for _, p := range procs[1:] {
+		go func() {
+			defer wg.Done()
+			rank(p)
+		}()
+	}
+	rank(procs[0])
 	wg.Wait()
 	if firstErr == nil && !w.fab.Aborted() {
 		w.recycle()

@@ -616,31 +616,57 @@ func TestConformanceAbortPropagation(t *testing.T) {
 		p.EP().WaitLocal(func() bool { return reg.LocalWord(0) == 0xdead })
 		panic("unreachable: the wait above can only end by abort")
 	}
-	expectAbort := func(backend string, run func() error) {
-		t.Helper()
-		errc := make(chan error, 1)
-		t0 := time.Now()
-		go func() { errc <- run() }()
-		select {
-		case err := <-errc:
-			if err == nil {
-				t.Fatalf("%s backend: world with a failing rank reported success", backend)
-			}
-			if !strings.Contains(err.Error(), failMsg) {
-				t.Fatalf("%s backend: abort error %q does not carry the originating failure %q",
-					backend, err, failMsg)
-			}
-			// A parked rank that does not unwind is reaped by the launcher
-			// 8 s after the abort (abortGrace); every rank must go on its own.
-			if d := time.Since(t0); d > 6*time.Second {
-				t.Fatalf("%s backend: the world took %v to end: a parked rank waited for the launcher's kill instead of unwinding", backend, d)
-			}
-		case <-time.After(90 * time.Second):
-			t.Fatalf("%s backend: abort did not propagate (launcher still waiting)", backend)
-		}
-	}
 	eachBackendLeg(t, "TestConformanceAbortPropagation", cfg, func(label string, c spmd.Config) {
-		expectAbort(label, func() error { return spmd.Run(c, body) })
+		expectAbort(t, label, failMsg, func() error { return spmd.Run(c, body) })
+	})
+}
+
+// expectAbort runs a world one of whose ranks fails with failMsg and checks
+// that the launcher-side error carries that originating failure and that the
+// world ended by its ranks unwinding, not by the launcher's kill.
+func expectAbort(t *testing.T, backend, failMsg string, run func() error) {
+	t.Helper()
+	errc := make(chan error, 1)
+	t0 := time.Now()
+	go func() { errc <- run() }()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatalf("%s backend: world with a failing rank reported success", backend)
+		}
+		if !strings.Contains(err.Error(), failMsg) {
+			t.Fatalf("%s backend: abort error %q does not carry the originating failure %q",
+				backend, err, failMsg)
+		}
+		// A parked rank that does not unwind is reaped by the launcher
+		// 8 s after the abort (abortGrace); every rank must go on its own.
+		if d := time.Since(t0); d > 6*time.Second {
+			t.Fatalf("%s backend: the world took %v to end: a parked rank waited for the launcher's kill instead of unwinding", backend, d)
+		}
+	case <-time.After(90 * time.Second):
+		t.Fatalf("%s backend: abort did not propagate (launcher still waiting)", backend)
+	}
+}
+
+// TestConformanceAsymmetricAllocate checks window creation's failure mode
+// across process boundaries: rank 1 registers one region more than its peers
+// before the collective core.Allocate, so the one creation allreduce finds the
+// keys asymmetric. Every rank whose keys are not the maximum faults by name;
+// rank 1 leaves the constructor and dies of the abort in the barrier after it.
+// The launcher must report a faulting rank's own message — a FAIL displaces
+// the peers' abort symptoms — and every worker must exit on its own.
+func TestConformanceAsymmetricAllocate(t *testing.T) {
+	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
+	body := func(p *spmd.Proc) {
+		if p.Rank() == 1 {
+			p.EP().Register(64)
+		}
+		core.Allocate(p, 64, core.Config{})
+		p.Barrier()
+		panic("unreachable: no rank may leave an asymmetric creation with a usable window")
+	}
+	eachBackendLeg(t, "TestConformanceAsymmetricAllocate", cfg, func(label string, c spmd.Config) {
+		expectAbort(t, label, "allocated window keys not symmetric across ranks", func() error { return spmd.Run(c, body) })
 	})
 }
 

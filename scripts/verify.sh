@@ -6,6 +6,13 @@
 #   gofmt -l                     formatting is clean
 #   go vet ./...                 static checks
 #   go build ./...               everything compiles
+#   CGO_ENABLED=0 build + tests  the tree builds without cgo, and the control
+#                                plane, the shared-memory backend and the
+#                                launcher pass their -short suites that way:
+#                                the static rank binary an operator can
+#                                choose (it boots ≈ 1 ms sooner: no dynamic
+#                                loader, no cgo resolver — EXPERIMENTS.md
+#                                "PR 21" (d)) is a tested configuration
 #   retired-names check          LockChain, nicMu and rnNicLock — the three
 #                                per-target locks the port replaced —
 #                                regMemo, the batch-only region memo the
@@ -88,6 +95,10 @@ go vet ./...
 
 echo "== go build"
 go build ./...
+
+echo "== no-cgo leg (static build; rankio, mprun, spmd -short)"
+CGO_ENABLED=0 go build ./...
+CGO_ENABLED=0 go test -short ./internal/rankio ./internal/mprun ./internal/spmd
 
 echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob and the per-backend control planes must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD'
