@@ -61,7 +61,8 @@ type Config = spmd.Config
 // BackendHybrid groups the inter-node backend's ranks by physical host:
 // co-located ranks share one mmap arena (direct loads/stores, shared
 // windows), while off-host ranks are reached over the TCP wire (see
-// internal/mprun, internal/netrun, internal/hybridrun and cmd/fompi-run).
+// internal/netrun, the one process transport the three names place ranks on,
+// and cmd/fompi-run).
 // Virtual time lives above the transport line, so checksums and virtual-time
 // figures are bit-identical across backends.
 type Backend = spmd.Backend

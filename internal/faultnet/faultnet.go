@@ -1,5 +1,5 @@
 // Package faultnet is a deterministic, seedable fault-injection layer for
-// the TCP transports (netrun, hybridrun). It wraps the dialer and listener
+// the process transport's TCP sockets (netrun). It wraps the dialer and listener
 // so that every connection of a world can suffer injected delays, partial
 // writes, refused dials, mid-stream resets, and silent write drops — the
 // failure modes a 524k-core fabric exhibits as steady state — while staying

@@ -50,11 +50,9 @@ func (c ArenaConfig) withDefaults() ArenaConfig {
 	return c
 }
 
-// Arena is the mmap-shared data plane of the process-based backends, factored
-// so it can serve two masters: the multi-process backend maps one Arena across
-// its whole world (local index == global rank), and the hybrid backend maps
-// one Arena per physical host (local indices are the host's ranks in ascending
-// global-rank order, and the off-host half of the world travels over TCP).
+// Arena is the mmap-shared data plane of one host group: the ranks of a world
+// that share a host key (internal/netrun), indexed locally in ascending
+// world-rank order — the whole world when every rank has the same key.
 // Everything two co-located ranks ever both touch lives in the mapping — the
 // region directory, the stamp slabs, each rank's port (doorbell generation,
 // NIC interval and the lock over them), the door's and the pacer's tables —
@@ -77,8 +75,7 @@ type Arena struct {
 
 	arenaPos int
 	freeSegs map[int][]*segpool.Seg
-	nextKey  uint32
-	regions  [][]*simnet.Region // lazily built (local, key) views
+	regions  [][]*simnet.Region // lazily built (local, key) views of peers' registrations
 }
 
 // DoorSockPath returns the doorbell socket path of local rank n of the arena
@@ -218,7 +215,7 @@ func (a *Arena) tryOpen() error {
 
 // Bind attaches this process as local rank self: it binds the rank's doorbell
 // socket (removing a stale one from a crashed earlier world first). Mappers
-// that only ring or abort (the mp launcher) skip it.
+// that only ring or abort (a launcher) skip it.
 func (a *Arena) Bind(self int) error {
 	os.Remove(DoorSockPath(a.sock, self))
 	conn, err := net.ListenUnixgram("unixgram",
@@ -299,38 +296,32 @@ func (a *Arena) Recycle(s *segpool.Seg, scrubbed bool, extra ...segpool.Range) {
 	a.freeSegs[len(s.Buf)] = append(a.freeSegs[len(s.Buf)], s)
 }
 
-// Register publishes local rank's registration in the shared directory and
-// returns its key (per-owner, dense from 0 in registration order). The buffer
-// must come from AllocSeg: remote processes can only reach the shared
-// mapping, so arbitrary heap memory is rejected with a clear fault.
-func (a *Arena) Register(local int, reg *simnet.Region) uint32 {
+// Publish writes local rank's registration under key k — the owner's own
+// counter, dense from 0 in registration order — into the shared directory,
+// where the host group's other processes resolve it (Lookup). The buffer must
+// come from AllocSeg: remote processes can only reach the shared mapping, so
+// arbitrary heap memory is rejected with a clear fault.
+func (a *Arena) Publish(local, k int, reg *simnet.Region) {
 	buf := reg.Bytes()
-	ar := a.lay.arena(a.m, local)
-	off, ok := arenaOffset(ar, buf)
+	off, ok := arenaOffset(a.lay.arena(a.m, local), buf)
 	if !ok {
-		panic("mprun: the process-based backends can only register transport-allocated memory (Endpoint.AllocSeg / Register); traditional windows over user buffers are in-process only")
+		panic("mprun: ranks that share an arena can only register transport-allocated memory (Endpoint.AllocSeg / Register), not windows over user buffers")
 	}
-	k := a.nextKey
 	if k >= maxRegions {
 		panic(fmt.Sprintf("mprun: region directory full: this rank has made %d registrations over the world's lifetime and keys are never reused (about %d windows per rank) — create windows once and reuse them", maxRegions, maxRegions/2))
 	}
-	a.nextKey++
-	e := a.lay.entryOff(local, int(k))
+	e := a.lay.entryOff(local, k)
 	atomic.StoreUint64(u64at(a.m, e+enBufOff), uint64(off))
 	atomic.StoreUint64(u64at(a.m, e+enBufLen), uint64(len(buf)))
 	// The state store publishes the fields: peers load it with acquire
 	// ordering before reading them.
 	atomic.StoreUint32(u32at(a.m, e+enState), entryLive)
-	a.regionsFor(local)[k] = reg
-	return k
 }
 
-// Unregister marks a registration dead; later remote accesses fault.
-func (a *Arena) Unregister(local int, k uint32) {
-	atomic.StoreUint32(u32at(a.m, a.lay.entryOff(local, int(k))+enState), entryDead)
-	if int(k) < maxRegions {
-		a.regionsFor(local)[k] = nil
-	}
+// Unpublish marks a published registration dead; later accesses by the host
+// group's other processes fault.
+func (a *Arena) Unpublish(local, k int) {
+	atomic.StoreUint32(u32at(a.m, a.lay.entryOff(local, k)+enState), entryDead)
 }
 
 func (a *Arena) regionsFor(local int) []*simnet.Region {
@@ -340,8 +331,8 @@ func (a *Arena) regionsFor(local int) []*simnet.Region {
 	return a.regions[local]
 }
 
-// Lookup resolves (ownerLocal, key), materializing (and caching) a local view
-// of the owner's registration: the buffer and stamp slabs are slices of the
+// Lookup resolves a peer's (ownerLocal, key), materializing (and caching) a
+// local view of the owner's registration: the buffer and stamp slabs are slices of the
 // shared mapping, so stamp arithmetic runs on the same words in every
 // process. ownerGlobal is the owner's world rank, the identity the view (and
 // its fault messages) carries. A view's liveness word is the entry's state
@@ -391,9 +382,9 @@ func (a *Arena) Port(local int) *simnet.Port {
 
 // hook is how this process's goroutines sleep and how any local rank's are
 // reached: the process's parker, listening on the rank's own doorbell socket
-// — on the hybrid backend, service handlers holding off-host waits sleep
-// beside the rank itself, and one datagram wakes them all — and one datagram
-// to the sleeper's.
+// — service handlers holding off-host ranks' waits sleep beside the rank
+// itself, and one datagram wakes them all — and one datagram to the
+// sleeper's.
 func (a *Arena) hook() simnet.ParkHook {
 	h := a.park.Hook(a.AbortErr)
 	h.Poke = a.sendDoor

@@ -181,12 +181,12 @@ func twoViewsShareStampTree(t *testing.T, open func(*testing.T, ArenaConfig) (cr
 		t.Fatalf("rank 0's generation is %d after rings on rank 1 only", got)
 	}
 
-	for _, size := range []int{40, 512, 24<<10 + 8, 280 << 10} {
+	for key, size := range []int{40, 512, 24<<10 + 8, 280 << 10} {
 		seg := owner.AllocSeg(0, size)
 		live := simnet.RegionLive
 		reg := simnet.MakeRegion(0, 0, seg.Buf, seg.St, owner.Port(0), &live)
-		key := owner.Register(0, &reg)
-		mine, theirs := seg.St, peer.Lookup(0, key, 0).Stamps()
+		owner.Publish(0, key, &reg)
+		mine, theirs := seg.St, peer.Lookup(0, uint32(key), 0).Stamps()
 		if mine == theirs {
 			t.Fatalf("size %d: the peer's view is the owner's object, not a second mapping", size)
 		}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -27,7 +28,7 @@ func TestSweepStaleWorlds(t *testing.T) {
 	}
 	segment := func(root, dir string) string {
 		t.Helper()
-		p := filepath.Join(root, segName(dir))
+		p := filepath.Join(root, SegName(dir))
 		if err := os.WriteFile(p, []byte("wreckage"), 0o600); err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestSweepStaleWorlds(t *testing.T) {
 		if err := os.Mkdir(live, 0o700); err != nil {
 			t.Fatal(err)
 		}
-		ln, err := net.Listen("unix", ctlPath(live))
+		ln, err := net.Listen("unix", CtlPath(live))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,6 +85,120 @@ func TestSweepStaleWorlds(t *testing.T) {
 	for _, p := range kept {
 		if _, err := os.Lstat(p); err != nil {
 			t.Errorf("sweeper removed %s, young or alive: %v", p, err)
+		}
+	}
+}
+
+// TestArenaPaths: the two host groups of one catalog get distinct segments
+// and distinct doorbell sockets, another world's catalog gets others, the
+// segment lands in one of the placement rule's roots under its arena's name,
+// and the sockets land under os.TempDir() wherever the segment went.
+func TestArenaPaths(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	hosts := []string{"h0", "h0", "h1", "h1"}
+	catalog := func(port int) []string {
+		addrs := make([]string, len(hosts))
+		for r := range addrs {
+			addrs[r] = fmt.Sprintf("127.0.0.1:%d", port+r)
+		}
+		return addrs
+	}
+	// The pid keeps concurrent runs of this test out of each other's names.
+	addrs := catalog(40000 + os.Getpid()%20000)
+	if a, b := GroupName(addrs, hosts, "h0"), GroupName(catalog(1000), hosts, "h0"); a == b {
+		t.Fatalf("two worlds' catalogs share the arena name %s", a)
+	}
+	seen := map[string]bool{}
+	for _, key := range []string{"h0", "h1"} {
+		name := GroupName(addrs, hosts, key)
+		ar, err := CreateArena(name, GroupSockStem(name), ArenaConfig{Ranks: 2, ArenaBytes: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ar.Close()
+		defer ar.Unlink()
+		if err := ar.Bind(1); err != nil {
+			t.Fatal(err)
+		}
+		seg, door := ar.Path(), DoorSockPath(GroupSockStem(name), 1)
+		if seen[seg] || seen[door] || seg == door {
+			t.Errorf("host group %s: segment %s / socket %s collide with another path of the world", key, seg, door)
+		}
+		seen[seg], seen[door] = true, true
+		if filepath.Base(seg) != name || !slices.Contains(SegmentRoots(), filepath.Dir(seg)) {
+			t.Errorf("host group %s: segment %s is not %s in one of %v", key, seg, name, SegmentRoots())
+		}
+		if st, err := os.Stat(seg); err != nil || !st.Mode().IsRegular() {
+			t.Errorf("host group %s: segment %s: %v", key, seg, err)
+		}
+		if filepath.Dir(door) != os.TempDir() {
+			t.Errorf("host group %s: doorbell socket %s is not under os.TempDir() %s", key, door, os.TempDir())
+		}
+		if st, err := os.Lstat(door); err != nil || st.Mode()&os.ModeSocket == 0 {
+			t.Errorf("host group %s: no socket at %s after Bind: %v", key, door, err)
+		}
+	}
+}
+
+// TestSweepStaleArenas: an old segment is wreckage in whichever root it lies
+// and so is an old socket nothing is bound behind; a young segment (a world
+// bootstrapping) and a bound doorbell of any age (a world running) are not.
+func TestSweepStaleArenas(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	old := time.Now().Add(-time.Hour)
+	plant := func(dir, tag string, aged bool) string {
+		t.Helper()
+		p := filepath.Join(dir, fmt.Sprintf("fompi-hyb-test%d%s", os.Getpid(), tag))
+		if err := os.WriteFile(p, []byte("wreckage"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { os.Remove(p) })
+		if aged {
+			if err := os.Chtimes(p, old, old); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	bind := func(tag string) (string, *net.UnixConn) {
+		t.Helper()
+		p := DoorSockPath(GroupSockStem(fmt.Sprintf("fompi-hyb-test%d%s", os.Getpid(), tag)), 0)
+		c, err := net.ListenUnixgram("unixgram", &net.UnixAddr{Name: p, Net: "unixgram"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+		return p, c
+	}
+
+	var gone, kept []string
+	for i, root := range SegmentRoots() {
+		if _, err := os.Stat(root); err != nil {
+			continue // no shared-memory directory on this host
+		}
+		gone = append(gone, plant(root, fmt.Sprint("old", i), true))
+		kept = append(kept, plant(root, fmt.Sprint("young", i), false))
+	}
+	bound, live := bind("live")
+	defer live.Close()
+	kept = append(kept, bound)
+	unbound, dead := bind("dead")
+	dead.Close() // the inode stays; nothing answers behind it
+	gone = append(gone, unbound)
+
+	if n := SweepStaleArenas(30 * time.Minute); n < len(gone) {
+		t.Errorf("sweeper removed %d paths, want at least the %d planted", n, len(gone))
+	}
+	for _, p := range gone {
+		if _, err := os.Lstat(p); err == nil {
+			t.Errorf("sweeper left %s, old and dead", p)
+		}
+	}
+	for _, p := range kept {
+		if _, err := os.Lstat(p); err != nil {
+			t.Errorf("sweeper removed %s, young or bound: %v", p, err)
 		}
 	}
 }

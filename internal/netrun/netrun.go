@@ -1,43 +1,58 @@
-// Package netrun is the inter-node transport backend: each rank of an SPMD
-// world is an OS process on (potentially) a different machine, and every
-// remote-memory operation — put, get, atomics, notified access — travels as
-// a length-prefixed message over TCP to a per-rank service loop that
-// executes it against locally owned segments (simnet.RegionExec). It is the
-// backend that removes the single-machine ceiling of internal/mprun: the
-// same simnet.Transport contract, with the shared mmap replaced by a wire
-// protocol (DESIGN.md §9).
+// Package netrun is the process transport: each rank of an SPMD world is an
+// OS process, and one World routes every operation per target rank, the way
+// foMPI picks XPMEM or DMAPP. A world is a catalog of host keys. A rank's host
+// group — the ranks with its key — shares one mmap arena (internal/mprun):
+// a host-mate's memory is mapped, its port taken and its doorbell rung
+// directly. Everyone else is reached over the wire: each remote-memory
+// operation — put, get, atomics, notified access — travels as a
+// length-prefixed message over TCP to the owner's service loop, which
+// executes it against locally owned segments (simnet.RegionExec; DESIGN.md
+// §9), and a rank with no host-mates maps nothing and serves its process heap.
 //
-// A world bootstraps through the one control plane (internal/rankio) over a
-// TCP listener: the coordinator spawns the worker processes itself (loopback
-// mode, the CI mode) or waits for workers the operator starts with
-// FOMPI_COORD pointing at it (host-list mode). Workers JOIN with their
-// data-listener address and dial each other lazily as traffic demands.
+// The three backend names are three ways of filling the catalog in (Launch):
+// mp puts every rank on one key, net gives every rank a key of its own, hybrid
+// keys ranks by the machine they run on. A world bootstraps through the one
+// control plane (internal/rankio): the coordinator spawns the worker processes
+// itself (loopback mode, the CI mode) or waits for workers the operator starts
+// with FOMPI_COORD pointing at it (host-list mode). When it spawned them all
+// onto one key the world has no wire at all — a Unix control socket and an
+// arena the launcher made before spawning; otherwise workers JOIN a TCP
+// coordinator with their data-listener address, find their host group in the
+// WORLD catalog and dial each other lazily as traffic demands.
 //
 // Everything virtual-time stays above the Transport line: the requester-side
 // halves of each operation (cost-model charges, source-NIC serialization)
 // run in simnet.Endpoint, the owner-side halves (byte movement, stamps,
-// target-NIC booking) replay through simnet.RegionExec, and the conformance
-// suite in internal/transporttest pins the results bit-identical to the
-// in-process and multi-process backends.
+// target-NIC booking) run inline on mapped memory and replay through
+// simnet.RegionExec on the wire, and the conformance suite in
+// internal/transporttest pins the results bit-identical to the in-process
+// backend on every placement.
 package netrun
 
 import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
 	"fompi/internal/faultnet"
+	"fompi/internal/mprun"
 	"fompi/internal/rankio"
 	"fompi/internal/segpool"
 	"fompi/internal/simnet"
 )
 
+// The names of the three placements, in FOMPI_COORD and in every JOIN.
 const (
-	// Backend is this backend's name in FOMPI_COORD and in every JOIN.
-	Backend = "net"
+	BackendMP     = "mp"
+	BackendNet    = "net"
+	BackendHybrid = "hybrid"
+)
 
+const (
 	// Idempotent control requests (opRegQuery, opClock, opDoorGen,
 	// opDoorWait re-arm) retry up to idemAttempts times across fresh
 	// connections, backing off from idemBackoff.
@@ -48,51 +63,61 @@ const (
 	// that); dialAttempts bounds them.
 	dialAttempts = 5
 	dialBackoff  = 50 * time.Millisecond
+	// arenaWait bounds how long a non-creator rank polls for its host
+	// group's arena file (the creator may still be between JOIN and create).
+	arenaWait = 60 * time.Second
 )
 
-// World is one worker's attachment to an inter-node world: the control-plane
-// client plus the wire data plane, implementing simnet.Transport for the
-// worker's rank.
+// World is one worker's attachment to its world: the control-plane client,
+// the host group's arena and the wire to everyone else, implementing
+// simnet.Transport for the worker's rank.
 type World struct {
 	*rankio.Client
 	rank int
 
+	// The host group: lidx maps a world rank to its index among the ranks
+	// that share this rank's host key (ascending), -1 off host; self is this
+	// rank's. A group larger than one — or the whole of a world spawned onto
+	// one key — shares arena ar, which its lowest rank created (creator) unless
+	// the launcher did. door is where waiters on the group's ports park: the
+	// arena's, or with no arena this process's own over ownPort.
+	lidx    []int
+	self    int
+	ar      *mprun.Arena
+	creator bool
+	ownPort simnet.Port
+	door    *simnet.Door
+
+	// mine is this rank's region directory (index = key; slots are nilled on
+	// unregister, never reused): the one list the rank itself, the service
+	// loop and — published under the same key — the arena's directory resolve
+	// against.
+	mineMu sync.RWMutex
+	mine   []*simnet.Region
+
+	// pacer is nil in an unpaced world. In a world with no wire it runs over
+	// the arena's shared tables; otherwise its table is this process's own —
+	// the rank's entry is its published clock, a peer's the last one heard, on
+	// every request's piggyback or fetched by refreshClock — and park is where
+	// this process's goroutines sleep, pace-blocked or at its own door.
+	pacer *simnet.Pacer
+	park  *simnet.Parker
+
+	// The wire: everything below is nil or empty in a world that has none.
 	ln net.Listener // this rank's data listener
 
 	// peers are this rank's requester connections, dialed lazily; guarded
 	// by peerMu only against the abort path's close-all (requests
-	// themselves are confined to the rank's goroutine).
-	peerMu sync.Mutex
-	peers  []*peerConn
-
-	// mine is this rank's region directory (index = key; slots are nilled
-	// on unregister, never reused). proxies caches materialized remote
-	// views per (rank, key); it is touched only by the rank's goroutine.
-	mineMu  sync.RWMutex
-	mine    []*simnet.Region
+	// themselves are confined to the rank's goroutine). proxies caches
+	// materialized remote views per (rank, key); it is touched only by the
+	// rank's goroutine.
+	peerMu  sync.Mutex
+	peers   []*peerConn
 	proxies [][]*simnet.Region
-
-	// Owner-side virtual-hardware state served to peers: this rank's port
-	// (doorbell generation, NIC busy interval) and the door its waiters park
-	// at — the rank itself and the service handlers holding peers' DOORWAITs,
-	// all under the rank's own slot. Both are this process's own until a
-	// layered backend substitutes the ones its co-located ranks share
-	// (SetDoor). park is where this process's goroutines sleep, in a doorbell
-	// wait or pace-blocked.
-	ownPort  simnet.Port
-	port     *simnet.Port
-	door     *simnet.Door
-	doorSelf int // this rank's index in door
-	park     *simnet.Parker
-
-	// pacer is nil in an unpaced world. Its table is this process's own: the
-	// rank's entry is its published clock, a peer's the last one heard — on
-	// every request's piggyback, or fetched by refreshClock.
-	pacer *simnet.Pacer
 
 	// Session layer (session.go): this process's session identity, the
 	// requester half of each per-owner session, and the owner-side session
-	// table serving resumes from every peer.
+	// table serving replays from every peer.
 	sid      uint64
 	rsess    []reqSession
 	sessMu   sync.Mutex
@@ -112,28 +137,75 @@ type World struct {
 	opTimeout time.Duration
 }
 
-// SetDoor substitutes an external port and door for this rank's own, self
-// being the rank's index in door. The hybrid backend installs its arena's, so
-// that an off-host peer's operation, ring or wait, arriving over the wire,
-// lands on the same shared-memory port the co-located ranks take directly —
-// one port per rank, wherever the issuer or the waiter lives. Call before
-// Ready, so no peer traffic races the handoff.
-func (w *World) SetDoor(port *simnet.Port, door *simnet.Door, self int) {
-	w.port, w.door, w.doorSelf = port, door, self
-}
-
-// ringDoor rings this rank's doorbell on behalf of a wire requester.
-func (w *World) ringDoor() {
-	w.port.Ring()
-	w.door.Wake(w.doorSelf)
-}
-
-// Launch creates an inter-node world and coordinates it (rankio.Coordinate)
-// over a TCP listener, returning nil only if every rank finished cleanly. A
-// backend layered on this one's world sets o.Backend: its workers join under
-// that name, and no other's are admitted.
+// Launch creates the world o.Backend names and coordinates it to the end
+// (rankio.Coordinate), returning nil only if every rank finished cleanly. The
+// name decides the catalog of host keys and nothing else; from here on only
+// the coordinator's JOIN admission reads it.
 func Launch(o rankio.Options) error {
-	o = withBackend(o)
+	spawned := len(o.Hosts) == 0
+	perKey := 0 // consecutive ranks the launcher puts on one key; 0 leaves each rank the key it resolves
+	switch o.Backend {
+	case BackendMP:
+		if !spawned {
+			return fmt.Errorf("netrun: a host list needs the net or hybrid backend (shared memory is one machine)")
+		}
+		perKey = max(o.Ranks, 1)
+	case BackendNet:
+		perKey = 1
+	case BackendHybrid:
+		// One emulated host per virtual node: both planes of a multi-host
+		// deployment on one machine. Host-list ranks bring their own keys.
+		if spawned {
+			perKey = max(o.RanksPerNode, 1)
+		}
+	default:
+		return fmt.Errorf("netrun: unknown backend %q", o.Backend)
+	}
+	if perKey > 0 {
+		o.HostKeys = make([]string, o.Ranks)
+		for r := range o.HostKeys {
+			o.HostKeys[r] = fmt.Sprintf("h%d", r/perKey)
+		}
+	}
+	if spawned && perKey >= o.Ranks {
+		return launchMapped(o) // it spawns every rank onto one key
+	}
+	return launchWired(o)
+}
+
+// launchMapped runs a world whose ranks all share one host key, so it knows
+// before spawning them that one arena serves everyone: it makes the world
+// directory, the arena and the Unix control socket inside it, and its ranks
+// never open a wire.
+func launchMapped(o rankio.Options) error {
+	if o.Ranks > mprun.MaxRanks {
+		return fmt.Errorf("netrun: %d ranks exceed the limit of %d for one arena (use the in-process backend for large worlds)", o.Ranks, mprun.MaxRanks)
+	}
+	mprun.SweepStaleWorlds(mprun.StaleAge)
+	dir, err := os.MkdirTemp("", "fompi-mp-*")
+	if err != nil {
+		return fmt.Errorf("netrun: create world dir: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	ar, err := mprun.CreateArena(mprun.SegName(dir), mprun.SockStem(dir), arenaCfg(o, o.Ranks))
+	if err != nil {
+		return err
+	}
+	defer ar.Close()
+	defer ar.Unlink() // a bootstrap that fails never reaches the hook's
+	ln, err := net.Listen("unix", mprun.CtlPath(dir))
+	if err != nil {
+		return fmt.Errorf("netrun: listen control socket: %w", err)
+	}
+	defer ln.Close()
+	// Every rank mapped the segment before it reported READY: the name has
+	// served its purpose, and a launcher killed from there on strands nothing.
+	// The abort verdict reaches ranks parked in the arena through the arena.
+	return rankio.Coordinate(ln, o, ar.Unlink, ar.SetAbortFlagBlaming)
+}
+
+// launchWired runs any other world over a TCP coordinator.
+func launchWired(o rankio.Options) error {
 	listen := o.Listen
 	if listen == "" {
 		listen = "127.0.0.1:0"
@@ -149,33 +221,106 @@ func Launch(o rankio.Options) error {
 		return fmt.Errorf("netrun: listen coordinator socket %s: %w", listen, err)
 	}
 	defer ln.Close()
-	return rankio.Coordinate(faultnet.WrapListener(ln), o, nil, nil)
-}
-
-// withBackend names the world after this backend unless a layered one did.
-func withBackend(o rankio.Options) rankio.Options {
-	if o.Backend == "" {
-		o.Backend = Backend
+	err = rankio.Coordinate(faultnet.WrapListener(ln), o, nil, nil)
+	if err != nil {
+		// A rank the coordinator had to kill — stopped, wedged — could not
+		// remove its doorbell socket, and was still bound to it when the
+		// survivors swept.
+		mprun.SweepStaleArenas(mprun.StaleAge)
 	}
-	return o
+	return err
 }
 
-// Join attaches a worker process to its world: it dials the coordinator,
-// starts this rank's data service, runs the JOIN/WORLD handshake, and
-// returns the Transport for the assigned rank. The caller registers its
-// setup regions and then calls Ready to enter the bootstrap barrier.
+// arenaCfg is the header contract of an arena ranks of o's world share.
+func arenaCfg(o rankio.Options, ranks int) mprun.ArenaConfig {
+	return mprun.ArenaConfig{
+		Ranks:        ranks,
+		RanksPerNode: o.RanksPerNode,
+		PaceWindowNs: o.PaceWindowNs,
+		ArenaBytes:   o.ArenaBytes,
+	}
+}
+
+// Join attaches a worker process to its world and returns the Transport for
+// its rank; which boot it takes it reads off the control socket FOMPI_COORD
+// names. The caller registers its setup regions and then calls Ready to enter
+// the bootstrap barrier.
 func Join(o rankio.Options) (*World, error) {
-	o = withBackend(o)
 	network, coord, rank, err := rankio.WorkerOf(o.Backend, o.Ranks)
 	if err != nil {
 		return nil, err
 	}
+	w := &World{rank: rank, lidx: make([]int, o.Ranks)}
+	if network == "unix" {
+		err = w.joinMapped(o, coord)
+	} else {
+		err = w.joinWired(o, network, coord)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if w.ar != nil {
+		// An abort (local panic or coordinator broadcast) must end the arena
+		// parks too, in every process of the host group: set the arena's flag
+		// and poke every local socket. The verdict rides along when there is
+		// one, so ranks parked in the arena unwind with the same typed error as
+		// ranks parked on the wire.
+		w.OnAbort(func() { w.ar.SetAbortFlagBlaming(w.FailedRank()) })
+	}
+	return w, nil
+}
+
+// joinMapped is the boot of a rank whose launcher put the whole world on one
+// key (launchMapped): the arena exists already, under the world directory's
+// name, so the rank needs nothing from the catalog and never waits for it —
+// it maps and binds while the coordinator collects the other ranks' JOINs,
+// and reads WORLD behind its READY (Client.Ready).
+func (w *World) joinMapped(o rankio.Options, ctlAt string) error {
+	if w.rank < 0 {
+		return fmt.Errorf("netrun: worker has no %s", rankio.EnvRank)
+	}
+	ctl, err := net.Dial("unix", ctlAt)
+	if err != nil {
+		return fmt.Errorf("netrun: dial control socket: %w", err)
+	}
+	if w.Client, err = rankio.Join(ctl, o, w.rank, "shm"); err != nil {
+		ctl.Close()
+		return err
+	}
+	for r := range w.lidx {
+		w.lidx[r] = r
+	}
+	w.self = w.rank
+	dir := filepath.Dir(ctlAt)
+	w.ar, err = mprun.OpenArena(mprun.SegName(dir), mprun.SockStem(dir), arenaCfg(o, o.Ranks), 0)
+	if err == nil {
+		err = w.bindArena()
+	}
+	if err != nil {
+		ctl.Close()
+		return err
+	}
+	w.pacer = w.ar.Pacer()
+	return nil
+}
+
+// bindArena makes the mapped arena this rank's home: its slot's socket, its
+// group's door.
+func (w *World) bindArena() error {
+	w.door = w.ar.Door()
+	return w.ar.Bind(w.self)
+}
+
+// joinWired is every other boot: dial the TCP coordinator, start this rank's
+// data service, run the JOIN/WORLD handshake, and attach to the host group
+// the catalog shows.
+func (w *World) joinWired(o rankio.Options, network, coord string) error {
 	if err := faultnet.Check(); err != nil {
-		return nil, fmt.Errorf("netrun: %w", err)
+		return fmt.Errorf("netrun: %w", err)
 	}
 	tm, err := rankio.ResolveTimeouts()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The coordinator may come up after the workers in host-list mode, and
 	// faultnet injects refused dials; retry with backoff inside the boot
@@ -187,7 +332,7 @@ func Join(o rankio.Options) (*World, error) {
 			break
 		}
 		if time.Now().Add(d).After(until) {
-			return nil, fmt.Errorf("netrun: dial coordinator %s: %w", coord, err)
+			return fmt.Errorf("netrun: dial coordinator %s: %w", coord, err)
 		}
 		time.Sleep(d)
 	}
@@ -198,52 +343,113 @@ func Join(o rankio.Options) (*World, error) {
 	ln, err := net.Listen("tcp", net.JoinHostPort(ip.String(), "0"))
 	if err != nil {
 		ctl.Close()
-		return nil, fmt.Errorf("netrun: listen data socket: %w", err)
+		return fmt.Errorf("netrun: listen data socket: %w", err)
 	}
 	// The data listener is data-plane: faultnet's plane=data scoping targets
 	// it (and the requester conns dialed to it) while sparing the control
 	// streams the failure detector rides on.
-	ln = faultnet.WrapListenerData(ln)
-
-	w := &World{
-		ln:        ln,
-		peers:     make([]*peerConn, o.Ranks),
-		proxies:   make([][]*simnet.Region, o.Ranks),
-		rsess:     make([]reqSession, o.Ranks),
-		sessions:  make(map[uint64]*ownerSession),
-		svcConns:  make(map[net.Conn]struct{}),
-		opTimeout: tm.OpTimeout,
-	}
-	w.Client, err = rankio.Join(ctl, o, rank, ln.Addr().String())
+	w.ln = faultnet.WrapListenerData(ln)
+	w.peers = make([]*peerConn, o.Ranks)
+	w.proxies = make([][]*simnet.Region, o.Ranks)
+	w.rsess = make([]reqSession, o.Ranks)
+	w.sessions = make(map[uint64]*ownerSession)
+	w.svcConns = make(map[net.Conn]struct{})
+	w.opTimeout = tm.OpTimeout
+	w.park = simnet.NewParker(o.Ranks, nil)
+	w.Client, err = rankio.Join(ctl, o, w.rank, ln.Addr().String())
 	if err == nil {
 		err = w.Client.World()
+	}
+	if err == nil {
+		// The session identity is minted, and the host group known, once the
+		// WORLD reply has fixed the rank (host-list workers may join rankless
+		// and be assigned one here).
+		w.rank = w.Client.Rank()
+		w.sid = sidFor(w.rank, os.Getpid())
+		err = w.attachGroup(o)
 	}
 	if err != nil {
 		ln.Close()
 		ctl.Close()
-		return nil, err
+		return err
 	}
-	// The session identity is minted, and the rank's row of its door known,
-	// once the WORLD reply has fixed the rank (host-list workers may join
-	// rankless and be assigned one here).
-	w.rank = w.Client.Rank()
-	w.sid, w.doorSelf = sidFor(w.rank, os.Getpid()), w.rank
-	w.park = simnet.NewParker(o.Ranks, nil)
-	hook := w.park.Hook(w.AbortErr)
-	w.port, w.door = &w.ownPort, simnet.NewDoor(o.Ranks, nil, hook)
 	if o.PaceWindowNs != 0 {
 		// The one rank that parks on this table is poked by the service
 		// goroutine whose piggybacked clock released it.
+		hook := w.park.Hook(w.AbortErr)
 		hook.Refresh = w.refreshClock
 		w.pacer = simnet.NewPacer(o.PaceWindowNs, o.Ranks, nil, hook)
 	}
 	w.OnAbort(w.abortDataPlane)
 	go w.acceptLoop()
-	return w, nil
+	return nil
+}
+
+// attachGroup derives this rank's host group from the WORLD catalog. A group
+// of one maps nothing: its port and door are the process's own. A larger one
+// shares an arena under the catalog-digest name, created by its lowest rank
+// and mapped by the rest, so off-host operations, rings and waits arriving
+// over the wire land on the same port, and park at the same door, the
+// host-mates take directly.
+func (w *World) attachGroup(o rankio.Options) error {
+	hosts := w.Hosts()
+	key, n := hosts[w.rank], 0
+	for r, h := range hosts {
+		w.lidx[r] = -1
+		if h == key {
+			w.lidx[r] = n
+			n++
+		}
+	}
+	w.self = w.lidx[w.rank]
+	if n == 1 {
+		w.door = simnet.NewDoor(1, nil, w.park.Hook(w.AbortErr))
+		return nil
+	}
+	name := mprun.GroupName(w.Addrs(), hosts, key)
+	var err error
+	if w.creator = w.self == 0; w.creator {
+		mprun.SweepStaleArenas(mprun.StaleAge) // hygiene: other dead worlds' leftovers
+		for _, root := range mprun.SegmentRoots() {
+			os.Remove(filepath.Join(root, name)) // a leftover of a crashed world, never a live one
+		}
+		w.ar, err = mprun.CreateArena(name, mprun.GroupSockStem(name), arenaCfg(o, n))
+	} else {
+		w.ar, err = mprun.OpenArena(name, mprun.GroupSockStem(name), arenaCfg(o, n), arenaWait)
+	}
+	if err == nil {
+		err = w.bindArena()
+	}
+	if err != nil {
+		return fmt.Errorf("netrun: host group %q arena: %w", key, err)
+	}
+	return nil
+}
+
+// SegmentPath returns the path this process mapped its host group's segment
+// from, "" when it maps none.
+func (w *World) SegmentPath() string {
+	if w.ar == nil {
+		return ""
+	}
+	return w.ar.Path()
+}
+
+// Ready enters the bootstrap barrier (READY/GO); once it returns, every rank
+// of the host group has mapped the arena, so its creator unlinks the segment —
+// nothing is left behind however the world later dies.
+func (w *World) Ready() error {
+	if err := w.Client.Ready(); err != nil {
+		return err
+	}
+	if w.creator {
+		w.ar.Unlink()
+	}
+	return nil
 }
 
 // Finish reports clean completion and blocks until the coordinator releases
-// the world, then stops the data service.
+// the world, then stops the data service and releases the arena mapping.
 //
 // The wire is drained first: a body whose last act is a fire-class op (a
 // collective that ends on a remote store) leaves it queued in the session
@@ -253,14 +459,40 @@ func Join(o rankio.Options) (*World, error) {
 func (w *World) Finish() {
 	w.DrainWire()
 	w.Client.Finish()
-	w.stopService()
+	w.release()
 }
 
-// Fail aborts the world, reports msg to the coordinator and stops the data
-// service; the caller exits nonzero afterwards.
+// Fail aborts the world and reports msg to the coordinator; the caller exits
+// nonzero afterwards. A failure that is not itself a peer-abort symptom blames
+// this rank, so host-mates parked in the arena unwind with a typed error
+// naming it, as ranks parked on the wire do once the verdict arrives. Then it
+// releases what a failing world would otherwise strand: the segment's name if
+// the world died before Ready unlinked it, the doorbell sockets of ranks that
+// died without closing theirs (a rank that exits on its own removes its socket
+// itself; a SIGKILLed one cannot).
 func (w *World) Fail(msg string) {
+	if !strings.Contains(msg, rankio.PeerAbortMsg) {
+		w.NoteFailedRank(w.rank)
+	}
 	w.Client.Fail(msg)
-	w.stopService()
+	if w.creator {
+		w.ar.Unlink()
+	}
+	w.release()
+	if w.ar != nil && w.ln != nil {
+		mprun.SweepStaleArenas(mprun.StaleAge)
+	}
+}
+
+// release stops the data service — after it no remote operation can touch
+// this rank's memory — and then unmaps the arena.
+func (w *World) release() {
+	if w.ln != nil {
+		w.stopService()
+	}
+	if w.ar != nil {
+		w.ar.Close()
+	}
 }
 
 // abortDataPlane is what an abort means on the wire: waiters wake, in-flight
@@ -281,71 +513,85 @@ func (w *World) abortDataPlane() {
 
 var _ simnet.Transport = (*World)(nil)
 
-// AllocSeg returns a zeroed registrable segment from this process's heap:
-// remote ranks reach it through the service loop, so any local memory is
-// registrable and the process-wide pool serves directly (as on the
-// in-process fabric — only the mmap backend needs a private arena).
-func (w *World) AllocSeg(rank, size int) *segpool.Seg {
+// owns panics unless rank is this process's: a rank allocates and registers
+// only its own memory.
+func (w *World) owns(rank int, what string) {
 	if rank != w.rank {
-		panic("netrun: AllocSeg for a foreign rank")
+		panic("netrun: " + what + " for a foreign rank")
+	}
+}
+
+// AllocSeg returns a zeroed registrable segment: from this rank's slice of
+// the host group's arena — the memory host-mates can map — or, for a rank
+// with none, from the process-wide pool (remote ranks reach it through the
+// service loop, so any local memory is registrable).
+func (w *World) AllocSeg(rank, size int) *segpool.Seg {
+	w.owns(rank, "AllocSeg")
+	if w.ar != nil {
+		return w.ar.AllocSeg(w.self, size)
 	}
 	return segpool.Get(size)
 }
 
-// RecycleSeg returns a segment to the pool (see Transport).
+// RecycleSeg returns a segment to where AllocSeg took it from (see Transport).
 func (w *World) RecycleSeg(rank int, s *segpool.Seg, scrubbed bool, extra ...segpool.Range) {
-	if rank != w.rank {
-		panic("netrun: RecycleSeg for a foreign rank")
-	}
-	if scrubbed {
+	w.owns(rank, "RecycleSeg")
+	switch {
+	case w.ar != nil:
+		w.ar.Recycle(s, scrubbed, extra...)
+	case scrubbed:
 		segpool.PutScrubbed(s, extra...)
-		return
+	default:
+		segpool.Put(s)
 	}
-	segpool.Put(s)
 }
 
-// RegisterRegion installs a registration in this rank's directory and
-// returns its key. Peers resolve it lazily over the wire (opRegQuery), so
-// no broadcast is needed; programs synchronize registration before
-// distributing addresses, exactly as on the other backends.
+// RegisterRegion installs a registration in this rank's directory, publishes
+// it under the same key in the arena's for host-mates to map, and returns the
+// key. Peers over the wire resolve it lazily (opRegQuery), so no broadcast is
+// needed; programs synchronize registration before distributing addresses.
 func (w *World) RegisterRegion(rank int, reg *simnet.Region) simnet.Key {
-	if rank != w.rank {
-		panic("netrun: RegisterRegion for a foreign rank")
-	}
+	w.owns(rank, "RegisterRegion")
 	w.mineMu.Lock()
 	defer w.mineMu.Unlock()
-	k := simnet.Key(len(w.mine))
+	k := len(w.mine)
+	if w.ar != nil {
+		w.ar.Publish(w.self, k, reg)
+	}
 	w.mine = append(w.mine, reg)
-	return k
+	return simnet.Key(k)
 }
 
 // UnregisterRegion marks a registration dead; later remote accesses fault.
 func (w *World) UnregisterRegion(rank int, k simnet.Key) {
-	if rank != w.rank {
-		panic("netrun: UnregisterRegion for a foreign rank")
-	}
+	w.owns(rank, "UnregisterRegion")
 	w.mineMu.Lock()
 	defer w.mineMu.Unlock()
 	if int(k) < len(w.mine) {
 		w.mine[k] = nil
+		if w.ar != nil {
+			w.ar.Unpublish(w.self, int(k))
+		}
 	}
 }
 
-// ownRegion resolves one of this rank's own keys for the service loop.
+// ownRegion resolves one of this rank's own keys, nil if it is not live.
 func (w *World) ownRegion(k simnet.Key) *simnet.Region {
 	w.mineMu.RLock()
 	defer w.mineMu.RUnlock()
-	if int(k) >= len(w.mine) || w.mine[k] == nil {
+	if int(k) >= len(w.mine) {
 		return nil
 	}
 	return w.mine[k]
 }
 
-// LookupRegion resolves an address: this rank's own registrations resolve
-// locally; foreign ranks' resolve to cached proxy regions whose data plane
-// is the wire protocol. A cached proxy may outlive the owner's
-// unregistration — the staleness contract of the other backends' lookup
-// caches — in which case its operations fault at the owner.
+// LookupRegion resolves an address by host group: this rank's own
+// registrations resolve locally, a host-mate's through the shared arena
+// (direct loads and stores — the XPMEM path, so Endpoint.Shared works across
+// these processes), anyone else's to a cached proxy region whose data plane
+// is the wire protocol. A cached view may outlive the owner's unregistration,
+// in which case its operations fault: at the liveness word in the arena, at
+// the owner over the wire.
 func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 	if a.Rank < 0 || a.Rank >= w.Size() {
 		panic(fmt.Sprintf("simnet: address names rank %d outside fabric of %d", a.Rank, w.Size()))
@@ -355,6 +601,9 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 			return reg
 		}
 		panic(fmt.Sprintf("simnet: access to unregistered region (rank %d key %d)", a.Rank, a.Key))
+	}
+	if l := w.lidx[a.Rank]; l >= 0 {
+		return w.ar.Lookup(l, uint32(a.Key), a.Rank)
 	}
 	regs := w.proxies[a.Rank]
 	if int(a.Key) < len(regs) && regs[a.Key] != nil {
@@ -373,9 +622,15 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 }
 
 // ---- simnet.Transport: virtual-hardware services ----
+//
+// Each rank has exactly one port — its slot in its host group's arena, or its
+// process's own — and its waiters park at one door. Host-mates take the port,
+// ring it and wait on it directly; everyone else reaches it over the wire,
+// where the owner's service loop lands on the same port and door, so same-host
+// cross-(virtual-)node operations book the same NIC interval the off-host ones
+// do.
 
-// Pacer returns the world's pacer: the one discipline over this process's
-// last-known clock table, which the wire keeps fresh (see World.pacer).
+// Pacer returns the world's pacer (see World.pacer).
 func (w *World) Pacer() *simnet.Pacer { return w.pacer }
 
 // ownClock is the clock every request carries: this rank's published clock,
@@ -387,62 +642,72 @@ func (w *World) ownClock() int64 {
 	return w.pacer.Clock(w.rank)
 }
 
-// RingDoorbell bumps rank's doorbell generation, waking its waiters: local
-// waiters directly, the owner's waiters through a fire-and-forget message
-// that the owner applies after every operation already sent on that stream.
-// When fused sub-ops are still accumulating toward rank, the ring rides the
-// opBatch frame itself (the owner rings after applying the data), saving
-// the separate message.
-func (w *World) RingDoorbell(rank int) {
-	if rank == w.rank {
-		w.ringDoor()
-		return
+// portOf returns the port of the host group's l-th rank.
+func (w *World) portOf(l int) *simnet.Port {
+	if w.ar != nil {
+		return w.ar.Port(l)
 	}
-	if len(w.rsess) > 0 {
-		s := &w.rsess[rank]
-		s.bring = true
-		// With sub-ops still accumulating, the ring waits for them: the
-		// data it announces has not been sent either, so a waiter could
-		// not have been satisfied any earlier — it wakes exactly when the
-		// bytes land. An empty builder sends the ring now.
-		if s.bops == 0 {
-			w.flushFused(rank)
-		}
-		return
-	}
-	w.sendRing(rank)
+	return &w.ownPort // a group of one: l is this rank
 }
 
-// Port returns this rank's port; peers' memory is reached through proxies,
-// whose operations take the owner's port at the owner.
+// ringDoor rings the host group's l-th rank's doorbell.
+func (w *World) ringDoor(l int) {
+	w.portOf(l).Ring()
+	w.door.Wake(l)
+}
+
+// Port returns rank's port for the host group (including this rank), nil for
+// anyone else: their memory is reached through proxies, whose operations take
+// the owner's port at the owner.
 func (w *World) Port(rank int) *simnet.Port {
-	if rank == w.rank {
-		return w.port
+	if l := w.lidx[rank]; l >= 0 {
+		return w.portOf(l)
 	}
 	return nil
 }
 
-// WakeDoor wakes the waiters parked on this rank's port (the only one the
-// inline path releases here).
-func (w *World) WakeDoor(rank int) { w.door.Wake(w.doorSelf) }
+// WakeDoor wakes the waiters parked on a host-group rank's port.
+func (w *World) WakeDoor(rank int) { w.door.Wake(w.lidx[rank]) }
+
+// RingDoorbell bumps rank's doorbell generation, waking its waiters: directly
+// for the host group, otherwise through a fire-and-forget message that the
+// owner applies after every operation already sent on that stream. When fused
+// sub-ops are still accumulating toward rank, the ring rides the opBatch frame
+// itself (the owner rings after applying the data), saving the separate
+// message.
+func (w *World) RingDoorbell(rank int) {
+	if l := w.lidx[rank]; l >= 0 {
+		w.ringDoor(l)
+		return
+	}
+	s := &w.rsess[rank]
+	s.bring = true
+	// With sub-ops still accumulating, the ring waits for them: the data it
+	// announces has not been sent either, so a waiter could not have been
+	// satisfied any earlier — it wakes exactly when the bytes land. An empty
+	// builder sends the ring now.
+	if s.bops == 0 {
+		w.flushFused(rank)
+	}
+}
 
 // DoorGen samples rank's doorbell generation.
 func (w *World) DoorGen(rank int) uint64 {
-	if rank == w.rank {
-		return w.port.Gen()
+	if l := w.lidx[rank]; l >= 0 {
+		return w.portOf(l).Gen()
 	}
 	return w.rpcDoorGen(rank)
 }
 
 // WaitDoor blocks until rank's doorbell generation is no longer gen, or for
-// simnet.DoorSlice at most. A local wait parks at this rank's door; a remote
-// one parks at the owner's, inside its service loop, one DOORWAIT a slice —
-// so a dropped connection or an abort can never strand the waiter, and a
-// RING frame lost with its connection (rings are fire-and-forget, outside
-// the session layer) costs a bounded re-check.
+// simnet.DoorSlice at most. A wait on a host-group rank parks at the group's
+// door; any other parks at the owner's, inside its service loop, one DOORWAIT
+// a slice — so a dropped connection or an abort can never strand the waiter,
+// and a RING frame lost with its connection (rings are fire-and-forget,
+// outside the session layer) costs a bounded re-check.
 func (w *World) WaitDoor(_, rank int, gen uint64) uint64 {
-	if rank == w.rank {
-		return w.door.Wait(w.port, w.doorSelf, w.doorSelf, gen)
+	if l := w.lidx[rank]; l >= 0 {
+		return w.door.Wait(w.portOf(l), l, w.self, gen)
 	}
 	for {
 		if g := w.rpcDoorWait(rank, gen); g != gen {

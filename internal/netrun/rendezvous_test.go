@@ -2,6 +2,9 @@ package netrun
 
 import (
 	"net"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,8 +28,8 @@ func TestHostListRendezvous(t *testing.T) {
 	addr := probe.Addr().String()
 	probe.Close()
 
-	o := rankio.Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
-	t.Setenv(rankio.EnvCoord, Backend+":tcp:"+addr)
+	o := rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
+	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
 	t.Setenv(rankio.EnvRank, "") // unassigned: the coordinator picks join order
 
 	launchErr := make(chan error, 1)
@@ -55,7 +58,7 @@ func TestHostListRendezvous(t *testing.T) {
 				workerErr <- errFromPanic(r)
 			}
 		}()
-		w, err := Join(rankio.Options{Ranks: 2, RanksPerNode: 1})
+		w, err := Join(rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1})
 		if err != nil {
 			workerErr <- err
 			return
@@ -104,6 +107,58 @@ func TestHostListRendezvous(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatalf("coordinator did not return after all DONEs")
+	}
+}
+
+// TestJoinOverUnixSocketOpensNoWire pins the boot of a world whose launcher
+// put every rank on one key: a Join that finds a Unix control socket maps the
+// arena the launcher made and is done — no TCP listener, no session table, and
+// not one goroutine started (the accept loop would be one), which is where an
+// mp Join has always left the count. The launcher half runs in this process in
+// wait-join mode, so it spawns nothing.
+func TestJoinOverUnixSocketOpensNoWire(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	o := rankio.Options{Backend: BackendMP, Ranks: 1, RanksPerNode: 1, ArenaBytes: 1 << 20}
+	launcher := o
+	launcher.Hosts = []string{"localhost"}
+	launchErr := make(chan error, 1)
+	go func() { launchErr <- launchMapped(launcher) }()
+	var ctl []string
+	for i := 0; len(ctl) == 0; i++ {
+		if i > 500 {
+			t.Fatal("the launcher never made its control socket")
+		}
+		time.Sleep(10 * time.Millisecond)
+		ctl, _ = filepath.Glob(filepath.Join(os.TempDir(), "fompi-mp-*", "ctl"))
+	}
+	t.Setenv(rankio.EnvCoord, BackendMP+":unix:"+ctl[0])
+	t.Setenv(rankio.EnvRank, "0")
+
+	before := runtime.NumGoroutine()
+	w, err := Join(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("Join over a Unix control socket took the process from %d goroutines to %d", before, n)
+	}
+	if w.ln != nil || w.sessions != nil || w.rsess != nil || w.peers != nil {
+		t.Errorf("Join over a Unix control socket built a wire: listener %v, %d sessions, %d peers", w.ln, len(w.rsess), len(w.peers))
+	}
+	if w.ar == nil || w.creator || w.Pacer() != nil {
+		t.Errorf("arena %v (creator %v), pacer %v: want the launcher's arena and, unpaced, no pacer", w.ar, w.creator, w.Pacer())
+	}
+	if err := w.Ready(); err != nil {
+		t.Fatal(err)
+	}
+	w.Finish()
+	select {
+	case err := <-launchErr:
+		if err != nil {
+			t.Fatalf("launcher: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("launcher did not return after DONE")
 	}
 }
 

@@ -56,8 +56,8 @@ func (w *World) acceptLoop() {
 
 // stopService closes the data-plane listener and every inbound service
 // connection, then waits for their goroutines to drain. After it returns no
-// remote operation can touch this rank's memory, so callers (hybridrun) may
-// safely release arena-backed regions. Called only once the world is over —
+// remote operation can touch this rank's memory, so the caller may safely
+// release arena-backed regions. Called only once the world is over —
 // after BYE or abort — when any frame still buffered on an inbound stream is
 // a fire-and-forget straggler (a doorbell ring) nobody is waiting on.
 func (w *World) stopService() {
@@ -100,29 +100,24 @@ func (w *World) serveConn(c net.Conn) {
 			}
 			return
 		case opRing:
-			w.ringDoor()
+			w.ringDoor(w.self)
 			continue
 		}
 		var reply []byte
 		var cached bool
-		switch {
-		case sessioned(op) || op == opResume:
+		if sessioned(op) {
 			if src < 0 {
 				// An anonymous connection (its HELLO was lost — faultnet can
 				// blackhole it) must not touch session state: drop it so the
-				// requester's resume path redials and re-identifies.
+				// requester's recovery redials and re-identifies.
 				return
 			}
 			sid, seq, ack := d.u64(), d.u64(), d.u64()
 			if d.bad {
 				return // truncated session header: the stream is desynced
 			}
-			if op == opResume {
-				reply = w.sessionResume(src, sid, seq, ack, outBuf)
-			} else {
-				reply, cached = w.sessionApply(src, sid, seq, ack, op, &d, outBuf)
-			}
-		default:
+			reply, cached = w.sessionApply(src, sid, seq, ack, op, &d, outBuf)
+		} else {
 			reply = w.handle(op, &d, outBuf)
 		}
 		// Bound the reply write: a requester that vanished mid-read must not
@@ -276,7 +271,7 @@ func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
 		if ring {
 			// The piggybacked doorbell ring, ordered behind the data it
 			// announces (the ring that would otherwise be its own opRing).
-			w.ringDoor()
+			w.ringDoor(w.self)
 		}
 	case opRegQuery:
 		k := simnet.Key(d.u32())
@@ -296,11 +291,11 @@ func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
 		e.u8(state)
 		e.u64(uint64(size))
 	case opDoorGen:
-		e.u64(w.port.Gen())
+		e.u64(w.portOf(w.self).Gen())
 	case opDoorWait:
 		// The handler parks on its requester's behalf, under this rank's own
 		// slot: the one registration a door lets goroutines share.
-		e.u64(w.door.Wait(w.port, w.doorSelf, w.doorSelf, d.u64()))
+		e.u64(w.door.Wait(w.portOf(w.self), w.self, w.self, d.u64()))
 	case opClock:
 		e.i64(w.ownClock())
 	default:

@@ -541,25 +541,3 @@ func (w *World) sessionApply(src int, sid, seq, ack uint64, op uint8, d *dec, sc
 	s.replies[seq] = append([]byte(nil), reply...)
 	return reply, false
 }
-
-// sessionResume answers an opResume handshake: whether the named in-flight
-// seq already applied, with the cached reply payload inlined when it did.
-func (w *World) sessionResume(src int, sid, seq, ack uint64, scratch []byte) []byte {
-	if r := sidRank(sid); r != src {
-		return faultReply(scratch, faultGeneric, w.rank,
-			fmt.Sprintf("netrun: resume of session %#x claims rank %d but its connection said HELLO as rank %d", sid, r, src))
-	}
-	s := w.session(sid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.evictLocked(ack)
-	e := newEnc(scratch)
-	e.u8(stOK)
-	if cached, ok := s.replies[seq]; ok {
-		e.u8(1)
-		e.bytes(cached[4:]) // the cached frame's payload, inlined past the have byte
-	} else {
-		e.u8(0)
-	}
-	return e.finish()
-}

@@ -39,7 +39,7 @@ func pipeClient(t *testing.T) *rankio.Client {
 	near, far := net.Pipe()
 	go io.Copy(io.Discard, far)
 	t.Cleanup(func() { near.Close(); far.Close() })
-	cl, err := rankio.Join(near, rankio.Options{Backend: Backend, Ranks: 2, RanksPerNode: 1}, 1, "pipe")
+	cl, err := rankio.Join(near, rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1}, 1, "pipe")
 	if err != nil {
 		t.Fatalf("join over a pipe: %v", err)
 	}
@@ -153,15 +153,21 @@ func TestSessionEvictionHonorsAck(t *testing.T) {
 		t.Fatalf("after ack=3 window holds %v, want only {4}", got)
 	}
 
-	// A resume for a seq still in the window replays it; an evicted or
-	// never-applied seq answers have=0 (retransmit).
-	rr := w.sessionResume(0, sid, 4, 3, nil)
-	if rr[4] != stOK || rr[5] != 1 {
-		t.Fatalf("resume of cached seq 4: status %d have %d, want replay", rr[4], rr[5])
+	// A retransmitted frame whose seq is still in the window is answered from
+	// it; one whose seq was acked and evicted cannot be, and must not execute
+	// again either.
+	replay := func(seq uint64) (reply []byte, cached bool) {
+		d := dec{b: fetchAddFields()}
+		return w.sessionApply(0, sid, seq, 3, opWordAmo, &d, nil)
 	}
-	rr = w.sessionResume(0, sid, 99, 3, nil)
-	if rr[4] != stOK || rr[5] != 0 {
-		t.Fatalf("resume of unknown seq 99: status %d have %d, want retransmit", rr[4], rr[5])
+	if rr, cached := replay(4); !cached || rr[4] != stOK {
+		t.Fatalf("replay of cached seq 4: cached=%v status %d, want the cached reply", cached, rr[4])
+	}
+	if rr, cached := replay(2); cached || rr[4] != stFault || !bytes.Contains(rr, []byte("past its own ack")) {
+		t.Fatalf("replay of evicted seq 2 answered %q (cached=%v), want a past-its-ack fault", rr, cached)
+	}
+	if got := applied(w); got != 4 {
+		t.Fatalf("probe word = %d after two replays of four applied seqs, want 4", got)
 	}
 }
 
@@ -186,9 +192,11 @@ func TestSessionRejectsRankMismatch(t *testing.T) {
 		t.Fatalf("RemoteFault blames rank %d, want the owner rank 1", rf.Rank)
 	}
 
-	rr := w.sessionResume(2, sid, 1, 0, nil)
-	if rr[4] != stFault {
-		t.Fatalf("rank-mismatched resume was not rejected (status %d)", rr[4])
+	// The rejected frame left nothing to replay from: its retransmission is
+	// rejected afresh, not answered from a cache.
+	d = dec{b: fetchAddFields()}
+	if rr, cached := w.sessionApply(2, sid, 1, 0, opWordAmo, &d, nil); cached || rr[4] != stFault || len(w.sessions) != 0 {
+		t.Fatalf("replayed rank-mismatched frame: cached=%v status %d, %d sessions, want a fresh fault and no session state", cached, rr[4], len(w.sessions))
 	}
 }
 
@@ -324,11 +332,11 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 
 	t.Setenv(faultnet.EnvVar, "seed=3,reseteveryn=25,plane=data")
 	t.Setenv(rankio.EnvTimeouts, "heartbeat=500ms,stale=5s,optimeout=5s,ctlidle=10s")
-	t.Setenv(rankio.EnvCoord, Backend+":tcp:"+addr)
+	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
 	t.Setenv(rankio.EnvRank, "")
 	base := enableTelemetry(t)
 
-	o := rankio.Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
+	o := rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
 	launchErr := make(chan error, 1)
 	go func() { launchErr <- Launch(o) }()
 	for i := 0; ; i++ {
@@ -351,7 +359,7 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 				workerErr <- errFromPanic(r)
 			}
 		}()
-		w, err := Join(rankio.Options{Ranks: 2, RanksPerNode: 1})
+		w, err := Join(rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1})
 		if err != nil {
 			workerErr <- err
 			return
@@ -433,11 +441,11 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 
 	t.Setenv(faultnet.EnvVar, "seed=5,reseteveryn=25,plane=data")
 	t.Setenv(rankio.EnvTimeouts, "heartbeat=500ms,stale=5s,optimeout=5s,ctlidle=10s")
-	t.Setenv(rankio.EnvCoord, Backend+":tcp:"+addr)
+	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
 	t.Setenv(rankio.EnvRank, "")
 	base := enableTelemetry(t)
 
-	o := rankio.Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
+	o := rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
 	launchErr := make(chan error, 1)
 	go func() { launchErr <- Launch(o) }()
 	for i := 0; ; i++ {
@@ -465,7 +473,7 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 				workerErr <- errFromPanic(r)
 			}
 		}()
-		w, err := Join(rankio.Options{Ranks: 2, RanksPerNode: 1})
+		w, err := Join(rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1})
 		if err != nil {
 			workerErr <- err
 			return
@@ -556,10 +564,11 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 
 // TestUnassignedOpcodeRejected pins what an opcode outside the table meets:
 // no session header, and an unknown-opcode fault from the owner, which books
-// nothing — zero and the first number past the table alike.
+// nothing — zero, the first number past the table and the number the retired
+// re-attach handshake (RESUME) held alike.
 func TestUnassignedOpcodeRejected(t *testing.T) {
 	w := sessionWorld()
-	for _, op := range []uint8{0, opBatch + 1} {
+	for _, op := range []uint8{0, opClock + 1, opBatch + 1} {
 		if sessioned(op) || batchable(op) {
 			t.Fatalf("unassigned opcode %d claims a session header or a batch slot", op)
 		}

@@ -72,8 +72,8 @@ func TestStatsAggregationBeforeTeardown(t *testing.T) {
 	t.Setenv(telemetry.EnvOut, outPath)
 
 	addr := reserveAddr(t)
-	o := rankio.Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
-	t.Setenv(rankio.EnvCoord, Backend+":tcp:"+addr)
+	o := rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
+	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
 	t.Setenv(rankio.EnvRank, "")
 
 	launchErr := make(chan error, 1)
@@ -87,7 +87,7 @@ func TestStatsAggregationBeforeTeardown(t *testing.T) {
 				workerErr <- errFromPanic(r)
 			}
 		}()
-		w, err := Join(rankio.Options{Ranks: 2, RanksPerNode: 1})
+		w, err := Join(rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1})
 		if err != nil {
 			workerErr <- err
 			return
@@ -163,8 +163,8 @@ func TestStatsShippedOnFail(t *testing.T) {
 	t.Setenv(telemetry.EnvOut, filepath.Join(t.TempDir(), "agg.json"))
 
 	addr := reserveAddr(t)
-	o := rankio.Options{Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
-	t.Setenv(rankio.EnvCoord, Backend+":tcp:"+addr)
+	o := rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
+	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
 	t.Setenv(rankio.EnvRank, "")
 
 	launchErr := make(chan error, 1)
@@ -178,7 +178,7 @@ func TestStatsShippedOnFail(t *testing.T) {
 				workerErr <- errFromPanic(r)
 			}
 		}()
-		w, err := Join(rankio.Options{Ranks: 2, RanksPerNode: 1})
+		w, err := Join(rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1})
 		if err != nil {
 			workerErr <- err
 			return

@@ -38,10 +38,7 @@ import (
 // with their cached reply bytes (evicted once acked), so a request
 // retransmitted after a connection reset is answered from the cache instead
 // of re-executed — ops apply exactly once no matter how many times the TCP
-// stream under them dies. opResume is the re-attach handshake on a fresh
-// connection: it names the in-flight (sid, seq) and the owner answers
-// whether that seq was already applied, replaying the cached reply inline
-// when it was.
+// stream under them dies.
 //
 // The frame layout is versioned with the control lines: rankio.ProtoVersion
 // gates the JOIN handshake, and any frame change bumps it.
@@ -66,7 +63,7 @@ const (
 	opDoorWait                  // gen u64 (the owner's door sets the slice)
 	opRing                      // - (no reply)
 	opClock                     // - (reply: owner's published clock)
-	opResume                    // sid u64, seq u64, ack u64 (session re-attach after a reset)
+	_                           // 14 was the pre-window re-attach handshake: unassigned, refused like any unknown opcode
 	opBatch                     // ring u8, nops u32, nops × (len u32, op u8, op fields) — fused data-plane ops
 )
 

@@ -44,9 +44,10 @@ type Client struct {
 	hooks      []func()
 }
 
-// HostKey resolves this rank's host key — ranks with equal keys share a
-// physical host: EnvHost (set per rank by the spawn path or the operator),
-// then the hostname. The key rides space-separated control lines and the
+// HostKey resolves the host key this rank joins under — ranks with equal keys
+// share a physical host, unless the launcher's placement overrides the
+// catalog (Options.HostKeys): EnvHost (set by the operator), then the
+// hostname. The key rides space-separated control lines and the
 // comma-joined WORLD catalog, so what token would refuse is rewritten.
 func HostKey() string {
 	h := os.Getenv(EnvHost)

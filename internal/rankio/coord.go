@@ -17,7 +17,7 @@ import (
 // backend and the coordinator's socket as "backend:network:address" (host-list
 // operators export the same variable), EnvRank the rank — optional in
 // host-list mode, where join order assigns the unclaimed slots. EnvHost is a
-// deployment setting: the host key topology-aware backends group ranks by.
+// deployment setting: the host key a rank joins under (see HostKey).
 const (
 	EnvCoord = "FOMPI_COORD"
 	EnvRank  = "FOMPI_RANK"
@@ -70,17 +70,17 @@ func WorkerOf(backend string, ranks int) (network, addr string, rank int, err er
 // least 1) and PaceWindowNs: every JOIN carries them, and the coordinator
 // refuses a worker whose differ.
 type Options struct {
-	Backend      string // set by the backend's Launch and Join
+	Backend      string // the placement's name (netrun.Launch); a JOIN under another is refused
 	Ranks        int
 	RanksPerNode int
 	PaceWindowNs int64
-	// ArenaBytes is each rank's registered-memory arena on the backends that
-	// map one (mp, hybrid); zero means 16 MiB.
+	// ArenaBytes is each rank's registered-memory arena when it shares one
+	// with host-mates; zero means 16 MiB.
 	ArenaBytes int
-	// Listen is the coordinator's TCP listen address (net, hybrid). Empty
-	// means 127.0.0.1:0 in spawn mode, :7077 in host-list mode.
+	// Listen is the coordinator's TCP listen address, in a world that has
+	// one. Empty means 127.0.0.1:0 in spawn mode, :7077 in host-list mode.
 	Listen string
-	// Hosts, when non-empty, selects host-list mode (net, hybrid): the
+	// Hosts, when non-empty, selects host-list mode: the
 	// coordinator spawns nothing and waits for Ranks workers the operator
 	// starts on the listed machines with EnvCoord set. The list is advisory
 	// placement documentation, quoted in the launch banner; ranks follow
@@ -91,10 +91,9 @@ type Options struct {
 	// spawned rank's stdout/stderr with "[rank N]".
 	Relaunch  []string
 	TagOutput bool
-	// HostKeys, in spawn mode, hands rank r the host key HostKeys[r] through
-	// EnvHost — how the hybrid backend emulates a multi-host placement on one
-	// machine; empty (every rank resolves its own, see HostKey) or exactly
-	// Ranks long.
+	// HostKeys is the launcher's placement: rank r's host key in the WORLD
+	// catalog is HostKeys[r], whatever its JOIN said. Empty (every rank keeps
+	// the key it resolved, see HostKey) or exactly Ranks long.
 	HostKeys []string
 	// JoinTimeout bounds the rendezvous: how long the coordinator waits for
 	// every rank to JOIN before failing with an *ErrJoinTimeout naming the
@@ -153,6 +152,9 @@ func Coordinate(ln net.Listener, o Options, onReady func(), onAbort func(culprit
 		return err // a bad timeout spec fails the launch, like a bad -faults spec
 	}
 	c := &coord{Options: o, tm: tm, onReady: onReady, onAbort: onAbort, ln: ln}
+	if len(o.HostKeys) != 0 && len(o.HostKeys) != o.Ranks {
+		return fmt.Errorf("rankio: %d host keys for %d ranks", len(o.HostKeys), o.Ranks)
+	}
 	err = c.spawn()
 	for _, phase := range []func() error{c.rendezvous, c.barrier, c.status} {
 		if err == nil {
@@ -190,9 +192,6 @@ func (c *coord) spawn() error {
 			at, c.Ranks, strings.Join(c.Hosts, ", "), coordEnv, dial, EnvRank, EnvHost)
 		return nil
 	}
-	if len(c.HostKeys) != 0 && len(c.HostKeys) != c.Ranks {
-		return fmt.Errorf("rankio: %d host keys for %d ranks", len(c.HostKeys), c.Ranks)
-	}
 	argv := c.Relaunch
 	if len(argv) == 0 {
 		argv = os.Args
@@ -200,9 +199,6 @@ func (c *coord) spawn() error {
 	c.cmds = make([]*Cmd, c.Ranks)
 	for r := range c.cmds {
 		env := []string{coordEnv + at.String(), EnvRank + "=" + strconv.Itoa(r)}
-		if len(c.HostKeys) > 0 {
-			env = append(env, EnvHost+"="+c.HostKeys[r])
-		}
 		cmd, err := Start(argv, env, r, c.TagOutput)
 		if err != nil {
 			return fmt.Errorf("rankio: spawn rank %d (%s): %w", r, argv[0], err)
@@ -309,6 +305,9 @@ func (c *coord) rendezvous() error {
 	world := ctlLine{kind: lnWorld, addrs: make([]string, c.Ranks), hosts: make([]string, c.Ranks)}
 	for r, m := range c.members {
 		world.addrs[r], world.hosts[r] = m.join.addr, m.join.host
+	}
+	if len(c.HostKeys) != 0 {
+		world.hosts = c.HostKeys
 	}
 	for r, m := range c.members {
 		world.rank = r

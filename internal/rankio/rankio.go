@@ -1,6 +1,6 @@
-// Package rankio is the one control plane of the cross-process transport
-// backends (internal/mprun, internal/netrun, internal/hybridrun; DESIGN.md
-// "Control plane"): the coordinator a launcher runs over any listener
+// Package rankio is the control plane of the process transport
+// (internal/netrun; DESIGN.md "Control plane"), whatever a world's placement:
+// the coordinator a launcher runs over any listener
 // (coord.go), the client a rank embeds over any connection (client.go), the
 // one parser of the lines they exchange (ctlline.go) and the process
 // plumbing beneath — worker spawning with per-rank "[rank N]" output tagging,

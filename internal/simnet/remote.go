@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the carve line for backends whose remote memory is NOT
-// addressable from the issuing process (inter-node backends: internal/netrun).
+// addressable from the issuing process (internal/netrun's off-host peers).
 // The in-process fabric and the mmap-shared multi-process backend hand
 // Endpoint a *Region whose buf and stamps are real local memory, and every
 // operation runs the data/stamp half inline. An inter-node backend instead

@@ -12,14 +12,14 @@ import (
 // Transport only resolves registrations, homes one Port per rank where that
 // rank's memory is, homes the tables of the world's Door and Pacer, and
 // supplies the one ParkHook — how a rank sleeps, how a sleeping rank is
-// reached — both disciplines run over. Four implementations exist: the
-// in-process *Fabric below (ranks are goroutines in one address space),
-// internal/mprun's multi-process world (ranks are OS processes, regions live
-// in one mmap-shared segment, pokes travel over Unix sockets),
-// internal/netrun's distributed world (ranks are processes joined by TCP
-// sessions; fire-class ops pipeline through AsyncMem) and internal/hybridrun,
-// which routes each peer to an mprun arena or a netrun session by host. Each
-// passes the conformance suite in internal/transporttest, as a fifth would.
+// reached — both disciplines run over. Two implementations exist: the
+// in-process *Fabric below (ranks are goroutines in one address space) and
+// internal/netrun's process world (ranks are OS processes), which routes each
+// peer by host: to an internal/mprun arena (regions live in one mmap-shared
+// segment, pokes travel over Unix sockets) or to a TCP session (fire-class
+// ops pipeline through AsyncMem). Each passes the conformance suite in
+// internal/transporttest — the process world once per placement of ranks on
+// hosts — as a third would.
 //
 // Contracts a backend must honor, in the terms the conformance suite checks:
 //
@@ -27,7 +27,7 @@ import (
 //     rank; keys are assigned per owner in registration order starting at 0
 //     and never reused. A region's stamps share the registration's lifetime.
 //   - AllocSeg returns zeroed memory that RegisterRegion accepts; backends
-//     whose remote ranks cannot reach arbitrary host memory (mprun) may
+//     whose remote ranks cannot reach arbitrary host memory (an arena's) may
 //     reject RegisterRegion calls on buffers they did not allocate.
 //   - Every rank whose memory this process can address (LookupRegion
 //     returns a region with real bytes, not a RemoteMem proxy) has exactly

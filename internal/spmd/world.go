@@ -1,16 +1,16 @@
 // Package spmd runs single-program-multiple-data rank programs over a
 // transport backend: the stand-in for the job launcher plus the process
-// runtime that foMPI inherits from Cray MPI. Four backends exist, selected
-// by Config.Backend: the default in-process fabric (rank 0 is Run's caller,
-// each other rank a goroutine, over internal/simnet's Fabric), the
-// multi-process runtime (each rank is an OS process over internal/mprun's
-// shared-memory/Unix-socket world), the inter-node runtime (OS processes over
-// internal/netrun's TCP wire), and the hybrid runtime (internal/hybridrun:
-// netrun's world with same-host ranks grouped onto shared-memory arenas). The
-// three cross-process ones share one control plane (internal/rankio): a rank
-// process learns its world from FOMPI_COORD and FOMPI_RANK, and telemetry
-// aggregation (FOMPI_STATS), the failure-model timing spec
-// (FOMPI_NET_TIMEOUTS) and heartbeat liveness work the same on all of them.
+// runtime that foMPI inherits from Cray MPI. Config.Backend selects between
+// two transports: the default in-process fabric (rank 0 is Run's caller, each
+// other rank a goroutine, over internal/simnet's Fabric) and the process
+// transport (internal/netrun: each rank an OS process, host-mates reached
+// through a shared-memory arena and everyone else over a TCP wire), whose
+// three backend names are three placements of the ranks on hosts — mp, all on
+// one; net, each on its own; hybrid, by machine. Every process world runs on
+// one control plane (internal/rankio): a rank process learns its world from
+// FOMPI_COORD and FOMPI_RANK, and telemetry aggregation (FOMPI_STATS), the
+// failure-model timing spec (FOMPI_NET_TIMEOUTS) and heartbeat liveness work
+// the same on all of them.
 // Each rank receives a fabric endpoint, a scratch region for the built-in
 // collectives, and its own virtual clock. Collectives (dissemination
 // barrier, binomial broadcast, recursive-doubling allreduce, ring allgather,
@@ -26,8 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"fompi/internal/hybridrun"
-	"fompi/internal/mprun"
 	"fompi/internal/netrun"
 	"fompi/internal/rankio"
 	"fompi/internal/segpool"
@@ -74,24 +72,24 @@ const (
 	// goroutine, the rest on goroutines — over the in-process simnet fabric:
 	// the default, and the only backend the perf harness measures.
 	BackendInProc Backend = "proc"
-	// BackendMP runs each rank as an OS process: registered memory lives in
-	// one mmap-shared segment (the XPMEM-style fast path made real) and
-	// control/doorbell traffic travels over Unix sockets. Virtual time stays
-	// in the timing layer, so results are bit-identical to BackendInProc.
-	BackendMP Backend = mprun.Backend
-	// BackendNet runs each rank as an OS process on (potentially) a
-	// different machine: every remote-memory operation travels as a framed
-	// message over TCP to the owning rank's service loop (internal/netrun).
-	// Virtual time stays in the timing layer, so results remain
-	// bit-identical to the other backends.
-	BackendNet Backend = netrun.Backend
-	// BackendHybrid runs the inter-node world with topology awareness: ranks
-	// sharing a physical host (by rendezvoused host key) map one shared
-	// arena — direct loads/stores and working shared windows, as on
-	// BackendMP — while off-host ranks are reached over BackendNet's wire
-	// (internal/hybridrun). Results remain bit-identical to the other
-	// backends.
-	BackendHybrid Backend = hybridrun.Backend
+	// BackendMP runs each rank as an OS process, all on one host key:
+	// registered memory lives in one mmap-shared segment (the XPMEM-style
+	// fast path made real) and control/doorbell traffic travels over Unix
+	// sockets. Virtual time stays in the timing layer, so results are
+	// bit-identical to BackendInProc.
+	BackendMP Backend = netrun.BackendMP
+	// BackendNet runs each rank as an OS process with a host key of its own,
+	// on (potentially) a different machine: every remote-memory operation
+	// travels as a framed message over TCP to the owning rank's service
+	// loop. Results remain bit-identical to the other backends.
+	BackendNet Backend = netrun.BackendNet
+	// BackendHybrid places ranks by the machine they run on: ranks sharing a
+	// physical host (by rendezvoused host key; one emulated host per virtual
+	// node when spawned) map one shared arena — direct loads/stores and
+	// working shared windows, as on BackendMP — while off-host ranks are
+	// reached over BackendNet's wire. Results remain bit-identical to the
+	// other backends.
+	BackendHybrid Backend = netrun.BackendHybrid
 )
 
 // Config describes a world: the rank count, node width, the cost model of
@@ -108,8 +106,9 @@ type Config struct {
 
 	// Backend selects the transport substrate; empty means BackendInProc.
 	Backend Backend
-	// MPArenaBytes sizes each rank's registered-memory arena on the
-	// multi-process backend (default 16 MiB; ignored elsewhere).
+	// MPArenaBytes sizes each rank's registered-memory arena where it shares
+	// one with host-mates: every mp rank, a hybrid rank that is not alone on
+	// its host (default 16 MiB).
 	MPArenaBytes int
 	// MPRelaunch is the argv the multi-process backends (mp and net
 	// loopback mode) re-execute as worker ranks; nil re-executes this
@@ -201,39 +200,9 @@ type Proc struct {
 	seq   uint64 // collective invocation number; identical across ranks
 }
 
-// crossWorld is the worker-side face shared by the cross-process transports:
-// the Transport itself plus the control-plane client they embed.
-type crossWorld interface {
-	simnet.Transport
-	Rank() int
-	Ready() error
-	Finish()
-	Fail(msg string)
-}
-
-type crossBackend struct {
-	name   Backend
-	join   func(rankio.Options) (crossWorld, error)
-	launch func(rankio.Options) error
-}
-
-// crossBackends is the one per-backend table: how a worker of the backend
-// joins its world and how a launcher creates one. Run, Launch and the
-// conformance suite's legs all dispatch from it.
-var crossBackends = []crossBackend{
-	{BackendMP, func(o rankio.Options) (crossWorld, error) { return mprun.Join(o) }, mprun.Launch},
-	{BackendNet, func(o rankio.Options) (crossWorld, error) { return netrun.Join(o) }, netrun.Launch},
-	{BackendHybrid, func(o rankio.Options) (crossWorld, error) { return hybridrun.Join(o) }, hybridrun.Launch},
-}
-
-// CrossBackends lists the cross-process backends, in table order.
-func CrossBackends() []Backend {
-	names := make([]Backend, len(crossBackends))
-	for i, b := range crossBackends {
-		names[i] = b.name
-	}
-	return names
-}
+// CrossBackends lists the cross-process backends: the process transport's
+// three placements.
+func CrossBackends() []Backend { return []Backend{BackendMP, BackendNet, BackendHybrid} }
 
 // WorkerOf reports which backend's world this process was started as a rank
 // of — by that backend's launcher or, in host-list mode, by the operator —
@@ -268,8 +237,8 @@ func Run(cfg Config, body func(*Proc)) error {
 	if cfg.Backend == BackendInProc {
 		return runInProc(cfg, body)
 	}
-	if b := crossBackendOf(cfg.Backend); b != nil && cfg.Backend == WorkerOf() {
-		runCrossWorker(cfg, b.join, body) // calls os.Exit; never returns
+	if cfg.Backend == WorkerOf() {
+		runCrossWorker(cfg, body) // calls os.Exit; never returns
 	}
 	return Launch(cfg)
 }
@@ -278,25 +247,13 @@ func Run(cfg Config, body func(*Proc)) error {
 // whatever world this process may itself be a rank of: the launcher half of
 // Run, and what cmd/fompi-run calls.
 func Launch(cfg Config) error {
-	b := crossBackendOf(cfg.Backend)
-	if b == nil {
-		return fmt.Errorf("spmd: unknown backend %q", cfg.Backend)
-	}
-	return b.launch(crossOptions(cfg.withDefaults()))
+	return netrun.Launch(crossOptions(cfg.withDefaults()))
 }
 
-func crossBackendOf(name Backend) *crossBackend {
-	for i := range crossBackends {
-		if crossBackends[i].name == name {
-			return &crossBackends[i]
-		}
-	}
-	return nil
-}
-
-// crossOptions is cfg as the cross-process backends take it.
+// crossOptions is cfg as the process transport takes it.
 func crossOptions(cfg Config) rankio.Options {
 	return rankio.Options{
+		Backend:      string(cfg.Backend),
 		Ranks:        cfg.Ranks,
 		RanksPerNode: cfg.RanksPerNode,
 		PaceWindowNs: cfg.PaceWindowNs,
@@ -313,8 +270,8 @@ func crossOptions(cfg Config) rankio.Options {
 // as its single rank and exits the process: status 0 after a clean run,
 // nonzero after a panic (reported to the launcher over the control channel
 // first) or a failed bootstrap.
-func runCrossWorker(cfg Config, join func(rankio.Options) (crossWorld, error), body func(*Proc)) {
-	cw, err := join(crossOptions(cfg))
+func runCrossWorker(cfg Config, body func(*Proc)) {
+	cw, err := netrun.Join(crossOptions(cfg))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spmd: worker failed to join its %s world: %v\n", cfg.Backend, err)
 		os.Exit(1)

@@ -81,7 +81,8 @@ var legLabel = map[spmd.Backend]string{
 // must reach the same spmd.Run call for its backend (which is also why
 // each conformance test contains exactly one run per cross-process
 // backend). The cfg handed to leg is ready to run (backend and relaunch
-// argv set).
+// argv set). In the launcher every cross-process leg runs inside a
+// launcherSnapshot: whatever its world did, this process is left as it was.
 func eachBackendLeg(t *testing.T, name string, cfg spmd.Config, leg func(label string, cfg spmd.Config)) {
 	t.Helper()
 	mine := spmd.WorkerOf()
@@ -90,13 +91,19 @@ func eachBackendLeg(t *testing.T, name string, cfg spmd.Config, leg func(label s
 			continue
 		}
 		c := cfg
-		if c.Backend = b; b != spmd.BackendInProc {
-			if runtime.GOOS == "windows" {
-				t.Skip("cross-process backends need mmap + unix sockets")
-			}
-			c.MPRelaunch = []string{os.Args[0], "-test.run=^" + name + "$"}
+		if c.Backend = b; b == spmd.BackendInProc {
+			leg(legLabel[b], c)
+			continue
 		}
+		if runtime.GOOS == "windows" {
+			t.Skip("cross-process backends need mmap + unix sockets")
+		}
+		c.MPRelaunch = []string{os.Args[0], "-test.run=^" + name + "$"}
+		left := launcherSnapshot()
 		leg(legLabel[b], c)
+		for _, l := range left(5 * time.Second) {
+			t.Errorf("%s: the %s world left in its launcher %s", name, legLabel[b], l)
+		}
 	}
 }
 
@@ -468,6 +475,57 @@ func TestConformanceSharedCrossNode(t *testing.T) {
 	})
 }
 
+// TestConformancePlacement pins what each backend name places where, from the
+// two things a program can observe: whether a same-virtual-node peer's memory
+// maps (SharedErr), and whether a put to a peer costs a wire frame
+// (net.batches). multi-process: every peer maps and nothing ever crosses a
+// wire. inter-node: no peer maps — loopback ranks all share a hostname, and
+// grouping them by it is exactly what this fails on — and every put is a
+// frame. hybrid: the node-mate maps and costs nothing, the cross-node peer
+// costs a frame. The two world shapes are subtests because a worker
+// re-executes the test up to the one Run of its backend.
+func TestConformancePlacement(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.On())
+	for _, shape := range []struct {
+		name string
+		cfg  spmd.Config
+	}{
+		{"pair", spmd.Config{Ranks: 2, RanksPerNode: 2}},
+		{"quad", spmd.Config{Ranks: 4, RanksPerNode: 2}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			telemetry.SetEnabled(true) // workers re-execute the test: every rank's process counts
+			runAll(t, "TestConformancePlacement/"+shape.name, shape.cfg, func(p *spmd.Proc) {
+				_, key := setupRegion(p, 64)
+				ep := p.EP()
+				label := legLabel[spmd.WorkerOf()] // "" in process
+				frames := func(peer int) uint64 {
+					before := paceCounter("net.batches")
+					var word [8]byte
+					ep.PutNB(simnet.Addr{Rank: peer, Key: key, Off: 8 * p.Rank()}, word[:])
+					ep.Gsync()
+					return paceCounter("net.batches") - before
+				}
+				mate := p.Rank() ^ 1 // the other rank of this virtual node
+				_, err := ep.SharedErr(simnet.Addr{Rank: mate, Key: key}, 64)
+				if label == "inter-node" {
+					check(errors.Is(err, simnet.ErrNotMapped), "SharedErr(node-mate %d) = %v on ranks that share no host key, want simnet.ErrNotMapped", mate, err)
+					check(frames(mate) > 0, "a put to rank %d crossed no wire", mate)
+				} else {
+					check(err == nil, "SharedErr(node-mate %d): %v", mate, err)
+					check(frames(mate) == 0, "a put to the mapped node-mate %d cost a wire frame", mate)
+				}
+				if far := (p.Rank() + 2) % p.Size(); far != p.Rank() {
+					wired := label == "inter-node" || label == "hybrid"
+					check(frames(far) > 0 == wired, "a put to cross-node rank %d: wire frame %v, want %v", far, !wired, wired)
+				}
+				p.Barrier()
+				telemetry.SetEnabled(false) // past the last read: no stats dump at world exit
+			})
+		})
+	}
+}
+
 // tokenRing is a token-serialized tour of every endpoint operation: the
 // token hand-off imposes a total order on all remote operations, so clocks
 // and stamps are fully protocol-ordered and the per-rank virtual times it
@@ -646,6 +704,60 @@ func expectAbort(t *testing.T, backend, failMsg string, run func() error) {
 	case <-time.After(90 * time.Second):
 		t.Fatalf("%s backend: abort did not propagate (launcher still waiting)", backend)
 	}
+}
+
+// TestConformanceBlame pins the one blame rule: a rank that fails blames
+// itself before anything else hears of it, so wherever its peers are parked —
+// at the arena door beside it, at their own door behind a wire — they unwind
+// with a *simnet.ErrPeerFailed naming it (the in-process fabric has no
+// verdict: there the bare ErrAborted), and the launcher reports the rank's own
+// panic, not a peer's abort symptom. Rank 1 fails while its node-mate rank 0,
+// which shares its arena on every placement that maps one, sits in WaitLocal;
+// only the mate's verdict is pinned, because a rank of another host group
+// hears the culprit's name from the coordinator, and only when the culprit's
+// FAIL reaches it before a woken mate's abort symptom does.
+func TestConformanceBlame(t *testing.T) {
+	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
+	const culprit, mate, failMsg = 1, 0, "deliberate failure beside a parked host-mate"
+	if spmd.WorkerOf() == "" {
+		t.Setenv("TMPDIR", t.TempDir()) // workers inherit it: where the witnesses go
+	}
+	// A survivor records what its wait unwound with, under the name of the
+	// world its process is a worker of ("" in process).
+	witness := func(world spmd.Backend, rank int) string {
+		return filepath.Join(os.TempDir(), fmt.Sprintf("blame-%s-survivor-%d", world, rank))
+	}
+	body := func(p *spmd.Proc) {
+		reg, _ := setupRegion(p, 64)
+		if p.Rank() == culprit {
+			time.Sleep(200 * time.Millisecond) // let the others park for real
+			panic(failMsg)
+		}
+		defer func() {
+			e := recover()
+			verdict := fmt.Sprintf("unwound with %v", e)
+			var pf *simnet.ErrPeerFailed
+			if err, ok := e.(error); ok && errors.As(err, &pf) {
+				verdict = fmt.Sprintf("peer %d failed", pf.Rank)
+			} else if ok && errors.Is(err, simnet.ErrAborted) {
+				verdict = "aborted"
+			}
+			os.WriteFile(witness(spmd.WorkerOf(), p.Rank()), []byte(verdict), 0o600)
+			panic(e)
+		}()
+		p.EP().WaitLocal(func() bool { return reg.LocalWord(0) == 0xdead })
+		panic("unreachable: the wait above can only end by abort")
+	}
+	eachBackendLeg(t, "TestConformanceBlame", cfg, func(label string, c spmd.Config) {
+		expectAbort(t, label, fmt.Sprintf("rank %d panicked: %s", culprit, failMsg), func() error { return spmd.Run(c, body) })
+		world, want := c.Backend, fmt.Sprintf("peer %d failed", culprit)
+		if c.Backend == spmd.BackendInProc {
+			world, want = "", "aborted"
+		}
+		if got, _ := os.ReadFile(witness(world, mate)); string(got) != want {
+			t.Errorf("%s backend: rank %d %q, want %q", label, mate, got, want)
+		}
+	})
 }
 
 // TestConformanceAsymmetricAllocate checks window creation's failure mode

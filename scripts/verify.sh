@@ -7,8 +7,8 @@
 #   go vet ./...                 static checks
 #   go build ./...               everything compiles
 #   CGO_ENABLED=0 build + tests  the tree builds without cgo, and the control
-#                                plane, the shared-memory backend and the
-#                                launcher pass their -short suites that way:
+#                                plane, the arena, the process transport and
+#                                the launcher pass their -short suites that way:
 #                                the static rank binary an operator can
 #                                choose (it boots ≈ 1 ms sooner: no dynamic
 #                                loader, no cgo resolver — EXPERIMENTS.md
@@ -32,15 +32,17 @@
 #                                (FOMPI_MP_DIR, FOMPI_MP_RANK,
 #                                FOMPI_NET_COORD, FOMPI_NET_RANK,
 #                                FOMPI_HYB_WORLD), ExtraEnv, netWindow,
-#                                opNicReserve, watchAbort — occur in no
-#                                non-test Go file; the Makefile, the
+#                                opNicReserve, watchAbort — and what the one
+#                                process transport retired (hybridrun,
+#                                SetDoor, crossWorld, withBackend, opResume)
+#                                occur in no non-test Go file; the Makefile, the
 #                                scripts and the CI workflow name no piece
 #                                of that harness, nor those variables,
 #                                either
 #   go test ./...                all package suites (includes the transport
-#                                conformance suite, which spawns the
-#                                multi-process, inter-node, and hybrid
-#                                backends' worker processes)
+#                                conformance suite, which spawns the worker
+#                                processes of the mp, net and hybrid
+#                                placements)
 #   fuzz smoke                   FuzzParseBatch (netrun's fused frames) and
 #                                FuzzCtlLine (every control line), 5 s each:
 #                                the two parsers of bytes that cross a
@@ -96,16 +98,16 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== no-cgo leg (static build; rankio, mprun, spmd -short)"
+echo "== no-cgo leg (static build; rankio, mprun, netrun, spmd -short)"
 CGO_ENABLED=0 go build ./...
-CGO_ENABLED=0 go test -short ./internal/rankio ./internal/mprun ./internal/spmd
+CGO_ENABLED=0 go test -short ./internal/rankio ./internal/mprun ./internal/netrun ./internal/spmd
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob and the per-backend control planes must not creep back)"
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob, the per-backend control planes and the per-backend transports must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD'
-if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort" \
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
 	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness, the wire-window knob or a per-backend control plane's name is back" >&2
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness, the wire-window knob or a per-backend control plane's or transport's name is back" >&2
 	exit 1
 fi
 
