@@ -53,11 +53,6 @@ const (
 )
 
 const (
-	// Idempotent control requests (opRegQuery, opClock, opDoorGen,
-	// opDoorWait re-arm) retry up to idemAttempts times across fresh
-	// connections, backing off from idemBackoff.
-	idemAttempts = 4
-	idemBackoff  = 25 * time.Millisecond
 	// Peer dials retry inside peerErr (the listener may not be reachable
 	// for a moment on a congested fabric, and faultnet injects exactly
 	// that); dialAttempts bounds them.
@@ -670,11 +665,8 @@ func (w *World) Port(rank int) *simnet.Port {
 func (w *World) WakeDoor(rank int) { w.door.Wake(w.lidx[rank]) }
 
 // RingDoorbell bumps rank's doorbell generation, waking its waiters: directly
-// for the host group, otherwise through a fire-and-forget message that the
-// owner applies after every operation already sent on that stream. When fused
-// sub-ops are still accumulating toward rank, the ring rides the opBatch frame
-// itself (the owner rings after applying the data), saving the separate
-// message.
+// for the host group, otherwise as the ring flag of the next frame to rank,
+// which the owner applies after the frame's list — once, like the list.
 func (w *World) RingDoorbell(rank int) {
 	if l := w.lidx[rank]; l >= 0 {
 		w.ringDoor(l)
@@ -682,12 +674,12 @@ func (w *World) RingDoorbell(rank int) {
 	}
 	s := &w.rsess[rank]
 	s.bring = true
-	// With sub-ops still accumulating, the ring waits for them: the data it
+	// With entries still accumulating, the ring waits for them: the data it
 	// announces has not been sent either, so a waiter could not have been
 	// satisfied any earlier — it wakes exactly when the bytes land. An empty
-	// builder sends the ring now.
-	if s.bops == 0 {
-		w.flushFused(rank)
+	// builder sends the ring now, on an empty list.
+	if len(s.bsinks) == 0 {
+		w.flush(rank)
 	}
 }
 
@@ -696,21 +688,22 @@ func (w *World) DoorGen(rank int) uint64 {
 	if l := w.lidx[rank]; l >= 0 {
 		return w.portOf(l).Gen()
 	}
-	return w.rpcDoorGen(rank)
+	return w.ctlWord(rank, opDoorGen)
 }
 
 // WaitDoor blocks until rank's doorbell generation is no longer gen, or for
 // simnet.DoorSlice at most. A wait on a host-group rank parks at the group's
-// door; any other parks at the owner's, inside its service loop, one DOORWAIT
-// a slice — so a dropped connection or an abort can never strand the waiter,
-// and a RING frame lost with its connection (rings are fire-and-forget,
-// outside the session layer) costs a bounded re-check.
+// door; any other parks at the owner's, inside its service loop, one
+// opDoorWait a slice — so a dropped connection or an abort can never strand
+// the waiter. A wait replayed after a reset may be answered from the owner's
+// reply cache with a generation that has since moved on: a spurious return,
+// which the caller's re-check absorbs.
 func (w *World) WaitDoor(_, rank int, gen uint64) uint64 {
 	if l := w.lidx[rank]; l >= 0 {
 		return w.door.Wait(w.portOf(l), l, w.self, gen)
 	}
 	for {
-		if g := w.rpcDoorWait(rank, gen); g != gen {
+		if g := w.ctlWord(rank, opDoorWait, gen); g != gen {
 			return g
 		}
 		if err := w.AbortErr(); err != nil {

@@ -13,12 +13,12 @@ import (
 )
 
 // Owner side of the wire protocol: one goroutine per inbound connection
-// reads request frames in order and executes them against this rank's
+// reads frames in order and executes their lists against this rank's
 // regions through simnet.RegionExec — the paper's "no remote software
 // agent" property necessarily softens to a service loop here, but the loop
 // runs only transport work (byte movement, stamps, NIC booking, doorbells),
 // never protocol logic, and applies each source's operations in that
-// source's issue order (TCP in-order delivery plus blocking requesters).
+// source's issue order (TCP in-order delivery, list order within a frame).
 // Cross-source interleaving is governed by the same word-atomic primitives
 // the in-process fabric uses, so concurrency semantics match.
 
@@ -58,8 +58,8 @@ func (w *World) acceptLoop() {
 // connection, then waits for their goroutines to drain. After it returns no
 // remote operation can touch this rank's memory, so the caller may safely
 // release arena-backed regions. Called only once the world is over —
-// after BYE or abort — when any frame still buffered on an inbound stream is
-// a fire-and-forget straggler (a doorbell ring) nobody is waiting on.
+// after BYE or abort — when nobody is waiting on a frame still buffered on an
+// inbound stream.
 func (w *World) stopService() {
 	w.ln.Close()
 	w.svcMu.Lock()
@@ -71,7 +71,7 @@ func (w *World) stopService() {
 	w.svcWg.Wait()
 }
 
-// serveConn runs one peer's request stream.
+// serveConn runs one peer's request stream: a HELLO, then session frames.
 func (w *World) serveConn(c net.Conn) {
 	defer c.Close()
 	rd := bufio.NewReader(c)
@@ -86,11 +86,7 @@ func (w *World) serveConn(c net.Conn) {
 		d := dec{b: frame}
 		op := d.u8()
 		clk := d.i64()
-		if w.pacer != nil && src >= 0 {
-			w.pacer.Observe(src, clk)
-		}
-		switch op {
-		case opHello:
+		if op == opHello {
 			// Bound the claimed rank: the data listener is reachable by
 			// anything on the network in host-list mode, and a stray
 			// connection must not be able to crash the clock table.
@@ -99,27 +95,22 @@ func (w *World) serveConn(c net.Conn) {
 				continue
 			}
 			return
-		case opRing:
-			w.ringDoor(w.self)
-			continue
 		}
-		var reply []byte
-		var cached bool
-		if sessioned(op) {
-			if src < 0 {
-				// An anonymous connection (its HELLO was lost — faultnet can
-				// blackhole it) must not touch session state: drop it so the
-				// requester's recovery redials and re-identifies.
-				return
-			}
-			sid, seq, ack := d.u64(), d.u64(), d.u64()
-			if d.bad {
-				return // truncated session header: the stream is desynced
-			}
-			reply, cached = w.sessionApply(src, sid, seq, ack, op, &d, outBuf)
-		} else {
-			reply = w.handle(op, &d, outBuf)
+		// Anything but a session frame leaves the stream unreadable, and an
+		// anonymous connection (its HELLO was lost — faultnet can blackhole
+		// it) must not touch session state: drop it so the requester's
+		// recovery redials and re-identifies.
+		if op != opBatch || src < 0 {
+			return
 		}
+		if w.pacer != nil {
+			w.pacer.Observe(src, clk)
+		}
+		sid, seq, ack := d.u64(), d.u64(), d.u64()
+		if d.bad {
+			return // truncated session header: the stream is desynced
+		}
+		reply, cached := w.sessionApply(src, sid, seq, ack, &d, outBuf)
 		// Bound the reply write: a requester that vanished mid-read must not
 		// park this service goroutine on a full TCP buffer forever.
 		c.SetWriteDeadline(time.Now().Add(w.opTimeout))
@@ -136,13 +127,44 @@ func (w *World) serveConn(c net.Conn) {
 	}
 }
 
-// handle executes one request and builds its reply frame. Faults — bounds
-// violations, dead registrations, ring overflow, an abort that ended a wait —
-// are the same panics the inline path raises; they are caught here and
-// shipped back for the requester to re-panic, so the fault surfaces in the
-// process that issued the bad operation.
-func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
+// applyList executes one frame's list and builds its reply: the entries in
+// order, each through handle, their sub-replies behind a count. A faulting
+// entry ends the list with its fault as the last sub-reply; the requester
+// re-panics it when the frame drains. A malformed list is refused whole,
+// before any entry executes. The frame's doorbell ring comes last, ordered
+// behind the data it announces.
+func (w *World) applyList(list, scratch []byte) []byte {
+	ring, subs, err := parseBatch(list)
+	if err != nil {
+		return faultReply(scratch, faultGeneric, w.rank, err.Error())
+	}
 	e := newEnc(scratch)
+	e.u8(stOK)
+	nAt := len(e.b)
+	e.u32(0) // sub-reply count, patched below
+	n := 0
+	for _, ent := range subs {
+		n++
+		if !w.handle(ent[0], &dec{b: ent, pos: 1}, &e) {
+			break
+		}
+	}
+	binary.LittleEndian.PutUint32(e.b[nAt:], uint32(n))
+	if ring {
+		w.ringDoor(w.self)
+	}
+	return e.finish()
+}
+
+// handle executes one entry and appends its length-prefixed sub-reply to e,
+// reporting whether it succeeded. Faults — bounds violations, dead
+// registrations, ring overflow, an abort that ended a wait — are the same
+// panics the inline path raises; they are caught here and shipped back for
+// the requester to re-panic, so the fault surfaces in the process that
+// issued the bad operation.
+func (w *World) handle(op uint8, d *dec, e *enc) (ok bool) {
+	at := len(e.b)
+	e.u32(0) // sub-reply length, patched below
 	e.u8(stOK)
 	defer func() {
 		if r := recover(); r != nil {
@@ -150,13 +172,15 @@ func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
 			// (abort, peer failure with its culprit rank, or a RemoteFault
 			// carrying this rank and the message) instead of a bare string.
 			kind, rank := faultGeneric, w.rank
-			if pf, ok := r.(*simnet.ErrPeerFailed); ok {
+			if pf, isPF := r.(*simnet.ErrPeerFailed); isPF {
 				kind, rank = faultPeerFailed, pf.Rank
 			} else if simnet.IsAbortPanic(r) {
 				kind = faultAborted
 			}
-			reply = faultReply(e.b[:0], kind, rank, fmt.Sprint(r))
+			e.b = e.b[:at+4]
+			e.fault(kind, rank, fmt.Sprint(r))
 		}
+		binary.LittleEndian.PutUint32(e.b[at:], uint32(len(e.b)-at-4))
 	}()
 	switch op {
 	case opPut:
@@ -177,7 +201,10 @@ func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
 		xfer := d.i64()
 		reserve := d.boolVal()
 		d.must()
-		if n < 0 || n > maxFrame {
+		// The requester checked the range against the size it learned at
+		// materialization; a longer read is a corrupt frame, refused before
+		// the reply grows by it.
+		if n < 0 || n > x.Reg.Size() {
 			panic(fmt.Sprintf("netrun: malformed get length %d", n))
 		}
 		// Copy the bytes straight into the reply frame (comp is patched in
@@ -241,40 +268,9 @@ func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
 		reserve := d.boolVal()
 		d.must()
 		e.i64(int64(x.Notify(off, word, reserve, arrival, xfer)))
-	case opBatch:
-		// A fused frame (DESIGN.md §12): execute the sub-ops in order —
-		// each through this same handler, so its arithmetic and its fault
-		// behavior are exactly the unfused op's — and concatenate their
-		// reply frames behind a count. A faulting sub-op ends the batch
-		// with its fault frame as the last sub-reply; the requester
-		// re-panics it when the batch drains. A malformed frame faults as
-		// a whole before any sub-op executes.
-		ring, subs, err := parseBatch(d.rest())
-		if err != nil {
-			panic(err.Error())
-		}
-		nAt := len(e.b)
-		e.u32(0) // sub-reply count, patched below
-		n := 0
-		var scratch2 []byte // sub-reply scratch, reused across sub-ops
-		for _, sub := range subs {
-			sd := dec{b: sub, pos: 1}
-			sr := w.handle(sub[0], &sd, scratch2)
-			e.bytes(sr)
-			scratch2 = sr[:0]
-			n++
-			if sr[4] == stFault {
-				break
-			}
-		}
-		binary.LittleEndian.PutUint32(e.b[nAt:], uint32(n))
-		if ring {
-			// The piggybacked doorbell ring, ordered behind the data it
-			// announces (the ring that would otherwise be its own opRing).
-			w.ringDoor(w.self)
-		}
 	case opRegQuery:
 		k := simnet.Key(d.u32())
+		d.must()
 		w.mineMu.RLock()
 		var state uint8
 		var size int
@@ -295,13 +291,15 @@ func (w *World) handle(op uint8, d *dec, scratch []byte) (reply []byte) {
 	case opDoorWait:
 		// The handler parks on its requester's behalf, under this rank's own
 		// slot: the one registration a door lets goroutines share.
-		e.u64(w.door.Wait(w.portOf(w.self), w.self, w.self, d.u64()))
+		gen := d.u64()
+		d.must()
+		e.u64(w.door.Wait(w.portOf(w.self), w.self, w.self, gen))
 	case opClock:
 		e.i64(w.ownClock())
 	default:
 		panic(fmt.Sprintf("netrun: unknown opcode %d", op))
 	}
-	return e.finish()
+	return true
 }
 
 // exec resolves the request's region key into an executor over this rank's

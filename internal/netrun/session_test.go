@@ -1,11 +1,15 @@
 package netrun
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,7 +39,7 @@ func sessionWorld() *World {
 
 // pipeClient is a control-plane client joined over a pipe nobody answers:
 // enough for the paths that record or read the abort verdict.
-func pipeClient(t *testing.T) *rankio.Client {
+func pipeClient(t testing.TB) *rankio.Client {
 	near, far := net.Pipe()
 	go io.Copy(io.Discard, far)
 	t.Cleanup(func() { near.Close(); far.Close() })
@@ -50,10 +54,34 @@ func pipeClient(t *testing.T) *rankio.Client {
 // requests that executed.
 func applied(w *World) uint64 { return w.mine[0].LocalWord(0) }
 
-// fetchAddFields encodes an opWordAmo payload past the session header: an
-// inter-node fetch-add of one on the probe word (key 0, off 0), so every
-// execution advances the word by exactly one — a counter that detects double
-// application.
+// applyOne delivers the frame (sid, seq, ack) whose list is the one entry
+// (op, fields) to w's session layer, as a connection that said HELLO as src.
+func applyOne(w *World, src int, sid, seq, ack uint64, op uint8, fields []byte) (reply []byte, cached bool) {
+	d := dec{b: buildBatch(false, append([]byte{op}, fields...))}
+	return w.sessionApply(src, sid, seq, ack, &d, nil)
+}
+
+// firstSub returns the first sub-reply (status byte onward) of a reply frame
+// that answers a list, failing the test on a frame-level fault.
+func firstSub(t *testing.T, reply []byte) []byte {
+	t.Helper()
+	d := dec{b: reply, pos: 4}
+	if st := d.u8(); st != stOK {
+		t.Fatalf("frame refused whole: %q", reply)
+	}
+	if n := d.u32(); n == 0 {
+		t.Fatalf("reply answers no entry: %x", reply)
+	}
+	sub := d.n(int(d.u32()))
+	if d.bad || len(sub) == 0 {
+		t.Fatalf("malformed reply list: %x", reply)
+	}
+	return sub
+}
+
+// fetchAddFields encodes an opWordAmo entry's fields: an inter-node fetch-add
+// of one on the probe word (key 0, off 0), so every execution advances the
+// word by exactly one — a counter that detects double application.
 func fetchAddFields() []byte {
 	b := binary.LittleEndian.AppendUint32(nil, 0) // key
 	b = binary.LittleEndian.AppendUint64(b, 0)    // off
@@ -70,15 +98,13 @@ func TestSessionDuplicateSeqReplaysCachedReply(t *testing.T) {
 	w := sessionWorld()
 	sid := sidFor(0, 4242)
 
-	d1 := dec{b: fetchAddFields()}
-	r1, cached := w.sessionApply(0, sid, 1, 0, opWordAmo, &d1, nil)
-	if cached {
-		t.Fatalf("first application of seq 1 claimed to come from cache")
+	r1, cached := applyOne(w, 0, sid, 1, 0, opWordAmo, fetchAddFields())
+	if cached || firstSub(t, r1)[0] != stOK {
+		t.Fatalf("first application of seq 1: cached=%v reply %x, want a fresh OK", cached, r1)
 	}
 	first := append([]byte(nil), r1...)
 
-	d2 := dec{b: fetchAddFields()}
-	r2, cached := w.sessionApply(0, sid, 1, 0, opWordAmo, &d2, nil)
+	r2, cached := applyOne(w, 0, sid, 1, 0, opWordAmo, fetchAddFields())
 	if !cached {
 		t.Fatalf("duplicate seq 1 was not served from cache")
 	}
@@ -98,14 +124,12 @@ func TestSessionReplaysFaultReplyByteIdentically(t *testing.T) {
 	// must be cached and replayed like any other, so a retransmitted bad op
 	// re-delivers the same fault instead of re-executing.
 	putFields := binary.LittleEndian.AppendUint32(nil, 9) // unknown key
-	d1 := dec{b: putFields}
-	r1, cached := w.sessionApply(0, sid, 1, 0, opPut, &d1, nil)
-	if cached || r1[4] != stFault {
-		t.Fatalf("expected a fresh fault reply, got cached=%v status=%d", cached, r1[4])
+	r1, cached := applyOne(w, 0, sid, 1, 0, opPut, putFields)
+	if cached || firstSub(t, r1)[0] != stFault {
+		t.Fatalf("expected a fresh fault sub-reply, got cached=%v reply %x", cached, r1)
 	}
 	first := append([]byte(nil), r1...)
-	d2 := dec{b: putFields}
-	r2, cached := w.sessionApply(0, sid, 1, 0, opPut, &d2, nil)
+	r2, cached := applyOne(w, 0, sid, 1, 0, opPut, putFields)
 	if !cached || !bytes.Equal(first, r2) {
 		t.Fatalf("fault reply not replayed byte-identically (cached=%v)", cached)
 	}
@@ -117,8 +141,7 @@ func TestSessionEvictionHonorsAck(t *testing.T) {
 
 	apply := func(seq, ack uint64) {
 		t.Helper()
-		d := dec{b: fetchAddFields()}
-		if _, cached := w.sessionApply(0, sid, seq, ack, opWordAmo, &d, nil); cached {
+		if _, cached := applyOne(w, 0, sid, seq, ack, opWordAmo, fetchAddFields()); cached {
 			t.Fatalf("seq %d unexpectedly served from cache", seq)
 		}
 	}
@@ -157,8 +180,7 @@ func TestSessionEvictionHonorsAck(t *testing.T) {
 	// it; one whose seq was acked and evicted cannot be, and must not execute
 	// again either.
 	replay := func(seq uint64) (reply []byte, cached bool) {
-		d := dec{b: fetchAddFields()}
-		return w.sessionApply(0, sid, seq, 3, opWordAmo, &d, nil)
+		return applyOne(w, 0, sid, seq, 3, opWordAmo, fetchAddFields())
 	}
 	if rr, cached := replay(4); !cached || rr[4] != stOK {
 		t.Fatalf("replay of cached seq 4: cached=%v status %d, want the cached reply", cached, rr[4])
@@ -175,8 +197,7 @@ func TestSessionRejectsRankMismatch(t *testing.T) {
 	w := sessionWorld()
 	sid := sidFor(0, 11) // minted for rank 0
 
-	d := dec{b: fetchAddFields()}
-	reply, cached := w.sessionApply(2, sid, 1, 0, opWordAmo, &d, nil) // conn said HELLO as rank 2
+	reply, cached := applyOne(w, 2, sid, 1, 0, opWordAmo, fetchAddFields()) // conn said HELLO as rank 2
 	if cached || reply[4] != stFault {
 		t.Fatalf("rank-mismatched session was not rejected (cached=%v status=%d)", cached, reply[4])
 	}
@@ -194,8 +215,7 @@ func TestSessionRejectsRankMismatch(t *testing.T) {
 
 	// The rejected frame left nothing to replay from: its retransmission is
 	// rejected afresh, not answered from a cache.
-	d = dec{b: fetchAddFields()}
-	if rr, cached := w.sessionApply(2, sid, 1, 0, opWordAmo, &d, nil); cached || rr[4] != stFault || len(w.sessions) != 0 {
+	if rr, cached := applyOne(w, 2, sid, 1, 0, opWordAmo, fetchAddFields()); cached || rr[4] != stFault || len(w.sessions) != 0 {
 		t.Fatalf("replayed rank-mismatched frame: cached=%v status %d, %d sessions, want a fresh fault and no session state", cached, rr[4], len(w.sessions))
 	}
 }
@@ -227,9 +247,9 @@ func TestRemoteFaultKinds(t *testing.T) {
 	}
 }
 
-// mkNotifyBatch builds an opBatch payload of ring deposits (word values) the
-// way flushFused + NotifyAsync would: no piggybacked doorbell, each sub-op
-// carrying (key 0, off 0, word, arrival 0, xfer 1, reserve).
+// mkNotifyBatch builds a frame's list of ring deposits (word values) the way
+// Notify + flush would: no piggybacked doorbell, each entry carrying
+// (key 0, off 0, word, arrival 0, xfer 1, reserve).
 func mkNotifyBatch(words ...uint64) []byte {
 	b := []byte{0}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(words)))
@@ -248,7 +268,7 @@ func mkNotifyBatch(words ...uint64) []byte {
 }
 
 // TestSessionBatchSuffixReplay is the owner half of a reset mid-window: a
-// requester with three batch frames in flight loses its connection after
+// requester with three frames in flight loses its connection after
 // processing only the first reply, and retransmits the unacked suffix
 // {seq 2, seq 3} verbatim — acks frozen at build time. The owner must
 // replay both from cache byte-identically and apply nothing twice: the
@@ -264,7 +284,7 @@ func TestSessionBatchSuffixReplay(t *testing.T) {
 
 	apply := func(seq, ack uint64, payload []byte) ([]byte, bool) {
 		d := dec{b: payload}
-		return w.sessionApply(0, sid, seq, ack, opBatch, &d, nil)
+		return w.sessionApply(0, sid, seq, ack, &d, nil)
 	}
 	// The in-flight window: seq 1 (two deposits), seq 2 (one), seq 3 (two).
 	// Each frame's ack is the cumulative ack at build time: 0, 0, then 1
@@ -425,7 +445,7 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 
 // TestWindowReplayUnderRecurringResets is the wire-level half of the
 // mid-window replay proof: each rank streams fused notify windows at its
-// peer — ten NotifyAsync deposits per DrainWire, thirty windows — while
+// peer — ten Notify deposits per DrainWire, thirty windows — while
 // faultnet resets the data plane every 25 frames, so resets land with
 // batches genuinely in flight and the engine must retransmit unacked
 // suffixes across fresh connections. The notify ring's producer ticket
@@ -488,14 +508,15 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 		var sink timing.Time
 		for b := 0; b < windows; b++ {
 			for i := 0; i < perWindow; i++ {
-				m.NotifyAsync(0, uint64(b*perWindow+i), true, 0, 1, &sink, true)
+				m.Notify(0, uint64(b*perWindow+i), true, 0, 1, &sink, true)
 			}
 			w.DrainWire()
 		}
-		// Announce completion with a sessioned store (ordered behind the
-		// drained windows), then wait for the peer's announcement before
-		// reading the local ticket.
-		m.StoreWord(flagOff, 1, true, 0, 1)
+		// Announce completion with a store (ordered behind the drained
+		// windows), then wait for the peer's announcement before reading the
+		// local ticket.
+		m.StoreWord(flagOff, 1, true, 0, 1, &sink, true)
+		w.DrainWire()
 		for reg.LocalWord(flagOff) == 0 {
 			time.Sleep(time.Millisecond)
 		}
@@ -563,21 +584,315 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 }
 
 // TestUnassignedOpcodeRejected pins what an opcode outside the table meets:
-// no session header, and an unknown-opcode fault from the owner, which books
-// nothing — zero, the first number past the table and the number the retired
-// re-attach handshake (RESUME) held alike.
+// no place in a list, and an unknown-opcode fault from the owner, which books
+// nothing — zero, the first number past the table, and the numbers the retired
+// doorbell message (RING) and re-attach handshake (RESUME) held alike.
 func TestUnassignedOpcodeRejected(t *testing.T) {
 	w := sessionWorld()
-	for _, op := range []uint8{0, opClock + 1, opBatch + 1} {
-		if sessioned(op) || batchable(op) {
-			t.Fatalf("unassigned opcode %d claims a session header or a batch slot", op)
+	for _, op := range []uint8{0, opDoorWait + 1, opClock + 1, opBatch + 1} {
+		if listed(op) {
+			t.Fatalf("unassigned opcode %d has a place in a list", op)
 		}
-		reply := w.handle(op, &dec{}, nil)
-		if reply[4] != stFault || !bytes.Contains(reply, []byte("unknown opcode")) {
-			t.Fatalf("unassigned opcode %d answered %q, want an unknown-opcode fault", op, reply)
+		if _, _, err := parseBatch(buildBatch(false, []byte{op})); !errors.Is(err, ErrBatchOpCode) {
+			t.Fatalf("a list carrying unassigned opcode %d parsed with %v, want ErrBatchOpCode", op, err)
+		}
+		e := newEnc(nil)
+		if w.handle(op, &dec{}, &e); e.b[8] != stFault || !bytes.Contains(e.b, []byte("unknown opcode")) {
+			t.Fatalf("unassigned opcode %d answered %q, want an unknown-opcode fault", op, e.b)
 		}
 		if applied(w) != 0 || w.ownPort.Gen() != 0 {
 			t.Fatalf("unassigned opcode %d touched owner state (word %d, door gen %d)", op, applied(w), w.ownPort.Gen())
 		}
 	}
+}
+
+// TestTruncatedControlRequestFaults: a control entry cut short faults before
+// the owner acts on it, like every data op — it must not query key 0 or park
+// on generation 0 in the missing bytes' stead.
+func TestTruncatedControlRequestFaults(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		op     uint8
+		fields []byte
+	}{
+		{"opRegQuery", opRegQuery, []byte{0, 0}},    // 2 of the key's 4 bytes
+		{"opDoorWait", opDoorWait, []byte{0, 0, 0}}, // 3 of the generation's 8
+	} {
+		w := sessionWorld()
+		reply, _ := applyOne(w, 0, sidFor(0, 5), 1, 0, c.op, c.fields)
+		if sub := firstSub(t, reply); sub[0] != stFault || !bytes.Contains(sub, []byte("truncated request frame")) {
+			t.Errorf("%s cut short answered %q, want a truncated-request fault", c.name, sub)
+		}
+	}
+}
+
+// shortOwner stands in for rank 1's service loop behind a pipe: it answers
+// every frame with a well-formed reply list whose sub-replies are all n zero
+// bytes behind an OK status, whatever the entries asked for.
+func shortOwner(t *testing.T, n int) *World {
+	near, far := net.Pipe()
+	t.Cleanup(func() { near.Close(); far.Close() })
+	go func() {
+		rd := bufio.NewReader(far)
+		for {
+			frame, err := readFrame(rd, nil)
+			if err != nil {
+				return
+			}
+			if frame[0] != opBatch {
+				continue
+			}
+			e := newEnc(nil)
+			e.u8(stOK)
+			entries := binary.LittleEndian.Uint32(frame[34:])
+			e.u32(entries)
+			for i := uint32(0); i < entries; i++ {
+				e.u32(uint32(1 + n))
+				e.u8(stOK)
+				e.bytes(make([]byte, n))
+			}
+			if _, err := far.Write(e.finish()); err != nil {
+				return
+			}
+		}
+	}()
+	return &World{
+		Client:    pipeClient(t),
+		rsess:     make([]reqSession, 2),
+		peers:     []*peerConn{nil, {c: near, rd: bufio.NewReader(near)}},
+		opTimeout: 5 * time.Second,
+	}
+}
+
+// TestTruncatedReplyFaults: one short sub-reply per opcode — a byte less than
+// the op's reply holds — re-panics on the requester as a typed truncation
+// fault naming the owner. Decoded as zeros it would have been a zero
+// completion time, a zero fetched value, a half-filled get buffer.
+func TestTruncatedReplyFaults(t *testing.T) {
+	var sink timing.Time
+	var buf [8]byte
+	for _, c := range []struct {
+		name  string
+		whole int // bytes the op's sub-reply holds past its status
+		issue func(w *World, m *remoteMem)
+	}{
+		{"opPut", 8, func(w *World, m *remoteMem) { m.Put(0, buf[:], true, 0, 1, &sink, true); w.DrainWire() }},
+		{"opGet", 16, func(w *World, m *remoteMem) { m.Get(buf[:], 0, 0, true, 0, 1) }},
+		{"opStoreW", 8, func(w *World, m *remoteMem) { m.StoreWord(0, 1, true, 0, 1, &sink, true); w.DrainWire() }},
+		{"opLoadW", 16, func(w *World, m *remoteMem) { m.LoadWord(0) }},
+		{"opWordAmo", 32, func(w *World, m *remoteMem) { m.WordAmo(simnet.WordAdd, 0, 1, 0, 0, 0, true, 0, 1) }},
+		{"opBulkAmo", 16, func(w *World, m *remoteMem) { m.BulkAmo(simnet.AmoSum, 0, buf[:], 0, 0, true, 0, 1) }},
+		{"opNotify", 8, func(w *World, m *remoteMem) { m.Notify(0, 1, true, 0, 1, &sink, true); w.DrainWire() }},
+		{"opRegQuery", 9, func(w *World, m *remoteMem) { w.queryRegion(1, 0) }},
+		{"opDoorGen", 8, func(w *World, m *remoteMem) { w.ctlWord(1, opDoorGen) }},
+		{"opDoorWait", 8, func(w *World, m *remoteMem) { w.ctlWord(1, opDoorWait, 0) }},
+		{"opClock", 8, func(w *World, m *remoteMem) { w.ctlWord(1, opClock) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := shortOwner(t, c.whole-1)
+			defer func() {
+				rf, ok := recover().(*RemoteFault)
+				if !ok || rf.Rank != 1 || !strings.Contains(rf.Msg, "truncated") {
+					t.Fatalf("a %d-byte reply to %s (it holds %d) surfaced as %#v, want a truncation *RemoteFault from rank 1", c.whole-1, c.name, c.whole, rf)
+				}
+			}()
+			c.issue(w, &remoteMem{w: w, rank: 1, size: 64})
+			t.Fatalf("a %d-byte reply to %s (it holds %d) decoded without a fault", c.whole-1, c.name, c.whole)
+		})
+	}
+}
+
+// fuzzOwner is rank 1 of a two-rank world serving one 64-byte region (key 0)
+// that sits between guard bytes in slab.
+func fuzzOwner(cl *rankio.Client) (w *World, slab []byte) {
+	w = &World{
+		Client:    cl,
+		rank:      1,
+		sessions:  make(map[uint64]*ownerSession),
+		park:      simnet.NewParker(2, nil),
+		opTimeout: 5 * time.Second,
+	}
+	w.door = simnet.NewDoor(1, nil, w.park.Hook(w.AbortErr))
+	slab = bytes.Repeat([]byte{0xa5}, 3*64)
+	buf := slab[64:128:128]
+	clear(buf)
+	reg := simnet.MakeRegion(1, 0, buf, timing.NewStamps(len(buf)), &w.ownPort, liveWord())
+	w.mine = []*simnet.Region{&reg}
+	return w, slab
+}
+
+// frameOf assembles a session frame's payload around a list.
+func frameOf(sid, seq, ack uint64, list []byte) []byte {
+	e := enc{}
+	e.u8(opBatch)
+	e.i64(0)
+	e.u64(sid)
+	e.u64(seq)
+	e.u64(ack)
+	e.bytes(list)
+	return e.b
+}
+
+// entryOf assembles one list entry.
+func entryOf(op uint8, fill func(e *enc)) []byte {
+	e := enc{[]byte{op}}
+	if fill != nil {
+		fill(&e)
+	}
+	return e.b
+}
+
+// checkFault fails unless b (status byte onward) is a well-formed fault.
+func checkFault(t *testing.T, what string, b []byte) {
+	t.Helper()
+	if len(b) < 7 || b[0] != stFault || b[1] > faultPeerFailed {
+		t.Fatalf("%s is not a typed fault: %q", what, b)
+	}
+}
+
+// checkReplyList fails unless reply (status byte onward) answers a frame
+// carrying list the way the protocol says: a typed fault for a list that does
+// not parse, otherwise one sub-reply per entry up to and including the first
+// that faults, each OK or a typed fault, and not a byte more.
+func checkReplyList(t *testing.T, list, reply []byte) {
+	t.Helper()
+	_, subs, err := parseBatch(list)
+	if err != nil || len(reply) == 0 || reply[0] != stOK {
+		if err == nil {
+			t.Fatalf("a list of %d entries was refused whole: %q", len(subs), reply)
+		}
+		checkFault(t, "the reply to a malformed list", reply)
+		return
+	}
+	d := dec{b: reply, pos: 1}
+	m := int(d.u32())
+	if d.bad || m > len(subs) {
+		t.Fatalf("reply answers %d of %d entries: %x", m, len(subs), reply)
+	}
+	faulted := false
+	for i := 0; i < m; i++ {
+		sub := d.n(int(d.u32()))
+		if d.bad || len(sub) == 0 || faulted {
+			t.Fatalf("sub-reply %d of %d is cut short, empty, or follows a fault: %x", i, m, reply)
+		}
+		if faulted = sub[0] != stOK; faulted {
+			checkFault(t, fmt.Sprintf("sub-reply %d", i), sub)
+		}
+	}
+	if d.pos != len(reply) || (m < len(subs) && !faulted) {
+		t.Fatalf("reply answers %d of %d entries without a fault, or trails bytes: %x", m, len(subs), reply)
+	}
+}
+
+// FuzzFrame holds the owner's frame path total over arbitrary bytes behind a
+// valid HELLO: the service goroutine never panics, nothing outside the one
+// region is written, a frame with a session header is answered with a
+// well-formed reply list or a typed fault (anything else only costs the
+// connection), and a second delivery of the same (sid, seq) returns the first
+// reply byte for byte.
+func FuzzFrame(f *testing.F) {
+	sid := sidFor(0, 1)
+	u64s := func(vs ...uint64) func(e *enc) {
+		return func(e *enc) {
+			for _, v := range vs {
+				e.u64(v)
+			}
+		}
+	}
+	addr := func(off uint64, rest func(e *enc)) func(e *enc) {
+		return func(e *enc) {
+			e.u32(0)
+			e.u64(off)
+			if rest != nil {
+				rest(e)
+			}
+		}
+	}
+	tail := func(vs ...uint64) func(e *enc) { // trailing words, then reserve
+		return func(e *enc) { u64s(vs...)(e); e.u8(1) }
+	}
+	perOp := [][]byte{
+		entryOf(opPut, addr(8, func(e *enc) { tail(5, 1)(e); e.bytes([]byte("8 bytes!")) })),
+		entryOf(opGet, addr(0, tail(16, 0, 0, 1))),
+		entryOf(opStoreW, addr(16, tail(4, 5, 1))), // binds a ring of 4 at offset 0
+		entryOf(opLoadW, addr(16, nil)),
+		append([]byte{opWordAmo}, fetchAddFields()...),
+		entryOf(opBulkAmo, addr(32, func(e *enc) { e.u8(uint8(simnet.AmoSum)); tail(0, 0, 0, 1)(e); e.u64(3) })),
+		entryOf(opNotify, addr(0, tail(9, 5, 1))),
+		entryOf(opRegQuery, func(e *enc) { e.u32(0) }),
+		entryOf(opDoorGen, nil),
+		entryOf(opDoorWait, u64s(7)), // not the current generation: answers at once
+		entryOf(opClock, nil),
+	}
+	for _, ent := range perOp {
+		f.Add(frameOf(sid, 1, 0, buildBatch(false, ent)))
+	}
+	f.Add(frameOf(sid, 1, 0, buildBatch(true, perOp...)))
+	// FuzzParseBatch's corpus, behind a session header.
+	f.Add(frameOf(sid, 1, 0, nil))
+	f.Add(frameOf(sid, 1, 0, buildBatch(false)))
+	f.Add(frameOf(sid, 1, 0, buildBatch(true, append([]byte{opPut}, bytes.Repeat([]byte{3}, 29)...))))
+	f.Add(frameOf(sid, 2, 1, buildBatch(false, []byte{opNotify, 1}, []byte{opStoreW, 2, 3})))
+	f.Add(frameOf(sid, 1, 0, append([]byte{2}, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3)))
+	f.Add(frameOf(sidFor(1, 1), 1, 0, buildBatch(true))) // a session minted for another rank
+	f.Add([]byte{opHello, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0})
+
+	cl := pipeClient(f)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		w, slab := fuzzOwner(cl)
+		near, far := net.Pipe()
+		served := make(chan struct{})
+		go func() { w.serveConn(far); close(served) }()
+		defer func() { near.Close(); <-served }()
+		rd := bufio.NewReader(near)
+		// exchange writes one frame and, if reply is set, reads one back; ok
+		// is false once the owner has dropped the connection.
+		exchange := func(payload []byte, reply bool) ([]byte, bool) {
+			near.SetDeadline(time.Now().Add(10 * time.Second))
+			e := newEnc(nil)
+			e.bytes(payload)
+			if _, err := near.Write(e.finish()); err != nil || !reply {
+				return nil, err == nil
+			}
+			got, err := readFrame(rd, nil)
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("no reply to %x within 10 s: the service goroutine is stuck", payload)
+			}
+			return got, err == nil
+		}
+		exchange([]byte{opHello, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, false)
+
+		framed := len(in) >= 33 && in[0] == opBatch
+		first, ok := exchange(in, framed)
+		if framed {
+			if !ok {
+				t.Fatalf("a frame with a whole session header cost the connection: %x", in)
+			}
+			hdr := dec{b: in, pos: 9}
+			sid, seq, ack := hdr.u64(), hdr.u64(), hdr.u64()
+			mine := sidRank(sid) == 0 && seq > 0 // this connection's session, a sequence number it can hold
+			if mine {
+				checkReplyList(t, in[33:], first[:len(first):len(first)])
+			} else {
+				checkFault(t, "the reply to a frame outside the connection's session", first)
+			}
+			first = append([]byte(nil), first...)
+			again, ok := exchange(in, true)
+			switch {
+			case !ok:
+				t.Fatalf("the second delivery of %x cost the connection", in)
+			case mine && ack >= seq:
+				// The frame acknowledged itself: its reply was evicted as the
+				// replay arrived, which the owner must refuse, not re-execute.
+				checkFault(t, "the replay of a self-acknowledged frame", again)
+			case !bytes.Equal(first, again):
+				t.Fatalf("second delivery of (sid %#x, seq %d) answered\n  %x\nafter\n  %x", sid, seq, again, first)
+			}
+		}
+		for i, b := range slab {
+			if (i < 64 || i >= 128) && b != 0xa5 {
+				t.Fatalf("byte %d outside the region was written (%#x) by %x", i-64, b, in)
+			}
+		}
+	})
 }

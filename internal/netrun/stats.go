@@ -6,11 +6,11 @@ import "fompi/internal/telemetry"
 // process-global and registered by name, so a loopback test hosting both
 // workers in one process reads the whole world's totals from one registry.
 var (
-	mBatches     = telemetry.NewCounter("net.batches")     // opBatch frames flushed
-	mFusedOps    = telemetry.NewHistogram("net.fused_ops") // sub-ops per flushed opBatch frame
+	mBatches     = telemetry.NewCounter("net.batches")     // frames flushed that carry a fire-class entry
+	mFusedOps    = telemetry.NewHistogram("net.fused_ops") // fire-class entries per such frame
 	mWindow      = telemetry.NewHistogram("net.window")    // window occupancy at frame queue time
 	mRetransmits = telemetry.NewCounter("net.retransmits") // in-flight frames re-sent after a reconnect
 	mResumes     = telemetry.NewCounter("net.resumes")     // mid-window recoveries (redial + suffix replay)
 	mDedupHits   = telemetry.NewCounter("net.dedup_hits")  // owner-side cached-reply replays
-	mRTT         = telemetry.NewHistogram("net.rtt_ns")    // per-op wire round trip, first send to reply
+	mRTT         = telemetry.NewHistogram("net.rtt_ns")    // per-frame wire round trip, first send to reply
 )

@@ -8,37 +8,41 @@ import (
 	"io"
 )
 
-// Wire protocol of the inter-node backend (DESIGN.md §9). Every message is a
-// length-prefixed little-endian frame on a TCP stream:
+// Wire protocol of the process transport's TCP plane (DESIGN.md §9). Every
+// message is a length-prefixed little-endian frame on a TCP stream:
 //
 //	u32 length   of the payload that follows
-//	payload      request: op byte, src clock i64, op-specific fields
-//	             reply:   status byte, op-specific fields (fault: message)
+//	payload      request or reply, below
 //
 // Each rank pair uses one stream per direction: rank A's requests to rank B
 // travel on the connection A dialed to B's data listener, and the replies
-// return on it. A requester keeps a bounded window of requests in flight
-// (DESIGN.md §12) but replies still match requests by order — the stream
-// needs no tags — and TCP's in-order delivery makes the owner apply A's
-// operations in A's issue order, the property the put-then-flag ordering
-// contract rides on. Value-returning operations (gets, loads, AMOs) block
-// for their reply, which drains every frame ahead of them first. opRing is
-// the one fire-and-forget message (no reply), which keeps doorbell rings
-// cheap while still ordered behind the data they announce.
+// return on it. A connection opens with one opHello naming the dialing rank
+// (no reply); after it a requester sends exactly one kind of request, the
+// session frame, a list of operations:
 //
-// Every request carries the sender's current virtual clock; the owner folds
-// it into its pacing table, so data traffic doubles as clock gossip (the
-// piggyback half of the pacing discipline; opClock is the heartbeat half).
+//	u8  opBatch
+//	i64 clock    the sender's published virtual clock (pacing piggyback)
+//	u64 sid      session identity, encoding the requester's rank
+//	u64 seq      per-owner sequence number of this frame, from 1
+//	u64 ack      highest seq whose reply the requester has processed
+//	u8  ring     ring the owner's doorbell once the list is applied
+//	u32 n        entries that follow (0: the frame is only a ring)
+//	n × (u32 len, u8 opcode, fields)    the opcode table below
 //
-// Since v4 the data-plane ops ride a resumable session (DESIGN.md §11): after
-// the clock, each carries (sid u64, seq u64, ack u64) — a session identity
-// encoding the requester's rank, a per-owner monotonically increasing
-// sequence number, and the cumulative sequence the requester has seen a
-// reply for. The owner keeps a bounded per-session window of applied seqs
-// with their cached reply bytes (evicted once acked), so a request
-// retransmitted after a connection reset is answered from the cache instead
-// of re-executed — ops apply exactly once no matter how many times the TCP
-// stream under them dies.
+// and the owner answers each frame, in order, with one reply:
+//
+//	u8  stOK, u32 m, m × (u32 len, u8 status, fields)
+//	u8  stFault, kind u8, rank u32, message     the frame itself was refused
+//
+// The owner applies a frame's entries in list order and stops at the first
+// that faults, whose fault is then the last sub-reply (m ≤ n). Replies match
+// frames by order — the stream needs no tags — and TCP's in-order delivery
+// makes the owner apply A's operations in A's issue order, the property the
+// put-then-flag ordering contract rides on. The requester keeps a bounded
+// window of frames in flight; frames are retained until acked and replayed
+// byte-identically on a fresh connection after a reset, and the owner's
+// reply cache answers the ones it had applied, so every entry executes
+// exactly once (session.go).
 //
 // The frame layout is versioned with the control lines: rankio.ProtoVersion
 // gates the JOIN handshake, and any frame change bumps it.
@@ -48,70 +52,59 @@ import (
 // not GBs.
 const maxFrame = 1 << 28
 
-// Request opcodes.
+// Opcodes: opHello and opBatch lead a payload, the rest are list entries. A
+// fire-class entry's sub-reply is its completion time alone, which the
+// requester lands in a sink when the reply drains; a value-class entry's
+// carries data its issuer is blocked on, so the requester makes it the last
+// entry of its frame and drains up to it; the control ops are value-class
+// entries that touch no region.
 const (
 	opHello    uint8 = iota + 1 // rank u32 (once per connection; no reply)
-	opPut                       // key u32, off u64, arrival i64, xfer i64, reserve u8, bytes
-	opGet                       // key u32, off u64, n u64, clockIn i64, tail i64, xfer i64, reserve u8
-	opStoreW                    // key u32, off u64, val u64, arrival i64, xfer i64, reserve u8
-	opLoadW                     // key u32, off u64
-	opWordAmo                   // key u32, off u64, wop u8, o1 u64, o2 u64, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8
-	opBulkAmo                   // key u32, off u64, aop u8, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8, bytes
-	opNotify                    // key u32, off u64, word u64, arrival i64, xfer i64, reserve u8
-	opRegQuery                  // key u32
-	opDoorGen                   // -
-	opDoorWait                  // gen u64 (the owner's door sets the slice)
-	opRing                      // - (no reply)
-	opClock                     // - (reply: owner's published clock)
+	opPut                       // fire: key u32, off u64, arrival i64, xfer i64, reserve u8, bytes -> comp i64
+	opGet                       // value: key u32, off u64, n u64, clockIn i64, tail i64, xfer i64, reserve u8 -> comp i64, n bytes
+	opStoreW                    // fire: key u32, off u64, val u64, arrival i64, xfer i64, reserve u8 -> comp i64
+	opLoadW                     // value: key u32, off u64 -> val u64, stamp i64
+	opWordAmo                   // value: key u32, off u64, wop u8, o1 u64, o2 u64, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8 -> old u64, land i64, base i64, free i64
+	opBulkAmo                   // value: key u32, off u64, aop u8, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8, bytes -> comp i64, free i64
+	opNotify                    // fire: key u32, off u64, word u64, arrival i64, xfer i64, reserve u8 -> comp i64
+	opRegQuery                  // control: key u32 -> state u8, size u64
+	opDoorGen                   // control: - -> gen u64
+	opDoorWait                  // control: gen u64 (the owner's door sets the slice) -> gen u64
+	_                           // 12 was the fire-and-forget doorbell ring (now the frame's ring flag): unassigned
+	opClock                     // control: - -> the owner's published clock i64
 	_                           // 14 was the pre-window re-attach handshake: unassigned, refused like any unknown opcode
-	opBatch                     // ring u8, nops u32, nops × (len u32, op u8, op fields) — fused data-plane ops
+	opBatch                     // the session frame (layout above)
 )
 
-// sessioned reports whether op carries the session header (sid, seq, ack)
-// after its clock: exactly the data-plane ops, whose execution mutates owner
-// state (bytes, stamps, AMO results, NIC bookings) and therefore must never
-// be applied twice. The control ops (opRegQuery, opDoorGen, opDoorWait,
-// opClock) are idempotent and keep the bare header — callIdem simply
-// re-issues them.
-func sessioned(op uint8) bool {
+// listed reports whether op may be an entry of a frame's list: every
+// operation, and nothing else — not opHello, not opBatch (frames do not
+// nest), not an unassigned number.
+func listed(op uint8) bool {
 	switch op {
-	case opPut, opGet, opStoreW, opLoadW, opWordAmo, opBulkAmo, opNotify, opBatch:
+	case opPut, opGet, opStoreW, opLoadW, opWordAmo, opBulkAmo, opNotify,
+		opRegQuery, opDoorGen, opDoorWait, opClock:
 		return true
 	}
 	return false
 }
 
-// batchable reports whether op may ride inside an opBatch frame: exactly
-// the put-shaped data-plane ops, whose reply is a single completion time
-// the requester can absorb asynchronously (simnet.AsyncMem). Value-
-// returning ops (gets, loads, AMOs) block their caller anyway and stay
-// unfused; opBatch itself is excluded, so frames cannot nest.
-func batchable(op uint8) bool {
-	switch op {
-	case opPut, opStoreW, opNotify:
-		return true
-	}
-	return false
-}
-
-// Typed opBatch parse errors. parseBatch must reject malformed frames with
+// Typed frame parse errors. parseBatch must reject malformed frames with
 // one of these (wrapped with position detail) and never panic or silently
-// truncate: batch frames cross a process trust boundary, and the owner
-// turns the error into a structured fault reply for the requester.
+// truncate: frames cross a process trust boundary, and the owner turns the
+// error into a structured fault reply for the requester.
 var (
 	ErrBatchHeader   = errors.New("netrun: batch frame truncated before its op count")
 	ErrBatchCount    = errors.New("netrun: batch op count exceeds its frame")
 	ErrBatchOpLen    = errors.New("netrun: batch sub-op length overruns its frame")
 	ErrBatchOpEmpty  = errors.New("netrun: batch sub-op has no opcode")
-	ErrBatchOpCode   = errors.New("netrun: batch sub-op opcode is not batchable")
+	ErrBatchOpCode   = errors.New("netrun: batch sub-op opcode is not an operation")
 	ErrBatchTrailing = errors.New("netrun: trailing bytes after the last batch sub-op")
 )
 
-// parseBatch splits an opBatch payload — everything after the session
-// header — into its doorbell-ring flag and per-op sub-frames (each op byte
-// + op fields, exactly the layout the unfused request carries after its
-// session header). Pure and total: any malformed input yields a typed
-// error, never a panic.
+// parseBatch splits a frame's list — everything after the session header —
+// into its doorbell-ring flag and per-entry sub-frames (each op byte + op
+// fields). Pure and total: any malformed input yields a typed error, never a
+// panic.
 func parseBatch(p []byte) (ring bool, subs [][]byte, err error) {
 	if len(p) < 5 {
 		return false, nil, fmt.Errorf("%w (%d bytes)", ErrBatchHeader, len(p))
@@ -134,7 +127,7 @@ func parseBatch(p []byte) (ring bool, subs [][]byte, err error) {
 		if len(sub) == 0 {
 			return false, nil, fmt.Errorf("%w (op %d)", ErrBatchOpEmpty, i)
 		}
-		if !batchable(sub[0]) {
+		if !listed(sub[0]) {
 			return false, nil, fmt.Errorf("%w (op %d has opcode %d)", ErrBatchOpCode, i, sub[0])
 		}
 		subs = append(subs, sub)
@@ -204,7 +197,9 @@ type dec struct {
 func (d *dec) n(k int) []byte {
 	if d.pos+k > len(d.b) {
 		d.bad = true
-		return make([]byte, k)
+		// Zeros for the fixed-width readers to index; a longer run (a
+		// length field gone wrong) gets nothing, not an allocation its size.
+		return make([]byte, min(k, 8))
 	}
 	p := d.b[d.pos : d.pos+k]
 	d.pos += k

@@ -64,8 +64,8 @@ func TestReadFrameLimit(t *testing.T) {
 	}
 }
 
-// buildBatch assembles an opBatch payload the way flushFused does: the ring
-// flag, the sub-op count, and each sub-frame length-prefixed.
+// buildBatch assembles a frame's list the way flush does: the ring flag, the
+// entry count, and each entry length-prefixed.
 func buildBatch(ring bool, subs ...[]byte) []byte {
 	b := []byte{0}
 	if ring {
@@ -82,7 +82,7 @@ func buildBatch(ring bool, subs ...[]byte) []byte {
 func TestParseBatchRoundTrip(t *testing.T) {
 	sub1 := append([]byte{opPut}, bytes.Repeat([]byte{7}, 29)...)
 	sub2 := append([]byte{opStoreW}, bytes.Repeat([]byte{9}, 37)...)
-	sub3 := []byte{opNotify}
+	sub3 := []byte{opGet}
 	in := buildBatch(true, sub1, sub2, sub3)
 	ring, subs, err := parseBatch(in)
 	if err != nil {
@@ -117,7 +117,7 @@ func TestParseBatchErrors(t *testing.T) {
 			return b
 		}(), ErrBatchOpLen},
 		{"empty sub-op", buildBatch(false, sub, []byte{}), ErrBatchOpEmpty},
-		{"unbatchable opcode", buildBatch(false, []byte{opGet, 1, 2}), ErrBatchOpCode},
+		{"hello in a list", buildBatch(false, []byte{opHello, 1, 2}), ErrBatchOpCode},
 		{"nested batch", buildBatch(false, []byte{opBatch, 0}), ErrBatchOpCode},
 		{"trailing bytes", append(buildBatch(false, sub), 0xaa), ErrBatchTrailing},
 	}
@@ -154,7 +154,7 @@ func FuzzParseBatch(f *testing.F) {
 			t.Fatalf("parseBatch(%x) rejected with an untyped error: %v", in, err)
 		}
 		for i, s := range subs {
-			if len(s) == 0 || !batchable(s[0]) {
+			if len(s) == 0 || !listed(s[0]) {
 				t.Fatalf("parseBatch(%x) accepted invalid sub-op %d: %x", in, i, s)
 			}
 		}

@@ -37,7 +37,8 @@ func (ep *Endpoint) AmoBulkNBI(a Addr, op AmoOp, src []byte) {
 	n := len(src) / 8
 	lat, xfer := pr.AmoNs+int64(n)*pr.AmoPerElNs, ep.xferNs(rt, len(src))
 	var comp, free timing.Time
-	if rm := reg.rmt; rm != nil {
+	rm := reg.rmt
+	if rm != nil {
 		reg.check(a.Off, len(src))
 		comp, free = rm.BulkAmo(op, a.Off, src, ep.clock, ep.nicFree, !same, lat, xfer)
 	} else {
@@ -49,7 +50,9 @@ func (ep *Endpoint) AmoBulkNBI(a Addr, op AmoOp, src []byte) {
 	ep.implicitMax = timing.Max(ep.implicitMax, comp)
 	ep.ctr.Amos += int64(n)
 	ep.ctr.BytesPut += int64(len(src))
-	ep.notifyDst(reg)
+	if rm == nil { // a proxy's atomic rang the owner itself (RemoteMem)
+		ep.notifyDst(reg)
+	}
 }
 
 // ErrNotSameNode reports a shared-mapping request between ranks on different

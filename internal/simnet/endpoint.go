@@ -19,7 +19,7 @@ type Endpoint struct {
 	node  int    // rank / rpn
 	pacer *Pacer // cached fab.Pacer(): nil in an unpaced world
 	cm    *CostModel
-	drain WireDrainer // fab's pipelined-wire extension, when it has one
+	drain WireDrainer // fab's wire, when it has one
 
 	clock       timing.Time
 	implicitMax timing.Time
@@ -74,9 +74,9 @@ type xferMemo struct {
 }
 
 // Handle identifies an explicit-nonblocking operation; it completes at a
-// known virtual time. On a pipelined wire backend the completion time may
-// still be in flight: pend then points at the slot the backend fills when
-// the reply drains, and Wait/Test drain the wire before reading it.
+// known virtual time. On a proxy the completion time may still be in
+// flight: pend then points at the slot the backend fills when the reply
+// drains, and Wait/Test drain the wire before reading it.
 type Handle struct {
 	comp timing.Time
 	pend *timing.Time
@@ -109,8 +109,8 @@ func (ep *Endpoint) init(t Transport, rank int, cm *CostModel) {
 	}
 }
 
-// drainWire blocks until every pipelined wire operation has delivered its
-// completion time (a no-op on backends without an in-flight window).
+// drainWire blocks until every operation posted to a proxy has delivered its
+// completion time (a no-op on a transport with no wire).
 func (ep *Endpoint) drainWire() {
 	if ep.drain != nil {
 		ep.drain.DrainWire()
@@ -233,8 +233,8 @@ func (ep *Endpoint) flushBatchNotifies() {
 // flushBeforeBlock releases everything a real-time wait must not hold back:
 // deferred doorbells (a peer may be parked on one), the batched clock
 // publish (a pace-blocked peer may be waiting for this rank's progress),
-// and the pipelined wire window (an async put's bytes must land before this
-// rank parks on a reply to them). The batch scope itself stays open.
+// and the wire window (a posted put's bytes must land before this rank parks
+// on a reply to them). The batch scope itself stays open.
 func (ep *Endpoint) flushBeforeBlock() {
 	if ep.batchDepth > 0 {
 		ep.flushBatchNotifies()
@@ -423,13 +423,13 @@ func (ep *Endpoint) sameNodeTo(peer int) bool {
 	return ep.node == peer/ep.rpn
 }
 
-// putIssue moves the bytes now. With sink nil it blocks for the completion
-// time and returns it. With sink non-nil the completion is delivered to
-// *sink instead — folded with Max when fold is true, assigned otherwise —
-// and on a pipelined wire backend the delivery may be deferred to the next
-// drain (deferred=true, comp meaningless); everywhere else it happens
-// before returning. All clock and cost arithmetic is identical either way.
-func (ep *Endpoint) putIssue(dst Addr, src []byte, sink *timing.Time, fold bool) (comp timing.Time, deferred bool) {
+// putIssue moves the bytes now and returns the completion time. With sink
+// non-nil the completion is also delivered to *sink — folded with Max when
+// fold is true, assigned otherwise. A proxy only posts the put: the delivery
+// waits for the next drain, and pend is the slot it will land in (comp is
+// meaningless until then) — sink, or a fresh one when the caller named none.
+// All clock and cost arithmetic is identical either way.
+func (ep *Endpoint) putIssue(dst Addr, src []byte, sink *timing.Time, fold bool) (comp timing.Time, pend *timing.Time) {
 	ep.paceOp()
 	rt := ep.route(dst)
 	reg, pr, same := rt.reg, rt.pr, rt.same
@@ -440,33 +440,36 @@ func (ep *Endpoint) putIssue(dst Addr, src []byte, sink *timing.Time, fold bool)
 		ep.clock += timing.Time(xfer)
 	}
 	arrival := ep.xferArrival(same, ep.clock, pr.PutLatNs+pr.knee(len(src)), xfer)
-	switch {
-	case reg.rmt == nil:
+	if reg.rmt == nil {
 		comp = ep.exec(reg).Put(dst.Off, src, !same, arrival, xfer)
-	case sink != nil && reg.rmta != nil:
+	} else {
+		if pend = sink; pend == nil {
+			pend = new(timing.Time)
+		}
 		reg.check(dst.Off, len(src))
-		reg.rmta.PutAsync(dst.Off, src, !same, arrival, xfer, sink, fold)
-		deferred = true
-	default:
-		reg.check(dst.Off, len(src))
-		comp = reg.rmt.Put(dst.Off, src, !same, arrival, xfer)
+		reg.rmt.Put(dst.Off, src, !same, arrival, xfer, pend, fold)
 	}
 	ep.ctr.Puts++
 	ep.ctr.BytesPut += int64(len(src))
 	ep.notifyDst(reg)
-	if !deferred && sink != nil {
+	if pend == nil && sink != nil {
 		if fold {
 			*sink = timing.Max(*sink, comp)
 		} else {
 			*sink = comp
 		}
 	}
-	return comp, deferred
+	return comp, pend
 }
 
-// putCommon moves the bytes now and returns the virtual completion time.
+// putCommon moves the bytes now and returns the virtual completion time: on
+// a proxy, the put followed by the drain every blocking point performs.
 func (ep *Endpoint) putCommon(dst Addr, src []byte) timing.Time {
-	comp, _ := ep.putIssue(dst, src, nil, false)
+	comp, pend := ep.putIssue(dst, src, nil, false)
+	if pend != nil {
+		ep.drainWire()
+		comp = *pend
+	}
 	return comp
 }
 
@@ -475,18 +478,12 @@ func (ep *Endpoint) PutNBI(dst Addr, src []byte) {
 	ep.putIssue(dst, src, &ep.implicitMax, true)
 }
 
-// PutNB issues an explicit-nonblocking put and returns its handle.
+// PutNB issues an explicit-nonblocking put and returns its handle. A put to
+// a proxy goes out without waiting for its reply, so its handle carries the
+// slot the drain will fill.
 func (ep *Endpoint) PutNB(dst Addr, src []byte) Handle {
-	if ep.drain == nil {
-		return Handle{comp: ep.putCommon(dst, src)}
-	}
-	// Pipelined backend: the put may go out without waiting for its reply,
-	// so the handle carries the slot the drain will fill.
-	box := new(timing.Time)
-	if _, deferred := ep.putIssue(dst, src, box, false); deferred {
-		return Handle{pend: box}
-	}
-	return Handle{comp: *box}
+	comp, pend := ep.putIssue(dst, src, nil, false)
+	return Handle{comp: comp, pend: pend}
 }
 
 // Put performs a blocking put (remote completion before return).
@@ -550,7 +547,8 @@ func (ep *Endpoint) amoCommon(a Addr, op WordOp, o1, o2 uint64) (old uint64, com
 	ep.clock += timing.Time(pr.InjectNs)
 	xfer := ep.xferNs(rt, 8)
 	var land, base, free timing.Time
-	if rm := reg.rmt; rm != nil {
+	rm := reg.rmt
+	if rm != nil {
 		reg.check(a.Off, 8)
 		old, land, base, free = rm.WordAmo(op, a.Off, o1, o2,
 			ep.clock, ep.nicFree, !same, pr.PutLatNs, xfer)
@@ -563,7 +561,9 @@ func (ep *Endpoint) amoCommon(a Addr, op WordOp, o1, o2 uint64) (old uint64, com
 	}
 	comp = timing.Max(land, base+timing.Time(pr.AmoNs))
 	ep.ctr.Amos++
-	ep.notifyDst(reg)
+	if rm == nil { // a proxy's atomic rang the owner itself (RemoteMem)
+		ep.notifyDst(reg)
+	}
 	return old, comp
 }
 
@@ -615,20 +615,15 @@ func (ep *Endpoint) StoreW(a Addr, v uint64) {
 	ep.clock += timing.Time(pr.InjectNs)
 	xfer := ep.xferNs(rt, 8)
 	arrival := ep.xferArrival(same, ep.clock, pr.PutLatNs, xfer)
-	switch {
-	case reg.rmt == nil:
+	if reg.rmt == nil {
 		comp := ep.exec(reg).StoreWord(a.Off, v, !same, arrival, xfer)
 		ep.implicitMax = timing.Max(ep.implicitMax, comp)
-	case reg.rmta != nil:
-		// Pipelined wire: the completion folds into implicitMax when the
-		// window drains (Gsync drains first; Max is commutative, so the
-		// deferral cannot change the fold's result).
+	} else {
+		// The completion folds into implicitMax when the window drains
+		// (Gsync drains first; Max is commutative, so the deferral cannot
+		// change the fold's result).
 		reg.check(a.Off, 8)
-		reg.rmta.StoreWordAsync(a.Off, v, !same, arrival, xfer, &ep.implicitMax, true)
-	default:
-		reg.check(a.Off, 8)
-		comp := reg.rmt.StoreWord(a.Off, v, !same, arrival, xfer)
-		ep.implicitMax = timing.Max(ep.implicitMax, comp)
+		reg.rmt.StoreWord(a.Off, v, !same, arrival, xfer, &ep.implicitMax, true)
 	}
 	ep.ctr.Puts++
 	ep.ctr.BytesPut += 8
@@ -662,9 +657,9 @@ func (ep *Endpoint) loadWordStamped(reg *Region, off int) (uint64, timing.Time) 
 }
 
 // Gsync completes all implicit-nonblocking operations (DMAPP bulk
-// completion): the foMPI flush primitive. On a pipelined wire backend it
-// drains the in-flight window first, so every deferred completion has
-// folded into implicitMax before the clock reads it.
+// completion): the foMPI flush primitive. It drains the wire window first,
+// so every deferred completion has folded into implicitMax before the clock
+// reads it.
 func (ep *Endpoint) Gsync() {
 	ep.ctr.Gsyncs++
 	ep.drainWire()
@@ -780,8 +775,8 @@ func (c Counters) Sub(o Counters) Counters {
 func (c Counters) RemoteOps() int64 { return c.Puts + c.Gets + c.Amos }
 
 // CompTime returns the operation's virtual completion time
-// (instrumentation). A handle from a pipelined wire backend holds it only
-// once the window has drained — after Wait(h) or any other blocking point.
+// (instrumentation). The handle of a put to a proxy holds it only once the
+// window has drained — after Wait(h) or any other blocking point.
 func (h Handle) CompTime() timing.Time {
 	if h.pend != nil {
 		return *h.pend

@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -103,6 +105,33 @@ func TestNotifyUnboundRingFaults(t *testing.T) {
 		}
 	}()
 	ep0.Notify(Addr{Rank: 1, Key: reg.Key()}, 1)
+}
+
+// TestNotifyCorruptCapacityFaults: a capacity word the program overwrote —
+// here with a count whose byte size wraps — faults before the deposit takes
+// the owner's port, which must be free afterwards (a slot store past the
+// region used to panic holding it, and the next inter-node operation on the
+// rank spun forever).
+func TestNotifyCorruptCapacityFaults(t *testing.T) {
+	f := NewFabric(2, 1)
+	ep0 := f.Endpoint(0, FoMPI())
+	ep1 := f.Endpoint(1, FoMPI())
+	reg := ep1.Register(NotifyRingBytes(4))
+	ring := BindNotifyRing(reg, 0, 4)
+	reg.LocalWordStore(0, 100, 0)    // producer count
+	reg.LocalWordStore(16, 1<<61, 0) // capacity: 24 + 8·2^61 wraps to 24
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "more than its region holds") {
+				t.Fatalf("deposit into a ring of 2^61 slots: %s, want the capacity fault", msg)
+			}
+		}()
+		ep0.Notify(ring.Base(), 1)
+	}()
+	ep0.StoreW(Addr{Rank: 1, Key: reg.Key(), Off: 32}, 7) // takes rank 1's port
+	if got := reg.LocalWord(32); got != 7 {
+		t.Fatalf("store after the fault read back %d, want 7", got)
+	}
 }
 
 func TestNotifyReservedBitFaults(t *testing.T) {

@@ -22,7 +22,6 @@ type Region struct {
 	stamps *timing.Stamps
 	port   *Port     // the owner's port (Transport.Port); nil on proxies
 	rmt    RemoteMem // non-nil on proxies for unreachable remote memory
-	rmta   AsyncMem  // rmt's pipelined extension, when it offers one
 
 	// live points at the registration's liveness word, which holds RegionLive
 	// until the owner unregisters: state below for a handle the owner's
@@ -64,10 +63,7 @@ func MakeRegion(owner int, key Key, buf []byte, st *timing.Stamps, port *Port, l
 // proxy; the owner-side accessors (Bytes, LocalWord, StampMax...) stay with
 // the owning process.
 func MakeRemoteRegion(owner int, key Key, rm RemoteMem) Region {
-	r := Region{owner: owner, key: key, size: rm.Size(), rmt: rm, live: &proxyLive}
-	// The pipelined extension is resolved once here, not per operation.
-	r.rmta, _ = rm.(AsyncMem)
-	return r
+	return Region{owner: owner, key: key, size: rm.Size(), rmt: rm, live: &proxyLive}
 }
 
 // Owner returns the owning rank.

@@ -54,20 +54,36 @@ func applyWordOp(buf []byte, off int, op WordOp, o1, o2 uint64) uint64 {
 // Implementations must
 // apply each call atomically enough that bytes, stamps, and NIC state mutate
 // with the same interleaving guarantees the in-process fabric gives
-// concurrently issuing ranks; RegionExec provides the canonical execution.
+// concurrently issuing ranks, and in this rank's issue order; RegionExec
+// provides the canonical execution.
+//
+// The operations differ only in when their completion is collected. The
+// fire class (Put, StoreWord, Notify) returns nothing the issuer needs
+// before it goes on, so a call only posts the operation: its completion time
+// is delivered later, on the issuing rank's goroutine, during the next
+// WireDrainer.DrainWire or value-class call — written through sink, folded
+// with timing.Max when fold is true (the implicit-completion accumulator
+// discipline — commutative, so delivery order cannot leak into virtual time)
+// and assigned when false. sink must stay valid until then. The value class
+// (Get, LoadWord, WordAmo, BulkAmo) returns data, so a call blocks for its
+// reply — behind every operation posted before it. The two atomics are
+// writes as well, and ring the owner's doorbell themselves once applied: a
+// fire-class write's ring (Transport.RingDoorbell) joins the message still
+// being built behind it, but theirs has left by the time they return, and the
+// ring would cost a message of its own.
 type RemoteMem interface {
 	// Size returns the registered length (bounds checks on the proxy).
 	Size() int
 	// Put copies src into [off,off+len(src)) and stamps the range with the
-	// transfer's completion time, which it returns.
-	Put(off int, src []byte, reserve bool, arrival timing.Time, xfer int64) timing.Time
+	// transfer's completion time, which it delivers to sink.
+	Put(off int, src []byte, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool)
 	// Get copies [off,off+len(dst)) into dst. base is max(clockIn, the
 	// range's stamp maximum); completion is base+tail intra-node or the NIC
 	// reservation of xfer at base+tail inter-node.
 	Get(dst []byte, off int, clockIn timing.Time, reserve bool, tail, xfer int64) timing.Time
 	// StoreWord atomically stores the 8-byte word and stamps it with the
-	// returned completion time (Put-shaped timing).
-	StoreWord(off int, v uint64, reserve bool, arrival timing.Time, xfer int64) timing.Time
+	// completion time delivered to sink (Put-shaped timing).
+	StoreWord(off int, v uint64, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool)
 	// LoadWord atomically reads the 8-byte word and its stamp.
 	LoadWord(off int) (uint64, timing.Time)
 	// WordAmo applies op to the word at off. base = max(clockIn, the word's
@@ -81,40 +97,22 @@ type RemoteMem interface {
 	BulkAmo(op AmoOp, off int, src []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (comp, newFree timing.Time)
 	// Notify runs the notification-ring deposit protocol at off (capacity
 	// and overflow checks, ticket, slot store) with Put-shaped timing for
-	// the 8-byte flag.
-	Notify(off int, word uint64, reserve bool, arrival timing.Time, xfer int64) timing.Time
+	// the 8-byte flag, delivered to sink.
+	Notify(off int, word uint64, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool)
 }
 
-// AsyncMem is the optional pipelined extension of RemoteMem: a backend
-// whose wire can keep several requests in flight implements it so Endpoint
-// may issue the put-shaped operations (put, word store, ring deposit)
-// without blocking one round trip each. The owner must apply the
-// operations with semantics identical to the synchronous methods and in
-// this rank's issue order — interleaved with the synchronous calls exactly
-// as issued. The completion time is delivered later, on the issuing rank's
-// goroutine, during the next WireDrainer.DrainWire (or any synchronous
-// call on the same destination, which drains everything ahead of it): the
-// backend writes through sink, folding with timing.Max when fold is true
-// (the implicit-completion accumulator discipline — commutative, so
-// delivery order cannot leak into virtual time) and assigning when false.
-// sink must stay valid until the delivery happens.
-type AsyncMem interface {
-	RemoteMem
-	PutAsync(off int, src []byte, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool)
-	StoreWordAsync(off int, v uint64, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool)
-	NotifyAsync(off int, word uint64, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool)
-}
-
-// WireDrainer is the Transport extension paired with AsyncMem: DrainWire
-// blocks until every async operation this rank issued has executed at its
-// owner and delivered its completion time to its sink. Endpoint calls it
-// at every blocking point (Gsync, Wait, Test, WaitLocal, PollRemoteWord)
-// so no virtual-time read can observe a partially delivered window.
+// WireDrainer is the Transport extension of a backend that hands out
+// RemoteMem proxies: DrainWire blocks until every fire-class operation this
+// rank posted has executed at its owner and delivered its completion time to
+// its sink. Endpoint calls it at every blocking point (Gsync, Wait, Test,
+// WaitLocal, PollRemoteWord, a blocking put or notification on a proxy) so
+// no virtual-time read can observe a partially delivered window. The
+// in-process fabric has no wire to drain and does not implement it.
 type WireDrainer interface {
 	DrainWire()
 }
 
-// RegionExec executes RemoteMem-shaped operations against a locally
+// RegionExec executes RemoteMem's operations against a locally
 // addressable region: the one acquire/book/stamp/release sequence over the
 // owner's port that both the inline issue path (Endpoint, for every region
 // with real bytes behind it) and the owner-side half of an inter-node
@@ -303,7 +301,13 @@ func (x RegionExec) Notify(off int, word uint64, reserve bool, arrival timing.Ti
 		panic(fmt.Sprintf("simnet: notification into unbound ring (rank %d key %d off %d)",
 			reg.owner, reg.key, off))
 	}
-	reg.check(off, NotifyRingBytes(int(capacity)))
+	// Not reg.check(off, NotifyRingBytes(capacity)): a capacity word that was
+	// overwritten can wrap that sum, and the slot store below would then
+	// panic with the port held.
+	if capacity > uint64(reg.Size()-off-notifyHeaderBytes)/8 {
+		panic(fmt.Sprintf("simnet: notification ring claims %d slots, more than its region holds (rank %d key %d off %d)",
+			capacity, reg.owner, reg.key, off))
+	}
 	ticket := hostatomic.Add(reg.buf, off, 1)
 	cons := hostatomic.Load(reg.buf, off+8)
 	if ticket-cons >= capacity {

@@ -16,8 +16,8 @@ import (
 // in-process *Fabric below (ranks are goroutines in one address space) and
 // internal/netrun's process world (ranks are OS processes), which routes each
 // peer by host: to an internal/mprun arena (regions live in one mmap-shared
-// segment, pokes travel over Unix sockets) or to a TCP session (fire-class
-// ops pipeline through AsyncMem). Each passes the conformance suite in
+// segment, pokes travel over Unix sockets) or to a TCP session (RemoteMem
+// proxies, drained through WireDrainer). Each passes the conformance suite in
 // internal/transporttest — the process world once per placement of ranks on
 // hosts — as a third would.
 //

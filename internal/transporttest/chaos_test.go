@@ -4,6 +4,7 @@ package transporttest
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,11 +35,16 @@ import (
 // small without loosening the promises under test.
 const chaosTimeouts = "heartbeat=500ms,stale=4s,optimeout=2s,ctlidle=8s"
 
+// chaosLog is where the runner wants the shared fault + recovery log (CI
+// uploads it as an artifact). The launcher folds it into the fault spec its
+// workers inherit.
+var chaosLog = flag.String("chaos.log", "", "append the chaos suite's fault + recovery log to this file")
+
 // chaosSpec appends the shared chaos log to a fault spec when the runner
-// asked for one (FOMPI_CHAOS_LOG=/path — CI uploads it as an artifact).
+// asked for one.
 func chaosSpec(base string) string {
-	if p := os.Getenv("FOMPI_CHAOS_LOG"); p != "" {
-		return base + ",log=" + p
+	if *chaosLog != "" {
+		return base + ",log=" + *chaosLog
 	}
 	return base
 }

@@ -17,6 +17,7 @@ package transporttest
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,19 +41,17 @@ func check(cond bool, format string, args ...any) {
 	}
 }
 
-// EnvBackends scopes the suite to a subset of backend legs: a
-// comma-separated list of leg labels (in-process, multi-process,
-// inter-node, hybrid). Empty (the default) runs all four. CI uses it to
-// give each backend-specific job its own leg instead of every job
-// repeating the whole matrix; the verify job keeps the canonical
-// all-backends run. Worker processes inherit the variable, which is
-// harmless: a worker only ever runs the leg of the world that launched it,
-// and that leg was enabled in the launcher.
-const EnvBackends = "FOMPI_TT_BACKENDS"
+// backendsFlag scopes the suite to a subset of backend legs. CI uses it to
+// give each backend-specific job its own leg instead of every job repeating
+// the whole matrix; the verify job keeps the canonical all-backends run. Only
+// the launcher reads it: a worker process is re-executed without the flag and
+// only ever runs the leg of the world that launched it.
+var backendsFlag = flag.String("tt.backends", "",
+	"comma-separated conformance legs to run (in-process, multi-process, inter-node, hybrid); empty runs all four")
 
-// legEnabled consults EnvBackends for one leg label.
+// legEnabled consults backendsFlag for one leg label.
 func legEnabled(label string) bool {
-	spec := strings.TrimSpace(os.Getenv(EnvBackends))
+	spec := strings.TrimSpace(*backendsFlag)
 	if spec == "" {
 		return true
 	}
@@ -64,7 +63,7 @@ func legEnabled(label string) bool {
 	return false
 }
 
-// legLabel names each backend's leg, for failure messages and EnvBackends.
+// legLabel names each backend's leg, for failure messages and -tt.backends.
 var legLabel = map[spmd.Backend]string{
 	spmd.BackendInProc: "in-process",
 	spmd.BackendMP:     "multi-process",
@@ -73,7 +72,7 @@ var legLabel = map[spmd.Backend]string{
 }
 
 // eachBackendLeg invokes leg once per backend this process should run: all
-// four in the launcher (minus any EnvBackends scoping), only its own in a
+// four in the launcher (minus any -tt.backends scoping), only its own in a
 // worker process — a worker's job is to be one rank of the world that
 // re-executed it, never to launch the other backends' worlds. name must be
 // the calling test's exact function name: the cross-process launchers
@@ -406,6 +405,63 @@ func TestConformanceFusedFrame(t *testing.T) {
 		telemetry.SetEnabled(false) // past the last read: no stats dump at world exit
 		for _, c := range []string{"net.retransmits", "net.resumes", "net.dedup_hits"} {
 			check(after[c] == before[c], "rank %d: %s moved by %d on a fault-free wire", p.Rank(), c, after[c]-before[c])
+		}
+	})
+}
+
+// TestConformanceSharedFrame: a read shares the writes' frame. Eight PutNBI
+// then a Get to one off-host rank cost the net and hybrid backends one frame
+// written and one reply read — the get is the last entry of the list the puts
+// opened, behind them in the owner's order, so it returns the bytes the eighth
+// put wrote — and the shared-memory backends none; a fetching atomic, whose
+// doorbell ring rides its own frame, costs one more; every rank's virtual time
+// equals the in-process run's.
+func TestConformanceSharedFrame(t *testing.T) {
+	const puts = 8
+	cfg := spmd.Config{Ranks: 2, RanksPerNode: 1}
+	// net.window takes one sample per frame queued.
+	framesQueued := func() uint64 { return telemetry.Capture(0).Hists["net.window"].Count }
+	body := func(p *spmd.Proc) (frames uint64, now timing.Time) {
+		_, key := setupRegion(p, puts*8)
+		if ep := p.EP(); p.Rank() == 0 {
+			var word, got [8]byte
+			ep.Put(simnet.Addr{Rank: 1, Key: key}, word[:]) // resolve the route outside the frame count
+			frames = framesQueued()
+			for i := 0; i < puts; i++ {
+				word[0] = byte(i + 1)
+				ep.PutNBI(simnet.Addr{Rank: 1, Key: key, Off: i * 8}, word[:])
+			}
+			ep.Get(got[:], simnet.Addr{Rank: 1, Key: key, Off: (puts - 1) * 8})
+			frames = framesQueued() - frames
+			check(got[0] == puts, "the get behind %d puts read %d, want the last put's %d", puts, got[0], puts)
+			amo := framesQueued()
+			ep.FetchAdd(simnet.Addr{Rank: 1, Key: key}, 1)
+			check(framesQueued()-amo == frames, "a fetch-add and its ring queued %d wire frames, the burst before it %d", framesQueued()-amo, frames)
+			ep.Gsync()
+		}
+		p.Barrier()
+		return frames, p.Now()
+	}
+	want := make([]timing.Time, cfg.Ranks)
+	if err := spmd.Run(cfg, func(p *spmd.Proc) { _, want[p.Rank()] = body(p) }); err != nil {
+		t.Fatalf("in-process reference run: %v", err)
+	}
+	defer telemetry.SetEnabled(telemetry.On())
+	telemetry.SetEnabled(true) // workers re-execute the test: every rank's process counts
+	eachBackendLeg(t, "TestConformanceSharedFrame", cfg, func(label string, c spmd.Config) {
+		wantFrames := uint64(0)
+		if label == "inter-node" || label == "hybrid" {
+			wantFrames = 1 // rank 1 is off host on both wire-carrying backends
+		}
+		if err := spmd.Run(c, func(p *spmd.Proc) {
+			frames, now := body(p)
+			telemetry.SetEnabled(false) // past the last read: no stats dump at world exit
+			check(p.Rank() != 0 || frames == wantFrames,
+				"%d PutNBI + Get queued %d wire frames on the %s backend, want %d", puts, frames, label, wantFrames)
+			check(now == want[p.Rank()], "rank %d virtual time %d on the %s backend, %d in process",
+				p.Rank(), now, label, want[p.Rank()])
+		}); err != nil {
+			t.Fatalf("%s backend: %v", label, err)
 		}
 	})
 }

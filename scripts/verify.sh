@@ -35,18 +35,25 @@
 #                                opNicReserve, watchAbort — and what the one
 #                                process transport retired (hybridrun,
 #                                SetDoor, crossWorld, withBackend, opResume)
+#                                and what the one request shape retired
+#                                (AsyncMem, rmta, PutAsync, StoreWordAsync,
+#                                NotifyAsync, reqData, callData, callIdem,
+#                                wireCall, sendRing, opRing, idemAttempts)
 #                                occur in no non-test Go file; the Makefile, the
 #                                scripts and the CI workflow name no piece
-#                                of that harness, nor those variables,
-#                                either
+#                                of that harness, nor those variables, nor
+#                                the two test variables that became go test
+#                                flags (-tt.backends, -chaos.log), either
 #   go test ./...                all package suites (includes the transport
 #                                conformance suite, which spawns the worker
 #                                processes of the mp, net and hybrid
 #                                placements)
-#   fuzz smoke                   FuzzParseBatch (netrun's fused frames) and
-#                                FuzzCtlLine (every control line), 5 s each:
-#                                the two parsers of bytes that cross a
-#                                process boundary stay total
+#   fuzz smoke                   FuzzParseBatch (a frame's list), FuzzFrame
+#                                (the owner's whole frame path: session
+#                                header, replay, execution against one
+#                                region) and FuzzCtlLine (every control
+#                                line), 5 s each: what parses bytes that
+#                                cross a process boundary stays total
 #   make bench-test              the benchmark module's own tests (benchmark/
 #                                has its own go.mod, so ./... skips it)
 #   go test -bench Issue -benchtime 1x
@@ -58,7 +65,8 @@
 #                                the pacer's and the door's unit tests and
 #                                the two-mappings arena tests among them),
 #                                plus the cross-backend AMO chain, pacing,
-#                                doorbell and stopped-rank conformance
+#                                doorbell, fused-frame, ordering,
+#                                shared-frame and stopped-rank conformance
 #                                tests under -race
 #   examples smoke               build and run every example; quickstart and
 #                                stencil (unpaced and with -pace 20000) must
@@ -102,22 +110,23 @@ echo "== no-cgo leg (static build; rankio, mprun, netrun, spmd -short)"
 CGO_ENABLED=0 go build ./...
 CGO_ENABLED=0 go test -short ./internal/rankio ./internal/mprun ./internal/netrun ./internal/spmd
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob, the per-backend control planes and the per-backend transports must not creep back)"
-RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD'
-if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume" \
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports and the wire's other request shapes must not creep back)"
+RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD|FOMPI_TT_BACKENDS|FOMPI_CHAOS_LOG'
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
 	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness, the wire-window knob or a per-backend control plane's or transport's name is back" >&2
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name or a second request shape on the wire is back" >&2
 	exit 1
 fi
 
 echo "== go test"
 go test ./...
 
-echo "== fuzz smoke (the two parsers of cross-process bytes, 5 s each)"
+echo "== fuzz smoke (the three parsers of cross-process bytes, 5 s each)"
 # -fuzzminimizetime: minimising one 64 KiB interesting input would otherwise
 # eat the whole budget.
 go test ./internal/netrun -run '^$' -fuzz FuzzParseBatch -fuzztime 5s -fuzzminimizetime 1s
+go test ./internal/netrun -run '^$' -fuzz FuzzFrame -fuzztime 5s -fuzzminimizetime 1s
 go test ./internal/rankio -run '^$' -fuzz FuzzCtlLine -fuzztime 5s -fuzzminimizetime 1s
 
 echo "== benchmark module tests (make bench-test)"
@@ -128,7 +137,7 @@ go test ./internal/simnet -run '^$' -bench Issue -benchtime 1x
 
 echo "== go test -race -short (timing, simnet, core, spmd, netrun, rankio, mprun)"
 go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/
-go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestStoppedRank' ./internal/transporttest/
+go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestConformanceFusedFrame|TestConformanceOrdering|TestConformanceSharedFrame|TestStoppedRank' ./internal/transporttest/
 
 echo "== examples smoke (build + run, cross-backend diff)"
 for ex in quickstart stencil hashtable dsde; do
