@@ -12,7 +12,6 @@ import (
 	"fompi"
 	"fompi/internal/apps/dsde"
 	"fompi/internal/mpi1"
-	"fompi/internal/simnet"
 	"fompi/internal/spmd"
 	"fompi/internal/timing"
 )
@@ -20,10 +19,8 @@ import (
 func main() {
 	const ranks = 16
 	prm := dsde.Params{K: 6, Seed: 3}
-	var fab simnet.Transport
 	fompi.MustRun(fompi.Config{Ranks: ranks, RanksPerNode: 4, PaceWindowNs: 20000},
 		func(p *fompi.Proc) {
-			fab = p.Fabric()
 			c := mpi1.Dial(p)
 			type variant struct {
 				name string
@@ -44,5 +41,4 @@ func main() {
 				}
 			}
 		})
-	mpi1.Release(fab)
 }

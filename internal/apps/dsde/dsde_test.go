@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"fompi/internal/mpi1"
-	"fompi/internal/simnet"
 	"fompi/internal/spmd"
 )
 
@@ -33,7 +32,6 @@ func equal(a, b []uint64) bool {
 // exactly the expected multiset.
 func runAll(t *testing.T, ranks int, prm Params) {
 	t.Helper()
-	var fab simnet.Transport
 	type got struct {
 		name string
 		recv []uint64
@@ -41,7 +39,6 @@ func runAll(t *testing.T, ranks int, prm Params) {
 	results := make([][]got, ranks)
 	err := spmd.Run(spmd.Config{Ranks: ranks, RanksPerNode: 4}, func(p *spmd.Proc) {
 		c := mpi1.Dial(p)
-		fab = p.Fabric()
 		add := func(name string, r Result) {
 			results[p.Rank()] = append(results[p.Rank()], got{name, r.Received})
 		}
@@ -51,7 +48,6 @@ func runAll(t *testing.T, ranks int, prm Params) {
 		add("rma-fompi", RunFoMPI(p, prm))
 		add("rma-mpi22", RunMPI22(p, prm))
 	})
-	mpi1.Release(fab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +73,10 @@ func TestPropertyRandomSeedsAndK(t *testing.T) {
 		if k > 7 {
 			k = 7
 		}
-		var fab simnet.Transport
 		ok := true
 		spmd.MustRun(spmd.Config{Ranks: n, RanksPerNode: 4}, func(p *spmd.Proc) {
 			prm := Params{K: k, Seed: int64(seed)}
 			c := mpi1.Dial(p)
-			fab = p.Fabric()
 			for _, recv := range [][]uint64{
 				RunNBX(c, prm).Received,
 				RunFoMPI(p, prm).Received,
@@ -92,7 +86,6 @@ func TestPropertyRandomSeedsAndK(t *testing.T) {
 				}
 			}
 		})
-		mpi1.Release(fab)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"fompi/internal/mpi1"
-	"fompi/internal/simnet"
 	"fompi/internal/spmd"
 )
 
@@ -48,14 +46,11 @@ func runVariant(t *testing.T, name string, ranks int, prm Params,
 	run func(p *spmd.Proc) (Result, []byte)) {
 	t.Helper()
 	vols := make([][]byte, ranks)
-	var fab simnet.Transport
 	err := spmd.Run(spmd.Config{Ranks: ranks, RanksPerNode: 4, PaceWindowNs: 50000},
 		func(p *spmd.Proc) {
-			fab = p.Fabric()
 			_, vol := run(p)
 			vols[p.Rank()] = vol
 		})
-	mpi1.Release(fab)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -374,7 +374,7 @@ func (ex *mpi1Ex) exchange(v []float64, h *halo) {
 }
 
 func (ex *mpi1Ex) allreduceSum(x float64) float64 {
-	return math.Float64frombits(ex.c.Allreduce8(mpi1.FSum, math.Float64bits(x)))
+	return math.Float64frombits(ex.c.Allreduce8(spmd.OpFSum, math.Float64bits(x)))
 }
 func (ex *mpi1Ex) now() timing.Time { return ex.c.Now() }
 func (ex *mpi1Ex) compute(ns int64) { ex.c.Compute(ns) }

@@ -6,7 +6,6 @@ import (
 	"fompi/internal/apps/hashtable"
 	"fompi/internal/apps/milc"
 	"fompi/internal/mpi1"
-	"fompi/internal/simnet"
 	"fompi/internal/spmd"
 	"fompi/internal/timing"
 )
@@ -24,12 +23,10 @@ func Fig7a(cfg Config) *Table {
 		prm := hashtable.Params{InsertsPerRank: cfg.Inserts, Seed: cfg.Seed,
 			TableSlots: 16 * cfg.Inserts, OverflowCells: cfg.Inserts * n}
 		els := map[string][]timing.Time{}
-		var fab simnet.Transport
 		// Pacing bounds cross-rank clock divergence: the hashtable's CAS
 		// and overflow-counter words couple the ranks' virtual clocks, and
 		// unpaced real-time scheduling would turn that into noise.
 		spmd.MustRun(spmd.Config{Ranks: n, RanksPerNode: 4, PaceWindowNs: 20000}, func(p *spmd.Proc) {
-			fab = p.Fabric()
 			type variant struct {
 				name string
 				run  func() hashtable.Result
@@ -47,7 +44,6 @@ func Fig7a(cfg Config) *Table {
 				}
 			}
 		})
-		mpi1.Release(fab)
 		for _, name := range []string{serFoMPI, serUPC, serMPI1} {
 			worst := els[name][0]
 			if worst > 0 {
@@ -71,9 +67,7 @@ func Fig7b(cfg Config) *Table {
 		}
 		prm := dsde.Params{K: 6, Seed: cfg.Seed}
 		worst := map[string]timing.Time{}
-		var fab simnet.Transport
 		spmd.MustRun(spmd.Config{Ranks: n, RanksPerNode: 4, PaceWindowNs: 20000}, func(p *spmd.Proc) {
-			fab = p.Fabric()
 			c := mpi1.Dial(p)
 			type variant struct {
 				name string
@@ -94,7 +88,6 @@ func Fig7b(cfg Config) *Table {
 				}
 			}
 		})
-		mpi1.Release(fab)
 		for name, w := range worst {
 			t.Set(float64(n), name, w.Micros())
 		}
@@ -116,9 +109,7 @@ func Fig7c(cfg Config) *Table {
 	for _, n := range PSweep(maxP) {
 		prm := fft.Params{NX: 64, NY: 64, NZ: 64, Iters: 1, NsPerFlop: 0.02}
 		worst := map[string]float64{}
-		var fab simnet.Transport
 		spmd.MustRun(spmd.Config{Ranks: n, RanksPerNode: 4}, func(p *spmd.Proc) {
-			fab = p.Fabric()
 			c := mpi1.Dial(p)
 			type variant struct {
 				name string
@@ -138,7 +129,6 @@ func Fig7c(cfg Config) *Table {
 				}
 			}
 		})
-		mpi1.Release(fab)
 		for name, g := range worst {
 			t.Set(float64(n), name, g)
 		}
@@ -155,9 +145,7 @@ func Fig8(cfg Config) *Table {
 		grid := milcGrid(n)
 		prm := milc.Params{Local: [4]int{4, 4, 4, 8}, Grid: grid, Iters: 20, Seed: cfg.Seed}
 		worst := map[string]timing.Time{}
-		var fab simnet.Transport
 		spmd.MustRun(spmd.Config{Ranks: n, RanksPerNode: 4}, func(p *spmd.Proc) {
-			fab = p.Fabric()
 			type variant struct {
 				name string
 				run  func() milc.Result
@@ -175,7 +163,6 @@ func Fig8(cfg Config) *Table {
 				}
 			}
 		})
-		mpi1.Release(fab)
 		for name, w := range worst {
 			t.Set(float64(n), name, float64(w)/1e6) // ns → ms
 		}

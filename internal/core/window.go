@@ -312,7 +312,7 @@ func AllocateShared(p *spmd.Proc, size int, cfg Config) (*Win, []byte) {
 	for r := 0; r < p.Size(); r++ {
 		if !p.SameNode(r) {
 			panic(fmt.Errorf("core: AllocateShared requires all ranks on one node (rank %d is on node %d, rank %d on node %d): %w",
-				p.Rank(), p.Node(), r, p.Fabric().NodeOf(r), simnet.ErrNotSameNode))
+				p.Rank(), p.Node(), r, r/p.Fabric().RanksPerNode(), simnet.ErrNotSameNode))
 		}
 	}
 	w := winBase(p, cfg, kindShared)

@@ -2,7 +2,8 @@ package mpi1
 
 import (
 	"encoding/binary"
-	"math"
+
+	"fompi/internal/spmd"
 )
 
 // Collective tag space: user code must keep tags below collTagBase. Each
@@ -54,12 +55,21 @@ func (c *Comm) IbarrierBegin() *IBarrier {
 
 // TestIB advances the barrier as far as possible without blocking and
 // reports whether it completed.
-func (c *Comm) TestIB(ib *IBarrier) bool {
+func (c *Comm) TestIB(ib *IBarrier) bool { return c.progressIB(ib, false) }
+
+// WaitIB blocks until the nonblocking barrier completes.
+func (c *Comm) WaitIB(ib *IBarrier) { c.progressIB(ib, true) }
+
+// progressIB runs the barrier's dissemination rounds until it completes, or —
+// unless block is set — until a round's message has not arrived yet.
+func (c *Comm) progressIB(ib *IBarrier, block bool) bool {
 	n := c.Size()
 	for !ib.done {
 		from := (c.Rank() - ib.dist + n) % n
 		var b [1]byte
-		if _, _, _, ok := c.TryRecv(from, c.collTag(ib.round), b[:]); !ok {
+		if block {
+			c.Recv(from, c.collTag(ib.round), b[:])
+		} else if _, _, _, ok := c.TryRecv(from, c.collTag(ib.round), b[:]); !ok {
 			return false
 		}
 		c.Wait(ib.pending)
@@ -74,59 +84,9 @@ func (c *Comm) TestIB(ib *IBarrier) bool {
 	return true
 }
 
-// WaitIB blocks until the nonblocking barrier completes.
-func (c *Comm) WaitIB(ib *IBarrier) {
-	n := c.Size()
-	for !ib.done {
-		from := (c.Rank() - ib.dist + n) % n
-		var b [1]byte
-		c.Recv(from, c.collTag(ib.round), b[:])
-		c.Wait(ib.pending)
-		ib.dist <<= 1
-		ib.round++
-		if ib.dist >= n {
-			ib.done = true
-			break
-		}
-		ib.pending = c.Isend((c.Rank()+ib.dist)%n, c.collTag(ib.round), []byte{1})
-	}
-}
-
-// ReduceOp selects the operator of Allreduce8.
-type ReduceOp int
-
-// Supported reduction operators; FSum treats words as float64 bits.
-const (
-	Sum ReduceOp = iota
-	Min
-	Max
-	FSum
-)
-
-func (o ReduceOp) apply(a, b uint64) uint64 {
-	switch o {
-	case Sum:
-		return a + b
-	case Min:
-		if b < a {
-			return b
-		}
-		return a
-	case Max:
-		if b > a {
-			return b
-		}
-		return a
-	case FSum:
-		return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
-	default:
-		panic("mpi1: unknown reduce op")
-	}
-}
-
 // Allreduce8 reduces one word over all ranks (recursive doubling with
 // fold-in for non-power-of-two sizes).
-func (c *Comm) Allreduce8(op ReduceOp, v uint64) uint64 {
+func (c *Comm) Allreduce8(op spmd.Op, v uint64) uint64 {
 	n := c.Size()
 	if n == 1 {
 		return v
@@ -146,7 +106,7 @@ func (c *Comm) Allreduce8(op ReduceOp, v uint64) uint64 {
 	}
 	if c.Rank() < rem {
 		c.Recv(c.Rank()+pow2, c.collTag(62), w[:])
-		v = op.apply(v, binary.LittleEndian.Uint64(w[:]))
+		v = op.Apply(v, binary.LittleEndian.Uint64(w[:]))
 	}
 	round := 0
 	for mask := 1; mask < pow2; mask <<= 1 {
@@ -154,7 +114,7 @@ func (c *Comm) Allreduce8(op ReduceOp, v uint64) uint64 {
 		var out [8]byte
 		binary.LittleEndian.PutUint64(out[:], v)
 		c.SendRecv(peer, c.collTag(round), out[:], peer, c.collTag(round), w[:])
-		v = op.apply(v, binary.LittleEndian.Uint64(w[:]))
+		v = op.Apply(v, binary.LittleEndian.Uint64(w[:]))
 		round++
 	}
 	if c.Rank() < rem {

@@ -12,40 +12,45 @@ package mpi1
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"fompi/internal/simnet"
 	"fompi/internal/spmd"
 	"fompi/internal/timing"
 )
 
-// AnyTag matches any tag in Recv and Probe.
+// AnyTag matches any user tag in Recv and Probe (tags below collTagBase: the
+// collectives' messages are a context of their own, as in MPI).
 const AnyTag = -1
 
 // AnySource matches any sender in Recv and Probe.
 const AnySource = -1
 
-// message is one in-flight point-to-point message.
+// message is one in-flight point-to-point message. A sender that waits for
+// the match (rendezvous, synchronous mode) reads its completion off the
+// message: the receiver stores at, then done, then rings the sender's
+// doorbell.
 type message struct {
 	src, tag   int
-	data       []byte           // eager payload (copied at send)
-	sendTime   timing.Time      // virtual time the payload becomes visible
-	rendezvous bool             // payload pulled by receiver on match
-	srcBuf     []byte           // rendezvous source buffer
-	matched    chan timing.Time // completion notification back to the sender
+	data       []byte      // eager payload (copied at send)
+	sendTime   timing.Time // virtual time the payload becomes visible
+	rendezvous bool        // payload pulled by receiver on match
+	srcBuf     []byte      // rendezvous source buffer
+	sync       bool        // the sender waits for the match
+	at         timing.Time // completion time, valid once done
+	done       atomic.Bool
 }
 
 // mailbox is the per-rank matching engine (the receiver-side software Cray
 // MPI runs; its cost is charged via Profile.MatchNs).
 type mailbox struct {
 	mu         sync.Mutex
-	cond       *sync.Cond
 	unexpected []*message
 }
 
 func (mb *mailbox) push(m *message) {
 	mb.mu.Lock()
 	mb.unexpected = append(mb.unexpected, m)
-	mb.cond.Broadcast()
 	mb.mu.Unlock()
 }
 
@@ -53,8 +58,10 @@ func (mb *mailbox) push(m *message) {
 // before the hit, charged by the receiver (matching is a linear search in
 // real MPI implementations — the cost that grows with message pressure).
 func (mb *mailbox) match(src, tag int, remove bool) (m *message, scanned int) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
 	for i, m := range mb.unexpected {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
+		if (src == AnySource || m.src == src) && (m.tag == tag || tag == AnyTag && m.tag < collTagBase) {
 			if remove {
 				mb.unexpected = append(mb.unexpected[:i], mb.unexpected[i+1:]...)
 			}
@@ -64,16 +71,12 @@ func (mb *mailbox) match(src, tag int, remove bool) (m *message, scanned int) {
 	return nil, len(mb.unexpected)
 }
 
-// world holds the mailboxes shared by all ranks attached to one fabric.
+// world holds the mailboxes shared by the ranks of one world, in its slot
+// (spmd.Proc.Shared): it lives and dies with the world.
 type world struct {
-	boxes []*mailbox
+	boxes []mailbox
 	model *simnet.CostModel
 }
-
-var (
-	worldsMu sync.Mutex
-	worlds   = map[simnet.Transport]*world{}
-)
 
 // Comm is one rank's communicator handle over the MPI-1 layer.
 type Comm struct {
@@ -83,42 +86,17 @@ type Comm struct {
 	seq  int // collective invocation counter (tag isolation)
 }
 
-// Dial attaches the MPI-1 layer to p's fabric (idempotent per fabric) and
-// returns this rank's communicator. All communicating ranks must Dial.
-// Release the fabric only after every rank has finished communicating
-// (typically after spmd.Run returns).
+// Dial attaches the MPI-1 layer to p's world and returns this rank's
+// communicator. All communicating ranks must Dial. The mailboxes are this
+// process's memory, so a process world refuses by name.
 func Dial(p *spmd.Proc) *Comm {
-	fab := p.Fabric()
-	worldsMu.Lock()
-	w := worlds[fab]
-	if w == nil {
-		w = &world{boxes: make([]*mailbox, p.Size()), model: simnet.CrayMPI1()}
-		for i := range w.boxes {
-			mb := &mailbox{}
-			mb.cond = sync.NewCond(&mb.mu)
-			w.boxes[i] = mb
-		}
-		worlds[fab] = w
-		// Wake matching waiters when a peer rank dies so they unwind
-		// instead of deadlocking the world.
-		fab.OnAbort(func() {
-			for _, mb := range w.boxes {
-				mb.mu.Lock()
-				mb.cond.Broadcast()
-				mb.mu.Unlock()
-			}
-		})
+	if _, inProc := p.Fabric().(*simnet.Fabric); !inProc {
+		panic("mpi1: two-sided runs in process only")
 	}
-	worldsMu.Unlock()
-	return &Comm{proc: p, ep: simnet.NewEndpoint(fab, p.Rank(), w.model), w: w}
-}
-
-// Release detaches the layer from a fabric so benchmark fabrics are not
-// retained after their world exits.
-func Release(f simnet.Transport) {
-	worldsMu.Lock()
-	delete(worlds, f)
-	worldsMu.Unlock()
+	w := p.Shared(func() any {
+		return &world{boxes: make([]mailbox, p.Size()), model: simnet.CrayMPI1()}
+	}).(*world)
+	return &Comm{proc: p, ep: simnet.NewEndpoint(p.Fabric(), p.Rank(), w.model), w: w}
 }
 
 // Rank returns the caller's rank.
@@ -140,12 +118,9 @@ func (c *Comm) profile(peer int) *simnet.Profile {
 	return c.w.model.For(c.proc.SameNode(peer))
 }
 
-// Request tracks a nonblocking send until completion.
-type Request struct {
-	done chan timing.Time // nil: already complete
-	at   timing.Time
-	got  bool
-}
+// Request tracks a nonblocking send until completion: the message whose
+// match it waits for, nil when the send completed locally.
+type Request struct{ m *message }
 
 // Isend starts a nonblocking standard-mode send. Small messages go eager
 // (locally complete immediately); large ones rendezvous (complete when the
@@ -165,55 +140,49 @@ func (c *Comm) isend(dst, tag int, buf []byte, synchronous bool) *Request {
 		panic(fmt.Sprintf("mpi1: send to invalid rank %d", dst))
 	}
 	pr := c.profile(dst)
-	m := &message{src: c.Rank(), tag: tag}
-	req := &Request{}
+	m := &message{src: c.Rank(), tag: tag, sync: synchronous}
 	if len(buf) > simnet.EagerMax {
-		m.rendezvous = true
+		m.rendezvous, m.sync = true, true
 		m.srcBuf = buf
-		m.matched = make(chan timing.Time, 1)
 		c.ep.Compute(pr.InjectNs)
 		m.sendTime = c.ep.Now() + timing.Time(pr.PutLatNs) // RTS arrival
-		req.done = m.matched
 	} else {
 		m.data = append([]byte(nil), buf...)
 		c.ep.Compute(pr.InjectNs + int64(float64(len(buf))*pr.CopyNsPB))
 		m.sendTime = c.ep.Now() + timing.Time(pr.PutLatNs) +
 			timing.Time(float64(len(buf))*pr.NsPerByte)
-		if synchronous {
-			m.matched = make(chan timing.Time, 1)
-			req.done = m.matched
-		}
 	}
 	c.w.boxes[dst].push(m)
-	return req
+	c.proc.Fabric().RingDoorbell(dst)
+	if !m.sync {
+		return &Request{}
+	}
+	return &Request{m}
+}
+
+// await parks the rank at its own door until ready holds. Whatever can make
+// it hold — a message pushed into this rank's mailbox, the match of one of
+// its sends — rings this rank's doorbell afterwards, and ready is re-checked
+// after every return, so no wakeup is lost. It charges no virtual time (the
+// protocol's formulas price the wait), and in a dead world WaitDoor unwinds
+// with the world's abort value.
+func (c *Comm) await(ready func() bool) {
+	fab, me := c.proc.Fabric(), c.Rank()
+	for gen := fab.DoorGen(me); !ready(); {
+		gen = fab.WaitDoor(me, me, gen)
+	}
 }
 
 // Wait blocks until the request completes and merges its completion time.
 func (c *Comm) Wait(r *Request) {
-	if r.done != nil && !r.got {
-		select {
-		case r.at = <-r.done:
-			r.got = true
-		case <-c.proc.Fabric().Done():
-			panic(simnet.ErrAborted)
-		}
+	if r.m != nil {
+		c.await(r.m.done.Load)
+		c.ep.AdvanceTo(r.m.at)
 	}
-	c.ep.AdvanceTo(r.at)
 }
 
 // Test reports (without blocking) whether the request has completed.
-func (c *Comm) Test(r *Request) bool {
-	if r.done == nil || r.got {
-		return true
-	}
-	select {
-	case r.at = <-r.done:
-		r.got = true
-		return true
-	default:
-		return false
-	}
-}
+func (c *Comm) Test(r *Request) bool { return r.m == nil || r.m.done.Load() }
 
 // WaitAll waits for every request.
 func (c *Comm) WaitAll(rs []*Request) {
@@ -232,23 +201,14 @@ func (c *Comm) Ssend(dst, tag int, buf []byte) { c.Wait(c.Issend(dst, tag, buf))
 // Recv receives a message matching (src, tag) into buf, returning the
 // sender, the tag, and the byte count.
 func (c *Comm) Recv(src, tag int, buf []byte) (from, gotTag, n int) {
-	fab := c.proc.Fabric()
-	mb := c.w.boxes[c.Rank()]
-	mb.mu.Lock()
+	mb := &c.w.boxes[c.Rank()]
 	var m *message
-	for {
-		if fab.Aborted() {
-			mb.mu.Unlock()
-			panic(simnet.ErrAborted)
-		}
-		var scanned int
-		if m, scanned = mb.match(src, tag, true); m != nil {
-			c.ep.Compute(int64(scanned) * scanNs)
-			break
-		}
-		mb.cond.Wait()
-	}
-	mb.mu.Unlock()
+	var scanned int
+	c.await(func() bool {
+		m, scanned = mb.match(src, tag, true)
+		return m != nil
+	})
+	c.ep.Compute(int64(scanned) * scanNs)
 	return c.deliver(m, buf)
 }
 
@@ -257,10 +217,7 @@ const scanNs = 150
 
 // TryRecv receives a matching message if one is immediately available.
 func (c *Comm) TryRecv(src, tag int, buf []byte) (from, gotTag, n int, ok bool) {
-	mb := c.w.boxes[c.Rank()]
-	mb.mu.Lock()
-	m, scanned := mb.match(src, tag, true)
-	mb.mu.Unlock()
+	m, scanned := c.w.boxes[c.Rank()].match(src, tag, true)
 	if m == nil {
 		// A miss costs no virtual time: a real progress loop spins until
 		// the message physically arrives, and that waiting shows up as the
@@ -281,18 +238,18 @@ func (c *Comm) deliver(m *message, buf []byte) (from, gotTag, n int) {
 	if m.rendezvous {
 		// CTS round trip plus the pull of the payload.
 		n = copy(buf, m.srcBuf)
-		arrive := timing.Max(c.ep.Now(), m.sendTime) +
-			timing.Time(pr.GetLatNs) + timing.Time(float64(n)*pr.NsPerByte)
-		c.ep.AdvanceTo(arrive)
-		m.matched <- arrive
+		c.ep.AdvanceTo(timing.Max(c.ep.Now(), m.sendTime) +
+			timing.Time(pr.GetLatNs) + timing.Time(float64(n)*pr.NsPerByte))
 	} else {
 		n = copy(buf, m.data)
 		// Copy out of the eager pool: the receiver-side copy RMA avoids.
 		c.ep.AdvanceTo(timing.Max(c.ep.Now(), m.sendTime) +
 			timing.Time(float64(n)*pr.CopyNsPB))
-		if m.matched != nil {
-			m.matched <- c.ep.Now()
-		}
+	}
+	if m.sync {
+		m.at = c.ep.Now()
+		m.done.Store(true)
+		c.proc.Fabric().RingDoorbell(m.src)
 	}
 	return m.src, m.tag, n
 }
@@ -300,10 +257,7 @@ func (c *Comm) deliver(m *message, buf []byte) (from, gotTag, n int) {
 // Probe reports whether a message matching (src, tag) is available, without
 // receiving it.
 func (c *Comm) Probe(src, tag int) (from int, ok bool) {
-	mb := c.w.boxes[c.Rank()]
-	mb.mu.Lock()
-	m, scanned := mb.match(src, tag, false)
-	mb.mu.Unlock()
+	m, scanned := c.w.boxes[c.Rank()].match(src, tag, false)
 	if m == nil {
 		return -1, false
 	}

@@ -3,11 +3,16 @@ package mpi1
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fompi/internal/simnet"
 	"fompi/internal/spmd"
@@ -16,14 +21,7 @@ import (
 // run launches an n-rank world with the MPI-1 layer dialed on every rank.
 func run(t *testing.T, n, rpn int, body func(c *Comm)) {
 	t.Helper()
-	var fab simnet.Transport
-	err := spmd.Run(spmd.Config{Ranks: n, RanksPerNode: rpn}, func(p *spmd.Proc) {
-		fab = p.Fabric()
-		body(Dial(p))
-	})
-	Release(fab) // after all ranks finished: releasing early would give late
-	// dialers a fresh, empty world and strand their peers' messages
-	if err != nil {
+	if err := spmd.Run(spmd.Config{Ranks: n, RanksPerNode: rpn}, func(p *spmd.Proc) { body(Dial(p)) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -197,17 +195,17 @@ func TestIbarrierCompletesOnlyAfterAll(t *testing.T) {
 func TestAllreduce8(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 16} {
 		run(t, n, 4, func(c *Comm) {
-			if got, want := c.Allreduce8(Sum, uint64(c.Rank()+1)), uint64(n*(n+1)/2); got != want {
+			if got, want := c.Allreduce8(spmd.OpSum, uint64(c.Rank()+1)), uint64(n*(n+1)/2); got != want {
 				t.Errorf("n=%d sum=%d want %d", n, got, want)
 			}
-			if got := c.Allreduce8(Max, uint64(c.Rank())); got != uint64(n-1) {
+			if got := c.Allreduce8(spmd.OpMax, uint64(c.Rank())); got != uint64(n-1) {
 				t.Errorf("n=%d max=%d", n, got)
 			}
 			want := 0.0
 			for r := 0; r < n; r++ {
 				want += float64(r) * 1.5
 			}
-			got := math.Float64frombits(c.Allreduce8(FSum, math.Float64bits(float64(c.Rank())*1.5)))
+			got := math.Float64frombits(c.Allreduce8(spmd.OpFSum, math.Float64bits(float64(c.Rank())*1.5)))
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("n=%d fsum=%g want %g", n, got, want)
 			}
@@ -281,9 +279,7 @@ func TestPropertyMessagesDeliverExactly(t *testing.T) {
 			return true
 		}
 		ok := true
-		var fab simnet.Transport
 		spmd.MustRun(spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
-			fab = p.Fabric()
 			c := Dial(p)
 			if p.Rank() == 1 {
 				for i, pl := range payloads {
@@ -299,7 +295,6 @@ func TestPropertyMessagesDeliverExactly(t *testing.T) {
 				}
 			}
 		})
-		Release(fab)
 		return ok
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
@@ -330,4 +325,77 @@ func TestManyToOneStress(t *testing.T) {
 			_ = next
 		}
 	})
+}
+
+// TestAnyTagSkipsCollectiveMessages: a wildcard receive takes user messages
+// only; a collective's travel in a context of their own. Rank 0 starts a
+// nonblocking barrier, whose first message reaches rank 1 before the user
+// message does, and rank 1's Recv(AnySource, AnyTag) must pass over it — the
+// hashtable's wildcard receive once ate a barrier message and the barrier
+// waited forever.
+func TestAnyTagSkipsCollectiveMessages(t *testing.T) {
+	run(t, 2, 1, func(c *Comm) {
+		if c.Rank() == 0 {
+			ib := c.IbarrierBegin()
+			c.Send(1, 5, []byte{5})
+			c.WaitIB(ib)
+			return
+		}
+		if _, tag, _ := c.Recv(AnySource, AnyTag, make([]byte, 1)); tag != 5 {
+			panic(fmt.Sprintf("AnyTag matched tag %#x, a collective's message", tag))
+		}
+		c.WaitIB(c.IbarrierBegin())
+	})
+}
+
+// TestBlockedRankUnwindsOnPeerFailure: a rank blocked in Recv, in a
+// rendezvous send's Wait or in Ssend waits at its door, so a peer's panic
+// reaches it as the world's abort: it unwinds within a second, with the typed
+// value naming the culprit.
+func TestBlockedRankUnwindsOnPeerFailure(t *testing.T) {
+	for name, block := range map[string]func(c *Comm){
+		"Recv":           func(c *Comm) { c.Recv(0, 1, make([]byte, 8)) },
+		"RendezvousWait": func(c *Comm) { c.Send(0, 1, make([]byte, simnet.EagerMax+1)) },
+		"Ssend":          func(c *Comm) { c.Ssend(0, 1, make([]byte, 8)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var died, unwound time.Time
+			var value any
+			err := spmd.Run(spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
+				c := Dial(p)
+				if p.Rank() == 0 {
+					time.Sleep(50 * time.Millisecond) // rank 1 parks for real
+					died = time.Now()
+					panic("deliberate failure")
+				}
+				defer func() {
+					value, unwound = recover(), time.Now()
+					panic(value)
+				}()
+				block(c)
+			})
+			if err == nil || !strings.Contains(err.Error(), "rank 0 panicked: deliberate failure") {
+				t.Fatalf("world error %v, want rank 0's panic", err)
+			}
+			var pf *simnet.ErrPeerFailed
+			if e, ok := value.(error); !ok || !errors.As(e, &pf) || pf.Rank != 0 {
+				t.Fatalf("blocked rank unwound with %v, want *simnet.ErrPeerFailed naming rank 0", value)
+			}
+			if d := unwound.Sub(died); d > time.Second {
+				t.Fatalf("blocked rank unwound %v after its peer died", d)
+			}
+		})
+	}
+}
+
+// TestDialRefusesProcessWorld: the mailboxes are this process's memory, so on
+// a process world Dial fails by name instead of leaving every rank talking to
+// a mailbox of its own.
+func TestDialRefusesProcessWorld(t *testing.T) {
+	err := spmd.Run(spmd.Config{Ranks: 2, Backend: spmd.BackendMP,
+		MPRelaunch: []string{os.Args[0], "-test.run=^TestDialRefusesProcessWorld$"}},
+		func(p *spmd.Proc) { Dial(p) })
+	if err == nil || !strings.Contains(err.Error(), "two-sided runs in process only") {
+		t.Fatalf("Dial on an mp world: %v, want the refusal by name", err)
+	}
 }

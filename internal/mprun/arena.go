@@ -68,6 +68,9 @@ type Arena struct {
 
 	door *simnet.Door   // over the mapping's wait[] section
 	park *simnet.Parker // this process's sleepers, listening on conn
+	// aborted is the abort state of the process that bound the arena (its
+	// control-plane client's): the hook's Aborted. Nil until Bind.
+	aborted func() error
 
 	conn    *net.UnixConn // this rank's bound doorbell socket
 	peersMu sync.Mutex
@@ -214,16 +217,17 @@ func (a *Arena) tryOpen() error {
 }
 
 // Bind attaches this process as local rank self: it binds the rank's doorbell
-// socket (removing a stale one from a crashed earlier world first). Mappers
-// that only ring or abort (a launcher) skip it.
-func (a *Arena) Bind(self int) error {
+// socket (removing a stale one from a crashed earlier world first), and the
+// arena's waits unwind once aborted — the process's own abort state — is no
+// longer nil. Mappers that never wait (a launcher) skip it.
+func (a *Arena) Bind(self int, aborted func() error) error {
 	os.Remove(DoorSockPath(a.sock, self))
 	conn, err := net.ListenUnixgram("unixgram",
 		&net.UnixAddr{Name: DoorSockPath(a.sock, self), Net: "unixgram"})
 	if err != nil {
 		return fmt.Errorf("mprun: bind doorbell socket: %w", err)
 	}
-	a.self, a.conn = self, conn
+	a.self, a.conn, a.aborted = self, conn, aborted
 	return nil
 }
 
@@ -384,9 +388,9 @@ func (a *Arena) Port(local int) *simnet.Port {
 // reached: the process's parker, listening on the rank's own doorbell socket
 // — service handlers holding off-host ranks' waits sleep beside the rank
 // itself, and one datagram wakes them all — and one datagram to the
-// sleeper's.
+// sleeper's. Whether the world stands is the binding process's to say.
 func (a *Arena) hook() simnet.ParkHook {
-	h := a.park.Hook(a.AbortErr)
+	h := a.park.Hook(func() error { return a.aborted() })
 	h.Poke = a.sendDoor
 	return h
 }
@@ -446,49 +450,11 @@ func (a *Arena) Ring(local int) {
 	a.door.Wake(local)
 }
 
-// ---- the abort flag ----
-
-// SetAbortFlag marks the arena's world aborted and wakes every local sleeper
-// (doorbell and pacing parks alike — every park reads the same socket).
-func (a *Arena) SetAbortFlag() {
-	atomic.StoreUint32(u32at(a.m, hdrAbort), 1)
-	for r := 0; r < a.cfg.Ranks; r++ {
-		a.sendDoor(r)
-	}
-}
-
-// SetAbortFlagBlaming is SetAbortFlag plus a verdict: it records global (a
-// world rank) as the rank whose failure killed the world, so every local
-// waiter unwinds with *simnet.ErrPeerFailed instead of the bare ErrAborted.
-// The first blame wins, later calls only set the flag, and a negative global
-// blames nobody — the shape of every control-plane abort hook.
-func (a *Arena) SetAbortFlagBlaming(global int) {
-	if global >= 0 {
-		atomic.CompareAndSwapUint32(u32at(a.m, hdrFailRank), 0, uint32(global)+1)
-	}
-	a.SetAbortFlag()
-}
-
-// AbortFlag reports whether the arena's world has been marked aborted.
-func (a *Arena) AbortFlag() bool {
-	return atomic.LoadUint32(u32at(a.m, hdrAbort)) != 0
-}
-
-// FailedRank returns the world rank blamed for the abort, or -1 when no
-// verdict has been recorded.
-func (a *Arena) FailedRank() int {
-	return int(atomic.LoadUint32(u32at(a.m, hdrFailRank))) - 1
-}
-
-// AbortErr is the hook's abort state: nil while the world stands, otherwise
-// the value arena waits unwind with — typed with the blamed rank when a
-// verdict is recorded, the bare sentinel otherwise.
-func (a *Arena) AbortErr() error {
-	if !a.AbortFlag() {
-		return nil
-	}
-	if r := a.FailedRank(); r >= 0 {
-		return &simnet.ErrPeerFailed{Rank: r}
-	}
-	return simnet.ErrAborted
+// Abort ends this process's arena parks, now and from now on: its parker's
+// sleepers wake, and the one listening on the doorbell socket hears a
+// datagram. They find the abort through the bound abort state; host-mates
+// learn of it from their own control streams.
+func (a *Arena) Abort() {
+	a.park.Abort()
+	a.sendDoor(a.self)
 }

@@ -69,27 +69,42 @@ var placements = []struct {
 	}},
 }
 
+// bindAborting binds a's slot under an abort state the returned abort sets,
+// as a rank process binds under its control-plane client's: abort marks the
+// world dead with blamed as the culprit and ends the view's parks.
+func bindAborting(t *testing.T, a *Arena, slot, blamed int) (abort func()) {
+	t.Helper()
+	var dead atomic.Bool
+	if err := a.Bind(slot, func() error {
+		if dead.Load() {
+			return &simnet.ErrPeerFailed{Rank: blamed}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return func() { dead.Store(true); a.Abort() }
+}
+
 // TestPacerOverTwoViews runs the behavioural pacing cases over one arena
 // mapped twice, as two processes would: the blocked rank paces through the
 // view that bound its doorbell socket, every other rank publishes through
 // the other, so the tables are shared words of the mapping and each release
-// is a datagram from one view to the other's socket.
+// is a datagram from one view to the other's socket. The abort is the
+// blocked rank's process's own.
 func TestPacerOverTwoViews(t *testing.T) {
 	for _, pl := range placements {
 		t.Run(pl.name, func(t *testing.T) {
-			views := func(t *testing.T, n int, window int64, bound int) (mine, others *Arena) {
+			views := func(t *testing.T, n int, window int64, bound int) (mine, others *Arena, abort func()) {
 				others, mine = pl.open(t, ArenaConfig{Ranks: n, PaceWindowNs: window, ArenaBytes: pageAlign})
-				if err := mine.Bind(bound); err != nil {
-					t.Fatal(err)
-				}
-				return mine, others
+				return mine, others, bindAborting(t, mine, bound, 3)
 			}
 			pacetest.Run(t, func(t *testing.T, n int, window int64, blocker int) pacetest.World {
-				mine, others := views(t, n, window, blocker)
-				return pacetest.World{Blocker: mine.Pacer(), Others: others.Pacer(), Abort: others.SetAbortFlag}
+				mine, others, abort := views(t, n, window, blocker)
+				return pacetest.World{Blocker: mine.Pacer(), Others: others.Pacer(), Abort: abort}
 			})
 			// The hook by itself: a poke through one view ends the other's park.
-			mine, others := views(t, 2, 100, 1)
+			mine, others, _ := views(t, 2, 100, 1)
 			if !others.sendDoor(1) {
 				t.Fatal("poke through the other view was not delivered")
 			}
@@ -110,19 +125,17 @@ func TestPacerOverTwoViews(t *testing.T) {
 // bitset is shared words of the mapping and each poke is a datagram from one
 // view to the other's socket. Two waiters under one slot are the hybrid
 // backend's rank and service handler: one reads the socket, the other parks
-// behind it.
+// behind it. The abort is the waiters' process's own, and names the culprit
+// its control plane would.
 func TestDoorOverTwoViews(t *testing.T) {
 	for _, pl := range placements {
 		t.Run(pl.name, func(t *testing.T) {
 			doortest.Run(t, func(t *testing.T, n, slot int) doortest.World {
 				others, mine := pl.open(t, ArenaConfig{Ranks: n, ArenaBytes: pageAlign})
-				if err := mine.Bind(slot); err != nil {
-					t.Fatal(err)
-				}
 				return doortest.World{
 					Waiter: doortest.View{Door: mine.Door(), Port: mine.Port},
 					Writer: doortest.View{Door: others.Door(), Port: others.Port},
-					Abort:  func() { others.SetAbortFlagBlaming(3) }, Blamed: 3,
+					Abort:  bindAborting(t, mine, slot, 3), Blamed: 3,
 					SlowPoke: true,
 				}
 			})
@@ -293,6 +306,12 @@ func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "layout version") {
 		t.Errorf("opener of a wrong-version segment returned %v, want the version mismatch", err)
 	}
+	// A v7 segment still carries the abort flag this layout dropped.
+	atomic.StoreUint64(u64at(creator.m, hdrVersion), 7)
+	if _, err = openArenaAt([]string{path}, sock, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 7, want 8") {
+		t.Errorf("opener of a v7 segment returned %v, want it refused by version", err)
+	}
+	atomic.StoreUint64(u64at(creator.m, hdrVersion), shmVersion)
 	wide := cfg
 	wide.Ranks = 3
 	start = time.Now()

@@ -11,7 +11,7 @@ import (
 // Shared-memory world layout. One file, mapped MAP_SHARED by the launcher
 // and every worker process, holds everything two ranks ever both touch:
 //
-//	header   (1 page)   world parameters + the abort flag
+//	header   (1 page)   world parameters
 //	rank[i]  (128 B)    the rank's simnet.Port (port word = doorbell
 //	                    generation<<1 | lock bit, then the NIC busy interval
 //	                    the lock guards), padded to two cache lines
@@ -37,7 +37,7 @@ import (
 //	                    same length (timing.NewStampsOver), so every mapper
 //	                    lays the identical tree over the shared words.
 //
-// Version history: v4 added hdrFailRank (the abort is blamed on a rank). v5
+// Version history: v4 added the fail-rank word (an abort blames a rank). v5
 // is the stamp slabs' change of shape — timing.Stamps became a fan-out-8
 // fill tree, so a segment's slab lengths and what each word means differ
 // from v4 — and a v4 mapper must not read a v5 arena. v6 is the rank slot's:
@@ -45,7 +45,9 @@ import (
 // at the head of the slot, and the stamp uint32 slab lost its chain-lock
 // word (AMO chains serialize on the port). v7 is pacing's: the per-slot pace
 // clock and the global pace-waiter bitset became the contiguous tables of
-// simnet.Pacer.
+// simnet.Pacer. v8 dropped the abort flag and the fail-rank word: a world
+// dies through its control plane's verdict alone, each process ending its own
+// parks (Arena.Abort), so a v7 mapper would wait on a flag nobody sets.
 //
 // All multi-word fields are 8-byte aligned; cross-process synchronization
 // uses sync/atomic on the mapped words, which on a cache-coherent machine
@@ -53,7 +55,7 @@ import (
 // goroutines. DESIGN.md §8 documents the layout and its ordering contracts.
 const (
 	shmMagic   = 0x666f4d50_72756e31 // "foMPrun1"
-	shmVersion = 7                   // see "Version history" above
+	shmVersion = 8                   // see "Version history" above
 
 	hdrMagic      = 0  // u64
 	hdrVersion    = 8  // u64
@@ -62,12 +64,7 @@ const (
 	hdrPaceWindow = 32 // i64
 	hdrArenaBytes = 40 // u64
 	hdrMaxRegions = 48 // u64
-	hdrAbort      = 56 // u32
-	// hdrFailRank carries the world rank blamed for the abort, biased by one
-	// (0 = no culprit known); first blame wins via CAS. Waiters parked in the
-	// arena read it to upgrade their abort panic to *simnet.ErrPeerFailed.
-	hdrFailRank = 60 // u32
-	hdrBytes    = 4096
+	hdrBytes      = 4096
 
 	rankStride = 128
 	rnPort     = 0 // simnet.Port: word u64, NIC interval 2 × i64

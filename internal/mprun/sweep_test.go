@@ -117,7 +117,7 @@ func TestArenaPaths(t *testing.T) {
 		}
 		defer ar.Close()
 		defer ar.Unlink()
-		if err := ar.Bind(1); err != nil {
+		if err := ar.Bind(1, func() error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		seg, door := ar.Path(), DoorSockPath(GroupSockStem(name), 1)

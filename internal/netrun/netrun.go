@@ -195,8 +195,7 @@ func launchMapped(o rankio.Options) error {
 	defer ln.Close()
 	// Every rank mapped the segment before it reported READY: the name has
 	// served its purpose, and a launcher killed from there on strands nothing.
-	// The abort verdict reaches ranks parked in the arena through the arena.
-	return rankio.Coordinate(ln, o, ar.Unlink, ar.SetAbortFlagBlaming)
+	return rankio.Coordinate(ln, o, ar.Unlink)
 }
 
 // launchWired runs any other world over a TCP coordinator.
@@ -216,7 +215,7 @@ func launchWired(o rankio.Options) error {
 		return fmt.Errorf("netrun: listen coordinator socket %s: %w", listen, err)
 	}
 	defer ln.Close()
-	err = rankio.Coordinate(faultnet.WrapListener(ln), o, nil, nil)
+	err = rankio.Coordinate(faultnet.WrapListener(ln), o, nil)
 	if err != nil {
 		// A rank the coordinator had to kill — stopped, wedged — could not
 		// remove its doorbell socket, and was still bound to it when the
@@ -255,12 +254,11 @@ func Join(o rankio.Options) (*World, error) {
 		return nil, err
 	}
 	if w.ar != nil {
-		// An abort (local panic or coordinator broadcast) must end the arena
-		// parks too, in every process of the host group: set the arena's flag
-		// and poke every local socket. The verdict rides along when there is
-		// one, so ranks parked in the arena unwind with the same typed error as
-		// ranks parked on the wire.
-		w.OnAbort(func() { w.ar.SetAbortFlagBlaming(w.FailedRank()) })
+		// This process's abort — its own panic, or the verdict on its control
+		// stream — ends its arena parks; every host-mate hears the verdict on
+		// its own stream, RANKFAIL before ABORT, and unwinds with the same
+		// typed error as ranks parked on the wire.
+		w.OnAbort(w.ar.Abort)
 	}
 	return w, nil
 }
@@ -300,10 +298,10 @@ func (w *World) joinMapped(o rankio.Options, ctlAt string) error {
 }
 
 // bindArena makes the mapped arena this rank's home: its slot's socket, its
-// group's door.
+// group's door, parked under this process's abort state.
 func (w *World) bindArena() error {
 	w.door = w.ar.Door()
-	return w.ar.Bind(w.self)
+	return w.ar.Bind(w.self, w.AbortErr)
 }
 
 // joinWired is every other boot: dial the TCP coordinator, start this rank's
@@ -459,8 +457,8 @@ func (w *World) Finish() {
 
 // Fail aborts the world and reports msg to the coordinator; the caller exits
 // nonzero afterwards. A failure that is not itself a peer-abort symptom blames
-// this rank, so host-mates parked in the arena unwind with a typed error
-// naming it, as ranks parked on the wire do once the verdict arrives. Then it
+// this rank, so this process's own waiters unwind with a typed error naming
+// it, as everyone else's do once the verdict arrives. Then it
 // releases what a failing world would otherwise strand: the segment's name if
 // the world died before Ready unlinked it, the doorbell sockets of ranks that
 // died without closing theirs (a rank that exits on its own removes its socket

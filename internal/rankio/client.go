@@ -116,13 +116,9 @@ func (c *Client) Hosts() []string { return c.hosts }
 // Rank returns this process's rank (-1 before World assigned one).
 func (c *Client) Rank() int { return c.rank }
 
-// Size, RanksPerNode, NodeOf and SameNode are the world's topology. The node
-// mapping is virtual — rank/RanksPerNode, identical on every backend — so the
-// cost model (and with it every virtual time) does not depend on placement.
-func (c *Client) Size() int              { return c.o.Ranks }
-func (c *Client) RanksPerNode() int      { return c.o.RanksPerNode }
-func (c *Client) NodeOf(r int) int       { return r / c.o.RanksPerNode }
-func (c *Client) SameNode(a, b int) bool { return c.NodeOf(a) == c.NodeOf(b) }
+// Size and RanksPerNode are the world's shape.
+func (c *Client) Size() int         { return c.o.Ranks }
+func (c *Client) RanksPerNode() int { return c.o.RanksPerNode }
 
 // send writes lines as one locked, bounded write: a wedged coordinator cannot
 // park the caller on a full socket buffer.

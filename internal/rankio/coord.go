@@ -131,7 +131,6 @@ type coord struct {
 	Options
 	tm      Timeouts
 	onReady func()
-	onAbort func(culprit int)
 	ln      net.Listener
 	cmds    []*Cmd    // nil in host-list mode
 	joined  []*member // in join order
@@ -140,18 +139,18 @@ type coord struct {
 
 // Coordinate runs one world from the launcher side over ln: spawn (or the
 // host-list banner), the JOIN/WORLD rendezvous, the READY/GO barrier, then
-// the status loop until every rank is accounted for. A backend may supply two
-// hooks: onReady runs once every rank is READY, before GO releases them;
-// onAbort runs once when the world aborts, culprit naming the rank the
-// verdict blames, -1 when it blames nobody. Coordinate returns nil only if
+// the status loop until every rank is accounted for. A backend may supply
+// onReady, run once every rank is READY, before GO releases them. The verdict
+// of a failed world — RANKFAIL naming the culprit, then ABORT — travels on
+// every rank's control stream and nowhere else. Coordinate returns nil only if
 // every rank finished cleanly; a failed world is a *RankError naming the
 // causal rank and carrying the first non-zero worker exit code.
-func Coordinate(ln net.Listener, o Options, onReady func(), onAbort func(culprit int)) error {
+func Coordinate(ln net.Listener, o Options, onReady func()) error {
 	tm, err := ResolveTimeouts()
 	if err != nil {
 		return err // a bad timeout spec fails the launch, like a bad -faults spec
 	}
-	c := &coord{Options: o, tm: tm, onReady: onReady, onAbort: onAbort, ln: ln}
+	c := &coord{Options: o, tm: tm, onReady: onReady, ln: ln}
 	if len(o.HostKeys) != 0 && len(o.HostKeys) != o.Ranks {
 		return fmt.Errorf("rankio: %d host keys for %d ranks", len(o.HostKeys), o.Ranks)
 	}
@@ -420,13 +419,7 @@ func (c *coord) status() error {
 			return
 		}
 		aborting = true
-		if symptom || !blame {
-			rank = -1
-		}
-		if c.onAbort != nil {
-			c.onAbort(rank)
-		}
-		if rank >= 0 {
+		if !symptom && blame {
 			c.broadcast(ctlLine{kind: lnRankFail, rank: rank, text: msg})
 		}
 		c.broadcast(ctlLine{kind: lnAbort, rank: -1})

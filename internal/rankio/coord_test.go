@@ -19,7 +19,7 @@ var netWorld = Options{Backend: "net", Ranks: 2, RanksPerNode: 1, Hosts: []strin
 
 // hostListWorld starts a coordinator in host-list mode (it spawns nothing)
 // on a fresh listener and returns how to reach it and where its verdict lands.
-func hostListWorld(t *testing.T, network string, o Options, onReady func(), onAbort func(int)) (addr string, result <-chan error) {
+func hostListWorld(t *testing.T, network string, o Options, onReady func()) (addr string, result <-chan error) {
 	t.Helper()
 	t.Setenv(EnvTimeouts, testTimeouts)
 	t.Setenv(EnvHost, "here")
@@ -33,7 +33,7 @@ func hostListWorld(t *testing.T, network string, o Options, onReady func(), onAb
 	}
 	t.Cleanup(func() { ln.Close() })
 	done := make(chan error, 1)
-	go func() { done <- Coordinate(ln, o, onReady, onAbort) }()
+	go func() { done <- Coordinate(ln, o, onReady) }()
 	return ln.Addr().String(), done
 }
 
@@ -65,7 +65,7 @@ func verdict(t *testing.T, result <-chan error) error {
 func TestJoinTimeout(t *testing.T) {
 	o := netWorld
 	o.JoinTimeout = time.Second
-	addr, result := hostListWorld(t, "tcp", o, nil, nil)
+	addr, result := hostListWorld(t, "tcp", o, nil)
 	// The one worker that does appear, rankless: join order gives it rank 0.
 	// Its World blocks on the broadcast and fails when the coordinator gives up.
 	cl, err := Join(dial(t, "tcp", addr), netWorld, -1, "127.0.0.1:1")
@@ -102,7 +102,7 @@ func TestCoordinatorRefusesBadJoins(t *testing.T) {
 		"over-long line":     {raw: "JOIN " + strings.Repeat("9", maxLine), want: ErrLineTooLong},
 	} {
 		t.Run(name, func(t *testing.T) {
-			addr, result := hostListWorld(t, "tcp", netWorld, nil, nil)
+			addr, result := hostListWorld(t, "tcp", netWorld, nil)
 			dial(t, "tcp", addr).Close()                                 // a liveness probe
 			dial(t, "tcp", addr).Write([]byte("GET / HTTP/1.1\r\n\r\n")) // a stray client
 			conn := dial(t, "tcp", addr)
@@ -157,10 +157,10 @@ func enter(t *testing.T, ranks ...*Client) {
 }
 
 // TestCleanWorldOverUnixSocket runs the whole conversation over the socket
-// kind mprun uses: both hooks' contracts, several heartbeats, DONE and BYE.
+// kind mprun uses: the ready hook's contract, several heartbeats, DONE and BYE.
 func TestCleanWorldOverUnixSocket(t *testing.T) {
-	var ready, aborted atomic.Int32
-	addr, result := hostListWorld(t, "unix", netWorld, func() { ready.Add(1) }, func(int) { aborted.Add(1) })
+	var ready atomic.Int32
+	addr, result := hostListWorld(t, "unix", netWorld, func() { ready.Add(1) })
 	a, b := rank(t, "unix", addr, 0), rank(t, "unix", addr, 1)
 	enter(t, a, b)
 	if ready.Load() != 1 {
@@ -179,16 +179,16 @@ func TestCleanWorldOverUnixSocket(t *testing.T) {
 	if err := verdict(t, result); err != nil {
 		t.Fatalf("clean world: %v", err)
 	}
-	if a.Aborted() || aborted.Load() != 0 {
-		t.Fatalf("clean world ran an abort (client %v, hook %d)", a.Aborted(), aborted.Load())
+	if a.Aborted() || b.Aborted() {
+		t.Fatalf("clean world ran an abort (clients %v, %v)", a.Aborted(), b.Aborted())
 	}
 }
 
-// TestVerdictReachesHookAndSurvivor: a rank's FAIL names it in the
-// coordinator's hook, in the *RankError and in the survivor's abort state.
+// TestVerdictReachesHookAndSurvivor: a rank's FAIL names it in the *RankError
+// and, through the control stream alone, in the survivor's abort hook and
+// abort state: RANKFAIL precedes ABORT, so the hook already sees the culprit.
 func TestVerdictReachesHookAndSurvivor(t *testing.T) {
-	culprit := make(chan int, 1)
-	addr, result := hostListWorld(t, "unix", netWorld, nil, func(r int) { culprit <- r })
+	addr, result := hostListWorld(t, "unix", netWorld, nil)
 	a, b := rank(t, "unix", addr, 0), rank(t, "unix", addr, 1)
 	enter(t, a, b)
 	hooked := make(chan int, 1)
@@ -208,15 +208,12 @@ func TestVerdictReachesHookAndSurvivor(t *testing.T) {
 	if err := verdict(t, result); !errors.As(err, &re) || re.Rank != 1 || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("Coordinate returned %v, want a *RankError blaming rank 1 with its message", err)
 	}
-	if r := <-culprit; r != 1 {
-		t.Fatalf("OnAbort blamed %d, want 1", r)
-	}
 }
 
 // TestStaleHeartbeatNamesTheRank: a rank that is connected but answers no
 // PING — stopped, wedged, partitioned — is declared dead by name.
 func TestStaleHeartbeatNamesTheRank(t *testing.T) {
-	addr, result := hostListWorld(t, "unix", netWorld, nil, nil)
+	addr, result := hostListWorld(t, "unix", netWorld, nil)
 	a := rank(t, "unix", addr, 0)
 	// Rank 1 speaks the handshake by hand and then goes silent; it closes
 	// its stream only once told to abort, as a killed process would.

@@ -9,12 +9,13 @@ import (
 )
 
 // TestDoorOverFabric runs the behavioural door cases over the in-process
-// fabric: a heap table and its Parker.
+// fabric: a heap table and its Parker. The abort blames a rank, as the
+// in-process runner's does for a rank that panicked.
 func TestDoorOverFabric(t *testing.T) {
 	doortest.Run(t, func(t *testing.T, n, slot int) doortest.World {
 		f := simnet.NewFabric(n, 4)
 		v := doortest.View{Door: f.Door(), Port: f.Port}
-		return doortest.World{Waiter: v, Writer: v, Abort: f.Abort, Blamed: -1}
+		return doortest.World{Waiter: v, Writer: v, Abort: func() { f.Abort(3) }, Blamed: 3}
 	})
 }
 

@@ -234,15 +234,20 @@ func droppedPokeRecovered(t *testing.T, mk Make) {
 
 // abortBehindHeldPort parks a waiter on a rank whose port is held and never
 // released: nothing about a wait takes the port, so the abort still reaches
-// the waiter and it unwinds with the backend's typed value.
+// the waiter — at once, not at its heartbeat — and it unwinds with the
+// backend's typed value.
 func abortBehindHeldPort(t *testing.T, mk Make) {
 	w := mk(t, 4, 1)
 	w.Writer.Port(3).Lock()
 	parks0 := counter("door.parks")
 	out := w.waitAsync(3, 1, w.Waiter.Port(3).Gen())
 	awaitParks(t, parks0, 1)
+	t0 := time.Now()
 	w.Abort()
 	v := mustReturn(t, out, 5*time.Second, "after the abort, behind a held port")
+	if d := time.Since(t0); d > simnet.DoorSlice/2 {
+		t.Fatalf("the abort took %v to reach the parked waiter: it was left to the heartbeat (%v)", d, simnet.DoorSlice)
+	}
 	err, ok := v.(error)
 	if !ok || !simnet.IsAbortPanic(v) || !errors.Is(err, simnet.ErrAborted) {
 		t.Fatalf("waiter unwound with %v, want the abort panic", v)

@@ -73,11 +73,7 @@ type Fabric struct {
 	ranksPerNode int
 	nodes        []*node
 	aborted      atomic.Bool
-	abortOnce    sync.Once
-	done         chan struct{}
-
-	hookMu     sync.Mutex
-	abortHooks []func()
+	culprit      atomic.Int32 // the rank Abort blamed first, -1: nobody
 
 	// Where ranks sleep, in a doorbell wait or pace-blocked: slot r is rank
 	// r's goroutine, and park is the hook of both disciplines.
@@ -92,18 +88,17 @@ type Fabric struct {
 // waits when Abort tears the fabric down (e.g. after a peer rank panicked).
 var ErrAborted = fmt.Errorf("simnet: fabric aborted")
 
-// Abort marks the fabric dead and wakes every blocked waiter; they unwind by
-// panicking with ErrAborted. Used to avoid deadlock when one rank fails.
-func (f *Fabric) Abort() {
-	f.aborted.Store(true)
-	f.abortOnce.Do(func() { close(f.done) })
-	f.park.Abort()
-	f.hookMu.Lock()
-	hooks := append([]func(){}, f.abortHooks...)
-	f.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn()
+// Abort marks the fabric dead and wakes every blocked waiter. culprit is the
+// rank whose failure took the world down, negative for none; the first blame
+// wins. Waiters unwind by panicking with *ErrPeerFailed naming it, or with
+// the bare ErrAborted when nobody was blamed. It is not a Transport method:
+// whoever built the fabric — the in-process runner — ends it.
+func (f *Fabric) Abort(culprit int) {
+	if culprit >= 0 {
+		f.culprit.CompareAndSwap(-1, int32(culprit))
 	}
+	f.aborted.Store(true)
+	f.park.Abort()
 }
 
 // SetPacing bounds the virtual-clock divergence between ranks to window
@@ -137,32 +132,20 @@ func (f *Fabric) Pacer() *Pacer { return f.pacer }
 // Door returns the fabric's door.
 func (f *Fabric) Door() *Door { return f.door }
 
-// abortErr is the parking hook's view of Aborted.
+// abortErr is the parking hook's abort state: nil while the world stands,
+// then the value Abort's culprit names.
 func (f *Fabric) abortErr() error {
-	if f.aborted.Load() {
-		return ErrAborted
+	if !f.aborted.Load() {
+		return nil
 	}
-	return nil
+	if r := f.culprit.Load(); r >= 0 {
+		return &ErrPeerFailed{Rank: int(r)}
+	}
+	return ErrAborted
 }
 
 // Aborted reports whether the fabric has been torn down.
 func (f *Fabric) Aborted() bool { return f.aborted.Load() }
-
-// Done returns a channel closed when the fabric aborts; layers blocked on
-// their own channels select on it to unwind instead of deadlocking.
-func (f *Fabric) Done() <-chan struct{} { return f.done }
-
-// OnAbort registers fn to run when the fabric aborts (layers with private
-// condition variables use it to wake their waiters). If the fabric already
-// aborted, fn runs immediately.
-func (f *Fabric) OnAbort(fn func()) {
-	f.hookMu.Lock()
-	f.abortHooks = append(f.abortHooks, fn)
-	f.hookMu.Unlock()
-	if f.aborted.Load() {
-		fn()
-	}
-}
 
 // NewFabric creates a fabric for n ranks with the given node width.
 func NewFabric(n, ranksPerNode int) *Fabric {
@@ -172,10 +155,8 @@ func NewFabric(n, ranksPerNode int) *Fabric {
 	if ranksPerNode <= 0 {
 		ranksPerNode = 1
 	}
-	f := &Fabric{
-		n: n, ranksPerNode: ranksPerNode, nodes: make([]*node, n),
-		done: make(chan struct{}),
-	}
+	f := &Fabric{n: n, ranksPerNode: ranksPerNode, nodes: make([]*node, n)}
+	f.culprit.Store(-1)
 	f.park = NewParker(n, nil)
 	f.door = NewDoor(n, nil, f.park.Hook(f.abortErr))
 	// Per-node state comes from three slabs (node structs, initial table
@@ -202,12 +183,6 @@ func (f *Fabric) Size() int { return f.n }
 
 // RanksPerNode returns the node width.
 func (f *Fabric) RanksPerNode() int { return f.ranksPerNode }
-
-// NodeOf returns the node index hosting rank r.
-func (f *Fabric) NodeOf(r int) int { return r / f.ranksPerNode }
-
-// SameNode reports whether ranks a and b share a node (XPMEM reachable).
-func (f *Fabric) SameNode(a, b int) bool { return f.NodeOf(a) == f.NodeOf(b) }
 
 // register installs a region owned by rank and returns its key. Cold path:
 // it extends the dense table and publishes a new header atomically. When the

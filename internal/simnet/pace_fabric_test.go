@@ -13,6 +13,6 @@ func TestPacerOverFabric(t *testing.T) {
 	pacetest.Run(t, func(t *testing.T, n int, window int64, blocker int) pacetest.World {
 		f := simnet.NewFabric(n, 4)
 		f.SetPacing(window)
-		return pacetest.World{Blocker: f.Pacer(), Others: f.Pacer(), Abort: f.Abort}
+		return pacetest.World{Blocker: f.Pacer(), Others: f.Pacer(), Abort: func() { f.Abort(-1) }}
 	})
 }

@@ -4,24 +4,32 @@ import (
 	"fompi/internal/segpool"
 )
 
-// Transport is the substrate contract an Endpoint drives: the services of
-// foMPI's interchangeable fabrics (the paper's DMAPP and XPMEM) that involve
-// memory or state shared between ranks. Everything above this line — cost
-// models, virtual clocks, stamps arithmetic, NIC booking, batching — lives
-// in Endpoint, RegionExec and Port and is byte-identical across backends; a
-// Transport only resolves registrations, homes one Port per rank where that
-// rank's memory is, homes the tables of the world's Door and Pacer, and
-// supplies the one ParkHook — how a rank sleeps, how a sleeping rank is
-// reached — both disciplines run over. Two implementations exist: the
-// in-process *Fabric below (ranks are goroutines in one address space) and
-// internal/netrun's process world (ranks are OS processes), which routes each
-// peer by host: to an internal/mprun arena (regions live in one mmap-shared
-// segment, pokes travel over Unix sockets) or to a TCP session (RemoteMem
-// proxies, drained through WireDrainer). Each passes the conformance suite in
-// internal/transporttest — the process world once per placement of ranks on
-// hosts — as a third would.
+// Transport is the substrate contract an Endpoint drives: the data plane of
+// foMPI's interchangeable fabrics (the paper's DMAPP and XPMEM) — the
+// services that involve memory or state shared between ranks, and nothing
+// else. Everything above this line — cost models, virtual clocks, stamps
+// arithmetic, NIC booking, batching — lives in Endpoint, RegionExec and Port
+// and is byte-identical across backends; a Transport only resolves
+// registrations, homes one Port per rank where that rank's memory is, homes
+// the tables of the world's Door and Pacer, and supplies the one ParkHook —
+// how a rank sleeps, how a sleeping rank is reached — both disciplines run
+// over. Start-up and death belong to whoever built the world, as the job
+// launcher and runtime own them under foMPI: the in-process runner holds the
+// *Fabric it made (Fabric.Abort), a process world its control plane
+// (internal/rankio). Topology is the world's shape, rank / RanksPerNode on
+// every backend. Two implementations exist: the in-process *Fabric below
+// (ranks are goroutines in one address space) and internal/netrun's process
+// world (ranks are OS processes), which routes each peer by host: to an
+// internal/mprun arena (regions live in one mmap-shared segment, pokes travel
+// over Unix sockets) or to a TCP session (RemoteMem proxies, drained through
+// WireDrainer). Each passes the conformance suite in internal/transporttest —
+// the process world once per placement of ranks on hosts — as a third would.
 //
-// Contracts a backend must honor, in the terms the conformance suite checks:
+// The thirteen methods: Size and RanksPerNode (the shape); RegisterRegion,
+// UnregisterRegion and LookupRegion (registered memory); AllocSeg and
+// RecycleSeg (its backing); Pacer; Port; and WakeDoor, RingDoorbell, DoorGen
+// and WaitDoor (the doorbell). Contracts a backend must honor, in the terms
+// the conformance suite checks:
 //
 //   - Registered memory is byte-addressable by (rank, key, offset) from every
 //     rank; keys are assigned per owner in registration order starting at 0
@@ -47,16 +55,15 @@ import (
 //     §6.1), nil for an unpaced world. The discipline itself is Pacer's; a
 //     backend supplies its tables and its ParkHook, and answers the same
 //     value for the world's lifetime once an endpoint exists.
-//   - Abort wakes every blocked waiter; WaitDoor panics with ErrAborted —
-//     or with *ErrPeerFailed, which matches errors.Is(err, ErrAborted) and
-//     additionally names the dead rank — when the world died while it
-//     slept. Recover sites classify with IsAbortPanic, not value equality.
+//
+// The one lifecycle rule: when the world dies, every WaitDoor — and every
+// pace park — unwinds by panicking with the world's abort value, ErrAborted
+// or an *ErrPeerFailed naming the dead rank (which matches
+// errors.Is(err, ErrAborted)). Recover sites classify with IsAbortPanic, not
+// value equality. A layer that blocks waits at the Door and inherits it.
 type Transport interface {
-	// Topology.
 	Size() int
 	RanksPerNode() int
-	NodeOf(rank int) int
-	SameNode(a, b int) bool
 
 	// Registered memory. RegisterRegion installs reg (whose owner, buffer and
 	// stamps the caller has initialized) and returns its key; LookupRegion
@@ -79,20 +86,15 @@ type Transport interface {
 	Pacer() *Pacer
 
 	// Ports and doorbells: the rank's arrival state (see Port), and the
-	// generation-counted wakeup channel of WaitLocal, PollRemoteWord and the
-	// notification rings built on its generation. waiter is the calling rank:
-	// the slot it parks under (see Door).
+	// generation-counted wakeup channel of WaitLocal, PollRemoteWord, the
+	// notification rings built on its generation and internal/mpi1's
+	// mailboxes. waiter is the calling rank: the slot it parks under (see
+	// Door).
 	Port(rank int) *Port
 	WakeDoor(rank int)
 	RingDoorbell(rank int)
 	DoorGen(rank int) uint64
 	WaitDoor(waiter, rank int, gen uint64) uint64
-
-	// Lifecycle.
-	Abort()
-	Aborted() bool
-	Done() <-chan struct{}
-	OnAbort(fn func())
 }
 
 // Fabric implements Transport; the exported wrappers below are the carve

@@ -174,6 +174,9 @@ type World struct {
 	fab     simnet.Transport
 	scratch []simnet.Region // per-rank collective scratch, fabric key 0
 	segs    []*segpool.Seg  // backing of scratch, recycled on exit
+
+	sharedOnce sync.Once
+	shared     any // see Proc.Shared
 }
 
 // recycle returns the world's scratch segments to the transport allocator.
@@ -328,21 +331,28 @@ func runCrossWorker(cfg Config, body func(*Proc)) {
 // is the calling goroutine, so a launch pays no spawn-and-hand-off before its
 // first rank runs and a one-rank world starts no goroutine at all. Every rank,
 // the caller's included, runs under the same recover / first-error / Abort
-// closure.
+// closure. A rank's own panic blames it, so its peers unwind with an
+// *simnet.ErrPeerFailed naming it, as a process world's do after the verdict;
+// an abort symptom blames nobody.
 func runInProc(cfg Config, body func(*Proc)) error {
 	w, procs := NewWorld(cfg)
+	fab := w.fab.(*simnet.Fabric)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
 	rank := func(p *Proc) {
 		defer func() {
 			if e := recover(); e != nil {
+				culprit := -1
+				if !simnet.IsAbortPanic(e) {
+					culprit = p.rank
+				}
 				mu.Lock()
-				if firstErr == nil && !simnet.IsAbortPanic(e) {
+				if firstErr == nil && culprit >= 0 {
 					firstErr = fmt.Errorf("rank %d panicked: %v", p.rank, e)
 				}
 				mu.Unlock()
-				w.fab.Abort()
+				fab.Abort(culprit)
 			}
 		}()
 		body(p)
@@ -356,7 +366,7 @@ func runInProc(cfg Config, body func(*Proc)) error {
 	}
 	rank(procs[0])
 	wg.Wait()
-	if firstErr == nil && !w.fab.Aborted() {
+	if firstErr == nil && !fab.Aborted() {
 		w.recycle()
 	}
 	// The in-process world has no coordinator to aggregate per-rank frames:
@@ -405,11 +415,23 @@ func (p *Proc) Rank() int { return p.rank }
 // Size returns the number of ranks in the world.
 func (p *Proc) Size() int { return p.world.cfg.Ranks }
 
-// Node returns the node index hosting this rank.
-func (p *Proc) Node() int { return p.world.fab.NodeOf(p.rank) }
+// Node returns the node index hosting this rank: the node mapping is
+// virtual, rank / RanksPerNode on every backend, so the cost model (and with
+// it every virtual time) does not depend on placement.
+func (p *Proc) Node() int { return p.rank / p.world.cfg.RanksPerNode }
 
 // SameNode reports whether peer shares this rank's node.
-func (p *Proc) SameNode(peer int) bool { return p.world.fab.SameNode(p.rank, peer) }
+func (p *Proc) SameNode(peer int) bool { return peer/p.world.cfg.RanksPerNode == p.Node() }
+
+// Shared returns the world's one slot for state a layer above shares between
+// its ranks (internal/mpi1's mailboxes), made by mk on the first call from any
+// rank: it lives and dies with the world. Only the ranks of an in-process
+// world share it; a process world's ranks each have their own.
+func (p *Proc) Shared(mk func() any) any {
+	w := p.world
+	w.sharedOnce.Do(func() { w.shared = mk() })
+	return w.shared
+}
 
 // EP exposes the rank's fabric endpoint to protocol layers.
 func (p *Proc) EP() *simnet.Endpoint { return p.ep }

@@ -764,53 +764,51 @@ func expectAbort(t *testing.T, backend, failMsg string, run func() error) {
 
 // TestConformanceBlame pins the one blame rule: a rank that fails blames
 // itself before anything else hears of it, so wherever its peers are parked —
-// at the arena door beside it, at their own door behind a wire — they unwind
-// with a *simnet.ErrPeerFailed naming it (the in-process fabric has no
-// verdict: there the bare ErrAborted), and the launcher reports the rank's own
-// panic, not a peer's abort symptom. Rank 1 fails while its node-mate rank 0,
-// which shares its arena on every placement that maps one, sits in WaitLocal;
-// only the mate's verdict is pinned, because a rank of another host group
-// hears the culprit's name from the coordinator, and only when the culprit's
-// FAIL reaches it before a woken mate's abort symptom does.
+// at the arena door beside it, at their own door behind a wire, on the
+// in-process fabric — they unwind with a *simnet.ErrPeerFailed naming it, and
+// the launcher reports the rank's own panic, not a peer's abort symptom. Rank
+// 1 fails while its node-mate rank 0, which shares its arena on every
+// placement that maps one, sits in WaitLocal; only the mate's verdict is
+// pinned, because a rank of another host group hears the culprit's name from
+// the coordinator, and only when the culprit's FAIL reaches it before a woken
+// mate's abort symptom does.
 func TestConformanceBlame(t *testing.T) {
 	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
 	const culprit, mate, failMsg = 1, 0, "deliberate failure beside a parked host-mate"
 	if spmd.WorkerOf() == "" {
 		t.Setenv("TMPDIR", t.TempDir()) // workers inherit it: where the witnesses go
 	}
-	// A survivor records what its wait unwound with, under the name of the
-	// world its process is a worker of ("" in process).
+	// A survivor records what its wait unwound with, under its world's name.
 	witness := func(world spmd.Backend, rank int) string {
 		return filepath.Join(os.TempDir(), fmt.Sprintf("blame-%s-survivor-%d", world, rank))
 	}
-	body := func(p *spmd.Proc) {
-		reg, _ := setupRegion(p, 64)
-		if p.Rank() == culprit {
-			time.Sleep(200 * time.Millisecond) // let the others park for real
-			panic(failMsg)
-		}
-		defer func() {
-			e := recover()
-			verdict := fmt.Sprintf("unwound with %v", e)
-			var pf *simnet.ErrPeerFailed
-			if err, ok := e.(error); ok && errors.As(err, &pf) {
-				verdict = fmt.Sprintf("peer %d failed", pf.Rank)
-			} else if ok && errors.Is(err, simnet.ErrAborted) {
-				verdict = "aborted"
+	body := func(world spmd.Backend) func(p *spmd.Proc) {
+		return func(p *spmd.Proc) {
+			reg, _ := setupRegion(p, 64)
+			if p.Rank() == culprit {
+				time.Sleep(200 * time.Millisecond) // let the others park for real
+				panic(failMsg)
 			}
-			os.WriteFile(witness(spmd.WorkerOf(), p.Rank()), []byte(verdict), 0o600)
-			panic(e)
-		}()
-		p.EP().WaitLocal(func() bool { return reg.LocalWord(0) == 0xdead })
-		panic("unreachable: the wait above can only end by abort")
+			defer func() {
+				e := recover()
+				verdict := fmt.Sprintf("unwound with %v", e)
+				var pf *simnet.ErrPeerFailed
+				if err, ok := e.(error); ok && errors.As(err, &pf) {
+					verdict = fmt.Sprintf("peer %d failed", pf.Rank)
+				} else if ok && errors.Is(err, simnet.ErrAborted) {
+					verdict = "aborted"
+				}
+				os.WriteFile(witness(world, p.Rank()), []byte(verdict), 0o600)
+				panic(e)
+			}()
+			p.EP().WaitLocal(func() bool { return reg.LocalWord(0) == 0xdead })
+			panic("unreachable: the wait above can only end by abort")
+		}
 	}
 	eachBackendLeg(t, "TestConformanceBlame", cfg, func(label string, c spmd.Config) {
-		expectAbort(t, label, fmt.Sprintf("rank %d panicked: %s", culprit, failMsg), func() error { return spmd.Run(c, body) })
-		world, want := c.Backend, fmt.Sprintf("peer %d failed", culprit)
-		if c.Backend == spmd.BackendInProc {
-			world, want = "", "aborted"
-		}
-		if got, _ := os.ReadFile(witness(world, mate)); string(got) != want {
+		expectAbort(t, label, fmt.Sprintf("rank %d panicked: %s", culprit, failMsg), func() error { return spmd.Run(c, body(c.Backend)) })
+		want := fmt.Sprintf("peer %d failed", culprit)
+		if got, _ := os.ReadFile(witness(c.Backend, mate)); string(got) != want {
 			t.Errorf("%s backend: rank %d %q, want %q", label, mate, got, want)
 		}
 	})

@@ -41,7 +41,7 @@ func TestConformanceAmoChain(t *testing.T) {
 			// Completion = base + max(PutLat, Amo) on both profiles (the
 			// NIC queue of 1 ns bookings never outlasts the AMO round
 			// trip), and no landing is earlier than base + PutLat.
-			pr := ep.Model().For(p.Fabric().SameNode(p.Rank(), 0))
+			pr := ep.Model().For(p.SameNode(0))
 			keys := [2]simnet.Key{keyA, keyB}
 			var rec [16]byte
 			for i := 0; i < perRank; i++ {

@@ -39,6 +39,12 @@
 #                                (AsyncMem, rmta, PutAsync, StoreWordAsync,
 #                                NotifyAsync, reqData, callData, callIdem,
 #                                wireCall, sendRing, opRing, idemAttempts)
+#                                and what the data-plane-only Transport
+#                                retired (the arena's abort words and their
+#                                setters — SetAbortFlag, AbortFlag,
+#                                hdrAbort, hdrFailRank — the fabric's
+#                                abortHooks, and mpi1's worldsMu registry
+#                                and mpi1.Release)
 #                                occur in no non-test Go file; the Makefile, the
 #                                scripts and the CI workflow name no piece
 #                                of that harness, nor those variables, nor
@@ -62,8 +68,9 @@
 #                                misses assertions run on every verify
 #   go test -race -short <hot>   concurrency check over the packages whose
 #                                goroutines share fabric memory (the port's,
-#                                the pacer's and the door's unit tests and
-#                                the two-mappings arena tests among them),
+#                                the pacer's and the door's unit tests, the
+#                                two-mappings arena tests and mpi1's Door
+#                                waits among them),
 #                                plus the cross-backend AMO chain, pacing,
 #                                doorbell, fused-frame, ordering,
 #                                shared-frame and stopped-rank conformance
@@ -110,12 +117,12 @@ echo "== no-cgo leg (static build; rankio, mprun, netrun, spmd -short)"
 CGO_ENABLED=0 go build ./...
 CGO_ENABLED=0 go test -short ./internal/rankio ./internal/mprun ./internal/netrun ./internal/spmd
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports and the wire's other request shapes must not creep back)"
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes and the second abort path must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD|FOMPI_TT_BACKENDS|FOMPI_CHAOS_LOG'
-if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts" \
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
 	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name or a second request shape on the wire is back" >&2
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire or a second abort path is back" >&2
 	exit 1
 fi
 
@@ -135,8 +142,8 @@ make bench-test
 echo "== issue-path benchmarks, one iteration (0 allocs/op, 0 steady-state route misses)"
 go test ./internal/simnet -run '^$' -bench Issue -benchtime 1x
 
-echo "== go test -race -short (timing, simnet, core, spmd, netrun, rankio, mprun)"
-go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/
+echo "== go test -race -short (timing, simnet, core, spmd, netrun, rankio, mprun, mpi1)"
+go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/
 go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestConformanceFusedFrame|TestConformanceOrdering|TestConformanceSharedFrame|TestStoppedRank' ./internal/transporttest/
 
 echo "== examples smoke (build + run, cross-backend diff)"
