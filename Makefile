@@ -12,7 +12,7 @@ test:
 	go test ./...
 
 race:
-	go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/mprun/ ./internal/mpi1/
+	go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/mprun/ ./internal/mpi1/
 
 # bench regenerates every experiment quickly; see EXPERIMENTS.md for the
 # full sweeps.

@@ -29,8 +29,19 @@ func word(b []byte, off int) *uint64 {
 // Load atomically reads the 8-byte word at off.
 func Load(b []byte, off int) uint64 { return atomic.LoadUint64(word(b, off)) }
 
-// Store atomically writes the 8-byte word at off.
+// Store atomically writes the 8-byte word at off. It is sequentially
+// consistent: a locked instruction on amd64, and a full fence.
 func Store(b []byte, off int, v uint64) { atomic.StoreUint64(word(b, off), v) }
+
+// StoreRel atomically writes the 8-byte word at off with release ordering
+// only: every earlier load and store is visible before it, but a later load
+// may be satisfied before it is. On amd64 that is a plain store, against the
+// locked exchange of Store. Use it for a store that a later full fence (an
+// atomic add, CAS or Store) orders before anyone is told to look at it, and
+// Store for any store a Dekker-style handshake reads back.
+func StoreRel(b []byte, off int, v uint64) {
+	StoreRel64((*int64)(unsafe.Pointer(word(b, off))), int64(v))
+}
 
 // Add atomically adds delta to the word at off and returns the old value.
 func Add(b []byte, off int, delta uint64) (old uint64) {

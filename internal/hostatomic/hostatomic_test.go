@@ -2,6 +2,7 @@ package hostatomic
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -90,6 +91,38 @@ func TestConcurrentCasOneWinnerPerValue(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("%d CAS winners, want exactly 1", count)
 	}
+}
+
+// TestStoreRelMessagePassing is the message-passing litmus test of the
+// release stores: a writer release-stores round i's data word (StoreRel, so
+// StoreRel64 beneath it) and then the flag (StoreRel32); a reader loads the
+// flag and then the data, and must never find the flag at round i with the
+// data of an earlier round. It runs against the build's own primitive: the
+// plain store on amd64, the sync/atomic one under -race and elsewhere.
+func TestStoreRelMessagePassing(t *testing.T) {
+	rounds := uint32(1_000_000)
+	if testing.Short() {
+		rounds = 100_000
+	}
+	b := make([]byte, 64)
+	var flag uint32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := uint32(1); i <= rounds; i++ {
+			StoreRel(b, 0, uint64(i))
+			StoreRel32(&flag, i)
+		}
+	}()
+	var seen uint32
+	for seen < rounds {
+		f := atomic.LoadUint32(&flag)
+		if d := Load(b, 0); d < uint64(f) {
+			t.Fatalf("flag at round %d, data still at round %d: the data store was not released before the flag", f, d)
+		}
+		seen = f
+	}
+	<-done
 }
 
 func TestMaxI64(t *testing.T) {

@@ -127,13 +127,7 @@ func createArenaAt(path, sock string, cfg ArenaConfig) (*Arena, error) {
 		return nil, fmt.Errorf("mprun: mmap shared segment: %w", err)
 	}
 	a.m = m
-	atomic.StoreUint64(u64at(m, hdrRanks), uint64(cfg.Ranks))
-	atomic.StoreUint64(u64at(m, hdrRPN), uint64(cfg.RanksPerNode))
-	atomic.StoreInt64(i64at(m, hdrPaceWindow), cfg.PaceWindowNs)
-	atomic.StoreUint64(u64at(m, hdrArenaBytes), uint64(cfg.ArenaBytes))
-	atomic.StoreUint64(u64at(m, hdrMaxRegions), maxRegions)
-	atomic.StoreUint64(u64at(m, hdrVersion), shmVersion)
-	atomic.StoreUint64(u64at(m, hdrMagic), shmMagic)
+	writeHeader(m, cfg)
 	a.initMaps()
 	return a, nil
 }
@@ -444,10 +438,11 @@ func (a *Arena) Pacer() *simnet.Pacer {
 }
 
 // Ring advances local rank's doorbell generation from outside its port and
-// wakes its waiters.
+// wakes its waiters, if the ring found any.
 func (a *Arena) Ring(local int) {
-	a.Port(local).Ring()
-	a.door.Wake(local)
+	if a.Port(local).Ring() {
+		a.door.Wake(local)
+	}
 }
 
 // Abort ends this process's arena parks, now and from now on: its parker's

@@ -306,10 +306,10 @@ func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "layout version") {
 		t.Errorf("opener of a wrong-version segment returned %v, want the version mismatch", err)
 	}
-	// A v7 segment still carries the abort flag this layout dropped.
-	atomic.StoreUint64(u64at(creator.m, hdrVersion), 7)
-	if _, err = openArenaAt([]string{path}, sock, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 7, want 8") {
-		t.Errorf("opener of a v7 segment returned %v, want it refused by version", err)
+	// A v8 segment's port word has no waiter count.
+	atomic.StoreUint64(u64at(creator.m, hdrVersion), 8)
+	if _, err = openArenaAt([]string{path}, sock, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 8, want 9") {
+		t.Errorf("opener of a v8 segment returned %v, want it refused by version", err)
 	}
 	atomic.StoreUint64(u64at(creator.m, hdrVersion), shmVersion)
 	wide := cfg

@@ -13,8 +13,9 @@ import (
 //
 //	header   (1 page)   world parameters
 //	rank[i]  (128 B)    the rank's simnet.Port (port word = doorbell
-//	                    generation<<1 | lock bit, then the NIC busy interval
-//	                    the lock guards), padded to two cache lines
+//	                    generation<<17 | door waiters<<1 | lock bit, then the
+//	                    NIC busy interval the lock guards), padded to two
+//	                    cache lines
 //	wait[i]  (simnet.DoorTableWords(ranks) × 8 B in all)
 //	                    the world's simnet.Door table, which each process's
 //	                    Door lays its bitsets over: bit r of rank i's row is
@@ -47,7 +48,11 @@ import (
 // clock and the global pace-waiter bitset became the contiguous tables of
 // simnet.Pacer. v8 dropped the abort flag and the fail-rank word: a world
 // dies through its control plane's verdict alone, each process ending its own
-// parks (Arena.Abort), so a v7 mapper would wait on a flag nobody sets.
+// parks (Arena.Abort), so a v7 mapper would wait on a flag nobody sets. v9 is
+// the port word's: it counts the door's waiters between the lock bit and the
+// generation, and a writer wakes only when its ring's add finds one, so a v8
+// mapper — generation<<1, no count — would read the generation wrong and
+// strand the other's waiters.
 //
 // All multi-word fields are 8-byte aligned; cross-process synchronization
 // uses sync/atomic on the mapped words, which on a cache-coherent machine
@@ -55,7 +60,7 @@ import (
 // goroutines. DESIGN.md §8 documents the layout and its ordering contracts.
 const (
 	shmMagic   = 0x666f4d50_72756e31 // "foMPrun1"
-	shmVersion = 8                   // see "Version history" above
+	shmVersion = 9                   // see "Version history" above
 
 	hdrMagic      = 0  // u64
 	hdrVersion    = 8  // u64
@@ -160,6 +165,19 @@ func arenaOffset(arena, buf []byte) (int, bool) {
 		return 0, false
 	}
 	return int(p - base), true
+}
+
+// writeHeader stores the world parameters of cfg into a fresh mapping, the
+// magic word last, so concurrent openers never observe a half-initialized
+// header.
+func writeHeader(m []byte, cfg ArenaConfig) {
+	atomic.StoreUint64(u64at(m, hdrRanks), uint64(cfg.Ranks))
+	atomic.StoreUint64(u64at(m, hdrRPN), uint64(cfg.RanksPerNode))
+	atomic.StoreInt64(i64at(m, hdrPaceWindow), cfg.PaceWindowNs)
+	atomic.StoreUint64(u64at(m, hdrArenaBytes), uint64(cfg.ArenaBytes))
+	atomic.StoreUint64(u64at(m, hdrMaxRegions), maxRegions)
+	atomic.StoreUint64(u64at(m, hdrVersion), shmVersion)
+	atomic.StoreUint64(u64at(m, hdrMagic), shmMagic)
 }
 
 // checkHeader validates a mapped world against the joiner's expectations.

@@ -1,0 +1,53 @@
+package mprun
+
+import (
+	"bytes"
+	"strings"
+	"sync/atomic"
+	"testing"
+)
+
+// hdrUsed is the extent of the header page that holds words; checkHeader
+// reads nothing beyond it.
+const hdrUsed = hdrMaxRegions + 8
+
+// headerAt returns a header page as a creator of layout version v writes it
+// for cfg.
+func headerAt(cfg ArenaConfig, v uint64) []byte {
+	m := make([]byte, hdrBytes)
+	writeHeader(m, cfg)
+	atomic.StoreUint64(u64at(m, hdrVersion), v)
+	return m
+}
+
+// FuzzCheckHeader drives checkHeader — the one reader of bytes a process
+// maps without having written them — with arbitrary header bytes and joiner
+// configurations. It never panics; it accepts a header exactly when its words
+// are the ones a creator of this layout writes for that configuration; and
+// the same header stamped v8, whose port word has no waiter count, is refused
+// by version.
+func FuzzCheckHeader(f *testing.F) {
+	cfg := ArenaConfig{Ranks: 2, RanksPerNode: 1, ArenaBytes: pageAlign}
+	f.Add(headerAt(cfg, shmVersion), 2, 1, int64(0), pageAlign)
+	f.Add(headerAt(cfg, 8), 2, 1, int64(0), pageAlign)
+	f.Add(headerAt(cfg, shmVersion), 3, 1, int64(0), pageAlign)
+	f.Add(headerAt(ArenaConfig{Ranks: 4, RanksPerNode: 2, PaceWindowNs: 20000, ArenaBytes: 16 << 20}, shmVersion), 4, 2, int64(20000), 16<<20)
+	f.Add(make([]byte, hdrBytes), 2, 1, int64(0), pageAlign)
+	f.Add([]byte("foMPrun1"), 1, 1, int64(0), 0)
+	f.Fuzz(func(t *testing.T, data []byte, ranks, rpn int, pace int64, arenaBytes int) {
+		o := ArenaConfig{Ranks: ranks, RanksPerNode: rpn, PaceWindowNs: pace, ArenaBytes: arenaBytes}
+		m := make([]byte, len(data)) // from make: 8-byte aligned, as a mapping is
+		copy(m, data)
+		want := headerAt(o, shmVersion)
+		exact := len(m) >= hdrBytes && bytes.Equal(m[:hdrUsed], want[:hdrUsed])
+		if err := checkHeader(m, o); (err == nil) != exact {
+			t.Fatalf("checkHeader(%x…, %+v) = %v, want acceptance exactly when the words are a creator's (they are: %v)", m[:min(len(m), hdrUsed)], o, err, exact)
+		}
+		if err := checkHeader(want, o); err != nil {
+			t.Fatalf("the header a creator writes for %+v is refused: %v", o, err)
+		}
+		if err := checkHeader(headerAt(o, 8), o); err == nil || !strings.Contains(err.Error(), "layout version 8") {
+			t.Fatalf("a v8 header for %+v: checkHeader = %v, want it refused by version", o, err)
+		}
+	})
+}

@@ -643,10 +643,12 @@ func (w *World) portOf(l int) *simnet.Port {
 	return &w.ownPort // a group of one: l is this rank
 }
 
-// ringDoor rings the host group's l-th rank's doorbell.
+// ringDoor rings the host group's l-th rank's doorbell, waking its waiters
+// if the ring found any.
 func (w *World) ringDoor(l int) {
-	w.portOf(l).Ring()
-	w.door.Wake(l)
+	if w.portOf(l).Ring() {
+		w.door.Wake(l)
+	}
 }
 
 // Port returns rank's port for the host group (including this rank), nil for

@@ -59,11 +59,12 @@ type ParkHook struct {
 
 // Door is the doorbell's waiter discipline (DESIGN.md §6.1): who is parked
 // on which rank's port generation, and how a writer that advanced it reaches
-// them. Its shared state is one bitset per watched rank — bit s of row r is
-// set while slot s waits on r — operated on with sync/atomic, so the slots
-// may be goroutines over a heap table or processes over one mapping; each
-// process builds its own Door over the shared words and sets only the bits
-// of the slots it parks.
+// them. Whether anyone waits at all is the port word's waiter count, which
+// the writer's own ring reports; who waits is one bitset per watched rank —
+// bit s of row r is set while slot s waits on r — operated on with
+// sync/atomic, so the slots may be goroutines over a heap table or processes
+// over one mapping; each process builds its own Door over the shared words
+// and sets only the bits of the slots it parks.
 type Door struct {
 	words int      // 64-bit words per row: ceil(n/64)
 	wait  []uint64 // n rows
@@ -92,8 +93,9 @@ func NewDoor(n int, slab []uint64, hook ParkHook) *Door {
 	return &Door{words: (n + 63) / 64, wait: slab, own: make([]doorOwn, n), hook: hook}
 }
 
-// Wake pokes every slot registered on watched's row, after its port's
-// generation advanced: one load per 64 ranks when nobody is parked.
+// Wake pokes every slot registered on watched's row. A writer calls it after
+// the add that advanced the port's generation reported waiters (Port.Ring,
+// Port.UnlockRing), and not otherwise.
 func (d *Door) Wake(watched int) {
 	row := d.wait[watched*d.words:][:d.words]
 	for i := range row {
@@ -107,11 +109,14 @@ func (d *Door) Wake(watched int) {
 
 // Wait blocks the caller, parked under slot, until p — watched's port — has
 // a generation other than gen, and returns it. The waiter sets its bit and
-// then re-checks the generation; the writer advances the generation and then
-// loads the row: both are sequentially consistent, so one of them sees the
-// other and no wakeup is lost. Wait may return gen unchanged, after DoorSlice
-// at the latest; callers re-check their predicate after every return. In a
-// torn-down world it panics with the hook's abort value.
+// then counts itself into the port word, reading the generation from that
+// same add; the writer advances the generation with an add on the same word
+// and wakes only if the waiter count it found is nonzero. The two adds are
+// ordered on the one word, so either the writer sees the waiter (whose bit is
+// set by then) or the waiter reads the new generation: no wakeup is lost.
+// Wait may return gen unchanged, after DoorSlice at the latest; callers
+// re-check their predicate after every return. In a torn-down world it
+// panics with the hook's abort value.
 //
 // One goroutine at a time waits under a given slot on a given rank, with one
 // exception: slot == watched, a process waiting on its own rank's port, where
@@ -134,9 +139,10 @@ func (d *Door) Wait(p *Port, watched, slot int, gen uint64) uint64 {
 		}
 		own.mu.Unlock()
 	}
+	g = p.enter() // bit first: a ring that counts this waiter finds it in the row
 	var parkStart time.Time
 	var abort error
-	for beat := false; ; {
+	for beat := false; g == gen; {
 		seq := d.hook.Seq(slot)
 		if g = p.Gen(); g != gen {
 			break
@@ -150,6 +156,7 @@ func (d *Door) Wait(p *Port, watched, slot int, gen uint64) uint64 {
 		}
 		beat = !d.hook.Park(slot, seq, DoorSlice)
 	}
+	p.leave()
 	if slot != watched {
 		atomic.AndUint64(word, ^bit)
 	} else {

@@ -69,10 +69,11 @@ func Run(t *testing.T, mk Make) {
 func counter(name string) uint64 { return telemetry.Capture(0).Counters[name] }
 
 // ring advances watched's generation through the writer's view and wakes its
-// waiters, as Transport.RingDoorbell does.
+// waiters if the ring found any, as Transport.RingDoorbell does.
 func (w World) ring(watched int) {
-	w.Writer.Port(watched).Ring()
-	w.Writer.Door.Wake(watched)
+	if w.Writer.Port(watched).Ring() {
+		w.Writer.Door.Wake(watched)
+	}
 }
 
 // waitAsync parks a waiter on watched at generation gen and delivers what
@@ -115,11 +116,12 @@ func mustReturn(t *testing.T, out <-chan any, within time.Duration, why string) 
 
 // noLostWakeup is the lost-wakeup stress: each round the waiter samples the
 // generation and parks until the round's flag shows, while the writer stores
-// the flag under the port and rings in the release. Every interleaving of
-// "check, register, park" against "advance, look for waiters" must end with
-// the waiter returning — and promptly: a wakeup recovered by the heartbeat
-// would pass a liveness check, so the whole run is bounded by what heartbeats
-// alone could not deliver.
+// the flag under the port, rings in the release and wakes only if the
+// release reported waiters. Every interleaving of "check, register, park"
+// against "advance, look for waiters" must end with the waiter returning —
+// and promptly: a wakeup recovered by the heartbeat would pass a liveness
+// check, so the whole run is bounded by what heartbeats alone could not
+// deliver.
 func noLostWakeup(t *testing.T, mk Make) {
 	rounds := uint64(100000)
 	if testing.Short() {
@@ -150,8 +152,9 @@ func noLostWakeup(t *testing.T, mk Make) {
 			}
 			p.Lock()
 			flag.Store(r)
-			p.UnlockRing()
-			w.Writer.Door.Wake(0)
+			if p.UnlockRing() {
+				w.Writer.Door.Wake(0)
+			}
 		}
 	}()
 	// Were one round in fifty to wait out a heartbeat, the run would outlast

@@ -246,21 +246,24 @@ func (ep *Endpoint) flushBeforeBlock() {
 }
 
 // exec returns the executor the inline path runs against a region with real
-// bytes behind it; outside a batch its port release carries the ring.
+// bytes behind it; outside a batch its port release carries the ring and
+// wakes whoever that release found waiting.
 func (ep *Endpoint) exec(reg *Region) RegionExec {
-	return RegionExec{Reg: reg, Ring: ep.batchDepth == 0}
+	x := RegionExec{Reg: reg}
+	if ep.batchDepth == 0 {
+		x.Ring = ep.fab
+	}
+	return x
 }
 
 // notifyDst announces a completed write to reg's owner. Outside a batch the
-// inline path's port release already rang, so only parked waiters remain to
-// wake, and a proxy's owner is rung over the wire; inside a batch the ring
-// is deferred, deduplicated per destination.
+// inline path's port release already rang and woke, so only a proxy's owner
+// remains to be rung, over the wire; inside a batch the ring is deferred,
+// deduplicated per destination.
 func (ep *Endpoint) notifyDst(reg *Region) {
 	dst := reg.owner
 	if ep.batchDepth == 0 {
-		if reg.rmt == nil {
-			ep.fab.WakeDoor(dst)
-		} else {
+		if reg.rmt != nil {
 			ep.fab.RingDoorbell(dst)
 		}
 		return
@@ -511,7 +514,7 @@ func (ep *Endpoint) getCommon(dst []byte, src Addr) timing.Time {
 		reg.check(src.Off, len(dst))
 		comp = rm.Get(dst, src.Off, ep.clock, !same, tail, xfer)
 	} else {
-		comp = ep.exec(reg).Get(dst, src.Off, ep.clock, !same, tail, xfer)
+		comp = RegionExec{Reg: reg}.Get(dst, src.Off, ep.clock, !same, tail, xfer) // a read never rings
 	}
 	if same {
 		ep.clock = comp

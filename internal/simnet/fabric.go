@@ -149,8 +149,8 @@ func (f *Fabric) Aborted() bool { return f.aborted.Load() }
 
 // NewFabric creates a fabric for n ranks with the given node width.
 func NewFabric(n, ranksPerNode int) *Fabric {
-	if n <= 0 {
-		panic("simnet: fabric needs at least one rank")
+	if n <= 0 || n > maxWaiters {
+		panic(fmt.Sprintf("simnet: a fabric holds 1 to %d ranks (one port's waiter count), not %d", maxWaiters, n))
 	}
 	if ranksPerNode <= 0 {
 		ranksPerNode = 1

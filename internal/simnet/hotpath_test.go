@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fompi/internal/hostatomic"
 )
 
 // TestRegionTableConcurrentChurn hammers the copy-on-write region table:
@@ -215,23 +217,29 @@ func TestDoorbellFastPath(t *testing.T) {
 	}
 }
 
-// BenchmarkIssue{Put,Get,FetchAdd} time the inline issue path in the shapes
-// the repository benchmark's put/get/amo kinds drive it: 2 ranks on 2 nodes
-// (the NIC path), an 8-byte operation completed by a flush, nobody parked on
-// the target's doorbell. `go test ./internal/simnet -run '^$' -bench Issue`
-// is the one-command local check for a change to this path; each also guards
-// it against allocating.
+// BenchmarkIssue{Put,Get,FetchAdd,StoreW,Notify} time the inline issue path
+// in the shapes the repository benchmark's put/get/amo kinds drive it — and
+// the two other writes DESIGN.md §6.1's locked-instruction table lists: 2
+// ranks on 2 nodes (the NIC path), an 8-byte operation completed by a flush,
+// nobody parked on the target's doorbell. `go test ./internal/simnet -run
+// '^$' -bench Issue` is the one-command local check for a change to this
+// path; each also guards it against allocating.
 func benchIssue(b *testing.B, op func(ep *Endpoint, a Addr, buf []byte)) {
 	ep, a, buf := allocFixture()
-	buf = buf[:8]
-	if avg := testing.AllocsPerRun(100, func() { op(ep, a, buf) }); avg > 0 {
+	benchIssueOn(b, ep, func() { op(ep, a, buf[:8]) })
+}
+
+// benchIssueOn runs op, which issues from ep, under the allocation and
+// route-memo assertions.
+func benchIssueOn(b *testing.B, ep *Endpoint, op func()) {
+	if avg := testing.AllocsPerRun(100, op); avg > 0 {
 		b.Fatalf("issue path allocates %.2f objects per op, want 0", avg)
 	}
 	b.ReportAllocs()
 	warm := ep.Counters().RouteMisses
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op(ep, a, buf)
+		op()
 	}
 	b.StopTimer()
 	if got := ep.Counters().RouteMisses - warm; got != 0 {
@@ -250,6 +258,33 @@ func BenchmarkIssueGet(b *testing.B) {
 	benchIssue(b, func(ep *Endpoint, a Addr, buf []byte) {
 		ep.GetNBI(buf, a)
 		ep.Gsync()
+	})
+}
+
+func BenchmarkIssueStoreW(b *testing.B) {
+	benchIssue(b, func(ep *Endpoint, a Addr, _ []byte) {
+		ep.StoreW(a, 1)
+		ep.Gsync()
+	})
+}
+
+// BenchmarkIssueNotify deposits bare notifications into a ring at the
+// target. The owner discards the backlog once per lap of the ring — one
+// store per 1024 deposits — so the ring never overflows and the loop times
+// the deposit alone.
+func BenchmarkIssueNotify(b *testing.B) {
+	const capacity = 1024
+	f := NewFabric(2, 1)
+	ep := f.Endpoint(0, FoMPI())
+	nr := BindNotifyRing(f.Endpoint(1, FoMPI()).Register(NotifyRingBytes(capacity)), 0, capacity)
+	ring, sent := nr.Base(), 0
+	benchIssueOn(b, ep, func() {
+		ep.Notify(ring, 1)
+		ep.Gsync()
+		if sent++; sent == capacity {
+			hostatomic.Store(nr.reg.buf, nr.off+8, hostatomic.Load(nr.reg.buf, nr.off))
+			sent = 0
+		}
 	})
 }
 

@@ -16,20 +16,40 @@ import (
 // can address the memory addresses the same port; the three fields are the
 // shared-memory layout.
 //
-// word is generation<<1 | lock bit. Acquire is one CAS setting the bit;
-// release is one atomic add that clears it and, for a write, carries into
-// the generation: +1 rings, -1 does not. A ring from outside the lock adds
-// 2. Every transition is an add or a CAS on the whole word, never a store,
-// so a ring concurrent with a held lock is not lost and the bit is neither
-// dropped nor leaked. The NIC interval is plain memory guarded by the lock.
+// word is generation<<genShift | waiters<<1 | lock bit. Acquire is one CAS
+// setting the bit; release is one atomic add that clears it and, for a
+// write, carries into the generation: genOne-1 rings, -1 does not. A ring
+// from outside the lock adds genOne. A Door waiter adds waiterOne on entry —
+// reading the generation from that same add — and subtracts it on exit.
+// Every transition is an add or a CAS on the whole word, never a store, so a
+// ring concurrent with a held lock or an arriving waiter is not lost, the
+// bit is neither dropped nor leaked, and a ring's own add tells it whether
+// anyone waits: either the waiter's add came first and the ring sees it, or
+// the ring's came first and the waiter reads the new generation. The NIC
+// interval is plain memory guarded by the lock.
 //
-// Who is parked on the generation, and waking them, is Door's business: the
-// port only moves the generation they re-check.
+// Who is parked, and waking them, is Door's business: the port only moves
+// the generation they re-check and counts them.
 type Port struct {
 	word     uint64
 	nicStart int64 // NIC busy interval [nicStart, nicBusy) in virtual time
 	nicBusy  int64
 }
+
+// The port word's fields. The waiter count must never carry into the
+// generation, and cannot: a waiter is counted once while it waits, which
+// bounds a port's count by one per rank in process (the largest world run is
+// p = 4096, and NewFabric refuses more than maxWaiters ranks), and in a
+// process world by one per host-mate plus, on the owner's own slot, the rank
+// itself and one DOORWAIT handler per peer (≤ 2 × mprun.MaxRanks = 2048) —
+// far below the field's maximum, maxWaiters = 2^16 − 1.
+const (
+	waiterOne   = 1 << 1
+	genShift    = 17
+	genOne      = 1 << genShift
+	waiterField = genOne - waiterOne
+	maxWaiters  = waiterField / waiterOne
+)
 
 // Lock acquires the port. Critical sections are a NIC booking and a few
 // stamp records, so contention is resolved by spinning.
@@ -56,21 +76,29 @@ func (p *Port) lockSlow() {
 // deferred (an open batch) or arrives separately (the wire owner).
 func (p *Port) Unlock() { atomic.AddUint64(&p.word, ^uint64(0)) }
 
-// UnlockRing releases the port and advances the generation in the same add.
-// The caller then asks its transport to wake parked waiters.
-func (p *Port) UnlockRing() {
+// UnlockRing releases the port and advances the generation in the same add,
+// and reports whether that add found waiters: only then does the caller wake
+// them (Door.Wake).
+func (p *Port) UnlockRing() (waiters bool) {
 	mDoorRings.Inc()
-	atomic.AddUint64(&p.word, 1)
+	return atomic.AddUint64(&p.word, genOne-1)&waiterField != 0
 }
 
-// Ring advances the generation from outside the lock.
-func (p *Port) Ring() {
+// Ring advances the generation from outside the lock and reports whether
+// the add found waiters, as UnlockRing does.
+func (p *Port) Ring() (waiters bool) {
 	mDoorRings.Inc()
-	atomic.AddUint64(&p.word, 2)
+	return atomic.AddUint64(&p.word, genOne)&waiterField != 0
 }
 
 // Gen samples the doorbell generation.
-func (p *Port) Gen() uint64 { return atomic.LoadUint64(&p.word) >> 1 }
+func (p *Port) Gen() uint64 { return atomic.LoadUint64(&p.word) >> genShift }
+
+// enter counts a Door waiter in and returns the generation its add found.
+func (p *Port) enter() uint64 { return atomic.AddUint64(&p.word, waiterOne) >> genShift }
+
+// leave counts a Door waiter out.
+func (p *Port) leave() { atomic.AddUint64(&p.word, ^uint64(waiterOne-1)) }
 
 // BookNIC reserves the port's NIC for xfer virtual nanoseconds starting no
 // earlier than arrival and returns the transfer's completion time; the

@@ -63,8 +63,73 @@ func TestPortExclusionAndRings(t *testing.T) {
 	if got, want := p.Gen(), rings.Load(); got != want {
 		t.Errorf("generation advanced by %d over %d rings", got, want)
 	}
-	if w := atomic.LoadUint64(&p.word); w != rings.Load()<<1 {
-		t.Errorf("port word %#x at rest, want generation %d with the lock bit clear", w, rings.Load())
+	w := atomic.LoadUint64(&p.word)
+	if w&1 != 0 || w&waiterField != 0 || w>>genShift != rings.Load() {
+		t.Errorf("port word %#x at rest (lock %d, waiters %d, generation %d), want the lock clear, no waiters and generation %d",
+			w, w&1, (w&waiterField)/waiterOne, w>>genShift, rings.Load())
+	}
+}
+
+// TestPortRingReportsWaiters: a ring, in the release or from outside the
+// lock, reports waiters exactly while one is counted in — a Door waiter
+// parked on the port, here — and a plain release reports nothing.
+func TestPortRingReportsWaiters(t *testing.T) {
+	var p Port
+	rings := func(want bool, when string) {
+		t.Helper()
+		if got := p.Ring(); got != want {
+			t.Errorf("Ring reported waiters %v %s, want %v", got, when, want)
+		}
+		p.Lock()
+		if got := p.UnlockRing(); got != want {
+			t.Errorf("UnlockRing reported waiters %v %s, want %v", got, when, want)
+		}
+		p.Lock()
+		p.Unlock()
+	}
+	rings(false, "on a fresh port")
+	var fk fakePace
+	fk.onPark = func(n int) bool {
+		rings(true, "with a waiter parked")
+		return true
+	}
+	d := NewDoor(2, nil, fk.hook())
+	if g := d.Wait(&p, 0, 1, p.Gen()); g != 4 {
+		t.Fatalf("Wait returned generation %d after four rings, want 4", g)
+	}
+	rings(false, "after the waiter left")
+	if w := atomic.LoadUint64(&p.word); w != 6<<genShift {
+		t.Errorf("port word %#x after six rings and one wait, want generation 6 and nothing else", w)
+	}
+}
+
+// TestPortWaiterFieldBounded fills the waiter count to the field's maximum
+// with the port held and rung on top: the generation, the lock bit and the
+// count each read exactly what was put in, so the count cannot carry into
+// the generation at any count the layout admits.
+func TestPortWaiterFieldBounded(t *testing.T) {
+	var p Port
+	p.Ring()
+	p.Ring()
+	for i := 0; i < maxWaiters; i++ {
+		if g := p.enter(); g != 2 {
+			t.Fatalf("waiter %d read generation %d, want 2", i+1, g)
+		}
+	}
+	p.Lock()
+	if !p.UnlockRing() {
+		t.Fatal("a ring with the waiter field full reported no waiters")
+	}
+	w := atomic.LoadUint64(&p.word)
+	if w&1 != 0 || (w&waiterField)/waiterOne != maxWaiters || p.Gen() != 3 {
+		t.Fatalf("port word %#x with %d waiters after 3 rings: lock %d, waiters %d, generation %d",
+			w, maxWaiters, w&1, (w&waiterField)/waiterOne, p.Gen())
+	}
+	for i := 0; i < maxWaiters; i++ {
+		p.leave()
+	}
+	if w := atomic.LoadUint64(&p.word); w != 3<<genShift {
+		t.Fatalf("port word %#x after every waiter left, want generation 3 and nothing else", w)
 	}
 }
 
@@ -97,8 +162,11 @@ func TestAmoChainsSerializeOnPort(t *testing.T) {
 			clock, free := timing.Time(o), timing.Time(0)
 			for i := 0; i < perOrigin; i++ {
 				w := (i + o) % 2
-				old, land, base, nf := RegionExec{Reg: regs[w], Ring: i%2 == 0}.WordAmo(
-					WordAdd, 8, 1, 0, clock, free, reserve, 240, 1)
+				x := RegionExec{Reg: regs[w]}
+				if i%2 == 0 {
+					x.Ring = f
+				}
+				old, land, base, nf := x.WordAmo(WordAdd, 8, 1, 0, clock, free, reserve, 240, 1)
 				mine[w] = append(mine[w], link{old, land, base})
 				clock, free = clock+100, nf
 			}

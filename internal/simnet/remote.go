@@ -116,18 +116,23 @@ type WireDrainer interface {
 // addressable region: the one acquire/book/stamp/release sequence over the
 // owner's port that both the inline issue path (Endpoint, for every region
 // with real bytes behind it) and the owner-side half of an inter-node
-// backend's service loop run. Ring selects the release: true carries the
-// doorbell ring in the port's release add (the inline path outside a
-// batch; the caller then calls Transport.WakeDoor), false leaves the
-// generation alone (an open batch defers its rings, and a wire requester's
-// ring arrives as its own message). Methods panic on faults — out-of-bounds
-// or misaligned access, ring overflow — with the same messages on either
-// path, and never while holding the port: a rank spinning on a leaked port
-// could not unwind when the world aborts. A backend forwards the panic to
-// the requester.
+// backend's service loop run. Ring selects the release: set — the inline
+// path outside a batch sets it to its transport — the port's release add
+// carries the doorbell ring, and if that add found waiters they are woken
+// through Ring.WakeDoor; nil leaves the generation alone (an open batch
+// defers its rings, and a wire requester's ring arrives as its own message).
+// Methods panic on faults — out-of-bounds or misaligned access, ring
+// overflow — with the same messages on either path, and never while holding
+// the port: a rank spinning on a leaked port could not unwind when the world
+// aborts. A backend forwards the panic to the requester.
+//
+// The stores that publish a write — its stamp records, a word store's value,
+// a notification's slot — are release stores (hostatomic.StoreRel): the
+// release add, a ring, or an open batch's ring at EndBatch is the full fence
+// that orders them before anyone is told to look.
 type RegionExec struct {
 	Reg  *Region
-	Ring bool
+	Ring Transport
 }
 
 // land opens a put-shaped transfer: inter-node (reserve) it takes the port
@@ -143,16 +148,20 @@ func (x RegionExec) land(reserve bool, arrival timing.Time, xfer int64) timing.T
 
 // done announces a completed write: it releases the port if the operation
 // held it, and rings — in the release itself when there is one — when Ring
-// is set.
+// is set, waking the owner's waiters only if the ring's add found any.
 func (x RegionExec) done(locked bool) {
 	p := x.Reg.port
+	var waiters bool
 	switch {
-	case locked && x.Ring:
-		p.UnlockRing()
+	case locked && x.Ring != nil:
+		waiters = p.UnlockRing()
 	case locked:
 		p.Unlock()
-	case x.Ring:
-		p.Ring()
+	case x.Ring != nil:
+		waiters = p.Ring()
+	}
+	if waiters {
+		x.Ring.WakeDoor(x.Reg.owner)
 	}
 }
 
@@ -212,7 +221,7 @@ func (x RegionExec) StoreWord(off int, v uint64, reserve bool, arrival timing.Ti
 	x.Reg.checkWords(off, 8)
 	comp := x.land(reserve, arrival, xfer)
 	x.Reg.stamps.Set(off, comp)
-	hostatomic.Store(x.Reg.buf, off, v)
+	hostatomic.StoreRel(x.Reg.buf, off, v)
 	x.done(reserve)
 	return comp
 }
@@ -317,7 +326,7 @@ func (x RegionExec) Notify(off int, word uint64, reserve bool, arrival timing.Ti
 	slot := off + notifyHeaderBytes + int(ticket%capacity)*8
 	comp := x.land(reserve, arrival, xfer)
 	reg.stamps.Set(slot, comp)
-	hostatomic.Store(reg.buf, slot, word|notifyValid)
+	hostatomic.StoreRel(reg.buf, slot, word|notifyValid)
 	x.done(reserve)
 	return comp
 }

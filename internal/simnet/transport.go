@@ -44,12 +44,14 @@ import (
 //     inline issue path and RegionExec take it for every NIC booking and
 //     AMO, and release it with the ring.
 //   - WakeDoor(r) wakes every WaitDoor(_, r, gen) waiter whose gen is stale
-//     after r's port generation advanced, with no lost wakeups, and costs a
-//     load per 64 ranks when nobody is parked. WaitDoor may return gen
-//     unchanged (after DoorSlice at the latest): a waiter re-checks its
-//     predicate after every return. For an addressable rank both are the
-//     world's Door — Door.Wake and Door.Wait on Port(r) — and RingDoorbell(r)
-//     is Port(r).Ring() plus WakeDoor(r); for a rank reached through proxies
+//     after r's port generation advanced, with no lost wakeups, provided the
+//     writer calls it whenever the add that advanced the generation
+//     (Port.Ring, Port.UnlockRing) reported waiters; a write that finds none
+//     calls nothing. WaitDoor may return gen unchanged (after DoorSlice at
+//     the latest): a waiter re-checks its predicate after every return. For
+//     an addressable rank both are the world's Door — Door.Wake and
+//     Door.Wait on Port(r) — and RingDoorbell(r) is Port(r).Ring() plus, if
+//     it reported waiters, WakeDoor(r); for a rank reached through proxies
 //     they are messages to the owner, who does the same.
 //   - Pacer() returns the world's conservative-pacing state (DESIGN.md
 //     §6.1), nil for an unpaced world. The discipline itself is Pacer's; a
@@ -131,10 +133,12 @@ func (f *Fabric) Port(rank int) *Port { return &f.nodes[rank].port }
 // WakeDoor wakes rank's parked waiters after its generation advanced.
 func (f *Fabric) WakeDoor(rank int) { f.door.Wake(rank) }
 
-// RingDoorbell rings rank's doorbell, waking its waiters.
+// RingDoorbell rings rank's doorbell, waking its waiters if the ring found
+// any.
 func (f *Fabric) RingDoorbell(rank int) {
-	f.nodes[rank].port.Ring()
-	f.door.Wake(rank)
+	if f.nodes[rank].port.Ring() {
+		f.door.Wake(rank)
+	}
 }
 
 // DoorGen samples rank's doorbell generation.

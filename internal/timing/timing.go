@@ -38,8 +38,8 @@ func Max(a, b Time) Time {
 // its eight stamps one cache line of shadow state.
 //
 // The fan-out trades stores for loads. Every record a writer publishes is a
-// locked instruction or two (sync/atomic has no cheaper store), every level a
-// lookup climbs is one plain load, and a range unaligned at some level
+// store or two (release stores, see record.go), every level a lookup climbs
+// is one plain load, and a range unaligned at some level
 // leaves up to BlockWords-1 records there on each side. At 8 a 16 KiB put
 // 24 KiB into a window is 4 fills (32 at a fan-out of 64) and a word lookup
 // in a 256 KiB window climbs 6 levels (3 at 64) — some 400 ns saved per such
@@ -274,17 +274,6 @@ func (s *Stamps) touch(b int, e uint32) {
 	}
 }
 
-// setWord records (v, e) in word i. Stamp before epoch: a reader that
-// observes the new epoch observes the new stamp (or a yet newer one). The
-// epoch is republished only when it changed, so a word rewritten with no
-// fill in between costs one locked instruction, the stamp store.
-func (s *Stamps) setWord(i int, v int64, e uint32) {
-	atomic.StoreInt64(&s.words[i], v)
-	if atomic.LoadUint32(&s.wEpoch[i]) != e {
-		atomic.StoreUint32(&s.wEpoch[i], e)
-	}
-}
-
 // covers reports whether words [first, last] include all of node idx of
 // level l.
 func (s *Stamps) covers(first, last, l, idx int) bool {
@@ -297,9 +286,9 @@ func (s *Stamps) covers(first, last, l, idx int) bool {
 func (s *Stamps) Set(off int, t Time) {
 	i := off / 8
 	e := atomic.LoadUint32(s.epoch) + 1
-	// At most two locked instructions when no fill intervened since the
-	// word's last write: touch is a load, setWord one store (two on the
-	// word's first write at this epoch).
+	// No locked instruction when no fill intervened since the word's last
+	// write: touch is a load, setWord one release store (two on the word's
+	// first write at this epoch).
 	s.touch(i>>blockShift, e)
 	s.setWord(i, int64(t), e)
 }
@@ -346,15 +335,6 @@ func (s *Stamps) SetRange(off, n int, t Time) {
 	} else {
 		s.stampBelow(top, 0, first, last, v, e)
 	}
-}
-
-// fillNode records the fill (v, e) in node idx of level l. Fill stamp before
-// fill epoch: a reader observing the new epoch observes the new stamp (or a
-// newer one).
-func (s *Stamps) fillNode(l, idx int, v int64, e uint32) {
-	lv := &s.lv[l-1]
-	atomic.StoreInt64(&lv.fill[idx], v)
-	atomic.StoreUint32(&lv.fEpoch[idx], e)
 }
 
 // stampBelow writes (v, e) over the words of [first, last] beneath node idx

@@ -5,6 +5,11 @@
 #
 #   gofmt -l                     formatting is clean
 #   go vet ./...                 static checks
+#   GOARCH=arm64 go vet ./...    the same, cross-compiled: the portable
+#                                fallback of hostatomic's release store (the
+#                                sync/atomic store every non-amd64 build
+#                                uses) keeps compiling beside the amd64
+#                                assembly
 #   go build ./...               everything compiles
 #   CGO_ENABLED=0 build + tests  the tree builds without cgo, and the control
 #                                plane, the arena, the process transport and
@@ -57,9 +62,11 @@
 #   fuzz smoke                   FuzzParseBatch (a frame's list), FuzzFrame
 #                                (the owner's whole frame path: session
 #                                header, replay, execution against one
-#                                region) and FuzzCtlLine (every control
-#                                line), 5 s each: what parses bytes that
-#                                cross a process boundary stays total
+#                                region), FuzzCtlLine (every control line)
+#                                and FuzzCheckHeader (the arena header a
+#                                process maps without having written it),
+#                                5 s each: what reads bytes that cross a
+#                                process boundary stays total
 #   make bench-test              the benchmark module's own tests (benchmark/
 #                                has its own go.mod, so ./... skips it)
 #   go test -bench Issue -benchtime 1x
@@ -67,10 +74,11 @@
 #                                their 0 allocs/op and 0 steady-state route
 #                                misses assertions run on every verify
 #   go test -race -short <hot>   concurrency check over the packages whose
-#                                goroutines share fabric memory (the port's,
-#                                the pacer's and the door's unit tests, the
-#                                two-mappings arena tests and mpi1's Door
-#                                waits among them),
+#                                goroutines share fabric memory (the release
+#                                store's message-passing litmus test, the
+#                                port's, the pacer's and the door's unit
+#                                tests, the two-mappings arena tests and
+#                                mpi1's Door waits among them),
 #                                plus the cross-backend AMO chain, pacing,
 #                                doorbell, fused-frame, ordering,
 #                                shared-frame and stopped-rank conformance
@@ -110,6 +118,9 @@ fi
 echo "== go vet"
 go vet ./...
 
+echo "== GOARCH=arm64 go vet (the portable release-store fallback compiles)"
+GOARCH=arm64 go vet ./...
+
 echo "== go build"
 go build ./...
 
@@ -129,12 +140,13 @@ fi
 echo "== go test"
 go test ./...
 
-echo "== fuzz smoke (the three parsers of cross-process bytes, 5 s each)"
+echo "== fuzz smoke (the four readers of cross-process bytes, 5 s each)"
 # -fuzzminimizetime: minimising one 64 KiB interesting input would otherwise
 # eat the whole budget.
 go test ./internal/netrun -run '^$' -fuzz FuzzParseBatch -fuzztime 5s -fuzzminimizetime 1s
 go test ./internal/netrun -run '^$' -fuzz FuzzFrame -fuzztime 5s -fuzzminimizetime 1s
 go test ./internal/rankio -run '^$' -fuzz FuzzCtlLine -fuzztime 5s -fuzzminimizetime 1s
+go test ./internal/mprun -run '^$' -fuzz FuzzCheckHeader -fuzztime 5s -fuzzminimizetime 1s
 
 echo "== benchmark module tests (make bench-test)"
 make bench-test
@@ -142,8 +154,8 @@ make bench-test
 echo "== issue-path benchmarks, one iteration (0 allocs/op, 0 steady-state route misses)"
 go test ./internal/simnet -run '^$' -bench Issue -benchtime 1x
 
-echo "== go test -race -short (timing, simnet, core, spmd, netrun, rankio, mprun, mpi1)"
-go test -race -short ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/
+echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1)"
+go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/
 go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestConformanceFusedFrame|TestConformanceOrdering|TestConformanceSharedFrame|TestStoppedRank' ./internal/transporttest/
 
 echo "== examples smoke (build + run, cross-backend diff)"
