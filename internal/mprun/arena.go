@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -55,62 +54,54 @@ func (c ArenaConfig) withDefaults() ArenaConfig {
 // world-rank order — the whole world when every rank has the same key.
 // Everything two co-located ranks ever both touch lives in the mapping — the
 // region directory, the stamp slabs, each rank's port (doorbell generation,
-// NIC interval and the lock over them), the door's and the pacer's tables —
-// plus one Unix datagram socket per local rank, which is how a process's
-// parked goroutines are reached (the simnet.ParkHook of both disciplines).
+// NIC interval and the lock over them) and wake word, the door's and the
+// pacer's tables — and nothing else: a parked goroutine sleeps on its slot's
+// wake word with a futex, so a world puts no file on disk but the segment.
 type Arena struct {
 	cfg  ArenaConfig
 	path string // the segment file: where the rule put it, or where it was found
-	sock string // doorbell socket stem, under os.TempDir() wherever path is
 	m    []byte
 	lay  layout
 	self int // local index of this process, -1 until Bind
 
-	door *simnet.Door   // over the mapping's wait[] section
-	park *simnet.Parker // this process's sleepers, listening on conn
+	door *simnet.Door // over the mapping's wait[] section
 	// aborted is the abort state of the process that bound the arena (its
 	// control-plane client's): the hook's Aborted. Nil until Bind.
 	aborted func() error
-
-	conn    *net.UnixConn // this rank's bound doorbell socket
-	peersMu sync.Mutex
-	peers   []*net.UnixConn // lazily dialed per-destination doorbell conns
+	ended   atomic.Bool // Abort has run: no park of this process sleeps
+	// unmap orders Abort's poke against Close: the control plane's abort
+	// may run as the rank releases a finished world.
+	unmap sync.Mutex
 
 	arenaPos int
 	freeSegs map[int][]*segpool.Seg
 	regions  [][]*simnet.Region // lazily built (local, key) views of peers' registrations
 }
 
-// DoorSockPath returns the doorbell socket path of local rank n of the arena
-// whose socket stem is sock.
-func DoorSockPath(sock string, n int) string {
-	return fmt.Sprintf("%s.door.%d", sock, n)
-}
-
 func (a *Arena) initMaps() {
-	a.peers = make([]*net.UnixConn, a.cfg.Ranks)
 	a.regions = make([][]*simnet.Region, a.cfg.Ranks)
 	a.freeSegs = map[int][]*segpool.Seg{}
 	a.self = -1
 	n := a.cfg.Ranks
-	a.park = simnet.NewParker(n, a.listen)
 	a.door = simnet.NewDoor(n, unsafe.Slice(u64at(a.m, a.lay.waitOff), simnet.DoorTableWords(n)), a.hook())
 }
 
 // CreateArena creates and maps the shared segment called name (which must not
-// exist) in the directory the placement rule picks for its size (segdir.go);
-// sock is the stem of the world's doorbell socket paths. The header's magic
-// word is stored last, so concurrent OpenArena callers never observe a
-// half-initialized mapping.
-func CreateArena(name, sock string, cfg ArenaConfig) (*Arena, error) {
+// exist) in the directory the placement rule picks for its size (segdir.go).
+// The header's magic word is stored last, so concurrent OpenArena callers
+// never observe a half-initialized mapping.
+func CreateArena(name string, cfg ArenaConfig) (*Arena, error) {
+	if errNoFutex != nil {
+		return nil, errNoFutex
+	}
 	cfg = cfg.withDefaults()
 	total := layoutFor(cfg.Ranks, cfg.ArenaBytes).total
-	return createArenaAt(filepath.Join(segmentDir(total, statDir), name), sock, cfg)
+	return createArenaAt(filepath.Join(segmentDir(total, statDir), name), cfg)
 }
 
-func createArenaAt(path, sock string, cfg ArenaConfig) (*Arena, error) {
+func createArenaAt(path string, cfg ArenaConfig) (*Arena, error) {
 	cfg = cfg.withDefaults()
-	a := &Arena{cfg: cfg, path: path, sock: sock, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
+	a := &Arena{cfg: cfg, path: path, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("mprun: create shared segment: %w", err)
@@ -150,18 +141,21 @@ var errUnpublished = errors.New("not published yet")
 // creator is the readiness signal. Only "not there yet" is retried: a
 // published header that disagrees with cfg is a launcher/worker mismatch no
 // amount of waiting heals, and fails at once.
-func OpenArena(name, sock string, cfg ArenaConfig, wait time.Duration) (*Arena, error) {
+func OpenArena(name string, cfg ArenaConfig, wait time.Duration) (*Arena, error) {
+	if errNoFutex != nil {
+		return nil, errNoFutex
+	}
 	roots := SegmentRoots()
 	paths := make([]string, len(roots))
 	for i, root := range roots {
 		paths[i] = filepath.Join(root, name)
 	}
-	return openArenaAt(paths, sock, cfg, wait)
+	return openArenaAt(paths, cfg, wait)
 }
 
-func openArenaAt(paths []string, sock string, cfg ArenaConfig, wait time.Duration) (*Arena, error) {
+func openArenaAt(paths []string, cfg ArenaConfig, wait time.Duration) (*Arena, error) {
 	cfg = cfg.withDefaults()
-	a := &Arena{cfg: cfg, sock: sock, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
+	a := &Arena{cfg: cfg, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
 	deadline := time.Now().Add(wait)
 	for pause := openPauseMin; ; pause = min(2*pause, openPauseMax) {
 		var err error
@@ -210,19 +204,12 @@ func (a *Arena) tryOpen() error {
 	return nil
 }
 
-// Bind attaches this process as local rank self: it binds the rank's doorbell
-// socket (removing a stale one from a crashed earlier world first), and the
-// arena's waits unwind once aborted — the process's own abort state — is no
-// longer nil. Mappers that never wait (a launcher) skip it.
-func (a *Arena) Bind(self int, aborted func() error) error {
-	os.Remove(DoorSockPath(a.sock, self))
-	conn, err := net.ListenUnixgram("unixgram",
-		&net.UnixAddr{Name: DoorSockPath(a.sock, self), Net: "unixgram"})
-	if err != nil {
-		return fmt.Errorf("mprun: bind doorbell socket: %w", err)
-	}
-	a.self, a.conn, a.aborted = self, conn, aborted
-	return nil
+// Bind attaches this process as local rank self: its goroutines park under
+// that slot, and the arena's waits unwind once aborted — the process's own
+// abort state — is no longer nil. Mappers that never wait (a launcher) skip
+// it.
+func (a *Arena) Bind(self int, aborted func() error) {
+	a.self, a.aborted = self, aborted
 }
 
 // Unlink removes the segment's name (mappings survive); the creator calls it
@@ -233,19 +220,10 @@ func (a *Arena) Unlink() { os.Remove(a.path) }
 // Path returns the segment file's path.
 func (a *Arena) Path() string { return a.path }
 
-// Close unmaps the arena and closes this process's sockets.
+// Close unmaps the arena.
 func (a *Arena) Close() {
-	if a.conn != nil {
-		a.conn.Close()
-		os.Remove(DoorSockPath(a.sock, a.self))
-	}
-	a.peersMu.Lock()
-	for _, c := range a.peers {
-		if c != nil {
-			c.Close()
-		}
-	}
-	a.peersMu.Unlock()
+	a.unmap.Lock()
+	defer a.unmap.Unlock()
 	if a.m != nil {
 		syscall.Munmap(a.m)
 		a.m = nil
@@ -378,48 +356,48 @@ func (a *Arena) Port(local int) *simnet.Port {
 
 // ---- parking: the hook of the arena's Door and Pacer ----
 
-// hook is how this process's goroutines sleep and how any local rank's are
-// reached: the process's parker, listening on the rank's own doorbell socket
-// — service handlers holding off-host ranks' waits sleep beside the rank
-// itself, and one datagram wakes them all — and one datagram to the
-// sleeper's. Whether the world stands is the binding process's to say.
+// hook is how a goroutine of any mapper sleeps under a local rank's slot and
+// how it is reached: the slot's wake word, a futex every mapper shares. Seq
+// loads the word, Park sleeps on it, and Poke adds to it and wakes every
+// sleeper — the rank itself and, on hybrid, the service handlers that hold
+// off-host ranks' waits on it. Whether the world stands is the binding
+// process's to say.
+//
+// A parked goroutine holds its OS thread while it sleeps. In an mp world that
+// is at most the rank itself, one per process (no service goroutines run, and
+// mpi1 refuses process worlds); on hybrid, at most 1 + the off-host peers with
+// a DOORWAIT in flight on this rank, ≤ MaxRanks.
 func (a *Arena) hook() simnet.ParkHook {
-	h := a.park.Hook(func() error { return a.aborted() })
-	h.Poke = a.sendDoor
-	return h
+	return simnet.ParkHook{Seq: a.seq, Park: a.park, Poke: a.poke,
+		Aborted: func() error { return a.aborted() }}
 }
 
-// listen reads this process's doorbell socket for at most d and reports
-// whether a datagram came.
-func (a *Arena) listen(d time.Duration) bool {
-	var scratch [8]byte
-	a.conn.SetReadDeadline(time.Now().Add(d))
-	_, err := a.conn.Read(scratch[:])
-	return err == nil
-}
+func (a *Arena) wake(slot int) *uint32 { return u32at(a.m, a.lay.rankOff(slot)+rnWake) }
 
-var doorByte = []byte{1}
+func (a *Arena) seq(slot int) uint64 { return uint64(atomic.LoadUint32(a.wake(slot))) }
 
-// sendDoor sends local rank r's socket one datagram and reports whether it
-// left (a full socket buffer means wakeups are already pending); a sleeper
-// the datagram does not reach wakes by its heartbeat.
-func (a *Arena) sendDoor(r int) bool {
-	a.peersMu.Lock()
-	c := a.peers[r]
-	if c == nil {
-		var err error
-		c, err = net.DialUnix("unixgram", nil,
-			&net.UnixAddr{Name: DoorSockPath(a.sock, r), Net: "unixgram"})
-		if err != nil {
-			a.peersMu.Unlock()
-			return false // not bound yet or gone
+// park sleeps under slot until its wake word leaves seq, this process has
+// aborted, or d has passed, and reports whether the word moved. A poke that
+// lands between the caller's sample and the sleep has moved the word, and
+// FUTEX_WAIT does not sleep on a moved word.
+func (a *Arena) park(slot int, seq uint64, d time.Duration) bool {
+	w := a.wake(slot)
+	deadline := time.Now().Add(d)
+	for atomic.LoadUint32(w) == uint32(seq) && !a.ended.Load() {
+		left := time.Until(deadline)
+		if left <= 0 {
+			break
 		}
-		a.peers[r] = c
+		futexSleep(w, uint32(seq), left)
 	}
-	a.peersMu.Unlock()
-	c.SetWriteDeadline(time.Now().Add(2 * time.Millisecond))
-	_, err := c.Write(doorByte)
-	return err == nil
+	return atomic.LoadUint32(w) != uint32(seq)
+}
+
+// poke advances slot's wake word and wakes everyone asleep on it.
+func (a *Arena) poke(slot int) bool {
+	w := a.wake(slot)
+	atomic.AddUint32(w, 1)
+	return futexWakeAll(w)
 }
 
 // Door returns this process's door over the arena's waiter bitsets: bit r of
@@ -445,11 +423,15 @@ func (a *Arena) Ring(local int) {
 	}
 }
 
-// Abort ends this process's arena parks, now and from now on: its parker's
-// sleepers wake, and the one listening on the doorbell socket hears a
-// datagram. They find the abort through the bound abort state; host-mates
-// learn of it from their own control streams.
+// Abort ends this process's arena parks, now and from now on: a park that
+// starts later returns at once, and the poke of its own slot wakes those
+// asleep. They find the abort through the bound abort state; host-mates learn
+// of it from their own control streams. After Close there is no one to wake.
 func (a *Arena) Abort() {
-	a.park.Abort()
-	a.sendDoor(a.self)
+	a.ended.Store(true)
+	a.unmap.Lock()
+	defer a.unmap.Unlock()
+	if a.m != nil {
+		a.poke(a.self)
+	}
 }

@@ -25,13 +25,13 @@ var placements = []struct {
 	open func(t *testing.T, cfg ArenaConfig) (creator, opener *Arena)
 }{
 	{"explicit path", func(t *testing.T, cfg ArenaConfig) (*Arena, *Arena) {
-		path, sock := filepath.Join(t.TempDir(), "arena"), filepath.Join(t.TempDir(), "a")
-		creator, err := createArenaAt(path, sock, cfg)
+		path := filepath.Join(t.TempDir(), "arena")
+		creator, err := createArenaAt(path, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(creator.Close)
-		opener, err := openArenaAt([]string{path}, sock, cfg, 0)
+		opener, err := openArenaAt([]string{path}, cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,14 +40,13 @@ var placements = []struct {
 	}},
 	{"placed by the rule", func(t *testing.T, cfg ArenaConfig) (*Arena, *Arena) {
 		name := fmt.Sprintf("fompi-mp-test-%d-%d%s", os.Getpid(), time.Now().UnixNano(), segSuffix)
-		sock := filepath.Join(t.TempDir(), "a")
-		creator, err := CreateArena(name, sock, cfg)
+		creator, err := CreateArena(name, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(creator.Close)
 		t.Cleanup(creator.Unlink)
-		opener, err := OpenArena(name, sock, cfg, 0)
+		opener, err := OpenArena(name, cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,23 +74,21 @@ var placements = []struct {
 func bindAborting(t *testing.T, a *Arena, slot, blamed int) (abort func()) {
 	t.Helper()
 	var dead atomic.Bool
-	if err := a.Bind(slot, func() error {
+	a.Bind(slot, func() error {
 		if dead.Load() {
 			return &simnet.ErrPeerFailed{Rank: blamed}
 		}
 		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	return func() { dead.Store(true); a.Abort() }
 }
 
 // TestPacerOverTwoViews runs the behavioural pacing cases over one arena
 // mapped twice, as two processes would: the blocked rank paces through the
-// view that bound its doorbell socket, every other rank publishes through
-// the other, so the tables are shared words of the mapping and each release
-// is a datagram from one view to the other's socket. The abort is the
-// blocked rank's process's own.
+// view that bound its slot, every other rank publishes through the other, so
+// the tables are shared words of the mapping and each release is a futex
+// wake through one view of the word the other view sleeps on. The abort is
+// the blocked rank's process's own.
 func TestPacerOverTwoViews(t *testing.T) {
 	for _, pl := range placements {
 		t.Run(pl.name, func(t *testing.T) {
@@ -103,17 +100,38 @@ func TestPacerOverTwoViews(t *testing.T) {
 				mine, others, abort := views(t, n, window, blocker)
 				return pacetest.World{Blocker: mine.Pacer(), Others: others.Pacer(), Abort: abort}
 			})
-			// The hook by itself: a poke through one view ends the other's park.
-			mine, others, _ := views(t, 2, 100, 1)
-			if !others.sendDoor(1) {
-				t.Fatal("poke through the other view was not delivered")
-			}
+			// The hook by itself. A park at a sequence a poke through the
+			// other view has already left does not sleep; a park asleep
+			// when the other view pokes wakes; a park with nothing pending
+			// times out; and once the view has aborted, a park returns at
+			// once.
+			mine, others, abort := views(t, 2, 100, 1)
 			hook := mine.hook()
-			if !hook.Park(1, hook.Seq(1), 5*time.Second) {
-				t.Fatal("park timed out with a poke from the other view pending")
+			seq := hook.Seq(1)
+			if !others.hook().Poke(1) {
+				t.Fatal("poke through the other view failed")
+			}
+			if t0 := time.Now(); !hook.Park(1, seq, 5*time.Second) || time.Since(t0) > time.Second {
+				t.Fatalf("park at a sequence the other view's poke had left slept %v", time.Since(t0))
+			}
+			parked := make(chan bool, 1)
+			go func() { parked <- hook.Park(1, hook.Seq(1), 30*time.Second) }()
+			time.Sleep(20 * time.Millisecond)
+			others.hook().Poke(1)
+			select {
+			case poked := <-parked:
+				if !poked {
+					t.Fatal("park woken by the other view's poke reported a timeout")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a poke through the other view did not end the park")
 			}
 			if hook.Park(1, hook.Seq(1), time.Millisecond) {
 				t.Fatal("park with nothing pending did not time out")
+			}
+			abort()
+			if t0 := time.Now(); hook.Park(1, hook.Seq(1), 5*time.Second) || time.Since(t0) > time.Second {
+				t.Fatalf("park after the abort slept %v", time.Since(t0))
 			}
 		})
 	}
@@ -121,12 +139,12 @@ func TestPacerOverTwoViews(t *testing.T) {
 
 // TestDoorOverTwoViews runs the behavioural door cases over one arena mapped
 // twice, as two processes would: waiters park through the view that bound the
-// slot's doorbell socket, writers ring through the other, so the waiter
-// bitset is shared words of the mapping and each poke is a datagram from one
-// view to the other's socket. Two waiters under one slot are the hybrid
-// backend's rank and service handler: one reads the socket, the other parks
-// behind it. The abort is the waiters' process's own, and names the culprit
-// its control plane would.
+// slot, writers ring through the other, so the waiter bitset and the wake
+// word are shared words of the mapping, at a different address in each view,
+// and each poke is a futex wake through the writer's. Two waiters under one
+// slot are the hybrid backend's rank and service handler, asleep on one
+// word. The abort is the waiters' process's own, and names the culprit its
+// control plane would.
 func TestDoorOverTwoViews(t *testing.T) {
 	for _, pl := range placements {
 		t.Run(pl.name, func(t *testing.T) {
@@ -136,7 +154,6 @@ func TestDoorOverTwoViews(t *testing.T) {
 					Waiter: doortest.View{Door: mine.Door(), Port: mine.Port},
 					Writer: doortest.View{Door: others.Door(), Port: others.Port},
 					Abort:  bindAborting(t, mine, slot, 3), Blamed: 3,
-					SlowPoke: true,
 				}
 			})
 		})
@@ -288,34 +305,33 @@ func TestSegmentDir(t *testing.T) {
 // sized and not yet stamped with its magic, is worth the wait.
 func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
 	cfg := ArenaConfig{Ranks: 2, ArenaBytes: pageAlign}
-	sock := filepath.Join(t.TempDir(), "a")
 	const wait = 10 * time.Second
 
 	path := filepath.Join(t.TempDir(), "mismatched")
-	creator, err := createArenaAt(path, sock, cfg)
+	creator, err := createArenaAt(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer creator.Close()
 	atomic.StoreUint64(u64at(creator.m, hdrVersion), shmVersion+1)
 	start := time.Now()
-	_, err = openArenaAt([]string{filepath.Join(t.TempDir(), "absent"), path}, sock, cfg, wait)
+	_, err = openArenaAt([]string{filepath.Join(t.TempDir(), "absent"), path}, cfg, wait)
 	if took := time.Since(start); took > 100*time.Millisecond {
 		t.Errorf("opener polled %v on a published header with the wrong version", took)
 	}
 	if err == nil || !strings.Contains(err.Error(), "layout version") {
 		t.Errorf("opener of a wrong-version segment returned %v, want the version mismatch", err)
 	}
-	// A v8 segment's port word has no waiter count.
-	atomic.StoreUint64(u64at(creator.m, hdrVersion), 8)
-	if _, err = openArenaAt([]string{path}, sock, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 8, want 9") {
-		t.Errorf("opener of a v8 segment returned %v, want it refused by version", err)
+	// A v9 segment's mappers wake each other through doorbell sockets.
+	atomic.StoreUint64(u64at(creator.m, hdrVersion), 9)
+	if _, err = openArenaAt([]string{path}, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 9, want 10") {
+		t.Errorf("opener of a v9 segment returned %v, want it refused by version", err)
 	}
 	atomic.StoreUint64(u64at(creator.m, hdrVersion), shmVersion)
 	wide := cfg
 	wide.Ranks = 3
 	start = time.Now()
-	if _, err = openArenaAt([]string{path}, sock, wide, wait); err == nil || time.Since(start) > 100*time.Millisecond {
+	if _, err = openArenaAt([]string{path}, wide, wait); err == nil || time.Since(start) > 100*time.Millisecond {
 		t.Errorf("opener expecting another rank count: %v after %v, want a prompt mismatch", err, time.Since(start))
 	}
 
@@ -336,7 +352,7 @@ func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
 			}
 			f.Close()
 			time.Sleep(2 * time.Millisecond) // full size, no magic
-			full, err := createArenaAt(late+".full", sock, cfg)
+			full, err := createArenaAt(late+".full", cfg)
 			if err != nil {
 				return err
 			}
@@ -345,7 +361,7 @@ func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
 		}()
 	}()
 	start = time.Now()
-	opener, err := openArenaAt([]string{late}, sock, cfg, wait)
+	opener, err := openArenaAt([]string{late}, cfg, wait)
 	if err != nil {
 		t.Fatalf("opener gave up on a creator 5 ms late: %v", err)
 	}
@@ -356,7 +372,7 @@ func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
 	if err := <-stages; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openArenaAt([]string{filepath.Join(t.TempDir(), "never")}, sock, cfg, 20*time.Millisecond); !errors.Is(err, os.ErrNotExist) {
+	if _, err := openArenaAt([]string{filepath.Join(t.TempDir(), "never")}, cfg, 20*time.Millisecond); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("opener of a segment that never appears returned %v, want not-exist at the deadline", err)
 	}
 }

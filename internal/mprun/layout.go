@@ -14,8 +14,10 @@ import (
 //	header   (1 page)   world parameters
 //	rank[i]  (128 B)    the rank's simnet.Port (port word = doorbell
 //	                    generation<<17 | door waiters<<1 | lock bit, then the
-//	                    NIC busy interval the lock guards), padded to two
-//	                    cache lines
+//	                    NIC busy interval the lock guards) on the first cache
+//	                    line, and on the second the u32 wake word its parked
+//	                    goroutines sleep on (a futex), away from the port
+//	                    word every write to the rank locks
 //	wait[i]  (simnet.DoorTableWords(ranks) × 8 B in all)
 //	                    the world's simnet.Door table, which each process's
 //	                    Door lays its bitsets over: bit r of rank i's row is
@@ -52,7 +54,8 @@ import (
 // the port word's: it counts the door's waiters between the lock bit and the
 // generation, and a writer wakes only when its ring's add finds one, so a v8
 // mapper — generation<<1, no count — would read the generation wrong and
-// strand the other's waiters.
+// strand the other's waiters. v10 added the wake word: a host-mate is woken
+// by a futex on it, so a v9 mapper would poke a doorbell socket nobody reads.
 //
 // All multi-word fields are 8-byte aligned; cross-process synchronization
 // uses sync/atomic on the mapped words, which on a cache-coherent machine
@@ -60,7 +63,7 @@ import (
 // goroutines. DESIGN.md §8 documents the layout and its ordering contracts.
 const (
 	shmMagic   = 0x666f4d50_72756e31 // "foMPrun1"
-	shmVersion = 9                   // see "Version history" above
+	shmVersion = 10                  // see "Version history" above
 
 	hdrMagic      = 0  // u64
 	hdrVersion    = 8  // u64
@@ -72,7 +75,8 @@ const (
 	hdrBytes      = 4096
 
 	rankStride = 128
-	rnPort     = 0 // simnet.Port: word u64, NIC interval 2 × i64
+	rnPort     = 0  // simnet.Port: word u64, NIC interval 2 × i64
+	rnWake     = 64 // u32: the slot's futex word (Arena.hook)
 
 	entryStride = 32
 	enState     = 0  // u32: entryEmpty/entryLive/entryDead

@@ -3,8 +3,9 @@
 // memory, stamp slabs, ports, the door's and the pacer's tables in one
 // mmap-shared file, the paper's XPMEM-style same-node fast path made real
 // (remote puts and gets are memcpys into the target's mapped segment), with
-// doorbell pokes over Unix datagram sockets — plus the names a world puts on
-// disk and the sweepers that reclaim what a killed world left under them.
+// parked host-mates woken by a futex on a word of the segment — plus the
+// names a world puts on disk and the sweepers that reclaim what a killed
+// world left under them.
 //
 // Everything virtual-time lives above the Transport line in simnet.Endpoint
 // and internal/timing, and the shadow-stamp arrays themselves are laid out
@@ -17,12 +18,10 @@ package mprun
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"fompi/internal/rankio"
@@ -34,24 +33,21 @@ const segSuffix = ".shm"
 // directory fompi-mp-* under os.TempDir(): SegName names its segment after
 // the directory, which is how a rank (told only the control socket inside it)
 // finds it and how the sweeper pairs a stranded segment with its world; the
-// sockets stay inside the directory (doorbells are shm.door.<rank>).
-func SegName(dir string) string  { return filepath.Base(dir) + segSuffix }
-func SockStem(dir string) string { return filepath.Join(dir, "shm") }
-func CtlPath(dir string) string  { return filepath.Join(dir, "ctl") }
+// control socket is the directory's one entry.
+func SegName(dir string) string { return filepath.Base(dir) + segSuffix }
+func CtlPath(dir string) string { return filepath.Join(dir, "ctl") }
 
 // GroupName names the arena of one host group of a world that has no such
 // directory: a digest of the world's address catalog (ephemeral ports: unique
 // per world) plus the host key, so concurrent worlds on one machine never
 // collide and a stale entry is from a dead world. Co-located ranks have no
 // common parent to inherit a descriptor from; this name, which each derives
-// from the catalog alone, is their rendezvous. GroupSockStem is the stem of
-// its doorbell socket paths: under os.TempDir() wherever the segment lives.
+// from the catalog alone, is their rendezvous.
 func GroupName(addrs, hosts []string, key string) string {
 	sum := sha256.Sum256([]byte(strings.Join(addrs, ",") + "|" +
 		strings.Join(hosts, ",") + "|" + key))
 	return "fompi-hyb-" + hex.EncodeToString(sum[:6])
 }
-func GroupSockStem(name string) string { return filepath.Join(os.TempDir(), name) }
 
 func fileSize(st os.FileInfo, err error) any {
 	if err != nil {
@@ -98,48 +94,21 @@ func SweepStaleWorlds(minAge time.Duration) int {
 	return removed
 }
 
-// SweepStaleArenas removes what dead worlds' host groups left behind: arena
-// segments in either root at least minAge old (a world that reached Ready
-// unlinked its own; a younger one may be a creator between create and publish)
-// and doorbell sockets under os.TempDir with nothing bound behind their inode,
-// whatever their age — a socket is created bound, and a live long-running
-// world still answers on its sockets however old they are. Runs best-effort at
-// each creator's attach and after a failed world; returns the number of paths
+// SweepStaleArenas removes the arena segments dead worlds' host groups left in
+// either root: those at least minAge old (a world that reached Ready unlinked
+// its own; a younger one may be a creator between create and publish). Runs
+// best-effort at each creator's attach; returns the number of segments
 // removed.
 func SweepStaleArenas(minAge time.Duration) int {
 	removed := 0
 	for _, p := range GlobRoots("fompi-hyb-*") {
-		st, err := os.Lstat(p)
-		if err != nil {
-			continue
-		}
-		if st.Mode()&os.ModeSocket != 0 {
-			if doorAlive(p) {
-				continue
-			}
-		} else if time.Since(st.ModTime()) < minAge {
+		if st, err := os.Lstat(p); err != nil || time.Since(st.ModTime()) < minAge {
 			continue
 		}
 		if os.Remove(p) == nil {
-			rankio.Logf("mprun", "removed stale arena path %s (left by a crashed world)", p)
+			rankio.Logf("mprun", "removed stale arena segment %s (left by a crashed world)", p)
 			removed++
 		}
 	}
 	return removed
-}
-
-// doorAlive probes a doorbell socket path: sending a datagram to a dead
-// socket's leftover inode is refused, while a live waiter's socket accepts
-// it (at worst as a spurious doorbell poke, which waiters tolerate by
-// design). Any error other than a connection refusal is read as "alive" —
-// the sweeper must never kill a working world's doorbell.
-func doorAlive(path string) bool {
-	c, err := net.DialUnix("unixgram", nil, &net.UnixAddr{Name: path, Net: "unixgram"})
-	if err != nil {
-		return !errors.Is(err, syscall.ECONNREFUSED)
-	}
-	defer c.Close()
-	c.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-	_, err = c.Write([]byte{1})
-	return !errors.Is(err, syscall.ECONNREFUSED)
 }

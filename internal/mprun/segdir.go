@@ -13,7 +13,7 @@ import (
 // write-protects them to fault again. The segment is therefore a named file
 // in the host's POSIX shared-memory directory whenever that directory is
 // what its name promises, and in os.TempDir() otherwise. Only the segment
-// moves: world directories, control sockets and doorbell sockets stay under
+// moves: world directories and their control sockets stay under
 // os.TempDir().
 
 // shmDir is the directory shm_open(3) itself uses.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -89,10 +90,11 @@ func TestSweepStaleWorlds(t *testing.T) {
 	}
 }
 
-// TestArenaPaths: the two host groups of one catalog get distinct segments
-// and distinct doorbell sockets, another world's catalog gets others, the
-// segment lands in one of the placement rule's roots under its arena's name,
-// and the sockets land under os.TempDir() wherever the segment went.
+// TestArenaPaths: the two host groups of one catalog get distinct segments,
+// another world's catalog gets others, the segment lands in one of the
+// placement rule's roots under its arena's name, and after Bind it is the
+// only new entry in any root: no doorbell socket, under os.TempDir() or
+// anywhere else.
 func TestArenaPaths(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir())
 	hosts := []string{"h0", "h0", "h1", "h1"}
@@ -108,41 +110,51 @@ func TestArenaPaths(t *testing.T) {
 	if a, b := GroupName(addrs, hosts, "h0"), GroupName(catalog(1000), hosts, "h0"); a == b {
 		t.Fatalf("two worlds' catalogs share the arena name %s", a)
 	}
+	entries := func() map[string]bool {
+		all := map[string]bool{}
+		for _, root := range SegmentRoots() {
+			ents, _ := os.ReadDir(root)
+			for _, e := range ents {
+				all[filepath.Join(root, e.Name())] = true
+			}
+		}
+		return all
+	}
 	seen := map[string]bool{}
 	for _, key := range []string{"h0", "h1"} {
 		name := GroupName(addrs, hosts, key)
-		ar, err := CreateArena(name, GroupSockStem(name), ArenaConfig{Ranks: 2, ArenaBytes: 4096})
+		before := entries()
+		ar, err := CreateArena(name, ArenaConfig{Ranks: 2, ArenaBytes: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ar.Close()
 		defer ar.Unlink()
-		if err := ar.Bind(1, func() error { return nil }); err != nil {
-			t.Fatal(err)
+		ar.Bind(1, func() error { return nil })
+		seg := ar.Path()
+		if seen[seg] {
+			t.Errorf("host group %s: segment %s collides with another group's", key, seg)
 		}
-		seg, door := ar.Path(), DoorSockPath(GroupSockStem(name), 1)
-		if seen[seg] || seen[door] || seg == door {
-			t.Errorf("host group %s: segment %s / socket %s collide with another path of the world", key, seg, door)
-		}
-		seen[seg], seen[door] = true, true
+		seen[seg] = true
 		if filepath.Base(seg) != name || !slices.Contains(SegmentRoots(), filepath.Dir(seg)) {
 			t.Errorf("host group %s: segment %s is not %s in one of %v", key, seg, name, SegmentRoots())
 		}
 		if st, err := os.Stat(seg); err != nil || !st.Mode().IsRegular() {
 			t.Errorf("host group %s: segment %s: %v", key, seg, err)
 		}
-		if filepath.Dir(door) != os.TempDir() {
-			t.Errorf("host group %s: doorbell socket %s is not under os.TempDir() %s", key, door, os.TempDir())
-		}
-		if st, err := os.Lstat(door); err != nil || st.Mode()&os.ModeSocket == 0 {
-			t.Errorf("host group %s: no socket at %s after Bind: %v", key, door, err)
+		// os.TempDir() is this test's own; the shared-memory directory is the
+		// host's, where only this arena's name is ours to judge.
+		for p := range entries() {
+			ours := filepath.Dir(p) == os.TempDir() || strings.HasPrefix(filepath.Base(p), name)
+			if !before[p] && p != seg && ours {
+				t.Errorf("host group %s: %s appeared beside the segment after Bind", key, p)
+			}
 		}
 	}
 }
 
-// TestSweepStaleArenas: an old segment is wreckage in whichever root it lies
-// and so is an old socket nothing is bound behind; a young segment (a world
-// bootstrapping) and a bound doorbell of any age (a world running) are not.
+// TestSweepStaleArenas: an old segment is wreckage in whichever root it lies;
+// a young one (a world bootstrapping) is not.
 func TestSweepStaleArenas(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir())
 	old := time.Now().Add(-time.Hour)
@@ -160,18 +172,6 @@ func TestSweepStaleArenas(t *testing.T) {
 		}
 		return p
 	}
-	bind := func(tag string) (string, *net.UnixConn) {
-		t.Helper()
-		p := DoorSockPath(GroupSockStem(fmt.Sprintf("fompi-hyb-test%d%s", os.Getpid(), tag)), 0)
-		c, err := net.ListenUnixgram("unixgram", &net.UnixAddr{Name: p, Net: "unixgram"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Chtimes(p, old, old); err != nil {
-			t.Fatal(err)
-		}
-		return p, c
-	}
 
 	var gone, kept []string
 	for i, root := range SegmentRoots() {
@@ -181,15 +181,9 @@ func TestSweepStaleArenas(t *testing.T) {
 		gone = append(gone, plant(root, fmt.Sprint("old", i), true))
 		kept = append(kept, plant(root, fmt.Sprint("young", i), false))
 	}
-	bound, live := bind("live")
-	defer live.Close()
-	kept = append(kept, bound)
-	unbound, dead := bind("dead")
-	dead.Close() // the inode stays; nothing answers behind it
-	gone = append(gone, unbound)
 
 	if n := SweepStaleArenas(30 * time.Minute); n < len(gone) {
-		t.Errorf("sweeper removed %d paths, want at least the %d planted", n, len(gone))
+		t.Errorf("sweeper removed %d segments, want at least the %d planted", n, len(gone))
 	}
 	for _, p := range gone {
 		if _, err := os.Lstat(p); err == nil {
@@ -198,7 +192,7 @@ func TestSweepStaleArenas(t *testing.T) {
 	}
 	for _, p := range kept {
 		if _, err := os.Lstat(p); err != nil {
-			t.Errorf("sweeper removed %s, young or bound: %v", p, err)
+			t.Errorf("sweeper removed %s, young: %v", p, err)
 		}
 	}
 }

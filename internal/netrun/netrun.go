@@ -182,7 +182,7 @@ func launchMapped(o rankio.Options) error {
 		return fmt.Errorf("netrun: create world dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	ar, err := mprun.CreateArena(mprun.SegName(dir), mprun.SockStem(dir), arenaCfg(o, o.Ranks))
+	ar, err := mprun.CreateArena(mprun.SegName(dir), arenaCfg(o, o.Ranks))
 	if err != nil {
 		return err
 	}
@@ -215,14 +215,7 @@ func launchWired(o rankio.Options) error {
 		return fmt.Errorf("netrun: listen coordinator socket %s: %w", listen, err)
 	}
 	defer ln.Close()
-	err = rankio.Coordinate(faultnet.WrapListener(ln), o, nil)
-	if err != nil {
-		// A rank the coordinator had to kill — stopped, wedged — could not
-		// remove its doorbell socket, and was still bound to it when the
-		// survivors swept.
-		mprun.SweepStaleArenas(mprun.StaleAge)
-	}
-	return err
+	return rankio.Coordinate(faultnet.WrapListener(ln), o, nil)
 }
 
 // arenaCfg is the header contract of an arena ranks of o's world share.
@@ -285,23 +278,20 @@ func (w *World) joinMapped(o rankio.Options, ctlAt string) error {
 	}
 	w.self = w.rank
 	dir := filepath.Dir(ctlAt)
-	w.ar, err = mprun.OpenArena(mprun.SegName(dir), mprun.SockStem(dir), arenaCfg(o, o.Ranks), 0)
-	if err == nil {
-		err = w.bindArena()
-	}
-	if err != nil {
+	if w.ar, err = mprun.OpenArena(mprun.SegName(dir), arenaCfg(o, o.Ranks), 0); err != nil {
 		ctl.Close()
 		return err
 	}
+	w.bindArena()
 	w.pacer = w.ar.Pacer()
 	return nil
 }
 
-// bindArena makes the mapped arena this rank's home: its slot's socket, its
-// group's door, parked under this process's abort state.
-func (w *World) bindArena() error {
+// bindArena makes the mapped arena this rank's home: its slot, its group's
+// door, parked under this process's abort state.
+func (w *World) bindArena() {
 	w.door = w.ar.Door()
-	return w.ar.Bind(w.self, w.AbortErr)
+	w.ar.Bind(w.self, w.AbortErr)
 }
 
 // joinWired is every other boot: dial the TCP coordinator, start this rank's
@@ -348,7 +338,7 @@ func (w *World) joinWired(o rankio.Options, network, coord string) error {
 	w.sessions = make(map[uint64]*ownerSession)
 	w.svcConns = make(map[net.Conn]struct{})
 	w.opTimeout = tm.OpTimeout
-	w.park = simnet.NewParker(o.Ranks, nil)
+	w.park = simnet.NewParker(o.Ranks)
 	w.Client, err = rankio.Join(ctl, o, w.rank, ln.Addr().String())
 	if err == nil {
 		err = w.Client.World()
@@ -406,16 +396,14 @@ func (w *World) attachGroup(o rankio.Options) error {
 		for _, root := range mprun.SegmentRoots() {
 			os.Remove(filepath.Join(root, name)) // a leftover of a crashed world, never a live one
 		}
-		w.ar, err = mprun.CreateArena(name, mprun.GroupSockStem(name), arenaCfg(o, n))
+		w.ar, err = mprun.CreateArena(name, arenaCfg(o, n))
 	} else {
-		w.ar, err = mprun.OpenArena(name, mprun.GroupSockStem(name), arenaCfg(o, n), arenaWait)
-	}
-	if err == nil {
-		err = w.bindArena()
+		w.ar, err = mprun.OpenArena(name, arenaCfg(o, n), arenaWait)
 	}
 	if err != nil {
 		return fmt.Errorf("netrun: host group %q arena: %w", key, err)
 	}
+	w.bindArena()
 	return nil
 }
 
@@ -460,9 +448,7 @@ func (w *World) Finish() {
 // this rank, so this process's own waiters unwind with a typed error naming
 // it, as everyone else's do once the verdict arrives. Then it
 // releases what a failing world would otherwise strand: the segment's name if
-// the world died before Ready unlinked it, the doorbell sockets of ranks that
-// died without closing theirs (a rank that exits on its own removes its socket
-// itself; a SIGKILLed one cannot).
+// the world died before Ready unlinked it.
 func (w *World) Fail(msg string) {
 	if !strings.Contains(msg, rankio.PeerAbortMsg) {
 		w.NoteFailedRank(w.rank)
@@ -472,9 +458,6 @@ func (w *World) Fail(msg string) {
 		w.ar.Unlink()
 	}
 	w.release()
-	if w.ar != nil && w.ln != nil {
-		mprun.SweepStaleArenas(mprun.StaleAge)
-	}
 }
 
 // release stops the data service — after it no remote operation can touch

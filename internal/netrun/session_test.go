@@ -709,7 +709,7 @@ func fuzzOwner(cl *rankio.Client) (w *World, slab []byte) {
 		Client:    cl,
 		rank:      1,
 		sessions:  make(map[uint64]*ownerSession),
-		park:      simnet.NewParker(2, nil),
+		park:      simnet.NewParker(2),
 		opTimeout: 5 * time.Second,
 	}
 	w.door = simnet.NewDoor(1, nil, w.park.Hook(w.AbortErr))

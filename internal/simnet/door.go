@@ -11,7 +11,7 @@ import (
 
 // The door metrics: registered here and nowhere else, whichever backend's
 // hook parks the waiter. door.pokes counts pokes a hook delivered — on the
-// shared-memory backends, the system call a write to a parked target pays.
+// arena, the FUTEX_WAKE a write to a parked target pays.
 var (
 	mDoorParks  = telemetry.NewCounter("door.parks")
 	mDoorParkNs = telemetry.NewHistogram("door.park_ns")
@@ -175,41 +175,33 @@ func (d *Door) Wait(p *Port, watched, slot int, gen uint64) uint64 {
 	return g
 }
 
-// Parker is where the goroutines of one process sleep, and the ParkHook of a
-// world that is one process: a mutex and a condition variable per slot, which
-// is what makes a park and its wake cost a goroutine switch and little else,
-// plus a timer per slot, made at its first park, that only ever broadcasts. A
-// sleeper judges a wakeup by its own deadline and the slot's poke sequence, so
-// a timer that fires late or for someone else is a spurious wakeup and nothing
-// more.
-//
-// Pokes that come from outside the process arrive through listen, when the
-// parker has one: it blocks for at most d and reports whether a poke came. One
-// of a slot's sleepers at a time listens instead of sleeping, and what it
-// hears wakes them all; when it leaves, the next takes over.
+// Parker is the ParkHook of a world whose pokes all come from inside the
+// process — the fabric, and a wire rank's own door and pacer: a mutex and a
+// condition variable per slot, which is what makes a park and its wake cost a
+// goroutine switch and little else, plus a timer per slot, made at its first
+// park, that only ever broadcasts. A sleeper judges a wakeup by its own
+// deadline and the slot's poke sequence, so a timer that fires late or for
+// someone else is a spurious wakeup and nothing more.
 type Parker struct {
 	aborted atomic.Bool
-	listen  func(d time.Duration) bool
 	slots   []parkSlot
 }
 
 type parkSlot struct {
-	mu        sync.Mutex
-	cond      sync.Cond
-	pokes     atomic.Uint64 // pokes so far; advanced under mu
-	listening bool          // a sleeper is in listen
-	timer     *time.Timer
-	wakeAt    time.Duration // when timer fires, from parkEpoch; 0: not armed
+	mu     sync.Mutex
+	cond   sync.Cond
+	pokes  atomic.Uint64 // pokes so far; advanced under mu
+	timer  *time.Timer
+	wakeAt time.Duration // when timer fires, from parkEpoch; 0: not armed
 }
 
 // parkEpoch is what park deadlines are offsets from: time.Since reads the
 // monotonic clock alone.
 var parkEpoch = time.Now()
 
-// NewParker returns a parker of n slots; listen is nil where every poke is
-// this process's own.
-func NewParker(n int, listen func(d time.Duration) bool) *Parker {
-	k := &Parker{listen: listen, slots: make([]parkSlot, n)}
+// NewParker returns a parker of n slots.
+func NewParker(n int) *Parker {
+	k := &Parker{slots: make([]parkSlot, n)}
 	for i := range k.slots {
 		k.slots[i].cond.L = &k.slots[i].mu
 	}
@@ -231,32 +223,16 @@ func (k *Parker) Park(slot int, seq uint64, d time.Duration) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	deadline := time.Since(parkEpoch) + d
-	for left := d; left > 0 && s.pokes.Load() == seq && !k.aborted.Load(); {
-		if k.listen != nil && !s.listening {
-			s.listening = true
-			s.mu.Unlock()
-			heard := k.listen(left)
-			s.mu.Lock()
-			s.listening = false
-			s.cond.Broadcast() // woken, or one of them listens next
-			if !heard {
-				break // its whole deadline went by, or there is nothing to listen on
+	for left := d; left > 0 && s.pokes.Load() == seq && !k.aborted.Load(); left = deadline - time.Since(parkEpoch) {
+		if s.wakeAt == 0 || deadline < s.wakeAt {
+			s.wakeAt = deadline
+			if s.timer == nil {
+				s.timer = time.AfterFunc(left, s.beat)
+			} else {
+				s.timer.Reset(left)
 			}
-			s.pokes.Add(1)
-		} else {
-			if s.wakeAt == 0 || deadline < s.wakeAt {
-				s.wakeAt = deadline
-				if s.timer == nil {
-					s.timer = time.AfterFunc(left, s.beat)
-				} else {
-					s.timer.Reset(left)
-				}
-			}
-			s.cond.Wait()
 		}
-		if s.pokes.Load() == seq {
-			left = deadline - time.Since(parkEpoch) // the timer, or a wakeup meant for another
-		}
+		s.cond.Wait() // a poke, the timer, or a wakeup meant for another
 	}
 	return s.pokes.Load() != seq
 }

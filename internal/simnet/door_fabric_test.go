@@ -25,7 +25,7 @@ func TestDoorOverFabric(t *testing.T) {
 func TestDoorOverLossyHook(t *testing.T) {
 	doortest.Run(t, func(t *testing.T, n, slot int) doortest.World {
 		var drop, aborted atomic.Bool
-		park := simnet.NewParker(n, nil)
+		park := simnet.NewParker(n)
 		hook := park.Hook(func() error {
 			if aborted.Load() {
 				return &simnet.ErrPeerFailed{Rank: 3}

@@ -90,7 +90,7 @@ func TestDoorAbortedNeverParks(t *testing.T) {
 // the latecomer — still ends both waits at once: the latecomer parks with the
 // sequence it sampled before it looked.
 func TestDoorPokeBetweenRecheckAndPark(t *testing.T) {
-	k := NewParker(4, nil)
+	k := NewParker(4)
 	var d *Door
 	var p Port
 	var parks, looks atomic.Int32
@@ -165,7 +165,7 @@ func allPoked(t *testing.T, done chan bool, n int) {
 // sequence a poke has already left does not sleep; one at the current
 // sequence does, to its deadline.
 func TestParkerPokeReachesAll(t *testing.T) {
-	k := NewParker(2, nil)
+	k := NewParker(2)
 	done := parkAll(k, 1, 3, 30*time.Second)
 	k.Poke(1)
 	allPoked(t, done, 3)
@@ -176,52 +176,5 @@ func TestParkerPokeReachesAll(t *testing.T) {
 	}
 	if k.Park(0, k.Seq(0), time.Millisecond) {
 		t.Fatal("park at the current sequence did not time out")
-	}
-}
-
-// TestParkerListener: with a listener, one of a slot's sleepers blocks in it
-// and the rest behind it; what it hears wakes them all, and when it leaves on
-// its deadline the next one listens.
-func TestParkerListener(t *testing.T) {
-	heard := make(chan bool)
-	var listeners atomic.Int32
-	k := NewParker(1, func(d time.Duration) bool {
-		if listeners.Add(1) > 1 {
-			t.Error("two sleepers listening at once")
-		}
-		defer listeners.Add(-1)
-		select {
-		case v := <-heard:
-			return v
-		case <-time.After(d):
-			return false
-		}
-	})
-	done := parkAll(k, 0, 3, 30*time.Second)
-	heard <- true
-	allPoked(t, done, 3)
-
-	// The first listener's deadline passes with nothing heard: it leaves
-	// unpoked, and the sleeper behind it must be the one that hears next.
-	seq := k.Seq(0)
-	short, long := make(chan bool, 1), make(chan bool, 1)
-	go func() { short <- k.Park(0, seq, 30*time.Millisecond) }()
-	time.Sleep(10 * time.Millisecond)
-	go func() { long <- k.Park(0, seq, 30*time.Second) }()
-	if <-short {
-		t.Fatal("the listener reported a poke with nothing heard")
-	}
-	select {
-	case heard <- true:
-	case <-time.After(5 * time.Second):
-		t.Fatal("nobody took over listening when the listener left")
-	}
-	select {
-	case poked := <-long:
-		if !poked {
-			t.Fatal("the sleeper that took over listening timed out")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the sleeper that took over listening never woke")
 	}
 }

@@ -38,9 +38,6 @@ type World struct {
 	// DropPoke makes the hook swallow the next poke it is asked to deliver;
 	// nil where the backend has no way to lose one on demand.
 	DropPoke func()
-	// SlowPoke says a poke is a system call, not a goroutine switch: the
-	// lost-wakeup stress then runs an eighth of its rounds.
-	SlowPoke bool
 }
 
 // Make builds a fresh n-rank world whose waiters park under slot.
@@ -120,35 +117,43 @@ func mustReturn(t *testing.T, out <-chan any, within time.Duration, why string) 
 // release reported waiters. Every interleaving of "check, register, park"
 // against "advance, look for waiters" must end with the waiter returning —
 // and promptly: a wakeup recovered by the heartbeat would pass a liveness
-// check, so the whole run is bounded by what heartbeats alone could not
-// deliver.
+// check, so a round that lasts half a slice counts as lost. A healthy run
+// sees a handful at most, from a host that descheduled the waiter that long.
 func noLostWakeup(t *testing.T, mk Make) {
 	rounds := uint64(100000)
 	if testing.Short() {
 		rounds = 20000
 	}
+	slowMax := int64(rounds / 1000)
 	w := mk(t, 2, 1)
-	if w.SlowPoke {
-		rounds /= 8
-	}
 	var flag, ack atomic.Uint64
-	done := make(chan struct{})
+	var slow atomic.Int64
+	done, wrote := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
 		p := w.Waiter.Port(0)
 		for r := uint64(1); r <= rounds; r++ {
-			gen := p.Gen()
+			gen, t0 := p.Gen(), time.Now()
 			for flag.Load() < r {
 				gen = w.Waiter.Door.Wait(p, 0, 1, gen)
+			}
+			if time.Since(t0) >= simnet.DoorSlice/2 && slow.Add(1) > slowMax {
+				return
 			}
 			ack.Store(r)
 		}
 	}()
 	go func() {
+		defer close(wrote)
 		p := w.Writer.Port(0)
 		for r := uint64(1); r <= rounds; r++ {
 			for ack.Load() != r-1 {
-				runtime.Gosched()
+				select {
+				case <-done:
+					return // the waiter gave up
+				default:
+					runtime.Gosched()
+				}
 			}
 			p.Lock()
 			flag.Store(r)
@@ -157,13 +162,20 @@ func noLostWakeup(t *testing.T, mk Make) {
 			}
 		}
 	}()
-	// Were one round in fifty to wait out a heartbeat, the run would outlast
-	// this bound.
+	// Were one round in fifty never to return before its heartbeat, the run
+	// would outlast this bound.
 	bound := time.Duration(rounds/50) * simnet.DoorSlice
 	select {
 	case <-done:
 	case <-time.After(bound):
-		t.Fatalf("waiter at round %d of %d after %v: wakeups are being lost (or left to the heartbeat)", ack.Load()+1, rounds, bound)
+		t.Fatalf("waiter at round %d of %d after %v: wakeups are being lost", ack.Load()+1, rounds, bound)
+	}
+	// The last round's Wake may still be under way: it reads the world's
+	// table and pokes, which on mprun are words of a mapping the test's
+	// cleanup unmaps.
+	<-wrote
+	if n := slow.Load(); n > slowMax {
+		t.Fatalf("%d rounds by round %d of %d lasted half a slice or more: wakeups are being lost (left to the heartbeat)", n, ack.Load()+1, rounds)
 	}
 }
 

@@ -157,7 +157,7 @@ func NewFabric(n, ranksPerNode int) *Fabric {
 	}
 	f := &Fabric{n: n, ranksPerNode: ranksPerNode, nodes: make([]*node, n)}
 	f.culprit.Store(-1)
-	f.park = NewParker(n, nil)
+	f.park = NewParker(n)
 	f.door = NewDoor(n, nil, f.park.Hook(f.abortErr))
 	// Per-node state comes from three slabs (node structs, initial table
 	// headers via node.initTbl, table backing arrays): world setup is a few

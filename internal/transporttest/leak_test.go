@@ -21,7 +21,8 @@ import (
 // or with a rank SIGKILLed mid-body — must end with no fompi-mp-* / fompi-hyb-*
 // entry in either root: not the segment (whose name must already be gone
 // while the body runs: the creator unlinks it once every rank that maps it is
-// past Ready), not a world directory, not a doorbell socket.
+// past Ready), not a world directory. A doorbell socket must not exist even
+// while the body runs: host-mates wake through the segment alone.
 
 // worldEntries lists the fompi-mp-* / fompi-hyb-* entries of every root.
 func worldEntries() map[string]bool {
@@ -85,6 +86,17 @@ func checkSegmentUnlinked(p *spmd.Proc) {
 	check(errors.Is(err, fs.ErrNotExist), "rank %d: segment %s still has its name after Ready (%v)", p.Rank(), path, err)
 }
 
+// checkNoDoorbells asserts, from inside a body, that no doorbell socket — a
+// *.door.* path — exists in either root or in a world directory under
+// os.TempDir().
+func checkNoDoorbells(p *spmd.Proc) {
+	var found []string
+	for _, pat := range []string{"*.door.*", filepath.Join("fompi-mp-*", "*.door.*")} {
+		found = append(found, mprun.GlobRoots(pat)...)
+	}
+	check(len(found) == 0, "rank %d: doorbell paths exist while the world runs: %v", p.Rank(), found)
+}
+
 // TestNoLeftoversClean runs a clean world on the two arena backends.
 func TestNoLeftoversClean(t *testing.T) {
 	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
@@ -99,6 +111,7 @@ func TestNoLeftoversClean(t *testing.T) {
 		if err := spmd.Run(c, func(p *spmd.Proc) {
 			reg, key := setupRegion(p, 128)
 			checkSegmentUnlinked(p)
+			checkNoDoorbells(p)
 			// The mapping outlives its name.
 			p.EP().StoreW(simnet.Addr{Rank: (p.Rank() + 1) % p.Size(), Key: key, Off: 0}, uint64(p.Rank())+1)
 			p.EP().WaitLocal(func() bool { return reg.LocalWord(0) != 0 })

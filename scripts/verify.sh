@@ -10,6 +10,9 @@
 #                                sync/atomic store every non-amd64 build
 #                                uses) keeps compiling beside the amd64
 #                                assembly
+#   GOOS=darwin go vet ./...     the same for a non-Linux OS: the arena's
+#                                refusal there (no futex, no second wake
+#                                mechanism) keeps compiling
 #   go build ./...               everything compiles
 #   CGO_ENABLED=0 build + tests  the tree builds without cgo, and the control
 #                                plane, the arena, the process transport and
@@ -49,7 +52,9 @@
 #                                setters — SetAbortFlag, AbortFlag,
 #                                hdrAbort, hdrFailRank — the fabric's
 #                                abortHooks, and mpi1's worldsMu registry
-#                                and mpi1.Release)
+#                                and mpi1.Release) and the arena's doorbell
+#                                sockets (DoorSockPath, sendDoor, SockStem,
+#                                GroupSockStem, doorAlive, peersMu)
 #                                occur in no non-test Go file; the Makefile, the
 #                                scripts and the CI workflow name no piece
 #                                of that harness, nor those variables, nor
@@ -90,12 +95,14 @@
 #                                (loopback TCP), and hybrid (shm + TCP)
 #                                backends
 #   leak gate                    no fompi-mp-* / fompi-hyb-* entry (world
-#                                directory, segment, doorbell socket)
+#                                directory, segment)
 #                                created during this run is left under
 #                                $TMPDIR or /dev/shm — every world the legs
 #                                above launched, clean, failed or SIGKILLed,
 #                                cleaned up after itself (the benchmark's own
-#                                check sees only $TMPDIR)
+#                                check sees only $TMPDIR); and no *.door.*
+#                                path of any age exists there at all: a
+#                                host-mate wakes through the segment alone
 #
 # Run via `make verify` or directly. Exits nonzero on the first failure.
 set -eu
@@ -121,6 +128,9 @@ go vet ./...
 echo "== GOARCH=arm64 go vet (the portable release-store fallback compiles)"
 GOARCH=arm64 go vet ./...
 
+echo "== GOOS=darwin go vet (the non-Linux arena refusal compiles)"
+GOOS=darwin go vet ./...
+
 echo "== go build"
 go build ./...
 
@@ -128,12 +138,12 @@ echo "== no-cgo leg (static build; rankio, mprun, netrun, spmd -short)"
 CGO_ENABLED=0 go build ./...
 CGO_ENABLED=0 go test -short ./internal/rankio ./internal/mprun ./internal/netrun ./internal/spmd
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes and the second abort path must not creep back)"
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path and the doorbell sockets must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD|FOMPI_TT_BACKENDS|FOMPI_CHAOS_LOG'
-if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release" \
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
 	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire or a second abort path is back" >&2
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path or a doorbell socket is back" >&2
 	exit 1
 fi
 
@@ -212,11 +222,12 @@ done
 "$TMP/dsde" >/dev/null
 echo "examples smoke: OK"
 
-echo "== leak gate (no fompi-mp-* / fompi-hyb-* entry of this run left under \$TMPDIR or /dev/shm)"
+echo "== leak gate (no fompi-mp-* / fompi-hyb-* entry of this run, and no *.door.* path at all, under \$TMPDIR or /dev/shm)"
 LEAKED=""
 for root in "${TMPDIR:-/tmp}" /dev/shm; do
 	[ -d "$root" ] || continue
 	LEAKED="$LEAKED$(find "$root" -maxdepth 1 \( -name 'fompi-mp-*' -o -name 'fompi-hyb-*' \) -newer "$TMP/started")"
+	LEAKED="$LEAKED$(find "$root" -maxdepth 2 -name '*.door.*' 2>/dev/null)"
 done
 if [ -n "$LEAKED" ]; then
 	echo "verify: worlds of this run left entries behind:" >&2
