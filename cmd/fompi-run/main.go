@@ -31,6 +31,13 @@
 //
 // Each rank's stdout/stderr is prefixed "[rank N]" (disable with -tag=false)
 // and the launcher exits with the first failing rank's exit code.
+//
+// Observability travels the control plane too. With -stats each rank ships
+// its telemetry snapshot when it finishes, the launcher prints it as one
+// "rank N stats {...}" line and publishes the merged world aggregate. A
+// SIGQUIT to the launcher (Ctrl-\ in its terminal; the ranks ignore their
+// own) asks every rank, mid-run: each answers with its stats line, measured
+// or not, and writes every goroutine's stack to its stderr.
 package main
 
 import (
@@ -63,9 +70,7 @@ func main() {
 	netTimeouts := flag.String("net-timeouts", os.Getenv(rankio.EnvTimeouts),
 		"failure-model timing spec of every backend's control plane (and the net/hybrid wire), e.g. 'heartbeat=500ms,stale=3s,optimeout=2s,ctlidle=6s' (default from "+rankio.EnvTimeouts+"; zero-value keys keep the defaults)")
 	stats := flag.Bool("stats", os.Getenv(telemetry.EnvVar) != "" && os.Getenv(telemetry.EnvVar) != "0",
-		"enable telemetry on any backend: each rank dumps a JSON stats line at exit and the coordinator publishes the merged world aggregate (default from "+telemetry.EnvVar+")")
-	debugAddr := flag.String("debug-addr", os.Getenv(telemetry.EnvDebugAddr),
-		"bind an HTTP observability listener (expvar under /debug/vars, pprof under /debug/pprof/) in every world process, e.g. 127.0.0.1:0 (default from "+telemetry.EnvDebugAddr+")")
+		"enable telemetry on any backend: the launcher prints each rank's JSON stats line as it arrives and publishes the merged world aggregate (default from "+telemetry.EnvVar+")")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fompi-run [flags] program [args...]\n")
 		flag.PrintDefaults()
@@ -103,13 +108,9 @@ func main() {
 	}
 	if *stats {
 		// Same inheritance pattern as -faults: spawned workers read the
-		// environment; the launcher-side coordinator flips its own flag too
-		// so it aggregates the STATS frames the workers will send.
+		// environment. The coordinator needs no flag of its own: it merges
+		// whatever STATS lines the workers send.
 		os.Setenv(telemetry.EnvVar, "1")
-		telemetry.SetEnabled(true)
-	}
-	if *debugAddr != "" {
-		os.Setenv(telemetry.EnvDebugAddr, *debugAddr)
 	}
 
 	var hostList []string

@@ -55,14 +55,14 @@ type Config = spmd.Config
 
 // Backend selects the transport substrate of a world: BackendInProc runs
 // ranks as goroutines over the in-process fabric, BackendMP runs each rank
-// as an OS process with RMA through a mmap-shared segment and doorbells over
-// Unix sockets, BackendNet runs each rank as an OS process on (potentially)
-// a different machine with RMA as framed messages over TCP, and
-// BackendHybrid groups the inter-node backend's ranks by physical host:
-// co-located ranks share one mmap arena (direct loads/stores, shared
-// windows), while off-host ranks are reached over the TCP wire (see
-// internal/netrun, the one process transport the three names place ranks on,
-// and cmd/fompi-run).
+// as an OS process with RMA and doorbells through a mmap-shared segment
+// (only the control stream is a Unix socket), BackendNet runs each rank as
+// an OS process on (potentially) a different machine with RMA as framed
+// messages over TCP, and BackendHybrid groups the inter-node backend's ranks
+// by physical host: co-located ranks share one mmap arena (direct
+// loads/stores, shared windows), while off-host ranks are reached over the
+// TCP wire (see internal/netrun, the one process transport the three names
+// place ranks on, and cmd/fompi-run).
 // Virtual time lives above the transport line, so checksums and virtual-time
 // figures are bit-identical across backends.
 type Backend = spmd.Backend

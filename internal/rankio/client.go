@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,7 +164,9 @@ func (c *Client) Ready() error {
 // watch surfaces coordinator-pushed lines after GO: PING answers the liveness
 // probe, RANKFAIL records which rank the verdict blamed (so blocked
 // primitives unwind with *simnet.ErrPeerFailed instead of the bare
-// ErrAborted), ABORT aborts this process, BYE releases Finish. A dead
+// ErrAborted), ABORT aborts this process, BYE releases Finish, DUMP answers
+// with this rank's telemetry so far — measured or not — and then writes every
+// goroutine's stack to stderr under a header naming the rank. A dead
 // coordinator — a read error, a line that does not parse, or a control
 // stream idle long past the heartbeat cadence (its host vanished without a
 // FIN) — aborts too, so no rank hangs on a vanished world; that includes a
@@ -184,6 +187,18 @@ func (c *Client) watch() {
 		case l.kind == lnBye:
 			close(c.bye)
 			return
+		case l.kind == lnDump:
+			c.send(ctlLine{kind: lnStats, text: string(telemetry.Capture(c.rank).JSON())})
+			os.Stderr.Write(append(fmt.Appendf(nil, "dump[pid %d]: rank %d goroutines\n", os.Getpid(), c.rank), allStacks()...))
+		}
+	}
+}
+
+// allStacks is runtime.Stack of every goroutine, in a buffer grown until it fits.
+func allStacks() []byte {
+	for buf := make([]byte, 64<<10); ; buf = make([]byte, 2*len(buf)) {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return buf[:n]
 		}
 	}
 }

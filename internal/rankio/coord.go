@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"fompi/internal/telemetry"
@@ -131,6 +133,7 @@ type coord struct {
 	Options
 	tm      Timeouts
 	onReady func()
+	quit    chan os.Signal // SIGQUIT to the launcher: DUMP every rank
 	ln      net.Listener
 	cmds    []*Cmd    // nil in host-list mode
 	joined  []*member // in join order
@@ -142,15 +145,20 @@ type coord struct {
 // the status loop until every rank is accounted for. A backend may supply
 // onReady, run once every rank is READY, before GO releases them. The verdict
 // of a failed world — RANKFAIL naming the culprit, then ABORT — travels on
-// every rank's control stream and nowhere else. Coordinate returns nil only if
-// every rank finished cleanly; a failed world is a *RankError naming the
-// causal rank and carrying the first non-zero worker exit code.
+// every rank's control stream and nowhere else, and so does the answer to a
+// SIGQUIT to the launcher: DUMP to every rank, each of which answers with its
+// STATS line and writes its goroutines to its own stderr. Coordinate returns
+// nil only if every rank finished cleanly; a failed world is a *RankError
+// naming the causal rank and carrying the first non-zero worker exit code.
 func Coordinate(ln net.Listener, o Options, onReady func()) error {
 	tm, err := ResolveTimeouts()
 	if err != nil {
 		return err // a bad timeout spec fails the launch, like a bad -faults spec
 	}
-	c := &coord{Options: o, tm: tm, onReady: onReady, ln: ln}
+	// A signal during bootstrap waits in the buffer for the status loop.
+	c := &coord{Options: o, tm: tm, onReady: onReady, quit: make(chan os.Signal, 1), ln: ln}
+	signal.Notify(c.quit, syscall.SIGQUIT)
+	defer signal.Stop(c.quit)
 	if len(o.HostKeys) != 0 && len(o.HostKeys) != o.Ranks {
 		return fmt.Errorf("rankio: %d host keys for %d ranks", len(o.HostKeys), o.Ranks)
 	}
@@ -382,13 +390,17 @@ func (c *coord) follow(r int, events chan<- event) {
 // *simnet.ErrPeerFailed, then ABORT, then — abortGrace later — a kill of
 // whatever is left. Once every rank has reported DONE the coordinator
 // broadcasts BYE: a finished rank keeps serving its memory until then.
+// A STATS line is a rank's telemetry so far, and its counters only grow: the
+// loop prints each one and keeps each rank's latest, and the world's
+// aggregate merges those once, at the end, so a DUMP's snapshot is never
+// counted beside the one the rank ships with its DONE/FAIL.
 func (c *coord) status() error {
 	// One slot per reader: a burst of DONEs does not queue behind the loop.
 	events := make(chan event, c.Ranks)
 	for r := range c.members {
 		go c.follow(r, events)
 	}
-	agg := telemetry.Snapshot{Rank: -1}
+	latest := make([]telemetry.Snapshot, c.Ranks)
 	done := make([]bool, c.Ranks)
 	gone := make([]bool, c.Ranks)
 	lastPong := make([]time.Time, c.Ranks)
@@ -443,10 +455,12 @@ func (c *coord) status() error {
 			case lnPong:
 				lastPong[ev.from] = time.Now()
 			case lnStats:
-				// Shipped before the rank's DONE/FAIL line: stream order has
-				// it merged before the rank is accounted finished.
+				// A report ships its STATS line before its DONE/FAIL line:
+				// stream order keeps the snapshot before the rank is
+				// accounted finished.
 				if snap, err := telemetry.ParseSnapshot([]byte(ev.text)); err == nil {
-					agg.Merge(snap)
+					latest[ev.from] = snap
+					Logf("stats", "rank %d stats %s", ev.from, ev.text)
 				}
 			case lnFail:
 				fail(ev.from, ev.text, 0, true)
@@ -484,6 +498,8 @@ func (c *coord) status() error {
 					break
 				}
 			}
+		case <-c.quit:
+			c.broadcast(ctlLine{kind: lnDump})
 		case <-grace.C:
 			// The grace period after an abort expired with ranks still
 			// unaccounted for. Kill local processes and drop every control
@@ -498,6 +514,10 @@ func (c *coord) status() error {
 	}
 	// Failure paths publish too — a RANKFAIL post-mortem is exactly when the
 	// merged flight-recorder tails matter most.
+	agg := telemetry.Snapshot{Rank: -1}
+	for _, snap := range latest {
+		agg.Merge(snap)
+	}
 	telemetry.Publish(agg)
 	if firstErr != nil {
 		if firstCode == 0 {

@@ -1,16 +1,20 @@
 package rankio
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"fompi/internal/simnet"
+	"fompi/internal/telemetry"
 )
 
 const testTimeouts = "heartbeat=50ms,stale=400ms,optimeout=1s,ctlidle=2s"
@@ -99,6 +103,7 @@ func TestCoordinatorRefusesBadJoins(t *testing.T) {
 		"backend mismatch":   {backend: "hybrid", addr: "127.0.0.1:1", want: ErrBackendMismatch},
 		"comma-bearing addr": {backend: "net", addr: "10.0.0.1:7,10.0.0.2:7", want: ErrLineToken},
 		"v5 worker":          {raw: "JOIN 0 127.0.0.1:4000 2 1 0 5 host0\n", want: ErrProtoVersion},
+		"v8 worker":          {raw: "JOIN 8 net 0 127.0.0.1:4000 here 2 1 0\n", want: ErrProtoVersion},
 		"over-long line":     {raw: "JOIN " + strings.Repeat("9", maxLine), want: ErrLineTooLong},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -245,5 +250,82 @@ func TestStaleHeartbeatNamesTheRank(t *testing.T) {
 	var re *RankError
 	if err := verdict(t, result); !errors.As(err, &re) || re.Rank != 1 || !strings.Contains(err.Error(), "no heartbeat") {
 		t.Fatalf("Coordinate returned %v, want a *RankError naming rank 1's missing heartbeat", err)
+	}
+}
+
+// TestDumpOnSIGQUIT: a SIGQUIT to the launcher travels the control plane as
+// DUMP on every rank's stream — the rank speaking the protocol by hand reads
+// it before its second PING — and a real Client answers with a STATS line
+// whose snapshot names its rank, which the coordinator prints tagged with it.
+func TestDumpOnSIGQUIT(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w // the coordinator's and the Client's writes, from here on
+	logged := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(r)
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			if _, line, ok := strings.Cut(sc.Text(), "rank 0 stats "); ok {
+				select {
+				case logged <- line:
+				default:
+				}
+			}
+		}
+		r.Close()
+	}()
+	t.Cleanup(func() { os.Stderr = saved; w.Close() })
+
+	addr, result := hostListWorld(t, "unix", netWorld, nil)
+	a := rank(t, "unix", addr, 0)
+	hand := dial(t, "unix", addr)
+	hand.Write(formatLine(ctlLine{kind: lnJoin, backend: "net", rank: 1, addr: "mem", host: "here", ranks: 2, rpn: 1}))
+	rd := newLineReader(hand)
+	if l, err := readLine(rd); err != nil || l.kind != lnWorld {
+		t.Fatalf("hand rank's catalog: %+v %v", l, err)
+	}
+	hand.Write(formatLine(ctlLine{kind: lnReady, rank: 1}))
+	enter(t, a)
+	if l, err := readLine(rd); err != nil || l.kind != lnGo {
+		t.Fatalf("hand rank's GO: %+v %v", l, err)
+	}
+	syscall.Kill(os.Getpid(), syscall.SIGQUIT)
+	for pings := 0; ; {
+		l, err := readLine(rd)
+		if err != nil {
+			t.Fatalf("hand rank's stream before DUMP: %v", err)
+		}
+		if l.kind == lnDump {
+			break
+		}
+		if l.kind == lnPing {
+			if pings++; pings == 2 {
+				t.Fatal("a second PING arrived before the DUMP")
+			}
+			hand.Write(formatLine(ctlLine{kind: lnPong, rank: 1}))
+		}
+	}
+	hand.Write(formatLine(ctlLine{kind: lnDone, rank: 1}))
+	go func() { // until BYE, as a finished rank does
+		for l, err := readLine(rd); err == nil && l.kind != lnBye; l, err = readLine(rd) {
+		}
+		hand.Close()
+	}()
+	select {
+	case line := <-logged:
+		snap, err := telemetry.ParseSnapshot([]byte(line))
+		if err != nil || snap.Rank != 0 {
+			t.Fatalf("rank 0's DUMP answer %q (%v), want a snapshot of rank 0", line, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the coordinator printed no STATS line from rank 0 after the DUMP")
+	}
+	a.Finish()
+	if err := verdict(t, result); err != nil {
+		t.Fatalf("a world that was dumped did not end cleanly: %v", err)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // ProtoVersion gates the JOIN handshake for the control lines and netrun's
 // data frames alike; bump on any change to either. JOIN leads with it, so a
 // later version is free to lay the rest of the line out differently.
-const ProtoVersion = 8
+const ProtoVersion = 9
 
 // maxLine bounds a control line, newline included. The longest legitimate
 // line is a STATS snapshot (tens of KiB with a full event tail).
@@ -39,8 +39,9 @@ const (
 	lnRankFail                     // coordinator: the verdict — which rank's failure killed the world
 	lnPing                         // coordinator: liveness probe
 	lnPong                         // worker: probe answer
-	lnStats                        // worker: one telemetry snapshot, before DONE/FAIL
+	lnStats                        // worker: its telemetry so far, before DONE/FAIL and on DUMP
 	lnBye                          // coordinator: every rank is DONE
+	lnDump                         // coordinator: answer with a STATS line now and dump goroutines to stderr
 )
 
 // lineTable is the grammar: a verb and its field codes — v version,
@@ -60,6 +61,7 @@ var lineTable = [...]struct{ verb, fields string }{
 	lnPong:     {"PONG", "r"},
 	lnStats:    {"STATS", "t"},
 	lnBye:      {"BYE", ""},
+	lnDump:     {"DUMP", ""},
 }
 
 // ctlLine is one control line; a kind uses the fields its lineTable row

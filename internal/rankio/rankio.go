@@ -20,10 +20,10 @@ import (
 
 // Logf writes one tagged diagnostic line to stderr: "tag[pid N]: message".
 // It is the shared logger for worker- and launcher-side diagnostics (join
-// progress, rendezvous banners, stats dumps), formatted like faultnet's
-// chaos-log lines so the two streams interleave attributably when several
-// processes share a terminal. One Write call per line keeps concurrent
-// processes' lines whole.
+// progress, rendezvous banners, each rank's STATS line), formatted like
+// faultnet's chaos-log lines so the two streams interleave attributably when
+// several processes share a terminal. One Write call per line keeps
+// concurrent processes' lines whole.
 func Logf(tag, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "%s[pid %d]: %s\n", tag, os.Getpid(), fmt.Sprintf(format, args...))
 }

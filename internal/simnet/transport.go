@@ -20,10 +20,11 @@ import (
 // every backend. Two implementations exist: the in-process *Fabric below
 // (ranks are goroutines in one address space) and internal/netrun's process
 // world (ranks are OS processes), which routes each peer by host: to an
-// internal/mprun arena (regions live in one mmap-shared segment, pokes travel
-// over Unix sockets) or to a TCP session (RemoteMem proxies, drained through
-// WireDrainer). Each passes the conformance suite in internal/transporttest —
-// the process world once per placement of ranks on hosts — as a third would.
+// internal/mprun arena (regions and wake words live in one mmap-shared
+// segment, pokes are futex wakes on it) or to a TCP session (RemoteMem
+// proxies, drained through WireDrainer). Each passes the conformance suite in
+// internal/transporttest — the process world once per placement of ranks on
+// hosts — as a third would.
 //
 // The thirteen methods: Size and RanksPerNode (the shape); RegisterRegion,
 // UnregisterRegion and LookupRegion (registered memory); AllocSeg and

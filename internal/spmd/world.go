@@ -23,7 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"fompi/internal/netrun"
@@ -34,36 +36,6 @@ import (
 	"fompi/internal/timing"
 )
 
-// startDebug binds the optional observability HTTP listener (expvar +
-// pprof) when FOMPI_DEBUG_ADDR is set. A bind failure is a warning, not a
-// world error: several worker processes on one host race for a fixed port,
-// and whichever wins serves the host's debug endpoint.
-var debugOnce sync.Once
-
-func startDebug() {
-	debugOnce.Do(func() {
-		addr := os.Getenv(telemetry.EnvDebugAddr)
-		if addr == "" {
-			return
-		}
-		if bound, err := telemetry.ServeDebug(addr); err != nil {
-			rankio.Logf("spmd", "debug listener %s: %v", addr, err)
-		} else {
-			rankio.Logf("spmd", "debug listener on http://%s/debug/vars (pprof under /debug/pprof/)", bound)
-		}
-	})
-}
-
-// dumpRankStats emits one rank's telemetry snapshot as a one-line JSON
-// stats dump on stderr (the FOMPI_STATS per-rank view; the world's merged
-// aggregate is published separately, see telemetry.Publish).
-func dumpRankStats(rank int) {
-	if !telemetry.On() {
-		return
-	}
-	rankio.Logf("stats", "%s", telemetry.Capture(rank).JSON())
-}
-
 // Backend selects the transport substrate of a world.
 type Backend string
 
@@ -73,10 +45,11 @@ const (
 	// the default, and the only backend the perf harness measures.
 	BackendInProc Backend = "proc"
 	// BackendMP runs each rank as an OS process, all on one host key:
-	// registered memory lives in one mmap-shared segment (the XPMEM-style
-	// fast path made real) and control/doorbell traffic travels over Unix
-	// sockets. Virtual time stays in the timing layer, so results are
-	// bit-identical to BackendInProc.
+	// registered memory and the doorbells live in one mmap-shared segment
+	// (the XPMEM-style fast path made real; a parked host-mate is woken by
+	// futex on it) and only the control stream is a Unix socket. Virtual
+	// time stays in the timing layer, so results are bit-identical to
+	// BackendInProc.
 	BackendMP Backend = netrun.BackendMP
 	// BackendNet runs each rank as an OS process with a host key of its own,
 	// on (potentially) a different machine: every remote-memory operation
@@ -236,7 +209,6 @@ func WorkerOf() Backend { return Backend(rankio.WorkerBackend()) }
 // must not retain ScratchRegion (or fabric addresses into it) past Run.
 func Run(cfg Config, body func(*Proc)) error {
 	cfg = cfg.withDefaults()
-	startDebug()
 	if cfg.Backend == BackendInProc {
 		return runInProc(cfg, body)
 	}
@@ -274,6 +246,11 @@ func crossOptions(cfg Config) rankio.Options {
 // nonzero after a panic (reported to the launcher over the control channel
 // first) or a failed bootstrap.
 func runCrossWorker(cfg Config, body func(*Proc)) {
+	// A terminal's Ctrl-\ reaches the whole foreground process group, spawned
+	// ranks included. A rank leaves SIGQUIT to its launcher, whose coordinator
+	// answers it with a DUMP on every control stream, so asking a world what
+	// it is doing does not kill it.
+	signal.Ignore(syscall.SIGQUIT)
 	cw, err := netrun.Join(crossOptions(cfg))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spmd: worker failed to join its %s world: %v\n", cfg.Backend, err)
@@ -314,11 +291,6 @@ func runCrossWorker(cfg Config, body func(*Proc)) {
 		return true
 	}
 	ok := guard(func() { body(p) })
-	// The stderr dump precedes Finish deliberately: Finish ships the STATS
-	// control frame and the DONE status line, after which the launcher may
-	// tear the world down under us. (On the panic path Fail already ran
-	// inside the recover; the dump is the local post-mortem copy.)
-	dumpRankStats(rank)
 	// Finish is guarded too: it completes the body's queued remote stores
 	// before reporting DONE, which can meet a lost peer like any other op.
 	if !ok || !guard(cw.Finish) {

@@ -6,20 +6,19 @@
 // so instrumented code needs no build tags and no call-site guards.
 //
 // Telemetry is enabled by FOMPI_STATS (or `fompi-run -stats`, which sets it
-// so worker processes inherit it). Three exposure paths share one Snapshot
-// shape:
+// so worker processes inherit it). A snapshot leaves a process one way, as
+// one Snapshot shape:
 //
-//   - a per-rank one-line JSON dump at Finish/Fail (internal/spmd),
-//   - world aggregation (Publish): on every cross-process backend — mp, net,
-//     hybrid — each rank ships a STATS control line at teardown and the
-//     coordinator (internal/rankio) merges them; an in-process world is one
-//     capture (FOMPI_STATS_OUT writes the aggregate to a file),
-//   - an optional -debug-addr HTTP listener serving expvar + net/http/pprof
-//     (debug.go).
+//   - in a process world — mp, net, hybrid — as a STATS line on the rank's
+//     control stream (internal/rankio), at teardown and whenever the
+//     coordinator asks with DUMP; the coordinator prints each, keeps every
+//     rank's latest and merges them once at world end (Publish),
+//   - in an in-process world, as one capture of the shared registry
+//     (Publish; FOMPI_STATS_OUT writes the aggregate to a file).
 //
 // Metrics are registered by name at package init of the instrumented
-// packages; registration is idempotent, so two packages naming the same
-// metric share it (the pacing counters are shared across backends this way).
+// packages; registration is idempotent, so two call sites naming the same
+// metric share it.
 package telemetry
 
 import (
@@ -42,9 +41,6 @@ const (
 	// EnvOut names a file the world's aggregated snapshot is written to (one
 	// line of JSON, see Publish); empty prints it to stderr.
 	EnvOut = "FOMPI_STATS_OUT"
-	// EnvDebugAddr, when set, makes spmd workers serve expvar + pprof on
-	// the given listen address (see ServeDebug).
-	EnvDebugAddr = "FOMPI_DEBUG_ADDR"
 )
 
 // enabled is the single hot-path gate: every Record/Add/RecordEvent loads it
@@ -323,9 +319,8 @@ var registry struct {
 }
 
 // NewCounter returns the counter registered under name, creating it on
-// first use. Registration is idempotent: packages that instrument the same
-// logical metric (the pacing valve exists in three backends) share one
-// counter by naming it identically.
+// first use. Registration is idempotent: call sites that instrument the same
+// logical metric share one counter by naming it identically.
 func NewCounter(name string) *Counter {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
@@ -360,11 +355,11 @@ func NewHistogram(name string) *Histogram {
 
 // Snapshot is one process's (or one aggregated world's) telemetry state:
 // the non-zero counters and histograms by name, plus the flight recorder's
-// trailing events. It marshals to a single line of JSON (the control-plane
-// stats frame and the per-rank dump are both one line by construction).
+// trailing events. It marshals to a single line of JSON (a control-plane
+// STATS line is one line by construction).
 type Snapshot struct {
 	Rank     int               `json:"rank"`            // -1: launcher/aggregate
-	Ranks    int               `json:"ranks,omitempty"` // per-rank snapshots merged in
+	Ranks    int               `json:"ranks,omitempty"` // measured per-rank snapshots merged in
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	Hists    map[string]Hist   `json:"hists,omitempty"`
 	Events   []Event           `json:"events,omitempty"`
@@ -375,10 +370,15 @@ type Snapshot struct {
 const mergedEventsMax = 1024
 
 // Capture snapshots the registry and the flight recorder's last EventTail
-// events for the given rank. It allocates (maps, slices) and is meant for
-// teardown, stats frames, and debug handlers — never hot paths.
+// events for the given rank. A capture taken with telemetry off counts as no
+// measured rank (Ranks 0), so an aggregate of such captures — a DUMP answered
+// by ranks that do not measure — publishes nothing. It allocates (maps,
+// slices) and is meant for teardown and STATS lines — never hot paths.
 func Capture(rank int) Snapshot {
-	s := Snapshot{Rank: rank, Ranks: 1}
+	s := Snapshot{Rank: rank}
+	if On() {
+		s.Ranks = 1
+	}
 	registry.mu.Lock()
 	for name, c := range registry.counters {
 		if v := c.Load(); v > 0 {
@@ -452,10 +452,10 @@ func ParseSnapshot(b []byte) (Snapshot, error) {
 }
 
 // Publish emits a world's aggregate, once, where the world ends — the
-// coordinator of a cross-process world after merging its ranks' STATS lines,
-// spmd after an in-process run: to the EnvOut file when set, as a "world
-// stats" line on stderr otherwise. An aggregate no snapshot was merged into
-// (telemetry off) publishes nothing.
+// coordinator of a cross-process world after merging its ranks' latest STATS
+// lines, spmd after an in-process run: to the EnvOut file when set, as a
+// "world stats" line on stderr otherwise. An aggregate no measured snapshot
+// was merged into (telemetry off) publishes nothing.
 func Publish(agg Snapshot) {
 	if agg.Ranks == 0 {
 		return

@@ -222,3 +222,25 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	check("enabled Histogram.Record", func() { h.Record(7) })
 	check("enabled RecordEvent", func() { RecordEvent(EvRetransmit, 1, 2) })
 }
+
+// TestCaptureOffCountsNoRank: a capture taken with telemetry off — a DUMP
+// answered by a rank that does not measure — names its rank but counts as no
+// measured rank, so an aggregate of such captures publishes nothing.
+func TestCaptureOffCountsNoRank(t *testing.T) {
+	was := On()
+	defer SetEnabled(was)
+	SetEnabled(false)
+	off := Capture(2)
+	if off.Rank != 2 || off.Ranks != 0 {
+		t.Fatalf("capture with telemetry off: rank %d, ranks %d; want rank 2, ranks 0", off.Rank, off.Ranks)
+	}
+	agg := Snapshot{Rank: -1}
+	agg.Merge(off)
+	if agg.Ranks != 0 {
+		t.Fatalf("an aggregate of unmeasured captures counts %d ranks, want 0 (Publish would print it)", agg.Ranks)
+	}
+	SetEnabled(true)
+	if on := Capture(2); on.Ranks != 1 {
+		t.Fatalf("capture with telemetry on counts %d ranks, want 1", on.Ranks)
+	}
+}

@@ -402,7 +402,7 @@ func TestConformanceFusedFrame(t *testing.T) {
 		}
 		p.Barrier() // the owner's counters have seen the burst too
 		after := telemetry.Capture(0).Counters
-		telemetry.SetEnabled(false) // past the last read: no stats dump at world exit
+		telemetry.SetEnabled(false) // past the last read: no STATS line at world exit
 		for _, c := range []string{"net.retransmits", "net.resumes", "net.dedup_hits"} {
 			check(after[c] == before[c], "rank %d: %s moved by %d on a fault-free wire", p.Rank(), c, after[c]-before[c])
 		}
@@ -455,7 +455,7 @@ func TestConformanceSharedFrame(t *testing.T) {
 		}
 		if err := spmd.Run(c, func(p *spmd.Proc) {
 			frames, now := body(p)
-			telemetry.SetEnabled(false) // past the last read: no stats dump at world exit
+			telemetry.SetEnabled(false) // past the last read: no STATS line at world exit
 			check(p.Rank() != 0 || frames == wantFrames,
 				"%d PutNBI + Get queued %d wire frames on the %s backend, want %d", puts, frames, label, wantFrames)
 			check(now == want[p.Rank()], "rank %d virtual time %d on the %s backend, %d in process",
@@ -576,7 +576,7 @@ func TestConformancePlacement(t *testing.T) {
 					check(frames(far) > 0 == wired, "a put to cross-node rank %d: wire frame %v, want %v", far, !wired, wired)
 				}
 				p.Barrier()
-				telemetry.SetEnabled(false) // past the last read: no stats dump at world exit
+				telemetry.SetEnabled(false) // past the last read: no STATS line at world exit
 			})
 		})
 	}

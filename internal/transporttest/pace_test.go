@@ -134,7 +134,7 @@ func pacedWorkload(p *spmd.Proc) (timing.Time, uint64) {
 	h := fnv.New64a()
 	h.Write(reg.Bytes())
 	// Every rank is past its last counter read: the world exits without a
-	// stats dump nobody asked for.
+	// STATS line nobody asked for.
 	telemetry.SetEnabled(false)
 	return p.Now(), h.Sum64()
 }

@@ -19,13 +19,15 @@ import (
 
 var goroutineID = regexp.MustCompile(`^goroutine (\d+) \[`)
 
-// goroutineStacks returns every goroutine's stack dump, by goroutine id.
+// goroutineStacks returns every goroutine's stack dump, by goroutine id. The
+// signal loop os/signal starts on the first Notify (a coordinator's SIGQUIT
+// handler) and keeps for the process's life is not a world's to end.
 func goroutineStacks() map[string]string {
 	var dump strings.Builder
 	pprof.Lookup("goroutine").WriteTo(&dump, 2) // debug 2: the panic-style dump, one block a goroutine
 	stacks := map[string]string{}
 	for _, g := range strings.Split(dump.String(), "\n\n") {
-		if m := goroutineID.FindStringSubmatch(g); m != nil {
+		if m := goroutineID.FindStringSubmatch(g); m != nil && !strings.Contains(g, "os/signal.loop") {
 			stacks[m[1]] = g
 		}
 	}
