@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -379,4 +380,32 @@ func TestPackKeysFaultsOnOverflow(t *testing.T) {
 			packKeys(kv[0], kv[1])
 		}()
 	}
+}
+
+// BenchmarkWorldSetup times what the benchmark's proc_rma workload reports as
+// setup_s, without its harness: a 2-rank, 2-node in-process world that
+// allocates a 280 KiB window, fills a pattern into it and passes a barrier.
+// Each iteration is one world; the metrics are the nanoseconds from the
+// launch to rank 0 past the barrier, at the 5th percentile and the median.
+func BenchmarkWorldSetup(b *testing.B) {
+	const size, words = 280 << 10, 512
+	ready := make([]float64, 0, b.N)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		spmd.MustRun(spmd.Config{Ranks: 2, RanksPerNode: 1}, func(p *spmd.Proc) {
+			w, mem := Allocate(p, size, Config{})
+			for k := 0; k < words; k++ {
+				binary.LittleEndian.PutUint64(mem[8*k:], uint64(p.Rank())<<32|uint64(k))
+			}
+			p.Barrier()
+			if p.Rank() == 0 {
+				ready = append(ready, float64(time.Since(t0).Nanoseconds()))
+			}
+			w.Free()
+		})
+	}
+	slices.Sort(ready)
+	b.ReportMetric(ready[len(ready)/20], "ready-ns-p5")
+	b.ReportMetric(ready[len(ready)/2], "ready-ns-p50")
 }

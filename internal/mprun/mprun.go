@@ -16,8 +16,8 @@
 package mprun
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"fmt"
+	"hash/fnv"
 	"net"
 	"os"
 	"path/filepath"
@@ -43,10 +43,14 @@ func CtlPath(dir string) string { return filepath.Join(dir, "ctl") }
 // collide and a stale entry is from a dead world. Co-located ranks have no
 // common parent to inherit a descriptor from; this name, which each derives
 // from the catalog alone, is their rendezvous.
+//
+// The digest is 64-bit FNV-1a cut to 48 bits: a name needs no cryptographic
+// hash, and a crypto package would link two dozen more into every rank
+// binary.
 func GroupName(addrs, hosts []string, key string) string {
-	sum := sha256.Sum256([]byte(strings.Join(addrs, ",") + "|" +
-		strings.Join(hosts, ",") + "|" + key))
-	return "fompi-hyb-" + hex.EncodeToString(sum[:6])
+	h := fnv.New64a()
+	h.Write([]byte(strings.Join(addrs, ",") + "|" + strings.Join(hosts, ",") + "|" + key))
+	return fmt.Sprintf("fompi-hyb-%012x", h.Sum64()>>16)
 }
 
 func fileSize(st os.FileInfo, err error) any {

@@ -255,6 +255,22 @@ func (k *Parker) Poke(slot int) bool {
 	return true
 }
 
+// Stop disarms every slot's heartbeat timer. The world that owns the parker
+// calls it once nobody parks any more: an armed timer would otherwise fire
+// into a dead world later, on a goroutine of its own, and keep the parker
+// reachable until it did. A park after Stop arms its slot's timer again.
+func (k *Parker) Stop() {
+	for i := range k.slots {
+		s := &k.slots[i]
+		s.mu.Lock()
+		if s.timer != nil {
+			s.timer.Stop()
+			s.wakeAt = 0
+		}
+		s.mu.Unlock()
+	}
+}
+
 // Abort ends every park, now and from now on: the sleepers find the world
 // torn down through their hook's Aborted.
 func (k *Parker) Abort() {

@@ -178,3 +178,35 @@ func TestParkerPokeReachesAll(t *testing.T) {
 		t.Fatal("park at the current sequence did not time out")
 	}
 }
+
+// TestParkerStopDisarms: a park poked long before its deadline leaves its
+// slot's heartbeat armed; Stop disarms it, so it never fires into a world
+// that has ended.
+func TestParkerStopDisarms(t *testing.T) {
+	k := NewParker(2)
+	s := &k.slots[1]
+	armed := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.wakeAt != 0
+	}
+	done := make(chan bool, 1)
+	seq := k.Seq(1)
+	go func() { done <- k.Park(1, seq, 30*time.Second) }()
+	for deadline := time.Now().Add(10 * time.Second); !armed(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a park never armed its slot's heartbeat")
+		}
+	}
+	k.Poke(1)
+	allPoked(t, done, 1)
+	if !armed() {
+		t.Fatal("a park poked before its deadline left no heartbeat armed")
+	}
+	k.Stop()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.wakeAt != 0 || s.timer.Stop() {
+		t.Fatal("Stop left the slot's heartbeat armed")
+	}
+}

@@ -132,6 +132,9 @@ func (f *Fabric) Pacer() *Pacer { return f.pacer }
 // Door returns the fabric's door.
 func (f *Fabric) Door() *Door { return f.door }
 
+// Parker returns the hook both the door and the pacer park through.
+func (f *Fabric) Parker() *Parker { return f.park }
+
 // abortErr is the parking hook's abort state: nil while the world stands,
 // then the value Abort's culprit names.
 func (f *Fabric) abortErr() error {

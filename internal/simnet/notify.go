@@ -57,17 +57,21 @@ func BindNotifyRing(reg *Region, off, capacity int) *NotifyRing {
 
 // Bind initializes a caller-owned ring handle in place (see BindNotifyRing);
 // windows embed the handle instead of allocating one per window.
+//
+// The zeroing is a plain clear, and one atomic store of the capacity then
+// publishes it: a ring is bound before the collective that lets any peer
+// address its region (a window binds in winBase, ahead of its creation
+// collective), so no remote access races the clear.
 func (nr *NotifyRing) Bind(reg *Region, off, capacity int) {
 	if capacity <= 0 {
 		panic("simnet: notification ring needs positive capacity")
 	}
-	reg.check(off, NotifyRingBytes(capacity))
+	n := NotifyRingBytes(capacity)
+	reg.check(off, n)
 	if off&7 != 0 {
 		panic("simnet: notification ring must be 8-byte aligned")
 	}
-	for i := 0; i < NotifyRingBytes(capacity); i += 8 {
-		hostatomic.Store(reg.buf, off+i, 0)
-	}
+	clear(reg.buf[off : off+n])
 	hostatomic.Store(reg.buf, off+16, uint64(capacity))
 	*nr = NotifyRing{reg: reg, off: off, cap: capacity}
 }

@@ -247,6 +247,44 @@ func TestBindNotifyRingValidation(t *testing.T) {
 	}
 }
 
+// TestBindNotifyRingOverDirtyMemory: Bind over memory a previous tenant left
+// all ones yields a zeroed header and slot array, the capacity it was given,
+// no pending notification and a ring that delivers; the bytes around the ring
+// keep what they held.
+func TestBindNotifyRingOverDirtyMemory(t *testing.T) {
+	const capacity, off = 5, 16
+	f := NewFabric(2, 1)
+	ep0 := f.Endpoint(0, FoMPI())
+	ep1 := f.Endpoint(1, FoMPI())
+	reg := ep1.Register(off + NotifyRingBytes(capacity) + 8)
+	buf := reg.Bytes()
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	ring := BindNotifyRing(reg, off, capacity)
+	for i := 0; i < NotifyRingBytes(capacity); i += 8 {
+		want := uint64(0)
+		if i == 16 {
+			want = capacity
+		}
+		if got := reg.LocalWord(off + i); got != want {
+			t.Errorf("ring word at +%d = %#x after Bind, want %#x", i, got, want)
+		}
+	}
+	for _, i := range []int{0, off - 1, off + NotifyRingBytes(capacity)} {
+		if buf[i] != 0xFF {
+			t.Errorf("byte %d outside the ring = %#x, want it untouched", i, buf[i])
+		}
+	}
+	if ring.Cap() != capacity || ring.Pending() != 0 {
+		t.Fatalf("bound ring: cap %d pending %d, want %d and 0", ring.Cap(), ring.Pending(), capacity)
+	}
+	ep0.Notify(ring.Base(), 11)
+	if w, ok := ring.TryPop(ep1); !ok || w != 11 {
+		t.Fatalf("pop = (%d, %v), want (11, true)", w, ok)
+	}
+}
+
 func TestNotifyRingBytes(t *testing.T) {
 	for _, capacity := range []int{1, 7, 256} {
 		want := 24 + capacity*8

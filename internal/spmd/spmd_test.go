@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fompi/internal/timing"
 )
@@ -357,4 +358,76 @@ func TestRunOneRankSpawnsNoGoroutine(t *testing.T) {
 	if after := runtime.NumGoroutine(); during != before || after != before {
 		t.Fatalf("goroutines: %d before Run, %d in the body, %d after", before, during, after)
 	}
+}
+
+// TestRunReusesRankGoroutines: ranks 1…p−1 run on workers that outlive their
+// world. The worlds after the first run on the goroutines it left, and leave
+// the count where it left it, as does a world whose rank panicked followed by
+// a clean one; a rank body that calls runtime.Goexit ends its worker without
+// hanging Run.
+func TestRunReusesRankGoroutines(t *testing.T) {
+	const p = 4
+	during := math.MaxInt // the fewest goroutines rank 0, the caller, saw with every rank running
+	allreduce := func(q *Proc) {
+		if got := q.Allreduce8(OpSum, 1); got != p {
+			panic(fmt.Sprintf("allreduce = %d, want %d", got, p))
+		}
+		if q.Rank() == 0 {
+			during = min(during, runtime.NumGoroutine())
+		}
+		q.Barrier() // no rank has returned while rank 0 counts
+	}
+	// settled reports whether the goroutine count comes down to at most want:
+	// a goroutine another test left may still be on its way out.
+	settled := func(want int) (int, bool) {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		return n, n <= want
+	}
+	MustRun(Config{Ranks: p}, allreduce)
+	base := runtime.NumGoroutine()
+	during = math.MaxInt
+	for i := 0; i < 50; i++ {
+		MustRun(Config{Ranks: p}, allreduce)
+	}
+	if during > base {
+		t.Fatalf("every one of 50 worlds ran its ranks on new goroutines: %d running, %d after the first world", during, base)
+	}
+	if n, ok := settled(base); !ok {
+		t.Fatalf("50 worlds of %d ranks took the goroutine count from %d to %d", p, base, n)
+	}
+
+	err := Run(Config{Ranks: p}, func(q *Proc) {
+		if q.Rank() == 2 {
+			panic("boom")
+		}
+		q.Barrier()
+	})
+	if err == nil || err.Error() != "rank 2 panicked: boom" {
+		t.Fatalf("err = %v, want rank 2's panic", err)
+	}
+	MustRun(Config{Ranks: p}, allreduce)
+	if n, ok := settled(base); !ok {
+		t.Fatalf("a world whose rank panicked, then a clean one, took the goroutine count from %d to %d", base, n)
+	}
+
+	ran := make(chan error, 1)
+	go func() {
+		ran <- Run(Config{Ranks: p}, func(q *Proc) {
+			if q.Rank() == p-1 {
+				runtime.Goexit()
+			}
+		})
+	}()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatalf("a world whose rank called runtime.Goexit: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hung after a rank body called runtime.Goexit")
+	}
+	MustRun(Config{Ranks: p}, allreduce)
 }

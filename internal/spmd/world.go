@@ -2,7 +2,7 @@
 // transport backend: the stand-in for the job launcher plus the process
 // runtime that foMPI inherits from Cray MPI. Config.Backend selects between
 // two transports: the default in-process fabric (rank 0 is Run's caller, each
-// other rank a goroutine, over internal/simnet's Fabric) and the process
+// other rank a reused goroutine, over internal/simnet's Fabric) and the process
 // transport (internal/netrun: each rank an OS process, host-mates reached
 // through a shared-memory arena and everyone else over a TCP wire), whose
 // three backend names are three placements of the ranks on hosts — mp, all on
@@ -41,8 +41,9 @@ type Backend string
 
 const (
 	// BackendInProc runs the ranks in this process — rank 0 on Run's calling
-	// goroutine, the rest on goroutines — over the in-process simnet fabric:
-	// the default, and the only backend the perf harness measures.
+	// goroutine, the rest on rank workers reused from world to world — over
+	// the in-process simnet fabric: the default, and the only backend the
+	// perf harness measures.
 	BackendInProc Backend = "proc"
 	// BackendMP runs each rank as an OS process, all on one host key:
 	// registered memory and the doorbells live in one mmap-shared segment
@@ -188,9 +189,11 @@ func WorkerOf() Backend { return Backend(rankio.WorkerBackend()) }
 
 // Run launches cfg.Ranks ranks executing body and waits for all of them.
 // On the default in-process backend rank 0 runs on the calling goroutine and
-// the other ranks on goroutines of their own; if any rank panics, the fabric
-// is aborted (unblocking the others, the caller included) and the first panic
-// is returned as an error.
+// the other ranks on rank workers: goroutines that park between worlds and
+// run the next world's ranks, never more of them than this process's
+// in-process worlds have had ranks running at one time. If any rank panics,
+// the fabric is aborted (unblocking the others, the caller included) and the
+// first panic is returned as an error.
 //
 // On a cross-process backend the calling process becomes the launcher: it
 // re-executes itself (or cfg.MPRelaunch) once per rank, coordinates the
@@ -299,13 +302,15 @@ func runCrossWorker(cfg Config, body func(*Proc)) {
 	os.Exit(0)
 }
 
-// runInProc runs the in-process world: ranks 1…p−1 get goroutines and rank 0
-// is the calling goroutine, so a launch pays no spawn-and-hand-off before its
-// first rank runs and a one-rank world starts no goroutine at all. Every rank,
-// the caller's included, runs under the same recover / first-error / Abort
-// closure. A rank's own panic blames it, so its peers unwind with an
-// *simnet.ErrPeerFailed naming it, as a process world's do after the verdict;
-// an abort symptom blames nobody.
+// runInProc runs the in-process world: rank 0 is the calling goroutine and
+// ranks 1…p−1 run on reused rank workers (goRank), so a launch pays no
+// spawn-and-hand-off before its first rank runs, its other ranks start on
+// stacks an earlier world already grew, and a one-rank world starts no
+// goroutine at all. Every rank, the caller's included, runs under the same
+// recover / first-error / Abort closure. A rank's own panic blames it, so its
+// peers unwind with an *simnet.ErrPeerFailed naming it, as a process world's
+// do after the verdict; an abort symptom blames nobody. Once every rank has
+// returned, clean or aborted, the world disarms its parker's heartbeats.
 func runInProc(cfg Config, body func(*Proc)) error {
 	w, procs := NewWorld(cfg)
 	fab := w.fab.(*simnet.Fabric)
@@ -331,13 +336,11 @@ func runInProc(cfg Config, body func(*Proc)) error {
 	}
 	wg.Add(len(procs) - 1)
 	for _, p := range procs[1:] {
-		go func() {
-			defer wg.Done()
-			rank(p)
-		}()
+		goRank(func() { rank(p) }, &wg)
 	}
 	rank(procs[0])
 	wg.Wait()
+	fab.Parker().Stop()
 	if firstErr == nil && !fab.Aborted() {
 		w.recycle()
 	}
@@ -349,6 +352,69 @@ func runInProc(cfg Config, body func(*Proc)) error {
 	}
 	return firstErr
 }
+
+// A rankWorker is a goroutine that runs in-process ranks, one world's after
+// another. A worker whose rank has returned parks on idleWorkers until a
+// launch hands it the next one, so ranks 1…p−1 start on stacks an earlier
+// world already grew instead of regrowing fresh ones inside their first
+// collective. Nothing else bounds the list: it holds only workers that once
+// ran a rank, so never more than the most ranks this process's in-process
+// worlds have had running at one time, and the GC shrinks a stack a rank grew
+// back down to about 4 KiB while its worker is idle.
+type rankWorker struct {
+	next chan rankJob // buffered: a launch never waits for the worker to reach its receive
+}
+
+type rankJob struct {
+	run  func()
+	done *sync.WaitGroup
+}
+
+var idleWorkers struct {
+	mu   sync.Mutex
+	list []*rankWorker
+}
+
+// goRank runs fn on the most recently parked idle worker, or on a new one
+// when none is parked, and marks done once fn has returned.
+func goRank(fn func(), done *sync.WaitGroup) {
+	j := rankJob{run: fn, done: done}
+	idleWorkers.mu.Lock()
+	if n := len(idleWorkers.list); n > 0 {
+		w := idleWorkers.list[n-1]
+		idleWorkers.list[n-1] = nil
+		idleWorkers.list = idleWorkers.list[:n-1]
+		idleWorkers.mu.Unlock()
+		w.next <- j
+		return
+	}
+	idleWorkers.mu.Unlock()
+	w := &rankWorker{next: make(chan rankJob, 1)}
+	go w.loop(j)
+}
+
+// loop runs j and then every job a launch hands the worker. The worker is
+// back on the list before it marks its rank done, so a launch that follows
+// the end of its world finds it there. A rank recovers its own panics, so the
+// deferred Done is reached only when a rank body calls runtime.Goexit: that
+// ends the worker, and its rank still counts as returned.
+func (w *rankWorker) loop(j rankJob) {
+	defer func() { j.done.Done() }()
+	for {
+		j.run()
+		done := j.done
+		j = rankJob{} // an idle worker keeps no world reachable
+		idleWorkers.mu.Lock()
+		idleWorkers.list = append(idleWorkers.list, w)
+		idleWorkers.mu.Unlock()
+		done.Done()
+		j = w.idle()
+	}
+}
+
+// idle parks the worker until a launch hands it a rank; a goroutine dump
+// shows an idle worker by this frame.
+func (w *rankWorker) idle() rankJob { return <-w.next }
 
 // MustRun is Run but panics on error; benchmarks and examples use it.
 func MustRun(cfg Config, body func(*Proc)) {

@@ -63,12 +63,14 @@
 #                                of that harness, nor those variables, nor
 #                                the two test variables that became go test
 #                                flags (-tt.backends, -chaos.log), either
-#   no HTTP in a rank            go list -deps of every example, every
+#   no HTTP or crypto in a rank  go list -deps of every example, every
 #                                command and the benchmark module lists none
-#                                of net/http, net/http/pprof, expvar and
-#                                crypto/tls: telemetry leaves a rank over its
-#                                control stream alone (SIGQUIT to the
-#                                launcher, DUMP to every rank)
+#                                of net/http, net/http/pprof, expvar and no
+#                                crypto/ package at all: telemetry leaves a
+#                                rank over its control stream alone (SIGQUIT
+#                                to the launcher, DUMP to every rank), and an
+#                                arena's name is an FNV digest, so no rank
+#                                binary pays for a crypto stack at boot
 #   go test ./...                all package suites (includes the transport
 #                                conformance suite, which spawns the worker
 #                                processes of the mp, net and hybrid
@@ -96,7 +98,10 @@
 #                                plus the cross-backend AMO chain, pacing,
 #                                doorbell, fused-frame, ordering,
 #                                shared-frame, dump and stopped-rank
-#                                conformance tests under -race
+#                                conformance tests under -race, and spmd's
+#                                rank-worker reuse and nested-world tests
+#                                (TestRunReusesRankGoroutines,
+#                                TestRunNestedFromRank0) ten times over
 #   examples smoke               build and run every example; quickstart and
 #                                stencil (unpaced and with -pace 20000) must
 #                                produce identical deterministic output on
@@ -156,11 +161,11 @@ if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|pace
 	exit 1
 fi
 
-echo "== no HTTP in a rank (no example, command or the benchmark links net/http, net/http/pprof, expvar or crypto/tls)"
+echo "== no HTTP or crypto in a rank (no example, command or the benchmark links net/http, net/http/pprof, expvar or any crypto/ package)"
 go list -deps ./examples/... ./cmd/... >"$TMP/deps"
 (cd benchmark && go list -deps .) >>"$TMP/deps"
-if grep -xE 'net/http|net/http/pprof|expvar|crypto/tls' "$TMP/deps"; then
-	echo "verify: a rank binary links an HTTP stack again; telemetry leaves a rank over its control stream alone" >&2
+if grep -E '^(net/http|net/http/pprof|expvar)$|^crypto/' "$TMP/deps"; then
+	echo "verify: a rank binary links an HTTP stack or a crypto package again; telemetry leaves a rank over its control stream alone, and nothing in a rank needs a cryptographic hash" >&2
 	exit 1
 fi
 
@@ -181,9 +186,10 @@ make bench-test
 echo "== issue-path benchmarks, one iteration (0 allocs/op, 0 steady-state route misses)"
 go test ./internal/simnet -run '^$' -bench Issue -benchtime 1x
 
-echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1)"
+echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1; spmd's worker reuse ten times)"
 go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/
 go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestConformanceFusedFrame|TestConformanceOrdering|TestConformanceSharedFrame|TestConformanceDump|TestStoppedRank' ./internal/transporttest/
+go test -race -count=10 -run 'TestRunReusesRankGoroutines|TestRunNestedFromRank0' ./internal/spmd
 
 echo "== examples smoke (build + run, cross-backend diff)"
 for ex in quickstart stencil hashtable dsde; do
