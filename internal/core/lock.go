@@ -106,10 +106,8 @@ func (w *Win) Unlock(target int) {
 	w.ep.MemSync()
 	w.ep.Gsync() // remote completion of the epoch's operations
 	local := w.ctlAddr(target, ctlLocal)
-	// The release atomics (local lock, plus the global registration for the
-	// last exclusive lock) issue as one batch: one pacing check, and the
-	// master's doorbell rings once even when both words live there.
-	w.ep.BeginBatch()
+	// The release atomics: the local lock, plus the global registration for
+	// the last exclusive lock.
 	if excl {
 		w.ep.AddNBI(local, neg(writerBit))
 		w.exclHeld--
@@ -119,7 +117,6 @@ func (w *Win) Unlock(target int) {
 	} else {
 		w.ep.AddNBI(local, neg(1))
 	}
-	w.ep.EndBatch()
 	delete(w.lockedRanks, target)
 	if len(w.lockedRanks) == 0 && !w.lockAll {
 		w.epoch = epochNone

@@ -81,13 +81,10 @@ func (w *Win) checkGroup(group []int) []int {
 func (w *Win) Post(group []int) {
 	g := w.checkGroup(group)
 	// Acquire all k free-list slots in one round trip: the fetch-adds are
-	// independent, so they pipeline. The whole O(k) announcement issues as
-	// one batch — one pacing check, and each group member's doorbell rings
-	// once, after both its counter bump and its rank word have landed — and
-	// draws its ticket/handle scratch from the window's reusable pool.
+	// independent, so they pipeline. The O(k) announcement draws its
+	// ticket/handle scratch from the window's reusable pool.
 	idxs := w.postIdxs[:0]
 	handles := w.postHandles[:0]
-	w.ep.BeginBatch()
 	for _, j := range g {
 		v, h := w.ep.FetchAddNB(w.ctlAddr(j, ctlPostCount), 1)
 		idxs = append(idxs, v)
@@ -100,7 +97,6 @@ func (w *Win) Post(group []int) {
 		}
 		w.ep.StoreW(w.ctlAddr(j, ctlPostList(w.cfg.MaxAttach)+int(idxs[i])*8), uint64(w.p.Rank())+1)
 	}
-	w.ep.EndBatch()
 	w.postIdxs, w.postHandles = idxs[:0], handles[:0]
 	w.ep.Gsync()
 	w.exposureQueue = append(w.exposureQueue, len(g))
@@ -160,13 +156,9 @@ func (w *Win) Complete() {
 	}
 	w.ep.MemSync()
 	w.ep.Gsync()
-	// The O(k) completion counters issue as one batch: one pacing check and
-	// one memoized control-region lookup per target.
-	w.ep.BeginBatch()
 	for _, j := range w.accessGroup {
 		w.ep.AddNBI(w.ctlAddr(j, ctlComplete), 1)
 	}
-	w.ep.EndBatch()
 	w.ep.Gsync()
 	w.accessGroup = nil
 	w.epoch = epochNone

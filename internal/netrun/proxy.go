@@ -174,8 +174,10 @@ func (m *remoteMem) op(code uint8, off int, sink *timing.Time, fold bool) enc {
 	return e
 }
 
-// Put posts the bytes and stamp work to the owner (see simnet.RemoteMem).
+// Put posts the bytes and stamp work, and the doorbell ring that announces
+// them, to the owner (see simnet.RemoteMem).
 func (m *remoteMem) Put(off int, src []byte, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool) {
+	m.w.rsess[m.rank].bring = true
 	e := m.op(opPut, off, sink, fold)
 	e.i64(int64(arrival))
 	e.i64(xfer)
@@ -201,8 +203,10 @@ func (m *remoteMem) Get(dst []byte, off int, clockIn timing.Time, reserve bool, 
 	return comp
 }
 
-// StoreWord posts one word store (see simnet.RemoteMem).
+// StoreWord posts one word store and its doorbell ring (see
+// simnet.RemoteMem).
 func (m *remoteMem) StoreWord(off int, v uint64, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool) {
+	m.w.rsess[m.rank].bring = true
 	e := m.op(opStoreW, off, sink, fold)
 	e.u64(v)
 	e.i64(int64(arrival))
@@ -261,8 +265,10 @@ func (m *remoteMem) BulkAmo(op simnet.AmoOp, off int, src []byte, clockIn, srcFr
 	return comp, newFree
 }
 
-// Notify posts one ring deposit (see simnet.RemoteMem).
+// Notify posts one ring deposit and its doorbell ring (see
+// simnet.RemoteMem).
 func (m *remoteMem) Notify(off int, word uint64, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool) {
+	m.w.rsess[m.rank].bring = true
 	e := m.op(opNotify, off, sink, fold)
 	e.u64(word)
 	e.i64(int64(arrival))

@@ -111,7 +111,7 @@ type reqSession struct {
 // batchBuildMax flushes an oversized builder early. Together they bound the
 // depth too: every value-class op leaves the window empty, and between two
 // of them a frame leaves the builder only once it holds batchBuildMax bytes
-// (or as a bare ring, when a batch closes over an empty builder), so at most
+// (or as a bare ring, when Transport.RingDoorbell finds it empty), so at most
 // winBytesCap/batchBuildMax full frames plus the one being queued are ever
 // in flight (TestWindowReplayUnderRecurringResets asserts it).
 const (

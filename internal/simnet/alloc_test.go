@@ -41,20 +41,16 @@ func TestFetchAddAllocFree(t *testing.T) {
 	}
 }
 
-// TestBatchedIssueAllocFree pins the batch engine itself: scopes, dedup
-// marks, and the route memo must reuse endpoint-owned storage after the
-// first batch.
-func TestBatchedIssueAllocFree(t *testing.T) {
+// TestPutNBIStoreWAllocFree pins the payload-then-flag pair every collective
+// issues: an implicit put and a word store through a warm route, each ringing
+// its target in its own port release.
+func TestPutNBIStoreWAllocFree(t *testing.T) {
 	ep, a, buf := allocFixture()
-	ep.BeginBatch() // first batch allocates dstMark/pendDst
-	ep.StoreW(a, 1)
-	ep.EndBatch()
+	ep.StoreW(a, 1) // first use fills the route memo
 	if avg := testing.AllocsPerRun(200, func() {
-		ep.BeginBatch()
 		ep.PutNBI(a, buf)
 		ep.StoreW(a.Add(2048), 7)
-		ep.EndBatch()
 	}); avg > 0 {
-		t.Fatalf("batched issue allocates %.2f objects per batch, want 0", avg)
+		t.Fatalf("PutNBI+StoreW allocates %.2f objects per pair, want 0", avg)
 	}
 }

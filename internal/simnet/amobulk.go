@@ -50,9 +50,6 @@ func (ep *Endpoint) AmoBulkNBI(a Addr, op AmoOp, src []byte) {
 	ep.implicitMax = timing.Max(ep.implicitMax, comp)
 	ep.ctr.Amos += int64(n)
 	ep.ctr.BytesPut += int64(len(src))
-	if rm == nil { // a proxy's atomic rang the owner itself (RemoteMem)
-		ep.notifyDst(reg)
-	}
 }
 
 // ErrNotSameNode reports a shared-mapping request between ranks on different

@@ -25,17 +25,6 @@ type Endpoint struct {
 	implicitMax timing.Time
 	nicFree     timing.Time // source-side NIC availability (outcast bandwidth)
 
-	// Batched-issue state (BeginBatch/EndBatch). While batchDepth > 0 the
-	// per-operation host disciplines are deferred: pacing and the clock
-	// publish run once at EndBatch, and destination doorbells ring once per
-	// distinct node at EndBatch (pendDst, deduplicated through dstMark).
-	// None of this touches virtual time — batched issue is bit-identical to
-	// unbatched issue.
-	batchDepth int
-	batchGen   uint32   // current dedup generation; 0 is never valid
-	pendDst    []int    // distinct destination ranks with a deferred doorbell
-	dstMark    []uint32 // dstMark[r] == batchGen ⇒ r already in pendDst
-
 	// routes memoizes what an operation needs to know about its target and
 	// what does not change between operations (see route); xfer remembers
 	// the last serialization term per locality (see xferNs).
@@ -153,10 +142,10 @@ func (ep *Endpoint) AdvanceTo(t timing.Time) {
 }
 
 // Compute advances the clock by ns nanoseconds of local computation and
-// publishes the new clock for pacing (deferred to EndBatch inside a batch).
+// publishes the new clock for pacing.
 func (ep *Endpoint) Compute(ns int64) {
 	ep.clock += timing.Time(ns)
-	if ep.pacer != nil && ep.batchDepth == 0 {
+	if ep.pacer != nil {
 		ep.pacer.Publish(ep.rank, ep.clock)
 	}
 }
@@ -172,116 +161,16 @@ func (ep *Endpoint) Counters() Counters { return ep.ctr }
 // ResetCounters zeroes the operation counters.
 func (ep *Endpoint) ResetCounters() { ep.ctr = Counters{} }
 
-// BeginBatch opens a batched non-blocking issue scope. Operations issued
-// before the matching EndBatch accumulate their virtual-time effects exactly
-// as unbatched issue would — clocks, stamps, and NIC bookings are
-// bit-identical — but the per-operation host disciplines are coalesced:
-// EndBatch performs one clock publish and one pacing check and rings each
-// distinct destination node's doorbell once. Batches nest; only the outermost
-// EndBatch flushes. A batch is an issue scope, not a transaction: bytes land
-// at issue time, and blocking waits inside a batch (WaitLocal,
-// PollRemoteWord) flush the deferred doorbells before parking so a peer
-// waiting on a batched write cannot be stranded.
-func (ep *Endpoint) BeginBatch() {
-	if ep.batchDepth == 0 {
-		ep.nextBatchGen()
-	}
-	ep.batchDepth++
-}
-
-// EndBatch closes a batched issue scope. The outermost EndBatch rings the
-// deferred doorbells (one notify per distinct destination node) and runs the
-// pacing discipline once over the batch's accumulated clock.
-func (ep *Endpoint) EndBatch() {
-	if ep.batchDepth <= 0 {
-		panic("simnet: EndBatch without BeginBatch")
-	}
-	ep.batchDepth--
-	if ep.batchDepth > 0 {
-		return
-	}
-	ep.flushBatchNotifies()
-	if ep.pacer != nil {
-		ep.pacer.Pace(ep.rank, ep.clock)
-	}
-}
-
-// InBatch reports whether a batched issue scope is open.
-func (ep *Endpoint) InBatch() bool { return ep.batchDepth > 0 }
-
-// nextBatchGen advances the doorbell-dedup generation, invalidating every
-// dstMark entry in O(1). Generation 0 is reserved (the zero value of a fresh
-// dstMark slot), so a wrap clears the marks and restarts at 1.
-func (ep *Endpoint) nextBatchGen() {
-	ep.batchGen++
-	if ep.batchGen == 0 {
-		clear(ep.dstMark)
-		ep.batchGen = 1
-	}
-}
-
-// flushBatchNotifies rings every deferred doorbell once and invalidates the
-// dedup marks so later writes in the same batch re-arm their destinations.
-func (ep *Endpoint) flushBatchNotifies() {
-	for _, r := range ep.pendDst {
-		ep.fab.RingDoorbell(r)
-	}
-	ep.pendDst = ep.pendDst[:0]
-	ep.nextBatchGen()
-}
-
-// flushBeforeBlock releases everything a real-time wait must not hold back:
-// deferred doorbells (a peer may be parked on one), the batched clock
-// publish (a pace-blocked peer may be waiting for this rank's progress),
-// and the wire window (a posted put's bytes must land before this rank parks
-// on a reply to them). The batch scope itself stays open.
-func (ep *Endpoint) flushBeforeBlock() {
-	if ep.batchDepth > 0 {
-		ep.flushBatchNotifies()
-		if ep.pacer != nil {
-			ep.pacer.Publish(ep.rank, ep.clock)
-		}
-	}
-	ep.drainWire()
-}
-
 // exec returns the executor the inline path runs against a region with real
-// bytes behind it; outside a batch its port release carries the ring and
-// wakes whoever that release found waiting.
+// bytes behind it: its port release carries the ring and wakes whoever that
+// release found waiting.
 func (ep *Endpoint) exec(reg *Region) RegionExec {
-	x := RegionExec{Reg: reg}
-	if ep.batchDepth == 0 {
-		x.Ring = ep.fab
-	}
-	return x
+	return RegionExec{Reg: reg, Ring: ep.fab}
 }
 
-// notifyDst announces a completed write to reg's owner. Outside a batch the
-// inline path's port release already rang and woke, so only a proxy's owner
-// remains to be rung, over the wire; inside a batch the ring is deferred,
-// deduplicated per destination.
-func (ep *Endpoint) notifyDst(reg *Region) {
-	dst := reg.owner
-	if ep.batchDepth == 0 {
-		if reg.rmt != nil {
-			ep.fab.RingDoorbell(dst)
-		}
-		return
-	}
-	if ep.dstMark == nil {
-		ep.dstMark = make([]uint32, ep.fab.Size())
-	}
-	if ep.dstMark[dst] == ep.batchGen {
-		return
-	}
-	ep.dstMark[dst] = ep.batchGen
-	ep.pendDst = append(ep.pendDst, dst)
-}
-
-// paceOp runs the per-operation pacing discipline; inside a batch it is
-// deferred to EndBatch (one check per batch instead of one per op).
+// paceOp runs the per-operation pacing discipline.
 func (ep *Endpoint) paceOp() {
-	if ep.pacer != nil && ep.batchDepth == 0 {
+	if ep.pacer != nil {
 		ep.pacer.Pace(ep.rank, ep.clock)
 	}
 }
@@ -454,7 +343,6 @@ func (ep *Endpoint) putIssue(dst Addr, src []byte, sink *timing.Time, fold bool)
 	}
 	ep.ctr.Puts++
 	ep.ctr.BytesPut += int64(len(src))
-	ep.notifyDst(reg)
 	if pend == nil && sink != nil {
 		if fold {
 			*sink = timing.Max(*sink, comp)
@@ -564,9 +452,6 @@ func (ep *Endpoint) amoCommon(a Addr, op WordOp, o1, o2 uint64) (old uint64, com
 	}
 	comp = timing.Max(land, base+timing.Time(pr.AmoNs))
 	ep.ctr.Amos++
-	if rm == nil { // a proxy's atomic rang the owner itself (RemoteMem)
-		ep.notifyDst(reg)
-	}
 	return old, comp
 }
 
@@ -630,7 +515,6 @@ func (ep *Endpoint) StoreW(a Addr, v uint64) {
 	}
 	ep.ctr.Puts++
 	ep.ctr.BytesPut += 8
-	ep.notifyDst(reg)
 }
 
 // LoadW atomically reads a remote 8-byte word (blocking get of one word).
@@ -704,11 +588,13 @@ func (ep *Endpoint) Test(h Handle) bool {
 }
 
 // WaitLocal blocks the goroutine until pred holds. Writers to this rank's
-// regions ring its doorbell, so no busy spinning occurs. The caller is
+// regions ring its doorbell, so no busy spinning occurs; the wire drains
+// first, so a posted put has landed before this rank parks on a reply to
+// it. The caller is
 // responsible for merging the stamps of the words that satisfied pred
 // (MergeStamp) — polls charge PollNs once on success.
 func (ep *Endpoint) WaitLocal(pred func() bool) {
-	ep.flushBeforeBlock()
+	ep.drainWire()
 	gen := ep.fab.DoorGen(ep.rank)
 	for !pred() {
 		gen = ep.fab.WaitDoor(ep.rank, ep.rank, gen)
@@ -726,7 +612,7 @@ func (ep *Endpoint) MergeStamp(reg *Region, off, n int) {
 // with ideal exponential back-off (one round trip charged on success, as the
 // paper's protocols assume congestion-free retries).
 func (ep *Endpoint) PollRemoteWord(a Addr, pred func(uint64) bool) uint64 {
-	ep.flushBeforeBlock()
+	ep.drainWire()
 	rt := ep.route(a)
 	reg, pr := rt.reg, rt.pr
 	reg.check(a.Off, 8)

@@ -19,10 +19,10 @@
 // two compares and a liveness load) and any other through one atomic
 // pointer load into a copy-on-write table, doorbells ring without a lock or
 // a hook call when nobody is parked, and pacing folds sharded minimum caches
-// instead of scanning every rank. Groups of operations issue through
-// Endpoint.BeginBatch/EndBatch, which coalesce the per-operation disciplines
-// — one pacing check, one doorbell per distinct destination — without
-// changing virtual time by a single bit (DESIGN.md §6.2).
+// instead of scanning every rank. There is one issue path: every operation
+// runs its own pacing check, and every write rings its target in the port
+// release that lands it — foMPI's per-operation DMAPP issue, completed in
+// bulk by Gsync.
 package simnet
 
 import (

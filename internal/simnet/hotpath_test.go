@@ -26,6 +26,19 @@ func TestRegionTableConcurrentChurn(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
+	// The run lasts until enough work is done, not for a fixed wall-clock
+	// span: on one P the churners take whole time slices, and a fixed span
+	// may end before any warm-route cycle does.
+	const minOps, minCycles = 1000, 20
+	var ops, cycles atomic.Int64
+	reached := make(chan struct{})
+	var once sync.Once
+	progress := func() {
+		if ops.Load() >= minOps && cycles.Load() >= minCycles {
+			once.Do(func() { close(reached) })
+		}
+	}
+
 	// Churn: register/unregister short-lived regions on rank 0, the same
 	// node whose table the accessors resolve against.
 	for c := 0; c < churners; c++ {
@@ -50,7 +63,6 @@ func TestRegionTableConcurrentChurn(t *testing.T) {
 		}()
 	}
 
-	var ops atomic.Int64
 	for a := 0; a < accessors; a++ {
 		wg.Add(1)
 		// Disjoint offsets per accessor: concurrent bulk writes to the same
@@ -72,6 +84,7 @@ func TestRegionTableConcurrentChurn(t *testing.T) {
 				ep.Get(buf, dst)
 				ep.FetchAdd(ctr, 1)
 				ops.Add(1)
+				progress()
 			}
 		}(1+a%3, a*512)
 	}
@@ -81,7 +94,6 @@ func TestRegionTableConcurrentChurn(t *testing.T) {
 	// route is resident and hands it back, the owner unregisters, and the
 	// accessor's next access must fault — while the other churners keep
 	// republishing the table the fault is found in.
-	var cycles atomic.Int64
 	for a := 0; a < 2; a++ {
 		live, dead, ack := make(chan Addr), make(chan struct{}), make(chan struct{})
 		wg.Add(2)
@@ -122,19 +134,23 @@ func TestRegionTableConcurrentChurn(t *testing.T) {
 					t.Errorf("fetch-add through a warm route into an unregistered churn key: %q, want a fault", msg)
 				}
 				cycles.Add(1)
+				progress()
 				ack <- struct{}{}
 			}
 		}(1 + a) // rank 1 shares rank 0's node, rank 2 does not
 	}
 
-	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-reached:
+	case <-time.After(10 * time.Second):
+	}
 	close(stop)
 	wg.Wait()
-	if ops.Load() == 0 {
-		t.Fatal("accessors made no progress during churn")
+	if n := ops.Load(); n < minOps {
+		t.Fatalf("accessors made %d ops in 10 s of churn, want %d", n, minOps)
 	}
-	if cycles.Load() == 0 {
-		t.Fatal("no warm-route churn cycle completed")
+	if n := cycles.Load(); n < minCycles {
+		t.Fatalf("%d warm-route churn cycles completed in 10 s, want %d", n, minCycles)
 	}
 	// The pinned region must still resolve to the same registration.
 	if got := f.region(Addr{Rank: 0, Key: pinned.Key()}); got != pinned {

@@ -174,7 +174,6 @@ func (ep *Endpoint) deliverNotify(ring Addr, word uint64, after timing.Time, fus
 	}
 	ep.ctr.Notifies++
 	ep.ctr.BytesPut += 8
-	ep.notifyDst(reg)
 	if pend != nil {
 		// The deposit's completion time is this call's result: collect it,
 		// behind the doorbell ring that rides the same frame.

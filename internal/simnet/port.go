@@ -72,8 +72,8 @@ func (p *Port) lockSlow() {
 	}
 }
 
-// Unlock releases the port without ringing: reads, and writes whose ring is
-// deferred (an open batch) or arrives separately (the wire owner).
+// Unlock releases the port without ringing: reads, and the wire owner's
+// writes, whose ring arrives separately as the frame's flag.
 func (p *Port) Unlock() { atomic.AddUint64(&p.word, ^uint64(0)) }
 
 // UnlockRing releases the port and advances the generation in the same add,

@@ -66,11 +66,10 @@ func applyWordOp(buf []byte, off int, op WordOp, o1, o2 uint64) uint64 {
 // discipline — commutative, so delivery order cannot leak into virtual time)
 // and assigned when false. sink must stay valid until then. The value class
 // (Get, LoadWord, WordAmo, BulkAmo) returns data, so a call blocks for its
-// reply — behind every operation posted before it. The two atomics are
-// writes as well, and ring the owner's doorbell themselves once applied: a
-// fire-class write's ring (Transport.RingDoorbell) joins the message still
-// being built behind it, but theirs has left by the time they return, and the
-// ring would cost a message of its own.
+// reply — behind every operation posted before it. Every write — the fire
+// class and the two atomics — rings the owner's doorbell itself, once
+// applied: the ring travels in the write's own message, so it can neither
+// overtake the bytes it announces nor cost a message of its own.
 type RemoteMem interface {
 	// Size returns the registered length (bounds checks on the proxy).
 	Size() int
@@ -117,10 +116,11 @@ type WireDrainer interface {
 // owner's port that both the inline issue path (Endpoint, for every region
 // with real bytes behind it) and the owner-side half of an inter-node
 // backend's service loop run. Ring selects the release: set — the inline
-// path outside a batch sets it to its transport — the port's release add
-// carries the doorbell ring, and if that add found waiters they are woken
-// through Ring.WakeDoor; nil leaves the generation alone (an open batch
-// defers its rings, and a wire requester's ring arrives as its own message).
+// path sets it to its transport — the port's release add carries the
+// doorbell ring, and if that add found waiters they are woken through
+// Ring.WakeDoor; nil — only the owner-side half of a wire backend — leaves
+// the generation alone, since the requester's ring rides the frame's flag
+// and rings once per frame.
 // Methods panic on faults — out-of-bounds or misaligned access, ring
 // overflow — with the same messages on either path, and never while holding
 // the port: a rank spinning on a leaked port could not unwind when the world
@@ -128,8 +128,8 @@ type WireDrainer interface {
 //
 // The stores that publish a write — its stamp records, a word store's value,
 // a notification's slot — are release stores (hostatomic.StoreRel): the
-// release add, a ring, or an open batch's ring at EndBatch is the full fence
-// that orders them before anyone is told to look.
+// release add or the ring is the full fence that orders them before anyone
+// is told to look.
 type RegionExec struct {
 	Reg  *Region
 	Ring Transport

@@ -77,8 +77,7 @@ func warm(t *testing.T, ep *Endpoint, a Addr) {
 
 // TestUnregisterFaultsWarm is TestUnregisterFaults through a resident route:
 // every operation class faults on the first access after the owner's
-// Unregister, in and out of a batch, and the bytes stay as the owner left
-// them.
+// Unregister, and the bytes stay as the owner left them.
 func TestUnregisterFaultsWarm(t *testing.T) {
 	for _, ppn := range []int{1, 2} {
 		_, e0, e1 := newPair(t, ppn)
@@ -96,11 +95,6 @@ func TestUnregisterFaultsWarm(t *testing.T) {
 			"fetchadd": func() { e0.FetchAdd(a, 1) },
 			"storew":   func() { e0.StoreW(a, 7) },
 			"loadw":    func() { e0.LoadW(a) },
-			"batched": func() {
-				e0.BeginBatch()
-				defer e0.EndBatch()
-				e0.PutNBI(a, word)
-			},
 		}
 		for name, op := range ops {
 			if msg := faultOf(op); !strings.Contains(msg, unregisteredMsg) {
@@ -138,6 +132,26 @@ func TestRouteReregisteredStruct(t *testing.T) {
 	}
 }
 
+// TestRouteServesRegionRegisteredBetweenOps checks the memo serves the
+// current table: a region its owner registers between two of a requester's
+// operations is reached by the next one, and the first region keeps its
+// write.
+func TestRouteServesRegionRegisteredBetweenOps(t *testing.T) {
+	for _, ppn := range []int{1, 2} {
+		_, e0, e1 := newPair(t, ppn)
+		old := e1.Register(64)
+		e0.StoreW(old.Base(), 1)
+		fresh := e1.Register(64)
+		e0.StoreW(fresh.Base().Add(8), 9)
+		if got := fresh.LocalWord(8); got != 9 {
+			t.Fatalf("ppn %d: write through a region registered between two ops = %d, want 9", ppn, got)
+		}
+		if got := old.LocalWord(0); got != 1 {
+			t.Fatalf("ppn %d: first region's word = %d, want 1", ppn, got)
+		}
+	}
+}
+
 // routeWorld is a deterministic fixture with more (rank, key) pairs than the
 // route memo has slots, each region carrying a notification ring, driven
 // from rank 0 on the test goroutine.
@@ -167,8 +181,8 @@ func newRouteWorld() *routeWorld {
 	return w
 }
 
-// run issues n seeded random operations, some inside batch scopes; with
-// bypass every operation finds the memo empty.
+// run issues n seeded random operations; with bypass every operation finds
+// the memo empty.
 func (w *routeWorld) run(seed int64, n int, bypass bool) {
 	rng := rand.New(rand.NewSource(seed))
 	ep := w.ep
@@ -176,12 +190,7 @@ func (w *routeWorld) run(seed int64, n int, bypass bool) {
 	for i := range buf {
 		buf[i] = byte(i*13 + 1)
 	}
-	batchLeft := 0
 	for i := 0; i < n; i++ {
-		if batchLeft == 0 && rng.Intn(4) == 0 {
-			ep.BeginBatch()
-			batchLeft = 1 + rng.Intn(6)
-		}
 		reg := w.regs[rng.Intn(len(w.regs))]
 		a := reg.Base().Add(8 * rng.Intn(routeRingOff/8-32))
 		size := 8 * (1 + rng.Intn(32))
@@ -205,14 +214,6 @@ func (w *routeWorld) run(seed int64, n int, bypass bool) {
 		case 6:
 			ep.PutNotify(a, buf[:size], reg.Base().Add(routeRingOff), uint64(i))
 		}
-		if batchLeft > 0 {
-			if batchLeft--; batchLeft == 0 {
-				ep.EndBatch()
-			}
-		}
-	}
-	if batchLeft > 0 {
-		ep.EndBatch()
 	}
 	ep.Gsync()
 }

@@ -5,17 +5,17 @@ import (
 )
 
 // Transport is the substrate contract an Endpoint drives: the data plane of
-// foMPI's interchangeable fabrics (the paper's DMAPP and XPMEM) — the
-// services that involve memory or state shared between ranks, and nothing
-// else. Everything above this line — cost models, virtual clocks, stamps
-// arithmetic, NIC booking, batching — lives in Endpoint, RegionExec and Port
-// and is byte-identical across backends; a Transport only resolves
-// registrations, homes one Port per rank where that rank's memory is, homes
-// the tables of the world's Door and Pacer, and supplies the one ParkHook —
-// how a rank sleeps, how a sleeping rank is reached — both disciplines run
-// over. Start-up and death belong to whoever built the world, as the job
-// launcher and runtime own them under foMPI: the in-process runner holds the
-// *Fabric it made (Fabric.Abort), a process world its control plane
+// foMPI's interchangeable fabrics (the paper's DMAPP and XPMEM) — the services
+// that involve memory or state shared between ranks, and nothing else.
+// Everything above this line — cost models, virtual clocks, stamps arithmetic,
+// NIC booking, the ring a write's port release carries — lives in Endpoint,
+// RegionExec and Port and is byte-identical across backends; a Transport only
+// resolves registrations, homes one Port per rank where that rank's memory is,
+// homes the tables of the world's Door and Pacer, and supplies the one
+// ParkHook — how a rank sleeps, how a sleeping rank is reached — both
+// disciplines run over. Start-up and death belong to whoever built the world,
+// as the job launcher and runtime own them under foMPI: the in-process runner
+// holds the *Fabric it made (Fabric.Abort), a process world its control plane
 // (internal/rankio). Topology is the world's shape, rank / RanksPerNode on
 // every backend. Two implementations exist: the in-process *Fabric below
 // (ranks are goroutines in one address space) and internal/netrun's process

@@ -90,12 +90,8 @@ func (p *Proc) Allgather(mine []byte) []byte {
 		} else {
 			block = reg.Bytes()[dataOff+sendIdx*each : dataOff+(sendIdx+1)*each]
 		}
-		// One batch per ring step: the payload put and its flag cost one
-		// pacing check and ring the neighbor's doorbell once.
-		p.ep.BeginBatch()
 		p.ep.PutNBI(simnet.Addr{Rank: right, Key: 0, Off: dataOff + sendIdx*each}, block)
 		p.ep.StoreW(simnet.Addr{Rank: right, Key: 0, Off: p.gatherFlagOff(s)}, seq)
-		p.ep.EndBatch()
 
 		recvIdx := (p.rank - s - 1 + n) % n
 		p.waitFlagGE(p.gatherFlagOff(s), seq)
@@ -119,10 +115,6 @@ func (p *Proc) Alltoall(send []byte, each int) []byte {
 	dataOff := p.gatherDataOff()
 	out := make([]byte, n*each)
 	copy(out[p.rank*each:], send[p.rank*each:(p.rank+1)*each])
-	// The whole send phase is one batch: one pacing check for 2(p-1)
-	// operations, and each peer's doorbell rings once (after both its
-	// payload and flag have landed) instead of twice.
-	p.ep.BeginBatch()
 	for d := 1; d < n; d++ {
 		j := (p.rank + d) % n
 		p.ep.PutNBI(simnet.Addr{Rank: j, Key: 0, Off: dataOff + p.rank*each},
@@ -132,7 +124,6 @@ func (p *Proc) Alltoall(send []byte, each int) []byte {
 		j := (p.rank + d) % n
 		p.ep.StoreW(simnet.Addr{Rank: j, Key: 0, Off: p.gatherFlagOff(p.rank)}, seq)
 	}
-	p.ep.EndBatch()
 	for d := 1; d < n; d++ {
 		i := (p.rank - d + n) % n
 		p.waitFlagGE(p.gatherFlagOff(i), seq)
@@ -189,10 +180,8 @@ func (p *Proc) ReduceScatterSum(vec []uint64) uint64 {
 		for i := 0; i < half; i++ {
 			binary.LittleEndian.PutUint64(buf[i*8:], acc[sendLo+i])
 		}
-		p.ep.BeginBatch()
 		p.ep.PutNBI(simnet.Addr{Rank: peer, Key: 0, Off: dataOff + slotOff}, buf)
 		p.ep.StoreW(simnet.Addr{Rank: peer, Key: 0, Off: p.gatherFlagOff(round)}, seq)
-		p.ep.EndBatch()
 
 		p.waitFlagGE(p.gatherFlagOff(round), seq)
 		p.ep.MergeStamp(reg, dataOff+slotOff, half*8)

@@ -147,10 +147,10 @@ func TestConformanceOrdering(t *testing.T) {
 				for i := range buf {
 					buf[i] = byte(r + i)
 				}
-				ep.BeginBatch()
+				// Two separately rung writes: the flag's ring may wake the
+				// consumer before this rank issues anything else.
 				ep.PutNBI(simnet.Addr{Rank: 1, Key: key, Off: payloadOff}, buf)
 				ep.StoreW(simnet.Addr{Rank: 1, Key: key, Off: flagOff}, uint64(r))
-				ep.EndBatch()
 				// Wait for the consumer's ack before reusing the payload area.
 				ep.WaitLocal(func() bool { return reg.LocalWord(flagOff) >= uint64(r) })
 			}
@@ -376,14 +376,18 @@ func TestConformanceDoorbell(t *testing.T) {
 // off-host rank plus the Gsync that completes it costs the net and hybrid
 // backends exactly one opBatch frame — the burst fuses whole, far below the
 // window's byte cap — with nothing retransmitted, resumed or replayed from the
-// owner's reply cache. The shared-memory backends send no frame at all.
+// owner's reply cache. A blocking put big enough to flush the frame builder
+// on its own is one frame too: the doorbell ring rides the put's frame, and
+// no bare ring frame follows it. The shared-memory backends send no frame at
+// all.
 func TestConformanceFusedFrame(t *testing.T) {
 	const burst = 64
+	const bulk = 256 << 10 // netrun's batchBuildMax: the put's entry flushes the builder
 	cfg := spmd.Config{Ranks: 2, RanksPerNode: 1}
 	defer telemetry.SetEnabled(telemetry.On())
 	telemetry.SetEnabled(true) // workers re-execute the test: every rank's process counts
 	runAll(t, "TestConformanceFusedFrame", cfg, func(p *spmd.Proc) {
-		_, key := setupRegion(p, burst*8)
+		_, key := setupRegion(p, bulk)
 		ep := p.EP()
 		before := telemetry.Capture(0).Counters
 		if p.Rank() == 0 {
@@ -399,6 +403,12 @@ func TestConformanceFusedFrame(t *testing.T) {
 				want = 1 // rank 1 is off host on both wire-carrying backends
 			}
 			check(frames == want, "%d PutNB + Gsync cost %d wire frames, want %d", burst, frames, want)
+
+			queued := func() uint64 { return telemetry.Capture(0).Hists["net.window"].Count } // one per frame
+			frames = queued()
+			ep.Put(simnet.Addr{Rank: 1, Key: key}, make([]byte, bulk))
+			frames = queued() - frames
+			check(frames == want, "a blocking %d-byte put cost %d wire frames, want %d", bulk, frames, want)
 		}
 		p.Barrier() // the owner's counters have seen the burst too
 		after := telemetry.Capture(0).Counters

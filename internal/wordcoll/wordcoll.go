@@ -122,9 +122,6 @@ func (g Group) Barrier() {
 	for dist := 1; dist < g.Size; dist <<= 1 {
 		peer := (g.Rank + dist) % g.Size
 		off := barSlotOff(round, seq)
-		// A dissemination round is a single store, so it already issues
-		// with one pacing check and one doorbell; a batch scope would add
-		// only bookkeeping.
 		g.EP.StoreW(g.addr(peer, off), seq)
 		g.waitFlagGE(off, seq)
 		round++
@@ -135,17 +132,14 @@ func redSlotIdx(round int, seq uint64) int { return round*2 + int(seq&1) }
 func foldInSlot(seq uint64) int            { return 2*maxRounds + int(seq&1) }
 func foldOutSlot(seq uint64) int           { return 2*maxRounds + 2 + int(seq&1) }
 
-// sendRed writes (value, flag=seq) into a peer's allreduce channel as one
-// issue batch: the pair costs one pacing check, one region lookup, and one
-// doorbell. No completion call separates the two stores: the receiver merges
-// both words' virtual completion stamps, which orders value-before-flag
-// causally without stalling the sender for a round trip per round.
+// sendRed writes (value, flag=seq) into a peer's allreduce channel. No
+// completion call separates the two stores: the receiver merges both words'
+// virtual completion stamps, which orders value-before-flag causally without
+// stalling the sender for a round trip per round.
 func (g Group) sendRed(peer, slot int, seq, v uint64) {
 	base := redOff + slot*redSlot
-	g.EP.BeginBatch()
 	g.EP.StoreW(g.addr(peer, base+8), v)
 	g.EP.StoreW(g.addr(peer, base), seq)
-	g.EP.EndBatch()
 }
 
 // recvRed waits for the channel's flag and returns the delivered value,
@@ -215,9 +209,6 @@ func (g Group) Bcast8(root int, v uint64) uint64 {
 		}
 		mask <<= 1
 	}
-	// All child sends issue as one batch: one pacing check and one doorbell
-	// per child instead of two of each.
-	g.EP.BeginBatch()
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if child := vrank + mask; vrank&(mask-1) == 0 && vrank&mask == 0 && child < g.Size {
 			peer := (child + root) % g.Size
@@ -225,7 +216,6 @@ func (g Group) Bcast8(root int, v uint64) uint64 {
 			g.EP.StoreW(g.addr(peer, bcOff), seq)
 		}
 	}
-	g.EP.EndBatch()
 	g.Barrier()
 	return v
 }

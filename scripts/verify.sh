@@ -57,12 +57,24 @@
 #                                GroupSockStem, doorAlive, peersMu) and the
 #                                second observability channel (ServeDebug,
 #                                EnvDebugAddr, startDebug, dumpRankStats,
-#                                debug-addr, FOMPI_DEBUG_ADDR)
+#                                debug-addr, FOMPI_DEBUG_ADDR) and the
+#                                batched issue scope (BeginBatch, EndBatch,
+#                                InBatch, batchDepth, batchGen, pendDst,
+#                                dstMark, flushBatchNotifies,
+#                                flushBeforeBlock)
 #                                occur in no non-test Go file; the Makefile, the
 #                                scripts and the CI workflow name no piece
 #                                of that harness, nor those variables, nor
 #                                the two test variables that became go test
 #                                flags (-tt.backends, -chaos.log), either
+#   doc names                    every backticked Go-style name in DESIGN.md
+#                                and README.md — a span that is one CamelCase
+#                                identifier or a pkg.Name / Type.Method path,
+#                                a trailing () allowed — has each part occur
+#                                as a word in some .go file (EINTR, MOV and
+#                                XCHG, the three non-Go words they use, are
+#                                allowed): a deleted name cannot outlive its
+#                                code in the docs
 #   no HTTP or crypto in a rank  go list -deps of every example, every
 #                                command and the benchmark module lists none
 #                                of net/http, net/http/pprof, expvar and no
@@ -75,6 +87,9 @@
 #                                conformance suite, which spawns the worker
 #                                processes of the mp, net and hybrid
 #                                placements)
+#   go test -cpu 1 <fabric>      simnet, core, spmd and wordcoll on one P,
+#                                where a lost or late doorbell wake hangs a
+#                                test instead of racing past
 #   fuzz smoke                   FuzzParseBatch (a frame's list), FuzzFrame
 #                                (the owner's whole frame path: session
 #                                header, replay, execution against one
@@ -152,12 +167,33 @@ echo "== no-cgo leg (static build; rankio, mprun, netrun, spmd -short)"
 CGO_ENABLED=0 go build ./...
 CGO_ENABLED=0 go test -short ./internal/rankio ./internal/mprun ./internal/netrun ./internal/spmd
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets and the second observability channel must not creep back)"
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel and the batched issue scope must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD|FOMPI_TT_BACKENDS|FOMPI_CHAOS_LOG|FOMPI_DEBUG_ADDR'
-if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr" \
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
 	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket or a second observability channel is back" >&2
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel or the batched issue scope is back" >&2
+	exit 1
+fi
+
+echo "== doc names (every backticked Go-style name in DESIGN.md and README.md occurs in some .go file)"
+find . -name '*.go' -not -path './.git/*' -exec cat {} + |
+	grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$TMP/gowords"
+grep -ohE '`[^`]+`' DESIGN.md README.md | tr -d '`' | sed 's/()$//' |
+	grep -xE '[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*' |
+	grep -E '^[A-Z][A-Za-z0-9_]*$|^[a-z_][A-Za-z0-9_]*[a-z0-9][A-Z][A-Za-z0-9_]*$|\.[A-Z][A-Za-z0-9_]*$' |
+	grep -vxE 'EINTR|MOV|XCHG' | sort -u >"$TMP/docnames"
+STALE=""
+while read -r name; do
+	for part in $(echo "$name" | tr . ' '); do
+		grep -qxF "$part" "$TMP/gowords" || {
+			STALE="$STALE $name"
+			break
+		}
+	done
+done <"$TMP/docnames"
+if [ -n "$STALE" ]; then
+	echo "verify: DESIGN.md or README.md names what no Go file does:$STALE" >&2
 	exit 1
 fi
 
@@ -171,6 +207,9 @@ fi
 
 echo "== go test"
 go test ./...
+
+echo "== go test -cpu 1 (simnet, core, spmd, wordcoll on one P: a lost or late wake hangs here)"
+go test -count=1 -cpu 1 ./internal/simnet/... ./internal/core ./internal/spmd ./internal/wordcoll
 
 echo "== fuzz smoke (the four readers of cross-process bytes, 5 s each)"
 # -fuzzminimizetime: minimising one 64 KiB interesting input would otherwise
