@@ -169,7 +169,7 @@ func (c *Comm) isend(dst, tag int, buf []byte, synchronous bool) *Request {
 func (c *Comm) await(ready func() bool) {
 	fab, me := c.proc.Fabric(), c.Rank()
 	for gen := fab.DoorGen(me); !ready(); {
-		gen = fab.WaitDoor(me, me, gen)
+		gen = fab.WaitDoor(me, gen)
 	}
 }
 

@@ -54,9 +54,9 @@ func (c ArenaConfig) withDefaults() ArenaConfig {
 // world-rank order — the whole world when every rank has the same key.
 // Everything two co-located ranks ever both touch lives in the mapping — the
 // region directory, the stamp slabs, each rank's port (doorbell generation,
-// NIC interval and the lock over them) and wake word, the door's and the
-// pacer's tables — and nothing else: a parked goroutine sleeps on its slot's
-// wake word with a futex, so a world puts no file on disk but the segment.
+// NIC interval and the lock over them) and wake words, the pacer's tables —
+// and nothing else: a parked goroutine sleeps on a slot's wake word with a
+// futex, so a world puts no file on disk but the segment.
 type Arena struct {
 	cfg  ArenaConfig
 	path string // the segment file: where the rule put it, or where it was found
@@ -64,7 +64,7 @@ type Arena struct {
 	lay  layout
 	self int // local index of this process, -1 until Bind
 
-	door *simnet.Door // over the mapping's wait[] section
+	hook simnet.ParkHook // over the mapping's wake words
 	// aborted is the abort state of the process that bound the arena (its
 	// control-plane client's): the hook's Aborted. Nil until Bind.
 	aborted func() error
@@ -82,8 +82,8 @@ func (a *Arena) initMaps() {
 	a.regions = make([][]*simnet.Region, a.cfg.Ranks)
 	a.freeSegs = map[int][]*segpool.Seg{}
 	a.self = -1
-	n := a.cfg.Ranks
-	a.door = simnet.NewDoor(n, unsafe.Slice(u64at(a.m, a.lay.waitOff), simnet.DoorTableWords(n)), a.hook())
+	a.hook = simnet.ParkHook{Seq: a.seq, Park: a.park, Poke: a.poke,
+		Aborted: func() error { return a.aborted() }}
 }
 
 // CreateArena creates and maps the shared segment called name (which must not
@@ -204,8 +204,8 @@ func (a *Arena) tryOpen() error {
 	return nil
 }
 
-// Bind attaches this process as local rank self: its goroutines park under
-// that slot, and the arena's waits unwind once aborted — the process's own
+// Bind attaches this process as local rank self: it paces under that rank's
+// pace slot, and the arena's waits unwind once aborted — the process's own
 // abort state — is no longer nil. Mappers that never wait (a launcher) skip
 // it.
 func (a *Arena) Bind(self int, aborted func() error) {
@@ -354,25 +354,29 @@ func (a *Arena) Port(local int) *simnet.Port {
 	return (*simnet.Port)(unsafe.Pointer(&a.m[a.lay.rankOff(local)+rnPort]))
 }
 
-// ---- parking: the hook of the arena's Door and Pacer ----
+// ---- parking: the hook of the arena's door and Pacer ----
 
-// hook is how a goroutine of any mapper sleeps under a local rank's slot and
-// how it is reached: the slot's wake word, a futex every mapper shares. Seq
-// loads the word, Park sleeps on it, and Poke adds to it and wakes every
-// sleeper — the rank itself and, on hybrid, the service handlers that hold
-// off-host ranks' waits on it. Whether the world stands is the binding
-// process's to say.
+// Hook is how a goroutine of any mapper sleeps under a slot and how it is
+// reached: the slot's wake word, a futex every mapper shares — local rank
+// r's door word for slot r, its pace word for slot Ranks+r (see
+// simnet.ParkHook). Seq loads the word, Park sleeps on it, and Poke adds to
+// it and wakes every sleeper: on a door word, whoever waits on that rank's
+// port — host-mates and, on hybrid, the service handlers that hold off-host
+// ranks' waits on it. Whether the world stands is the binding process's to
+// say.
 //
 // A parked goroutine holds its OS thread while it sleeps. In an mp world that
 // is at most the rank itself, one per process (no service goroutines run, and
 // mpi1 refuses process worlds); on hybrid, at most 1 + the off-host peers with
 // a DOORWAIT in flight on this rank, ≤ MaxRanks.
-func (a *Arena) hook() simnet.ParkHook {
-	return simnet.ParkHook{Seq: a.seq, Park: a.park, Poke: a.poke,
-		Aborted: func() error { return a.aborted() }}
-}
+func (a *Arena) Hook() simnet.ParkHook { return a.hook }
 
-func (a *Arena) wake(slot int) *uint32 { return u32at(a.m, a.lay.rankOff(slot)+rnWake) }
+func (a *Arena) wake(slot int) *uint32 {
+	if n := a.cfg.Ranks; slot >= n {
+		return u32at(a.m, a.lay.rankOff(slot-n)+rnPaceWake)
+	}
+	return u32at(a.m, a.lay.rankOff(slot)+rnDoorWake)
+}
 
 func (a *Arena) seq(slot int) uint64 { return uint64(atomic.LoadUint32(a.wake(slot))) }
 
@@ -400,11 +404,6 @@ func (a *Arena) poke(slot int) bool {
 	return futexWakeAll(w)
 }
 
-// Door returns this process's door over the arena's waiter bitsets: bit r of
-// local rank i's row is set while a goroutine of rank r's process waits on
-// i's port.
-func (a *Arena) Door() *simnet.Door { return a.door }
-
 // Pacer returns this process's pacer over the arena's shared tables, nil for
 // an unpaced world.
 func (a *Arena) Pacer() *simnet.Pacer {
@@ -412,26 +411,35 @@ func (a *Arena) Pacer() *simnet.Pacer {
 		return nil
 	}
 	n := a.cfg.Ranks
-	return simnet.NewPacer(a.cfg.PaceWindowNs, n, i64slice(a.m, a.lay.paceOff, simnet.PaceTableWords(n)), a.hook())
+	return simnet.NewPacer(a.cfg.PaceWindowNs, n, i64slice(a.m, a.lay.paceOff, simnet.PaceTableWords(n)), a.hook)
 }
 
 // Ring advances local rank's doorbell generation from outside its port and
 // wakes its waiters, if the ring found any.
 func (a *Arena) Ring(local int) {
 	if a.Port(local).Ring() {
-		a.door.Wake(local)
+		a.hook.DoorWake(local)
 	}
 }
 
 // Abort ends this process's arena parks, now and from now on: a park that
-// starts later returns at once, and the poke of its own slot wakes those
-// asleep. They find the abort through the bound abort state; host-mates learn
-// of it from their own control streams. After Close there is no one to wake.
+// starts later returns at once, and one poke of every door word and of its
+// own pace word wakes those asleep — a door waiter sleeps under the rank it
+// waits on, which may be any host-mate. They find the abort through the
+// bound abort state; host-mates, woken too, re-check and sleep again, and
+// learn of the abort from their own control streams. After Close there is no
+// one to wake.
 func (a *Arena) Abort() {
 	a.ended.Store(true)
 	a.unmap.Lock()
 	defer a.unmap.Unlock()
-	if a.m != nil {
-		a.poke(a.self)
+	if a.m == nil {
+		return
+	}
+	for l := range a.cfg.Ranks {
+		a.poke(l)
+	}
+	if a.self >= 0 {
+		a.poke(a.cfg.Ranks + a.self)
 	}
 }

@@ -106,9 +106,9 @@ func TestPacerOverTwoViews(t *testing.T) {
 			// times out; and once the view has aborted, a park returns at
 			// once.
 			mine, others, abort := views(t, 2, 100, 1)
-			hook := mine.hook()
+			hook := mine.Hook()
 			seq := hook.Seq(1)
-			if !others.hook().Poke(1) {
+			if !others.Hook().Poke(1) {
 				t.Fatal("poke through the other view failed")
 			}
 			if t0 := time.Now(); !hook.Park(1, seq, 5*time.Second) || time.Since(t0) > time.Second {
@@ -117,7 +117,7 @@ func TestPacerOverTwoViews(t *testing.T) {
 			parked := make(chan bool, 1)
 			go func() { parked <- hook.Park(1, hook.Seq(1), 30*time.Second) }()
 			time.Sleep(20 * time.Millisecond)
-			others.hook().Poke(1)
+			others.Hook().Poke(1)
 			select {
 			case poked := <-parked:
 				if !poked {
@@ -138,22 +138,22 @@ func TestPacerOverTwoViews(t *testing.T) {
 }
 
 // TestDoorOverTwoViews runs the behavioural door cases over one arena mapped
-// twice, as two processes would: waiters park through the view that bound the
-// slot, writers ring through the other, so the waiter bitset and the wake
-// word are shared words of the mapping, at a different address in each view,
-// and each poke is a futex wake through the writer's. Two waiters under one
-// slot are the hybrid backend's rank and service handler, asleep on one
-// word. The abort is the waiters' process's own, and names the culprit its
-// control plane would.
+// twice, as two processes would: waiters park through one view, bound as
+// rank 0, writers ring through the other, so the port words and the wake
+// words are shared words of the mapping, at a different address in each
+// view, and each poke is a futex wake through the writer's. Two waiters on
+// one rank are the hybrid backend's rank and service handler, asleep on that
+// rank's door word. The abort is the waiters' process's own, and names the
+// culprit its control plane would.
 func TestDoorOverTwoViews(t *testing.T) {
 	for _, pl := range placements {
 		t.Run(pl.name, func(t *testing.T) {
-			doortest.Run(t, func(t *testing.T, n, slot int) doortest.World {
+			doortest.Run(t, func(t *testing.T, n int) doortest.World {
 				others, mine := pl.open(t, ArenaConfig{Ranks: n, ArenaBytes: pageAlign})
 				return doortest.World{
-					Waiter: doortest.View{Door: mine.Door(), Port: mine.Port},
-					Writer: doortest.View{Door: others.Door(), Port: others.Port},
-					Abort:  bindAborting(t, mine, slot, 3), Blamed: 3,
+					Waiter: doortest.View{Hook: mine.Hook(), Port: mine.Port},
+					Writer: doortest.View{Hook: others.Hook(), Port: others.Port},
+					Abort:  bindAborting(t, mine, 0, 3), Blamed: 3,
 				}
 			})
 		})
@@ -322,10 +322,11 @@ func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "layout version") {
 		t.Errorf("opener of a wrong-version segment returned %v, want the version mismatch", err)
 	}
-	// A v9 segment's mappers wake each other through doorbell sockets.
-	atomic.StoreUint64(u64at(creator.m, hdrVersion), 9)
-	if _, err = openArenaAt([]string{path}, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 9, want 10") {
-		t.Errorf("opener of a v9 segment returned %v, want it refused by version", err)
+	// A v10 segment's door waiters sleep under their own slot, not the
+	// watched rank's.
+	atomic.StoreUint64(u64at(creator.m, hdrVersion), 10)
+	if _, err = openArenaAt([]string{path}, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 10, want 11") {
+		t.Errorf("opener of a v10 segment returned %v, want it refused by version", err)
 	}
 	atomic.StoreUint64(u64at(creator.m, hdrVersion), shmVersion)
 	wide := cfg

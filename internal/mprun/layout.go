@@ -15,15 +15,12 @@ import (
 //	rank[i]  (128 B)    the rank's simnet.Port (port word = doorbell
 //	                    generation<<17 | door waiters<<1 | lock bit, then the
 //	                    NIC busy interval the lock guards) on the first cache
-//	                    line, and on the second the u32 wake word its parked
-//	                    goroutines sleep on (a futex), away from the port
-//	                    word every write to the rank locks
-//	wait[i]  (simnet.DoorTableWords(ranks) × 8 B in all)
-//	                    the world's simnet.Door table, which each process's
-//	                    Door lays its bitsets over: bit r of rank i's row is
-//	                    set while rank r's process waits on i's port (a
-//	                    multi-word row, so worlds are not capped at 64 ranks
-//	                    by the waiter bookkeeping)
+//	                    line, and on the second two u32 wake words (futexes),
+//	                    away from the port word every write to the rank
+//	                    locks: the door word, which every goroutine waiting
+//	                    on the rank's port sleeps on, whichever process it
+//	                    is in, and the pace word the rank sleeps on
+//	                    pace-blocked
 //	pace     (simnet.PaceTableWords(ranks) × 8 B)
 //	                    the world's simnet.Pacer state — parked count,
 //	                    published clocks, shard minimums, park thresholds —
@@ -56,6 +53,10 @@ import (
 // mapper — generation<<1, no count — would read the generation wrong and
 // strand the other's waiters. v10 added the wake word: a host-mate is woken
 // by a futex on it, so a v9 mapper would poke a doorbell socket nobody reads.
+// v11 dropped the door's waiter bitsets, the wait section: a door waiter
+// sleeps on the wake word of the rank it waits on, and the pacer on a second
+// wake word of its own, so a v10 mapper would poke the waiter's slot and
+// leave asleep those who sleep under the watched one.
 //
 // All multi-word fields are 8-byte aligned; cross-process synchronization
 // uses sync/atomic on the mapped words, which on a cache-coherent machine
@@ -63,7 +64,7 @@ import (
 // goroutines. DESIGN.md §8 documents the layout and its ordering contracts.
 const (
 	shmMagic   = 0x666f4d50_72756e31 // "foMPrun1"
-	shmVersion = 10                  // see "Version history" above
+	shmVersion = 11                  // see "Version history" above
 
 	hdrMagic      = 0  // u64
 	hdrVersion    = 8  // u64
@@ -76,7 +77,8 @@ const (
 
 	rankStride = 128
 	rnPort     = 0  // simnet.Port: word u64, NIC interval 2 × i64
-	rnWake     = 64 // u32: the slot's futex word (Arena.hook)
+	rnDoorWake = 64 // u32: the rank's door slot's futex word (Arena.Hook)
+	rnPaceWake = 68 // u32: the rank's pace slot's futex word
 
 	entryStride = 32
 	enState     = 0  // u32: entryEmpty/entryLive/entryDead
@@ -94,11 +96,11 @@ const (
 	// window; 1024 is two orders of magnitude of headroom.
 	maxRegions = 1024
 
-	// MaxRanks bounds a multi-process world. The waiter bitset scales with
-	// the rank count, so the cap is no longer the mask width; what remains
-	// is a sanity bound on how many OS processes one launcher should drive
-	// (the in-process backend is the one that runs simulation-scale worlds,
-	// p=4096).
+	// MaxRanks bounds a multi-process world: a sanity bound on how many OS
+	// processes one launcher should drive (the in-process backend is the one
+	// that runs simulation-scale worlds, p=4096). A rank's state in the
+	// mapping is its slot and its pace entries, so nothing in the layout
+	// grows faster than the rank count.
 	MaxRanks = 1024
 
 	pageAlign = 4096
@@ -110,7 +112,6 @@ func alignUp(n, a int) int { return (n + a - 1) &^ (a - 1) }
 type layout struct {
 	ranks      int
 	arenaBytes int
-	waitOff    int
 	paceOff    int
 	dirOff     int
 	arenaOff   int
@@ -119,8 +120,7 @@ type layout struct {
 
 func layoutFor(ranks, arenaBytes int) layout {
 	l := layout{ranks: ranks, arenaBytes: arenaBytes}
-	l.waitOff = hdrBytes + ranks*rankStride
-	l.paceOff = l.waitOff + simnet.DoorTableWords(ranks)*8
+	l.paceOff = hdrBytes + ranks*rankStride
 	l.dirOff = l.paceOff + simnet.PaceTableWords(ranks)*8
 	l.arenaOff = alignUp(l.dirOff+ranks*maxRegions*entryStride, pageAlign)
 	l.total = l.arenaOff + ranks*arenaBytes

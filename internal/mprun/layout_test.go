@@ -23,19 +23,25 @@ func headerAt(cfg ArenaConfig, v uint64) []byte {
 	return m
 }
 
-// TestRankSlotLayout: the wake word a slot's sleepers futex on is an aligned
-// u32 inside the slot, on another cache line than the port word every write
-// to the rank locks, and clear of the port's NIC interval.
+// TestRankSlotLayout: the two wake words a slot's sleepers futex on — the
+// door's and the pacer's — are distinct aligned u32s inside the slot, on
+// another cache line than the port word every write to the rank locks, and
+// clear of the port's NIC interval.
 func TestRankSlotLayout(t *testing.T) {
 	const line = 64
-	if rnWake%4 != 0 || rnWake < 0 || rnWake+4 > rankStride {
-		t.Fatalf("wake word at %d: not a 4-aligned u32 inside the %d-byte slot", rnWake, rankStride)
+	if rnDoorWake == rnPaceWake {
+		t.Fatalf("the door and the pacer share the wake word at %d", rnDoorWake)
 	}
-	if rnWake/line == rnPort/line {
-		t.Fatalf("wake word at %d shares cache line %d with the port word at %d", rnWake, rnWake/line, rnPort)
-	}
-	if end := rnPort + int(unsafe.Sizeof(simnet.Port{})); end > rnWake {
-		t.Fatalf("the port ends at %d, past the wake word at %d", end, rnWake)
+	for _, wake := range []int{rnDoorWake, rnPaceWake} {
+		if wake%4 != 0 || wake < 0 || wake+4 > rankStride {
+			t.Fatalf("wake word at %d: not a 4-aligned u32 inside the %d-byte slot", wake, rankStride)
+		}
+		if wake/line == rnPort/line {
+			t.Fatalf("wake word at %d shares cache line %d with the port word at %d", wake, wake/line, rnPort)
+		}
+		if end := rnPort + int(unsafe.Sizeof(simnet.Port{})); end > wake {
+			t.Fatalf("the port ends at %d, past the wake word at %d", end, wake)
+		}
 	}
 	if rankStride%line != 0 || hdrBytes%line != 0 {
 		t.Fatalf("slots (%d B after a %d B header) do not start on cache lines", rankStride, hdrBytes)
@@ -46,12 +52,12 @@ func TestRankSlotLayout(t *testing.T) {
 // maps without having written them — with arbitrary header bytes and joiner
 // configurations. It never panics; it accepts a header exactly when its words
 // are the ones a creator of this layout writes for that configuration; and
-// the same header stamped v9, whose mappers wake each other through doorbell
-// sockets, is refused by version.
+// the same header stamped v10, whose door waiters sleep under their own slot
+// rather than the watched rank's, is refused by version.
 func FuzzCheckHeader(f *testing.F) {
 	cfg := ArenaConfig{Ranks: 2, RanksPerNode: 1, ArenaBytes: pageAlign}
 	f.Add(headerAt(cfg, shmVersion), 2, 1, int64(0), pageAlign)
-	f.Add(headerAt(cfg, 9), 2, 1, int64(0), pageAlign)
+	f.Add(headerAt(cfg, 10), 2, 1, int64(0), pageAlign)
 	f.Add(headerAt(cfg, shmVersion), 3, 1, int64(0), pageAlign)
 	f.Add(headerAt(ArenaConfig{Ranks: 4, RanksPerNode: 2, PaceWindowNs: 20000, ArenaBytes: 16 << 20}, shmVersion), 4, 2, int64(20000), 16<<20)
 	f.Add(make([]byte, hdrBytes), 2, 1, int64(0), pageAlign)
@@ -68,8 +74,8 @@ func FuzzCheckHeader(f *testing.F) {
 		if err := checkHeader(want, o); err != nil {
 			t.Fatalf("the header a creator writes for %+v is refused: %v", o, err)
 		}
-		if err := checkHeader(headerAt(o, 9), o); err == nil || !strings.Contains(err.Error(), "layout version 9") {
-			t.Fatalf("a v9 header for %+v: checkHeader = %v, want it refused by version", o, err)
+		if err := checkHeader(headerAt(o, 10), o); err == nil || !strings.Contains(err.Error(), "layout version 10") {
+			t.Fatalf("a v10 header for %+v: checkHeader = %v, want it refused by version", o, err)
 		}
 	})
 }

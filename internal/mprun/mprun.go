@@ -1,6 +1,6 @@
 // Package mprun is the shared-memory data plane of the process transport
 // (internal/netrun): the Arena one host group of ranks maps — registered
-// memory, stamp slabs, ports, the door's and the pacer's tables in one
+// memory, stamp slabs, ports, wake words and the pacer's tables in one
 // mmap-shared file, the paper's XPMEM-style same-node fast path made real
 // (remote puts and gets are memcpys into the target's mapped segment), with
 // parked host-mates woken by a futex on a word of the segment — plus the

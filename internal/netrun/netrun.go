@@ -74,14 +74,14 @@ type World struct {
 	// that share this rank's host key (ascending), -1 off host; self is this
 	// rank's. A group larger than one — or the whole of a world spawned onto
 	// one key — shares arena ar, which its lowest rank created (creator) unless
-	// the launcher did. door is where waiters on the group's ports park: the
-	// arena's, or with no arena this process's own over ownPort.
+	// the launcher did. door is the hook waiters on the group's ports park
+	// through: the arena's, or with no arena this process's parker.
 	lidx    []int
 	self    int
 	ar      *mprun.Arena
 	creator bool
 	ownPort simnet.Port
-	door    *simnet.Door
+	door    simnet.ParkHook
 
 	// mine is this rank's region directory (index = key; slots are nilled on
 	// unregister, never reused): the one list the rank itself, the service
@@ -290,7 +290,7 @@ func (w *World) joinMapped(o rankio.Options, ctlAt string) error {
 // bindArena makes the mapped arena this rank's home: its slot, its group's
 // door, parked under this process's abort state.
 func (w *World) bindArena() {
-	w.door = w.ar.Door()
+	w.door = w.ar.Hook()
 	w.ar.Bind(w.self, w.AbortErr)
 }
 
@@ -386,7 +386,7 @@ func (w *World) attachGroup(o rankio.Options) error {
 	}
 	w.self = w.lidx[w.rank]
 	if n == 1 {
-		w.door = simnet.NewDoor(1, nil, w.park.Hook(w.AbortErr))
+		w.door = w.park.Hook(w.AbortErr)
 		return nil
 	}
 	name := mprun.GroupName(w.Addrs(), hosts, key)
@@ -630,7 +630,7 @@ func (w *World) portOf(l int) *simnet.Port {
 // if the ring found any.
 func (w *World) ringDoor(l int) {
 	if w.portOf(l).Ring() {
-		w.door.Wake(l)
+		w.door.DoorWake(l)
 	}
 }
 
@@ -645,7 +645,7 @@ func (w *World) Port(rank int) *simnet.Port {
 }
 
 // WakeDoor wakes the waiters parked on a host-group rank's port.
-func (w *World) WakeDoor(rank int) { w.door.Wake(w.lidx[rank]) }
+func (w *World) WakeDoor(rank int) { w.door.DoorWake(w.lidx[rank]) }
 
 // RingDoorbell bumps rank's doorbell generation, waking its waiters: directly
 // for the host group, otherwise as the ring flag of the next frame to rank,
@@ -681,9 +681,9 @@ func (w *World) DoorGen(rank int) uint64 {
 // the waiter. A wait replayed after a reset may be answered from the owner's
 // reply cache with a generation that has since moved on: a spurious return,
 // which the caller's re-check absorbs.
-func (w *World) WaitDoor(_, rank int, gen uint64) uint64 {
+func (w *World) WaitDoor(rank int, gen uint64) uint64 {
 	if l := w.lidx[rank]; l >= 0 {
-		return w.door.Wait(w.portOf(l), l, w.self, gen)
+		return w.door.DoorWait(w.portOf(l), l, gen)
 	}
 	for {
 		if g := w.ctlWord(rank, opDoorWait, gen); g != gen {

@@ -289,11 +289,11 @@ func (w *World) handle(op uint8, d *dec, e *enc) (ok bool) {
 	case opDoorGen:
 		e.u64(w.portOf(w.self).Gen())
 	case opDoorWait:
-		// The handler parks on its requester's behalf, under this rank's own
-		// slot: the one registration a door lets goroutines share.
+		// The handler parks on its requester's behalf under this rank's door
+		// slot, beside every other waiter on this rank's port.
 		gen := d.u64()
 		d.must()
-		e.u64(w.door.Wait(w.portOf(w.self), w.self, w.self, gen))
+		e.u64(w.door.DoorWait(w.portOf(w.self), w.self, gen))
 	case opClock:
 		e.i64(w.ownClock())
 	default:

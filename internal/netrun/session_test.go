@@ -712,7 +712,7 @@ func fuzzOwner(cl *rankio.Client) (w *World, slab []byte) {
 		park:      simnet.NewParker(2),
 		opTimeout: 5 * time.Second,
 	}
-	w.door = simnet.NewDoor(1, nil, w.park.Hook(w.AbortErr))
+	w.door = w.park.Hook(w.AbortErr)
 	slab = bytes.Repeat([]byte{0xa5}, 3*64)
 	buf := slab[64:128:128]
 	clear(buf)

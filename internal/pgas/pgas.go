@@ -139,22 +139,11 @@ func (l *Lang) CompareSwap(rank, off int, compare, swap uint64) uint64 {
 	return l.ep.CompareSwap(l.Addr(rank, off), compare, swap)
 }
 
-// AmoBulk applies a chained accumulate (used by the MPI-2.2 accumulate
-// comparator in the DSDE experiment).
-func (l *Lang) AmoBulk(rank, off int, op simnet.AmoOp, src []byte) {
-	l.ep.AmoBulkNBI(l.Addr(rank, off), op, src)
-}
-
 // LoadW atomically reads one remote word.
 func (l *Lang) LoadW(rank, off int) uint64 { return l.ep.LoadW(l.Addr(rank, off)) }
 
 // StoreW atomically writes one remote word (deferred completion).
 func (l *Lang) StoreW(rank, off int, v uint64) { l.ep.StoreW(l.Addr(rank, off), v) }
-
-// PollWord blocks until pred holds for the remote word.
-func (l *Lang) PollWord(rank, off int, pred func(uint64) bool) uint64 {
-	return l.ep.PollRemoteWord(l.Addr(rank, off), pred)
-}
 
 // WaitLocalWord blocks until pred holds for a word of the local segment,
 // merging the writer's stamp.

@@ -1,6 +1,9 @@
 package simnet
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // Alloc-regression guards: the per-operation fabric hot paths must stay
 // allocation-free, or the pooled-scratch work rots silently. The fixture
@@ -52,5 +55,30 @@ func TestPutNBIStoreWAllocFree(t *testing.T) {
 		ep.StoreW(a.Add(2048), 7)
 	}); avg > 0 {
 		t.Fatalf("PutNBI+StoreW allocates %.2f objects per pair, want 0", avg)
+	}
+}
+
+// TestFabricSetupBytesScaleLinearly: what a world allocates to exist grows
+// with the rank count, not with its square — each rank keeps O(1) state, as
+// foMPI's protocols do. Quadrupling the ranks may cost at most 4.5 times the
+// bytes; a per-pair table (a waiter bitset of p·⌈p/64⌉ words) costs about 8
+// times at these sizes. Each size is measured a few times and the least
+// taken, so an allocation of another goroutine cannot fail the test.
+func TestFabricSetupBytesScaleLinearly(t *testing.T) {
+	bytes := func(n int) uint64 {
+		least := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			NewFabric(n, 4)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := bytes(1024), bytes(4096)
+	t.Logf("NewFabric: %d B at p=1024, %d B at p=4096", small, large)
+	if ratio := float64(large) / float64(small); ratio > 4.5 {
+		t.Fatalf("NewFabric allocates %d B at p=4096 and %d B at p=1024: %.2f times for 4 times the ranks, want at most 4.5", large, small, ratio)
 	}
 }

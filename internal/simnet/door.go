@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,11 +26,12 @@ var (
 const DoorSlice = 100 * time.Millisecond
 
 // ParkHook is all a backend supplies to the two disciplines that put a rank
-// to sleep, Pacer and Door: how a slot sleeps, how a sleeping slot is
-// reached, and whether the world still stands. A slot is a rank, or on a
-// backend whose ranks are processes, whatever goroutines of the rank's
-// process park under its index; a pace park and a door park of one slot may
-// receive each other's pokes, which both treat as spurious.
+// to sleep, the door and Pacer: how a slot sleeps, how a sleeping slot is
+// reached, and whether the world still stands. An n-rank world has 2n slots.
+// Slot r is rank r's door: every goroutine waiting on r's port sleeps under
+// it, whoever it is, so a ring on r is one poke of slot r. Slot n+r is where
+// rank r sleeps pace-blocked (Pacer), apart from its door, so a ring never
+// ends a pace park.
 type ParkHook struct {
 	// Seq returns slot's poke sequence. A sleeper samples it before the last
 	// look at what it waits for and hands it to Park, so a poke that lands
@@ -57,115 +57,50 @@ type ParkHook struct {
 	Refresh func(rank int)
 }
 
-// Door is the doorbell's waiter discipline (DESIGN.md §6.1): who is parked
-// on which rank's port generation, and how a writer that advanced it reaches
-// them. Whether anyone waits at all is the port word's waiter count, which
-// the writer's own ring reports; who waits is one bitset per watched rank —
-// bit s of row r is set while slot s waits on r — operated on with
-// sync/atomic, so the slots may be goroutines over a heap table or processes
-// over one mapping; each process builds its own Door over the shared words
-// and sets only the bits of the slots it parks.
-type Door struct {
-	words int      // 64-bit words per row: ceil(n/64)
-	wait  []uint64 // n rows
-	own   []doorOwn
-	hook  ParkHook
-}
-
-// doorOwn counts this process's waiters under slot r on r's own port: the
-// one registration goroutines may share (see Wait).
-type doorOwn struct {
-	mu sync.Mutex
-	n  int
-}
-
-// DoorTableWords returns the length of the uint64 slab a Door for n ranks
-// lays its bitsets over.
-func DoorTableWords(n int) int { return n * ((n + 63) / 64) }
-
-// NewDoor returns the door of an n-rank world. slab is DoorTableWords(n)
-// zeroed words that every process of the world maps, or nil for a world
-// whose table lives on this process's heap.
-func NewDoor(n int, slab []uint64, hook ParkHook) *Door {
-	if slab == nil {
-		slab = make([]uint64, DoorTableWords(n))
-	}
-	return &Door{words: (n + 63) / 64, wait: slab, own: make([]doorOwn, n), hook: hook}
-}
-
-// Wake pokes every slot registered on watched's row. A writer calls it after
-// the add that advanced the port's generation reported waiters (Port.Ring,
-// Port.UnlockRing), and not otherwise.
-func (d *Door) Wake(watched int) {
-	row := d.wait[watched*d.words:][:d.words]
-	for i := range row {
-		for mask := atomic.LoadUint64(&row[i]); mask != 0; mask &= mask - 1 {
-			if d.hook.Poke(i*64 + bits.TrailingZeros64(mask)) {
-				mDoorPokes.Inc()
-			}
-		}
+// DoorWake pokes watched's door slot: every goroutine waiting on its port. A
+// writer calls it after the add that advanced the port's generation reported
+// waiters (Port.Ring, Port.UnlockRing), and not otherwise.
+func (h ParkHook) DoorWake(watched int) {
+	if h.Poke(watched) {
+		mDoorPokes.Inc()
 	}
 }
 
-// Wait blocks the caller, parked under slot, until p — watched's port — has
-// a generation other than gen, and returns it. The waiter sets its bit and
-// then counts itself into the port word, reading the generation from that
-// same add; the writer advances the generation with an add on the same word
-// and wakes only if the waiter count it found is nonzero. The two adds are
-// ordered on the one word, so either the writer sees the waiter (whose bit is
-// set by then) or the waiter reads the new generation: no wakeup is lost.
-// Wait may return gen unchanged, after DoorSlice at the latest; callers
-// re-check their predicate after every return. In a torn-down world it
-// panics with the hook's abort value.
-//
-// One goroutine at a time waits under a given slot on a given rank, with one
-// exception: slot == watched, a process waiting on its own rank's port, where
-// the rank itself and the service handlers that hold remote ranks' waits on
-// it all park under the rank's slot. That registration is counted, and the
-// bit stays until the last of them leaves.
-func (d *Door) Wait(p *Port, watched, slot int, gen uint64) uint64 {
+// DoorWait is the doorbell's waiter discipline (DESIGN.md §6.1): it blocks
+// the caller, parked under watched's door slot, until p — watched's port —
+// has a generation other than gen, and returns it. The waiter counts itself
+// into the port word, reading the generation from that same add; the writer
+// advances the generation with an add on the same word and pokes the slot
+// only if the waiter count it found is nonzero. The two adds are ordered on
+// the one word, so either the writer sees the waiter or the waiter reads the
+// new generation: no wakeup is lost. Sleepers are keyed on the rank they wait
+// on, as a futex keys them on the word, so the door keeps no state of its
+// own. DoorWait may return gen unchanged, after DoorSlice at the latest;
+// callers re-check their predicate after every return. In a torn-down world
+// it panics with the hook's abort value.
+func (h ParkHook) DoorWait(p *Port, watched int, gen uint64) uint64 {
 	g := p.Gen()
 	if g != gen {
-		return g // already rung: no registration, no sleep
+		return g // already rung: no count, no sleep
 	}
-	word, bit := &d.wait[watched*d.words+slot>>6], uint64(1)<<(slot&63)
-	own := &d.own[slot]
-	if slot != watched {
-		atomic.OrUint64(word, bit)
-	} else {
-		own.mu.Lock()
-		if own.n++; own.n == 1 {
-			atomic.OrUint64(word, bit)
-		}
-		own.mu.Unlock()
-	}
-	g = p.enter() // bit first: a ring that counts this waiter finds it in the row
+	g = p.enter()
 	var parkStart time.Time
 	var abort error
 	for beat := false; g == gen; {
-		seq := d.hook.Seq(slot)
+		seq := h.Seq(watched)
 		if g = p.Gen(); g != gen {
 			break
 		}
-		if abort = d.hook.Aborted(); abort != nil || beat {
+		if abort = h.Aborted(); abort != nil || beat {
 			break // torn down, or the slice is over: the caller looks again
 		}
 		if parkStart.IsZero() && telemetry.On() {
 			parkStart = time.Now()
 			mDoorParks.Inc()
 		}
-		beat = !d.hook.Park(slot, seq, DoorSlice)
+		beat = !h.Park(watched, seq, DoorSlice)
 	}
 	p.leave()
-	if slot != watched {
-		atomic.AndUint64(word, ^bit)
-	} else {
-		own.mu.Lock()
-		if own.n--; own.n == 0 {
-			atomic.AndUint64(word, ^bit)
-		}
-		own.mu.Unlock()
-	}
 	if !parkStart.IsZero() {
 		mDoorParkNs.Record(uint64(time.Since(parkStart)))
 	}
@@ -199,9 +134,10 @@ type parkSlot struct {
 // monotonic clock alone.
 var parkEpoch = time.Now()
 
-// NewParker returns a parker of n slots.
+// NewParker returns the parker of an n-rank world: 2n slots, door and pace
+// (see ParkHook).
 func NewParker(n int) *Parker {
-	k := &Parker{slots: make([]parkSlot, n)}
+	k := &Parker{slots: make([]parkSlot, 2*n)}
 	for i := range k.slots {
 		k.slots[i].cond.L = &k.slots[i].mu
 	}

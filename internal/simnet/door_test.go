@@ -2,15 +2,20 @@ package simnet
 
 import (
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// waiters returns the waiter count p's word holds.
+func waiters(p *Port) uint64 { return (atomic.LoadUint64(&p.word) & waiterField) / waiterOne }
+
 // TestDoorSlice pins the one heartbeat/slice rule over a scripted hook: a
-// wait with no ring is one park of DoorSlice and then returns the unchanged
-// generation with its registration gone. A poked return is not a heartbeat:
-// the waiter parks again for a whole slice.
+// wait with no ring is one park of DoorSlice, under the watched rank's slot,
+// and then returns the unchanged generation with its count gone from the
+// port word. A poked return is not a heartbeat: the waiter parks again for a
+// whole slice.
 func TestDoorSlice(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -22,65 +27,68 @@ func TestDoorSlice(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			fk := fakePace{onPark: c.onPark}
-			d := NewDoor(130, nil, fk.hook())
 			var p Port
-			if g := d.Wait(&p, 129, 70, 0); g != 0 {
-				t.Fatalf("Wait returned generation %d with no ring, want 0", g)
+			if g := fk.hook().DoorWait(&p, 129, 0); g != 0 {
+				t.Fatalf("DoorWait returned generation %d with no ring, want 0", g)
 			}
 			if !reflect.DeepEqual(fk.parks, c.want) {
 				t.Fatalf("parked for %v, want %v", fk.parks, c.want)
 			}
-			for i, w := range d.wait {
-				if w != 0 {
-					t.Fatalf("bitset word %d is %#x after the waiter left", i, w)
-				}
+			if !reflect.DeepEqual(fk.parkSlots, slices.Repeat([]int{129}, len(c.want))) {
+				t.Fatalf("parked under slots %v, want the watched rank's, 129", fk.parkSlots)
+			}
+			if n := waiters(&p); n != 0 {
+				t.Fatalf("the port word counts %d waiters after the waiter left", n)
 			}
 		})
 	}
 }
 
-// TestDoorRegistersBeforeParking: by the time the hook parks the waiter, its
-// bit — slot 70 of row 129: word 1 of a three-word row — is set and a Wake on
-// that row, and on no other, pokes that slot.
+// TestDoorRegistersBeforeParking: by the time the hook parks the waiter, the
+// port word counts it, so a ring on its port reports a waiter and the wake
+// pokes the watched rank's slot — while a ring on another port reports none.
 func TestDoorRegistersBeforeParking(t *testing.T) {
 	var fk fakePace
-	var d *Door
-	var p Port
+	var p, other Port
 	fk.pokeHit = true
+	hook := fk.hook()
 	fk.onPark = func(n int) bool {
-		if w := d.wait[129*3+1]; w != 1<<(70-64) {
-			t.Errorf("row 129 word 1 is %#x while slot 70 is parked, want bit 6", w)
+		if c := waiters(&p); c != 1 {
+			t.Errorf("the port word counts %d waiters while one is parked, want 1", c)
 		}
-		d.Wake(128)
-		d.Wake(129)
-		p.Ring()
+		if other.Ring() {
+			t.Error("a ring on another port reported a waiter")
+		}
+		if p.Ring() {
+			hook.DoorWake(129)
+		} else {
+			t.Error("a ring on the watched port reported no waiter")
+		}
 		return true
 	}
-	d = NewDoor(130, nil, fk.hook())
-	if g := d.Wait(&p, 129, 70, 0); g != 1 {
-		t.Fatalf("Wait returned generation %d after the ring, want 1", g)
+	if g := hook.DoorWait(&p, 129, 0); g != 1 {
+		t.Fatalf("DoorWait returned generation %d after the ring, want 1", g)
 	}
-	if !reflect.DeepEqual(fk.pokes, []int{70}) || len(fk.parks) != 1 {
-		t.Fatalf("poked %v over %d parks, want slot 70 once in one park", fk.pokes, len(fk.parks))
+	if !reflect.DeepEqual(fk.pokes, []int{129}) || len(fk.parks) != 1 {
+		t.Fatalf("poked %v over %d parks, want slot 129 once in one park", fk.pokes, len(fk.parks))
 	}
 }
 
 // TestDoorAbortedNeverParks: a wait in a torn-down world unwinds with the
-// hook's value before it sleeps, and leaves no registration behind.
+// hook's value before it sleeps, and leaves no count behind.
 func TestDoorAbortedNeverParks(t *testing.T) {
 	fk := fakePace{aborted: true}
-	d := NewDoor(4, nil, fk.hook())
 	var p Port
 	func() {
 		defer func() {
 			if r := recover(); r != ErrAborted {
-				t.Errorf("Wait unwound with %v, want ErrAborted", r)
+				t.Errorf("DoorWait unwound with %v, want ErrAborted", r)
 			}
 		}()
-		d.Wait(&p, 2, 1, 0)
+		fk.hook().DoorWait(&p, 2, 0)
 	}()
-	if len(fk.parks) != 0 || d.wait[2] != 0 {
-		t.Fatalf("parked %d times, row %#x, in an aborted world", len(fk.parks), d.wait[2])
+	if len(fk.parks) != 0 || atomic.LoadUint64(&p.word) != 0 {
+		t.Fatalf("parked %d times, port word %#x, in an aborted world", len(fk.parks), p.word)
 	}
 }
 
@@ -91,15 +99,13 @@ func TestDoorAbortedNeverParks(t *testing.T) {
 // sequence it sampled before it looked.
 func TestDoorPokeBetweenRecheckAndPark(t *testing.T) {
 	k := NewParker(4)
-	var d *Door
 	var p Port
 	var parks, looks atomic.Int32
 	// Aborted is what a waiter calls between its last look at the generation
 	// and its park: the second waiter's call is where the ring lands.
 	hook := k.Hook(func() error {
-		if looks.Add(1) == 2 {
-			p.Ring()
-			d.Wake(2)
+		if looks.Add(1) == 2 && p.Ring() {
+			k.Poke(2)
 		}
 		return nil
 	})
@@ -107,9 +113,8 @@ func TestDoorPokeBetweenRecheckAndPark(t *testing.T) {
 		parks.Add(1)
 		return k.Park(slot, seq, dur)
 	}
-	d = NewDoor(4, nil, hook)
 	out := make(chan uint64, 2)
-	go func() { out <- d.Wait(&p, 2, 2, 0) }()
+	go func() { out <- hook.DoorWait(&p, 2, 0) }()
 	for deadline := time.Now().Add(10 * time.Second); parks.Load() < 1; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the first waiter never parked")
@@ -117,12 +122,12 @@ func TestDoorPokeBetweenRecheckAndPark(t *testing.T) {
 	}
 	time.Sleep(5 * time.Millisecond) // let it fall asleep
 	t0 := time.Now()
-	go func() { out <- d.Wait(&p, 2, 2, 0) }()
+	go func() { out <- hook.DoorWait(&p, 2, 0) }()
 	for i := 0; i < 2; i++ {
 		select {
 		case g := <-out:
 			if g != 1 {
-				t.Fatalf("Wait returned generation %d after the ring, want 1", g)
+				t.Fatalf("DoorWait returned generation %d after the ring, want 1", g)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("a waiter never returned")
@@ -160,8 +165,8 @@ func allPoked(t *testing.T, done chan bool, n int) {
 }
 
 // TestParkerPokeReachesAll parks three goroutines under one slot — a rank's
-// pace park, its doorbell wait and a service handler's may share one — and
-// pokes once: every one of them is woken, none by its timer. A park whose
+// door, where the rank, a host-mate and a service handler may all wait on
+// its port — and pokes once: every one of them is woken, none by its timer. A park whose
 // sequence a poke has already left does not sleep; one at the current
 // sequence does, to its deadline.
 func TestParkerPokeReachesAll(t *testing.T) {

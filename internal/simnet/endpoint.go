@@ -158,9 +158,6 @@ func (ep *Endpoint) Steps(n int64) { ep.ctr.SoftSteps += n }
 // Counters returns a snapshot of the endpoint's operation counters.
 func (ep *Endpoint) Counters() Counters { return ep.ctr }
 
-// ResetCounters zeroes the operation counters.
-func (ep *Endpoint) ResetCounters() { ep.ctr = Counters{} }
-
 // exec returns the executor the inline path runs against a region with real
 // bytes behind it: its port release carries the ring and wakes whoever that
 // release found waiting.
@@ -597,7 +594,7 @@ func (ep *Endpoint) WaitLocal(pred func() bool) {
 	ep.drainWire()
 	gen := ep.fab.DoorGen(ep.rank)
 	for !pred() {
-		gen = ep.fab.WaitDoor(ep.rank, ep.rank, gen)
+		gen = ep.fab.WaitDoor(ep.rank, gen)
 		ep.ctr.Polls++
 	}
 	ep.clock += timing.Time(ep.cm.Intra.PollNs)
@@ -627,7 +624,7 @@ func (ep *Endpoint) PollRemoteWord(a Addr, pred func(uint64) bool) uint64 {
 			return v
 		}
 		ep.ctr.Polls++
-		gen = ep.fab.WaitDoor(ep.rank, a.Rank, gen)
+		gen = ep.fab.WaitDoor(a.Rank, gen)
 	}
 }
 

@@ -75,10 +75,10 @@ type Fabric struct {
 	aborted      atomic.Bool
 	culprit      atomic.Int32 // the rank Abort blamed first, -1: nobody
 
-	// Where ranks sleep, in a doorbell wait or pace-blocked: slot r is rank
-	// r's goroutine, and park is the hook of both disciplines.
+	// Where ranks sleep, in a doorbell wait or pace-blocked: hook is park's,
+	// the one both disciplines run over.
 	park  *Parker
-	door  *Door
+	hook  ParkHook
 	pacer *Pacer // nil while unpaced (SetPacing)
 
 	endpointsOut atomic.Bool // an endpoint has cached pacer
@@ -122,17 +122,17 @@ func (f *Fabric) SetPacing(window int64) {
 	}
 	f.pacer = nil
 	if window != 0 {
-		f.pacer = NewPacer(window, f.n, nil, f.park.Hook(f.abortErr))
+		f.pacer = NewPacer(window, f.n, nil, f.hook)
 	}
 }
 
 // Pacer returns the fabric's pacer, nil while unpaced.
 func (f *Fabric) Pacer() *Pacer { return f.pacer }
 
-// Door returns the fabric's door.
-func (f *Fabric) Door() *Door { return f.door }
+// Hook returns the hook both the door and the pacer park through.
+func (f *Fabric) Hook() ParkHook { return f.hook }
 
-// Parker returns the hook both the door and the pacer park through.
+// Parker returns the parker behind Hook.
 func (f *Fabric) Parker() *Parker { return f.park }
 
 // abortErr is the parking hook's abort state: nil while the world stands,
@@ -161,7 +161,7 @@ func NewFabric(n, ranksPerNode int) *Fabric {
 	f := &Fabric{n: n, ranksPerNode: ranksPerNode, nodes: make([]*node, n)}
 	f.culprit.Store(-1)
 	f.park = NewParker(n)
-	f.door = NewDoor(n, nil, f.park.Hook(f.abortErr))
+	f.hook = f.park.Hook(f.abortErr)
 	// Per-node state comes from three slabs (node structs, initial table
 	// headers via node.initTbl, table backing arrays): world setup is a few
 	// allocations, not a few per rank.

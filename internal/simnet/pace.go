@@ -84,6 +84,10 @@ func NewPacer(window int64, n int, slab []int64, hook ParkHook) *Pacer {
 	}
 }
 
+// slot is the hook slot rank sleeps under pace-blocked: n+rank, clear of
+// the door's slots (ParkHook).
+func (p *Pacer) slot(rank int) int { return len(p.clocks) + rank }
+
 // Clock returns rank's published clock.
 func (p *Pacer) Clock(rank int) int64 { return atomic.LoadInt64(&p.clocks[rank]) }
 
@@ -159,7 +163,7 @@ func (p *Pacer) wake() {
 	m, _ := p.fold()
 	for r := range p.thresh {
 		th := atomic.LoadInt64(&p.thresh[r])
-		if th != 0 && th <= m && atomic.CompareAndSwapInt64(&p.thresh[r], th, 0) && p.hook.Poke(r) {
+		if th != 0 && th <= m && atomic.CompareAndSwapInt64(&p.thresh[r], th, 0) && p.hook.Poke(p.slot(r)) {
 			mPacePokes.Inc()
 		}
 	}
@@ -207,7 +211,7 @@ func (p *Pacer) block(rank int, me int64) {
 		if p.rescan(arg) != m {
 			continue // the governing cache was stale: fold again
 		}
-		seq := p.hook.Seq(rank)
+		seq := p.hook.Seq(p.slot(rank))
 		atomic.AddInt64(p.parked, 1)
 		atomic.StoreInt64(&p.thresh[rank], target)
 		poked := true
@@ -216,7 +220,7 @@ func (p *Pacer) block(rank int, me int64) {
 				parkStart = time.Now()
 				mPaceParks.Inc()
 			}
-			poked = p.hook.Park(rank, seq, beat)
+			poked = p.hook.Park(p.slot(rank), seq, beat)
 		}
 		atomic.StoreInt64(&p.thresh[rank], 0)
 		atomic.AddInt64(p.parked, -1)

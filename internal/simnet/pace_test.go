@@ -12,20 +12,22 @@ import (
 
 // fakePace is a ParkHook with no fabric, socket or sleep behind it: Park
 // records the duration it was asked for and runs the test's script for that
-// park, Poke records the rank and reports what the script says.
+// park, Poke records the slot and reports what the script says.
 type fakePace struct {
-	parks   []time.Duration
-	onPark  func(n int) (poked bool) // n = 1 for the first park
-	pokes   []int
-	pokeHit bool
-	aborted bool
+	parks     []time.Duration
+	parkSlots []int
+	onPark    func(n int) (poked bool) // n = 1 for the first park
+	pokes     []int
+	pokeHit   bool
+	aborted   bool
 }
 
 func (f *fakePace) hook() ParkHook {
 	return ParkHook{
 		Seq: func(int) uint64 { return 0 },
-		Park: func(_ int, _ uint64, d time.Duration) bool {
+		Park: func(slot int, _ uint64, d time.Duration) bool {
 			f.parks = append(f.parks, d)
+			f.parkSlots = append(f.parkSlots, slot)
 			return f.onPark != nil && f.onPark(len(f.parks))
 		},
 		Poke: func(r int) bool { f.pokes = append(f.pokes, r); return f.pokeHit },
@@ -171,8 +173,8 @@ func TestPacerValveShutWhileMinimumMoves(t *testing.T) {
 
 // TestPacerWakeByThreshold parks two ranks on different thresholds and
 // raises the minimum past one, then the other: each is poked exactly when
-// its own threshold is reached, once, and pace.pokes counts only pokes the
-// hook delivered.
+// its own threshold is reached, once, under its pace slot (4+r, clear of the
+// door's 0…3), and pace.pokes counts only pokes the hook delivered.
 func TestPacerWakeByThreshold(t *testing.T) {
 	withTelemetry(t)
 	fk := fakePace{pokeHit: true}
@@ -191,7 +193,7 @@ func TestPacerWakeByThreshold(t *testing.T) {
 	p.Publish(1, 2000) // the minimum reaches 2000 once the parked ranks' own clocks do
 	p.Publish(2, 2000)
 	p.Publish(3, 2000)
-	if !reflect.DeepEqual(fk.pokes, []int{2}) || p.thresh[2] != 0 || p.thresh[3] != 3000 {
+	if !reflect.DeepEqual(fk.pokes, []int{4 + 2}) || p.thresh[2] != 0 || p.thresh[3] != 3000 {
 		t.Fatalf("minimum 2000: poked %v, thresholds %v; want rank 2 alone, its threshold claimed", fk.pokes, p.thresh)
 	}
 	p.Publish(0, 2500)
@@ -202,7 +204,7 @@ func TestPacerWakeByThreshold(t *testing.T) {
 	for r := range p.clocks {
 		p.Publish(r, 3000)
 	}
-	if !reflect.DeepEqual(fk.pokes, []int{2, 3}) {
+	if !reflect.DeepEqual(fk.pokes, []int{4 + 2, 4 + 3}) {
 		t.Fatalf("minimum 3000: poked %v, want rank 3 after rank 2", fk.pokes)
 	}
 	if got := mPacePokes.Load() - pokes; got != 1 {

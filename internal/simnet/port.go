@@ -19,7 +19,7 @@ import (
 // word is generation<<genShift | waiters<<1 | lock bit. Acquire is one CAS
 // setting the bit; release is one atomic add that clears it and, for a
 // write, carries into the generation: genOne-1 rings, -1 does not. A ring
-// from outside the lock adds genOne. A Door waiter adds waiterOne on entry —
+// from outside the lock adds genOne. A door waiter adds waiterOne on entry —
 // reading the generation from that same add — and subtracts it on exit.
 // Every transition is an add or a CAS on the whole word, never a store, so a
 // ring concurrent with a held lock or an arriving waiter is not lost, the
@@ -28,8 +28,9 @@ import (
 // the ring's came first and the waiter reads the new generation. The NIC
 // interval is plain memory guarded by the lock.
 //
-// Who is parked, and waking them, is Door's business: the port only moves
-// the generation they re-check and counts them.
+// Where they are parked, and waking them, is the door's business
+// (ParkHook.DoorWait): the port only moves the generation they re-check and
+// counts them.
 type Port struct {
 	word     uint64
 	nicStart int64 // NIC busy interval [nicStart, nicBusy) in virtual time
@@ -40,7 +41,7 @@ type Port struct {
 // generation, and cannot: a waiter is counted once while it waits, which
 // bounds a port's count by one per rank in process (the largest world run is
 // p = 4096, and NewFabric refuses more than maxWaiters ranks), and in a
-// process world by one per host-mate plus, on the owner's own slot, the rank
+// process world by one per host-mate plus, on the owner's own port, the rank
 // itself and one DOORWAIT handler per peer (≤ 2 × mprun.MaxRanks = 2048) —
 // far below the field's maximum, maxWaiters = 2^16 − 1.
 const (
@@ -78,7 +79,7 @@ func (p *Port) Unlock() { atomic.AddUint64(&p.word, ^uint64(0)) }
 
 // UnlockRing releases the port and advances the generation in the same add,
 // and reports whether that add found waiters: only then does the caller wake
-// them (Door.Wake).
+// them (ParkHook.DoorWake).
 func (p *Port) UnlockRing() (waiters bool) {
 	mDoorRings.Inc()
 	return atomic.AddUint64(&p.word, genOne-1)&waiterField != 0
@@ -94,10 +95,10 @@ func (p *Port) Ring() (waiters bool) {
 // Gen samples the doorbell generation.
 func (p *Port) Gen() uint64 { return atomic.LoadUint64(&p.word) >> genShift }
 
-// enter counts a Door waiter in and returns the generation its add found.
+// enter counts a door waiter in and returns the generation its add found.
 func (p *Port) enter() uint64 { return atomic.AddUint64(&p.word, waiterOne) >> genShift }
 
-// leave counts a Door waiter out.
+// leave counts a door waiter out.
 func (p *Port) leave() { atomic.AddUint64(&p.word, ^uint64(waiterOne-1)) }
 
 // BookNIC reserves the port's NIC for xfer virtual nanoseconds starting no

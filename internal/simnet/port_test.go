@@ -71,7 +71,7 @@ func TestPortExclusionAndRings(t *testing.T) {
 }
 
 // TestPortRingReportsWaiters: a ring, in the release or from outside the
-// lock, reports waiters exactly while one is counted in — a Door waiter
+// lock, reports waiters exactly while one is counted in — a door waiter
 // parked on the port, here — and a plain release reports nothing.
 func TestPortRingReportsWaiters(t *testing.T) {
 	var p Port
@@ -93,8 +93,7 @@ func TestPortRingReportsWaiters(t *testing.T) {
 		rings(true, "with a waiter parked")
 		return true
 	}
-	d := NewDoor(2, nil, fk.hook())
-	if g := d.Wait(&p, 0, 1, p.Gen()); g != 4 {
+	if g := fk.hook().DoorWait(&p, 0, p.Gen()); g != 4 {
 		t.Fatalf("Wait returned generation %d after four rings, want 4", g)
 	}
 	rings(false, "after the waiter left")

@@ -11,9 +11,9 @@ import (
 // NIC booking, the ring a write's port release carries — lives in Endpoint,
 // RegionExec and Port and is byte-identical across backends; a Transport only
 // resolves registrations, homes one Port per rank where that rank's memory is,
-// homes the tables of the world's Door and Pacer, and supplies the one
-// ParkHook — how a rank sleeps, how a sleeping rank is reached — both
-// disciplines run over. Start-up and death belong to whoever built the world,
+// homes the tables of the world's Pacer, and supplies the one ParkHook — how
+// a rank sleeps, how a sleeping rank is reached — the door and the pacer run
+// over. Start-up and death belong to whoever built the world,
 // as the job launcher and runtime own them under foMPI: the in-process runner
 // holds the *Fabric it made (Fabric.Abort), a process world its control plane
 // (internal/rankio). Topology is the world's shape, rank / RanksPerNode on
@@ -44,16 +44,17 @@ import (
 //     returns it, and nil for a rank reached only through proxies. The
 //     inline issue path and RegionExec take it for every NIC booking and
 //     AMO, and release it with the ring.
-//   - WakeDoor(r) wakes every WaitDoor(_, r, gen) waiter whose gen is stale
+//   - WakeDoor(r) wakes every WaitDoor(r, gen) waiter whose gen is stale
 //     after r's port generation advanced, with no lost wakeups, provided the
 //     writer calls it whenever the add that advanced the generation
 //     (Port.Ring, Port.UnlockRing) reported waiters; a write that finds none
 //     calls nothing. WaitDoor may return gen unchanged (after DoorSlice at
 //     the latest): a waiter re-checks its predicate after every return. For
-//     an addressable rank both are the world's Door — Door.Wake and
-//     Door.Wait on Port(r) — and RingDoorbell(r) is Port(r).Ring() plus, if
-//     it reported waiters, WakeDoor(r); for a rank reached through proxies
-//     they are messages to the owner, who does the same.
+//     an addressable rank both are the door of the world's ParkHook —
+//     ParkHook.DoorWake(r) and ParkHook.DoorWait on Port(r) — and
+//     RingDoorbell(r) is Port(r).Ring() plus, if it reported waiters,
+//     WakeDoor(r); for a rank reached through proxies they are messages to
+//     the owner, who does the same.
 //   - Pacer() returns the world's conservative-pacing state (DESIGN.md
 //     §6.1), nil for an unpaced world. The discipline itself is Pacer's; a
 //     backend supplies its tables and its ParkHook, and answers the same
@@ -63,7 +64,7 @@ import (
 // pace park — unwinds by panicking with the world's abort value, ErrAborted
 // or an *ErrPeerFailed naming the dead rank (which matches
 // errors.Is(err, ErrAborted)). Recover sites classify with IsAbortPanic, not
-// value equality. A layer that blocks waits at the Door and inherits it.
+// value equality. A layer that blocks waits at the door and inherits it.
 type Transport interface {
 	Size() int
 	RanksPerNode() int
@@ -91,13 +92,13 @@ type Transport interface {
 	// Ports and doorbells: the rank's arrival state (see Port), and the
 	// generation-counted wakeup channel of WaitLocal, PollRemoteWord, the
 	// notification rings built on its generation and internal/mpi1's
-	// mailboxes. waiter is the calling rank: the slot it parks under (see
-	// Door).
+	// mailboxes. A waiter parks under rank's door slot (see ParkHook),
+	// whoever it is.
 	Port(rank int) *Port
 	WakeDoor(rank int)
 	RingDoorbell(rank int)
 	DoorGen(rank int) uint64
-	WaitDoor(waiter, rank int, gen uint64) uint64
+	WaitDoor(rank int, gen uint64) uint64
 }
 
 // Fabric implements Transport; the exported wrappers below are the carve
@@ -132,21 +133,21 @@ func (f *Fabric) RecycleSeg(rank int, s *segpool.Seg, scrubbed bool, extra ...se
 func (f *Fabric) Port(rank int) *Port { return &f.nodes[rank].port }
 
 // WakeDoor wakes rank's parked waiters after its generation advanced.
-func (f *Fabric) WakeDoor(rank int) { f.door.Wake(rank) }
+func (f *Fabric) WakeDoor(rank int) { f.hook.DoorWake(rank) }
 
 // RingDoorbell rings rank's doorbell, waking its waiters if the ring found
 // any.
 func (f *Fabric) RingDoorbell(rank int) {
 	if f.nodes[rank].port.Ring() {
-		f.door.Wake(rank)
+		f.hook.DoorWake(rank)
 	}
 }
 
 // DoorGen samples rank's doorbell generation.
 func (f *Fabric) DoorGen(rank int) uint64 { return f.nodes[rank].port.Gen() }
 
-// WaitDoor parks waiter's goroutine until rank's doorbell generation is no
-// longer gen.
-func (f *Fabric) WaitDoor(waiter, rank int, gen uint64) uint64 {
-	return f.door.Wait(&f.nodes[rank].port, rank, waiter, gen)
+// WaitDoor parks the calling goroutine until rank's doorbell generation is
+// no longer gen.
+func (f *Fabric) WaitDoor(rank int, gen uint64) uint64 {
+	return f.hook.DoorWait(&f.nodes[rank].port, rank, gen)
 }

@@ -141,7 +141,7 @@ func (c Config) withDefaults() Config {
 // allocator (the shared pool in process, the rank's shared-memory arena on
 // the multi-process backend), and the per-rank handles (procs, endpoints,
 // scratch regions) are slab-allocated: worlds are created per experiment
-// repetition in the bench sweeps, so NewWorld costs a handful of
+// repetition in the bench sweeps, so newWorld costs a handful of
 // allocations, not a handful per rank.
 type World struct {
 	cfg     Config
@@ -208,8 +208,7 @@ func WorkerOf() Backend { return Backend(rankio.WorkerBackend()) }
 //
 // On clean exit the per-rank scratch segments are recycled into the
 // transport's segment allocator and may back an unrelated future world: body
-// must not leak goroutines that touch the world after returning, and callers
-// must not retain ScratchRegion (or fabric addresses into it) past Run.
+// must not leak goroutines that touch the world after returning.
 func Run(cfg Config, body func(*Proc)) error {
 	cfg = cfg.withDefaults()
 	if cfg.Backend == BackendInProc {
@@ -312,7 +311,7 @@ func runCrossWorker(cfg Config, body func(*Proc)) {
 // do after the verdict; an abort symptom blames nobody. Once every rank has
 // returned, clean or aborted, the world disarms its parker's heartbeats.
 func runInProc(cfg Config, body func(*Proc)) error {
-	w, procs := NewWorld(cfg)
+	w, procs := newWorld(cfg)
 	fab := w.fab.(*simnet.Fabric)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -423,10 +422,9 @@ func MustRun(cfg Config, body func(*Proc)) {
 	}
 }
 
-// NewWorld builds the in-process fabric and per-rank procs without spawning
-// goroutines; tests that need direct control use it. Multi-process worlds
-// cannot be built this way — they exist only inside Run.
-func NewWorld(cfg Config) (*World, []*Proc) {
+// newWorld builds the in-process fabric and per-rank procs without spawning
+// goroutines: runInProc's world.
+func newWorld(cfg Config) (*World, []*Proc) {
 	cfg = cfg.withDefaults()
 	fab := simnet.NewFabric(cfg.Ranks, cfg.RanksPerNode)
 	fab.SetPacing(cfg.PaceWindowNs)
@@ -489,8 +487,3 @@ func (p *Proc) Compute(ns int64) { p.ep.Compute(ns) }
 // backend other ranks' handles are zero); remote scratch is addressed by
 // (rank, key 0) fabric addresses.
 func (p *Proc) scratchOf(r int) *simnet.Region { return &p.world.scratch[r] }
-
-// ScratchRegion exposes the rank's collective scratch region
-// (instrumentation and tests). Its backing memory is recycled into the
-// scratch pool when Run returns cleanly — do not retain it past the world.
-func (p *Proc) ScratchRegion() *simnet.Region { return &p.world.scratch[p.rank] }

@@ -888,11 +888,11 @@ func TestConformanceDoorbellChurn(t *testing.T) {
 	})
 }
 
-// TestConformanceManyRanks is the >64-rank regression test for the doorbell
-// waiter bitsets: a 96-rank neighbor ring where every rank's flag write must
-// wake a parked waiter whose rank index lives beyond the first 64-bit mask
-// word (the multi-process backend's waiter set was one word — and the world
-// capped at 64 ranks — until the bitset widened).
+// TestConformanceManyRanks is the >64-rank regression test for the doorbell:
+// a 96-rank neighbor ring where every rank's flag write must wake a parked
+// waiter whose rank index lies beyond the first 64 (the multi-process
+// backend's waiter set was once one 64-bit mask word, capping the world at
+// 64 ranks; a waiter now sleeps under the watched rank's own slot).
 func TestConformanceManyRanks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("96 worker processes per backend is not -short material")
