@@ -68,7 +68,7 @@ func main() {
 	faults := flag.String("faults", os.Getenv(faultnet.EnvVar),
 		"fault-injection spec for the net/hybrid wire, e.g. 'seed=7,delayp=0.1,delaymax=20ms,resetafter=400' (default from "+faultnet.EnvVar+"; see internal/faultnet)")
 	netTimeouts := flag.String("net-timeouts", os.Getenv(rankio.EnvTimeouts),
-		"failure-model timing spec of every backend's control plane (and the net/hybrid wire), e.g. 'heartbeat=500ms,stale=3s,optimeout=2s,ctlidle=6s' (default from "+rankio.EnvTimeouts+"; zero-value keys keep the defaults)")
+		"failure-model timing spec of every backend's control plane, e.g. 'heartbeat=500ms,stale=3s': the coordinator PINGs every heartbeat and declares a rank silent for stale dead; the net/hybrid wire's budget and a rank's idle cutoff are stale + 2×heartbeat (default from "+rankio.EnvTimeouts+"; absent keys keep the 2s/10s defaults)")
 	stats := flag.Bool("stats", os.Getenv(telemetry.EnvVar) != "" && os.Getenv(telemetry.EnvVar) != "0",
 		"enable telemetry on any backend: the launcher prints each rank's JSON stats line as it arrives and publishes the merged world aggregate (default from "+telemetry.EnvVar+")")
 	flag.Usage = func() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -317,4 +318,34 @@ func TestFlushMakesDataVisible(t *testing.T) {
 		}
 		w.UnlockAll()
 	})
+}
+
+// BenchmarkLockAll times the world's lock_all round — every rank runs
+// LockAll, FlushAll and UnlockAll on one window — in process, four ranks a
+// node, as the benchmark's proc_sync workload runs it. ns/op is one round of
+// the whole world; ns/rank divides it by p, so a global lock word that
+// convoys its p fetch-adds shows as a per-rank time that grows with p.
+func BenchmarkLockAll(b *testing.B) {
+	for _, p := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			spmd.MustRun(spmd.Config{Ranks: p, RanksPerNode: 4}, func(pr *spmd.Proc) {
+				w, _ := Allocate(pr, 64, Config{})
+				pr.Barrier()
+				if pr.Rank() == 0 { // the calling goroutine: it owns b
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					w.LockAll()
+					w.FlushAll()
+					w.UnlockAll()
+				}
+				pr.Barrier()
+				if pr.Rank() == 0 {
+					b.StopTimer()
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p), "ns/rank")
+				}
+				w.Free()
+			})
+		})
+	}
 }

@@ -414,14 +414,6 @@ func (a *Arena) Pacer() *simnet.Pacer {
 	return simnet.NewPacer(a.cfg.PaceWindowNs, n, i64slice(a.m, a.lay.paceOff, simnet.PaceTableWords(n)), a.hook)
 }
 
-// Ring advances local rank's doorbell generation from outside its port and
-// wakes its waiters, if the ring found any.
-func (a *Arena) Ring(local int) {
-	if a.Port(local).Ring() {
-		a.hook.DoorWake(local)
-	}
-}
-
 // Abort ends this process's arena parks, now and from now on: a park that
 // starts later returns at once, and one poke of every door word and of its
 // own pace word wakes those asleep — a door waiter sleeps under the rank it

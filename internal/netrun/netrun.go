@@ -126,10 +126,10 @@ type World struct {
 	svcClosed bool
 	svcWg     sync.WaitGroup
 
-	// opTimeout is the per-request deadline on every data-plane wire call
-	// (rankio.Timeouts): a peer that neither answers nor resets within it is
-	// treated as dead.
-	opTimeout time.Duration
+	// budget is the whole deadline of every data-plane wire call, and of the
+	// owner's reply write (rankio.Timeouts.SilenceBudget): the coordinator's
+	// verdict on a silent peer arrives inside it.
+	budget time.Duration
 }
 
 // Launch creates the world o.Backend names and coordinates it to the end
@@ -337,7 +337,7 @@ func (w *World) joinWired(o rankio.Options, network, coord string) error {
 	w.rsess = make([]reqSession, o.Ranks)
 	w.sessions = make(map[uint64]*ownerSession)
 	w.svcConns = make(map[net.Conn]struct{})
-	w.opTimeout = tm.OpTimeout
+	w.budget = tm.SilenceBudget()
 	w.park = simnet.NewParker(o.Ranks)
 	w.Client, err = rankio.Join(ctl, o, w.rank, ln.Addr().String())
 	if err == nil {

@@ -69,7 +69,7 @@ func (w *World) peerErr(r int) (*peerConn, error) {
 	e.u8(opHello)
 	e.i64(0)
 	e.u32(uint32(w.rank))
-	c.SetWriteDeadline(time.Now().Add(w.opTimeout))
+	c.SetWriteDeadline(time.Now().Add(w.budget))
 	_, err = c.Write(e.finish())
 	c.SetWriteDeadline(time.Time{})
 	if err != nil {
@@ -98,22 +98,17 @@ func (w *World) dropPeer(r int, p *peerConn) {
 	p.c.Close()
 }
 
-// netFault classifies a connection failure: after an abort every blocked
-// requester unwinds through the abort panic (the Transport contract);
-// otherwise this rank holds first-hand evidence that r is gone and unwinds
-// with a typed *simnet.ErrPeerFailed naming it.
+// netFault classifies a request to rank r that ran out its budget: after an
+// abort every blocked requester unwinds through the abort panic (the
+// Transport contract). Otherwise r fell silent in a way the control plane
+// cannot see — the coordinator's verdict would have arrived inside the
+// budget — and this rank fails as itself: only the verdict declares a rank
+// dead.
 func (w *World) netFault(r int, err error) any {
-	// A failure often races the abort broadcast: give the control stream a
-	// moment to deliver the verdict so unwinding keeps the right reason.
-	for i := 0; i < 100 && !w.Aborted(); i++ {
-		time.Sleep(2 * time.Millisecond)
-	}
 	if err := w.AbortErr(); err != nil {
 		return err
 	}
-	w.NoteFailedRank(r)
-	return &simnet.ErrPeerFailed{Rank: r,
-		Cause: fmt.Errorf("rank %d lost rank %d: %w", w.rank, r, err)}
+	return fmt.Errorf("netrun: rank %d: no answer from rank %d within %v: %w", w.rank, r, w.budget, err)
 }
 
 // queryRegion resolves a foreign registration's liveness and size.

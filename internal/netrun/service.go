@@ -113,7 +113,7 @@ func (w *World) serveConn(c net.Conn) {
 		reply, cached := w.sessionApply(src, sid, seq, ack, &d, outBuf)
 		// Bound the reply write: a requester that vanished mid-read must not
 		// park this service goroutine on a full TCP buffer forever.
-		c.SetWriteDeadline(time.Now().Add(w.opTimeout))
+		c.SetWriteDeadline(time.Now().Add(w.budget))
 		_, err = c.Write(reply)
 		c.SetWriteDeadline(time.Time{})
 		if err != nil {

@@ -29,9 +29,9 @@ import (
 // bit-identical to a fault-free run.
 //
 // Genuinely dead peers still fail fast: each drained reply shares one
-// opTimeout budget across its retransmissions, every iteration observes
-// the coordinator's abort verdict, and exhausting the budget lands in
-// netFault's classification.
+// budget across its retransmissions, every iteration observes the
+// coordinator's abort verdict, and exhausting the budget lands in netFault's
+// classification.
 
 // RemoteFault is a fault reported by an owner's service loop in reply to a
 // wire operation this rank issued — the remote half of the "faults surface
@@ -245,7 +245,7 @@ func (w *World) sendPending(r int) error {
 				telemetry.RecordEvent(telemetry.EvRetransmit, uint64(r), po.seq)
 			}
 		}
-		p.c.SetWriteDeadline(time.Now().Add(w.opTimeout))
+		p.c.SetWriteDeadline(time.Now().Add(w.budget))
 		_, err := p.c.Write(po.frame)
 		p.c.SetWriteDeadline(time.Time{})
 		if err != nil {
@@ -265,17 +265,16 @@ func (w *World) sendPending(r int) error {
 // suffix verbatim: every retained frame was built with an ack below the
 // suffix, so the owner never evicted a cached reply the replay needs — the
 // applied prefix replays byte-identically and the rest executes fresh, in
-// order, exactly once. One opTimeout budget bounds the recovery so a
-// genuinely dead peer still surfaces as a typed failure within the
-// detection promise.
+// order, exactly once. One budget bounds the recovery; a dead peer the
+// coordinator can see is judged inside it, so the abort ends the loop first.
 func (w *World) drainOne(r int) dec {
 	s := &w.rsess[r]
 	po := s.inflight[0]
-	deadline := time.Now().Add(w.opTimeout)
+	deadline := time.Now().Add(w.budget)
 	// Per-attempt reply deadline: a blackholed write must not consume the
 	// whole budget waiting for a reply that never left, or there would be
 	// no budget left to retransmit in.
-	slice := w.opTimeout / 4
+	slice := w.budget / 4
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if err := w.AbortErr(); err != nil {
@@ -396,9 +395,9 @@ func attemptDeadline(deadline time.Time, slice time.Duration) time.Time {
 
 // remoteFault decodes a structured fault reply into the value the requester
 // unwinds with: ErrAborted for an owner that was itself unwinding the world
-// abort, *simnet.ErrPeerFailed carrying the blamed rank (recorded locally
-// too, so this rank's own abort panic names it), and *RemoteFault for a
-// genuine program fault at the owner.
+// abort, *simnet.ErrPeerFailed carrying the rank the owner's verdict blamed
+// (recorded locally too, so this rank's own abort panic names it), and
+// *RemoteFault for a genuine program fault at the owner.
 func (w *World) remoteFault(owner int, reply []byte) any {
 	d := dec{b: reply, pos: 1}
 	kind := d.u8()
@@ -412,7 +411,7 @@ func (w *World) remoteFault(owner int, reply []byte) any {
 		return simnet.ErrAborted
 	case faultPeerFailed:
 		w.NoteFailedRank(rank)
-		return &simnet.ErrPeerFailed{Rank: rank, Cause: &RemoteFault{Rank: owner, Msg: msg}}
+		return &simnet.ErrPeerFailed{Rank: rank}
 	}
 	return &RemoteFault{Rank: owner, Msg: msg}
 }

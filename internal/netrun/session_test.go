@@ -351,7 +351,7 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 	probe.Close()
 
 	t.Setenv(faultnet.EnvVar, "seed=3,reseteveryn=25,plane=data")
-	t.Setenv(rankio.EnvTimeouts, "heartbeat=500ms,stale=5s,optimeout=5s,ctlidle=10s")
+	t.Setenv(rankio.EnvTimeouts, "heartbeat=500ms,stale=5s")
 	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
 	t.Setenv(rankio.EnvRank, "")
 	base := enableTelemetry(t)
@@ -460,7 +460,7 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 	probe.Close()
 
 	t.Setenv(faultnet.EnvVar, "seed=5,reseteveryn=25,plane=data")
-	t.Setenv(rankio.EnvTimeouts, "heartbeat=500ms,stale=5s,optimeout=5s,ctlidle=10s")
+	t.Setenv(rankio.EnvTimeouts, "heartbeat=500ms,stale=5s")
 	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
 	t.Setenv(rankio.EnvRank, "")
 	base := enableTelemetry(t)
@@ -657,10 +657,10 @@ func shortOwner(t *testing.T, n int) *World {
 		}
 	}()
 	return &World{
-		Client:    pipeClient(t),
-		rsess:     make([]reqSession, 2),
-		peers:     []*peerConn{nil, {c: near, rd: bufio.NewReader(near)}},
-		opTimeout: 5 * time.Second,
+		Client: pipeClient(t),
+		rsess:  make([]reqSession, 2),
+		peers:  []*peerConn{nil, {c: near, rd: bufio.NewReader(near)}},
+		budget: 5 * time.Second,
 	}
 }
 
@@ -706,11 +706,11 @@ func TestTruncatedReplyFaults(t *testing.T) {
 // that sits between guard bytes in slab.
 func fuzzOwner(cl *rankio.Client) (w *World, slab []byte) {
 	w = &World{
-		Client:    cl,
-		rank:      1,
-		sessions:  make(map[uint64]*ownerSession),
-		park:      simnet.NewParker(2),
-		opTimeout: 5 * time.Second,
+		Client:   cl,
+		rank:     1,
+		sessions: make(map[uint64]*ownerSession),
+		park:     simnet.NewParker(2),
+		budget:   5 * time.Second,
 	}
 	w.door = w.park.Hook(w.AbortErr)
 	slab = bytes.Repeat([]byte{0xa5}, 3*64)

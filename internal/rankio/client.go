@@ -22,7 +22,7 @@ import (
 const byeTimeout = 10 * time.Minute
 
 // Client is one rank's end of the control plane: the handshake (Join, World,
-// Ready), the status reports (Finish, Fail, Abort) and the watcher that turns
+// Ready), the status reports (Finish, Fail) and the watcher that turns
 // coordinator lines into this process's abort state. Backends embed it; what
 // an abort means for their data plane they say with OnAbort.
 type Client struct {
@@ -35,9 +35,8 @@ type Client struct {
 	addrs, hosts []string // the WORLD catalog, by rank
 
 	aborted atomic.Bool
-	// failedRank is the rank the RANKFAIL verdict (or first-hand evidence,
-	// NoteFailedRank) blamed for the abort; -1 while the world is healthy or
-	// the abort has no known culprit.
+	// failedRank is the rank blamed for the abort (NoteFailedRank); -1 while
+	// the world is healthy or the abort has no known culprit.
 	failedRank atomic.Int32
 	done, bye  chan struct{}
 	abortOnce  sync.Once
@@ -168,12 +167,12 @@ func (c *Client) Ready() error {
 // with this rank's telemetry so far — measured or not — and then writes every
 // goroutine's stack to stderr under a header naming the rank. A dead
 // coordinator — a read error, a line that does not parse, or a control
-// stream idle long past the heartbeat cadence (its host vanished without a
-// FIN) — aborts too, so no rank hangs on a vanished world; that includes a
-// finished rank waiting for BYE, which the abort releases.
+// stream silent for the SilenceBudget (its host vanished without a FIN) —
+// aborts too, so no rank hangs on a vanished world; that includes a finished
+// rank waiting for BYE, which the abort releases.
 func (c *Client) watch() {
 	for {
-		c.conn.SetReadDeadline(time.Now().Add(c.tm.CtlIdleTimeout))
+		c.conn.SetReadDeadline(time.Now().Add(c.tm.SilenceBudget()))
 		l, err := readLine(c.rd)
 		switch {
 		case err != nil || l.kind == lnAbort:
@@ -238,15 +237,6 @@ func (c *Client) Fail(msg string) {
 	c.conn.Close()
 }
 
-// Abort marks the world dead: this process unwinds immediately and the
-// coordinator broadcasts the abort to every other rank.
-func (c *Client) Abort() {
-	if !c.Aborted() {
-		c.send(ctlLine{kind: lnAbort, rank: c.rank})
-		c.localAbort()
-	}
-}
-
 // localAbort runs this process's abort consequences exactly once.
 func (c *Client) localAbort() {
 	c.abortOnce.Do(func() {
@@ -278,7 +268,9 @@ func (c *Client) OnAbort(fn func()) {
 func (c *Client) Aborted() bool         { return c.aborted.Load() }
 func (c *Client) Done() <-chan struct{} { return c.done }
 
-// NoteFailedRank records the first rank blamed for the world's death;
+// NoteFailedRank records the first rank blamed for the world's death: the
+// one the coordinator's verdict names (on this stream, or relayed by an owner
+// that heard it first), or this rank when it fails of its own accord.
 // FailedRank returns it, -1 while the world is healthy or the abort has no
 // known culprit.
 func (c *Client) NoteFailedRank(r int) { c.failedRank.CompareAndSwap(-1, int32(r)) }
@@ -286,8 +278,8 @@ func (c *Client) FailedRank() int      { return int(c.failedRank.Load()) }
 
 // AbortErr is nil while the world stands, and after an abort the value
 // blocked primitives unwind with (a parking hook's Aborted):
-// *simnet.ErrPeerFailed when a verdict or local evidence named the dead
-// rank, the bare simnet.ErrAborted otherwise. Both satisfy
+// *simnet.ErrPeerFailed when the verdict named the dead rank, the bare
+// simnet.ErrAborted otherwise. Both satisfy
 // errors.Is(err, simnet.ErrAborted).
 func (c *Client) AbortErr() error {
 	if !c.Aborted() {

@@ -383,13 +383,16 @@ func (c *coord) follow(r int, events chan<- event) {
 	}
 }
 
-// status collects DONE/FAIL/ABORT/PONG/STATS lines and stream ends until
-// every rank is accounted for. The first FAIL, ABORT, early exit or stale
-// heartbeat aborts the world: a RANKFAIL verdict naming the culprit (when one
-// is known) so every survivor's blocked primitive can unwind with
-// *simnet.ErrPeerFailed, then ABORT, then — abortGrace later — a kill of
-// whatever is left. Once every rank has reported DONE the coordinator
-// broadcasts BYE: a finished rank keeps serving its memory until then.
+// status collects DONE/FAIL/PONG/STATS lines and stream ends until every
+// rank is accounted for. The first FAIL, early exit or stale heartbeat aborts
+// the world: a RANKFAIL verdict naming the culprit (unless the first report
+// is a peer-abort symptom) so every survivor's blocked primitive can unwind
+// with *simnet.ErrPeerFailed, then ABORT, then — abortGrace later — a kill of
+// whatever is left. This verdict is the only way a rank is declared failed.
+// The stale check runs every heartbeat, so a rank that falls silent is judged
+// at most stale + one heartbeat later, inside every survivor's SilenceBudget.
+// Once every rank has reported DONE the coordinator broadcasts BYE: a
+// finished rank keeps serving its memory until then.
 // A STATS line is a rank's telemetry so far, and its counters only grow: the
 // loop prints each one and keeps each rank's latest, and the world's
 // aggregate merges those once, at the end, so a DUMP's snapshot is never
@@ -413,9 +416,8 @@ func (c *coord) status() error {
 	defer grace.Stop()
 	var firstErr error
 	firstCode, firstRank, firstSymptom := 0, -1, false
-	// fail records one rank's failure and, the first time, aborts the world;
-	// blame says whether the verdict may name the rank.
-	fail := func(rank int, msg string, code int, blame bool) {
+	// fail records one rank's failure and, the first time, aborts the world.
+	fail := func(rank int, msg string, code int) {
 		// A peer-abort report is a symptom; keep looking for the cause. Any
 		// later report that is not a symptom displaces a symptom-only error,
 		// and the culprit's own report, not the symptom, names it.
@@ -431,10 +433,10 @@ func (c *coord) status() error {
 			return
 		}
 		aborting = true
-		if !symptom && blame {
+		if !symptom {
 			c.broadcast(ctlLine{kind: lnRankFail, rank: rank, text: msg})
 		}
-		c.broadcast(ctlLine{kind: lnAbort, rank: -1})
+		c.broadcast(ctlLine{kind: lnAbort})
 		grace.Reset(abortGrace)
 	}
 	heartbeat := time.NewTicker(c.tm.HeartbeatEvery)
@@ -463,11 +465,7 @@ func (c *coord) status() error {
 					Logf("stats", "rank %d stats %s", ev.from, ev.text)
 				}
 			case lnFail:
-				fail(ev.from, ev.text, 0, true)
-			case lnAbort:
-				if firstErr == nil {
-					fail(ev.from, "aborted the world", 0, false)
-				}
+				fail(ev.from, ev.text, 0)
 			case 0:
 				exited++
 				gone[ev.from] = true
@@ -478,7 +476,7 @@ func (c *coord) status() error {
 					if ev.code != 0 {
 						msg = fmt.Sprintf("exited with status %d before DONE", ev.code)
 					}
-					fail(ev.from, msg, ev.code, true)
+					fail(ev.from, msg, ev.code)
 				} else if firstCode == 0 {
 					firstCode = ev.code
 				}
@@ -494,7 +492,7 @@ func (c *coord) status() error {
 			for r := range lastPong {
 				if !done[r] && !gone[r] && time.Since(lastPong[r]) > c.tm.HeartbeatStale {
 					msg := fmt.Sprintf("no heartbeat for %v (host dead or partitioned, process stopped?)", c.tm.HeartbeatStale)
-					fail(r, msg, 0, true)
+					fail(r, msg, 0)
 					break
 				}
 			}

@@ -17,7 +17,7 @@ import (
 	"fompi/internal/telemetry"
 )
 
-const testTimeouts = "heartbeat=50ms,stale=400ms,optimeout=1s,ctlidle=2s"
+const testTimeouts = "heartbeat=50ms,stale=400ms"
 
 var netWorld = Options{Backend: "net", Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}}
 

@@ -20,7 +20,7 @@ import (
 // ProtoVersion gates the JOIN handshake for the control lines and netrun's
 // data frames alike; bump on any change to either. JOIN leads with it, so a
 // later version is free to lay the rest of the line out differently.
-const ProtoVersion = 9
+const ProtoVersion = 10
 
 // maxLine bounds a control line, newline included. The longest legitimate
 // line is a STATS snapshot (tens of KiB with a full event tail).
@@ -35,7 +35,7 @@ const (
 	lnGo                           // coordinator: every rank is READY
 	lnDone                         // worker: clean completion
 	lnFail                         // worker: failure, with its message
-	lnAbort                        // either: tear the world down (rank -1 from the coordinator)
+	lnAbort                        // coordinator: tear the world down
 	lnRankFail                     // coordinator: the verdict — which rank's failure killed the world
 	lnPing                         // coordinator: liveness probe
 	lnPong                         // worker: probe answer
@@ -55,7 +55,7 @@ var lineTable = [...]struct{ verb, fields string }{
 	lnGo:       {"GO", ""},
 	lnDone:     {"DONE", "r"},
 	lnFail:     {"FAIL", "rt"},
-	lnAbort:    {"ABORT", "r"},
+	lnAbort:    {"ABORT", ""},
 	lnRankFail: {"RANKFAIL", "rt"},
 	lnPing:     {"PING", ""},
 	lnPong:     {"PONG", "r"},
@@ -69,7 +69,7 @@ var lineTable = [...]struct{ verb, fields string }{
 type ctlLine struct {
 	kind         lineKind
 	backend      string
-	rank         int // -1: unassigned (JOIN), nobody (ABORT from the coordinator)
+	rank         int // -1: unassigned (JOIN)
 	addr, host   string
 	ranks, rpn   int
 	pace         int64

@@ -16,7 +16,7 @@ var everyLine = []ctlLine{
 	{kind: lnDone, rank: 0},
 	{kind: lnFail, rank: 2, text: "rank 2 panicked: index out of range [5] with length 3"},
 	{kind: lnFail, rank: 2},
-	{kind: lnAbort, rank: -1},
+	{kind: lnAbort},
 	{kind: lnRankFail, rank: 1, text: "no heartbeat for 4s"},
 	{kind: lnPing},
 	{kind: lnPong, rank: 7},
@@ -66,12 +66,13 @@ func TestCtlLineRejects(t *testing.T) {
 		{"JOIN 6 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v6 worker's JOIN
 		{"JOIN 7 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v7 worker's: same line, other data frames
 		{"JOIN 8 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v8 worker's: same line, no DUMP
-		{"JOIN 9 net 0 127.0.0.1:4000,evil:1 host0 2 1 0", ErrLineToken, lnJoin},
-		{"JOIN 9 net 0 127.0.0.1:4000 host,0 2 1 0", ErrLineToken, lnJoin},
-		{"JOIN 9 net 0  host0 2 1 0", ErrLineToken, lnJoin},
-		{"JOIN 9 net 0 127.0.0.1:4000 host0 2 1", ErrLineFields, lnJoin},
-		{"JOIN 9 net 0 127.0.0.1:4000 host0 2 1 0 extra", ErrLineFields, lnJoin},
-		{"JOIN 9 net 0 127.0.0.1:4000 host0 0 1 0", ErrLineFields, lnJoin}, // a world of no ranks
+		{"JOIN 9 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v9 worker's: same line, ABORT carries a rank
+		{"JOIN 10 net 0 127.0.0.1:4000,evil:1 host0 2 1 0", ErrLineToken, lnJoin},
+		{"JOIN 10 net 0 127.0.0.1:4000 host,0 2 1 0", ErrLineToken, lnJoin},
+		{"JOIN 10 net 0  host0 2 1 0", ErrLineToken, lnJoin},
+		{"JOIN 10 net 0 127.0.0.1:4000 host0 2 1", ErrLineFields, lnJoin},
+		{"JOIN 10 net 0 127.0.0.1:4000 host0 2 1 0 extra", ErrLineFields, lnJoin},
+		{"JOIN 10 net 0 127.0.0.1:4000 host0 0 1 0", ErrLineFields, lnJoin}, // a world of no ranks
 		{"WORLD 0 a,,b h,h,h", ErrLineToken, lnWorld},
 		{"READY 01", ErrLineFields, lnReady},
 		{"READY +1", ErrLineFields, lnReady},
@@ -80,6 +81,7 @@ func TestCtlLineRejects(t *testing.T) {
 		{"READY", ErrLineFields, lnReady},
 		{"GO now", ErrLineFields, lnGo},
 		{"DUMP 0", ErrLineFields, lnDump},
+		{"ABORT -1", ErrLineFields, lnAbort}, // only the coordinator aborts, and it names nobody
 		{"FAIL 1 ", ErrLineFields, lnFail},
 		{"FAIL 1 two\nlines", ErrLineFields, 0},
 	} {
@@ -101,9 +103,9 @@ func FuzzCtlLine(f *testing.F) {
 		wire := formatLine(l)
 		f.Add(wire[:len(wire)-1])
 	}
-	f.Add([]byte("JOIN 0 127.0.0.1:4000 2 1 0 5 host0"))             // v5
-	f.Add([]byte("JOIN 9 net -1 10.0.0.1:7,10.0.0.2:7 host0 2 1 0")) // comma-bearing addr
-	f.Add([]byte("STATS " + strings.Repeat(`{"a":1}`, maxLine/7+1))) // over-long STATS
+	f.Add([]byte("JOIN 0 127.0.0.1:4000 2 1 0 5 host0"))              // v5
+	f.Add([]byte("JOIN 10 net -1 10.0.0.1:7,10.0.0.2:7 host0 2 1 0")) // comma-bearing addr
+	f.Add([]byte("STATS " + strings.Repeat(`{"a":1}`, maxLine/7+1)))  // over-long STATS
 	f.Add([]byte("WORLD 0 a,b h0,h1 trailing"))
 	f.Add([]byte("FAIL 3 \x00\xff binary \x7f"))
 	f.Fuzz(func(t *testing.T, in []byte) {

@@ -19,26 +19,27 @@ const EnvTimeouts = "FOMPI_NET_TIMEOUTS"
 //
 //	heartbeat=500ms   coordinator PING cadence after GO
 //	stale=3s          missing-PONG budget before a rank is declared dead
-//	optimeout=2s      per-request data-plane budget on the wire backends
-//	                  (also the whole reconnect-and-resume budget of one op)
-//	ctlidle=6s        worker-side idle-control-stream cutoff (a vanished
-//	                  coordinator)
 //
-// Absent keys keep the defaults (2s / 10s / 15s / 30s). Malformed or
-// inconsistent specs fail the launch, like a bad -faults spec.
+// Absent keys keep the defaults (2s / 10s). Every other silence budget
+// follows from these two (SilenceBudget). Malformed or inconsistent specs
+// fail the launch, like a bad -faults spec.
 type Timeouts struct {
 	HeartbeatEvery time.Duration // heartbeat=
 	HeartbeatStale time.Duration // stale=
-	OpTimeout      time.Duration // optimeout=
-	CtlIdleTimeout time.Duration // ctlidle=
 }
 
 // defaultTimeouts: the coordinator PINGs every 2 s once the world is running
-// and declares a rank whose PONG is older than 10 s dead; the worker mirrors
-// the check — a control stream idle for 30 s means the coordinator (or its
-// host) vanished without a FIN; a wire peer that neither answers a request
-// nor resets within 15 s is treated as dead.
-var defaultTimeouts = Timeouts{2 * time.Second, 10 * time.Second, 15 * time.Second, 30 * time.Second}
+// and declares a rank whose PONG is older than 10 s dead.
+var defaultTimeouts = Timeouts{2 * time.Second, 10 * time.Second}
+
+// SilenceBudget is how long a rank waits out silence before it gives up: a
+// wire request's whole budget, reconnects and retransmissions included, and
+// a worker's idle cutoff on its control stream. The coordinator declares a
+// silent rank dead at most stale + one heartbeat after it fell silent, so a
+// budget one heartbeat longer lets the verdict reach every survivor first:
+// only the coordinator judges a rank dead, and a rank that still runs out
+// has met a failure the control plane cannot see.
+func (t Timeouts) SilenceBudget() time.Duration { return t.HeartbeatStale + 2*t.HeartbeatEvery }
 
 // ParseTimeouts parses an EnvTimeouts spec over the defaults and validates
 // the result; an empty spec is the defaults.
@@ -62,19 +63,12 @@ func ParseTimeouts(spec string) (Timeouts, error) {
 			t.HeartbeatEvery = d
 		case "stale":
 			t.HeartbeatStale = d
-		case "optimeout":
-			t.OpTimeout = d
-		case "ctlidle":
-			t.CtlIdleTimeout = d
 		default:
-			return t, fmt.Errorf("rankio: unknown timeout key %q (want heartbeat, stale, optimeout, ctlidle)", k)
+			return t, fmt.Errorf("rankio: unknown timeout key %q (want heartbeat or stale; the wire budget and the idle cutoff are stale + 2×heartbeat)", k)
 		}
 	}
 	if t.HeartbeatStale <= t.HeartbeatEvery {
 		return t, fmt.Errorf("rankio: stale budget %v must exceed the heartbeat cadence %v", t.HeartbeatStale, t.HeartbeatEvery)
-	}
-	if t.CtlIdleTimeout <= t.HeartbeatEvery {
-		return t, fmt.Errorf("rankio: ctl idle cutoff %v must exceed the heartbeat cadence %v (PINGs are what keep the stream busy)", t.CtlIdleTimeout, t.HeartbeatEvery)
 	}
 	return t, nil
 }

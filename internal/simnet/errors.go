@@ -6,28 +6,21 @@ import (
 )
 
 // ErrPeerFailed is the abort panic/error carrying *which* rank took the
-// world down and (when this process observed the failure first-hand) the
-// transport-level cause. The distributed backends deliver it instead of the
-// bare ErrAborted once a RANKFAIL verdict names the dead rank, so blocked
-// primitives unwind with an error that tells the operator who died.
+// world down. The distributed backends deliver it instead of the bare
+// ErrAborted once the coordinator's RANKFAIL verdict names the dead rank, and
+// the fabric once a rank's own panic does, so blocked primitives unwind with
+// an error that tells the operator who died.
 //
 // It matches errors.Is(err, ErrAborted): abort classification written
 // against the sentinel keeps working, and layers that care can errors.As
 // out the rank.
 type ErrPeerFailed struct {
-	Rank  int   // the failed rank
-	Cause error // transport evidence, nil when learned via RANKFAIL relay
+	Rank int // the failed rank
 }
 
 func (e *ErrPeerFailed) Error() string {
-	if e.Cause != nil {
-		return fmt.Sprintf("simnet: peer rank %d failed: %v", e.Rank, e.Cause)
-	}
 	return fmt.Sprintf("simnet: peer rank %d failed", e.Rank)
 }
-
-// Unwrap exposes the transport evidence to errors.Is/As chains.
-func (e *ErrPeerFailed) Unwrap() error { return e.Cause }
 
 // Is makes every peer failure an abort: errors.Is(err, ErrAborted) holds.
 func (e *ErrPeerFailed) Is(target error) bool { return target == ErrAborted }

@@ -20,7 +20,6 @@
 package spmd
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"os/signal"
@@ -273,15 +272,11 @@ func runCrossWorker(cfg Config, body func(*Proc)) {
 	guard := func(fn func()) (ok bool) {
 		defer func() {
 			if e := recover(); e != nil {
-				// Three shapes of death, reported in launcher terms: a peer
-				// failure this rank witnessed first-hand (evidence — the
-				// launcher prefers it as the world's error), an abort learned
-				// second-hand (a symptom, reported with the canonical text
-				// the coordinator recognizes), or this rank's own panic.
-				var pf *simnet.ErrPeerFailed
-				if err, isErr := e.(error); isErr && errors.As(err, &pf) && pf.Cause != nil {
-					cw.Fail(fmt.Sprintf("lost peer rank %d: %v", pf.Rank, pf.Cause))
-				} else if simnet.IsAbortPanic(e) {
+				// Two shapes of death, reported in launcher terms: the
+				// world's abort (a symptom, reported with the canonical text
+				// the coordinator recognizes: only its verdict names a dead
+				// peer), or this rank's own panic.
+				if simnet.IsAbortPanic(e) {
 					cw.Fail(rankio.PeerAbortMsg)
 				} else {
 					cw.Fail(fmt.Sprintf("rank %d panicked: %v", rank, e))

@@ -29,11 +29,12 @@ import (
 // faults (a dead control plane, a SIGKILLed rank) must tear the world down
 // promptly with typed errors — never a hang, never an untyped string.
 
-// chaosTimeouts tightens the failure-model knobs for every chaos leg: the
-// per-op budget bounds each injected blackhole stall, and the heartbeat /
-// idle cutoffs keep the fatal legs' detection latency (and so the CI job)
-// small without loosening the promises under test.
-const chaosTimeouts = "heartbeat=500ms,stale=4s,optimeout=2s,ctlidle=8s"
+// chaosTimeouts tightens the two failure-model knobs for every chaos leg:
+// they keep the fatal legs' detection latency (and so the CI job) small
+// without loosening the promises under test, and the wire budget and the
+// idle cutoff that follow from them (stale + 2×heartbeat = 5s) bound each
+// injected blackhole stall.
+const chaosTimeouts = "heartbeat=500ms,stale=4s"
 
 // chaosLog is where the runner wants the shared fault + recovery log (CI
 // uploads it as an artifact). The launcher folds it into the fault spec its
@@ -233,13 +234,8 @@ func TestStoppedRank(t *testing.T) {
 		return filepath.Join(os.TempDir(), fmt.Sprintf("stopped-rank-%s-survivor-%d", backend, rank))
 	}
 	body := func(p *spmd.Proc) {
-		reg, key := setupRegion(p, 128)
-		ep := p.EP()
-		if p.Rank() == victim {
-			// Prove the world was live, then freeze.
-			ep.StoreW(simnet.Addr{Rank: 0, Key: key, Off: 0}, 1)
-			syscall.Kill(os.Getpid(), syscall.SIGSTOP)
-		}
+		// Armed before the setup: a survivor may still be draining its last
+		// barrier store to the victim when the victim freezes.
 		defer func() {
 			e := recover()
 			var pf *simnet.ErrPeerFailed
@@ -248,6 +244,13 @@ func TestStoppedRank(t *testing.T) {
 			}
 			panic(e)
 		}()
+		reg, key := setupRegion(p, 128)
+		ep := p.EP()
+		if p.Rank() == victim {
+			// Prove the world was live, then freeze.
+			ep.StoreW(simnet.Addr{Rank: 0, Key: key, Off: 0}, 1)
+			syscall.Kill(os.Getpid(), syscall.SIGSTOP)
+		}
 		// Survivors park on a word nothing will ever write: only the
 		// heartbeat verdict and abort propagation can release them.
 		ep.WaitLocal(func() bool { return reg.LocalWord(64) == 0xdead })
@@ -272,5 +275,62 @@ func TestStoppedRank(t *testing.T) {
 			}
 		}
 		assertNone("after a " + label + " world with a stopped rank")
+	})
+}
+
+// TestStoppedPeerBehindWire pins who judges a rank's death: the coordinator,
+// never a survivor's wire budget. Rank 1 SIGSTOPs itself while rank 0 loops on
+// blocking Gets from it over TCP, so the requester's budget and the
+// coordinator's heartbeat race for the same silence. The wire budget is
+// derived from the heartbeat knobs (rankio.Timeouts.SilenceBudget), so the
+// verdict reaches rank 0 first: the world's error names rank 1, and rank 0
+// unwinds with a *simnet.ErrPeerFailed naming it. Only the legs whose ranks
+// talk over the wire run.
+func TestStoppedPeerBehindWire(t *testing.T) {
+	cfg := spmd.Config{Ranks: 2, RanksPerNode: 1}
+	const victim = 1
+	if spmd.WorkerOf() == "" {
+		t.Setenv("TMPDIR", t.TempDir()) // where the witness goes
+		t.Setenv(rankio.EnvTimeouts, chaosTimeouts)
+	}
+	// Rank 0 writes what it unwound with to a witness file: nothing when it
+	// was the typed verdict.
+	witness := func(backend spmd.Backend) string {
+		return filepath.Join(os.TempDir(), fmt.Sprintf("stopped-peer-%s-survivor", backend))
+	}
+	body := func(p *spmd.Proc) {
+		if p.Rank() != victim { // armed before the setup, as in TestStoppedRank
+			defer func() {
+				e := recover()
+				got := fmt.Sprintf("%T: %v", e, e)
+				var pf *simnet.ErrPeerFailed
+				if err, ok := e.(error); ok && errors.As(err, &pf) && pf.Rank == victim {
+					got = ""
+				}
+				os.WriteFile(witness(spmd.WorkerOf()), []byte(got), 0o600)
+				panic(e)
+			}()
+		}
+		_, key := setupRegion(p, 128)
+		if p.Rank() == victim {
+			syscall.Kill(os.Getpid(), syscall.SIGSTOP)
+		}
+		buf := make([]byte, 8)
+		for {
+			p.EP().Get(buf, simnet.Addr{Rank: victim, Key: key, Off: 0})
+		}
+	}
+	eachBackendLeg(t, "TestStoppedPeerBehindWire", cfg, func(label string, c spmd.Config) {
+		if label == "in-process" || label == "multi-process" {
+			return // no wire between the two ranks
+		}
+		err, _ := chaosRun(t, label, 60*time.Second, func() error { return spmd.Run(c, body) })
+		var re *rankio.RankError
+		if !errors.As(err, &re) || re.Rank != victim {
+			t.Fatalf("%s backend: world with a stopped peer returned %v, want a rankio.RankError naming rank %d", label, err, victim)
+		}
+		if got, err := os.ReadFile(witness(c.Backend)); err != nil || len(got) != 0 {
+			t.Errorf("%s backend: rank 0 unwound with %q (%v), want *simnet.ErrPeerFailed naming rank %d", label, got, err, victim)
+		}
 	})
 }
