@@ -62,11 +62,13 @@ func TestAccOpUnknownFaults(t *testing.T) {
 	AccOp(99).apply(1, 2)
 }
 
+// TestAcceleratedSet: every operator but MIN, MAX and FSUM rides the atomic
+// unit, NO_OP included.
 func TestAcceleratedSet(t *testing.T) {
-	accel := map[AccOp]bool{AccSum: true, AccBand: true, AccBor: true, AccBxor: true, AccReplace: true}
+	accel := map[AccOp]bool{AccSum: true, AccBand: true, AccBor: true, AccBxor: true, AccReplace: true, AccNoOp: true}
 	for op := AccSum; op <= AccNoOp; op++ {
-		if got := op.accelerated(); got != accel[op] {
-			t.Errorf("op %d accelerated() = %v, want %v", op, got, accel[op])
+		if _, got := op.amo(); got != accel[op] {
+			t.Errorf("op %d amo() ok = %v, want %v", op, got, accel[op])
 		}
 	}
 }

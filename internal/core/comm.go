@@ -10,17 +10,20 @@ import (
 
 // Communication functions (§2.4). The contiguous fast path maps MPI_Put and
 // MPI_Get directly onto one fabric operation (adding stepsPutGet software
-// steps); accumulates use the DMAPP-accelerated chained atomics for the
-// common 8-byte integer operations and fall back to the paper's
-// lock-get-accumulate-put protocol for everything else, so true passive
-// mode never involves the target CPU.
+// steps). An accumulate's path depends on its operator alone: the common
+// 8-byte integer operators ride the DMAPP-accelerated atomic unit in every
+// call (Accumulate, GetAccumulate, FetchAndOp), and MIN, MAX and FSUM take
+// the paper's lock-get-accumulate-put protocol, so true passive mode never
+// involves the target CPU. One operator, one path, is what makes same-op
+// accumulates to a location atomic with respect to each other (MPI-3
+// §11.7.1): the fallback's lock does not exclude the atomic unit.
 
 // AccOp selects an accumulate operator.
 type AccOp int
 
-// Accumulate operators. SUM/BAND/BOR/BXOR/REPLACE on 8-byte integers ride
-// the hardware atomic unit; MIN, MAX and FSUM (float64 sum) take the
-// lock-based fallback, as on Gemini (§2.4, §3.1.3).
+// Accumulate operators. SUM/BAND/BOR/BXOR/REPLACE on 8-byte integers, and
+// NO_OP, ride the hardware atomic unit; MIN, MAX and FSUM (float64 sum) take
+// the lock-based fallback, as on Gemini (§2.4, §3.1.3).
 const (
 	AccSum AccOp = iota
 	AccBand
@@ -33,32 +36,30 @@ const (
 	AccNoOp // fetch-only (MPI_NO_OP)
 )
 
-// accelerated reports whether the fabric's atomic unit implements op.
-func (op AccOp) accelerated() bool {
-	switch op {
-	case AccSum, AccBand, AccBor, AccBxor, AccReplace:
-		return true
-	}
-	return false
-}
-
-func (op AccOp) amo() simnet.AmoOp {
+// amo returns the atomic-unit operator behind op; ok is false for the
+// operators the fallback serves (MIN, MAX, FSUM). The path is a function of
+// the operator and never of the operand's size: a multi-element accumulate
+// that took the fallback would race the atomic unit's single-element calls.
+func (op AccOp) amo() (aop simnet.AmoOp, ok bool) {
 	switch op {
 	case AccSum:
-		return simnet.AmoSum
+		return simnet.AmoSum, true
 	case AccBand:
-		return simnet.AmoBand
+		return simnet.AmoBand, true
 	case AccBor:
-		return simnet.AmoBor
+		return simnet.AmoBor, true
 	case AccBxor:
-		return simnet.AmoBxor
+		return simnet.AmoBxor, true
 	case AccReplace:
-		return simnet.AmoReplace
+		return simnet.AmoReplace, true
+	case AccNoOp:
+		return simnet.AmoNoOp, true
 	}
-	panic("core: operator not accelerated")
+	return 0, false
 }
 
-// apply computes op(target, operand) for the fallback path.
+// apply computes op(target, operand): the fallback's arithmetic, defined for
+// every operator so that it also states what the atomic unit computes.
 func (op AccOp) apply(target, operand uint64) uint64 {
 	switch op {
 	case AccSum:
@@ -166,22 +167,30 @@ func (w *Win) accLockRelease(target int) {
 // Accumulate applies op element-wise between the 8-byte words of src and
 // the target window at disp (MPI_Accumulate with MPI_UINT64_T-sized
 // elements, the paper's benchmark configuration). Accelerated operators
-// ride the chained atomic unit; others lock, get, accumulate locally, and
-// put back (§2.4).
+// ride the chained atomic unit; MIN, MAX and FSUM lock, get, accumulate
+// locally, and put back (§2.4).
 func (w *Win) Accumulate(op AccOp, src []byte, target, disp int) {
 	w.checkEpochAccess()
 	if len(src)%8 != 0 {
 		panic("core: Accumulate needs a multiple of 8 bytes")
 	}
 	a := w.addrOf(target, disp, len(src))
-	if op.accelerated() {
-		w.ep.AmoBulkNBI(a, op.amo(), src)
+	if aop, ok := op.amo(); ok {
+		w.ep.AmoBulkNBI(a, aop, src)
 		return
 	}
-	w.accLockAcquire(target)
+	w.accLocked(op, src, nil, a, target)
+}
+
+// accLocked is the fallback protocol for MIN, MAX and FSUM: under target's
+// accumulate lock it gets the target words (copied into old unless old is
+// nil), applies op locally and puts the result back.
+func (w *Win) accLocked(op AccOp, src, old []byte, a simnet.Addr, target int) {
 	cur := make([]byte, len(src))
+	w.accLockAcquire(target)
 	w.ep.GetNBI(cur, a)
 	w.ep.Gsync()
+	copy(old, cur)
 	for i := 0; i < len(src); i += 8 {
 		t := binary.LittleEndian.Uint64(cur[i:])
 		o := binary.LittleEndian.Uint64(src[i:])
@@ -199,55 +208,48 @@ func (w *Win) Accumulate(op AccOp, src []byte, target, disp int) {
 const accApplyNs = 4
 
 // GetAccumulate fetches the previous target contents into result while
-// applying op(src) to the target (MPI_Get_accumulate).
+// applying op(src) to the target (MPI_Get_accumulate). An accelerated op
+// issues one fetching AMO per element, pipelined like Post's fetch-adds:
+// MPI asks for per-element atomicity and nothing more.
 func (w *Win) GetAccumulate(op AccOp, src, result []byte, target, disp int) {
 	w.checkEpochAccess()
 	if len(src) != len(result) || len(src)%8 != 0 {
 		panic("core: GetAccumulate needs equal, 8-byte-multiple buffers")
 	}
 	a := w.addrOf(target, disp, len(src))
-	if op == AccSum && len(src) == 8 {
-		// Single-element fetching AMO: the hardware fast path.
-		old := w.ep.FetchAdd(a, binary.LittleEndian.Uint64(src))
-		binary.LittleEndian.PutUint64(result, old)
+	aop, ok := op.amo()
+	if !ok {
+		w.accLocked(op, src, result, a, target)
 		return
 	}
-	w.accLockAcquire(target)
-	w.ep.GetNBI(result, a)
-	w.ep.Gsync()
-	if op != AccNoOp {
-		out := make([]byte, len(src))
-		for i := 0; i < len(src); i += 8 {
-			t := binary.LittleEndian.Uint64(result[i:])
-			o := binary.LittleEndian.Uint64(src[i:])
-			binary.LittleEndian.PutUint64(out[i:], op.apply(t, o))
-		}
-		w.ep.Compute(accApplyNs * int64(len(src)/8))
-		w.ep.PutNBI(a, out)
-		w.ep.Gsync()
+	handles := w.fetchHandles[:0]
+	for i := 0; i < len(src); i += 8 {
+		old, h := w.ep.FetchOpNB(a.Add(i), aop, binary.LittleEndian.Uint64(src[i:]))
+		binary.LittleEndian.PutUint64(result[i:], old)
+		handles = append(handles, h)
 	}
-	w.accLockRelease(target)
+	for _, h := range handles {
+		w.ep.Wait(h)
+	}
+	w.fetchHandles = handles[:0]
 }
 
 // FetchAndOp is the single-element MPI_Fetch_and_op: op(target, src) with
-// the previous value returned. SUM maps to one hardware fetch-add; REPLACE
-// to swap; NO_OP to an atomic read; the rest take the fallback.
+// the previous value returned. An accelerated op is one fetching AMO (NO_OP
+// an atomic read of the word); MIN, MAX and FSUM take the fallback.
 func (w *Win) FetchAndOp(op AccOp, src uint64, target, disp int) uint64 {
 	w.checkEpochAccess()
 	a := w.addrOf(target, disp, 8)
-	switch op {
-	case AccSum:
-		return w.ep.FetchAdd(a, src)
-	case AccReplace:
-		return w.ep.Swap(a, src)
-	case AccNoOp:
+	if op == AccNoOp {
 		return w.ep.LoadW(a)
-	default:
-		var sb, rb [8]byte
-		binary.LittleEndian.PutUint64(sb[:], src)
-		w.GetAccumulate(op, sb[:], rb[:], target, disp)
-		return binary.LittleEndian.Uint64(rb[:])
 	}
+	if aop, ok := op.amo(); ok {
+		return w.ep.FetchOp(a, aop, src)
+	}
+	var sb, rb [8]byte
+	binary.LittleEndian.PutUint64(sb[:], src)
+	w.accLocked(op, sb[:], rb[:], a, target)
+	return binary.LittleEndian.Uint64(rb[:])
 }
 
 // CompareAndSwap is MPI_Compare_and_swap on one 8-byte element.

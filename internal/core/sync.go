@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"fompi/internal/simnet"
 )
 
 // Fast-path software-step counts the paper reports (§2.3, §2.4, §6): the
@@ -84,9 +86,9 @@ func (w *Win) Post(group []int) {
 	// independent, so they pipeline. The O(k) announcement draws its
 	// ticket/handle scratch from the window's reusable pool.
 	idxs := w.postIdxs[:0]
-	handles := w.postHandles[:0]
+	handles := w.fetchHandles[:0]
 	for _, j := range g {
-		v, h := w.ep.FetchAddNB(w.ctlAddr(j, ctlPostCount), 1)
+		v, h := w.ep.FetchOpNB(w.ctlAddr(j, ctlPostCount), simnet.AmoSum, 1)
 		idxs = append(idxs, v)
 		handles = append(handles, h)
 	}
@@ -97,7 +99,7 @@ func (w *Win) Post(group []int) {
 		}
 		w.ep.StoreW(w.ctlAddr(j, ctlPostList(w.cfg.MaxAttach)+int(idxs[i])*8), uint64(w.p.Rank())+1)
 	}
-	w.postIdxs, w.postHandles = idxs[:0], handles[:0]
+	w.postIdxs, w.fetchHandles = idxs[:0], handles[:0]
 	w.ep.Gsync()
 	w.exposureQueue = append(w.exposureQueue, len(g))
 }

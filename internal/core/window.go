@@ -133,8 +133,9 @@ type Win struct {
 
 	// PSCW state. consumed is allocated on first Start (fence- and
 	// lock-only windows never pay for it); groupCache memoizes validated
-	// epoch groups, and postIdxs/postHandles are Post's reusable O(k)
-	// scratch.
+	// epoch groups, and postIdxs is Post's reusable O(k) scratch.
+	// fetchHandles holds the handles of pipelined fetching AMOs, Post's and
+	// GetAccumulate's.
 	accessGroup   []int // current access epoch (start..complete)
 	exposureQueue []int // outstanding exposure group sizes, FIFO for wait
 	waitTarget    uint64
@@ -142,7 +143,7 @@ type Win struct {
 	groupCache    []groupCacheEnt
 	groupCacheRR  int
 	postIdxs      []uint64
-	postHandles   []simnet.Handle
+	fetchHandles  []simnet.Handle
 
 	// Passive-target state.
 	epoch       epochKind

@@ -221,7 +221,7 @@ func (m *remoteMem) LoadWord(off int) (uint64, timing.Time) {
 }
 
 // WordAmo ships one word atomic and its doorbell ring (see simnet.RemoteMem).
-func (m *remoteMem) WordAmo(op simnet.WordOp, off int, o1, o2 uint64, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (old uint64, land, base, newFree timing.Time) {
+func (m *remoteMem) WordAmo(op simnet.AmoOp, off int, o1, o2 uint64, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (old uint64, land, base, newFree timing.Time) {
 	m.w.rsess[m.rank].bring = true
 	e := m.op(opWordAmo, off, nil, false)
 	e.u8(uint8(op))

@@ -234,14 +234,14 @@ func (w *World) handle(op uint8, d *dec, e *enc) (ok bool) {
 	case opWordAmo:
 		x := w.exec(d)
 		off := int(d.u64())
-		wop := simnet.WordOp(d.u8())
+		op := simnet.AmoOp(d.u8())
 		o1, o2 := d.u64(), d.u64()
 		clockIn := timing.Time(d.i64())
 		srcFree := timing.Time(d.i64())
 		lat, xfer := d.i64(), d.i64()
 		reserve := d.boolVal()
 		d.must()
-		old, land, base, free := x.WordAmo(wop, off, o1, o2, clockIn, srcFree, reserve, lat, xfer)
+		old, land, base, free := x.WordAmo(op, off, o1, o2, clockIn, srcFree, reserve, lat, xfer)
 		e.u64(old)
 		e.i64(int64(land))
 		e.i64(int64(base))
@@ -249,14 +249,14 @@ func (w *World) handle(op uint8, d *dec, e *enc) (ok bool) {
 	case opBulkAmo:
 		x := w.exec(d)
 		off := int(d.u64())
-		aop := simnet.AmoOp(d.u8())
+		op := simnet.AmoOp(d.u8())
 		clockIn := timing.Time(d.i64())
 		srcFree := timing.Time(d.i64())
 		lat, xfer := d.i64(), d.i64()
 		reserve := d.boolVal()
 		src := d.rest()
 		d.must()
-		comp, free := x.BulkAmo(aop, off, src, clockIn, srcFree, reserve, lat, xfer)
+		comp, free := x.BulkAmo(op, off, src, clockIn, srcFree, reserve, lat, xfer)
 		e.i64(int64(comp))
 		e.i64(int64(free))
 	case opNotify:

@@ -85,7 +85,7 @@ func firstSub(t *testing.T, reply []byte) []byte {
 func fetchAddFields() []byte {
 	b := binary.LittleEndian.AppendUint32(nil, 0) // key
 	b = binary.LittleEndian.AppendUint64(b, 0)    // off
-	b = append(b, byte(simnet.WordAdd))
+	b = append(b, byte(simnet.AmoSum))
 	b = binary.LittleEndian.AppendUint64(b, 1) // o1: delta
 	for i := 0; i < 4; i++ {
 		b = binary.LittleEndian.AppendUint64(b, 0) // o2, clockIn, srcFree, lat
@@ -390,7 +390,7 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 		m := &remoteMem{w: w, rank: 1 - w.Rank(), key: 0, size: 8}
 		var mismatch error
 		for i := uint64(0); i < rounds; i++ {
-			if got, _, _, _ := m.WordAmo(simnet.WordAdd, 0, 1, 0, 0, 0, true, 0, 1); got != i {
+			if got, _, _, _ := m.WordAmo(simnet.AmoSum, 0, 1, 0, 0, 0, true, 0, 1); got != i {
 				mismatch = fmt.Errorf("rank %d fetch-add %d returned %d: an op was lost or applied twice", w.Rank(), i, got)
 				break
 			}
@@ -680,7 +680,7 @@ func TestTruncatedReplyFaults(t *testing.T) {
 		{"opGet", 16, func(w *World, m *remoteMem) { m.Get(buf[:], 0, 0, true, 0, 1) }},
 		{"opStoreW", 8, func(w *World, m *remoteMem) { m.StoreWord(0, 1, true, 0, 1, &sink, true); w.DrainWire() }},
 		{"opLoadW", 16, func(w *World, m *remoteMem) { m.LoadWord(0) }},
-		{"opWordAmo", 32, func(w *World, m *remoteMem) { m.WordAmo(simnet.WordAdd, 0, 1, 0, 0, 0, true, 0, 1) }},
+		{"opWordAmo", 32, func(w *World, m *remoteMem) { m.WordAmo(simnet.AmoSum, 0, 1, 0, 0, 0, true, 0, 1) }},
 		{"opBulkAmo", 16, func(w *World, m *remoteMem) { m.BulkAmo(simnet.AmoSum, 0, buf[:], 0, 0, true, 0, 1) }},
 		{"opNotify", 8, func(w *World, m *remoteMem) { m.Notify(0, 1, true, 0, 1, &sink, true); w.DrainWire() }},
 		{"opRegQuery", 9, func(w *World, m *remoteMem) { w.queryRegion(1, 0) }},
@@ -811,12 +811,20 @@ func FuzzFrame(f *testing.F) {
 	tail := func(vs ...uint64) func(e *enc) { // trailing words, then reserve
 		return func(e *enc) { u64s(vs...)(e); e.u8(1) }
 	}
+	wordAmo := func(op simnet.AmoOp, o1 uint64) []byte {
+		return entryOf(opWordAmo, addr(24, func(e *enc) { e.u8(uint8(op)); tail(o1, 0, 0, 0, 0, 1)(e) }))
+	}
 	perOp := [][]byte{
 		entryOf(opPut, addr(8, func(e *enc) { tail(5, 1)(e); e.bytes([]byte("8 bytes!")) })),
 		entryOf(opGet, addr(0, tail(16, 0, 0, 1))),
 		entryOf(opStoreW, addr(16, tail(4, 5, 1))), // binds a ring of 4 at offset 0
 		entryOf(opLoadW, addr(16, nil)),
 		append([]byte{opWordAmo}, fetchAddFields()...),
+		wordAmo(simnet.AmoBand, 0xf0f0),
+		wordAmo(simnet.AmoBor, 0x0f0f),
+		wordAmo(simnet.AmoBxor, 0xffff),
+		wordAmo(simnet.AmoNoOp, 0),
+		wordAmo(simnet.AmoNoOp+1, 1), // no such operator: a typed fault
 		entryOf(opBulkAmo, addr(32, func(e *enc) { e.u8(uint8(simnet.AmoSum)); tail(0, 0, 0, 1)(e); e.u64(3) })),
 		entryOf(opNotify, addr(0, tail(9, 5, 1))),
 		entryOf(opRegQuery, func(e *enc) { e.u32(0) }),

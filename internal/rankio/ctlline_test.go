@@ -62,17 +62,18 @@ func TestCtlLineRejects(t *testing.T) {
 		{"", ErrLineVerb, 0},
 		{"HELLO 1", ErrLineVerb, 0},
 		{"join 8 net 0 a h 2 1 0", ErrLineVerb, 0},
-		{"JOIN 0 127.0.0.1:4000 2 1 0 5 host0", ErrProtoVersion, lnJoin},     // a v5 worker's JOIN
-		{"JOIN 6 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v6 worker's JOIN
-		{"JOIN 7 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v7 worker's: same line, other data frames
-		{"JOIN 8 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v8 worker's: same line, no DUMP
-		{"JOIN 9 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v9 worker's: same line, ABORT carries a rank
-		{"JOIN 10 net 0 127.0.0.1:4000,evil:1 host0 2 1 0", ErrLineToken, lnJoin},
-		{"JOIN 10 net 0 127.0.0.1:4000 host,0 2 1 0", ErrLineToken, lnJoin},
-		{"JOIN 10 net 0  host0 2 1 0", ErrLineToken, lnJoin},
-		{"JOIN 10 net 0 127.0.0.1:4000 host0 2 1", ErrLineFields, lnJoin},
-		{"JOIN 10 net 0 127.0.0.1:4000 host0 2 1 0 extra", ErrLineFields, lnJoin},
-		{"JOIN 10 net 0 127.0.0.1:4000 host0 0 1 0", ErrLineFields, lnJoin}, // a world of no ranks
+		{"JOIN 0 127.0.0.1:4000 2 1 0 5 host0", ErrProtoVersion, lnJoin},      // a v5 worker's JOIN
+		{"JOIN 6 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin},  // a v6 worker's JOIN
+		{"JOIN 7 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin},  // a v7 worker's: same line, other data frames
+		{"JOIN 8 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin},  // a v8 worker's: same line, no DUMP
+		{"JOIN 9 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin},  // a v9 worker's: same line, ABORT carries a rank
+		{"JOIN 10 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v10 worker's: same line, other AMO op codes
+		{"JOIN 11 net 0 127.0.0.1:4000,evil:1 host0 2 1 0", ErrLineToken, lnJoin},
+		{"JOIN 11 net 0 127.0.0.1:4000 host,0 2 1 0", ErrLineToken, lnJoin},
+		{"JOIN 11 net 0  host0 2 1 0", ErrLineToken, lnJoin},
+		{"JOIN 11 net 0 127.0.0.1:4000 host0 2 1", ErrLineFields, lnJoin},
+		{"JOIN 11 net 0 127.0.0.1:4000 host0 2 1 0 extra", ErrLineFields, lnJoin},
+		{"JOIN 11 net 0 127.0.0.1:4000 host0 0 1 0", ErrLineFields, lnJoin}, // a world of no ranks
 		{"WORLD 0 a,,b h,h,h", ErrLineToken, lnWorld},
 		{"READY 01", ErrLineFields, lnReady},
 		{"READY +1", ErrLineFields, lnReady},
@@ -104,7 +105,7 @@ func FuzzCtlLine(f *testing.F) {
 		f.Add(wire[:len(wire)-1])
 	}
 	f.Add([]byte("JOIN 0 127.0.0.1:4000 2 1 0 5 host0"))              // v5
-	f.Add([]byte("JOIN 10 net -1 10.0.0.1:7,10.0.0.2:7 host0 2 1 0")) // comma-bearing addr
+	f.Add([]byte("JOIN 11 net -1 10.0.0.1:7,10.0.0.2:7 host0 2 1 0")) // comma-bearing addr
 	f.Add([]byte("STATS " + strings.Repeat(`{"a":1}`, maxLine/7+1)))  // over-long STATS
 	f.Add([]byte("WORLD 0 a,b h0,h1 trailing"))
 	f.Add([]byte("FAIL 3 \x00\xff binary \x7f"))

@@ -7,25 +7,14 @@ import (
 	"fompi/internal/timing"
 )
 
-// AmoOp selects the element-wise operator of a chained atomic.
-type AmoOp int
-
-// Chained-atomic operators (the DMAPP-accelerated accumulate set: common
-// integer operations on 8-byte data, §2.4 of the paper).
-const (
-	AmoSum AmoOp = iota
-	AmoBand
-	AmoBor
-	AmoBxor
-	AmoReplace
-)
-
 // AmoBulkNBI applies op element-wise between src (a multiple of 8 bytes)
 // and the remote words starting at a, atomically per word, with implicit
 // completion. It models DMAPP's chained AMOs: one injection, then
 // AmoPerElNs per element through the target's atomic unit — which is why
 // accelerated accumulates cost 28 ns per element rather than a full
-// injection each (P_acc,sum = 28 ns·s + 2.4 µs).
+// injection each (P_acc,sum = 28 ns·s + 2.4 µs). Every accumulate whose
+// operator the unit implements comes here or to FetchOp, whatever its
+// length; only MIN, MAX and FSUM take core's lock-get-modify-put fallback.
 func (ep *Endpoint) AmoBulkNBI(a Addr, op AmoOp, src []byte) {
 	if len(src)%8 != 0 {
 		panic("simnet: bulk AMO length must be a multiple of 8")

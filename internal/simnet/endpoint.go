@@ -428,7 +428,7 @@ func (ep *Endpoint) Get(dst []byte, src Addr) {
 // latency (that is the word's stamp); the origin-side completion of a
 // fetching operation takes the full AMO round trip (AmoNs — the paper's
 // P_acc constant).
-func (ep *Endpoint) amoCommon(a Addr, op WordOp, o1, o2 uint64) (old uint64, comp timing.Time) {
+func (ep *Endpoint) amoCommon(a Addr, op AmoOp, o1, o2 uint64) (old uint64, comp timing.Time) {
 	ep.paceOp()
 	rt := ep.route(a)
 	reg, pr, same := rt.reg, rt.pr, rt.same
@@ -452,42 +452,39 @@ func (ep *Endpoint) amoCommon(a Addr, op WordOp, o1, o2 uint64) (old uint64, com
 	return old, comp
 }
 
-// FetchAdd atomically adds delta to the remote word and returns the old
-// value (blocking: fetching AMOs return data).
-func (ep *Endpoint) FetchAdd(a Addr, delta uint64) uint64 {
-	old, comp := ep.amoCommon(a, WordAdd, delta, 0)
+// FetchOp atomically applies op with operand v to the remote word and
+// returns the old value (blocking: fetching AMOs return data).
+func (ep *Endpoint) FetchOp(a Addr, op AmoOp, v uint64) uint64 {
+	old, comp := ep.amoCommon(a, op, v, 0)
 	ep.AdvanceTo(comp)
 	return old
 }
 
-// FetchAddNB issues a fetching atomic add without blocking: the previous
-// value is returned immediately (the simulation resolves it at issue), and
-// the handle completes when the reply would physically arrive. Protocols
-// pipeline independent fetching AMOs with it (e.g. PSCW post acquires all k
+// FetchOpNB issues a fetching atomic without blocking: the previous value is
+// returned immediately (the simulation resolves it at issue), and the handle
+// completes when the reply would physically arrive. Protocols pipeline
+// independent fetching AMOs with it (e.g. PSCW post acquires all k
 // matching-list slots in one round trip).
-func (ep *Endpoint) FetchAddNB(a Addr, delta uint64) (uint64, Handle) {
-	old, comp := ep.amoCommon(a, WordAdd, delta, 0)
+func (ep *Endpoint) FetchOpNB(a Addr, op AmoOp, v uint64) (uint64, Handle) {
+	old, comp := ep.amoCommon(a, op, v, 0)
 	return old, Handle{comp: comp}
 }
+
+// FetchAdd atomically adds delta to the remote word and returns the old
+// value.
+func (ep *Endpoint) FetchAdd(a Addr, delta uint64) uint64 { return ep.FetchOp(a, AmoSum, delta) }
 
 // CompareSwap atomically compares-and-swaps the remote word, returning the
 // value held before the operation.
 func (ep *Endpoint) CompareSwap(a Addr, compare, swap uint64) uint64 {
-	old, comp := ep.amoCommon(a, WordCas, compare, swap)
-	ep.AdvanceTo(comp)
-	return old
-}
-
-// Swap atomically replaces the remote word, returning the old value.
-func (ep *Endpoint) Swap(a Addr, v uint64) uint64 {
-	old, comp := ep.amoCommon(a, WordSwap, v, 0)
+	old, comp := ep.amoCommon(a, AmoCas, compare, swap)
 	ep.AdvanceTo(comp)
 	return old
 }
 
 // AddNBI issues a non-fetching atomic add with implicit completion.
 func (ep *Endpoint) AddNBI(a Addr, delta uint64) {
-	_, comp := ep.amoCommon(a, WordAdd, delta, 0)
+	_, comp := ep.amoCommon(a, AmoSum, delta, 0)
 	ep.implicitMax = timing.Max(ep.implicitMax, comp)
 }
 

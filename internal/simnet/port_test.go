@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -165,7 +166,7 @@ func TestAmoChainsSerializeOnPort(t *testing.T) {
 				if i%2 == 0 {
 					x.Ring = f
 				}
-				old, land, base, nf := x.WordAmo(WordAdd, 8, 1, 0, clock, free, reserve, 240, 1)
+				old, land, base, nf := x.WordAmo(AmoSum, 8, 1, 0, clock, free, reserve, 240, 1)
 				mine[w] = append(mine[w], link{old, land, base})
 				clock, free = clock+100, nf
 			}
@@ -194,6 +195,59 @@ func TestAmoChainsSerializeOnPort(t *testing.T) {
 		}
 		if got, want := regs[w].StampMax(8, 8), c[len(c)-1].land; got != want {
 			t.Errorf("region %d: word stamped %d at rest, want the last link's landing %d", w, got, want)
+		}
+	}
+}
+
+// TestAmoUnknownOpFaultsFree: an op code outside the atomic unit's set —
+// which a corrupt wire frame can carry — faults WordAmo and BulkAmo alike,
+// by name, before the port is taken: the word is untouched and the port
+// word reads as it did.
+func TestAmoUnknownOpFaultsFree(t *testing.T) {
+	f := NewFabric(1, 1)
+	reg := f.Endpoint(0, FoMPI()).Register(64)
+	x := RegionExec{Reg: reg, Ring: f}
+	before := atomic.LoadUint64(&reg.port.word)
+	bad := AmoNoOp + 1
+	word := faultOf(func() { x.WordAmo(bad, 8, 1, 0, 0, 0, true, 240, 1) })
+	bulk := faultOf(func() { x.BulkAmo(bad, 8, make([]byte, 16), 0, 0, true, 240, 1) })
+	const want = "simnet: unknown AMO operator 7"
+	if word != want || bulk != want {
+		t.Fatalf("unknown op faulted WordAmo with %q and BulkAmo with %q, want %q for both", word, bulk, want)
+	}
+	if w := atomic.LoadUint64(&reg.port.word); w != before {
+		t.Fatalf("port word %#x after the faults, want %#x: a fault left the port held", w, before)
+	}
+	if v := reg.LocalWord(8); v != 0 {
+		t.Fatalf("word %#x after the faults, want it untouched", v)
+	}
+}
+
+// TestApplyAmoTable drives every operator of the one set through applyAmo:
+// each returns the prior word and leaves op(prior, operand) behind.
+func TestApplyAmoTable(t *testing.T) {
+	const prior = 0b1100
+	for _, c := range []struct {
+		op     AmoOp
+		o1, o2 uint64
+		after  uint64
+	}{
+		{AmoSum, 3, 0, 15},
+		{AmoBand, 0b1010, 0, 0b1000},
+		{AmoBor, 0b1010, 0, 0b1110},
+		{AmoBxor, 0b1010, 0, 0b0110},
+		{AmoReplace, 99, 0, 99},
+		{AmoCas, prior, 7, 7},
+		{AmoCas, prior + 1, 7, prior},
+		{AmoNoOp, 99, 0, prior},
+	} {
+		buf := make([]byte, 16)
+		binary.LittleEndian.PutUint64(buf[8:], prior)
+		if old := applyAmo(buf, 8, c.op, c.o1, c.o2); old != prior {
+			t.Errorf("op %d: fetched %#x, want %#x", c.op, old, prior)
+		}
+		if got := binary.LittleEndian.Uint64(buf[8:]); got != c.after {
+			t.Errorf("op %d (%#x, %#x): word %#x, want %#x", c.op, c.o1, c.o2, got, c.after)
 		}
 	}
 }

@@ -21,28 +21,50 @@ import (
 // keeps virtual times bit-identical across all backends (the conformance
 // suite in internal/transporttest pins this).
 
-// WordOp selects the read-modify-write operator of a single-word remote
-// atomic (the AMO set behind Endpoint.FetchAdd/CompareSwap/Swap/AddNBI).
-type WordOp uint8
+// AmoOp selects the operator of a remote atomic: the one operator set of
+// the target's atomic unit, behind both the single-word fetching AMOs
+// (Endpoint.FetchOp, CompareSwap, AddNBI) and the chained AMOs
+// (Endpoint.AmoBulkNBI). It is the DMAPP-accelerated set — the common integer
+// operations on 8-byte data, §2.4 of the paper — plus compare-and-swap and an
+// atomic read. Its value is the op byte of the wire's AMO requests.
+type AmoOp uint8
 
-// Word-atomic operators.
+// Atomic-unit operators.
 const (
-	WordAdd WordOp = iota
-	WordCas
-	WordSwap
+	AmoSum AmoOp = iota
+	AmoBand
+	AmoBor
+	AmoBxor
+	AmoReplace
+	AmoCas  // o1 compare, o2 swap
+	AmoNoOp // fetch only
 )
 
-// applyWordOp performs one word atomic on buf and returns the prior value.
-func applyWordOp(buf []byte, off int, op WordOp, o1, o2 uint64) uint64 {
-	switch op {
-	case WordAdd:
-		return hostatomic.Add(buf, off, o1)
-	case WordCas:
-		return hostatomic.Cas(buf, off, o1, o2)
-	case WordSwap:
-		return hostatomic.Swap(buf, off, o1)
+// checkAmo faults on an operator outside the set, before any port is taken.
+func checkAmo(op AmoOp) {
+	if op > AmoNoOp {
+		panic(fmt.Sprintf("simnet: unknown AMO operator %d", op))
 	}
-	panic("simnet: unknown word-atomic operator")
+}
+
+// applyAmo performs one word atomic on buf and returns the prior value. op
+// has passed checkAmo, so what is left after the switch is AmoNoOp.
+func applyAmo(buf []byte, off int, op AmoOp, o1, o2 uint64) (old uint64) {
+	switch op {
+	case AmoSum:
+		return hostatomic.Add(buf, off, o1)
+	case AmoBand:
+		return hostatomic.And(buf, off, o1)
+	case AmoBor:
+		return hostatomic.Or(buf, off, o1)
+	case AmoBxor:
+		return hostatomic.Xor(buf, off, o1)
+	case AmoReplace:
+		return hostatomic.Swap(buf, off, o1)
+	case AmoCas:
+		return hostatomic.Cas(buf, off, o1, o2)
+	}
+	return hostatomic.Load(buf, off)
 }
 
 // RemoteMem executes the owner-side half of Endpoint operations against a
@@ -90,7 +112,7 @@ type RemoteMem interface {
 	// through source-NIC serialization (srcFree) and an owner-NIC
 	// reservation; the word is stamped with land. newFree is the advanced
 	// source-NIC cursor (meaningful only when reserve is true).
-	WordAmo(op WordOp, off int, o1, o2 uint64, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (old uint64, land, base, newFree timing.Time)
+	WordAmo(op AmoOp, off int, o1, o2 uint64, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (old uint64, land, base, newFree timing.Time)
 	// BulkAmo applies op element-wise between src and the remote words
 	// (WordAmo-shaped timing over the whole range, stamped with comp).
 	BulkAmo(op AmoOp, off int, src []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (comp, newFree timing.Time)
@@ -240,14 +262,12 @@ func (x RegionExec) LoadWord(off int) (uint64, timing.Time) {
 // the port every chain link is atomic and the stamp strictly monotone
 // (land = max(clock, prev) + latency > prev) — across regions, requesters
 // and the processes that map the port.
-func (x RegionExec) WordAmo(op WordOp, off int, o1, o2 uint64, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (old uint64, land, base, newFree timing.Time) {
+func (x RegionExec) WordAmo(op AmoOp, off int, o1, o2 uint64, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (old uint64, land, base, newFree timing.Time) {
 	x.Reg.checkWords(off, 8)
-	if op > WordSwap {
-		panic("simnet: unknown word-atomic operator")
-	}
+	checkAmo(op)
 	x.Reg.port.Lock()
 	prev := x.Reg.stamps.Get(off)
-	old = applyWordOp(x.Reg.buf, off, op, o1, o2)
+	old = applyAmo(x.Reg.buf, off, op, o1, o2)
 	base = timing.Max(clockIn, prev)
 	land, newFree = x.landAt(base, srcFree, reserve, lat, xfer)
 	x.Reg.stamps.Set(off, land)
@@ -256,29 +276,14 @@ func (x RegionExec) WordAmo(op WordOp, off int, o1, o2 uint64, clockIn, srcFree 
 }
 
 // BulkAmo applies a chained atomic over the range (see RemoteMem.BulkAmo),
-// under the port like WordAmo.
+// under the port like WordAmo. Each word is applyAmo's with src's word as
+// its one operand (an AmoCas link would swap in zero).
 func (x RegionExec) BulkAmo(op AmoOp, off int, src []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (comp, newFree timing.Time) {
 	x.Reg.checkWords(off, len(src))
-	if op < AmoSum || op > AmoReplace {
-		panic("simnet: unknown bulk AMO op")
-	}
-	n := len(src) / 8
+	checkAmo(op)
 	x.Reg.port.Lock()
-	for i := 0; i < n; i++ {
-		v := binary.LittleEndian.Uint64(src[i*8:])
-		o := off + i*8
-		switch op {
-		case AmoSum:
-			hostatomic.Add(x.Reg.buf, o, v)
-		case AmoBand:
-			hostatomic.And(x.Reg.buf, o, v)
-		case AmoBor:
-			hostatomic.Or(x.Reg.buf, o, v)
-		case AmoBxor:
-			hostatomic.Xor(x.Reg.buf, o, v)
-		case AmoReplace:
-			hostatomic.Swap(x.Reg.buf, o, v)
-		}
+	for i := 0; i < len(src); i += 8 {
+		applyAmo(x.Reg.buf, off+i, op, binary.LittleEndian.Uint64(src[i:]), 0)
 	}
 	prev := x.Reg.stamps.MaxRange(off, len(src))
 	base := timing.Max(clockIn, prev)

@@ -203,7 +203,7 @@ func (w *routeWorld) run(seed int64, n int, bypass bool) {
 		case 1:
 			ep.GetNBI(buf[:size], a)
 		case 2:
-			_, h := ep.FetchAddNB(a, rng.Uint64()>>1)
+			_, h := ep.FetchOpNB(a, AmoSum, rng.Uint64()>>1)
 			ep.Wait(h)
 		case 3:
 			ep.CompareSwap(a, 0, rng.Uint64())

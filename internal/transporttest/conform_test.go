@@ -196,7 +196,7 @@ func TestConformanceAtomics(t *testing.T) {
 			v := ep.LoadW(cell)
 			ep.StoreW(cell, v+1)
 			ep.Gsync()
-			check(ep.Swap(lock, 0) == uint64(p.Rank())+1, "lock stolen from rank %d", p.Rank())
+			check(ep.FetchOp(lock, simnet.AmoReplace, 0) == uint64(p.Rank())+1, "lock stolen from rank %d", p.Rank())
 		}
 		p.Barrier()
 		if p.Rank() == 0 {

@@ -46,7 +46,7 @@ func TestConformanceAmoChain(t *testing.T) {
 			var rec [16]byte
 			for i := 0; i < perRank; i++ {
 				w := (i + p.Rank()) % 2
-				old, h := ep.FetchAddNB(simnet.Addr{Rank: 0, Key: keys[w]}, 1)
+				old, h := ep.FetchOpNB(simnet.Addr{Rank: 0, Key: keys[w]}, simnet.AmoSum, 1)
 				check(old < links, "rank %d: fetch-add on word %d returned %d of %d", p.Rank(), w, old, links)
 				base := int64(h.CompTime()) - max(pr.PutLatNs, pr.AmoNs)
 				binary.LittleEndian.PutUint64(rec[:], uint64(base))
