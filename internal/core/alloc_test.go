@@ -41,12 +41,13 @@ func TestFenceAllocCeiling(t *testing.T) {
 
 // TestAccumulateAllocFree pins the atomic unit's fetching calls at zero
 // allocations: FetchAndOp of an accelerated op other than SUM is one
-// fetching AMO, and a one-element GetAccumulate one pipelined fetching AMO
-// whose handle lives in the window's reusable scratch. Rank 0 measures
-// against rank 1 on the other node while rank 1 waits in the closing fence.
+// fetching AMO, FetchAndOp(AccNoOp) one word load (a one-word get), and a
+// one-element GetAccumulate one pipelined fetching AMO whose handle lives
+// in the window's reusable scratch. Rank 0 measures against rank 1 on the
+// other node while rank 1 waits in the closing fence.
 func TestAccumulateAllocFree(t *testing.T) {
 	const runs = 100
-	var fetchOp, getAcc atomic.Uint64
+	var fetchOp, fetchNoOp, getAcc atomic.Uint64
 	spmd.MustRun(spmd.Config{Ranks: 2, RanksPerNode: 1}, func(p *spmd.Proc) {
 		w, _ := Allocate(p, 64, Config{})
 		defer w.Free()
@@ -55,6 +56,8 @@ func TestAccumulateAllocFree(t *testing.T) {
 			src, res := make([]byte, 8), make([]byte, 8)
 			a := testing.AllocsPerRun(runs, func() { w.FetchAndOp(AccBxor, 5, 1, 0) })
 			fetchOp.Store(uint64(a * 1000))
+			a = testing.AllocsPerRun(runs, func() { w.FetchAndOp(AccNoOp, 0, 1, 0) })
+			fetchNoOp.Store(uint64(a * 1000))
 			a = testing.AllocsPerRun(runs, func() { w.GetAccumulate(AccSum, src, res, 1, 8) })
 			getAcc.Store(uint64(a * 1000))
 		}
@@ -62,6 +65,9 @@ func TestAccumulateAllocFree(t *testing.T) {
 	})
 	if got := float64(fetchOp.Load()) / 1000; got != 0 {
 		t.Errorf("FetchAndOp(AccBxor) allocates %.2f objects per call, want 0", got)
+	}
+	if got := float64(fetchNoOp.Load()) / 1000; got != 0 {
+		t.Errorf("FetchAndOp(AccNoOp) allocates %.2f objects per call, want 0", got)
 	}
 	if got := float64(getAcc.Load()) / 1000; got != 0 {
 		t.Errorf("one-element GetAccumulate(AccSum) allocates %.2f objects per call, want 0", got)

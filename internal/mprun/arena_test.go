@@ -1,6 +1,7 @@
 package mprun
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -375,5 +376,49 @@ func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
 	}
 	if _, err := openArenaAt([]string{filepath.Join(t.TempDir(), "never")}, cfg, 20*time.Millisecond); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("opener of a segment that never appears returned %v, want not-exist at the deadline", err)
+	}
+}
+
+// TestOneWordPutStampsFirstOverTwoViews is simnet's TestOneWordPutStampsFirst
+// over one arena mapped twice, as two processes would: one-word puts through
+// the owner's view, a reader spinning on the word through the peer's, both
+// with and without the NIC booking. A reader that sees value v must find v's
+// stamp, its arrival 10·v, or a later one.
+func TestOneWordPutStampsFirstOverTwoViews(t *testing.T) {
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			owner, peer := pl.open(t, ArenaConfig{Ranks: 1, ArenaBytes: pageAlign})
+			live := simnet.RegionLive
+			for key, reserve := range []bool{true, false} {
+				seg := owner.AllocSeg(0, 64)
+				reg := simnet.MakeRegion(0, 0, seg.Buf, seg.St, owner.Port(0), &live)
+				owner.Publish(0, key, &reg)
+				view := peer.Lookup(0, uint32(key), 0)
+				const puts = 200000
+				stale, seen := 0, 0
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					for last := uint64(0); last < puts; {
+						if v := view.LocalWord(8); v != last {
+							if seen++; view.StampMax(8, 8) < timing.Time(10*v) {
+								stale++
+							}
+							last = v
+						}
+					}
+				}()
+				x := simnet.RegionExec{Reg: &reg}
+				var src [8]byte
+				for v := uint64(1); v <= puts; v++ {
+					binary.LittleEndian.PutUint64(src[:], v)
+					x.Put(8, src[:], reserve, timing.Time(10*v), 1)
+				}
+				<-done
+				if stale != 0 {
+					t.Errorf("reserve=%v: %d of %d values seen through the peer's view carried an earlier put's stamp", reserve, stale, seen)
+				}
+			}
+		})
 	}
 }

@@ -198,55 +198,14 @@ func (m *remoteMem) Get(dst []byte, off int, clockIn timing.Time, reserve bool, 
 	return comp
 }
 
-// StoreWord posts one word store and its doorbell ring (see
-// simnet.RemoteMem).
-func (m *remoteMem) StoreWord(off int, v uint64, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool) {
+// Amo ships one atomic and its doorbell ring; a fetching one's prior words
+// come back behind its times (see simnet.RemoteMem).
+func (m *remoteMem) Amo(op simnet.AmoOp, off int, src []byte, swap uint64, old []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (land, base, newFree timing.Time) {
 	m.w.rsess[m.rank].bring = true
-	e := m.op(opStoreW, off, sink, fold)
-	e.u64(v)
-	e.i64(int64(arrival))
-	e.i64(xfer)
-	e.boolByte(reserve)
-	m.w.fire(m.rank, e)
-}
-
-// LoadWord reads one word and its stamp in one round trip. (A pure read,
-// but the reply cache keeps a retried load coherent with the interleaving
-// it originally observed.)
-func (m *remoteMem) LoadWord(off int) (uint64, timing.Time) {
-	d := m.w.call(m.rank, m.op(opLoadW, off, nil, false))
-	v, st := d.u64(), timing.Time(d.i64())
-	d.complete(m.rank)
-	return v, st
-}
-
-// WordAmo ships one word atomic and its doorbell ring (see simnet.RemoteMem).
-func (m *remoteMem) WordAmo(op simnet.AmoOp, off int, o1, o2 uint64, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (old uint64, land, base, newFree timing.Time) {
-	m.w.rsess[m.rank].bring = true
-	e := m.op(opWordAmo, off, nil, false)
+	e := m.op(opAmo, off, nil, false)
 	e.u8(uint8(op))
-	e.u64(o1)
-	e.u64(o2)
-	e.i64(int64(clockIn))
-	e.i64(int64(srcFree))
-	e.i64(lat)
-	e.i64(xfer)
-	e.boolByte(reserve)
-	d := m.w.call(m.rank, e)
-	old = d.u64()
-	land = timing.Time(d.i64())
-	base = timing.Time(d.i64())
-	newFree = timing.Time(d.i64())
-	d.complete(m.rank)
-	return old, land, base, newFree
-}
-
-// BulkAmo ships one chained atomic and its doorbell ring (see
-// simnet.RemoteMem).
-func (m *remoteMem) BulkAmo(op simnet.AmoOp, off int, src []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (comp, newFree timing.Time) {
-	m.w.rsess[m.rank].bring = true
-	e := m.op(opBulkAmo, off, nil, false)
-	e.u8(uint8(op))
+	e.boolByte(old != nil)
+	e.u64(swap)
 	e.i64(int64(clockIn))
 	e.i64(int64(srcFree))
 	e.i64(lat)
@@ -254,10 +213,17 @@ func (m *remoteMem) BulkAmo(op simnet.AmoOp, off int, src []byte, clockIn, srcFr
 	e.boolByte(reserve)
 	e.bytes(src)
 	d := m.w.call(m.rank, e)
-	comp = timing.Time(d.i64())
+	land = timing.Time(d.i64())
+	base = timing.Time(d.i64())
 	newFree = timing.Time(d.i64())
+	var fetched []byte
+	if old != nil {
+		fetched = d.rest()
+		d.bad = d.bad || len(fetched) != len(old)
+	}
 	d.complete(m.rank)
-	return comp, newFree
+	copy(old, fetched)
+	return land, base, newFree
 }
 
 // Notify posts one ring deposit and its doorbell ring (see

@@ -215,50 +215,33 @@ func (w *World) handle(op uint8, d *dec, e *enc) (ok bool) {
 		e.b = slices.Grow(e.b, n)[:start+n]
 		comp := x.Get(e.b[start:start+n], off, clockIn, reserve, tail, xfer)
 		binary.LittleEndian.PutUint64(e.b[compAt:], uint64(comp))
-	case opStoreW:
-		x := w.exec(d)
-		off := int(d.u64())
-		v := d.u64()
-		arrival := timing.Time(d.i64())
-		xfer := d.i64()
-		reserve := d.boolVal()
-		d.must()
-		e.i64(int64(x.StoreWord(off, v, reserve, arrival, xfer)))
-	case opLoadW:
-		x := w.exec(d)
-		off := int(d.u64())
-		d.must()
-		v, st := x.LoadWord(off)
-		e.u64(v)
-		e.i64(int64(st))
-	case opWordAmo:
+	case opAmo:
 		x := w.exec(d)
 		off := int(d.u64())
 		op := simnet.AmoOp(d.u8())
-		o1, o2 := d.u64(), d.u64()
-		clockIn := timing.Time(d.i64())
-		srcFree := timing.Time(d.i64())
-		lat, xfer := d.i64(), d.i64()
-		reserve := d.boolVal()
-		d.must()
-		old, land, base, free := x.WordAmo(op, off, o1, o2, clockIn, srcFree, reserve, lat, xfer)
-		e.u64(old)
-		e.i64(int64(land))
-		e.i64(int64(base))
-		e.i64(int64(free))
-	case opBulkAmo:
-		x := w.exec(d)
-		off := int(d.u64())
-		op := simnet.AmoOp(d.u8())
+		fetch := d.boolVal()
+		swap := d.u64()
 		clockIn := timing.Time(d.i64())
 		srcFree := timing.Time(d.i64())
 		lat, xfer := d.i64(), d.i64()
 		reserve := d.boolVal()
 		src := d.rest()
 		d.must()
-		comp, free := x.BulkAmo(op, off, src, clockIn, srcFree, reserve, lat, xfer)
-		e.i64(int64(comp))
-		e.i64(int64(free))
+		// The times lead the reply and are patched in once known; the
+		// fetched words go straight into the frame behind them, as a get's
+		// bytes do.
+		at := len(e.b)
+		e.b = append(e.b, make([]byte, 24)...)
+		var old []byte
+		if fetch {
+			start := len(e.b)
+			e.b = slices.Grow(e.b, len(src))[:start+len(src)]
+			old = e.b[start:]
+		}
+		land, base, free := x.Amo(op, off, src, swap, old, clockIn, srcFree, reserve, lat, xfer)
+		binary.LittleEndian.PutUint64(e.b[at:], uint64(land))
+		binary.LittleEndian.PutUint64(e.b[at+8:], uint64(base))
+		binary.LittleEndian.PutUint64(e.b[at+16:], uint64(free))
 	case opNotify:
 		x := w.exec(d)
 		off := int(d.u64())

@@ -79,32 +79,32 @@ func firstSub(t *testing.T, reply []byte) []byte {
 	return sub
 }
 
-// fetchAddFields encodes an opWordAmo entry's fields: an inter-node fetch-add
+// fetchAddFields encodes an opAmo entry's fields: an inter-node fetching add
 // of one on the probe word (key 0, off 0), so every execution advances the
 // word by exactly one — a counter that detects double application.
 func fetchAddFields() []byte {
 	b := binary.LittleEndian.AppendUint32(nil, 0) // key
 	b = binary.LittleEndian.AppendUint64(b, 0)    // off
-	b = append(b, byte(simnet.AmoSum))
-	b = binary.LittleEndian.AppendUint64(b, 1) // o1: delta
+	b = append(b, byte(simnet.AmoSum), 1)         // op, fetch
 	for i := 0; i < 4; i++ {
-		b = binary.LittleEndian.AppendUint64(b, 0) // o2, clockIn, srcFree, lat
+		b = binary.LittleEndian.AppendUint64(b, 0) // swap, clockIn, srcFree, lat
 	}
-	b = binary.LittleEndian.AppendUint64(b, 1) // xfer
-	return append(b, 1)                        // reserve
+	b = binary.LittleEndian.AppendUint64(b, 1)    // xfer
+	b = append(b, 1)                              // reserve
+	return binary.LittleEndian.AppendUint64(b, 1) // the operand: delta
 }
 
 func TestSessionDuplicateSeqReplaysCachedReply(t *testing.T) {
 	w := sessionWorld()
 	sid := sidFor(0, 4242)
 
-	r1, cached := applyOne(w, 0, sid, 1, 0, opWordAmo, fetchAddFields())
+	r1, cached := applyOne(w, 0, sid, 1, 0, opAmo, fetchAddFields())
 	if cached || firstSub(t, r1)[0] != stOK {
 		t.Fatalf("first application of seq 1: cached=%v reply %x, want a fresh OK", cached, r1)
 	}
 	first := append([]byte(nil), r1...)
 
-	r2, cached := applyOne(w, 0, sid, 1, 0, opWordAmo, fetchAddFields())
+	r2, cached := applyOne(w, 0, sid, 1, 0, opAmo, fetchAddFields())
 	if !cached {
 		t.Fatalf("duplicate seq 1 was not served from cache")
 	}
@@ -141,7 +141,7 @@ func TestSessionEvictionHonorsAck(t *testing.T) {
 
 	apply := func(seq, ack uint64) {
 		t.Helper()
-		if _, cached := applyOne(w, 0, sid, seq, ack, opWordAmo, fetchAddFields()); cached {
+		if _, cached := applyOne(w, 0, sid, seq, ack, opAmo, fetchAddFields()); cached {
 			t.Fatalf("seq %d unexpectedly served from cache", seq)
 		}
 	}
@@ -180,7 +180,7 @@ func TestSessionEvictionHonorsAck(t *testing.T) {
 	// it; one whose seq was acked and evicted cannot be, and must not execute
 	// again either.
 	replay := func(seq uint64) (reply []byte, cached bool) {
-		return applyOne(w, 0, sid, seq, 3, opWordAmo, fetchAddFields())
+		return applyOne(w, 0, sid, seq, 3, opAmo, fetchAddFields())
 	}
 	if rr, cached := replay(4); !cached || rr[4] != stOK {
 		t.Fatalf("replay of cached seq 4: cached=%v status %d, want the cached reply", cached, rr[4])
@@ -197,7 +197,7 @@ func TestSessionRejectsRankMismatch(t *testing.T) {
 	w := sessionWorld()
 	sid := sidFor(0, 11) // minted for rank 0
 
-	reply, cached := applyOne(w, 2, sid, 1, 0, opWordAmo, fetchAddFields()) // conn said HELLO as rank 2
+	reply, cached := applyOne(w, 2, sid, 1, 0, opAmo, fetchAddFields()) // conn said HELLO as rank 2
 	if cached || reply[4] != stFault {
 		t.Fatalf("rank-mismatched session was not rejected (cached=%v status=%d)", cached, reply[4])
 	}
@@ -215,7 +215,7 @@ func TestSessionRejectsRankMismatch(t *testing.T) {
 
 	// The rejected frame left nothing to replay from: its retransmission is
 	// rejected afresh, not answered from a cache.
-	if rr, cached := applyOne(w, 2, sid, 1, 0, opWordAmo, fetchAddFields()); cached || rr[4] != stFault || len(w.sessions) != 0 {
+	if rr, cached := applyOne(w, 2, sid, 1, 0, opAmo, fetchAddFields()); cached || rr[4] != stFault || len(w.sessions) != 0 {
 		t.Fatalf("replayed rank-mismatched frame: cached=%v status %d, %d sessions, want a fresh fault and no session state", cached, rr[4], len(w.sessions))
 	}
 }
@@ -388,10 +388,12 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 		w.RegisterRegion(w.Rank(), &reg)
 		w.Ready()
 		m := &remoteMem{w: w, rank: 1 - w.Rank(), key: 0, size: 8}
+		var one, fetched [8]byte
+		binary.LittleEndian.PutUint64(one[:], 1)
 		var mismatch error
 		for i := uint64(0); i < rounds; i++ {
-			if got, _, _, _ := m.WordAmo(simnet.AmoSum, 0, 1, 0, 0, 0, true, 0, 1); got != i {
-				mismatch = fmt.Errorf("rank %d fetch-add %d returned %d: an op was lost or applied twice", w.Rank(), i, got)
+			if m.Amo(simnet.AmoSum, 0, one[:], 0, fetched[:], 0, 0, true, 0, 1); binary.LittleEndian.Uint64(fetched[:]) != i {
+				mismatch = fmt.Errorf("rank %d fetch-add %d returned %d: an op was lost or applied twice", w.Rank(), i, binary.LittleEndian.Uint64(fetched[:]))
 				break
 			}
 		}
@@ -515,7 +517,7 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 		// Announce completion with a store (ordered behind the drained
 		// windows), then wait for the peer's announcement before reading the
 		// local ticket.
-		m.StoreWord(flagOff, 1, true, 0, 1, &sink, true)
+		m.Put(flagOff, binary.LittleEndian.AppendUint64(nil, 1), true, 0, 1, &sink, true)
 		w.DrainWire()
 		for reg.LocalWord(flagOff) == 0 {
 			time.Sleep(time.Millisecond)
@@ -589,7 +591,8 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 // doorbell message (RING) and re-attach handshake (RESUME) held alike.
 func TestUnassignedOpcodeRejected(t *testing.T) {
 	w := sessionWorld()
-	for _, op := range []uint8{0, opDoorWait + 1, opClock + 1, opBatch + 1} {
+	// 4, 5 and 7 are the retired word store, word load and chained AMO.
+	for _, op := range []uint8{0, 4, 5, 7, opDoorWait + 1, opClock + 1, opBatch + 1} {
 		if listed(op) {
 			t.Fatalf("unassigned opcode %d has a place in a list", op)
 		}
@@ -670,7 +673,7 @@ func shortOwner(t *testing.T, n int) *World {
 // completion time, a zero fetched value, a half-filled get buffer.
 func TestTruncatedReplyFaults(t *testing.T) {
 	var sink timing.Time
-	var buf [8]byte
+	var buf, old [8]byte
 	for _, c := range []struct {
 		name  string
 		whole int // bytes the op's sub-reply holds past its status
@@ -678,10 +681,8 @@ func TestTruncatedReplyFaults(t *testing.T) {
 	}{
 		{"opPut", 8, func(w *World, m *remoteMem) { m.Put(0, buf[:], true, 0, 1, &sink, true); w.DrainWire() }},
 		{"opGet", 16, func(w *World, m *remoteMem) { m.Get(buf[:], 0, 0, true, 0, 1) }},
-		{"opStoreW", 8, func(w *World, m *remoteMem) { m.StoreWord(0, 1, true, 0, 1, &sink, true); w.DrainWire() }},
-		{"opLoadW", 16, func(w *World, m *remoteMem) { m.LoadWord(0) }},
-		{"opWordAmo", 32, func(w *World, m *remoteMem) { m.WordAmo(simnet.AmoSum, 0, 1, 0, 0, 0, true, 0, 1) }},
-		{"opBulkAmo", 16, func(w *World, m *remoteMem) { m.BulkAmo(simnet.AmoSum, 0, buf[:], 0, 0, true, 0, 1) }},
+		{"opAmo fetching", 32, func(w *World, m *remoteMem) { m.Amo(simnet.AmoSum, 0, buf[:], 0, old[:], 0, 0, true, 0, 1) }},
+		{"opAmo", 24, func(w *World, m *remoteMem) { m.Amo(simnet.AmoSum, 0, buf[:], 0, nil, 0, 0, true, 0, 1) }},
 		{"opNotify", 8, func(w *World, m *remoteMem) { m.Notify(0, 1, true, 0, 1, &sink, true); w.DrainWire() }},
 		{"opRegQuery", 9, func(w *World, m *remoteMem) { w.queryRegion(1, 0) }},
 		{"opDoorGen", 8, func(w *World, m *remoteMem) { w.ctlWord(1, opDoorGen) }},
@@ -811,21 +812,34 @@ func FuzzFrame(f *testing.F) {
 	tail := func(vs ...uint64) func(e *enc) { // trailing words, then reserve
 		return func(e *enc) { u64s(vs...)(e); e.u8(1) }
 	}
-	wordAmo := func(op simnet.AmoOp, o1 uint64) []byte {
-		return entryOf(opWordAmo, addr(24, func(e *enc) { e.u8(uint8(op)); tail(o1, 0, 0, 0, 0, 1)(e) }))
+	amo := func(op simnet.AmoOp, fetch bool, swap uint64, operand []byte) []byte {
+		return entryOf(opAmo, addr(24, func(e *enc) {
+			e.u8(uint8(op))
+			e.boolByte(fetch)
+			tail(swap, 0, 0, 0, 1)(e)
+			e.bytes(operand)
+		}))
+	}
+	word := func(vs ...uint64) (b []byte) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
 	}
 	perOp := [][]byte{
 		entryOf(opPut, addr(8, func(e *enc) { tail(5, 1)(e); e.bytes([]byte("8 bytes!")) })),
 		entryOf(opGet, addr(0, tail(16, 0, 0, 1))),
-		entryOf(opStoreW, addr(16, tail(4, 5, 1))), // binds a ring of 4 at offset 0
-		entryOf(opLoadW, addr(16, nil)),
-		append([]byte{opWordAmo}, fetchAddFields()...),
-		wordAmo(simnet.AmoBand, 0xf0f0),
-		wordAmo(simnet.AmoBor, 0x0f0f),
-		wordAmo(simnet.AmoBxor, 0xffff),
-		wordAmo(simnet.AmoNoOp, 0),
-		wordAmo(simnet.AmoNoOp+1, 1), // no such operator: a typed fault
-		entryOf(opBulkAmo, addr(32, func(e *enc) { e.u8(uint8(simnet.AmoSum)); tail(0, 0, 0, 1)(e); e.u64(3) })),
+		entryOf(opPut, addr(16, func(e *enc) { tail(5, 1)(e); e.u64(4) })), // binds a ring of 4 at offset 0
+		entryOf(opGet, addr(16, tail(8, 0, 0, 1))),
+		append([]byte{opAmo}, fetchAddFields()...),
+		amo(simnet.AmoBand, true, 0, word(0xf0f0)),
+		amo(simnet.AmoBor, false, 0, word(0x0f0f)),
+		amo(simnet.AmoBxor, true, 0, word(0xffff, 0xff)),
+		amo(simnet.AmoCas, true, 7, word(0)),
+		amo(simnet.AmoNoOp, true, 0, word(0)),
+		amo(simnet.AmoSum, false, 0, word(3, 4, 5)),
+		amo(simnet.AmoSum, true, 0, []byte("12 bytes!!!!")), // not whole words: a typed fault
+		amo(simnet.AmoNoOp+1, true, 0, word(1)),             // no such operator: a typed fault
 		entryOf(opNotify, addr(0, tail(9, 5, 1))),
 		entryOf(opRegQuery, func(e *enc) { e.u32(0) }),
 		entryOf(opDoorGen, nil),
@@ -836,11 +850,16 @@ func FuzzFrame(f *testing.F) {
 		f.Add(frameOf(sid, 1, 0, buildBatch(false, ent)))
 	}
 	f.Add(frameOf(sid, 1, 0, buildBatch(true, perOp...)))
+	// The retired word store, word load and chained AMO: the list is refused
+	// whole, before the put ahead of them runs.
+	for _, retired := range []byte{4, 5, 7} {
+		f.Add(frameOf(sid, 1, 0, buildBatch(false, perOp[0], append([]byte{retired}, fetchAddFields()...))))
+	}
 	// FuzzParseBatch's corpus, behind a session header.
 	f.Add(frameOf(sid, 1, 0, nil))
 	f.Add(frameOf(sid, 1, 0, buildBatch(false)))
 	f.Add(frameOf(sid, 1, 0, buildBatch(true, append([]byte{opPut}, bytes.Repeat([]byte{3}, 29)...))))
-	f.Add(frameOf(sid, 2, 1, buildBatch(false, []byte{opNotify, 1}, []byte{opStoreW, 2, 3})))
+	f.Add(frameOf(sid, 2, 1, buildBatch(false, []byte{opNotify, 1}, []byte{opAmo, 2, 3})))
 	f.Add(frameOf(sid, 1, 0, append([]byte{2}, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3)))
 	f.Add(frameOf(sidFor(1, 1), 1, 0, buildBatch(true))) // a session minted for another rank
 	f.Add([]byte{opHello, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0})

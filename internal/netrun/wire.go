@@ -62,10 +62,10 @@ const (
 	opHello    uint8 = iota + 1 // rank u32 (once per connection; no reply)
 	opPut                       // fire: key u32, off u64, arrival i64, xfer i64, reserve u8, bytes -> comp i64
 	opGet                       // value: key u32, off u64, n u64, clockIn i64, tail i64, xfer i64, reserve u8 -> comp i64, n bytes
-	opStoreW                    // fire: key u32, off u64, val u64, arrival i64, xfer i64, reserve u8 -> comp i64
-	opLoadW                     // value: key u32, off u64 -> val u64, stamp i64
-	opWordAmo                   // value: key u32, off u64, wop u8, o1 u64, o2 u64, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8 -> old u64, land i64, base i64, free i64
-	opBulkAmo                   // value: key u32, off u64, aop u8, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8, bytes -> comp i64, free i64
+	_                           // 4 was the word store (now a one-word opPut): unassigned
+	_                           // 5 was the word load (now a one-word opGet): unassigned
+	opAmo                       // value: key u32, off u64, aop u8, fetch u8, swap u64, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8, words -> land i64, base i64, free i64, the prior words if fetch
+	_                           // 7 was the chained AMO (now a non-fetching opAmo): unassigned
 	opNotify                    // fire: key u32, off u64, word u64, arrival i64, xfer i64, reserve u8 -> comp i64
 	opRegQuery                  // control: key u32 -> state u8, size u64
 	opDoorGen                   // control: - -> gen u64
@@ -81,8 +81,7 @@ const (
 // nest), not an unassigned number.
 func listed(op uint8) bool {
 	switch op {
-	case opPut, opGet, opStoreW, opLoadW, opWordAmo, opBulkAmo, opNotify,
-		opRegQuery, opDoorGen, opDoorWait, opClock:
+	case opPut, opGet, opAmo, opNotify, opRegQuery, opDoorGen, opDoorWait, opClock:
 		return true
 	}
 	return false

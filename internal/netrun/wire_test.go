@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -81,7 +82,7 @@ func buildBatch(ring bool, subs ...[]byte) []byte {
 
 func TestParseBatchRoundTrip(t *testing.T) {
 	sub1 := append([]byte{opPut}, bytes.Repeat([]byte{7}, 29)...)
-	sub2 := append([]byte{opStoreW}, bytes.Repeat([]byte{9}, 37)...)
+	sub2 := append([]byte{opAmo}, bytes.Repeat([]byte{9}, 37)...)
 	sub3 := []byte{opGet}
 	in := buildBatch(true, sub1, sub2, sub3)
 	ring, subs, err := parseBatch(in)
@@ -140,7 +141,17 @@ func FuzzParseBatch(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(buildBatch(false))
 	f.Add(buildBatch(true, append([]byte{opPut}, bytes.Repeat([]byte{3}, 29)...)))
-	f.Add(buildBatch(false, []byte{opNotify, 1}, []byte{opStoreW, 2, 3}))
+	f.Add(buildBatch(false, []byte{opNotify, 1}, []byte{opAmo, 2, 3}))
+	// A fetching opAmo, a non-fetching one, and one whose operand is not
+	// whole words.
+	fetching := append([]byte{opAmo}, fetchAddFields()...)
+	plain := slices.Clone(fetching)
+	plain[14] = 0 // the fetch flag, behind opcode, key, off and op
+	f.Add(buildBatch(false, fetching, plain, append(slices.Clone(plain), 1, 2, 3, 4)))
+	// The retired word store, word load and chained AMO.
+	for _, retired := range []byte{4, 5, 7} {
+		f.Add(buildBatch(false, fetching, append([]byte{retired}, fetchAddFields()...)))
+	}
 	f.Add(append([]byte{2}, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		ring, subs, err := parseBatch(in)

@@ -44,6 +44,15 @@ func TestFetchAddAllocFree(t *testing.T) {
 	}
 }
 
+func TestAmoBulkNBIAllocFree(t *testing.T) {
+	ep, a, buf := allocFixture()
+	if avg := testing.AllocsPerRun(200, func() {
+		ep.AmoBulkNBI(a, AmoSum, buf[:64])
+	}); avg > 0 {
+		t.Fatalf("AmoBulkNBI allocates %.2f objects per op, want 0", avg)
+	}
+}
+
 // TestPutNBIStoreWAllocFree pins the payload-then-flag pair every collective
 // issues: an implicit put and a word store through a warm route, each ringing
 // its target in its own port release.

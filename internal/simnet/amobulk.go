@@ -9,7 +9,8 @@ import (
 
 // AmoBulkNBI applies op element-wise between src (a multiple of 8 bytes)
 // and the remote words starting at a, atomically per word, with implicit
-// completion. It models DMAPP's chained AMOs: one injection, then
+// completion: one non-fetching Amo over the range, the same operation a
+// fetching word AMO is. It models DMAPP's chained AMOs: one injection, then
 // AmoPerElNs per element through the target's atomic unit — which is why
 // accelerated accumulates cost 28 ns per element rather than a full
 // injection each (P_acc,sum = 28 ns·s + 2.4 µs). Every accumulate whose
@@ -26,12 +27,11 @@ func (ep *Endpoint) AmoBulkNBI(a Addr, op AmoOp, src []byte) {
 	n := len(src) / 8
 	lat, xfer := pr.AmoNs+int64(n)*pr.AmoPerElNs, ep.xferNs(rt, len(src))
 	var comp, free timing.Time
-	rm := reg.rmt
-	if rm != nil {
+	if rm := reg.rmt; rm != nil {
 		reg.check(a.Off, len(src))
-		comp, free = rm.BulkAmo(op, a.Off, src, ep.clock, ep.nicFree, !same, lat, xfer)
+		comp, _, free = rm.Amo(op, a.Off, src, 0, nil, ep.clock, ep.nicFree, !same, lat, xfer)
 	} else {
-		comp, free = ep.exec(reg).BulkAmo(op, a.Off, src, ep.clock, ep.nicFree, !same, lat, xfer)
+		comp, _, free = ep.exec(reg).Amo(op, a.Off, src, 0, nil, ep.clock, ep.nicFree, !same, lat, xfer)
 	}
 	if !same {
 		ep.nicFree = free

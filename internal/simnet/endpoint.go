@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 
 	"fompi/internal/segpool"
@@ -30,6 +31,12 @@ type Endpoint struct {
 	// the last serialization term per locality (see xferNs).
 	routes [routeSlots]route
 	xfer   [2]xferMemo
+
+	// word holds the operand and the fetched word of the one-word
+	// operations (StoreW, LoadW, PollRemoteWord, the word AMOs): a buffer
+	// handed to a RemoteMem proxy escapes, and the endpoint is on the heap
+	// already.
+	word [16]byte
 
 	ctr Counters
 }
@@ -424,9 +431,9 @@ func (ep *Endpoint) Get(dst []byte, src Addr) {
 }
 
 // amoCommon performs the word operation on the addressed word atomically
-// right now. The update becomes visible at the target after a one-way
-// latency (that is the word's stamp); the origin-side completion of a
-// fetching operation takes the full AMO round trip (AmoNs — the paper's
+// right now and returns the prior value. The update becomes visible at the
+// target after a one-way latency (that is the word's stamp); the
+// origin-side completion takes the full AMO round trip (AmoNs — the paper's
 // P_acc constant).
 func (ep *Endpoint) amoCommon(a Addr, op AmoOp, o1, o2 uint64) (old uint64, comp timing.Time) {
 	ep.paceOp()
@@ -434,22 +441,20 @@ func (ep *Endpoint) amoCommon(a Addr, op AmoOp, o1, o2 uint64) (old uint64, comp
 	reg, pr, same := rt.reg, rt.pr, rt.same
 	ep.clock += timing.Time(pr.InjectNs)
 	xfer := ep.xferNs(rt, 8)
+	src, prev := ep.word[:8], ep.word[8:]
+	binary.LittleEndian.PutUint64(src, o1)
 	var land, base, free timing.Time
-	rm := reg.rmt
-	if rm != nil {
+	if rm := reg.rmt; rm != nil {
 		reg.check(a.Off, 8)
-		old, land, base, free = rm.WordAmo(op, a.Off, o1, o2,
-			ep.clock, ep.nicFree, !same, pr.PutLatNs, xfer)
+		land, base, free = rm.Amo(op, a.Off, src, o2, prev, ep.clock, ep.nicFree, !same, pr.PutLatNs, xfer)
 	} else {
-		old, land, base, free = ep.exec(reg).WordAmo(op, a.Off, o1, o2,
-			ep.clock, ep.nicFree, !same, pr.PutLatNs, xfer)
+		land, base, free = ep.exec(reg).Amo(op, a.Off, src, o2, prev, ep.clock, ep.nicFree, !same, pr.PutLatNs, xfer)
 	}
 	if !same {
 		ep.nicFree = free
 	}
-	comp = timing.Max(land, base+timing.Time(pr.AmoNs))
 	ep.ctr.Amos++
-	return old, comp
+	return binary.LittleEndian.Uint64(prev), timing.Max(land, base+timing.Time(pr.AmoNs))
 }
 
 // FetchOp atomically applies op with operand v to the remote word and
@@ -488,24 +493,27 @@ func (ep *Endpoint) AddNBI(a Addr, delta uint64) {
 	ep.implicitMax = timing.Max(ep.implicitMax, comp)
 }
 
-// StoreW atomically stores an 8-byte word remotely (an NBI put of one word;
-// the flag-update primitive of all synchronization protocols).
+// StoreW atomically stores an 8-byte word remotely: a one-word NBI put, the
+// flag-update primitive of all synchronization protocols. It is priced as a
+// flag, not a payload — no XPMEM copy charge, no small-message knee.
 func (ep *Endpoint) StoreW(a Addr, v uint64) {
 	ep.paceOp()
 	rt := ep.route(a)
 	reg, pr, same := rt.reg, rt.pr, rt.same
+	reg.checkWords(a.Off, 8)
 	ep.clock += timing.Time(pr.InjectNs)
 	xfer := ep.xferNs(rt, 8)
 	arrival := ep.xferArrival(same, ep.clock, pr.PutLatNs, xfer)
+	src := ep.word[:8]
+	binary.LittleEndian.PutUint64(src, v)
 	if reg.rmt == nil {
-		comp := ep.exec(reg).StoreWord(a.Off, v, !same, arrival, xfer)
+		comp := ep.exec(reg).Put(a.Off, src, !same, arrival, xfer)
 		ep.implicitMax = timing.Max(ep.implicitMax, comp)
 	} else {
 		// The completion folds into implicitMax when the window drains
 		// (Gsync drains first; Max is commutative, so the deferral cannot
 		// change the fold's result).
-		reg.check(a.Off, 8)
-		reg.rmt.StoreWord(a.Off, v, !same, arrival, xfer, &ep.implicitMax, true)
+		reg.rmt.Put(a.Off, src, !same, arrival, xfer, &ep.implicitMax, true)
 	}
 	ep.ctr.Puts++
 	ep.ctr.BytesPut += 8
@@ -518,23 +526,27 @@ func (ep *Endpoint) StoreW(a Addr, v uint64) {
 func (ep *Endpoint) LoadW(a Addr) uint64 {
 	ep.paceOp()
 	rt := ep.route(a)
-	pr := rt.pr
-	v, st := ep.loadWordStamped(rt.reg, a.Off)
-	ep.clock = timing.Max(ep.clock+timing.Time(pr.InjectNs), st) +
-		timing.Time(pr.GetLatNs+ep.xferNs(rt, 8))
+	rt.reg.checkWords(a.Off, 8)
+	v, comp := ep.getWord(rt, a.Off, ep.clock+timing.Time(rt.pr.InjectNs))
+	ep.clock = comp
 	ep.ctr.Gets++
 	ep.ctr.BytesGot += 8
 	return v
 }
 
-// loadWordStamped reads a word and its stamp in one snapshot, routing
-// through the proxy on unreachable remote memory.
-func (ep *Endpoint) loadWordStamped(reg *Region, off int) (uint64, timing.Time) {
+// getWord reads the word at off of rt's region with a one-word Get that
+// books no NIC, whatever the locality: it completes at max(clockIn, the
+// word's stamp) + GetLatNs + the word's transfer time.
+func (ep *Endpoint) getWord(rt *route, off int, clockIn timing.Time) (uint64, timing.Time) {
+	reg, dst := rt.reg, ep.word[:8]
+	tail := rt.pr.GetLatNs + ep.xferNs(rt, 8)
+	var comp timing.Time
 	if rm := reg.rmt; rm != nil {
-		reg.check(off, 8)
-		return rm.LoadWord(off)
+		comp = rm.Get(dst, off, clockIn, false, tail, 0)
+	} else {
+		comp = RegionExec{Reg: reg}.Get(dst, off, clockIn, false, tail, 0)
 	}
-	return reg.atomicLoad(off), reg.stamps.Get(off)
+	return binary.LittleEndian.Uint64(dst), comp
 }
 
 // Gsync completes all implicit-nonblocking operations (DMAPP bulk
@@ -607,15 +619,13 @@ func (ep *Endpoint) MergeStamp(reg *Region, off, n int) {
 // paper's protocols assume congestion-free retries).
 func (ep *Endpoint) PollRemoteWord(a Addr, pred func(uint64) bool) uint64 {
 	ep.drainWire()
-	rt := ep.route(a)
-	reg, pr := rt.reg, rt.pr
-	reg.check(a.Off, 8)
+	rt := *ep.route(a) // a copy: pred may issue, and take the memo slot
+	rt.reg.checkWords(a.Off, 8)
 	gen := ep.fab.DoorGen(a.Rank)
 	for {
-		v, st := ep.loadWordStamped(reg, a.Off)
+		v, comp := ep.getWord(&rt, a.Off, ep.clock)
 		if pred(v) {
-			ep.clock = timing.Max(ep.clock, st) +
-				timing.Time(pr.GetLatNs+ep.xferNs(rt, 8))
+			ep.clock = comp
 			ep.ctr.Gets++
 			ep.ctr.BytesGot += 8
 			return v

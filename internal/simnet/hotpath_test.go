@@ -233,13 +233,14 @@ func TestDoorbellFastPath(t *testing.T) {
 	}
 }
 
-// BenchmarkIssue{Put,Get,FetchAdd,StoreW,Notify} time the inline issue path
-// in the shapes the repository benchmark's put/get/amo kinds drive it — and
-// the two other writes DESIGN.md §6.1's locked-instruction table lists: 2
-// ranks on 2 nodes (the NIC path), an 8-byte operation completed by a flush,
-// nobody parked on the target's doorbell. `go test ./internal/simnet -run
-// '^$' -bench Issue` is the one-command local check for a change to this
-// path; each also guards it against allocating.
+// BenchmarkIssue{Put,Get,FetchAdd,StoreW,LoadW,Notify} time the inline issue
+// path in the shapes the repository benchmark's put/get/amo kinds drive it,
+// the one-word put and get the synchronization protocols store and load
+// their flags with, and the bare notification: 2 ranks on 2 nodes (the NIC
+// path), an 8-byte operation completed by a flush where it needs one, nobody
+// parked on the target's doorbell. `go test ./internal/simnet -run '^$'
+// -bench Issue` is the one-command local check for a change to this path;
+// each also guards it against allocating.
 func benchIssue(b *testing.B, op func(ep *Endpoint, a Addr, buf []byte)) {
 	ep, a, buf := allocFixture()
 	benchIssueOn(b, ep, func() { op(ep, a, buf[:8]) })
@@ -281,6 +282,12 @@ func BenchmarkIssueStoreW(b *testing.B) {
 	benchIssue(b, func(ep *Endpoint, a Addr, _ []byte) {
 		ep.StoreW(a, 1)
 		ep.Gsync()
+	})
+}
+
+func BenchmarkIssueLoadW(b *testing.B) {
+	benchIssue(b, func(ep *Endpoint, a Addr, _ []byte) {
+		ep.LoadW(a)
 	})
 }
 

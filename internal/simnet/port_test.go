@@ -3,6 +3,7 @@ package simnet
 import (
 	"encoding/binary"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -158,6 +159,8 @@ func TestAmoChainsSerializeOnPort(t *testing.T) {
 		go func(o int, reserve bool) {
 			defer wg.Done()
 			var mine [2][]link
+			var one, fetched [8]byte
+			binary.LittleEndian.PutUint64(one[:], 1)
 			<-start
 			clock, free := timing.Time(o), timing.Time(0)
 			for i := 0; i < perOrigin; i++ {
@@ -166,8 +169,8 @@ func TestAmoChainsSerializeOnPort(t *testing.T) {
 				if i%2 == 0 {
 					x.Ring = f
 				}
-				old, land, base, nf := x.WordAmo(AmoSum, 8, 1, 0, clock, free, reserve, 240, 1)
-				mine[w] = append(mine[w], link{old, land, base})
+				land, base, nf := x.Amo(AmoSum, 8, one[:], 0, fetched[:], clock, free, reserve, 240, 1)
+				mine[w] = append(mine[w], link{binary.LittleEndian.Uint64(fetched[:]), land, base})
 				clock, free = clock+100, nf
 			}
 			mu.Lock()
@@ -200,20 +203,30 @@ func TestAmoChainsSerializeOnPort(t *testing.T) {
 }
 
 // TestAmoUnknownOpFaultsFree: an op code outside the atomic unit's set —
-// which a corrupt wire frame can carry — faults WordAmo and BulkAmo alike,
-// by name, before the port is taken: the word is untouched and the port
-// word reads as it did.
+// which a corrupt wire frame can carry — faults a fetching word AMO and a
+// chained one alike, by name, and so do operands that are not whole words
+// and a fetch buffer of another length; all before the port is taken: the
+// word is untouched and the port word reads as it did.
 func TestAmoUnknownOpFaultsFree(t *testing.T) {
 	f := NewFabric(1, 1)
 	reg := f.Endpoint(0, FoMPI()).Register(64)
 	x := RegionExec{Reg: reg, Ring: f}
 	before := atomic.LoadUint64(&reg.port.word)
 	bad := AmoNoOp + 1
-	word := faultOf(func() { x.WordAmo(bad, 8, 1, 0, 0, 0, true, 240, 1) })
-	bulk := faultOf(func() { x.BulkAmo(bad, 8, make([]byte, 16), 0, 0, true, 240, 1) })
+	word := faultOf(func() { x.Amo(bad, 8, make([]byte, 8), 0, make([]byte, 8), 0, 0, true, 240, 1) })
+	chain := faultOf(func() { x.Amo(bad, 8, make([]byte, 16), 0, nil, 0, 0, true, 240, 1) })
 	const want = "simnet: unknown AMO operator 7"
-	if word != want || bulk != want {
-		t.Fatalf("unknown op faulted WordAmo with %q and BulkAmo with %q, want %q for both", word, bulk, want)
+	if word != want || chain != want {
+		t.Fatalf("unknown op faulted the word AMO with %q and the chained one with %q, want %q for both", word, chain, want)
+	}
+	for _, c := range []struct{ src, old []byte }{
+		{make([]byte, 12), nil},
+		{make([]byte, 8), make([]byte, 16)},
+		{make([]byte, 16), make([]byte, 8)},
+	} {
+		if msg := faultOf(func() { x.Amo(AmoSum, 8, c.src, 0, c.old, 0, 0, true, 240, 1) }); !strings.Contains(msg, "want whole words") {
+			t.Fatalf("an AMO of %d operand bytes fetching into %d faulted with %q, want the operand-shape fault", len(c.src), len(c.old), msg)
+		}
 	}
 	if w := atomic.LoadUint64(&reg.port.word); w != before {
 		t.Fatalf("port word %#x after the faults, want %#x: a fault left the port held", w, before)
@@ -250,4 +263,45 @@ func TestApplyAmoTable(t *testing.T) {
 			t.Errorf("op %d (%#x, %#x): word %#x, want %#x", c.op, c.o1, c.o2, got, c.after)
 		}
 	}
+}
+
+// TestOneWordPutStampsFirst: a rank polling a word outside the port, as
+// WaitLocal's predicates do, merges the word's stamp the moment it sees a
+// new value, so a one-word put must stamp before it stores. The writer's
+// arrivals rise with the value it stores; a reader that sees value v and
+// then reads a stamp below v's arrival has read the previous put's stamp.
+func TestOneWordPutStampsFirst(t *testing.T) {
+	for _, reserve := range []bool{true, false} {
+		reg := NewFabric(1, 1).Endpoint(0, FoMPI()).Register(64)
+		if stale, seen := putStampRace(RegionExec{Reg: reg}, reg, reserve); stale != 0 {
+			t.Errorf("reserve=%v: %d of %d values seen carried an earlier put's stamp", reserve, stale, seen)
+		}
+	}
+}
+
+// putStampRace drives one-word puts of 1, 2, ... through x at word 8,
+// arriving at 10 ns per unit of value, while a reader spins on reader's
+// view of the word; it returns how many of the values the reader saw
+// carried a stamp below their own arrival.
+func putStampRace(x RegionExec, reader *Region, reserve bool) (stale, seen int) {
+	const puts = 200000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for last := uint64(0); last < puts; {
+			if v := reader.LocalWord(8); v != last {
+				if seen++; reader.StampMax(8, 8) < timing.Time(10*v) {
+					stale++
+				}
+				last = v
+			}
+		}
+	}()
+	var src [8]byte
+	for v := uint64(1); v <= puts; v++ {
+		binary.LittleEndian.PutUint64(src[:], v)
+		x.Put(8, src[:], reserve, timing.Time(10*v), 1)
+	}
+	<-done
+	return stale, seen
 }

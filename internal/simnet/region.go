@@ -110,19 +110,16 @@ func (r *Region) checkWords(off, n int) {
 	}
 }
 
-// atomicLoad reads the 8-byte word at off with a single linearization point.
-func (r *Region) atomicLoad(off int) uint64 {
-	r.check(off, 8)
-	return hostatomic.Load(r.buf, off)
-}
-
 // StampMax returns the latest virtual completion stamp in [off, off+n).
 // The owner uses it to merge time after a successful local poll.
 func (r *Region) StampMax(off, n int) timing.Time { return r.stamps.MaxRange(off, n) }
 
 // LocalWord reads the 8-byte word at off atomically without advancing any
 // clock; owners use it inside poll predicates.
-func (r *Region) LocalWord(off int) uint64 { return r.atomicLoad(off) }
+func (r *Region) LocalWord(off int) uint64 {
+	r.check(off, 8)
+	return hostatomic.Load(r.buf, off)
+}
 
 // LocalWordStore writes the 8-byte word at off atomically, stamping it with
 // the owner's time t. It models a local store to exposed memory (free on the

@@ -26,7 +26,7 @@ import (
 // (Endpoint.FetchOp, CompareSwap, AddNBI) and the chained AMOs
 // (Endpoint.AmoBulkNBI). It is the DMAPP-accelerated set — the common integer
 // operations on 8-byte data, §2.4 of the paper — plus compare-and-swap and an
-// atomic read. Its value is the op byte of the wire's AMO requests.
+// atomic read. Its value is the op byte of the wire's opAmo entry.
 type AmoOp uint8
 
 // Atomic-unit operators.
@@ -68,54 +68,53 @@ func applyAmo(buf []byte, off int, op AmoOp, o1, o2 uint64) (old uint64) {
 }
 
 // RemoteMem executes the owner-side half of Endpoint operations against a
-// region the issuing process cannot address. Times crossing this interface
-// are virtual; the `reserve` flag of each transfer-shaped method selects the
-// inter-node path (completion = owner-NIC reservation of xfer virtual ns
-// starting at arrival: Port.BookNIC under the owner's port) versus the
-// intra-node path (completion = arrival, precomputed by the caller).
-// Implementations must
-// apply each call atomically enough that bytes, stamps, and NIC state mutate
-// with the same interleaving guarantees the in-process fabric gives
-// concurrently issuing ranks, and in this rank's issue order; RegionExec
-// provides the canonical execution.
+// region the issuing process cannot address. It has one method per kind of
+// data operation — put, get, atomic and notify, the DMAPP primitives foMPI
+// builds MPI-3 RMA on (a word store is an 8-byte put, a word load an 8-byte
+// get). Times crossing this interface are virtual; the `reserve` flag of
+// each method selects the inter-node path (completion = owner-NIC
+// reservation of xfer virtual ns starting at arrival: Port.BookNIC under the
+// owner's port) versus the intra-node path (completion = arrival,
+// precomputed by the caller). Implementations must apply each call
+// atomically enough that bytes, stamps, and NIC state mutate with the same
+// interleaving guarantees the in-process fabric gives concurrently issuing
+// ranks, and in this rank's issue order; RegionExec provides the canonical
+// execution.
 //
 // The operations differ only in when their completion is collected. The
-// fire class (Put, StoreWord, Notify) returns nothing the issuer needs
-// before it goes on, so a call only posts the operation: its completion time
-// is delivered later, on the issuing rank's goroutine, during the next
+// fire class (Put, Notify) returns nothing the issuer needs before it goes
+// on, so a call only posts the operation: its completion time is delivered
+// later, on the issuing rank's goroutine, during the next
 // WireDrainer.DrainWire or value-class call — written through sink, folded
 // with timing.Max when fold is true (the implicit-completion accumulator
 // discipline — commutative, so delivery order cannot leak into virtual time)
 // and assigned when false. sink must stay valid until then. The value class
-// (Get, LoadWord, WordAmo, BulkAmo) returns data, so a call blocks for its
-// reply — behind every operation posted before it. Every write — the fire
-// class and the two atomics — rings the owner's doorbell itself, once
+// (Get, Amo) returns data or the times the issuer's clock depends on, so a
+// call blocks for its reply — behind every operation posted before it. Every
+// write — Put, Notify and Amo — rings the owner's doorbell itself, once
 // applied: the ring travels in the write's own message, so it can neither
 // overtake the bytes it announces nor cost a message of its own.
 type RemoteMem interface {
 	// Size returns the registered length (bounds checks on the proxy).
 	Size() int
 	// Put copies src into [off,off+len(src)) and stamps the range with the
-	// transfer's completion time, which it delivers to sink.
+	// transfer's completion time, which it delivers to sink. One aligned
+	// word is stored atomically, after its stamp.
 	Put(off int, src []byte, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool)
 	// Get copies [off,off+len(dst)) into dst. base is max(clockIn, the
 	// range's stamp maximum); completion is base+tail intra-node or the NIC
-	// reservation of xfer at base+tail inter-node.
+	// reservation of xfer at base+tail inter-node. One aligned word is
+	// loaded atomically, before its stamp.
 	Get(dst []byte, off int, clockIn timing.Time, reserve bool, tail, xfer int64) timing.Time
-	// StoreWord atomically stores the 8-byte word and stamps it with the
-	// completion time delivered to sink (Put-shaped timing).
-	StoreWord(off int, v uint64, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool)
-	// LoadWord atomically reads the 8-byte word and its stamp.
-	LoadWord(off int) (uint64, timing.Time)
-	// WordAmo applies op to the word at off. base = max(clockIn, the word's
-	// prior stamp); the update lands intra-node at base+lat, or inter-node
-	// through source-NIC serialization (srcFree) and an owner-NIC
-	// reservation; the word is stamped with land. newFree is the advanced
-	// source-NIC cursor (meaningful only when reserve is true).
-	WordAmo(op AmoOp, off int, o1, o2 uint64, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (old uint64, land, base, newFree timing.Time)
-	// BulkAmo applies op element-wise between src and the remote words
-	// (WordAmo-shaped timing over the whole range, stamped with comp).
-	BulkAmo(op AmoOp, off int, src []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (comp, newFree timing.Time)
+	// Amo applies op element-wise between the words of src and the remote
+	// words at off (compare-and-swap compares with src's word and swaps in
+	// swap), writing the prior words to old unless old is nil. base =
+	// max(clockIn, the range's prior stamp maximum); the update lands
+	// intra-node at base+lat, or inter-node through source-NIC
+	// serialization (srcFree) and an owner-NIC reservation; the range is
+	// stamped with land. newFree is the advanced source-NIC cursor
+	// (meaningful only when reserve is true).
+	Amo(op AmoOp, off int, src []byte, swap uint64, old []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (land, base, newFree timing.Time)
 	// Notify runs the notification-ring deposit protocol at off (capacity
 	// and overflow checks, ticket, slot store) with Put-shaped timing for
 	// the 8-byte flag, delivered to sink.
@@ -148,10 +147,10 @@ type WireDrainer interface {
 // the port: a rank spinning on a leaked port could not unwind when the world
 // aborts. A backend forwards the panic to the requester.
 //
-// The stores that publish a write — its stamp records, a word store's value,
-// a notification's slot — are release stores (hostatomic.StoreRel): the
-// release add or the ring is the full fence that orders them before anyone
-// is told to look.
+// The stores that publish a write — its stamp records, a one-word put's
+// value, a notification's slot — are release stores (hostatomic.StoreRel):
+// the release add or the ring is the full fence that orders them before
+// anyone is told to look.
 type RegionExec struct {
 	Reg  *Region
 	Ring Transport
@@ -188,25 +187,27 @@ func (x RegionExec) done(locked bool) {
 }
 
 // oneWord reports whether [off, off+n) is exactly one aligned word — the
-// payload of most puts and gets. It moves as one load and one store instead
-// of a memmove call, and its stamp is the word's own record, reached without
-// the range walks' extra call. Unlike StoreWord and LoadWord the move is not
-// atomic: it is the same plain copy, narrower.
+// payload of most puts and gets, and all of a word store's or word load's.
+// It moves atomically, as one load or one store: a rank polling the word
+// (WaitLocal, outside the port) may read it at any moment, and merges its
+// stamp the moment it sees the value. Its stamp is the word's own record,
+// reached without the range walks' extra call.
 func oneWord(off, n int) bool { return n == 8 && off&7 == 0 }
 
-// Put copies src and stamps the range (see RemoteMem.Put). The copy stays
-// outside the port: a bulk put holds it for its stamp records only.
+// Put copies src and stamps the range (see RemoteMem.Put). A bulk copy
+// stays outside the port, which it holds for its stamp records only. One
+// word is stamped first and stored after, in the port when it takes it:
+// whoever sees the value must find this put's stamp.
 func (x RegionExec) Put(off int, src []byte, reserve bool, arrival timing.Time, xfer int64) timing.Time {
 	x.Reg.check(off, len(src))
 	word := oneWord(off, len(src))
-	if word {
-		binary.LittleEndian.PutUint64(x.Reg.buf[off:], binary.LittleEndian.Uint64(src))
-	} else {
+	if !word {
 		copy(x.Reg.buf[off:off+len(src)], src)
 	}
 	comp := x.land(reserve, arrival, xfer)
 	if word {
 		x.Reg.stamps.Set(off, comp)
+		hostatomic.StoreRel(x.Reg.buf, off, binary.LittleEndian.Uint64(src))
 	} else {
 		x.Reg.stamps.SetRange(off, len(src), comp)
 	}
@@ -215,11 +216,12 @@ func (x RegionExec) Put(off int, src []byte, reserve bool, arrival timing.Time, 
 }
 
 // Get copies the range out and resolves its completion (see RemoteMem.Get).
+// One word is loaded before its stamp is read, the mirror of Put's order.
 func (x RegionExec) Get(dst []byte, off int, clockIn timing.Time, reserve bool, tail, xfer int64) timing.Time {
 	x.Reg.check(off, len(dst))
 	var stamp timing.Time
 	if oneWord(off, len(dst)) {
-		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(x.Reg.buf[off:]))
+		binary.LittleEndian.PutUint64(dst, hostatomic.Load(x.Reg.buf, off))
 		stamp = x.Reg.stamps.Get(off)
 	} else {
 		copy(dst, x.Reg.buf[off:off+len(dst)])
@@ -236,61 +238,47 @@ func (x RegionExec) Get(dst []byte, off int, clockIn timing.Time, reserve bool, 
 	return comp
 }
 
-// StoreWord stamps and stores one word (see RemoteMem.StoreWord) — in that
-// order: a rank polling the word (WaitLocal, outside the port) merges its
-// stamp the moment it sees the value, and must find this store's.
-func (x RegionExec) StoreWord(off int, v uint64, reserve bool, arrival timing.Time, xfer int64) timing.Time {
-	x.Reg.checkWords(off, 8)
-	comp := x.land(reserve, arrival, xfer)
-	x.Reg.stamps.Set(off, comp)
-	hostatomic.StoreRel(x.Reg.buf, off, v)
-	x.done(reserve)
-	return comp
-}
-
-// LoadWord reads one word and its stamp (see RemoteMem.LoadWord).
-func (x RegionExec) LoadWord(off int) (uint64, timing.Time) {
-	v := x.Reg.atomicLoad(off)
-	return v, x.Reg.stamps.Get(off)
-}
-
-// WordAmo applies one word atomic (see RemoteMem.WordAmo). The whole
-// read-apply-stamp sequence holds the owner's port, intra-node too: atomics
-// chain through their word's stamp, and a racing AMO that read the same
-// prior stamp would overwrite this one's later landing with an earlier
+// Amo applies an atomic over the words at off (see RemoteMem.Amo): one
+// word for the fetching AMOs, a chain of them for DMAPP's chained AMOs. The
+// whole read-apply-stamp sequence holds the owner's port, intra-node too:
+// atomics chain through their words' stamps, and a racing AMO that read the
+// same prior stamp would overwrite this one's later landing with an earlier
 // time, leaking host scheduling into the stamps that pollers merge. Under
 // the port every chain link is atomic and the stamp strictly monotone
 // (land = max(clock, prev) + latency > prev) — across regions, requesters
-// and the processes that map the port.
-func (x RegionExec) WordAmo(op AmoOp, off int, o1, o2 uint64, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (old uint64, land, base, newFree timing.Time) {
-	x.Reg.checkWords(off, 8)
-	checkAmo(op)
-	x.Reg.port.Lock()
-	prev := x.Reg.stamps.Get(off)
-	old = applyAmo(x.Reg.buf, off, op, o1, o2)
-	base = timing.Max(clockIn, prev)
-	land, newFree = x.landAt(base, srcFree, reserve, lat, xfer)
-	x.Reg.stamps.Set(off, land)
-	x.done(true)
-	return old, land, base, newFree
-}
-
-// BulkAmo applies a chained atomic over the range (see RemoteMem.BulkAmo),
-// under the port like WordAmo. Each word is applyAmo's with src's word as
-// its one operand (an AmoCas link would swap in zero).
-func (x RegionExec) BulkAmo(op AmoOp, off int, src []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (comp, newFree timing.Time) {
+// and the processes that map the port. Every fault — the range, the
+// operator, an operand or fetch buffer of the wrong length — is raised
+// before the port is taken.
+func (x RegionExec) Amo(op AmoOp, off int, src []byte, swap uint64, old []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (land, base, newFree timing.Time) {
 	x.Reg.checkWords(off, len(src))
 	checkAmo(op)
-	x.Reg.port.Lock()
-	for i := 0; i < len(src); i += 8 {
-		applyAmo(x.Reg.buf, off+i, op, binary.LittleEndian.Uint64(src[i:]), 0)
+	if len(src)%8 != 0 || (old != nil && len(old) != len(src)) {
+		panic(fmt.Sprintf("simnet: AMO over %d operand bytes fetching into %d: want whole words, as many fetched", len(src), len(old)))
 	}
-	prev := x.Reg.stamps.MaxRange(off, len(src))
-	base := timing.Max(clockIn, prev)
-	comp, newFree = x.landAt(base, srcFree, reserve, lat, xfer)
-	x.Reg.stamps.SetRange(off, len(src), comp)
+	x.Reg.port.Lock()
+	if len(src) == 8 { // a word AMO: the word's own stamp record, no loop
+		prev := x.Reg.stamps.Get(off)
+		v := applyAmo(x.Reg.buf, off, op, binary.LittleEndian.Uint64(src), swap)
+		if old != nil {
+			binary.LittleEndian.PutUint64(old, v)
+		}
+		base = timing.Max(clockIn, prev)
+		land, newFree = x.landAt(base, srcFree, reserve, lat, xfer)
+		x.Reg.stamps.Set(off, land)
+		x.done(true)
+		return land, base, newFree
+	}
+	base = timing.Max(clockIn, x.Reg.stamps.MaxRange(off, len(src)))
+	for i := 0; i < len(src); i += 8 {
+		v := applyAmo(x.Reg.buf, off+i, op, binary.LittleEndian.Uint64(src[i:]), swap)
+		if old != nil {
+			binary.LittleEndian.PutUint64(old[i:], v)
+		}
+	}
+	land, newFree = x.landAt(base, srcFree, reserve, lat, xfer)
+	x.Reg.stamps.SetRange(off, len(src), land)
 	x.done(true)
-	return comp, newFree
+	return land, base, newFree
 }
 
 // landAt resolves a transfer departing at base, which itself depended on

@@ -179,9 +179,10 @@ func TestStampCausality(t *testing.T) {
 	}
 }
 
-// TestStampVisibleBeforeValue races a poller against both word stores: a rank
-// that merges a word's stamp the moment it sees the value must find that
-// store's stamp, so the stamp is written first.
+// TestStampVisibleBeforeValue races a poller against both word stores, a
+// StoreW (a one-word put) and an owner's LocalWordStore: a rank that merges
+// a word's stamp the moment it sees the value must find that store's stamp,
+// so the stamp is written first.
 func TestStampVisibleBeforeValue(t *testing.T) {
 	const words = 1 << 15
 	f := NewFabric(2, 2)
