@@ -323,11 +323,11 @@ func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "layout version") {
 		t.Errorf("opener of a wrong-version segment returned %v, want the version mismatch", err)
 	}
-	// A v10 segment's door waiters sleep under their own slot, not the
-	// watched rank's.
-	atomic.StoreUint64(u64at(creator.m, hdrVersion), 10)
-	if _, err = openArenaAt([]string{path}, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 10, want 11") {
-		t.Errorf("opener of a v10 segment returned %v, want it refused by version", err)
+	// A v11 segment's mappers add to the port's lock word, racing a
+	// holder's plain release store.
+	atomic.StoreUint64(u64at(creator.m, hdrVersion), 11)
+	if _, err = openArenaAt([]string{path}, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 11, want 12") {
+		t.Errorf("opener of a v11 segment returned %v, want it refused by version", err)
 	}
 	atomic.StoreUint64(u64at(creator.m, hdrVersion), shmVersion)
 	wide := cfg

@@ -12,15 +12,16 @@ import (
 // and every worker process, holds everything two ranks ever both touch:
 //
 //	header   (1 page)   world parameters
-//	rank[i]  (128 B)    the rank's simnet.Port (port word = doorbell
-//	                    generation<<17 | door waiters<<1 | lock bit, then the
-//	                    NIC busy interval the lock guards) on the first cache
-//	                    line, and on the second two u32 wake words (futexes),
-//	                    away from the port word every write to the rank
-//	                    locks: the door word, which every goroutine waiting
-//	                    on the rank's port sleeps on, whichever process it
-//	                    is in, and the pace word the rank sleeps on
-//	                    pace-blocked
+//	rank[i]  (128 B)    the rank's simnet.Port on the first cache line —
+//	                    the lock word (holder rings<<2 | ring bit | lock
+//	                    bit), the wait word (outside rings<<16 | door
+//	                    waiters), then the NIC busy interval the lock
+//	                    guards — and on the second two u32 wake words
+//	                    (futexes), away from the port every write to the
+//	                    rank touches: the door word, which every goroutine
+//	                    waiting on the rank's port sleeps on, whichever
+//	                    process it is in, and the pace word the rank sleeps
+//	                    on pace-blocked
 //	pace     (simnet.PaceTableWords(ranks) × 8 B)
 //	                    the world's simnet.Pacer state — parked count,
 //	                    published clocks, shard minimums, park thresholds —
@@ -56,7 +57,9 @@ import (
 // v11 dropped the door's waiter bitsets, the wait section: a door waiter
 // sleeps on the wake word of the rank it waits on, and the pacer on a second
 // wake word of its own, so a v10 mapper would poke the waiter's slot and
-// leave asleep those who sleep under the watched one.
+// leave asleep those who sleep under the watched one. v12 split the port
+// word into a lock word and a wait word: a v11 mapper would add to the lock
+// word and race a holder's plain release store.
 //
 // All multi-word fields are 8-byte aligned; cross-process synchronization
 // uses sync/atomic on the mapped words, which on a cache-coherent machine
@@ -64,7 +67,7 @@ import (
 // goroutines. DESIGN.md §8 documents the layout and its ordering contracts.
 const (
 	shmMagic   = 0x666f4d50_72756e31 // "foMPrun1"
-	shmVersion = 11                  // see "Version history" above
+	shmVersion = 12                  // see "Version history" above
 
 	hdrMagic      = 0  // u64
 	hdrVersion    = 8  // u64
@@ -76,7 +79,7 @@ const (
 	hdrBytes      = 4096
 
 	rankStride = 128
-	rnPort     = 0  // simnet.Port: word u64, NIC interval 2 × i64
+	rnPort     = 0  // simnet.Port: lock and wait words u64, NIC interval 2 × i64
 	rnDoorWake = 64 // u32: the rank's door slot's futex word (Arena.Hook)
 	rnPaceWake = 68 // u32: the rank's pace slot's futex word
 

@@ -2,6 +2,7 @@ package mprun
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -39,8 +40,8 @@ func TestRankSlotLayout(t *testing.T) {
 		if wake/line == rnPort/line {
 			t.Fatalf("wake word at %d shares cache line %d with the port word at %d", wake, wake/line, rnPort)
 		}
-		if end := rnPort + int(unsafe.Sizeof(simnet.Port{})); end > wake {
-			t.Fatalf("the port ends at %d, past the wake word at %d", end, wake)
+		if end := rnPort + int(unsafe.Sizeof(simnet.Port{})); end > wake || end > line {
+			t.Fatalf("the port ends at %d, past the wake word at %d or its first cache line", end, wake)
 		}
 	}
 	if rankStride%line != 0 || hdrBytes%line != 0 {
@@ -53,11 +54,13 @@ func TestRankSlotLayout(t *testing.T) {
 // configurations. It never panics; it accepts a header exactly when its words
 // are the ones a creator of this layout writes for that configuration; and
 // the same header stamped v10, whose door waiters sleep under their own slot
-// rather than the watched rank's, is refused by version.
+// rather than the watched rank's, or v11, whose mappers add to the port's
+// lock word, is refused by version.
 func FuzzCheckHeader(f *testing.F) {
 	cfg := ArenaConfig{Ranks: 2, RanksPerNode: 1, ArenaBytes: pageAlign}
 	f.Add(headerAt(cfg, shmVersion), 2, 1, int64(0), pageAlign)
 	f.Add(headerAt(cfg, 10), 2, 1, int64(0), pageAlign)
+	f.Add(headerAt(cfg, 11), 2, 1, int64(0), pageAlign)
 	f.Add(headerAt(cfg, shmVersion), 3, 1, int64(0), pageAlign)
 	f.Add(headerAt(ArenaConfig{Ranks: 4, RanksPerNode: 2, PaceWindowNs: 20000, ArenaBytes: 16 << 20}, shmVersion), 4, 2, int64(20000), 16<<20)
 	f.Add(make([]byte, hdrBytes), 2, 1, int64(0), pageAlign)
@@ -74,8 +77,10 @@ func FuzzCheckHeader(f *testing.F) {
 		if err := checkHeader(want, o); err != nil {
 			t.Fatalf("the header a creator writes for %+v is refused: %v", o, err)
 		}
-		if err := checkHeader(headerAt(o, 10), o); err == nil || !strings.Contains(err.Error(), "layout version 10") {
-			t.Fatalf("a v10 header for %+v: checkHeader = %v, want it refused by version", o, err)
+		for _, v := range []uint64{10, 11} {
+			if err := checkHeader(headerAt(o, v), o); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("layout version %d,", v)) {
+				t.Fatalf("a v%d header for %+v: checkHeader = %v, want it refused by version", v, o, err)
+			}
 		}
 	})
 }

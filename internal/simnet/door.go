@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,8 +59,8 @@ type ParkHook struct {
 }
 
 // DoorWake pokes watched's door slot: every goroutine waiting on its port. A
-// writer calls it after the add that advanced the port's generation reported
-// waiters (Port.Ring, Port.UnlockRing), and not otherwise.
+// writer calls it after the ring that advanced the port's generation
+// reported waiters (Port.Ring, Port.UnlockRing), and not otherwise.
 func (h ParkHook) DoorWake(watched int) {
 	if h.Poke(watched) {
 		mDoorPokes.Inc()
@@ -69,30 +70,35 @@ func (h ParkHook) DoorWake(watched int) {
 // DoorWait is the doorbell's waiter discipline (DESIGN.md §6.1): it blocks
 // the caller, parked under watched's door slot, until p — watched's port —
 // has a generation other than gen, and returns it. The waiter counts itself
-// into the port word, reading the generation from that same add; the writer
-// advances the generation with an add on the same word and pokes the slot
-// only if the waiter count it found is nonzero. The two adds are ordered on
-// the one word, so either the writer sees the waiter or the waiter reads the
-// new generation: no wakeup is lost. Sleepers are keyed on the rank they wait
-// on, as a futex keys them on the word, so the door keeps no state of its
-// own. DoorWait may return gen unchanged, after DoorSlice at the latest;
-// callers re-check their predicate after every return. In a torn-down world
-// it panics with the hook's abort value.
+// into the port before it looks; a writer rings, reads the count and pokes
+// the slot only if it is nonzero (see Port for why no wakeup is lost). A
+// waiter that finds a LockRing hold never parks: it waits the hold out
+// awake, as a contended Lock does, then reads the released generation. A
+// plain Lock sets no ring bit, so a waiter behind a port held for good parks
+// and still unwinds. Sleepers are keyed on the rank they wait on, as a futex
+// keys them on the word, so the door keeps no state of its own. DoorWait may
+// return gen unchanged, after DoorSlice at the latest; callers re-check
+// their predicate after every return. In a torn-down world it panics with
+// the hook's abort value.
 func (h ParkHook) DoorWait(p *Port, watched int, gen uint64) uint64 {
 	g := p.Gen()
 	if g != gen {
 		return g // already rung: no count, no sleep
 	}
-	g = p.enter()
+	p.enter()
 	var parkStart time.Time
 	var abort error
-	for beat := false; g == gen; {
+	for beat, ringing := false, false; ; {
 		seq := h.Seq(watched)
-		if g = p.Gen(); g != gen {
+		if g, ringing = p.look(); g != gen {
 			break
 		}
 		if abort = h.Aborted(); abort != nil || beat {
 			break // torn down, or the slice is over: the caller looks again
+		}
+		if ringing {
+			runtime.Gosched() // a write in flight rings in its release
+			continue
 		}
 		if parkStart.IsZero() && telemetry.On() {
 			parkStart = time.Now()

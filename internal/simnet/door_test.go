@@ -8,13 +8,13 @@ import (
 	"time"
 )
 
-// waiters returns the waiter count p's word holds.
-func waiters(p *Port) uint64 { return (atomic.LoadUint64(&p.word) & waiterField) / waiterOne }
+// waiters returns the waiter count p's wait word holds.
+func waiters(p *Port) uint64 { return atomic.LoadUint64(&p.wait) & maxWaiters }
 
 // TestDoorSlice pins the one heartbeat/slice rule over a scripted hook: a
 // wait with no ring is one park of DoorSlice, under the watched rank's slot,
 // and then returns the unchanged generation with its count gone from the
-// port word. A poked return is not a heartbeat: the waiter parks again for a
+// wait word. A poked return is not a heartbeat: the waiter parks again for a
 // whole slice.
 func TestDoorSlice(t *testing.T) {
 	for _, c := range []struct {
@@ -38,14 +38,14 @@ func TestDoorSlice(t *testing.T) {
 				t.Fatalf("parked under slots %v, want the watched rank's, 129", fk.parkSlots)
 			}
 			if n := waiters(&p); n != 0 {
-				t.Fatalf("the port word counts %d waiters after the waiter left", n)
+				t.Fatalf("the port counts %d waiters after the waiter left", n)
 			}
 		})
 	}
 }
 
 // TestDoorRegistersBeforeParking: by the time the hook parks the waiter, the
-// port word counts it, so a ring on its port reports a waiter and the wake
+// wait word counts it, so a ring on its port reports a waiter and the wake
 // pokes the watched rank's slot — while a ring on another port reports none.
 func TestDoorRegistersBeforeParking(t *testing.T) {
 	var fk fakePace
@@ -54,7 +54,7 @@ func TestDoorRegistersBeforeParking(t *testing.T) {
 	hook := fk.hook()
 	fk.onPark = func(n int) bool {
 		if c := waiters(&p); c != 1 {
-			t.Errorf("the port word counts %d waiters while one is parked, want 1", c)
+			t.Errorf("the port counts %d waiters while one is parked, want 1", c)
 		}
 		if other.Ring() {
 			t.Error("a ring on another port reported a waiter")
@@ -87,8 +87,47 @@ func TestDoorAbortedNeverParks(t *testing.T) {
 		}()
 		fk.hook().DoorWait(&p, 2, 0)
 	}()
-	if len(fk.parks) != 0 || atomic.LoadUint64(&p.word) != 0 {
-		t.Fatalf("parked %d times, port word %#x, in an aborted world", len(fk.parks), p.word)
+	if len(fk.parks) != 0 || atomic.LoadUint64(&p.word) != 0 || atomic.LoadUint64(&p.wait) != 0 {
+		t.Fatalf("parked %d times, port words %#x, %#x, in an aborted world", len(fk.parks), p.word, p.wait)
+	}
+}
+
+// TestDoorWaitsOutInFlightWrite: a waiter that arrives while a write holds
+// the port to ring in its release — after the writer's CAS, so the writer
+// counted nobody and will poke nobody — must not park: it finds the ring bit,
+// waits the hold out awake, and returns the released generation at once.
+func TestDoorWaitsOutInFlightWrite(t *testing.T) {
+	var fk fakePace
+	var p Port
+	gen := p.Gen()
+	p.LockRing()
+	if waiters(&p) != 0 {
+		t.Fatal("a waiter is counted before any waits")
+	}
+	out := make(chan uint64, 1)
+	go func() { out <- fk.hook().DoorWait(&p, 1, gen) }()
+	for deadline := time.Now().Add(10 * time.Second); waiters(&p) == 0 && len(out) == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			p.UnlockRing()
+			t.Fatal("the waiter never counted itself in")
+		}
+	}
+	time.Sleep(5 * time.Millisecond) // the waiter is well into its wait
+	t0 := time.Now()
+	p.UnlockRing() // no poke: the waiter came in after the CAS and must need none
+	select {
+	case g := <-out:
+		if g != gen+1 || len(fk.parks) != 0 {
+			t.Fatalf("DoorWait returned generation %d after %d parks, want %d without parking", g, len(fk.parks), gen+1)
+		}
+	case <-time.After(DoorSlice):
+		t.Fatal("the waiter never returned after the write's release")
+	}
+	if d := time.Since(t0); d > DoorSlice/10 {
+		t.Fatalf("the waiter returned %v after the release, want at once", d)
+	}
+	if n := waiters(&p); n != 0 {
+		t.Fatalf("the port counts %d waiters after the waiter left", n)
 	}
 }
 

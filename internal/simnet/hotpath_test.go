@@ -185,7 +185,7 @@ func TestRegionUnregisterFaults(t *testing.T) {
 // waiter is the generation add and a load — no hook call, nothing to lock —
 // a wait on a generation that already moved returns without counting itself
 // in or parking, and a parked waiter is poked by the next ring and leaves no
-// count behind in the port word.
+// count behind in the port.
 func TestDoorbellFastPath(t *testing.T) {
 	f := NewFabric(1, 1)
 	var parks, pokes atomic.Int32
@@ -228,8 +228,8 @@ func TestDoorbellFastPath(t *testing.T) {
 	if pokes.Load() != 1 {
 		t.Fatalf("%d pokes for one ring with one waiter parked", pokes.Load())
 	}
-	if w := atomic.LoadUint64(&f.Port(0).word); w&waiterField != 0 {
-		t.Fatalf("port word %#x counts a waiter after the waiter left", w)
+	if n := waiters(f.Port(0)); n != 0 {
+		t.Fatalf("the port counts %d waiters after the waiter left", n)
 	}
 }
 

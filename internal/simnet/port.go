@@ -3,103 +3,130 @@ package simnet
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
+	"fompi/internal/hostatomic"
 	"fompi/internal/timing"
 )
 
 // Port is one rank's target-side arrival state: the doorbell generation,
 // the lock that serializes NIC booking and AMO stamp chains, and the NIC
 // busy interval — everything an operation landing in the rank's memory must
-// touch, behind one word. It lives where the rank's memory lives (the
-// fabric's node in process, the rank's arena slot on the shared-memory
-// backends, the owner's World on the wire backend), so every process that
-// can address the memory addresses the same port; the three fields are the
-// shared-memory layout.
+// touch. It lives where the rank's memory lives (the fabric's node in
+// process, the rank's arena slot on the shared-memory backends, the owner's
+// World on the wire backend), so every process that can address the memory
+// addresses the same port; the four fields are the shared-memory layout.
 //
-// word is generation<<genShift | waiters<<1 | lock bit. Acquire is one CAS
-// setting the bit; release is one atomic add that clears it and, for a
-// write, carries into the generation: genOne-1 rings, -1 does not. A ring
-// from outside the lock adds genOne. A door waiter adds waiterOne on entry —
-// reading the generation from that same add — and subtracts it on exit.
-// Every transition is an add or a CAS on the whole word, never a store, so a
-// ring concurrent with a held lock or an arriving waiter is not lost, the
-// bit is neither dropped nor leaked, and a ring's own add tells it whether
-// anyone waits: either the waiter's add came first and the ring sees it, or
-// the ring's came first and the waiter reads the new generation. The NIC
-// interval is plain memory guarded by the lock.
-//
-// Where they are parked, and waking them, is the door's business
-// (ParkHook.DoorWait): the port only moves the generation they re-check and
-// counts them.
+// word changes only by a CAS that finds both bits clear (Lock, LockRing) and
+// by the holder's release, a release store: one locked instruction a hold.
+// wait changes by adds alone, which never wait on the lock: a ring from
+// outside the port (Ring), a door waiter's entry and exit. The generation is
+// the sum of the two ring counts, each only growing. A ringing writer and a
+// door waiter meet in a Dekker handshake, both sides locked: LockRing's CAS
+// sets the ring bit before UnlockRing reads the waiter count, and a waiter's
+// add counts it in before it reads word, so either the writer finds the
+// waiter or the waiter finds the ring bit — and waits the hold out awake
+// (ParkHook.DoorWait) — or the release. A Ring meets the waiter on wait
+// itself. The NIC interval is plain memory guarded by the lock. Parking and
+// waking the waiters is the door's business.
 type Port struct {
-	word     uint64
-	nicStart int64 // NIC busy interval [nicStart, nicBusy) in virtual time
+	word     uint64 // holder rings<<2 | ring bit | lock bit
+	wait     uint64 // outside rings<<16 | door waiters
+	nicStart int64  // NIC busy interval [nicStart, nicBusy) in virtual time
 	nicBusy  int64
 }
 
-// The port word's fields. The waiter count must never carry into the
-// generation, and cannot: a waiter is counted once while it waits, which
-// bounds a port's count by one per rank in process (the largest world run is
-// p = 4096, and NewFabric refuses more than maxWaiters ranks), and in a
-// process world by one per host-mate plus, on the owner's own port, the rank
-// itself and one DOORWAIT handler per peer (≤ 2 × mprun.MaxRanks = 2048) —
-// far below the field's maximum, maxWaiters = 2^16 − 1.
+// The waiter count cannot carry into the outside rings: a waiter is counted
+// once while it waits, so a port counts at most one per rank in process
+// (NewFabric refuses more than maxWaiters ranks; the largest world run is
+// p = 4096) and, in a process world, one per host-mate plus, on the owner's
+// port, the rank and one DOORWAIT handler per peer (≤ 2 × mprun.MaxRanks).
 const (
-	waiterOne   = 1 << 1
-	genShift    = 17
-	genOne      = 1 << genShift
-	waiterField = genOne - waiterOne
-	maxWaiters  = waiterField / waiterOne
+	lockBit     = 1
+	ringBit     = 2
+	heldBits    = lockBit | ringBit
+	holderRing  = 1 << 2
+	outsideRing = 1 << 16
+	maxWaiters  = outsideRing - 1
 )
 
-// Lock acquires the port. Critical sections are a NIC booking and a few
-// stamp records, so contention is resolved by spinning.
+// Lock acquires the port for a read, or for the wire owner's write, whose
+// ring rides the frame. Holds are a NIC booking and a few stamp records, so
+// contention spins; the uncontended path inlines, as in sync.Mutex.
 func (p *Port) Lock() {
-	// Inlinable uncontended path, as in sync.Mutex: expect the word as it
-	// reads now but unlocked.
-	if w := atomic.LoadUint64(&p.word) &^ 1; !atomic.CompareAndSwapUint64(&p.word, w, w|1) {
-		p.lockSlow()
+	if w := atomic.LoadUint64(&p.word) &^ heldBits; !atomic.CompareAndSwapUint64(&p.word, w, w|lockBit) {
+		p.lockSlow(lockBit)
 	}
 }
 
-func (p *Port) lockSlow() {
+// LockRing acquires the port for a write that rings in its release: its CAS
+// sets the ring bit too, which a door waiter arriving during the hold reads.
+func (p *Port) LockRing() {
+	if w := atomic.LoadUint64(&p.word) &^ heldBits; !atomic.CompareAndSwapUint64(&p.word, w, w|heldBits) {
+		p.lockSlow(heldBits)
+	}
+}
+
+func (p *Port) lockSlow(bits uint64) {
 	for {
 		w := atomic.LoadUint64(&p.word)
-		if w&1 != 0 {
+		if w&heldBits != 0 {
 			runtime.Gosched()
-		} else if atomic.CompareAndSwapUint64(&p.word, w, w|1) {
+		} else if atomic.CompareAndSwapUint64(&p.word, w, w|bits) {
 			return
 		}
 	}
 }
 
-// Unlock releases the port without ringing: reads, and the wire owner's
-// writes, whose ring arrives separately as the frame's flag.
-func (p *Port) Unlock() { atomic.AddUint64(&p.word, ^uint64(0)) }
+// Unlock releases the port without ringing.
+func (p *Port) Unlock() { p.release(atomic.LoadUint64(&p.word) &^ lockBit) }
 
-// UnlockRing releases the port and advances the generation in the same add,
-// and reports whether that add found waiters: only then does the caller wake
-// them (ParkHook.DoorWake).
+// UnlockRing releases the port, counting a ring in the same store, and
+// reports whether door waiters are counted: only then does the caller wake
+// them (ParkHook.DoorWake). After Lock, which set no ring bit, the count is
+// read by an add of nothing: the fence LockRing's CAS would have been.
 func (p *Port) UnlockRing() (waiters bool) {
 	mDoorRings.Inc()
-	return atomic.AddUint64(&p.word, genOne-1)&waiterField != 0
+	w := atomic.LoadUint64(&p.word)
+	p.release(w&^heldBits + holderRing)
+	if w&ringBit == 0 {
+		return atomic.AddUint64(&p.wait, 0)&maxWaiters != 0
+	}
+	return atomic.LoadUint64(&p.wait)&maxWaiters != 0
+}
+
+// release stores the holder's last value of word: on amd64 a plain store
+// (hostatomic.StoreRel64), which every store made under the port precedes.
+func (p *Port) release(w uint64) {
+	hostatomic.StoreRel64((*int64)(unsafe.Pointer(&p.word)), int64(w))
 }
 
 // Ring advances the generation from outside the lock and reports whether
-// the add found waiters, as UnlockRing does.
+// its add found waiters, as UnlockRing does. It never waits on a held port.
 func (p *Port) Ring() (waiters bool) {
 	mDoorRings.Inc()
-	return atomic.AddUint64(&p.word, genOne)&waiterField != 0
+	return atomic.AddUint64(&p.wait, outsideRing)&maxWaiters != 0
 }
 
 // Gen samples the doorbell generation.
-func (p *Port) Gen() uint64 { return atomic.LoadUint64(&p.word) >> genShift }
+func (p *Port) Gen() uint64 {
+	g, _ := p.look()
+	return g
+}
 
-// enter counts a door waiter in and returns the generation its add found.
-func (p *Port) enter() uint64 { return atomic.AddUint64(&p.word, waiterOne) >> genShift }
+// look samples the generation and whether a LockRing holds the port. word
+// is read first: a waiter that finds the ring bit clear reads a generation
+// that counts every release it could have missed.
+func (p *Port) look() (gen uint64, ringing bool) {
+	w := atomic.LoadUint64(&p.word)
+	return w/holderRing + atomic.LoadUint64(&p.wait)/outsideRing, w&ringBit != 0
+}
+
+// enter counts a door waiter in.
+func (p *Port) enter() { atomic.AddUint64(&p.wait, 1) }
 
 // leave counts a door waiter out.
-func (p *Port) leave() { atomic.AddUint64(&p.word, ^uint64(waiterOne-1)) }
+func (p *Port) leave() { atomic.AddUint64(&p.wait, ^uint64(0)) }
 
 // BookNIC reserves the port's NIC for xfer virtual nanoseconds starting no
 // earlier than arrival and returns the transfer's completion time; the

@@ -12,16 +12,17 @@ import (
 )
 
 // TestPortExclusionAndRings hammers one port from both sides of its lock:
-// holders acquire and release with and without the ring while outsiders ring
-// with plain adds. Mutual exclusion must hold (the guarded counter is plain
-// memory, so -race checks the lock's ordering too), the generation must
-// advance by exactly the number of rings, and the lock bit must end clear —
-// never lost to a concurrent ring, never leaked by a release.
+// holders acquire and release with and without the ring (LockRing and
+// UnlockRing, Lock and Unlock) while outsiders ring with plain adds on the
+// wait word. Mutual exclusion must hold (the guarded counter is plain
+// memory, so -race checks the lock's ordering too), each word must count
+// exactly its own rings, and at rest both bits must be clear and no waiter
+// counted — never lost to a concurrent ring, never leaked by a release.
 func TestPortExclusionAndRings(t *testing.T) {
 	const holders, outsiders, iters = 4, 3, 20000
 	var p Port
 	var inside, entries int // guarded by p
-	var rings atomic.Uint64
+	var held, outside atomic.Uint64
 	var wg sync.WaitGroup
 	start := make(chan struct{}) // everyone must overlap to contend at all
 	for h := 0; h < holders; h++ {
@@ -30,15 +31,20 @@ func TestPortExclusionAndRings(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < iters; i++ {
-				p.Lock()
+				ring := (i+h)%3 == 0
+				if ring {
+					p.LockRing()
+				} else {
+					p.Lock()
+				}
 				if inside++; inside != 1 {
 					t.Errorf("%d holders inside the port", inside)
 				}
 				entries++
 				p.BookNIC(timing.Time(i), 1)
 				inside--
-				if (i+h)%3 == 0 {
-					rings.Add(1)
+				if ring {
+					held.Add(1)
 					p.UnlockRing()
 				} else {
 					p.Unlock()
@@ -52,7 +58,7 @@ func TestPortExclusionAndRings(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < iters; i++ {
-				rings.Add(1)
+				outside.Add(1)
 				p.Ring()
 			}
 		}()
@@ -62,19 +68,20 @@ func TestPortExclusionAndRings(t *testing.T) {
 	if entries != holders*iters {
 		t.Errorf("%d critical sections ran, want %d", entries, holders*iters)
 	}
-	if got, want := p.Gen(), rings.Load(); got != want {
+	if got, want := p.Gen(), held.Load()+outside.Load(); got != want {
 		t.Errorf("generation advanced by %d over %d rings", got, want)
 	}
-	w := atomic.LoadUint64(&p.word)
-	if w&1 != 0 || w&waiterField != 0 || w>>genShift != rings.Load() {
-		t.Errorf("port word %#x at rest (lock %d, waiters %d, generation %d), want the lock clear, no waiters and generation %d",
-			w, w&1, (w&waiterField)/waiterOne, w>>genShift, rings.Load())
+	w, wt := atomic.LoadUint64(&p.word), atomic.LoadUint64(&p.wait)
+	if w&heldBits != 0 || w/holderRing != held.Load() || wt&maxWaiters != 0 || wt/outsideRing != outside.Load() {
+		t.Errorf("port words %#x, %#x at rest (bits %b, holder rings %d, waiters %d, outside rings %d), want the bits clear, no waiters and %d + %d rings",
+			w, wt, w&heldBits, w/holderRing, wt&maxWaiters, wt/outsideRing, held.Load(), outside.Load())
 	}
 }
 
-// TestPortRingReportsWaiters: a ring, in the release or from outside the
-// lock, reports waiters exactly while one is counted in — a door waiter
-// parked on the port, here — and a plain release reports nothing.
+// TestPortRingReportsWaiters: a ring, in the release of a port taken with
+// or without the ring bit, or from outside the lock, reports waiters exactly
+// while one is counted in — a door waiter parked on the port, here — and a
+// plain release reports nothing.
 func TestPortRingReportsWaiters(t *testing.T) {
 	var p Port
 	rings := func(want bool, when string) {
@@ -82,9 +89,13 @@ func TestPortRingReportsWaiters(t *testing.T) {
 		if got := p.Ring(); got != want {
 			t.Errorf("Ring reported waiters %v %s, want %v", got, when, want)
 		}
+		p.LockRing()
+		if got := p.UnlockRing(); got != want {
+			t.Errorf("UnlockRing after LockRing reported waiters %v %s, want %v", got, when, want)
+		}
 		p.Lock()
 		if got := p.UnlockRing(); got != want {
-			t.Errorf("UnlockRing reported waiters %v %s, want %v", got, when, want)
+			t.Errorf("UnlockRing after Lock reported waiters %v %s, want %v", got, when, want)
 		}
 		p.Lock()
 		p.Unlock()
@@ -95,43 +106,86 @@ func TestPortRingReportsWaiters(t *testing.T) {
 		rings(true, "with a waiter parked")
 		return true
 	}
-	if g := fk.hook().DoorWait(&p, 0, p.Gen()); g != 4 {
-		t.Fatalf("Wait returned generation %d after four rings, want 4", g)
+	if g := fk.hook().DoorWait(&p, 0, p.Gen()); g != 6 {
+		t.Fatalf("Wait returned generation %d after six rings, want 6", g)
 	}
 	rings(false, "after the waiter left")
-	if w := atomic.LoadUint64(&p.word); w != 6<<genShift {
-		t.Errorf("port word %#x after six rings and one wait, want generation 6 and nothing else", w)
+	if w, wt := atomic.LoadUint64(&p.word), atomic.LoadUint64(&p.wait); w != 6*holderRing || wt != 3*outsideRing {
+		t.Errorf("port words %#x, %#x after nine rings and one wait, want six holder rings, three outside and nothing else", w, wt)
 	}
 }
 
-// TestPortWaiterFieldBounded fills the waiter count to the field's maximum
-// with the port held and rung on top: the generation, the lock bit and the
-// count each read exactly what was put in, so the count cannot carry into
-// the generation at any count the layout admits.
+// TestPortWaiterFieldBounded fills the wait word's waiter count to the
+// field's maximum with outside rings before and after, and a ringing hold on
+// top: the rings, the bits and the count each read exactly what was put in,
+// so the count cannot carry into the outside rings at any count the layout
+// admits.
 func TestPortWaiterFieldBounded(t *testing.T) {
 	var p Port
 	p.Ring()
 	p.Ring()
 	for i := 0; i < maxWaiters; i++ {
-		if g := p.enter(); g != 2 {
-			t.Fatalf("waiter %d read generation %d, want 2", i+1, g)
-		}
+		p.enter()
 	}
-	p.Lock()
+	if !p.Ring() {
+		t.Fatal("an outside ring with the waiter field full reported no waiters")
+	}
+	p.LockRing()
 	if !p.UnlockRing() {
-		t.Fatal("a ring with the waiter field full reported no waiters")
+		t.Fatal("a ringing release with the waiter field full reported no waiters")
 	}
-	w := atomic.LoadUint64(&p.word)
-	if w&1 != 0 || (w&waiterField)/waiterOne != maxWaiters || p.Gen() != 3 {
-		t.Fatalf("port word %#x with %d waiters after 3 rings: lock %d, waiters %d, generation %d",
-			w, maxWaiters, w&1, (w&waiterField)/waiterOne, p.Gen())
+	w, wt := atomic.LoadUint64(&p.word), atomic.LoadUint64(&p.wait)
+	if w != holderRing || wt&maxWaiters != maxWaiters || wt/outsideRing != 3 || p.Gen() != 4 {
+		t.Fatalf("port words %#x, %#x with %d waiters after 4 rings: bits %b, waiters %d, outside rings %d, generation %d",
+			w, wt, maxWaiters, w&heldBits, wt&maxWaiters, wt/outsideRing, p.Gen())
 	}
 	for i := 0; i < maxWaiters; i++ {
 		p.leave()
 	}
-	if w := atomic.LoadUint64(&p.word); w != 3<<genShift {
-		t.Fatalf("port word %#x after every waiter left, want generation 3 and nothing else", w)
+	if wt := atomic.LoadUint64(&p.wait); wt != 3*outsideRing {
+		t.Fatalf("wait word %#x after every waiter left, want three outside rings and nothing else", wt)
 	}
+}
+
+// BenchmarkPortRead times one uncontended hold of a read — Lock, a NIC
+// booking, Unlock — and BenchmarkPortWrite one of a write that rings in its
+// release: LockRing, a booking, UnlockRing. Each is one locked instruction,
+// the acquiring CAS, and allocates nothing.
+func BenchmarkPortRead(b *testing.B) {
+	var p Port
+	portAllocFree(b, func() {
+		p.Lock()
+		p.BookNIC(0, 1)
+		p.Unlock()
+	})
+	for i := 0; i < b.N; i++ {
+		p.Lock()
+		p.BookNIC(timing.Time(i), 1)
+		p.Unlock()
+	}
+}
+
+func BenchmarkPortWrite(b *testing.B) {
+	var p Port
+	portAllocFree(b, func() {
+		p.LockRing()
+		p.BookNIC(0, 1)
+		p.UnlockRing()
+	})
+	for i := 0; i < b.N; i++ {
+		p.LockRing()
+		p.BookNIC(timing.Time(i), 1)
+		p.UnlockRing()
+	}
+}
+
+// portAllocFree fails b if hold allocates, and starts its timer.
+func portAllocFree(b *testing.B, hold func()) {
+	if avg := testing.AllocsPerRun(100, hold); avg > 0 {
+		b.Fatalf("a port hold allocates %.2f objects, want 0", avg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 }
 
 // TestAmoChainsSerializeOnPort runs the owner-side executor the way
@@ -211,7 +265,7 @@ func TestAmoUnknownOpFaultsFree(t *testing.T) {
 	f := NewFabric(1, 1)
 	reg := f.Endpoint(0, FoMPI()).Register(64)
 	x := RegionExec{Reg: reg, Ring: f}
-	before := atomic.LoadUint64(&reg.port.word)
+	before, waitBefore := atomic.LoadUint64(&reg.port.word), atomic.LoadUint64(&reg.port.wait)
 	bad := AmoNoOp + 1
 	word := faultOf(func() { x.Amo(bad, 8, make([]byte, 8), 0, make([]byte, 8), 0, 0, true, 240, 1) })
 	chain := faultOf(func() { x.Amo(bad, 8, make([]byte, 16), 0, nil, 0, 0, true, 240, 1) })
@@ -228,8 +282,8 @@ func TestAmoUnknownOpFaultsFree(t *testing.T) {
 			t.Fatalf("an AMO of %d operand bytes fetching into %d faulted with %q, want the operand-shape fault", len(c.src), len(c.old), msg)
 		}
 	}
-	if w := atomic.LoadUint64(&reg.port.word); w != before {
-		t.Fatalf("port word %#x after the faults, want %#x: a fault left the port held", w, before)
+	if w, wt := atomic.LoadUint64(&reg.port.word), atomic.LoadUint64(&reg.port.wait); w != before || wt != waitBefore {
+		t.Fatalf("port words %#x, %#x after the faults, want %#x, %#x: a fault left the port held", w, wt, before, waitBefore)
 	}
 	if v := reg.LocalWord(8); v != 0 {
 		t.Fatalf("word %#x after the faults, want it untouched", v)

@@ -136,21 +136,21 @@ type WireDrainer interface {
 // addressable region: the one acquire/book/stamp/release sequence over the
 // owner's port that both the inline issue path (Endpoint, for every region
 // with real bytes behind it) and the owner-side half of an inter-node
-// backend's service loop run. Ring selects the release: set — the inline
-// path sets it to its transport — the port's release add carries the
-// doorbell ring, and if that add found waiters they are woken through
-// Ring.WakeDoor; nil — only the owner-side half of a wire backend — leaves
-// the generation alone, since the requester's ring rides the frame's flag
-// and rings once per frame.
+// backend's service loop run. Ring selects the hold: set — the inline path
+// sets it to its transport — a write takes the port with LockRing and its
+// release carries the doorbell ring, and if the release reported waiters
+// they are woken through Ring.WakeDoor; nil — only the owner-side half of a
+// wire backend — takes it with Lock and leaves the generation alone, since
+// the requester's ring rides the frame's flag and rings once per frame.
 // Methods panic on faults — out-of-bounds or misaligned access, ring
 // overflow — with the same messages on either path, and never while holding
 // the port: a rank spinning on a leaked port could not unwind when the world
 // aborts. A backend forwards the panic to the requester.
 //
 // The stores that publish a write — its stamp records, a one-word put's
-// value, a notification's slot — are release stores (hostatomic.StoreRel):
-// the release add or the ring is the full fence that orders them before
-// anyone is told to look.
+// value, a notification's slot — are release stores (hostatomic.StoreRel),
+// and so is the port's release after them: whoever sees the generation it
+// advances sees them. A ring from outside the port is an add, a full fence.
 type RegionExec struct {
 	Reg  *Region
 	Ring Transport
@@ -163,13 +163,22 @@ func (x RegionExec) land(reserve bool, arrival timing.Time, xfer int64) timing.T
 	if !reserve {
 		return arrival
 	}
-	x.Reg.port.Lock()
+	x.lock()
 	return x.Reg.port.BookNIC(arrival, xfer)
+}
+
+// lock takes the port for a write, with the ring bit if done rings in it.
+func (x RegionExec) lock() {
+	if x.Ring != nil {
+		x.Reg.port.LockRing()
+	} else {
+		x.Reg.port.Lock()
+	}
 }
 
 // done announces a completed write: it releases the port if the operation
 // held it, and rings — in the release itself when there is one — when Ring
-// is set, waking the owner's waiters only if the ring's add found any.
+// is set, waking the owner's waiters only if the ring reported any.
 func (x RegionExec) done(locked bool) {
 	p := x.Reg.port
 	var waiters bool
@@ -255,7 +264,7 @@ func (x RegionExec) Amo(op AmoOp, off int, src []byte, swap uint64, old []byte, 
 	if len(src)%8 != 0 || (old != nil && len(old) != len(src)) {
 		panic(fmt.Sprintf("simnet: AMO over %d operand bytes fetching into %d: want whole words, as many fetched", len(src), len(old)))
 	}
-	x.Reg.port.Lock()
+	x.lock()
 	if len(src) == 8 { // a word AMO: the word's own stamp record, no loop
 		prev := x.Reg.stamps.Get(off)
 		v := applyAmo(x.Reg.buf, off, op, binary.LittleEndian.Uint64(src), swap)

@@ -46,7 +46,7 @@ import (
 //     AMO, and release it with the ring.
 //   - WakeDoor(r) wakes every WaitDoor(r, gen) waiter whose gen is stale
 //     after r's port generation advanced, with no lost wakeups, provided the
-//     writer calls it whenever the add that advanced the generation
+//     writer calls it whenever the ring that advanced the generation
 //     (Port.Ring, Port.UnlockRing) reported waiters; a write that finds none
 //     calls nothing. WaitDoor may return gen unchanged (after DoorSlice at
 //     the latest): a waiter re-checks its predicate after every return. For

@@ -9,11 +9,11 @@ import (
 // The two record writers. Each publishes stamp before epoch with release
 // stores, so a reader that loads the new epoch and then the stamp finds the
 // new stamp or a newer one. A release store is no fence: the stamps of a
-// write are ordered before anyone can be told about it by the full fence its
-// caller executes next — the port's release add, a ring, or the sequentially
-// consistent value store of Region.LocalWordStore (DESIGN.md §6.1). On amd64
-// that makes a record one plain store where sync/atomic's would be a locked
-// exchange.
+// write are ordered before anyone can be told about it by what its caller
+// stores next — the port's release store, whose generation a waiter reads
+// before it looks, a ring's add, or the sequentially consistent value store
+// of Region.LocalWordStore (DESIGN.md §6.1). On amd64 that makes a record
+// one plain store where sync/atomic's would be a locked exchange.
 
 // setWord records (v, e) in word i. The epoch is republished only when it
 // changed, so a word rewritten with no fill in between costs one store.

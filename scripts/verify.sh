@@ -75,7 +75,9 @@
 #                                the data operations the four of put, get,
 #                                atomic and notify absorbed (opStoreW,
 #                                opLoadW, opWordAmo, opBulkAmo,
-#                                loadWordStamped, WordAmo, BulkAmo)
+#                                loadWordStamped, WordAmo, BulkAmo) and the
+#                                one-word port's waiter field (waiterField,
+#                                waiterOne), which the wait word replaced
 #                                occur in no non-test Go file; the Makefile, the
 #                                scripts and the CI workflow name no piece
 #                                of that harness, nor those variables, nor
@@ -114,10 +116,12 @@
 #                                process boundary stays total
 #   make bench-test              the benchmark module's own tests (benchmark/
 #                                has its own go.mod, so ./... skips it)
-#   go test -bench Issue -benchtime 1x
-#                                the inline issue benchmarks, one iteration:
-#                                their 0 allocs/op and 0 steady-state route
-#                                misses assertions run on every verify
+#   go test -bench 'Issue|Port' -benchtime 1x
+#                                the inline issue benchmarks and the port
+#                                hold benchmarks, one iteration: their 0
+#                                allocs/op and the issue path's 0
+#                                steady-state route misses assertions run on
+#                                every verify
 #   go test -race -short <hot>   concurrency check over the packages whose
 #                                goroutines share fabric memory (the release
 #                                store's message-passing litmus test, the
@@ -135,7 +139,10 @@
 #                                under -race), and spmd's
 #                                rank-worker reuse and nested-world tests
 #                                (TestRunReusesRankGoroutines,
-#                                TestRunNestedFromRank0) ten times over
+#                                TestRunNestedFromRank0) ten times over,
+#                                and the port's two-word handshake
+#                                (TestDoorWaitsOutInFlightWrite,
+#                                TestPortExclusionAndRings) twenty times
 #   examples smoke               build and run every example; quickstart and
 #                                stencil (unpaced and with -pace 20000) must
 #                                produce identical deterministic output on
@@ -186,12 +193,12 @@ echo "== no-cgo leg (static build; rankio, mprun, netrun, spmd -short)"
 CGO_ENABLED=0 go build ./...
 CGO_ENABLED=0 go test -short ./internal/rankio ./internal/mprun ./internal/netrun ./internal/spmd
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set and the data operations beyond put, get, atomic and notify must not creep back)"
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify and the one-word port's waiter field must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD|FOMPI_TT_BACKENDS|FOMPI_CHAOS_LOG|FOMPI_DEBUG_ADDR'
-if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo" \
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo|waiterField|waiterOne" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
 	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set or a data operation beyond put, get, atomic and notify is back" >&2
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set, a data operation beyond put, get, atomic and notify or the one-word port's waiter field is back" >&2
 	exit 1
 fi
 
@@ -241,13 +248,14 @@ go test ./internal/mprun -run '^$' -fuzz FuzzCheckHeader -fuzztime 5s -fuzzminim
 echo "== benchmark module tests (make bench-test)"
 make bench-test
 
-echo "== issue-path benchmarks, one iteration (0 allocs/op, 0 steady-state route misses)"
-go test ./internal/simnet -run '^$' -bench Issue -benchtime 1x
+echo "== issue-path and port-hold benchmarks, one iteration (0 allocs/op, 0 steady-state route misses)"
+go test ./internal/simnet -run '^$' -bench 'Issue|Port' -benchtime 1x
 
-echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1; spmd's worker reuse ten times)"
+echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1; spmd's worker reuse ten times; the port's handshake twenty times)"
 go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/
 go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestConformanceFusedFrame|TestConformanceOrdering|TestConformanceSharedFrame|TestConformanceDump|TestStoppedRank|TestStoppedPeerBehindWire|TestConformanceSameOpAtomic|TestConformanceGeneratedPrograms' ./internal/transporttest/
 go test -race -count=10 -run 'TestRunReusesRankGoroutines|TestRunNestedFromRank0' ./internal/spmd
+go test -race -count=20 -run 'TestDoorWaitsOutInFlightWrite|TestPortExclusionAndRings' ./internal/simnet
 
 echo "== examples smoke (build + run, cross-backend diff)"
 for ex in quickstart stencil hashtable dsde; do
