@@ -225,6 +225,23 @@ func TestAccumulateBoundsFault(t *testing.T) {
 	}
 }
 
+// TestWrappedDispFaults: a displacement so large that offset+length wraps
+// round int faults with the bounds error at the origin; with a wrapping
+// check it reached the target, took its port and panicked under it.
+func TestWrappedDispFaults(t *testing.T) {
+	err := spmd.Run(spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
+		w := Create(p, make([]byte, 64), Config{})
+		w.Fence()
+		if p.Rank() == 0 {
+			w.FetchAndOp(AccSum, 1, 1, math.MaxInt64-7)
+		}
+		w.Fence()
+	})
+	if err == nil || !strings.Contains(err.Error(), "exceeds window of 64 bytes") {
+		t.Fatalf("a fetch-add at disp MaxInt64-7 ended the world with %v, want the bounds fault", err)
+	}
+}
+
 func TestPutBoundsFaultMatchesBoundsErr(t *testing.T) {
 	err := spmd.Run(spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
 		w := Create(p, make([]byte, 128), Config{})

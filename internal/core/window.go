@@ -427,7 +427,7 @@ func (w *Win) dynResolve(target, slot, off, n int) simnet.Addr {
 		panic(fmt.Sprintf("core: dynamic access to unattached slot %d at rank %d", slot, target))
 	}
 	e := c.entries[slot]
-	if off+n > e.size {
+	if off > e.size-n { // not off+n > size: a large off wraps the sum
 		panic(fmt.Sprintf("core: dynamic access [%d,%d) exceeds attached region of %d bytes", off, off+n, e.size))
 	}
 	return simnet.Addr{Rank: target, Key: e.key - 1, Off: off}
@@ -440,7 +440,7 @@ func (w *Win) addrOf(target, disp, n int) simnet.Addr {
 	case kindAllocate, kindShared:
 		return simnet.Addr{Rank: target, Key: w.dataKey, Off: off}
 	case kindCreate:
-		if off+n > w.peerSizes[target] {
+		if off > w.peerSizes[target]-n { // not off+n > size: a large disp wraps the sum
 			panic(fmt.Sprintf("core: access [%d,%d) exceeds window of %d bytes at rank %d",
 				off, off+n, w.peerSizes[target], target))
 		}

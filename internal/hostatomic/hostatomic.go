@@ -18,9 +18,9 @@ func word(b []byte, off int) *uint64 {
 	if off&7 != 0 {
 		panic("hostatomic: misaligned 8-byte atomic access")
 	}
-	// Bounds-check by length only: a plain read of b[off+7] would race with
-	// concurrent atomic stores to the same word under the race detector.
-	if off < 0 || off+8 > len(b) {
+	// Bounds-check by length only (and not as off+8, which can wrap): a plain
+	// read of b[off+7] would race with concurrent atomic stores to the word.
+	if off < 0 || off > len(b)-8 {
 		panic("hostatomic: 8-byte access outside slice")
 	}
 	return (*uint64)(unsafe.Pointer(&b[off]))

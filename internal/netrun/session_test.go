@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fompi/internal/faultnet"
 	"fompi/internal/rankio"
@@ -609,6 +611,45 @@ func TestUnassignedOpcodeRejected(t *testing.T) {
 	}
 }
 
+// TestWrappedOffsetFaults: a put or an atomic whose offset is so large that
+// offset+length wraps round int faults by name at the owner, before the
+// owner takes its port: the port is left exactly as it was.
+func TestWrappedOffsetFaults(t *testing.T) {
+	const off = math.MaxInt64 - 7
+	put := binary.LittleEndian.AppendUint32(nil, 0)  // key
+	put = binary.LittleEndian.AppendUint64(put, off) // off
+	put = binary.LittleEndian.AppendUint64(put, 5)   // arrival
+	put = binary.LittleEndian.AppendUint64(put, 1)   // xfer
+	put = append(append(put, 1), "8 bytes!"...)      // reserve, the word
+	amo := fetchAddFields()
+	binary.LittleEndian.PutUint64(amo[4:], off)
+	w := sessionWorld()
+	// The port's 32 bytes (its two words and the NIC interval), as raw words:
+	// a Port has lock methods, so a copy of the struct would trip vet.
+	port := (*[4]uint64)(unsafe.Pointer(&w.ownPort))
+	if unsafe.Sizeof(w.ownPort) != unsafe.Sizeof(*port) {
+		t.Fatalf("simnet.Port is %d bytes, not %d", unsafe.Sizeof(w.ownPort), unsafe.Sizeof(*port))
+	}
+	for _, c := range []struct {
+		name   string
+		op     uint8
+		fields []byte
+	}{{"opPut", opPut, put}, {"opAmo", opAmo, amo}} {
+		before := *port
+		e := newEnc(nil)
+		w.handle(c.op, &dec{b: c.fields}, &e)
+		if e.b[8] != stFault || !bytes.Contains(e.b, []byte("outside region of 8 bytes")) {
+			t.Errorf("%s at offset %d answered %q, want the bounds fault", c.name, uint64(off), e.b)
+		}
+		if *port != before {
+			t.Fatalf("%s at offset %d left the port %#x, want %#x", c.name, uint64(off), *port, before)
+		}
+	}
+	if applied(w) != 0 {
+		t.Fatalf("the probe word reads %d after the faults, want it untouched", applied(w))
+	}
+}
+
 // TestTruncatedControlRequestFaults: a control entry cut short faults before
 // the owner acts on it, like every data op — it must not query key 0 or park
 // on generation 0 in the missing bytes' stead.
@@ -841,6 +882,8 @@ func FuzzFrame(f *testing.F) {
 		amo(simnet.AmoSum, true, 0, []byte("12 bytes!!!!")), // not whole words: a typed fault
 		amo(simnet.AmoNoOp+1, true, 0, word(1)),             // no such operator: a typed fault
 		entryOf(opNotify, addr(0, tail(9, 5, 1))),
+		// An offset whose sum with the length wraps round int: a bounds fault.
+		entryOf(opPut, addr(math.MaxInt64-7, func(e *enc) { tail(5, 1)(e); e.bytes([]byte("8 bytes!")) })),
 		entryOf(opRegQuery, func(e *enc) { e.u32(0) }),
 		entryOf(opDoorGen, nil),
 		entryOf(opDoorWait, u64s(7)), // not the current generation: answers at once

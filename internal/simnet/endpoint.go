@@ -32,10 +32,10 @@ type Endpoint struct {
 	routes [routeSlots]route
 	xfer   [2]xferMemo
 
-	// word holds the operand and the fetched word of the one-word
-	// operations (StoreW, LoadW, PollRemoteWord, the word AMOs): a buffer
-	// handed to a RemoteMem proxy escapes, and the endpoint is on the heap
-	// already.
+	// word holds the operand and the fetched word of a word AMO to a proxy
+	// (inline, it passes scalars to RegionExec.AmoWord) and the word of a
+	// one-word put or get (StoreW, LoadW, PollRemoteWord): a buffer handed
+	// to a RemoteMem proxy escapes, and the endpoint is on the heap already.
 	word [16]byte
 
 	ctr Counters
@@ -185,10 +185,15 @@ func (ep *Endpoint) paceOp() {
 // access faults in routeMiss's lookup, it does not ride a stale handle.
 func (ep *Endpoint) route(a Addr) *route {
 	rt := &ep.routes[(uint(a.Rank)*5+uint(a.Key))%routeSlots]
-	if reg := rt.reg; rt.rank == a.Rank && rt.key == a.Key && reg != nil && reg.alive() && reg.key == a.Key {
+	if rt.hit(a) {
 		return rt
 	}
 	return ep.routeMiss(rt, a)
+}
+
+// hit reports whether the entry serves a: its (rank, key), a live handle still so keyed.
+func (rt *route) hit(a Addr) bool {
+	return rt.rank == a.Rank && rt.key == a.Key && rt.reg != nil && rt.reg.alive() && rt.reg.key == a.Key
 }
 
 // routeMiss resolves a through the transport — faulting there on an address
@@ -441,20 +446,21 @@ func (ep *Endpoint) amoCommon(a Addr, op AmoOp, o1, o2 uint64) (old uint64, comp
 	reg, pr, same := rt.reg, rt.pr, rt.same
 	ep.clock += timing.Time(pr.InjectNs)
 	xfer := ep.xferNs(rt, 8)
-	src, prev := ep.word[:8], ep.word[8:]
-	binary.LittleEndian.PutUint64(src, o1)
 	var land, base, free timing.Time
 	if rm := reg.rmt; rm != nil {
+		src, prev := ep.word[:8], ep.word[8:]
+		binary.LittleEndian.PutUint64(src, o1)
 		reg.check(a.Off, 8)
 		land, base, free = rm.Amo(op, a.Off, src, o2, prev, ep.clock, ep.nicFree, !same, pr.PutLatNs, xfer)
+		old = binary.LittleEndian.Uint64(prev)
 	} else {
-		land, base, free = ep.exec(reg).Amo(op, a.Off, src, o2, prev, ep.clock, ep.nicFree, !same, pr.PutLatNs, xfer)
+		old, land, base, free = ep.exec(reg).AmoWord(op, a.Off, o1, o2, ep.clock, ep.nicFree, !same, pr.PutLatNs, xfer)
 	}
 	if !same {
 		ep.nicFree = free
 	}
 	ep.ctr.Amos++
-	return binary.LittleEndian.Uint64(prev), timing.Max(land, base+timing.Time(pr.AmoNs))
+	return old, timing.Max(land, base+timing.Time(pr.AmoNs))
 }
 
 // FetchOp atomically applies op with operand v to the remote word and

@@ -236,7 +236,8 @@ func TestDoorbellFastPath(t *testing.T) {
 // BenchmarkIssue{Put,Get,FetchAdd,StoreW,LoadW,Notify} time the inline issue
 // path in the shapes the repository benchmark's put/get/amo kinds drive it,
 // the one-word put and get the synchronization protocols store and load
-// their flags with, and the bare notification: 2 ranks on 2 nodes (the NIC
+// their flags with, and the bare notification (CompareSwap and FetchBxor
+// the word atomic's operators other than AmoSum): 2 ranks on 2 nodes (the NIC
 // path), an 8-byte operation completed by a flush where it needs one, nobody
 // parked on the target's doorbell. `go test ./internal/simnet -run '^$'
 // -bench Issue` is the one-command local check for a change to this path;
@@ -338,5 +339,22 @@ func BenchmarkIssueGetMiss(b *testing.B) {
 func BenchmarkIssueFetchAdd(b *testing.B) {
 	benchIssue(b, func(ep *Endpoint, a Addr, _ []byte) {
 		ep.FetchAdd(a, 1)
+	})
+}
+
+// BenchmarkIssueCompareSwap swaps in the next value each time: every CAS
+// hits.
+func BenchmarkIssueCompareSwap(b *testing.B) {
+	var cur uint64
+	benchIssue(b, func(ep *Endpoint, a Addr, _ []byte) {
+		if ep.CompareSwap(a, cur, cur+1) == cur {
+			cur++
+		}
+	})
+}
+
+func BenchmarkIssueFetchBxor(b *testing.B) {
+	benchIssue(b, func(ep *Endpoint, a Addr, _ []byte) {
+		ep.FetchOp(a, AmoBxor, 1)
 	})
 }

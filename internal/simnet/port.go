@@ -88,10 +88,17 @@ func (p *Port) Unlock() { p.release(atomic.LoadUint64(&p.word) &^ lockBit) }
 func (p *Port) UnlockRing() (waiters bool) {
 	mDoorRings.Inc()
 	w := atomic.LoadUint64(&p.word)
-	p.release(w&^heldBits + holderRing)
-	if w&ringBit == 0 {
-		return atomic.AddUint64(&p.wait, 0)&maxWaiters != 0
+	if w&ringBit != 0 {
+		return p.unlockRung()
 	}
+	p.release(w&^lockBit + holderRing)
+	return atomic.AddUint64(&p.wait, 0)&maxWaiters != 0
+}
+
+// unlockRung is UnlockRing after LockRing, but the caller counts door.rings
+// (so that this inlines): one release store clears both bits, counts a ring.
+func (p *Port) unlockRung() (waiters bool) {
+	p.release(atomic.LoadUint64(&p.word) + (holderRing - heldBits))
 	return atomic.LoadUint64(&p.wait)&maxWaiters != 0
 }
 

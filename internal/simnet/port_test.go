@@ -259,8 +259,10 @@ func TestAmoChainsSerializeOnPort(t *testing.T) {
 // TestAmoUnknownOpFaultsFree: an op code outside the atomic unit's set —
 // which a corrupt wire frame can carry — faults a fetching word AMO and a
 // chained one alike, by name, and so do operands that are not whole words
-// and a fetch buffer of another length; all before the port is taken: the
-// word is untouched and the port word reads as it did.
+// and a fetch buffer of another length; the word entry (AmoWord) faults a
+// bad op, a misaligned offset and an out-of-range one by name too; all
+// before the port is taken: the word is untouched and the port word reads
+// as it did.
 func TestAmoUnknownOpFaultsFree(t *testing.T) {
 	f := NewFabric(1, 1)
 	reg := f.Endpoint(0, FoMPI()).Register(64)
@@ -280,6 +282,20 @@ func TestAmoUnknownOpFaultsFree(t *testing.T) {
 	} {
 		if msg := faultOf(func() { x.Amo(AmoSum, 8, c.src, 0, c.old, 0, 0, true, 240, 1) }); !strings.Contains(msg, "want whole words") {
 			t.Fatalf("an AMO of %d operand bytes fetching into %d faulted with %q, want the operand-shape fault", len(c.src), len(c.old), msg)
+		}
+	}
+	for _, c := range []struct {
+		op   AmoOp
+		off  int
+		want string
+	}{
+		{bad, 8, want},
+		{AmoSum, 12, "hostatomic: misaligned 8-byte atomic access"},
+		{AmoSum, 64, "simnet: access [64,72) outside region of 64 bytes"},
+		{AmoCas, -8, "simnet: access [-8,0) outside region of 64 bytes"},
+	} {
+		if msg := faultOf(func() { x.AmoWord(c.op, c.off, 1, 0, 0, 0, true, 240, 1) }); !strings.HasPrefix(msg, c.want) {
+			t.Fatalf("AmoWord(op %d, off %d) faulted with %q, want %q", c.op, c.off, msg, c.want)
 		}
 	}
 	if w, wt := atomic.LoadUint64(&reg.port.word), atomic.LoadUint64(&reg.port.wait); w != before || wt != waitBefore {

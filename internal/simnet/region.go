@@ -87,9 +87,9 @@ func (r *Region) Bytes() []byte { return r.buf }
 func (r *Region) Base() Addr { return Addr{Rank: r.owner, Key: r.key} }
 
 // check panics when [off, off+n) exceeds the registration, modelling a
-// remote-memory protection fault.
+// remote-memory protection fault; not as off+n, which a huge off wraps.
 func (r *Region) check(off, n int) {
-	if off < 0 || n < 0 || off+n > r.Size() {
+	if off < 0 || n < 0 || off > r.size-n {
 		r.faultBounds(off, n)
 	}
 }
@@ -101,13 +101,18 @@ func (r *Region) faultBounds(off, n int) {
 		off, off+n, r.Size(), r.owner, r.key))
 }
 
-// checkWords is check for word-atomic access: a misaligned offset faults
-// here too, before the caller takes the owner's port.
+// checkWords is check for word-atomic access (n ≥ 0): a misaligned offset
+// faults here too, before the caller takes the owner's port. It inlines;
+// faultWords, out of line, raises the bounds fault, else the alignment one.
 func (r *Region) checkWords(off, n int) {
-	r.check(off, n)
-	if off&7 != 0 {
-		panic("hostatomic: misaligned 8-byte atomic access")
+	if off < 0 || off > r.size-n || off&7 != 0 {
+		r.faultWords(off, n)
 	}
+}
+
+func (r *Region) faultWords(off, n int) {
+	r.check(off, n)
+	panic("hostatomic: misaligned 8-byte atomic access")
 }
 
 // StampMax returns the latest virtual completion stamp in [off, off+n).

@@ -264,19 +264,14 @@ func (x RegionExec) Amo(op AmoOp, off int, src []byte, swap uint64, old []byte, 
 	if len(src)%8 != 0 || (old != nil && len(old) != len(src)) {
 		panic(fmt.Sprintf("simnet: AMO over %d operand bytes fetching into %d: want whole words, as many fetched", len(src), len(old)))
 	}
-	x.lock()
-	if len(src) == 8 { // a word AMO: the word's own stamp record, no loop
-		prev := x.Reg.stamps.Get(off)
-		v := applyAmo(x.Reg.buf, off, op, binary.LittleEndian.Uint64(src), swap)
+	if len(src) == 8 { // a word AMO: AmoWord's body
+		v, land, base, newFree := x.AmoWord(op, off, binary.LittleEndian.Uint64(src), swap, clockIn, srcFree, reserve, lat, xfer)
 		if old != nil {
 			binary.LittleEndian.PutUint64(old, v)
 		}
-		base = timing.Max(clockIn, prev)
-		land, newFree = x.landAt(base, srcFree, reserve, lat, xfer)
-		x.Reg.stamps.Set(off, land)
-		x.done(true)
 		return land, base, newFree
 	}
+	x.lock()
 	base = timing.Max(clockIn, x.Reg.stamps.MaxRange(off, len(src)))
 	for i := 0; i < len(src); i += 8 {
 		v := applyAmo(x.Reg.buf, off+i, op, binary.LittleEndian.Uint64(src[i:]), swap)
@@ -288,6 +283,40 @@ func (x RegionExec) Amo(op AmoOp, off int, src []byte, swap uint64, old []byte, 
 	x.Reg.stamps.SetRange(off, len(src), land)
 	x.done(true)
 	return land, base, newFree
+}
+
+// AmoWord is Amo over the word at off with scalar operands (o2: a CAS's
+// swap), returning the prior word: every fetching AMO's body, inline and at
+// a wire owner. From the port's CAS to its release store it calls only
+// applyAmo, for ops but AmoSum, and Set, for a record of more than a store.
+func (x RegionExec) AmoWord(op AmoOp, off int, o1, o2 uint64, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (old uint64, land, base, newFree timing.Time) {
+	reg, p := x.Reg, x.Reg.port
+	reg.checkWords(off, 8)
+	checkAmo(op)
+	if x.Ring == nil {
+		p.Lock()
+	} else {
+		mDoorRings.Inc() // the ring its release carries
+		p.LockRing()
+	}
+	base = timing.Max(clockIn, reg.stamps.Get(off))
+	if op == AmoSum {
+		old = hostatomic.Add(reg.buf, off, o1)
+	} else {
+		old = applyAmo(reg.buf, off, op, o1, o2)
+	}
+	land, newFree = x.landAt(base, srcFree, reserve, lat, xfer)
+	if rec := reg.stamps.WordRecord(off); rec != nil {
+		hostatomic.StoreRel64(rec, int64(land))
+	} else {
+		reg.stamps.Set(off, land)
+	}
+	if x.Ring == nil {
+		p.Unlock()
+	} else if p.unlockRung() {
+		x.Ring.WakeDoor(reg.owner)
+	}
+	return old, land, base, newFree
 }
 
 // landAt resolves a transfer departing at base, which itself depended on

@@ -293,6 +293,19 @@ func (s *Stamps) Set(off int, t Time) {
 	s.setWord(i, int64(t), e)
 }
 
+// WordRecord returns the stamp slot of the word at off when Set of it
+// would be that one store — no fill since the word's last write, and its
+// block's sub already raised — and nil otherwise. The caller release-stores
+// the stamp there (hostatomic.StoreRel64), or calls Set on nil. It inlines.
+func (s *Stamps) WordRecord(off int) *int64 {
+	i := off / 8
+	e := atomic.LoadUint32(s.epoch) + 1
+	if atomic.LoadUint32(&s.wEpoch[i]) != e || atomic.LoadUint32(&s.lv[0].sub[i>>blockShift]) < e {
+		return nil
+	}
+	return &s.words[i]
+}
+
 // SetRange stamps every word overlapping [off, off+n) with completion time t.
 // The range decomposes into the maximal nodes it covers — at most
 // 2·(BlockWords-1) per level, one when it is the whole region — each taking

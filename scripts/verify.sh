@@ -14,6 +14,17 @@
 #                                refusal there (no futex, no second wake
 #                                mechanism) keeps compiling
 #   go build ./...               everything compiles
+#   hot helpers inline           go build -gcflags=-m of internal/simnet and
+#                                internal/timing reports "can inline" for
+#                                every helper the word atomic's body runs
+#                                between the port's CAS and its release,
+#                                and for the route-hit test and the word
+#                                check before it (Port.LockRing,
+#                                Port.unlockRung, Stamps.Get,
+#                                Stamps.WordRecord, route.hit,
+#                                Region.checkWords): an edit that takes one
+#                                over the inlining budget fails here, not
+#                                silently as nanoseconds per operation
 #   CGO_ENABLED=0 build + tests  the tree builds without cgo, and the control
 #                                plane, the arena, the process transport and
 #                                the launcher pass their -short suites that way:
@@ -117,7 +128,9 @@
 #   make bench-test              the benchmark module's own tests (benchmark/
 #                                has its own go.mod, so ./... skips it)
 #   go test -bench 'Issue|Port' -benchtime 1x
-#                                the inline issue benchmarks and the port
+#                                the inline issue benchmarks (the word
+#                                atomic's AmoSum, CompareSwap and FetchBxor
+#                                among them) and the port
 #                                hold benchmarks, one iteration: their 0
 #                                allocs/op and the issue path's 0
 #                                steady-state route misses assertions run on
@@ -188,6 +201,15 @@ GOOS=darwin go vet ./...
 
 echo "== go build"
 go build ./...
+
+echo "== the word atomic's hot helpers inline (go build -gcflags=-m)"
+INLINED="$(go build -gcflags=-m ./internal/simnet ./internal/timing 2>&1 | sed -n 's/^.*: can inline //p')"
+for fn in '(*Port).LockRing' '(*Port).unlockRung' '(*Stamps).Get' '(*Stamps).WordRecord' '(*route).hit' '(*Region).checkWords'; do
+	if ! printf '%s\n' "$INLINED" | grep -qxF "$fn"; then
+		echo "verify: $fn no longer inlines (go build -gcflags=-m=2 ./internal/simnet ./internal/timing prints its cost against the budget of 80)" >&2
+		exit 1
+	fi
+done
 
 echo "== no-cgo leg (static build; rankio, mprun, netrun, spmd -short)"
 CGO_ENABLED=0 go build ./...
