@@ -75,11 +75,11 @@ type Arena struct {
 
 	arenaPos int
 	freeSegs map[int][]*segpool.Seg
-	regions  [][]*simnet.Region // lazily built (local, key) views of peers' registrations
+	regions  map[[2]int]*simnet.Region // lazily built (local, slot) views of peers' registrations
 }
 
 func (a *Arena) initMaps() {
-	a.regions = make([][]*simnet.Region, a.cfg.Ranks)
+	a.regions = map[[2]int]*simnet.Region{}
 	a.freeSegs = map[int][]*segpool.Seg{}
 	a.self = -1
 	a.hook = simnet.ParkHook{Seq: a.seq, Park: a.park, Poke: a.poke,
@@ -272,77 +272,72 @@ func (a *Arena) Recycle(s *segpool.Seg, scrubbed bool, extra ...segpool.Range) {
 	a.freeSegs[len(s.Buf)] = append(a.freeSegs[len(s.Buf)], s)
 }
 
-// Publish writes local rank's registration under key k — the owner's own
-// counter, dense from 0 in registration order — into the shared directory,
-// where the host group's other processes resolve it (Lookup). The buffer must
-// come from AllocSeg: remote processes can only reach the shared mapping, so
-// arbitrary heap memory is rejected with a clear fault.
+// Publish writes local rank's registration under key k into the entry of
+// k's slot in the shared directory, where the host group's other processes
+// resolve it (Lookup). The buffer must come from AllocSeg: remote processes
+// can only reach the shared mapping, so arbitrary heap memory is rejected
+// with a clear fault.
 func (a *Arena) Publish(local, k int, reg *simnet.Region) {
 	buf := reg.Bytes()
 	off, ok := arenaOffset(a.lay.arena(a.m, local), buf)
 	if !ok {
 		panic("mprun: ranks that share an arena can only register transport-allocated memory (Endpoint.AllocSeg / Register), not windows over user buffers")
 	}
-	if k >= maxRegions {
-		panic(fmt.Sprintf("mprun: region directory full: this rank has made %d registrations over the world's lifetime and keys are never reused (about %d windows per rank) — create windows once and reuse them", maxRegions, maxRegions/2))
+	key := simnet.Key(k)
+	if key.Slot() >= maxRegions {
+		panic(fmt.Sprintf("mprun: region directory full: this rank holds %d live registrations, all its arena's directory addresses (about %d windows per rank); free the windows it no longer uses", maxRegions, maxRegions/2))
 	}
-	e := a.lay.entryOff(local, k)
+	e := a.lay.entryOff(local, key.Slot())
 	atomic.StoreUint64(u64at(a.m, e+enBufOff), uint64(off))
 	atomic.StoreUint64(u64at(a.m, e+enBufLen), uint64(len(buf)))
 	// The state store publishes the fields: peers load it with acquire
 	// ordering before reading them.
-	atomic.StoreUint32(u32at(a.m, e+enState), entryLive)
+	atomic.StoreUint32(u32at(a.m, e+enState), key.Live())
 }
 
-// Unpublish marks a published registration dead; later accesses by the host
-// group's other processes fault.
+// Unpublish empties k's entry; later accesses by the host group's other
+// processes fault.
 func (a *Arena) Unpublish(local, k int) {
-	atomic.StoreUint32(u32at(a.m, a.lay.entryOff(local, k)+enState), entryDead)
-}
-
-func (a *Arena) regionsFor(local int) []*simnet.Region {
-	if a.regions[local] == nil {
-		a.regions[local] = make([]*simnet.Region, maxRegions)
+	if s := simnet.Key(k).Slot(); s < maxRegions {
+		atomic.StoreUint32(u32at(a.m, a.lay.entryOff(local, s)+enState), 0)
 	}
-	return a.regions[local]
 }
 
-// Lookup resolves a peer's (ownerLocal, key), materializing (and caching) a
-// local view of the owner's registration: the buffer and stamp slabs are slices of the
-// shared mapping, so stamp arithmetic runs on the same words in every
-// process. ownerGlobal is the owner's world rank, the identity the view (and
-// its fault messages) carries. A view's liveness word is the entry's state
-// word in the mapping, so an endpoint's warm route onto the view notices the
-// owner's Unregister without coming back here.
+// Lookup resolves a peer's (ownerLocal, key), materializing (and caching, by
+// slot) a local view of the owner's registration: the buffer and stamp slabs
+// are slices of the shared mapping, so stamp arithmetic runs on the same words
+// in every process. ownerGlobal is the owner's world rank, the identity the
+// view (and its fault messages) carries. A view's liveness word is the
+// entry's state word, so a warm route onto the view notices the owner's
+// Unregister without coming back here.
 func (a *Arena) Lookup(ownerLocal int, key uint32, ownerGlobal int) *simnet.Region {
-	regs := a.regionsFor(ownerLocal)
-	if int(key) >= maxRegions {
-		panic(fmt.Sprintf("simnet: access to unregistered region (rank %d key %d)", ownerGlobal, key))
+	k := simnet.Key(key)
+	if s := k.Slot(); s < maxRegions {
+		e := a.lay.entryOff(ownerLocal, s)
+		state := u32at(a.m, e+enState)
+		// Checked on cache hits too — the owner may have unregistered and
+		// recycled the bytes since — and after reading the fields, which the
+		// owner may have rewritten for a later key meanwhile.
+		if atomic.LoadUint32(state) == k.Live() {
+			if r := a.regions[[2]int{ownerLocal, s}]; r != nil && r.Key() == k {
+				return r
+			}
+			off := int(atomic.LoadUint64(u64at(a.m, e+enBufOff)))
+			ln := int(atomic.LoadUint64(u64at(a.m, e+enBufLen)))
+			if atomic.LoadUint32(state) == k.Live() {
+				ar := a.lay.arena(a.m, ownerLocal)
+				n64, n32 := timing.StampSlabLens(ln)
+				bufLen := alignUp(ln, 8)
+				st := timing.NewStampsOver(
+					i64slice(ar, off+bufLen, n64),
+					u32slice(ar, off+bufLen+n64*8, n32), ln)
+				reg := simnet.MakeRegion(ownerGlobal, k, ar[off:off+ln:off+ln], st, a.Port(ownerLocal), state)
+				a.regions[[2]int{ownerLocal, s}] = &reg
+				return &reg
+			}
+		}
 	}
-	e := a.lay.entryOff(ownerLocal, int(key))
-	if atomic.LoadUint32(u32at(a.m, e+enState)) != entryLive {
-		// Checked on cache hits too: the owner may have unregistered (and
-		// its arena recycled the bytes) since this view was materialized —
-		// the access must fault like the in-process fabric's nilled slot,
-		// not silently write through a stale view.
-		regs[key] = nil
-		panic(fmt.Sprintf("simnet: access to unregistered region (rank %d key %d)", ownerGlobal, key))
-	}
-	if r := regs[key]; r != nil {
-		return r
-	}
-	off := int(atomic.LoadUint64(u64at(a.m, e+enBufOff)))
-	ln := int(atomic.LoadUint64(u64at(a.m, e+enBufLen)))
-	ar := a.lay.arena(a.m, ownerLocal)
-	buf := ar[off : off+ln : off+ln]
-	n64, n32 := timing.StampSlabLens(ln)
-	bufLen := alignUp(ln, 8)
-	st := timing.NewStampsOver(
-		i64slice(ar, off+bufLen, n64),
-		u32slice(ar, off+bufLen+n64*8, n32), ln)
-	reg := simnet.MakeRegion(ownerGlobal, simnet.Key(key), buf, st, a.Port(ownerLocal), u32at(a.m, e+enState))
-	regs[key] = &reg
-	return &reg
+	panic(simnet.Unregistered(simnet.Addr{Rank: ownerGlobal, Key: k}))
 }
 
 // ---- ports ----

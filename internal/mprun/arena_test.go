@@ -214,7 +214,7 @@ func twoViewsShareStampTree(t *testing.T, open func(*testing.T, ArenaConfig) (cr
 
 	for key, size := range []int{40, 512, 24<<10 + 8, 280 << 10} {
 		seg := owner.AllocSeg(0, size)
-		live := simnet.RegionLive
+		live := simnet.Key(key).Live()
 		reg := simnet.MakeRegion(0, 0, seg.Buf, seg.St, owner.Port(0), &live)
 		owner.Publish(0, key, &reg)
 		mine, theirs := seg.St, peer.Lookup(0, uint32(key), 0).Stamps()
@@ -323,11 +323,11 @@ func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "layout version") {
 		t.Errorf("opener of a wrong-version segment returned %v, want the version mismatch", err)
 	}
-	// A v11 segment's mappers add to the port's lock word, racing a
-	// holder's plain release store.
-	atomic.StoreUint64(u64at(creator.m, hdrVersion), 11)
-	if _, err = openArenaAt([]string{path}, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 11, want 12") {
-		t.Errorf("opener of a v11 segment returned %v, want it refused by version", err)
+	// A v12 segment's mappers read a recycled directory entry's key as a
+	// dead entry's state.
+	atomic.StoreUint64(u64at(creator.m, hdrVersion), 12)
+	if _, err = openArenaAt([]string{path}, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 12, want 13") {
+		t.Errorf("opener of a v12 segment returned %v, want it refused by version", err)
 	}
 	atomic.StoreUint64(u64at(creator.m, hdrVersion), shmVersion)
 	wide := cfg
@@ -388,7 +388,7 @@ func TestOneWordPutStampsFirstOverTwoViews(t *testing.T) {
 	for _, pl := range placements {
 		t.Run(pl.name, func(t *testing.T) {
 			owner, peer := pl.open(t, ArenaConfig{Ranks: 1, ArenaBytes: pageAlign})
-			live := simnet.RegionLive
+			live := simnet.Key(0).Live()
 			for key, reserve := range []bool{true, false} {
 				seg := owner.AllocSeg(0, 64)
 				reg := simnet.MakeRegion(0, 0, seg.Buf, seg.St, owner.Port(0), &live)

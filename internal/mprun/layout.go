@@ -27,8 +27,8 @@ import (
 //	                    published clocks, shard minimums, park thresholds —
 //	                    which each process's Pacer lays its tables over
 //	dir[i]   (32 B × maxRegions per rank)
-//	                    the region directory: each owner publishes its
-//	                    registrations here in key order
+//	                    the region directory: each owner publishes a
+//	                    registration in the entry of its key's slot
 //	arena[i] (ArenaBytes per rank)
 //	                    registered memory. Every segment is laid out as
 //	                    [buffer][stamp int64 slab][stamp uint32 slab], so a
@@ -59,7 +59,9 @@ import (
 // wake word of its own, so a v10 mapper would poke the waiter's slot and
 // leave asleep those who sleep under the watched one. v12 split the port
 // word into a lock word and a wait word: a v11 mapper would add to the lock
-// word and race a holder's plain release store.
+// word and race a holder's plain release store. v13 recycles directory
+// entries: an entry is a key's slot and its state the live key's
+// simnet.Key.Live, which a v12 mapper would read as a dead entry.
 //
 // All multi-word fields are 8-byte aligned; cross-process synchronization
 // uses sync/atomic on the mapped words, which on a cache-coherent machine
@@ -67,7 +69,7 @@ import (
 // goroutines. DESIGN.md §8 documents the layout and its ordering contracts.
 const (
 	shmMagic   = 0x666f4d50_72756e31 // "foMPrun1"
-	shmVersion = 12                  // see "Version history" above
+	shmVersion = 13                  // see "Version history" above
 
 	hdrMagic      = 0  // u64
 	hdrVersion    = 8  // u64
@@ -84,19 +86,15 @@ const (
 	rnPaceWake = 68 // u32: the rank's pace slot's futex word
 
 	entryStride = 32
-	enState     = 0  // u32: entryEmpty/entryLive/entryDead
-	enBufOff    = 8  // u64, arena-relative
-	enBufLen    = 16 // u64
+	// u32: the live key's simnet.Key.Live, 0 while the slot is empty: every
+	// view's liveness word, so a zeroed entry reads dead.
+	enState  = 0
+	enBufOff = 8  // u64, arena-relative
+	enBufLen = 16 // u64
 
-	// A materialized view's liveness word is its entry's state word, so a
-	// live entry holds the value simnet's routes test for.
-	entryEmpty = 0
-	entryLive  = simnet.RegionLive
-	entryDead  = 2
-
-	// maxRegions bounds each rank's registrations over the world lifetime
-	// (keys are never reused). Worlds register a handful of regions per
-	// window; 1024 is two orders of magnitude of headroom.
+	// maxRegions bounds each rank's live registrations (a key's slot). Worlds
+	// hold a handful of regions per window; 1024 is two orders of magnitude
+	// of headroom.
 	maxRegions = 1024
 
 	// MaxRanks bounds a multi-process world: a sanity bound on how many OS

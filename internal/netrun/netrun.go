@@ -83,12 +83,10 @@ type World struct {
 	ownPort simnet.Port
 	door    simnet.ParkHook
 
-	// mine is this rank's region directory (index = key; slots are nilled on
-	// unregister, never reused): the one list the rank itself, the service
-	// loop and — published under the same key — the arena's directory resolve
-	// against.
-	mineMu sync.RWMutex
-	mine   []*simnet.Region
+	// mine is this rank's region directory: the one table the rank itself
+	// and the service loop resolve against, which the arena's directory
+	// mirrors under the same keys for host-mates.
+	mine simnet.Directory
 
 	// pacer is nil in an unpaced world. In a world with no wire it runs over
 	// the arena's shared tables; otherwise its table is this process's own —
@@ -104,8 +102,8 @@ type World struct {
 	// peers are this rank's requester connections, dialed lazily; guarded
 	// by peerMu only against the abort path's close-all (requests
 	// themselves are confined to the rank's goroutine). proxies caches
-	// materialized remote views per (rank, key); it is touched only by the
-	// rank's goroutine.
+	// materialized remote views per (rank, key's slot), the newest key's
+	// proxy in each; it is touched only by the rank's goroutine.
 	peerMu  sync.Mutex
 	peers   []*peerConn
 	proxies [][]*simnet.Region
@@ -528,37 +526,20 @@ func (w *World) RecycleSeg(rank int, s *segpool.Seg, scrubbed bool, extra ...seg
 // needed; programs synchronize registration before distributing addresses.
 func (w *World) RegisterRegion(rank int, reg *simnet.Region) simnet.Key {
 	w.owns(rank, "RegisterRegion")
-	w.mineMu.Lock()
-	defer w.mineMu.Unlock()
-	k := len(w.mine)
+	k := w.mine.Add(reg)
 	if w.ar != nil {
-		w.ar.Publish(w.self, k, reg)
+		w.ar.Publish(w.self, int(k), reg)
 	}
-	w.mine = append(w.mine, reg)
-	return simnet.Key(k)
+	return k
 }
 
-// UnregisterRegion marks a registration dead; later remote accesses fault.
+// UnregisterRegion drops a registration; later remote accesses fault.
 func (w *World) UnregisterRegion(rank int, k simnet.Key) {
 	w.owns(rank, "UnregisterRegion")
-	w.mineMu.Lock()
-	defer w.mineMu.Unlock()
-	if int(k) < len(w.mine) {
-		w.mine[k] = nil
-		if w.ar != nil {
-			w.ar.Unpublish(w.self, int(k))
-		}
+	w.mine.Drop(k)
+	if w.ar != nil {
+		w.ar.Unpublish(w.self, int(k))
 	}
-}
-
-// ownRegion resolves one of this rank's own keys, nil if it is not live.
-func (w *World) ownRegion(k simnet.Key) *simnet.Region {
-	w.mineMu.RLock()
-	defer w.mineMu.RUnlock()
-	if int(k) >= len(w.mine) {
-		return nil
-	}
-	return w.mine[k]
 }
 
 // LookupRegion resolves an address by host group: this rank's own
@@ -573,28 +554,24 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 		panic(fmt.Sprintf("simnet: address names rank %d outside fabric of %d", a.Rank, w.Size()))
 	}
 	if a.Rank == w.rank {
-		if reg := w.ownRegion(a.Key); reg != nil {
-			return reg
-		}
-		panic(fmt.Sprintf("simnet: access to unregistered region (rank %d key %d)", a.Rank, a.Key))
+		return w.mine.Lookup(a)
 	}
 	if l := w.lidx[a.Rank]; l >= 0 {
 		return w.ar.Lookup(l, uint32(a.Key), a.Rank)
 	}
-	regs := w.proxies[a.Rank]
-	if int(a.Key) < len(regs) && regs[a.Key] != nil {
-		return regs[a.Key]
+	s := a.Key.Slot()
+	if regs := w.proxies[a.Rank]; s < len(regs) && regs[s] != nil && regs[s].Key() == a.Key {
+		return regs[s]
 	}
-	state, size := w.queryRegion(a.Rank, a.Key)
-	if state != regLive {
-		panic(fmt.Sprintf("simnet: access to unregistered region (rank %d key %d)", a.Rank, a.Key))
+	live, size := w.queryRegion(a.Rank, a.Key)
+	if !live {
+		panic(simnet.Unregistered(a))
 	}
-	reg := simnet.MakeRemoteRegion(a.Rank, a.Key, &remoteMem{w: w, rank: a.Rank, key: a.Key, size: size})
-	for int(a.Key) >= len(w.proxies[a.Rank]) {
+	for s >= len(w.proxies[a.Rank]) {
 		w.proxies[a.Rank] = append(w.proxies[a.Rank], nil)
 	}
-	w.proxies[a.Rank][a.Key] = &reg
-	return &reg
+	w.proxies[a.Rank][s] = simnet.MakeRemoteRegion(a.Rank, a.Key, &remoteMem{w: w, rank: a.Rank, key: a.Key, size: size})
+	return w.proxies[a.Rank][s]
 }
 
 // ---- simnet.Transport: virtual-hardware services ----

@@ -112,13 +112,13 @@ func (w *World) netFault(r int, err error) any {
 }
 
 // queryRegion resolves a foreign registration's liveness and size.
-func (w *World) queryRegion(r int, k simnet.Key) (uint8, int) {
+func (w *World) queryRegion(r int, k simnet.Key) (bool, int) {
 	e := w.entry(r, opRegQuery, nil, false)
 	e.u32(uint32(k))
 	d := w.call(r, e)
 	state, size := d.u8(), int(d.u64())
 	d.complete(r)
-	return state, size
+	return state == regLive, size
 }
 
 // ctlWord asks rank r one control question whose argument, if it has one,

@@ -76,13 +76,21 @@ func TestHostListRendezvous(t *testing.T) {
 	go worker()
 	go worker()
 
+	// A worker sends seen before its nil, so one that finishes before the
+	// other's seen arrives is a success already counted toward the second
+	// loop; only a non-nil error fails here.
 	ranks := map[int]bool{}
-	for i := 0; i < 2; i++ {
+	finished := 0
+	for n := 0; n < 2; {
 		select {
 		case err := <-workerErr:
-			t.Fatalf("worker failed before the barrier: %v", err)
+			if err != nil {
+				t.Fatalf("worker failed before the barrier: %v", err)
+			}
+			finished++
 		case r := <-seen:
 			ranks[r] = true
+			n++
 		case <-time.After(30 * time.Second):
 			t.Fatalf("rendezvous barrier did not complete")
 		}
@@ -90,7 +98,7 @@ func TestHostListRendezvous(t *testing.T) {
 	if !ranks[0] || !ranks[1] {
 		t.Fatalf("join-order assignment produced ranks %v, want {0, 1}", ranks)
 	}
-	for i := 0; i < 2; i++ {
+	for ; finished < 2; finished++ {
 		select {
 		case err := <-workerErr:
 			if err != nil {

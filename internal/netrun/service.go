@@ -254,19 +254,10 @@ func (w *World) handle(op uint8, d *dec, e *enc) (ok bool) {
 	case opRegQuery:
 		k := simnet.Key(d.u32())
 		d.must()
-		w.mineMu.RLock()
-		var state uint8
-		var size int
-		switch {
-		case int(k) >= len(w.mine):
-			state = regUnknown
-		case w.mine[k] == nil:
-			state = regDead
-		default:
-			state = regLive
-			size = w.mine[k].Size()
+		state, size := regDead, 0
+		if reg := w.mine.Get(k); reg != nil {
+			state, size = regLive, reg.Size()
 		}
-		w.mineMu.RUnlock()
 		e.u8(state)
 		e.u64(uint64(size))
 	case opDoorGen:
@@ -289,10 +280,5 @@ func (w *World) handle(op uint8, d *dec, e *enc) (ok bool) {
 // memory. Dead or unknown keys fault with the unregistered-region message
 // the inline path uses.
 func (w *World) exec(d *dec) simnet.RegionExec {
-	k := simnet.Key(d.u32())
-	reg := w.ownRegion(k)
-	if reg == nil {
-		panic(fmt.Sprintf("simnet: access to unregistered region (rank %d key %d)", w.rank, k))
-	}
-	return simnet.RegionExec{Reg: reg}
+	return simnet.RegionExec{Reg: w.mine.Lookup(simnet.Addr{Rank: w.rank, Key: simnet.Key(d.u32())})}
 }

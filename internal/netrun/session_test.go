@@ -23,8 +23,8 @@ import (
 )
 
 // liveWord returns a liveness word for a handle these tests build without an
-// endpoint; nothing ever unregisters it.
-func liveWord() *uint32 { v := simnet.RegionLive; return &v }
+// endpoint; the directory it is added to sets it.
+func liveWord() *uint32 { return new(uint32) }
 
 // sessionWorld builds the minimal owner-side World the session layer needs:
 // a rank, one registered word behind the rank's port, and an empty session
@@ -35,7 +35,7 @@ func sessionWorld() *World {
 		sessions: make(map[uint64]*ownerSession),
 	}
 	reg := simnet.MakeRegion(1, 0, make([]byte, 8), timing.NewStamps(8), &w.ownPort, liveWord())
-	w.mine = []*simnet.Region{&reg}
+	w.mine.Add(&reg)
 	return w
 }
 
@@ -54,7 +54,7 @@ func pipeClient(t testing.TB) *rankio.Client {
 
 // applied reads the probe word of a sessionWorld: the number of fetchAddFields
 // requests that executed.
-func applied(w *World) uint64 { return w.mine[0].LocalWord(0) }
+func applied(w *World) uint64 { return w.mine.Get(0).LocalWord(0) }
 
 // applyOne delivers the frame (sid, seq, ack) whose list is the one entry
 // (op, fields) to w's session layer, as a connection that said HELLO as src.
@@ -281,7 +281,8 @@ func TestSessionBatchSuffixReplay(t *testing.T) {
 	buf := make([]byte, simnet.NotifyRingBytes(8))
 	reg := simnet.MakeRegion(1, 0, buf, timing.NewStamps(len(buf)), &w.ownPort, liveWord())
 	reg.LocalWordStore(16, 8, 0) // bind the ring: capacity word
-	w.mine = []*simnet.Region{&reg}
+	w.mine = simnet.Directory{}  // the ring, not the probe word, is key 0
+	w.mine.Add(&reg)
 	sid := sidFor(0, 77)
 
 	apply := func(seq, ack uint64, payload []byte) ([]byte, bool) {
@@ -759,7 +760,7 @@ func fuzzOwner(cl *rankio.Client) (w *World, slab []byte) {
 	buf := slab[64:128:128]
 	clear(buf)
 	reg := simnet.MakeRegion(1, 0, buf, timing.NewStamps(len(buf)), &w.ownPort, liveWord())
-	w.mine = []*simnet.Region{&reg}
+	w.mine.Add(&reg)
 	return w, slab
 }
 

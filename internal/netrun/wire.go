@@ -158,9 +158,8 @@ const (
 
 // Region-query states (opRegQuery replies).
 const (
-	regUnknown uint8 = 0
-	regLive    uint8 = 1
-	regDead    uint8 = 2
+	regLive uint8 = 1
+	regDead uint8 = 2
 )
 
 // enc is an append-style frame builder. The first 4 bytes are reserved for

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"fompi/internal/segpool"
 	"fompi/internal/timing"
@@ -51,10 +50,10 @@ const routeSlots = 16
 // facts of (rank, key) that every operation needs and that only the owner's
 // Unregister can change — the region handle, the locality, and the cost
 // profile the locality selects. An entry serves a lookup while the handle's
-// liveness word still reads RegionLive and the handle still carries the key
-// (a Region struct may be registered again, under a new key). Keys are never
-// reused, so an entry that matches names the registration it was filled
-// from, never a later one: there is no ABA. The zero entry is an empty slot.
+// liveness word holds the key's Live value: the word holds a key, not a flag,
+// so a handle that now serves a later key (its slot's next generation, a
+// Region struct registered again) does not serve the old one. The zero entry
+// is an empty slot.
 type route struct {
 	rank int
 	key  Key
@@ -179,10 +178,10 @@ func (ep *Endpoint) paceOp() {
 	}
 }
 
-// route resolves an address to its target facts. A hit costs two compares,
-// the liveness load and the key re-check, whatever the world size; the
-// liveness load makes the owner's Unregister exact per operation — the next
-// access faults in routeMiss's lookup, it does not ride a stale handle.
+// route resolves an address to its target facts. A hit costs two compares
+// and the liveness load and compare, whatever the world size; the liveness
+// load makes the owner's Unregister exact per operation — the next access
+// faults in routeMiss's lookup, it does not ride a stale handle.
 func (ep *Endpoint) route(a Addr) *route {
 	rt := &ep.routes[(uint(a.Rank)*5+uint(a.Key))%routeSlots]
 	if rt.hit(a) {
@@ -191,9 +190,9 @@ func (ep *Endpoint) route(a Addr) *route {
 	return ep.routeMiss(rt, a)
 }
 
-// hit reports whether the entry serves a: its (rank, key), a live handle still so keyed.
+// hit reports whether the entry serves a: its (rank, key), a handle still live under the key.
 func (rt *route) hit(a Addr) bool {
-	return rt.rank == a.Rank && rt.key == a.Key && rt.reg != nil && rt.reg.alive() && rt.reg.key == a.Key
+	return rt.rank == a.Rank && rt.key == a.Key && rt.reg != nil && rt.reg.liveAs(a.Key)
 }
 
 // routeMiss resolves a through the transport — faulting there on an address
@@ -277,18 +276,15 @@ func (ep *Endpoint) RegisterBufStampsInto(reg *Region, buf []byte, st *timing.St
 		panic("simnet: stamps do not cover the registered buffer")
 	}
 	*reg = MakeRegion(ep.rank, 0, buf, st, ep.fab.Port(ep.rank), &reg.state)
-	reg.state = RegionLive
-	reg.key = ep.fab.RegisterRegion(ep.rank, reg)
+	ep.fab.RegisterRegion(ep.rank, reg) // the Directory sets the key and the word
 }
 
 // Unregister removes a registration; later remote accesses fault, through a
-// warm route as through a cold lookup. The handle's own liveness word is
-// cleared here, before the backend's directory forgets the key: every
-// unregistration goes through the owner's endpoint, and the handle is what
-// this process's routes (all ranks' in process, the owner's own elsewhere)
-// hold; views in other processes watch the directory's word instead.
+// warm route as through a cold lookup. The owner's Directory clears the
+// handle's own liveness word, which this process's routes (all ranks' in
+// process, the owner's own elsewhere) read; views in other processes watch
+// the arena entry's word instead.
 func (ep *Endpoint) Unregister(reg *Region) {
-	atomic.StoreUint32(&reg.state, 0)
 	ep.fab.UnregisterRegion(ep.rank, reg.key)
 }
 

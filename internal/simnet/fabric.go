@@ -16,8 +16,8 @@
 // The per-operation host costs are kept allocation-free and (nearly)
 // lock-free: an endpoint resolves a target it has used before from its
 // fixed-size route memo (region handle, locality and cost profile behind
-// two compares and a liveness load) and any other through one atomic
-// pointer load into a copy-on-write table, doorbells ring without a lock or
+// two compares and a liveness load) and any other through the owner's
+// lock-free Directory, doorbells ring without a lock or
 // a hook call when nobody is parked, and pacing folds sharded minimum caches
 // instead of scanning every rank. There is one issue path: every operation
 // runs its own pacing check, and every write rings its target in the port
@@ -27,7 +27,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"fompi/internal/telemetry"
@@ -48,20 +47,11 @@ type Addr struct {
 // Add returns a copy of a displaced by n bytes.
 func (a Addr) Add(n int) Addr { a.Off += n; return a }
 
-// node is the per-rank fabric state: the registered-region table and the
-// rank's port (doorbell generation, NIC occupancy for bandwidth/incast
-// modelling, and the lock over both).
+// node is the per-rank fabric state: the rank's region directory and its
+// port (doorbell generation, NIC occupancy for bandwidth/incast modelling,
+// and the lock over both).
 type node struct {
-	// regions is a copy-on-write dense table indexed by Key (keys are
-	// handed out sequentially and never reused, so the table only grows;
-	// unregistered slots hold nil). The hot path — region() on every
-	// put/get/AMO — is one atomic load plus a bounds-checked index; mu
-	// serializes only the cold register/unregister copy.
-	mu      sync.Mutex
-	regions atomic.Pointer[[]*Region]
-	initTbl []*Region // initial header, carved from the fabric's setup slab
-	nextKey Key
-
+	dir  Directory
 	port Port
 }
 
@@ -162,23 +152,22 @@ func NewFabric(n, ranksPerNode int) *Fabric {
 	f.culprit.Store(-1)
 	f.park = NewParker(n)
 	f.hook = f.park.Hook(f.abortErr)
-	// Per-node state comes from three slabs (node structs, initial table
-	// headers via node.initTbl, table backing arrays): world setup is a few
-	// allocations, not a few per rank.
+	// Per-node state comes from two slabs (node structs, directory backing
+	// arrays): world setup is a few allocations, not a few per rank.
 	slab := make([]node, n)
-	backing := make([]*Region, initialRegionCap*n)
+	backing := make([]atomic.Pointer[Region], initialRegionCap*n)
 	for i := range f.nodes {
-		nd := &slab[i]
-		nd.initTbl = backing[i*initialRegionCap : i*initialRegionCap : (i+1)*initialRegionCap]
-		nd.regions.Store(&nd.initTbl)
-		f.nodes[i] = nd
+		d := &slab[i].dir
+		d.first = backing[i*initialRegionCap : i*initialRegionCap : (i+1)*initialRegionCap]
+		d.tbl.Store(&d.first)
+		f.nodes[i] = &slab[i]
 	}
 	return f
 }
 
-// initialRegionCap is each rank's pre-carved region-table capacity; typical
-// worlds register a handful of regions per rank (scratch, window data and
-// control), and tables growing past it just reallocate.
+// initialRegionCap is each rank's pre-carved directory capacity; typical
+// worlds hold a handful of regions per rank at once (scratch, window data and
+// control), and directories growing past it just reallocate.
 const initialRegionCap = 8
 
 // Size returns the number of ranks.
@@ -187,48 +176,10 @@ func (f *Fabric) Size() int { return f.n }
 // RanksPerNode returns the node width.
 func (f *Fabric) RanksPerNode() int { return f.ranksPerNode }
 
-// register installs a region owned by rank and returns its key. Cold path:
-// it extends the dense table and publishes a new header atomically. When the
-// backing array has spare capacity the new slot is written in place — the
-// store lands beyond every published header's length, so concurrent readers
-// (who hold the old header) cannot observe it — and only a full array
-// reallocates and copies.
-func (f *Fabric) register(rank int, reg *Region) Key {
-	nd := f.nodes[rank]
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	k := nd.nextKey
-	nd.nextKey++
-	reg.key = k
-	old := *nd.regions.Load()
-	tbl := append(old, reg) // in-place when capacity allows (mu serializes writers)
-	nd.regions.Store(&tbl)
-	return k
-}
-
-// unregister removes a region; subsequent accesses panic, modelling a DMAPP
-// memory-registration fault. The key's slot is nilled, never reused.
-func (f *Fabric) unregister(rank int, k Key) {
-	nd := f.nodes[rank]
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	old := *nd.regions.Load()
-	tbl := append([]*Region(nil), old...)
-	if int(k) < len(tbl) {
-		tbl[k] = nil
-	}
-	nd.regions.Store(&tbl)
-}
-
-// region resolves an address to its registered region: one atomic load and
-// a bounds-checked index on the hot path of every remote operation.
-func (f *Fabric) region(a Addr) *Region {
+// LookupRegion resolves an address to its live registration (a route miss).
+func (f *Fabric) LookupRegion(a Addr) *Region {
 	if a.Rank < 0 || a.Rank >= f.n {
 		panic(fmt.Sprintf("simnet: address names rank %d outside fabric of %d", a.Rank, f.n))
 	}
-	tbl := *f.nodes[a.Rank].regions.Load()
-	if int(a.Key) >= len(tbl) || tbl[a.Key] == nil {
-		panic(fmt.Sprintf("simnet: access to unregistered region (rank %d key %d)", a.Rank, a.Key))
-	}
-	return tbl[a.Key]
+	return f.nodes[a.Rank].dir.Lookup(a)
 }

@@ -10,7 +10,7 @@ import (
 	"fompi/internal/hostatomic"
 )
 
-// TestRegionTableConcurrentChurn hammers the copy-on-write region table:
+// TestRegionTableConcurrentChurn hammers the region directory:
 // one goroutine per owner rank registers and unregisters regions while
 // remote goroutines resolve and access a pinned region the whole time.
 // Run under -race this checks the table publication is properly ordered;
@@ -153,14 +153,14 @@ func TestRegionTableConcurrentChurn(t *testing.T) {
 		t.Fatalf("%d warm-route churn cycles completed in 10 s, want %d", n, minCycles)
 	}
 	// The pinned region must still resolve to the same registration.
-	if got := f.region(Addr{Rank: 0, Key: pinned.Key()}); got != pinned {
+	if got := f.LookupRegion(Addr{Rank: 0, Key: pinned.Key()}); got != pinned {
 		t.Fatalf("pinned region resolved to %p, want %p", got, pinned)
 	}
 }
 
-// TestRegionUnregisterFaults checks the DMAPP-fault contract survives the
-// dense-table rewrite: resolving an unregistered key panics, while keys are
-// never reused for later registrations.
+// TestRegionUnregisterFaults checks the DMAPP-fault contract: resolving an
+// unregistered key panics, and a later registration that reuses its slot
+// does not get the key back.
 func TestRegionUnregisterFaults(t *testing.T) {
 	f := NewFabric(2, 1)
 	ep := f.Endpoint(0, FoMPI())
@@ -169,7 +169,7 @@ func TestRegionUnregisterFaults(t *testing.T) {
 	ep.Unregister(r1)
 	r2 := ep.Register(64)
 	if r2.Key() == k1 {
-		t.Fatalf("key %d reused after unregister", k1)
+		t.Fatalf("key %d reissued after unregister", k1)
 	}
 	func() {
 		defer func() {
@@ -177,7 +177,7 @@ func TestRegionUnregisterFaults(t *testing.T) {
 				t.Error("access to unregistered region did not fault")
 			}
 		}()
-		f.region(Addr{Rank: 0, Key: k1})
+		f.LookupRegion(Addr{Rank: 0, Key: k1})
 	}()
 }
 

@@ -23,33 +23,24 @@ type Region struct {
 	port   *Port     // the owner's port (Transport.Port); nil on proxies
 	rmt    RemoteMem // non-nil on proxies for unreachable remote memory
 
-	// live points at the registration's liveness word, which holds RegionLive
-	// until the owner unregisters: state below for a handle the owner's
-	// endpoint registered (shared by every rank in process), the directory
-	// entry's state word for a view of an arena registration, proxyLive for
-	// a wire proxy, whose owner validates every request itself. An
-	// endpoint's warm route re-reads it on every operation.
+	// live points at the registration's liveness word, holding its key's
+	// Live while it stands and 0 otherwise: state below for a handle the
+	// owner registered and for a wire proxy (whose owner checks every request
+	// itself), the arena entry's state word for a view. Warm routes re-read
+	// it on every operation.
 	live  *uint32
 	state uint32
 }
 
-// RegionLive is the value of a liveness word while its registration stands.
-// Backends that keep the word in their own directory (mprun's arena) store
-// this value for a live entry and any other once it is unregistered.
-const RegionLive uint32 = 1
-
-// proxyLive is the liveness word of every wire proxy.
-var proxyLive = RegionLive
-
-// alive reports whether the registration behind the handle still stands.
-func (r *Region) alive() bool { return atomic.LoadUint32(r.live) == RegionLive }
+// liveAs reports whether the handle still serves k: one load, one compare.
+func (r *Region) liveAs(k Key) bool { return atomic.LoadUint32(r.live) == k.Live() }
 
 // MakeRegion initializes a registration handle over transport-owned memory.
 // Backends use it to materialize local views of regions registered by other
 // processes (the owner's handle is built by Endpoint.RegisterBufStampsInto);
 // key must be the key the owner's registration was assigned and port the
 // owner's port as this process maps it, and live the registration's liveness
-// word in the backend's directory (see RegionLive).
+// word in the backend's directory (see Key.Live).
 func MakeRegion(owner int, key Key, buf []byte, st *timing.Stamps, port *Port, live *uint32) Region {
 	if live == nil {
 		panic("simnet: region handle without a liveness word")
@@ -57,13 +48,15 @@ func MakeRegion(owner int, key Key, buf []byte, st *timing.Stamps, port *Port, l
 	return Region{owner: owner, key: key, buf: buf, size: len(buf), stamps: st, port: port, live: live}
 }
 
-// MakeRemoteRegion initializes a proxy handle for a region registered in a
+// MakeRemoteRegion returns a proxy handle for a region registered in a
 // process this one cannot address (inter-node backends): data, stamp, and
 // target-NIC work route through rm. Only Endpoint operations may touch a
 // proxy; the owner-side accessors (Bytes, LocalWord, StampMax...) stay with
 // the owning process.
-func MakeRemoteRegion(owner int, key Key, rm RemoteMem) Region {
-	return Region{owner: owner, key: key, size: rm.Size(), rmt: rm, live: &proxyLive}
+func MakeRemoteRegion(owner int, key Key, rm RemoteMem) *Region {
+	r := &Region{owner: owner, key: key, size: rm.Size(), rmt: rm, state: key.Live()}
+	r.live = &r.state
+	return r
 }
 
 // Owner returns the owning rank.

@@ -33,8 +33,8 @@ import (
 // the conformance suite checks:
 //
 //   - Registered memory is byte-addressable by (rank, key, offset) from every
-//     rank; keys are assigned per owner in registration order starting at 0
-//     and never reused. A region's stamps share the registration's lifetime.
+//     rank; each owner's Directory assigns its keys, and a stale key faults.
+//     A region's stamps share the registration's lifetime.
 //   - AllocSeg returns zeroed memory that RegisterRegion accepts; backends
 //     whose remote ranks cannot reach arbitrary host memory (an arena's) may
 //     reject RegisterRegion calls on buffers they did not allocate.
@@ -107,13 +107,10 @@ type Transport interface {
 var _ Transport = (*Fabric)(nil)
 
 // RegisterRegion installs a region owned by rank and returns its key.
-func (f *Fabric) RegisterRegion(rank int, reg *Region) Key { return f.register(rank, reg) }
+func (f *Fabric) RegisterRegion(rank int, reg *Region) Key { return f.nodes[rank].dir.Add(reg) }
 
 // UnregisterRegion removes a registration; later remote accesses fault.
-func (f *Fabric) UnregisterRegion(rank int, k Key) { f.unregister(rank, k) }
-
-// LookupRegion resolves an address to its registered region.
-func (f *Fabric) LookupRegion(a Addr) *Region { return f.region(a) }
+func (f *Fabric) UnregisterRegion(rank int, k Key) { f.nodes[rank].dir.Drop(k) }
 
 // AllocSeg returns a zeroed registrable segment from the process-wide pool.
 // The in-process fabric has one address space, so rank only names the future

@@ -824,6 +824,46 @@ func TestConformanceBlame(t *testing.T) {
 	})
 }
 
+// TestConformanceWindowChurn checks that a world outlives its windows: 2 000
+// Allocate/Free cycles run on every backend, and the window freed in cycle 0,
+// whose keys' slots the churn has reused ever since, is a stale handle. A put
+// through it to rank 0 — from rank 0 itself, its node-mate and two off-node
+// ranks, each with a route to it warmed in cycle 0 — faults as an access to
+// an unregistered region and leaves the window that now holds those slots as
+// its owner wrote it.
+func TestConformanceWindowChurn(t *testing.T) {
+	const cycles, size, fill = 2000, 64, 0x5A
+	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
+	runAll(t, "TestConformanceWindowChurn", cfg, func(p *spmd.Proc) {
+		word := make([]byte, 8)
+		first, _ := core.Allocate(p, size, core.Config{})
+		first.Fence()
+		first.Put(word, 0, 0)
+		first.Fence()
+		first.Free()
+		for c := 1; c < cycles; c++ {
+			w, _ := core.Allocate(p, size, core.Config{})
+			w.Free()
+		}
+		cur, mem := core.Allocate(p, size, core.Config{})
+		for i := range mem {
+			mem[i] = fill
+		}
+		p.Barrier()
+		msg := faultOf(func() {
+			first.Put(word, 0, 0) // its fence epoch never closed
+			p.EP().Gsync()        // a wire put faults at its drain
+		})
+		check(strings.Contains(msg, "access to unregistered region"),
+			"rank %d: put through the window freed %d cycles ago: %q, want a fault", p.Rank(), cycles, msg)
+		p.Barrier()
+		for i, b := range mem {
+			check(b == fill, "rank %d: byte %d of the current window overwritten through a freed one", p.Rank(), i)
+		}
+		cur.Free()
+	})
+}
+
 // TestConformanceAsymmetricAllocate checks window creation's failure mode
 // across process boundaries: rank 1 registers one region more than its peers
 // before the collective core.Allocate, so the one creation allreduce finds the
