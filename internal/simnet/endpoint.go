@@ -31,10 +31,12 @@ type Endpoint struct {
 	routes [routeSlots]route
 	xfer   [2]xferMemo
 
-	// word holds the operand and the fetched word of a word AMO to a proxy
-	// (inline, it passes scalars to RegionExec.AmoWord) and the word of a
-	// one-word put or get (StoreW, LoadW, PollRemoteWord): a buffer handed
-	// to a RemoteMem proxy escapes, and the endpoint is on the heap already.
+	// word holds the bytes of a one-word operation on a proxy — a word
+	// AMO's operand and fetched word, StoreW's word, the word LoadW and
+	// PollRemoteWord read — since a RemoteMem takes byte slices, and a buffer
+	// handed to one escapes (the endpoint is on the heap already). Inline,
+	// those operations pass scalars to RegionExec.AmoWord, PutWord and
+	// GetWord.
 	word [16]byte
 
 	ctr Counters
@@ -338,7 +340,11 @@ func (ep *Endpoint) putIssue(dst Addr, src []byte, sink *timing.Time, fold bool)
 	}
 	arrival := ep.xferArrival(same, ep.clock, pr.PutLatNs+pr.knee(len(src)), xfer)
 	if reg.rmt == nil {
-		comp = ep.exec(reg).Put(dst.Off, src, !same, arrival, xfer)
+		if len(src) == 8 && dst.Off&7 == 0 {
+			comp = ep.exec(reg).PutWord(dst.Off, binary.LittleEndian.Uint64(src), !same, arrival, xfer)
+		} else {
+			comp = ep.exec(reg).Put(dst.Off, src, !same, arrival, xfer)
+		}
 	} else {
 		if pend = sink; pend == nil {
 			pend = new(timing.Time)
@@ -406,8 +412,12 @@ func (ep *Endpoint) getCommon(dst []byte, src Addr) timing.Time {
 	if rm := reg.rmt; rm != nil {
 		reg.check(src.Off, len(dst))
 		comp = rm.Get(dst, src.Off, ep.clock, !same, tail, xfer)
+	} else if len(dst) == 8 && src.Off&7 == 0 { // a read never rings
+		var v uint64
+		v, comp = RegionExec{Reg: reg}.GetWord(src.Off, ep.clock, !same, tail, xfer)
+		binary.LittleEndian.PutUint64(dst, v)
 	} else {
-		comp = RegionExec{Reg: reg}.Get(dst, src.Off, ep.clock, !same, tail, xfer) // a read never rings
+		comp = RegionExec{Reg: reg}.Get(dst, src.Off, ep.clock, !same, tail, xfer)
 	}
 	if same {
 		ep.clock = comp
@@ -506,15 +516,15 @@ func (ep *Endpoint) StoreW(a Addr, v uint64) {
 	ep.clock += timing.Time(pr.InjectNs)
 	xfer := ep.xferNs(rt, 8)
 	arrival := ep.xferArrival(same, ep.clock, pr.PutLatNs, xfer)
-	src := ep.word[:8]
-	binary.LittleEndian.PutUint64(src, v)
 	if reg.rmt == nil {
-		comp := ep.exec(reg).Put(a.Off, src, !same, arrival, xfer)
+		comp := ep.exec(reg).PutWord(a.Off, v, !same, arrival, xfer)
 		ep.implicitMax = timing.Max(ep.implicitMax, comp)
 	} else {
 		// The completion folds into implicitMax when the window drains
 		// (Gsync drains first; Max is commutative, so the deferral cannot
 		// change the fold's result).
+		src := ep.word[:8]
+		binary.LittleEndian.PutUint64(src, v)
 		reg.rmt.Put(a.Off, src, !same, arrival, xfer, &ep.implicitMax, true)
 	}
 	ep.ctr.Puts++
@@ -540,15 +550,14 @@ func (ep *Endpoint) LoadW(a Addr) uint64 {
 // books no NIC, whatever the locality: it completes at max(clockIn, the
 // word's stamp) + GetLatNs + the word's transfer time.
 func (ep *Endpoint) getWord(rt *route, off int, clockIn timing.Time) (uint64, timing.Time) {
-	reg, dst := rt.reg, ep.word[:8]
+	reg := rt.reg
 	tail := rt.pr.GetLatNs + ep.xferNs(rt, 8)
-	var comp timing.Time
 	if rm := reg.rmt; rm != nil {
-		comp = rm.Get(dst, off, clockIn, false, tail, 0)
-	} else {
-		comp = RegionExec{Reg: reg}.Get(dst, off, clockIn, false, tail, 0)
+		dst := ep.word[:8]
+		comp := rm.Get(dst, off, clockIn, false, tail, 0)
+		return binary.LittleEndian.Uint64(dst), comp
 	}
-	return binary.LittleEndian.Uint64(dst), comp
+	return RegionExec{Reg: reg}.GetWord(off, clockIn, false, tail, 0)
 }
 
 // Gsync completes all implicit-nonblocking operations (DMAPP bulk

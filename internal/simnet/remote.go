@@ -3,6 +3,7 @@ package simnet
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"fompi/internal/hostatomic"
 	"fompi/internal/timing"
@@ -98,13 +99,15 @@ type RemoteMem interface {
 	// Size returns the registered length (bounds checks on the proxy).
 	Size() int
 	// Put copies src into [off,off+len(src)) and stamps the range with the
-	// transfer's completion time, which it delivers to sink. One aligned
-	// word is stored atomically, after its stamp.
+	// transfer's completion time, which it delivers to sink. The owner runs
+	// an aligned 8-byte src as RegionExec.PutWord: one atomic store, after
+	// its stamp.
 	Put(off int, src []byte, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool)
 	// Get copies [off,off+len(dst)) into dst. base is max(clockIn, the
 	// range's stamp maximum); completion is base+tail intra-node or the NIC
-	// reservation of xfer at base+tail inter-node. One aligned word is
-	// loaded atomically, before its stamp.
+	// reservation of xfer at base+tail inter-node. The owner runs an
+	// aligned 8-byte dst as RegionExec.GetWord: one atomic load, before its
+	// stamp.
 	Get(dst []byte, off int, clockIn timing.Time, reserve bool, tail, xfer int64) timing.Time
 	// Amo applies op element-wise between the words of src and the remote
 	// words at off (compare-and-swap compares with src's word and swaps in
@@ -156,17 +159,6 @@ type RegionExec struct {
 	Ring Transport
 }
 
-// land opens a put-shaped transfer: inter-node (reserve) it takes the port
-// and books the NIC, intra-node the completion is the precomputed arrival
-// and nothing is taken. done(reserve) closes it once the stamp is written.
-func (x RegionExec) land(reserve bool, arrival timing.Time, xfer int64) timing.Time {
-	if !reserve {
-		return arrival
-	}
-	x.lock()
-	return x.Reg.port.BookNIC(arrival, xfer)
-}
-
 // lock takes the port for a write, with the ring bit if done rings in it.
 func (x RegionExec) lock() {
 	if x.Ring != nil {
@@ -195,56 +187,108 @@ func (x RegionExec) done(locked bool) {
 	}
 }
 
-// oneWord reports whether [off, off+n) is exactly one aligned word — the
-// payload of most puts and gets, and all of a word store's or word load's.
-// It moves atomically, as one load or one store: a rank polling the word
-// (WaitLocal, outside the port) may read it at any moment, and merges its
-// stamp the moment it sees the value. Its stamp is the word's own record,
-// reached without the range walks' extra call.
-func oneWord(off, n int) bool { return n == 8 && off&7 == 0 }
-
-// Put copies src and stamps the range (see RemoteMem.Put). A bulk copy
-// stays outside the port, which it holds for its stamp records only. One
-// word is stamped first and stored after, in the port when it takes it:
-// whoever sees the value must find this put's stamp.
+// Put copies src and stamps the range (see RemoteMem.Put). One aligned word
+// is PutWord's. A bulk copy stays outside the port, which it holds for its
+// stamp records only.
 func (x RegionExec) Put(off int, src []byte, reserve bool, arrival timing.Time, xfer int64) timing.Time {
+	if len(src) == 8 && off&7 == 0 {
+		return x.PutWord(off, binary.LittleEndian.Uint64(src), reserve, arrival, xfer)
+	}
 	x.Reg.check(off, len(src))
-	word := oneWord(off, len(src))
-	if !word {
-		copy(x.Reg.buf[off:off+len(src)], src)
+	copy(x.Reg.buf[off:off+len(src)], src)
+	comp := arrival
+	if reserve {
+		x.lock()
+		comp = x.Reg.port.BookNIC(arrival, xfer)
 	}
-	comp := x.land(reserve, arrival, xfer)
-	if word {
-		x.Reg.stamps.Set(off, comp)
-		hostatomic.StoreRel(x.Reg.buf, off, binary.LittleEndian.Uint64(src))
-	} else {
-		x.Reg.stamps.SetRange(off, len(src), comp)
-	}
+	x.Reg.stamps.SetRange(off, len(src), comp)
 	x.done(reserve)
 	return comp
 }
 
-// Get copies the range out and resolves its completion (see RemoteMem.Get).
-// One word is loaded before its stamp is read, the mirror of Put's order.
-func (x RegionExec) Get(dst []byte, off int, clockIn timing.Time, reserve bool, tail, xfer int64) timing.Time {
-	x.Reg.check(off, len(dst))
-	var stamp timing.Time
-	if oneWord(off, len(dst)) {
-		binary.LittleEndian.PutUint64(dst, hostatomic.Load(x.Reg.buf, off))
-		stamp = x.Reg.stamps.Get(off)
+// PutWord is Put of the word v at off: every one-word put's body — StoreW,
+// a notification's slot, a put of 8 aligned bytes — inline and at a wire
+// owner. The word moves as one release store, after its stamp: a rank
+// polling it outside the port (WaitLocal) may read it at any moment and
+// merges its stamp the moment it sees the value. Inter-node it holds the
+// port from its CAS to its release store and calls only BookNIC, and Set
+// for a record of more than a store; intra-node it takes no port, and a
+// Ring rings from outside it.
+func (x RegionExec) PutWord(off int, v uint64, reserve bool, arrival timing.Time, xfer int64) (comp timing.Time) {
+	reg, p := x.Reg, x.Reg.port
+	reg.checkWords(off, 8)
+	comp = arrival
+	if reserve {
+		if x.Ring == nil {
+			p.Lock()
+		} else {
+			mDoorRings.Inc() // the ring its release carries
+			p.LockRing()
+		}
+		comp = p.BookNIC(arrival, xfer)
+	}
+	if rec := reg.stamps.WordRecord(off); rec != nil {
+		hostatomic.StoreRel64(rec, int64(comp))
 	} else {
-		copy(dst, x.Reg.buf[off:off+len(dst)])
-		stamp = x.Reg.stamps.MaxRange(off, len(dst))
+		reg.stamps.Set(off, comp)
 	}
-	base := timing.Max(clockIn, stamp)
-	if !reserve {
-		return base + timing.Time(tail)
+	// hostatomic.StoreRel less the checks checkWords made: StoreRel itself
+	// does not inline, and would be a call inside the hold.
+	hostatomic.StoreRel64((*int64)(unsafe.Pointer(&reg.buf[off])), int64(v))
+	var waiters bool
+	switch {
+	case x.Ring == nil:
+		if reserve {
+			p.Unlock()
+		}
+		return comp
+	case reserve:
+		waiters = p.unlockRung()
+	default:
+		waiters = p.Ring()
 	}
-	p := x.Reg.port
-	p.Lock()
-	comp := p.BookNIC(base+timing.Time(tail), xfer) // data leaves the target NIC
-	p.Unlock()
+	if waiters {
+		x.Ring.WakeDoor(reg.owner)
+	}
 	return comp
+}
+
+// Get copies the range out and resolves its completion (see RemoteMem.Get).
+// One aligned word is GetWord's.
+func (x RegionExec) Get(dst []byte, off int, clockIn timing.Time, reserve bool, tail, xfer int64) timing.Time {
+	if len(dst) == 8 && off&7 == 0 {
+		v, comp := x.GetWord(off, clockIn, reserve, tail, xfer)
+		binary.LittleEndian.PutUint64(dst, v)
+		return comp
+	}
+	x.Reg.check(off, len(dst))
+	copy(dst, x.Reg.buf[off:off+len(dst)])
+	comp := timing.Max(clockIn, x.Reg.stamps.MaxRange(off, len(dst))) + timing.Time(tail)
+	if reserve {
+		p := x.Reg.port
+		p.Lock()
+		comp = p.BookNIC(comp, xfer) // data leaves the target NIC
+		p.Unlock()
+	}
+	return comp
+}
+
+// GetWord is Get of the word at off, returned as a scalar: every one-word
+// get's body — LoadW, PollRemoteWord, a get of 8 aligned bytes — inline and
+// at a wire owner. The word is loaded before its stamp is read, the mirror
+// of PutWord's order; inter-node the NIC booking is one port hold.
+func (x RegionExec) GetWord(off int, clockIn timing.Time, reserve bool, tail, xfer int64) (v uint64, comp timing.Time) {
+	reg := x.Reg
+	reg.checkWords(off, 8)
+	v = hostatomic.Load(reg.buf, off)
+	comp = timing.Max(clockIn, reg.stamps.Get(off)) + timing.Time(tail)
+	if reserve {
+		p := reg.port
+		p.Lock()
+		comp = p.BookNIC(comp, xfer) // data leaves the target NIC
+		p.Unlock()
+	}
+	return v, comp
 }
 
 // Amo applies an atomic over the words at off (see RemoteMem.Amo): one
@@ -354,10 +398,5 @@ func (x RegionExec) Notify(off int, word uint64, reserve bool, arrival timing.Ti
 		panic(fmt.Sprintf("simnet: notification ring of rank %d overflowed (%d in flight, capacity %d)",
 			reg.owner, ticket-cons+1, capacity))
 	}
-	slot := off + notifyHeaderBytes + int(ticket%capacity)*8
-	comp := x.land(reserve, arrival, xfer)
-	reg.stamps.Set(slot, comp)
-	hostatomic.StoreRel(reg.buf, slot, word|notifyValid)
-	x.done(reserve)
-	return comp
+	return x.PutWord(off+notifyHeaderBytes+int(ticket%capacity)*8, word|notifyValid, reserve, arrival, xfer)
 }

@@ -381,3 +381,54 @@ func BenchmarkStampsMaxRange(b *testing.B) {
 		}
 	})
 }
+
+// climbGet is Get as it was before it skipped the climb in a region no fill
+// has reached since the last Reset: every level, whatever the counter.
+func climbGet(s *Stamps, off int) Time {
+	i := off / 8
+	e, p := atomic.LoadUint32(&s.wEpoch[i]), &s.words[i]
+	if e != atomic.LoadUint32(s.epoch)+1 {
+		for l := range s.lv {
+			i >>= blockShift
+			if fe := atomic.LoadUint32(&s.lv[l].fEpoch[i]); fe > e {
+				e, p = fe, &s.lv[l].fill[i]
+			}
+		}
+	}
+	return Time(atomic.LoadInt64(p))
+}
+
+// TestStampsGetSkipsOnlyUnfilled: over random histories of Set, SetRange
+// and Reset, in which a fill is rare enough that many a history has none
+// since its last Reset, every word's Get and every range's MaxRange equal
+// what the full climb reads.
+func TestStampsGetSkipsOnlyUnfilled(t *testing.T) {
+	for _, size := range treeSizes[:3] {
+		r := rand.New(rand.NewSource(int64(size) + 2))
+		s := NewStamps(size)
+		for h := 0; h < 200; h++ {
+			op := randOp(r, size)
+			switch k := r.Intn(16); {
+			case k < 12:
+				s.Set(op.off, op.t)
+			case k < 14:
+				s.SetRange(op.off, op.n, op.t)
+			default:
+				s.Reset()
+			}
+			for off := 0; off < size; off += 8 * (1 + size/4096) {
+				if got, want := s.Get(off), climbGet(s, off); got != want {
+					t.Fatalf("size %d step %d (counter %d): Get(%d) = %d, the climb reads %d", size, h, *s.epoch, off, got, want)
+				}
+			}
+			q := randOp(r, size)
+			want := Time(0)
+			for off := q.off &^ 7; off < q.off+q.n; off += 8 {
+				want = max(want, climbGet(s, off))
+			}
+			if got := s.MaxRange(q.off, q.n); q.n > 0 && got != want {
+				t.Fatalf("size %d step %d: MaxRange(%d, %d) = %d, the climb reads %d", size, h, q.off, q.n, got, want)
+			}
+		}
+	}
+}

@@ -384,11 +384,17 @@ func (s *Stamps) stampBelow(l, idx, first, last int, v int64, e uint32) {
 }
 
 // Get returns the stamp of the word containing byte offset off: the record
-// with the highest epoch among the word and its ancestors' fills.
+// with the highest epoch among the word and its ancestors' fills. It climbs
+// only when some fill since the last Reset may be newer than the word's own
+// record: a region no fill reached, such as a window's control words, reads
+// the word alone.
 func (s *Stamps) Get(off int) Time {
 	i := off / 8
 	e, p := atomic.LoadUint32(&s.wEpoch[i]), &s.words[i]
-	if e != atomic.LoadUint32(s.epoch)+1 { // else written since the last fill anywhere: no fill can be newer
+	// Fills take the epochs 2, 3, ... and the counter holds the last one
+	// less one: a fill can be newer than the word's record, of epoch e (0:
+	// never written), only when max(e, 1) <= the counter.
+	if max(e, 1) <= atomic.LoadUint32(s.epoch) {
 		for l := range s.lv {
 			i >>= blockShift
 			// Epoch before stamp, mirroring the writers' stamp-before-epoch.

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"fompi/internal/core"
@@ -14,11 +16,14 @@ import (
 )
 
 // The reference model: a seeded generator of legal RMA programs over one
-// core window, a serial reference that folds each epoch, and a shrinker that
-// cuts a failing program down to a minimal one and prints it as a Go test
-// body. A legal program has exactly one final memory, and each get or
-// single-origin fetch exactly one legal result, so any backend that returns
-// something else is wrong — whatever the other backends say.
+// core window, a serial-order checker that judges each epoch word by word,
+// and a shrinker that cuts a failing program down to a minimal one and
+// prints it as a Go test body. MPI-3 makes the accumulate-class calls on one
+// location with one operator (and NO_OP) atomic, so an epoch's history of a
+// word must be explained by some serial order of its operations that keeps
+// each origin's program order: every fetched value, every compare-and-swap
+// outcome and the word the epoch leaves. A backend whose history no such
+// order explains is wrong — whatever the other backends say.
 
 // programsFlag sets how many programs TestConformanceGeneratedPrograms runs
 // per synchronization mode: its default is the fixed set the gate runs, a
@@ -55,7 +60,7 @@ const (
 	genPut   genKind = iota // Put of V
 	genGet                  // Get
 	genAcc                  // Accumulate(Op, V)
-	genFetch                // FetchAndOp(Op, V)
+	genFetch                // FetchAndOp(Op, V); Op may be NO_OP
 	genCas                  // CompareAndSwap(C, V)
 )
 
@@ -64,7 +69,7 @@ var genKindName = [...]string{"genPut", "genGet", "genAcc", "genFetch", "genCas"
 var genAccName = map[core.AccOp]string{
 	core.AccSum: "core.AccSum", core.AccBand: "core.AccBand", core.AccBor: "core.AccBor",
 	core.AccBxor: "core.AccBxor", core.AccReplace: "core.AccReplace",
-	core.AccMin: "core.AccMin", core.AccMax: "core.AccMax",
+	core.AccMin: "core.AccMin", core.AccMax: "core.AccMax", core.AccNoOp: "core.AccNoOp",
 }
 
 // genOp is one operation: Origin's call on word Word of Target's window.
@@ -127,21 +132,24 @@ func genStart() (m genMem) {
 	return m
 }
 
-// Each epoch gives every (rank, word) cell one class, so the epoch's
-// operations on it commute or are alone.
+// Each epoch gives every (rank, word) cell one class: what may race on one
+// word is what MPI-3 defines (§11.7.1) — accumulate-class calls of one
+// operator and NO_OP, never a put beside another access.
 const (
 	cellUntouched = iota
 	cellPut       // one Put
 	cellGet       // Gets only
-	cellAcc       // Accumulates and FetchAndOps of one commutative op
-	cellCas       // one CompareAndSwap
-	cellReplace   // one REPLACE, Accumulate or FetchAndOp
+	cellAcc       // Accumulates and FetchAndOps of one op, NO_OP fetches, and CompareAndSwaps when the op rides the atomic unit
 )
 
-var genAccOps = [...]core.AccOp{core.AccSum, core.AccBand, core.AccBor, core.AccBxor, core.AccMin, core.AccMax}
+// genAccOps are the operators of an accumulate cell; MIN and MAX take
+// core's lock fallback, which no compare-and-swap may race.
+var genAccOps = [...]core.AccOp{core.AccSum, core.AccBand, core.AccBor, core.AccBxor, core.AccReplace, core.AccMin, core.AccMax}
 
 // generate builds program seed in mode. Three cells in four stay untouched,
-// so the operations crowd onto a few words and race there.
+// so the operations crowd onto a few words and race there. A
+// compare-and-swap compares with the word the operations before it in list
+// order leave, half the time, so some of the racing ones succeed.
 func generate(seed uint64, mode genMode) genProgram {
 	rng := rand.New(rand.NewPCG(seed, uint64(mode)))
 	prog := genProgram{Seed: seed, Mode: mode}
@@ -160,13 +168,9 @@ func generate(seed uint64, mode genMode) genProgram {
 					class[r][w] = cellPut
 				case k < 40:
 					class[r][w] = cellGet
-				case k < 46:
+				default:
 					class[r][w] = cellAcc
 					op[r][w] = genAccOps[rng.IntN(len(genAccOps))]
-				case k < 47:
-					class[r][w] = cellCas
-				default:
-					class[r][w] = cellReplace
 				}
 				hot = append(hot, [2]int{r, w})
 			}
@@ -176,36 +180,33 @@ func generate(seed uint64, mode genMode) genProgram {
 			c := hot[rng.IntN(len(hot))]
 			r, w := c[0], c[1]
 			o := genOp{Origin: rng.IntN(genRanks), Target: r, Word: w, V: rng.Uint64()}
-			call := genAcc
-			if rng.IntN(2) == 0 {
-				call = genFetch
-			}
 			switch class[r][w] {
-			case cellGet:
-				o.Kind, o.V = genGet, 0
-			case cellAcc:
-				o.Kind, o.Op = call, op[r][w]
-			default: // the single-operation classes
+			case cellPut:
 				if used[r][w] {
 					continue
 				}
 				used[r][w] = true
-				switch class[r][w] {
-				case cellPut:
-					o.Kind = genPut
-				case cellCas:
-					o.Kind, o.C = genCas, o.V^1
+				o.Kind = genPut
+			case cellGet:
+				o.Kind, o.V = genGet, 0
+			case cellAcc:
+				o.Kind, o.Op = genAcc, op[r][w]
+				switch k := rng.IntN(6); {
+				case k < 2:
+					o.Kind = genFetch
+				case k == 2:
+					o.Kind, o.Op = genFetch, core.AccNoOp
+				case k < 5 && op[r][w] != core.AccMin && op[r][w] != core.AccMax:
+					o.Kind, o.Op, o.C = genCas, 0, o.V^1
 					if rng.IntN(2) == 0 {
-						o.C = mem[r][w] // one that succeeds
+						o.C = mem[r][w]
 					}
-				case cellReplace:
-					o.Kind, o.Op = call, core.AccReplace
 				}
 			}
+			_, mem[r][w] = o.step(mem[r][w])
 			ops = append(ops, o)
 		}
 		prog.Epochs = append(prog.Epochs, ops)
-		mem, _, _ = foldEpoch(mem, ops)
 	}
 	return prog
 }
@@ -227,46 +228,162 @@ func refApply(op core.AccOp, t, v uint64) uint64 {
 		return min(t, v)
 	case core.AccMax:
 		return max(t, v)
+	case core.AccNoOp:
+		return t
 	}
 	panic(fmt.Sprintf("reference: operator %d is not generated", op))
 }
 
-// foldEpoch is the serial reference: it applies one epoch's operations to
-// the memory the epoch starts from, in list order (the cell classes make the
-// order immaterial), and returns the memory it ends with. want[i] is
-// operation i's fetched value when that value is the only legal one: every
-// writer of its cell is its own origin, whose calls on one word are ordered.
-func foldEpoch(start genMem, ops []genOp) (end genMem, want []uint64, checked []bool) {
-	end = start
-	var writers [genRanks][genWords]uint8 // a bit per origin that writes the cell
-	for _, o := range ops {
-		if o.Kind != genGet {
-			writers[o.Target][o.Word] |= 1 << o.Origin
+// fetches reports whether o returns the word it finds.
+func (o genOp) fetches() bool { return o.Kind == genGet || o.Kind == genFetch || o.Kind == genCas }
+
+// step runs o serially on a word holding cur: it returns the value o
+// fetches (when it fetches) and the word o leaves.
+func (o genOp) step(cur uint64) (fetched, next uint64) {
+	switch o.Kind {
+	case genPut:
+		return cur, o.V
+	case genAcc, genFetch:
+		return cur, refApply(o.Op, cur, o.V)
+	case genCas:
+		if cur == o.C {
+			return cur, o.V
 		}
 	}
-	want, checked = make([]uint64, len(ops)), make([]bool, len(ops))
+	return cur, cur
+}
+
+// linearizable reports whether some serial order of ops — one word's
+// operations in an epoch, each origin's in its program order — takes the
+// word from start to end while every fetching op fetches its got. It is
+// Wing and Gong's search with Lowe's memo: a state is the set of operations
+// done and the word's value, and a state once found dead is not searched
+// again. At most 64 operations: the set is a bit mask.
+func linearizable(start, end uint64, ops []genOp, got []uint64) bool {
+	if len(ops) > 64 {
+		panic("reference: more than 64 operations on one word")
+	}
+	var chains [genRanks][]int // each origin's operations, in program order
 	for i, o := range ops {
-		cur := &end[o.Target][o.Word]
-		want[i] = *cur
-		others := writers[o.Target][o.Word] &^ (1 << o.Origin)
-		checked[i] = o.Kind != genPut && o.Kind != genAcc && others == 0
-		switch o.Kind {
-		case genPut:
-			*cur = o.V
-		case genAcc, genFetch:
-			*cur = refApply(o.Op, *cur, o.V)
-		case genCas:
-			if *cur == o.C {
-				*cur = o.V
+		chains[o.Origin] = append(chains[o.Origin], i)
+	}
+	type state struct{ done, v uint64 }
+	dead := map[state]bool{}
+	var next [genRanks]int // each origin's first operation not done
+	var search func(done, v uint64) bool
+	search = func(done, v uint64) bool {
+		if done == 1<<len(ops)-1 {
+			return v == end
+		}
+		if dead[state{done, v}] {
+			return false
+		}
+		for r, chain := range chains {
+			if next[r] == len(chain) {
+				continue
+			}
+			i := chain[next[r]]
+			fetched, after := ops[i].step(v)
+			if ops[i].fetches() && fetched != got[i] {
+				continue
+			}
+			next[r]++
+			ok := search(done|1<<i, after)
+			next[r]--
+			if ok {
+				return true
 			}
 		}
+		dead[state{done, v}] = true
+		return false
 	}
-	return end, want, checked
+	return search(0, start)
+}
+
+// checkEpoch judges the epoch's history of every word of target's window:
+// start is the window the epoch began from, end the one it left, got[i]
+// operation i's fetched value. It returns the first word no serial order
+// explains and the index of the last operation on it (-1 if none touched
+// it), or ok.
+func checkEpoch(target int, start, end *[genWords]uint64, ops []genOp, got []uint64) (word, last int, ok bool) {
+	for wd := 0; wd < genWords; wd++ {
+		var cell []genOp
+		var cellGot []uint64
+		last = -1
+		for i, o := range ops {
+			if o.Target == target && o.Word == wd {
+				cell, cellGot, last = append(cell, o), append(cellGot, got[i]), i
+			}
+		}
+		if !linearizable(start[wd], end[wd], cell, cellGot) {
+			return wd, last, false
+		}
+	}
+	return 0, 0, true
+}
+
+// genMutation plants a known atomicity bug in how run issues an operation,
+// so that a test can show the checker catches it (the mutation tests set it
+// around an in-process world; every other run leaves it at mutNone).
+type genMutation int
+
+const (
+	mutNone         genMutation = iota
+	mutFetchOutside             // a FetchAndOp loads the word outside the atomic unit, then accumulates
+	mutStaleCas                 // a CompareAndSwap compares against a word it read earlier, then puts
+	mutLostUpdate               // an Accumulate gets, applies and puts back beside the atomic unit (the lost same-op update)
+)
+
+var mutation = mutNone
+
+// issue makes o's call on w through the buffer buf and returns what it
+// fetched, as mutation says.
+func (o genOp) issue(w *core.Win, buf []byte) uint64 {
+	disp := o.Word * 8
+	binary.LittleEndian.PutUint64(buf, o.V)
+	// A mutation reads, yields — so a rival can land in the gap — and writes.
+	readThenWrite := func(next func(cur uint64) uint64) uint64 {
+		cur := w.FetchAndOp(core.AccNoOp, 0, o.Target, disp)
+		runtime.Gosched()
+		if v := next(cur); v != cur {
+			binary.LittleEndian.PutUint64(buf, v)
+			w.Put(buf, o.Target, disp)
+		}
+		return cur
+	}
+	switch {
+	case mutation == mutFetchOutside && o.Kind == genFetch && o.Op != core.AccNoOp:
+		cur := w.FetchAndOp(core.AccNoOp, 0, o.Target, disp)
+		runtime.Gosched()
+		w.Accumulate(o.Op, buf, o.Target, disp)
+		return cur
+	case mutation == mutStaleCas && o.Kind == genCas:
+		return readThenWrite(func(cur uint64) uint64 { _, next := o.step(cur); return next })
+	case mutation == mutLostUpdate && o.Kind == genAcc:
+		readThenWrite(func(cur uint64) uint64 { return refApply(o.Op, cur, o.V) })
+		return 0
+	}
+	switch o.Kind {
+	case genPut:
+		w.Put(buf, o.Target, disp)
+	case genGet:
+		w.Get(buf, o.Target, disp)
+	case genAcc:
+		w.Accumulate(o.Op, buf, o.Target, disp)
+	case genFetch:
+		return w.FetchAndOp(o.Op, o.V, o.Target, disp)
+	case genCas:
+		return w.CompareAndSwap(o.C, o.V, o.Target, disp)
+	}
+	return 0
 }
 
 // run executes prog on this rank over w (whose local memory is mem) and
 // returns the first disagreement with the reference it saw, "" if none. It
 // makes every collective call whatever it sees, so the ranks stay in step.
+// After each epoch the ranks allgather what their operations fetched and
+// the windows they were left, and each rank judges the words of its own
+// window.
 func (prog genProgram) run(p *spmd.Proc, w *core.Win, mem []byte) string {
 	me := p.Rank()
 	var fail string
@@ -288,10 +405,10 @@ func (prog genProgram) run(p *spmd.Proc, w *core.Win, mem []byte) string {
 	if prog.Mode == genLockAll {
 		w.LockAll()
 	}
+	var buf [8]byte
 	for e, ops := range prog.Epochs {
-		end, want, checked := foldEpoch(start, ops)
-		got := make([]uint64, len(ops))
-		bufs := make([][8]byte, len(ops))
+		// This rank's block: what its operations fetched, then its window.
+		block := make([]byte, (len(ops)+genWords)*8)
 		for i, o := range ops {
 			if o.Origin != me {
 				continue
@@ -303,23 +420,14 @@ func (prog genProgram) run(p *spmd.Proc, w *core.Win, mem []byte) string {
 				}
 				w.Lock(mode, o.Target)
 			}
-			binary.LittleEndian.PutUint64(bufs[i][:], o.V)
-			disp := o.Word * 8
-			switch o.Kind {
-			case genPut:
-				w.Put(bufs[i][:], o.Target, disp)
-			case genGet:
-				w.Get(bufs[i][:], o.Target, disp)
-			case genAcc:
-				w.Accumulate(o.Op, bufs[i][:], o.Target, disp)
-			case genFetch:
-				got[i] = w.FetchAndOp(o.Op, o.V, o.Target, disp)
-			case genCas:
-				got[i] = w.CompareAndSwap(o.C, o.V, o.Target, disp)
-			}
+			got := o.issue(w, buf[:])
 			if prog.Mode >= genLockExcl {
 				w.Unlock(o.Target)
 			}
+			if o.Kind == genGet {
+				got = binary.LittleEndian.Uint64(buf[:])
+			}
+			binary.LittleEndian.PutUint64(block[i*8:], got)
 		}
 		switch prog.Mode {
 		case genFence:
@@ -330,29 +438,25 @@ func (prog genProgram) run(p *spmd.Proc, w *core.Win, mem []byte) string {
 		default:
 			p.Barrier()
 		}
+		copy(block[len(ops)*8:], mem[:genWords*8])
+		// No rank issues the next epoch before every rank has read its
+		// window: the allgather completes only once all have joined it.
+		all := p.Allgather(block)
+		each := len(block)
+		got := make([]uint64, len(ops))
 		for i, o := range ops {
-			if o.Origin != me || !checked[i] {
-				continue
-			}
-			if o.Kind == genGet {
-				got[i] = binary.LittleEndian.Uint64(bufs[i][:])
-			}
-			if got[i] != want[i] {
-				note(e, i, "%v fetched %#x, want %#x", o, got[i], want[i])
+			got[i] = binary.LittleEndian.Uint64(all[o.Origin*each+i*8:])
+		}
+		var end genMem
+		for r := range end {
+			for wd := range end[r] {
+				end[r][wd] = binary.LittleEndian.Uint64(all[r*each+(len(ops)+wd)*8:])
 			}
 		}
-		for wd := 0; wd < genWords; wd++ {
-			if v := binary.LittleEndian.Uint64(mem[wd*8:]); v != end[me][wd] {
-				last := -1
-				for i, o := range ops {
-					if o.Target == me && o.Word == wd {
-						last = i
-					}
-				}
-				note(e, last, "word %d holds %#x, want %#x", wd, v, end[me][wd])
-			}
+		if wd, last, ok := checkEpoch(me, &start[me], &end[me], ops, got); !ok {
+			note(e, last, "no serial order of the operations on word %d explains what they fetched and that it went from %#x to %#x",
+				wd, start[me][wd], end[me][wd])
 		}
-		p.Barrier()
 		start = end
 	}
 	if prog.Mode == genLockAll {
@@ -465,7 +569,7 @@ func runPrograms(t *testing.T, name string, progs []genProgram) {
 }
 
 // TestConformanceGeneratedPrograms runs -tt.programs generated programs per
-// synchronization mode on every backend against the serial reference.
+// synchronization mode on every backend against the serial-order checker.
 func TestConformanceGeneratedPrograms(t *testing.T) {
 	var progs []genProgram
 	for m := genMode(0); m < genModes; m++ {
@@ -474,4 +578,88 @@ func TestConformanceGeneratedPrograms(t *testing.T) {
 		}
 	}
 	runPrograms(t, "TestConformanceGeneratedPrograms", progs)
+}
+
+// firstFailure runs progs in one in-process world, in order, and returns
+// the first disagreement any rank saw, "" if none.
+func firstFailure(t *testing.T, progs []genProgram) string {
+	t.Helper()
+	var mu sync.Mutex
+	var first string
+	err := spmd.Run(spmd.Config{Ranks: genRanks, RanksPerNode: 2}, func(p *spmd.Proc) {
+		var wins [genModes]*core.Win
+		var mems [genModes][]byte
+		for m := range wins {
+			wins[m], mems[m] = core.Allocate(p, genWords*8, core.Config{})
+		}
+		for _, prog := range progs {
+			msg := prog.run(p, wins[prog.Mode], mems[prog.Mode])
+			if msg != "" {
+				mu.Lock()
+				if first == "" {
+					first = msg
+				}
+				mu.Unlock()
+			}
+			if anyRank(p, msg != "") {
+				break
+			}
+		}
+		for _, w := range wins {
+			w.Free()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return first
+}
+
+// TestCheckerCatchesMutations plants three atomicity bugs in how the
+// programs' calls are made and requires the checker to fail some program of
+// the fixed set for each: a fetch that loads outside the atomic unit, a
+// compare-and-swap that compares against a stale read, and an accumulate
+// whose get-modify-put races the atomic unit (the lost same-op update of a
+// size-dispatched accumulate). Each mutant yields between its read and its
+// write, so a rival's operation can land there on any host.
+func TestCheckerCatchesMutations(t *testing.T) {
+	var progs []genProgram
+	for s := 1; s <= *programsFlag; s++ {
+		for m := genMode(0); m < genModes; m++ {
+			progs = append(progs, generate(uint64(s), m))
+		}
+	}
+	for _, c := range []struct {
+		mut  genMutation
+		name string
+	}{
+		{mutFetchOutside, "a fetch outside the atomic unit"},
+		{mutStaleCas, "a compare-and-swap against a stale read"},
+		{mutLostUpdate, "an accumulate beside the atomic unit"},
+	} {
+		mutation = c.mut
+		msg := firstFailure(t, progs)
+		mutation = mutNone
+		if msg == "" {
+			t.Errorf("%s: %d programs passed the checker", c.name, len(progs))
+		} else {
+			t.Logf("%s: %s", c.name, msg)
+		}
+	}
+}
+
+// FuzzGeneratedProgram runs the program a fuzzed seed and mode generate on
+// the in-process backend against the serial-order checker. go test runs the
+// seed corpus below; `go test -run '^$' -fuzz FuzzGeneratedProgram
+// ./internal/transporttest` explores.
+func FuzzGeneratedProgram(f *testing.F) {
+	for _, s := range []uint64{7, 61, 1 << 20, 1<<63 + 5} {
+		f.Add(s, uint8(s))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, mode uint8) {
+		prog := generate(seed, genMode(mode)%genModes)
+		if msg := firstFailure(t, []genProgram{prog}); msg != "" {
+			t.Fatalf("%s\n%s", msg, prog.goBody())
+		}
+	})
 }
