@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fompi/internal/spmd"
+	"fompi/internal/timing"
 )
 
 // TestAccOpApplyTable drives AccOp.apply through every operator over edge
@@ -257,4 +258,48 @@ func TestPutBoundsFaultMatchesBoundsErr(t *testing.T) {
 	if !strings.Contains(err.Error(), boundsErr(100, 64, 128, 1)) {
 		t.Errorf("fault %q does not carry boundsErr text %q", err, boundsErr(100, 64, 128, 1))
 	}
+}
+
+// TestGetAccumulateChainedTime pins what a fetching chained AMO costs an
+// inter-node origin: one injection, then the atomic unit's AmoNs plus
+// AmoPerElNs an element (P_acc,sum = 28 ns·s + 2.4 µs) and the transfer. A
+// one-element GetAccumulate stays one fetching AMO (2 400 ns). Every
+// element is fetched and summed.
+func TestGetAccumulateChainedTime(t *testing.T) {
+	want := map[int]timing.Time{1: 2400, 2: 2850, 8: 4202, 16: 6004, 64: 16817}
+	run(t, 2, 1, func(p *spmd.Proc) {
+		w, mem := Allocate(p, 64*8, Config{})
+		defer w.Free()
+		for _, n := range []int{1, 2, 8, 16, 64} {
+			for i := range mem {
+				mem[i] = 0
+			}
+			w.Fence()
+			if p.Rank() == 0 {
+				src, res := make([]byte, n*8), make([]byte, n*8)
+				for i := 0; i < n; i++ {
+					binary.LittleEndian.PutUint64(src[i*8:], uint64(i+1))
+				}
+				w.GetAccumulate(AccSum, src, res, 1, 0) // the words are 0: a first call settles the NIC
+				t0 := p.Now()
+				w.GetAccumulate(AccSum, src, res, 1, 0)
+				if got := p.Now() - t0; got != want[n] {
+					t.Errorf("%d-element GetAccumulate took %d virtual ns, want %d", n, got, want[n])
+				}
+				for i := 0; i < n; i++ {
+					if got := binary.LittleEndian.Uint64(res[i*8:]); got != uint64(i+1) {
+						t.Errorf("%d elements: fetched element %d = %d, want %d", n, i, got, i+1)
+					}
+				}
+			}
+			w.Fence()
+			if p.Rank() == 1 {
+				for i := 0; i < n; i++ {
+					if got := binary.LittleEndian.Uint64(mem[i*8:]); got != uint64(2*(i+1)) {
+						t.Errorf("%d elements: element %d = %d, want %d", n, i, got, 2*(i+1))
+					}
+				}
+			}
+		}
+	})
 }

@@ -42,8 +42,7 @@ func TestFenceAllocCeiling(t *testing.T) {
 // TestAccumulateAllocFree pins the atomic unit's fetching calls at zero
 // allocations: FetchAndOp of an accelerated op other than SUM is one
 // fetching AMO, FetchAndOp(AccNoOp) one word load (a one-word get), and a
-// one-element GetAccumulate one pipelined fetching AMO whose handle lives
-// in the window's reusable scratch. Rank 0 measures against rank 1 on the
+// one-element GetAccumulate one fetching AMO. Rank 0 measures against rank 1 on the
 // other node while rank 1 waits in the closing fence.
 func TestAccumulateAllocFree(t *testing.T) {
 	const runs = 100

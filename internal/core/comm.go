@@ -208,9 +208,10 @@ func (w *Win) accLocked(op AccOp, src, old []byte, a simnet.Addr, target int) {
 const accApplyNs = 4
 
 // GetAccumulate fetches the previous target contents into result while
-// applying op(src) to the target (MPI_Get_accumulate). An accelerated op
-// issues one fetching AMO per element, pipelined like Post's fetch-adds:
-// MPI asks for per-element atomicity and nothing more.
+// applying op(src) to the target (MPI_Get_accumulate). An accelerated op is
+// one fetching AMO over one element and one fetching chained AMO over more:
+// the chain holds the target's port, so every element is atomic, which is
+// all MPI asks.
 func (w *Win) GetAccumulate(op AccOp, src, result []byte, target, disp int) {
 	w.checkEpochAccess()
 	if len(src) != len(result) || len(src)%8 != 0 {
@@ -218,20 +219,14 @@ func (w *Win) GetAccumulate(op AccOp, src, result []byte, target, disp int) {
 	}
 	a := w.addrOf(target, disp, len(src))
 	aop, ok := op.amo()
-	if !ok {
+	switch {
+	case !ok:
 		w.accLocked(op, src, result, a, target)
-		return
+	case len(src) == 8:
+		binary.LittleEndian.PutUint64(result, w.ep.FetchOp(a, aop, binary.LittleEndian.Uint64(src)))
+	case len(src) > 8:
+		w.ep.FetchOpBulk(a, aop, src, result)
 	}
-	handles := w.fetchHandles[:0]
-	for i := 0; i < len(src); i += 8 {
-		old, h := w.ep.FetchOpNB(a.Add(i), aop, binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(result[i:], old)
-		handles = append(handles, h)
-	}
-	for _, h := range handles {
-		w.ep.Wait(h)
-	}
-	w.fetchHandles = handles[:0]
 }
 
 // FetchAndOp is the single-element MPI_Fetch_and_op: op(target, src) with

@@ -134,8 +134,7 @@ type Win struct {
 	// PSCW state. consumed is allocated on first Start (fence- and
 	// lock-only windows never pay for it); groupCache memoizes validated
 	// epoch groups, and postIdxs is Post's reusable O(k) scratch.
-	// fetchHandles holds the handles of pipelined fetching AMOs, Post's and
-	// GetAccumulate's.
+	// fetchHandles holds the handles of Post's pipelined fetch-adds.
 	accessGroup   []int // current access epoch (start..complete)
 	exposureQueue []int // outstanding exposure group sizes, FIFO for wait
 	waitTarget    uint64

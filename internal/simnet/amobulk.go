@@ -14,9 +14,25 @@ import (
 // AmoPerElNs per element through the target's atomic unit — which is why
 // accelerated accumulates cost 28 ns per element rather than a full
 // injection each (P_acc,sum = 28 ns·s + 2.4 µs). Every accumulate whose
-// operator the unit implements comes here or to FetchOp, whatever its
-// length; only MIN, MAX and FSUM take core's lock-get-modify-put fallback.
+// operator the unit implements comes here, to FetchOpBulk or to FetchOp,
+// whatever its length; only MIN, MAX and FSUM take core's
+// lock-get-modify-put fallback.
 func (ep *Endpoint) AmoBulkNBI(a Addr, op AmoOp, src []byte) {
+	ep.implicitMax = timing.Max(ep.implicitMax, ep.amoBulk(a, op, src, nil))
+}
+
+// FetchOpBulk is AmoBulkNBI fetching: the prior words come back in old (as
+// long as src), and it blocks until they do. It is DMAPP's fetching chained
+// AMO — one Amo with a fetch buffer, one opAmo on the wire — priced as the
+// non-fetching chain is. The chain holds the target's port, so each element
+// is atomic, as MPI_Get_accumulate asks.
+func (ep *Endpoint) FetchOpBulk(a Addr, op AmoOp, src, old []byte) {
+	ep.AdvanceTo(ep.amoBulk(a, op, src, old))
+}
+
+// amoBulk issues one chained AMO, fetching into old unless it is nil, and
+// returns its completion.
+func (ep *Endpoint) amoBulk(a Addr, op AmoOp, src, old []byte) timing.Time {
 	if len(src)%8 != 0 {
 		panic("simnet: bulk AMO length must be a multiple of 8")
 	}
@@ -29,16 +45,16 @@ func (ep *Endpoint) AmoBulkNBI(a Addr, op AmoOp, src []byte) {
 	var comp, free timing.Time
 	if rm := reg.rmt; rm != nil {
 		reg.check(a.Off, len(src))
-		comp, _, free = rm.Amo(op, a.Off, src, 0, nil, ep.clock, ep.nicFree, !same, lat, xfer)
+		comp, _, free = rm.Amo(op, a.Off, src, 0, old, ep.clock, ep.nicFree, !same, lat, xfer)
 	} else {
-		comp, _, free = ep.exec(reg).Amo(op, a.Off, src, 0, nil, ep.clock, ep.nicFree, !same, lat, xfer)
+		comp, _, free = ep.exec(reg).Amo(op, a.Off, src, 0, old, ep.clock, ep.nicFree, !same, lat, xfer)
 	}
 	if !same {
 		ep.nicFree = free
 	}
-	ep.implicitMax = timing.Max(ep.implicitMax, comp)
 	ep.ctr.Amos += int64(n)
 	ep.ctr.BytesPut += int64(len(src))
+	return comp
 }
 
 // ErrNotSameNode reports a shared-mapping request between ranks on different
