@@ -115,34 +115,40 @@ func TestAmoWordCountsRings(t *testing.T) {
 	}
 }
 
-// TestWrappedOffsetFaultsFree: an offset so large that offset+length wraps
-// round int — a corrupt wire frame can carry one — faults every operation
-// by name before the port is taken, leaving both port words as they were.
-// With a wrapping check it passed, took the port and panicked under it.
+// TestWrappedOffsetFaultsFree: an offset past the region, a negative one,
+// and one so large that offset+length wraps round int — a corrupt wire
+// frame can carry one — fault every operation by name before the port is
+// taken, leaving both port words as they were. With a wrapping check it
+// passed, took the port and panicked under it.
 func TestWrappedOffsetFaultsFree(t *testing.T) {
 	f := NewFabric(1, 1)
 	reg := f.Endpoint(0, FoMPI()).Register(64)
 	x := RegionExec{Reg: reg, Ring: f}
 	before, waitBefore := atomic.LoadUint64(&reg.port.word), atomic.LoadUint64(&reg.port.wait)
-	const off = math.MaxInt64 - 7
-	for _, c := range []struct {
-		name string
-		op   func()
-	}{
-		{"one-word put", func() { x.Put(off, make([]byte, 8), true, 0, 1) }},
-		{"bulk put", func() { x.Put(off-8, make([]byte, 16), true, 0, 1) }},
-		{"one-word get", func() { x.Get(make([]byte, 8), off, 0, true, 100, 1) }},
-		{"word AMO", func() { x.AmoWord(AmoSum, off, 1, 0, 0, 0, true, 240, 1) }},
-		{"chained AMO", func() { x.Amo(AmoSum, off-8, make([]byte, 16), 0, nil, 0, 0, true, 240, 1) }},
-		{"notify", func() { x.Notify(off-16, 1, true, 0, 1) }},
-	} {
-		msg := faultOf(c.op)
-		// Checked after each: the next operation would spin on a held port.
-		if w, wt := atomic.LoadUint64(&reg.port.word), atomic.LoadUint64(&reg.port.wait); w != before || wt != waitBefore {
-			t.Fatalf("port words %#x, %#x after the %s's fault %q, want %#x, %#x: the fault left the port held", w, wt, c.name, msg, before, waitBefore)
-		}
-		if !strings.Contains(msg, "outside region of 64 bytes") {
-			t.Errorf("%s at offset %d faulted with %q, want the bounds fault", c.name, off, msg)
+	for _, off := range []int{64, -8, math.MaxInt64 - 7} {
+		for _, c := range []struct {
+			name string
+			op   func()
+		}{
+			{"one-word put", func() { x.Put(off, make([]byte, 8), true, 0, 1) }},
+			{"bulk put", func() { x.Put(off-8, make([]byte, 16), true, 0, 1) }},
+			{"one-word get", func() { x.Get(make([]byte, 8), off, 0, true, 100, 1) }},
+			{"word put", func() { x.PutWord(off, 1, true, 0, 1) }},
+			{"intra-node word put", func() { x.PutWord(off, 1, false, 0, 1) }},
+			{"wire owner's word put", func() { RegionExec{Reg: reg}.PutWord(off, 1, true, 0, 1) }},
+			{"word get", func() { x.GetWord(off, 0, true, 100, 1) }},
+			{"word AMO", func() { x.AmoWord(AmoSum, off, 1, 0, 0, 0, true, 240, 1) }},
+			{"chained AMO", func() { x.Amo(AmoSum, off-8, make([]byte, 16), 0, nil, 0, 0, true, 240, 1) }},
+			{"notify", func() { x.Notify(off-16, 1, true, 0, 1) }},
+		} {
+			msg := faultOf(c.op)
+			// Checked after each: the next operation would spin on a held port.
+			if w, wt := atomic.LoadUint64(&reg.port.word), atomic.LoadUint64(&reg.port.wait); w != before || wt != waitBefore {
+				t.Fatalf("port words %#x, %#x after the %s's fault %q at offset %d, want %#x, %#x: the fault left the port held", w, wt, c.name, msg, off, before, waitBefore)
+			}
+			if !strings.Contains(msg, "outside region of 64 bytes") {
+				t.Errorf("%s at offset %d faulted with %q, want the bounds fault", c.name, off, msg)
+			}
 		}
 	}
 }

@@ -339,18 +339,17 @@ func (ep *Endpoint) putIssue(dst Addr, src []byte, sink *timing.Time, fold bool)
 		ep.clock += timing.Time(xfer)
 	}
 	arrival := ep.xferArrival(same, ep.clock, pr.PutLatNs+pr.knee(len(src)), xfer)
-	if reg.rmt == nil {
-		if len(src) == 8 && dst.Off&7 == 0 {
-			comp = ep.exec(reg).PutWord(dst.Off, binary.LittleEndian.Uint64(src), !same, arrival, xfer)
-		} else {
-			comp = ep.exec(reg).Put(dst.Off, src, !same, arrival, xfer)
-		}
-	} else {
+	switch {
+	case reg.rmt != nil:
 		if pend = sink; pend == nil {
 			pend = new(timing.Time)
 		}
 		reg.check(dst.Off, len(src))
 		reg.rmt.Put(dst.Off, src, !same, arrival, xfer, pend, fold)
+	case len(src) == 8 && dst.Off&7 == 0:
+		comp = ep.exec(reg).PutWord(dst.Off, binary.LittleEndian.Uint64(src), !same, arrival, xfer)
+	default:
+		comp = ep.exec(reg).Put(dst.Off, src, !same, arrival, xfer)
 	}
 	ep.ctr.Puts++
 	ep.ctr.BytesPut += int64(len(src))

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"encoding/binary"
-	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -152,36 +151,6 @@ func TestPutWordCountsRings(t *testing.T) {
 		}
 		if got := mDoorRings.Load() - before; got != n {
 			t.Errorf("%d nodes: %d one-word puts counted %d door rings, want %d", nodes, n, got, n)
-		}
-	}
-}
-
-// TestWordBodiesFaultFree: an offset past the region, a negative one and
-// one so large that offset+8 wraps fault PutWord and GetWord by name with
-// both port words as they were.
-func TestWordBodiesFaultFree(t *testing.T) {
-	f := NewFabric(1, 1)
-	reg := f.Endpoint(0, FoMPI()).Register(64)
-	before, waitBefore := atomic.LoadUint64(&reg.port.word), atomic.LoadUint64(&reg.port.wait)
-	for _, off := range []int{64, -8, math.MaxInt64 - 7} {
-		for _, ring := range []Transport{f, nil} {
-			x := RegionExec{Reg: reg, Ring: ring}
-			for _, c := range []struct {
-				name string
-				op   func()
-			}{
-				{"PutWord", func() { x.PutWord(off, 1, true, 0, 1) }},
-				{"intra-node PutWord", func() { x.PutWord(off, 1, false, 0, 1) }},
-				{"GetWord", func() { x.GetWord(off, 0, true, 100, 1) }},
-			} {
-				msg := faultOf(c.op)
-				if w, wt := atomic.LoadUint64(&reg.port.word), atomic.LoadUint64(&reg.port.wait); w != before || wt != waitBefore {
-					t.Fatalf("port words %#x, %#x after the %s's fault %q at offset %d, want %#x, %#x", w, wt, c.name, msg, off, before, waitBefore)
-				}
-				if !strings.Contains(msg, "outside region of 64 bytes") {
-					t.Errorf("%s at offset %d faulted with %q, want the bounds fault", c.name, off, msg)
-				}
-			}
 		}
 	}
 }

@@ -151,7 +151,7 @@ type WireDrainer interface {
 // aborts. A backend forwards the panic to the requester.
 //
 // The stores that publish a write — its stamp records, a one-word put's
-// value, a notification's slot — are release stores (hostatomic.StoreRel),
+// value, a notification's slot — are release stores (hostatomic.StoreRel64),
 // and so is the port's release after them: whoever sees the generation it
 // advances sees them. A ring from outside the port is an add, a full fence.
 type RegionExec struct {
@@ -211,7 +211,7 @@ func (x RegionExec) Put(off int, src []byte, reserve bool, arrival timing.Time, 
 // owner. The word moves as one release store, after its stamp: a rank
 // polling it outside the port (WaitLocal) may read it at any moment and
 // merges its stamp the moment it sees the value. Inter-node it holds the
-// port from its CAS to its release store and calls only BookNIC, and Set
+// port from its CAS to its release store and makes no Go call there but Set,
 // for a record of more than a store; intra-node it takes no port, and a
 // Ring rings from outside it.
 func (x RegionExec) PutWord(off int, v uint64, reserve bool, arrival timing.Time, xfer int64) (comp timing.Time) {
@@ -235,20 +235,12 @@ func (x RegionExec) PutWord(off int, v uint64, reserve bool, arrival timing.Time
 	// hostatomic.StoreRel less the checks checkWords made: StoreRel itself
 	// does not inline, and would be a call inside the hold.
 	hostatomic.StoreRel64((*int64)(unsafe.Pointer(&reg.buf[off])), int64(v))
-	var waiters bool
-	switch {
-	case x.Ring == nil:
+	if x.Ring == nil {
 		if reserve {
 			p.Unlock()
 		}
-		return comp
-	case reserve:
-		waiters = p.unlockRung()
-	default:
-		waiters = p.Ring()
-	}
-	if waiters {
-		x.Ring.WakeDoor(reg.owner)
+	} else if reserve && p.unlockRung() || !reserve && p.Ring() {
+		x.Ring.WakeDoor(reg.owner) // the ring, in the release or outside, found waiters
 	}
 	return comp
 }
