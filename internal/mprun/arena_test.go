@@ -183,7 +183,7 @@ func twoViewsShareStampTree(t *testing.T, open func(*testing.T, ArenaConfig) (cr
 	if mine == theirs {
 		t.Fatal("the peer's port is the owner's object, not a second mapping")
 	}
-	mine.Lock()
+	mine.LockRing()
 	entered := make(chan struct{})
 	go func() {
 		theirs.Lock()

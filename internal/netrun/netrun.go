@@ -579,9 +579,9 @@ func (w *World) LookupRegion(a simnet.Addr) *simnet.Region {
 // Each rank has exactly one port — its slot in its host group's arena, or its
 // process's own — and its waiters park at one door. Host-mates take the port,
 // ring it and wait on it directly; everyone else reaches it over the wire,
-// where the owner's service loop lands on the same port and door, so same-host
-// cross-(virtual-)node operations book the same NIC interval the off-host ones
-// do.
+// where the owner's service loop lands on the same port and door and rings
+// it in each write's release, so same-host cross-(virtual-)node operations
+// book the same NIC interval the off-host ones do.
 
 // Pacer returns the world's pacer (see World.pacer).
 func (w *World) Pacer() *simnet.Pacer { return w.pacer }
@@ -603,14 +603,6 @@ func (w *World) portOf(l int) *simnet.Port {
 	return &w.ownPort // a group of one: l is this rank
 }
 
-// ringDoor rings the host group's l-th rank's doorbell, waking its waiters
-// if the ring found any.
-func (w *World) ringDoor(l int) {
-	if w.portOf(l).Ring() {
-		w.door.DoorWake(l)
-	}
-}
-
 // Port returns rank's port for the host group (including this rank), nil for
 // anyone else: their memory is reached through proxies, whose operations take
 // the owner's port at the owner.
@@ -624,22 +616,15 @@ func (w *World) Port(rank int) *simnet.Port {
 // WakeDoor wakes the waiters parked on a host-group rank's port.
 func (w *World) WakeDoor(rank int) { w.door.DoorWake(w.lidx[rank]) }
 
-// RingDoorbell bumps rank's doorbell generation, waking its waiters: directly
-// for the host group, otherwise as the ring flag of the next frame to rank,
-// which the owner applies after the frame's list — once, like the list.
+// RingDoorbell bumps rank's doorbell generation from outside any write,
+// waking its waiters: directly for the host group, otherwise through one
+// opDoorRing entry, which the owner applies behind the entries ahead of it.
+// No write needs it — each rings in its own port release.
 func (w *World) RingDoorbell(rank int) {
-	if l := w.lidx[rank]; l >= 0 {
-		w.ringDoor(l)
-		return
-	}
-	s := &w.rsess[rank]
-	s.bring = true
-	// With entries still accumulating, the ring waits for them: the data it
-	// announces has not been sent either, so a waiter could not have been
-	// satisfied any earlier — it wakes exactly when the bytes land. An empty
-	// builder sends the ring now, on an empty list.
-	if len(s.bsinks) == 0 {
-		w.flush(rank)
+	if l := w.lidx[rank]; l < 0 {
+		w.ctlWord(rank, opDoorRing)
+	} else if w.portOf(l).Ring() {
+		w.door.DoorWake(l)
 	}
 }
 

@@ -122,7 +122,7 @@ func (w *World) queryRegion(r int, k simnet.Key) (bool, int) {
 }
 
 // ctlWord asks rank r one control question whose argument, if it has one,
-// and answer are a word each (opDoorGen, opDoorWait, opClock).
+// and answer are a word each (opDoorGen, opDoorWait, opDoorRing, opClock).
 func (w *World) ctlWord(r int, op uint8, arg ...uint64) uint64 {
 	e := w.entry(r, op, nil, false)
 	for _, a := range arg {
@@ -169,10 +169,9 @@ func (m *remoteMem) op(code uint8, off int, sink *timing.Time, fold bool) enc {
 	return e
 }
 
-// Put posts the bytes and stamp work, and the doorbell ring that announces
-// them, to the owner (see simnet.RemoteMem).
+// Put posts the bytes and stamp work to the owner, whose port release
+// rings its doorbell (see simnet.RemoteMem).
 func (m *remoteMem) Put(off int, src []byte, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool) {
-	m.w.rsess[m.rank].bring = true
 	e := m.op(opPut, off, sink, fold)
 	e.i64(int64(arrival))
 	e.i64(xfer)
@@ -198,10 +197,9 @@ func (m *remoteMem) Get(dst []byte, off int, clockIn timing.Time, reserve bool, 
 	return comp
 }
 
-// Amo ships one atomic and its doorbell ring; a fetching one's prior words
-// come back behind its times (see simnet.RemoteMem).
+// Amo ships one atomic; a fetching one's prior words come back behind its
+// times (see simnet.RemoteMem).
 func (m *remoteMem) Amo(op simnet.AmoOp, off int, src []byte, swap uint64, old []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (land, base, newFree timing.Time) {
-	m.w.rsess[m.rank].bring = true
 	e := m.op(opAmo, off, nil, false)
 	e.u8(uint8(op))
 	e.boolByte(old != nil)
@@ -226,14 +224,16 @@ func (m *remoteMem) Amo(op simnet.AmoOp, off int, src []byte, swap uint64, old [
 	return land, base, newFree
 }
 
-// Notify posts one ring deposit and its doorbell ring (see
+// Notify ships one ring deposit and returns its completion (see
 // simnet.RemoteMem).
-func (m *remoteMem) Notify(off int, word uint64, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool) {
-	m.w.rsess[m.rank].bring = true
-	e := m.op(opNotify, off, sink, fold)
+func (m *remoteMem) Notify(off int, word uint64, reserve bool, arrival timing.Time, xfer int64) timing.Time {
+	e := m.op(opNotify, off, nil, false)
 	e.u64(word)
 	e.i64(int64(arrival))
 	e.i64(xfer)
 	e.boolByte(reserve)
-	m.w.fire(m.rank, e)
+	d := m.w.call(m.rank, e)
+	comp := timing.Time(d.i64())
+	d.complete(m.rank)
+	return comp
 }

@@ -16,9 +16,10 @@ import (
 // reads frames in order and executes their lists against this rank's
 // regions through simnet.RegionExec — the paper's "no remote software
 // agent" property necessarily softens to a service loop here, but the loop
-// runs only transport work (byte movement, stamps, NIC booking, doorbells),
-// never protocol logic, and applies each source's operations in that
-// source's issue order (TCP in-order delivery, list order within a frame).
+// runs only transport work (byte movement, stamps, NIC booking, the ring each
+// write carries in its port release), never protocol logic, and applies each
+// source's operations in that source's issue order (TCP in-order delivery,
+// list order within a frame).
 // Cross-source interleaving is governed by the same word-atomic primitives
 // the in-process fabric uses, so concurrency semantics match.
 
@@ -131,10 +132,9 @@ func (w *World) serveConn(c net.Conn) {
 // order, each through handle, their sub-replies behind a count. A faulting
 // entry ends the list with its fault as the last sub-reply; the requester
 // re-panics it when the frame drains. A malformed list is refused whole,
-// before any entry executes. The frame's doorbell ring comes last, ordered
-// behind the data it announces.
+// before any entry executes.
 func (w *World) applyList(list, scratch []byte) []byte {
-	ring, subs, err := parseBatch(list)
+	subs, err := parseBatch(list)
 	if err != nil {
 		return faultReply(scratch, faultGeneric, w.rank, err.Error())
 	}
@@ -150,9 +150,6 @@ func (w *World) applyList(list, scratch []byte) []byte {
 		}
 	}
 	binary.LittleEndian.PutUint32(e.b[nAt:], uint32(n))
-	if ring {
-		w.ringDoor(w.self)
-	}
 	return e.finish()
 }
 
@@ -268,6 +265,9 @@ func (w *World) handle(op uint8, d *dec, e *enc) (ok bool) {
 		gen := d.u64()
 		d.must()
 		e.u64(w.door.DoorWait(w.portOf(w.self), w.self, gen))
+	case opDoorRing:
+		w.RingDoorbell(w.rank)
+		e.u64(w.portOf(w.self).Gen())
 	case opClock:
 		e.i64(w.ownClock())
 	default:
@@ -277,8 +277,9 @@ func (w *World) handle(op uint8, d *dec, e *enc) (ok bool) {
 }
 
 // exec resolves the request's region key into an executor over this rank's
-// memory. Dead or unknown keys fault with the unregistered-region message
-// the inline path uses.
+// memory, whose writes ring this rank's doorbell as the inline path's do.
+// Dead or unknown keys fault with the unregistered-region message the inline
+// path uses.
 func (w *World) exec(d *dec) simnet.RegionExec {
-	return simnet.RegionExec{Reg: w.mine.Lookup(simnet.Addr{Rank: w.rank, Key: simnet.Key(d.u32())})}
+	return simnet.RegionExec{Reg: w.mine.Lookup(simnet.Addr{Rank: w.rank, Key: simnet.Key(d.u32())}), Ring: w}
 }

@@ -100,8 +100,7 @@ type reqSession struct {
 	bstart int    // offset of the entry being built (entry/seal)
 	bbuf   []byte // encoded entries, each length-prefixed
 	bsinks []sinkRef
-	bfire  int  // fire-class entries among them (net.batches, net.fused_ops)
-	bring  bool // a doorbell ring rides the next flush
+	bfire  int // fire-class entries among them (net.batches, net.fused_ops)
 }
 
 // The window's one cap: winBytesCap bounds the bytes in flight per
@@ -110,10 +109,9 @@ type reqSession struct {
 // buffers — the socket can never fill in a way deadlines cannot recover), and
 // batchBuildMax flushes an oversized builder early. Together they bound the
 // depth too: every value-class op leaves the window empty, and between two
-// of them a frame leaves the builder only once it holds batchBuildMax bytes
-// (or as a bare ring, when Transport.RingDoorbell finds it empty), so at most
-// winBytesCap/batchBuildMax full frames plus the one being queued are ever
-// in flight (TestWindowReplayUnderRecurringResets asserts it).
+// of them a frame leaves the builder only once it holds batchBuildMax bytes,
+// so at most winBytesCap/batchBuildMax full frames plus the one being queued
+// are ever in flight (TestWindowReplayUnderRecurringResets asserts it).
 const (
 	winBytesCap   = 1 << 20
 	batchBuildMax = 256 << 10
@@ -179,12 +177,12 @@ func (w *World) drain(r int) (val dec) {
 	return val
 }
 
-// flush seals the accumulated entries, and the pending ring, into one frame
-// and queues it on the window to r — the send is pipelined: nothing blocks
-// for the reply until a drain needs it.
+// flush seals the accumulated entries into one frame and queues it on the
+// window to r — the send is pipelined: nothing blocks for the reply until a
+// drain needs it.
 func (w *World) flush(r int) {
 	s := &w.rsess[r]
-	if len(s.bsinks) == 0 && !s.bring {
+	if len(s.bsinks) == 0 {
 		return
 	}
 	var po *pendOp
@@ -205,7 +203,6 @@ func (w *World) flush(r int) {
 	e.u64(w.sid)
 	e.u64(s.seq)
 	e.u64(s.acked)
-	e.boolByte(s.bring)
 	e.u32(uint32(len(s.bsinks)))
 	e.bytes(s.bbuf)
 	po.frame = e.finish()
@@ -215,7 +212,6 @@ func (w *World) flush(r int) {
 	s.bbuf = s.bbuf[:0]
 	s.bsinks = s.bsinks[:0]
 	s.bfire = 0
-	s.bring = false
 	s.inflight = append(s.inflight, po)
 	s.bytes += len(po.frame)
 	mWindow.Record(uint64(len(s.inflight)))

@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -27,11 +28,12 @@ import (
 func liveWord() *uint32 { return new(uint32) }
 
 // sessionWorld builds the minimal owner-side World the session layer needs:
-// a rank, one registered word behind the rank's port, and an empty session
-// table (unpaced: no clock table).
+// a rank alone in its host group, one registered word behind the rank's
+// port, and an empty session table (unpaced: no clock table).
 func sessionWorld() *World {
 	w := &World{
 		rank:     1,
+		lidx:     []int{-1, 0},
 		sessions: make(map[uint64]*ownerSession),
 	}
 	reg := simnet.MakeRegion(1, 0, make([]byte, 8), timing.NewStamps(8), &w.ownPort, liveWord())
@@ -59,7 +61,7 @@ func applied(w *World) uint64 { return w.mine.Get(0).LocalWord(0) }
 // applyOne delivers the frame (sid, seq, ack) whose list is the one entry
 // (op, fields) to w's session layer, as a connection that said HELLO as src.
 func applyOne(w *World, src int, sid, seq, ack uint64, op uint8, fields []byte) (reply []byte, cached bool) {
-	d := dec{b: buildBatch(false, append([]byte{op}, fields...))}
+	d := dec{b: buildBatch(append([]byte{op}, fields...))}
 	return w.sessionApply(src, sid, seq, ack, &d, nil)
 }
 
@@ -249,12 +251,10 @@ func TestRemoteFaultKinds(t *testing.T) {
 	}
 }
 
-// mkNotifyBatch builds a frame's list of ring deposits (word values) the way
-// Notify + flush would: no piggybacked doorbell, each entry carrying
-// (key 0, off 0, word, arrival 0, xfer 1, reserve).
+// mkNotifyBatch builds a frame's list of ring deposits (word values), each
+// entry carrying (key 0, off 0, word, arrival 0, xfer 1, reserve).
 func mkNotifyBatch(words ...uint64) []byte {
-	b := []byte{0}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(words)))
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(words)))
 	for _, v := range words {
 		sub := []byte{opNotify}
 		sub = binary.LittleEndian.AppendUint32(sub, 0) // key
@@ -449,13 +449,14 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 }
 
 // TestWindowReplayUnderRecurringResets is the wire-level half of the
-// mid-window replay proof: each rank streams fused notify windows at its
-// peer — ten Notify deposits per DrainWire, thirty windows — while
-// faultnet resets the data plane every 25 frames, so resets land with
-// batches genuinely in flight and the engine must retransmit unacked
-// suffixes across fresh connections. The notify ring's producer ticket
-// counts executions: exactly `windows*perWindow` at the end means every
-// deposit applied exactly once despite the replays.
+// mid-window replay proof: each rank streams fused put windows at its
+// peer — ten one-word Puts per DrainWire, thirty windows — while faultnet
+// resets the data plane every 25 frames, so resets land with batches
+// genuinely in flight and the engine must retransmit unacked suffixes
+// across fresh connections. Every put rings the owner's port in its
+// release, so the port's generation counts executions: exactly
+// `windows*perWindow` plus the closing flag at the end means every put
+// applied exactly once despite the replays.
 func TestWindowReplayUnderRecurringResets(t *testing.T) {
 	probe, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -486,10 +487,9 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 	}
 
 	const (
-		ringCap   = 512
 		windows   = 30
 		perWindow = 10
-		flagOff   = 24 + ringCap*8 // first word past the ring
+		flagOff   = perWindow * 8 // first word past the put targets
 	)
 	workerErr := make(chan error, 2)
 	worker := func() {
@@ -505,7 +505,6 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 		}
 		buf := make([]byte, flagOff+8)
 		reg := simnet.MakeRegion(w.Rank(), 0, buf, timing.NewStamps(len(buf)), w.Port(w.Rank()), liveWord())
-		reg.LocalWordStore(16, ringCap, 0) // bind the ring before peers deposit
 		w.RegisterRegion(w.Rank(), &reg)
 		w.Ready()
 		peer := 1 - w.Rank()
@@ -513,24 +512,25 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 		var sink timing.Time
 		for b := 0; b < windows; b++ {
 			for i := 0; i < perWindow; i++ {
-				m.Notify(0, uint64(b*perWindow+i), true, 0, 1, &sink, true)
+				m.Put(8*i, binary.LittleEndian.AppendUint64(nil, uint64(b*perWindow+i)), true, 0, 1, &sink, true)
 			}
 			w.DrainWire()
 		}
 		// Announce completion with a store (ordered behind the drained
-		// windows), then wait for the peer's announcement before reading the
-		// local ticket.
+		// windows), then wait for the peer's announcement. The generation is
+		// read after Finish: the peer drained its flag put — the owner's
+		// release, ring and all — before it reported done.
 		m.Put(flagOff, binary.LittleEndian.AppendUint64(nil, 1), true, 0, 1, &sink, true)
 		w.DrainWire()
 		for reg.LocalWord(flagOff) == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		var mismatch error
-		if got := reg.LocalWord(0); got != windows*perWindow {
-			mismatch = fmt.Errorf("rank %d ring ticket = %d, want %d: a deposit was lost or applied twice",
-				w.Rank(), got, windows*perWindow)
-		}
 		w.Finish()
+		var mismatch error
+		if got := w.Port(w.Rank()).Gen(); got != windows*perWindow+1 {
+			mismatch = fmt.Errorf("rank %d port generation = %d, want %d: a put was lost or applied twice",
+				w.Rank(), got, windows*perWindow+1)
+		}
 		workerErr <- mismatch
 	}
 	go worker()
@@ -590,16 +590,16 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 
 // TestUnassignedOpcodeRejected pins what an opcode outside the table meets:
 // no place in a list, and an unknown-opcode fault from the owner, which books
-// nothing — zero, the first number past the table, and the numbers the retired
-// doorbell message (RING) and re-attach handshake (RESUME) held alike.
+// nothing — zero, the first number past the table, and the number the retired
+// re-attach handshake (RESUME) held alike.
 func TestUnassignedOpcodeRejected(t *testing.T) {
 	w := sessionWorld()
 	// 4, 5 and 7 are the retired word store, word load and chained AMO.
-	for _, op := range []uint8{0, 4, 5, 7, opDoorWait + 1, opClock + 1, opBatch + 1} {
+	for _, op := range []uint8{0, 4, 5, 7, opClock + 1, opBatch + 1} {
 		if listed(op) {
 			t.Fatalf("unassigned opcode %d has a place in a list", op)
 		}
-		if _, _, err := parseBatch(buildBatch(false, []byte{op})); !errors.Is(err, ErrBatchOpCode) {
+		if _, err := parseBatch(buildBatch([]byte{op})); !errors.Is(err, ErrBatchOpCode) {
 			t.Fatalf("a list carrying unassigned opcode %d parsed with %v, want ErrBatchOpCode", op, err)
 		}
 		e := newEnc(nil)
@@ -673,30 +673,36 @@ func TestTruncatedControlRequestFaults(t *testing.T) {
 
 // shortOwner stands in for rank 1's service loop behind a pipe: it answers
 // every frame with a well-formed reply list whose sub-replies are all n zero
-// bytes behind an OK status, whatever the entries asked for.
+// bytes behind an OK status, whatever the entries asked for. It reuses its
+// buffers, so a warm exchange allocates nothing on its side.
 func shortOwner(t *testing.T, n int) *World {
 	near, far := net.Pipe()
 	t.Cleanup(func() { near.Close(); far.Close() })
 	go func() {
 		rd := bufio.NewReader(far)
+		var in, out []byte
 		for {
-			frame, err := readFrame(rd, nil)
+			frame, err := readFrame(rd, in)
 			if err != nil {
 				return
 			}
+			in = frame
 			if frame[0] != opBatch {
 				continue
 			}
-			e := newEnc(nil)
+			e := newEnc(out)
 			e.u8(stOK)
-			entries := binary.LittleEndian.Uint32(frame[34:])
+			entries := binary.LittleEndian.Uint32(frame[33:])
 			e.u32(entries)
 			for i := uint32(0); i < entries; i++ {
 				e.u32(uint32(1 + n))
 				e.u8(stOK)
-				e.bytes(make([]byte, n))
+				for range n {
+					e.u8(0)
+				}
 			}
-			if _, err := far.Write(e.finish()); err != nil {
+			out = e.finish()
+			if _, err := far.Write(out); err != nil {
 				return
 			}
 		}
@@ -725,10 +731,11 @@ func TestTruncatedReplyFaults(t *testing.T) {
 		{"opGet", 16, func(w *World, m *remoteMem) { m.Get(buf[:], 0, 0, true, 0, 1) }},
 		{"opAmo fetching", 32, func(w *World, m *remoteMem) { m.Amo(simnet.AmoSum, 0, buf[:], 0, old[:], 0, 0, true, 0, 1) }},
 		{"opAmo", 24, func(w *World, m *remoteMem) { m.Amo(simnet.AmoSum, 0, buf[:], 0, nil, 0, 0, true, 0, 1) }},
-		{"opNotify", 8, func(w *World, m *remoteMem) { m.Notify(0, 1, true, 0, 1, &sink, true); w.DrainWire() }},
+		{"opNotify", 8, func(w *World, m *remoteMem) { m.Notify(0, 1, true, 0, 1) }},
 		{"opRegQuery", 9, func(w *World, m *remoteMem) { w.queryRegion(1, 0) }},
 		{"opDoorGen", 8, func(w *World, m *remoteMem) { w.ctlWord(1, opDoorGen) }},
 		{"opDoorWait", 8, func(w *World, m *remoteMem) { w.ctlWord(1, opDoorWait, 0) }},
+		{"opDoorRing", 8, func(w *World, m *remoteMem) { w.ctlWord(1, opDoorRing) }},
 		{"opClock", 8, func(w *World, m *remoteMem) { w.ctlWord(1, opClock) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -745,12 +752,110 @@ func TestTruncatedReplyFaults(t *testing.T) {
 	}
 }
 
+// deadlineFree is a connection whose deadlines are no-ops: net.Pipe arms a
+// timer for every deadline set, an allocation a TCP connection's deadline
+// does not make.
+type deadlineFree struct{ net.Conn }
+
+func (deadlineFree) SetReadDeadline(time.Time) error  { return nil }
+func (deadlineFree) SetWriteDeadline(time.Time) error { return nil }
+
+// TestProxyNotifyAllocFree: a notification to a proxy is one value-class
+// entry through the session's recycled builder, window slot and reply
+// buffer, its completion read off the reply: once warm it allocates nothing
+// on the requester — no completion slot on the heap.
+func TestProxyNotifyAllocFree(t *testing.T) {
+	w := shortOwner(t, 8)
+	w.peers[1].c = deadlineFree{w.peers[1].c}
+	m := &remoteMem{w: w, rank: 1, size: 64}
+	notify := func() {
+		if comp := m.Notify(0, 1, true, 0, 1); comp != 0 {
+			t.Fatalf("notify completed at %d, want the owner's 0", comp)
+		}
+	}
+	notify() // warm the builder, the window entry and the reply buffer
+	if avg := testing.AllocsPerRun(100, notify); avg != 0 {
+		t.Fatalf("a notify to a proxy allocates %.2f objects, want 0", avg)
+	}
+}
+
+// TestOwnerWriteRings: a write the wire owner applies rings the rank's
+// doorbell in its own port release, as an inline write does. One opPut (inter-
+// and intra-node), opAmo and opNotify frame each advances the port's
+// generation by one and pokes the door of a waiter counted on the port,
+// which returns with the new generation.
+func TestOwnerWriteRings(t *testing.T) {
+	w := sessionWorld()
+	buf := make([]byte, simnet.NotifyRingBytes(4))
+	ring := simnet.MakeRegion(1, 0, buf, timing.NewStamps(len(buf)), &w.ownPort, liveWord())
+	ring.LocalWordStore(16, 4, 0) // bind a ring of 4 slots
+	ringKey := w.mine.Add(&ring)
+	// The door: a waiter sleeps until its slot is poked or its slice ends.
+	var pokes atomic.Int32
+	wake := make(chan struct{}, 1)
+	parked := make(chan struct{}, 1)
+	w.door = simnet.ParkHook{
+		Seq: func(int) uint64 { return 0 },
+		Park: func(_ int, _ uint64, d time.Duration) bool {
+			parked <- struct{}{}
+			select {
+			case <-wake:
+				return true
+			case <-time.After(d):
+				return false
+			}
+		},
+		Poke:    func(int) bool { pokes.Add(1); wake <- struct{}{}; return true },
+		Aborted: func() error { return nil },
+	}
+	put := func(reserve byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, 0) // key
+		b = binary.LittleEndian.AppendUint64(b, 0)    // off
+		b = binary.LittleEndian.AppendUint64(b, 5)    // arrival
+		b = binary.LittleEndian.AppendUint64(b, 1)    // xfer
+		return append(append(b, reserve), "8 bytes!"...)
+	}
+	notify := binary.LittleEndian.AppendUint32(nil, uint32(ringKey))
+	notify = binary.LittleEndian.AppendUint64(notify, 0) // off
+	notify = binary.LittleEndian.AppendUint64(notify, 9) // word
+	notify = binary.LittleEndian.AppendUint64(notify, 5) // arrival
+	notify = binary.LittleEndian.AppendUint64(notify, 1) // xfer
+	notify = append(notify, 1)                           // reserve
+	sid := sidFor(0, 9)
+	for i, c := range []struct {
+		name   string
+		op     uint8
+		fields []byte
+	}{
+		{"opPut", opPut, put(1)},
+		{"intra-node opPut", opPut, put(0)},
+		{"opAmo", opAmo, fetchAddFields()},
+		{"opNotify", opNotify, notify},
+	} {
+		gen := w.ownPort.Gen()
+		out := make(chan uint64, 1)
+		go func() { out <- w.door.DoorWait(&w.ownPort, w.self, gen) }()
+		<-parked // counted in on the port and asleep
+		reply, _ := applyOne(w, 0, sid, uint64(i+1), uint64(i), c.op, c.fields)
+		if sub := firstSub(t, reply); sub[0] != stOK {
+			t.Fatalf("%s faulted: %q", c.name, sub)
+		}
+		if g := <-out; g != gen+1 || w.ownPort.Gen() != gen+1 {
+			t.Fatalf("%s: the waiter returned generation %d and the port reads %d, want both %d", c.name, g, w.ownPort.Gen(), gen+1)
+		}
+		if got := pokes.Load(); got != int32(i+1) {
+			t.Fatalf("%s: %d pokes after %d writes, want one a write", c.name, got, i+1)
+		}
+	}
+}
+
 // fuzzOwner is rank 1 of a two-rank world serving one 64-byte region (key 0)
 // that sits between guard bytes in slab.
 func fuzzOwner(cl *rankio.Client) (w *World, slab []byte) {
 	w = &World{
 		Client:   cl,
 		rank:     1,
+		lidx:     []int{-1, 0},
 		sessions: make(map[uint64]*ownerSession),
 		park:     simnet.NewParker(2),
 		budget:   5 * time.Second,
@@ -799,7 +904,7 @@ func checkFault(t *testing.T, what string, b []byte) {
 // that faults, each OK or a typed fault, and not a byte more.
 func checkReplyList(t *testing.T, list, reply []byte) {
 	t.Helper()
-	_, subs, err := parseBatch(list)
+	subs, err := parseBatch(list)
 	if err != nil || len(reply) == 0 || reply[0] != stOK {
 		if err == nil {
 			t.Fatalf("a list of %d entries was refused whole: %q", len(subs), reply)
@@ -888,24 +993,25 @@ func FuzzFrame(f *testing.F) {
 		entryOf(opRegQuery, func(e *enc) { e.u32(0) }),
 		entryOf(opDoorGen, nil),
 		entryOf(opDoorWait, u64s(7)), // not the current generation: answers at once
+		entryOf(opDoorRing, nil),
 		entryOf(opClock, nil),
 	}
 	for _, ent := range perOp {
-		f.Add(frameOf(sid, 1, 0, buildBatch(false, ent)))
+		f.Add(frameOf(sid, 1, 0, buildBatch(ent)))
 	}
-	f.Add(frameOf(sid, 1, 0, buildBatch(true, perOp...)))
+	f.Add(frameOf(sid, 1, 0, buildBatch(perOp...)))
 	// The retired word store, word load and chained AMO: the list is refused
 	// whole, before the put ahead of them runs.
 	for _, retired := range []byte{4, 5, 7} {
-		f.Add(frameOf(sid, 1, 0, buildBatch(false, perOp[0], append([]byte{retired}, fetchAddFields()...))))
+		f.Add(frameOf(sid, 1, 0, buildBatch(perOp[0], append([]byte{retired}, fetchAddFields()...))))
 	}
 	// FuzzParseBatch's corpus, behind a session header.
 	f.Add(frameOf(sid, 1, 0, nil))
-	f.Add(frameOf(sid, 1, 0, buildBatch(false)))
-	f.Add(frameOf(sid, 1, 0, buildBatch(true, append([]byte{opPut}, bytes.Repeat([]byte{3}, 29)...))))
-	f.Add(frameOf(sid, 2, 1, buildBatch(false, []byte{opNotify, 1}, []byte{opAmo, 2, 3})))
-	f.Add(frameOf(sid, 1, 0, append([]byte{2}, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3)))
-	f.Add(frameOf(sidFor(1, 1), 1, 0, buildBatch(true))) // a session minted for another rank
+	f.Add(frameOf(sid, 1, 0, buildBatch()))
+	f.Add(frameOf(sid, 1, 0, buildBatch(append([]byte{opPut}, bytes.Repeat([]byte{3}, 29)...))))
+	f.Add(frameOf(sid, 2, 1, buildBatch([]byte{opNotify, 1}, []byte{opAmo, 2, 3})))
+	f.Add(frameOf(sid, 1, 0, []byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3}))
+	f.Add(frameOf(sidFor(1, 1), 1, 0, buildBatch())) // a session minted for another rank
 	f.Add([]byte{opHello, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0})
 
 	cl := pipeClient(f)

@@ -25,8 +25,7 @@ import (
 //	u64 sid      session identity, encoding the requester's rank
 //	u64 seq      per-owner sequence number of this frame, from 1
 //	u64 ack      highest seq whose reply the requester has processed
-//	u8  ring     ring the owner's doorbell once the list is applied
-//	u32 n        entries that follow (0: the frame is only a ring)
+//	u32 n        entries that follow
 //	n × (u32 len, u8 opcode, fields)    the opcode table below
 //
 // and the owner answers each frame, in order, with one reply:
@@ -35,14 +34,15 @@ import (
 //	u8  stFault, kind u8, rank u32, message     the frame itself was refused
 //
 // The owner applies a frame's entries in list order and stops at the first
-// that faults, whose fault is then the last sub-reply (m ≤ n). Replies match
-// frames by order — the stream needs no tags — and TCP's in-order delivery
-// makes the owner apply A's operations in A's issue order, the property the
-// put-then-flag ordering contract rides on. The requester keeps a bounded
-// window of frames in flight; frames are retained until acked and replayed
-// byte-identically on a fresh connection after a reset, and the owner's
-// reply cache answers the ones it had applied, so every entry executes
-// exactly once (session.go).
+// that faults, whose fault is then the last sub-reply (m ≤ n). Each write
+// entry rings the owner's doorbell in its own port release, as an inline
+// write does. Replies match frames by order — the stream needs no tags — and
+// TCP's in-order delivery makes the owner apply A's operations in A's issue
+// order, the property the put-then-flag ordering contract rides on. The
+// requester keeps a bounded window of frames in flight; frames are retained
+// until acked and replayed byte-identically on a fresh connection after a
+// reset, and the owner's reply cache answers the ones it had applied, so
+// every entry executes exactly once (session.go).
 //
 // The frame layout is versioned with the control lines: rankio.ProtoVersion
 // gates the JOIN handshake, and any frame change bumps it.
@@ -66,11 +66,11 @@ const (
 	_                           // 5 was the word load (now a one-word opGet): unassigned
 	opAmo                       // value: key u32, off u64, aop u8, fetch u8, swap u64, clockIn i64, srcFree i64, lat i64, xfer i64, reserve u8, words -> land i64, base i64, free i64, the prior words if fetch
 	_                           // 7 was the chained AMO (now a non-fetching opAmo): unassigned
-	opNotify                    // fire: key u32, off u64, word u64, arrival i64, xfer i64, reserve u8 -> comp i64
+	opNotify                    // value: key u32, off u64, word u64, arrival i64, xfer i64, reserve u8 -> comp i64
 	opRegQuery                  // control: key u32 -> state u8, size u64
 	opDoorGen                   // control: - -> gen u64
 	opDoorWait                  // control: gen u64 (the owner's door sets the slice) -> gen u64
-	_                           // 12 was the fire-and-forget doorbell ring (now the frame's ring flag): unassigned
+	opDoorRing                  // control: - -> gen u64, after a ring from outside any write
 	opClock                     // control: - -> the owner's published clock i64
 	_                           // 14 was the pre-window re-attach handshake: unassigned, refused like any unknown opcode
 	opBatch                     // the session frame (layout above)
@@ -81,7 +81,7 @@ const (
 // nest), not an unassigned number.
 func listed(op uint8) bool {
 	switch op {
-	case opPut, opGet, opAmo, opNotify, opRegQuery, opDoorGen, opDoorWait, opClock:
+	case opPut, opGet, opAmo, opNotify, opRegQuery, opDoorGen, opDoorWait, opDoorRing, opClock:
 		return true
 	}
 	return false
@@ -101,44 +101,42 @@ var (
 )
 
 // parseBatch splits a frame's list — everything after the session header —
-// into its doorbell-ring flag and per-entry sub-frames (each op byte + op
-// fields). Pure and total: any malformed input yields a typed error, never a
-// panic.
-func parseBatch(p []byte) (ring bool, subs [][]byte, err error) {
-	if len(p) < 5 {
-		return false, nil, fmt.Errorf("%w (%d bytes)", ErrBatchHeader, len(p))
+// into its per-entry sub-frames (each op byte + op fields). Pure and total:
+// any malformed input yields a typed error, never a panic.
+func parseBatch(p []byte) (subs [][]byte, err error) {
+	if len(p) < 4 {
+		return nil, fmt.Errorf("%w (%d bytes)", ErrBatchHeader, len(p))
 	}
-	ring = p[0] != 0
-	n := int(binary.LittleEndian.Uint32(p[1:5]))
-	p = p[5:]
+	n := int(binary.LittleEndian.Uint32(p[:4]))
+	p = p[4:]
 	// Each sub-op needs at least its length prefix and opcode, which bounds
 	// a sane count by the bytes actually present.
 	if n < 0 || n > len(p)/5 {
-		return false, nil, fmt.Errorf("%w (%d ops in %d bytes)", ErrBatchCount, n, len(p))
+		return nil, fmt.Errorf("%w (%d ops in %d bytes)", ErrBatchCount, n, len(p))
 	}
 	subs = make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		k := int(binary.LittleEndian.Uint32(p[:4]))
 		if k < 0 || k > len(p)-4 {
-			return false, nil, fmt.Errorf("%w (op %d claims %d of %d bytes)", ErrBatchOpLen, i, k, len(p)-4)
+			return nil, fmt.Errorf("%w (op %d claims %d of %d bytes)", ErrBatchOpLen, i, k, len(p)-4)
 		}
 		sub := p[4 : 4+k]
 		if len(sub) == 0 {
-			return false, nil, fmt.Errorf("%w (op %d)", ErrBatchOpEmpty, i)
+			return nil, fmt.Errorf("%w (op %d)", ErrBatchOpEmpty, i)
 		}
 		if !listed(sub[0]) {
-			return false, nil, fmt.Errorf("%w (op %d has opcode %d)", ErrBatchOpCode, i, sub[0])
+			return nil, fmt.Errorf("%w (op %d has opcode %d)", ErrBatchOpCode, i, sub[0])
 		}
 		subs = append(subs, sub)
 		p = p[4+k:]
 		if i < n-1 && len(p) < 4 {
-			return false, nil, fmt.Errorf("%w (op %d)", ErrBatchOpLen, i+1)
+			return nil, fmt.Errorf("%w (op %d)", ErrBatchOpLen, i+1)
 		}
 	}
 	if len(p) != 0 {
-		return false, nil, fmt.Errorf("%w (%d bytes)", ErrBatchTrailing, len(p))
+		return nil, fmt.Errorf("%w (%d bytes)", ErrBatchTrailing, len(p))
 	}
-	return ring, subs, nil
+	return subs, nil
 }
 
 // Reply status bytes.
@@ -222,13 +220,16 @@ func (d *dec) boolVal() bool { return d.u8() != 0 }
 func (d *dec) rest() []byte  { p := d.b[d.pos:]; d.pos = len(d.b); return p }
 
 // readFrame reads one length-prefixed frame into buf (grown as needed) and
-// returns the payload slice.
+// returns the payload slice. The length is peeked in the reader's own
+// buffer: a header array would escape through io.ReadFull, one allocation a
+// frame.
 func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(hdr))
+	r.Discard(4)
 	if n > maxFrame {
 		return nil, fmt.Errorf("netrun: frame of %d bytes exceeds limit (corrupt stream?)", n)
 	}

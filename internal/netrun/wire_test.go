@@ -65,14 +65,10 @@ func TestReadFrameLimit(t *testing.T) {
 	}
 }
 
-// buildBatch assembles a frame's list the way flush does: the ring flag, the
-// entry count, and each entry length-prefixed.
-func buildBatch(ring bool, subs ...[]byte) []byte {
-	b := []byte{0}
-	if ring {
-		b[0] = 1
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(subs)))
+// buildBatch assembles a frame's list the way flush does: the entry count,
+// and each entry length-prefixed.
+func buildBatch(subs ...[]byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(subs)))
 	for _, s := range subs {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
 		b = append(b, s...)
@@ -84,16 +80,16 @@ func TestParseBatchRoundTrip(t *testing.T) {
 	sub1 := append([]byte{opPut}, bytes.Repeat([]byte{7}, 29)...)
 	sub2 := append([]byte{opAmo}, bytes.Repeat([]byte{9}, 37)...)
 	sub3 := []byte{opGet}
-	in := buildBatch(true, sub1, sub2, sub3)
-	ring, subs, err := parseBatch(in)
+	in := buildBatch(sub1, sub2, sub3)
+	subs, err := parseBatch(in)
 	if err != nil {
 		t.Fatalf("parseBatch: %v", err)
 	}
-	if !ring || len(subs) != 3 ||
+	if len(subs) != 3 ||
 		!bytes.Equal(subs[0], sub1) || !bytes.Equal(subs[1], sub2) || !bytes.Equal(subs[2], sub3) {
-		t.Fatalf("parsed (ring=%v, %d subs), want the three sub-ops back verbatim", ring, len(subs))
+		t.Fatalf("parsed %d subs, want the three sub-ops back verbatim", len(subs))
 	}
-	if _, subs, err := parseBatch(buildBatch(false)); err != nil || len(subs) != 0 {
+	if subs, err := parseBatch(buildBatch()); err != nil || len(subs) != 0 {
 		t.Fatalf("empty batch: subs=%d err=%v, want a valid zero-op frame", len(subs), err)
 	}
 }
@@ -109,25 +105,21 @@ func TestParseBatchErrors(t *testing.T) {
 		want error
 	}{
 		{"empty", nil, ErrBatchHeader},
-		{"short header", []byte{0, 1, 0}, ErrBatchHeader},
-		{"count exceeds frame", buildBatch(false)[:5:5], ErrBatchCount},
-		{"huge count", append([]byte{0}, 0xff, 0xff, 0xff, 0xff), ErrBatchCount},
+		{"short header", []byte{1, 0, 0}, ErrBatchHeader},
+		{"count exceeds frame", []byte{1, 0, 0, 0}, ErrBatchCount}, // one op, no payload bytes behind it
+		{"huge count", []byte{0xff, 0xff, 0xff, 0xff}, ErrBatchCount},
 		{"sub-op length overrun", func() []byte {
-			b := buildBatch(false, sub)
-			binary.LittleEndian.PutUint32(b[5:], 1000)
+			b := buildBatch(sub)
+			binary.LittleEndian.PutUint32(b[4:], 1000)
 			return b
 		}(), ErrBatchOpLen},
-		{"empty sub-op", buildBatch(false, sub, []byte{}), ErrBatchOpEmpty},
-		{"hello in a list", buildBatch(false, []byte{opHello, 1, 2}), ErrBatchOpCode},
-		{"nested batch", buildBatch(false, []byte{opBatch, 0}), ErrBatchOpCode},
-		{"trailing bytes", append(buildBatch(false, sub), 0xaa), ErrBatchTrailing},
+		{"empty sub-op", buildBatch(sub, []byte{}), ErrBatchOpEmpty},
+		{"hello in a list", buildBatch([]byte{opHello, 1, 2}), ErrBatchOpCode},
+		{"nested batch", buildBatch([]byte{opBatch, 0}), ErrBatchOpCode},
+		{"trailing bytes", append(buildBatch(sub), 0xaa), ErrBatchTrailing},
 	}
 	for _, c := range cases {
-		if c.name == "count exceeds frame" {
-			// A one-op count with zero payload bytes behind it.
-			c.in = append([]byte{0}, 1, 0, 0, 0)
-		}
-		_, _, err := parseBatch(c.in)
+		_, err := parseBatch(c.in)
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: parseBatch(%x) = %v, want %v", c.name, c.in, err, c.want)
 		}
@@ -139,22 +131,23 @@ func TestParseBatchErrors(t *testing.T) {
 // and every rejection is one of the typed sentinels.
 func FuzzParseBatch(f *testing.F) {
 	f.Add([]byte(nil))
-	f.Add(buildBatch(false))
-	f.Add(buildBatch(true, append([]byte{opPut}, bytes.Repeat([]byte{3}, 29)...)))
-	f.Add(buildBatch(false, []byte{opNotify, 1}, []byte{opAmo, 2, 3}))
+	f.Add(buildBatch())
+	f.Add(buildBatch(append([]byte{opPut}, bytes.Repeat([]byte{3}, 29)...)))
+	f.Add(buildBatch([]byte{opNotify, 1}, []byte{opAmo, 2, 3}))
+	f.Add(buildBatch([]byte{opDoorRing}, []byte{opDoorGen}))
 	// A fetching opAmo, a non-fetching one, and one whose operand is not
 	// whole words.
 	fetching := append([]byte{opAmo}, fetchAddFields()...)
 	plain := slices.Clone(fetching)
 	plain[14] = 0 // the fetch flag, behind opcode, key, off and op
-	f.Add(buildBatch(false, fetching, plain, append(slices.Clone(plain), 1, 2, 3, 4)))
+	f.Add(buildBatch(fetching, plain, append(slices.Clone(plain), 1, 2, 3, 4)))
 	// The retired word store, word load and chained AMO.
 	for _, retired := range []byte{4, 5, 7} {
-		f.Add(buildBatch(false, fetching, append([]byte{retired}, fetchAddFields()...)))
+		f.Add(buildBatch(fetching, append([]byte{retired}, fetchAddFields()...)))
 	}
-	f.Add(append([]byte{2}, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		ring, subs, err := parseBatch(in)
+		subs, err := parseBatch(in)
 		if err != nil {
 			for _, want := range []error{ErrBatchHeader, ErrBatchCount, ErrBatchOpLen,
 				ErrBatchOpEmpty, ErrBatchOpCode, ErrBatchTrailing} {
@@ -169,9 +162,7 @@ func FuzzParseBatch(f *testing.F) {
 				t.Fatalf("parseBatch(%x) accepted invalid sub-op %d: %x", in, i, s)
 			}
 		}
-		// Any nonzero ring byte is truthy, so compare the re-encoding past
-		// byte 0 and the flag by value.
-		if out := buildBatch(ring, subs...); !bytes.Equal(out[1:], in[1:]) || ring != (in[0] != 0) {
+		if out := buildBatch(subs...); !bytes.Equal(out, in) {
 			t.Fatalf("parseBatch(%x) re-encodes to %x: silent truncation or reordering", in, out)
 		}
 	})

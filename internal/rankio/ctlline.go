@@ -20,7 +20,7 @@ import (
 // ProtoVersion gates the JOIN handshake for the control lines and netrun's
 // data frames alike; bump on any change to either. JOIN leads with it, so a
 // later version is free to lay the rest of the line out differently.
-const ProtoVersion = 12
+const ProtoVersion = 13
 
 // maxLine bounds a control line, newline included. The longest legitimate
 // line is a STATS snapshot (tens of KiB with a full event tail).

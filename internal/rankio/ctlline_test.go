@@ -69,12 +69,13 @@ func TestCtlLineRejects(t *testing.T) {
 		{"JOIN 9 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin},  // a v9 worker's: same line, ABORT carries a rank
 		{"JOIN 10 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v10 worker's: same line, other AMO op codes
 		{"JOIN 11 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v11 worker's: same line, word stores, loads and two AMO shapes on the wire
-		{"JOIN 12 net 0 127.0.0.1:4000,evil:1 host0 2 1 0", ErrLineToken, lnJoin},
-		{"JOIN 12 net 0 127.0.0.1:4000 host,0 2 1 0", ErrLineToken, lnJoin},
-		{"JOIN 12 net 0  host0 2 1 0", ErrLineToken, lnJoin},
-		{"JOIN 12 net 0 127.0.0.1:4000 host0 2 1", ErrLineFields, lnJoin},
-		{"JOIN 12 net 0 127.0.0.1:4000 host0 2 1 0 extra", ErrLineFields, lnJoin},
-		{"JOIN 12 net 0 127.0.0.1:4000 host0 0 1 0", ErrLineFields, lnJoin}, // a world of no ranks
+		{"JOIN 12 net 0 127.0.0.1:4000 host0 2 1 0", ErrProtoVersion, lnJoin}, // a v12 worker's: same line, a ring byte in every data frame
+		{"JOIN 13 net 0 127.0.0.1:4000,evil:1 host0 2 1 0", ErrLineToken, lnJoin},
+		{"JOIN 13 net 0 127.0.0.1:4000 host,0 2 1 0", ErrLineToken, lnJoin},
+		{"JOIN 13 net 0  host0 2 1 0", ErrLineToken, lnJoin},
+		{"JOIN 13 net 0 127.0.0.1:4000 host0 2 1", ErrLineFields, lnJoin},
+		{"JOIN 13 net 0 127.0.0.1:4000 host0 2 1 0 extra", ErrLineFields, lnJoin},
+		{"JOIN 13 net 0 127.0.0.1:4000 host0 0 1 0", ErrLineFields, lnJoin}, // a world of no ranks
 		{"WORLD 0 a,,b h,h,h", ErrLineToken, lnWorld},
 		{"READY 01", ErrLineFields, lnReady},
 		{"READY +1", ErrLineFields, lnReady},
@@ -106,7 +107,7 @@ func FuzzCtlLine(f *testing.F) {
 		f.Add(wire[:len(wire)-1])
 	}
 	f.Add([]byte("JOIN 0 127.0.0.1:4000 2 1 0 5 host0"))              // v5
-	f.Add([]byte("JOIN 12 net -1 10.0.0.1:7,10.0.0.2:7 host0 2 1 0")) // comma-bearing addr
+	f.Add([]byte("JOIN 13 net -1 10.0.0.1:7,10.0.0.2:7 host0 2 1 0")) // comma-bearing addr
 	f.Add([]byte("STATS " + strings.Repeat(`{"a":1}`, maxLine/7+1)))  // over-long STATS
 	f.Add([]byte("WORLD 0 a,b h0,h1 trailing"))
 	f.Add([]byte("FAIL 3 \x00\xff binary \x7f"))

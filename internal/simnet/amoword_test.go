@@ -10,9 +10,9 @@ import (
 )
 
 // TestAmoWordPinned drives every operator — a compare-and-swap both hitting
-// and missing — through RegionExec.AmoWord, inter- and intra-node, with the
-// ring and without, against a word whose record is one store and against
-// one whose record must go through Set (a fill came after it). Every figure
+// and missing — through RegionExec.AmoWord, inter- and intra-node, against
+// a word whose record is one store and against one whose record must go
+// through Set (a fill came after it). Every figure
 // is a constant read off the word branch of RegionExec.Amo that AmoWord
 // replaced: the fetched word, the landing, its base, the source-NIC cursor,
 // the word and stamp left behind, the port word and the NIC interval.
@@ -47,39 +47,32 @@ func TestAmoWordPinned(t *testing.T) {
 	}
 	for _, c := range ops {
 		for _, tm := range times {
-			for _, ring := range []bool{true, false} {
-				f := NewFabric(1, 1)
-				reg := f.Endpoint(0, FoMPI()).Register(64)
-				reg.LocalWordStore(8, prior, 500)
-				if tm.fill {
-					reg.stamps.SetRange(0, 64, 450)
-				}
-				if fast := reg.stamps.WordRecord(8) != nil; fast == tm.fill {
-					t.Fatalf("fill %v: the word's record is one store: %v", tm.fill, fast)
-				}
-				reg.port.BookNIC(600, 100)
-				x := RegionExec{Reg: reg}
-				wantPort := uint64(0)
-				if ring {
-					x.Ring, wantPort = f, holderRing
-				}
-				old, land, base, free := x.AmoWord(c.op, 8, c.o1, c.o2, 300, 480, tm.reserve, 100, 16)
-				at := func(what string, got, want any) {
-					if got != want {
-						t.Errorf("op %d (%d, %d), fill %v, reserve %v, ring %v: %s %v, want %v",
-							c.op, c.o1, c.o2, tm.fill, tm.reserve, ring, what, got, want)
-					}
-				}
-				at("old", old, uint64(prior))
-				at("land", land, tm.land)
-				at("base", base, tm.base)
-				at("newFree", free, tm.free)
-				at("word", reg.LocalWord(8), c.after)
-				at("stamp", reg.StampMax(8, 8), tm.land)
-				at("port word", atomic.LoadUint64(&reg.port.word), wantPort)
-				at("port wait", atomic.LoadUint64(&reg.port.wait), uint64(0))
-				at("NIC interval", [2]int64{reg.port.nicStart, reg.port.nicBusy}, [2]int64{tm.nicStart, tm.nicBusy})
+			f := NewFabric(1, 1)
+			reg := f.Endpoint(0, FoMPI()).Register(64)
+			reg.LocalWordStore(8, prior, 500)
+			if tm.fill {
+				reg.stamps.SetRange(0, 64, 450)
 			}
+			if fast := reg.stamps.WordRecord(8) != nil; fast == tm.fill {
+				t.Fatalf("fill %v: the word's record is one store: %v", tm.fill, fast)
+			}
+			reg.port.BookNIC(600, 100)
+			old, land, base, free := RegionExec{Reg: reg, Ring: f}.AmoWord(c.op, 8, c.o1, c.o2, 300, 480, tm.reserve, 100, 16)
+			at := func(what string, got, want any) {
+				if got != want {
+					t.Errorf("op %d (%d, %d), fill %v, reserve %v: %s %v, want %v",
+						c.op, c.o1, c.o2, tm.fill, tm.reserve, what, got, want)
+				}
+			}
+			at("old", old, uint64(prior))
+			at("land", land, tm.land)
+			at("base", base, tm.base)
+			at("newFree", free, tm.free)
+			at("word", reg.LocalWord(8), c.after)
+			at("stamp", reg.StampMax(8, 8), tm.land)
+			at("port word", atomic.LoadUint64(&reg.port.word), uint64(holderRing))
+			at("port wait", atomic.LoadUint64(&reg.port.wait), uint64(0))
+			at("NIC interval", [2]int64{reg.port.nicStart, reg.port.nicBusy}, [2]int64{tm.nicStart, tm.nicBusy})
 		}
 	}
 }

@@ -21,9 +21,7 @@ var (
 // DoorSlice bounds one Wait, and is the parked waiter's heartbeat: after that
 // much sleep it looks at the generation and the abort state on its own and
 // returns, rung or not, and the caller re-checks its predicate. That is what
-// recovers a poke the hook dropped, and a ring that travelled outside the
-// memory it announces and was lost with its connection (the wire's RING
-// frame: the data still lands). Both are rare on every backend, hence long.
+// recovers a poke the hook dropped, rare on every backend, hence long.
 const DoorSlice = 100 * time.Millisecond
 
 // ParkHook is all a backend supplies to the two disciplines that put a rank

@@ -68,9 +68,9 @@ func Run(t *testing.T, mk Make) {
 
 func counter(name string) uint64 { return telemetry.Capture(0).Counters[name] }
 
-// ring advances watched's generation through the writer's view and wakes its
-// waiters if the ring found any, as Transport.RingDoorbell does, and reports
-// whether it did: whether the port word counted a waiter.
+// ring advances watched's generation through the writer's view from outside
+// any write (Port.Ring) and wakes its waiters if the ring found any, and
+// reports whether it did: whether the port word counted a waiter.
 func (w World) ring(watched int) (waiters bool) {
 	if waiters = w.Writer.Port(watched).Ring(); waiters {
 		w.Writer.Hook.DoorWake(watched)
@@ -160,7 +160,7 @@ func noLostWakeup(t *testing.T, mk Make) {
 					runtime.Gosched()
 				}
 			}
-			p.Lock()
+			p.LockRing()
 			flag.Store(r)
 			if p.UnlockRing() {
 				w.Writer.Hook.DoorWake(0)

@@ -164,22 +164,14 @@ func (ep *Endpoint) deliverNotify(ring Addr, word uint64, after timing.Time, fus
 	xfer := ep.xferNs(rt, 8)
 	arrival := ep.xferArrival(same, timing.Max(ep.clock, after), pr.PutLatNs, xfer)
 	var comp timing.Time
-	var pend *timing.Time
 	if rm := reg.rmt; rm != nil {
 		reg.check(ring.Off, notifyHeaderBytes)
-		pend = new(timing.Time)
-		rm.Notify(ring.Off, word, !same, arrival, xfer, pend, false)
+		comp = rm.Notify(ring.Off, word, !same, arrival, xfer)
 	} else {
 		comp = ep.exec(reg).Notify(ring.Off, word, !same, arrival, xfer)
 	}
 	ep.ctr.Notifies++
 	ep.ctr.BytesPut += 8
-	if pend != nil {
-		// The deposit's completion time is this call's result: collect it,
-		// behind the doorbell ring that rides the same frame.
-		ep.drainWire()
-		comp = *pend
-	}
 	return comp
 }
 

@@ -17,8 +17,9 @@ import (
 // World on the wire backend), so every process that can address the memory
 // addresses the same port; the four fields are the shared-memory layout.
 //
-// word changes only by a CAS that finds both bits clear (Lock, LockRing) and
-// by the holder's release, a release store: one locked instruction a hold.
+// word changes only by a CAS that finds both bits clear (Lock, a read's;
+// LockRing, every write's) and by the holder's release, a release store: one
+// locked instruction a hold.
 // wait changes by adds alone, which never wait on the lock: a ring from
 // outside the port (Ring), a door waiter's entry and exit. The generation is
 // the sum of the two ring counts, each only growing. A ringing writer and a
@@ -50,17 +51,18 @@ const (
 	maxWaiters  = outsideRing - 1
 )
 
-// Lock acquires the port for a read, or for the wire owner's write, whose
-// ring rides the frame. Holds are a NIC booking and a few stamp records, so
-// contention spins; the uncontended path inlines, as in sync.Mutex.
+// Lock acquires the port for a read: a get's NIC booking. Holds are a NIC
+// booking and a few stamp records, so contention spins; the uncontended path
+// inlines, as in sync.Mutex.
 func (p *Port) Lock() {
 	if w := atomic.LoadUint64(&p.word) &^ heldBits; !atomic.CompareAndSwapUint64(&p.word, w, w|lockBit) {
 		p.lockSlow(lockBit)
 	}
 }
 
-// LockRing acquires the port for a write that rings in its release: its CAS
-// sets the ring bit too, which a door waiter arriving during the hold reads.
+// LockRing acquires the port for a write, which rings in its release: its
+// CAS sets the ring bit too, which a door waiter arriving during the hold
+// reads.
 func (p *Port) LockRing() {
 	if w := atomic.LoadUint64(&p.word) &^ heldBits; !atomic.CompareAndSwapUint64(&p.word, w, w|heldBits) {
 		p.lockSlow(heldBits)
@@ -81,22 +83,17 @@ func (p *Port) lockSlow(bits uint64) {
 // Unlock releases the port without ringing.
 func (p *Port) Unlock() { p.release(atomic.LoadUint64(&p.word) &^ lockBit) }
 
-// UnlockRing releases the port, counting a ring in the same store, and
-// reports whether door waiters are counted: only then does the caller wake
-// them (ParkHook.DoorWake). After Lock, which set no ring bit, the count is
-// read by an add of nothing: the fence LockRing's CAS would have been.
+// UnlockRing releases a LockRing hold, counting a ring in the same store,
+// and reports whether door waiters are counted: only then does the caller
+// wake them (ParkHook.DoorWake). It is no release of a Lock hold, whose CAS
+// set no ring bit and fenced no waiter count.
 func (p *Port) UnlockRing() (waiters bool) {
 	mDoorRings.Inc()
-	w := atomic.LoadUint64(&p.word)
-	if w&ringBit != 0 {
-		return p.unlockRung()
-	}
-	p.release(w&^lockBit + holderRing)
-	return atomic.AddUint64(&p.wait, 0)&maxWaiters != 0
+	return p.unlockRung()
 }
 
-// unlockRung is UnlockRing after LockRing, but the caller counts door.rings
-// (so that this inlines): one release store clears both bits, counts a ring.
+// unlockRung is UnlockRing, but the caller counts door.rings (so that the
+// word bodies inline it): one release store clears both bits, counts a ring.
 func (p *Port) unlockRung() (waiters bool) {
 	p.release(atomic.LoadUint64(&p.word) + (holderRing - heldBits))
 	return atomic.LoadUint64(&p.wait)&maxWaiters != 0

@@ -28,8 +28,8 @@ func pinnedWord(t *testing.T, fill bool) (*Fabric, *Region) {
 }
 
 // TestPutGetWordPinned drives RegionExec.PutWord and GetWord inter- and
-// intra-node, with the ring and without, against a word whose record is one
-// store and against one whose record must go through Set. Every figure is a
+// intra-node against a word whose record is one store and against one whose
+// record must go through Set. Every figure is a
 // constant read off the one-word branches of RegionExec.Put and Get that the
 // two bodies replaced: the completion, the word and stamps left behind, the
 // port's words and the NIC interval.
@@ -61,66 +61,54 @@ func TestPutGetWordPinned(t *testing.T) {
 		{false, true, 800, 916, 900, 916}, // base 800: a fresh busy interval
 		{true, false, 800, 900, 600, 700},
 	}
-	for _, ring := range []bool{true, false} {
-		for _, fill := range []bool{false, true} {
-			for _, c := range puts {
-				f, reg := pinnedWord(t, fill)
-				x := RegionExec{Reg: reg}
-				var wantWord, wantWait uint64
-				if ring {
-					x.Ring = f
-					if c.reserve {
-						wantWord = holderRing // rung in the release
-					} else {
-						wantWait = outsideRing // rung from outside the port
-					}
-				}
-				comp := x.PutWord(8, v, c.reserve, c.arrival, 16)
-				at := func(what string, got, want any) {
-					if got != want {
-						t.Errorf("put: ring %v, fill %v, reserve %v, arrival %d: %s %v, want %v",
-							ring, fill, c.reserve, c.arrival, what, got, want)
-					}
-				}
-				neighbour := timing.Time(0)
-				if fill {
-					neighbour = 450
-				}
-				at("completion", comp, c.comp)
-				at("word", reg.LocalWord(8), uint64(v))
-				at("stamp", reg.StampMax(8, 8), c.comp)
-				at("neighbour's stamp", reg.StampMax(0, 8), neighbour)
-				at("port word", atomic.LoadUint64(&reg.port.word), wantWord)
-				at("port wait", atomic.LoadUint64(&reg.port.wait), wantWait)
-				at("NIC interval", [2]int64{reg.port.nicStart, reg.port.nicBusy}, [2]int64{c.nicStart, c.nicBusy})
+	for _, fill := range []bool{false, true} {
+		for _, c := range puts {
+			f, reg := pinnedWord(t, fill)
+			wantWord, wantWait := uint64(holderRing), uint64(0) // rung in the release
+			if !c.reserve {
+				wantWord, wantWait = 0, outsideRing // rung from outside the port
 			}
-			for _, c := range gets {
-				if c.fill != fill {
-					continue
+			comp := RegionExec{Reg: reg, Ring: f}.PutWord(8, v, c.reserve, c.arrival, 16)
+			at := func(what string, got, want any) {
+				if got != want {
+					t.Errorf("put: fill %v, reserve %v, arrival %d: %s %v, want %v",
+						fill, c.reserve, c.arrival, what, got, want)
 				}
-				f, reg := pinnedWord(t, fill)
-				x := RegionExec{Reg: reg}
-				if ring {
-					x.Ring = f
-				}
-				got, comp := x.GetWord(8, c.clockIn, c.reserve, 100, 16)
-				at := func(what string, got, want any) {
-					if got != want {
-						t.Errorf("get: ring %v, fill %v, reserve %v, clock %d: %s %v, want %v",
-							ring, fill, c.reserve, c.clockIn, what, got, want)
-					}
-				}
-				stamp := timing.Time(500)
-				if fill {
-					stamp = 450
-				}
-				at("word", got, uint64(prior))
-				at("completion", comp, c.comp)
-				at("stamp", reg.StampMax(8, 8), stamp)
-				at("port word", atomic.LoadUint64(&reg.port.word), uint64(0))
-				at("port wait", atomic.LoadUint64(&reg.port.wait), uint64(0))
-				at("NIC interval", [2]int64{reg.port.nicStart, reg.port.nicBusy}, [2]int64{c.nicStart, c.nicBusy})
 			}
+			neighbour := timing.Time(0)
+			if fill {
+				neighbour = 450
+			}
+			at("completion", comp, c.comp)
+			at("word", reg.LocalWord(8), uint64(v))
+			at("stamp", reg.StampMax(8, 8), c.comp)
+			at("neighbour's stamp", reg.StampMax(0, 8), neighbour)
+			at("port word", atomic.LoadUint64(&reg.port.word), wantWord)
+			at("port wait", atomic.LoadUint64(&reg.port.wait), wantWait)
+			at("NIC interval", [2]int64{reg.port.nicStart, reg.port.nicBusy}, [2]int64{c.nicStart, c.nicBusy})
+		}
+		for _, c := range gets {
+			if c.fill != fill {
+				continue
+			}
+			f, reg := pinnedWord(t, fill)
+			got, comp := RegionExec{Reg: reg, Ring: f}.GetWord(8, c.clockIn, c.reserve, 100, 16)
+			at := func(what string, got, want any) {
+				if got != want {
+					t.Errorf("get: fill %v, reserve %v, clock %d: %s %v, want %v",
+						fill, c.reserve, c.clockIn, what, got, want)
+				}
+			}
+			stamp := timing.Time(500)
+			if fill {
+				stamp = 450
+			}
+			at("word", got, uint64(prior))
+			at("completion", comp, c.comp)
+			at("stamp", reg.StampMax(8, 8), stamp)
+			at("port word", atomic.LoadUint64(&reg.port.word), uint64(0))
+			at("port wait", atomic.LoadUint64(&reg.port.wait), uint64(0))
+			at("NIC interval", [2]int64{reg.port.nicStart, reg.port.nicBusy}, [2]int64{c.nicStart, c.nicBusy})
 		}
 	}
 }

@@ -83,17 +83,17 @@ func applyAmo(buf []byte, off int, op AmoOp, o1, o2 uint64) (old uint64) {
 // execution.
 //
 // The operations differ only in when their completion is collected. The
-// fire class (Put, Notify) returns nothing the issuer needs before it goes
-// on, so a call only posts the operation: its completion time is delivered
-// later, on the issuing rank's goroutine, during the next
-// WireDrainer.DrainWire or value-class call — written through sink, folded
-// with timing.Max when fold is true (the implicit-completion accumulator
-// discipline — commutative, so delivery order cannot leak into virtual time)
-// and assigned when false. sink must stay valid until then. The value class
-// (Get, Amo) returns data or the times the issuer's clock depends on, so a
-// call blocks for its reply — behind every operation posted before it. Every
-// write — Put, Notify and Amo — rings the owner's doorbell itself, once
-// applied: the ring travels in the write's own message, so it can neither
+// fire class (Put) returns nothing the issuer needs before it goes on, so a
+// call only posts the operation: its completion time is delivered later, on
+// the issuing rank's goroutine, during the next WireDrainer.DrainWire or
+// value-class call — written through sink, folded with timing.Max when fold
+// is true (the implicit-completion accumulator discipline — commutative, so
+// delivery order cannot leak into virtual time) and assigned when false. sink
+// must stay valid until then. The value class (Get, Amo, Notify) returns
+// data or the times the issuer's clock depends on, so a call blocks for its
+// reply — behind every operation posted before it. Every write — Put, Notify
+// and Amo — rings the owner's doorbell itself, in the release of the owner's
+// port (RegionExec): the ring is part of the write, so it can neither
 // overtake the bytes it announces nor cost a message of its own.
 type RemoteMem interface {
 	// Size returns the registered length (bounds checks on the proxy).
@@ -120,17 +120,17 @@ type RemoteMem interface {
 	Amo(op AmoOp, off int, src []byte, swap uint64, old []byte, clockIn, srcFree timing.Time, reserve bool, lat, xfer int64) (land, base, newFree timing.Time)
 	// Notify runs the notification-ring deposit protocol at off (capacity
 	// and overflow checks, ticket, slot store) with Put-shaped timing for
-	// the 8-byte flag, delivered to sink.
-	Notify(off int, word uint64, reserve bool, arrival timing.Time, xfer int64, sink *timing.Time, fold bool)
+	// the 8-byte flag, and returns the flag's completion.
+	Notify(off int, word uint64, reserve bool, arrival timing.Time, xfer int64) timing.Time
 }
 
 // WireDrainer is the Transport extension of a backend that hands out
 // RemoteMem proxies: DrainWire blocks until every fire-class operation this
 // rank posted has executed at its owner and delivered its completion time to
 // its sink. Endpoint calls it at every blocking point (Gsync, Wait, Test,
-// WaitLocal, PollRemoteWord, a blocking put or notification on a proxy) so
-// no virtual-time read can observe a partially delivered window. The
-// in-process fabric has no wire to drain and does not implement it.
+// WaitLocal, PollRemoteWord, a blocking put on a proxy) so no virtual-time
+// read can observe a partially delivered window. The in-process fabric has
+// no wire to drain and does not implement it.
 type WireDrainer interface {
 	DrainWire()
 }
@@ -139,16 +139,16 @@ type WireDrainer interface {
 // addressable region: the one acquire/book/stamp/release sequence over the
 // owner's port that both the inline issue path (Endpoint, for every region
 // with real bytes behind it) and the owner-side half of an inter-node
-// backend's service loop run. Ring selects the hold: set — the inline path
-// sets it to its transport — a write takes the port with LockRing and its
-// release carries the doorbell ring, and if the release reported waiters
-// they are woken through Ring.WakeDoor; nil — only the owner-side half of a
-// wire backend — takes it with Lock and leaves the generation alone, since
-// the requester's ring rides the frame's flag and rings once per frame.
-// Methods panic on faults — out-of-bounds or misaligned access, ring
-// overflow — with the same messages on either path, and never while holding
-// the port: a rank spinning on a leaked port could not unwind when the world
-// aborts. A backend forwards the panic to the requester.
+// backend's service loop run. Every write rings the owner's doorbell itself:
+// one that takes the port takes it with LockRing and rings in its release,
+// one that takes none (an intra-node put) rings from outside it, and if the
+// ring reported waiters they are woken through Ring.WakeDoor — the inline
+// path's transport, or the wire owner's World. A read takes the port with
+// Lock and rings nothing. Methods panic on faults — out-of-bounds or
+// misaligned access, ring overflow — with the same messages on either path,
+// and never while holding the port: a rank spinning on a leaked port could
+// not unwind when the world aborts. A backend forwards the panic to the
+// requester.
 //
 // The stores that publish a write — its stamp records, a one-word put's
 // value, a notification's slot — are release stores (hostatomic.StoreRel64),
@@ -159,30 +159,12 @@ type RegionExec struct {
 	Ring Transport
 }
 
-// lock takes the port for a write, with the ring bit if done rings in it.
-func (x RegionExec) lock() {
-	if x.Ring != nil {
-		x.Reg.port.LockRing()
-	} else {
-		x.Reg.port.Lock()
-	}
-}
-
-// done announces a completed write: it releases the port if the operation
-// held it, and rings — in the release itself when there is one — when Ring
-// is set, waking the owner's waiters only if the ring reported any.
+// done announces a completed write: it releases the port with the ring if
+// the write held it (LockRing), or rings from outside it, and wakes the
+// owner's waiters only if the ring reported any.
 func (x RegionExec) done(locked bool) {
 	p := x.Reg.port
-	var waiters bool
-	switch {
-	case locked && x.Ring != nil:
-		waiters = p.UnlockRing()
-	case locked:
-		p.Unlock()
-	case x.Ring != nil:
-		waiters = p.Ring()
-	}
-	if waiters {
+	if locked && p.UnlockRing() || !locked && p.Ring() {
 		x.Ring.WakeDoor(x.Reg.owner)
 	}
 }
@@ -198,7 +180,7 @@ func (x RegionExec) Put(off int, src []byte, reserve bool, arrival timing.Time, 
 	copy(x.Reg.buf[off:off+len(src)], src)
 	comp := arrival
 	if reserve {
-		x.lock()
+		x.Reg.port.LockRing()
 		comp = x.Reg.port.BookNIC(arrival, xfer)
 	}
 	x.Reg.stamps.SetRange(off, len(src), comp)
@@ -211,20 +193,16 @@ func (x RegionExec) Put(off int, src []byte, reserve bool, arrival timing.Time, 
 // owner. The word moves as one release store, after its stamp: a rank
 // polling it outside the port (WaitLocal) may read it at any moment and
 // merges its stamp the moment it sees the value. Inter-node it holds the
-// port from its CAS to its release store and makes no Go call there but Set,
-// for a record of more than a store; intra-node it takes no port, and a
-// Ring rings from outside it.
+// port from its CAS to its release store, which rings, and makes no Go call
+// there but Set, for a record of more than a store; intra-node it takes no
+// port and rings from outside it.
 func (x RegionExec) PutWord(off int, v uint64, reserve bool, arrival timing.Time, xfer int64) (comp timing.Time) {
 	reg, p := x.Reg, x.Reg.port
 	reg.checkWords(off, 8)
 	comp = arrival
 	if reserve {
-		if x.Ring == nil {
-			p.Lock()
-		} else {
-			mDoorRings.Inc() // the ring its release carries
-			p.LockRing()
-		}
+		mDoorRings.Inc() // the ring its release carries
+		p.LockRing()
 		comp = p.BookNIC(arrival, xfer)
 	}
 	if rec := reg.stamps.WordRecord(off); rec != nil {
@@ -235,11 +213,7 @@ func (x RegionExec) PutWord(off int, v uint64, reserve bool, arrival timing.Time
 	// hostatomic.StoreRel less the checks checkWords made: StoreRel itself
 	// does not inline, and would be a call inside the hold.
 	hostatomic.StoreRel64((*int64)(unsafe.Pointer(&reg.buf[off])), int64(v))
-	if x.Ring == nil {
-		if reserve {
-			p.Unlock()
-		}
-	} else if reserve && p.unlockRung() || !reserve && p.Ring() {
+	if reserve && p.unlockRung() || !reserve && p.Ring() {
 		x.Ring.WakeDoor(reg.owner) // the ring, in the release or outside, found waiters
 	}
 	return comp
@@ -307,7 +281,7 @@ func (x RegionExec) Amo(op AmoOp, off int, src []byte, swap uint64, old []byte, 
 		}
 		return land, base, newFree
 	}
-	x.lock()
+	x.Reg.port.LockRing()
 	base = timing.Max(clockIn, x.Reg.stamps.MaxRange(off, len(src)))
 	for i := 0; i < len(src); i += 8 {
 		v := applyAmo(x.Reg.buf, off+i, op, binary.LittleEndian.Uint64(src[i:]), swap)
@@ -329,12 +303,8 @@ func (x RegionExec) AmoWord(op AmoOp, off int, o1, o2 uint64, clockIn, srcFree t
 	reg, p := x.Reg, x.Reg.port
 	reg.checkWords(off, 8)
 	checkAmo(op)
-	if x.Ring == nil {
-		p.Lock()
-	} else {
-		mDoorRings.Inc() // the ring its release carries
-		p.LockRing()
-	}
+	mDoorRings.Inc() // the ring its release carries
+	p.LockRing()
 	base = timing.Max(clockIn, reg.stamps.Get(off))
 	if op == AmoSum {
 		old = hostatomic.Add(reg.buf, off, o1)
@@ -347,9 +317,7 @@ func (x RegionExec) AmoWord(op AmoOp, off int, o1, o2 uint64, clockIn, srcFree t
 	} else {
 		reg.stamps.Set(off, land)
 	}
-	if x.Ring == nil {
-		p.Unlock()
-	} else if p.unlockRung() {
+	if p.unlockRung() {
 		x.Ring.WakeDoor(reg.owner)
 	}
 	return old, land, base, newFree

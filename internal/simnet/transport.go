@@ -54,7 +54,9 @@ import (
 //     ParkHook.DoorWake(r) and ParkHook.DoorWait on Port(r) — and
 //     RingDoorbell(r) is Port(r).Ring() plus, if it reported waiters,
 //     WakeDoor(r); for a rank reached through proxies they are messages to
-//     the owner, who does the same.
+//     the owner, who does the same. No write calls RingDoorbell: every
+//     write rings in its own port release (RegionExec), at the wire's
+//     owner too; it rings for a store made outside the data plane.
 //   - Pacer() returns the world's conservative-pacing state (DESIGN.md
 //     §6.1), nil for an unpaced world. The discipline itself is Pacer's; a
 //     backend supplies its tables and its ParkHook, and answers the same

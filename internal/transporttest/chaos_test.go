@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -48,6 +49,46 @@ func chaosSpec(base string) string {
 		return base + ",log=" + *chaosLog
 	}
 	return base
+}
+
+// crossLegsAtOnce runs leg once per cross-process backend, as
+// eachBackendLeg does, but for legs that mostly wait out a timeout: in the
+// launcher every leg runs at the same time on its own goroutine, under one
+// launcher snapshot taken before the first and compared after the last, and
+// budget bounds them all, so a failure-detection bug reads as a test failure
+// rather than a hung suite. A worker runs its own leg alone. A leg reports
+// with t.Errorf, never t.Fatalf: it does not run on the test goroutine.
+func crossLegsAtOnce(t *testing.T, name string, cfg spmd.Config, budget time.Duration, leg func(label string, cfg spmd.Config)) {
+	t.Helper()
+	if spmd.WorkerOf() != "" {
+		eachBackendLeg(t, name, cfg, leg)
+		return
+	}
+	left := launcherSnapshot()
+	var wg sync.WaitGroup
+	for _, b := range spmd.CrossBackends() {
+		if !legEnabled(legLabel[b]) {
+			continue
+		}
+		c := cfg
+		c.Backend = b
+		c.MPRelaunch = []string{os.Args[0], "-test.run=^" + name + "$"}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			leg(legLabel[b], c)
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(budget):
+		t.Fatalf("%s: a world never tore down (launcher still waiting after %v)", name, budget)
+	}
+	for _, l := range left(5 * time.Second) {
+		t.Errorf("%s: the worlds left in their launcher %s", name, l)
+	}
 }
 
 // chaosRun runs one backend leg in a goroutine with a hard deadline, so a
@@ -216,6 +257,8 @@ func TestChaosFatalTeardown(t *testing.T) {
 // cannot unwind and return a *rankio.RankError naming it within the abort
 // grace, and nothing may be left behind. (Before the one control plane an mp
 // world had no heartbeat: its launcher waited on the stopped rank forever.)
+// The three worlds run at once: each spends its time waiting out the stale
+// budget and the abort grace.
 func TestStoppedRank(t *testing.T) {
 	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
 	const victim = 1
@@ -256,26 +299,27 @@ func TestStoppedRank(t *testing.T) {
 		ep.WaitLocal(func() bool { return reg.LocalWord(64) == 0xdead })
 		panic("unreachable: the wait above can only end by abort")
 	}
-	eachBackendLeg(t, "TestStoppedRank", cfg, func(label string, c spmd.Config) {
-		if label == "in-process" {
-			return // stopping a goroutine-rank would stop the test binary
-		}
-		err, elapsed := chaosRun(t, label, 60*time.Second, func() error { return spmd.Run(c, body) })
+	// Stopping a goroutine-rank would stop the test binary: no in-process leg.
+	crossLegsAtOnce(t, "TestStoppedRank", cfg, 60*time.Second, func(label string, c spmd.Config) {
+		start := time.Now()
+		err := spmd.Run(c, body)
+		elapsed := time.Since(start)
 		var re *rankio.RankError
 		if !errors.As(err, &re) || re.Rank != victim {
-			t.Fatalf("%s backend: world with a stopped rank returned %v, want a rankio.RankError naming rank %d", label, err, victim)
+			t.Errorf("%s backend: world with a stopped rank returned %v, want a rankio.RankError naming rank %d", label, err, victim)
+			return
 		}
 		// Slack: one heartbeat tick of detection granularity plus process start and teardown.
 		if budget := tm.HeartbeatStale + abortGrace + 3*time.Second; elapsed > budget {
-			t.Fatalf("%s backend: the stopped rank took %v to surface, want under %v (stale + abort grace)", label, elapsed, budget)
+			t.Errorf("%s backend: the stopped rank took %v to surface, want under %v (stale + abort grace)", label, elapsed, budget)
 		}
 		for r := 0; r < cfg.Ranks; r++ {
 			if _, err := os.Stat(witness(c.Backend, r)); r != victim && err != nil {
 				t.Errorf("%s backend: rank %d did not unwind with *simnet.ErrPeerFailed naming rank %d", label, r, victim)
 			}
 		}
-		assertNone("after a " + label + " world with a stopped rank")
 	})
+	assertNone("after the worlds with a stopped rank")
 }
 
 // TestStoppedPeerBehindWire pins who judges a rank's death: the coordinator,
@@ -285,7 +329,7 @@ func TestStoppedRank(t *testing.T) {
 // derived from the heartbeat knobs (rankio.Timeouts.SilenceBudget), so the
 // verdict reaches rank 0 first: the world's error names rank 1, and rank 0
 // unwinds with a *simnet.ErrPeerFailed naming it. Only the legs whose ranks
-// talk over the wire run.
+// talk over the wire run, at the same time.
 func TestStoppedPeerBehindWire(t *testing.T) {
 	cfg := spmd.Config{Ranks: 2, RanksPerNode: 1}
 	const victim = 1
@@ -320,14 +364,15 @@ func TestStoppedPeerBehindWire(t *testing.T) {
 			p.EP().Get(buf, simnet.Addr{Rank: victim, Key: key, Off: 0})
 		}
 	}
-	eachBackendLeg(t, "TestStoppedPeerBehindWire", cfg, func(label string, c spmd.Config) {
-		if label == "in-process" || label == "multi-process" {
+	crossLegsAtOnce(t, "TestStoppedPeerBehindWire", cfg, 60*time.Second, func(label string, c spmd.Config) {
+		if label == "multi-process" {
 			return // no wire between the two ranks
 		}
-		err, _ := chaosRun(t, label, 60*time.Second, func() error { return spmd.Run(c, body) })
+		err := spmd.Run(c, body)
 		var re *rankio.RankError
 		if !errors.As(err, &re) || re.Rank != victim {
-			t.Fatalf("%s backend: world with a stopped peer returned %v, want a rankio.RankError naming rank %d", label, err, victim)
+			t.Errorf("%s backend: world with a stopped peer returned %v, want a rankio.RankError naming rank %d", label, err, victim)
+			return
 		}
 		if got, err := os.ReadFile(witness(c.Backend)); err != nil || len(got) != 0 {
 			t.Errorf("%s backend: rank 0 unwound with %q (%v), want *simnet.ErrPeerFailed naming rank %d", label, got, err, victim)

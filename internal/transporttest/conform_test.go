@@ -864,6 +864,48 @@ func TestConformanceWindowChurn(t *testing.T) {
 	})
 }
 
+// TestConformanceFlushLocal pins MPI_Win_flush_local and flush_local_all on
+// every backend: each costs the flush's instructions (stepsFlush, which the
+// four flush variants share: 78, §2.3) and one bulk-completion call
+// (GsyncNs), and nothing more — unlike Flush, neither merges an outstanding
+// remote completion into the clock. A 64 KiB put to the other node is
+// outstanding, its completion far past the call's cost, when each is
+// called; the Flush after it merges it.
+func TestConformanceFlushLocal(t *testing.T) {
+	const stepsFlush = 78
+	cfg := spmd.Config{Ranks: 2, RanksPerNode: 1}
+	runAll(t, "TestConformanceFlushLocal", cfg, func(p *spmd.Proc) {
+		w, _ := core.Allocate(p, 64<<10, core.Config{})
+		ep := p.EP()
+		gsync := timing.Time(ep.Model().Inter.GsyncNs)
+		w.LockAll()
+		if p.Rank() == 0 {
+			buf := make([]byte, 64<<10)
+			for _, c := range []struct {
+				name  string
+				flush func()
+			}{
+				{"FlushLocal", func() { w.FlushLocal(1) }},
+				{"FlushLocalAll", w.FlushLocalAll},
+			} {
+				w.Put(buf, 1, 0)
+				t0, base := ep.Now(), ep.Counters()
+				c.flush()
+				d := ep.Counters().Sub(base)
+				check(ep.Now() == t0+gsync && d.SoftSteps == stepsFlush && d.Gsyncs == 1,
+					"%s: clock +%d ns, %d steps, %d gsyncs; want +%d ns (GsyncNs), %d steps, 1 gsync",
+					c.name, ep.Now()-t0, d.SoftSteps, d.Gsyncs, gsync, stepsFlush)
+				t1 := ep.Now()
+				w.Flush(1)
+				check(ep.Now() > t1+gsync, "%s: the Flush after it advanced the clock by %d ns, GsyncNs alone: the put's completion was merged already",
+					c.name, ep.Now()-t1)
+			}
+		}
+		w.UnlockAll()
+		w.Free()
+	})
+}
+
 // TestConformanceAsymmetricAllocate checks window creation's failure mode
 // across process boundaries: rank 1 registers one region more than its peers
 // before the collective core.Allocate, so the one creation allreduce finds the
