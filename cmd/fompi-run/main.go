@@ -15,7 +15,8 @@
 // on TCP, spawning the ranks locally (loopback mode) or — when -hosts is
 // given (or FOMPI_HOSTS is set) — waiting for workers the operator starts on
 // each listed machine with FOMPI_COORD=net:tcp:<host>:<port> pointing back at
-// the coordinator (the launcher prints the exact line). -backend hybrid runs
+// the coordinator (the launcher prints the exact line; <host> is an IP
+// address or a name /etc/hosts lists — nothing asks DNS). -backend hybrid runs
 // the same coordinator but groups ranks by host key: co-located ranks share
 // an mmap arena (shared-memory windows work across their processes), off-host
 // ranks talk TCP. In loopback mode the hybrid launcher emulates one host per
@@ -61,7 +62,7 @@ func main() {
 	backend := flag.String("backend", "mp", "cross-process backend: mp (shared memory, one machine), net (TCP, inter-node) or hybrid (shm within a host, TCP across)")
 	hosts := flag.String("hosts", os.Getenv("FOMPI_HOSTS"),
 		"comma-separated machines for the net and hybrid backends; non-empty switches to host-list mode, where the operator starts one worker per rank remotely (default from FOMPI_HOSTS)")
-	listen := flag.String("listen", "", "net coordinator listen address (host-list mode defaults to :7077, loopback to 127.0.0.1:0)")
+	listen := flag.String("listen", "", "net coordinator listen address: an IP address or an /etc/hosts name, and a port (host-list mode defaults to :7077, loopback to 127.0.0.1:0)")
 	tag := flag.Bool("tag", true, "prefix each spawned rank's stdout/stderr with [rank N]")
 	joinTimeout := flag.Duration("join-timeout", 0,
 		"net/hybrid rendezvous deadline: fail with the list of missing ranks if the world has not assembled by then (0 = the 60 s default)")

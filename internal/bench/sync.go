@@ -115,7 +115,13 @@ func Fig6c(cfg Config) *Table {
 	t := NewTable("fig6c", "Latency for PSCW (Ring Topology)", "ranks", "latency_us",
 		serFoMPI, serMPI22)
 	run := func(n int, model *simnet.CostModel) timing.Time {
-		per := newPerRank(n)
+		// A row per repetition: PSCW syncs a rank with its ring neighbours
+		// only, so a far rank may finish its next cycle while rank 0 still
+		// reads this one's row.
+		per := make([]*perRank, cfg.Reps)
+		for r := range per {
+			per[r] = newPerRank(n)
+		}
 		var med timing.Time
 		spmd.MustRun(spmd.Config{Ranks: n, RanksPerNode: 4, Model: model}, func(p *spmd.Proc) {
 			w, _ := core.Allocate(p, 64, core.Config{})
@@ -128,10 +134,10 @@ func Fig6c(cfg Config) *Table {
 				w.Start(group)
 				w.Complete()
 				w.WaitEpoch()
-				per.ts[p.Rank()] = p.Now() - t0
+				per[r].ts[p.Rank()] = p.Now() - t0
 				p.Barrier()
 				if p.Rank() == 0 {
-					ts = append(ts, MaxOf(per.ts))
+					ts = append(ts, MaxOf(per[r].ts))
 				}
 			}
 			if p.Rank() == 0 {

@@ -51,14 +51,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"net"
 	"os"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
+	"fompi/internal/sock"
 	"fompi/internal/telemetry"
 )
 
@@ -263,8 +264,9 @@ func (inj *injector) logf(format string, args ...any) {
 	fmt.Fprintf(inj.logW, "faultnet[pid %d]: "+format+"\n", append([]any{os.Getpid()}, args...)...)
 }
 
-// errInjected marks faults manufactured by this package; it satisfies
-// net.Error so callers treating timeouts specially see a plain fatal error.
+// errInjected marks faults manufactured by this package. It is no deadline
+// error (os.ErrDeadlineExceeded), so callers treating timeouts specially see
+// a plain fatal error.
 type errInjected struct{ msg string }
 
 func (e *errInjected) Error() string { return "faultnet: injected " + e.msg }
@@ -280,11 +282,11 @@ func Logf(format string, args ...any) {
 	}
 }
 
-// Dial dials like net.DialTimeout, injecting dial failures and wrapping the
+// Dial dials like sock.Dial, injecting dial failures and wrapping the
 // resulting connection when fault injection is enabled. Connections made
 // through Dial are control-plane: plane=data spares them the conn-killing
 // modes.
-func Dial(network, addr string, timeout time.Duration) (net.Conn, error) {
+func Dial(network, addr string, timeout time.Duration) (sock.Conn, error) {
 	return dialPlane(network, addr, timeout, "")
 }
 
@@ -292,14 +294,14 @@ func Dial(network, addr string, timeout time.Duration) (net.Conn, error) {
 // streams that netrun's session layer can transparently resume. Under
 // plane=data, only these (and WrapListenerData accepts) suffer resets and
 // blackholes.
-func DialData(network, addr string, timeout time.Duration) (net.Conn, error) {
+func DialData(network, addr string, timeout time.Duration) (sock.Conn, error) {
 	return dialPlane(network, addr, timeout, "data")
 }
 
-func dialPlane(network, addr string, timeout time.Duration, plane string) (net.Conn, error) {
+func dialPlane(network, addr string, timeout time.Duration, plane string) (sock.Conn, error) {
 	inj := current()
 	if inj == nil {
-		return net.DialTimeout(network, addr, timeout)
+		return sock.Dial(network, addr, timeout)
 	}
 	inj.mu.Lock()
 	nth := inj.dialFails[addr]
@@ -314,7 +316,7 @@ func dialPlane(network, addr string, timeout time.Duration, plane string) (net.C
 		inj.logf("dial %s refused (%d/%d)", addr, nth+1, inj.cfg.DialFailN)
 		return nil, &errInjected{msg: "dial failure to " + addr}
 	}
-	c, err := net.DialTimeout(network, addr, timeout)
+	c, err := sock.Dial(network, addr, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -322,20 +324,19 @@ func dialPlane(network, addr string, timeout time.Duration, plane string) (net.C
 }
 
 // WrapListener wraps ln so accepted connections carry fault injection; it
-// returns ln unchanged when injection is disabled. The wrapper forwards
-// SetDeadline, so callers must assert that capability as an interface, not
-// as *net.TCPListener. Accepted connections are control-plane.
-func WrapListener(ln net.Listener) net.Listener {
+// returns ln unchanged when injection is disabled. Accepted connections are
+// control-plane.
+func WrapListener(ln sock.Listener) sock.Listener {
 	return wrapListenerPlane(ln, "")
 }
 
 // WrapListenerData is WrapListener for data-plane listeners (netrun's per-
 // rank op listener): its accepts are eligible for plane=data conn killing.
-func WrapListenerData(ln net.Listener) net.Listener {
+func WrapListenerData(ln sock.Listener) sock.Listener {
 	return wrapListenerPlane(ln, "data")
 }
 
-func wrapListenerPlane(ln net.Listener, plane string) net.Listener {
+func wrapListenerPlane(ln sock.Listener, plane string) sock.Listener {
 	if current() == nil {
 		return ln
 	}
@@ -343,11 +344,11 @@ func wrapListenerPlane(ln net.Listener, plane string) net.Listener {
 }
 
 type listener struct {
-	net.Listener
+	sock.Listener
 	plane string
 }
 
-func (l *listener) Accept() (net.Conn, error) {
+func (l *listener) Accept() (sock.Conn, error) {
 	c, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err
@@ -358,17 +359,11 @@ func (l *listener) Accept() (net.Conn, error) {
 	if inj == nil {
 		return c, nil
 	}
-	return inj.wrap(c, "accept<-"+c.RemoteAddr().String(), l.plane), nil
+	peer, _ := sock.PeerAddr(c)
+	return inj.wrap(c, "accept<-"+peer.String(), l.plane), nil
 }
 
-func (l *listener) SetDeadline(t time.Time) error {
-	if d, ok := l.Listener.(interface{ SetDeadline(time.Time) error }); ok {
-		return d.SetDeadline(t)
-	}
-	return nil
-}
-
-func (inj *injector) wrap(c net.Conn, label, plane string) net.Conn {
+func (inj *injector) wrap(c sock.Conn, label, plane string) sock.Conn {
 	inj.mu.Lock()
 	id := inj.connSeq
 	inj.connSeq++
@@ -383,11 +378,11 @@ func (inj *injector) wrap(c net.Conn, label, plane string) net.Conn {
 	}
 }
 
-// conn injects faults around one net.Conn. Decision state (PRNG, op
+// conn injects faults around one sock.Conn. Decision state (PRNG, op
 // counters) is guarded by mu; the underlying I/O runs outside the lock so a
 // parked Read never blocks a concurrent Write's fault sampling.
 type conn struct {
-	net.Conn
+	sock.Conn
 	inj   *injector
 	id    uint64
 	label string
@@ -458,14 +453,13 @@ func (c *conn) tripReset() error {
 	return &errInjected{msg: "connection reset"}
 }
 
-// SetNoDelay forwards Nagle control to the underlying TCP connection so the
-// transports' latency tuning survives wrapping; callers assert it as an
-// interface rather than as *net.TCPConn.
-func (c *conn) SetNoDelay(v bool) error {
-	if t, ok := c.Conn.(interface{ SetNoDelay(bool) error }); ok {
-		return t.SetNoDelay(v)
+// SyscallConn forwards to the wrapped socket, so sock.LocalAddr sees
+// through the wrapper.
+func (c *conn) SyscallConn() (syscall.RawConn, error) {
+	if s, ok := c.Conn.(syscall.Conn); ok {
+		return s.SyscallConn()
 	}
-	return nil
+	return nil, errors.ErrUnsupported
 }
 
 func (c *conn) Read(p []byte) (int, error) {

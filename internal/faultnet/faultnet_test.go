@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"fompi/internal/sock"
 )
 
 func TestParse(t *testing.T) {
@@ -87,7 +88,7 @@ func TestParseRecurring(t *testing.T) {
 // returns the raw connection and WrapListener returns its argument.
 func TestDisabledPassthrough(t *testing.T) {
 	t.Setenv(EnvVar, "")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := sock.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -95,7 +96,7 @@ func TestDisabledPassthrough(t *testing.T) {
 	if got := WrapListener(ln); got != ln {
 		t.Fatalf("WrapListener wrapped despite injection being disabled")
 	}
-	c, err := Dial("tcp", ln.Addr().String(), time.Second)
+	c, err := Dial("tcp", ln.Addr(), time.Second)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -108,7 +109,7 @@ func TestDisabledPassthrough(t *testing.T) {
 // TestDialFailN pins the retry-fodder contract: exactly the first N dials
 // per destination fail, and the N+1st succeeds.
 func TestDialFailN(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := sock.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -123,7 +124,7 @@ func TestDialFailN(t *testing.T) {
 		}
 	}()
 	t.Setenv(EnvVar, "dialfailn=2")
-	addr := ln.Addr().String()
+	addr := ln.Addr()
 	for i := 0; i < 2; i++ {
 		if _, err := Dial("tcp", addr, time.Second); err == nil {
 			t.Fatalf("dial %d succeeded, want injected failure", i+1)
@@ -138,14 +139,14 @@ func TestDialFailN(t *testing.T) {
 
 // pipePair builds a wrapped client conn talking to a raw server conn over
 // loopback TCP, with the current FOMPI_FAULTS spec applied to the client.
-func pipePair(t *testing.T) (client, server net.Conn) {
+func pipePair(t *testing.T) (client, server sock.Conn) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := sock.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	done := make(chan net.Conn, 1)
+	done := make(chan sock.Conn, 1)
 	go func() {
 		c, err := ln.Accept()
 		if err != nil {
@@ -154,7 +155,7 @@ func pipePair(t *testing.T) (client, server net.Conn) {
 		}
 		done <- c
 	}()
-	client, err = Dial("tcp", ln.Addr().String(), time.Second)
+	client, err = Dial("tcp", ln.Addr(), time.Second)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -360,7 +361,7 @@ func TestPlaneScoping(t *testing.T) {
 // conn, Dial a control one, under the same live spec.
 func TestDialDataPlane(t *testing.T) {
 	freshInjector(t, "plane=data,resetafter=1")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := sock.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -374,7 +375,7 @@ func TestDialDataPlane(t *testing.T) {
 			go io.Copy(io.Discard, c)
 		}
 	}()
-	ctl, err := Dial("tcp", ln.Addr().String(), time.Second)
+	ctl, err := Dial("tcp", ln.Addr(), time.Second)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -384,7 +385,7 @@ func TestDialDataPlane(t *testing.T) {
 			t.Fatalf("control write %d died under plane=data: %v", i+1, err)
 		}
 	}
-	data, err := DialData("tcp", ln.Addr().String(), time.Second)
+	data, err := DialData("tcp", ln.Addr(), time.Second)
 	if err != nil {
 		t.Fatalf("DialData: %v", err)
 	}
@@ -397,14 +398,12 @@ func TestDialDataPlane(t *testing.T) {
 	}
 }
 
-// nopConn is a do-nothing net.Conn for schedule sampling.
+// nopConn is a do-nothing sock.Conn for schedule sampling.
 type nopConn struct{}
 
 func (nopConn) Read(p []byte) (int, error)       { return 0, errors.New("nop") }
 func (nopConn) Write(p []byte) (int, error)      { return len(p), nil }
 func (nopConn) Close() error                     { return nil }
-func (nopConn) LocalAddr() net.Addr              { return &net.TCPAddr{} }
-func (nopConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
 func (nopConn) SetDeadline(time.Time) error      { return nil }
 func (nopConn) SetReadDeadline(time.Time) error  { return nil }
 func (nopConn) SetWriteDeadline(time.Time) error { return nil }

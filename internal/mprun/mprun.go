@@ -18,13 +18,13 @@ package mprun
 import (
 	"fmt"
 	"hash/fnv"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"fompi/internal/rankio"
+	"fompi/internal/sock"
 )
 
 const segSuffix = ".shm"
@@ -86,7 +86,7 @@ func SweepStaleWorlds(minAge time.Duration) int {
 		if !st.IsDir() {
 			dir = filepath.Join(os.TempDir(), strings.TrimSuffix(filepath.Base(p), segSuffix))
 		}
-		if c, err := net.DialTimeout("unix", CtlPath(dir), 100*time.Millisecond); err == nil {
+		if c, err := sock.Dial("unix", CtlPath(dir), 100*time.Millisecond); err == nil {
 			c.Close()
 			continue
 		}

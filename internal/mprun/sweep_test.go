@@ -2,13 +2,14 @@ package mprun
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"fompi/internal/sock"
 )
 
 // TestSweepStaleWorlds: the sweeper reclaims a stranded segment from either
@@ -62,7 +63,7 @@ func TestSweepStaleWorlds(t *testing.T) {
 		if err := os.Mkdir(live, 0o700); err != nil {
 			t.Fatal(err)
 		}
-		ln, err := net.Listen("unix", CtlPath(live))
+		ln, err := sock.Listen("unix", CtlPath(live))
 		if err != nil {
 			t.Fatal(err)
 		}

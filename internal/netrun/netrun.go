@@ -31,7 +31,7 @@ package netrun
 
 import (
 	"fmt"
-	"net"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,6 +43,7 @@ import (
 	"fompi/internal/rankio"
 	"fompi/internal/segpool"
 	"fompi/internal/simnet"
+	"fompi/internal/sock"
 )
 
 // The names of the three placements, in FOMPI_COORD and in every JOIN.
@@ -97,7 +98,7 @@ type World struct {
 	park  *simnet.Parker
 
 	// The wire: everything below is nil or empty in a world that has none.
-	ln net.Listener // this rank's data listener
+	ln sock.Listener // this rank's data listener
 
 	// peers are this rank's requester connections, dialed lazily; guarded
 	// by peerMu only against the abort path's close-all (requests
@@ -120,7 +121,7 @@ type World struct {
 	// its serveConn goroutine, so Finish/Fail can stop the service and
 	// guarantee no remote op touches local memory afterwards.
 	svcMu     sync.Mutex
-	svcConns  map[net.Conn]struct{}
+	svcConns  map[sock.Conn]struct{}
 	svcClosed bool
 	svcWg     sync.WaitGroup
 
@@ -186,7 +187,7 @@ func launchMapped(o rankio.Options) error {
 	}
 	defer ar.Close()
 	defer ar.Unlink() // a bootstrap that fails never reaches the hook's
-	ln, err := net.Listen("unix", mprun.CtlPath(dir))
+	ln, err := sock.Listen("unix", mprun.CtlPath(dir))
 	if err != nil {
 		return fmt.Errorf("netrun: listen control socket: %w", err)
 	}
@@ -208,7 +209,7 @@ func launchWired(o rankio.Options) error {
 	if err := faultnet.Check(); err != nil {
 		return fmt.Errorf("netrun: %w", err)
 	}
-	ln, err := net.Listen("tcp", listen)
+	ln, err := sock.Listen("tcp", listen)
 	if err != nil {
 		return fmt.Errorf("netrun: listen coordinator socket %s: %w", listen, err)
 	}
@@ -263,7 +264,7 @@ func (w *World) joinMapped(o rankio.Options, ctlAt string) error {
 	if w.rank < 0 {
 		return fmt.Errorf("netrun: worker has no %s", rankio.EnvRank)
 	}
-	ctl, err := net.Dial("unix", ctlAt)
+	ctl, err := sock.Dial("unix", ctlAt, rankio.BootTimeout)
 	if err != nil {
 		return fmt.Errorf("netrun: dial control socket: %w", err)
 	}
@@ -306,7 +307,7 @@ func (w *World) joinWired(o rankio.Options, network, coord string) error {
 	// The coordinator may come up after the workers in host-list mode, and
 	// faultnet injects refused dials; retry with backoff inside the boot
 	// window rather than failing the whole rank on the first RST.
-	var ctl net.Conn
+	var ctl sock.Conn
 	for d, until := dialBackoff, time.Now().Add(rankio.BootTimeout); ; d *= 2 {
 		ctl, err = faultnet.Dial(network, coord, rankio.BootTimeout)
 		if err == nil {
@@ -320,8 +321,11 @@ func (w *World) joinWired(o rankio.Options, network, coord string) error {
 	// Listen for peers on the interface that reaches the coordinator: the
 	// address peers can reach this process at, on loopback and multi-machine
 	// deployments alike.
-	ip := ctl.LocalAddr().(*net.TCPAddr).IP
-	ln, err := net.Listen("tcp", net.JoinHostPort(ip.String(), "0"))
+	local, err := sock.LocalAddr(ctl)
+	var ln sock.Listener
+	if err == nil {
+		ln, err = sock.Listen("tcp", netip.AddrPortFrom(local.Addr(), 0).String())
+	}
 	if err != nil {
 		ctl.Close()
 		return fmt.Errorf("netrun: listen data socket: %w", err)
@@ -334,10 +338,10 @@ func (w *World) joinWired(o rankio.Options, network, coord string) error {
 	w.proxies = make([][]*simnet.Region, o.Ranks)
 	w.rsess = make([]reqSession, o.Ranks)
 	w.sessions = make(map[uint64]*ownerSession)
-	w.svcConns = make(map[net.Conn]struct{})
+	w.svcConns = make(map[sock.Conn]struct{})
 	w.budget = tm.SilenceBudget()
 	w.park = simnet.NewParker(o.Ranks)
-	w.Client, err = rankio.Join(ctl, o, w.rank, ln.Addr().String())
+	w.Client, err = rankio.Join(ctl, o, w.rank, ln.Addr())
 	if err == nil {
 		err = w.Client.World()
 	}

@@ -3,12 +3,12 @@ package netrun
 import (
 	"bufio"
 	"fmt"
-	"net"
 	"time"
 
 	"fompi/internal/faultnet"
 	"fompi/internal/rankio"
 	"fompi/internal/simnet"
+	"fompi/internal/sock"
 	"fompi/internal/timing"
 )
 
@@ -25,7 +25,7 @@ import (
 
 // peerConn is one lazily dialed requester connection.
 type peerConn struct {
-	c    net.Conn
+	c    sock.Conn
 	rd   *bufio.Reader
 	rbuf []byte // reply frame scratch
 }
@@ -44,7 +44,7 @@ func (w *World) peerErr(r int) (*peerConn, error) {
 	if err := w.AbortErr(); err != nil {
 		panic(err)
 	}
-	var c net.Conn
+	var c sock.Conn
 	var err error
 	for attempt, back := 0, dialBackoff; attempt < dialAttempts; attempt, back = attempt+1, back*2 {
 		c, err = faultnet.DialData("tcp", w.Addrs()[r], rankio.BootTimeout)
@@ -60,9 +60,6 @@ func (w *World) peerErr(r int) (*peerConn, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("cannot reach rank %d at %s: %w", r, w.Addrs()[r], err)
-	}
-	if tc, ok := c.(interface{ SetNoDelay(bool) error }); ok {
-		tc.SetNoDelay(true) // requests are latency-bound RPCs, not bulk streams
 	}
 	p = &peerConn{c: c, rd: bufio.NewReader(c)}
 	e := newEnc(nil)

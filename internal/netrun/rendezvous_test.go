@@ -1,7 +1,6 @@
 package netrun
 
 import (
-	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,12 +20,7 @@ import (
 func TestHostListRendezvous(t *testing.T) {
 	// Reserve an ephemeral port for the coordinator: workers need a dialable
 	// address before Launch can report the one it bound.
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("probe listen: %v", err)
-	}
-	addr := probe.Addr().String()
-	probe.Close()
+	addr := reserveAddr(t)
 
 	o := rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
 	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
@@ -38,17 +32,7 @@ func TestHostListRendezvous(t *testing.T) {
 	// Wait for the coordinator's listener before starting workers; the
 	// coordinator ignores connections that send no JOIN line, so probing is
 	// harmless.
-	for i := 0; ; i++ {
-		c, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			c.Close()
-			break
-		}
-		if i > 100 {
-			t.Fatalf("coordinator never started listening: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitListening(t, addr)
 
 	workerErr := make(chan error, 2)
 	seen := make(chan int, 2)

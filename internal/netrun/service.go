@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"net"
 	"slices"
 	"time"
 
 	"fompi/internal/simnet"
+	"fompi/internal/sock"
 	"fompi/internal/timing"
 )
 
@@ -30,11 +30,6 @@ func (w *World) acceptLoop() {
 		c, err := w.ln.Accept()
 		if err != nil {
 			return
-		}
-		// Interface assert, not *net.TCPConn: faultnet may have wrapped the
-		// accepted connection.
-		if tc, ok := c.(interface{ SetNoDelay(bool) error }); ok {
-			tc.SetNoDelay(true)
 		}
 		w.svcMu.Lock()
 		if w.svcClosed {
@@ -73,7 +68,7 @@ func (w *World) stopService() {
 }
 
 // serveConn runs one peer's request stream: a HELLO, then session frames.
-func (w *World) serveConn(c net.Conn) {
+func (w *World) serveConn(c sock.Conn) {
 	defer c.Close()
 	rd := bufio.NewReader(c)
 	var inBuf, outBuf []byte

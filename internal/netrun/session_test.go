@@ -19,6 +19,7 @@ import (
 	"fompi/internal/faultnet"
 	"fompi/internal/rankio"
 	"fompi/internal/simnet"
+	"fompi/internal/sock"
 	"fompi/internal/telemetry"
 	"fompi/internal/timing"
 )
@@ -755,7 +756,7 @@ func TestTruncatedReplyFaults(t *testing.T) {
 // deadlineFree is a connection whose deadlines are no-ops: net.Pipe arms a
 // timer for every deadline set, an allocation a TCP connection's deadline
 // does not make.
-type deadlineFree struct{ net.Conn }
+type deadlineFree struct{ sock.Conn }
 
 func (deadlineFree) SetReadDeadline(time.Time) error  { return nil }
 func (deadlineFree) SetWriteDeadline(time.Time) error { return nil }

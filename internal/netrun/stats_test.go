@@ -1,7 +1,6 @@
 package netrun
 
 import (
-	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +8,7 @@ import (
 
 	"fompi/internal/rankio"
 	"fompi/internal/simnet"
+	"fompi/internal/sock"
 	"fompi/internal/telemetry"
 )
 
@@ -32,11 +32,11 @@ func counterDelta(base telemetry.Snapshot, name string) uint64 {
 // dialable address before Launch can report the one it bound.
 func reserveAddr(t *testing.T) string {
 	t.Helper()
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	probe, err := sock.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("probe listen: %v", err)
 	}
-	addr := probe.Addr().String()
+	addr := probe.Addr()
 	probe.Close()
 	return addr
 }
@@ -45,7 +45,7 @@ func reserveAddr(t *testing.T) string {
 func waitListening(t *testing.T, addr string) {
 	t.Helper()
 	for i := 0; ; i++ {
-		c, err := net.DialTimeout("tcp", addr, time.Second)
+		c, err := sock.Dial("tcp", addr, time.Second)
 		if err == nil {
 			c.Close()
 			return

@@ -3,7 +3,6 @@ package rankio
 import (
 	"bufio"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"strings"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"fompi/internal/simnet"
+	"fompi/internal/sock"
 	"fompi/internal/telemetry"
 )
 
@@ -27,7 +27,7 @@ const byeTimeout = 10 * time.Minute
 // an abort means for their data plane they say with OnAbort.
 type Client struct {
 	o            Options
-	conn         net.Conn
+	conn         sock.Conn
 	rd           *bufio.Scanner
 	wr           sync.Mutex // serializes status lines against the watcher's PONGs
 	tm           Timeouts
@@ -70,7 +70,7 @@ func HostKey() string {
 // the world shape o, the rank it claims (-1 to be assigned one in join order),
 // its data-plane address for the catalog and its HostKey. The coordinator
 // answers only once every rank has joined; World waits for that.
-func Join(conn net.Conn, o Options, rank int, addr string) (*Client, error) {
+func Join(conn sock.Conn, o Options, rank int, addr string) (*Client, error) {
 	tm, err := ResolveTimeouts()
 	if err != nil {
 		return nil, err

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"net"
+	"net/netip"
 	"os"
 	"os/signal"
 	"strconv"
@@ -12,6 +12,7 @@ import (
 	"syscall"
 	"time"
 
+	"fompi/internal/sock"
 	"fompi/internal/telemetry"
 )
 
@@ -124,7 +125,7 @@ func (e *ErrJoinTimeout) Error() string {
 
 // member is the coordinator's view of one joined rank.
 type member struct {
-	conn net.Conn
+	conn sock.Conn
 	rd   *bufio.Scanner
 	join ctlLine
 }
@@ -134,7 +135,7 @@ type coord struct {
 	tm      Timeouts
 	onReady func()
 	quit    chan os.Signal // SIGQUIT to the launcher: DUMP every rank
-	ln      net.Listener
+	ln      sock.Listener
 	cmds    []*Cmd    // nil in host-list mode
 	joined  []*member // in join order
 	members []*member // by rank, once assigned
@@ -150,7 +151,7 @@ type coord struct {
 // STATS line and writes its goroutines to its own stderr. Coordinate returns
 // nil only if every rank finished cleanly; a failed world is a *RankError
 // naming the causal rank and carrying the first non-zero worker exit code.
-func Coordinate(ln net.Listener, o Options, onReady func()) error {
+func Coordinate(ln sock.Listener, o Options, onReady func()) error {
 	tm, err := ResolveTimeouts()
 	if err != nil {
 		return err // a bad timeout spec fails the launch, like a bad -faults spec
@@ -183,15 +184,13 @@ func Coordinate(ln net.Listener, o Options, onReady func()) error {
 // spawn starts the ranks, or in host-list mode tells the operator how to.
 func (c *coord) spawn() error {
 	at := c.ln.Addr()
-	coordEnv := EnvCoord + "=" + c.Backend + ":" + at.Network() + ":"
+	coordEnv := EnvCoord + "=" + c.Backend + ":" + c.ln.Network() + ":"
 	if len(c.Hosts) != 0 {
 		// A wildcard bind address is not dialable from another machine;
-		// tell the operator to substitute this host's name.
-		dial := at.String()
-		if host, port, err := net.SplitHostPort(dial); err == nil {
-			if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
-				dial = net.JoinHostPort("<this-host>", port)
-			}
+		// tell the operator to substitute this host's address.
+		dial := at
+		if ap, err := netip.ParseAddrPort(at); err == nil && ap.Addr().IsUnspecified() {
+			dial = fmt.Sprintf("<this-host>:%d", ap.Port())
 		}
 		Logf("rankio",
 			"coordinator listening on %s; start %d workers across {%s} with\n"+
@@ -205,7 +204,7 @@ func (c *coord) spawn() error {
 	}
 	c.cmds = make([]*Cmd, c.Ranks)
 	for r := range c.cmds {
-		env := []string{coordEnv + at.String(), EnvRank + "=" + strconv.Itoa(r)}
+		env := []string{coordEnv + at, EnvRank + "=" + strconv.Itoa(r)}
 		cmd, err := Start(argv, env, r, c.TagOutput)
 		if err != nil {
 			return fmt.Errorf("rankio: spawn rank %d (%s): %w", r, argv[0], err)
@@ -250,13 +249,10 @@ func (c *coord) rendezvous() error {
 		if len(c.Hosts) != 0 && progress.Before(next) {
 			next = progress
 		}
-		if tl, ok := c.ln.(interface{ SetDeadline(time.Time) error }); ok {
-			tl.SetDeadline(next)
-		}
+		c.ln.SetDeadline(next)
 		conn, err := c.ln.Accept()
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && time.Now().Before(deadline) {
+			if errors.Is(err, os.ErrDeadlineExceeded) && time.Now().Before(deadline) {
 				Logf("rankio", "still waiting for ranks %v (%d of %d joined)",
 					c.missingRanks(), len(c.joined), c.Ranks)
 				progress = time.Now().Add(joinProgressDot)

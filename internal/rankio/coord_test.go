@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"fompi/internal/simnet"
+	"fompi/internal/sock"
 	"fompi/internal/telemetry"
 )
 
@@ -31,19 +31,19 @@ func hostListWorld(t *testing.T, network string, o Options, onReady func()) (add
 	if network == "unix" {
 		at = filepath.Join(t.TempDir(), "ctl")
 	}
-	ln, err := net.Listen(network, at)
+	ln, err := sock.Listen(network, at)
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	t.Cleanup(func() { ln.Close() })
 	done := make(chan error, 1)
 	go func() { done <- Coordinate(ln, o, onReady) }()
-	return ln.Addr().String(), done
+	return ln.Addr(), done
 }
 
-func dial(t *testing.T, network, addr string) net.Conn {
+func dial(t *testing.T, network, addr string) sock.Conn {
 	t.Helper()
-	c, err := net.Dial(network, addr)
+	c, err := sock.Dial(network, addr, time.Second)
 	if err != nil {
 		t.Fatalf("dial coordinator: %v", err)
 	}

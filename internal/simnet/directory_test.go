@@ -65,3 +65,33 @@ func TestDirectoryDropIsIdempotent(t *testing.T) {
 		t.Fatalf("dropped key %d still resolves (liveness word %d)", k, *r.live)
 	}
 }
+
+// TestDirectoryGenerationWraps pins the ABA window the key's 20 generation
+// bits leave: one slot reused 2^20 times hands out 2^20 distinct keys, and
+// the next Add wraps to the slot's first key. That wrapped key is live again,
+// so a stale address still holding the first key reaches the new
+// registration instead of faulting; the first registration's own liveness
+// word stays 0, so its handle still reads as dropped.
+func TestDirectoryGenerationWraps(t *testing.T) {
+	const gens = 1 << (32 - keySlotBits)
+	var d Directory
+	d.Add(&Region{live: new(uint32)}) // slot 0 stays live: the churn is slot 1's
+	first := &Region{live: new(uint32)}
+	k0 := d.Add(first)
+	k := k0
+	for i := 1; i <= gens; i++ {
+		d.Drop(k)
+		if k = d.Add(&Region{live: new(uint32)}); k.Slot() != k0.Slot() {
+			t.Fatalf("reuse %d moved to slot %d, want %d", i, k.Slot(), k0.Slot())
+		}
+		if i < gens && k == k0 {
+			t.Fatalf("reuse %d of %d handed out the first key %d again", i, gens, k0)
+		}
+	}
+	if k != k0 {
+		t.Fatalf("reuse %d of slot %d got key %#x, want the wrap to the first key %#x", gens, k0.Slot(), k, k0)
+	}
+	if r := d.Get(k0); r == nil || r == first || *first.live != 0 {
+		t.Fatalf("after the wrap the first key resolves to %p (first %p, its liveness word %d): want the new registration, the first still dropped", r, first, *first.live)
+	}
+}

@@ -124,20 +124,34 @@ func mustReturn(t *testing.T, out <-chan any, within time.Duration, why string) 
 // and promptly: a wakeup recovered by the heartbeat would pass a liveness
 // check, so a round that lasts half a slice counts as lost. A healthy run
 // sees a handful at most, from a host that descheduled the waiter that long.
+//
+// Left alone the writer nearly always rings before the waiter parks, so one
+// round in parkEvery, the first among them, writes only once the waiter has
+// parked (door.parks rose): its release must then report the waiter, which
+// is counted in the port word before it parks. A release inside half a slice
+// of the round's start is before the waiter's first heartbeat could have
+// counted it out, so a miss there is a waiter the writer will never wake.
 func noLostWakeup(t *testing.T, mk Make) {
+	const parkEvery = 64
 	rounds := uint64(100000)
 	if testing.Short() {
 		rounds = 20000
 	}
 	slowMax := int64(rounds / 1000)
 	w := mk(t, 2)
-	var flag, ack atomic.Uint64
-	var slow atomic.Int64
+	var flag, ack, started, parks0 atomic.Uint64
+	var slow, roundAt, missed atomic.Int64
+	epoch := time.Now()
 	done, wrote := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
 		p := w.Waiter.Port(0)
 		for r := uint64(1); r <= rounds; r++ {
+			if r%parkEvery == 1 {
+				parks0.Store(counter("door.parks"))
+				roundAt.Store(int64(time.Since(epoch)))
+				started.Store(r)
+			}
 			gen, t0 := p.Gen(), time.Now()
 			for flag.Load() < r {
 				gen = w.Waiter.Hook.DoorWait(p, 0, gen)
@@ -151,19 +165,33 @@ func noLostWakeup(t *testing.T, mk Make) {
 	go func() {
 		defer close(wrote)
 		p := w.Writer.Port(0)
-		for r := uint64(1); r <= rounds; r++ {
-			for ack.Load() != r-1 {
+		// await spins until ready holds, false if the waiter gave up.
+		await := func(ready func() bool) bool {
+			for !ready() {
 				select {
 				case <-done:
-					return // the waiter gave up
+					return false
 				default:
 					runtime.Gosched()
 				}
 			}
+			return true
+		}
+		for r := uint64(1); r <= rounds; r++ {
+			if !await(func() bool { return ack.Load() == r-1 }) {
+				return
+			}
+			parked := r%parkEvery == 1
+			if parked && !await(func() bool { return started.Load() == r && counter("door.parks") > parks0.Load() }) {
+				return
+			}
 			p.LockRing()
 			flag.Store(r)
-			if p.UnlockRing() {
+			waiters := p.UnlockRing()
+			if waiters {
 				w.Writer.Hook.DoorWake(0)
+			} else if parked && time.Since(epoch)-time.Duration(roundAt.Load()) < simnet.DoorSlice/2 {
+				missed.Add(1)
 			}
 		}
 	}()
@@ -178,6 +206,9 @@ func noLostWakeup(t *testing.T, mk Make) {
 	// The last round's wake may still be under way: it pokes a word that on
 	// mprun belongs to a mapping the test's cleanup unmaps.
 	<-wrote
+	if n := missed.Load(); n != 0 {
+		t.Fatalf("%d of %d rounds' releases found no waiter though it had parked: a parked waiter is not counted in the port word, so no writer wakes it", n, (rounds+parkEvery-1)/parkEvery)
+	}
 	if n := slow.Load(); n > slowMax {
 		t.Fatalf("%d rounds by round %d of %d lasted half a slice or more: wakeups are being lost (left to the heartbeat)", n, ack.Load()+1, rounds)
 	}

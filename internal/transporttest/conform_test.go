@@ -336,6 +336,55 @@ func TestConformanceNotify(t *testing.T) {
 	})
 }
 
+// TestConformanceNotifyOutOfOrder consumes two notifications in the reverse
+// of their arrival order through core's matching list. Rank 1 runs a
+// virtual millisecond ahead, then sends A; once A sits in rank 0's ring —
+// arrived, its stamp not merged — rank 0 has rank 2 send B and waits on B,
+// which parks A, then on A. B's stamp stays short of A's issue, so only the
+// parked entry's own stamp, merged as it is matched, takes rank 0's clock
+// past A's data; after it nothing is left pending.
+func TestConformanceNotifyOutOfOrder(t *testing.T) {
+	const tagA, tagB, tagGo = 1, 2, 3
+	const lead = 1_000_000 // virtual ns rank 1 runs ahead before it sends A
+	cfg := spmd.Config{Ranks: 3, RanksPerNode: 2}
+	runAll(t, "TestConformanceNotifyOutOfOrder", cfg, func(p *spmd.Proc) {
+		w, _ := core.Allocate(p, 64, core.Config{})
+		ep := p.EP()
+		w.LockAll()
+		p.Barrier() // every lock-all atomic at rank 0 before A books its port
+		var issued, before, after timing.Time
+		pending := -1
+		switch p.Rank() {
+		case 0:
+			for w.PendingNotify() == 0 {
+				runtime.Gosched()
+			}
+			w.Notify(2, tagGo)
+			w.WaitNotify(tagB)
+			check(w.PendingNotify() == 1, "after WaitNotify(B) %d notifications pending, want A's alone", w.PendingNotify())
+			before = ep.Now()
+			w.WaitNotify(tagA)
+			after, pending = ep.Now(), w.PendingNotify()
+		case 1:
+			ep.Compute(lead)
+			issued = ep.Now()
+			w.PutNotify(make([]byte, 64), 0, 0, tagA)
+			w.Flush(0)
+		case 2:
+			w.WaitNotify(tagGo)
+			w.Notify(0, tagB)
+		}
+		w.UnlockAll()
+		issued = timing.Time(p.Allreduce8(spmd.OpMax, uint64(issued)))
+		if p.Rank() == 0 {
+			check(before < issued, "the clock reached %d ns, A's issue at %d ns, before WaitNotify(A): B's stamp already covers A, so nothing is tested", before, issued)
+			check(after > issued, "WaitNotify(A) left the clock at %d ns, short of A's data, issued at %d ns: the parked notification's stamp was not merged", after, issued)
+			check(pending == 0, "%d notifications pending after both were consumed", pending)
+		}
+		w.Free()
+	})
+}
+
 // popBlocking waits for one notification and returns it with its stamp.
 func popBlocking(ep *simnet.Endpoint, ring *simnet.NotifyRing) (uint64, timing.Time, bool) {
 	var w uint64

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fompi/internal/core"
 	"fompi/internal/spmd"
@@ -48,23 +49,27 @@ const (
 	genLockAll                   // one LockAll; FlushAll and a barrier close each epoch
 	genLockExcl                  // Lock(exclusive)/Unlock around each operation; a barrier closes each epoch
 	genLockShared                // Lock(shared)/Unlock around each operation; a barrier closes each epoch
+	genLockMixed                 // each operation under its own lock, by what it does (genOp.shared), or its origin's LockAll; a barrier closes each epoch
 	genModes
 )
 
-var genModeName = [genModes]string{"genFence", "genLockAll", "genLockExcl", "genLockShared"}
+var genModeName = [genModes]string{"genFence", "genLockAll", "genLockExcl", "genLockShared", "genLockMixed"}
 
 // genKind is an operation's call.
 type genKind int
 
 const (
-	genPut   genKind = iota // Put of V
-	genGet                  // Get
-	genAcc                  // Accumulate(Op, V)
-	genFetch                // FetchAndOp(Op, V); Op may be NO_OP
-	genCas                  // CompareAndSwap(C, V)
+	genPut     genKind = iota // Put of V
+	genGet                    // Get
+	genAcc                    // Accumulate(Op, V)
+	genFetch                  // FetchAndOp(Op, V); Op may be NO_OP
+	genCas                    // CompareAndSwap(C, V)
+	genCount                  // Get, then Put of the word plus one: a counter only exclusion keeps exact
+	genPairPut                // Put of V to word Word, then to Word+1: a pair only exclusion keeps equal
+	genPairGet                // two looks at the pair, a gap apart: torn or changed if a genPairPut overlapped
 )
 
-var genKindName = [...]string{"genPut", "genGet", "genAcc", "genFetch", "genCas"}
+var genKindName = [...]string{"genPut", "genGet", "genAcc", "genFetch", "genCas", "genCount", "genPairPut", "genPairGet"}
 
 var genAccName = map[core.AccOp]string{
 	core.AccSum: "core.AccSum", core.AccBand: "core.AccBand", core.AccBor: "core.AccBor",
@@ -72,12 +77,14 @@ var genAccName = map[core.AccOp]string{
 	core.AccMin: "core.AccMin", core.AccMax: "core.AccMax", core.AccNoOp: "core.AccNoOp",
 }
 
-// genOp is one operation: Origin's call on word Word of Target's window.
+// genOp is one operation: Origin's call on word Word of Target's window,
+// inside a LockAll epoch of its own when All is set (genLockMixed).
 type genOp struct {
 	Origin, Target, Word int
 	Kind                 genKind
 	Op                   core.AccOp
 	V, C                 uint64
+	All                  bool
 }
 
 func (o genOp) String() string {
@@ -85,14 +92,26 @@ func (o genOp) String() string {
 	if o.Kind == genAcc || o.Kind == genFetch {
 		s += ", Op: " + genAccName[o.Op]
 	}
-	if o.Kind != genGet {
+	if o.Kind == genPut || o.Kind == genAcc || o.Kind == genFetch || o.Kind == genCas || o.Kind == genPairPut {
 		s += fmt.Sprintf(", V: %#x", o.V)
 	}
 	if o.Kind == genCas {
 		s += fmt.Sprintf(", C: %#x", o.C)
 	}
+	if o.All {
+		s += ", All: true"
+	}
 	return s + "}"
 }
+
+// shared reports whether o only reads, so genLockMixed runs it under a
+// shared lock; everything else takes the target exclusively.
+func (o genOp) shared() bool {
+	return o.Kind == genGet || o.Kind == genPairGet || o.Kind == genFetch && o.Op == core.AccNoOp
+}
+
+// pair reports whether o touches word Word+1 as well.
+func (o genOp) pair() bool { return o.Kind == genPairPut || o.Kind == genPairGet }
 
 // genProgram is one generated program; Seed names it in reports.
 type genProgram struct {
@@ -123,10 +142,21 @@ type genMem [genRanks][genWords]uint64
 // genInit is word w of rank r's window when a program starts.
 func genInit(r, w int) uint64 { return mix64(uint64(r*genWords + w)) }
 
-func genStart() (m genMem) {
+// genLockMixed keeps its three top words for the witnesses: a counter, and a
+// pair whose two words start equal.
+const (
+	wCount = genWords - 3
+	wPair  = genWords - 2
+)
+
+// genStart is every window when a program in mode starts.
+func genStart(mode genMode) (m genMem) {
 	for r := range m {
 		for w := range m[r] {
 			m[r][w] = genInit(r, w)
+		}
+		if mode == genLockMixed {
+			m[r][wPair+1] = m[r][wPair]
 		}
 	}
 	return m
@@ -150,17 +180,44 @@ var genAccOps = [...]core.AccOp{core.AccSum, core.AccBand, core.AccBor, core.Acc
 // so the operations crowd onto a few words and race there. A
 // compare-and-swap compares with the word the operations before it in list
 // order leave, half the time, so some of the racing ones succeed.
+//
+// In genLockMixed half the ranks of each epoch issue inside LockAll epochs
+// while the others lock per operation, and half the operations are the
+// witnesses', all on one target an epoch: counter increments and pair writes
+// by the per-operation lockers, pair reads by anyone. A pair reader beside a
+// writer is seen torn or changed, and two counter writers side by side leave
+// what no serial order explains.
 func generate(seed uint64, mode genMode) genProgram {
 	rng := rand.New(rand.NewPCG(seed, uint64(mode)))
 	prog := genProgram{Seed: seed, Mode: mode}
-	mem := genStart()
+	mem := genStart(mode)
+	cells := genWords
+	if mode == genLockMixed {
+		cells = wCount
+	}
 	for e := 0; e < genEpochs; e++ {
 		var class [genRanks][genWords]int
 		var op [genRanks][genWords]core.AccOp
 		var used [genRanks][genWords]bool
 		var hot [][2]int
+		// genLockMixed: the ranks that issue inside LockAll, those that lock
+		// per operation, and the witnesses' target.
+		var all [genRanks]bool
+		var lockers []int
+		var focus int
+		if mode == genLockMixed {
+			focus = rng.IntN(genRanks)
+			for _, r := range rng.Perm(genRanks)[:genRanks/2] {
+				all[r] = true
+			}
+			for r := range all {
+				if !all[r] {
+					lockers = append(lockers, r)
+				}
+			}
+		}
 		for r := range class {
-			for w := range class[r] {
+			for w := range class[r][:cells] {
 				switch k := rng.IntN(48); {
 				case k < 36:
 					continue
@@ -177,6 +234,19 @@ func generate(seed uint64, mode genMode) genProgram {
 		}
 		var ops []genOp
 		for tries := 0; len(hot) > 0 && len(ops) < genOps && tries < 20*genOps; tries++ {
+			if mode == genLockMixed && rng.IntN(2) == 0 {
+				o := genOp{Origin: rng.IntN(genRanks), Target: focus, Word: wPair, Kind: genPairGet}
+				switch rng.IntN(3) {
+				case 0:
+					o.Origin, o.Word, o.Kind = lockers[rng.IntN(len(lockers))], wCount, genCount
+				case 1:
+					o.Origin, o.Kind, o.V = lockers[rng.IntN(len(lockers))], genPairPut, rng.Uint64()
+				}
+				o.All = all[o.Origin]
+				_, mem[o.Target][o.Word] = o.step(mem[o.Target][o.Word])
+				ops = append(ops, o)
+				continue
+			}
 			c := hot[rng.IntN(len(hot))]
 			r, w := c[0], c[1]
 			o := genOp{Origin: rng.IntN(genRanks), Target: r, Word: w, V: rng.Uint64()}
@@ -203,6 +273,7 @@ func generate(seed uint64, mode genMode) genProgram {
 					}
 				}
 			}
+			o.All = all[o.Origin]
 			_, mem[r][w] = o.step(mem[r][w])
 			ops = append(ops, o)
 		}
@@ -235,14 +306,19 @@ func refApply(op core.AccOp, t, v uint64) uint64 {
 }
 
 // fetches reports whether o returns the word it finds.
-func (o genOp) fetches() bool { return o.Kind == genGet || o.Kind == genFetch || o.Kind == genCas }
+func (o genOp) fetches() bool {
+	return o.Kind == genGet || o.Kind == genFetch || o.Kind == genCas || o.Kind == genCount || o.Kind == genPairGet
+}
 
 // step runs o serially on a word holding cur: it returns the value o
-// fetches (when it fetches) and the word o leaves.
+// fetches (when it fetches) and the word o leaves. A pair operation does
+// the same to both its words.
 func (o genOp) step(cur uint64) (fetched, next uint64) {
 	switch o.Kind {
-	case genPut:
+	case genPut, genPairPut:
 		return cur, o.V
+	case genCount:
+		return cur, cur + 1
 	case genAcc, genFetch:
 		return cur, refApply(o.Op, cur, o.V)
 	case genCas:
@@ -311,7 +387,7 @@ func checkEpoch(target int, start, end *[genWords]uint64, ops []genOp, got []uin
 		var cellGot []uint64
 		last = -1
 		for i, o := range ops {
-			if o.Target == target && o.Word == wd {
+			if o.Target == target && (o.Word == wd || o.pair() && o.Word+1 == wd) {
 				cell, cellGot, last = append(cell, o), append(cellGot, got[i]), i
 			}
 		}
@@ -336,18 +412,33 @@ const (
 
 var mutation = mutNone
 
-// issue makes o's call on w through the buffer buf and returns what it
-// fetched, as mutation says.
-func (o genOp) issue(w *core.Win, buf []byte) uint64 {
+// witnessGap is how long, in real time, a witness yields between its two
+// halves: long enough that a rival its lock should have kept out lands
+// there on any backend, in-process ranks running a whole epoch in
+// microseconds included.
+const witnessGap = 20 * time.Microsecond
+
+// gap yields for witnessGap.
+func gap() {
+	for t0 := time.Now(); time.Since(t0) < witnessGap; {
+		runtime.Gosched()
+	}
+}
+
+// issue makes o's calls on w through the buffer buf and returns what it
+// fetched, as mutation says, and what a pair read saw that no exclusion
+// allows ("" if nothing).
+func (o genOp) issue(w *core.Win, buf *[16]byte) (uint64, string) {
 	disp := o.Word * 8
-	binary.LittleEndian.PutUint64(buf, o.V)
+	val := buf[:8]
+	binary.LittleEndian.PutUint64(val, o.V)
 	// A mutation reads, yields — so a rival can land in the gap — and writes.
 	readThenWrite := func(next func(cur uint64) uint64) uint64 {
 		cur := w.FetchAndOp(core.AccNoOp, 0, o.Target, disp)
 		runtime.Gosched()
 		if v := next(cur); v != cur {
-			binary.LittleEndian.PutUint64(buf, v)
-			w.Put(buf, o.Target, disp)
+			binary.LittleEndian.PutUint64(val, v)
+			w.Put(val, o.Target, disp)
 		}
 		return cur
 	}
@@ -355,27 +446,57 @@ func (o genOp) issue(w *core.Win, buf []byte) uint64 {
 	case mutation == mutFetchOutside && o.Kind == genFetch && o.Op != core.AccNoOp:
 		cur := w.FetchAndOp(core.AccNoOp, 0, o.Target, disp)
 		runtime.Gosched()
-		w.Accumulate(o.Op, buf, o.Target, disp)
-		return cur
+		w.Accumulate(o.Op, val, o.Target, disp)
+		return cur, ""
 	case mutation == mutStaleCas && o.Kind == genCas:
-		return readThenWrite(func(cur uint64) uint64 { _, next := o.step(cur); return next })
+		return readThenWrite(func(cur uint64) uint64 { _, next := o.step(cur); return next }), ""
 	case mutation == mutLostUpdate && o.Kind == genAcc:
 		readThenWrite(func(cur uint64) uint64 { return refApply(o.Op, cur, o.V) })
-		return 0
+		return 0, ""
 	}
 	switch o.Kind {
 	case genPut:
-		w.Put(buf, o.Target, disp)
+		w.Put(val, o.Target, disp)
 	case genGet:
-		w.Get(buf, o.Target, disp)
+		w.Get(val, o.Target, disp)
 	case genAcc:
-		w.Accumulate(o.Op, buf, o.Target, disp)
+		w.Accumulate(o.Op, val, o.Target, disp)
 	case genFetch:
-		return w.FetchAndOp(o.Op, o.V, o.Target, disp)
+		return w.FetchAndOp(o.Op, o.V, o.Target, disp), ""
 	case genCas:
-		return w.CompareAndSwap(o.C, o.V, o.Target, disp)
+		return w.CompareAndSwap(o.C, o.V, o.Target, disp), ""
+	case genCount:
+		w.Get(val, o.Target, disp)
+		w.Flush(o.Target)
+		cur := binary.LittleEndian.Uint64(val)
+		gap()
+		binary.LittleEndian.PutUint64(val, cur+1)
+		w.Put(val, o.Target, disp)
+		return cur, ""
+	case genPairPut:
+		w.Put(val, o.Target, disp)
+		w.Flush(o.Target)
+		gap()
+		w.Put(val, o.Target, disp+8)
+	case genPairGet:
+		// Two looks at the pair, a gap apart: a look inside a writer's gap
+		// sees the pair torn, a writer inside this gap changes it.
+		var seen [4]uint64
+		for look := range 2 {
+			if look == 1 {
+				gap()
+			}
+			w.Get(buf[:], o.Target, disp)
+			w.Flush(o.Target)
+			seen[2*look], seen[2*look+1] = binary.LittleEndian.Uint64(buf[:8]), binary.LittleEndian.Uint64(buf[8:])
+		}
+		if seen[0] != seen[1] || seen[2] != seen[3] || seen[0] != seen[2] {
+			return seen[0], fmt.Sprintf("the pair on rank %d read %#x %#x, then %#x %#x under one lock: it overlapped a pair write its lock should have kept out",
+				o.Target, seen[0], seen[1], seen[2], seen[3])
+		}
+		return seen[0], ""
 	}
-	return 0
+	return 0, ""
 }
 
 // run executes prog on this rank over w (whose local memory is mem) and
@@ -393,7 +514,7 @@ func (prog genProgram) run(p *spmd.Proc, w *core.Win, mem []byte) string {
 				prog.Seed, genModeName[prog.Mode], me, e, i, fmt.Sprintf(format, args...))
 		}
 	}
-	start := genStart()
+	start := genStart(prog.Mode)
 	for wd := 0; wd < genWords; wd++ {
 		binary.LittleEndian.PutUint64(mem[wd*8:], start[me][wd])
 	}
@@ -405,7 +526,7 @@ func (prog genProgram) run(p *spmd.Proc, w *core.Win, mem []byte) string {
 	if prog.Mode == genLockAll {
 		w.LockAll()
 	}
-	var buf [8]byte
+	var buf [16]byte
 	for e, ops := range prog.Epochs {
 		// This rank's block: what its operations fetched, then its window.
 		block := make([]byte, (len(ops)+genWords)*8)
@@ -413,19 +534,26 @@ func (prog genProgram) run(p *spmd.Proc, w *core.Win, mem []byte) string {
 			if o.Origin != me {
 				continue
 			}
-			if prog.Mode >= genLockExcl {
-				mode := core.LockExclusive
-				if prog.Mode == genLockShared {
-					mode = core.LockShared
-				}
-				w.Lock(mode, o.Target)
+			perOp := prog.Mode >= genLockExcl && !o.All
+			switch {
+			case o.All:
+				w.LockAll()
+			case prog.Mode == genLockShared || prog.Mode == genLockMixed && o.shared():
+				w.Lock(core.LockShared, o.Target)
+			case perOp:
+				w.Lock(core.LockExclusive, o.Target)
 			}
-			got := o.issue(w, buf[:])
-			if prog.Mode >= genLockExcl {
+			got, torn := o.issue(w, &buf)
+			if o.All {
+				w.UnlockAll()
+			} else if perOp {
 				w.Unlock(o.Target)
 			}
+			if torn != "" {
+				note(e, i, "%s", torn)
+			}
 			if o.Kind == genGet {
-				got = binary.LittleEndian.Uint64(buf[:])
+				got = binary.LittleEndian.Uint64(buf[:8])
 			}
 			binary.LittleEndian.PutUint64(block[i*8:], got)
 		}

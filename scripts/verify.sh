@@ -28,11 +28,11 @@
 #                                silently as nanoseconds per operation
 #   CGO_ENABLED=0 build + tests  the tree builds without cgo, and the control
 #                                plane, the arena, the process transport and
-#                                the launcher pass their -short suites that way:
-#                                the static rank binary an operator can
-#                                choose (it boots ≈ 1 ms sooner: no dynamic
-#                                loader, no cgo resolver — EXPERIMENTS.md
-#                                "PR 21" (d)) is a tested configuration
+#                                the launcher pass their -short suites that
+#                                way: no rank binary links cgo under either
+#                                setting (see "no net, cgo, HTTP or crypto
+#                                in a rank" below), and this leg keeps the
+#                                explicit setting a tested configuration
 #   retired-names check          LockChain, nicMu and rnNicLock — the three
 #                                per-target locks the port replaced —
 #                                regMemo, the batch-only region memo the
@@ -101,7 +101,10 @@
 #                                and GetWord replaced, and the frame's ring
 #                                flag (a reqSession's bring field and the
 #                                owner's per-frame ringDoor), which every
-#                                write's own port release replaced,
+#                                write's own port release replaced, and an
+#                                import of package net, which internal/sock
+#                                replaced (a name-resolving net links
+#                                runtime/cgo into every rank binary),
 #                                occur in no non-test Go file; the Makefile, the
 #                                scripts and the CI workflow name no piece
 #                                of that harness, nor those variables, nor
@@ -122,10 +125,15 @@
 #                                XCHG, the three non-Go words they use, are
 #                                allowed): a deleted name cannot outlive its
 #                                code in the docs
-#   no HTTP or crypto in a rank  go list -deps of every example, every
+#   no net, cgo, HTTP or crypto in a rank
+#                                go list -deps of every example, every
 #                                command and the benchmark module lists none
-#                                of net/http, net/http/pprof, expvar and no
-#                                crypto/ package at all: telemetry leaves a
+#                                of net, runtime/cgo, net/http,
+#                                net/http/pprof, expvar and no crypto/
+#                                package at all: the process transport opens
+#                                its sockets through internal/sock, so no
+#                                rank binary is a cgo binary (≈ 0.5 ms more
+#                                per process start); telemetry leaves a
 #                                rank over its control stream alone (SIGQUIT
 #                                to the launcher, DUMP to every rank), and an
 #                                arena's name is an FNV digest, so no rank
@@ -156,7 +164,9 @@
 #                                steady-state route misses assertions run on
 #                                every verify
 #   go test -race -short <hot>   concurrency check over the packages whose
-#                                goroutines share fabric memory (the release
+#                                goroutines share fabric memory, and over
+#                                internal/bench, whose figures gather each
+#                                rank's sample (the release
 #                                store's message-passing litmus test, the
 #                                port's, the pacer's and the door's unit
 #                                tests, the two-mappings arena tests and
@@ -235,12 +245,12 @@ echo "== no-cgo leg (static build; rankio, mprun, netrun, spmd -short)"
 CGO_ENABLED=0 go build ./...
 CGO_ENABLED=0 go test -short ./internal/rankio ./internal/mprun ./internal/netrun ./internal/spmd
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator, the byte-slice one-word branch and the frame's ring flag must not creep back)"
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator, the byte-slice one-word branch, the frame's ring flag and package net must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD|FOMPI_TT_BACKENDS|FOMPI_CHAOS_LOG|FOMPI_DEBUG_ADDR'
-if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo|waiterField|waiterOne|RegionLive|proxyLive|entryEmpty|entryLive|entryDead|nextKey|mineMu|ownRegion|initTbl|regUnknown|oneWord|\.bring\b|\bbring +bool|ringDoor" \
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo|waiterField|waiterOne|RegionLive|proxyLive|entryEmpty|entryLive|entryDead|nextKey|mineMu|ownRegion|initTbl|regUnknown|oneWord|\.bring\b|\bbring +bool|ringDoor|^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?\"net\"$" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
 	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set, a data operation beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator or liveness constant, the byte-slice one-word branch or the frame's ring flag is back" >&2
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set, a data operation beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator or liveness constant, the byte-slice one-word branch, the frame's ring flag or an import of package net is back" >&2
 	exit 1
 fi
 
@@ -273,11 +283,11 @@ if [ -n "$STALE" ]; then
 	exit 1
 fi
 
-echo "== no HTTP or crypto in a rank (no example, command or the benchmark links net/http, net/http/pprof, expvar or any crypto/ package)"
+echo "== no net, cgo, HTTP or crypto in a rank (no example, command or the benchmark links net, runtime/cgo, net/http, net/http/pprof, expvar or any crypto/ package)"
 go list -deps ./examples/... ./cmd/... >"$TMP/deps"
 (cd benchmark && go list -deps .) >>"$TMP/deps"
-if grep -E '^(net/http|net/http/pprof|expvar)$|^crypto/' "$TMP/deps"; then
-	echo "verify: a rank binary links an HTTP stack or a crypto package again; telemetry leaves a rank over its control stream alone, and nothing in a rank needs a cryptographic hash" >&2
+if grep -E '^(net|runtime/cgo|net/http|net/http/pprof|expvar)$|^crypto/' "$TMP/deps"; then
+	echo "verify: a rank binary links package net, cgo, an HTTP stack or a crypto package again; sockets open through internal/sock, telemetry leaves a rank over its control stream alone, and nothing in a rank needs a cryptographic hash" >&2
 	exit 1
 fi
 
@@ -301,8 +311,8 @@ make bench-test
 echo "== issue-path and port-hold benchmarks, one iteration (0 allocs/op, 0 steady-state route misses)"
 go test ./internal/simnet -run '^$' -bench 'Issue|Port' -benchtime 1x
 
-echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1; spmd's worker reuse ten times; the port's handshake twenty times)"
-go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/
+echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1, bench; spmd's worker reuse ten times; the port's handshake twenty times)"
+go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/ ./internal/bench/
 go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestConformanceFusedFrame|TestConformanceOrdering|TestConformanceSharedFrame|TestConformanceDump|TestStoppedRank|TestStoppedPeerBehindWire|TestConformanceSameOpAtomic|TestConformanceGeneratedPrograms' ./internal/transporttest/
 go test -race -count=10 -run 'TestRunReusesRankGoroutines|TestRunNestedFromRank0' ./internal/spmd
 go test -race -count=20 -run 'TestDoorWaitsOutInFlightWrite|TestPortExclusionAndRings' ./internal/simnet
