@@ -165,8 +165,9 @@
 #                                every verify
 #   go test -race -short <hot>   concurrency check over the packages whose
 #                                goroutines share fabric memory, and over
-#                                internal/bench, whose figures gather each
-#                                rank's sample (the release
+#                                internal/sock, whose Close must end a
+#                                parked Accept, and internal/bench, whose
+#                                figures gather each rank's sample (the release
 #                                store's message-passing litmus test, the
 #                                port's, the pacer's and the door's unit
 #                                tests, the two-mappings arena tests and
@@ -311,8 +312,8 @@ make bench-test
 echo "== issue-path and port-hold benchmarks, one iteration (0 allocs/op, 0 steady-state route misses)"
 go test ./internal/simnet -run '^$' -bench 'Issue|Port' -benchtime 1x
 
-echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1, bench; spmd's worker reuse ten times; the port's handshake twenty times)"
-go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/ ./internal/bench/
+echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1, sock, bench; spmd's worker reuse ten times; the port's handshake twenty times)"
+go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/ ./internal/sock/ ./internal/bench/
 go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestConformanceFusedFrame|TestConformanceOrdering|TestConformanceSharedFrame|TestConformanceDump|TestStoppedRank|TestStoppedPeerBehindWire|TestConformanceSameOpAtomic|TestConformanceGeneratedPrograms' ./internal/transporttest/
 go test -race -count=10 -run 'TestRunReusesRankGoroutines|TestRunNestedFromRank0' ./internal/spmd
 go test -race -count=20 -run 'TestDoorWaitsOutInFlightWrite|TestPortExclusionAndRings' ./internal/simnet
