@@ -359,8 +359,7 @@ func (l *listener) Accept() (sock.Conn, error) {
 	if inj == nil {
 		return c, nil
 	}
-	peer, _ := sock.PeerAddr(c)
-	return inj.wrap(c, "accept<-"+peer.String(), l.plane), nil
+	return inj.wrap(c, "accept@"+l.Addr(), l.plane), nil
 }
 
 func (inj *injector) wrap(c sock.Conn, label, plane string) sock.Conn {

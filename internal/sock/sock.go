@@ -53,8 +53,9 @@ var hostsFile = "/etc/hosts"
 
 // listenBacklog asks for the deepest accept queue the kernel allows (it
 // clamps to net.core.somaxconn): a world's ranks all dial the coordinator at
-// once.
-const listenBacklog = 1 << 16
+// once. 1<<16 - 1, as net asks: kernels before 4.1 keep the backlog in a
+// uint16, where 1<<16 wraps to an empty queue.
+const listenBacklog = 1<<16 - 1
 
 type listener struct {
 	f       *os.File
@@ -283,12 +284,7 @@ func dial(network, address string, family int, sa syscall.Sockaddr, deadline tim
 
 // LocalAddr is the address a TCP connection is bound to (getsockname). c is
 // a socket of this package's, or a wrapper that forwards SyscallConn.
-func LocalAddr(c Conn) (netip.AddrPort, error) { return endAddr(c, "getsockname", syscall.Getsockname) }
-
-// PeerAddr is the address of a TCP connection's other end (getpeername).
-func PeerAddr(c Conn) (netip.AddrPort, error) { return endAddr(c, "getpeername", syscall.Getpeername) }
-
-func endAddr(c Conn, call string, get func(int) (syscall.Sockaddr, error)) (netip.AddrPort, error) {
+func LocalAddr(c Conn) (netip.AddrPort, error) {
 	sc, ok := c.(syscall.Conn)
 	if !ok {
 		return netip.AddrPort{}, errors.New("sock: not a socket")
@@ -299,11 +295,11 @@ func endAddr(c Conn, call string, get func(int) (syscall.Sockaddr, error)) (neti
 	}
 	var sa syscall.Sockaddr
 	var gerr error
-	if err := rc.Control(func(fd uintptr) { sa, gerr = get(int(fd)) }); err != nil {
+	if err := rc.Control(func(fd uintptr) { sa, gerr = syscall.Getsockname(int(fd)) }); err != nil {
 		return netip.AddrPort{}, err
 	}
 	if gerr != nil {
-		return netip.AddrPort{}, os.NewSyscallError(call, gerr)
+		return netip.AddrPort{}, os.NewSyscallError("getsockname", gerr)
 	}
 	ap := addrPort(sa)
 	if !ap.IsValid() {

@@ -26,13 +26,6 @@
 #                                Region.checkWords): an edit that takes one
 #                                over the inlining budget fails here, not
 #                                silently as nanoseconds per operation
-#   CGO_ENABLED=0 build + tests  the tree builds without cgo, and the control
-#                                plane, the arena, the process transport and
-#                                the launcher pass their -short suites that
-#                                way: no rank binary links cgo under either
-#                                setting (see "no net, cgo, HTTP or crypto
-#                                in a rank" below), and this leg keeps the
-#                                explicit setting a tested configuration
 #   retired-names check          LockChain, nicMu and rnNicLock — the three
 #                                per-target locks the port replaced —
 #                                regMemo, the batch-only region memo the
@@ -241,10 +234,6 @@ for fn in '(*Port).LockRing' '(*Port).unlockRung' '(*Stamps).Get' '(*Stamps).Wor
 		exit 1
 	fi
 done
-
-echo "== no-cgo leg (static build; rankio, mprun, netrun, spmd -short)"
-CGO_ENABLED=0 go build ./...
-CGO_ENABLED=0 go test -short ./internal/rankio ./internal/mprun ./internal/netrun ./internal/spmd
 
 echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator, the byte-slice one-word branch, the frame's ring flag and package net must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD|FOMPI_TT_BACKENDS|FOMPI_CHAOS_LOG|FOMPI_DEBUG_ADDR'
