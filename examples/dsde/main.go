@@ -19,7 +19,8 @@ import (
 func main() {
 	const ranks = 16
 	prm := dsde.Params{K: 6, Seed: 3}
-	fompi.MustRun(fompi.Config{Ranks: ranks, RanksPerNode: 4, PaceWindowNs: 20000},
+	fompi.MustRun(fompi.Config{Ranks: ranks, RanksPerNode: 4, PaceWindowNs: 20000,
+		Backend: fompi.BackendFromEnv()},
 		func(p *fompi.Proc) {
 			c := mpi1.Dial(p)
 			type variant struct {

@@ -18,7 +18,8 @@ func main() {
 	const ranks = 8
 	prm := hashtable.Params{InsertsPerRank: 2048, TableSlots: 1 << 15, Seed: 42,
 		OverflowCells: 2048 * ranks}
-	fompi.MustRun(fompi.Config{Ranks: ranks, RanksPerNode: 4, PaceWindowNs: 20000},
+	fompi.MustRun(fompi.Config{Ranks: ranks, RanksPerNode: 4, PaceWindowNs: 20000,
+		Backend: fompi.BackendFromEnv()},
 		func(p *fompi.Proc) {
 			type variant struct {
 				name string

@@ -7,10 +7,10 @@
 // virtual times show the one-sided and notified variants' advantage.
 //
 // The -backend flag selects the transport (proc: in-process goroutines, mp:
-// one OS process per rank over shared memory); -rma-only restricts the run
-// to the backend-portable variants, whose output is bit-identical across
-// backends — the CI examples smoke diffs exactly that. The MPI-1 messaging
-// layer uses in-process mailboxes and so runs only on the proc backend.
+// one OS process per rank over shared memory, net: TCP between processes,
+// hybrid: both); every variant runs on each. With -check the output is the
+// residuals and checksums only, which are bit-identical across runs and
+// backends — the examples smoke diffs exactly that.
 package main
 
 import (
@@ -27,21 +27,17 @@ import (
 func main() {
 	backend := flag.String("backend", string(fompi.BackendFromEnv()),
 		"transport backend: proc (in-process, default), mp (multi-process), net (inter-node TCP) or hybrid (shm within a host, TCP across)")
-	rmaOnly := flag.Bool("rma-only", false,
-		"run only the backend-portable RMA variants (implied by the cross-process backends)")
 	ppn := flag.Int("ppn", 4, "ranks per node; 8 puts the whole world on one node, "+
 		"whose virtual times are fully deterministic (no cross-node NIC incast races)")
 	check := flag.Bool("check", false,
 		"print only run-deterministic figures — residuals and checksums — which must "+
-			"be bit-identical across runs and backends (implies -rma-only; the virtual "+
-			"times of whole apps vary sub-percent with host scheduling, here and on the "+
-			"in-process backend alike, so -check omits them)")
+			"be bit-identical across runs and backends (the virtual times of whole apps "+
+			"vary sub-percent with host scheduling, here and on the in-process backend "+
+			"alike, so -check omits them)")
 	pace := flag.Int64("pace", 0, "pacing window in virtual ns (0 disables); bounds "+
 		"cross-rank clock divergence so real scheduling noise cannot reorder stamp merges")
 	flag.Parse()
 	be := fompi.Backend(*backend)
-	portable := *rmaOnly || *check ||
-		be == fompi.BackendMP || be == fompi.BackendNet || be == fompi.BackendHybrid
 
 	const ranks = 8
 	prm := milc.Params{Local: [4]int{4, 4, 4, 8}, Grid: [4]int{1, 1, 2, 4}, Iters: 25}
@@ -50,16 +46,11 @@ func main() {
 			name string
 			run  func() milc.Result
 		}
-		variants := []variant{
+		for _, v := range []variant{
+			{"MPI-1 send/recv ", func() milc.Result { return milc.RunMPI1(p, prm) }},
 			{"UPC notify+get  ", func() milc.Result { return milc.RunUPC(p, prm) }},
 			{"foMPI MPI-3 RMA ", func() milc.Result { return milc.RunFoMPI(p, prm) }},
-		}
-		if !portable {
-			variants = append([]variant{
-				{"MPI-1 send/recv ", func() milc.Result { return milc.RunMPI1(p, prm) }},
-			}, variants...)
-		}
-		for _, v := range variants {
+		} {
 			res := v.run()
 			worst := timing.Time(p.Allreduce8(spmd.OpMax, uint64(res.Elapsed)))
 			p.Barrier()

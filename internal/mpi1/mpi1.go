@@ -7,12 +7,25 @@
 // protocol for large messages (an extra round trip that synchronizes the
 // sender). Those costs are charged where they structurally occur, so the
 // baseline loses for the paper's reasons, not by fiat.
+//
+// The messages travel over registered memory, as send/recv over notified
+// access does (Belli & Hoefler, IPDPS'15), so the layer runs on every
+// backend. Each rank registers one region at Dial: its inbox, a notification
+// ring, then its staging arena. A send stages the message's header (and an
+// eager payload) in the sender's arena and announces it in the receiver's
+// inbox; the receiver fetches the header and the eager payload when it
+// drains the announcement, and pulls a rendezvous payload chunk by chunk
+// when it matches the message; its notices back free the sender's staging
+// and complete a synchronous send. Virtual time is the closed-form cost
+// model's alone: each formula time travels as its notification's stamp, and
+// the moves themselves charge nothing (simnet's Endpoint.NotifyAt and
+// Endpoint.Fetch).
 package mpi1
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"fompi/internal/simnet"
 	"fompi/internal/spmd"
@@ -26,77 +39,120 @@ const AnyTag = -1
 // AnySource matches any sender in Recv and Probe.
 const AnySource = -1
 
-// message is one in-flight point-to-point message. A sender that waits for
-// the match (rendezvous, synchronous mode) reads its completion off the
-// message: the receiver stores at, then done, then rings the sender's
-// doorbell.
-type message struct {
-	src, tag   int
-	data       []byte      // eager payload (copied at send)
-	sendTime   timing.Time // virtual time the payload becomes visible
-	rendezvous bool        // payload pulled by receiver on match
-	srcBuf     []byte      // rendezvous source buffer
-	sync       bool        // the sender waits for the match
-	at         timing.Time // completion time, valid once done
-	done       atomic.Bool
+// The staging bounds: a rank's registered memory is its inbox — Size +
+// 2·maxStaged + 1 ring slots, see Dial — and stageBytes of arena, whatever
+// the traffic. A send past a bound waits in the sender's queue, and the next
+// call of the layer posts it.
+const (
+	maxStaged  = 16       // messages staged at once
+	stageBytes = 16 << 10 // the arena; an eager message fits whole
+	rdvChunk   = 4 << 10  // a rendezvous payload crosses the arena in chunks this big
+	hdrBytes   = 16       // a staged message's header: tag, then length
+)
+
+// The notices a ring word carries. Only an announcement and a completion
+// carry a time, as their stamp.
+const (
+	kindAnn   = iota + 1 // a message is staged; stamp: the time its payload is visible
+	kindAck              // the receiver drained the announcement
+	kindDone             // the receiver matched a synchronous message; stamp: the match
+	kindNext             // the receiver pulls a rendezvous payload's next chunk
+	kindReady            // the sender staged that chunk
+)
+
+// note is a ring word unpacked: the kind in bits 0–2, the synchronous and
+// rendezvous flags in bits 3 and 4, the staging offset in 8-byte units in
+// bits 5–16, an eager payload's length in bits 17–30 and the sender in bits
+// 31–62.
+type note struct {
+	kind      int
+	sync, rdv bool
+	off, n    int
+	src       int
 }
 
-// mailbox is the per-rank matching engine (the receiver-side software Cray
-// MPI runs; its cost is charged via Profile.MatchNs).
-type mailbox struct {
-	mu         sync.Mutex
-	unexpected []*message
-}
-
-func (mb *mailbox) push(m *message) {
-	mb.mu.Lock()
-	mb.unexpected = append(mb.unexpected, m)
-	mb.mu.Unlock()
-}
-
-// match scans the unexpected queue; scanned counts the entries examined
-// before the hit, charged by the receiver (matching is a linear search in
-// real MPI implementations — the cost that grows with message pressure).
-func (mb *mailbox) match(src, tag int, remove bool) (m *message, scanned int) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for i, m := range mb.unexpected {
-		if (src == AnySource || m.src == src) && (m.tag == tag || tag == AnyTag && m.tag < collTagBase) {
-			if remove {
-				mb.unexpected = append(mb.unexpected[:i], mb.unexpected[i+1:]...)
-			}
-			return m, i
-		}
+func (m note) word() uint64 {
+	w := uint64(m.kind) | uint64(m.off/8)<<5 | uint64(m.n)<<17 | uint64(m.src)<<31
+	if m.sync {
+		w |= 1 << 3
 	}
-	return nil, len(mb.unexpected)
+	if m.rdv {
+		w |= 1 << 4
+	}
+	return w
 }
 
-// world holds the mailboxes shared by the ranks of one world, in its slot
-// (spmd.Proc.Shared): it lives and dies with the world.
-type world struct {
-	boxes []mailbox
-	model *simnet.CostModel
+func noteOf(w uint64) note {
+	return note{kind: int(w & 7), sync: w&(1<<3) != 0, rdv: w&(1<<4) != 0,
+		off: int(w>>5&0xfff) * 8, n: int(w >> 17 & 0x3fff), src: int(w >> 31)}
+}
+
+// send is one send from Isend until its staging is free.
+type send struct {
+	dst, tag  int
+	data      []byte // the payload: the caller's buffer, or a deferred eager send's copy
+	sync, rdv bool
+	sendTime  timing.Time // virtual time the payload (or the RTS) is visible
+	off, size int         // the staging extent, once posted
+	sent      int         // rendezvous: payload bytes staged so far
+	posted    bool
+	done      bool        // the request is complete
+	at        timing.Time // the match time, once a synchronous send is done
+}
+
+// inbound is a drained announcement: one entry of the unexpected queue.
+type inbound struct {
+	src, tag, n int
+	sync, rdv   bool
+	sendTime    timing.Time
+	off         int    // the message's staging offset at its sender
+	data        []byte // an eager payload
 }
 
 // Comm is one rank's communicator handle over the MPI-1 layer.
 type Comm struct {
-	proc *spmd.Proc
-	ep   *simnet.Endpoint
-	w    *world
-	seq  int // collective invocation counter (tag isolation)
+	proc  *spmd.Proc
+	ep    *simnet.Endpoint
+	poll  *simnet.Endpoint // takes the ring's poll charge: the formulas price every wait
+	model *simnet.CostModel
+	reg   *simnet.Region
+	key   simnet.Key
+	arena int // the staging arena's offset in reg, after the inbox
+	inbox simnet.NotifyRing
+	seq   int // collective invocation counter (tag isolation)
+
+	unexpected []*inbound // the matching engine's queue, in drain order
+	pending    []*send    // sends not yet posted, in Isend order
+	staged     []*send    // posted sends holding staging, by offset
+	busy       []bool     // an announcement to the rank awaits its ack
+	pulled     bool       // the rendezvous chunk being pulled is staged
 }
 
 // Dial attaches the MPI-1 layer to p's world and returns this rank's
-// communicator. All communicating ranks must Dial. The mailboxes are this
-// process's memory, so a process world refuses by name.
+// communicator. It is collective: every rank registers its inbox and arena,
+// and Dial checks that the key is the same on every rank.
+//
+// The inbox holds every notice that can be in flight to the rank at once: an
+// announcement from each sender (a sender announces the next message to a
+// rank once the last one's ack is back), and, for each message the rank has
+// staged, its ack and then its completion or a chunk request — plus the
+// chunk notice of the one pull in progress. O(p) words, whatever the traffic.
 func Dial(p *spmd.Proc) *Comm {
-	if _, inProc := p.Fabric().(*simnet.Fabric); !inProc {
-		panic("mpi1: two-sided runs in process only")
+	fab, me, model := p.Fabric(), p.Rank(), simnet.CrayMPI1()
+	c := &Comm{proc: p, model: model,
+		ep: simnet.NewEndpoint(fab, me, model), poll: simnet.NewEndpoint(fab, me, model),
+		busy: make([]bool, p.Size())}
+	ringCap := p.Size() + 2*maxStaged + 1
+	c.arena = simnet.NotifyRingBytes(ringCap)
+	c.reg = c.ep.Register(c.arena + stageBytes)
+	c.inbox.Bind(c.reg, 0, ringCap)
+	c.key = c.reg.Key()
+	// The allreduce is also the barrier: no rank announces into an inbox
+	// before its owner has bound it.
+	if hi := p.Allreduce8(spmd.OpMax, uint64(c.key)); hi != uint64(c.key) {
+		panic(fmt.Sprintf("mpi1: inbox key %d on rank %d, %d on another; Dial collectively in the same order on every rank", c.key, me, hi))
 	}
-	w := p.Shared(func() any {
-		return &world{boxes: make([]mailbox, p.Size()), model: simnet.CrayMPI1()}
-	}).(*world)
-	return &Comm{proc: p, ep: simnet.NewEndpoint(p.Fabric(), p.Rank(), w.model), w: w}
+	return c
 }
 
 // Rank returns the caller's rank.
@@ -111,20 +167,16 @@ func (c *Comm) Now() timing.Time { return c.ep.Now() }
 // Compute charges local computation to this layer's clock.
 func (c *Comm) Compute(ns int64) { c.ep.Compute(ns) }
 
-// EP exposes the layer endpoint (bench instrumentation).
-func (c *Comm) EP() *simnet.Endpoint { return c.ep }
-
 func (c *Comm) profile(peer int) *simnet.Profile {
-	return c.w.model.For(c.proc.SameNode(peer))
+	return c.model.For(c.proc.SameNode(peer))
 }
 
-// Request tracks a nonblocking send until completion: the message whose
-// match it waits for, nil when the send completed locally.
-type Request struct{ m *message }
+// Request tracks a nonblocking send until completion.
+type Request struct{ s *send }
 
 // Isend starts a nonblocking standard-mode send. Small messages go eager
-// (locally complete immediately); large ones rendezvous (complete when the
-// receiver pulls the payload — buf must stay untouched until Wait).
+// (complete once posted); large ones rendezvous (complete when the receiver
+// has pulled the payload — buf must stay untouched until Wait).
 func (c *Comm) Isend(dst, tag int, buf []byte) *Request {
 	return c.isend(dst, tag, buf, false)
 }
@@ -140,49 +192,200 @@ func (c *Comm) isend(dst, tag int, buf []byte, synchronous bool) *Request {
 		panic(fmt.Sprintf("mpi1: send to invalid rank %d", dst))
 	}
 	pr := c.profile(dst)
-	m := &message{src: c.Rank(), tag: tag, sync: synchronous}
+	s := &send{dst: dst, tag: tag, data: buf, sync: synchronous}
 	if len(buf) > simnet.EagerMax {
-		m.rendezvous, m.sync = true, true
-		m.srcBuf = buf
+		s.rdv, s.sync = true, true
 		c.ep.Compute(pr.InjectNs)
-		m.sendTime = c.ep.Now() + timing.Time(pr.PutLatNs) // RTS arrival
+		s.sendTime = c.ep.Now() + timing.Time(pr.PutLatNs) // RTS arrival
 	} else {
-		m.data = append([]byte(nil), buf...)
 		c.ep.Compute(pr.InjectNs + int64(float64(len(buf))*pr.CopyNsPB))
-		m.sendTime = c.ep.Now() + timing.Time(pr.PutLatNs) +
+		s.sendTime = c.ep.Now() + timing.Time(pr.PutLatNs) +
 			timing.Time(float64(len(buf))*pr.NsPerByte)
 	}
-	c.w.boxes[dst].push(m)
-	c.proc.Fabric().RingDoorbell(dst)
-	if !m.sync {
-		return &Request{}
+	c.pending = append(c.pending, s)
+	c.progress()
+	if !s.posted && !s.rdv {
+		s.data = append([]byte(nil), buf...) // an eager buffer is the caller's on return
 	}
-	return &Request{m}
+	return &Request{s}
 }
 
-// await parks the rank at its own door until ready holds. Whatever can make
-// it hold — a message pushed into this rank's mailbox, the match of one of
-// its sends — rings this rank's doorbell afterwards, and ready is re-checked
-// after every return, so no wakeup is lost. It charges no virtual time (the
-// protocol's formulas price the wait), and in a dead world WaitDoor unwinds
-// with the world's abort value.
+// progress drains the inbox, then posts what the freed staging allows. Every
+// call of the layer runs it, and a parked rank runs it on every wake; it
+// charges no virtual time.
+func (c *Comm) progress() {
+	for {
+		w, stamp, ok := c.inbox.TryPopStamped(c.poll)
+		if !ok {
+			break
+		}
+		c.handle(noteOf(w), stamp)
+	}
+	c.post()
+}
+
+// handle acts on one notice.
+func (c *Comm) handle(m note, stamp timing.Time) {
+	switch m.kind {
+	case kindAnn:
+		// Fetch the header, and an eager payload with it: the eager protocol
+		// buffers at the receiver, which frees the sender's staging.
+		b := make([]byte, hdrBytes+m.n)
+		c.ep.Fetch(b, c.staging(m.src, m.off))
+		in := &inbound{src: m.src, sync: m.sync, rdv: m.rdv, sendTime: stamp, off: m.off,
+			tag: int(int64(binary.LittleEndian.Uint64(b))), n: int(binary.LittleEndian.Uint64(b[8:]))}
+		if !m.rdv {
+			in.data = b[hdrBytes:]
+		}
+		c.unexpected = append(c.unexpected, in)
+		c.notify(m.src, note{kind: kindAck, off: m.off}, 0)
+	case kindAck:
+		s := c.stagedAt(m.off)
+		c.busy[s.dst] = false
+		if !s.sync {
+			c.free(s)
+		}
+	case kindDone:
+		s := c.stagedAt(m.off)
+		s.at, s.done = stamp, true
+		c.free(s)
+	case kindNext:
+		s := c.stagedAt(m.off)
+		c.stageChunk(s)
+		c.notify(s.dst, note{kind: kindReady, off: s.off}, 0)
+	case kindReady:
+		c.pulled = true
+	default:
+		panic(fmt.Sprintf("mpi1: rank %d's inbox holds an unknown notice %#x", c.Rank(), m.word()))
+	}
+}
+
+// post stages and announces the pending sends in Isend order, as far as the
+// arena allows, and to each receiver one announcement at a time.
+func (c *Comm) post() {
+	kept, full := c.pending[:0], false
+	for _, s := range c.pending {
+		switch {
+		case full || c.busy[s.dst]:
+		case c.stage(s):
+			continue
+		default:
+			full = true // later sends wait their turn for the arena
+		}
+		kept = append(kept, s)
+	}
+	clear(c.pending[len(kept):])
+	c.pending = kept
+}
+
+// stage copies s's header and first payload bytes into a free extent of the
+// arena and announces it, or reports that no extent is free.
+func (c *Comm) stage(s *send) bool {
+	size := hdrBytes + len(s.data)
+	if s.rdv {
+		size = hdrBytes + rdvChunk
+	}
+	if !c.alloc(s, (size+7)&^7) {
+		return false
+	}
+	a := c.reg.Bytes()[c.arena+s.off:]
+	binary.LittleEndian.PutUint64(a, uint64(s.tag))
+	binary.LittleEndian.PutUint64(a[8:], uint64(len(s.data)))
+	m := note{kind: kindAnn, src: c.Rank(), off: s.off, sync: s.sync, rdv: s.rdv}
+	if s.rdv {
+		c.stageChunk(s)
+	} else {
+		m.n = copy(a[hdrBytes:], s.data)
+		s.data, s.done = nil, !s.sync
+	}
+	s.posted, c.busy[s.dst] = true, true
+	c.notify(s.dst, m, s.sendTime)
+	return true
+}
+
+// stageChunk copies a rendezvous payload's next chunk into its extent.
+func (c *Comm) stageChunk(s *send) {
+	k := min(len(s.data)-s.sent, rdvChunk)
+	copy(c.reg.Bytes()[c.arena+s.off+hdrBytes:], s.data[s.sent:s.sent+k])
+	s.sent += k
+}
+
+// alloc gives s the first free extent of size bytes, first fit over the
+// staged sends, which it keeps ordered by offset.
+func (c *Comm) alloc(s *send, size int) bool {
+	if len(c.staged) == maxStaged {
+		return false
+	}
+	at, i := 0, 0
+	for ; i < len(c.staged) && c.staged[i].off-at < size; i++ {
+		at = c.staged[i].off + c.staged[i].size
+	}
+	if i == len(c.staged) && stageBytes-at < size {
+		return false
+	}
+	s.off, s.size = at, size
+	c.staged = slices.Insert(c.staged, i, s)
+	return true
+}
+
+// free returns s's extent.
+func (c *Comm) free(s *send) {
+	c.staged = slices.DeleteFunc(c.staged, func(t *send) bool { return t == s })
+}
+
+// stagedAt returns the staged send a notice names.
+func (c *Comm) stagedAt(off int) *send {
+	for _, s := range c.staged {
+		if s.off == off {
+			return s
+		}
+	}
+	panic(fmt.Sprintf("mpi1: rank %d has a notice for staging offset %d, where no message is staged", c.Rank(), off))
+}
+
+// staging addresses rank's staging at off.
+func (c *Comm) staging(rank, off int) simnet.Addr {
+	return simnet.Addr{Rank: rank, Key: c.key, Off: c.arena + off}
+}
+
+// notify deposits m in rank's inbox, stamped at.
+func (c *Comm) notify(rank int, m note, at timing.Time) {
+	c.ep.NotifyAt(simnet.Addr{Rank: rank, Key: c.key}, m.word(), at)
+}
+
+// await runs progress until ready holds, parking the rank at its own door
+// between tries. Every notice rings the door of the rank it lands at, and
+// the generation is sampled before each try, so no wakeup is lost. It
+// charges no virtual time (the protocol's formulas price the wait), and in a
+// dead world WaitDoor unwinds with the world's abort value.
 func (c *Comm) await(ready func() bool) {
 	fab, me := c.proc.Fabric(), c.Rank()
-	for gen := fab.DoorGen(me); !ready(); {
-		gen = fab.WaitDoor(me, gen)
+	for gen := fab.DoorGen(me); ; gen = fab.WaitDoor(me, gen) {
+		c.progress()
+		if ready() {
+			return
+		}
 	}
 }
 
 // Wait blocks until the request completes and merges its completion time.
 func (c *Comm) Wait(r *Request) {
-	if r.m != nil {
-		c.await(r.m.done.Load)
-		c.ep.AdvanceTo(r.m.at)
+	s := r.s
+	if !s.done {
+		c.await(func() bool { return s.done })
+	}
+	if s.sync {
+		c.ep.AdvanceTo(s.at)
 	}
 }
 
 // Test reports (without blocking) whether the request has completed.
-func (c *Comm) Test(r *Request) bool { return r.m == nil || r.m.done.Load() }
+func (c *Comm) Test(r *Request) bool {
+	if !r.s.done {
+		c.progress()
+	}
+	return r.s.done
+}
 
 // WaitAll waits for every request.
 func (c *Comm) WaitAll(rs []*Request) {
@@ -198,14 +401,28 @@ func (c *Comm) Send(dst, tag int, buf []byte) { c.Wait(c.Isend(dst, tag, buf)) }
 // has matched the message.
 func (c *Comm) Ssend(dst, tag int, buf []byte) { c.Wait(c.Issend(dst, tag, buf)) }
 
+// match scans the unexpected queue; scanned counts the entries examined
+// before the hit, charged by the receiver (matching is a linear search in
+// real MPI implementations — the cost that grows with message pressure).
+func (c *Comm) match(src, tag int, remove bool) (m *inbound, scanned int) {
+	for i, m := range c.unexpected {
+		if (src == AnySource || m.src == src) && (m.tag == tag || tag == AnyTag && m.tag < collTagBase) {
+			if remove {
+				c.unexpected = slices.Delete(c.unexpected, i, i+1)
+			}
+			return m, i
+		}
+	}
+	return nil, len(c.unexpected)
+}
+
 // Recv receives a message matching (src, tag) into buf, returning the
 // sender, the tag, and the byte count.
 func (c *Comm) Recv(src, tag int, buf []byte) (from, gotTag, n int) {
-	mb := &c.w.boxes[c.Rank()]
-	var m *message
+	var m *inbound
 	var scanned int
 	c.await(func() bool {
-		m, scanned = mb.match(src, tag, true)
+		m, scanned = c.match(src, tag, true)
 		return m != nil
 	})
 	c.ep.Compute(int64(scanned) * scanNs)
@@ -217,7 +434,8 @@ const scanNs = 150
 
 // TryRecv receives a matching message if one is immediately available.
 func (c *Comm) TryRecv(src, tag int, buf []byte) (from, gotTag, n int, ok bool) {
-	m, scanned := c.w.boxes[c.Rank()].match(src, tag, true)
+	c.progress()
+	m, scanned := c.match(src, tag, true)
 	if m == nil {
 		// A miss costs no virtual time: a real progress loop spins until
 		// the message physically arrives, and that waiting shows up as the
@@ -232,12 +450,13 @@ func (c *Comm) TryRecv(src, tag int, buf []byte) (from, gotTag, n int, ok bool) 
 }
 
 // deliver completes a matched message and charges the receiver-side costs.
-func (c *Comm) deliver(m *message, buf []byte) (from, gotTag, n int) {
+func (c *Comm) deliver(m *inbound, buf []byte) (from, gotTag, n int) {
 	pr := c.profile(m.src)
 	c.ep.Compute(pr.MatchNs) // software matching on the critical path
-	if m.rendezvous {
+	if m.rdv {
 		// CTS round trip plus the pull of the payload.
-		n = copy(buf, m.srcBuf)
+		n = min(len(buf), m.n)
+		c.pull(m, buf[:n])
 		c.ep.AdvanceTo(timing.Max(c.ep.Now(), m.sendTime) +
 			timing.Time(pr.GetLatNs) + timing.Time(float64(n)*pr.NsPerByte))
 	} else {
@@ -247,21 +466,37 @@ func (c *Comm) deliver(m *message, buf []byte) (from, gotTag, n int) {
 			timing.Time(float64(n)*pr.CopyNsPB))
 	}
 	if m.sync {
-		m.at = c.ep.Now()
-		m.done.Store(true)
-		c.proc.Fabric().RingDoorbell(m.src)
+		c.notify(m.src, note{kind: kindDone, off: m.off}, c.ep.Now())
 	}
 	return m.src, m.tag, n
+}
+
+// pull fetches a rendezvous payload's first len(dst) bytes from the
+// sender's staging, a chunk at a time: past the first, it asks for each next
+// chunk and waits until the sender's next call of the layer has staged it.
+func (c *Comm) pull(m *inbound, dst []byte) {
+	a := c.staging(m.src, m.off+hdrBytes)
+	for got := 0; ; {
+		k := min(len(dst)-got, rdvChunk)
+		c.ep.Fetch(dst[got:got+k], a)
+		if got += k; got == len(dst) {
+			return
+		}
+		c.pulled = false
+		c.notify(m.src, note{kind: kindNext, off: m.off}, 0)
+		c.await(func() bool { return c.pulled })
+	}
 }
 
 // Probe reports whether a message matching (src, tag) is available, without
 // receiving it.
 func (c *Comm) Probe(src, tag int) (from int, ok bool) {
-	m, scanned := c.w.boxes[c.Rank()].match(src, tag, false)
+	c.progress()
+	m, scanned := c.match(src, tag, false)
 	if m == nil {
 		return -1, false
 	}
-	c.ep.Compute(c.w.model.Intra.PollNs + int64(scanned)*scanNs)
+	c.ep.Compute(c.model.Intra.PollNs + int64(scanned)*scanNs)
 	return m.src, true
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -385,17 +384,5 @@ func TestBlockedRankUnwindsOnPeerFailure(t *testing.T) {
 				t.Fatalf("blocked rank unwound %v after its peer died", d)
 			}
 		})
-	}
-}
-
-// TestDialRefusesProcessWorld: the mailboxes are this process's memory, so on
-// a process world Dial fails by name instead of leaving every rank talking to
-// a mailbox of its own.
-func TestDialRefusesProcessWorld(t *testing.T) {
-	err := spmd.Run(spmd.Config{Ranks: 2, Backend: spmd.BackendMP,
-		MPRelaunch: []string{os.Args[0], "-test.run=^TestDialRefusesProcessWorld$"}},
-		func(p *spmd.Proc) { Dial(p) })
-	if err == nil || !strings.Contains(err.Error(), "two-sided runs in process only") {
-		t.Fatalf("Dial on an mp world: %v, want the refusal by name", err)
 	}
 }

@@ -440,6 +440,21 @@ func (ep *Endpoint) Get(dst []byte, src Addr) {
 	ep.AdvanceTo(ep.getCommon(dst, src))
 }
 
+// Fetch copies len(dst) bytes at src into dst and charges nothing for it:
+// the clock does not move, no NIC is booked, no pace clock is published and
+// no operation is counted. It is the data mover of a layer that prices its
+// transfers by formula (internal/mpi1), whose time must not depend on how
+// the bytes physically travel.
+func (ep *Endpoint) Fetch(dst []byte, src Addr) {
+	reg := ep.route(src).reg
+	if rm := reg.rmt; rm != nil {
+		reg.check(src.Off, len(dst))
+		rm.Get(dst, src.Off, 0, false, 0, 0)
+		return
+	}
+	RegionExec{Reg: reg}.Get(dst, src.Off, 0, false, 0, 0)
+}
+
 // amoCommon performs the word operation on the addressed word atomically
 // right now and returns the prior value. The update becomes visible at the
 // target after a one-way latency (that is the word's stamp); the

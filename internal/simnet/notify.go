@@ -212,3 +212,23 @@ func (ep *Endpoint) Notify(ring Addr, word uint64) timing.Time {
 	ep.implicitMax = timing.Max(ep.implicitMax, comp)
 	return comp
 }
+
+// NotifyAt deposits word into the ring at ring with the completion stamp at,
+// and charges nothing for it: the clock does not move, no NIC is booked, no
+// pace clock is published and no operation is counted. It is the carrier of a
+// layer that prices its protocol by formula (internal/mpi1): the formula's
+// time travels as the stamp, which the ring's owner reads back with
+// TryPopStamped, and the deposit is the physical event only — the owner's
+// doorbell rings, and a full ring faults as any notification's does.
+func (ep *Endpoint) NotifyAt(ring Addr, word uint64, at timing.Time) {
+	if word&notifyValid != 0 {
+		panic("simnet: notification word uses reserved bit 63")
+	}
+	reg := ep.route(ring).reg
+	if rm := reg.rmt; rm != nil {
+		reg.check(ring.Off, notifyHeaderBytes)
+		rm.Notify(ring.Off, word, false, at, 0)
+		return
+	}
+	ep.exec(reg).Notify(ring.Off, word, false, at, 0)
+}

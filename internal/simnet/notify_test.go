@@ -293,3 +293,49 @@ func TestNotifyRingBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestNotifyAtAndFetchChargeNothing: the two carriers of a formula-priced
+// layer move their bytes and stamp what they are told, and nothing else —
+// the issuer's clock and operation counters stay put, no pace clock is
+// published, and neither books the target's NIC. The ring's owner reads the
+// word and the stamp back, and a full ring faults as any notification's does.
+func TestNotifyAtAndFetchChargeNothing(t *testing.T) {
+	f := NewFabric(2, 1) // inter-node: the path that books NICs
+	f.SetPacing(1000)
+	eps := make([]*Endpoint, 2)
+	rings := make([]*NotifyRing, 2)
+	for r := range eps {
+		eps[r] = f.Endpoint(r, CrayMPI1())
+		rings[r] = BindNotifyRing(eps[r].Register(NotifyRingBytes(2)+4096), 0, 2)
+	}
+	f.Endpoint(0, FoMPI()).Compute(777) // rank 0's published clock, ahead of eps[0]'s
+	copy(rings[1].reg.Bytes()[1024:], "fetched bytes")
+	before, ctr := eps[0].Now(), eps[0].Counters()
+	eps[0].NotifyAt(rings[1].Base(), 77, 123_456)
+	got := make([]byte, 2048)
+	eps[0].Fetch(got, Addr{Rank: 1, Key: rings[1].reg.key, Off: 1024})
+	if string(got[:13]) != "fetched bytes" {
+		t.Fatalf("Fetch copied %q", got[:13])
+	}
+	after := eps[0].Counters()
+	after.RouteMisses = ctr.RouteMisses // the route memo's own tally
+	if eps[0].Now() != before || after != ctr || f.Pacer().Clock(0) != 777 {
+		t.Fatalf("the carriers charged: clock %d→%d, counters %+v→%+v, published clock %d",
+			before, eps[0].Now(), ctr, eps[0].Counters(), f.Pacer().Clock(0))
+	}
+	if p := f.Port(1); p.nicStart != 0 || p.nicBusy != 0 {
+		t.Fatalf("the carriers booked rank 1's NIC for [%d, %d)", p.nicStart, p.nicBusy)
+	}
+	w, stamp, ok := rings[1].TryPopStamped(eps[1])
+	if !ok || w != 77 || stamp != 123_456 {
+		t.Fatalf("pop = (%d, %d, %v), want (77, 123456, true)", w, stamp, ok)
+	}
+	eps[0].NotifyAt(rings[1].Base(), 1, 0)
+	eps[0].NotifyAt(rings[1].Base(), 2, 0)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "overflowed") {
+			t.Fatalf("a third NotifyAt into a two-slot ring: %v, want the overflow fault", r)
+		}
+	}()
+	eps[0].NotifyAt(rings[1].Base(), 3, 0)
+}

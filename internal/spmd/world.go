@@ -147,9 +147,6 @@ type World struct {
 	fab     simnet.Transport
 	scratch []simnet.Region // per-rank collective scratch, fabric key 0
 	segs    []*segpool.Seg  // backing of scratch, recycled on exit
-
-	sharedOnce sync.Once
-	shared     any // see Proc.Shared
 }
 
 // recycle returns the world's scratch segments to the transport allocator.
@@ -453,16 +450,6 @@ func (p *Proc) Node() int { return p.rank / p.world.cfg.RanksPerNode }
 
 // SameNode reports whether peer shares this rank's node.
 func (p *Proc) SameNode(peer int) bool { return peer/p.world.cfg.RanksPerNode == p.Node() }
-
-// Shared returns the world's one slot for state a layer above shares between
-// its ranks (internal/mpi1's mailboxes), made by mk on the first call from any
-// rank: it lives and dies with the world. Only the ranks of an in-process
-// world share it; a process world's ranks each have their own.
-func (p *Proc) Shared(mk func() any) any {
-	w := p.world
-	w.sharedOnce.Do(func() { w.shared = mk() })
-	return w.shared
-}
 
 // EP exposes the rank's fabric endpoint to protocol layers.
 func (p *Proc) EP() *simnet.Endpoint { return p.ep }

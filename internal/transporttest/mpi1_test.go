@@ -3,8 +3,18 @@ package transporttest
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"fompi/internal/apps/dsde"
+	"fompi/internal/apps/fft"
+	"fompi/internal/apps/hashtable"
+	"fompi/internal/apps/milc"
 	"fompi/internal/core"
 	"fompi/internal/mpi1"
 	"fompi/internal/simnet"
@@ -176,14 +186,12 @@ var mpi1Want = map[int][2][]timing.Time{
 // node and checks every rank's clocks against mpi1Want.
 func runMPI1Conformance(t *testing.T, name string, rpn int) {
 	want := mpi1Want[rpn]
-	if err := spmd.Run(spmd.Config{Ranks: 2, RanksPerNode: rpn}, func(p *spmd.Proc) {
+	runAll(t, name, spmd.Config{Ranks: 2, RanksPerNode: rpn}, func(p *spmd.Proc) {
 		got := mpi1Program(mpi1.Dial(p))
 		w := want[p.Rank()]
 		check(fmt.Sprint(got) == fmt.Sprint(w),
 			"rank %d (%d ranks a node): MPI-1 clocks %v, want %v", p.Rank(), rpn, got, w)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // TestConformanceMPI1Inter pins MPI-1's virtual time between two nodes.
@@ -246,7 +254,8 @@ func mpi1Traffic(c *mpi1.Comm) {
 // TestConformanceMPI1LeavesRMATime checks that two-sided traffic moves no
 // one-sided virtual time: a fixed RMA sequence between two inter-node ranks
 // reads the same clocks whether or not MPI-1 messages crossed between the
-// same ranks before it. MPI-1 prices its messages by formula, so its data
+// same ranks before it, on every backend (the quiet run is in process, and a
+// worker process recomputes it). MPI-1 prices its messages by formula, so its data
 // movement books no NIC and stamps no window word.
 func TestConformanceMPI1LeavesRMATime(t *testing.T) {
 	cfg := spmd.Config{Ranks: 2, RanksPerNode: 1}
@@ -257,12 +266,141 @@ func TestConformanceMPI1LeavesRMATime(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := spmd.Run(cfg, func(p *spmd.Proc) {
+	runAll(t, "TestConformanceMPI1LeavesRMATime", cfg, func(p *spmd.Proc) {
 		mpi1Traffic(mpi1.Dial(p))
 		got := rmaSequence(p)
 		check(fmt.Sprint(got) == fmt.Sprint(quiet[p.Rank()]),
 			"rank %d: RMA clocks %v after MPI-1 traffic, %v without", p.Rank(), got, quiet[p.Rank()])
-	}); err != nil {
+	})
+}
+
+// TestConformanceMPI1Burst sends a many-to-one burst far past every staging
+// bound: three senders, an intra-node one and two inter-node ones, each
+// start 160 sends to rank 0 — four times the inbox's slots and ten times
+// the messages a rank may stage, with eager, synchronous and rendezvous
+// messages mixed — before rank 0 receives anything. Every Isend and Issend
+// returns while rank 0 waits in a barrier of another layer, so none parks;
+// no inbox overflows; and rank 0 then receives every message once, in each
+// sender's order, with its payload intact.
+func TestConformanceMPI1Burst(t *testing.T) {
+	const perSender = 160
+	size := func(i int) int {
+		if i%8 == 7 {
+			return 2*simnet.EagerMax + i // rendezvous, several chunks
+		}
+		return (i*997)%simnet.EagerMax + 1
+	}
+	runAll(t, "TestConformanceMPI1Burst", spmd.Config{Ranks: 4, RanksPerNode: 2}, func(p *spmd.Proc) {
+		c := mpi1.Dial(p)
+		if p.Rank() != 0 {
+			var reqs []*mpi1.Request
+			for i := 0; i < perSender; i++ {
+				msg := mpi1Payload(size(i), i+p.Rank())
+				if i%5 == 0 {
+					reqs = append(reqs, c.Issend(0, i, msg))
+				} else {
+					reqs = append(reqs, c.Isend(0, i, msg))
+				}
+			}
+			p.Barrier() // rank 0 has received nothing yet
+			c.WaitAll(reqs)
+			return
+		}
+		p.Barrier()
+		next := make([]int, p.Size())
+		buf := make([]byte, 3*simnet.EagerMax)
+		for k := 0; k < perSender*(p.Size()-1); k++ {
+			from, tag, n := c.Recv(mpi1.AnySource, mpi1.AnyTag, buf)
+			check(tag == next[from], "rank %d's message %d arrived where %d was due", from, tag, next[from])
+			next[from]++
+			mpi1Expect(buf[:n], size(tag), tag+from, "burst")
+		}
+	})
+}
+
+// TestConformanceMPI1BlockedRankUnwinds: a rank blocked in Recv, in a
+// rendezvous send's Wait or in Ssend waits at its door, so a peer's panic
+// reaches it as the world's abort on every backend: each unwinds with an
+// abort value, and the world ends without the launcher's kill.
+func TestConformanceMPI1BlockedRankUnwinds(t *testing.T) {
+	const failMsg = "deliberate failure under blocked MPI-1 calls"
+	if spmd.WorkerOf() == "" {
+		t.Setenv("TMPDIR", t.TempDir()) // workers inherit it: where the witnesses go
+	}
+	witness := func(world spmd.Backend, rank int) string {
+		return filepath.Join(os.TempDir(), fmt.Sprintf("mpi1-unwind-%s-%d", world, rank))
+	}
+	block := []func(c *mpi1.Comm){
+		1: func(c *mpi1.Comm) { c.Recv(0, 1, make([]byte, 8)) },
+		2: func(c *mpi1.Comm) { c.Send(0, 1, make([]byte, simnet.EagerMax+1)) },
+		3: func(c *mpi1.Comm) { c.Ssend(0, 1, make([]byte, 8)) },
+	}
+	body := func(world spmd.Backend) func(p *spmd.Proc) {
+		return func(p *spmd.Proc) {
+			c := mpi1.Dial(p)
+			if p.Rank() == 0 {
+				time.Sleep(200 * time.Millisecond) // the others park for real
+				panic(failMsg)
+			}
+			defer func() {
+				e := recover()
+				verdict := fmt.Sprintf("unwound with %v", e)
+				if simnet.IsAbortPanic(e) {
+					verdict = "aborted"
+				}
+				os.WriteFile(witness(world, p.Rank()), []byte(verdict), 0o600)
+				panic(e)
+			}()
+			block[p.Rank()](c)
+			panic("unreachable: the call above can only end by abort")
+		}
+	}
+	eachBackendLeg(t, "TestConformanceMPI1BlockedRankUnwinds", spmd.Config{Ranks: 4, RanksPerNode: 2}, func(label string, c spmd.Config) {
+		expectAbort(t, label, "rank 0 panicked: "+failMsg, func() error { return spmd.Run(c, body(c.Backend)) })
+		for r := 1; r < 4; r++ {
+			if got, _ := os.ReadFile(witness(c.Backend, r)); string(got) != "aborted" {
+				t.Errorf("%s backend: rank %d %q, want it aborted", label, r, got)
+			}
+		}
+	})
+}
+
+// mpi1Apps runs the two-sided variant of every application and returns the
+// rank's results as text: the words DSDE's Alltoall, ReduceScatter and NBX
+// protocols deliver (sorted: arrival order is the host's), MILC's residual,
+// the keys the rank's slice of the hashtable stores (sorted) and the FFT's
+// checksum.
+func mpi1Apps(p *spmd.Proc) string {
+	var b strings.Builder
+	c := mpi1.Dial(p)
+	dprm := dsde.Params{K: 2, Seed: 5}
+	for _, run := range []func(*mpi1.Comm, dsde.Params) dsde.Result{dsde.RunAlltoall, dsde.RunReduceScatter, dsde.RunNBX} {
+		got := run(c, dprm).Received
+		slices.Sort(got)
+		fmt.Fprintf(&b, "dsde %v\n", got)
+	}
+	mres := milc.RunMPI1(p, milc.Params{Local: [4]int{4, 4, 4, 4}, Grid: [4]int{1, 1, 2, 2}, Iters: 5, Seed: 3})
+	fmt.Fprintf(&b, "milc residual %x\n", math.Float64bits(mres.Residual))
+	hprm := hashtable.Params{InsertsPerRank: 64, TableSlots: 1024, OverflowCells: 64 * p.Size(), Seed: 9}
+	_, vol := hashtable.RunMPI1(p, hprm)
+	keys := hashtable.Collect(hprm, vol)
+	slices.Sort(keys)
+	fmt.Fprintf(&b, "hashtable %v\n", keys)
+	fres := fft.RunMPI1(c, fft.Params{NX: 8, NY: 8, NZ: 8, Iters: 1})
+	fmt.Fprintf(&b, "fft checksum %x %x\n", math.Float64bits(real(fres.Checksum)), math.Float64bits(imag(fres.Checksum)))
+	return b.String()
+}
+
+// TestConformanceMPI1Apps runs the applications' two-sided variants on every
+// backend: each rank's results equal the in-process run's.
+func TestConformanceMPI1Apps(t *testing.T) {
+	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
+	want := make([]string, cfg.Ranks)
+	if err := spmd.Run(cfg, func(p *spmd.Proc) { want[p.Rank()] = mpi1Apps(p) }); err != nil {
 		t.Fatal(err)
 	}
+	runAll(t, "TestConformanceMPI1Apps", cfg, func(p *spmd.Proc) {
+		got := mpi1Apps(p)
+		check(got == want[p.Rank()], "rank %d's two-sided applications computed\n%s\nin process\n%s", p.Rank(), got, want[p.Rank()])
+	})
 }

@@ -97,7 +97,11 @@
 #                                write's own port release replaced, and an
 #                                import of package net, which internal/sock
 #                                replaced (a name-resolving net links
-#                                runtime/cgo into every rank binary),
+#                                runtime/cgo into every rank binary), and
+#                                what moving MPI-1 onto registered memory
+#                                retired (spmd's sharedOnce world slot,
+#                                stencil's rmaOnly flag and mpi1's "two-sided
+#                                runs in process only" refusal),
 #                                occur in no non-test Go file; the Makefile, the
 #                                scripts and the CI workflow name no piece
 #                                of that harness, nor those variables, nor
@@ -105,11 +109,10 @@
 #                                flags (-tt.backends, -chaos.log), either
 #   rings from outside a write   RingDoorbell occurs in non-test Go only in
 #                                the Transport contract and the fabric's
-#                                method (simnet/transport.go), the process
-#                                world's method and its owner's opDoorRing
-#                                (netrun.go, service.go) and mpi1, whose
-#                                mailboxes store outside the data plane:
-#                                every write rings in its own port release
+#                                method (simnet/transport.go) and the
+#                                process world's method and its owner's
+#                                opDoorRing (netrun.go, service.go): every
+#                                write rings in its own port release
 #   doc names                    every backticked Go-style name in DESIGN.md
 #                                and README.md — a span that is one CamelCase
 #                                identifier or a pkg.Name / Type.Method path,
@@ -179,13 +182,19 @@
 #                                TestRunNestedFromRank0) ten times over,
 #                                and the port's two-word handshake
 #                                (TestDoorWaitsOutInFlightWrite,
-#                                TestPortExclusionAndRings) twenty times
+#                                TestPortExclusionAndRings) twenty times;
+#                                the applications, pgas and wordcoll join
+#                                the short leg, for the two-sided variants
+#                                run MPI-1's progress across rank goroutines
 #   examples smoke               build and run every example; quickstart and
-#                                stencil (unpaced and with -pace 20000) must
-#                                produce identical deterministic output on
-#                                the in-process, multi-process, inter-node
+#                                stencil (unpaced and with -pace 20000; its
+#                                MPI-1 variant included) must produce
+#                                identical deterministic output on the
+#                                in-process, multi-process, inter-node
 #                                (loopback TCP), and hybrid (shm + TCP)
-#                                backends
+#                                backends; hashtable and dsde run to
+#                                completion under fompi-run on mp, net and
+#                                hybrid
 #   leak gate                    no fompi-mp-* / fompi-hyb-* entry (world
 #                                directory, segment)
 #                                created during this run is left under
@@ -235,18 +244,18 @@ for fn in '(*Port).LockRing' '(*Port).unlockRung' '(*Stamps).Get' '(*Stamps).Wor
 	fi
 done
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator, the byte-slice one-word branch, the frame's ring flag and package net must not creep back)"
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator, the byte-slice one-word branch, the frame's ring flag, package net and MPI-1's in-process carve-out must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD|FOMPI_TT_BACKENDS|FOMPI_CHAOS_LOG|FOMPI_DEBUG_ADDR'
-if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo|waiterField|waiterOne|RegionLive|proxyLive|entryEmpty|entryLive|entryDead|nextKey|mineMu|ownRegion|initTbl|regUnknown|oneWord|\.bring\b|\bbring +bool|ringDoor|^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?\"net\"$" \
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo|waiterField|waiterOne|RegionLive|proxyLive|entryEmpty|entryLive|entryDead|nextKey|mineMu|ownRegion|initTbl|regUnknown|oneWord|\.bring\b|\bbring +bool|ringDoor|sharedOnce|rmaOnly|rma-only|two-sided runs in process only|^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?\"net\"$" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
 	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set, a data operation beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator or liveness constant, the byte-slice one-word branch, the frame's ring flag or an import of package net is back" >&2
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set, a data operation beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator or liveness constant, the byte-slice one-word branch, the frame's ring flag, an import of package net or MPI-1's in-process carve-out is back" >&2
 	exit 1
 fi
 
-echo "== rings from outside a write (RingDoorbell only in the Transport contract, its two methods, the owner's opDoorRing and mpi1)"
+echo "== rings from outside a write (RingDoorbell only in the Transport contract, its two methods and the owner's opDoorRing)"
 RINGERS="$(grep -rlw RingDoorbell --include='*.go' --exclude='*_test.go' fompi.go internal cmd examples |
-	grep -vxE 'internal/simnet/transport.go|internal/netrun/(netrun|service).go|internal/mpi1/mpi1.go' || true)"
+	grep -vxE 'internal/simnet/transport.go|internal/netrun/(netrun|service).go' || true)"
 if [ -n "$RINGERS" ]; then
 	echo "verify: RingDoorbell is called from $RINGERS: a write rings in its own port release (RegionExec), not apart from it" >&2
 	exit 1
@@ -301,8 +310,8 @@ make bench-test
 echo "== issue-path and port-hold benchmarks, one iteration (0 allocs/op, 0 steady-state route misses)"
 go test ./internal/simnet -run '^$' -bench 'Issue|Port' -benchtime 1x
 
-echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1, sock, bench; spmd's worker reuse ten times; the port's handshake twenty times)"
-go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/ ./internal/sock/ ./internal/bench/
+echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1, sock, bench, apps, pgas, wordcoll; spmd's worker reuse ten times; the port's handshake twenty times)"
+go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/ ./internal/sock/ ./internal/bench/ ./internal/apps/... ./internal/pgas/ ./internal/wordcoll/
 go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestConformanceFusedFrame|TestConformanceOrdering|TestConformanceSharedFrame|TestConformanceDump|TestStoppedRank|TestStoppedPeerBehindWire|TestConformanceSameOpAtomic|TestConformanceGeneratedPrograms' ./internal/transporttest/
 go test -race -count=10 -run 'TestRunReusesRankGoroutines|TestRunNestedFromRank0' ./internal/spmd
 go test -race -count=20 -run 'TestDoorWaitsOutInFlightWrite|TestPortExclusionAndRings' ./internal/simnet
@@ -355,10 +364,17 @@ for lb in mp net hybrid; do
 		exit 1
 	}
 done
-# The remaining examples exercise in-process-only layers (MPI-1 mailboxes):
-# run them to completion as drift guards.
+# hashtable and dsde run to completion on every backend as drift guards, not
+# diffed: their MPI-1 variants receive from AnySource, and a message's
+# position in the unexpected queue — which scanNs prices — is its host
+# arrival order, so their virtual times differ from run to run on any
+# backend (three in-process runs of each printed three different outputs).
 "$TMP/hashtable" >/dev/null
 "$TMP/dsde" >/dev/null
+for lb in mp net hybrid; do
+	"$TMP/fompi-run" -np 8 -ppn 4 -pace 20000 -backend "$lb" "$TMP/hashtable" >/dev/null
+	"$TMP/fompi-run" -np 16 -ppn 4 -pace 20000 -backend "$lb" "$TMP/dsde" >/dev/null
+done
 echo "examples smoke: OK"
 
 echo "== leak gate (no fompi-mp-* / fompi-hyb-* entry of this run, and no *.door.* path at all, under \$TMPDIR or /dev/shm)"
