@@ -122,7 +122,8 @@ type Comm struct {
 	seq   int // collective invocation counter (tag isolation)
 
 	unexpected []*inbound // the matching engine's queue, in drain order
-	pending    []*send    // sends not yet posted, in Isend order
+	queued     [][]*send  // by receiver: sends not yet posted, in Isend order
+	waiting    []int      // receivers with queued sends, oldest first
 	staged     []*send    // posted sends holding staging, by offset
 	busy       []bool     // an announcement to the rank awaits its ack
 	pulled     bool       // the rendezvous chunk being pulled is staged
@@ -141,7 +142,7 @@ func Dial(p *spmd.Proc) *Comm {
 	fab, me, model := p.Fabric(), p.Rank(), simnet.CrayMPI1()
 	c := &Comm{proc: p, model: model,
 		ep: simnet.NewEndpoint(fab, me, model), poll: simnet.NewEndpoint(fab, me, model),
-		busy: make([]bool, p.Size())}
+		queued: make([][]*send, p.Size()), busy: make([]bool, p.Size())}
 	ringCap := p.Size() + 2*maxStaged + 1
 	c.arena = simnet.NotifyRingBytes(ringCap)
 	c.reg = c.ep.Register(c.arena + stageBytes)
@@ -202,7 +203,10 @@ func (c *Comm) isend(dst, tag int, buf []byte, synchronous bool) *Request {
 		s.sendTime = c.ep.Now() + timing.Time(pr.PutLatNs) +
 			timing.Time(float64(len(buf))*pr.NsPerByte)
 	}
-	c.pending = append(c.pending, s)
+	if len(c.queued[dst]) == 0 {
+		c.waiting = append(c.waiting, dst)
+	}
+	c.queued[dst] = append(c.queued[dst], s)
 	c.progress()
 	if !s.posted && !s.rdv {
 		s.data = append([]byte(nil), buf...) // an eager buffer is the caller's on return
@@ -260,22 +264,22 @@ func (c *Comm) handle(m note, stamp timing.Time) {
 	}
 }
 
-// post stages and announces the pending sends in Isend order, as far as the
-// arena allows, and to each receiver one announcement at a time.
+// post stages and announces queued sends, in Isend order to each receiver
+// and one announcement at a time, while the arena has room.
 func (c *Comm) post() {
-	kept, full := c.pending[:0], false
-	for _, s := range c.pending {
-		switch {
-		case full || c.busy[s.dst]:
-		case c.stage(s):
-			continue
-		default:
-			full = true // later sends wait their turn for the arena
+	kept, full := c.waiting[:0], false
+	for _, dst := range c.waiting {
+		q := c.queued[dst]
+		if !full && !c.busy[dst] {
+			if full = !c.stage(q[0]); !full {
+				q[0], q = nil, q[1:]
+			}
 		}
-		kept = append(kept, s)
+		if c.queued[dst] = q; len(q) > 0 {
+			kept = append(kept, dst)
+		}
 	}
-	clear(c.pending[len(kept):])
-	c.pending = kept
+	c.waiting = kept
 }
 
 // stage copies s's header and first payload bytes into a free extent of the
