@@ -183,8 +183,8 @@ func (p *Pacer) Pace(rank int, t timing.Time) {
 // yielding waiter starves the very laggard it waits for.
 //
 // The heartbeat is the stall valve. The trustworthy freeze signal is the
-// folded minimum staying put — a laggard parked in a doorbell or mailbox
-// wait pins it, while ranks already released keep publishing without moving
+// folded minimum staying put — a laggard parked at its door pins it,
+// while ranks already released keep publishing without moving
 // it, so counting publishes would let releases mask a real freeze. The first
 // heartbeat that times out records the minimum; the second consecutive one
 // after it that finds the minimum unchanged (50 + 100 + 200 µs in all)

@@ -92,10 +92,10 @@ type Transport interface {
 	Pacer() *Pacer
 
 	// Ports and doorbells: the rank's arrival state (see Port), and the
-	// generation-counted wakeup channel of WaitLocal, PollRemoteWord, the
-	// notification rings built on its generation and internal/mpi1's
-	// mailboxes. A waiter parks under rank's door slot (see ParkHook),
-	// whoever it is.
+	// generation-counted wakeup channel of WaitLocal, PollRemoteWord and
+	// the notification rings built on its generation, internal/mpi1's
+	// inboxes among them. A waiter parks under rank's door slot (see
+	// ParkHook), whoever it is.
 	Port(rank int) *Port
 	WakeDoor(rank int)
 	RingDoorbell(rank int)
