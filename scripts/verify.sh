@@ -186,6 +186,12 @@
 #                                the applications, pgas and wordcoll join
 #                                the short leg, for the two-sided variants
 #                                run MPI-1's progress across rank goroutines
+#   planted bugs                 scripts/mutants.sh: each patch under
+#                                scripts/mutants/ (Win.Unlock without its
+#                                Gsync, a door waiter that never counts
+#                                itself in, three breaks of MPI-1's notices)
+#                                is planted in a scratch worktree and must
+#                                fail the test its header names (≈ 30 s)
 #   examples smoke               build and run every example; quickstart and
 #                                stencil (unpaced and with -pace 20000; its
 #                                MPI-1 variant included) must produce
@@ -315,6 +321,9 @@ go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet
 go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestConformanceFusedFrame|TestConformanceOrdering|TestConformanceSharedFrame|TestConformanceDump|TestStoppedRank|TestStoppedPeerBehindWire|TestConformanceSameOpAtomic|TestConformanceGeneratedPrograms' ./internal/transporttest/
 go test -race -count=10 -run 'TestRunReusesRankGoroutines|TestRunNestedFromRank0' ./internal/spmd
 go test -race -count=20 -run 'TestDoorWaitsOutInFlightWrite|TestPortExclusionAndRings' ./internal/simnet
+
+echo "== planted bugs (scripts/mutants.sh: every mutant caught by its test)"
+sh scripts/mutants.sh
 
 echo "== examples smoke (build + run, cross-backend diff)"
 for ex in quickstart stencil hashtable dsde; do
