@@ -90,12 +90,11 @@ func noteOf(w uint64) note {
 // send is one send from Isend until its staging is free.
 type send struct {
 	dst, tag  int
-	data      []byte // the payload: the caller's buffer, or a deferred eager send's copy
+	data      []byte // the payload until staged: the caller's buffer, or a queued eager send's copy
 	sync, rdv bool
 	sendTime  timing.Time // virtual time the payload (or the RTS) is visible
 	off, size int         // the staging extent, once posted
 	sent      int         // rendezvous: payload bytes staged so far
-	posted    bool
 	done      bool        // the request is complete
 	at        timing.Time // the match time, once a synchronous send is done
 }
@@ -208,8 +207,8 @@ func (c *Comm) isend(dst, tag int, buf []byte, synchronous bool) *Request {
 	}
 	c.queued[dst] = append(c.queued[dst], s)
 	c.progress()
-	if !s.posted && !s.rdv {
-		s.data = append([]byte(nil), buf...) // an eager buffer is the caller's on return
+	if !s.rdv && s.data != nil {
+		s.data = append([]byte(nil), buf...) // still queued: the buffer is the caller's on return
 	}
 	return &Request{s}
 }
@@ -302,7 +301,7 @@ func (c *Comm) stage(s *send) bool {
 		m.n = copy(a[hdrBytes:], s.data)
 		s.data, s.done = nil, !s.sync
 	}
-	s.posted, c.busy[s.dst] = true, true
+	c.busy[s.dst] = true
 	c.notify(s.dst, m, s.sendTime)
 	return true
 }
@@ -480,15 +479,13 @@ func (c *Comm) deliver(m *inbound, buf []byte) (from, gotTag, n int) {
 // chunk and waits until the sender's next call of the layer has staged it.
 func (c *Comm) pull(m *inbound, dst []byte) {
 	a := c.staging(m.src, m.off+hdrBytes)
-	for got := 0; ; {
-		k := min(len(dst)-got, rdvChunk)
-		c.ep.Fetch(dst[got:got+k], a)
-		if got += k; got == len(dst) {
-			return
+	for got := 0; got < len(dst); got += rdvChunk {
+		if got > 0 {
+			c.pulled = false
+			c.notify(m.src, note{kind: kindNext, off: m.off}, 0)
+			c.await(func() bool { return c.pulled })
 		}
-		c.pulled = false
-		c.notify(m.src, note{kind: kindNext, off: m.off}, 0)
-		c.await(func() bool { return c.pulled })
+		c.ep.Fetch(dst[got:min(got+rdvChunk, len(dst))], a)
 	}
 }
 

@@ -386,3 +386,30 @@ func TestBlockedRankUnwindsOnPeerFailure(t *testing.T) {
 		})
 	}
 }
+
+// TestRendezvousIntoShortBuffer: a receive buffer shorter than a rendezvous
+// message takes the message's first bytes — none, one chunk's worth, or
+// several chunks' — and the sender's synchronous send still completes.
+func TestRendezvousIntoShortBuffer(t *testing.T) {
+	big := make([]byte, simnet.EagerMax*3)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	for _, short := range []int{0, 100, simnet.EagerMax + 10} {
+		run(t, 2, 1, func(c *Comm) {
+			if c.Rank() == 0 {
+				c.Send(1, 1, big)
+				c.Send(1, 2, big)
+				return
+			}
+			buf := make([]byte, short)
+			if _, _, n := c.Recv(0, 1, buf); n != short || !bytes.Equal(buf, big[:short]) {
+				t.Errorf("short=%d: received %d bytes, corrupted or not the message's first", short, n)
+			}
+			full := make([]byte, len(big))
+			if _, _, n := c.Recv(0, 2, full); n != len(big) || !bytes.Equal(full, big) {
+				t.Errorf("short=%d: the next message arrived corrupted (n=%d)", short, n)
+			}
+		})
+	}
+}
