@@ -11,12 +11,13 @@
 // The messages travel over registered memory, as send/recv over notified
 // access does (Belli & Hoefler, IPDPS'15), so the layer runs on every
 // backend. Each rank registers one region at Dial: its inbox, a notification
-// ring, then its staging arena. A send stages the message's header (and an
-// eager payload) in the sender's arena and announces it in the receiver's
-// inbox; the receiver fetches the header and the eager payload when it
-// drains the announcement, and pulls a rendezvous payload chunk by chunk
-// when it matches the message; its notices back free the sender's staging
-// and complete a synchronous send. Virtual time is the closed-form cost
+// ring, then its staging arena and a chunk buffer. A send stages the
+// message's header (and an eager payload) in the sender's arena and
+// announces it in the receiver's inbox; the receiver fetches the header and
+// the eager payload when it drains the announcement — the eager protocol's
+// receiver-side buffering — and pulls a rendezvous payload through the
+// sender's chunk buffer when it matches the message; its notices back free
+// the sender's staging and complete a synchronous send. Virtual time is the closed-form cost
 // model's alone: each formula time travels as its notification's stamp, and
 // the moves themselves charge nothing (simnet's Endpoint.NotifyAt and
 // Endpoint.Fetch).
@@ -40,13 +41,14 @@ const AnyTag = -1
 const AnySource = -1
 
 // The staging bounds: a rank's registered memory is its inbox — Size +
-// 2·maxStaged + 1 ring slots, see Dial — and stageBytes of arena, whatever
-// the traffic. A send past a bound waits in the sender's queue, and the next
-// call of the layer posts it.
+// 2·maxStaged + 1 ring slots, see Dial — stageBytes of arena and a chunk
+// buffer of simnet.EagerMax bytes, whatever the traffic. A send past a bound
+// waits in the sender's queue, and the next call of the layer posts it. A
+// rendezvous message stages only its header, so a receiver may match a
+// sender's staged messages in any order.
 const (
 	maxStaged  = 16       // messages staged at once
 	stageBytes = 16 << 10 // the arena; an eager message fits whole
-	rdvChunk   = 4 << 10  // a rendezvous payload crosses the arena in chunks this big
 	hdrBytes   = 16       // a staged message's header: tag, then length
 )
 
@@ -57,44 +59,39 @@ const (
 	kindAck              // the receiver drained the announcement
 	kindDone             // the receiver matched a synchronous message; stamp: the match
 	kindNext             // the receiver pulls a rendezvous payload's next chunk
-	kindReady            // the sender staged that chunk
+	kindReady            // the sender put that chunk in its chunk buffer
 )
 
-// note is a ring word unpacked: the kind in bits 0–2, the synchronous and
-// rendezvous flags in bits 3 and 4, the staging offset in 8-byte units in
-// bits 5–16, an eager payload's length in bits 17–30 and the sender in bits
-// 31–62.
+// note is a ring word unpacked: the kind in bits 0–2, the synchronous flag
+// in bit 3, the staging offset in 8-byte units in bits 4–15, an eager
+// payload's length in bits 16–29 and the sender in bits 30–62.
 type note struct {
-	kind      int
-	sync, rdv bool
-	off, n    int
-	src       int
+	kind        int
+	sync        bool
+	off, n, src int
 }
 
 func (m note) word() uint64 {
-	w := uint64(m.kind) | uint64(m.off/8)<<5 | uint64(m.n)<<17 | uint64(m.src)<<31
+	w := uint64(m.kind) | uint64(m.off/8)<<4 | uint64(m.n)<<16 | uint64(m.src)<<30
 	if m.sync {
 		w |= 1 << 3
-	}
-	if m.rdv {
-		w |= 1 << 4
 	}
 	return w
 }
 
 func noteOf(w uint64) note {
-	return note{kind: int(w & 7), sync: w&(1<<3) != 0, rdv: w&(1<<4) != 0,
-		off: int(w>>5&0xfff) * 8, n: int(w >> 17 & 0x3fff), src: int(w >> 31)}
+	return note{kind: int(w & 7), sync: w&(1<<3) != 0,
+		off: int(w>>4&0xfff) * 8, n: int(w >> 16 & 0x3fff), src: int(w >> 30)}
 }
 
 // send is one send from Isend until its staging is free.
 type send struct {
 	dst, tag  int
-	data      []byte // the payload until staged: the caller's buffer, or a queued eager send's copy
+	data      []byte // the payload: the caller's buffer, or a queued eager send's copy
 	sync, rdv bool
 	sendTime  timing.Time // virtual time the payload (or the RTS) is visible
 	off, size int         // the staging extent, once posted
-	sent      int         // rendezvous: payload bytes staged so far
+	sent      int         // rendezvous: payload bytes put in the chunk buffer so far
 	done      bool        // the request is complete
 	at        timing.Time // the match time, once a synchronous send is done
 }
@@ -125,7 +122,9 @@ type Comm struct {
 	waiting    []int      // receivers with queued sends, oldest first
 	staged     []*send    // posted sends holding staging, by offset
 	busy       []bool     // an announcement to the rank awaits its ack
-	pulled     bool       // the rendezvous chunk being pulled is staged
+	chunkFor   *send      // the send whose chunk is in the chunk buffer
+	chunkQ     []*send    // sends whose receivers wait for the chunk buffer
+	pulled     bool       // the rendezvous chunk being pulled is in the buffer
 }
 
 // Dial attaches the MPI-1 layer to p's world and returns this rank's
@@ -144,7 +143,7 @@ func Dial(p *spmd.Proc) *Comm {
 		queued: make([][]*send, p.Size()), busy: make([]bool, p.Size())}
 	ringCap := p.Size() + 2*maxStaged + 1
 	c.arena = simnet.NotifyRingBytes(ringCap)
-	c.reg = c.ep.Register(c.arena + stageBytes)
+	c.reg = c.ep.Register(c.arena + stageBytes + simnet.EagerMax)
 	c.inbox.Bind(c.reg, 0, ringCap)
 	c.key = c.reg.Key()
 	// The allreduce is also the barrier: no rank announces into an inbox
@@ -224,6 +223,7 @@ func (c *Comm) progress() {
 		}
 		c.handle(noteOf(w), stamp)
 	}
+	c.serveChunk()
 	c.post()
 }
 
@@ -235,9 +235,9 @@ func (c *Comm) handle(m note, stamp timing.Time) {
 		// buffers at the receiver, which frees the sender's staging.
 		b := make([]byte, hdrBytes+m.n)
 		c.ep.Fetch(b, c.staging(m.src, m.off))
-		in := &inbound{src: m.src, sync: m.sync, rdv: m.rdv, sendTime: stamp, off: m.off,
+		in := &inbound{src: m.src, sync: m.sync, sendTime: stamp, off: m.off,
 			tag: int(int64(binary.LittleEndian.Uint64(b))), n: int(binary.LittleEndian.Uint64(b[8:]))}
-		if !m.rdv {
+		if in.rdv = in.n > simnet.EagerMax; !in.rdv {
 			in.data = b[hdrBytes:]
 		}
 		c.unexpected = append(c.unexpected, in)
@@ -250,12 +250,13 @@ func (c *Comm) handle(m note, stamp timing.Time) {
 		}
 	case kindDone:
 		s := c.stagedAt(m.off)
+		c.release(s)
 		s.at, s.done = stamp, true
 		c.free(s)
 	case kindNext:
 		s := c.stagedAt(m.off)
-		c.stageChunk(s)
-		c.notify(s.dst, note{kind: kindReady, off: s.off}, 0)
+		c.release(s)
+		c.chunkQ = append(c.chunkQ, s)
 	case kindReady:
 		c.pulled = true
 	default:
@@ -281,12 +282,12 @@ func (c *Comm) post() {
 	c.waiting = kept
 }
 
-// stage copies s's header and first payload bytes into a free extent of the
+// stage copies s's header, and an eager payload, into a free extent of the
 // arena and announces it, or reports that no extent is free.
 func (c *Comm) stage(s *send) bool {
-	size := hdrBytes + len(s.data)
-	if s.rdv {
-		size = hdrBytes + rdvChunk
+	size := hdrBytes
+	if !s.rdv {
+		size += len(s.data)
 	}
 	if !c.alloc(s, (size+7)&^7) {
 		return false
@@ -294,10 +295,8 @@ func (c *Comm) stage(s *send) bool {
 	a := c.reg.Bytes()[c.arena+s.off:]
 	binary.LittleEndian.PutUint64(a, uint64(s.tag))
 	binary.LittleEndian.PutUint64(a[8:], uint64(len(s.data)))
-	m := note{kind: kindAnn, src: c.Rank(), off: s.off, sync: s.sync, rdv: s.rdv}
-	if s.rdv {
-		c.stageChunk(s)
-	} else {
+	m := note{kind: kindAnn, src: c.Rank(), off: s.off, sync: s.sync}
+	if !s.rdv {
 		m.n = copy(a[hdrBytes:], s.data)
 		s.data, s.done = nil, !s.sync
 	}
@@ -306,11 +305,27 @@ func (c *Comm) stage(s *send) bool {
 	return true
 }
 
-// stageChunk copies a rendezvous payload's next chunk into its extent.
-func (c *Comm) stageChunk(s *send) {
-	k := min(len(s.data)-s.sent, rdvChunk)
-	copy(c.reg.Bytes()[c.arena+s.off+hdrBytes:], s.data[s.sent:s.sent+k])
+// serveChunk puts the next chunk of the longest-waiting pull in the chunk
+// buffer, once the buffer is free, and says so to its receiver.
+func (c *Comm) serveChunk() {
+	if c.chunkFor != nil || len(c.chunkQ) == 0 {
+		return
+	}
+	s := c.chunkQ[0]
+	c.chunkQ[0], c.chunkQ = nil, c.chunkQ[1:]
+	k := min(len(s.data)-s.sent, simnet.EagerMax)
+	copy(c.reg.Bytes()[c.arena+stageBytes:], s.data[s.sent:s.sent+k])
 	s.sent += k
+	c.chunkFor = s
+	c.notify(s.dst, note{kind: kindReady}, 0)
+}
+
+// release frees the chunk buffer if s's chunk is in it: its receiver asks
+// for the next chunk, or is done, only once it has fetched this one.
+func (c *Comm) release(s *send) {
+	if c.chunkFor == s {
+		c.chunkFor = nil
+	}
 }
 
 // alloc gives s the first free extent of size bytes, first fit over the
@@ -474,18 +489,16 @@ func (c *Comm) deliver(m *inbound, buf []byte) (from, gotTag, n int) {
 	return m.src, m.tag, n
 }
 
-// pull fetches a rendezvous payload's first len(dst) bytes from the
-// sender's staging, a chunk at a time: past the first, it asks for each next
-// chunk and waits until the sender's next call of the layer has staged it.
+// pull fetches a rendezvous payload's first len(dst) bytes through the
+// sender's chunk buffer: for each chunk it asks, waits until the sender's
+// next call of the layer has put the chunk there, and fetches it.
 func (c *Comm) pull(m *inbound, dst []byte) {
-	a := c.staging(m.src, m.off+hdrBytes)
-	for got := 0; got < len(dst); got += rdvChunk {
-		if got > 0 {
-			c.pulled = false
-			c.notify(m.src, note{kind: kindNext, off: m.off}, 0)
-			c.await(func() bool { return c.pulled })
-		}
-		c.ep.Fetch(dst[got:min(got+rdvChunk, len(dst))], a)
+	a := c.staging(m.src, stageBytes)
+	for got := 0; got < len(dst); got += simnet.EagerMax {
+		c.pulled = false
+		c.notify(m.src, note{kind: kindNext, off: m.off}, 0)
+		c.await(func() bool { return c.pulled })
+		c.ep.Fetch(dst[got:min(got+simnet.EagerMax, len(dst))], a)
 	}
 }
 

@@ -413,3 +413,34 @@ func TestRendezvousIntoShortBuffer(t *testing.T) {
 		})
 	}
 }
+
+// TestRendezvousMatchedInReverse: a sender may have as many rendezvous
+// messages outstanding to one receiver as it may stage messages, and the
+// receiver may match them in any order — here last first. A rendezvous
+// announcement stages only its header; its payload crosses the sender's one
+// chunk buffer on demand, so no earlier message's payload stands in the way.
+func TestRendezvousMatchedInReverse(t *testing.T) {
+	payload := func(i int) []byte {
+		b := make([]byte, simnet.EagerMax+1+i*1000)
+		for j := range b {
+			b[j] = byte(i + j)
+		}
+		return b
+	}
+	run(t, 2, 1, func(c *Comm) {
+		if c.Rank() == 0 {
+			var reqs []*Request
+			for i := 0; i < maxStaged; i++ {
+				reqs = append(reqs, c.Isend(1, i, payload(i)))
+			}
+			c.WaitAll(reqs)
+			return
+		}
+		for i := maxStaged - 1; i >= 0; i-- {
+			buf := make([]byte, len(payload(i)))
+			if _, _, n := c.Recv(0, i, buf); n != len(buf) || !bytes.Equal(buf, payload(i)) {
+				t.Errorf("message %d arrived corrupted (n=%d)", i, n)
+			}
+		}
+	})
+}
