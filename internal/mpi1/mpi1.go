@@ -128,8 +128,8 @@ type Comm struct {
 }
 
 // Dial attaches the MPI-1 layer to p's world and returns this rank's
-// communicator. It is collective: every rank registers its inbox and arena,
-// and Dial checks that the key is the same on every rank.
+// communicator. It is collective: every rank registers its inbox, arena and
+// chunk buffer, and Dial checks that the key is the same on every rank.
 //
 // The inbox holds every notice that can be in flight to the rank at once: an
 // announcement from each sender (a sender announces the next message to a
