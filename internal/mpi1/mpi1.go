@@ -16,11 +16,11 @@
 // announces it in the receiver's inbox; the receiver fetches the header and
 // the eager payload when it drains the announcement — the eager protocol's
 // receiver-side buffering — and pulls a rendezvous payload through the
-// sender's chunk buffer when it matches the message; its notices back free
-// the sender's staging and complete a synchronous send. Virtual time is the closed-form cost
-// model's alone: each formula time travels as its notification's stamp, and
-// the moves themselves charge nothing (simnet's Endpoint.NotifyAt and
-// Endpoint.Fetch).
+// sender's chunk buffer when it matches the message. Its ack frees the
+// sender's staging at once; a completion notice completes a synchronous
+// send. Virtual time is the closed-form cost model's alone: each formula
+// time travels as its notification's stamp, and the moves themselves charge
+// nothing (simnet's Endpoint.NotifyAt and Endpoint.Fetch).
 package mpi1
 
 import (
@@ -40,39 +40,54 @@ const AnyTag = -1
 // AnySource matches any sender in Recv and Probe.
 const AnySource = -1
 
-// The staging bounds: a rank's registered memory is its inbox — Size +
-// 2·maxStaged + 1 ring slots, see Dial — stageBytes of arena and a chunk
-// buffer of simnet.EagerMax bytes, whatever the traffic. A send past a bound
-// waits in the sender's queue, and the next call of the layer posts it. A
-// rendezvous message stages only its header, so a receiver may match a
-// sender's staged messages in any order.
+// The bounds: a rank's registered memory is its inbox — Size + maxOut ring
+// slots, see Dial — stageBytes of arena and a chunk buffer of
+// simnet.EagerMax bytes, whatever the traffic. A rank has at most one request
+// notice (an announcement, a completion or a chunk request) in flight to each
+// rank, at most maxOut in all, and at most maxStaged of them announcements. A
+// staged message holds its extent only until its announcement's ack, so a
+// receiver may match a sender's messages in any order, as many as there are;
+// a synchronous send then waits for its completion notice unstaged. A notice
+// past a bound waits in the rank's queue, and the next call of the layer
+// posts it.
 const (
-	maxStaged  = 16       // messages staged at once
-	stageBytes = 16 << 10 // the arena; an eager message fits whole
-	hdrBytes   = 16       // a staged message's header: tag, then length
+	maxStaged  = 16              // announcements in flight at once
+	maxOut     = 2*maxStaged + 1 // request notices in flight at once: the rest complete and pull
+	stageBytes = 16 << 10        // the arena; an eager message fits whole
+	hdrBytes   = 24              // a staged message's header: tag, length, send id
+	maxID      = 1 << 26         // synchronous sends awaiting completion at once
 )
 
-// The notices a ring word carries. Only an announcement and a completion
-// carry a time, as their stamp.
+// The notices a ring word carries. An announcement, a completion and a chunk
+// request are requests: each is answered by a reply, an ack or (to a chunk
+// request) a ready. Only an announcement and a completion carry a time, as
+// their stamp.
 const (
 	kindAnn   = iota + 1 // a message is staged; stamp: the time its payload is visible
-	kindAck              // the receiver drained the announcement
+	kindAck              // the receiver drained the announcement, or the sender the completion
 	kindDone             // the receiver matched a synchronous message; stamp: the match
 	kindNext             // the receiver pulls a rendezvous payload's next chunk
 	kindReady            // the sender put that chunk in its chunk buffer
 )
 
 // note is a ring word unpacked: the kind in bits 0–2, the synchronous flag
-// in bit 3, the staging offset in 8-byte units in bits 4–15, an eager
-// payload's length in bits 16–29 and the sender in bits 30–62.
+// in bit 3, the argument in bits 4–29 and the sender in bits 30–62. An
+// announcement's argument is its staging offset in 8-byte units (12 bits)
+// under its eager payload's length; a completion's or chunk request's is the
+// send's id at its sender.
 type note struct {
 	kind        int
 	sync        bool
 	off, n, src int
+	id          int
 }
 
 func (m note) word() uint64 {
-	w := uint64(m.kind) | uint64(m.off/8)<<4 | uint64(m.n)<<16 | uint64(m.src)<<30
+	arg := uint64(m.id)
+	if m.kind == kindAnn {
+		arg = uint64(m.off/8) | uint64(m.n)<<12
+	}
+	w := uint64(m.kind) | arg<<4 | uint64(m.src)<<30
 	if m.sync {
 		w |= 1 << 3
 	}
@@ -80,17 +95,23 @@ func (m note) word() uint64 {
 }
 
 func noteOf(w uint64) note {
-	return note{kind: int(w & 7), sync: w&(1<<3) != 0,
-		off: int(w>>4&0xfff) * 8, n: int(w >> 16 & 0x3fff), src: int(w >> 30)}
+	m := note{kind: int(w & 7), sync: w&(1<<3) != 0, src: int(w >> 30)}
+	if arg := int(w >> 4 & (maxID - 1)); m.kind == kindAnn {
+		m.off, m.n = arg&0xfff*8, arg>>12
+	} else {
+		m.id = arg
+	}
+	return m
 }
 
-// send is one send from Isend until its staging is free.
+// send is one send from Isend until it completes.
 type send struct {
 	dst, tag  int
 	data      []byte // the payload: the caller's buffer, or a queued eager send's copy
 	sync, rdv bool
 	sendTime  timing.Time // virtual time the payload (or the RTS) is visible
-	off, size int         // the staging extent, once posted
+	off, size int         // the staging extent, while the announcement awaits its ack
+	id        int         // a synchronous send's id, once staged
 	sent      int         // rendezvous: payload bytes put in the chunk buffer so far
 	done      bool        // the request is complete
 	at        timing.Time // the match time, once a synchronous send is done
@@ -101,8 +122,22 @@ type inbound struct {
 	src, tag, n int
 	sync, rdv   bool
 	sendTime    timing.Time
-	off         int    // the message's staging offset at its sender
+	id          int    // a synchronous message's send id at its sender
 	data        []byte // an eager payload
+}
+
+// peer is a rank's outbound traffic to one rank.
+type peer struct {
+	sends []*send  // sends not yet staged, in Isend order
+	ctl   []notice // completions and chunk requests not yet posted
+	ann   *send    // the staged send whose announcement awaits its ack
+	busy  bool     // a request to the rank awaits its reply
+}
+
+// notice is a queued completion or chunk request with its stamp.
+type notice struct {
+	m  note
+	at timing.Time
 }
 
 // Comm is one rank's communicator handle over the MPI-1 layer.
@@ -117,31 +152,32 @@ type Comm struct {
 	inbox simnet.NotifyRing
 	seq   int // collective invocation counter (tag isolation)
 
-	unexpected []*inbound // the matching engine's queue, in drain order
-	queued     [][]*send  // by receiver: sends not yet posted, in Isend order
-	waiting    []int      // receivers with queued sends, oldest first
-	staged     []*send    // posted sends holding staging, by offset
-	busy       []bool     // an announcement to the rank awaits its ack
-	chunkFor   *send      // the send whose chunk is in the chunk buffer
-	chunkQ     []*send    // sends whose receivers wait for the chunk buffer
-	pulled     bool       // the rendezvous chunk being pulled is in the buffer
+	unexpected []*inbound    // the matching engine's queue, in drain order
+	peers      map[int]*peer // by rank, for the ranks this one has sent to
+	waiting    []int         // ranks with queued notices, oldest first
+	out        int           // requests awaiting their replies
+	staged     []*send       // sends holding staging, by offset
+	pend       []*send       // synchronous sends awaiting completion, by id
+	freeIDs    []int         // ids below len(pend) not in use
+	chunkFor   *send         // the send whose chunk is in the chunk buffer
+	chunkQ     []*send       // sends whose receivers wait for the chunk buffer
+	pulled     bool          // the rendezvous chunk being pulled is in the buffer
 }
 
 // Dial attaches the MPI-1 layer to p's world and returns this rank's
 // communicator. It is collective: every rank registers its inbox, arena and
 // chunk buffer, and Dial checks that the key is the same on every rank.
 //
-// The inbox holds every notice that can be in flight to the rank at once: an
-// announcement from each sender (a sender announces the next message to a
-// rank once the last one's ack is back), and, for each message the rank has
-// staged, its ack and then its completion or a chunk request — plus the
-// chunk notice of the one pull in progress. O(p) words, whatever the traffic.
+// The inbox holds every notice that can be in flight to the rank at once: a
+// request from each rank (a rank sends the next request to a rank once the
+// last one's reply is back) and a reply to each of the rank's own requests.
+// O(p) words, whatever the traffic.
 func Dial(p *spmd.Proc) *Comm {
 	fab, me, model := p.Fabric(), p.Rank(), simnet.CrayMPI1()
 	c := &Comm{proc: p, model: model,
 		ep: simnet.NewEndpoint(fab, me, model), poll: simnet.NewEndpoint(fab, me, model),
-		queued: make([][]*send, p.Size()), busy: make([]bool, p.Size())}
-	ringCap := p.Size() + 2*maxStaged + 1
+		peers: map[int]*peer{}}
+	ringCap := p.Size() + maxOut
 	c.arena = simnet.NotifyRingBytes(ringCap)
 	c.reg = c.ep.Register(c.arena + stageBytes + simnet.EagerMax)
 	c.inbox.Bind(c.reg, 0, ringCap)
@@ -201,10 +237,8 @@ func (c *Comm) isend(dst, tag int, buf []byte, synchronous bool) *Request {
 		s.sendTime = c.ep.Now() + timing.Time(pr.PutLatNs) +
 			timing.Time(float64(len(buf))*pr.NsPerByte)
 	}
-	if len(c.queued[dst]) == 0 {
-		c.waiting = append(c.waiting, dst)
-	}
-	c.queued[dst] = append(c.queued[dst], s)
+	q := c.peer(dst)
+	q.sends = append(q.sends, s)
 	c.progress()
 	if !s.rdv && s.data != nil {
 		s.data = append([]byte(nil), buf...) // still queued: the buffer is the caller's on return
@@ -235,51 +269,99 @@ func (c *Comm) handle(m note, stamp timing.Time) {
 		// buffers at the receiver, which frees the sender's staging.
 		b := make([]byte, hdrBytes+m.n)
 		c.ep.Fetch(b, c.staging(m.src, m.off))
-		in := &inbound{src: m.src, sync: m.sync, sendTime: stamp, off: m.off,
-			tag: int(int64(binary.LittleEndian.Uint64(b))), n: int(binary.LittleEndian.Uint64(b[8:]))}
+		in := &inbound{src: m.src, sync: m.sync, sendTime: stamp,
+			tag: int(int64(binary.LittleEndian.Uint64(b))), n: int(binary.LittleEndian.Uint64(b[8:])),
+			id: int(binary.LittleEndian.Uint64(b[16:]))}
 		if in.rdv = in.n > simnet.EagerMax; !in.rdv {
 			in.data = b[hdrBytes:]
 		}
 		c.unexpected = append(c.unexpected, in)
-		c.notify(m.src, note{kind: kindAck, off: m.off}, 0)
+		c.notify(m.src, note{kind: kindAck}, 0)
 	case kindAck:
-		s := c.stagedAt(m.off)
-		c.busy[s.dst] = false
-		if !s.sync {
+		if s := c.replied(m.src); s != nil {
 			c.free(s)
 		}
 	case kindDone:
-		s := c.stagedAt(m.off)
+		s := c.pending(m.id)
 		c.release(s)
 		s.at, s.done = stamp, true
-		c.free(s)
+		c.pend[m.id] = nil
+		c.freeIDs = append(c.freeIDs, m.id)
+		c.notify(m.src, note{kind: kindAck}, 0)
 	case kindNext:
-		s := c.stagedAt(m.off)
+		s := c.pending(m.id)
 		c.release(s)
 		c.chunkQ = append(c.chunkQ, s)
 	case kindReady:
+		c.replied(m.src)
 		c.pulled = true
 	default:
 		panic(fmt.Sprintf("mpi1: rank %d's inbox holds an unknown notice %#x", c.Rank(), m.word()))
 	}
 }
 
-// post stages and announces queued sends, in Isend order to each receiver
-// and one announcement at a time, while the arena has room.
+// peer returns the rank's outbound state for rank r.
+func (c *Comm) peer(r int) *peer {
+	q := c.peers[r]
+	if q == nil {
+		q = &peer{}
+		c.peers[r] = q
+	}
+	if len(q.sends)+len(q.ctl) == 0 {
+		c.waiting = append(c.waiting, r)
+	}
+	return q
+}
+
+// queue posts a completion or chunk request to rank r, or queues it.
+func (c *Comm) queue(r int, m note, at timing.Time) {
+	q := c.peer(r)
+	q.ctl = append(q.ctl, notice{m, at})
+	c.post()
+}
+
+// post sends queued notices, one request at a time to each rank: a
+// completion or chunk request first, else the next send in Isend order,
+// staged while the arena has room.
 func (c *Comm) post() {
 	kept, full := c.waiting[:0], false
-	for _, dst := range c.waiting {
-		q := c.queued[dst]
-		if !full && !c.busy[dst] {
-			if full = !c.stage(q[0]); !full {
-				q[0], q = nil, q[1:]
+	for _, r := range c.waiting {
+		q := c.peers[r]
+		if !q.busy && c.out < maxOut {
+			if len(q.ctl) > 0 {
+				c.request(r, q.ctl[0].m, q.ctl[0].at)
+				q.ctl = q.ctl[1:]
+			} else if !full {
+				if full = !c.stage(q.sends[0]); !full {
+					q.sends[0], q.sends = nil, q.sends[1:]
+				}
 			}
 		}
-		if c.queued[dst] = q; len(q) > 0 {
-			kept = append(kept, dst)
+		if len(q.sends)+len(q.ctl) > 0 {
+			kept = append(kept, r)
 		}
 	}
 	c.waiting = kept
+}
+
+// request sends a request to rank r; its reply frees the way for the next.
+func (c *Comm) request(r int, m note, at timing.Time) {
+	c.peers[r].busy = true
+	c.out++
+	c.notify(r, m, at)
+}
+
+// replied takes rank r's reply to the request in flight to it and returns
+// the send whose announcement it answers, if it does.
+func (c *Comm) replied(r int) *send {
+	q := c.peers[r]
+	if q == nil || !q.busy {
+		panic(fmt.Sprintf("mpi1: rank %d has a reply from rank %d, to which no request is in flight", c.Rank(), r))
+	}
+	s := q.ann
+	q.ann, q.busy = nil, false
+	c.out--
+	return s
 }
 
 // stage copies s's header, and an eager payload, into a free extent of the
@@ -292,17 +374,44 @@ func (c *Comm) stage(s *send) bool {
 	if !c.alloc(s, (size+7)&^7) {
 		return false
 	}
+	if s.sync {
+		s.id = c.newID(s)
+	}
 	a := c.reg.Bytes()[c.arena+s.off:]
 	binary.LittleEndian.PutUint64(a, uint64(s.tag))
 	binary.LittleEndian.PutUint64(a[8:], uint64(len(s.data)))
-	m := note{kind: kindAnn, src: c.Rank(), off: s.off, sync: s.sync}
+	binary.LittleEndian.PutUint64(a[16:], uint64(s.id))
+	m := note{kind: kindAnn, off: s.off, sync: s.sync}
 	if !s.rdv {
 		m.n = copy(a[hdrBytes:], s.data)
 		s.data, s.done = nil, !s.sync
 	}
-	c.busy[s.dst] = true
-	c.notify(s.dst, m, s.sendTime)
+	c.peers[s.dst].ann = s
+	c.request(s.dst, m, s.sendTime)
 	return true
+}
+
+// newID files the synchronous send s under a free id until its completion.
+func (c *Comm) newID(s *send) int {
+	if n := len(c.freeIDs); n > 0 {
+		id := c.freeIDs[n-1]
+		c.freeIDs = c.freeIDs[:n-1]
+		c.pend[id] = s
+		return id
+	}
+	if len(c.pend) == maxID {
+		panic(fmt.Sprintf("mpi1: rank %d has %d synchronous sends awaiting completion", c.Rank(), maxID))
+	}
+	c.pend = append(c.pend, s)
+	return len(c.pend) - 1
+}
+
+// pending returns the synchronous send a notice names.
+func (c *Comm) pending(id int) *send {
+	if id < len(c.pend) && c.pend[id] != nil {
+		return c.pend[id]
+	}
+	panic(fmt.Sprintf("mpi1: rank %d has a notice for send id %d, where no synchronous send awaits completion", c.Rank(), id))
 }
 
 // serveChunk puts the next chunk of the longest-waiting pull in the chunk
@@ -351,23 +460,14 @@ func (c *Comm) free(s *send) {
 	c.staged = slices.DeleteFunc(c.staged, func(t *send) bool { return t == s })
 }
 
-// stagedAt returns the staged send a notice names.
-func (c *Comm) stagedAt(off int) *send {
-	for _, s := range c.staged {
-		if s.off == off {
-			return s
-		}
-	}
-	panic(fmt.Sprintf("mpi1: rank %d has a notice for staging offset %d, where no message is staged", c.Rank(), off))
-}
-
 // staging addresses rank's staging at off.
 func (c *Comm) staging(rank, off int) simnet.Addr {
 	return simnet.Addr{Rank: rank, Key: c.key, Off: c.arena + off}
 }
 
-// notify deposits m in rank's inbox, stamped at.
+// notify deposits m, from this rank, in rank's inbox, stamped at.
 func (c *Comm) notify(rank int, m note, at timing.Time) {
+	m.src = c.Rank()
 	c.ep.NotifyAt(simnet.Addr{Rank: rank, Key: c.key}, m.word(), at)
 }
 
@@ -484,7 +584,7 @@ func (c *Comm) deliver(m *inbound, buf []byte) (from, gotTag, n int) {
 			timing.Time(float64(n)*pr.CopyNsPB))
 	}
 	if m.sync {
-		c.notify(m.src, note{kind: kindDone, off: m.off}, c.ep.Now())
+		c.queue(m.src, note{kind: kindDone, id: m.id}, c.ep.Now())
 	}
 	return m.src, m.tag, n
 }
@@ -496,7 +596,7 @@ func (c *Comm) pull(m *inbound, dst []byte) {
 	a := c.staging(m.src, stageBytes)
 	for got := 0; got < len(dst); got += simnet.EagerMax {
 		c.pulled = false
-		c.notify(m.src, note{kind: kindNext, off: m.off}, 0)
+		c.queue(m.src, note{kind: kindNext, id: m.id}, 0)
 		c.await(func() bool { return c.pulled })
 		c.ep.Fetch(dst[got:min(got+simnet.EagerMax, len(dst))], a)
 	}

@@ -414,14 +414,20 @@ func TestRendezvousIntoShortBuffer(t *testing.T) {
 	}
 }
 
-// TestRendezvousMatchedInReverse: a sender may have as many rendezvous
-// messages outstanding to one receiver as it may stage messages, and the
-// receiver may match them in any order — here last first. A rendezvous
-// announcement stages only its header; its payload crosses the sender's one
-// chunk buffer on demand, so no earlier message's payload stands in the way.
+// TestRendezvousMatchedInReverse: a sender may have any number of
+// synchronous and rendezvous messages outstanding to one receiver, and the
+// receiver may match them in any order — here last first, four times as
+// many as a rank may have requests in flight. A message holds its sender's
+// staging only until the receiver drains its announcement; its payload
+// crosses the sender's one chunk buffer on demand, so no earlier message
+// stands in the way.
 func TestRendezvousMatchedInReverse(t *testing.T) {
+	const msgs = 4 * maxOut
 	payload := func(i int) []byte {
-		b := make([]byte, simnet.EagerMax+1+i*1000)
+		b := make([]byte, 100+i)
+		if i%2 == 0 {
+			b = make([]byte, simnet.EagerMax+1+i*100)
+		}
 		for j := range b {
 			b[j] = byte(i + j)
 		}
@@ -430,17 +436,41 @@ func TestRendezvousMatchedInReverse(t *testing.T) {
 	run(t, 2, 1, func(c *Comm) {
 		if c.Rank() == 0 {
 			var reqs []*Request
-			for i := 0; i < maxStaged; i++ {
-				reqs = append(reqs, c.Isend(1, i, payload(i)))
+			for i := 0; i < msgs; i++ {
+				reqs = append(reqs, c.Issend(1, i, payload(i)))
 			}
 			c.WaitAll(reqs)
 			return
 		}
-		for i := maxStaged - 1; i >= 0; i-- {
+		for i := msgs - 1; i >= 0; i-- {
 			buf := make([]byte, len(payload(i)))
 			if _, _, n := c.Recv(0, i, buf); n != len(buf) || !bytes.Equal(buf, payload(i)) {
 				t.Errorf("message %d arrived corrupted (n=%d)", i, n)
 			}
+		}
+	})
+}
+
+// TestRendezvousThenBarrier: unmatched rendezvous messages hold no staging
+// the barrier's messages need. Rank 0 starts as many rendezvous sends as it
+// may stage announcements, and both ranks enter a barrier before rank 1
+// receives any of them.
+func TestRendezvousThenBarrier(t *testing.T) {
+	big := make([]byte, simnet.EagerMax+1)
+	run(t, 2, 1, func(c *Comm) {
+		var reqs []*Request
+		if c.Rank() == 0 {
+			for i := 0; i < maxStaged; i++ {
+				reqs = append(reqs, c.Isend(1, i, big))
+			}
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			c.WaitAll(reqs)
+			return
+		}
+		for i := 0; i < maxStaged; i++ {
+			c.Recv(0, i, make([]byte, len(big)))
 		}
 	})
 }

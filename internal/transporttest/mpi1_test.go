@@ -318,6 +318,50 @@ func TestConformanceMPI1Burst(t *testing.T) {
 	})
 }
 
+// TestConformanceMPI1UnmatchedHoldNoStaging: messages a receiver has not
+// matched hold none of their sender's staging, on every backend. Rank 1
+// starts 140 synchronous sends to rank 0, eager and rendezvous alternately —
+// more than four times the requests a rank may have in flight — and rank 0
+// matches them last first; then rank 1 starts 16 rendezvous sends, as many
+// announcements as a rank may have in flight, and both ranks enter a barrier
+// before rank 0 receives them.
+func TestConformanceMPI1UnmatchedHoldNoStaging(t *testing.T) {
+	const reverse, beforeBarrier = 140, 16
+	size := func(i int) int {
+		if i%2 == 0 {
+			return simnet.EagerMax + 1 + i*100
+		}
+		return 100 + i
+	}
+	runAll(t, "TestConformanceMPI1UnmatchedHoldNoStaging", spmd.Config{Ranks: 2, RanksPerNode: 1}, func(p *spmd.Proc) {
+		c := mpi1.Dial(p)
+		if p.Rank() == 1 {
+			var reqs []*mpi1.Request
+			for i := 0; i < reverse; i++ {
+				reqs = append(reqs, c.Issend(0, i, mpi1Payload(size(i), i)))
+			}
+			c.WaitAll(reqs)
+			reqs = reqs[:0]
+			for i := 0; i < beforeBarrier; i++ {
+				reqs = append(reqs, c.Isend(0, i, mpi1Payload(simnet.EagerMax+1, i)))
+			}
+			c.Barrier()
+			c.WaitAll(reqs)
+			return
+		}
+		buf := make([]byte, simnet.EagerMax+1+reverse*100)
+		for i := reverse - 1; i >= 0; i-- {
+			_, _, n := c.Recv(1, i, buf)
+			mpi1Expect(buf[:n], size(i), i, "reverse")
+		}
+		c.Barrier()
+		for i := 0; i < beforeBarrier; i++ {
+			_, _, n := c.Recv(1, i, buf)
+			mpi1Expect(buf[:n], simnet.EagerMax+1, i, "after the barrier")
+		}
+	})
+}
+
 // TestConformanceMPI1BlockedRankUnwinds: a rank blocked in Recv, in a
 // rendezvous send's Wait or in Ssend waits at its door, so a peer's panic
 // reaches it as the world's abort on every backend: each unwinds with an
