@@ -55,7 +55,7 @@ const (
 	maxOut     = 2*maxStaged + 1 // request notices in flight at once: the rest complete and pull
 	stageBytes = 16 << 10        // the arena; an eager message fits whole
 	hdrBytes   = 24              // a staged message's header: tag, length, send id
-	maxID      = 1 << 26         // synchronous sends awaiting completion at once
+	maxID      = 1 << 26         // synchronous send ids, reused in turn
 )
 
 // The notices a ring word carries. An announcement, a completion and a chunk
@@ -157,11 +157,12 @@ type Comm struct {
 	waiting    []int         // ranks with queued notices, oldest first
 	out        int           // requests awaiting their replies
 	staged     []*send       // sends holding staging, by offset
-	pend       []*send       // synchronous sends awaiting completion, by id
-	freeIDs    []int         // ids below len(pend) not in use
+	pend       map[int]*send // synchronous sends awaiting completion, by id
+	nextID     int           // the id of the next synchronous send staged
 	chunkFor   *send         // the send whose chunk is in the chunk buffer
 	chunkQ     []*send       // sends whose receivers wait for the chunk buffer
 	pulled     bool          // the rendezvous chunk being pulled is in the buffer
+	pulling    *inbound      // the rendezvous message being pulled
 }
 
 // Dial attaches the MPI-1 layer to p's world and returns this rank's
@@ -176,7 +177,7 @@ func Dial(p *spmd.Proc) *Comm {
 	fab, me, model := p.Fabric(), p.Rank(), simnet.CrayMPI1()
 	c := &Comm{proc: p, model: model,
 		ep: simnet.NewEndpoint(fab, me, model), poll: simnet.NewEndpoint(fab, me, model),
-		peers: map[int]*peer{}}
+		peers: map[int]*peer{}, pend: map[int]*send{}}
 	ringCap := p.Size() + maxOut
 	c.arena = simnet.NotifyRingBytes(ringCap)
 	c.reg = c.ep.Register(c.arena + stageBytes + simnet.EagerMax)
@@ -285,8 +286,7 @@ func (c *Comm) handle(m note, stamp timing.Time) {
 		s := c.pending(m.id)
 		c.release(s)
 		s.at, s.done = stamp, true
-		c.pend[m.id] = nil
-		c.freeIDs = append(c.freeIDs, m.id)
+		delete(c.pend, m.id)
 		c.notify(m.src, note{kind: kindAck}, 0)
 	case kindNext:
 		s := c.pending(m.id)
@@ -322,7 +322,9 @@ func (c *Comm) queue(r int, m note, at timing.Time) {
 
 // post sends queued notices, one request at a time to each rank: a
 // completion or chunk request first, else the next send in Isend order,
-// staged while the arena has room.
+// staged while the arena has room. No send is announced to the rank being
+// pulled from, so the pull's next request, which frees that rank's chunk
+// buffer, goes out at once.
 func (c *Comm) post() {
 	kept, full := c.waiting[:0], false
 	for _, r := range c.waiting {
@@ -331,7 +333,7 @@ func (c *Comm) post() {
 			if len(q.ctl) > 0 {
 				c.request(r, q.ctl[0].m, q.ctl[0].at)
 				q.ctl = q.ctl[1:]
-			} else if !full {
+			} else if !full && (c.pulling == nil || c.pulling.src != r) {
 				if full = !c.stage(q.sends[0]); !full {
 					q.sends[0], q.sends = nil, q.sends[1:]
 				}
@@ -375,7 +377,11 @@ func (c *Comm) stage(s *send) bool {
 		return false
 	}
 	if s.sync {
-		s.id = c.newID(s)
+		if c.pend[c.nextID] != nil {
+			panic(fmt.Sprintf("mpi1: rank %d's synchronous send id %d, issued %d synchronous sends ago, still awaits completion", c.Rank(), c.nextID, maxID))
+		}
+		s.id, c.nextID = c.nextID, (c.nextID+1)%maxID
+		c.pend[s.id] = s
 	}
 	a := c.reg.Bytes()[c.arena+s.off:]
 	binary.LittleEndian.PutUint64(a, uint64(s.tag))
@@ -391,25 +397,10 @@ func (c *Comm) stage(s *send) bool {
 	return true
 }
 
-// newID files the synchronous send s under a free id until its completion.
-func (c *Comm) newID(s *send) int {
-	if n := len(c.freeIDs); n > 0 {
-		id := c.freeIDs[n-1]
-		c.freeIDs = c.freeIDs[:n-1]
-		c.pend[id] = s
-		return id
-	}
-	if len(c.pend) == maxID {
-		panic(fmt.Sprintf("mpi1: rank %d has %d synchronous sends awaiting completion", c.Rank(), maxID))
-	}
-	c.pend = append(c.pend, s)
-	return len(c.pend) - 1
-}
-
 // pending returns the synchronous send a notice names.
 func (c *Comm) pending(id int) *send {
-	if id < len(c.pend) && c.pend[id] != nil {
-		return c.pend[id]
+	if s := c.pend[id]; s != nil {
+		return s
 	}
 	panic(fmt.Sprintf("mpi1: rank %d has a notice for send id %d, where no synchronous send awaits completion", c.Rank(), id))
 }
@@ -594,12 +585,14 @@ func (c *Comm) deliver(m *inbound, buf []byte) (from, gotTag, n int) {
 // next call of the layer has put the chunk there, and fetches it.
 func (c *Comm) pull(m *inbound, dst []byte) {
 	a := c.staging(m.src, stageBytes)
+	c.pulling = m
 	for got := 0; got < len(dst); got += simnet.EagerMax {
 		c.pulled = false
 		c.queue(m.src, note{kind: kindNext, id: m.id}, 0)
 		c.await(func() bool { return c.pulled })
 		c.ep.Fetch(dst[got:min(got+simnet.EagerMax, len(dst))], a)
 	}
+	c.pulling = nil
 }
 
 // Probe reports whether a message matching (src, tag) is available, without
