@@ -191,7 +191,7 @@
 #                                Gsync, a door waiter that never counts
 #                                itself in, three breaks of MPI-1's notices)
 #                                is planted in a scratch worktree and must
-#                                fail the test its header names (≈ 30 s)
+#                                fail the test its header names (≈ 40 s)
 #   examples smoke               build and run every example; quickstart and
 #                                stencil (unpaced and with -pace 20000; its
 #                                MPI-1 variant included) must produce
