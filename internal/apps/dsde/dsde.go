@@ -153,8 +153,8 @@ func RunNBX(c *mpi1.Comm, prm Params) Result {
 	}
 	var recv []uint64
 	var ib *mpi1.IBarrier
+	var b [8]byte // outside the loop: a receive buffer escapes, so each poll would allocate one
 	for {
-		var b [8]byte
 		if _, _, _, ok := c.TryRecv(mpi1.AnySource, tag, b[:]); ok {
 			recv = append(recv, binary.LittleEndian.Uint64(b[:]))
 			continue

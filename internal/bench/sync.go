@@ -205,29 +205,25 @@ func Models(cfg Config) *Table {
 	spmd.MustRun(spmd.Config{Ranks: 8, RanksPerNode: 4}, func(p *spmd.Proc) {
 		w, _ := core.Allocate(p, 64, core.Config{})
 		defer w.Free()
-		n := p.Size()
-		group := ringGroup(p.Rank(), n)
+		group := ringGroup(p.Rank(), p.Size())
+		// timed appends to ts the virtual time call takes on this rank.
+		timed := func(ts *[]timing.Time, call func()) {
+			t0 := p.Now()
+			call()
+			*ts = append(*ts, p.Now()-t0)
+		}
 		var post, start, complete, wait []timing.Time
 		for r := 0; r < cfg.Reps; r++ {
-			t0 := p.Now()
-			w.Post(group)
-			t1 := p.Now()
-			w.Start(group)
-			t2 := p.Now()
-			w.Complete()
-			t3 := p.Now()
-			w.WaitEpoch()
-			t4 := p.Now()
-			post = append(post, t1-t0)
-			start = append(start, t2-t1)
-			complete = append(complete, t3-t2)
-			wait = append(wait, t4-t3)
+			timed(&post, func() { w.Post(group) })
+			timed(&start, func() { w.Start(group) })
+			timed(&complete, w.Complete)
+			timed(&wait, w.WaitEpoch)
 			p.Barrier()
 		}
 		// Lock constants are the paper's uncontended inter-node costs: rank 4
 		// (off the master's node) measures against the off-node rank 1;
 		// everyone else just keeps the barriers.
-		var lockE, lockS, lockA, unlock, flush, syncT []timing.Time
+		var lockE, lockS, lockA, unlock, flush, syncT, flushL, unlockA []timing.Time
 		target := 1
 		if p.Rank() != 4 {
 			for r := 0; r < cfg.Reps; r++ {
@@ -239,45 +235,31 @@ func Models(cfg Config) *Table {
 			return
 		}
 		for r := 0; r < cfg.Reps; r++ {
-			t0 := p.Now()
-			w.Lock(core.LockExclusive, target)
-			t1 := p.Now()
-			w.Unlock(target)
-			t2 := p.Now()
+			timed(&lockE, func() { w.Lock(core.LockExclusive, target) })
+			timed(&unlock, func() { w.Unlock(target) })
 			p.Barrier()
-			t2b := p.Now()
-			w.Lock(core.LockShared, target)
-			t3 := p.Now()
+			timed(&lockS, func() { w.Lock(core.LockShared, target) })
 			w.Unlock(target)
 			p.Barrier()
-			t4 := p.Now()
-			w.LockAll()
-			t5 := p.Now()
-			w.Flush(target)
-			t6 := p.Now()
-			w.Sync()
-			t7 := p.Now()
-			w.UnlockAll()
+			timed(&lockA, w.LockAll)
+			timed(&flush, func() { w.Flush(target) })
+			timed(&syncT, w.Sync)
+			timed(&flushL, func() { w.FlushLocal(target) })
+			timed(&unlockA, w.UnlockAll)
 			p.Barrier()
-			lockE = append(lockE, t1-t0)
-			unlock = append(unlock, t2-t1)
-			lockS = append(lockS, t3-t2b)
-			lockA = append(lockA, t5-t4)
-			flush = append(flush, t6-t5)
-			syncT = append(syncT, t7-t6)
 		}
-		{
-			add("7:P_post_k2", "P_post (k=2)", 0, Median(post).Micros())
-			add("8:P_start", "P_start", 0, Median(start).Micros())
-			add("9:P_complete_k2", "P_complete (k=2)", 0, Median(complete).Micros())
-			add("10:P_wait", "P_wait", 0, Median(wait).Micros())
-			add("11:P_lock_excl", "P_lock,excl", 0, Median(lockE).Micros())
-			add("12:P_lock_shrd", "P_lock,shrd", 0, Median(lockS).Micros())
-			add("13:P_lock_all", "P_lock_all", 0, Median(lockA).Micros())
-			add("14:P_unlock", "P_unlock", 0, Median(unlock).Micros())
-			add("15:P_flush", "P_flush", 0, Median(flush).Micros())
-			add("16:P_sync", "P_sync", 0, Median(syncT).Micros())
-		}
+		add("7:P_post_k2", "P_post (k=2)", 0, Median(post).Micros())
+		add("8:P_start", "P_start", 0, Median(start).Micros())
+		add("9:P_complete_k2", "P_complete (k=2)", 0, Median(complete).Micros())
+		add("10:P_wait", "P_wait", 0, Median(wait).Micros())
+		add("11:P_lock_excl", "P_lock,excl", 0, Median(lockE).Micros())
+		add("12:P_lock_shrd", "P_lock,shrd", 0, Median(lockS).Micros())
+		add("13:P_lock_all", "P_lock_all", 0, Median(lockA).Micros())
+		add("14:P_unlock", "P_unlock", 0, Median(unlock).Micros())
+		add("15:P_flush", "P_flush", 0, Median(flush).Micros())
+		add("16:P_sync", "P_sync", 0, Median(syncT).Micros())
+		add("17:P_flush_local", "P_flush_local", 0, Median(flushL).Micros())
+		add("18:P_unlock_all", "P_unlock_all", 0, Median(unlockA).Micros())
 		p.Barrier()
 	})
 	return t

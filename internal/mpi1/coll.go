@@ -39,6 +39,7 @@ type IBarrier struct {
 	round, dist int
 	pending     *Request
 	done        bool
+	token       [1]byte // the round's receive buffer, allocated with the barrier
 }
 
 // IbarrierBegin starts a nonblocking barrier.
@@ -66,10 +67,9 @@ func (c *Comm) progressIB(ib *IBarrier, block bool) bool {
 	n := c.Size()
 	for !ib.done {
 		from := (c.Rank() - ib.dist + n) % n
-		var b [1]byte
 		if block {
-			c.Recv(from, c.collTag(ib.round), b[:])
-		} else if _, _, _, ok := c.TryRecv(from, c.collTag(ib.round), b[:]); !ok {
+			c.Recv(from, c.collTag(ib.round), ib.token[:])
+		} else if _, _, _, ok := c.TryRecv(from, c.collTag(ib.round), ib.token[:]); !ok {
 			return false
 		}
 		c.Wait(ib.pending)

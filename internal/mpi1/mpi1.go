@@ -11,16 +11,17 @@
 // The messages travel over registered memory, as send/recv over notified
 // access does (Belli & Hoefler, IPDPS'15), so the layer runs on every
 // backend. Each rank registers one region at Dial: its inbox, a notification
-// ring, then its staging arena and a chunk buffer. A send stages the
+// ring, then its staging arena, every payload's one path. A send stages the
 // message's header (and an eager payload) in the sender's arena and
 // announces it in the receiver's inbox; the receiver fetches the header and
 // the eager payload when it drains the announcement — the eager protocol's
-// receiver-side buffering — and pulls a rendezvous payload through the
-// sender's chunk buffer when it matches the message. Its ack frees the
-// sender's staging at once; a completion notice completes a synchronous
-// send. Virtual time is the closed-form cost model's alone: each formula
-// time travels as its notification's stamp, and the moves themselves charge
-// nothing (simnet's Endpoint.NotifyAt and Endpoint.Fetch).
+// receiver-side buffering. A rendezvous receiver that matches the message
+// clears its sender to send, and the sender stages the payload in fragments,
+// each fetched at drain straight into the matched receive buffer. Each ack
+// frees the sender's staging at once; a completion notice completes a
+// synchronous send. Virtual time is the closed-form cost model's alone: each
+// formula time travels as its notification's stamp, and the moves themselves
+// charge nothing (simnet's Endpoint.NotifyAt and Endpoint.Fetch).
 package mpi1
 
 import (
@@ -41,50 +42,55 @@ const AnyTag = -1
 const AnySource = -1
 
 // The bounds: a rank's registered memory is its inbox — Size + maxOut ring
-// slots, see Dial — stageBytes of arena and a chunk buffer of
-// simnet.EagerMax bytes, whatever the traffic. A rank has at most one request
-// notice (an announcement, a completion or a chunk request) in flight to each
-// rank, at most maxOut in all, and at most maxStaged of them announcements. A
-// staged message holds its extent only until its announcement's ack, so a
-// receiver may match a sender's messages in any order, as many as there are;
-// a synchronous send then waits for its completion notice unstaged. A notice
-// past a bound waits in the rank's queue, and the next call of the layer
-// posts it.
+// slots, see Dial — and stageBytes of arena, whatever the traffic. A rank has
+// at most one request notice in flight to each rank, at most maxOut in all,
+// and at most maxStaged announcements staged. A staged message holds its
+// extent only until its announcement's ack, so a receiver may match a
+// sender's messages in any order, as many as there are; a synchronous send
+// then waits for its completion notice unstaged. A notice past a bound waits
+// in the rank's queue, and the next call of the layer posts it. Only a
+// fragment, which its receiver's pull drains, takes the last request slot
+// and the arena's last fragReserve bytes: a pull never waits for a rank away
+// from the layer.
 const (
-	maxStaged  = 16              // announcements in flight at once
-	maxOut     = 2*maxStaged + 1 // request notices in flight at once: the rest complete and pull
-	stageBytes = 16 << 10        // the arena; an eager message fits whole
-	hdrBytes   = 24              // a staged message's header: tag, length, send id
-	maxID      = 1 << 26         // synchronous send ids, reused in turn
+	maxStaged   = 16              // announcements staged at once
+	maxOut      = 2*maxStaged + 1 // request notices in flight at once; the last slot is a fragment's
+	stageBytes  = 16 << 10        // the arena; an eager message fits whole
+	fragReserve = 1 << 10         // the arena's tail, where no announcement is staged
+	fragMax     = 1<<14 - 8       // a fragment's largest length: the note's 14 bits, in 8-byte units
+	hdrBytes    = 24              // a staged message's header: tag, length, send id
+	maxID       = 1 << 26         // synchronous send ids, reused in turn
 )
 
-// The notices a ring word carries. An announcement, a completion and a chunk
-// request are requests: each is answered by a reply, an ack or (to a chunk
-// request) a ready. Only an announcement and a completion carry a time, as
-// their stamp.
+// The notices a ring word carries. An announcement, a fragment, a
+// completion and a clear-to-send are requests: each is answered by one
+// reply, an ack. Only an announcement and a completion carry a time, as
+// their stamp. The first two name a staging extent.
 const (
-	kindAnn   = iota + 1 // a message is staged; stamp: the time its payload is visible
-	kindAck              // the receiver drained the announcement, or the sender the completion
-	kindDone             // the receiver matched a synchronous message; stamp: the match
-	kindNext             // the receiver pulls a rendezvous payload's next chunk
-	kindReady            // the sender put that chunk in its chunk buffer
+	kindAnn  = iota + 1 // a message is staged; stamp: the time its payload is visible
+	kindFrag            // the sender staged a fragment of a cleared rendezvous payload
+	kindAck             // the reply: the request was drained
+	kindDone            // the receiver matched a synchronous message; stamp: the match
+	kindNext            // clear to send: the receiver matched a rendezvous message
 )
 
 // note is a ring word unpacked: the kind in bits 0–2, the synchronous flag
 // in bit 3, the argument in bits 4–29 and the sender in bits 30–62. An
-// announcement's argument is its staging offset in 8-byte units (12 bits)
-// under its eager payload's length; a completion's or chunk request's is the
-// send's id at its sender.
+// announcement's or fragment's argument is its staging offset in 8-byte
+// units (12 bits) under the length it stages beyond a header (14 bits); a
+// completion's or clear-to-send's is the send's id at its sender. The stamp
+// travels beside the word.
 type note struct {
 	kind        int
 	sync        bool
 	off, n, src int
 	id          int
+	at          timing.Time // the stamp
 }
 
 func (m note) word() uint64 {
 	arg := uint64(m.id)
-	if m.kind == kindAnn {
+	if m.kind <= kindFrag {
 		arg = uint64(m.off/8) | uint64(m.n)<<12
 	}
 	w := uint64(m.kind) | arg<<4 | uint64(m.src)<<30
@@ -96,7 +102,7 @@ func (m note) word() uint64 {
 
 func noteOf(w uint64) note {
 	m := note{kind: int(w & 7), sync: w&(1<<3) != 0, src: int(w >> 30)}
-	if arg := int(w >> 4 & (maxID - 1)); m.kind == kindAnn {
+	if arg := int(w >> 4 & (maxID - 1)); m.kind <= kindFrag {
 		m.off, m.n = arg&0xfff*8, arg>>12
 	} else {
 		m.id = arg
@@ -110,9 +116,9 @@ type send struct {
 	data      []byte // the payload: the caller's buffer, or a queued eager send's copy
 	sync, rdv bool
 	sendTime  timing.Time // virtual time the payload (or the RTS) is visible
-	off, size int         // the staging extent, while the announcement awaits its ack
+	off, size int         // the staging extent, while its announcement or fragment awaits its ack
 	id        int         // a synchronous send's id, once staged
-	sent      int         // rendezvous: payload bytes put in the chunk buffer so far
+	sent      int         // rendezvous: payload bytes staged as fragments so far
 	done      bool        // the request is complete
 	at        timing.Time // the match time, once a synchronous send is done
 }
@@ -123,22 +129,21 @@ type inbound struct {
 	sync, rdv   bool
 	sendTime    timing.Time
 	id          int    // a synchronous message's send id at its sender
-	data        []byte // an eager payload
+	data        []byte // an eager payload, or the buffer a rendezvous payload is pulled into
+	got         int    // rendezvous: payload bytes drained so far
 }
 
 // peer is a rank's outbound traffic to one rank.
 type peer struct {
-	sends []*send  // sends not yet staged, in Isend order
-	ctl   []notice // completions and chunk requests not yet posted
-	ann   *send    // the staged send whose announcement awaits its ack
-	busy  bool     // a request to the rank awaits its reply
+	sends []*send // sends not yet staged, in Isend order
+	ctl   []note  // completions and clears-to-send not yet posted
+	frag  *send   // the cleared rendezvous send with payload left to stage
+	ann   *send   // the staged send whose announcement or fragment awaits its ack
+	busy  bool    // a request to the rank awaits its reply
 }
 
-// notice is a queued completion or chunk request with its stamp.
-type notice struct {
-	m  note
-	at timing.Time
-}
+// idle reports whether nothing waits to be posted to the rank.
+func (q *peer) idle() bool { return len(q.sends)+len(q.ctl) == 0 && q.frag == nil }
 
 // Comm is one rank's communicator handle over the MPI-1 layer.
 type Comm struct {
@@ -159,20 +164,18 @@ type Comm struct {
 	staged     []*send       // sends holding staging, by offset
 	pend       map[int]*send // synchronous sends awaiting completion, by id
 	nextID     int           // the id of the next synchronous send staged
-	chunkFor   *send         // the send whose chunk is in the chunk buffer
-	chunkQ     []*send       // sends whose receivers wait for the chunk buffer
-	pulled     bool          // the rendezvous chunk being pulled is in the buffer
 	pulling    *inbound      // the rendezvous message being pulled
+	fetched    []byte        // the last announcement's header and eager payload
 }
 
 // Dial attaches the MPI-1 layer to p's world and returns this rank's
-// communicator. It is collective: every rank registers its inbox, arena and
-// chunk buffer, and Dial checks that the key is the same on every rank.
+// communicator. It is collective: every rank registers its inbox and arena,
+// and Dial checks that the key is the same on every rank.
 //
 // The inbox holds every notice that can be in flight to the rank at once: a
 // request from each rank (a rank sends the next request to a rank once the
-// last one's reply is back) and a reply to each of the rank's own requests.
-// O(p) words, whatever the traffic.
+// last one's reply is back) and a reply to each of the rank's own requests,
+// at most maxOut: Size + 33 words, whatever the traffic.
 func Dial(p *spmd.Proc) *Comm {
 	fab, me, model := p.Fabric(), p.Rank(), simnet.CrayMPI1()
 	c := &Comm{proc: p, model: model,
@@ -180,7 +183,7 @@ func Dial(p *spmd.Proc) *Comm {
 		peers: map[int]*peer{}, pend: map[int]*send{}}
 	ringCap := p.Size() + maxOut
 	c.arena = simnet.NotifyRingBytes(ringCap)
-	c.reg = c.ep.Register(c.arena + stageBytes + simnet.EagerMax)
+	c.reg = c.ep.Register(c.arena + stageBytes)
 	c.inbox.Bind(c.reg, 0, ringCap)
 	c.key = c.reg.Key()
 	// The allreduce is also the barrier: no rank announces into an inbox
@@ -258,7 +261,6 @@ func (c *Comm) progress() {
 		}
 		c.handle(noteOf(w), stamp)
 	}
-	c.serveChunk()
 	c.post()
 }
 
@@ -268,36 +270,40 @@ func (c *Comm) handle(m note, stamp timing.Time) {
 	case kindAnn:
 		// Fetch the header, and an eager payload with it: the eager protocol
 		// buffers at the receiver, which frees the sender's staging.
-		b := make([]byte, hdrBytes+m.n)
+		c.fetched = slices.Grow(c.fetched[:0], hdrBytes+m.n)[:hdrBytes+m.n]
+		b := c.fetched
 		c.ep.Fetch(b, c.staging(m.src, m.off))
 		in := &inbound{src: m.src, sync: m.sync, sendTime: stamp,
 			tag: int(int64(binary.LittleEndian.Uint64(b))), n: int(binary.LittleEndian.Uint64(b[8:])),
 			id: int(binary.LittleEndian.Uint64(b[16:]))}
 		if in.rdv = in.n > simnet.EagerMax; !in.rdv {
-			in.data = b[hdrBytes:]
+			in.data = slices.Clone(b[hdrBytes:])
 		}
 		c.unexpected = append(c.unexpected, in)
-		c.notify(m.src, note{kind: kindAck}, 0)
 	case kindAck:
 		if s := c.replied(m.src); s != nil {
 			c.free(s)
 		}
+		return
 	case kindDone:
 		s := c.pending(m.id)
-		c.release(s)
 		s.at, s.done = stamp, true
 		delete(c.pend, m.id)
-		c.notify(m.src, note{kind: kindAck}, 0)
 	case kindNext:
-		s := c.pending(m.id)
-		c.release(s)
-		c.chunkQ = append(c.chunkQ, s)
-	case kindReady:
-		c.replied(m.src)
-		c.pulled = true
+		c.peer(m.src).frag = c.pending(m.id)
+	case kindFrag:
+		in := c.pulling
+		if in == nil || in.src != m.src {
+			panic(fmt.Sprintf("mpi1: rank %d has a fragment from rank %d, from which it pulls no message", c.Rank(), m.src))
+		}
+		if in.got < len(in.data) {
+			c.ep.Fetch(in.data[in.got:min(in.got+m.n, len(in.data))], c.staging(m.src, m.off))
+		}
+		in.got += m.n
 	default:
 		panic(fmt.Sprintf("mpi1: rank %d's inbox holds an unknown notice %#x", c.Rank(), m.word()))
 	}
+	c.notify(m.src, note{kind: kindAck}) // the request's one reply
 }
 
 // peer returns the rank's outbound state for rank r.
@@ -307,39 +313,42 @@ func (c *Comm) peer(r int) *peer {
 		q = &peer{}
 		c.peers[r] = q
 	}
-	if len(q.sends)+len(q.ctl) == 0 {
+	if q.idle() {
 		c.waiting = append(c.waiting, r)
 	}
 	return q
 }
 
-// queue posts a completion or chunk request to rank r, or queues it.
-func (c *Comm) queue(r int, m note, at timing.Time) {
+// queue posts a completion or clear-to-send to rank r, or queues it.
+func (c *Comm) queue(r int, m note) {
 	q := c.peer(r)
-	q.ctl = append(q.ctl, notice{m, at})
+	q.ctl = append(q.ctl, m)
 	c.post()
 }
 
-// post sends queued notices, one request at a time to each rank: a
-// completion or chunk request first, else the next send in Isend order,
-// staged while the arena has room. No send is announced to the rank being
-// pulled from, so the pull's next request, which frees that rank's chunk
-// buffer, goes out at once.
+// post sends queued notices, one request at a time to each rank: a cleared
+// payload's next fragment first, then a completion or clear-to-send, else
+// the next send in Isend order, staged while the arena has room. Only a
+// fragment takes the last request slot.
 func (c *Comm) post() {
 	kept, full := c.waiting[:0], false
 	for _, r := range c.waiting {
 		q := c.peers[r]
 		if !q.busy && c.out < maxOut {
-			if len(q.ctl) > 0 {
-				c.request(r, q.ctl[0].m, q.ctl[0].at)
+			switch {
+			case q.frag != nil:
+				c.stageFrag(q)
+			case c.out == maxOut-1: // the last slot is a fragment's
+			case len(q.ctl) > 0:
+				c.request(r, q.ctl[0])
 				q.ctl = q.ctl[1:]
-			} else if !full && (c.pulling == nil || c.pulling.src != r) {
+			case !full:
 				if full = !c.stage(q.sends[0]); !full {
 					q.sends[0], q.sends = nil, q.sends[1:]
 				}
 			}
 		}
-		if len(q.sends)+len(q.ctl) > 0 {
+		if !q.idle() {
 			kept = append(kept, r)
 		}
 	}
@@ -347,10 +356,10 @@ func (c *Comm) post() {
 }
 
 // request sends a request to rank r; its reply frees the way for the next.
-func (c *Comm) request(r int, m note, at timing.Time) {
+func (c *Comm) request(r int, m note) {
 	c.peers[r].busy = true
 	c.out++
-	c.notify(r, m, at)
+	c.notify(r, m)
 }
 
 // replied takes rank r's reply to the request in flight to it and returns
@@ -367,13 +376,14 @@ func (c *Comm) replied(r int) *send {
 }
 
 // stage copies s's header, and an eager payload, into a free extent of the
-// arena and announces it, or reports that no extent is free.
+// arena outside the fragments' reserve and announces it, or reports that no
+// extent is free.
 func (c *Comm) stage(s *send) bool {
 	size := hdrBytes
 	if !s.rdv {
 		size += len(s.data)
 	}
-	if !c.alloc(s, (size+7)&^7) {
+	if len(c.staged) >= maxStaged || !c.alloc(s, size, size, stageBytes-fragReserve) {
 		return false
 	}
 	if s.sync {
@@ -387,13 +397,13 @@ func (c *Comm) stage(s *send) bool {
 	binary.LittleEndian.PutUint64(a, uint64(s.tag))
 	binary.LittleEndian.PutUint64(a[8:], uint64(len(s.data)))
 	binary.LittleEndian.PutUint64(a[16:], uint64(s.id))
-	m := note{kind: kindAnn, off: s.off, sync: s.sync}
+	m := note{kind: kindAnn, off: s.off, sync: s.sync, at: s.sendTime}
 	if !s.rdv {
 		m.n = copy(a[hdrBytes:], s.data)
 		s.data, s.done = nil, !s.sync
 	}
 	c.peers[s.dst].ann = s
-	c.request(s.dst, m, s.sendTime)
+	c.request(s.dst, m)
 	return true
 }
 
@@ -405,43 +415,39 @@ func (c *Comm) pending(id int) *send {
 	panic(fmt.Sprintf("mpi1: rank %d has a notice for send id %d, where no synchronous send awaits completion", c.Rank(), id))
 }
 
-// serveChunk puts the next chunk of the longest-waiting pull in the chunk
-// buffer, once the buffer is free, and says so to its receiver.
-func (c *Comm) serveChunk() {
-	if c.chunkFor != nil || len(c.chunkQ) == 0 {
+// stageFrag copies the next fragment of q's cleared rendezvous payload into
+// the first free extent that holds fragReserve bytes (or the payload's rest),
+// as much of the payload as the extent holds up to fragMax, and announces it.
+func (c *Comm) stageFrag(q *peer) {
+	s := q.frag
+	rest := len(s.data) - s.sent
+	if !c.alloc(s, min(rest, fragReserve), min(rest, fragMax), stageBytes) {
 		return
 	}
-	s := c.chunkQ[0]
-	c.chunkQ[0], c.chunkQ = nil, c.chunkQ[1:]
-	k := min(len(s.data)-s.sent, simnet.EagerMax)
-	copy(c.reg.Bytes()[c.arena+stageBytes:], s.data[s.sent:s.sent+k])
-	s.sent += k
-	c.chunkFor = s
-	c.notify(s.dst, note{kind: kindReady}, 0)
+	n := copy(c.reg.Bytes()[c.arena+s.off:][:s.size], s.data[s.sent:])
+	if s.sent += n; s.sent == len(s.data) {
+		q.frag = nil
+	}
+	q.ann = s
+	c.request(s.dst, note{kind: kindFrag, off: s.off, n: n})
 }
 
-// release frees the chunk buffer if s's chunk is in it: its receiver asks
-// for the next chunk, or is done, only once it has fetched this one.
-func (c *Comm) release(s *send) {
-	if c.chunkFor == s {
-		c.chunkFor = nil
-	}
-}
-
-// alloc gives s the first free extent of size bytes, first fit over the
-// staged sends, which it keeps ordered by offset.
-func (c *Comm) alloc(s *send, size int) bool {
-	if len(c.staged) == maxStaged {
-		return false
-	}
-	at, i := 0, 0
-	for ; i < len(c.staged) && c.staged[i].off-at < size; i++ {
+// alloc gives s the first free extent of at least need bytes that ends by
+// end, cut to want, first fit over the staged sends, which it keeps ordered
+// by offset. Extents are whole 8-byte units.
+func (c *Comm) alloc(s *send, need, want, end int) bool {
+	need, at, i := (need+7)&^7, 0, 0
+	for ; i < len(c.staged) && c.staged[i].off-at < need; i++ {
 		at = c.staged[i].off + c.staged[i].size
 	}
-	if i == len(c.staged) && stageBytes-at < size {
+	next := stageBytes
+	if i < len(c.staged) {
+		next = c.staged[i].off
+	}
+	if end-at < need {
 		return false
 	}
-	s.off, s.size = at, size
+	s.off, s.size = at, min(next-at, (want+7)&^7)
 	c.staged = slices.Insert(c.staged, i, s)
 	return true
 }
@@ -456,10 +462,10 @@ func (c *Comm) staging(rank, off int) simnet.Addr {
 	return simnet.Addr{Rank: rank, Key: c.key, Off: c.arena + off}
 }
 
-// notify deposits m, from this rank, in rank's inbox, stamped at.
-func (c *Comm) notify(rank int, m note, at timing.Time) {
+// notify deposits m, from this rank, in rank's inbox.
+func (c *Comm) notify(rank int, m note) {
 	m.src = c.Rank()
-	c.ep.NotifyAt(simnet.Addr{Rank: rank, Key: c.key}, m.word(), at)
+	c.ep.NotifyAt(simnet.Addr{Rank: rank, Key: c.key}, m.word(), m.at)
 }
 
 // await runs progress until ready holds, parking the rank at its own door
@@ -575,23 +581,18 @@ func (c *Comm) deliver(m *inbound, buf []byte) (from, gotTag, n int) {
 			timing.Time(float64(n)*pr.CopyNsPB))
 	}
 	if m.sync {
-		c.queue(m.src, note{kind: kindDone, id: m.id}, c.ep.Now())
+		c.queue(m.src, note{kind: kindDone, id: m.id, at: c.ep.Now()})
 	}
 	return m.src, m.tag, n
 }
 
-// pull fetches a rendezvous payload's first len(dst) bytes through the
-// sender's chunk buffer: for each chunk it asks, waits until the sender's
-// next call of the layer has put the chunk there, and fetches it.
+// pull receives a rendezvous payload's first len(dst) bytes: it clears the
+// sender to send and waits until every fragment the sender stages has been
+// drained, each fetched straight into dst as far as dst reaches.
 func (c *Comm) pull(m *inbound, dst []byte) {
-	a := c.staging(m.src, stageBytes)
-	c.pulling = m
-	for got := 0; got < len(dst); got += simnet.EagerMax {
-		c.pulled = false
-		c.queue(m.src, note{kind: kindNext, id: m.id}, 0)
-		c.await(func() bool { return c.pulled })
-		c.ep.Fetch(dst[got:min(got+simnet.EagerMax, len(dst))], a)
-	}
+	m.data, c.pulling = dst, m
+	c.queue(m.src, note{kind: kindNext, id: m.id})
+	c.await(func() bool { return m.got == m.n })
 	c.pulling = nil
 }
 

@@ -388,8 +388,8 @@ func TestBlockedRankUnwindsOnPeerFailure(t *testing.T) {
 }
 
 // TestRendezvousIntoShortBuffer: a receive buffer shorter than a rendezvous
-// message takes the message's first bytes — none, one chunk's worth, or
-// several chunks' — and the sender's synchronous send still completes.
+// message takes the message's first bytes — none, part of one fragment, or
+// more than one fragment's — and the sender's synchronous send still completes.
 func TestRendezvousIntoShortBuffer(t *testing.T) {
 	big := make([]byte, simnet.EagerMax*3)
 	for i := range big {
@@ -418,8 +418,8 @@ func TestRendezvousIntoShortBuffer(t *testing.T) {
 // synchronous and rendezvous messages outstanding to one receiver, and the
 // receiver may match them in any order — here last first, four times as
 // many as a rank may have requests in flight. A message holds its sender's
-// staging only until the receiver drains its announcement; its payload
-// crosses the sender's one chunk buffer on demand, so no earlier message
+// staging only until the receiver drains its announcement; its payload is
+// staged in fragments once the receiver matches it, so no earlier message
 // stands in the way.
 func TestRendezvousMatchedInReverse(t *testing.T) {
 	const msgs = 4 * maxOut

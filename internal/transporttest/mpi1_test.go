@@ -286,7 +286,7 @@ func TestConformanceMPI1Burst(t *testing.T) {
 	const perSender = 160
 	size := func(i int) int {
 		if i%8 == 7 {
-			return 2*simnet.EagerMax + i // rendezvous, several chunks
+			return 2*simnet.EagerMax + i // rendezvous, more than one fragment
 		}
 		return (i*997)%simnet.EagerMax + 1
 	}
@@ -358,6 +358,39 @@ func TestConformanceMPI1UnmatchedHoldNoStaging(t *testing.T) {
 		for i := 0; i < beforeBarrier; i++ {
 			_, _, n := c.Recv(1, i, buf)
 			mpi1Expect(buf[:n], simnet.EagerMax+1, i, "after the barrier")
+		}
+	})
+}
+
+// TestConformanceMPI1PullPastHeldStaging: a rendezvous pull completes while
+// the rest of its sender's staging is held by announcements that are acked
+// only after the pull returns, on every backend. Rank 0 starts a rendezvous
+// send to rank 3, then an EagerMax message to rank 1 and one to rank 2 that
+// fills its 16 KiB arena to the last byte beside the first and the
+// rendezvous header; ranks 1 and 2 wait in a barrier of another layer, so
+// neither drains until ranks 0 and 3 have finished the rendezvous.
+func TestConformanceMPI1PullPastHeldStaging(t *testing.T) {
+	const hdr, arena = 24, 16 << 10 // a staged header; the sender's staging arena
+	big, fill := 5*simnet.EagerMax+3, arena-3*hdr-simnet.EagerMax
+	runAll(t, "TestConformanceMPI1PullPastHeldStaging", spmd.Config{Ranks: 4, RanksPerNode: 2}, func(p *spmd.Proc) {
+		c := mpi1.Dial(p)
+		switch p.Rank() {
+		case 0:
+			rdv := c.Isend(3, 0, mpi1Payload(big, 0))
+			held := []*mpi1.Request{c.Isend(1, 1, mpi1Payload(simnet.EagerMax, 1)), c.Isend(2, 2, mpi1Payload(fill, 2))}
+			c.Wait(rdv)
+			p.Barrier()
+			c.WaitAll(held)
+		case 3:
+			buf := make([]byte, big)
+			_, _, n := c.Recv(0, 0, buf)
+			mpi1Expect(buf[:n], big, 0, "the pull")
+			p.Barrier()
+		default:
+			p.Barrier() // the pull has returned: only now is rank 0's staging drained
+			buf := make([]byte, simnet.EagerMax)
+			_, _, n := c.Recv(0, p.Rank(), buf)
+			mpi1Expect(buf[:n], []int{1: simnet.EagerMax, 2: fill}[p.Rank()], p.Rank(), "held")
 		}
 	})
 }
