@@ -8,10 +8,11 @@
 //
 // Every backend's world runs the one control plane (internal/rankio): the
 // launcher coordinates, each rank learns its world from FOMPI_COORD
-// (backend:network:address of the coordinator's socket) and FOMPI_RANK, and
+// (backend:network:address of its control stream) and FOMPI_RANK, and
 // -stats, -net-timeouts and the heartbeat liveness check cover all three.
 // With -backend mp (the default) the launcher creates the shared-memory world
-// and executes the target binary once per rank; with -backend net it listens
+// and executes the target binary once per rank, each rank inheriting its
+// control stream and the arena as descriptors 3 and 4; with -backend net it listens
 // on TCP, spawning the ranks locally (loopback mode) or — when -hosts is
 // given (or FOMPI_HOSTS is set) — waiting for workers the operator starts on
 // each listed machine with FOMPI_COORD=net:tcp:<host>:<port> pointing back at

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -42,6 +43,43 @@ func TestPSCWRing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPSCWMatchingListExhausted: a matching list of MaxPosts entries takes
+// exactly MaxPosts posts over the window's life, and the next Post faults by
+// name instead of writing past the list.
+func TestPSCWMatchingListExhausted(t *testing.T) {
+	const posts = 4
+	var epochs atomic.Int32
+	err := spmd.Run(spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
+		w, mem := Allocate(p, 64, Config{MaxPosts: posts})
+		for e := range posts {
+			if p.Rank() == 0 {
+				w.Post([]int{1})
+				w.WaitEpoch()
+				if got := binary.LittleEndian.Uint64(mem); got != uint64(e)+1 {
+					t.Errorf("epoch %d: rank 0 holds %d, want %d", e, got, e+1)
+				}
+				epochs.Add(1)
+			} else {
+				w.Start([]int{0})
+				var v [8]byte
+				binary.LittleEndian.PutUint64(v[:], uint64(e)+1)
+				w.Put(v[:], 0, 0)
+				w.Complete()
+			}
+		}
+		if p.Rank() == 0 {
+			w.Post([]int{1}) // the fifth post into rank 1's list of four
+		}
+		p.Barrier()
+	})
+	if epochs.Load() != posts {
+		t.Errorf("%d of %d epochs completed before the list ran out", epochs.Load(), posts)
+	}
+	if want := fmt.Sprintf("matching list of rank 1 exhausted (%d posts)", posts); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("post %d into a list of %d ended the world with %v, want %q", posts+1, posts, err, want)
 	}
 }
 

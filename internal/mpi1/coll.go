@@ -23,12 +23,12 @@ func (c *Comm) Barrier() {
 		return
 	}
 	c.seq++
-	var one [1]byte
+	one := c.word[:1]
 	round := 0
 	for dist := 1; dist < n; dist <<= 1 {
 		to := (c.Rank() + dist) % n
 		from := (c.Rank() - dist + n) % n
-		c.SendRecv(to, c.collTag(round), one[:], from, c.collTag(round), one[:])
+		c.SendRecv(to, c.collTag(round), one, from, c.collTag(round), one)
 		round++
 	}
 }
@@ -97,29 +97,28 @@ func (c *Comm) Allreduce8(op spmd.Op, v uint64) uint64 {
 		pow2 *= 2
 	}
 	rem := n - pow2
-	var w [8]byte
+	w, out := c.word[:8], c.word[8:16]
 	if c.Rank() >= pow2 {
-		binary.LittleEndian.PutUint64(w[:], v)
-		c.Send(c.Rank()-pow2, c.collTag(62), w[:])
-		c.Recv(c.Rank()-pow2, c.collTag(63), w[:])
-		return binary.LittleEndian.Uint64(w[:])
+		binary.LittleEndian.PutUint64(w, v)
+		c.Send(c.Rank()-pow2, c.collTag(62), w)
+		c.Recv(c.Rank()-pow2, c.collTag(63), w)
+		return binary.LittleEndian.Uint64(w)
 	}
 	if c.Rank() < rem {
-		c.Recv(c.Rank()+pow2, c.collTag(62), w[:])
-		v = op.Apply(v, binary.LittleEndian.Uint64(w[:]))
+		c.Recv(c.Rank()+pow2, c.collTag(62), w)
+		v = op.Apply(v, binary.LittleEndian.Uint64(w))
 	}
 	round := 0
 	for mask := 1; mask < pow2; mask <<= 1 {
 		peer := c.Rank() ^ mask
-		var out [8]byte
-		binary.LittleEndian.PutUint64(out[:], v)
-		c.SendRecv(peer, c.collTag(round), out[:], peer, c.collTag(round), w[:])
-		v = op.Apply(v, binary.LittleEndian.Uint64(w[:]))
+		binary.LittleEndian.PutUint64(out, v)
+		c.SendRecv(peer, c.collTag(round), out, peer, c.collTag(round), w)
+		v = op.Apply(v, binary.LittleEndian.Uint64(w))
 		round++
 	}
 	if c.Rank() < rem {
-		binary.LittleEndian.PutUint64(w[:], v)
-		c.Send(c.Rank()+pow2, c.collTag(63), w[:])
+		binary.LittleEndian.PutUint64(w, v)
+		c.Send(c.Rank()+pow2, c.collTag(63), w)
 	}
 	return v
 }

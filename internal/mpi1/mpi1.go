@@ -166,6 +166,11 @@ type Comm struct {
 	nextID     int           // the id of the next synchronous send staged
 	pulling    *inbound      // the rendezvous message being pulled
 	fetched    []byte        // the last announcement's header and eager payload
+	// word is the collectives' own message buffers: Barrier's token, and
+	// Allreduce8's received word and the word it sends. A receive buffer
+	// escapes (a pull keeps it), so one on the caller's stack would be an
+	// allocation per call.
+	word [16]byte
 }
 
 // Dial attaches the MPI-1 layer to p's world and returns this rank's

@@ -474,3 +474,41 @@ func TestRendezvousThenBarrier(t *testing.T) {
 		}
 	})
 }
+
+// TestCollectiveAllocs pins what one Barrier and one Allreduce8 of a 2-rank
+// in-process world allocate, both ranks counted: the sends and the matching
+// engine's records, and no buffer of the collective's own, which the Comm
+// holds. With the buffers on the collectives' stacks they read 13 and 15.
+func TestCollectiveAllocs(t *testing.T) {
+	const runs = 200
+	for _, tc := range []struct {
+		name string
+		op   func(*Comm)
+		max  float64
+	}{
+		{"Barrier", func(c *Comm) { c.Barrier() }, 11},
+		{"Allreduce8", func(c *Comm) { c.Allreduce8(spmd.OpSum, 1) }, 11},
+	} {
+		var got float64
+		err := spmd.Run(spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
+			c := Dial(p)
+			for range 10 { // queues and maps grown to their working size
+				tc.op(c)
+			}
+			if p.Rank() == 0 {
+				got = testing.AllocsPerRun(runs, func() { tc.op(c) })
+				return
+			}
+			for range runs + 1 { // AllocsPerRun's warm-up call, then its runs
+				tc.op(c)
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		t.Logf("%s: %.2f allocations per call", tc.name, got)
+		if got > tc.max {
+			t.Errorf("%s allocates %.2f times per call, want at most %.0f", tc.name, got, tc.max)
+		}
+	}
+}

@@ -56,10 +56,11 @@ func (c ArenaConfig) withDefaults() ArenaConfig {
 // region directory, the stamp slabs, each rank's port (doorbell generation,
 // NIC interval and the lock over them) and wake words, the pacer's tables —
 // and nothing else: a parked goroutine sleeps on a slot's wake word with a
-// futex, so a world puts no file on disk but the segment.
+// futex, so a world puts no file on disk but a named segment (an mp world,
+// whose segment is anonymous, puts none).
 type Arena struct {
 	cfg  ArenaConfig
-	path string // the segment file: where the rule put it, or where it was found
+	path string // a named segment's file, where the rule put it or it was found; "" if anonymous
 	m    []byte
 	lay  layout
 	self int // local index of this process, -1 until Bind
@@ -100,21 +101,49 @@ func CreateArena(name string, cfg ArenaConfig) (*Arena, error) {
 }
 
 func createArenaAt(path string, cfg ArenaConfig) (*Arena, error) {
-	cfg = cfg.withDefaults()
-	a := &Arena{cfg: cfg, path: path, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("mprun: create shared segment: %w", err)
 	}
 	defer f.Close()
-	if err := f.Truncate(int64(a.lay.total)); err != nil {
+	a, err := createOver(f, cfg)
+	if err != nil {
 		os.Remove(path)
+		return nil, err
+	}
+	a.path = path
+	return a, nil
+}
+
+// CreateAnon creates an arena over an anonymous memory file (memfd_create):
+// nothing names it, so nothing is left behind however its world ends — it
+// lives as long as a descriptor or a mapping of it does. It returns the file,
+// for the ranks to inherit and map (MapArena); this process keeps no mapping.
+func CreateAnon(cfg ArenaConfig) (*os.File, error) {
+	f, err := memfd("fompi-arena") // errNoFutex off Linux
+	if err != nil {
+		return nil, fmt.Errorf("mprun: create anonymous segment: %w", err)
+	}
+	a, err := createOver(f, cfg)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	a.Close()
+	return f, nil
+}
+
+// createOver sizes f, an empty file, to cfg's layout, maps it and writes the
+// header: the creator of a named and of an anonymous segment alike.
+func createOver(f *os.File, cfg ArenaConfig) (*Arena, error) {
+	cfg = cfg.withDefaults()
+	a := &Arena{cfg: cfg, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
+	if err := f.Truncate(int64(a.lay.total)); err != nil {
 		return nil, fmt.Errorf("mprun: size shared segment: %w", err)
 	}
 	m, err := syscall.Mmap(int(f.Fd()), 0, a.lay.total,
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
-		os.Remove(path)
 		return nil, fmt.Errorf("mprun: mmap shared segment: %w", err)
 	}
 	a.m = m
@@ -136,11 +165,10 @@ var errUnpublished = errors.New("not published yet")
 
 // OpenArena maps the segment called name wherever its CreateArena peer's rule
 // placed it — it looks in every root, the rule's preference first — polling
-// for up to wait (zero means the file must already be complete, the
-// launcher-creates-before-spawn case). The magic word published last by the
-// creator is the readiness signal. Only "not there yet" is retried: a
-// published header that disagrees with cfg is a launcher/worker mismatch no
-// amount of waiting heals, and fails at once.
+// for up to wait. The magic word published last by the creator is the
+// readiness signal. Only "not there yet" is retried: a published header that
+// disagrees with cfg is a mismatch of the world's processes no amount of
+// waiting heals, and fails at once.
 func OpenArena(name string, cfg ArenaConfig, wait time.Duration) (*Arena, error) {
 	if errNoFutex != nil {
 		return nil, errNoFutex
@@ -183,11 +211,32 @@ func (a *Arena) tryOpen() error {
 		return fmt.Errorf("mprun: open shared segment: %w", err)
 	}
 	defer f.Close()
+	return a.mapOver(f)
+}
+
+// MapArena maps the arena over f, a segment CreateAnon made that this process
+// inherited, through the size and header checks an opener of a named one
+// passes, and closes f: the mapping keeps the segment alive. Only a Linux
+// launcher can have made one.
+func MapArena(f *os.File, cfg ArenaConfig) (*Arena, error) {
+	defer f.Close()
+	cfg = cfg.withDefaults()
+	a := &Arena{cfg: cfg, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
+	if err := a.mapOver(f); err != nil {
+		return nil, err
+	}
+	a.initMaps()
+	return a, nil
+}
+
+// mapOver maps f once its size and header match a's configuration: the
+// opener of a named and of an anonymous segment alike.
+func (a *Arena) mapOver(f *os.File) error {
 	// The creator's ftruncate takes the file from empty to its full size in
 	// one step, so any other size is a different world's layout.
 	switch st, err := f.Stat(); {
 	case err == nil && st.Size() == 0:
-		return fmt.Errorf("mprun: shared segment %s is empty: %w", a.path, errUnpublished)
+		return fmt.Errorf("mprun: shared segment %s is empty: %w", f.Name(), errUnpublished)
 	case err != nil || st.Size() != int64(a.lay.total):
 		return fmt.Errorf("mprun: shared segment is %v bytes, want %d (launcher/worker config mismatch?)", fileSize(st, err), a.lay.total)
 	}
@@ -217,7 +266,7 @@ func (a *Arena) Bind(self int, aborted func() error) {
 // nothing — in the shared-memory directory that would be RAM, not disk.
 func (a *Arena) Unlink() { os.Remove(a.path) }
 
-// Path returns the segment file's path.
+// Path returns a named segment's path, "" for an anonymous one.
 func (a *Arena) Path() string { return a.path }
 
 // Close unmaps the arena.

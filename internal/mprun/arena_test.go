@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -17,9 +18,10 @@ import (
 	"fompi/internal/timing"
 )
 
-// placements are the two ways the two-views tests obtain one arena mapped
-// twice: at an explicit path in the test's directory, and by name through the
-// placement rule, as the backends do. Where the host's shared-memory
+// placements are the ways the two-views tests obtain one arena mapped twice:
+// at an explicit path in the test's directory, by name through the placement
+// rule, as a hybrid host group does, and over an anonymous file each view
+// inherits, as an mp world's ranks do. Where the host's shared-memory
 // directory is a tmpfs with room, the rule-placed segment must be on it.
 var placements = []struct {
 	name string
@@ -40,7 +42,7 @@ var placements = []struct {
 		return creator, opener
 	}},
 	{"placed by the rule", func(t *testing.T, cfg ArenaConfig) (*Arena, *Arena) {
-		name := fmt.Sprintf("fompi-mp-test-%d-%d%s", os.Getpid(), time.Now().UnixNano(), segSuffix)
+		name := fmt.Sprintf("fompi-hyb-test-%d-%d", os.Getpid(), time.Now().UnixNano())
 		creator, err := CreateArena(name, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -67,6 +69,31 @@ var placements = []struct {
 		}
 		return creator, opener
 	}},
+	{"anonymous", func(t *testing.T, cfg ArenaConfig) (*Arena, *Arena) {
+		mem, err := CreateAnon(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mem.Close()
+		views := make([]*Arena, 2)
+		for i := range views {
+			if views[i], err = MapArena(inherit(t, mem), cfg); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(views[i].Close)
+		}
+		return views[0], views[1]
+	}},
+}
+
+// inherit returns a descriptor of f's own, as a spawned process inherits one.
+func inherit(t *testing.T, f *os.File) *os.File {
+	t.Helper()
+	fd, err := syscall.Dup(int(f.Fd()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return os.NewFile(uintptr(fd), "inherited")
 }
 
 // bindAborting binds a's slot under an abort state the returned abort sets,
@@ -376,6 +403,50 @@ func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
 	}
 	if _, err := openArenaAt([]string{filepath.Join(t.TempDir(), "never")}, cfg, 20*time.Millisecond); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("opener of a segment that never appears returned %v, want not-exist at the deadline", err)
+	}
+}
+
+// TestMapArena: an anonymous arena puts no entry in any root, MapArena
+// refuses one made for another world's configuration through the header and
+// size checks an opener of a named one passes, and it closes the descriptor
+// it was handed whatever the outcome: the mapping alone keeps the segment.
+func TestMapArena(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	cfg := ArenaConfig{Ranks: 2, RanksPerNode: 2, ArenaBytes: pageAlign}
+	before := GlobRoots("*")
+	mem, err := CreateAnon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	if after := GlobRoots("*"); len(after) != len(before) {
+		t.Errorf("an anonymous arena named an entry: %v, then %v", before, after)
+	}
+	other := cfg
+	other.RanksPerNode = 1
+	big := cfg
+	big.ArenaBytes = 2 * pageAlign
+	for _, c := range []struct {
+		cfg  ArenaConfig
+		want string
+	}{{other, "ranks per node"}, {big, "bytes, want"}, {cfg, ""}} {
+		f := inherit(t, mem)
+		a, err := MapArena(f, c.cfg)
+		switch {
+		case c.want == "" && err != nil:
+			t.Fatalf("MapArena of its own configuration: %v", err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("MapArena of %+v: %v, want an error naming %q", c.cfg, err, c.want)
+		}
+		if a != nil {
+			if a.Path() != "" {
+				t.Errorf("an anonymous arena reports path %q", a.Path())
+			}
+			a.Close()
+		}
+		if _, err := f.Stat(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("MapArena left its descriptor open (%v)", err)
+		}
 	}
 }
 

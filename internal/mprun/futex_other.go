@@ -4,6 +4,7 @@ package mprun
 
 import (
 	"errors"
+	"os"
 	"time"
 )
 
@@ -12,6 +13,7 @@ import (
 // mechanism.
 var errNoFutex = errors.New("mprun: a shared-memory arena needs Linux futex(2); run the net placement or the in-process backend")
 
-// Never called: no arena is ever mapped on this OS.
+// Never called: no arena is ever created or mapped on this OS.
 func futexSleep(*uint32, uint32, time.Duration) {}
 func futexWakeAll(*uint32) bool                 { return false }
+func memfd(string) (*os.File, error)            { return nil, errNoFutex }

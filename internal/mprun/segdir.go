@@ -10,11 +10,11 @@ import (
 // disk filesystem every first store to a page of the MAP_SHARED mapping is a
 // write fault into the filesystem (block reservation, a journal handle),
 // dirty window pages are queued for write-back, and each write-back
-// write-protects them to fault again. The segment is therefore a named file
-// in the host's POSIX shared-memory directory whenever that directory is
-// what its name promises, and in os.TempDir() otherwise. Only the segment
-// moves: world directories and their control sockets stay under
-// os.TempDir().
+// write-protects them to fault again. A named segment (a hybrid host
+// group's) is therefore a file in the host's POSIX shared-memory directory
+// whenever that directory is what its name promises, and in os.TempDir()
+// otherwise. An anonymous segment (an mp world's, CreateAnon) lives in no
+// directory: memfd_create's file is shared memory whatever the host mounts.
 
 // shmDir is the directory shm_open(3) itself uses.
 const shmDir = "/dev/shm"
@@ -39,9 +39,8 @@ func segmentDir(total int, stat func(dir string) (fsInfo, error)) string {
 }
 
 // SegmentRoots lists every directory the rule can answer, its preference
-// first: where an opener looks for a segment its creator placed, and (the
-// last being os.TempDir(), home of everything else a world leaves on disk)
-// where the sweepers look for wreckage.
+// first: where an opener looks for a segment its creator placed, and where
+// the sweeper looks for wreckage.
 func SegmentRoots() []string {
 	if tmp := os.TempDir(); tmp != shmDir {
 		return []string{shmDir, tmp}

@@ -15,10 +15,11 @@
 // control plane (internal/rankio): the coordinator spawns the worker processes
 // itself (loopback mode, the CI mode) or waits for workers the operator starts
 // with FOMPI_COORD pointing at it (host-list mode). When it spawned them all
-// onto one key the world has no wire at all — a Unix control socket and an
-// arena the launcher made before spawning; otherwise workers JOIN a TCP
-// coordinator with their data-listener address, find their host group in the
-// WORLD catalog and dial each other lazily as traffic demands.
+// onto one key the world has no wire and names nothing: each rank inherits its
+// control stream and the arena the launcher made before spawning; otherwise
+// workers JOIN a TCP coordinator with their data-listener address, find their
+// host group in the WORLD catalog and dial each other lazily as traffic
+// demands.
 //
 // Everything virtual-time stays above the Transport line: the requester-side
 // halves of each operation (cost-model charges, source-NIC serialization)
@@ -74,9 +75,10 @@ type World struct {
 	// The host group: lidx maps a world rank to its index among the ranks
 	// that share this rank's host key (ascending), -1 off host; self is this
 	// rank's. A group larger than one — or the whole of a world spawned onto
-	// one key — shares arena ar, which its lowest rank created (creator) unless
-	// the launcher did. door is the hook waiters on the group's ports park
-	// through: the arena's, or with no arena this process's parker.
+	// one key — shares arena ar, which its lowest rank created under a name
+	// (creator) unless the launcher made it anonymous. door is the hook
+	// waiters on the group's ports park through: the arena's, or with no
+	// arena this process's parker.
 	lidx    []int
 	self    int
 	ar      *mprun.Arena
@@ -168,33 +170,21 @@ func Launch(o rankio.Options) error {
 }
 
 // launchMapped runs a world whose ranks all share one host key, so it knows
-// before spawning them that one arena serves everyone: it makes the world
-// directory, the arena and the Unix control socket inside it, and its ranks
-// never open a wire.
+// before spawning them that one arena serves everyone: it creates the arena
+// over an anonymous memory file, and each rank inherits that file and its own
+// end of its control stream (rankio.CoordinateInherited). Its ranks never open
+// a wire, and the world names nothing on disk: a launcher killed at any point
+// strands no file, and the ranks see their streams end.
 func launchMapped(o rankio.Options) error {
 	if o.Ranks > mprun.MaxRanks {
 		return fmt.Errorf("netrun: %d ranks exceed the limit of %d for one arena (use the in-process backend for large worlds)", o.Ranks, mprun.MaxRanks)
 	}
-	mprun.SweepStaleWorlds(mprun.StaleAge)
-	dir, err := os.MkdirTemp("", "fompi-mp-*")
-	if err != nil {
-		return fmt.Errorf("netrun: create world dir: %w", err)
-	}
-	defer os.RemoveAll(dir)
-	ar, err := mprun.CreateArena(mprun.SegName(dir), arenaCfg(o, o.Ranks))
+	mem, err := mprun.CreateAnon(arenaCfg(o, o.Ranks))
 	if err != nil {
 		return err
 	}
-	defer ar.Close()
-	defer ar.Unlink() // a bootstrap that fails never reaches the hook's
-	ln, err := sock.Listen("unix", mprun.CtlPath(dir))
-	if err != nil {
-		return fmt.Errorf("netrun: listen control socket: %w", err)
-	}
-	defer ln.Close()
-	// Every rank mapped the segment before it reported READY: the name has
-	// served its purpose, and a launcher killed from there on strands nothing.
-	return rankio.Coordinate(ln, o, ar.Unlink)
+	defer mem.Close()
+	return rankio.CoordinateInherited(o, mem)
 }
 
 // launchWired runs any other world over a TCP coordinator.
@@ -214,7 +204,7 @@ func launchWired(o rankio.Options) error {
 		return fmt.Errorf("netrun: listen coordinator socket %s: %w", listen, err)
 	}
 	defer ln.Close()
-	return rankio.Coordinate(faultnet.WrapListener(ln), o, nil)
+	return rankio.Coordinate(faultnet.WrapListener(ln), o)
 }
 
 // arenaCfg is the header contract of an arena ranks of o's world share.
@@ -228,8 +218,8 @@ func arenaCfg(o rankio.Options, ranks int) mprun.ArenaConfig {
 }
 
 // Join attaches a worker process to its world and returns the Transport for
-// its rank; which boot it takes it reads off the control socket FOMPI_COORD
-// names. The caller registers its setup regions and then calls Ready to enter
+// its rank; which boot it takes it reads off the network FOMPI_COORD names.
+// The caller registers its setup regions and then calls Ready to enter
 // the bootstrap barrier.
 func Join(o rankio.Options) (*World, error) {
 	network, coord, rank, err := rankio.WorkerOf(o.Backend, o.Ranks)
@@ -237,7 +227,7 @@ func Join(o rankio.Options) (*World, error) {
 		return nil, err
 	}
 	w := &World{rank: rank, lidx: make([]int, o.Ranks)}
-	if network == "unix" {
+	if network == rankio.Inherited {
 		err = w.joinMapped(o, coord)
 	} else {
 		err = w.joinWired(o, network, coord)
@@ -256,28 +246,28 @@ func Join(o rankio.Options) (*World, error) {
 }
 
 // joinMapped is the boot of a rank whose launcher put the whole world on one
-// key (launchMapped): the arena exists already, under the world directory's
-// name, so the rank needs nothing from the catalog and never waits for it —
-// it maps and binds while the coordinator collects the other ranks' JOINs,
-// and reads WORLD behind its READY (Client.Ready).
-func (w *World) joinMapped(o rankio.Options, ctlAt string) error {
+// key (launchMapped): it inherited its control stream and the arena, so it
+// needs nothing from the catalog and never waits for it — it maps and binds
+// while the coordinator collects the other ranks' JOINs, and reads WORLD
+// behind its READY (Client.Ready).
+func (w *World) joinMapped(o rankio.Options, at string) error {
 	if w.rank < 0 {
 		return fmt.Errorf("netrun: worker has no %s", rankio.EnvRank)
 	}
-	ctl, err := sock.Dial("unix", ctlAt, rankio.BootTimeout)
+	ctl, mem, err := rankio.AdoptInherited(at)
 	if err != nil {
-		return fmt.Errorf("netrun: dial control socket: %w", err)
+		return err
 	}
 	if w.Client, err = rankio.Join(ctl, o, w.rank, "shm"); err != nil {
 		ctl.Close()
+		mem.Close()
 		return err
 	}
 	for r := range w.lidx {
 		w.lidx[r] = r
 	}
 	w.self = w.rank
-	dir := filepath.Dir(ctlAt)
-	if w.ar, err = mprun.OpenArena(mprun.SegName(dir), arenaCfg(o, o.Ranks), 0); err != nil {
+	if w.ar, err = mprun.MapArena(mem, arenaCfg(o, o.Ranks)); err != nil {
 		ctl.Close()
 		return err
 	}
@@ -409,8 +399,8 @@ func (w *World) attachGroup(o rankio.Options) error {
 	return nil
 }
 
-// SegmentPath returns the path this process mapped its host group's segment
-// from, "" when it maps none.
+// SegmentPath returns the path this process mapped its host group's named
+// segment from, "" when it maps none or an anonymous one.
 func (w *World) SegmentPath() string {
 	if w.ar == nil {
 		return ""

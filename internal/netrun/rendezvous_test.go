@@ -1,14 +1,17 @@
 package netrun
 
 import (
+	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
+	"fompi/internal/mprun"
 	"fompi/internal/rankio"
 	"fompi/internal/simnet"
+	"fompi/internal/sock"
 )
 
 // TestHostListRendezvous exercises the host-list bootstrap path end to end
@@ -102,28 +105,37 @@ func TestHostListRendezvous(t *testing.T) {
 	}
 }
 
-// TestJoinOverUnixSocketOpensNoWire pins the boot of a world whose launcher
-// put every rank on one key: a Join that finds a Unix control socket maps the
-// arena the launcher made and is done — no TCP listener, no session table, and
-// not one goroutine started (the accept loop would be one), which is where an
-// mp Join has always left the count. The launcher half runs in this process in
-// wait-join mode, so it spawns nothing.
-func TestJoinOverUnixSocketOpensNoWire(t *testing.T) {
-	t.Setenv("TMPDIR", t.TempDir())
+// TestJoinOverInheritedDescriptorsOpensNoWire pins the boot of a world whose
+// launcher put every rank on one key: a Join handed a control stream and an
+// arena by descriptor maps the arena and is done — no TCP listener, no
+// session table, and not one goroutine started (the accept loop would be
+// one), which is where an mp Join has always left the count — and closes the
+// arena's descriptor. The launcher half runs in this process in wait-join
+// mode, so it spawns nothing; dups stand in for the inherited descriptors.
+func TestJoinOverInheritedDescriptorsOpensNoWire(t *testing.T) {
 	o := rankio.Options{Backend: BackendMP, Ranks: 1, RanksPerNode: 1, ArenaBytes: 1 << 20}
+	mem, err := mprun.CreateAnon(arenaCfg(o, o.Ranks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	ln, kids, err := sock.Pairs(rankio.Inherited, "3,4", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	fds := make([]int, 2)
+	for i, f := range []*os.File{kids[0], mem} {
+		if fds[i], err = syscall.Dup(int(f.Fd())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kids[0].Close()
 	launcher := o
 	launcher.Hosts = []string{"localhost"}
 	launchErr := make(chan error, 1)
-	go func() { launchErr <- launchMapped(launcher) }()
-	var ctl []string
-	for i := 0; len(ctl) == 0; i++ {
-		if i > 500 {
-			t.Fatal("the launcher never made its control socket")
-		}
-		time.Sleep(10 * time.Millisecond)
-		ctl, _ = filepath.Glob(filepath.Join(os.TempDir(), "fompi-mp-*", "ctl"))
-	}
-	t.Setenv(rankio.EnvCoord, BackendMP+":unix:"+ctl[0])
+	go func() { launchErr <- rankio.Coordinate(ln, launcher) }()
+	t.Setenv(rankio.EnvCoord, fmt.Sprintf("%s:%s:%d,%d", BackendMP, rankio.Inherited, fds[0], fds[1]))
 	t.Setenv(rankio.EnvRank, "0")
 
 	before := runtime.NumGoroutine()
@@ -132,13 +144,17 @@ func TestJoinOverUnixSocketOpensNoWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := runtime.NumGoroutine(); n != before {
-		t.Errorf("Join over a Unix control socket took the process from %d goroutines to %d", before, n)
+		t.Errorf("Join over inherited descriptors took the process from %d goroutines to %d", before, n)
 	}
 	if w.ln != nil || w.sessions != nil || w.rsess != nil || w.peers != nil {
-		t.Errorf("Join over a Unix control socket built a wire: listener %v, %d sessions, %d peers", w.ln, len(w.rsess), len(w.peers))
+		t.Errorf("Join over inherited descriptors built a wire: listener %v, %d sessions, %d peers", w.ln, len(w.rsess), len(w.peers))
 	}
-	if w.ar == nil || w.creator || w.Pacer() != nil {
-		t.Errorf("arena %v (creator %v), pacer %v: want the launcher's arena and, unpaced, no pacer", w.ar, w.creator, w.Pacer())
+	if w.ar == nil || w.creator || w.Pacer() != nil || w.SegmentPath() != "" {
+		t.Errorf("arena %v (creator %v, path %q), pacer %v: want the launcher's anonymous arena and, unpaced, no pacer",
+			w.ar, w.creator, w.SegmentPath(), w.Pacer())
+	}
+	if _, _, e := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fds[1]), syscall.F_GETFD, 0); e != syscall.EBADF {
+		t.Errorf("the arena's inherited descriptor is still open after Join (%v)", e)
 	}
 	if err := w.Ready(); err != nil {
 		t.Fatal(err)

@@ -17,14 +17,24 @@ import (
 )
 
 // A spawned rank learns its world from two variables: EnvCoord names the
-// backend and the coordinator's socket as "backend:network:address" (host-list
-// operators export the same variable), EnvRank the rank — optional in
+// backend and where its control stream is as "backend:network:address" — a
+// coordinator's TCP socket (host-list operators export the same variable), or
+// the two descriptors a rank of an inheriting world starts with,
+// "backend:fd:3,4" (CoordinateInherited) — and EnvRank the rank — optional in
 // host-list mode, where join order assigns the unclaimed slots. EnvHost is a
 // deployment setting: the host key a rank joins under (see HostKey).
 const (
 	EnvCoord = "FOMPI_COORD"
 	EnvRank  = "FOMPI_RANK"
 	EnvHost  = "FOMPI_NET_HOST"
+)
+
+// Inherited is the network EnvCoord names for a rank of an inheriting world,
+// and inheritedAt the descriptors it starts with: its control stream's end,
+// then the shared file (exec.Cmd.ExtraFiles numbers them from 3).
+const (
+	Inherited   = "fd"
+	inheritedAt = "3,4"
 )
 
 const (
@@ -46,9 +56,9 @@ func WorkerBackend() string {
 	return backend
 }
 
-// WorkerOf reads this worker's identity: the coordinator socket EnvCoord
-// names — which must be a world of backend — and the rank EnvRank claims, -1
-// when it claims none.
+// WorkerOf reads this worker's identity: where EnvCoord says its control
+// stream is — in a world of backend, which it must name — and the rank
+// EnvRank claims, -1 when it claims none.
 func WorkerOf(backend string, ranks int) (network, addr string, rank int, err error) {
 	coord := os.Getenv(EnvCoord)
 	got, rest, _ := strings.Cut(coord, ":")
@@ -132,10 +142,13 @@ type member struct {
 
 type coord struct {
 	Options
-	tm      Timeouts
-	onReady func()
-	quit    chan os.Signal // SIGQUIT to the launcher: DUMP every rank
-	ln      sock.Listener
+	tm   Timeouts
+	quit chan os.Signal // SIGQUIT to the launcher: DUMP every rank
+	ln   sock.Listener
+	// In an inheriting world, kids[r] is rank r's end of its control stream
+	// and shared the file every rank inherits beside it; both nil otherwise.
+	kids    []*os.File
+	shared  *os.File
 	cmds    []*Cmd    // nil in host-list mode
 	joined  []*member // in join order
 	members []*member // by rank, once assigned
@@ -143,25 +156,64 @@ type coord struct {
 
 // Coordinate runs one world from the launcher side over ln: spawn (or the
 // host-list banner), the JOIN/WORLD rendezvous, the READY/GO barrier, then
-// the status loop until every rank is accounted for. A backend may supply
-// onReady, run once every rank is READY, before GO releases them. The verdict
-// of a failed world — RANKFAIL naming the culprit, then ABORT — travels on
-// every rank's control stream and nowhere else, and so does the answer to a
-// SIGQUIT to the launcher: DUMP to every rank, each of which answers with its
-// STATS line and writes its goroutines to its own stderr. Coordinate returns
-// nil only if every rank finished cleanly; a failed world is a *RankError
-// naming the causal rank and carrying the first non-zero worker exit code.
-func Coordinate(ln sock.Listener, o Options, onReady func()) error {
+// the status loop until every rank is accounted for. The verdict of a failed
+// world — RANKFAIL naming the culprit, then ABORT — travels on every rank's
+// control stream and nowhere else, and so does the answer to a SIGQUIT to the
+// launcher: DUMP to every rank, each of which answers with its STATS line and
+// writes its goroutines to its own stderr. Coordinate returns nil only if
+// every rank finished cleanly; a failed world is a *RankError naming the
+// causal rank and carrying the first non-zero worker exit code.
+func Coordinate(ln sock.Listener, o Options) error {
+	return (&coord{Options: o, ln: ln}).run()
+}
+
+// CoordinateInherited is Coordinate for a spawned world whose ranks inherit
+// what they boot from instead of dialing for it: rank r starts with fd 3, its
+// end of a socketpair whose other end the coordinator reads as r's control
+// stream, and fd 4, shared (an mp world's arena), and EnvCoord names them,
+// "backend:fd:3,4". The world names nothing on disk, and no process but the
+// launcher can reach a rank's stream.
+func CoordinateInherited(o Options, shared *os.File) error {
+	ln, kids, err := sock.Pairs(Inherited, inheritedAt, o.Ranks)
+	if err != nil {
+		return fmt.Errorf("rankio: control streams: %w", err)
+	}
+	defer ln.Close()
+	defer func() {
+		for _, k := range kids {
+			k.Close() // those spawn never handed over
+		}
+	}()
+	return (&coord{Options: o, ln: ln, kids: kids, shared: shared}).run()
+}
+
+// AdoptInherited takes over what a rank of an inheriting world was started
+// with, at the address EnvCoord names ("ctl,shared"): its control stream and
+// the shared file.
+func AdoptInherited(at string) (ctl sock.Conn, shared *os.File, err error) {
+	a, b, _ := strings.Cut(at, ",")
+	ctlFD, errA := strconv.Atoi(a)
+	sharedFD, errB := strconv.Atoi(b)
+	if errA != nil || errB != nil || ctlFD < 0 || sharedFD < 0 || ctlFD == sharedFD {
+		return nil, nil, fmt.Errorf("rankio: %s address %q does not name two descriptors (want ctl,shared)", EnvCoord, at)
+	}
+	if ctl, err = sock.Adopt(ctlFD); err != nil {
+		return nil, nil, fmt.Errorf("rankio: inherited control stream: %w", err)
+	}
+	return ctl, os.NewFile(uintptr(sharedFD), "inherited fd "+b), nil
+}
+
+func (c *coord) run() error {
 	tm, err := ResolveTimeouts()
 	if err != nil {
 		return err // a bad timeout spec fails the launch, like a bad -faults spec
 	}
 	// A signal during bootstrap waits in the buffer for the status loop.
-	c := &coord{Options: o, tm: tm, onReady: onReady, quit: make(chan os.Signal, 1), ln: ln}
+	c.tm, c.quit = tm, make(chan os.Signal, 1)
 	signal.Notify(c.quit, syscall.SIGQUIT)
 	defer signal.Stop(c.quit)
-	if len(o.HostKeys) != 0 && len(o.HostKeys) != o.Ranks {
-		return fmt.Errorf("rankio: %d host keys for %d ranks", len(o.HostKeys), o.Ranks)
+	if len(c.HostKeys) != 0 && len(c.HostKeys) != c.Ranks {
+		return fmt.Errorf("rankio: %d host keys for %d ranks", len(c.HostKeys), c.Ranks)
 	}
 	err = c.spawn()
 	for _, phase := range []func() error{c.rendezvous, c.barrier, c.status} {
@@ -205,7 +257,16 @@ func (c *coord) spawn() error {
 	c.cmds = make([]*Cmd, c.Ranks)
 	for r := range c.cmds {
 		env := []string{coordEnv + at, EnvRank + "=" + strconv.Itoa(r)}
-		cmd, err := Start(argv, env, r, c.TagOutput)
+		var files []*os.File
+		if c.kids != nil {
+			files = []*os.File{c.kids[r], c.shared}
+		}
+		cmd, err := Start(argv, env, files, r, c.TagOutput)
+		if c.kids != nil {
+			// The rank holds its end now. With this copy gone, the rank's
+			// exit ends the stream the coordinator reads.
+			c.kids[r].Close()
+		}
 		if err != nil {
 			return fmt.Errorf("rankio: spawn rank %d (%s): %w", r, argv[0], err)
 		}
@@ -332,9 +393,6 @@ func (c *coord) barrier() error {
 			return fmt.Errorf("rankio: rank %d READY handshake failed: %v", r, err)
 		}
 		m.conn.SetReadDeadline(time.Time{})
-	}
-	if c.onReady != nil {
-		c.onReady()
 	}
 	c.broadcast(ctlLine{kind: lnGo})
 	return nil

@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
+	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -22,28 +21,32 @@ const testTimeouts = "heartbeat=50ms,stale=400ms"
 var netWorld = Options{Backend: "net", Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}}
 
 // hostListWorld starts a coordinator in host-list mode (it spawns nothing)
-// on a fresh listener and returns how to reach it and where its verdict lands.
-func hostListWorld(t *testing.T, network string, o Options, onReady func()) (addr string, result <-chan error) {
+// on a fresh loopback listener and returns how to reach it and where its
+// verdict lands.
+func hostListWorld(t *testing.T, o Options) (addr string, result <-chan error) {
 	t.Helper()
-	t.Setenv(EnvTimeouts, testTimeouts)
-	t.Setenv(EnvHost, "here")
-	at := "127.0.0.1:0"
-	if network == "unix" {
-		at = filepath.Join(t.TempDir(), "ctl")
-	}
-	ln, err := sock.Listen(network, at)
+	ln, err := sock.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	done := make(chan error, 1)
-	go func() { done <- Coordinate(ln, o, onReady) }()
-	return ln.Addr(), done
+	return ln.Addr(), coordinate(t, ln, o)
 }
 
-func dial(t *testing.T, network, addr string) sock.Conn {
+// coordinate runs the coordinator over ln, under the tests' timeouts and
+// host key, and returns where its verdict lands.
+func coordinate(t *testing.T, ln sock.Listener, o Options) <-chan error {
 	t.Helper()
-	c, err := sock.Dial(network, addr, time.Second)
+	t.Setenv(EnvTimeouts, testTimeouts)
+	t.Setenv(EnvHost, "here")
+	t.Cleanup(func() { ln.Close() })
+	done := make(chan error, 1)
+	go func() { done <- Coordinate(ln, o) }()
+	return done
+}
+
+func dial(t *testing.T, addr string) sock.Conn {
+	t.Helper()
+	c, err := sock.Dial("tcp", addr, time.Second)
 	if err != nil {
 		t.Fatalf("dial coordinator: %v", err)
 	}
@@ -69,10 +72,10 @@ func verdict(t *testing.T, result <-chan error) error {
 func TestJoinTimeout(t *testing.T) {
 	o := netWorld
 	o.JoinTimeout = time.Second
-	addr, result := hostListWorld(t, "tcp", o, nil)
+	addr, result := hostListWorld(t, o)
 	// The one worker that does appear, rankless: join order gives it rank 0.
 	// Its World blocks on the broadcast and fails when the coordinator gives up.
-	cl, err := Join(dial(t, "tcp", addr), netWorld, -1, "127.0.0.1:1")
+	cl, err := Join(dial(t, addr), netWorld, -1, "127.0.0.1:1")
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
@@ -107,10 +110,10 @@ func TestCoordinatorRefusesBadJoins(t *testing.T) {
 		"over-long line":     {raw: "JOIN " + strings.Repeat("9", maxLine), want: ErrLineTooLong},
 	} {
 		t.Run(name, func(t *testing.T) {
-			addr, result := hostListWorld(t, "tcp", netWorld, nil)
-			dial(t, "tcp", addr).Close()                                 // a liveness probe
-			dial(t, "tcp", addr).Write([]byte("GET / HTTP/1.1\r\n\r\n")) // a stray client
-			conn := dial(t, "tcp", addr)
+			addr, result := hostListWorld(t, netWorld)
+			dial(t, addr).Close()                                 // a liveness probe
+			dial(t, addr).Write([]byte("GET / HTTP/1.1\r\n\r\n")) // a stray client
+			conn := dial(t, addr)
 			if c.raw == "" {
 				o := netWorld
 				o.Backend = c.backend
@@ -127,10 +130,15 @@ func TestCoordinatorRefusesBadJoins(t *testing.T) {
 	}
 }
 
-// rank is one in-process worker of a test world over network.
-func rank(t *testing.T, network, addr string, r int) *Client {
+// rank is one in-process worker of a test world.
+func rank(t *testing.T, addr string, r int) *Client {
 	t.Helper()
-	cl, err := Join(dial(t, network, addr), netWorld, r, "mem")
+	return join(t, dial(t, addr), r)
+}
+
+func join(t *testing.T, conn sock.Conn, r int) *Client {
+	t.Helper()
+	cl, err := Join(conn, netWorld, r, "mem")
 	if err != nil {
 		t.Fatalf("rank %d join: %v", r, err)
 	}
@@ -162,15 +170,43 @@ func enter(t *testing.T, ranks ...*Client) {
 }
 
 // TestCleanWorldOverUnixSocket runs the whole conversation over the socket
-// kind mprun uses: the ready hook's contract, several heartbeats, DONE and BYE.
+// kind an mp world uses, the socketpair a rank inherits — adopted from the
+// descriptors its EnvCoord address names, read by the coordinator through
+// the listener sock.Pairs makes — with several heartbeats, DONE and BYE.
 func TestCleanWorldOverUnixSocket(t *testing.T) {
-	var ready atomic.Int32
-	addr, result := hostListWorld(t, "unix", netWorld, func() { ready.Add(1) })
-	a, b := rank(t, "unix", addr, 0), rank(t, "unix", addr, 1)
-	enter(t, a, b)
-	if ready.Load() != 1 {
-		t.Fatalf("OnReady ran %d times before GO, want once", ready.Load())
+	t.Setenv(EnvHost, "here")          // the ranks JOIN before the coordinator starts
+	shared, err := os.Open(os.DevNull) // what an mp rank maps beside its stream
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer shared.Close()
+	ln, kids, err := sock.Pairs(Inherited, inheritedAt, netWorld.Ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ranks []*Client
+	for r, kid := range kids {
+		// Dups stand in for the descriptors a spawned rank inherits.
+		ctlFD, err := syscall.Dup(int(kid.Fd()))
+		kid.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharedFD, err := syscall.Dup(int(shared.Fd()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl, f, err := AdoptInherited(fmt.Sprintf("%d,%d", ctlFD, sharedFD))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		t.Cleanup(func() { ctl.Close() })
+		ranks = append(ranks, join(t, ctl, r))
+	}
+	result := coordinate(t, ln, netWorld)
+	a, b := ranks[0], ranks[1]
+	enter(t, a, b)
 	time.Sleep(150 * time.Millisecond) // three PINGs, answered by both watchers
 	finished := make(chan struct{})
 	go func() { a.Finish(); close(finished) }()
@@ -189,12 +225,35 @@ func TestCleanWorldOverUnixSocket(t *testing.T) {
 	}
 }
 
+// TestAdoptInheritedRefusesBadAddresses: an EnvCoord address that does not
+// name two descriptors, or whose first is no stream socket, fails the boot
+// by name.
+func TestAdoptInheritedRefusesBadAddresses(t *testing.T) {
+	f, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fd := strconv.Itoa(int(f.Fd()))
+	for at, want := range map[string]string{
+		"3":                 "does not name two descriptors",
+		"3,x":               "does not name two descriptors",
+		"4,4":               "does not name two descriptors",
+		"-1,4":              "does not name two descriptors",
+		fd + "," + fd + "0": "inherited control stream",
+	} {
+		if _, _, err := AdoptInherited(at); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("AdoptInherited(%q) = %v, want an error saying %q", at, err, want)
+		}
+	}
+}
+
 // TestVerdictReachesHookAndSurvivor: a rank's FAIL names it in the *RankError
 // and, through the control stream alone, in the survivor's abort hook and
 // abort state: RANKFAIL precedes ABORT, so the hook already sees the culprit.
 func TestVerdictReachesHookAndSurvivor(t *testing.T) {
-	addr, result := hostListWorld(t, "unix", netWorld, nil)
-	a, b := rank(t, "unix", addr, 0), rank(t, "unix", addr, 1)
+	addr, result := hostListWorld(t, netWorld)
+	a, b := rank(t, addr, 0), rank(t, addr, 1)
 	enter(t, a, b)
 	hooked := make(chan int, 1)
 	a.OnAbort(func() { hooked <- a.FailedRank() })
@@ -218,11 +277,11 @@ func TestVerdictReachesHookAndSurvivor(t *testing.T) {
 // TestStaleHeartbeatNamesTheRank: a rank that is connected but answers no
 // PING — stopped, wedged, partitioned — is declared dead by name.
 func TestStaleHeartbeatNamesTheRank(t *testing.T) {
-	addr, result := hostListWorld(t, "unix", netWorld, nil)
-	a := rank(t, "unix", addr, 0)
+	addr, result := hostListWorld(t, netWorld)
+	a := rank(t, addr, 0)
 	// Rank 1 speaks the handshake by hand and then goes silent; it closes
 	// its stream only once told to abort, as a killed process would.
-	mute := dial(t, "unix", addr)
+	mute := dial(t, addr)
 	mute.Write(formatLine(ctlLine{kind: lnJoin, backend: "net", rank: 1, addr: "mem", host: "here", ranks: 2, rpn: 1}))
 	rd := newLineReader(mute)
 	if l, err := readLine(rd); err != nil || l.kind != lnWorld {
@@ -280,9 +339,9 @@ func TestDumpOnSIGQUIT(t *testing.T) {
 	}()
 	t.Cleanup(func() { os.Stderr = saved; w.Close() })
 
-	addr, result := hostListWorld(t, "unix", netWorld, nil)
-	a := rank(t, "unix", addr, 0)
-	hand := dial(t, "unix", addr)
+	addr, result := hostListWorld(t, netWorld)
+	a := rank(t, addr, 0)
+	hand := dial(t, addr)
 	hand.Write(formatLine(ctlLine{kind: lnJoin, backend: "net", rank: 1, addr: "mem", host: "here", ranks: 2, rpn: 1}))
 	rd := newLineReader(hand)
 	if l, err := readLine(rd); err != nil || l.kind != lnWorld {

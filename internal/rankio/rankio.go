@@ -75,12 +75,14 @@ type Cmd struct {
 }
 
 // Start spawns one worker rank executing argv with extraEnv appended to the
-// inherited environment. With tag set, the worker's stdout and stderr are
+// inherited environment and files as its descriptors 3, 4, … (the caller's
+// copies stay open). With tag set, the worker's stdout and stderr are
 // line-buffered through this process and each line is prefixed "[rank N] ";
 // otherwise the streams pass through directly.
-func Start(argv, extraEnv []string, rank int, tag bool) (*Cmd, error) {
+func Start(argv, extraEnv []string, files []*os.File, rank int, tag bool) (*Cmd, error) {
 	c := &Cmd{cmd: exec.Command(argv[0], argv[1:]...)}
 	c.cmd.Env = append(os.Environ(), extraEnv...)
+	c.cmd.ExtraFiles = files
 	if !tag {
 		c.cmd.Stdout, c.cmd.Stderr = os.Stdout, os.Stderr
 		return c, c.cmd.Start()

@@ -1,8 +1,9 @@
-// Package sock opens the process transport's stream sockets — TCP and Unix;
-// listen, accept and dial — through package syscall, so a program that runs
-// ranks links neither package net nor, through it, the cgo resolver
-// (runtime/cgo): a cgo binary pays about 0.5 ms more per process start, once
-// per rank of every world (DESIGN.md §10, "The two boots").
+// Package sock opens the process transport's stream sockets — TCP listen,
+// accept and dial, and the socketpair a launcher shares with each rank it
+// spawns — through package syscall, so a program that runs ranks links
+// neither package net nor, through it, the cgo resolver (runtime/cgo): a cgo
+// binary pays about 0.5 ms more per process start, once per rank of every
+// world (DESIGN.md §10, "The two boots").
 //
 // Each socket is an *os.File over a non-blocking, close-on-exec descriptor,
 // so Read, Write, Close and the three deadline setters go through the
@@ -10,9 +11,9 @@
 // os.ErrDeadlineExceeded. TCP sockets are made with TCP_NODELAY and
 // listeners with SO_REUSEADDR, net's defaults.
 //
-// An address is a path on "unix" and host:port on "tcp", where the host is
-// an IP address, empty (every interface), or a name /etc/hosts lists. A name
-// only DNS knows is refused with an error that says to pass an address.
+// An address is host:port, where the host is an IP address, empty (every
+// interface), or a name /etc/hosts lists. A name only DNS knows is refused
+// with an error that says to pass an address.
 package sock
 
 import (
@@ -37,9 +38,9 @@ type Conn interface {
 	SetWriteDeadline(t time.Time) error
 }
 
-// Listener is a listening socket. Network is "tcp" or "unix", and Addr is
-// where a Dial on that network reaches it: the bound ip:port, or the path.
-// SetDeadline bounds the Accepts it precedes.
+// Listener is a listening socket, or streams already connected (Pairs).
+// Network and Addr are how the other end reaches it: "tcp" and the bound
+// ip:port for a socket. SetDeadline bounds the Accepts it precedes.
 type Listener interface {
 	Accept() (Conn, error)
 	Close() error
@@ -58,41 +59,29 @@ var hostsFile = "/etc/hosts"
 const listenBacklog = 1<<16 - 1
 
 type listener struct {
-	f       *os.File
-	network string
-	addr    string
-	path    string // a Unix listener's socket file, removed by Close
+	f    *os.File
+	addr string
 }
 
-// Listen opens a listener on network "tcp" or "unix" at address. A TCP host
-// left empty listens on every interface, IPv6 and IPv4 both where the host
-// has IPv6; port 0 picks a free one, which Addr reports.
+// Listen opens a listener on network "tcp" at address. A host left empty
+// listens on every interface, IPv6 and IPv4 both where the host has IPv6;
+// port 0 picks a free one, which Addr reports.
 func Listen(network, address string) (Listener, error) {
-	var family int
-	var sa syscall.Sockaddr
-	var port uint16
-	wildcard := false
-	switch network {
-	case "unix":
-		family, sa = syscall.AF_UNIX, &syscall.SockaddrUnix{Name: address}
-	case "tcp":
-		var host string
-		var err error
-		if host, port, err = splitHostPort(address); err != nil {
-			return nil, opError("listen", address, err)
-		}
-		if host == "" {
-			wildcard = true
-			family, sa = sockaddr(netip.AddrPortFrom(netip.IPv6Unspecified(), port))
-			break
-		}
+	if network != "tcp" {
+		return nil, opError("listen", address, fmt.Errorf("network %q is not tcp", network))
+	}
+	host, port, err := splitHostPort(address)
+	if err != nil {
+		return nil, opError("listen", address, err)
+	}
+	wildcard := host == ""
+	family, sa := sockaddr(netip.AddrPortFrom(netip.IPv6Unspecified(), port))
+	if !wildcard {
 		ips, err := lookupHost(host)
 		if err != nil {
 			return nil, opError("listen", address, err)
 		}
 		family, sa = sockaddr(netip.AddrPortFrom(ips[0], port))
-	default:
-		return nil, opError("listen", address, fmt.Errorf("network %q is not tcp or unix", network))
 	}
 	fd, err := socket(family)
 	if wildcard && err == syscall.EAFNOSUPPORT {
@@ -113,13 +102,11 @@ func Listen(network, address string) (Listener, error) {
 		syscall.Close(fd)
 		return nil, opError("listen", address, err)
 	}
-	l := &listener{network: network, addr: address}
-	if network == "unix" {
-		l.path = address
-	} else if local, err := syscall.Getsockname(fd); err == nil {
+	l := &listener{addr: address}
+	if local, err := syscall.Getsockname(fd); err == nil {
 		l.addr = addrPort(local).String()
 	}
-	l.f = os.NewFile(uintptr(fd), network+" "+l.addr)
+	l.f = os.NewFile(uintptr(fd), "tcp "+l.addr)
 	return l, nil
 }
 
@@ -127,9 +114,6 @@ func Listen(network, address string) (Listener, error) {
 // (a restarted coordinator rebinds a port its last world left in TIME_WAIT),
 // and a wildcard IPv6 one takes IPv4 too.
 func setup(fd, family int, wildcard bool) error {
-	if family == syscall.AF_UNIX {
-		return nil
-	}
 	if wildcard && family == syscall.AF_INET6 {
 		if err := syscall.SetsockoptInt(fd, syscall.IPPROTO_IPV6, syscall.IPV6_V6ONLY, 0); err != nil {
 			return os.NewSyscallError("setsockopt", err)
@@ -138,19 +122,10 @@ func setup(fd, family int, wildcard bool) error {
 	return os.NewSyscallError("setsockopt", syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_REUSEADDR, 1))
 }
 
-func (l *listener) Network() string               { return l.network }
+func (l *listener) Network() string               { return "tcp" }
 func (l *listener) Addr() string                  { return l.addr }
 func (l *listener) SetDeadline(t time.Time) error { return l.f.SetDeadline(t) }
-
-// Close closes the listener and removes a Unix listener's socket file, as
-// net's does.
-func (l *listener) Close() error {
-	err := l.f.Close()
-	if l.path != "" && err == nil {
-		os.Remove(l.path)
-	}
-	return err
-}
+func (l *listener) Close() error                  { return l.f.Close() }
 
 // Accept waits, through the runtime poller and under the listener's
 // deadline, for the next connection.
@@ -175,39 +150,33 @@ func (l *listener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, opError("accept", l.addr, err)
 	}
-	f, err := newConn(nfd, l.network, l.addr)
+	f, err := newConn(nfd, l.addr)
 	if err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// newConn wraps a connected descriptor, TCP_NODELAY set on a TCP one: the
+// newConn wraps a connected TCP descriptor with TCP_NODELAY set: the
 // transports' requests are latency-bound exchanges, not bulk streams.
-func newConn(fd int, network, addr string) (*os.File, error) {
-	if network == "tcp" {
-		if err := syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1); err != nil {
-			syscall.Close(fd)
-			return nil, opError("setsockopt", addr, os.NewSyscallError("setsockopt", err))
-		}
+func newConn(fd int, addr string) (*os.File, error) {
+	if err := syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1); err != nil {
+		syscall.Close(fd)
+		return nil, opError("setsockopt", addr, os.NewSyscallError("setsockopt", err))
 	}
-	return os.NewFile(uintptr(fd), network+" "+addr), nil
+	return os.NewFile(uintptr(fd), "tcp "+addr), nil
 }
 
-// Dial connects to address on network "tcp" or "unix" within timeout (zero:
-// none). A host name listing several addresses in /etc/hosts is tried in
-// turn, IPv4 first, until one answers.
+// Dial connects to address on network "tcp" within timeout (zero: none). A
+// host name listing several addresses in /etc/hosts is tried in turn, IPv4
+// first, until one answers.
 func Dial(network, address string, timeout time.Duration) (Conn, error) {
+	if network != "tcp" {
+		return nil, opError("dial", address, fmt.Errorf("network %q is not tcp", network))
+	}
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
-	}
-	switch network {
-	case "unix":
-		return dial(network, address, syscall.AF_UNIX, &syscall.SockaddrUnix{Name: address}, deadline)
-	case "tcp":
-	default:
-		return nil, opError("dial", address, fmt.Errorf("network %q is not tcp or unix", network))
 	}
 	host, port, err := splitHostPort(address)
 	if err != nil {
@@ -222,7 +191,7 @@ func Dial(network, address string, timeout time.Duration) (Conn, error) {
 	for _, ip := range ips {
 		family, sa := sockaddr(netip.AddrPortFrom(ip, port))
 		var c Conn
-		if c, err = dial(network, address, family, sa, deadline); err == nil {
+		if c, err = dial(address, family, sa, deadline); err == nil {
 			return c, nil
 		}
 	}
@@ -232,13 +201,13 @@ func Dial(network, address string, timeout time.Duration) (Conn, error) {
 // dial makes one non-blocking connect and waits for it through the poller,
 // under deadline. A connect is done once the socket is writable with no
 // SO_ERROR and a peer: the poller can wake a waiter early.
-func dial(network, address string, family int, sa syscall.Sockaddr, deadline time.Time) (Conn, error) {
+func dial(address string, family int, sa syscall.Sockaddr, deadline time.Time) (Conn, error) {
 	fd, err := socket(family)
 	if err != nil {
 		return nil, opError("dial", address, os.NewSyscallError("socket", err))
 	}
 	err = syscall.Connect(fd, sa)
-	f, cerr := newConn(fd, network, address)
+	f, cerr := newConn(fd, address)
 	if cerr != nil {
 		return nil, cerr
 	}

@@ -40,15 +40,45 @@ func pair(t *testing.T, network, addr string) (ln Listener, client, server Conn)
 	return ln, client, server
 }
 
-// TestRoundTrip: bytes cross a TCP and a Unix connection both ways, and a
-// closed end reads as io.EOF at the other.
+// inherited returns both ends of a pair as a spawned child and its parent
+// hold them: the child's adopted from a descriptor of its own (a dup stands
+// in for the inheritance), the parent's accepted from the listener Pairs
+// made.
+func inherited(t *testing.T) (ln Listener, child, parent Conn) {
+	t.Helper()
+	ln, children, err := Pairs("fd", "3,4", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	fd, err := syscall.Dup(int(children[0].Fd()))
+	children[0].Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if child, err = Adopt(fd); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { child.Close() })
+	if parent, err = ln.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { parent.Close() })
+	return ln, child, parent
+}
+
+// TestRoundTrip: bytes cross a TCP connection and an inherited Unix-domain
+// socketpair both ways, and a closed end reads as io.EOF at the other.
 func TestRoundTrip(t *testing.T) {
-	for _, tc := range []struct{ network, addr string }{
-		{"tcp", "127.0.0.1:0"},
-		{"unix", filepath.Join(t.TempDir(), "s")},
+	for _, tc := range []struct {
+		name, network string
+		open          func(t *testing.T) (ln Listener, client, server Conn)
+	}{
+		{"tcp", "tcp", func(t *testing.T) (Listener, Conn, Conn) { return pair(t, "tcp", "127.0.0.1:0") }},
+		{"unix", "fd", inherited},
 	} {
-		t.Run(tc.network, func(t *testing.T) {
-			ln, client, server := pair(t, tc.network, tc.addr)
+		t.Run(tc.name, func(t *testing.T) {
+			ln, client, server := tc.open(t)
 			if ln.Network() != tc.network {
 				t.Fatalf("Network() = %q, want %q", ln.Network(), tc.network)
 			}
@@ -91,11 +121,13 @@ func TestAddrs(t *testing.T) {
 }
 
 // TestSocketOptions: every descriptor is non-blocking and close-on-exec (a
-// spawned rank inherits none), a TCP connection has Nagle off at both ends
-// and a listener SO_REUSEADDR on, as net makes them.
+// spawned rank inherits none but the ends it is handed), a TCP connection has
+// Nagle off at both ends and a listener SO_REUSEADDR on, as net makes them.
 func TestSocketOptions(t *testing.T) {
 	ln, client, server := pair(t, "tcp", "127.0.0.1:0")
-	for name, f := range map[string]any{"listener": ln.(*listener).f, "dialed": client, "accepted": server} {
+	_, child, parent := inherited(t)
+	for name, f := range map[string]any{"listener": ln.(*listener).f, "dialed": client, "accepted": server,
+		"adopted": child, "pair": parent} {
 		rc, err := f.(syscall.Conn).SyscallConn()
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +139,10 @@ func TestSocketOptions(t *testing.T) {
 				t.Errorf("%s: fd flags %#x, status flags %#x: want close-on-exec and non-blocking", name, fdFlags, flFlags)
 			}
 			opt, level := syscall.TCP_NODELAY, syscall.IPPROTO_TCP
-			if name == "listener" {
+			switch name {
+			case "adopted", "pair":
+				return
+			case "listener":
 				opt, level = syscall.SO_REUSEADDR, syscall.SOL_SOCKET
 			}
 			if v, err := syscall.GetsockoptInt(int(fd), level, opt); err != nil || v == 0 {
@@ -137,11 +172,9 @@ func TestDeadlines(t *testing.T) {
 	}
 }
 
-// TestCloseUnblocksAccept: closing a listener ends an Accept parked on it,
-// and a Unix listener's Close removes its socket file.
+// TestCloseUnblocksAccept: closing a listener ends an Accept parked on it.
 func TestCloseUnblocksAccept(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s")
-	ln, err := Listen("unix", path)
+	ln, err := Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +193,98 @@ func TestCloseUnblocksAccept(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Accept still parked after Close")
 	}
-	if _, err := os.Lstat(path); !os.IsNotExist(err) {
-		t.Fatalf("socket file after Close: %v, want it gone", err)
+}
+
+// TestPairs: the listener over the local ends hands them out in order, ends
+// an Accept past its deadline with os.ErrDeadlineExceeded and one parked
+// without a deadline at Close, and Close closes the ends nobody accepted but
+// not the accepted ones, which are the caller's.
+func TestPairs(t *testing.T) {
+	ln, children, err := Pairs("fd", "3,4", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range children {
+		defer c.Close()
+	}
+	if ln.Network() != "fd" || ln.Addr() != "3,4" {
+		t.Fatalf("Pairs' listener reports %s:%s, want fd:3,4", ln.Network(), ln.Addr())
+	}
+	var got []Conn
+	for i := range 2 {
+		c, err := ln.Accept()
+		if err != nil {
+			t.Fatalf("Accept %d: %v", i, err)
+		}
+		defer c.Close()
+		got = append(got, c)
+	}
+	for i, c := range got { // accepted in order: each talks to its own child end
+		c.Write([]byte{byte(i)})
+		b := make([]byte, 1)
+		if _, err := children[i].Read(b); err != nil || b[0] != byte(i) {
+			t.Fatalf("child %d read %v, %v from the %d-th accepted end", i, b, err, i)
+		}
+	}
+	ln.SetDeadline(time.Now().Add(20 * time.Millisecond))
+	if c, err := ln.Accept(); err != nil {
+		t.Fatalf("Accept of the third end: %v", err)
+	} else {
+		c.Close()
+	}
+	if _, err := ln.Accept(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Accept of an exhausted listener past its deadline: %v, want os.ErrDeadlineExceeded", err)
+	}
+	ln.SetDeadline(time.Time{})
+	done := make(chan error)
+	go func() {
+		_, err := ln.Accept()
+		done <- err
+	}()
+	time.Sleep(10 * time.Millisecond)
+	ln.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("Accept parked at Close: %v, want os.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Accept still parked after Close")
+	}
+	if _, err := got[0].Write([]byte{1}); err != nil {
+		t.Fatalf("write to an accepted end after Close: %v", err)
+	}
+
+	ln, children, err = Pairs("fd", "3,4", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	for i, c := range children {
+		if n, err := c.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			t.Errorf("child %d of a closed listener read %d, %v; want io.EOF: Close left its local end open", i, n, err)
+		}
+		c.Close()
 	}
 }
 
-// TestDialRefused: a dial to a port nobody listens on, or a Unix path that
-// is no socket, fails at once with the kernel's reason.
+// TestAdoptRefusesWhatIsNoStream: a descriptor that is no stream socket — a
+// pipe, say, where an inherited control end was expected — is refused by
+// name, not read as one.
+func TestAdoptRefusesWhatIsNoStream(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer w.Close()
+	if c, err := Adopt(int(r.Fd())); err == nil || !strings.Contains(err.Error(), "fd ") {
+		t.Fatalf("Adopt of a pipe: %v, %v; want a refusal naming the descriptor", c, err)
+	}
+}
+
+// TestDialRefused: a dial to a port nobody listens on fails at once with the
+// kernel's reason, and a network other than tcp is refused by name.
 func TestDialRefused(t *testing.T) {
 	ln, err := Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -177,8 +295,13 @@ func TestDialRefused(t *testing.T) {
 	if _, err := Dial("tcp", addr, time.Second); !errors.Is(err, syscall.ECONNREFUSED) {
 		t.Fatalf("dial of a closed port: %v, want ECONNREFUSED", err)
 	}
-	if _, err := Dial("unix", filepath.Join(t.TempDir(), "none"), time.Second); !errors.Is(err, syscall.ENOENT) {
-		t.Fatalf("dial of a missing path: %v, want ENOENT", err)
+	for _, open := range []func() error{
+		func() error { _, err := Dial("unix", filepath.Join(t.TempDir(), "s"), time.Second); return err },
+		func() error { _, err := Listen("unix", filepath.Join(t.TempDir(), "s")); return err },
+	} {
+		if err := open(); err == nil || !strings.Contains(err.Error(), `network "unix" is not tcp`) {
+			t.Fatalf("a unix socket: %v, want the network refused", err)
+		}
 	}
 }
 

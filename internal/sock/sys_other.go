@@ -26,6 +26,10 @@ func accept(fd int) (int, error) {
 	return nonblock(nfd, err)
 }
 
+// socketpair is never reached here: only an inheriting world uses it, and
+// such a world's arena needs Linux (mprun).
+func socketpair() ([2]int, error) { return [2]int{-1, -1}, syscall.ENOSYS }
+
 func nonblock(fd int, err error) (int, error) {
 	if err != nil {
 		return -1, err

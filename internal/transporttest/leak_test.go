@@ -3,10 +3,17 @@
 package transporttest
 
 import (
+	"bytes"
 	"errors"
+	"flag"
+	"fmt"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -18,11 +25,12 @@ import (
 )
 
 // What a world may leave behind: nothing. Every cross-process world — clean,
-// or with a rank SIGKILLed mid-body — must end with no fompi-mp-* / fompi-hyb-*
-// entry in either root: not the segment (whose name must already be gone
-// while the body runs: the creator unlinks it once every rank that maps it is
-// past Ready), not a world directory. A doorbell socket must not exist even
-// while the body runs: host-mates wake through the segment alone.
+// with a rank SIGKILLed mid-body, or with its launcher SIGKILLed — must end
+// with no fompi-mp-* / fompi-hyb-* entry in either root. A running world names
+// nothing either: an mp world's segment is anonymous and its control streams
+// are inherited socketpairs, and a hybrid group's segment loses its name once
+// every rank that maps it is past Ready. A doorbell socket must never exist:
+// host-mates wake through the segment alone.
 
 // worldEntries lists the fompi-mp-* / fompi-hyb-* entries of every root.
 func worldEntries() map[string]bool {
@@ -71,30 +79,34 @@ func leakWatch(t *testing.T) (assertNone func(when string)) {
 	}
 }
 
-// checkSegmentUnlinked asserts, from inside a body, that the name of the
-// segment this rank mapped is gone. The barrier puts every creator past its
-// own Ready, which is where it unlinks.
+// checkSegmentUnlinked asserts, from inside a body, that the segment this
+// rank mapped has no name: an mp world's never had one, and a hybrid group's
+// is gone once the barrier has put every creator past its own Ready, which is
+// where it unlinks.
 func checkSegmentUnlinked(p *spmd.Proc) {
 	p.Barrier()
-	sp, ok := p.Fabric().(interface{ SegmentPath() string })
-	if !ok {
-		return // no segment on this backend
+	path := p.Fabric().(interface{ SegmentPath() string }).SegmentPath()
+	if spmd.WorkerOf() == spmd.BackendMP {
+		check(path == "", "rank %d: an mp world's segment has the name %s", p.Rank(), path)
+		return
 	}
-	path := sp.SegmentPath()
 	check(path != "", "rank %d: backend reports no segment path", p.Rank())
 	_, err := os.Lstat(path)
 	check(errors.Is(err, fs.ErrNotExist), "rank %d: segment %s still has its name after Ready (%v)", p.Rank(), path, err)
 }
 
-// checkNoDoorbells asserts, from inside a body, that no doorbell socket — a
-// *.door.* path — exists in either root or in a world directory under
-// os.TempDir().
-func checkNoDoorbells(p *spmd.Proc) {
-	var found []string
-	for _, pat := range []string{"*.door.*", filepath.Join("fompi-mp-*", "*.door.*")} {
-		found = append(found, mprun.GlobRoots(pat)...)
+// checkNothingNamed asserts, from inside a body, that the running world names
+// nothing: no fompi-mp-* entry and no doorbell socket (*.door.*) in either
+// root, and no entry at all under os.TempDir(), which the launcher's leak
+// watch made private to the test.
+func checkNothingNamed(p *spmd.Proc) {
+	found := append(mprun.GlobRoots("fompi-mp-*"), mprun.GlobRoots("*.door.*")...)
+	ents, err := os.ReadDir(os.TempDir())
+	check(err == nil, "rank %d: read %s: %v", p.Rank(), os.TempDir(), err)
+	for _, e := range ents {
+		found = append(found, filepath.Join(os.TempDir(), e.Name()))
 	}
-	check(len(found) == 0, "rank %d: doorbell paths exist while the world runs: %v", p.Rank(), found)
+	check(len(found) == 0, "rank %d: the running world names %v", p.Rank(), found)
 }
 
 // TestNoLeftoversClean runs a clean world on the two arena backends.
@@ -111,7 +123,7 @@ func TestNoLeftoversClean(t *testing.T) {
 		if err := spmd.Run(c, func(p *spmd.Proc) {
 			reg, key := setupRegion(p, 128)
 			checkSegmentUnlinked(p)
-			checkNoDoorbells(p)
+			checkNothingNamed(p)
 			// The mapping outlives its name.
 			p.EP().StoreW(simnet.Addr{Rank: (p.Rank() + 1) % p.Size(), Key: key, Off: 0}, uint64(p.Rank())+1)
 			p.EP().WaitLocal(func() bool { return reg.LocalWord(0) != 0 })
@@ -124,7 +136,10 @@ func TestNoLeftoversClean(t *testing.T) {
 }
 
 // TestNoLeftoversKilled SIGKILLs a rank mid-body: it can clean nothing up,
-// and the survivors and the launcher must do it for it.
+// and the survivors and the launcher must do it for it. The verdict must name
+// the rank's exit, which its control stream's end tells the coordinator at
+// once, not a heartbeat gone stale: a launcher that kept a copy of a rank's
+// end of an inherited stream would hear no end.
 func TestNoLeftoversKilled(t *testing.T) {
 	cfg := spmd.Config{Ranks: 4, RanksPerNode: 2}
 	assertNone := func(string) {}
@@ -148,11 +163,95 @@ func TestNoLeftoversKilled(t *testing.T) {
 			})
 		})
 		var re *rankio.RankError
-		if !errors.As(err, &re) {
-			t.Fatalf("%s backend: world with a SIGKILLed rank returned %v, want a rankio.RankError", label, err)
+		if !errors.As(err, &re) || re.Rank != 1 || !strings.Contains(err.Error(), "before DONE") {
+			t.Fatalf("%s backend: world with a SIGKILLed rank returned %v, want a rankio.RankError naming rank 1's exit before DONE", label, err)
 		}
 		assertNone("after a " + label + " world with a SIGKILLed rank")
 	})
+}
+
+// launcherFlag makes this test binary the launcher
+// TestNoLeftoversLauncherKilled SIGKILLs; that test alone sets it.
+var launcherFlag = flag.Bool("tt.launcher", false, "run TestNoLeftoversLauncherKilled's mp launcher (set by that test)")
+
+// TestNoLeftoversLauncherKilled SIGKILLs an mp launcher once its ranks are
+// running their body, which they reach only after every rank JOINed. Nobody
+// is left to clean up: the ranks must see their control streams end, unwind
+// and exit within their SilenceBudget, and the world must leave nothing in
+// either root.
+func TestNoLeftoversLauncherKilled(t *testing.T) {
+	const name = "TestNoLeftoversLauncherKilled"
+	cfg := spmd.Config{Ranks: 2, RanksPerNode: 2, Backend: spmd.BackendMP,
+		MPRelaunch: []string{os.Args[0], "-test.run=^" + name + "$"}}
+	body := func(p *spmd.Proc) {
+		reg, _ := setupRegion(p, 64)
+		pidFile := filepath.Join(os.TempDir(), fmt.Sprintf("rank%d.pid", p.Rank()))
+		check(os.WriteFile(pidFile+".new", []byte(strconv.Itoa(os.Getpid())), 0o600) == nil, "write pid file")
+		check(os.Rename(pidFile+".new", pidFile) == nil, "publish pid file")
+		p.EP().WaitLocal(func() bool { return reg.LocalWord(0) == 0xdead })
+		panic("unreachable: the wait above can only end by abort")
+	}
+	switch {
+	case spmd.WorkerOf() != "" || *launcherFlag:
+		spmd.Run(cfg, body) // a rank exits inside; the launcher is killed inside
+		return
+	case runtime.GOOS != "linux":
+		t.Skip("an mp world needs Linux")
+	case !legEnabled(legLabel[spmd.BackendMP]):
+		t.Skip("the multi-process leg is not enabled")
+	}
+	assertNone := leakWatch(t)
+	t.Setenv(rankio.EnvTimeouts, chaosTimeouts)
+	tm, err := rankio.ResolveTimeouts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	launcher := exec.Command(os.Args[0], "-test.run=^"+name+"$", "-tt.launcher")
+	launcher.Stdout, launcher.Stderr = os.Stderr, os.Stderr
+	if err := launcher.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer launcher.Process.Kill()
+	var pids []int
+	for deadline := time.Now().Add(60 * time.Second); len(pids) < cfg.Ranks; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the ranks never reached their body (pids %v)", pids)
+		}
+		pids = pids[:0]
+		for r := range cfg.Ranks {
+			if b, err := os.ReadFile(filepath.Join(os.TempDir(), fmt.Sprintf("rank%d.pid", r))); err == nil {
+				pid, _ := strconv.Atoi(string(b))
+				pids = append(pids, pid)
+			}
+		}
+	}
+	launcher.Process.Kill()
+	launcher.Wait()
+	killed := time.Now()
+	for _, pid := range pids {
+		for !exited(pid) {
+			if time.Since(killed) > tm.SilenceBudget() {
+				syscall.Kill(pid, syscall.SIGKILL)
+				t.Fatalf("rank process %d still runs %v after its launcher was killed", pid, tm.SilenceBudget())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	assertNone("after an mp world whose launcher was SIGKILLed")
+}
+
+// exited reports whether process pid is gone: reaped, or a zombie its new
+// parent has yet to reap.
+func exited(pid int) bool {
+	if syscall.Kill(pid, 0) == syscall.ESRCH {
+		return true
+	}
+	b, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+	if err != nil {
+		return errors.Is(err, fs.ErrNotExist)
+	}
+	i := bytes.LastIndexByte(b, ')') // the state follows the parenthesized command
+	return i >= 0 && i+2 < len(b) && (b[i+2] == 'Z' || b[i+2] == 'X')
 }
 
 // TestLeakWatchSeesLeaks keeps the two tests above honest: an entry planted

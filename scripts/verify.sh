@@ -104,8 +104,14 @@
 #                                runs in process only" refusal) and MPI-1's
 #                                rendezvous chunk buffer, which the staging
 #                                arena's fragments replaced (serveChunk,
-#                                chunkFor, kindReady),
-#                                occur in no non-test Go file; the Makefile, the
+#                                chunkFor, kindReady), and what inherited
+#                                descriptors retired from an mp world's boot
+#                                (the world directory's names SegName and
+#                                CtlPath, the stale-world sweeper
+#                                SweepStaleWorlds, the coordinator's onReady
+#                                unlink hook),
+#                                occur in no non-test Go file, and
+#                                internal/sock has no "unix" network; the Makefile, the
 #                                scripts and the CI workflow name no piece
 #                                of that harness, nor those variables, nor
 #                                the two test variables that became go test
@@ -209,15 +215,15 @@
 #                                backends; hashtable and dsde run to
 #                                completion under fompi-run on mp, net and
 #                                hybrid
-#   leak gate                    no fompi-mp-* / fompi-hyb-* entry (world
-#                                directory, segment)
-#                                created during this run is left under
-#                                $TMPDIR or /dev/shm — every world the legs
-#                                above launched, clean, failed or SIGKILLed,
-#                                cleaned up after itself (the benchmark's own
-#                                check sees only $TMPDIR); and no *.door.*
-#                                path of any age exists there at all: a
-#                                host-mate wakes through the segment alone
+#   leak gate                    no fompi-hyb-* segment created during this
+#                                run is left under $TMPDIR or /dev/shm —
+#                                every world the legs above launched, clean,
+#                                failed or SIGKILLed, cleaned up after itself
+#                                (the benchmark's own check sees only
+#                                $TMPDIR); and no fompi-mp-* entry and no
+#                                *.door.* path of any age exists there at
+#                                all: an mp world names nothing on disk, and
+#                                a host-mate wakes through the segment alone
 #
 # Run via `make verify` or directly. Exits nonzero on the first failure.
 set -eu
@@ -258,12 +264,13 @@ for fn in '(*Port).LockRing' '(*Port).unlockRung' '(*Stamps).Get' '(*Stamps).Wor
 	fi
 done
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator, the byte-slice one-word branch, the frame's ring flag, package net, MPI-1's in-process carve-out and its chunk buffer must not creep back)"
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator, the byte-slice one-word branch, the frame's ring flag, package net, MPI-1's in-process carve-out and its chunk buffer, an mp world's names on disk and sock's unix network must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD|FOMPI_TT_BACKENDS|FOMPI_CHAOS_LOG|FOMPI_DEBUG_ADDR'
-if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo|waiterField|waiterOne|RegionLive|proxyLive|entryEmpty|entryLive|entryDead|nextKey|mineMu|ownRegion|initTbl|regUnknown|oneWord|\.bring\b|\bbring +bool|ringDoor|sharedOnce|rmaOnly|rma-only|two-sided runs in process only|serveChunk|chunkFor|kindReady|^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?\"net\"$" \
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo|waiterField|waiterOne|RegionLive|proxyLive|entryEmpty|entryLive|entryDead|nextKey|mineMu|ownRegion|initTbl|regUnknown|oneWord|\.bring\b|\bbring +bool|ringDoor|sharedOnce|rmaOnly|rma-only|two-sided runs in process only|serveChunk|chunkFor|kindReady|SweepStaleWorlds|SegName|CtlPath|onReady|^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?\"net\"$" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
-	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set, a data operation beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator or liveness constant, the byte-slice one-word branch, the frame's ring flag, an import of package net, MPI-1's in-process carve-out or its chunk buffer is back" >&2
+	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml ||
+	grep -n '"unix"' --include='*.go' --exclude='*_test.go' -r internal/sock; then
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set, a data operation beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator or liveness constant, the byte-slice one-word branch, the frame's ring flag, an import of package net, MPI-1's in-process carve-out or its chunk buffer, an mp world's names on disk or sock's unix network is back" >&2
 	exit 1
 fi
 
@@ -395,11 +402,12 @@ for lb in mp net hybrid; do
 done
 echo "examples smoke: OK"
 
-echo "== leak gate (no fompi-mp-* / fompi-hyb-* entry of this run, and no *.door.* path at all, under \$TMPDIR or /dev/shm)"
+echo "== leak gate (no fompi-hyb-* entry of this run, and no fompi-mp-* entry or *.door.* path at all, under \$TMPDIR or /dev/shm)"
 LEAKED=""
 for root in "${TMPDIR:-/tmp}" /dev/shm; do
 	[ -d "$root" ] || continue
-	LEAKED="$LEAKED$(find "$root" -maxdepth 1 \( -name 'fompi-mp-*' -o -name 'fompi-hyb-*' \) -newer "$TMP/started")"
+	LEAKED="$LEAKED$(find "$root" -maxdepth 1 -name 'fompi-hyb-*' -newer "$TMP/started")"
+	LEAKED="$LEAKED$(find "$root" -maxdepth 1 -name 'fompi-mp-*')"
 	LEAKED="$LEAKED$(find "$root" -maxdepth 2 -name '*.door.*' 2>/dev/null)"
 done
 if [ -n "$LEAKED" ]; then
