@@ -39,18 +39,21 @@ type IBarrier struct {
 	round, dist int
 	pending     *Request
 	done        bool
-	token       [1]byte // the round's receive buffer, allocated with the barrier
+	// The rounds' one-byte messages, allocated with the barrier. One send
+	// token serves every round: a round's Isend follows the previous
+	// round's Wait.
+	token, sendToken [1]byte
 }
 
 // IbarrierBegin starts a nonblocking barrier.
 func (c *Comm) IbarrierBegin() *IBarrier {
 	c.seq++
-	ib := &IBarrier{dist: 1}
+	ib := &IBarrier{dist: 1, sendToken: [1]byte{1}}
 	if c.Size() == 1 {
 		ib.done = true
 		return ib
 	}
-	ib.pending = c.Isend((c.Rank()+1)%c.Size(), c.collTag(0), []byte{1})
+	ib.pending = c.Isend((c.Rank()+1)%c.Size(), c.collTag(0), ib.sendToken[:])
 	return ib
 }
 
@@ -79,7 +82,7 @@ func (c *Comm) progressIB(ib *IBarrier, block bool) bool {
 			ib.done = true
 			break
 		}
-		ib.pending = c.Isend((c.Rank()+ib.dist)%n, c.collTag(ib.round), []byte{1})
+		ib.pending = c.Isend((c.Rank()+ib.dist)%n, c.collTag(ib.round), ib.sendToken[:])
 	}
 	return true
 }

@@ -475,10 +475,13 @@ func TestRendezvousThenBarrier(t *testing.T) {
 	})
 }
 
-// TestCollectiveAllocs pins what one Barrier and one Allreduce8 of a 2-rank
-// in-process world allocate, both ranks counted: the sends and the matching
-// engine's records, and no buffer of the collective's own, which the Comm
-// holds. With the buffers on the collectives' stacks they read 13 and 15.
+// TestCollectiveAllocs pins what one Barrier, one Allreduce8 and one
+// nonblocking barrier (IbarrierBegin + WaitIB) of a 2-rank in-process world
+// allocate, both ranks counted: the sends and the matching engine's records,
+// and no buffer of the collective's own, which the Comm holds (the IBarrier
+// holds its own two tokens). With the buffers on the collectives' stacks the
+// first two read 13 and 15; with a fresh send token per round, the
+// nonblocking barrier read 15.
 func TestCollectiveAllocs(t *testing.T) {
 	const runs = 200
 	for _, tc := range []struct {
@@ -488,6 +491,7 @@ func TestCollectiveAllocs(t *testing.T) {
 	}{
 		{"Barrier", func(c *Comm) { c.Barrier() }, 11},
 		{"Allreduce8", func(c *Comm) { c.Allreduce8(spmd.OpSum, 1) }, 11},
+		{"Ibarrier", func(c *Comm) { c.WaitIB(c.IbarrierBegin()) }, 13},
 	} {
 		var got float64
 		err := spmd.Run(spmd.Config{Ranks: 2}, func(p *spmd.Proc) {

@@ -184,7 +184,11 @@ func launchMapped(o rankio.Options) error {
 		return err
 	}
 	defer mem.Close()
-	return rankio.CoordinateInherited(o, mem)
+	streams, kids, err := sock.Pairs(o.Ranks)
+	if err != nil {
+		return fmt.Errorf("netrun: control streams: %w", err)
+	}
+	return rankio.CoordinateInherited(o, streams, kids, mem)
 }
 
 // launchWired runs any other world over a TCP coordinator.

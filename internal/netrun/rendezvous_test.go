@@ -110,8 +110,10 @@ func TestHostListRendezvous(t *testing.T) {
 // arena by descriptor maps the arena and is done — no TCP listener, no
 // session table, and not one goroutine started (the accept loop would be
 // one), which is where an mp Join has always left the count — and closes the
-// arena's descriptor. The launcher half runs in this process in wait-join
-// mode, so it spawns nothing; dups stand in for the inherited descriptors.
+// arena's descriptor. The launcher half runs in this process and spawns
+// nothing (it is handed no child ends); dups stand in for the inherited
+// descriptors. It starts once Join has returned, so that its own goroutines
+// stay out of the count: the JOIN waits in the stream until it reads it.
 func TestJoinOverInheritedDescriptorsOpensNoWire(t *testing.T) {
 	o := rankio.Options{Backend: BackendMP, Ranks: 1, RanksPerNode: 1, ArenaBytes: 1 << 20}
 	mem, err := mprun.CreateAnon(arenaCfg(o, o.Ranks))
@@ -119,11 +121,10 @@ func TestJoinOverInheritedDescriptorsOpensNoWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	ln, kids, err := sock.Pairs(rankio.Inherited, "3,4", 1)
+	streams, kids, err := sock.Pairs(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 	fds := make([]int, 2)
 	for i, f := range []*os.File{kids[0], mem} {
 		if fds[i], err = syscall.Dup(int(f.Fd())); err != nil {
@@ -131,10 +132,6 @@ func TestJoinOverInheritedDescriptorsOpensNoWire(t *testing.T) {
 		}
 	}
 	kids[0].Close()
-	launcher := o
-	launcher.Hosts = []string{"localhost"}
-	launchErr := make(chan error, 1)
-	go func() { launchErr <- rankio.Coordinate(ln, launcher) }()
 	t.Setenv(rankio.EnvCoord, fmt.Sprintf("%s:%s:%d,%d", BackendMP, rankio.Inherited, fds[0], fds[1]))
 	t.Setenv(rankio.EnvRank, "0")
 
@@ -146,6 +143,8 @@ func TestJoinOverInheritedDescriptorsOpensNoWire(t *testing.T) {
 	if n := runtime.NumGoroutine(); n != before {
 		t.Errorf("Join over inherited descriptors took the process from %d goroutines to %d", before, n)
 	}
+	launchErr := make(chan error, 1)
+	go func() { launchErr <- rankio.CoordinateInherited(o, streams, nil, nil) }()
 	if w.ln != nil || w.sessions != nil || w.rsess != nil || w.peers != nil {
 		t.Errorf("Join over inherited descriptors built a wire: listener %v, %d sessions, %d peers", w.ln, len(w.rsess), len(w.peers))
 	}

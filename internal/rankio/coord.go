@@ -1,7 +1,6 @@
 package rankio
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -9,6 +8,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -108,7 +108,7 @@ type Options struct {
 	// catalog is HostKeys[r], whatever its JOIN said. Empty (every rank keeps
 	// the key it resolved, see HostKey) or exactly Ranks long.
 	HostKeys []string
-	// JoinTimeout bounds the rendezvous: how long the coordinator waits for
+	// JoinTimeout bounds joining: how long the coordinator waits for
 	// every rank to JOIN before failing with an *ErrJoinTimeout naming the
 	// absent ones. Zero means BootTimeout.
 	JoinTimeout time.Duration
@@ -133,58 +133,104 @@ func (e *ErrJoinTimeout) Error() string {
 		e.Timeout, e.Joined, e.Ranks, e.Missing)
 }
 
-// member is the coordinator's view of one joined rank.
+// member is one control stream the loop follows from its first byte. Only
+// the loop touches it; its reader only reads the stream.
 type member struct {
-	conn sock.Conn
-	rd   *bufio.Scanner
-	join ctlLine
+	conn              sock.Conn
+	rank              int     // -1 until claimed at JOIN or given at WORLD
+	join              ctlLine // kind lnJoin once joined
+	dropped           bool    // closed unjoined: its late lines and end are ignored
+	ready, done, gone bool    // READY in, DONE in, stream ended
+	lastPong          time.Time
+	latest            telemetry.Snapshot // the last STATS
 }
 
 type coord struct {
 	Options
 	tm   Timeouts
 	quit chan os.Signal // SIGQUIT to the launcher: DUMP every rank
-	ln   sock.Listener
-	// In an inheriting world, kids[r] is rank r's end of its control stream
-	// and shared the file every rank inherits beside it; both nil otherwise.
-	kids    []*os.File
-	shared  *os.File
-	cmds    []*Cmd    // nil in host-list mode
-	joined  []*member // in join order
-	members []*member // by rank, once assigned
+	// ln is a TCP world's listener. An inheriting world is given its
+	// streams instead, and spawns rank r with kids[r] and shared unless kids
+	// is nil: its ranks hold their ends already.
+	ln     sock.Listener
+	kids   []*os.File
+	shared *os.File
+	cmds   []*Cmd // nil when nothing is spawned
+
+	events chan event    // unbuffered: nothing is posted once the loop is over
+	stop   chan struct{} // closed then: pending posts give up
+	wg     sync.WaitGroup
+
+	streams, joined []*member // every stream followed; the joined, in join order
+	members         []*member // by rank: claimed at JOIN, the rest given at WORLD
+	// The loop joins until WORLD goes out, boots until GO does, then runs.
+	// Its timers are nil until they apply: the join deadline, then WORLD's
+	// boot deadline; the host-list progress line until WORLD; the heartbeat
+	// and SIGQUIT's DUMP from GO (a rank reads no pushed line before it);
+	// the grace from the abort to the kill.
+	world, running                  bool
+	readies                         int
+	deadline, progress, beat, grace <-chan time.Time
+	dump                            <-chan os.Signal
+
+	// The verdict: the first failure (see fail) and the first non-zero exit code.
+	firstErr             error
+	firstCode, firstRank int
+	firstSymptom         bool
+	doneCount, exited    int
+	aborting, byeSent    bool
 }
 
-// Coordinate runs one world from the launcher side over ln: spawn (or the
-// host-list banner), the JOIN/WORLD rendezvous, the READY/GO barrier, then
-// the status loop until every rank is accounted for. The verdict of a failed
-// world — RANKFAIL naming the culprit, then ABORT — travels on every rank's
-// control stream and nowhere else, and so does the answer to a SIGQUIT to the
-// launcher: DUMP to every rank, each of which answers with its STATS line and
-// writes its goroutines to its own stderr. Coordinate returns nil only if
-// every rank finished cleanly; a failed world is a *RankError naming the
-// causal rank and carrying the first non-zero worker exit code.
+// event is what the loop hears: a line of a stream (err set when it does not
+// parse), the stream's end (with a spawned rank's exit status), or — from
+// nil — the acceptor's next connection or its failure.
+type event struct {
+	from *member
+	ctlLine
+	err  error
+	end  bool
+	code int
+	conn sock.Conn
+}
+
+// Coordinate runs one TCP world from the launcher side over ln: spawn (or the
+// host-list banner), then one loop that follows every connection from its
+// first byte, sends WORLD once every slot is claimed and GO once every READY
+// is in, and runs the world until every rank is accounted for. A connection
+// that ends, or says anything but JOIN, before JOIN is a probe and takes no
+// slot. The verdict of a failed world — RANKFAIL naming the culprit, then
+// ABORT — travels on every rank's control stream and nowhere else, and so
+// does the answer to a SIGQUIT to the launcher: DUMP to every rank, each of
+// which answers with its STATS line and writes its goroutines to its own
+// stderr. Coordinate returns nil only if every rank finished cleanly; a
+// failed world is a *RankError naming the causal rank and carrying the first
+// non-zero worker exit code. It leaves no goroutine behind, and ln's
+// deadline in the past.
 func Coordinate(ln sock.Listener, o Options) error {
 	return (&coord{Options: o, ln: ln}).run()
 }
 
-// CoordinateInherited is Coordinate for a spawned world whose ranks inherit
-// what they boot from instead of dialing for it: rank r starts with fd 3, its
-// end of a socketpair whose other end the coordinator reads as r's control
-// stream, and fd 4, shared (an mp world's arena), and EnvCoord names them,
-// "backend:fd:3,4". The world names nothing on disk, and no process but the
-// launcher can reach a rank's stream.
-func CoordinateInherited(o Options, shared *os.File) error {
-	ln, kids, err := sock.Pairs(Inherited, inheritedAt, o.Ranks)
-	if err != nil {
-		return fmt.Errorf("rankio: control streams: %w", err)
-	}
-	defer ln.Close()
+// CoordinateInherited is Coordinate for a world whose ranks inherit what they
+// boot from instead of dialing for it: streams[r], one end of a connected
+// pair (sock.Pairs), is rank r's control stream, and it must JOIN as rank r.
+// Rank r is spawned with kids[r], the pair's other end, as its fd 3 and
+// shared (an mp world's arena) as its fd 4, and EnvCoord names them,
+// "backend:fd:3,4"; with kids nil, the ranks hold their ends already and
+// nothing is spawned. A stream that ends before JOIN is its rank's death,
+// and fails the world at once. The world names nothing on disk, and no
+// process but the launcher can reach a rank's stream. CoordinateInherited
+// closes streams and kids.
+func CoordinateInherited(o Options, streams []sock.Conn, kids []*os.File, shared *os.File) error {
 	defer func() {
 		for _, k := range kids {
 			k.Close() // those spawn never handed over
 		}
 	}()
-	return (&coord{Options: o, ln: ln, kids: kids, shared: shared}).run()
+	c := &coord{Options: o, kids: kids, shared: shared}
+	for r, s := range streams {
+		c.streams = append(c.streams, &member{conn: s, rank: r})
+	}
+	return c.run()
 }
 
 // AdoptInherited takes over what a rank of an inheriting world was started
@@ -203,41 +249,51 @@ func AdoptInherited(at string) (ctl sock.Conn, shared *os.File, err error) {
 	return ctl, os.NewFile(uintptr(sharedFD), "inherited fd "+b), nil
 }
 
-func (c *coord) run() error {
-	tm, err := ResolveTimeouts()
-	if err != nil {
-		return err // a bad timeout spec fails the launch, like a bad -faults spec
-	}
-	// A signal during bootstrap waits in the buffer for the status loop.
-	c.tm, c.quit = tm, make(chan os.Signal, 1)
-	signal.Notify(c.quit, syscall.SIGQUIT)
-	defer signal.Stop(c.quit)
-	if len(c.HostKeys) != 0 && len(c.HostKeys) != c.Ranks {
-		return fmt.Errorf("rankio: %d host keys for %d ranks", len(c.HostKeys), c.Ranks)
-	}
-	err = c.spawn()
-	for _, phase := range []func() error{c.rendezvous, c.barrier, c.status} {
-		if err == nil {
-			err = phase()
+func (c *coord) run() (err error) {
+	c.tm, err = ResolveTimeouts()
+	switch {
+	case err != nil: // a bad timeout spec fails the launch, like a bad -faults spec
+	case len(c.HostKeys) != 0 && len(c.HostKeys) != c.Ranks:
+		err = fmt.Errorf("rankio: %d host keys for %d ranks", len(c.HostKeys), c.Ranks)
+	default:
+		// A signal before GO waits in the buffer until the world runs.
+		c.quit = make(chan os.Signal, 1)
+		signal.Notify(c.quit, syscall.SIGQUIT)
+		defer signal.Stop(c.quit)
+		c.events, c.stop = make(chan event), make(chan struct{})
+		c.members = make([]*member, c.Ranks)
+		if err = c.spawn(); err == nil {
+			err = c.loop()
 		}
+		if err != nil {
+			// Redundant after a world that ran to its end (everyone has
+			// exited), load-bearing after a failed start: don't leave orphans.
+			KillAll(c.cmds)
+			ReapAll(c.cmds)
+		}
+		close(c.stop)
 	}
-	if err != nil {
-		// Redundant after a completed status phase (everyone has exited),
-		// load-bearing after a bootstrap failure: don't leave orphans.
-		KillAll(c.cmds)
-		ReapAll(c.cmds)
-	}
-	for _, m := range c.joined {
+	for _, m := range c.streams {
 		m.conn.Close()
 	}
+	if c.ln != nil {
+		c.ln.SetDeadline(time.Unix(1, 0)) // wakes the acceptor
+	}
+	c.wg.Wait()
 	return err
 }
 
 // spawn starts the ranks, or in host-list mode tells the operator how to.
 func (c *coord) spawn() error {
-	at := c.ln.Addr()
-	coordEnv := EnvCoord + "=" + c.Backend + ":" + c.ln.Network() + ":"
-	if len(c.Hosts) != 0 {
+	network, at := Inherited, inheritedAt
+	if c.ln != nil {
+		network, at = "tcp", c.ln.Addr()
+	}
+	coordEnv := EnvCoord + "=" + c.Backend + ":" + network + ":"
+	switch {
+	case c.ln == nil && c.kids == nil:
+		return nil
+	case c.ln != nil && len(c.Hosts) != 0:
 		// A wildcard bind address is not dialable from another machine;
 		// tell the operator to substitute this host's address.
 		dial := at
@@ -275,95 +331,180 @@ func (c *coord) spawn() error {
 	return nil
 }
 
-// missingRanks lists the rank slots still unclaimed if the join phase ended
-// now: explicit claims hold their slots, and the workers that claimed none
-// would fill the lowest free slots first, in join order.
-func (c *coord) missingRanks() []int {
-	var free []int
-	for r, m := range c.members {
-		if m == nil {
-			free = append(free, r)
-		}
+// post hands ev to the loop, unless the loop is over.
+func (c *coord) post(ev event) bool {
+	select {
+	case c.events <- ev:
+		return true
+	case <-c.stop:
+		return false
 	}
-	for _, m := range c.joined {
-		if m.join.rank < 0 && len(free) > 0 {
-			free = free[1:]
-		}
-	}
-	return free
 }
 
-// rendezvous collects one JOIN per rank, assigns the unclaimed slots in join
-// order and answers every rank with the WORLD catalog.
-func (c *coord) rendezvous() error {
+// accept feeds the loop a TCP world's connections until Accept fails: the
+// loop sets a deadline in the past once the world assembles, and once it is
+// over.
+func (c *coord) accept() {
+	defer c.wg.Done()
+	for {
+		conn, err := c.ln.Accept()
+		if !c.post(event{conn: conn, err: err}) && conn != nil {
+			conn.Close()
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// follow starts m's reader: it posts every line, parsed or not, then the
+// stream's end with a spawned rank's exit status. A TCP stream's rank is the
+// one its JOIN claims (a spawned rank claims its own).
+func (c *coord) follow(m *member) {
+	c.wg.Add(1)
+	go func(rank int) {
+		defer c.wg.Done()
+		sc := newLineReader(m.conn)
+		for sc.Scan() {
+			l, err := parseLine(sc.Bytes())
+			if rank < 0 && l.kind == lnJoin && err == nil {
+				rank = l.rank
+			}
+			if !c.post(event{from: m, ctlLine: l, err: err}) {
+				return
+			}
+		}
+		ev := event{from: m, end: true, err: scanErr(sc)}
+		// Past a line too long to scan, the peer may well be alive.
+		if c.cmds != nil && rank >= 0 && rank < len(c.cmds) && !errors.Is(ev.err, ErrLineTooLong) {
+			ev.code = c.cmds[rank].Wait()
+		}
+		c.post(ev)
+	}(m.rank)
+}
+
+// loop takes events and timers one at a time until every rank is accounted
+// for or the world's start fails.
+func (c *coord) loop() error {
 	joinTO := BootTimeout
 	if c.JoinTimeout > 0 {
 		joinTO = c.JoinTimeout
 	}
-	deadline := time.Now().Add(joinTO)
-	progress := time.Now().Add(joinProgressDot)
-	c.members = make([]*member, c.Ranks)
-	for len(c.joined) < c.Ranks {
-		// Wake before the final deadline in host-list mode so the operator
-		// sees who the world is waiting for while they bring hosts up.
-		next := deadline
-		if len(c.Hosts) != 0 && progress.Before(next) {
-			next = progress
-		}
-		c.ln.SetDeadline(next)
-		conn, err := c.ln.Accept()
-		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) && time.Now().Before(deadline) {
-				Logf("rankio", "still waiting for ranks %v (%d of %d joined)",
-					c.missingRanks(), len(c.joined), c.Ranks)
-				progress = time.Now().Add(joinProgressDot)
-				continue
-			}
-			return &ErrJoinTimeout{Joined: len(c.joined), Ranks: c.Ranks, Timeout: joinTO, Missing: c.missingRanks()}
-		}
-		conn.SetDeadline(deadline)
-		m := &member{conn: conn, rd: newLineReader(conn)}
-		m.join, err = readLine(m.rd)
-		j := m.join
-		switch {
-		case err != nil && (j.kind == lnJoin || errors.Is(err, ErrLineTooLong)):
-			conn.Close()
-			return fmt.Errorf("rankio: refused a worker's JOIN: %w", err)
-		case err != nil || j.kind != lnJoin:
-			// Not a worker: a liveness probe, a port scan, or a connection
-			// dropped mid-handshake. Ignore it without consuming a rank slot
-			// (the join deadline still bounds the wait).
-			conn.Close()
-			continue
-		}
-		c.joined = append(c.joined, m)
-		switch {
-		case j.backend != c.Backend:
-			err = fmt.Errorf("%w: %s worker joined a %s world", ErrBackendMismatch, j.backend, c.Backend)
-		case j.ranks != c.Ranks || j.rpn != c.RanksPerNode || j.pace != c.PaceWindowNs:
-			err = fmt.Errorf("rankio: worker config (ranks %d, ppn %d, pace %d) does not match the coordinator's (ranks %d, ppn %d, pace %d); launcher and workers must run the same configuration",
-				j.ranks, j.rpn, j.pace, c.Ranks, c.RanksPerNode, c.PaceWindowNs)
-		case j.rank >= c.Ranks:
-			err = fmt.Errorf("rankio: worker claims rank %d outside world of %d", j.rank, c.Ranks)
-		case j.rank >= 0 && c.members[j.rank] != nil:
-			err = fmt.Errorf("rankio: two workers claim rank %d", j.rank)
-		}
-		if err != nil {
-			return err
-		}
-		if j.rank >= 0 {
-			c.members[j.rank] = m
-		}
-		conn.SetDeadline(time.Time{})
+	c.deadline = time.After(joinTO)
+	if len(c.Hosts) != 0 {
+		// The operator sees who the world is waiting for while they bring
+		// hosts up.
+		c.progress = time.Tick(joinProgressDot)
 	}
-	// Assign join-order workers to the free slots, lowest rank first.
+	if c.ln != nil {
+		c.wg.Add(1)
+		go c.accept()
+	}
+	for _, m := range c.streams {
+		c.follow(m)
+	}
+	for !c.running || c.exited < c.Ranks {
+		select {
+		case ev := <-c.events:
+			if err := c.handle(ev); err != nil {
+				return err
+			}
+		case <-c.deadline:
+			if !c.world {
+				return &ErrJoinTimeout{Joined: len(c.joined), Ranks: c.Ranks, Timeout: joinTO, Missing: c.missingRanks()}
+			}
+			return fmt.Errorf("rankio: %d of %d ranks READY within %v of WORLD", c.readies, c.Ranks, BootTimeout)
+		case <-c.progress:
+			Logf("rankio", "still waiting for ranks %v (%d of %d joined)", c.missingRanks(), len(c.joined), c.Ranks)
+		case <-c.beat:
+			c.heartbeat()
+		case <-c.dump:
+			c.broadcast(ctlLine{kind: lnDump})
+		case <-c.grace:
+			// Ranks are still unaccounted for: kill local processes and drop
+			// every control connection, whose readers then post their ends.
+			KillAll(c.cmds)
+			for _, m := range c.members {
+				m.conn.Close()
+			}
+		}
+	}
+	return c.verdict()
+}
+
+// handle takes one event; an error fails the world's start.
+func (c *coord) handle(ev event) error {
+	m := ev.from
+	switch {
+	case m == nil && ev.err != nil && !c.world:
+		return fmt.Errorf("rankio: accept: %w", ev.err)
+	case m == nil && ev.conn != nil && c.world:
+		ev.conn.Close() // the world has assembled
+	case m == nil && ev.conn != nil:
+		m = &member{conn: ev.conn, rank: -1}
+		c.streams = append(c.streams, m)
+		c.follow(m)
+	case m == nil || m.dropped:
+	case m.join.kind != lnJoin:
+		return c.opening(m, ev)
+	default:
+		return c.status(m, ev)
+	}
+	return nil
+}
+
+// opening takes what a stream says before JOIN, or its end.
+func (c *coord) opening(m *member, ev event) error {
+	inherited := c.ln == nil
+	switch {
+	case errors.Is(ev.err, ErrLineTooLong) || !ev.end && ev.err != nil && (ev.kind == lnJoin || inherited):
+		return fmt.Errorf("rankio: refused a worker's JOIN: %w", ev.err)
+	case inherited && ev.end:
+		return c.bootFailure(m, "JOIN", ev)
+	case inherited && ev.kind != lnJoin:
+		return fmt.Errorf("rankio: rank %d opened its control stream with %s", m.rank, lineTable[ev.kind].verb)
+	case ev.end || ev.err != nil || ev.kind != lnJoin:
+		// Not a worker: a liveness probe, a port scan, or a connection
+		// dropped mid-handshake. Drop it without taking a rank slot.
+		m.dropped = true
+		m.conn.Close()
+		return nil
+	}
+	j := ev.ctlLine
+	m.join = j
+	c.joined = append(c.joined, m)
+	switch {
+	case j.backend != c.Backend:
+		return fmt.Errorf("%w: %s worker joined a %s world", ErrBackendMismatch, j.backend, c.Backend)
+	case j.ranks != c.Ranks || j.rpn != c.RanksPerNode || j.pace != c.PaceWindowNs:
+		return fmt.Errorf("rankio: worker config (ranks %d, ppn %d, pace %d) does not match the coordinator's (ranks %d, ppn %d, pace %d); launcher and workers must run the same configuration",
+			j.ranks, j.rpn, j.pace, c.Ranks, c.RanksPerNode, c.PaceWindowNs)
+	case j.rank >= c.Ranks:
+		return fmt.Errorf("rankio: worker claims rank %d outside world of %d", j.rank, c.Ranks)
+	case inherited && j.rank != m.rank:
+		return fmt.Errorf("rankio: rank %d's control stream joined as rank %d; an inherited stream joins as its own rank", m.rank, j.rank)
+	case j.rank >= 0 && c.members[j.rank] != nil:
+		return fmt.Errorf("rankio: two workers claim rank %d", j.rank)
+	case j.rank >= 0:
+		m.rank, c.members[j.rank] = j.rank, m
+	}
+	if len(c.joined) == c.Ranks {
+		return c.assemble()
+	}
+	return nil
+}
+
+// assemble gives the rankless joiners the free slots in join order, lowest
+// rank first, answers every rank with the WORLD catalog and lets go of the
+// streams that never joined; the acceptor exits.
+func (c *coord) assemble() error {
 	next := 0
 	for _, m := range c.joined {
-		if m.join.rank < 0 {
+		if m.rank < 0 {
 			for c.members[next] != nil {
 				next++
 			}
-			c.members[next] = m
+			m.rank, c.members[next] = next, m
 		}
 	}
 	world := ctlLine{kind: lnWorld, addrs: make([]string, c.Ranks), hosts: make([]string, c.Ranks)}
@@ -375,27 +516,177 @@ func (c *coord) rendezvous() error {
 	}
 	for r, m := range c.members {
 		world.rank = r
-		if _, err := m.conn.Write(formatLine(world)); err != nil {
+		if err := write(m, formatLine(world)); err != nil {
 			return fmt.Errorf("rankio: send world catalog to rank %d: %w", r, err)
 		}
+	}
+	for _, m := range c.streams {
+		if m.join.kind != lnJoin {
+			m.dropped = true
+			m.conn.Close()
+		}
+	}
+	if c.ln != nil {
+		c.ln.SetDeadline(time.Unix(1, 0))
+	}
+	c.world, c.progress = true, nil
+	c.deadline = time.After(BootTimeout)
+	c.release()
+	return nil
+}
+
+// release sends GO once WORLD is out and every READY is in; the heartbeat
+// starts, and every rank's last PONG is now.
+func (c *coord) release() {
+	if !c.world || c.readies < c.Ranks {
+		return
+	}
+	c.broadcast(ctlLine{kind: lnGo})
+	c.running, c.deadline = true, nil
+	c.beat, c.dump = time.Tick(c.tm.HeartbeatEvery), c.quit
+	for _, m := range c.members {
+		m.lastPong = time.Now()
+	}
+}
+
+// ended says how m's stream ended before the line named: with a spawned
+// rank's exit status, else with what its read returned.
+func (c *coord) ended(ev event, before string) string {
+	if c.cmds != nil {
+		return fmt.Sprintf("exited with status %d before %s", ev.code, before)
+	}
+	return fmt.Sprintf("control stream closed before %s: %v", before, ev.err)
+}
+
+// bootFailure is the *RankError of a start m failed, by its FAIL or its end.
+func (c *coord) bootFailure(m *member, before string, ev event) error {
+	msg := ev.text
+	if ev.end {
+		msg = c.ended(ev, before)
+	}
+	return &RankError{Err: fmt.Errorf("%s world: rank %d: %s", c.Backend, m.rank, msg), Code: max(ev.code, 1), Rank: m.rank}
+}
+
+// missingRanks lists the rank slots still unclaimed if the join ended now:
+// explicit claims hold their slots, and the workers that claimed none would
+// fill the lowest free slots first, in join order.
+func (c *coord) missingRanks() []int {
+	var free []int
+	for r, m := range c.members {
+		if m == nil {
+			free = append(free, r)
+		}
+	}
+	for _, m := range c.joined {
+		if m.rank < 0 && len(free) > 0 {
+			free = free[1:]
+		}
+	}
+	return free
+}
+
+// status takes what a joined rank says, and its stream's end. Before GO, that
+// is its own READY (which a rank that claimed its rank may send before WORLD)
+// or STATS; its FAIL, its end or any other line fails the start. Once every
+// rank has reported DONE the coordinator broadcasts BYE: a finished rank
+// keeps serving its memory until then.
+func (c *coord) status(m *member, ev event) error {
+	switch {
+	case !c.running && ev.kind == lnReady && ev.err == nil && ev.rank == m.rank && m.rank >= 0 && !m.ready:
+		m.ready = true
+		c.readies++
+		c.release()
+	case ev.kind == lnStats && ev.err == nil:
+		c.stats(m, ev.text)
+	case !c.running && (ev.end || ev.kind == lnFail && ev.err == nil):
+		return c.bootFailure(m, "GO", ev)
+	case !c.running:
+		what := lineTable[ev.kind].verb
+		if ev.err != nil {
+			what = ev.err.Error()
+		}
+		return fmt.Errorf("rankio: rank %d READY handshake failed: %s", m.rank, what)
+	case ev.end:
+		c.exited++
+		m.gone = true
+		if !m.done && c.firstErr == nil && !c.aborting {
+			// Crashed without a FAIL line (e.g. killed): report the exit and
+			// abort the survivors.
+			c.fail(m.rank, c.ended(ev, "DONE"), ev.code)
+		} else if c.firstCode == 0 {
+			c.firstCode = ev.code
+		}
+	case ev.err != nil:
+		c.fail(m.rank, fmt.Sprintf("bad control line: %v", ev.err), 0)
+	case ev.kind == lnDone:
+		if !m.done {
+			m.done = true
+			c.doneCount++
+		}
+		if c.doneCount == c.Ranks && !c.aborting && !c.byeSent {
+			c.broadcast(ctlLine{kind: lnBye})
+			c.byeSent = true
+		}
+	case ev.kind == lnPong:
+		m.lastPong = time.Now()
+	case ev.kind == lnFail:
+		c.fail(m.rank, ev.text, 0)
 	}
 	return nil
 }
 
-// barrier collects every rank's READY and releases them with GO. It gets a
-// fresh deadline: the join phase may have consumed most of its own.
-func (c *coord) barrier() error {
-	deadline := time.Now().Add(BootTimeout)
-	for r, m := range c.members {
-		m.conn.SetReadDeadline(deadline)
-		l, err := readLine(m.rd)
-		if err != nil || l.kind != lnReady || l.rank != r {
-			return fmt.Errorf("rankio: rank %d READY handshake failed: %v", r, err)
-		}
-		m.conn.SetReadDeadline(time.Time{})
+// stats prints a STATS line — a rank's telemetry so far, whose counters only
+// grow — and keeps the rank's latest: the world's aggregate merges those once,
+// at the end, so a DUMP's snapshot is never counted twice.
+func (c *coord) stats(m *member, text string) {
+	if snap, err := telemetry.ParseSnapshot([]byte(text)); err == nil {
+		m.latest = snap
+		Logf("stats", "rank %d stats %s", m.rank, text)
 	}
-	c.broadcast(ctlLine{kind: lnGo})
-	return nil
+}
+
+// fail records one rank's failure and, the first time, aborts the world: a
+// RANKFAIL verdict naming the culprit (unless the first report is a
+// peer-abort symptom) so every survivor's blocked primitive can unwind with
+// *simnet.ErrPeerFailed, then ABORT, then — abortGrace later — a kill of
+// whatever is left. This verdict is the only way a rank is declared failed.
+func (c *coord) fail(rank int, msg string, code int) {
+	// A peer-abort report is a symptom; keep looking for the cause. Any later
+	// report that is not a symptom displaces a symptom-only error, and the
+	// culprit's own report, not the symptom, names it.
+	symptom := strings.Contains(msg, PeerAbortMsg)
+	if c.firstErr == nil || (c.firstSymptom && !symptom) {
+		c.firstErr = fmt.Errorf("%s world: rank %d: %s", c.Backend, rank, msg)
+		c.firstRank, c.firstSymptom = rank, symptom
+	}
+	if c.firstCode == 0 {
+		c.firstCode = code
+	}
+	if c.aborting {
+		return
+	}
+	c.aborting = true
+	if !symptom {
+		c.broadcast(ctlLine{kind: lnRankFail, rank: rank, text: msg})
+	}
+	c.broadcast(ctlLine{kind: lnAbort})
+	c.grace = time.After(abortGrace)
+}
+
+// heartbeat catches the silent deaths a stream's end cannot — a host gone
+// without a FIN, a process stopped or wedged — at most stale + one heartbeat
+// after the rank falls silent, inside every survivor's SilenceBudget.
+func (c *coord) heartbeat() {
+	if c.aborting {
+		return
+	}
+	c.broadcast(ctlLine{kind: lnPing})
+	for r, m := range c.members {
+		if !m.done && !m.gone && time.Since(m.lastPong) > c.tm.HeartbeatStale {
+			c.fail(r, fmt.Sprintf("no heartbeat for %v (host dead or partitioned, process stopped?)", c.tm.HeartbeatStale), 0)
+			return
+		}
+	}
 }
 
 // broadcast sends l to every rank, best effort: a rank that cannot take the
@@ -403,181 +694,34 @@ func (c *coord) barrier() error {
 func (c *coord) broadcast(l ctlLine) {
 	line := formatLine(l)
 	for _, m := range c.members {
-		m.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-		m.conn.Write(line)
-		m.conn.SetWriteDeadline(time.Time{})
+		write(m, line)
 	}
 }
 
-// event is one line of a rank's control conversation after GO, or its end
-// (kind 0, with the process exit status in spawn mode), funneled to the
-// single-threaded status loop.
-type event struct {
-	from int // the rank whose stream this is (not the rank a line claims)
-	ctlLine
-	end  error
-	code int
+// write sends one line to m, bounded: a wedged rank cannot park the loop.
+func write(m *member, line []byte) error {
+	m.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
+	_, err := m.conn.Write(line)
+	m.conn.SetWriteDeadline(time.Time{})
+	return err
 }
 
-// follow forwards rank r's lines to the status loop until the stream ends.
-func (c *coord) follow(r int, events chan<- event) {
-	m := c.members[r]
-	for {
-		l, err := readLine(m.rd)
-		if err == nil {
-			events <- event{from: r, ctlLine: l}
-			continue
-		}
-		code := 0
-		if c.cmds != nil {
-			code = c.cmds[r].Wait()
-		}
-		events <- event{from: r, end: err, code: code}
-		return
-	}
-}
-
-// status collects DONE/FAIL/PONG/STATS lines and stream ends until every
-// rank is accounted for. The first FAIL, early exit or stale heartbeat aborts
-// the world: a RANKFAIL verdict naming the culprit (unless the first report
-// is a peer-abort symptom) so every survivor's blocked primitive can unwind
-// with *simnet.ErrPeerFailed, then ABORT, then — abortGrace later — a kill of
-// whatever is left. This verdict is the only way a rank is declared failed.
-// The stale check runs every heartbeat, so a rank that falls silent is judged
-// at most stale + one heartbeat later, inside every survivor's SilenceBudget.
-// Once every rank has reported DONE the coordinator broadcasts BYE: a
-// finished rank keeps serving its memory until then.
-// A STATS line is a rank's telemetry so far, and its counters only grow: the
-// loop prints each one and keeps each rank's latest, and the world's
-// aggregate merges those once, at the end, so a DUMP's snapshot is never
-// counted beside the one the rank ships with its DONE/FAIL.
-func (c *coord) status() error {
-	// One slot per reader: a burst of DONEs does not queue behind the loop.
-	events := make(chan event, c.Ranks)
-	for r := range c.members {
-		go c.follow(r, events)
-	}
-	latest := make([]telemetry.Snapshot, c.Ranks)
-	done := make([]bool, c.Ranks)
-	gone := make([]bool, c.Ranks)
-	lastPong := make([]time.Time, c.Ranks)
-	for r := range lastPong {
-		lastPong[r] = time.Now()
-	}
-	doneCount, exited := 0, 0
-	aborting, byeSent := false, false
-	grace := time.NewTimer(24 * time.Hour)
-	defer grace.Stop()
-	var firstErr error
-	firstCode, firstRank, firstSymptom := 0, -1, false
-	// fail records one rank's failure and, the first time, aborts the world.
-	fail := func(rank int, msg string, code int) {
-		// A peer-abort report is a symptom; keep looking for the cause. Any
-		// later report that is not a symptom displaces a symptom-only error,
-		// and the culprit's own report, not the symptom, names it.
-		symptom := strings.Contains(msg, PeerAbortMsg)
-		if firstErr == nil || (firstSymptom && !symptom) {
-			firstErr = fmt.Errorf("%s world: rank %d: %s", c.Backend, rank, msg)
-			firstRank, firstSymptom = rank, symptom
-		}
-		if firstCode == 0 {
-			firstCode = code
-		}
-		if aborting {
-			return
-		}
-		aborting = true
-		if !symptom {
-			c.broadcast(ctlLine{kind: lnRankFail, rank: rank, text: msg})
-		}
-		c.broadcast(ctlLine{kind: lnAbort})
-		grace.Reset(abortGrace)
-	}
-	heartbeat := time.NewTicker(c.tm.HeartbeatEvery)
-	defer heartbeat.Stop()
-	for exited < c.Ranks {
-		select {
-		case ev := <-events:
-			switch ev.kind {
-			case lnDone:
-				if !done[ev.from] {
-					done[ev.from] = true
-					doneCount++
-				}
-				if doneCount == c.Ranks && !aborting && !byeSent {
-					c.broadcast(ctlLine{kind: lnBye})
-					byeSent = true
-				}
-			case lnPong:
-				lastPong[ev.from] = time.Now()
-			case lnStats:
-				// A report ships its STATS line before its DONE/FAIL line:
-				// stream order keeps the snapshot before the rank is
-				// accounted finished.
-				if snap, err := telemetry.ParseSnapshot([]byte(ev.text)); err == nil {
-					latest[ev.from] = snap
-					Logf("stats", "rank %d stats %s", ev.from, ev.text)
-				}
-			case lnFail:
-				fail(ev.from, ev.text, 0)
-			case 0:
-				exited++
-				gone[ev.from] = true
-				if !done[ev.from] && firstErr == nil && !aborting {
-					// Crashed without a FAIL line (e.g. killed): report the
-					// exit and abort the survivors.
-					msg := fmt.Sprintf("control channel closed before DONE: %v", ev.end)
-					if ev.code != 0 {
-						msg = fmt.Sprintf("exited with status %d before DONE", ev.code)
-					}
-					fail(ev.from, msg, ev.code)
-				} else if firstCode == 0 {
-					firstCode = ev.code
-				}
-			}
-		case <-heartbeat.C:
-			// Liveness probe: catches the silent deaths the control stream
-			// cannot — a host that vanished without a FIN (power loss,
-			// network partition), a process stopped or wedged but not dead.
-			if aborting {
-				break
-			}
-			c.broadcast(ctlLine{kind: lnPing})
-			for r := range lastPong {
-				if !done[r] && !gone[r] && time.Since(lastPong[r]) > c.tm.HeartbeatStale {
-					msg := fmt.Sprintf("no heartbeat for %v (host dead or partitioned, process stopped?)", c.tm.HeartbeatStale)
-					fail(r, msg, 0)
-					break
-				}
-			}
-		case <-c.quit:
-			c.broadcast(ctlLine{kind: lnDump})
-		case <-grace.C:
-			// The grace period after an abort expired with ranks still
-			// unaccounted for. Kill local processes and drop every control
-			// connection — in host-list mode there is nothing to kill, and
-			// closing the conns is what forces the readers to deliver their
-			// final events so the loop can drain.
-			KillAll(c.cmds)
-			for _, m := range c.members {
-				m.conn.Close()
-			}
-		}
-	}
-	// Failure paths publish too — a RANKFAIL post-mortem is exactly when the
-	// merged flight-recorder tails matter most.
+// verdict ends a world that ran: it publishes the merged telemetry (failed
+// worlds too — a RANKFAIL post-mortem is exactly when the merged
+// flight-recorder tails matter most) and returns the first failure.
+func (c *coord) verdict() error {
 	agg := telemetry.Snapshot{Rank: -1}
-	for _, snap := range latest {
-		agg.Merge(snap)
+	for _, m := range c.members {
+		agg.Merge(m.latest)
 	}
 	telemetry.Publish(agg)
-	if firstErr != nil {
-		if firstCode == 0 {
-			firstCode = 1
+	if c.firstErr != nil {
+		if c.firstCode == 0 {
+			c.firstCode = 1
 		}
-		return &RankError{Err: firstErr, Code: firstCode, Rank: firstRank}
+		return &RankError{Err: c.firstErr, Code: c.firstCode, Rank: c.firstRank}
 	}
-	if !byeSent {
+	if !c.byeSent {
 		c.broadcast(ctlLine{kind: lnBye})
 	}
 	return nil

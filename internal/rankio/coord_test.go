@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -36,11 +37,16 @@ func hostListWorld(t *testing.T, o Options) (addr string, result <-chan error) {
 // host key, and returns where its verdict lands.
 func coordinate(t *testing.T, ln sock.Listener, o Options) <-chan error {
 	t.Helper()
+	t.Cleanup(func() { ln.Close() })
+	return coordinateWith(t, func() error { return Coordinate(ln, o) })
+}
+
+func coordinateWith(t *testing.T, run func() error) <-chan error {
+	t.Helper()
 	t.Setenv(EnvTimeouts, testTimeouts)
 	t.Setenv(EnvHost, "here")
-	t.Cleanup(func() { ln.Close() })
 	done := make(chan error, 1)
-	go func() { done <- Coordinate(ln, o) }()
+	go func() { done <- run() }()
 	return done
 }
 
@@ -169,24 +175,22 @@ func enter(t *testing.T, ranks ...*Client) {
 	}
 }
 
-// TestCleanWorldOverUnixSocket runs the whole conversation over the socket
-// kind an mp world uses, the socketpair a rank inherits — adopted from the
-// descriptors its EnvCoord address names, read by the coordinator through
-// the listener sock.Pairs makes — with several heartbeats, DONE and BYE.
-func TestCleanWorldOverUnixSocket(t *testing.T) {
-	t.Setenv(EnvHost, "here")          // the ranks JOIN before the coordinator starts
+// inheritedStreams makes the control streams of an inheriting world of n
+// ranks and returns the coordinator's ends and the ranks', each adopted from
+// the descriptors its EnvCoord address names as a spawned rank adopts them
+// (dups stand in for the descriptors a spawned rank inherits).
+func inheritedStreams(t *testing.T, n int) (streams, ranks []sock.Conn) {
+	t.Helper()
 	shared, err := os.Open(os.DevNull) // what an mp rank maps beside its stream
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shared.Close()
-	ln, kids, err := sock.Pairs(Inherited, inheritedAt, netWorld.Ranks)
+	streams, kids, err := sock.Pairs(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ranks []*Client
-	for r, kid := range kids {
-		// Dups stand in for the descriptors a spawned rank inherits.
+	for _, kid := range kids {
 		ctlFD, err := syscall.Dup(int(kid.Fd()))
 		kid.Close()
 		if err != nil {
@@ -202,9 +206,23 @@ func TestCleanWorldOverUnixSocket(t *testing.T) {
 		}
 		f.Close()
 		t.Cleanup(func() { ctl.Close() })
+		ranks = append(ranks, ctl)
+	}
+	return streams, ranks
+}
+
+// TestCleanWorldOverUnixSocket runs the whole conversation over the socket
+// kind an mp world uses, the socketpair a rank inherits — adopted from the
+// descriptors its EnvCoord address names, read by the coordinator at the end
+// sock.Pairs made for it — with several heartbeats, DONE and BYE.
+func TestCleanWorldOverUnixSocket(t *testing.T) {
+	t.Setenv(EnvHost, "here") // the ranks JOIN before the coordinator starts
+	streams, conns := inheritedStreams(t, netWorld.Ranks)
+	var ranks []*Client
+	for r, ctl := range conns {
 		ranks = append(ranks, join(t, ctl, r))
 	}
-	result := coordinate(t, ln, netWorld)
+	result := coordinateWith(t, func() error { return CoordinateInherited(netWorld, streams, nil, nil) })
 	a, b := ranks[0], ranks[1]
 	enter(t, a, b)
 	time.Sleep(150 * time.Millisecond) // three PINGs, answered by both watchers
@@ -222,6 +240,109 @@ func TestCleanWorldOverUnixSocket(t *testing.T) {
 	}
 	if a.Aborted() || b.Aborted() {
 		t.Fatalf("clean world ran an abort (clients %v, %v)", a.Aborted(), b.Aborted())
+	}
+}
+
+// TestInheritedStreamJoinsAsItsOwnRank: the stream the coordinator holds for
+// rank r is rank r's alone; a JOIN on it that claims another rank, or none,
+// is refused by name.
+func TestInheritedStreamJoinsAsItsOwnRank(t *testing.T) {
+	for _, claim := range []int{1, -1} {
+		streams, conns := inheritedStreams(t, netWorld.Ranks)
+		result := coordinateWith(t, func() error { return CoordinateInherited(netWorld, streams, nil, nil) })
+		join(t, conns[0], claim)
+		want := fmt.Sprintf("rank 0's control stream joined as rank %d", claim)
+		if err := verdict(t, result); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("rank 0's stream claimed rank %d: Coordinate returned %v, want an error saying %q", claim, err, want)
+		}
+	}
+}
+
+// TestSpawnedRankExitBeforeJoin: a spawned rank of an inheriting world that
+// exits before its JOIN — here the test binary running no test — fails the
+// world at once with a *RankError naming the rank and its exit status, not
+// when the join timeout (BootTimeout here) runs out.
+func TestSpawnedRankExitBeforeJoin(t *testing.T) {
+	shared, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shared.Close()
+	streams, kids, err := sock.Pairs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Backend: "mp", Ranks: 2, RanksPerNode: 2, Relaunch: []string{os.Args[0], "-test.run=^$"}, TagOutput: true}
+	start := time.Now()
+	result := coordinateWith(t, func() error { return CoordinateInherited(o, streams, kids, shared) })
+	select {
+	case err = <-result:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a world whose ranks exited before JOIN still stands after 10s")
+	}
+	took := time.Since(start)
+	t.Logf("%v after %v", err, took)
+	var re *RankError
+	if !errors.As(err, &re) || re.Rank < 0 || re.Rank > 1 ||
+		!strings.Contains(err.Error(), fmt.Sprintf("rank %d: exited with status 0 before JOIN", re.Rank)) {
+		t.Fatalf("Coordinate returned %v, want a *RankError naming a rank that exited with status 0 before JOIN", err)
+	}
+	if took > 2*time.Second {
+		t.Fatalf("the early exit was named after %v, want within 2s", took)
+	}
+}
+
+// coordGoroutines counts the goroutines running the coordinator's code.
+func coordGoroutines() (n int) {
+	for _, g := range strings.Split(string(allStacks()), "\n\n") {
+		if strings.Contains(g, "rankio.(*coord).") {
+			n++
+		}
+	}
+	return n
+}
+
+// cleanWorld runs a 2-rank host-list world to its clean end, ranks joining
+// by claim, and checks that Coordinate leaves no goroutine of its own.
+func cleanWorld(t *testing.T, addr string, result <-chan error) {
+	t.Helper()
+	a, b := rank(t, addr, 0), rank(t, addr, 1)
+	enter(t, a, b)
+	finished := make(chan struct{})
+	go func() { a.Finish(); close(finished) }()
+	b.Finish()
+	<-finished
+	if err := verdict(t, result); err != nil {
+		t.Fatalf("clean world: %v", err)
+	}
+	if n := coordGoroutines(); n != 0 {
+		t.Fatalf("Coordinate returned and left %d goroutines of its own:\n%s", n, allStacks())
+	}
+}
+
+// TestCoordinateLeavesNoGoroutine: the acceptor and every stream's reader
+// have ended when Coordinate returns.
+func TestCoordinateLeavesNoGoroutine(t *testing.T) {
+	if n := coordGoroutines(); n != 0 {
+		t.Fatalf("%d coordinator goroutines before the world", n)
+	}
+	addr, result := hostListWorld(t, netWorld)
+	cleanWorld(t, addr, result)
+}
+
+// TestSilentConnectionDoesNotHoldTheJoin: a connection that connects and says
+// nothing, held open through the whole world, takes no slot and holds
+// nothing up: both workers' JOINs assemble the world at once, it runs to a
+// clean end, and the silent connection is closed at WORLD.
+func TestSilentConnectionDoesNotHoldTheJoin(t *testing.T) {
+	o := netWorld
+	o.JoinTimeout = 5 * time.Second
+	addr, result := hostListWorld(t, o)
+	silent := dial(t, addr)
+	cleanWorld(t, addr, result)
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := silent.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("the silent connection read %d, %v after the world; want io.EOF: the coordinator kept it open", n, err)
 	}
 }
 

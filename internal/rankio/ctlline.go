@@ -234,12 +234,18 @@ func readLine(sc *bufio.Scanner) (ctlLine, error) {
 	if sc.Scan() {
 		return parseLine(sc.Bytes())
 	}
+	return ctlLine{}, scanErr(sc)
+}
+
+// scanErr is why sc stopped: io.EOF at the stream's clean end,
+// ErrLineTooLong past the bound, else the read's error.
+func scanErr(sc *bufio.Scanner) error {
 	switch err := sc.Err(); {
 	case err == nil:
-		return ctlLine{}, io.EOF
+		return io.EOF
 	case errors.Is(err, bufio.ErrTooLong):
-		return ctlLine{}, fmt.Errorf("%w (no newline in %d bytes)", ErrLineTooLong, maxLine)
+		return fmt.Errorf("%w (no newline in %d bytes)", ErrLineTooLong, maxLine)
 	default:
-		return ctlLine{}, err
+		return err
 	}
 }

@@ -1,7 +1,10 @@
 // Package rankio is the control plane of the process transport
 // (internal/netrun; DESIGN.md "Control plane"), whatever a world's placement:
-// the coordinator a launcher runs over any listener
-// (coord.go), the client a rank embeds over any connection (client.go), the
+// the coordinator a launcher runs over a TCP listener or the streams its
+// ranks inherit (coord.go: one event loop that reads every control stream
+// from its first byte, so a silent connection holds no world's start and a
+// spawned rank that exits before JOIN is named at once), the client a rank
+// embeds over any connection (client.go), the
 // one parser of the lines they exchange (ctlline.go) and the process
 // plumbing beneath — worker spawning with per-rank "[rank N]" output tagging,
 // idempotent exit-status reaping, and the error type that carries a failing

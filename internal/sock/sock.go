@@ -38,14 +38,13 @@ type Conn interface {
 	SetWriteDeadline(t time.Time) error
 }
 
-// Listener is a listening socket, or streams already connected (Pairs).
-// Network and Addr are how the other end reaches it: "tcp" and the bound
-// ip:port for a socket. SetDeadline bounds the Accepts it precedes.
+// Listener is a listening TCP socket. Addr is how the other end reaches it,
+// the bound ip:port. SetDeadline bounds the Accepts it precedes, and a
+// deadline in the past wakes a parked one.
 type Listener interface {
 	Accept() (Conn, error)
 	Close() error
 	SetDeadline(t time.Time) error
-	Network() string
 	Addr() string
 }
 
@@ -122,7 +121,6 @@ func setup(fd, family int, wildcard bool) error {
 	return os.NewSyscallError("setsockopt", syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_REUSEADDR, 1))
 }
 
-func (l *listener) Network() string               { return "tcp" }
 func (l *listener) Addr() string                  { return l.addr }
 func (l *listener) SetDeadline(t time.Time) error { return l.f.SetDeadline(t) }
 func (l *listener) Close() error                  { return l.f.Close() }

@@ -42,15 +42,15 @@ func pair(t *testing.T, network, addr string) (ln Listener, client, server Conn)
 
 // inherited returns both ends of a pair as a spawned child and its parent
 // hold them: the child's adopted from a descriptor of its own (a dup stands
-// in for the inheritance), the parent's accepted from the listener Pairs
-// made.
-func inherited(t *testing.T) (ln Listener, child, parent Conn) {
+// in for the inheritance), the parent's the local end Pairs made.
+func inherited(t *testing.T) (child, parent Conn) {
 	t.Helper()
-	ln, children, err := Pairs("fd", "3,4", 1)
+	locals, children, err := Pairs(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
+	parent = locals[0]
+	t.Cleanup(func() { parent.Close() })
 	fd, err := syscall.Dup(int(children[0].Fd()))
 	children[0].Close()
 	if err != nil {
@@ -60,28 +60,21 @@ func inherited(t *testing.T) (ln Listener, child, parent Conn) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { child.Close() })
-	if parent, err = ln.Accept(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { parent.Close() })
-	return ln, child, parent
+	return child, parent
 }
 
 // TestRoundTrip: bytes cross a TCP connection and an inherited Unix-domain
 // socketpair both ways, and a closed end reads as io.EOF at the other.
 func TestRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		name, network string
-		open          func(t *testing.T) (ln Listener, client, server Conn)
+		name string
+		open func(t *testing.T) (client, server Conn)
 	}{
-		{"tcp", "tcp", func(t *testing.T) (Listener, Conn, Conn) { return pair(t, "tcp", "127.0.0.1:0") }},
-		{"unix", "fd", inherited},
+		{"tcp", func(t *testing.T) (Conn, Conn) { _, c, s := pair(t, "tcp", "127.0.0.1:0"); return c, s }},
+		{"unix", inherited},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ln, client, server := tc.open(t)
-			if ln.Network() != tc.network {
-				t.Fatalf("Network() = %q, want %q", ln.Network(), tc.network)
-			}
+			client, server := tc.open(t)
 			if _, err := client.Write([]byte("ping")); err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +118,7 @@ func TestAddrs(t *testing.T) {
 // Nagle off at both ends and a listener SO_REUSEADDR on, as net makes them.
 func TestSocketOptions(t *testing.T) {
 	ln, client, server := pair(t, "tcp", "127.0.0.1:0")
-	_, child, parent := inherited(t)
+	child, parent := inherited(t)
 	for name, f := range map[string]any{"listener": ln.(*listener).f, "dialed": client, "accepted": server,
 		"adopted": child, "pair": parent} {
 		rc, err := f.(syscall.Conn).SyscallConn()
@@ -195,76 +188,30 @@ func TestCloseUnblocksAccept(t *testing.T) {
 	}
 }
 
-// TestPairs: the listener over the local ends hands them out in order, ends
-// an Accept past its deadline with os.ErrDeadlineExceeded and one parked
-// without a deadline at Close, and Close closes the ends nobody accepted but
-// not the accepted ones, which are the caller's.
+// TestPairs: each local end talks to its own child end, in order, and a
+// closed local end reads as io.EOF at its child.
 func TestPairs(t *testing.T) {
-	ln, children, err := Pairs("fd", "3,4", 3)
+	locals, children, err := Pairs(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range children {
-		defer c.Close()
+	for i := range locals {
+		defer locals[i].Close()
+		defer children[i].Close()
 	}
-	if ln.Network() != "fd" || ln.Addr() != "3,4" {
-		t.Fatalf("Pairs' listener reports %s:%s, want fd:3,4", ln.Network(), ln.Addr())
-	}
-	var got []Conn
-	for i := range 2 {
-		c, err := ln.Accept()
-		if err != nil {
-			t.Fatalf("Accept %d: %v", i, err)
-		}
-		defer c.Close()
-		got = append(got, c)
-	}
-	for i, c := range got { // accepted in order: each talks to its own child end
+	for i, c := range locals {
 		c.Write([]byte{byte(i)})
 		b := make([]byte, 1)
 		if _, err := children[i].Read(b); err != nil || b[0] != byte(i) {
-			t.Fatalf("child %d read %v, %v from the %d-th accepted end", i, b, err, i)
+			t.Fatalf("child %d read %v, %v from the %d-th local end", i, b, err, i)
 		}
 	}
-	ln.SetDeadline(time.Now().Add(20 * time.Millisecond))
-	if c, err := ln.Accept(); err != nil {
-		t.Fatalf("Accept of the third end: %v", err)
-	} else {
-		c.Close()
+	locals[1].Close()
+	if n, err := children[1].Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("child 1 read %d, %v after its local end closed; want io.EOF", n, err)
 	}
-	if _, err := ln.Accept(); !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("Accept of an exhausted listener past its deadline: %v, want os.ErrDeadlineExceeded", err)
-	}
-	ln.SetDeadline(time.Time{})
-	done := make(chan error)
-	go func() {
-		_, err := ln.Accept()
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	ln.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, os.ErrClosed) {
-			t.Fatalf("Accept parked at Close: %v, want os.ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Accept still parked after Close")
-	}
-	if _, err := got[0].Write([]byte{1}); err != nil {
-		t.Fatalf("write to an accepted end after Close: %v", err)
-	}
-
-	ln, children, err = Pairs("fd", "3,4", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln.Close()
-	for i, c := range children {
-		if n, err := c.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-			t.Errorf("child %d of a closed listener read %d, %v; want io.EOF: Close left its local end open", i, n, err)
-		}
-		c.Close()
+	if _, err := locals[0].Write([]byte{1}); err != nil {
+		t.Fatalf("write to local end 0 after local end 1 closed: %v", err)
 	}
 }
 
