@@ -43,6 +43,9 @@ func (p *Profile) xferNs(n int) int64 {
 }
 
 // CostModel selects the intra- or inter-node profile of one transport layer.
+// A model is immutable once built: endpoints, worlds and launches share one
+// by pointer and only read it, so no code may write to a *CostModel it did
+// not just make.
 type CostModel struct {
 	Name  string
 	Inter Profile

@@ -25,11 +25,14 @@ func (k Key) Live() uint32 { return uint32(k) + 1 }
 // Directory is one rank's live registrations by slot, the one place a Key is
 // assigned and a stale one detected. Add and Drop are the owner's; Get takes
 // no lock. Drop empties its slot in place and only a full table grows, so the
-// table is as long as the most registrations the rank held at once.
+// slots handed out are as many as the most registrations the rank held at
+// once. The table is always full length, its unused slots nil, so a new slot
+// changes no header and only a growth publishes one.
 type Directory struct {
 	mu    sync.Mutex
 	tbl   atomic.Pointer[[]atomic.Pointer[Region]]
-	first []atomic.Pointer[Region] // the initial header, when the fabric carved one
+	first []atomic.Pointer[Region] // the initial table, when the fabric carved one
+	used  int                      // slots handed out so far
 	free  []Key                    // the next key of each vacated slot, last vacated on top
 }
 
@@ -47,24 +50,24 @@ func (d *Directory) Add(reg *Region) Key {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	tbl := d.table()
-	k := Key(len(tbl))
+	k := Key(d.used)
 	if n := len(d.free); n > 0 {
 		k, d.free = d.free[n-1], d.free[:n-1]
-	} else if len(tbl) == maxSlots {
+	} else if d.used == maxSlots {
 		panic(fmt.Sprintf("simnet: %d live registrations on one rank, the most a key's slot addresses", maxSlots))
-	} else if len(tbl) == cap(tbl) {
-		grown := make([]atomic.Pointer[Region], len(tbl), max(2*cap(tbl), initialRegionCap))
-		for i := range tbl {
-			grown[i].Store(tbl[i].Load())
+	} else {
+		if d.used == len(tbl) {
+			grown := make([]atomic.Pointer[Region], max(2*len(tbl), initialRegionCap))
+			for i := range tbl {
+				grown[i].Store(tbl[i].Load())
+			}
+			tbl = grown
+			d.tbl.Store(&grown)
 		}
-		tbl = grown
+		d.used++
 	}
 	reg.key = k
 	atomic.StoreUint32(reg.live, k.Live())
-	if k == Key(len(tbl)) {
-		tbl = tbl[:k+1]
-		defer d.tbl.Store(&tbl) // after the slot: a reader that sees the new length sees reg
-	}
 	tbl[k.Slot()].Store(reg)
 	return k
 }
@@ -81,6 +84,25 @@ func (d *Directory) Drop(k Key) {
 			d.free = append(d.free, k+genStep)
 		}
 	}
+}
+
+// reset empties the directory as if every registration were dropped and the
+// table never grown: a region still registered loses its liveness word, and
+// keys start again at 0. The owner alone may be running (see Fabric.Reset).
+func (d *Directory) reset() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	tbl := d.table()
+	for i := range tbl[:d.used] {
+		if r := tbl[i].Load(); r != nil {
+			atomic.StoreUint32(r.live, 0)
+			tbl[i].Store(nil)
+		}
+	}
+	clear(d.first) // a grown table's copies leave pointers behind
+	d.used = 0
+	d.free = d.free[:0]
+	d.tbl.Store(&d.first)
 }
 
 // Get returns the live registration under k, nil if there is none.

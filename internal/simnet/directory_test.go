@@ -23,7 +23,7 @@ func TestDirectoryRecyclesSlots(t *testing.T) {
 		owner.Unregister(live[c%3])
 		live[c%3] = owner.RegisterBuf(make([]byte, 64))
 	}
-	if n := len(f.nodes[0].dir.table()); n > 3 {
+	if n := f.nodes[0].dir.used; n > 3 {
 		t.Fatalf("table holds %d slots after 10000 cycles with at most 3 live registrations", n)
 	}
 

@@ -211,6 +211,16 @@ func (k *Parker) Stop() {
 	}
 }
 
+// reset returns a parker nobody parks on to its fresh state: no abort and
+// every slot's sequence at 0. A slot keeps its timer, which Stop disarmed, so
+// a reused world's first park re-arms it instead of making one.
+func (k *Parker) reset() {
+	k.aborted.Store(false)
+	for i := range k.slots {
+		k.slots[i].pokes.Store(0)
+	}
+}
+
 // Abort ends every park, now and from now on: the sleepers find the world
 // torn down through their hook's Aborted.
 func (k *Parker) Abort() {

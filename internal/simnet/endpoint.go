@@ -119,12 +119,16 @@ func (f *Fabric) Endpoint(rank int, cm *CostModel) *Endpoint {
 	return NewEndpoint(f, rank, cm)
 }
 
-// Endpoints creates one endpoint per rank with a shared cost model, in a
-// single slab (world setup: one allocation instead of one per rank). Each
-// endpoint is still confined to its rank's goroutine.
-func (f *Fabric) Endpoints(cm *CostModel) []Endpoint {
-	eps := make([]Endpoint, f.n)
+// Endpoints makes one fresh endpoint per rank with a shared cost model, in a
+// single slab (world setup: one allocation instead of one per rank): eps, an
+// earlier world's slab, zeroed, when it holds one endpoint per rank, and a
+// new one otherwise. Each endpoint is still confined to its rank's goroutine.
+func (f *Fabric) Endpoints(eps []Endpoint, cm *CostModel) []Endpoint {
+	if len(eps) != f.n {
+		eps = make([]Endpoint, f.n)
+	}
 	for r := range eps {
+		eps[r] = Endpoint{}
 		eps[r].init(f, r, cm)
 	}
 	return eps

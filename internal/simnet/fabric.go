@@ -140,7 +140,9 @@ func (f *Fabric) abortErr() error {
 // Aborted reports whether the fabric has been torn down.
 func (f *Fabric) Aborted() bool { return f.aborted.Load() }
 
-// NewFabric creates a fabric for n ranks with the given node width.
+// NewFabric creates a fabric for n ranks with the given node width: it
+// carves the per-rank state and then runs Reset, the same path a reused
+// fabric takes.
 func NewFabric(n, ranksPerNode int) *Fabric {
 	if n <= 0 || n > maxWaiters {
 		panic(fmt.Sprintf("simnet: a fabric holds 1 to %d ranks (one port's waiter count), not %d", maxWaiters, n))
@@ -149,7 +151,6 @@ func NewFabric(n, ranksPerNode int) *Fabric {
 		ranksPerNode = 1
 	}
 	f := &Fabric{n: n, ranksPerNode: ranksPerNode, nodes: make([]*node, n)}
-	f.culprit.Store(-1)
 	f.park = NewParker(n)
 	f.hook = f.park.Hook(f.abortErr)
 	// Per-node state comes from two slabs (node structs, directory backing
@@ -157,12 +158,31 @@ func NewFabric(n, ranksPerNode int) *Fabric {
 	slab := make([]node, n)
 	backing := make([]atomic.Pointer[Region], initialRegionCap*n)
 	for i := range f.nodes {
-		d := &slab[i].dir
-		d.first = backing[i*initialRegionCap : i*initialRegionCap : (i+1)*initialRegionCap]
-		d.tbl.Store(&d.first)
+		slab[i].dir.first = backing[i*initialRegionCap : (i+1)*initialRegionCap : (i+1)*initialRegionCap]
 		f.nodes[i] = &slab[i]
 	}
+	f.Reset()
 	return f
+}
+
+// Reset returns the fabric to the state NewFabric leaves it in, keeping what
+// it carved: every port zero (generation, NIC interval, waiter count), every
+// directory empty — a region still registered loses its liveness, as
+// Unregister would take it — no abort and no blame, no pacer and no
+// endpoint handed out, and the parker's slots unpoked, their stopped timers
+// kept for the next park. Only a world none of whose goroutines still
+// touches the fabric may be reset: the in-process runner resets a world it
+// reuses, after every rank of its last launch returned cleanly.
+func (f *Fabric) Reset() {
+	for _, nd := range f.nodes {
+		nd.port = Port{}
+		nd.dir.reset()
+	}
+	f.aborted.Store(false)
+	f.culprit.Store(-1)
+	f.endpointsOut.Store(false)
+	f.pacer = nil
+	f.park.reset()
 }
 
 // initialRegionCap is each rank's pre-carved directory capacity; typical

@@ -31,7 +31,7 @@ func TestEndpointInitIdentical(t *testing.T) {
 	f := NewFabric(6, 2)
 	f.SetPacing(500)
 	cm := FoMPI()
-	slab := f.Endpoints(cm)
+	slab := f.Endpoints(nil, cm)
 	for r := range slab {
 		if single := NewEndpoint(f, r, cm); !reflect.DeepEqual(*single, slab[r]) {
 			t.Fatalf("rank %d: slab endpoint %+v differs from NewEndpoint's %+v", r, slab[r], *single)
@@ -39,6 +39,23 @@ func TestEndpointInitIdentical(t *testing.T) {
 	}
 	if ep := &slab[3]; ep.rpn != 2 || ep.node != 1 || ep.pacer != f.Pacer() || ep.pacer == nil {
 		t.Fatalf("rank 3 cached rpn=%d node=%d pacer=%p, want 2, 1, the fabric's %p", ep.rpn, ep.node, ep.pacer, f.Pacer())
+	}
+
+	// A slab handed back after use comes out as fresh as a new one: clock,
+	// NIC, routes and counters all zero, and the cache the reset fabric's
+	// new pacing window gives.
+	reg := slab[1].Register(64)
+	slab[0].Put(reg.Base(), make([]byte, 8))
+	f.Reset()
+	f.SetPacing(0)
+	reused := f.Endpoints(slab, cm)
+	if &reused[0] != &slab[0] {
+		t.Fatal("Endpoints reallocated a slab that holds one endpoint per rank")
+	}
+	for r := range reused {
+		if single := NewEndpoint(f, r, cm); !reflect.DeepEqual(*single, reused[r]) {
+			t.Fatalf("rank %d: reused endpoint %+v differs from NewEndpoint's %+v", r, reused[r], *single)
+		}
 	}
 }
 
@@ -53,7 +70,7 @@ func TestSetPacingAfterEndpointPanics(t *testing.T) {
 		t.Fatalf("SetPacing after Endpoint panicked with %q, want the ordering message", msg)
 	}
 	g := NewFabric(2, 1)
-	g.Endpoints(FoMPI())
+	g.Endpoints(nil, FoMPI())
 	if faultOf(func() { g.SetPacing(100) }) == "" {
 		t.Fatal("SetPacing after Endpoints did not panic")
 	}

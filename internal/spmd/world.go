@@ -108,6 +108,10 @@ type Config struct {
 	NetJoinTimeout time.Duration
 }
 
+// defaultModel is every launch's model when its Config names none: one
+// shared value, since a cost model is never written once built.
+var defaultModel = simnet.FoMPI()
+
 func (c Config) withDefaults() Config {
 	if c.Ranks <= 0 {
 		c.Ranks = 1
@@ -116,7 +120,7 @@ func (c Config) withDefaults() Config {
 		c.RanksPerNode = 1
 	}
 	if c.Model == nil {
-		c.Model = simnet.FoMPI()
+		c.Model = defaultModel
 	}
 	if c.ScratchBytes <= 0 {
 		// The built-in collectives need p words of flags plus the payload
@@ -139,29 +143,89 @@ func (c Config) withDefaults() Config {
 // registered bytes plus shadow stamps — comes from the transport's segment
 // allocator (the shared pool in process, the rank's shared-memory arena on
 // the multi-process backend), and the per-rank handles (procs, endpoints,
-// scratch regions) are slab-allocated: worlds are created per experiment
-// repetition in the bench sweeps, so newWorld costs a handful of
-// allocations, not a handful per rank.
+// scratch regions) are slab-allocated. An in-process world that ends cleanly
+// is kept for the next launch of its shape (see reuse): worlds are created
+// per experiment repetition in the bench sweeps, so a launch resets the
+// last one instead of building a fabric, its endpoints and scratch anew.
 type World struct {
 	cfg     Config
 	fab     simnet.Transport
 	scratch []simnet.Region // per-rank collective scratch, fabric key 0
-	segs    []*segpool.Seg  // backing of scratch, recycled on exit
+
+	// In process only: the fabric, the slabs and the scratch backing that
+	// reset reuses.
+	inproc *simnet.Fabric
+	eps    []simnet.Endpoint
+	procs  []Proc
+	segs   []*segpool.Seg
+
+	// The launch running on the world: its body, the ranks 1…p−1 still
+	// running it, and the first rank panic.
+	body     func(*Proc)
+	running  sync.WaitGroup
+	mu       sync.Mutex
+	firstErr error
 }
 
-// recycle returns the world's scratch segments to the transport allocator.
-// Only safe after every rank's body has returned cleanly (an aborted world
-// may still have unwinding goroutines holding region references, so it is
-// not recycled). Scratch is written exclusively by stamping fabric
-// operations (collective flags and payloads), so the scrubbed recycle wipes
-// only the parts a run actually touched.
-func (w *World) recycle() {
-	for r, s := range w.segs {
-		if s != nil {
-			w.fab.RecycleSeg(r, s, true)
-		}
+// A worldShape is what a kept in-process world can serve: everything reset
+// does not set from the launch's Config.
+type worldShape struct{ ranks, ranksPerNode, scratchBytes int }
+
+// kept holds the in-process worlds that ended cleanly, a sync.Pool per shape
+// — segpool's idiom: it drains under GC, so an idle world pins nothing.
+var kept sync.Map
+
+func keptFor(cfg Config) *sync.Pool {
+	sh := worldShape{cfg.Ranks, cfg.RanksPerNode, cfg.ScratchBytes}
+	if p, ok := kept.Load(sh); ok {
+		return p.(*sync.Pool)
 	}
-	w.segs = nil
+	p, _ := kept.LoadOrStore(sh, &sync.Pool{})
+	return p.(*sync.Pool)
+}
+
+// reset makes w the fresh in-process world cfg describes and returns its
+// procs. A zero World builds what it lacks — the fabric, the slabs, the
+// scratch segments — and a kept one resets them in place: the fabric to its
+// NewFabric state (ports, directories, abort state, parker), every endpoint
+// to a new one under cfg's model and pacing, every proc to collective
+// sequence 0, and the scratch, scrubbed when the last world ended, registered
+// again at key 0.
+func (w *World) reset(cfg Config) []Proc {
+	w.cfg = cfg
+	if w.inproc == nil {
+		w.inproc = simnet.NewFabric(cfg.Ranks, cfg.RanksPerNode)
+		w.fab = w.inproc
+		w.scratch = make([]simnet.Region, cfg.Ranks)
+		w.procs = make([]Proc, cfg.Ranks)
+		w.segs = make([]*segpool.Seg, cfg.Ranks)
+	} else {
+		w.inproc.Reset()
+	}
+	w.inproc.SetPacing(cfg.PaceWindowNs)
+	w.eps = w.inproc.Endpoints(w.eps, cfg.Model)
+	for r := range w.procs {
+		p := &w.procs[r]
+		*p = Proc{world: w, rank: r, ep: &w.eps[r]}
+		if w.segs[r] == nil {
+			w.segs[r] = w.fab.AllocSeg(r, hdrBytes+cfg.ScratchBytes)
+		}
+		p.ep.RegisterBufStampsInto(&w.scratch[r], w.segs[r].Buf, w.segs[r].St)
+	}
+	return w.procs
+}
+
+// reuse keeps a world whose every rank's body returned cleanly for the next
+// launch of its shape. An aborted world is never kept: its ranks may still
+// be unwinding with references into it. Scratch is written exclusively by
+// stamping fabric operations (collective flags and payloads), so the scrub
+// wipes only the parts the run touched.
+func (w *World) reuse() {
+	for _, s := range w.segs {
+		segpool.Scrub(s)
+	}
+	w.body = nil
+	keptFor(w.cfg).Put(w)
 }
 
 // Proc is one rank's handle: its endpoint, scratch region, and collective
@@ -297,43 +361,25 @@ func runCrossWorker(cfg Config, body func(*Proc)) {
 // ranks 1…p−1 run on reused rank workers (goRank), so a launch pays no
 // spawn-and-hand-off before its first rank runs, its other ranks start on
 // stacks an earlier world already grew, and a one-rank world starts no
-// goroutine at all. Every rank, the caller's included, runs under the same
-// recover / first-error / Abort closure. A rank's own panic blames it, so its
-// peers unwind with an *simnet.ErrPeerFailed naming it, as a process world's
-// do after the verdict; an abort symptom blames nobody. Once every rank has
-// returned, clean or aborted, the world disarms its parker's heartbeats.
+// goroutine at all. Every rank, the caller's included, runs under runRank. A
+// rank's own panic blames it, so its peers unwind with an
+// *simnet.ErrPeerFailed naming it, as a process world's do after the verdict;
+// an abort symptom blames nobody. Once every rank has returned, clean or
+// aborted, the world disarms its parker's heartbeats, and a clean world is
+// kept for the next launch of its shape (newWorld).
 func runInProc(cfg Config, body func(*Proc)) error {
 	w, procs := newWorld(cfg)
-	fab := w.fab.(*simnet.Fabric)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	rank := func(p *Proc) {
-		defer func() {
-			if e := recover(); e != nil {
-				culprit := -1
-				if !simnet.IsAbortPanic(e) {
-					culprit = p.rank
-				}
-				mu.Lock()
-				if firstErr == nil && culprit >= 0 {
-					firstErr = fmt.Errorf("rank %d panicked: %v", p.rank, e)
-				}
-				mu.Unlock()
-				fab.Abort(culprit)
-			}
-		}()
-		body(p)
+	w.body, w.firstErr = body, nil
+	w.running.Add(len(procs) - 1)
+	for r := 1; r < len(procs); r++ {
+		goRank(&procs[r])
 	}
-	wg.Add(len(procs) - 1)
-	for _, p := range procs[1:] {
-		goRank(func() { rank(p) }, &wg)
-	}
-	rank(procs[0])
-	wg.Wait()
-	fab.Parker().Stop()
-	if firstErr == nil && !fab.Aborted() {
-		w.recycle()
+	w.runRank(&procs[0])
+	w.running.Wait()
+	w.inproc.Parker().Stop()
+	err := w.firstErr
+	if err == nil && !w.inproc.Aborted() {
+		w.reuse()
 	}
 	// The in-process world has no coordinator to aggregate per-rank frames:
 	// every rank shares this process's registry, so one capture *is* the
@@ -341,7 +387,28 @@ func runInProc(cfg Config, body func(*Proc)) error {
 	if telemetry.On() {
 		telemetry.Publish(telemetry.Capture(-1))
 	}
-	return firstErr
+	return err
+}
+
+// runRank runs the launch's body as p's rank. A panic blames p's rank unless
+// it is an abort symptom, is the launch's error if it is the first rank panic,
+// and aborts the fabric.
+func (w *World) runRank(p *Proc) {
+	defer func() {
+		if e := recover(); e != nil {
+			culprit := -1
+			if !simnet.IsAbortPanic(e) {
+				culprit = p.rank
+			}
+			w.mu.Lock()
+			if w.firstErr == nil && culprit >= 0 {
+				w.firstErr = fmt.Errorf("rank %d panicked: %v", p.rank, e)
+			}
+			w.mu.Unlock()
+			w.inproc.Abort(culprit)
+		}
+	}()
+	w.body(p)
 }
 
 // A rankWorker is a goroutine that runs in-process ranks, one world's after
@@ -353,12 +420,7 @@ func runInProc(cfg Config, body func(*Proc)) error {
 // worlds have had running at one time, and the GC shrinks a stack a rank grew
 // back down to about 4 KiB while its worker is idle.
 type rankWorker struct {
-	next chan rankJob // buffered: a launch never waits for the worker to reach its receive
-}
-
-type rankJob struct {
-	run  func()
-	done *sync.WaitGroup
+	next chan *Proc // buffered: a launch never waits for the worker to reach its receive
 }
 
 var idleWorkers struct {
@@ -366,46 +428,47 @@ var idleWorkers struct {
 	list []*rankWorker
 }
 
-// goRank runs fn on the most recently parked idle worker, or on a new one
-// when none is parked, and marks done once fn has returned.
-func goRank(fn func(), done *sync.WaitGroup) {
-	j := rankJob{run: fn, done: done}
+// goRank runs p's rank on the most recently parked idle worker, or on a new
+// one when none is parked; the worker marks it done in p's world once it has
+// returned.
+func goRank(p *Proc) {
 	idleWorkers.mu.Lock()
 	if n := len(idleWorkers.list); n > 0 {
 		w := idleWorkers.list[n-1]
 		idleWorkers.list[n-1] = nil
 		idleWorkers.list = idleWorkers.list[:n-1]
 		idleWorkers.mu.Unlock()
-		w.next <- j
+		w.next <- p
 		return
 	}
 	idleWorkers.mu.Unlock()
-	w := &rankWorker{next: make(chan rankJob, 1)}
-	go w.loop(j)
+	w := &rankWorker{next: make(chan *Proc, 1)}
+	go w.loop(p)
 }
 
-// loop runs j and then every job a launch hands the worker. The worker is
-// back on the list before it marks its rank done, so a launch that follows
-// the end of its world finds it there. A rank recovers its own panics, so the
-// deferred Done is reached only when a rank body calls runtime.Goexit: that
-// ends the worker, and its rank still counts as returned.
-func (w *rankWorker) loop(j rankJob) {
-	defer func() { j.done.Done() }()
+// loop runs p's rank and then every rank a launch hands the worker. The
+// worker is back on the list before it marks its rank done, so a launch that
+// follows the end of its world finds it there. A rank recovers its own
+// panics, so the deferred Done is reached only when a rank body calls
+// runtime.Goexit: that ends the worker, and its rank still counts as
+// returned.
+func (w *rankWorker) loop(p *Proc) {
+	defer func() { p.world.running.Done() }()
 	for {
-		j.run()
-		done := j.done
-		j = rankJob{} // an idle worker keeps no world reachable
+		p.world.runRank(p)
+		world := p.world
+		p = nil // an idle worker keeps no world reachable
 		idleWorkers.mu.Lock()
 		idleWorkers.list = append(idleWorkers.list, w)
 		idleWorkers.mu.Unlock()
-		done.Done()
-		j = w.idle()
+		world.running.Done()
+		p = w.idle()
 	}
 }
 
 // idle parks the worker until a launch hands it a rank; a goroutine dump
 // shows an idle worker by this frame.
-func (w *rankWorker) idle() rankJob { return <-w.next }
+func (w *rankWorker) idle() *Proc { return <-w.next }
 
 // MustRun is Run but panics on error; benchmarks and examples use it.
 func MustRun(cfg Config, body func(*Proc)) {
@@ -414,27 +477,15 @@ func MustRun(cfg Config, body func(*Proc)) {
 	}
 }
 
-// newWorld builds the in-process fabric and per-rank procs without spawning
-// goroutines: runInProc's world.
-func newWorld(cfg Config) (*World, []*Proc) {
+// newWorld takes a kept world of cfg's shape, or a zero one, and resets it:
+// runInProc's world, without its goroutines.
+func newWorld(cfg Config) (*World, []Proc) {
 	cfg = cfg.withDefaults()
-	fab := simnet.NewFabric(cfg.Ranks, cfg.RanksPerNode)
-	fab.SetPacing(cfg.PaceWindowNs)
-	w := &World{cfg: cfg, fab: fab}
-	w.scratch = make([]simnet.Region, cfg.Ranks)
-	w.segs = make([]*segpool.Seg, cfg.Ranks)
-	procs := make([]*Proc, cfg.Ranks)
-	procSlab := make([]Proc, cfg.Ranks)
-	eps := fab.Endpoints(cfg.Model)
-	for r := 0; r < cfg.Ranks; r++ {
-		p := &procSlab[r]
-		*p = Proc{world: w, rank: r, ep: &eps[r]}
-		seg := w.fab.AllocSeg(r, hdrBytes+cfg.ScratchBytes)
-		w.segs[r] = seg
-		p.ep.RegisterBufStampsInto(&w.scratch[r], seg.Buf, seg.St)
-		procs[r] = p
+	w, _ := keptFor(cfg).Get().(*World)
+	if w == nil {
+		w = new(World)
 	}
-	return w, procs
+	return w, w.reset(cfg)
 }
 
 // Rank returns this proc's rank in [0, Size).

@@ -190,9 +190,11 @@
 #                                runs its fixed seed set, -tt.programs'
 #                                default, ≈ 20 s on all four backends
 #                                under -race), and spmd's
-#                                rank-worker reuse and nested-world tests
+#                                rank-worker reuse, nested-world and
+#                                world-reuse tests
 #                                (TestRunReusesRankGoroutines,
-#                                TestRunNestedFromRank0) ten times over,
+#                                TestRunNestedFromRank0,
+#                                TestReusedWorldIsFresh) ten times over,
 #                                and the coordinator loop's own lifetime and
 #                                start (no goroutine left behind, a silent
 #                                connection, an inherited stream's claim, a
@@ -202,7 +204,10 @@
 #                                TestPortExclusionAndRings) twenty times;
 #                                the applications, pgas and wordcoll join
 #                                the short leg, for the two-sided variants
-#                                run MPI-1's progress across rank goroutines
+#                                run MPI-1's progress across rank goroutines,
+#                                and so do segpool, telemetry, datatype and
+#                                faultnet, whose pools, registries and
+#                                chaos schedules are shared by goroutines
 #   planted bugs                 scripts/mutants.sh over the smoke set of
 #                                scripts/mutants/ (Win.Unlock without its
 #                                Gsync, a door waiter that never counts
@@ -339,10 +344,11 @@ make bench-test
 echo "== issue-path and port-hold benchmarks, one iteration (0 allocs/op, 0 steady-state route misses)"
 go test ./internal/simnet -run '^$' -bench 'Issue|Port' -benchtime 1x
 
-echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1, sock, bench, apps, pgas, wordcoll; spmd's worker reuse and the coordinator loop's lifetime ten times; the port's handshake twenty times)"
-go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/ ./internal/sock/ ./internal/bench/ ./internal/apps/... ./internal/pgas/ ./internal/wordcoll/
+echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1, sock, bench, apps, pgas, wordcoll, segpool, telemetry, datatype, faultnet; spmd's worker and world reuse and the coordinator loop's lifetime ten times; the port's handshake twenty times)"
+go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/ ./internal/sock/ ./internal/bench/ ./internal/apps/... ./internal/pgas/ ./internal/wordcoll/ \
+	./internal/segpool/ ./internal/telemetry/ ./internal/datatype/ ./internal/faultnet/
 go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestConformanceFusedFrame|TestConformanceOrdering|TestConformanceSharedFrame|TestConformanceDump|TestStoppedRank|TestStoppedPeerBehindWire|TestConformanceSameOpAtomic|TestConformanceGeneratedPrograms' ./internal/transporttest/
-go test -race -count=10 -run 'TestRunReusesRankGoroutines|TestRunNestedFromRank0' ./internal/spmd
+go test -race -count=10 -run 'TestRunReusesRankGoroutines|TestRunNestedFromRank0|TestReusedWorldIsFresh' ./internal/spmd
 go test -race -count=10 -run 'TestCoordinateLeavesNoGoroutine|TestSilentConnectionDoesNotHoldTheJoin|TestInheritedStreamJoinsAsItsOwnRank|TestSpawnedRankExitBeforeJoin' ./internal/rankio
 go test -race -count=20 -run 'TestDoorWaitsOutInFlightWrite|TestPortExclusionAndRings' ./internal/simnet
 
