@@ -282,22 +282,17 @@ func Logf(format string, args ...any) {
 	}
 }
 
-// Dial dials like sock.Dial, injecting dial failures and wrapping the
-// resulting connection when fault injection is enabled. Connections made
-// through Dial are control-plane: plane=data spares them the conn-killing
-// modes.
-func Dial(network, addr string, timeout time.Duration) (sock.Conn, error) {
-	return dialPlane(network, addr, timeout, "")
-}
-
-// DialData is Dial for data-plane connections — the requester→owner op
-// streams that netrun's session layer can transparently resume. Under
-// plane=data, only these (and WrapListenerData accepts) suffer resets and
-// blackholes.
+// DialData dials like sock.Dial, injecting dial failures and wrapping the
+// resulting connection when fault injection is enabled. Its connections are
+// data-plane — the requester→owner op streams that netrun's session layer
+// can transparently resume. Under plane=data, only these (and
+// WrapListenerData accepts) suffer resets and blackholes.
 func DialData(network, addr string, timeout time.Duration) (sock.Conn, error) {
 	return dialPlane(network, addr, timeout, "data")
 }
 
+// dialPlane dials under plane's faults; "" is the control plane, which
+// plane=data spares the conn-killing modes.
 func dialPlane(network, addr string, timeout time.Duration, plane string) (sock.Conn, error) {
 	inj := current()
 	if inj == nil {
@@ -341,6 +336,16 @@ func wrapListenerPlane(ln sock.Listener, plane string) sock.Listener {
 		return ln
 	}
 	return &listener{Listener: ln, plane: plane}
+}
+
+// Wrap is WrapListener for a control stream this process neither dialed
+// nor accepted: a launcher's end of the socketpair a spawned rank inherits.
+// label names the stream in the chaos log.
+func Wrap(c sock.Conn, label string) sock.Conn {
+	if inj := current(); inj != nil {
+		return inj.wrap(c, label, "")
+	}
+	return c
 }
 
 type listener struct {

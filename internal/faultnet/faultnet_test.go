@@ -84,7 +84,7 @@ func TestParseRecurring(t *testing.T) {
 	}
 }
 
-// TestDisabledPassthrough pins the zero-cost contract: with no spec, Dial
+// TestDisabledPassthrough pins the zero-cost contract: with no spec, a dial
 // returns the raw connection and WrapListener returns its argument.
 func TestDisabledPassthrough(t *testing.T) {
 	t.Setenv(EnvVar, "")
@@ -96,13 +96,13 @@ func TestDisabledPassthrough(t *testing.T) {
 	if got := WrapListener(ln); got != ln {
 		t.Fatalf("WrapListener wrapped despite injection being disabled")
 	}
-	c, err := Dial("tcp", ln.Addr(), time.Second)
+	c, err := dialPlane("tcp", ln.Addr(), time.Second, "")
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
 	if _, ok := c.(*conn); ok {
-		t.Fatalf("Dial wrapped the connection despite injection being disabled")
+		t.Fatalf("the dial wrapped the connection despite injection being disabled")
 	}
 }
 
@@ -126,11 +126,11 @@ func TestDialFailN(t *testing.T) {
 	t.Setenv(EnvVar, "dialfailn=2")
 	addr := ln.Addr()
 	for i := 0; i < 2; i++ {
-		if _, err := Dial("tcp", addr, time.Second); err == nil {
+		if _, err := dialPlane("tcp", addr, time.Second, ""); err == nil {
 			t.Fatalf("dial %d succeeded, want injected failure", i+1)
 		}
 	}
-	c, err := Dial("tcp", addr, time.Second)
+	c, err := dialPlane("tcp", addr, time.Second, "")
 	if err != nil {
 		t.Fatalf("dial 3 after dialfailn=2: %v", err)
 	}
@@ -155,7 +155,7 @@ func pipePair(t *testing.T) (client, server sock.Conn) {
 		}
 		done <- c
 	}()
-	client, err = Dial("tcp", ln.Addr(), time.Second)
+	client, err = dialPlane("tcp", ln.Addr(), time.Second, "")
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -358,7 +358,7 @@ func TestPlaneScoping(t *testing.T) {
 }
 
 // TestDialDataPlane pins the public wiring: DialData produces a data-plane
-// conn, Dial a control one, under the same live spec.
+// conn, a control-plane dial a control one, under the same live spec.
 func TestDialDataPlane(t *testing.T) {
 	freshInjector(t, "plane=data,resetafter=1")
 	ln, err := sock.Listen("tcp", "127.0.0.1:0")
@@ -375,9 +375,9 @@ func TestDialDataPlane(t *testing.T) {
 			go io.Copy(io.Discard, c)
 		}
 	}()
-	ctl, err := Dial("tcp", ln.Addr(), time.Second)
+	ctl, err := dialPlane("tcp", ln.Addr(), time.Second, "")
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("control dial: %v", err)
 	}
 	defer ctl.Close()
 	for i := 0; i < 4; i++ {

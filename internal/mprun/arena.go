@@ -1,11 +1,8 @@
 package mprun
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -56,11 +53,9 @@ func (c ArenaConfig) withDefaults() ArenaConfig {
 // region directory, the stamp slabs, each rank's port (doorbell generation,
 // NIC interval and the lock over them) and wake words, the pacer's tables —
 // and nothing else: a parked goroutine sleeps on a slot's wake word with a
-// futex, so a world puts no file on disk but a named segment (an mp world,
-// whose segment is anonymous, puts none).
+// futex, so a world puts no file on disk.
 type Arena struct {
 	cfg  ArenaConfig
-	path string // a named segment's file, where the rule put it or it was found; "" if anonymous
 	m    []byte
 	lay  layout
 	self int // local index of this process, -1 until Bind
@@ -87,34 +82,6 @@ func (a *Arena) initMaps() {
 		Aborted: func() error { return a.aborted() }}
 }
 
-// CreateArena creates and maps the shared segment called name (which must not
-// exist) in the directory the placement rule picks for its size (segdir.go).
-// The header's magic word is stored last, so concurrent OpenArena callers
-// never observe a half-initialized mapping.
-func CreateArena(name string, cfg ArenaConfig) (*Arena, error) {
-	if errNoFutex != nil {
-		return nil, errNoFutex
-	}
-	cfg = cfg.withDefaults()
-	total := layoutFor(cfg.Ranks, cfg.ArenaBytes).total
-	return createArenaAt(filepath.Join(segmentDir(total, statDir), name), cfg)
-}
-
-func createArenaAt(path string, cfg ArenaConfig) (*Arena, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
-	if err != nil {
-		return nil, fmt.Errorf("mprun: create shared segment: %w", err)
-	}
-	defer f.Close()
-	a, err := createOver(f, cfg)
-	if err != nil {
-		os.Remove(path)
-		return nil, err
-	}
-	a.path = path
-	return a, nil
-}
-
 // CreateAnon creates an arena over an anonymous memory file (memfd_create):
 // nothing names it, so nothing is left behind however its world ends — it
 // lives as long as a descriptor or a mapping of it does. It returns the file,
@@ -124,134 +91,67 @@ func CreateAnon(cfg ArenaConfig) (*os.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mprun: create anonymous segment: %w", err)
 	}
-	a, err := createOver(f, cfg)
-	if err != nil {
+	if err := createOver(f, cfg); err != nil {
 		f.Close()
 		return nil, err
 	}
-	a.Close()
 	return f, nil
 }
 
-// createOver sizes f, an empty file, to cfg's layout, maps it and writes the
-// header: the creator of a named and of an anonymous segment alike.
-func createOver(f *os.File, cfg ArenaConfig) (*Arena, error) {
+// createOver sizes f, an empty file, to cfg's layout and writes the header
+// through a mapping it drops again.
+func createOver(f *os.File, cfg ArenaConfig) error {
 	cfg = cfg.withDefaults()
-	a := &Arena{cfg: cfg, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
-	if err := f.Truncate(int64(a.lay.total)); err != nil {
-		return nil, fmt.Errorf("mprun: size shared segment: %w", err)
+	total := layoutFor(cfg.Ranks, cfg.ArenaBytes).total
+	if err := f.Truncate(int64(total)); err != nil {
+		return fmt.Errorf("mprun: size shared segment: %w", err)
 	}
-	m, err := syscall.Mmap(int(f.Fd()), 0, a.lay.total,
+	m, err := syscall.Mmap(int(f.Fd()), 0, total, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("mprun: mmap shared segment: %w", err)
+	}
+	writeHeader(m, cfg)
+	return syscall.Munmap(m)
+}
+
+// MapArena maps the arena over f, a segment CreateAnon made that this process
+// inherited, and closes f: the mapping keeps the segment alive. cfg.Ranks
+// zero takes the rank count the header holds — a rank learns its host
+// group's size from its arena — and every other field must match the
+// header. Only a Linux launcher can have made one.
+func MapArena(f *os.File, cfg ArenaConfig) (*Arena, error) {
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("mprun: shared segment: %w", err)
+	}
+	m, err := syscall.Mmap(int(f.Fd()), 0, int(st.Size()),
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
 		return nil, fmt.Errorf("mprun: mmap shared segment: %w", err)
 	}
-	a.m = m
-	writeHeader(m, cfg)
-	a.initMaps()
-	return a, nil
-}
-
-// The opener's poll: a doubling back-off, so a non-creator that loses the
-// race to its creator by microseconds pays microseconds.
-const (
-	openPauseMin = 50 * time.Microsecond
-	openPauseMax = 2 * time.Millisecond
-)
-
-// errUnpublished marks a segment its creator has not finished: the file is
-// still empty, or the magic word is not stored yet.
-var errUnpublished = errors.New("not published yet")
-
-// OpenArena maps the segment called name wherever its CreateArena peer's rule
-// placed it — it looks in every root, the rule's preference first — polling
-// for up to wait. The magic word published last by the creator is the
-// readiness signal. Only "not there yet" is retried: a published header that
-// disagrees with cfg is a mismatch of the world's processes no amount of
-// waiting heals, and fails at once.
-func OpenArena(name string, cfg ArenaConfig, wait time.Duration) (*Arena, error) {
-	if errNoFutex != nil {
-		return nil, errNoFutex
+	if cfg.Ranks == 0 && len(m) >= hdrBytes {
+		cfg.Ranks = int(min(atomic.LoadUint64(u64at(m, hdrRanks)), MaxRanks))
 	}
-	roots := SegmentRoots()
-	paths := make([]string, len(roots))
-	for i, root := range roots {
-		paths[i] = filepath.Join(root, name)
-	}
-	return openArenaAt(paths, cfg, wait)
-}
-
-func openArenaAt(paths []string, cfg ArenaConfig, wait time.Duration) (*Arena, error) {
 	cfg = cfg.withDefaults()
-	a := &Arena{cfg: cfg, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
-	deadline := time.Now().Add(wait)
-	for pause := openPauseMin; ; pause = min(2*pause, openPauseMax) {
-		var err error
-		for _, p := range paths {
-			a.path = p
-			if err = a.tryOpen(); !errors.Is(err, fs.ErrNotExist) {
-				break
-			}
-		}
-		if err == nil {
-			a.initMaps()
-			return a, nil
-		}
-		notYet := errors.Is(err, fs.ErrNotExist) || errors.Is(err, errUnpublished)
-		if !notYet || !time.Now().Before(deadline) {
-			return nil, err
-		}
-		time.Sleep(pause)
+	a := &Arena{cfg: cfg, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes), m: m}
+	// The creator's ftruncate takes the file from empty to its full size in
+	// one step, so any other size is a different world's layout.
+	if len(m) != a.lay.total {
+		err = fmt.Errorf("mprun: shared segment is %d bytes, want %d (launcher/worker config mismatch?)", len(m), a.lay.total)
+	} else {
+		err = checkHeader(m, cfg)
 	}
-}
-
-func (a *Arena) tryOpen() error {
-	f, err := os.OpenFile(a.path, os.O_RDWR, 0o600)
 	if err != nil {
-		return fmt.Errorf("mprun: open shared segment: %w", err)
-	}
-	defer f.Close()
-	return a.mapOver(f)
-}
-
-// MapArena maps the arena over f, a segment CreateAnon made that this process
-// inherited, through the size and header checks an opener of a named one
-// passes, and closes f: the mapping keeps the segment alive. Only a Linux
-// launcher can have made one.
-func MapArena(f *os.File, cfg ArenaConfig) (*Arena, error) {
-	defer f.Close()
-	cfg = cfg.withDefaults()
-	a := &Arena{cfg: cfg, lay: layoutFor(cfg.Ranks, cfg.ArenaBytes)}
-	if err := a.mapOver(f); err != nil {
+		syscall.Munmap(m)
 		return nil, err
 	}
 	a.initMaps()
 	return a, nil
 }
 
-// mapOver maps f once its size and header match a's configuration: the
-// opener of a named and of an anonymous segment alike.
-func (a *Arena) mapOver(f *os.File) error {
-	// The creator's ftruncate takes the file from empty to its full size in
-	// one step, so any other size is a different world's layout.
-	switch st, err := f.Stat(); {
-	case err == nil && st.Size() == 0:
-		return fmt.Errorf("mprun: shared segment %s is empty: %w", f.Name(), errUnpublished)
-	case err != nil || st.Size() != int64(a.lay.total):
-		return fmt.Errorf("mprun: shared segment is %v bytes, want %d (launcher/worker config mismatch?)", fileSize(st, err), a.lay.total)
-	}
-	m, err := syscall.Mmap(int(f.Fd()), 0, a.lay.total,
-		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	if err != nil {
-		return fmt.Errorf("mprun: mmap shared segment: %w", err)
-	}
-	if err := checkHeader(m, a.cfg); err != nil {
-		syscall.Munmap(m)
-		return err
-	}
-	a.m = m
-	return nil
-}
+// Ranks is how many local ranks map the arena: its host group's size.
+func (a *Arena) Ranks() int { return a.cfg.Ranks }
 
 // Bind attaches this process as local rank self: it paces under that rank's
 // pace slot, and the arena's waits unwind once aborted — the process's own
@@ -260,14 +160,6 @@ func (a *Arena) mapOver(f *os.File) error {
 func (a *Arena) Bind(self int, aborted func() error) {
 	a.self, a.aborted = self, aborted
 }
-
-// Unlink removes the segment's name (mappings survive); the creator calls it
-// once every local rank has mapped, so a world that dies later strands
-// nothing — in the shared-memory directory that would be RAM, not disk.
-func (a *Arena) Unlink() { os.Remove(a.path) }
-
-// Path returns a named segment's path, "" for an anonymous one.
-func (a *Arena) Path() string { return a.path }
 
 // Close unmaps the arena.
 func (a *Arena) Close() {

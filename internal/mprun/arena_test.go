@@ -3,7 +3,6 @@ package mprun
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,55 +18,24 @@ import (
 )
 
 // placements are the ways the two-views tests obtain one arena mapped twice:
-// at an explicit path in the test's directory, by name through the placement
-// rule, as a hybrid host group does, and over an anonymous file each view
-// inherits, as an mp world's ranks do. Where the host's shared-memory
-// directory is a tmpfs with room, the rule-placed segment must be on it.
+// over a file at an explicit path in the test's directory, and over an
+// anonymous file each view inherits, as a host group's ranks do. Both views
+// map through MapArena, the one mapper a rank has.
 var placements = []struct {
 	name string
 	open func(t *testing.T, cfg ArenaConfig) (creator, opener *Arena)
 }{
 	{"explicit path", func(t *testing.T, cfg ArenaConfig) (*Arena, *Arena) {
 		path := filepath.Join(t.TempDir(), "arena")
-		creator, err := createArenaAt(path, cfg)
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(creator.Close)
-		opener, err := openArenaAt([]string{path}, cfg, 0)
-		if err != nil {
+		defer f.Close()
+		if err := createOver(f, cfg); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(opener.Close)
-		return creator, opener
-	}},
-	{"placed by the rule", func(t *testing.T, cfg ArenaConfig) (*Arena, *Arena) {
-		name := fmt.Sprintf("fompi-hyb-test-%d-%d", os.Getpid(), time.Now().UnixNano())
-		creator, err := CreateArena(name, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(creator.Close)
-		t.Cleanup(creator.Unlink)
-		opener, err := OpenArena(name, cfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(opener.Close)
-		if opener.Path() != creator.Path() {
-			t.Fatalf("opener mapped %s, creator created %s", opener.Path(), creator.Path())
-		}
-		total := layoutFor(cfg.withDefaults().Ranks, cfg.withDefaults().ArenaBytes).total
-		dir := filepath.Dir(creator.Path())
-		if want := segmentDir(total, statDir); dir != want {
-			t.Fatalf("segment created in %s, the rule says %s", dir, want)
-		}
-		if fi, err := statDir(shmDir); err == nil && fi.tmpfs && fi.avail >= uint64(total) {
-			if got, err := statDir(dir); err != nil || !got.tmpfs {
-				t.Fatalf("host has a roomy tmpfs %s, yet the mapped segment's filesystem (%s) is not tmpfs (%+v, %v)", shmDir, dir, got, err)
-			}
-		}
-		return creator, opener
+		return twoViews(t, f, cfg)
 	}},
 	{"anonymous", func(t *testing.T, cfg ArenaConfig) (*Arena, *Arena) {
 		mem, err := CreateAnon(cfg)
@@ -75,15 +43,22 @@ var placements = []struct {
 			t.Fatal(err)
 		}
 		defer mem.Close()
-		views := make([]*Arena, 2)
-		for i := range views {
-			if views[i], err = MapArena(inherit(t, mem), cfg); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(views[i].Close)
-		}
-		return views[0], views[1]
+		return twoViews(t, mem, cfg)
 	}},
+}
+
+// twoViews maps f twice, each view over a descriptor of its own.
+func twoViews(t *testing.T, f *os.File, cfg ArenaConfig) (*Arena, *Arena) {
+	t.Helper()
+	views := make([]*Arena, 2)
+	for i := range views {
+		var err error
+		if views[i], err = MapArena(inherit(t, f), cfg); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(views[i].Close)
+	}
+	return views[0], views[1]
 }
 
 // inherit returns a descriptor of f's own, as a spawned process inherits one.
@@ -204,7 +179,6 @@ func TestTwoViewsShareStampTree(t *testing.T) {
 
 func twoViewsShareStampTree(t *testing.T, open func(*testing.T, ArenaConfig) (creator, opener *Arena)) {
 	owner, peer := open(t, ArenaConfig{Ranks: 2, ArenaBytes: 4 << 20})
-	owner.Unlink()
 
 	mine, theirs := owner.Port(1), peer.Port(1)
 	if mine == theirs {
@@ -289,158 +263,62 @@ func twoViewsShareStampTree(t *testing.T, open func(*testing.T, ArenaConfig) (cr
 	}
 }
 
-// TestSegmentDir pins the placement rule over injected statfs answers: the
-// shared-memory directory only when it is a tmpfs holding the whole segment,
-// os.TempDir() — where the segment lived before the rule — in every other
-// case.
-func TestSegmentDir(t *testing.T) {
-	const total = 17 << 20
-	tmp := os.TempDir()
-	for _, c := range []struct {
-		name string
-		size int
-		fi   fsInfo
-		err  error
-		want string
-	}{
-		{"tmpfs with room", total, fsInfo{tmpfs: true, avail: 16 << 30}, nil, shmDir},
-		{"tmpfs with exactly the segment's size", total, fsInfo{tmpfs: true, avail: total}, nil, shmDir},
-		{"tmpfs one byte short", total, fsInfo{tmpfs: true, avail: total - 1}, nil, tmp},
-		{"a container's 64 MiB tmpfs, 1 GiB world", 1 << 30, fsInfo{tmpfs: true, avail: 64 << 20}, nil, tmp},
-		{"not tmpfs", total, fsInfo{tmpfs: false, avail: 16 << 30}, nil, tmp},
-		{"absent", total, fsInfo{}, os.ErrNotExist, tmp},
-		{"statfs error with a plausible answer", total, fsInfo{tmpfs: true, avail: 16 << 30}, errors.New("EIO"), tmp},
-	} {
-		got := segmentDir(c.size, func(dir string) (fsInfo, error) {
-			if dir != shmDir {
-				t.Errorf("%s: the rule asked about %s, not %s", c.name, dir, shmDir)
-			}
-			return c.fi, c.err
-		})
-		if got != c.want {
-			t.Errorf("%s: segment placed in %s, want %s", c.name, got, c.want)
-		}
-	}
-	if roots := SegmentRoots(); roots[0] != shmDir || roots[len(roots)-1] != tmp {
-		t.Errorf("SegmentRoots() = %v, want the rule's preference first and os.TempDir() last", roots)
-	}
-}
-
-// TestOpenArenaRetriesOnlyUnpublished pins what the opener's poll waits for.
-// A header that is published (magic stored) and disagrees — here on the
-// layout version — is a mismatch waiting cannot heal, and must fail at once,
-// naming it; a segment that is not there yet, or there and still empty, or
-// sized and not yet stamped with its magic, is worth the wait.
-func TestOpenArenaRetriesOnlyUnpublished(t *testing.T) {
-	cfg := ArenaConfig{Ranks: 2, ArenaBytes: pageAlign}
-	const wait = 10 * time.Second
-
-	path := filepath.Join(t.TempDir(), "mismatched")
-	creator, err := createArenaAt(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer creator.Close()
-	atomic.StoreUint64(u64at(creator.m, hdrVersion), shmVersion+1)
-	start := time.Now()
-	_, err = openArenaAt([]string{filepath.Join(t.TempDir(), "absent"), path}, cfg, wait)
-	if took := time.Since(start); took > 100*time.Millisecond {
-		t.Errorf("opener polled %v on a published header with the wrong version", took)
-	}
-	if err == nil || !strings.Contains(err.Error(), "layout version") {
-		t.Errorf("opener of a wrong-version segment returned %v, want the version mismatch", err)
-	}
-	// A v12 segment's mappers read a recycled directory entry's key as a
-	// dead entry's state.
-	atomic.StoreUint64(u64at(creator.m, hdrVersion), 12)
-	if _, err = openArenaAt([]string{path}, cfg, 0); err == nil || !strings.Contains(err.Error(), "layout version 12, want 13") {
-		t.Errorf("opener of a v12 segment returned %v, want it refused by version", err)
-	}
-	atomic.StoreUint64(u64at(creator.m, hdrVersion), shmVersion)
-	wide := cfg
-	wide.Ranks = 3
-	start = time.Now()
-	if _, err = openArenaAt([]string{path}, wide, wait); err == nil || time.Since(start) > 100*time.Millisecond {
-		t.Errorf("opener expecting another rank count: %v after %v, want a prompt mismatch", err, time.Since(start))
-	}
-
-	// Every stage of a creator 5 ms behind its opener.
-	late := filepath.Join(t.TempDir(), "late")
-	total := layoutFor(cfg.Ranks, cfg.ArenaBytes).total
-	stages := make(chan error, 1)
-	go func() {
-		stages <- func() error {
-			time.Sleep(5 * time.Millisecond)
-			f, err := os.OpenFile(late, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
-			if err != nil {
-				return err
-			}
-			time.Sleep(2 * time.Millisecond) // there, empty
-			if err := f.Truncate(int64(total)); err != nil {
-				return err
-			}
-			f.Close()
-			time.Sleep(2 * time.Millisecond) // full size, no magic
-			full, err := createArenaAt(late+".full", cfg)
-			if err != nil {
-				return err
-			}
-			defer full.Close()
-			return os.Rename(late+".full", late)
-		}()
-	}()
-	start = time.Now()
-	opener, err := openArenaAt([]string{late}, cfg, wait)
-	if err != nil {
-		t.Fatalf("opener gave up on a creator 5 ms late: %v", err)
-	}
-	defer opener.Close()
-	if took := time.Since(start); took > time.Second {
-		t.Errorf("opener took %v to find a segment published within ~10 ms", took)
-	}
-	if err := <-stages; err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openArenaAt([]string{filepath.Join(t.TempDir(), "never")}, cfg, 20*time.Millisecond); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("opener of a segment that never appears returned %v, want not-exist at the deadline", err)
-	}
-}
-
-// TestMapArena: an anonymous arena puts no entry in any root, MapArena
-// refuses one made for another world's configuration through the header and
-// size checks an opener of a named one passes, and it closes the descriptor
-// it was handed whatever the outcome: the mapping alone keeps the segment.
+// TestMapArena: an anonymous arena puts no entry in os.TempDir(), MapArena
+// refuses one made for another world's configuration or layout version
+// through its size and header checks, takes the header's rank count when
+// asked for none, and closes the descriptor it was handed whatever the
+// outcome: the mapping alone keeps the segment.
 func TestMapArena(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir())
 	cfg := ArenaConfig{Ranks: 2, RanksPerNode: 2, ArenaBytes: pageAlign}
-	before := GlobRoots("*")
 	mem, err := CreateAnon(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	if after := GlobRoots("*"); len(after) != len(before) {
-		t.Errorf("an anonymous arena named an entry: %v, then %v", before, after)
+	if ents, _ := os.ReadDir(os.TempDir()); len(ents) != 0 {
+		t.Errorf("an anonymous arena named an entry: %v", ents)
 	}
 	other := cfg
 	other.RanksPerNode = 1
 	big := cfg
 	big.ArenaBytes = 2 * pageAlign
+	wide := cfg
+	wide.Ranks = 3
+	asked := cfg
+	asked.Ranks = 0
 	for _, c := range []struct {
-		cfg  ArenaConfig
-		want string
-	}{{other, "ranks per node"}, {big, "bytes, want"}, {cfg, ""}} {
+		cfg     ArenaConfig
+		version uint64
+		want    string
+	}{
+		{other, shmVersion, "ranks per node"},
+		{big, shmVersion, "bytes, want"},
+		{wide, shmVersion, "bytes, want"},
+		// A v12 segment's mappers read a recycled directory entry's key as a
+		// dead entry's state.
+		{cfg, 12, "layout version 12, want 13"},
+		{cfg, shmVersion, ""},
+		{asked, shmVersion, ""},
+	} {
+		v, err := MapArena(inherit(t, mem), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		atomic.StoreUint64(u64at(v.m, hdrVersion), c.version)
 		f := inherit(t, mem)
 		a, err := MapArena(f, c.cfg)
+		atomic.StoreUint64(u64at(v.m, hdrVersion), shmVersion)
+		v.Close()
 		switch {
 		case c.want == "" && err != nil:
-			t.Fatalf("MapArena of its own configuration: %v", err)
+			t.Fatalf("MapArena of %+v: %v", c.cfg, err)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("MapArena of %+v: %v, want an error naming %q", c.cfg, err, c.want)
+			t.Errorf("MapArena of %+v, version %d: %v, want an error naming %q", c.cfg, c.version, err, c.want)
 		}
 		if a != nil {
-			if a.Path() != "" {
-				t.Errorf("an anonymous arena reports path %q", a.Path())
+			if a.Ranks() != cfg.Ranks {
+				t.Errorf("MapArena of %+v maps %d ranks, want the header's %d", c.cfg, a.Ranks(), cfg.Ranks)
 			}
 			a.Close()
 		}

@@ -15,9 +15,6 @@ const (
 	futexWake = 1 // FUTEX_WAKE
 )
 
-// errNoFutex is nil where an arena can be mapped.
-var errNoFutex error
-
 // futexSleep blocks the calling thread while *w holds val, for at most d;
 // the caller judges every return by reading the word again. The bracket is
 // the one the runtime puts around its own futex sleeps: entersyscallblock

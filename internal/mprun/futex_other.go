@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// errNoFutex is why CreateArena and OpenArena refuse here: a host-mate is
-// woken through a futex on the shared segment, and there is no second wake
-// mechanism.
+// errNoFutex is why CreateAnon refuses here: a host-mate is woken through a
+// futex on the shared segment, and there is no second wake mechanism.
 var errNoFutex = errors.New("mprun: a shared-memory arena needs Linux futex(2); run the net placement or the in-process backend")
 
 // Never called: no arena is ever created or mapped on this OS.

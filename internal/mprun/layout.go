@@ -192,8 +192,6 @@ func checkHeader(m []byte, o ArenaConfig) error {
 	}
 	switch g := atomic.LoadUint64(u64at(m, hdrMagic)); g {
 	case shmMagic:
-	case 0:
-		return fmt.Errorf("mprun: shared-segment magic not stored: %w", errUnpublished)
 	default:
 		return fmt.Errorf("mprun: bad shared-segment magic %#x", g)
 	}

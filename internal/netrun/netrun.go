@@ -11,15 +11,16 @@
 //
 // The three backend names are three ways of filling the catalog in (Launch):
 // mp puts every rank on one key, net gives every rank a key of its own, hybrid
-// keys ranks by the machine they run on. A world bootstraps through the one
-// control plane (internal/rankio): the coordinator spawns the worker processes
-// itself (loopback mode, the CI mode) or waits for workers the operator starts
-// with FOMPI_COORD pointing at it (host-list mode). When it spawned them all
-// onto one key the world has no wire and names nothing: each rank inherits its
-// control stream and the arena the launcher made before spawning; otherwise
-// workers JOIN a TCP coordinator with their data-listener address, find their
-// host group in the WORLD catalog and dial each other lazily as traffic
-// demands.
+// keys ranks by the machine they run on. Every rank boots the same way,
+// whoever started it (join): it inherits its control stream as descriptor 3
+// and, when its host group has two ranks or more (an mp world's, whatever
+// its size), the group's anonymous arena as 4, from the launcher that spawned every rank (the loopback mode,
+// the CI mode) or from its host's launcher in a host-list world (LaunchHost,
+// one per machine, which dialed the stream to the coordinator for it). A rank
+// whose arena covers the whole world has no wire; every other rank JOINs
+// with its data-listener address, finds its host group in the WORLD catalog
+// and dials its peers lazily as traffic demands. No world names anything on
+// disk.
 //
 // Everything virtual-time stays above the Transport line: the requester-side
 // halves of each operation (cost-model charges, source-NIC serialization)
@@ -34,7 +35,6 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -60,9 +60,6 @@ const (
 	// that); dialAttempts bounds them.
 	dialAttempts = 5
 	dialBackoff  = 50 * time.Millisecond
-	// arenaWait bounds how long a non-creator rank polls for its host
-	// group's arena file (the creator may still be between JOIN and create).
-	arenaWait = 60 * time.Second
 )
 
 // World is one worker's attachment to its world: the control-plane client,
@@ -74,15 +71,13 @@ type World struct {
 
 	// The host group: lidx maps a world rank to its index among the ranks
 	// that share this rank's host key (ascending), -1 off host; self is this
-	// rank's. A group larger than one — or the whole of a world spawned onto
-	// one key — shares arena ar, which its lowest rank created under a name
-	// (creator) unless the launcher made it anonymous. door is the hook
-	// waiters on the group's ports park through: the arena's, or with no
-	// arena this process's parker.
+	// rank's. A group larger than one shares arena ar, which its launcher
+	// made and this rank inherited. door is the hook waiters on the group's
+	// ports park through: the arena's, or with no arena this process's
+	// parker.
 	lidx    []int
 	self    int
 	ar      *mprun.Arena
-	creator bool
 	ownPort simnet.Port
 	door    simnet.ParkHook
 
@@ -133,11 +128,14 @@ type World struct {
 	budget time.Duration
 }
 
-// Launch creates the world o.Backend names and coordinates it to the end
-// (rankio.Coordinate), returning nil only if every rank finished cleanly. The
-// name decides the catalog of host keys and nothing else; from here on only
-// the coordinator's JOIN admission reads it.
+// Launch creates the world o.Backend names and coordinates it to the end,
+// returning nil only if every rank finished cleanly. The name decides the
+// catalog of host keys and nothing else; from here on only the
+// coordinator's JOIN admission reads it.
 func Launch(o rankio.Options) error {
+	if err := faultnet.Check(); err != nil {
+		return fmt.Errorf("netrun: %w", err)
+	}
 	spawned := len(o.Hosts) == 0
 	perKey := 0 // consecutive ranks the launcher puts on one key; 0 leaves each rank the key it resolves
 	switch o.Backend {
@@ -163,45 +161,58 @@ func Launch(o rankio.Options) error {
 			o.HostKeys[r] = fmt.Sprintf("h%d", r/perKey)
 		}
 	}
-	if spawned && perKey >= o.Ranks {
-		return launchMapped(o) // it spawns every rank onto one key
+	if !spawned {
+		return launchHostList(o)
 	}
-	return launchWired(o)
+	if n := min(perKey, o.Ranks); n > mprun.MaxRanks {
+		return fmt.Errorf("netrun: %d ranks on one key exceed the limit of %d for one arena (use the in-process backend for large worlds)", n, mprun.MaxRanks)
+	}
+	return launchSpawned(o)
 }
 
-// launchMapped runs a world whose ranks all share one host key, so it knows
-// before spawning them that one arena serves everyone: it creates the arena
-// over an anonymous memory file, and each rank inherits that file and its own
-// end of its control stream (rankio.CoordinateInherited). Its ranks never open
-// a wire, and the world names nothing on disk: a launcher killed at any point
+// launchSpawned runs a world whose ranks this launcher starts itself: one
+// socketpair per rank, and one anonymous arena per host key that holds two
+// ranks or more — and an mp world's one key whatever its size, so that an
+// mp rank never opens a wire. Rank r inherits its end of its pair and its group's arena
+// (rankio.CoordinateInherited); the launcher's end of a net or hybrid rank's
+// stream runs under faultnet's control-plane faults, as a dialed stream
+// would. The world names nothing on disk: a launcher killed at any point
 // strands no file, and the ranks see their streams end.
-func launchMapped(o rankio.Options) error {
-	if o.Ranks > mprun.MaxRanks {
-		return fmt.Errorf("netrun: %d ranks exceed the limit of %d for one arena (use the in-process backend for large worlds)", o.Ranks, mprun.MaxRanks)
+func launchSpawned(o rankio.Options) error {
+	shared := make([]*os.File, o.Ranks)
+	for lo, hi := 0, 0; lo < o.Ranks; lo = hi {
+		for hi = lo; hi < o.Ranks && o.HostKeys[hi] == o.HostKeys[lo]; hi++ {
+		}
+		if hi-lo < 2 && o.Backend != BackendMP {
+			continue
+		}
+		mem, err := mprun.CreateAnon(arenaCfg(o, hi-lo))
+		if err != nil {
+			return err
+		}
+		defer mem.Close() // past the world: the ranks' mappings keep it
+		for r := lo; r < hi; r++ {
+			shared[r] = mem
+		}
 	}
-	mem, err := mprun.CreateAnon(arenaCfg(o, o.Ranks))
-	if err != nil {
-		return err
-	}
-	defer mem.Close()
 	streams, kids, err := sock.Pairs(o.Ranks)
 	if err != nil {
 		return fmt.Errorf("netrun: control streams: %w", err)
 	}
-	return rankio.CoordinateInherited(o, streams, kids, mem)
-}
-
-// launchWired runs any other world over a TCP coordinator.
-func launchWired(o rankio.Options) error {
-	listen := o.Listen
-	if listen == "" {
-		listen = "127.0.0.1:0"
-		if len(o.Hosts) != 0 {
-			listen = ":7077"
+	if o.Backend != BackendMP {
+		for r := range streams {
+			streams[r] = faultnet.Wrap(streams[r], fmt.Sprintf("ctl rank %d", r))
 		}
 	}
-	if err := faultnet.Check(); err != nil {
-		return fmt.Errorf("netrun: %w", err)
+	return rankio.CoordinateInherited(o, streams, kids, shared)
+}
+
+// launchHostList runs the coordinator of a world whose ranks host launchers
+// start (LaunchHost) over a TCP listener.
+func launchHostList(o rankio.Options) error {
+	listen := o.Listen
+	if listen == "" {
+		listen = ":7077"
 	}
 	ln, err := sock.Listen("tcp", listen)
 	if err != nil {
@@ -209,6 +220,54 @@ func launchWired(o rankio.Options) error {
 	}
 	defer ln.Close()
 	return rankio.Coordinate(faultnet.WrapListener(ln), o)
+}
+
+// LaunchHost is one host's launcher of a host-list world (fompi-run -join):
+// it starts o.Ranks ranks here, dialing the coordinator at coord once for
+// each — retrying with backoff, since the coordinator may come up after the
+// hosts — and hands each its stream as descriptor 3; a hybrid world's ranks
+// here also share one anonymous arena as 4 when there are two or more. The
+// ranks join rankless under this host's key (rankio.HostKey), which it
+// exports to them, and it returns once they have all exited
+// (rankio.RunHost).
+func LaunchHost(o rankio.Options, coord string) error {
+	return launchHost(o, coord, rankio.HostKey())
+}
+
+func launchHost(o rankio.Options, coord, key string) error {
+	if o.Backend != BackendNet && o.Backend != BackendHybrid {
+		return fmt.Errorf("netrun: a host launcher runs the net or hybrid backend, not %q", o.Backend)
+	}
+	streams := make([]*os.File, 0, o.Ranks)
+	defer func() {
+		for _, f := range streams {
+			f.Close() // those RunHost never handed over
+		}
+	}()
+	for range o.Ranks {
+		var ctl sock.Conn
+		var err error
+		for d, until := dialBackoff, time.Now().Add(rankio.BootTimeout); ; d *= 2 {
+			if ctl, err = sock.Dial("tcp", coord, rankio.BootTimeout); err == nil {
+				break
+			}
+			if time.Now().Add(d).After(until) {
+				return fmt.Errorf("netrun: dial coordinator %s: %w", coord, err)
+			}
+			time.Sleep(d)
+		}
+		streams = append(streams, ctl.(*os.File))
+	}
+	var shared *os.File
+	if o.Backend == BackendHybrid && o.Ranks >= 2 {
+		mem, err := mprun.CreateAnon(arenaCfg(o, o.Ranks))
+		if err != nil {
+			return err
+		}
+		defer mem.Close()
+		shared = mem
+	}
+	return rankio.RunHost(o, streams, shared, key)
 }
 
 // arenaCfg is the header contract of an arena ranks of o's world share.
@@ -222,21 +281,37 @@ func arenaCfg(o rankio.Options, ranks int) mprun.ArenaConfig {
 }
 
 // Join attaches a worker process to its world and returns the Transport for
-// its rank; which boot it takes it reads off the network FOMPI_COORD names.
-// The caller registers its setup regions and then calls Ready to enter
-// the bootstrap barrier.
+// its rank (join). The caller registers its setup regions and then calls
+// Ready to enter the bootstrap barrier.
 func Join(o rankio.Options) (*World, error) {
-	network, coord, rank, err := rankio.WorkerOf(o.Backend, o.Ranks)
+	at, rank, err := rankio.WorkerOf(o.Backend, o.Ranks)
+	if err != nil {
+		return nil, err
+	}
+	return join(o, at, rank)
+}
+
+// join is a rank's one boot, whoever started it: adopt the control stream
+// and map the group's arena (descriptors at, rankio.AdoptInherited), open a
+// data listener unless the arena covers the whole world, JOIN, and derive
+// the host group. A rank whose arena is the world's needs nothing from the
+// catalog, so when it knows its rank it binds at once and reads WORLD behind
+// its READY (Client.Ready): its setup overlaps the other ranks' joins.
+// Every other rank waits for WORLD here.
+func join(o rankio.Options, at string, rank int) (*World, error) {
+	ctl, mem, err := rankio.AdoptInherited(at)
 	if err != nil {
 		return nil, err
 	}
 	w := &World{rank: rank, lidx: make([]int, o.Ranks)}
-	if network == rankio.Inherited {
-		err = w.joinMapped(o, coord)
-	} else {
-		err = w.joinWired(o, network, coord)
-	}
-	if err != nil {
+	if err := w.boot(o, ctl, mem); err != nil {
+		ctl.Close()
+		if w.ar != nil {
+			w.ar.Close()
+		}
+		if w.ln != nil {
+			w.ln.Close()
+		}
 		return nil, err
 	}
 	if w.ar != nil {
@@ -249,107 +324,39 @@ func Join(o rankio.Options) (*World, error) {
 	return w, nil
 }
 
-// joinMapped is the boot of a rank whose launcher put the whole world on one
-// key (launchMapped): it inherited its control stream and the arena, so it
-// needs nothing from the catalog and never waits for it — it maps and binds
-// while the coordinator collects the other ranks' JOINs, and reads WORLD
-// behind its READY (Client.Ready).
-func (w *World) joinMapped(o rankio.Options, at string) error {
-	if w.rank < 0 {
-		return fmt.Errorf("netrun: worker has no %s", rankio.EnvRank)
-	}
-	ctl, mem, err := rankio.AdoptInherited(at)
-	if err != nil {
-		return err
-	}
-	if w.Client, err = rankio.Join(ctl, o, w.rank, "shm"); err != nil {
-		ctl.Close()
-		mem.Close()
-		return err
-	}
-	for r := range w.lidx {
-		w.lidx[r] = r
-	}
-	w.self = w.rank
-	if w.ar, err = mprun.MapArena(mem, arenaCfg(o, o.Ranks)); err != nil {
-		ctl.Close()
-		return err
-	}
-	w.bindArena()
-	w.pacer = w.ar.Pacer()
-	return nil
-}
-
-// bindArena makes the mapped arena this rank's home: its slot, its group's
-// door, parked under this process's abort state.
-func (w *World) bindArena() {
-	w.door = w.ar.Hook()
-	w.ar.Bind(w.self, w.AbortErr)
-}
-
-// joinWired is every other boot: dial the TCP coordinator, start this rank's
-// data service, run the JOIN/WORLD handshake, and attach to the host group
-// the catalog shows.
-func (w *World) joinWired(o rankio.Options, network, coord string) error {
-	if err := faultnet.Check(); err != nil {
-		return fmt.Errorf("netrun: %w", err)
-	}
-	tm, err := rankio.ResolveTimeouts()
-	if err != nil {
-		return err
-	}
-	// The coordinator may come up after the workers in host-list mode, and
-	// faultnet injects refused dials; retry with backoff inside the boot
-	// window rather than failing the whole rank on the first RST.
-	var ctl sock.Conn
-	for d, until := dialBackoff, time.Now().Add(rankio.BootTimeout); ; d *= 2 {
-		ctl, err = faultnet.Dial(network, coord, rankio.BootTimeout)
-		if err == nil {
-			break
+func (w *World) boot(o rankio.Options, ctl sock.Conn, mem *os.File) (err error) {
+	if mem != nil {
+		if w.ar, err = mprun.MapArena(mem, arenaCfg(o, 0)); err != nil {
+			return err
 		}
-		if time.Now().Add(d).After(until) {
-			return fmt.Errorf("netrun: dial coordinator %s: %w", coord, err)
+	}
+	if w.ar != nil && w.ar.Ranks() == o.Ranks && w.rank >= 0 {
+		if w.Client, err = rankio.Join(ctl, o, w.rank, "shm"); err != nil {
+			return err
 		}
-		time.Sleep(d)
+		for r := range w.lidx {
+			w.lidx[r] = r
+		}
+		w.self = w.rank
+		w.bindArena()
+		w.pacer = w.ar.Pacer()
+		return nil
 	}
-	// Listen for peers on the interface that reaches the coordinator: the
-	// address peers can reach this process at, on loopback and multi-machine
-	// deployments alike.
-	local, err := sock.LocalAddr(ctl)
-	var ln sock.Listener
-	if err == nil {
-		ln, err = sock.Listen("tcp", netip.AddrPortFrom(local.Addr(), 0).String())
+	if err := w.openWire(o, ctl); err != nil {
+		return err
 	}
-	if err != nil {
-		ctl.Close()
-		return fmt.Errorf("netrun: listen data socket: %w", err)
-	}
-	// The data listener is data-plane: faultnet's plane=data scoping targets
-	// it (and the requester conns dialed to it) while sparing the control
-	// streams the failure detector rides on.
-	w.ln = faultnet.WrapListenerData(ln)
-	w.peers = make([]*peerConn, o.Ranks)
-	w.proxies = make([][]*simnet.Region, o.Ranks)
-	w.rsess = make([]reqSession, o.Ranks)
-	w.sessions = make(map[uint64]*ownerSession)
-	w.svcConns = make(map[sock.Conn]struct{})
-	w.budget = tm.SilenceBudget()
-	w.park = simnet.NewParker(o.Ranks)
-	w.Client, err = rankio.Join(ctl, o, w.rank, ln.Addr())
-	if err == nil {
+	if w.Client, err = rankio.Join(ctl, o, w.rank, w.ln.Addr()); err == nil {
 		err = w.Client.World()
 	}
-	if err == nil {
-		// The session identity is minted, and the host group known, once the
-		// WORLD reply has fixed the rank (host-list workers may join rankless
-		// and be assigned one here).
-		w.rank = w.Client.Rank()
-		w.sid = sidFor(w.rank, os.Getpid())
-		err = w.attachGroup(o)
-	}
 	if err != nil {
-		ln.Close()
-		ctl.Close()
+		return err
+	}
+	// The session identity is minted, and the host group known, once the
+	// WORLD reply has fixed the rank (a host launcher's ranks join rankless
+	// and are assigned one here).
+	w.rank = w.Client.Rank()
+	w.sid = sidFor(w.rank, os.Getpid())
+	if err := w.attachGroup(); err != nil {
 		return err
 	}
 	if o.PaceWindowNs != 0 {
@@ -364,13 +371,53 @@ func (w *World) joinWired(o rankio.Options, network, coord string) error {
 	return nil
 }
 
+// openWire opens this rank's data listener and the wire's tables. It
+// listens on the interface that reaches the coordinator — the address peers
+// can reach this process at, on multi-machine deployments as on loopback —
+// and on loopback when the stream is a spawning launcher's socketpair.
+func (w *World) openWire(o rankio.Options, ctl sock.Conn) error {
+	if err := faultnet.Check(); err != nil {
+		return fmt.Errorf("netrun: %w", err)
+	}
+	tm, err := rankio.ResolveTimeouts()
+	if err != nil {
+		return err
+	}
+	at := "127.0.0.1:0"
+	if local, err := sock.LocalAddr(ctl); err == nil {
+		at = netip.AddrPortFrom(local.Addr(), 0).String()
+	}
+	ln, err := sock.Listen("tcp", at)
+	if err != nil {
+		return fmt.Errorf("netrun: listen data socket: %w", err)
+	}
+	// The data listener is data-plane: faultnet's plane=data scoping targets
+	// it (and the requester conns dialed to it) while sparing the control
+	// streams the failure detector rides on.
+	w.ln = faultnet.WrapListenerData(ln)
+	w.peers = make([]*peerConn, o.Ranks)
+	w.proxies = make([][]*simnet.Region, o.Ranks)
+	w.rsess = make([]reqSession, o.Ranks)
+	w.sessions = make(map[uint64]*ownerSession)
+	w.svcConns = make(map[sock.Conn]struct{})
+	w.budget = tm.SilenceBudget()
+	w.park = simnet.NewParker(o.Ranks)
+	return nil
+}
+
+// bindArena makes the mapped arena this rank's home: its slot, its group's
+// door, parked under this process's abort state.
+func (w *World) bindArena() {
+	w.door = w.ar.Hook()
+	w.ar.Bind(w.self, w.AbortErr)
+}
+
 // attachGroup derives this rank's host group from the WORLD catalog. A group
 // of one maps nothing: its port and door are the process's own. A larger one
-// shares an arena under the catalog-digest name, created by its lowest rank
-// and mapped by the rest, so off-host operations, rings and waits arriving
-// over the wire land on the same port, and park at the same door, the
-// host-mates take directly.
-func (w *World) attachGroup(o rankio.Options) error {
+// is the arena this rank inherited, so off-host operations, rings and waits
+// arriving over the wire land on the same port, and park at the same door,
+// the host-mates take directly.
+func (w *World) attachGroup() error {
 	hosts := w.Hosts()
 	key, n := hosts[w.rank], 0
 	for r, h := range hosts {
@@ -381,47 +428,18 @@ func (w *World) attachGroup(o rankio.Options) error {
 		}
 	}
 	w.self = w.lidx[w.rank]
-	if n == 1 {
+	switch {
+	case w.ar == nil && n == 1:
 		w.door = w.park.Hook(w.AbortErr)
 		return nil
-	}
-	name := mprun.GroupName(w.Addrs(), hosts, key)
-	var err error
-	if w.creator = w.self == 0; w.creator {
-		mprun.SweepStaleArenas(mprun.StaleAge) // hygiene: other dead worlds' leftovers
-		for _, root := range mprun.SegmentRoots() {
-			os.Remove(filepath.Join(root, name)) // a leftover of a crashed world, never a live one
+	case w.ar == nil || w.ar.Ranks() != n:
+		mapped := 0
+		if w.ar != nil {
+			mapped = w.ar.Ranks()
 		}
-		w.ar, err = mprun.CreateArena(name, arenaCfg(o, n))
-	} else {
-		w.ar, err = mprun.OpenArena(name, arenaCfg(o, n), arenaWait)
-	}
-	if err != nil {
-		return fmt.Errorf("netrun: host group %q arena: %w", key, err)
+		return fmt.Errorf("netrun: host group %q has %d ranks, this rank inherited an arena for %d (one launcher per host key)", key, n, mapped)
 	}
 	w.bindArena()
-	return nil
-}
-
-// SegmentPath returns the path this process mapped its host group's named
-// segment from, "" when it maps none or an anonymous one.
-func (w *World) SegmentPath() string {
-	if w.ar == nil {
-		return ""
-	}
-	return w.ar.Path()
-}
-
-// Ready enters the bootstrap barrier (READY/GO); once it returns, every rank
-// of the host group has mapped the arena, so its creator unlinks the segment —
-// nothing is left behind however the world later dies.
-func (w *World) Ready() error {
-	if err := w.Client.Ready(); err != nil {
-		return err
-	}
-	if w.creator {
-		w.ar.Unlink()
-	}
 	return nil
 }
 
@@ -442,17 +460,12 @@ func (w *World) Finish() {
 // Fail aborts the world and reports msg to the coordinator; the caller exits
 // nonzero afterwards. A failure that is not itself a peer-abort symptom blames
 // this rank, so this process's own waiters unwind with a typed error naming
-// it, as everyone else's do once the verdict arrives. Then it
-// releases what a failing world would otherwise strand: the segment's name if
-// the world died before Ready unlinked it.
+// it, as everyone else's do once the verdict arrives.
 func (w *World) Fail(msg string) {
 	if !strings.Contains(msg, rankio.PeerAbortMsg) {
 		w.NoteFailedRank(w.rank)
 	}
 	w.Client.Fail(msg)
-	if w.creator {
-		w.ar.Unlink()
-	}
 	w.release()
 }
 

@@ -347,47 +347,12 @@ func TestSessionBatchSuffixReplay(t *testing.T) {
 // scopes resets to the data plane, so the coordinator's failure detector
 // keeps running — exactly the regime the resume protocol is for.
 func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("probe listen: %v", err)
-	}
-	addr := probe.Addr().String()
-	probe.Close()
-
 	t.Setenv(faultnet.EnvVar, "seed=3,reseteveryn=25,plane=data")
 	t.Setenv(rankio.EnvTimeouts, "heartbeat=500ms,stale=5s")
-	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
-	t.Setenv(rankio.EnvRank, "")
 	base := enableTelemetry(t)
 
-	o := rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
-	launchErr := make(chan error, 1)
-	go func() { launchErr <- Launch(o) }()
-	for i := 0; ; i++ {
-		c, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			c.Close()
-			break
-		}
-		if i > 100 {
-			t.Fatalf("coordinator never started listening: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
 	const rounds = 300
-	workerErr := make(chan error, 2)
-	worker := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				workerErr <- errFromPanic(r)
-			}
-		}()
-		w, err := Join(rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1})
-		if err != nil {
-			workerErr <- err
-			return
-		}
+	err := hostListWorld(t, rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1}, func(w *World) error {
 		reg := simnet.MakeRegion(w.Rank(), 0, make([]byte, 8), timing.NewStamps(8), w.Port(w.Rank()), liveWord())
 		w.RegisterRegion(w.Rank(), &reg)
 		w.Ready()
@@ -402,28 +367,10 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 			}
 		}
 		w.Finish()
-		workerErr <- mismatch
-	}
-	go worker()
-	go worker()
-
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-workerErr:
-			if err != nil {
-				t.Fatalf("worker: %v", err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatalf("workers did not finish under recurring resets")
-		}
-	}
-	select {
-	case err := <-launchErr:
-		if err != nil {
-			t.Fatalf("coordinator: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("coordinator did not return")
+		return mismatch
+	})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
 	}
 
 	// The run proved the values arrived exactly once; the counters must now
@@ -459,51 +406,16 @@ func TestResumeExactlyOnceUnderRecurringResets(t *testing.T) {
 // `windows*perWindow` plus the closing flag at the end means every put
 // applied exactly once despite the replays.
 func TestWindowReplayUnderRecurringResets(t *testing.T) {
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("probe listen: %v", err)
-	}
-	addr := probe.Addr().String()
-	probe.Close()
-
 	t.Setenv(faultnet.EnvVar, "seed=5,reseteveryn=25,plane=data")
 	t.Setenv(rankio.EnvTimeouts, "heartbeat=500ms,stale=5s")
-	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
-	t.Setenv(rankio.EnvRank, "")
 	base := enableTelemetry(t)
-
-	o := rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
-	launchErr := make(chan error, 1)
-	go func() { launchErr <- Launch(o) }()
-	for i := 0; ; i++ {
-		c, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			c.Close()
-			break
-		}
-		if i > 100 {
-			t.Fatalf("coordinator never started listening: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 
 	const (
 		windows   = 30
 		perWindow = 10
 		flagOff   = perWindow * 8 // first word past the put targets
 	)
-	workerErr := make(chan error, 2)
-	worker := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				workerErr <- errFromPanic(r)
-			}
-		}()
-		w, err := Join(rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1})
-		if err != nil {
-			workerErr <- err
-			return
-		}
+	err := hostListWorld(t, rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1}, func(w *World) error {
 		buf := make([]byte, flagOff+8)
 		reg := simnet.MakeRegion(w.Rank(), 0, buf, timing.NewStamps(len(buf)), w.Port(w.Rank()), liveWord())
 		w.RegisterRegion(w.Rank(), &reg)
@@ -532,28 +444,10 @@ func TestWindowReplayUnderRecurringResets(t *testing.T) {
 			mismatch = fmt.Errorf("rank %d port generation = %d, want %d: a put was lost or applied twice",
 				w.Rank(), got, windows*perWindow+1)
 		}
-		workerErr <- mismatch
-	}
-	go worker()
-	go worker()
-
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-workerErr:
-			if err != nil {
-				t.Fatalf("worker: %v", err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatalf("workers did not finish under recurring resets")
-		}
-	}
-	select {
-	case err := <-launchErr:
-		if err != nil {
-			t.Fatalf("coordinator: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("coordinator did not return")
+		return mismatch
+	})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
 	}
 
 	// Counter invariants for the batched regime: the fused windows must show

@@ -71,27 +71,7 @@ func TestStatsAggregationBeforeTeardown(t *testing.T) {
 	outPath := filepath.Join(t.TempDir(), "agg.json")
 	t.Setenv(telemetry.EnvOut, outPath)
 
-	addr := reserveAddr(t)
-	o := rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
-	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
-	t.Setenv(rankio.EnvRank, "")
-
-	launchErr := make(chan error, 1)
-	go func() { launchErr <- Launch(o) }()
-	waitListening(t, addr)
-
-	workerErr := make(chan error, 2)
-	worker := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				workerErr <- errFromPanic(r)
-			}
-		}()
-		w, err := Join(rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1})
-		if err != nil {
-			workerErr <- err
-			return
-		}
+	err := hostListWorld(t, rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1}, func(w *World) error {
 		ep := simnet.NewEndpoint(w, w.Rank(), simnet.FoMPI())
 		reg := ep.Register(64)
 		w.Ready()
@@ -99,28 +79,10 @@ func TestStatsAggregationBeforeTeardown(t *testing.T) {
 		ep.StoreW(simnet.Addr{Rank: peer, Key: reg.Key(), Off: 0}, uint64(w.Rank())+1)
 		ep.WaitLocal(func() bool { return reg.LocalWord(0) == uint64(peer)+1 })
 		w.Finish()
-		workerErr <- nil
-	}
-	go worker()
-	go worker()
-
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-workerErr:
-			if err != nil {
-				t.Fatalf("worker: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("workers did not finish")
-		}
-	}
-	select {
-	case err := <-launchErr:
-		if err != nil {
-			t.Fatalf("coordinator: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("coordinator did not return")
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
 	}
 
 	// Launch has returned: teardown is complete, so the aggregate is final.
@@ -162,52 +124,14 @@ func TestStatsShippedOnFail(t *testing.T) {
 	enableTelemetry(t)
 	t.Setenv(telemetry.EnvOut, filepath.Join(t.TempDir(), "agg.json"))
 
-	addr := reserveAddr(t)
-	o := rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1, Hosts: []string{"localhost"}, Listen: addr}
-	t.Setenv(rankio.EnvCoord, BackendNet+":tcp:"+addr)
-	t.Setenv(rankio.EnvRank, "")
-
-	launchErr := make(chan error, 1)
-	go func() { launchErr <- Launch(o) }()
-	waitListening(t, addr)
-
-	workerErr := make(chan error, 2)
-	worker := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				workerErr <- errFromPanic(r)
-			}
-		}()
-		w, err := Join(rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1})
-		if err != nil {
-			workerErr <- err
-			return
-		}
+	err := hostListWorld(t, rankio.Options{Backend: BackendNet, Ranks: 2, RanksPerNode: 1}, func(w *World) error {
 		w.Ready()
 		telemetry.RecordEvent(telemetry.EvRankFail, uint64(w.Rank()), 0xdead)
 		w.Fail("injected failure for the stats post-mortem test")
-		workerErr <- nil
-	}
-	go worker()
-	go worker()
-
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-workerErr:
-			if err != nil {
-				t.Fatalf("worker: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("workers did not finish")
-		}
-	}
-	select {
-	case err := <-launchErr:
-		if err == nil {
-			t.Fatalf("coordinator returned nil for a failed world")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("coordinator did not return")
+		return nil
+	})
+	if err == nil {
+		t.Fatalf("coordinator returned nil for a failed world")
 	}
 
 	agg, ok := LastStats()

@@ -16,26 +16,22 @@ import (
 	"fompi/internal/telemetry"
 )
 
-// A spawned rank learns its world from two variables: EnvCoord names the
-// backend and where its control stream is as "backend:network:address" — a
-// coordinator's TCP socket (host-list operators export the same variable), or
-// the two descriptors a rank of an inheriting world starts with,
-// "backend:fd:3,4" (CoordinateInherited) — and EnvRank the rank — optional in
-// host-list mode, where join order assigns the unclaimed slots. EnvHost is a
-// deployment setting: the host key a rank joins under (see HostKey).
+// A rank learns its world from two variables: EnvCoord names the backend and
+// the descriptors it was started with, "backend:fd:3" or "backend:fd:3,4" —
+// its control stream, then its host group's arena when it shares one — and
+// EnvRank the rank, which only a spawning launcher sets: a host launcher's
+// ranks join rankless, and join order assigns them the unclaimed slots.
+// EnvHost is a deployment setting: the host key a rank joins under (see
+// HostKey), which a host launcher exports to its ranks.
 const (
 	EnvCoord = "FOMPI_COORD"
 	EnvRank  = "FOMPI_RANK"
 	EnvHost  = "FOMPI_NET_HOST"
 )
 
-// Inherited is the network EnvCoord names for a rank of an inheriting world,
-// and inheritedAt the descriptors it starts with: its control stream's end,
-// then the shared file (exec.Cmd.ExtraFiles numbers them from 3).
-const (
-	Inherited   = "fd"
-	inheritedAt = "3,4"
-)
+// Inherited is the network every EnvCoord names: descriptors the rank
+// inherited (exec.Cmd.ExtraFiles numbers them from 3).
+const Inherited = "fd"
 
 const (
 	// BootTimeout bounds each bootstrap step that has no timeout of its own:
@@ -56,26 +52,26 @@ func WorkerBackend() string {
 	return backend
 }
 
-// WorkerOf reads this worker's identity: where EnvCoord says its control
-// stream is — in a world of backend, which it must name — and the rank
-// EnvRank claims, -1 when it claims none.
-func WorkerOf(backend string, ranks int) (network, addr string, rank int, err error) {
+// WorkerOf reads this worker's identity: the descriptors EnvCoord names —
+// in a world of backend, which it must name — and the rank EnvRank claims,
+// -1 when it claims none.
+func WorkerOf(backend string, ranks int) (at string, rank int, err error) {
 	coord := os.Getenv(EnvCoord)
 	got, rest, _ := strings.Cut(coord, ":")
-	network, addr, _ = strings.Cut(rest, ":")
+	network, at, _ := strings.Cut(rest, ":")
 	switch {
-	case network == "" || addr == "":
-		return "", "", -1, fmt.Errorf("rankio: not a worker process: %s=%q (want backend:network:address)", EnvCoord, coord)
+	case network != Inherited || at == "":
+		return "", -1, fmt.Errorf("rankio: not a worker process: %s=%q (want backend:%s:3[,4])", EnvCoord, coord, Inherited)
 	case got != backend:
-		return "", "", -1, fmt.Errorf("%w: %s names a %s world, this rank runs the %s backend", ErrBackendMismatch, EnvCoord, got, backend)
+		return "", -1, fmt.Errorf("%w: %s names a %s world, this rank runs the %s backend", ErrBackendMismatch, EnvCoord, got, backend)
 	}
 	rank = -1
 	if s := os.Getenv(EnvRank); s != "" {
 		if rank, err = strconv.Atoi(s); err != nil || rank < 0 || rank >= ranks {
-			return "", "", -1, fmt.Errorf("rankio: bad %s=%q for world of %d ranks", EnvRank, s, ranks)
+			return "", -1, fmt.Errorf("rankio: bad %s=%q for world of %d ranks", EnvRank, s, ranks)
 		}
 	}
-	return network, addr, rank, nil
+	return at, rank, nil
 }
 
 // Options describes one cross-process world, to its launcher and to each of
@@ -90,18 +86,20 @@ type Options struct {
 	// ArenaBytes is each rank's registered-memory arena when it shares one
 	// with host-mates; zero means 16 MiB.
 	ArenaBytes int
-	// Listen is the coordinator's TCP listen address, in a world that has
-	// one. Empty means 127.0.0.1:0 in spawn mode, :7077 in host-list mode.
+	// Listen is a host-list coordinator's TCP listen address; empty means
+	// :7077.
 	Listen string
-	// Hosts, when non-empty, selects host-list mode: the
-	// coordinator spawns nothing and waits for Ranks workers the operator
-	// starts on the listed machines with EnvCoord set. The list is advisory
-	// placement documentation, quoted in the launch banner; ranks follow
-	// explicit EnvRank claims, then join order.
+	// Hosts, when non-empty, selects host-list mode: the coordinator listens
+	// on TCP, spawns nothing and waits for the Ranks ranks that one host
+	// launcher per machine starts (fompi-run -join), each over a control
+	// stream its launcher dialed for it. The list is advisory placement
+	// documentation, quoted in the launch banner; ranks follow explicit
+	// EnvRank claims, then join order.
 	Hosts []string
-	// Relaunch is the worker command line spawn mode executes once per rank
-	// on this machine; nil re-executes os.Args. TagOutput prefixes each
-	// spawned rank's stdout/stderr with "[rank N]".
+	// Relaunch is the worker command line a launcher executes once per rank
+	// it starts; nil re-executes os.Args. TagOutput prefixes each spawned
+	// rank's stdout/stderr with "[rank N]" (a host launcher's with
+	// "[<host key> proc i]", i its own index: it does not know the ranks).
 	Relaunch  []string
 	TagOutput bool
 	// HostKeys is the launcher's placement: rank r's host key in the WORLD
@@ -149,12 +147,12 @@ type coord struct {
 	Options
 	tm   Timeouts
 	quit chan os.Signal // SIGQUIT to the launcher: DUMP every rank
-	// ln is a TCP world's listener. An inheriting world is given its
-	// streams instead, and spawns rank r with kids[r] and shared unless kids
-	// is nil: its ranks hold their ends already.
+	// ln is a host-list world's listener. A spawned world is given its
+	// streams instead, and spawns rank r with kids[r] and shared[r] unless
+	// kids is nil: its ranks hold their ends already.
 	ln     sock.Listener
 	kids   []*os.File
-	shared *os.File
+	shared []*os.File
 	cmds   []*Cmd // nil when nothing is spawned
 
 	events chan event    // unbuffered: nothing is posted once the loop is over
@@ -193,15 +191,18 @@ type event struct {
 	conn sock.Conn
 }
 
-// Coordinate runs one TCP world from the launcher side over ln: spawn (or the
-// host-list banner), then one loop that follows every connection from its
-// first byte, sends WORLD once every slot is claimed and GO once every READY
-// is in, and runs the world until every rank is accounted for. A connection
-// that ends, or says anything but JOIN, before JOIN is a probe and takes no
-// slot. The verdict of a failed world — RANKFAIL naming the culprit, then
-// ABORT — travels on every rank's control stream and nowhere else, and so
-// does the answer to a SIGQUIT to the launcher: DUMP to every rank, each of
-// which answers with its STATS line and writes its goroutines to its own
+// Coordinate runs one host-list world from the launcher side over ln: the
+// banner that tells the operator how to start each host's launcher, then
+// one loop that follows every connection from its first byte, sends WORLD
+// once every slot is claimed and GO once every READY is in, and runs the
+// world until every rank is accounted for. A connection that ends, or says
+// anything but JOIN, before JOIN is a probe and takes no slot: a stream a
+// host launcher dialed for a rank that died before JOIN is named when the
+// join timeout names its missing slot (its launcher names it at once,
+// RunHost). The verdict of a failed world — RANKFAIL naming the culprit,
+// then ABORT — travels on every rank's control stream and nowhere else, and
+// so does the answer to a SIGQUIT to the launcher: DUMP to every rank, each
+// of which answers with its STATS line and writes its goroutines to its own
 // stderr. Coordinate returns nil only if every rank finished cleanly; a
 // failed world is a *RankError naming the causal rank and carrying the first
 // non-zero worker exit code. It leaves no goroutine behind, and ln's
@@ -210,17 +211,16 @@ func Coordinate(ln sock.Listener, o Options) error {
 	return (&coord{Options: o, ln: ln}).run()
 }
 
-// CoordinateInherited is Coordinate for a world whose ranks inherit what they
-// boot from instead of dialing for it: streams[r], one end of a connected
-// pair (sock.Pairs), is rank r's control stream, and it must JOIN as rank r.
-// Rank r is spawned with kids[r], the pair's other end, as its fd 3 and
-// shared (an mp world's arena) as its fd 4, and EnvCoord names them,
-// "backend:fd:3,4"; with kids nil, the ranks hold their ends already and
+// CoordinateInherited is Coordinate for a world whose launcher starts every
+// rank itself: streams[r], one end of a connected pair (sock.Pairs), is rank
+// r's control stream, and it must JOIN as rank r. Rank r is spawned with
+// kids[r], the pair's other end, and shared[r], its host group's arena or
+// nil (spawnRanks); with kids nil, the ranks hold their ends already and
 // nothing is spawned. A stream that ends before JOIN is its rank's death,
 // and fails the world at once. The world names nothing on disk, and no
 // process but the launcher can reach a rank's stream. CoordinateInherited
 // closes streams and kids.
-func CoordinateInherited(o Options, streams []sock.Conn, kids []*os.File, shared *os.File) error {
+func CoordinateInherited(o Options, streams []sock.Conn, kids, shared []*os.File) error {
 	defer func() {
 		for _, k := range kids {
 			k.Close() // those spawn never handed over
@@ -233,20 +233,26 @@ func CoordinateInherited(o Options, streams []sock.Conn, kids []*os.File, shared
 	return c.run()
 }
 
-// AdoptInherited takes over what a rank of an inheriting world was started
-// with, at the address EnvCoord names ("ctl,shared"): its control stream and
-// the shared file.
+// AdoptInherited takes over what a rank was started with, at the address
+// EnvCoord names ("ctl" or "ctl,shared"): its control stream and, when
+// named, the shared file (nil otherwise).
 func AdoptInherited(at string) (ctl sock.Conn, shared *os.File, err error) {
-	a, b, _ := strings.Cut(at, ",")
+	a, b, two := strings.Cut(at, ",")
 	ctlFD, errA := strconv.Atoi(a)
-	sharedFD, errB := strconv.Atoi(b)
-	if errA != nil || errB != nil || ctlFD < 0 || sharedFD < 0 || ctlFD == sharedFD {
-		return nil, nil, fmt.Errorf("rankio: %s address %q does not name two descriptors (want ctl,shared)", EnvCoord, at)
+	sharedFD, errB := 0, error(nil)
+	if two {
+		sharedFD, errB = strconv.Atoi(b)
+	}
+	if errA != nil || errB != nil || ctlFD < 0 || sharedFD < 0 || two && ctlFD == sharedFD {
+		return nil, nil, fmt.Errorf("rankio: %s address %q does not name its descriptors (want ctl[,shared])", EnvCoord, at)
 	}
 	if ctl, err = sock.Adopt(ctlFD); err != nil {
 		return nil, nil, fmt.Errorf("rankio: inherited control stream: %w", err)
 	}
-	return ctl, os.NewFile(uintptr(sharedFD), "inherited fd "+b), nil
+	if two {
+		shared = os.NewFile(uintptr(sharedFD), "inherited fd "+b)
+	}
+	return ctl, shared, nil
 }
 
 func (c *coord) run() (err error) {
@@ -285,48 +291,104 @@ func (c *coord) run() (err error) {
 
 // spawn starts the ranks, or in host-list mode tells the operator how to.
 func (c *coord) spawn() error {
-	network, at := Inherited, inheritedAt
-	if c.ln != nil {
-		network, at = "tcp", c.ln.Addr()
-	}
-	coordEnv := EnvCoord + "=" + c.Backend + ":" + network + ":"
 	switch {
-	case c.ln == nil && c.kids == nil:
-		return nil
-	case c.ln != nil && len(c.Hosts) != 0:
+	case c.ln != nil:
 		// A wildcard bind address is not dialable from another machine;
 		// tell the operator to substitute this host's address.
+		at := c.ln.Addr()
 		dial := at
 		if ap, err := netip.ParseAddrPort(at); err == nil && ap.Addr().IsUnspecified() {
 			dial = fmt.Sprintf("<this-host>:%d", ap.Port())
 		}
+		arena := ""
+		if c.ArenaBytes != 0 {
+			arena = fmt.Sprintf(" -arena %d", c.ArenaBytes)
+		}
 		Logf("rankio",
-			"coordinator listening on %s; start %d workers across {%s} with\n"+
-				"  %s%s [%s=<rank>] [%s=<host-key>] <program> ...",
-			at, c.Ranks, strings.Join(c.Hosts, ", "), coordEnv, dial, EnvRank, EnvHost)
+			"coordinator listening on %s; on each of {%s}, start that host's share of the %d ranks with\n"+
+				"  fompi-run -join %s -backend %s -ppn %d -pace %d%s -np <ranks on that host> [%s=<host-key>] <program> ...",
+			at, strings.Join(c.Hosts, ", "), c.Ranks, dial, c.Backend, c.RanksPerNode, c.PaceWindowNs, arena, EnvHost)
+		return nil
+	case c.kids == nil:
 		return nil
 	}
-	argv := c.Relaunch
+	var err error
+	c.cmds, err = spawnRanks(c.Options, c.kids, c.shared,
+		func(r int) []string { return []string{EnvRank + "=" + strconv.Itoa(r)} },
+		func(r int) string { return fmt.Sprintf("[rank %d]", r) })
+	return err
+}
+
+// spawnRanks starts one rank process per entry of kids, executing o.Relaunch
+// (os.Args when nil): process i inherits kids[i], its end of its control
+// stream, as descriptor 3 and shared[i], its host group's arena, as 4 unless
+// that is nil, and EnvCoord names them ("backend:fd:3" or "backend:fd:3,4"),
+// with env(i) appended; under o.TagOutput, tag(i) prefixes its output lines. It closes kids[i] once process i holds it — with
+// this copy gone, the rank's exit ends the stream — and on a failure every
+// kid it did not hand over; it returns the processes it started either way.
+func spawnRanks(o Options, kids, shared []*os.File, env func(i int) []string, tag func(i int) string) ([]*Cmd, error) {
+	argv := o.Relaunch
 	if len(argv) == 0 {
 		argv = os.Args
 	}
-	c.cmds = make([]*Cmd, c.Ranks)
-	for r := range c.cmds {
-		env := []string{coordEnv + at, EnvRank + "=" + strconv.Itoa(r)}
-		var files []*os.File
-		if c.kids != nil {
-			files = []*os.File{c.kids[r], c.shared}
+	cmds := make([]*Cmd, 0, len(kids))
+	for i, kid := range kids {
+		files, at := []*os.File{kid}, "3"
+		if i < len(shared) && shared[i] != nil {
+			files, at = append(files, shared[i]), "3,4"
 		}
-		cmd, err := Start(argv, env, files, r, c.TagOutput)
-		if c.kids != nil {
-			// The rank holds its end now. With this copy gone, the rank's
-			// exit ends the stream the coordinator reads.
-			c.kids[r].Close()
+		prefix := ""
+		if o.TagOutput {
+			prefix = tag(i)
 		}
+		cmd, err := Start(argv, append(env(i), EnvCoord+"="+o.Backend+":"+Inherited+":"+at), files, prefix)
+		kid.Close()
 		if err != nil {
-			return fmt.Errorf("rankio: spawn rank %d (%s): %w", r, argv[0], err)
+			for _, k := range kids[i+1:] {
+				k.Close()
+			}
+			return cmds, fmt.Errorf("rankio: spawn rank %d (%s): %w", i, argv[0], err)
 		}
-		c.cmds[r] = cmd
+		cmds = append(cmds, cmd)
+	}
+	return cmds, nil
+}
+
+// RunHost is one host's launcher of a host-list world: it spawns a rank per
+// control stream in streams, each its launcher dialed to the coordinator
+// for it, with the arena shared (nil for none) and EnvHost set to key, and
+// waits for them all. The coordinator judges the world; the host launcher
+// names at once what only it can see, the first of its ranks to exit with a
+// non-zero status — before JOIN, when the coordinator takes its stream's end
+// for a probe's — and returns that status in a *RankError after killing the
+// rest. It cannot tell a rank that exits 0 before JOIN from one that
+// finished: the coordinator's join timeout names that one's slot.
+func RunHost(o Options, streams []*os.File, shared *os.File, key string) error {
+	files := make([]*os.File, len(streams))
+	for i := range files {
+		files[i] = shared
+	}
+	// Its ranks learn their world ranks only from WORLD, so their output is
+	// tagged by host key and local process index.
+	cmds, err := spawnRanks(o, streams, files,
+		func(int) []string { return []string{EnvHost + "=" + key} },
+		func(i int) string { return fmt.Sprintf("[%s proc %d]", key, i) })
+	defer func() {
+		KillAll(cmds)
+		ReapAll(cmds)
+	}()
+	if err != nil {
+		return err
+	}
+	exits := make(chan [2]int, len(cmds))
+	for i, c := range cmds {
+		go func() { exits <- [2]int{i, c.Wait()} }()
+	}
+	for range cmds {
+		if e := <-exits; e[1] != 0 {
+			return &RankError{Err: fmt.Errorf("%s world, host %s: rank process %d of %d (pid %d) exited with status %d",
+				o.Backend, key, e[0], len(cmds), cmds[e[0]].cmd.Process.Pid, e[1]), Code: e[1], Rank: -1}
+		}
 	}
 	return nil
 }
@@ -358,8 +420,8 @@ func (c *coord) accept() {
 }
 
 // follow starts m's reader: it posts every line, parsed or not, then the
-// stream's end with a spawned rank's exit status. A TCP stream's rank is the
-// one its JOIN claims (a spawned rank claims its own).
+// stream's end with a spawned rank's exit status (a spawned stream's rank
+// is fixed before its reader starts).
 func (c *coord) follow(m *member) {
 	c.wg.Add(1)
 	go func(rank int) {
@@ -367,16 +429,13 @@ func (c *coord) follow(m *member) {
 		sc := newLineReader(m.conn)
 		for sc.Scan() {
 			l, err := parseLine(sc.Bytes())
-			if rank < 0 && l.kind == lnJoin && err == nil {
-				rank = l.rank
-			}
 			if !c.post(event{from: m, ctlLine: l, err: err}) {
 				return
 			}
 		}
 		ev := event{from: m, end: true, err: scanErr(sc)}
 		// Past a line too long to scan, the peer may well be alive.
-		if c.cmds != nil && rank >= 0 && rank < len(c.cmds) && !errors.Is(ev.err, ErrLineTooLong) {
+		if rank >= 0 && rank < len(c.cmds) && !errors.Is(ev.err, ErrLineTooLong) {
 			ev.code = c.cmds[rank].Wait()
 		}
 		c.post(ev)
@@ -455,13 +514,13 @@ func (c *coord) handle(ev event) error {
 
 // opening takes what a stream says before JOIN, or its end.
 func (c *coord) opening(m *member, ev event) error {
-	inherited := c.ln == nil
+	spawned := c.ln == nil
 	switch {
-	case errors.Is(ev.err, ErrLineTooLong) || !ev.end && ev.err != nil && (ev.kind == lnJoin || inherited):
+	case errors.Is(ev.err, ErrLineTooLong) || !ev.end && ev.err != nil && (ev.kind == lnJoin || spawned):
 		return fmt.Errorf("rankio: refused a worker's JOIN: %w", ev.err)
-	case inherited && ev.end:
+	case spawned && ev.end:
 		return c.bootFailure(m, "JOIN", ev)
-	case inherited && ev.kind != lnJoin:
+	case spawned && ev.kind != lnJoin:
 		return fmt.Errorf("rankio: rank %d opened its control stream with %s", m.rank, lineTable[ev.kind].verb)
 	case ev.end || ev.err != nil || ev.kind != lnJoin:
 		// Not a worker: a liveness probe, a port scan, or a connection
@@ -481,7 +540,7 @@ func (c *coord) opening(m *member, ev event) error {
 			j.ranks, j.rpn, j.pace, c.Ranks, c.RanksPerNode, c.PaceWindowNs)
 	case j.rank >= c.Ranks:
 		return fmt.Errorf("rankio: worker claims rank %d outside world of %d", j.rank, c.Ranks)
-	case inherited && j.rank != m.rank:
+	case spawned && j.rank != m.rank:
 		return fmt.Errorf("rankio: rank %d's control stream joined as rank %d; an inherited stream joins as its own rank", m.rank, j.rank)
 	case j.rank >= 0 && c.members[j.rank] != nil:
 		return fmt.Errorf("rankio: two workers claim rank %d", j.rank)

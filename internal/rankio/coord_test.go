@@ -274,7 +274,7 @@ func TestSpawnedRankExitBeforeJoin(t *testing.T) {
 	}
 	o := Options{Backend: "mp", Ranks: 2, RanksPerNode: 2, Relaunch: []string{os.Args[0], "-test.run=^$"}, TagOutput: true}
 	start := time.Now()
-	result := coordinateWith(t, func() error { return CoordinateInherited(o, streams, kids, shared) })
+	result := coordinateWith(t, func() error { return CoordinateInherited(o, streams, kids, []*os.File{shared, shared}) })
 	select {
 	case err = <-result:
 	case <-time.After(10 * time.Second):
@@ -347,8 +347,8 @@ func TestSilentConnectionDoesNotHoldTheJoin(t *testing.T) {
 }
 
 // TestAdoptInheritedRefusesBadAddresses: an EnvCoord address that does not
-// name two descriptors, or whose first is no stream socket, fails the boot
-// by name.
+// name a control stream's descriptor and at most one more, or whose first is
+// no stream socket, fails the boot by name.
 func TestAdoptInheritedRefusesBadAddresses(t *testing.T) {
 	f, err := os.Open(os.DevNull)
 	if err != nil {
@@ -357,11 +357,13 @@ func TestAdoptInheritedRefusesBadAddresses(t *testing.T) {
 	defer f.Close()
 	fd := strconv.Itoa(int(f.Fd()))
 	for at, want := range map[string]string{
-		"3":                 "does not name two descriptors",
-		"3,x":               "does not name two descriptors",
-		"4,4":               "does not name two descriptors",
-		"-1,4":              "does not name two descriptors",
+		"":                  "does not name its descriptors",
+		"3,x":               "does not name its descriptors",
+		"4,4":               "does not name its descriptors",
+		"-1,4":              "does not name its descriptors",
+		"3,4,5":             "does not name its descriptors",
 		fd + "," + fd + "0": "inherited control stream",
+		fd:                  "inherited control stream",
 	} {
 		if _, _, err := AdoptInherited(at); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("AdoptInherited(%q) = %v, want an error saying %q", at, err, want)

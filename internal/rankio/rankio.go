@@ -6,7 +6,7 @@
 // spawned rank that exits before JOIN is named at once), the client a rank
 // embeds over any connection (client.go), the
 // one parser of the lines they exchange (ctlline.go) and the process
-// plumbing beneath — worker spawning with per-rank "[rank N]" output tagging,
+// plumbing beneath — worker spawning with per-process output tagging,
 // idempotent exit-status reaping, and the error type that carries a failing
 // worker's exit code up to cmd/fompi-run.
 package rankio
@@ -79,14 +79,15 @@ type Cmd struct {
 
 // Start spawns one worker rank executing argv with extraEnv appended to the
 // inherited environment and files as its descriptors 3, 4, … (the caller's
-// copies stay open). With tag set, the worker's stdout and stderr are
-// line-buffered through this process and each line is prefixed "[rank N] ";
-// otherwise the streams pass through directly.
-func Start(argv, extraEnv []string, files []*os.File, rank int, tag bool) (*Cmd, error) {
+// copies stay open). With a tag (such as "[rank 3]"), the worker's stdout
+// and stderr are line-buffered through this process and each line is
+// prefixed with the tag and a space; with none the streams pass through
+// directly.
+func Start(argv, extraEnv []string, files []*os.File, tag string) (*Cmd, error) {
 	c := &Cmd{cmd: exec.Command(argv[0], argv[1:]...)}
 	c.cmd.Env = append(os.Environ(), extraEnv...)
 	c.cmd.ExtraFiles = files
-	if !tag {
+	if tag == "" {
 		c.cmd.Stdout, c.cmd.Stderr = os.Stdout, os.Stderr
 		return c, c.cmd.Start()
 	}
@@ -99,22 +100,22 @@ func Start(argv, extraEnv []string, files []*os.File, rank int, tag bool) (*Cmd,
 		return nil, err
 	}
 	c.copyWait.Add(2)
-	go c.prefixCopy(os.Stdout, outR, rank)
-	go c.prefixCopy(os.Stderr, errR, rank)
+	go c.prefixCopy(os.Stdout, outR, tag)
+	go c.prefixCopy(os.Stderr, errR, tag)
 	return c, c.cmd.Start()
 }
 
-// prefixCopy relays one stream line by line with the rank tag. Lines are the
+// prefixCopy relays one stream line by line with the tag. Lines are the
 // tagging unit, so interleaved ranks stay readable. On a scanner error (a
 // pathological line beyond the buffer cap) it falls back to an untagged
 // drain: the pipe must keep flowing or the worker blocks on a full buffer
 // and the world hangs.
-func (c *Cmd) prefixCopy(dst io.Writer, src io.Reader, rank int) {
+func (c *Cmd) prefixCopy(dst io.Writer, src io.Reader, tag string) {
 	defer c.copyWait.Done()
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	for sc.Scan() {
-		fmt.Fprintf(dst, "[rank %d] %s\n", rank, sc.Bytes())
+		fmt.Fprintf(dst, "%s %s\n", tag, sc.Bytes())
 	}
 	if sc.Err() != nil {
 		io.Copy(dst, src)

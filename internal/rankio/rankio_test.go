@@ -35,7 +35,7 @@ func TestPrefixCopy(t *testing.T) {
 	var out bytes.Buffer
 	c := &Cmd{}
 	c.copyWait.Add(1)
-	c.prefixCopy(&out, strings.NewReader("hello\nworld\n"), 5)
+	c.prefixCopy(&out, strings.NewReader("hello\nworld\n"), "[rank 5]")
 	want := "[rank 5] hello\n[rank 5] world\n"
 	if out.String() != want {
 		t.Errorf("prefixCopy wrote %q, want %q", out.String(), want)

@@ -2,9 +2,11 @@ package sock
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/netip"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -227,6 +229,34 @@ func TestAdoptRefusesWhatIsNoStream(t *testing.T) {
 	defer w.Close()
 	if c, err := Adopt(int(r.Fd())); err == nil || !strings.Contains(err.Error(), "fd ") {
 		t.Fatalf("Adopt of a pipe: %v, %v; want a refusal naming the descriptor", c, err)
+	}
+}
+
+// TestAdoptedStreamIsNotInherited: a stream a rank adopted — here a dup of
+// a pair's child end, which, like an inherited descriptor, is not
+// close-on-exec — is close-on-exec once adopted, so a process the rank
+// starts does not hold its control stream open past the rank's exit.
+func TestAdoptedStreamIsNotInherited(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to look a child's descriptors up in")
+	}
+	locals, kids, err := Pairs(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer locals[0].Close()
+	fd, err := syscall.Dup(int(kids[0].Fd()))
+	kids[0].Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Adopt(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := exec.Command("/bin/sh", "-c", fmt.Sprintf("[ -e /proc/self/fd/%d ]", fd)).Run(); err == nil {
+		t.Fatalf("a child of the adopting process inherited the adopted stream (fd %d)", fd)
 	}
 }
 

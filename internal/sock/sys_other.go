@@ -26,9 +26,28 @@ func accept(fd int) (int, error) {
 	return nonblock(nfd, err)
 }
 
-// socketpair is never reached here: only an inheriting world uses it, and
-// such a world's arena needs Linux (mprun).
-func socketpair() ([2]int, error) { return [2]int{-1, -1}, syscall.ENOSYS }
+// socketpair makes a spawned rank's control stream: a spawned net world
+// runs here too, though an arena needs Linux (mprun).
+func socketpair() ([2]int, error) {
+	syscall.ForkLock.RLock()
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
+	if err == nil {
+		syscall.CloseOnExec(fds[0])
+		syscall.CloseOnExec(fds[1])
+	}
+	syscall.ForkLock.RUnlock()
+	if err != nil {
+		return fds, err
+	}
+	if fds[0], err = nonblock(fds[0], nil); err != nil {
+		syscall.Close(fds[1])
+		return fds, err
+	}
+	if fds[1], err = nonblock(fds[1], nil); err != nil {
+		syscall.Close(fds[0])
+	}
+	return fds, err
+}
 
 func nonblock(fd int, err error) (int, error) {
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"fompi/internal/mprun"
 	"fompi/internal/rankio"
 	"fompi/internal/simnet"
 	"fompi/internal/spmd"
@@ -27,16 +26,29 @@ import (
 // What a world may leave behind: nothing. Every cross-process world — clean,
 // with a rank SIGKILLed mid-body, or with its launcher SIGKILLed — must end
 // with no fompi-mp-* / fompi-hyb-* entry in either root. A running world names
-// nothing either: an mp world's segment is anonymous and its control streams
-// are inherited socketpairs, and a hybrid group's segment loses its name once
-// every rank that maps it is past Ready. A doorbell socket must never exist:
-// host-mates wake through the segment alone.
+// nothing either: its arenas are anonymous and its control streams inherited
+// socketpairs. A doorbell socket must never exist: host-mates wake through
+// the segment alone.
+
+// roots are where a world could name something: the host's shared-memory
+// directory, and os.TempDir().
+func roots() []string { return []string{"/dev/shm", os.TempDir()} }
+
+// globRoots returns the entries matching pattern in every root.
+func globRoots(pattern string) []string {
+	var all []string
+	for _, root := range roots() {
+		m, _ := filepath.Glob(filepath.Join(root, pattern))
+		all = append(all, m...)
+	}
+	return all
+}
 
 // worldEntries lists the fompi-mp-* / fompi-hyb-* entries of every root.
 func worldEntries() map[string]bool {
 	found := map[string]bool{}
 	for _, pat := range []string{"fompi-mp-*", "fompi-hyb-*"} {
-		for _, p := range mprun.GlobRoots(pat) {
+		for _, p := range globRoots(pat) {
 			found[p] = true
 		}
 	}
@@ -79,28 +91,15 @@ func leakWatch(t *testing.T) (assertNone func(when string)) {
 	}
 }
 
-// checkSegmentUnlinked asserts, from inside a body, that the segment this
-// rank mapped has no name: an mp world's never had one, and a hybrid group's
-// is gone once the barrier has put every creator past its own Ready, which is
-// where it unlinks.
-func checkSegmentUnlinked(p *spmd.Proc) {
-	p.Barrier()
-	path := p.Fabric().(interface{ SegmentPath() string }).SegmentPath()
-	if spmd.WorkerOf() == spmd.BackendMP {
-		check(path == "", "rank %d: an mp world's segment has the name %s", p.Rank(), path)
-		return
-	}
-	check(path != "", "rank %d: backend reports no segment path", p.Rank())
-	_, err := os.Lstat(path)
-	check(errors.Is(err, fs.ErrNotExist), "rank %d: segment %s still has its name after Ready (%v)", p.Rank(), path, err)
-}
-
 // checkNothingNamed asserts, from inside a body, that the running world names
-// nothing: no fompi-mp-* entry and no doorbell socket (*.door.*) in either
-// root, and no entry at all under os.TempDir(), which the launcher's leak
-// watch made private to the test.
+// nothing: no fompi-mp-* or fompi-hyb-* entry and no doorbell socket
+// (*.door.*) in either root, and no entry at all under os.TempDir(), which
+// the launcher's leak watch made private to the test.
 func checkNothingNamed(p *spmd.Proc) {
-	found := append(mprun.GlobRoots("fompi-mp-*"), mprun.GlobRoots("*.door.*")...)
+	var found []string
+	for _, pat := range []string{"fompi-mp-*", "fompi-hyb-*", "*.door.*"} {
+		found = append(found, globRoots(pat)...)
+	}
 	ents, err := os.ReadDir(os.TempDir())
 	check(err == nil, "rank %d: read %s: %v", p.Rank(), os.TempDir(), err)
 	for _, e := range ents {
@@ -122,9 +121,8 @@ func TestNoLeftoversClean(t *testing.T) {
 		}
 		if err := spmd.Run(c, func(p *spmd.Proc) {
 			reg, key := setupRegion(p, 128)
-			checkSegmentUnlinked(p)
 			checkNothingNamed(p)
-			// The mapping outlives its name.
+			// The unnamed mapping carries the data plane.
 			p.EP().StoreW(simnet.Addr{Rank: (p.Rank() + 1) % p.Size(), Key: key, Off: 0}, uint64(p.Rank())+1)
 			p.EP().WaitLocal(func() bool { return reg.LocalWord(0) != 0 })
 			p.Barrier()
@@ -154,7 +152,7 @@ func TestNoLeftoversKilled(t *testing.T) {
 		err, _ := chaosRun(t, label, 60*time.Second, func() error {
 			return spmd.Run(c, func(p *spmd.Proc) {
 				reg, _ := setupRegion(p, 128)
-				checkSegmentUnlinked(p)
+				checkNothingNamed(p)
 				if p.Rank() == 1 {
 					syscall.Kill(os.Getpid(), syscall.SIGKILL)
 				}
@@ -260,7 +258,7 @@ func TestLeakWatchSeesLeaks(t *testing.T) {
 	if spmd.WorkerOf() != "" {
 		return
 	}
-	for _, root := range mprun.SegmentRoots() {
+	for _, root := range roots() {
 		if _, err := os.Stat(root); err != nil {
 			continue
 		}

@@ -113,7 +113,14 @@
 #                                event loop retired (its rendezvous and
 #                                barrier phases, func (c *coord) rendezvous
 #                                and barrier, and sock's listener shim over
-#                                socketpairs, type streams),
+#                                socketpairs, type streams) and what every
+#                                rank inheriting its boot retired (a hybrid
+#                                group's named segment — GroupName,
+#                                SweepStaleArenas, StaleAge, CreateArena,
+#                                OpenArena, segmentDir, SegmentPath — and
+#                                the dialing boot and launch, joinWired and
+#                                launchWired, and FOMPI_COORD's :tcp:
+#                                worker form),
 #                                occur in no non-test Go file, and
 #                                internal/sock has no "unix" network; the Makefile, the
 #                                scripts and the CI workflow name no piece
@@ -144,9 +151,9 @@
 #                                rank binary is a cgo binary (≈ 0.5 ms more
 #                                per process start); telemetry leaves a
 #                                rank over its control stream alone (SIGQUIT
-#                                to the launcher, DUMP to every rank), and an
-#                                arena's name is an FNV digest, so no rank
-#                                binary pays for a crypto stack at boot
+#                                to the launcher, DUMP to every rank), and
+#                                no rank binary pays for a crypto stack at
+#                                boot
 #   go test ./...                all package suites (includes the transport
 #                                conformance suite, which spawns the worker
 #                                processes of the mp, net and hybrid
@@ -228,15 +235,13 @@
 #                                backends; hashtable and dsde run to
 #                                completion under fompi-run on mp, net and
 #                                hybrid
-#   leak gate                    no fompi-hyb-* segment created during this
-#                                run is left under $TMPDIR or /dev/shm —
-#                                every world the legs above launched, clean,
-#                                failed or SIGKILLed, cleaned up after itself
-#                                (the benchmark's own check sees only
-#                                $TMPDIR); and no fompi-mp-* entry and no
-#                                *.door.* path of any age exists there at
-#                                all: an mp world names nothing on disk, and
-#                                a host-mate wakes through the segment alone
+#   leak gate                    no fompi-hyb-* or fompi-mp-* entry and no
+#                                *.door.* path of any age exists under
+#                                $TMPDIR or /dev/shm: no world names
+#                                anything on disk — its arenas are
+#                                anonymous, its control streams inherited —
+#                                and a host-mate wakes through the segment
+#                                alone
 #
 # Run via `make verify` or directly. Exits nonzero on the first failure.
 set -eu
@@ -246,7 +251,6 @@ cd "$(dirname "$0")/.."
 TMP="scripts/.verify.tmp.$$"
 trap 'rm -rf "$TMP"' EXIT INT TERM
 mkdir -p "$TMP"
-: >"$TMP/started" # the leak gate's "younger than the run"
 
 echo "== gofmt"
 UNFORMATTED="$(gofmt -l .)"
@@ -277,13 +281,13 @@ for fn in '(*Port).LockRing' '(*Port).unlockRung' '(*Stamps).Get' '(*Stamps).Wor
 	fi
 done
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator, the byte-slice one-word branch, the frame's ring flag, package net, MPI-1's in-process carve-out and its chunk buffer, an mp world's names on disk, the coordinator's phases, sock's listener shim and sock's unix network must not creep back)"
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator, the byte-slice one-word branch, the frame's ring flag, package net, MPI-1's in-process carve-out and its chunk buffer, an mp world's names on disk, the coordinator's phases, sock's listener shim, sock's unix network, the named segment and the dialing boot must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD|FOMPI_TT_BACKENDS|FOMPI_CHAOS_LOG|FOMPI_DEBUG_ADDR'
-if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo|waiterField|waiterOne|RegionLive|proxyLive|entryEmpty|entryLive|entryDead|nextKey|mineMu|ownRegion|initTbl|regUnknown|oneWord|\.bring\b|\bbring +bool|ringDoor|sharedOnce|rmaOnly|rma-only|two-sided runs in process only|serveChunk|chunkFor|kindReady|SweepStaleWorlds|SegName|CtlPath|onReady|func \(c \*coord\) (rendezvous|barrier)\(|type streams struct|^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?\"net\"$" \
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo|waiterField|waiterOne|RegionLive|proxyLive|entryEmpty|entryLive|entryDead|nextKey|mineMu|ownRegion|initTbl|regUnknown|oneWord|\.bring\b|\bbring +bool|ringDoor|sharedOnce|rmaOnly|rma-only|two-sided runs in process only|serveChunk|chunkFor|kindReady|SweepStaleWorlds|SegName|CtlPath|onReady|func \(c \*coord\) (rendezvous|barrier)\(|type streams struct|GroupName|SweepStaleArenas|StaleAge|CreateArena|OpenArena|segmentDir|SegmentPath|joinWired|launchWired|:tcp:|^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?\"net\"$" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
-	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml ||
+	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|:tcp:|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml ||
 	grep -n '"unix"' --include='*.go' --exclude='*_test.go' -r internal/sock; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set, a data operation beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator or liveness constant, the byte-slice one-word branch, the frame's ring flag, an import of package net, MPI-1's in-process carve-out or its chunk buffer, an mp world's names on disk, a phase of the coordinator, sock's listener shim or sock's unix network is back" >&2
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set, a data operation beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator or liveness constant, the byte-slice one-word branch, the frame's ring flag, an import of package net, MPI-1's in-process carve-out or its chunk buffer, an mp world's names on disk, a phase of the coordinator, sock's listener shim, sock's unix network, the named segment or the dialing boot is back" >&2
 	exit 1
 fi
 
@@ -417,16 +421,15 @@ for lb in mp net hybrid; do
 done
 echo "examples smoke: OK"
 
-echo "== leak gate (no fompi-hyb-* entry of this run, and no fompi-mp-* entry or *.door.* path at all, under \$TMPDIR or /dev/shm)"
+echo "== leak gate (no fompi-hyb-* or fompi-mp-* entry and no *.door.* path of any age, under \$TMPDIR or /dev/shm)"
 LEAKED=""
 for root in "${TMPDIR:-/tmp}" /dev/shm; do
 	[ -d "$root" ] || continue
-	LEAKED="$LEAKED$(find "$root" -maxdepth 1 -name 'fompi-hyb-*' -newer "$TMP/started")"
-	LEAKED="$LEAKED$(find "$root" -maxdepth 1 -name 'fompi-mp-*')"
+	LEAKED="$LEAKED$(find "$root" -maxdepth 1 \( -name 'fompi-hyb-*' -o -name 'fompi-mp-*' \))"
 	LEAKED="$LEAKED$(find "$root" -maxdepth 2 -name '*.door.*' 2>/dev/null)"
 done
 if [ -n "$LEAKED" ]; then
-	echo "verify: worlds of this run left entries behind:" >&2
+	echo "verify: worlds left entries behind:" >&2
 	echo "$LEAKED" >&2
 	exit 1
 fi
