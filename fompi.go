@@ -50,7 +50,10 @@ import (
 
 // Config describes an SPMD world: rank count, node width (ranks sharing the
 // XPMEM fast path), optionally a non-default transport cost model, and the
-// transport backend (Config.Backend).
+// transport backend (Config.Backend). It sizes no collective memory: a rank's
+// standing scratch is the O(log p) collective header, and an allgather (the
+// one a traditional window's creation runs) registers its O(p) area for the
+// call alone.
 type Config = spmd.Config
 
 // Backend selects the transport substrate of a world: BackendInProc runs

@@ -4,11 +4,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"fompi/internal/simnet"
 	"fompi/internal/spmd"
+	"fompi/internal/timing"
 )
 
 func TestPSCWRing(t *testing.T) {
@@ -44,6 +47,76 @@ func TestPSCWRing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPSCWStartAndWaitStamps instruments DESIGN §5's account of P_start and
+// P_wait (5 ns, one intra-node poll) in bench.Models' PSCW ring: 8 ranks, 4 a
+// node, k = 2, a barrier between 51 rounds, the model read on rank 4.
+//   - Every call costs exactly its poll plus whatever the stamps it reads lie
+//     past its entry clock: a Start ends one poll after the later of its entry
+//     and the posts it matched, a WaitEpoch at the later of one poll past its
+//     entry and the completes it counted.
+//   - On the ranks with an off-node neighbour (0, 3, 4, 7), whose own Complete
+//     waits out an inter-node add, no WaitEpoch reads a complete stamped after
+//     its entry: P_wait is one poll.
+//   - On rank 4, most Starts read only posts stamped before entry, so the
+//     median is one poll. The rest match a neighbour's post that landed late
+//     because the neighbour lost the race on the counter (bench's
+//     orderDependentModelRow); in 300 runs at most 22 of 51 did.
+//
+// So the 5 ns is the measured rank's, not the ring's: on ranks 1, 2, 5 and 6,
+// whose neighbours share their node, a Post is intra-node only and can end
+// before a neighbour's, which first waits out an inter-node fetch-add. In 300
+// runs ranks 5 and 6 merged a later post in every Start, ranks 1 and 2 in
+// 3 to 47 of 51; the test logs each rank's count.
+func TestPSCWStartAndWaitStamps(t *testing.T) {
+	const n, reps = 8, 51
+	poll := timing.Time(simnet.FoMPI().Intra.PollNs)
+	run(t, n, 4, func(p *spmd.Proc) {
+		w, _ := Allocate(p, 64, Config{})
+		defer w.Free()
+		me := p.Rank()
+		group := []int{(me + n - 1) % n, (me + 1) % n}
+		listOff := ctlPostList(w.cfg.MaxAttach)
+		lateStarts, lateWaits := 0, 0
+		for r := 0; r < reps; r++ {
+			w.Post(group)
+			was := slices.Clone(w.consumed)
+			t0 := p.Now()
+			w.Start(group)
+			read := t0
+			for i, c := range w.consumed {
+				if c && (i >= len(was) || !was[i]) {
+					read = max(read, w.ctl.StampMax(listOff+i*8, 8))
+				}
+			}
+			if want := read + poll; p.Now() != want {
+				t.Errorf("rank %d round %d: Start entered at %d, its posts were stamped by %d, and it ended at %d, not %d", me, r, t0, read, p.Now(), want)
+			}
+			if read > t0 {
+				lateStarts++
+			}
+			w.Complete()
+			t0 = p.Now()
+			w.WaitEpoch()
+			read = w.ctl.StampMax(ctlComplete, 8)
+			if want := max(t0+poll, read); p.Now() != want {
+				t.Errorf("rank %d round %d: WaitEpoch entered at %d, its completes were stamped %d, and it ended at %d, not %d", me, r, t0, read, p.Now(), want)
+			}
+			if read > t0 {
+				lateWaits++
+			}
+			p.Barrier()
+		}
+		offNode := !p.SameNode(group[0]) || !p.SameNode(group[1])
+		if offNode && lateWaits > 0 {
+			t.Errorf("rank %d, an off-node neighbour: %d of %d WaitEpochs read a complete stamped after entry", me, lateWaits, reps)
+		}
+		if me == 4 && 2*lateStarts >= reps {
+			t.Errorf("rank 4: %d of %d Starts read a post stamped after entry, so their median is not one poll", lateStarts, reps)
+		}
+		t.Logf("rank %d: %d of %d Starts and %d WaitEpochs read a stamp past entry", me, lateStarts, reps, lateWaits)
+	})
 }
 
 // TestPSCWMatchingListExhausted: a matching list of MaxPosts entries takes

@@ -1,17 +1,22 @@
 package spmd
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"fompi/internal/simnet"
 	"fompi/internal/wordcoll"
 )
 
-// Scratch-region layout: the wordcoll collective header occupies the first
-// HdrBytes; the variable tail holds allgather/alltoall flags (p words)
-// followed by the payload area.
-const hdrBytes = wordcoll.HdrBytes
+// A rank's standing collective scratch is O(1): the wordcoll header — the
+// flag and value words of Barrier, Bcast8 and Allreduce8 — then Allgather's
+// handshake slot, a flag word and a value word its right neighbour writes.
+// Allgather registers its O(p) area per call.
+const (
+	handOff  = wordcoll.HdrBytes
+	hdrBytes = handOff + 16
+)
 
 // Op identifies a reduction operator for word-sized allreduce.
 type Op = wordcoll.Op
@@ -36,14 +41,6 @@ func (p *Proc) coll() wordcoll.Group {
 	}
 }
 
-// waitFlagGE blocks until the local scratch word at off reaches seq, then
-// merges the writer's completion stamp into the clock (gather-area flags).
-func (p *Proc) waitFlagGE(off int, seq uint64) {
-	reg := p.scratchOf(p.rank)
-	p.ep.WaitLocal(func() bool { return reg.LocalWord(off) >= seq })
-	p.ep.MergeStamp(reg, off, 8)
-}
-
 // Barrier synchronizes all ranks with a dissemination barrier:
 // ceil(log2 p) rounds of one remote flag update each.
 func (p *Proc) Barrier() { p.coll().Barrier() }
@@ -55,21 +52,21 @@ func (p *Proc) Bcast8(root int, v uint64) uint64 { return p.coll().Bcast8(root, 
 // rank returns the full reduction.
 func (p *Proc) Allreduce8(op Op, v uint64) uint64 { return p.coll().Allreduce8(op, v) }
 
-// gatherFlagOff returns the offset of gather-area flag slot i.
-func (p *Proc) gatherFlagOff(i int) int { return hdrBytes + i*8 }
-
-// gatherDataOff returns the offset of the gather payload area.
-func (p *Proc) gatherDataOff() int { return hdrBytes + p.Size()*8 }
-
-func (p *Proc) checkScratch(need int) {
-	have := p.scratchOf(p.rank).Size() - p.gatherDataOff()
-	if need > have {
-		panic(fmt.Sprintf("spmd: collective payload %d B exceeds scratch %d B; raise Config.ScratchBytes", need, have))
-	}
-}
-
-// Allgather gathers each rank's fixed-size block into rank order on every
-// rank (ring algorithm: p-1 neighbor steps).
+// Allgather gathers each rank's block into rank order on every rank (ring
+// algorithm: p-1 neighbor steps). Every rank's block must be of one size.
+//
+// The ring's area — p flag words, then the p blocks — is registered for the
+// call alone, so a world holds no O(p) scratch between calls and only a caller
+// of Allgather pays for one. The area comes from the transport's segment
+// allocator at a power-of-two size, so its exact-size free lists serve the
+// next call, whatever its block size. Each rank writes only into its right
+// neighbour's area, so one handshake closes the registration: a rank
+// registers, then hands its area's key and its block size to its left
+// neighbour's header, and writes into its right neighbour's area only once
+// that neighbour's handshake has arrived. The keys need not agree across
+// ranks, and a rank whose block size differs from its right neighbour's
+// faults, naming both sizes, before any block moves: around the ring, equal
+// neighbours mean equal blocks everywhere.
 func (p *Proc) Allgather(mine []byte) []byte {
 	n, each := p.Size(), len(mine)
 	out := make([]byte, n*each)
@@ -77,11 +74,27 @@ func (p *Proc) Allgather(mine []byte) []byte {
 	if n == 1 {
 		return out
 	}
-	p.checkScratch(n * each)
+	if uint64(each) > math.MaxUint32 {
+		panic(fmt.Sprintf("spmd: Allgather block of %d B does not fit the 32-bit size its handshake carries", each))
+	}
+	dataOff := n * 8
+	seg := p.ep.AllocSeg(1 << bits.Len(uint(dataOff+n*each-1)))
+	var reg simnet.Region
+	p.ep.RegisterBufStampsInto(&reg, seg.Buf, seg.St)
+
 	seq := p.nextSeq()
-	reg := p.scratchOf(p.rank)
-	right := (p.rank + 1) % n
-	dataOff := p.gatherDataOff()
+	left, right := (p.rank-1+n)%n, (p.rank+1)%n
+	p.ep.StoreW(simnet.Addr{Rank: left, Key: 0, Off: handOff + 8}, uint64(reg.Key())<<32|uint64(each))
+	p.ep.StoreW(simnet.Addr{Rank: left, Key: 0, Off: handOff}, seq)
+	hdr := p.scratchOf(p.rank)
+	p.ep.WaitLocal(func() bool { return hdr.LocalWord(handOff) >= seq })
+	p.ep.MergeStamp(hdr, handOff, 16)
+	theirs := hdr.LocalWord(handOff + 8)
+	if size := int(uint32(theirs)); size != each {
+		panic(fmt.Sprintf("spmd: Allgather blocks differ across ranks: rank %d gives %d B, rank %d gives %d B; every rank must give one size", p.rank, each, right, size))
+	}
+	key := simnet.Key(theirs >> 32) // the right neighbour's area
+
 	for s := 0; s < n-1; s++ {
 		sendIdx := (p.rank - s + n) % n
 		var block []byte
@@ -90,109 +103,19 @@ func (p *Proc) Allgather(mine []byte) []byte {
 		} else {
 			block = reg.Bytes()[dataOff+sendIdx*each : dataOff+(sendIdx+1)*each]
 		}
-		p.ep.PutNBI(simnet.Addr{Rank: right, Key: 0, Off: dataOff + sendIdx*each}, block)
-		p.ep.StoreW(simnet.Addr{Rank: right, Key: 0, Off: p.gatherFlagOff(s)}, seq)
+		p.ep.PutNBI(simnet.Addr{Rank: right, Key: key, Off: dataOff + sendIdx*each}, block)
+		p.ep.StoreW(simnet.Addr{Rank: right, Key: key, Off: s * 8}, seq)
 
 		recvIdx := (p.rank - s - 1 + n) % n
-		p.waitFlagGE(p.gatherFlagOff(s), seq)
-		p.ep.MergeStamp(reg, dataOff+recvIdx*each, each)
+		p.ep.WaitLocal(func() bool { return reg.LocalWord(s*8) >= seq })
+		p.ep.MergeStamp(&reg, s*8, 8)
+		p.ep.MergeStamp(&reg, dataOff+recvIdx*each, each)
 		copy(out[recvIdx*each:], reg.Bytes()[dataOff+recvIdx*each:dataOff+(recvIdx+1)*each])
 	}
-	p.Barrier() // protect scratch reuse by the next collective
-	return out
-}
-
-// Alltoall delivers block j of send (p blocks of each bytes) to rank j;
-// the result holds block i from rank i.
-func (p *Proc) Alltoall(send []byte, each int) []byte {
-	n := p.Size()
-	if len(send) != n*each {
-		panic("spmd: Alltoall send length must be ranks*each")
-	}
-	p.checkScratch(n * each)
-	seq := p.nextSeq()
-	reg := p.scratchOf(p.rank)
-	dataOff := p.gatherDataOff()
-	out := make([]byte, n*each)
-	copy(out[p.rank*each:], send[p.rank*each:(p.rank+1)*each])
-	for d := 1; d < n; d++ {
-		j := (p.rank + d) % n
-		p.ep.PutNBI(simnet.Addr{Rank: j, Key: 0, Off: dataOff + p.rank*each},
-			send[j*each:(j+1)*each])
-	}
-	for d := 1; d < n; d++ {
-		j := (p.rank + d) % n
-		p.ep.StoreW(simnet.Addr{Rank: j, Key: 0, Off: p.gatherFlagOff(p.rank)}, seq)
-	}
-	for d := 1; d < n; d++ {
-		i := (p.rank - d + n) % n
-		p.waitFlagGE(p.gatherFlagOff(i), seq)
-		p.ep.MergeStamp(reg, dataOff+i*each, each)
-		copy(out[i*each:], reg.Bytes()[dataOff+i*each:dataOff+(i+1)*each])
-	}
+	// Every rank's ring is done, so no write reaches the area again, and the
+	// handshake slot is read before any rank can write the next call's.
 	p.Barrier()
+	p.ep.Unregister(&reg)
+	p.ep.RecycleSeg(seg)
 	return out
-}
-
-// ReduceScatterSum reduces a p-element uint64 vector element-wise across all
-// ranks and returns element `rank` of the sum to each rank (the counting
-// pattern DSDE uses). Power-of-two rank counts use recursive halving
-// (log p rounds); others fall back to alltoall plus local summation.
-func (p *Proc) ReduceScatterSum(vec []uint64) uint64 {
-	n := p.Size()
-	if len(vec) != n {
-		panic("spmd: ReduceScatterSum needs one element per rank")
-	}
-	if n == 1 {
-		return vec[0]
-	}
-	if n&(n-1) != 0 {
-		buf := make([]byte, n*8)
-		for i, v := range vec {
-			binary.LittleEndian.PutUint64(buf[i*8:], v)
-		}
-		got := p.Alltoall(buf, 8)
-		var sum uint64
-		for i := 0; i < n; i++ {
-			sum += binary.LittleEndian.Uint64(got[i*8:])
-		}
-		return sum
-	}
-
-	acc := make([]uint64, n)
-	copy(acc, vec)
-	p.checkScratch(n * 8) // per-round slots sum to < n words
-	seq := p.nextSeq()
-	reg := p.scratchOf(p.rank)
-	dataOff := p.gatherDataOff()
-
-	lo, cnt, round, slotOff := 0, n, 0, 0
-	for mask := n / 2; mask > 0; mask >>= 1 {
-		peer := p.rank ^ mask
-		half := cnt / 2
-		var sendLo, keepLo int
-		if p.rank&mask == 0 {
-			keepLo, sendLo = lo, lo+half
-		} else {
-			keepLo, sendLo = lo+half, lo
-		}
-		buf := make([]byte, half*8)
-		for i := 0; i < half; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], acc[sendLo+i])
-		}
-		p.ep.PutNBI(simnet.Addr{Rank: peer, Key: 0, Off: dataOff + slotOff}, buf)
-		p.ep.StoreW(simnet.Addr{Rank: peer, Key: 0, Off: p.gatherFlagOff(round)}, seq)
-
-		p.waitFlagGE(p.gatherFlagOff(round), seq)
-		p.ep.MergeStamp(reg, dataOff+slotOff, half*8)
-		in := reg.Bytes()[dataOff+slotOff : dataOff+slotOff+half*8]
-		for i := 0; i < half; i++ {
-			acc[keepLo+i] += binary.LittleEndian.Uint64(in[i*8:])
-		}
-		lo, cnt = keepLo, half
-		slotOff += half * 8
-		round++
-	}
-	p.Barrier()
-	return acc[p.rank]
 }

@@ -3,17 +3,12 @@ package spmd
 import (
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"fompi/internal/simnet"
 	"fompi/internal/timing"
 )
-
-// shapes hands each call of TestReusedWorldIsFresh scratch sizes no world in
-// this process has had, so a -count=N run misses the worlds the last kept.
-var shapes atomic.Int64
 
 // freshRecord is what one rank of fixedProgram saw.
 type freshRecord struct {
@@ -85,22 +80,19 @@ func leaveEverything(fabs []simnet.Transport) func(*Proc) {
 // next launch of its shape, reset. After a world that left every kind of
 // state behind (leaveEverything), a world of its shape that got its fabric
 // runs fixedProgram bit-identically — keys, per-rank clocks, results and
-// counters — to a world of a shape no launch has used (scratch 8 bytes
-// larger). A world whose rank panicked is never reused, and the kept worlds
-// leave no goroutine behind (TestFabricResetIsNew holds their parkers'
-// stopped timers).
+// counters — to a zero World no launch has used. A world whose rank panicked
+// is never reused, and the kept worlds leave no goroutine behind
+// (TestFabricResetIsNew holds their parkers' stopped timers).
 func TestReusedWorldIsFresh(t *testing.T) {
 	const ranks = 2
-	scratch := 48<<10 + 16*int(shapes.Add(1))
-	used := Config{Ranks: ranks, RanksPerNode: 1, ScratchBytes: scratch}
+	used := Config{Ranks: ranks, RanksPerNode: 1}.withDefaults()
 	paced := used
 	paced.PaceWindowNs = 5000
-	fresh := used
-	fresh.ScratchBytes += 8
 
 	want := make([]freshRecord, ranks)
-	wantFabs := make([]simnet.Transport, ranks)
-	MustRun(fresh, fixedProgram(want, wantFabs))
+	if err := new(World).run(used, fixedProgram(want, make([]simnet.Transport, ranks))); err != nil {
+		t.Fatal(err)
+	}
 
 	before := runtime.NumGoroutine()
 	reused := 0
@@ -115,9 +107,6 @@ func TestReusedWorldIsFresh(t *testing.T) {
 			continue
 		}
 		reused++
-		if fabs[0] == wantFabs[0] {
-			t.Fatal("a never-used shape was served the same fabric")
-		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("a reused world differs from a fresh one:\n reused %+v\n fresh  %+v", got, want)
 		}

@@ -1,11 +1,11 @@
 package spmd
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"regexp"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -162,59 +162,25 @@ func TestAllreduceFloatSum(t *testing.T) {
 	}
 }
 
+// TestAllgather gathers 8-byte blocks and then 40 KiB ones, past the 64 KiB a
+// world once reserved for every collective payload: the area is the call's.
 func TestAllgather(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 17} {
 		err := Run(Config{Ranks: n, RanksPerNode: 4}, func(p *Proc) {
-			mine := []byte(fmt.Sprintf("rank-%03d", p.Rank()))
-			all := p.Allgather(mine)
-			for r := 0; r < n; r++ {
-				want := fmt.Sprintf("rank-%03d", r)
-				if got := string(all[r*8 : r*8+8]); got != want {
-					t.Errorf("n=%d rank %d block %d: %q != %q", n, p.Rank(), r, got, want)
+			for _, each := range []int{8, 40 << 10} {
+				mine := make([]byte, each)
+				for i := range mine {
+					mine[i] = byte(p.Rank()*31 + i)
 				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 9, 16} {
-		err := Run(Config{Ranks: n, RanksPerNode: 4}, func(p *Proc) {
-			send := make([]byte, n*8)
-			for j := 0; j < n; j++ {
-				binary.LittleEndian.PutUint64(send[j*8:], uint64(p.Rank()*1000+j))
-			}
-			got := p.Alltoall(send, 8)
-			for i := 0; i < n; i++ {
-				want := uint64(i*1000 + p.Rank())
-				if v := binary.LittleEndian.Uint64(got[i*8:]); v != want {
-					t.Errorf("n=%d rank %d from %d: got %d want %d", n, p.Rank(), i, v, want)
+				all := p.Allgather(mine)
+				for r := 0; r < n; r++ {
+					for i := 0; i < each; i++ {
+						if got, want := all[r*each+i], byte(r*31+i); got != want {
+							t.Errorf("n=%d rank %d, %d B blocks: block %d byte %d is %d, want %d", n, p.Rank(), each, r, i, got, want)
+							return
+						}
+					}
 				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestReduceScatterSum(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 16, 32, 6, 12} { // pow2 and fallback paths
-		err := Run(Config{Ranks: n, RanksPerNode: 4}, func(p *Proc) {
-			vec := make([]uint64, n)
-			for i := range vec {
-				vec[i] = uint64(p.Rank()*i + 1)
-			}
-			got := p.ReduceScatterSum(vec)
-			var want uint64
-			for r := 0; r < n; r++ {
-				want += uint64(r*p.Rank() + 1)
-			}
-			if got != want {
-				t.Errorf("n=%d rank %d: got %d want %d", n, p.Rank(), got, want)
 			}
 		})
 		if err != nil {
@@ -285,13 +251,88 @@ func TestPropertyAllreduceMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestScratchOverflowPanics(t *testing.T) {
-	err := Run(Config{Ranks: 4, ScratchBytes: 1024}, func(p *Proc) {
-		p.Allgather(make([]byte, 4096))
+// TestAllgatherUnequalBlocksFault: the handshake carries each rank's block
+// size to its left neighbour, so a rank whose block differs from its right
+// neighbour's faults, naming both sizes, before any block moves.
+func TestAllgatherUnequalBlocksFault(t *testing.T) {
+	err := Run(Config{Ranks: 4, RanksPerNode: 2}, func(p *Proc) {
+		each := 8
+		if p.Rank() == 2 {
+			each = 9
+		}
+		p.Allgather(make([]byte, each))
 	})
-	if err == nil {
-		t.Fatal("oversized allgather must fail")
+	if err == nil || !regexp.MustCompile(`rank 1 gives 8 B, rank 2 gives 9 B|rank 2 gives 9 B, rank 3 gives 8 B`).MatchString(err.Error()) {
+		t.Fatalf("unequal Allgather blocks: got %v, want a fault naming both ranks' sizes", err)
 	}
+}
+
+// TestAllgatherWaitsForEveryRegistration: rank 1 registers its area 20 ms of
+// host time after its peers, so its left neighbour's first write would reach
+// an unregistered key unless a writer waits for its right neighbour's
+// handshake.
+func TestAllgatherWaitsForEveryRegistration(t *testing.T) {
+	const n = 4
+	err := Run(Config{Ranks: n, RanksPerNode: 2}, func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			if p.Rank() == 1 {
+				time.Sleep(20 * time.Millisecond)
+			}
+			all := p.Allgather([]byte{byte(p.Rank()), byte(i)})
+			for r := 0; r < n; r++ {
+				if all[2*r] != byte(r) || all[2*r+1] != byte(i) {
+					t.Errorf("rank %d call %d: block %d = %v", p.Rank(), i, r, all[2*r:2*r+2])
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWorldHeapPerRankIsFlat: a bare in-process world — 16 ranks a node, two
+// barriers — holds the same live heap a rank at p = 256 and p = 4096, and at
+// most 32 KiB of it. A term in p (collective scratch sized by the world, say)
+// fails by name.
+func TestWorldHeapPerRankIsFlat(t *testing.T) {
+	small, large := worldHeapPerRank(256), worldHeapPerRank(4096)
+	t.Logf("live heap a rank: %.0f B at p = 256, %.0f B at p = 4096", small, large)
+	for _, b := range []float64{small, large} {
+		if b > 32<<10 {
+			t.Errorf("a bare world holds %.0f B a rank, past 32 KiB", b)
+		}
+	}
+	if d := math.Abs(large-small) / small; d > 0.10 {
+		t.Errorf("heap a rank moves %.0f%% from p = 256 to 4096 (%.0f → %.0f B): a term in p", 100*d, small, large)
+	}
+}
+
+// worldHeapPerRank boots a bare world of p ranks on a zero World, runs two
+// barriers, and returns the live heap it added, a rank, as rank 0 sees it
+// after a GC while every other rank waits in a third barrier.
+func worldHeapPerRank(p int) float64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second cycle drains what sync.Pools moved to their victim caches
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	var during uint64
+	err := new(World).run(Config{Ranks: p, RanksPerNode: 16}.withDefaults(), func(pr *Proc) {
+		pr.Barrier()
+		pr.Barrier()
+		if pr.Rank() == 0 {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			during = ms.HeapAlloc
+		}
+		pr.Barrier()
+	})
+	if err != nil {
+		panic(err)
+	}
+	return float64(int64(during)-int64(before)) / float64(p)
 }
 
 // The in-process launcher runs rank 0 on Run's calling goroutine. The four

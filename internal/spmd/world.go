@@ -11,10 +11,12 @@
 // FOMPI_COORD and FOMPI_RANK, and telemetry aggregation (FOMPI_STATS), the
 // failure-model timing spec (FOMPI_NET_TIMEOUTS) and heartbeat liveness work
 // the same on all of them.
-// Each rank receives a fabric endpoint, a scratch region for the built-in
-// collectives, and its own virtual clock. Collectives (dissemination
-// barrier, binomial broadcast, recursive-doubling allreduce, ring allgather,
-// ...) are implemented with one-sided fabric operations so their virtual
+// Each rank receives a fabric endpoint, a standing scratch region of a size
+// that does not depend on p (the word collectives' header), and its own
+// virtual clock.
+// Collectives (dissemination barrier, binomial broadcast, recursive-doubling
+// allreduce, and a ring allgather over an area it registers per call) are
+// implemented with one-sided fabric operations so their virtual
 // cost is whatever the executed communication pattern costs — O(log p)
 // rounds, not a formula — and is bit-identical across backends.
 package spmd
@@ -65,14 +67,12 @@ const (
 	BackendHybrid Backend = netrun.BackendHybrid
 )
 
-// Config describes a world: the rank count, node width, the cost model of
-// the transport layer under test, and the scratch bytes reserved per rank
-// for collective payloads.
+// Config describes a world: the rank count, node width and the cost model of
+// the transport layer under test.
 type Config struct {
 	Ranks        int
 	RanksPerNode int
 	Model        *simnet.CostModel
-	ScratchBytes int
 	// PaceWindowNs bounds virtual-clock divergence between ranks (see
 	// simnet.Fabric.SetPacing); 0 disables pacing.
 	PaceWindowNs int64
@@ -122,17 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.Model == nil {
 		c.Model = defaultModel
 	}
-	if c.ScratchBytes <= 0 {
-		// The built-in collectives need p words of flags plus the payload
-		// area; the layers above exchange at most tens of bytes per rank
-		// (window descriptors), so the default scales with the world rather
-		// than reserving a fixed megabyte per rank. Workloads with larger
-		// collective payloads set ScratchBytes explicitly.
-		c.ScratchBytes = 64 << 10
-		if need := 64 * c.Ranks; need > c.ScratchBytes {
-			c.ScratchBytes = need
-		}
-	}
 	if c.Backend == "" {
 		c.Backend = BackendInProc
 	}
@@ -140,10 +129,11 @@ func (c Config) withDefaults() Config {
 }
 
 // World is the shared state of one SPMD run. Per-rank collective scratch —
-// registered bytes plus shadow stamps — comes from the transport's segment
-// allocator (the shared pool in process, the rank's shared-memory arena on
-// the multi-process backend), and the per-rank handles (procs, endpoints,
-// scratch regions) are slab-allocated. An in-process world that ends cleanly
+// the O(log p) collective header's registered bytes plus shadow stamps, the
+// same size whatever p — comes from the transport's segment allocator (the
+// shared pool in process, the rank's shared-memory arena on the multi-process
+// backend), and the per-rank handles (procs, endpoints, scratch regions) are
+// slab-allocated. An in-process world that ends cleanly
 // is kept for the next launch of its shape (see reuse): worlds are created
 // per experiment repetition in the bench sweeps, so a launch resets the
 // last one instead of building a fabric, its endpoints and scratch anew.
@@ -169,14 +159,14 @@ type World struct {
 
 // A worldShape is what a kept in-process world can serve: everything reset
 // does not set from the launch's Config.
-type worldShape struct{ ranks, ranksPerNode, scratchBytes int }
+type worldShape struct{ ranks, ranksPerNode int }
 
 // kept holds the in-process worlds that ended cleanly, a sync.Pool per shape
 // — segpool's idiom: it drains under GC, so an idle world pins nothing.
 var kept sync.Map
 
 func keptFor(cfg Config) *sync.Pool {
-	sh := worldShape{cfg.Ranks, cfg.RanksPerNode, cfg.ScratchBytes}
+	sh := worldShape{cfg.Ranks, cfg.RanksPerNode}
 	if p, ok := kept.Load(sh); ok {
 		return p.(*sync.Pool)
 	}
@@ -208,7 +198,7 @@ func (w *World) reset(cfg Config) []Proc {
 		p := &w.procs[r]
 		*p = Proc{world: w, rank: r, ep: &w.eps[r]}
 		if w.segs[r] == nil {
-			w.segs[r] = w.fab.AllocSeg(r, hdrBytes+cfg.ScratchBytes)
+			w.segs[r] = w.fab.AllocSeg(r, hdrBytes)
 		}
 		p.ep.RegisterBufStampsInto(&w.scratch[r], w.segs[r].Buf, w.segs[r].St)
 	}
@@ -323,7 +313,7 @@ func runCrossWorker(cfg Config, body func(*Proc)) {
 	p := &Proc{world: w, rank: rank, ep: simnet.NewEndpoint(cw, rank, cfg.Model)}
 	// The scratch registration must be this process's first so its key is 0
 	// on every rank, the symmetric-key property the collectives assume.
-	seg := cw.AllocSeg(rank, hdrBytes+cfg.ScratchBytes)
+	seg := cw.AllocSeg(rank, hdrBytes)
 	p.ep.RegisterBufStampsInto(&w.scratch[rank], seg.Buf, seg.St)
 	if err := cw.Ready(); err != nil { // barrier: every rank's scratch is addressable
 		fmt.Fprintf(os.Stderr, "spmd: rank %d: %v\n", rank, err)
@@ -366,9 +356,19 @@ func runCrossWorker(cfg Config, body func(*Proc)) {
 // *simnet.ErrPeerFailed naming it, as a process world's do after the verdict;
 // an abort symptom blames nobody. Once every rank has returned, clean or
 // aborted, the world disarms its parker's heartbeats, and a clean world is
-// kept for the next launch of its shape (newWorld).
+// kept for the next launch of its shape.
 func runInProc(cfg Config, body func(*Proc)) error {
-	w, procs := newWorld(cfg)
+	w, _ := keptFor(cfg).Get().(*World)
+	if w == nil {
+		w = new(World)
+	}
+	return w.run(cfg, body)
+}
+
+// run resets w to the fresh world cfg describes and runs body on it:
+// runInProc's launch on the world it took.
+func (w *World) run(cfg Config, body func(*Proc)) error {
+	procs := w.reset(cfg)
 	w.body, w.firstErr = body, nil
 	w.running.Add(len(procs) - 1)
 	for r := 1; r < len(procs); r++ {
@@ -475,17 +475,6 @@ func MustRun(cfg Config, body func(*Proc)) {
 	if err := Run(cfg, body); err != nil {
 		panic(err)
 	}
-}
-
-// newWorld takes a kept world of cfg's shape, or a zero one, and resets it:
-// runInProc's world, without its goroutines.
-func newWorld(cfg Config) (*World, []Proc) {
-	cfg = cfg.withDefaults()
-	w, _ := keptFor(cfg).Get().(*World)
-	if w == nil {
-		w = new(World)
-	}
-	return w, w.reset(cfg)
 }
 
 // Rank returns this proc's rank in [0, Size).

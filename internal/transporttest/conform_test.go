@@ -1032,7 +1032,7 @@ func TestConformanceManyRanks(t *testing.T) {
 	cfg := spmd.Config{
 		Ranks: p96, RanksPerNode: 8,
 		// Keep 96 concurrent processes lean: the ring needs only flags.
-		ScratchBytes: 8 << 10, MPArenaBytes: 1 << 20,
+		MPArenaBytes: 1 << 20,
 	}
 	runAll(t, "TestConformanceManyRanks", cfg, func(p *spmd.Proc) {
 		reg, key := setupRegion(p, 64)
