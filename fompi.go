@@ -29,9 +29,12 @@
 // landed, and the target consumes it with Win.WaitNotify / Win.TestNotify —
 // a single-word local poll, with no fence, PSCW, or lock epoch on the
 // consumer's critical path. Win.Notify sends a bare tag (credit/doorbell for
-// pipelined protocols). Tags are 31-bit; WinConfig.MaxNotify bounds the ring
-// and the unmatched list, and overflow faults loudly, consistent with the
-// paper's bounded-buffer discipline.
+// pipelined protocols). Tags are 31-bit; the ring and the unmatched list
+// hold 64 notifications each, and overflow faults loudly, consistent with
+// the paper's bounded-buffer discipline. A window's protocol buffers are
+// fixed: its whole control region — PSCW matching list (256 outstanding
+// posts), dynamic attach table (64 regions) and notification ring — is
+// 3 656 bytes a rank.
 //
 // Every operation advances a per-rank virtual clock calibrated to the
 // paper's Cray XE6 (Gemini) measurements; p.Now() reads it, so latency
@@ -101,7 +104,8 @@ type Proc = spmd.Proc
 // Win is an MPI-3 window handle.
 type Win = core.Win
 
-// WinConfig bounds a window's fixed protocol buffers.
+// WinConfig is a window's creation argument: its displacement unit, as in
+// MPI_Win_create. The zero value gives byte displacements.
 type WinConfig = core.Config
 
 // Time is a virtual-time instant or interval in nanoseconds.
@@ -147,7 +151,7 @@ func WinAllocate(p *Proc, size int) (*Win, []byte) {
 	return core.Allocate(p, size, core.Config{})
 }
 
-// WinAllocateCfg is WinAllocate with explicit protocol-buffer bounds.
+// WinAllocateCfg is WinAllocate with an explicit WinConfig.
 func WinAllocateCfg(p *Proc, size int, cfg WinConfig) (*Win, []byte) {
 	return core.Allocate(p, size, cfg)
 }

@@ -331,10 +331,9 @@ func Memory(cfg Config) *Table {
 	for _, n := range PSweep(cfg.MaxP) {
 		foot := make(map[string]int, 3)
 		spmd.MustRun(spmd.Config{Ranks: n, RanksPerNode: 4}, func(p *spmd.Proc) {
-			small := core.Config{MaxPosts: 64, MaxAttach: 4}
-			wa, _ := core.Allocate(p, 64, small)
-			wc := core.Create(p, make([]byte, 64), small)
-			wd := core.CreateDynamic(p, small)
+			wa, _ := core.Allocate(p, 64, core.Config{})
+			wc := core.Create(p, make([]byte, 64), core.Config{})
+			wd := core.CreateDynamic(p, core.Config{})
 			if p.Rank() == 0 {
 				foot["allocate"] = wa.MemoryFootprint()
 				foot["create"] = wc.MemoryFootprint()

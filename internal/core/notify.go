@@ -13,7 +13,7 @@ import (
 // landed. The target matches notifications by tag with WaitNotify and
 // TestNotify — a single-word local poll — instead of closing a fence, PSCW,
 // or lock epoch just to learn "the data has arrived". Both the delivery ring
-// and the unmatched list are bounded by Config.MaxNotify, consistent with
+// and the unmatched list are bounded by maxNotify, consistent with
 // the paper's bounded-buffer discipline: overflow faults loudly.
 
 // maxNotifyTag bounds tags to 31 bits: the notification word packs
@@ -40,7 +40,7 @@ func checkTag(tag uint32) {
 
 // notifyRingAddr returns the fabric address of rank's notification ring.
 func (w *Win) notifyRingAddr(rank int) simnet.Addr {
-	return w.ctlAddr(rank, ctlNotifyRing(w.cfg))
+	return w.ctlAddr(rank, ctlNotifyRing)
 }
 
 // nextNotifyWord stamps one outgoing notification with this origin's
@@ -106,8 +106,8 @@ func (w *Win) drainNotify(tag uint32) (uint64, bool) {
 			w.ep.AdvanceTo(stamp)
 			return v, true
 		}
-		if len(w.notifyPending) >= w.cfg.MaxNotify {
-			panic(fmt.Sprintf("core: notification matching list exhausted (%d unmatched); raise Config.MaxNotify", w.cfg.MaxNotify))
+		if len(w.notifyPending) >= maxNotify {
+			panic(fmt.Sprintf("core: notification matching list exhausted (%d unmatched)", maxNotify))
 		}
 		w.notifyPending = append(w.notifyPending, pendingNotify{word: v, stamp: stamp})
 	}

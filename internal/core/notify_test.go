@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"fompi/internal/simnet"
 	"fompi/internal/spmd"
 	"fompi/internal/timing"
 )
@@ -145,9 +146,11 @@ func TestNotifySameTagFIFO(t *testing.T) {
 func TestNotifyConcurrentProducersToOneConsumer(t *testing.T) {
 	const producers = 7
 	run(t, producers+1, 4, func(p *spmd.Proc) {
-		w, _ := Allocate(p, 64, Config{MaxNotify: 512})
+		w, _ := Allocate(p, 64, Config{})
 		defer w.Free()
-		const each = 16
+		// All producers' notifications fit the ring at once, so none
+		// overflows it however late the consumer drains.
+		const each = maxNotify / producers
 		if p.Rank() < producers {
 			for i := 0; i < each; i++ {
 				w.Notify(producers, uint32(p.Rank()+1))
@@ -192,25 +195,25 @@ func TestNotifyMonotoneVirtualTime(t *testing.T) {
 
 func TestNotifyRingOverflowFaultsLoudly(t *testing.T) {
 	err := spmd.Run(spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
-		w, _ := Allocate(p, 64, Config{MaxNotify: 4})
+		w, _ := Allocate(p, 64, Config{})
 		if p.Rank() == 0 {
-			for i := 0; i < 8; i++ { // consumer never pops: 5th must fault
+			for i := 0; i < 2*maxNotify; i++ { // consumer never pops: maxNotify+1st must fault
 				w.Notify(1, 1)
 			}
 		}
 		p.Barrier()
 	})
 	if err == nil {
-		t.Fatal("overflowing a MaxNotify=4 ring must abort the world")
+		t.Fatalf("overflowing a ring of %d must abort the world", maxNotify)
 	}
 }
 
 func TestNotifyMatchingListOverflowFaults(t *testing.T) {
 	err := spmd.Run(spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
-		w, _ := Allocate(p, 64, Config{MaxNotify: 4})
+		w, _ := Allocate(p, 64, Config{})
 		if p.Rank() == 0 {
 			for round := 0; round < 3; round++ {
-				for i := 0; i < 4; i++ {
+				for i := 0; i < maxNotify; i++ {
 					w.Notify(1, 1) // tag 1, never consumed
 				}
 				p.Barrier() // let the consumer drain the ring
@@ -221,7 +224,7 @@ func TestNotifyMatchingListOverflowFaults(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			p.Barrier()
 			// Drain into the unmatched list looking for a tag that never
-			// arrives; after MaxNotify unmatched entries this must fault.
+			// arrives; after maxNotify unmatched entries this must fault.
 			w.TestNotify(2)
 			p.Barrier()
 		}
@@ -236,13 +239,13 @@ func TestNotifyFullRingOfMatchingTagDoesNotFault(t *testing.T) {
 	// matching-list bound on entries it is about to consume, even with a
 	// stale unmatched notification parked and the ring exactly full.
 	run(t, 2, 1, func(p *spmd.Proc) {
-		w, _ := Allocate(p, 64, Config{MaxNotify: 4})
+		w, _ := Allocate(p, 64, Config{})
 		defer w.Free()
 		if p.Rank() == 0 {
 			w.Notify(1, 1) // the stale tag, parked by the consumer's probe
 			p.Barrier()
 			p.Barrier()
-			for i := 0; i < 4; i++ { // fills the capacity-4 ring
+			for i := 0; i < maxNotify; i++ { // fills the ring
 				w.Notify(1, 2)
 			}
 			p.Barrier()
@@ -253,8 +256,8 @@ func TestNotifyFullRingOfMatchingTagDoesNotFault(t *testing.T) {
 			t.Error("tag 3 was never sent")
 		}
 		p.Barrier()
-		p.Barrier() // all four tag-2 notifications are now delivered
-		for i := 1; i <= 4; i++ {
+		p.Barrier() // all maxNotify tag-2 notifications are now delivered
+		for i := 1; i <= maxNotify; i++ {
 			if seq := w.WaitNotify(2); int(seq) != i+1 {
 				t.Errorf("tag 2 match %d: seq %d, want %d", i, seq, i+1)
 			}
@@ -293,12 +296,12 @@ func TestPutNotifyRequiresEpoch(t *testing.T) {
 
 func TestNotifyFootprintIncludesRing(t *testing.T) {
 	run(t, 2, 1, func(p *spmd.Proc) {
-		small, _ := Allocate(p, 64, Config{MaxPosts: 64, MaxNotify: 8})
-		big, _ := Allocate(p, 64, Config{MaxPosts: 64, MaxNotify: 512})
-		if d := big.MemoryFootprint() - small.MemoryFootprint(); d != (512-8)*8 {
-			t.Errorf("footprint delta = %d, want %d", d, (512-8)*8)
+		w, _ := Allocate(p, 64, Config{})
+		// The control region ends with the ring, and the rest of a fresh
+		// allocated window's footprint is its PSCW consumed window.
+		if ring, want := w.MemoryFootprint()-len(w.consumed)-ctlNotifyRing, simnet.NotifyRingBytes(maxNotify); ring != want {
+			t.Errorf("footprint past the matching list = %d, want the %d-slot ring's %d", ring, maxNotify, want)
 		}
-		small.Free()
-		big.Free()
+		w.Free()
 	})
 }

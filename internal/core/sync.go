@@ -77,74 +77,81 @@ func (w *Win) checkGroup(group []int) []int {
 
 // Post opens an exposure epoch for the ranks in group (MPI_Win_post).
 // The poster announces itself by acquiring a free element in each group
-// member's matching list — a remote fetch-and-add on the list's next-free
-// counter followed by a put of its rank (the free-storage management
-// protocol of Fig. 2c) — issuing O(k) messages and blocking never.
+// member's matching list — a remote fetch-and-add on the list's ticket
+// counter followed by a put of its ticket and rank into the ticket's slot
+// (the free-storage management protocol of Fig. 2c) — issuing O(k)
+// messages and blocking never. The list is a ring of maxPosts slots, and
+// its owner's Start enforces the bound.
 func (w *Win) Post(group []int) {
 	g := w.checkGroup(group)
-	// Acquire all k free-list slots in one round trip: the fetch-adds are
+	// Acquire all k tickets in one round trip: the fetch-adds are
 	// independent, so they pipeline. The O(k) announcement draws its
 	// ticket/handle scratch from the window's reusable pool.
-	idxs := w.postIdxs[:0]
+	tickets := w.postTickets[:0]
 	handles := w.fetchHandles[:0]
 	for _, j := range g {
 		v, h := w.ep.FetchOpNB(w.ctlAddr(j, ctlPostCount), simnet.AmoSum, 1)
-		idxs = append(idxs, v)
+		tickets = append(tickets, v)
 		handles = append(handles, h)
 	}
 	for i, j := range g {
 		w.ep.Wait(handles[i])
-		if idxs[i] >= uint64(w.cfg.MaxPosts) {
-			panic(fmt.Sprintf("core: matching list of rank %d exhausted (%d posts); raise Config.MaxPosts", j, w.cfg.MaxPosts))
-		}
-		w.ep.StoreW(w.ctlAddr(j, ctlPostList(w.cfg.MaxAttach)+int(idxs[i])*8), uint64(w.p.Rank())+1)
+		// The slot's word: the ticket's low 32 bits, which Start compares
+		// wrap-safe, over rank+1, so a written slot is never zero.
+		w.ep.StoreW(w.ctlAddr(j, postSlot(tickets[i])), uint64(uint32(tickets[i]))<<32|uint64(w.p.Rank()+1))
 	}
-	w.postIdxs, w.fetchHandles = idxs[:0], handles[:0]
+	w.postTickets, w.fetchHandles = tickets[:0], handles[:0]
 	w.ep.Gsync()
 	w.exposureQueue = append(w.exposureQueue, len(g))
 }
 
+// postSlot is the control-region offset of ticket t's matching-list slot.
+func postSlot(t uint64) int { return ctlPostList + int(t%maxPosts)*8 }
+
 // Start opens an access epoch to the ranks in group (MPI_Win_start): it
 // blocks until every group member's post notification appears in the local
-// matching list, consuming the matched entries. Zero remote operations
-// (§2.3 "General Active Target Synchronization").
+// matching list, consuming the matched entries. It scans only the
+// unmatched tickets [postBase, counter) and moves postBase past the matched
+// prefix. Zero remote operations, and no local writes (§2.3 "General Active
+// Target Synchronization").
 func (w *Win) Start(group []int) {
 	if w.accessGroup != nil {
 		panic("core: Start while an access epoch is open")
 	}
 	g := w.checkGroup(group)
-	if w.consumed == nil {
-		w.consumed = make([]bool, w.cfg.MaxPosts)
-	}
 	need := make(map[int]int, len(g)) // rank -> outstanding matches needed
 	for _, r := range g {
 		need[r]++
 	}
-	listOff := ctlPostList(w.cfg.MaxAttach)
 	remaining := len(g)
 	w.ep.WaitLocal(func() bool {
-		n := int(w.ctl.LocalWord(ctlPostCount))
-		if n > w.cfg.MaxPosts {
-			n = w.cfg.MaxPosts
+		n := w.ctl.LocalWord(ctlPostCount)
+		if n-w.postBase > maxPosts {
+			panic(fmt.Sprintf("core: matching list of rank %d overflowed: %d posts outstanding, bound %d", w.p.Rank(), n-w.postBase, maxPosts))
 		}
-		for i := 0; i < n && remaining > 0; i++ {
-			if w.consumed[i] {
+		for t := w.postBase; t < n && remaining > 0; t++ {
+			if w.consumed[t%maxPosts] {
 				continue
 			}
-			v := w.ctl.LocalWord(listOff + i*8)
-			if v == 0 {
-				continue // counter raised, rank not yet written
+			v := w.ctl.LocalWord(postSlot(t))
+			if d := int32(uint32(v>>32) - uint32(t)); v == 0 || d < 0 {
+				continue // ticket taken, post not yet written
+			} else if d > 0 {
+				panic(fmt.Sprintf("core: matching list of rank %d overflowed: ticket %d's slot holds a later ticket, bound %d posts outstanding", w.p.Rank(), t, maxPosts))
 			}
-			r := int(v) - 1
-			if need[r] > 0 {
+			if r := int(uint32(v)) - 1; need[r] > 0 {
 				need[r]--
-				w.consumed[i] = true
+				w.consumed[t%maxPosts] = true
 				remaining--
-				w.ep.MergeStamp(w.ctl, listOff+i*8, 8)
+				w.ep.MergeStamp(w.ctl, postSlot(t), 8)
 			}
 		}
 		return remaining == 0
 	})
+	for w.consumed[w.postBase%maxPosts] {
+		w.consumed[w.postBase%maxPosts] = false
+		w.postBase++
+	}
 	w.accessGroup = g
 	w.epoch = epochAccess
 }

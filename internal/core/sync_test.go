@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fompi/internal/simnet"
 	"fompi/internal/spmd"
@@ -77,18 +77,15 @@ func TestPSCWStartAndWaitStamps(t *testing.T) {
 		defer w.Free()
 		me := p.Rank()
 		group := []int{(me + n - 1) % n, (me + 1) % n}
-		listOff := ctlPostList(w.cfg.MaxAttach)
 		lateStarts, lateWaits := 0, 0
 		for r := 0; r < reps; r++ {
 			w.Post(group)
-			was := slices.Clone(w.consumed)
+			base := w.postBase
 			t0 := p.Now()
 			w.Start(group)
 			read := t0
-			for i, c := range w.consumed {
-				if c && (i >= len(was) || !was[i]) {
-					read = max(read, w.ctl.StampMax(listOff+i*8, 8))
-				}
+			for tk := base; tk < w.postBase; tk++ {
+				read = max(read, w.ctl.StampMax(postSlot(tk), 8))
 			}
 			if want := read + poll; p.Now() != want {
 				t.Errorf("rank %d round %d: Start entered at %d, its posts were stamped by %d, and it ended at %d, not %d", me, r, t0, read, p.Now(), want)
@@ -119,22 +116,36 @@ func TestPSCWStartAndWaitStamps(t *testing.T) {
 	})
 }
 
-// TestPSCWMatchingListExhausted: a matching list of MaxPosts entries takes
-// exactly MaxPosts posts over the window's life, and the next Post faults by
-// name instead of writing past the list.
-func TestPSCWMatchingListExhausted(t *testing.T) {
-	const posts = 4
-	var epochs atomic.Int32
-	err := spmd.Run(spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
-		w, mem := Allocate(p, 64, Config{MaxPosts: posts})
-		for e := range posts {
+// runWithin is spmd.Run bounded by d: a world still running after d fails
+// the test as hung (and is left parked).
+func runWithin(t *testing.T, d time.Duration, cfg spmd.Config, body func(p *spmd.Proc)) error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- spmd.Run(cfg, body) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-time.After(d):
+		t.Fatalf("the world hung for %v", d)
+		return nil
+	}
+}
+
+// TestPSCWMatchingListReusesSlots: the matching list bounds the posts
+// outstanding at a rank, not the posts a window receives over its life, so
+// 20 000 epochs into one rank — 78 turns of its 256-slot ring — all match.
+func TestPSCWMatchingListReusesSlots(t *testing.T) {
+	const epochs = 20_000
+	err := runWithin(t, time.Minute, spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
+		w, mem := Allocate(p, 64, Config{})
+		defer w.Free()
+		for e := range epochs {
 			if p.Rank() == 0 {
 				w.Post([]int{1})
 				w.WaitEpoch()
 				if got := binary.LittleEndian.Uint64(mem); got != uint64(e)+1 {
-					t.Errorf("epoch %d: rank 0 holds %d, want %d", e, got, e+1)
+					panic(fmt.Sprintf("epoch %d: rank 0 holds %d, want %d", e, got, e+1))
 				}
-				epochs.Add(1)
 			} else {
 				w.Start([]int{0})
 				var v [8]byte
@@ -143,16 +154,104 @@ func TestPSCWMatchingListExhausted(t *testing.T) {
 				w.Complete()
 			}
 		}
-		if p.Rank() == 0 {
-			w.Post([]int{1}) // the fifth post into rank 1's list of four
+		if p.Rank() == 1 && w.postBase != epochs {
+			t.Errorf("rank 1 matched %d posts, yet its oldest unmatched ticket is %d", epochs, w.postBase)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPSCWOutstandingPostsFaultAtStart: maxPosts posts queued into one rank
+// are the bound, and all match; one more faults by name at that rank's
+// Start, the list's owner, instead of overwriting an unmatched post.
+func TestPSCWOutstandingPostsFaultAtStart(t *testing.T) {
+	err := runWithin(t, 30*time.Second, spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
+		w, _ := Allocate(p, 64, Config{})
+		defer w.Free()
+		for _, queued := range []int{maxPosts, maxPosts + 1} {
+			if p.Rank() == 0 {
+				for range queued {
+					w.Post([]int{1})
+				}
+			}
+			p.Barrier()
+			for range queued {
+				if p.Rank() == 1 {
+					w.Start([]int{0})
+					w.Complete()
+				} else {
+					w.WaitEpoch()
+				}
+			}
+		}
+	})
+	want := fmt.Sprintf("rank 1 panicked: core: matching list of rank 1 overflowed: %d posts outstanding, bound %d", maxPosts+1, maxPosts)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%d posts queued into one rank ended the world with %v, want %q", maxPosts+1, err, want)
+	}
+}
+
+// TestPSCWStartWaitsForReusedSlot: a ticket whose slot still holds the post
+// of the ticket maxPosts before it is not yet posted. Rank 1 takes ticket
+// maxPosts at rank 0, and writes its slot only after 1 ms of compute, and
+// only once rank 0 has been in Start for 20 ms of host time; rank 0's Start
+// must wait for that write and merge its stamp, not match the stale post of
+// ticket 0 in the same slot.
+func TestPSCWStartWaitsForReusedSlot(t *testing.T) {
+	var starting atomic.Bool
+	run(t, 2, 1, func(p *spmd.Proc) {
+		w, _ := Allocate(p, 64, Config{})
+		defer w.Free()
+		for range maxPosts {
+			if p.Rank() == 1 {
+				w.Post([]int{0})
+				w.WaitEpoch()
+			} else {
+				w.Start([]int{1})
+				w.Complete()
+			}
+		}
+		if p.Rank() == 1 {
+			tk := w.ep.FetchOp(w.ctlAddr(0, ctlPostCount), simnet.AmoSum, 1)
+			p.Barrier()
+			for !starting.Load() {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond)
+			p.Compute(1_000_000)
+			w.ep.StoreW(w.ctlAddr(0, postSlot(tk)), tk<<32|2) // Post's word: ticket, rank+1
+			w.ep.Gsync()
+			p.Barrier()
+			return
 		}
 		p.Barrier()
+		t0 := p.Now()
+		starting.Store(true)
+		w.Start([]int{1})
+		if got := p.Now() - t0; got < 1_000_000 {
+			t.Errorf("Start matched ticket %d's post %d ns after entry, before rank 1 wrote it", maxPosts, got)
+		}
+		w.Complete()
+		p.Barrier()
 	})
-	if epochs.Load() != posts {
-		t.Errorf("%d of %d epochs completed before the list ran out", epochs.Load(), posts)
-	}
-	if want := fmt.Sprintf("matching list of rank 1 exhausted (%d posts)", posts); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("post %d into a list of %d ended the world with %v, want %q", posts+1, posts, err, want)
+}
+
+// TestFreeUnderPanicAbortsWorld: a rank that faults under a deferred Free
+// aborts the world, so a peer blocked in Start for its post unwinds, rather
+// than parking in Free's closing barrier.
+func TestFreeUnderPanicAbortsWorld(t *testing.T) {
+	err := runWithin(t, 10*time.Second, spmd.Config{Ranks: 2}, func(p *spmd.Proc) {
+		w, _ := Allocate(p, 64, Config{})
+		defer w.Free()
+		if p.Rank() == 0 {
+			panic("boom")
+		}
+		w.Start([]int{0})
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 0 panicked: boom") {
+		t.Fatalf("a rank's panic under a deferred Free ended the world with %v, want rank 0's panic", err)
 	}
 }
 
@@ -258,6 +357,31 @@ func TestFenceOrdersEpochs(t *testing.T) {
 				t.Errorf("iter %d rank %d: got %#x", iter, p.Rank(), got)
 			}
 			w.Fence()
+		}
+	})
+}
+
+// TestFenceCompletesEpochGets: a Fence completes the epoch's operations
+// remotely (its gsync) before its barrier, so a rank that gets 64 KiB from
+// its peer on another node leaves the Fence no sooner than the same get,
+// completed alone by its request, takes. The barrier alone ends sooner: the
+// peer's flag does not wait for the get's reply.
+func TestFenceCompletesEpochGets(t *testing.T) {
+	const size = 64 << 10
+	run(t, 2, 1, func(p *spmd.Proc) {
+		w, _ := Allocate(p, size, Config{})
+		defer w.Free()
+		buf, peer := make([]byte, size), 1-p.Rank()
+		w.Fence()
+		t0 := p.Now()
+		w.WaitRequest(w.RGet(buf, peer, 0))
+		alone := p.Now() - t0
+		w.Fence()
+		t0 = p.Now()
+		w.Get(buf, peer, 0)
+		w.Fence()
+		if fenced := p.Now() - t0; fenced < alone {
+			t.Errorf("rank %d: a get and a Fence took %d ns, less than the get alone (%d ns)", p.Rank(), fenced, alone)
 		}
 	})
 }

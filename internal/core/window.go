@@ -19,42 +19,27 @@ import (
 	"fompi/internal/spmd"
 )
 
-// Config bounds the fixed per-window buffers. The zero value gives the
-// defaults; the bounds model the paper's "small bounded buffer space at
-// each process" assumption and fault loudly when exceeded.
+// Config is a window's creation argument; the zero value gives the defaults.
 type Config struct {
-	// MaxPosts bounds the PSCW matching list: the total number of post
-	// notifications a rank can receive over the window's lifetime
-	// (k neighbors × epochs). Default 1 << 14.
-	MaxPosts int
-	// MaxAttach bounds the dynamic-window attach table. Default 64.
-	MaxAttach int
-	// MaxNotify bounds the notified-access buffers: the delivery ring and
-	// the popped-but-unmatched list each hold at most MaxNotify entries, so
-	// a rank can hold up to 2×MaxNotify delivered-but-unconsumed
-	// notifications before the next arrival (or drain) faults, like
-	// matching-list overflow. Default 64.
-	MaxNotify int
 	// DispUnit scales target displacements, as in MPI_Win_create.
 	// Default 1 (byte displacements).
 	DispUnit int
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxPosts <= 0 {
-		c.MaxPosts = 1 << 14
-	}
-	if c.MaxAttach <= 0 {
-		c.MaxAttach = 64
-	}
-	if c.MaxNotify <= 0 {
-		c.MaxNotify = 64
-	}
 	if c.DispUnit <= 0 {
 		c.DispUnit = 1
 	}
 	return c
 }
+
+// A window's fixed buffers, the paper's "small bounded buffer space at each
+// process"; exceeding one faults loudly.
+const (
+	maxPosts  = 256 // PSCW matching-list ring: posts outstanding (not yet matched) at a rank
+	maxAttach = 64  // dynamic-window attach table
+	maxNotify = 64  // notification ring, and the popped-but-unmatched list
+)
 
 // winKind discriminates the four window flavours.
 type winKind int
@@ -71,22 +56,19 @@ const (
 // the fabric key is identical on all ranks — the symmetric-heap property
 // window allocation establishes (§2.2).
 const (
-	ctlPostCount = 0  // matching-list next-free index (remote fetch-add)
-	ctlComplete  = 8  // PSCW completion counter
-	ctlGlobal    = 16 // global lock word (meaningful at the master)
-	ctlLocal     = 24 // local reader-writer lock word
-	ctlAccLock   = 32 // internal lock for non-accelerated accumulates
-	ctlDynID     = 40 // dynamic window modification counter
-	ctlAttach    = 48 // dynamic attach table: MaxAttach × 2 words
+	ctlPostCount  = 0  // matching-list ticket counter (remote fetch-add)
+	ctlComplete   = 8  // PSCW completion counter
+	ctlGlobal     = 16 // global lock word (meaningful at the master)
+	ctlLocal      = 24 // local reader-writer lock word
+	ctlAccLock    = 32 // internal lock for non-accelerated accumulates
+	ctlDynID      = 40 // dynamic window modification counter
+	ctlAttach     = 48 // dynamic attach table: maxAttach × 2 words
+	ctlPostList   = ctlAttach + maxAttach*16
+	ctlNotifyRing = ctlPostList + maxPosts*8 // after the PSCW matching list
 )
 
-func ctlPostList(maxAttach int) int { return ctlAttach + maxAttach*16 }
-
-// ctlNotifyRing places the notified-access ring after the PSCW post list.
-func ctlNotifyRing(c Config) int { return ctlPostList(c.MaxAttach) + c.MaxPosts*8 }
-
-// ctlBytes is the full control-region size.
-func ctlBytes(c Config) int { return ctlNotifyRing(c) + simnet.NotifyRingBytes(c.MaxNotify) }
+// ctlBytes is the full control-region size: 3 656 bytes.
+var ctlBytes = ctlNotifyRing + simnet.NotifyRingBytes(maxNotify)
 
 // epochKind tracks which synchronization epoch the window is in, so that
 // erroneous MPI usage faults instead of corrupting memory.
@@ -131,17 +113,19 @@ type Win struct {
 	peerKeys  []simnet.Key
 	peerSizes []int
 
-	// PSCW state. consumed is allocated on first Start (fence- and
-	// lock-only windows never pay for it); groupCache memoizes validated
-	// epoch groups, and postIdxs is Post's reusable O(k) scratch.
+	// PSCW state. postBase is the oldest ticket Start has not matched, and
+	// consumed marks, by slot, the tickets past it Start matched out of
+	// order; groupCache memoizes validated epoch groups, and postTickets is
+	// Post's reusable O(k) scratch.
 	// fetchHandles holds the handles of Post's pipelined fetch-adds.
 	accessGroup   []int // current access epoch (start..complete)
 	exposureQueue []int // outstanding exposure group sizes, FIFO for wait
 	waitTarget    uint64
-	consumed      []bool // matching-list entries already matched by start
+	postBase      uint64
+	consumed      [maxPosts]bool
 	groupCache    []groupCacheEnt
 	groupCacheRR  int
-	postIdxs      []uint64
+	postTickets   []uint64
 	fetchHandles  []simnet.Handle
 
 	// Passive-target state.
@@ -178,19 +162,16 @@ type dynEntry struct {
 // winBase initializes the parts common to all window kinds: it registers the
 // control region and records its key. It is local — the constructor's one
 // collective (syncCreation, or Create's allgather) verifies the key. The
-// control region — dominated by the MaxPosts matching list — comes from the
-// segment pool: per-repetition worlds would otherwise allocate and zero
-// ~130 KiB of control state per rank per window. Mode-specific bookkeeping
-// (PSCW consumed list, lock and dynamic-window maps) allocates lazily on
-// first use.
+// control region (3 656 bytes) comes from the segment pool, which hands a
+// recycled one back already wiped. Mode-specific bookkeeping (lock and
+// dynamic-window maps) allocates lazily on first use.
 func winBase(p *spmd.Proc, cfg Config, kind winKind) *Win {
-	cfg = cfg.withDefaults()
-	w := &Win{p: p, ep: p.EP(), cfg: cfg, kind: kind}
-	w.ctlSeg = w.ep.AllocSeg(ctlBytes(cfg))
+	w := &Win{p: p, ep: p.EP(), cfg: cfg.withDefaults(), kind: kind}
+	w.ctlSeg = w.ep.AllocSeg(ctlBytes)
 	w.ep.RegisterBufStampsInto(&w.ctlReg, w.ctlSeg.Buf, w.ctlSeg.St)
 	w.ctl = &w.ctlReg
 	w.ctlKey = w.ctl.Key()
-	w.notifyRing.Bind(w.ctl, ctlNotifyRing(cfg), cfg.MaxNotify)
+	w.notifyRing.Bind(w.ctl, ctlNotifyRing, maxNotify)
 	return w
 }
 
@@ -363,14 +344,14 @@ func (w *Win) Attach(buf []byte) int {
 	}
 	ctl := w.ctl.Bytes()
 	slot := -1
-	for i := 0; i < w.cfg.MaxAttach; i++ {
+	for i := 0; i < maxAttach; i++ {
 		if binary.LittleEndian.Uint64(ctl[ctlAttach+i*16:]) == 0 {
 			slot = i
 			break
 		}
 	}
 	if slot < 0 {
-		panic(fmt.Sprintf("core: attach table full (%d regions)", w.cfg.MaxAttach))
+		panic(fmt.Sprintf("core: attach table full (%d regions)", maxAttach))
 	}
 	binary.LittleEndian.PutUint64(ctl[ctlAttach+slot*16:], uint64(reg.Key())+1)
 	binary.LittleEndian.PutUint64(ctl[ctlAttach+slot*16+8:], uint64(len(buf)))
@@ -407,11 +388,11 @@ func (w *Win) dynResolve(target, slot, off, n int) simnet.Addr {
 	id := w.ep.LoadW(ctlAddr.Add(ctlDynID))
 	c := w.dynCache[target]
 	if c == nil || c.id != id {
-		raw := make([]byte, w.cfg.MaxAttach*16)
+		raw := make([]byte, maxAttach*16)
 		w.ep.GetNBI(raw, ctlAddr.Add(ctlAttach))
 		w.ep.Gsync()
-		c = &dynCache{id: id, entries: make([]dynEntry, w.cfg.MaxAttach)}
-		for i := 0; i < w.cfg.MaxAttach; i++ {
+		c = &dynCache{id: id, entries: make([]dynEntry, maxAttach)}
+		for i := 0; i < maxAttach; i++ {
 			c.entries[i] = dynEntry{
 				key:  simnet.Key(binary.LittleEndian.Uint64(raw[i*16:])),
 				size: int(binary.LittleEndian.Uint64(raw[i*16+8:])),
@@ -464,7 +445,12 @@ func (w *Win) Size() int { return w.size }
 // control region always, the data region when the library allocated it —
 // are recycled after the closing barrier, when no rank can still address
 // them; memory returned by Allocate/AllocateShared is invalid afterwards.
+// A rank panicking under a deferred Free re-raises here, so the world
+// aborts instead of the rank parking in a barrier its peers never reach.
 func (w *Win) Free() {
+	if r := recover(); r != nil {
+		panic(r)
+	}
 	if w.freed {
 		panic("core: double Free")
 	}
@@ -482,12 +468,9 @@ func (w *Win) Free() {
 	// Control-region writes are stamped fabric operations except for the
 	// notification ring's unstamped header/pop stores and, on dynamic
 	// windows, the locally-written attach table.
-	extras := []segpool.Range{{
-		Lo: ctlNotifyRing(w.cfg),
-		Hi: ctlNotifyRing(w.cfg) + simnet.NotifyRingBytes(w.cfg.MaxNotify),
-	}}
+	extras := []segpool.Range{{Lo: ctlNotifyRing, Hi: ctlBytes}}
 	if w.kind == kindDynamic {
-		extras = append(extras, segpool.Range{Lo: ctlAttach, Hi: ctlAttach + w.cfg.MaxAttach*16})
+		extras = append(extras, segpool.Range{Lo: ctlAttach, Hi: ctlPostList})
 	}
 	w.ep.RecycleSeg(w.ctlSeg, extras...)
 	w.ctlSeg = nil
@@ -498,7 +481,7 @@ func (w *Win) Free() {
 // holds, excluding the user's window memory itself: the measurable form of
 // the paper's O(1)/O(log p)-versus-Ω(p) storage claims.
 func (w *Win) MemoryFootprint() int {
-	n := ctlBytes(w.cfg)                        // control region incl. notify ring
+	n := ctlBytes                               // control region incl. notify ring
 	n += len(w.peerKeys)*8 + len(w.peerSizes)*8 // Ω(p) only for Create
 	n += len(w.consumed)
 	n += len(w.notifyPending) * 16

@@ -97,9 +97,9 @@ func TestMemoryFootprintScaling(t *testing.T) {
 		run(t, n, 4, func(p *spmd.Proc) {
 			var w *Win
 			if traditional {
-				w = Create(p, make([]byte, 64), Config{MaxPosts: 64})
+				w = Create(p, make([]byte, 64), Config{})
 			} else {
-				w, _ = Allocate(p, 64, Config{MaxPosts: 64})
+				w, _ = Allocate(p, 64, Config{})
 			}
 			if p.Rank() == 0 {
 				got = w.MemoryFootprint()

@@ -2,10 +2,11 @@
 // buffer plus its shadow-stamp arrays — across simulated worlds. Host-perf
 // scenarios (and any benchmark sweep) create and destroy a world per
 // repetition; without pooling every repetition allocates, page-faults, and
-// garbage-collects hundreds of kilobytes per rank (window control regions
-// alone are ~130 KiB each), which dominates the host cost of short-lived
-// worlds. Segments are pooled per size; sync.Pool drains under GC pressure,
-// so idle pools do not pin memory.
+// garbage-collects its windows' segments per rank (a window's control
+// region alone is 3.6 KiB, its data region whatever the program asks for),
+// which dominates the host cost of short-lived worlds. Segments are pooled
+// per size; sync.Pool drains under GC pressure, so idle pools do not pin
+// memory.
 package segpool
 
 import (
@@ -93,8 +94,8 @@ func Scrub(s *Seg, extra ...Range) {
 // notification delivery) or lies inside one of the declared extra ranges
 // (local unstamped stores, e.g. a notification ring's header words). Only
 // the stamped blocks and the extras are wiped, so recycling a mostly-idle
-// region — a fence-only window's 130 KiB control region, a barely-used
-// collective scratch — costs proportional to what was actually written.
+// region — a fence-only window's control region, a barely-used collective
+// scratch — costs proportional to what was actually written.
 // Callers whose buffers receive untracked writes (user-held window memory)
 // must use Put.
 func PutScrubbed(s *Seg, extra ...Range) {

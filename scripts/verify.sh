@@ -125,7 +125,11 @@
 #                                knob ScratchBytes, its overflow check
 #                                checkScratch, and spmd's Proc.Alltoall and
 #                                Proc.ReduceScatterSum, which nothing in the
-#                                library called),
+#                                library called) and the window's buffer
+#                                knobs the fixed control region retired
+#                                (core.Config's MaxPosts, MaxAttach and
+#                                MaxNotify, and the "raise Config.Max..."
+#                                advice of their overflow faults),
 #                                occur in no non-test Go file, and
 #                                internal/sock has no "unix" network; the Makefile, the
 #                                scripts and the CI workflow name no piece
@@ -207,7 +211,11 @@
 #                                (TestRunReusesRankGoroutines,
 #                                TestRunNestedFromRank0,
 #                                TestReusedWorldIsFresh) ten times over,
-#                                and the coordinator loop's own lifetime and
+#                                and the PSCW matching ring's reuse and
+#                                bound (TestPSCWMatchingListReusesSlots:
+#                                20 000 epochs into one rank;
+#                                TestPSCWOutstandingPostsFaultAtStart)
+#                                ten times over, and the coordinator loop's own lifetime and
 #                                start (no goroutine left behind, a silent
 #                                connection, an inherited stream's claim, a
 #                                rank that exits before JOIN) ten times over,
@@ -286,13 +294,13 @@ for fn in '(*Port).LockRing' '(*Port).unlockRung' '(*Stamps).Get' '(*Stamps).Wor
 	fi
 done
 
-echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator, the byte-slice one-word branch, the frame's ring flag, package net, MPI-1's in-process carve-out and its chunk buffer, an mp world's names on disk, the coordinator's phases, sock's listener shim, sock's unix network, the named segment, the dialing boot and the standing O(p) collective scratch must not creep back)"
+echo "== retired names (the port's, the route memo's, the pacer's and the door's predecessors, the door's waiter table, the second host-perf harness, the wire-window knob, the per-backend control planes, the per-backend transports, the wire's other request shapes, the second abort path, the doorbell sockets, the second observability channel, the batched issue scope, the second judge of a rank's death, the second AMO operator set, the data operations beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator, the byte-slice one-word branch, the frame's ring flag, package net, MPI-1's in-process carve-out and its chunk buffer, an mp world's names on disk, the coordinator's phases, sock's listener shim, sock's unix network, the named segment, the dialing boot, the standing O(p) collective scratch and the window's buffer knobs must not creep back)"
 RETIRED_ENV='FOMPI_MP_DIR|FOMPI_MP_RANK|FOMPI_NET_COORD|FOMPI_NET_RANK|FOMPI_HYB_WORLD|FOMPI_TT_BACKENDS|FOMPI_CHAOS_LOG|FOMPI_DEBUG_ADDR'
-if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo|waiterField|waiterOne|RegionLive|proxyLive|entryEmpty|entryLive|entryDead|nextKey|mineMu|ownRegion|initTbl|regUnknown|oneWord|\.bring\b|\bbring +bool|ringDoor|sharedOnce|rmaOnly|rma-only|two-sided runs in process only|serveChunk|chunkFor|kindReady|SweepStaleWorlds|SegName|CtlPath|onReady|func \(c \*coord\) (rendezvous|barrier)\(|type streams struct|GroupName|SweepStaleArenas|StaleAge|CreateArena|OpenArena|segmentDir|SegmentPath|joinWired|launchWired|:tcp:|ScratchBytes|checkScratch|func \(p \*Proc\) (Alltoall|ReduceScatterSum)\(|^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?\"net\"$" \
+if grep -rnE "LockChain|nicMu|rnNicLock|regMemo|paceMinRefresh|paceSleepMin|paceShardMins|paceWaiterOff|lastPoke|doorWaiters|doorMu|doorGenOf|doorWaitSliced|WaitDoorSliced|DoorOps|doorWaitMin|doorWaitMax|DoorTableWords|doorOwn|waitOff|hostperf|EnvWindow|NetWindow|winDepth|resolveWindow|$RETIRED_ENV|ExtraEnv|netWindow|opNicReserve|watchAbort|hybridrun|SetDoor|crossWorld|withBackend|opResume|AsyncMem|rmta|PutAsync|StoreWordAsync|NotifyAsync|reqData|callData|callIdem|wireCall|sendRing|opRing|idemAttempts|SetAbortFlag|AbortFlag|hdrAbort|hdrFailRank|worldsMu|abortHooks|mpi1\.Release|DoorSockPath|sendDoor|SockStem|GroupSockStem|doorAlive|peersMu|ServeDebug|EnvDebugAddr|startDebug|dumpRankStats|debug-addr|BeginBatch|EndBatch|InBatch|batchDepth|batchGen|pendDst|dstMark|flushBatchNotifies|flushBeforeBlock|optimeout|ctlidle|CtlIdleTimeout|lost peer rank|WordOp|WordAdd|WordCas|WordSwap|applyWordOp|FetchAddNB|opStoreW|opLoadW|opWordAmo|opBulkAmo|loadWordStamped|WordAmo|BulkAmo|waiterField|waiterOne|RegionLive|proxyLive|entryEmpty|entryLive|entryDead|nextKey|mineMu|ownRegion|initTbl|regUnknown|oneWord|\.bring\b|\bbring +bool|ringDoor|sharedOnce|rmaOnly|rma-only|two-sided runs in process only|serveChunk|chunkFor|kindReady|SweepStaleWorlds|SegName|CtlPath|onReady|func \(c \*coord\) (rendezvous|barrier)\(|type streams struct|GroupName|SweepStaleArenas|StaleAge|CreateArena|OpenArena|segmentDir|SegmentPath|joinWired|launchWired|:tcp:|ScratchBytes|checkScratch|func \(p \*Proc\) (Alltoall|ReduceScatterSum)\(|MaxPosts|MaxAttach|MaxNotify|raise Config\.Max|^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?\"net\"$" \
 	--include='*.go' --exclude='*_test.go' fompi.go internal cmd examples ||
 	grep -nE "hostperf|bench_host|bench_check|bench_wire|BENCH_host|FOMPI_NET_WINDOW|:tcp:|$RETIRED_ENV" --exclude=verify.sh Makefile scripts/*.sh .github/workflows/ci.yml ||
 	grep -n '"unix"' --include='*.go' --exclude='*_test.go' -r internal/sock; then
-	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set, a data operation beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator or liveness constant, the byte-slice one-word branch, the frame's ring flag, an import of package net, MPI-1's in-process carve-out or its chunk buffer, an mp world's names on disk, a phase of the coordinator, sock's listener shim, sock's unix network, the named segment, the dialing boot, the collective scratch knob or spmd's Alltoall or ReduceScatterSum is back" >&2
+	echo "verify: a retired per-target lock, the batch-only region memo, a second pacing loop, a second doorbell park/wake, the door's waiter table, the deleted host-perf harness, the wire-window knob, a per-backend control plane's or transport's name, a second request shape on the wire, a second abort path, a doorbell socket, a second observability channel, the batched issue scope, a second judge of a rank's death, a second AMO operator set, a data operation beyond put, get, atomic and notify, the one-word port's waiter field, a second key allocator or liveness constant, the byte-slice one-word branch, the frame's ring flag, an import of package net, MPI-1's in-process carve-out or its chunk buffer, an mp world's names on disk, a phase of the coordinator, sock's listener shim, sock's unix network, the named segment, the dialing boot, the collective scratch knob, spmd's Alltoall or ReduceScatterSum or a window buffer knob is back" >&2
 	exit 1
 fi
 
@@ -353,11 +361,12 @@ make bench-test
 echo "== issue-path and port-hold benchmarks, one iteration (0 allocs/op, 0 steady-state route misses)"
 go test ./internal/simnet -run '^$' -bench 'Issue|Port' -benchtime 1x
 
-echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1, sock, bench, apps, pgas, wordcoll, segpool, telemetry, datatype, faultnet; spmd's worker and world reuse and the coordinator loop's lifetime ten times; the port's handshake twenty times)"
+echo "== go test -race -short (hostatomic, timing, simnet, core, spmd, netrun, rankio, mprun, mpi1, sock, bench, apps, pgas, wordcoll, segpool, telemetry, datatype, faultnet; spmd's worker and world reuse, the PSCW matching ring and the coordinator loop's lifetime ten times; the port's handshake twenty times)"
 go test -race -short ./internal/hostatomic/ ./internal/timing/ ./internal/simnet/ ./internal/core/ ./internal/spmd/ ./internal/netrun/ ./internal/rankio/ ./internal/mprun/ ./internal/mpi1/ ./internal/sock/ ./internal/bench/ ./internal/apps/... ./internal/pgas/ ./internal/wordcoll/ \
 	./internal/segpool/ ./internal/telemetry/ ./internal/datatype/ ./internal/faultnet/
 go test -race -count=1 -run 'TestConformanceAmoChain|TestConformancePacing|TestConformanceDoorbell|TestConformanceFusedFrame|TestConformanceOrdering|TestConformanceSharedFrame|TestConformanceDump|TestStoppedRank|TestStoppedPeerBehindWire|TestConformanceSameOpAtomic|TestConformanceGeneratedPrograms' ./internal/transporttest/
 go test -race -count=10 -run 'TestRunReusesRankGoroutines|TestRunNestedFromRank0|TestReusedWorldIsFresh' ./internal/spmd
+go test -race -count=10 -run 'TestPSCWMatchingListReusesSlots|TestPSCWOutstandingPostsFaultAtStart' ./internal/core
 go test -race -count=10 -run 'TestCoordinateLeavesNoGoroutine|TestSilentConnectionDoesNotHoldTheJoin|TestInheritedStreamJoinsAsItsOwnRank|TestSpawnedRankExitBeforeJoin' ./internal/rankio
 go test -race -count=20 -run 'TestDoorWaitsOutInFlightWrite|TestPortExclusionAndRings' ./internal/simnet
 
